@@ -65,8 +65,10 @@ impl FidList {
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "FID capacity must be non-zero");
+        // Most pending writes are never snooped: the entries are only
+        // allocated by the first recorded snooper.
         FidList {
-            entries: Vec::with_capacity(capacity),
+            entries: Vec::new(),
             capacity,
             closed: false,
         }

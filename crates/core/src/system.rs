@@ -30,7 +30,8 @@ use scorpio_notify::{NotifyConfig, NotifyNetwork};
 use scorpio_sim::stats::LogHistogram;
 use scorpio_sim::{ActiveSet, Cycle};
 use scorpio_workloads::Trace;
-use std::collections::{BTreeMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// A full SCORPIO (or baseline) system.
 pub struct System {
@@ -91,13 +92,13 @@ pub struct System {
     ops_total: u64,
     /// Last notification window the wake logic has seen.
     last_notify_window: Option<u64>,
-    /// Timed wake-ups keyed by absolute deadline cycle and bucketed by
-    /// notification region: tiles sleeping through a compute gap and MCs
-    /// sleeping on a scheduled response. Values are *endpoint* indices —
+    /// Timed wake-ups keyed by absolute deadline cycle: tiles sleeping
+    /// through a compute gap and MCs sleeping on a scheduled response.
+    /// Values are *endpoint* indices —
     /// `v < cores` is tile `v`, anything above is MC `v - cores`. These
     /// deadlines are also what the event-leaping clock jumps to when the
     /// whole machine is idle.
-    timed_wakes: RegionWakes,
+    timed_wakes: TimedWakes,
     // ---- Per-region leap accounting (quad notification schemes).
     /// Leaf-quad count of the notification tree (1 under the flat scheme
     /// or for baselines without a notification network).
@@ -351,7 +352,7 @@ impl System {
             ops_cache: vec![0; cores],
             ops_total: 0,
             last_notify_window: None,
-            timed_wakes: RegionWakes::new(regions, region_of_ep.clone()),
+            timed_wakes: TimedWakes::default(),
             regions,
             region_of_router,
             region_of_ep,
@@ -632,9 +633,7 @@ impl System {
             return;
         }
         // Fire due timed wakes (gap and MC-response deadlines) for the
-        // next cycle. The region buckets drain in region order, not global
-        // deadline order — harmless, since waking an active set is
-        // order-independent (it drains sorted).
+        // next cycle.
         let next = self.net.cycle().as_u64();
         let cores = self.cfg.cores();
         let mut eps = std::mem::take(&mut self.ep_scratch);
@@ -1592,67 +1591,37 @@ fn wait_mean_gt(a_sum: u64, a_count: u64, b_sum: u64, b_count: u64) -> bool {
     u128::from(a_sum) * u128::from(b_count) > u128::from(b_sum) * u128::from(a_count)
 }
 
-/// Timed wake-ups bucketed by notification region (leaf quad of the
-/// hierarchical notification tree; one bucket under the flat scheme).
-/// Each bucket is the same deadline-keyed map the engine always used, so
-/// a region's earliest local deadline is one `first_key_value` away —
-/// that is what lets a quiescent quad's clock leap independently of a
-/// bursting neighbour. A cached global minimum keeps the per-cycle due
-/// check O(1) on the (dominant) nothing-due path.
-struct RegionWakes {
-    per: Vec<BTreeMap<u64, Vec<u32>>>,
-    /// Endpoint index (tiles then MCs) → region bucket.
-    region_of_ep: Vec<u32>,
-    /// Earliest deadline across every bucket; `u64::MAX` when empty.
-    min_deadline: u64,
+/// Timed wake-ups: endpoints parked until an absolute deadline cycle, as
+/// a min-heap, so the earliest deadline (the leap target) is a peek and a
+/// warmed-up heap allocates nothing.
+#[derive(Default)]
+struct TimedWakes {
+    heap: BinaryHeap<Reverse<(u64, u32)>>,
 }
 
-impl RegionWakes {
-    fn new(regions: usize, region_of_ep: Vec<u32>) -> RegionWakes {
-        RegionWakes {
-            per: vec![BTreeMap::new(); regions.max(1)],
-            region_of_ep,
-            min_deadline: u64::MAX,
-        }
-    }
-
-    /// Parks endpoint `ep` until `deadline` in its region's bucket.
+impl TimedWakes {
+    /// Parks endpoint `ep` until `deadline`.
     fn push(&mut self, deadline: u64, ep: u32) {
-        self.min_deadline = self.min_deadline.min(deadline);
-        self.per[self.region_of_ep[ep as usize] as usize]
-            .entry(deadline)
-            .or_default()
-            .push(ep);
+        self.heap.push(Reverse((deadline, ep)));
     }
 
-    /// The earliest pending deadline across all regions — the machine-wide
-    /// leap target.
+    /// The earliest pending deadline — the machine-wide leap target.
     fn first_deadline(&self) -> Option<u64> {
-        (self.min_deadline != u64::MAX).then_some(self.min_deadline)
+        self.heap.peek().map(|&Reverse((deadline, _))| deadline)
     }
 
     /// Clears `out`, then moves every endpoint whose deadline is `<= now`
-    /// into it. Buckets drain in region order rather than global deadline
-    /// order; the caller wakes active sets, for which order is
-    /// indifferent.
+    /// into it (in deadline order; the caller wakes active sets, for which
+    /// order is indifferent).
     fn pop_due(&mut self, now: u64, out: &mut Vec<u32>) {
         out.clear();
-        if self.min_deadline > now {
-            return;
-        }
-        let mut min = u64::MAX;
-        for m in &mut self.per {
-            while let Some(entry) = m.first_entry() {
-                if *entry.key() > now {
-                    break;
-                }
-                out.extend(entry.remove());
+        while let Some(&Reverse((deadline, ep))) = self.heap.peek() {
+            if deadline > now {
+                break;
             }
-            if let Some((&k, _)) = m.first_key_value() {
-                min = min.min(k);
-            }
+            self.heap.pop();
+            out.push(ep);
         }
-        self.min_deadline = min;
     }
 }
 

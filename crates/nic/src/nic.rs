@@ -14,11 +14,12 @@
 //! per-address total order, which is all snoopy coherence requires.
 
 use crate::tracker::NotificationTracker;
-use scorpio_noc::{Endpoint, MultiNetwork, Packet, Payload, Sid, SteerKey, VnetId};
+use scorpio_noc::{
+    EjectSlot, Endpoint, MultiNetwork, NocConfig, Packet, Payload, Sid, SteerKey, VnetId,
+};
 use scorpio_notify::NotifyNetwork;
 use scorpio_sim::stats::{Accumulator, Counter};
 use scorpio_sim::{Cycle, Fifo};
-use std::collections::HashMap;
 
 /// NIC configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -124,6 +125,19 @@ pub struct NicStats {
     pub notif_resends: Counter,
 }
 
+/// What the NIC remembers about one ejection VC between ticks. A VC is a
+/// FIFO, so its head stays its head until the NIC takes it: state keyed by
+/// the VC is state keyed by the head flit.
+#[derive(Debug, Clone, Copy, Default)]
+struct EjectVc {
+    /// The ordered head flit first seen waiting here (packet uids start at
+    /// 1), and the cycle it was first seen.
+    seen_uid: u64,
+    seen_at: Cycle,
+    /// Flits received of the packet being reassembled.
+    partial: u8,
+}
+
 /// The network interface controller for one endpoint.
 ///
 /// Every per-plane structure below is a `Vec` indexed by plane; with one
@@ -146,9 +160,8 @@ pub struct Nic<T> {
     own_queue: Vec<Fifo<(T, Cycle, u64)>>,
     ordered_out: Fifo<OrderedDelivery<T>>,
     packet_out: Fifo<Packet<T>>,
-    /// Reassembly progress per (plane, vnet, vc): flits received of the
-    /// current packet.
-    partial: HashMap<(u8, u8, u8), u8>,
+    /// Receive-side bookkeeping per plane and ejection VC.
+    eject_vcs: Vec<Vec<EjectVc>>,
     /// Per-plane, per-source count of ordered requests this NIC has
     /// delivered; the expected instance on plane `p` is always
     /// (ESID, delivered[p][ESID]).
@@ -158,8 +171,6 @@ pub struct Nic<T> {
     published_esid: Vec<Option<(Sid, u16)>>,
     published_any: Vec<bool>,
     busy_until: Cycle,
-    /// Per-plane first-seen cycles, keyed by that plane's packet uid.
-    first_seen: Vec<HashMap<u64, Cycle>>,
     /// Public statistics.
     pub stats: NicStats,
 }
@@ -200,11 +211,10 @@ impl<T: Payload + SteerKey> Nic<T> {
             sent_seq: vec![0; planes],
             ordered_out: Fifo::bounded(cfg.ordered_queue_depth),
             packet_out: Fifo::bounded(cfg.packet_queue_depth),
-            partial: HashMap::new(),
+            eject_vcs: vec![Vec::new(); planes],
             published_esid: vec![None; planes],
             published_any: vec![false; planes],
             busy_until: Cycle::ZERO,
-            first_seen: (0..planes).map(|_| HashMap::new()).collect(),
             cfg,
             stats: NicStats::default(),
         }
@@ -434,9 +444,7 @@ impl<T: Payload + SteerKey> Nic<T> {
                 continue;
             }
             self.announced[p] = 0;
-            if msg.total_in(p) > 0 {
-                self.tracker[p].push_window(msg.clone());
-            }
+            self.tracker[p].push_window(msg);
         }
     }
 
@@ -537,8 +545,10 @@ impl<T: Payload + SteerKey> Nic<T> {
             if !net.config().vnets[slot.vnet.index()].ordered {
                 continue;
             }
-            let uid = flit.packet.uid;
-            self.first_seen[plane].entry(uid).or_insert(now);
+            let seen = Self::eject_vc(&mut self.eject_vcs[plane], slot);
+            if seen.seen_uid != flit.packet.uid {
+                (seen.seen_uid, seen.seen_at) = (flit.packet.uid, now);
+            }
             if flit.packet.sid == Some(esid) && hit.is_none() {
                 hit = Some(slot);
             }
@@ -556,9 +566,7 @@ impl<T: Payload + SteerKey> Nic<T> {
         );
         self.delivered_seq[plane][esid.index()] =
             self.delivered_seq[plane][esid.index()].wrapping_add(1);
-        let first_seen = self.first_seen[plane]
-            .remove(&flit.packet.uid)
-            .unwrap_or(now);
+        let first_seen = Self::eject_vc(&mut self.eject_vcs[plane], slot).seen_at;
         self.stats.ordering_wait.record(now - first_seen);
         self.deliver_ordered(OrderedDelivery {
             sid: esid,
@@ -569,6 +577,16 @@ impl<T: Payload + SteerKey> Nic<T> {
         });
         self.tracker[plane].advance();
         true
+    }
+
+    /// The bookkeeping entry of ejection VC `slot` of one plane (the table
+    /// grows, a vnet's worth at a time, to the highest vnet seen).
+    fn eject_vc(vcs: &mut Vec<EjectVc>, slot: EjectSlot) -> &mut EjectVc {
+        let row = slot.vnet.index() * NocConfig::MAX_VCS_PER_VNET;
+        if vcs.len() < row + NocConfig::MAX_VCS_PER_VNET {
+            vcs.resize(row + NocConfig::MAX_VCS_PER_VNET, EjectVc::default());
+        }
+        &mut vcs[row + slot.vc as usize]
     }
 
     fn deliver_ordered(&mut self, d: OrderedDelivery<T>) {
@@ -607,12 +625,11 @@ impl<T: Payload + SteerKey> Nic<T> {
         let flit = net
             .eject_take_plane(plane, self.ep, slot)
             .expect("head flit vanished");
-        let key = (plane as u8, slot.vnet.0, slot.vc);
-        let got = self.partial.entry(key).or_insert(0);
+        let got = &mut Self::eject_vc(&mut self.eject_vcs[plane], slot).partial;
         debug_assert_eq!(*got, flit.idx, "flit reassembly out of order");
         *got += 1;
         if flit.is_tail() {
-            self.partial.remove(&key);
+            *got = 0;
             self.stats.packets_delivered.incr();
             self.packet_out
                 .push(flit.packet)

@@ -3,15 +3,19 @@
 
 use scorpio_noc::{RotatingArbiter, Sid};
 use scorpio_notify::NotifyMsg;
-use scorpio_sim::Fifo;
 use std::collections::VecDeque;
 
 /// Expands completed notification windows into the Expected-SID sequence.
 ///
 /// Every NIC runs one tracker seeded identically; because each consumes the
-/// identical window stream and rotates its priority arbiter once per
-/// processed window, all nodes derive the *same* total order over requests
+/// identical window stream and rotates its priority pointer once per
+/// accepted window, all nodes derive the *same* total order over requests
 /// — the heart of SCORPIO's distributed ordering (Section 3.4).
+///
+/// A window is expanded the moment it is accepted: the priority pointer a
+/// window sees depends only on how many windows came before it, so the
+/// tracker keeps the expanded SIDs and the length of each window rather
+/// than copies of the messages.
 ///
 /// # Examples
 ///
@@ -24,7 +28,7 @@ use std::collections::VecDeque;
 /// let mut w = NotifyMsg::new(4, 2);
 /// w.set_count(2, 1);
 /// w.set_count(0, 2);
-/// t.push_window(w);
+/// t.push_window(&w);
 /// // Priority starts at core 0: order is 0, 0, 2.
 /// assert_eq!(t.current_esid(), Some(Sid(0)));
 /// t.advance();
@@ -36,19 +40,22 @@ use std::collections::VecDeque;
 /// ```
 #[derive(Debug, Clone)]
 pub struct NotificationTracker {
-    queue: Fifo<NotifyMsg>,
+    /// Expected SIDs of every accepted window, in the global order.
+    sids: VecDeque<Sid>,
+    /// SIDs still to deliver per accepted window; the front is the window
+    /// being serviced, the rest are the queue behind it.
+    windows: VecDeque<u32>,
+    /// Priority pointer over the cores. Wider than a request word, so only
+    /// the pointer is used: the message walks its own lanes from it.
     arbiter: RotatingArbiter,
-    current: VecDeque<Sid>,
-    /// Queue occupancy at which the stop bit is asserted, leaving headroom
-    /// for the one window already in flight.
-    stop_threshold: usize,
+    /// Windows the queue behind the current one can hold.
+    depth: usize,
     /// Which plane's announcement word group this tracker expands. With a
     /// multi-plane main network each NIC runs one tracker per plane; every
     /// tracker consumes the identical window stream but reads only its own
     /// plane's lanes, so each plane derives an independent — and still
     /// globally agreed — per-plane total order.
     plane: usize,
-    reqs_scratch: Vec<bool>,
 }
 
 impl NotificationTracker {
@@ -73,12 +80,12 @@ impl NotificationTracker {
         assert!(cores > 0, "tracker needs at least one core");
         assert!(depth >= 2, "tracker depth must be at least 2");
         NotificationTracker {
-            queue: Fifo::bounded(depth),
+            sids: VecDeque::new(),
+            // The current window plus a full queue behind it.
+            windows: VecDeque::with_capacity(depth + 1),
             arbiter: RotatingArbiter::new(cores),
-            current: VecDeque::new(),
-            stop_threshold: depth - 1,
+            depth,
             plane,
-            reqs_scratch: vec![false; cores],
         }
     }
 
@@ -89,34 +96,43 @@ impl NotificationTracker {
 
     /// Whether the NIC should assert the stop bit in its next notification
     /// (the tracker is close enough to full that another window might not
-    /// fit).
+    /// fit): the queue is within one window — the one already in flight —
+    /// of its depth.
     pub fn should_stop(&self) -> bool {
-        self.queue.len() >= self.stop_threshold
+        self.queued_windows() >= self.depth - 1
     }
 
-    /// Accepts a completed window whose word group for this tracker's
-    /// plane is non-stop and non-empty (other planes' lanes are ignored).
+    /// Accepts a completed, non-stop window: expands this tracker's plane
+    /// of it into the expected-SID stream, from the priority pointer
+    /// around, and rotates the pointer (Section 3.1 step 3: once per
+    /// processed window). A window announcing nothing on this plane is not
+    /// a window here and is ignored; other planes' lanes always are.
     ///
     /// # Panics
     ///
     /// Panics if the queue overflows — the stop-bit protocol guarantees
     /// this cannot happen, so an overflow is a protocol bug.
-    pub fn push_window(&mut self, msg: NotifyMsg) {
-        debug_assert!(
-            msg.total_in(self.plane) > 0,
-            "windows empty for this plane must be filtered out"
-        );
-        self.queue
-            .push(msg)
-            .unwrap_or_else(|_| panic!("tracker queue overflow despite stop protocol"));
-        if self.current.is_empty() {
-            self.expand_next();
+    pub fn push_window(&mut self, msg: &NotifyMsg) {
+        let before = self.sids.len();
+        for (core, count) in msg.nonzero_from(self.plane, self.arbiter.pointer()) {
+            self.sids
+                .extend(std::iter::repeat_n(Sid(core as u16), count as usize));
         }
+        let announced = self.sids.len() - before;
+        if announced == 0 {
+            return;
+        }
+        assert!(
+            self.queued_windows() < self.depth,
+            "tracker queue overflow despite stop protocol"
+        );
+        self.windows.push_back(announced as u32);
+        self.arbiter.rotate();
     }
 
     /// The SID the NIC is currently waiting for, if any.
     pub fn current_esid(&self) -> Option<Sid> {
-        self.current.front().copied()
+        self.sids.front().copied()
     }
 
     /// Marks the current expected request as delivered and moves on.
@@ -125,56 +141,30 @@ impl NotificationTracker {
     ///
     /// Panics if there is no current expectation.
     pub fn advance(&mut self) {
-        self.current
+        self.sids
             .pop_front()
             .expect("advance without a current expectation");
-        if self.current.is_empty() {
-            self.expand_next();
+        let current = self.windows.front_mut().expect("SID outside any window");
+        *current -= 1;
+        if *current == 0 {
+            self.windows.pop_front();
         }
     }
 
     /// Number of requests still to be delivered from the window currently
     /// being serviced.
     pub fn current_window_remaining(&self) -> usize {
-        self.current.len()
+        self.windows.front().map_or(0, |&n| n as usize)
     }
 
     /// Windows queued behind the current one.
     pub fn queued_windows(&self) -> usize {
-        self.queue.len()
+        self.windows.len().saturating_sub(1)
     }
 
     /// Total expected requests known to the tracker (current + queued).
     pub fn backlog(&self) -> usize {
-        self.current.len()
-            + self
-                .queue
-                .iter()
-                .map(|m| m.total_in(self.plane) as usize)
-                .sum::<usize>()
-    }
-
-    fn expand_next(&mut self) {
-        let Some(msg) = self.queue.pop() else {
-            return;
-        };
-        debug_assert!(
-            msg.total_in(self.plane) > 0,
-            "windows empty for this plane must be filtered out"
-        );
-        for r in self.reqs_scratch.iter_mut() {
-            *r = false;
-        }
-        for (core, _) in msg.nonzero_in(self.plane) {
-            self.reqs_scratch[core] = true;
-        }
-        for core in self.arbiter.order(&self.reqs_scratch).collect::<Vec<_>>() {
-            for _ in 0..msg.count_in(self.plane, core) {
-                self.current.push_back(Sid(core as u16));
-            }
-        }
-        // Fairness: rotate once per processed window (Section 3.1 step 3).
-        self.arbiter.rotate();
+        self.sids.len()
     }
 }
 
@@ -202,24 +192,24 @@ mod tests {
     #[test]
     fn expands_in_rotating_priority_order() {
         let mut t = NotificationTracker::new(8, 4);
-        t.push_window(window(&[(1, 1), (5, 1), (3, 1)]));
+        t.push_window(&window(&[(1, 1), (5, 1), (3, 1)]));
         assert_eq!(drain(&mut t), vec![1, 3, 5]);
     }
 
     #[test]
     fn priority_rotates_between_windows() {
         let mut t = NotificationTracker::new(4, 4);
-        t.push_window(window(&[(0, 1), (1, 1)]));
+        t.push_window(&window(&[(0, 1), (1, 1)]));
         assert_eq!(drain(&mut t), vec![0, 1]);
         // Pointer rotated to 1: order now starts from 1.
-        t.push_window(window(&[(0, 1), (1, 1)]));
+        t.push_window(&window(&[(0, 1), (1, 1)]));
         assert_eq!(drain(&mut t), vec![1, 0]);
     }
 
     #[test]
     fn multi_count_expands_consecutively() {
         let mut t = NotificationTracker::new(8, 4);
-        t.push_window(window(&[(2, 3), (6, 1)]));
+        t.push_window(&window(&[(2, 3), (6, 1)]));
         assert_eq!(drain(&mut t), vec![2, 2, 2, 6]);
     }
 
@@ -235,11 +225,11 @@ mod tests {
         // a services windows as they come; b queues them all first.
         let mut order_a = Vec::new();
         for w in &windows {
-            a.push_window(w.clone());
+            a.push_window(w);
             order_a.extend(drain(&mut a));
         }
         for w in &windows {
-            b.push_window(w.clone());
+            b.push_window(w);
         }
         let order_b = drain(&mut b);
         assert_eq!(order_a, order_b, "global order diverged between nodes");
@@ -250,22 +240,22 @@ mod tests {
         let mut t = NotificationTracker::new(4, 3);
         assert!(!t.should_stop());
         // One window goes straight to `current`, so queue stays empty.
-        t.push_window(window(&[(0, 1)]));
+        t.push_window(&window(&[(0, 1)]));
         assert!(!t.should_stop());
-        t.push_window(window(&[(1, 1)]));
-        t.push_window(window(&[(2, 1)]));
+        t.push_window(&window(&[(1, 1)]));
+        t.push_window(&window(&[(2, 1)]));
         assert!(t.should_stop());
         // Even at the stop threshold one more window fits (the in-flight
         // one).
-        t.push_window(window(&[(3, 1)]));
+        t.push_window(&window(&[(3, 1)]));
         assert_eq!(t.backlog(), 4);
     }
 
     #[test]
     fn backlog_counts_current_and_queued() {
         let mut t = NotificationTracker::new(4, 4);
-        t.push_window(window(&[(0, 2)]));
-        t.push_window(window(&[(1, 3)]));
+        t.push_window(&window(&[(0, 2)]));
+        t.push_window(&window(&[(1, 3)]));
         assert_eq!(t.current_window_remaining(), 2);
         assert_eq!(t.queued_windows(), 1);
         assert_eq!(t.backlog(), 5);

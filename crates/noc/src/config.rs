@@ -66,6 +66,17 @@ pub struct NocConfig {
 }
 
 impl NocConfig {
+    /// Most virtual networks a configuration may declare.
+    pub const MAX_VNETS: usize = 8;
+
+    /// Most VCs one vnet may have per input port, reserved VC included
+    /// (routers keep one allocation bit per VC in a `u16` per vnet).
+    pub const MAX_VCS_PER_VNET: usize = u16::BITS as usize;
+
+    /// Most VCs one input port may have, summed over its vnets (SA-I
+    /// arbitrates over one request bit per VC).
+    pub const MAX_VCS_PER_PORT: usize = crate::RotatingArbiter::MASK_WIDTH;
+
     /// The 36-core chip configuration from Table 1.
     pub fn scorpio() -> NocConfig {
         NocConfig {
@@ -154,8 +165,11 @@ impl NocConfig {
         if self.vnets.is_empty() {
             return Err("at least one virtual network is required".into());
         }
-        if self.vnets.len() > 8 {
-            return Err("at most 8 virtual networks are supported".into());
+        if self.vnets.len() > Self::MAX_VNETS {
+            return Err(format!(
+                "at most {} virtual networks are supported",
+                Self::MAX_VNETS
+            ));
         }
         for (i, v) in self.vnets.iter().enumerate() {
             if v.vcs == 0 {
@@ -163,6 +177,24 @@ impl NocConfig {
             }
             if v.depth == 0 {
                 return Err(format!("vnet {i} ({}) has zero-depth VCs", v.name));
+            }
+            if v.total_vcs() > Self::MAX_VCS_PER_VNET {
+                return Err(format!(
+                    "vnet {i} ({}) has {} VCs; at most {} per vnet \
+                     (reserved VC included) are supported",
+                    v.name,
+                    v.total_vcs(),
+                    Self::MAX_VCS_PER_VNET
+                ));
+            }
+            let port_vcs: usize = self.vnets[..=i].iter().map(VnetCfg::total_vcs).sum();
+            if port_vcs > Self::MAX_VCS_PER_PORT {
+                return Err(format!(
+                    "vnet {i} ({}) brings an input port to {port_vcs} VCs; at most \
+                     {} per port are supported",
+                    v.name,
+                    Self::MAX_VCS_PER_PORT
+                ));
             }
         }
         if self.inject_queue_depth == 0 {
@@ -222,6 +254,35 @@ mod tests {
         let mut cfg = NocConfig::scorpio();
         cfg.vnets[1].depth = 0;
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn validation_bounds_the_vc_masks() {
+        let vnet = |vcs, ordered| VnetCfg {
+            name: "WIDE",
+            vcs,
+            depth: 1,
+            ordered,
+        };
+        // Per vnet: 16 VCs fit the downstream `u16`, the rVC counts.
+        let mut cfg = NocConfig::scorpio();
+        cfg.vnets = vec![vnet(16, false)];
+        assert!(cfg.validate().is_ok());
+        cfg.vnets = vec![vnet(16, true)];
+        let err = cfg.validate().unwrap_err();
+        assert!(err.contains("vnet 0 (WIDE) has 17 VCs"), "{err}");
+        cfg.vnets = vec![vnet(255, true)];
+        assert!(cfg.validate().unwrap_err().contains("256 VCs"));
+        // Per port: the sum over vnets fits the SA-I `u32`; the message
+        // names the vnet that crosses the line.
+        cfg.vnets = vec![vnet(15, true), vnet(16, false)];
+        assert!(cfg.validate().is_ok(), "largest accepted shape: 16 + 16");
+        cfg.vnets = vec![vnet(15, true), vnet(15, true), vnet(1, false)];
+        let err = cfg.validate().unwrap_err();
+        assert!(
+            err.contains("vnet 2 (WIDE) brings an input port to 33 VCs"),
+            "{err}"
+        );
     }
 
     #[test]

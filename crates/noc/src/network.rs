@@ -114,6 +114,9 @@ struct EjectPort<T> {
     slot: LocalSlot,
     /// `[vnet][vc]` flit queues.
     bufs: Vec<Vec<VecDeque<Flit<T>>>>,
+    /// Flits across all of `bufs`, so "anything waiting?" — what a polling
+    /// NIC and the sleep check ask every cycle — is one compare.
+    waiting: u32,
 }
 
 /// Aggregate network statistics.
@@ -399,6 +402,7 @@ impl<T: Payload> Network<T> {
                     .iter()
                     .map(|v| (0..v.total_vcs()).map(|_| VecDeque::new()).collect())
                     .collect(),
+                waiting: 0,
             })
             .collect();
         let n_routers = topology.router_count();
@@ -571,16 +575,18 @@ impl<T: Payload> Network<T> {
     /// with dense index `ep_idx`. The system layer's sleep check: an
     /// endpoint with buffered flits must keep its NIC ticking.
     pub fn eject_occupied(&self, ep_idx: usize) -> bool {
-        self.eject[ep_idx]
-            .bufs
-            .iter()
-            .any(|vcs| vcs.iter().any(|q| !q.is_empty()))
+        self.eject[ep_idx].waiting != 0
     }
 
     /// Head flits waiting in `ep`'s ejection buffers, one per occupied VC.
     pub fn eject_heads(&self, ep: Endpoint) -> impl Iterator<Item = (EjectSlot, &Flit<T>)> {
         let port = &self.eject[self.endpoint_index(ep)];
-        port.bufs.iter().enumerate().flat_map(|(n, vcs)| {
+        let bufs = if port.waiting == 0 {
+            &[]
+        } else {
+            port.bufs.as_slice()
+        };
+        bufs.iter().enumerate().flat_map(|(n, vcs)| {
             vcs.iter().enumerate().filter_map(move |(vc, q)| {
                 q.front().map(|f| {
                     (
@@ -601,6 +607,7 @@ impl<T: Payload> Network<T> {
         let idx = self.endpoint_index(ep);
         let port = &mut self.eject[idx];
         let flit = port.bufs[slot.vnet.index()][slot.vc as usize].pop_front()?;
+        port.waiting -= 1;
         self.credit_wire.push((
             port.router,
             CreditArrival {
@@ -772,6 +779,7 @@ impl<T: Payload> Network<T> {
         });
         eject_wire.deliver(|(ep_idx, vnet, vc, flit)| {
             eject[ep_idx].bufs[vnet as usize][vc as usize].push_back(flit);
+            eject[ep_idx].waiting += 1;
             ep_woken.wake(ep_idx);
             *last_progress = *cycle;
         });
@@ -1119,10 +1127,7 @@ impl<T: Payload> Network<T> {
             && self.inject.iter().all(|p| {
                 p.queues.iter().all(Fifo::is_empty) && p.sending.iter().all(Option::is_none)
             })
-            && self
-                .eject
-                .iter()
-                .all(|p| p.bufs.iter().all(|vcs| vcs.iter().all(VecDeque::is_empty)))
+            && self.eject.iter().all(|p| p.waiting == 0)
             && self.wires_empty()
     }
 
@@ -1245,22 +1250,21 @@ impl<T: Payload> Network<T> {
                     continue;
                 }
             }
-            // rVC eligibility at injection: some NIC local to this router
-            // (any tile slot, or its MC port) expects this exact instance.
-            let rvc_ok = packet
-                .sid
-                .map(|s| {
+            // Injection allocates at the router's *local* input port; the
+            // dateline discipline only constrains mesh links. The rVC is
+            // open to a request some NIC local to this router (any tile
+            // slot, or its MC port) expects as this exact instance.
+            let rvc_ok = || {
+                packet.sid.is_some_and(|s| {
                     let expected = Some((s, packet.sid_seq));
                     let base = port.router.index() * conc;
                     esid_tile[base..base + conc].contains(&expected)
                         || esid_mc[port.router.index()] == expected
                 })
-                .unwrap_or(false);
-            // Injection allocates at the router's *local* input port; the
-            // dateline discipline only constrains mesh links.
+            };
             let Some(vc) = port
                 .ds
-                .alloc_vc(cfg, v as u8, packet.sid, rvc_ok, VcClass::Any)
+                .alloc_vc(cfg, v as u8, packet.sid, VcClass::Any, rvc_ok)
             else {
                 continue;
             };

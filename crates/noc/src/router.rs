@@ -27,13 +27,14 @@
 //! a request cannot be allocated toward an output while another request
 //! with the same SID occupies a VC of the downstream input port.
 
-use crate::arbiter::RotatingArbiter;
+use crate::arbiter::{set_bits, RotatingArbiter};
 use crate::config::NocConfig;
 use crate::flit::{Flit, Payload, Sid};
 use crate::obs::NetObs;
 use crate::tables::{RouteCtx, RoutingTables, VcClass};
 use crate::topology::{Port, PortMask, RouterId};
 use scorpio_sim::stats::Counter;
+use std::collections::VecDeque;
 
 /// A flit arriving at an input port, tagged with the VC the upstream VS
 /// stage allocated for it.
@@ -91,127 +92,144 @@ pub(crate) trait EsidOracle {
     fn rvc_eligible(&self, router: RouterId, out_port: Port, sid: Sid, seq: u16) -> bool;
 }
 
+const MAX_VNETS: usize = NocConfig::MAX_VNETS;
+
 /// Credit/VC bookkeeping for one downstream input port, as seen from an
 /// upstream output port (also used by the NIC injection path).
+///
+/// State is flat — one credit counter and one SID slot per VC, vnet `n`'s
+/// VC `c` at `base[n] + c` — plus two bit-per-VC words per vnet, so the
+/// allocation questions are word operations.
 #[derive(Debug, Clone)]
 pub(crate) struct DownstreamState {
-    /// `[vnet][vc]` — VC not currently owned by a packet.
-    free_vc: Vec<Vec<bool>>,
-    /// `[vnet][vc]` — free buffer slots.
-    credits: Vec<Vec<u8>>,
-    /// `[vnet][vc]` — SID tracker for ordered vnets.
-    sid_in_vc: Vec<Vec<Option<Sid>>>,
+    /// Per vnet, bit `c`: VC `c` is not currently owned by a packet.
+    free: [u16; MAX_VNETS],
+    /// Per vnet, bit `c`: VC `c` is free *and* holds a credit, i.e. VS can
+    /// allocate it. Every mutator below keeps `ok ≡ free ∧ credits > 0`.
+    ok: [u16; MAX_VNETS],
+    /// Flat index of each vnet's VC 0; one extra entry closes the last row.
+    base: [u8; MAX_VNETS + 1],
+    /// Free buffer slots per VC.
+    credits: Box<[u8]>,
+    /// SID tracker per VC (ordered vnets).
+    sids: Box<[Option<Sid>]>,
 }
 
 impl DownstreamState {
     pub(crate) fn new(cfg: &NocConfig) -> Self {
-        let mut free_vc = Vec::with_capacity(cfg.vnets.len());
-        let mut credits = Vec::with_capacity(cfg.vnets.len());
-        let mut sid_in_vc = Vec::with_capacity(cfg.vnets.len());
-        for v in &cfg.vnets {
-            let n = v.total_vcs();
-            free_vc.push(vec![true; n]);
-            credits.push(vec![v.depth; n]);
-            sid_in_vc.push(vec![None; n]);
-        }
-        DownstreamState {
-            free_vc,
+        let depths = cfg
+            .vnets
+            .iter()
+            .flat_map(|v| std::iter::repeat_n(v.depth, v.total_vcs()));
+        let credits: Box<[u8]> = depths.collect();
+        let mut ds = DownstreamState {
+            free: [0; MAX_VNETS],
+            ok: [0; MAX_VNETS],
+            base: [0; MAX_VNETS + 1],
+            sids: vec![None; credits.len()].into(),
             credits,
-            sid_in_vc,
+        };
+        for (n, v) in cfg.vnets.iter().enumerate() {
+            ds.free[n] = ((1u32 << v.total_vcs()) - 1) as u16;
+            ds.ok[n] = ds.free[n];
+            ds.base[n + 1] = ds.base[n] + v.total_vcs() as u8;
         }
+        ds
+    }
+
+    #[inline]
+    fn flat(&self, vnet: u8, vc: u8) -> usize {
+        (self.base[vnet as usize] + vc) as usize
     }
 
     pub(crate) fn on_credit(&mut self, cfg: &NocConfig, vnet: u8, vc: u8, dealloc: bool) {
-        let (n, c) = (vnet as usize, vc as usize);
-        self.credits[n][c] += 1;
-        debug_assert!(self.credits[n][c] <= cfg.vnets[n].depth);
+        let (n, c) = (vnet as usize, self.flat(vnet, vc));
+        self.credits[c] += 1;
+        debug_assert!(self.credits[c] <= cfg.vnets[n].depth);
         if dealloc {
-            self.free_vc[n][c] = true;
-            self.sid_in_vc[n][c] = None;
+            self.free[n] |= 1 << vc;
+            self.sids[c] = None;
         }
+        self.ok[n] |= self.free[n] & (1 << vc);
     }
 
     /// Whether a request with `sid` is already in flight to / buffered at
     /// the downstream input port (point-to-point ordering constraint).
     pub(crate) fn sid_in_flight(&self, vnet: u8, sid: Sid) -> bool {
-        self.sid_in_vc[vnet as usize]
-            .iter()
-            .flatten()
-            .any(|s| *s == sid)
+        let n = vnet as usize;
+        self.sids[self.base[n] as usize..self.base[n + 1] as usize].contains(&Some(sid))
     }
 
-    /// Whether VS could allocate a VC right now (without doing so).
+    /// Whether VS could allocate a regular VC of `class` right now.
     /// `class` restricts the regular-VC pool to the flit's dateline
     /// partition on wraparound topologies ([`VcClass::Any`] on a mesh).
-    pub(crate) fn can_alloc(
-        &self,
-        cfg: &NocConfig,
-        vnet: u8,
-        rvc_ok: bool,
-        class: VcClass,
-    ) -> bool {
-        let n = vnet as usize;
-        let vcfg = &cfg.vnets[n];
-        let regular = class
-            .regular_range(vcfg.vcs)
-            .any(|c| self.free_vc[n][c] && self.credits[n][c] > 0);
-        if regular {
-            return true;
-        }
-        if vcfg.ordered && rvc_ok {
-            let r = vcfg.rvc_index() as usize;
-            return self.free_vc[n][r] && self.credits[n][r] > 0;
-        }
-        false
+    pub(crate) fn regular_open(&self, cfg: &NocConfig, vnet: u8, class: VcClass) -> bool {
+        self.ok[vnet as usize] & class.regular_mask(cfg.vnets[vnet as usize].vcs) != 0
     }
 
-    /// VS: allocates a VC for a new packet (regular first, then the rVC if
-    /// `rvc_ok`), consuming one credit. Returns the chosen VC.
+    /// Whether the reserved VC is allocatable (never on an unordered vnet,
+    /// whose bit `vcs` does not exist).
+    pub(crate) fn rvc_open(&self, cfg: &NocConfig, vnet: u8) -> bool {
+        u32::from(self.ok[vnet as usize]) >> cfg.vnets[vnet as usize].vcs & 1 != 0
+    }
+
+    /// VS: allocates a VC for a new packet — the lowest open regular VC of
+    /// `class`, else the rVC if it is open and `rvc_ok` — consuming one
+    /// credit. `rvc_ok` is only evaluated when the regular pool is closed,
+    /// which is the only case where it can change the answer.
     pub(crate) fn alloc_vc(
         &mut self,
         cfg: &NocConfig,
         vnet: u8,
         sid: Option<Sid>,
-        rvc_ok: bool,
         class: VcClass,
+        rvc_ok: impl FnOnce() -> bool,
     ) -> Option<u8> {
         let n = vnet as usize;
         let vcfg = &cfg.vnets[n];
-        let mut pick = class
-            .regular_range(vcfg.vcs)
-            .find(|&c| self.free_vc[n][c] && self.credits[n][c] > 0);
-        if pick.is_none() && vcfg.ordered && rvc_ok {
-            let r = vcfg.rvc_index() as usize;
-            if self.free_vc[n][r] && self.credits[n][r] > 0 {
-                pick = Some(r);
-            }
-        }
-        let c = pick?;
-        self.free_vc[n][c] = false;
-        self.credits[n][c] -= 1;
+        let regular = self.ok[n] & class.regular_mask(vcfg.vcs);
+        let vc = if regular != 0 {
+            regular.trailing_zeros() as u8
+        } else if self.rvc_open(cfg, vnet) && rvc_ok() {
+            vcfg.rvc_index()
+        } else {
+            return None;
+        };
+        let c = self.flat(vnet, vc);
+        self.free[n] &= !(1 << vc);
+        self.ok[n] &= !(1 << vc);
+        self.credits[c] -= 1;
         if vcfg.ordered {
-            self.sid_in_vc[n][c] = sid;
+            self.sids[c] = sid;
         }
-        Some(c as u8)
+        Some(vc)
     }
 
     pub(crate) fn has_credit(&self, vnet: u8, vc: u8) -> bool {
-        self.credits[vnet as usize][vc as usize] > 0
+        self.credits[self.flat(vnet, vc)] > 0
     }
 
+    /// Spends a credit of a VC the caller's packet already owns (so its
+    /// `ok` bit is clear and stays clear).
     pub(crate) fn take_credit(&mut self, vnet: u8, vc: u8) {
         debug_assert!(self.has_credit(vnet, vc));
-        self.credits[vnet as usize][vc as usize] -= 1;
+        debug_assert_eq!(self.free[vnet as usize] & (1 << vc), 0);
+        self.credits[self.flat(vnet, vc)] -= 1;
     }
 }
 
 /// State of one virtual channel at an input port. Holds at most one packet
-/// at a time (VCs are reallocated only after the tail departs downstream).
+/// at a time (VCs are reallocated only after the tail departs downstream);
+/// whether one is resident is the VC's bit in [`Router::active`].
 #[derive(Debug, Clone)]
 struct VcState<T> {
-    flits: std::collections::VecDeque<Flit<T>>,
-    /// Packet resident (head arrived, not fully departed).
-    active: bool,
+    flits: VecDeque<Flit<T>>,
+    /// Whether the resident packet is a single flit (mask path) or a
+    /// multi-flit unicast (stream path).
+    single: bool,
+    /// The resident packet's SID and per-source sequence number, if it is
+    /// an ordered request.
+    order: Option<(Sid, u16)>,
     /// Mask path (single-flit packets): outputs still to serve.
     remaining: PortMask,
     /// Mask path: outputs granted for ST next cycle.
@@ -232,8 +250,9 @@ struct VcState<T> {
 impl<T> VcState<T> {
     fn new(depth: u8) -> Self {
         VcState {
-            flits: std::collections::VecDeque::with_capacity(depth as usize),
-            active: false,
+            flits: VecDeque::with_capacity(depth as usize),
+            single: true,
+            order: None,
             remaining: PortMask::EMPTY,
             granted: PortMask::EMPTY,
             grant_vcs: [0; Port::COUNT],
@@ -245,29 +264,30 @@ impl<T> VcState<T> {
     }
 }
 
-/// SA-I pipeline register: the winning VC of an input port.
-#[derive(Debug, Clone, Copy)]
-struct SaIWin {
+/// An input VC named the way wires and credits name it.
+#[derive(Debug, Clone, Copy, Default)]
+struct VcRef {
     vnet: u8,
     vc: u8,
-    is_rvc: bool,
 }
 
 /// A bypass reservation: the flit with `uid` arriving next cycle at this
-/// input port goes straight to ST through `outs`.
-#[derive(Debug, Clone)]
+/// input port goes straight to ST through `outs`, into downstream VC
+/// `vcs[p]` at output `p`.
+#[derive(Debug, Clone, Copy, Default)]
 struct BypassRes {
     uid: u64,
-    outs: Vec<(Port, u8)>,
+    outs: PortMask,
+    vcs: [u8; Port::COUNT],
 }
 
-/// ST operations scheduled for the next cycle.
-#[derive(Debug, Clone)]
+/// An ST operation scheduled for the next cycle.
+#[derive(Debug, Clone, Copy)]
 enum StOp {
-    /// Mask-path flit at (`port`, `vnet`, `vc`) STs through its granted set.
-    MaskFlit { port: Port, vnet: u8, vc: u8 },
-    /// Stream-path: the front flit of (`port`, `vnet`, `vc`) STs.
-    StreamFlit { port: Port, vnet: u8, vc: u8 },
+    /// Mask-path flit at (`port`, `vc`) STs through its granted set.
+    MaskFlit { port: Port, vc: VcRef },
+    /// Stream-path: the front flit of (`port`, `vc`) STs.
+    StreamFlit { port: Port, vc: VcRef },
 }
 
 /// Per-router statistics.
@@ -284,6 +304,17 @@ pub struct RouterStats {
     pub la_failures: Counter,
 }
 
+/// What one `allocate_outputs` pass has handed out so far.
+#[derive(Default)]
+struct Crossbar {
+    /// Output ports granted for next cycle.
+    out_taken: PortMask,
+    /// Input ports whose SA-I winner holds at least one grant.
+    in_granted: PortMask,
+    /// Input ports whose crossbar slot went to a bypassing flit.
+    in_bypass: PortMask,
+}
+
 pub(crate) struct Router<T> {
     id: RouterId,
     /// Ports this router actually has: the prefix of [`Port::ALL`] ending
@@ -293,89 +324,114 @@ pub(crate) struct Router<T> {
     /// concentration 4). Arbiters and port scans run over exactly this
     /// prefix.
     n_ports: usize,
-    /// `[port][vnet][vc]`.
-    inputs: Vec<Vec<Vec<VcState<T>>>>,
+    /// VCs per input port, summed over the vnets.
+    port_vcs: usize,
+    /// Flat index, within an input port, of each vnet's VC 0.
+    vnet_base: [u8; MAX_VNETS],
+    /// Flat VC index → `(vnet, vc)`: the SA-I request order.
+    vc_index: [VcRef; NocConfig::MAX_VCS_PER_PORT],
+    /// The flat indices that are reserved VCs.
+    rvc_flat: u32,
+    /// Input VC state, `port * port_vcs + flat`.
+    inputs: Vec<VcState<T>>,
+    /// Per input port, the flat VCs holding a packet.
+    active: [u32; Port::COUNT],
+    /// Input ports with an active VC. Only these have an SA-I requester,
+    /// and an empty grant leaves an arbiter pointer untouched, so SA-I
+    /// visits exactly the set bits.
+    occupied_ports: PortMask,
     /// Downstream credit view per output port (`None` = port absent).
     pub(crate) downstream: Vec<Option<DownstreamState>>,
-    sa_i_reg: [Option<SaIWin>; Port::COUNT],
-    bypass_res: [Option<BypassRes>; Port::COUNT],
+    /// Per vnet and [`VcClass::ALL`] position, the outputs whose downstream
+    /// regular pool is open; refreshed with every downstream mutation.
+    open: [[PortMask; 3]; MAX_VNETS],
+    /// Per vnet, the outputs whose downstream reserved VC is open.
+    rvc_open: [PortMask; MAX_VNETS],
+    /// SA-I pipeline register: input ports whose winner sits in a reserved
+    /// VC / a regular VC, and the winning VC per input port.
+    sa_i_rvc: PortMask,
+    sa_i_regular: PortMask,
+    sa_i_win: [VcRef; Port::COUNT],
+    /// Input ports holding a bypass reservation for the next arrival.
+    bypass_pending: PortMask,
+    bypass_res: [BypassRes; Port::COUNT],
     st_plan: Vec<StOp>,
-    /// Recycled buffer backing `st_plan` across cycles (no per-tick alloc).
-    st_scratch: Vec<StOp>,
-    sa_i_arb: Vec<RotatingArbiter>,
-    sa_o_arb: Vec<RotatingArbiter>,
+    sa_i_arb: [RotatingArbiter; Port::COUNT],
+    sa_o_arb: [RotatingArbiter; Port::COUNT],
     la_arb: RotatingArbiter,
-    /// Flattened `(vnet, vc, is_rvc)` list in SA-I request order —
-    /// constant per configuration, shared by every input port.
-    vc_index: Vec<(u8, u8, bool)>,
-    /// Reused SA-I request vector (one slot per flattened VC).
-    sa_i_reqs: Vec<bool>,
-    /// Resident packets per input port; a port with zero occupancy has no
-    /// SA-I requester, and an all-false grant leaves the arbiter pointer
-    /// untouched, so its whole SA-I scan can be skipped exactly.
-    port_occupancy: [u32; Port::COUNT],
     pub(crate) stats: RouterStats,
-    /// Resident packets + pending grants; used to skip idle routers.
-    busy: u32,
 }
 
 impl<T: Payload> Router<T> {
     pub(crate) fn new(tables: &RoutingTables, cfg: &NocConfig, id: RouterId) -> Self {
-        let total_vcs: usize = cfg.vnets.iter().map(|v| v.total_vcs()).sum();
         // The router's port set is the Port::ALL prefix covering the four
         // cardinal ports, tile slot 0, Mc, and any further tile slots the
         // topology concentrates behind this router. Single-tile fabrics
         // get n_ports == 6: the exact historical router, with identical
         // arbiter sizes and scan order.
         let n_ports = 5 + tables.concentration() as usize;
-        let mut inputs = Vec::with_capacity(n_ports);
-        for _ in &Port::ALL[..n_ports] {
-            let mut per_vnet = Vec::with_capacity(cfg.vnets.len());
-            for v in &cfg.vnets {
-                per_vnet.push((0..v.total_vcs()).map(|_| VcState::new(v.depth)).collect());
-            }
-            inputs.push(per_vnet);
-        }
-        let mut downstream = Vec::with_capacity(n_ports);
-        for &port in &Port::ALL[..n_ports] {
-            let present = match port.tile_index() {
-                Some(k) => k < tables.concentration(),
-                None => match port {
-                    Port::Mc => tables.has_mc(id),
-                    mesh_port => tables.neighbor(id, mesh_port).is_some(),
-                },
-            };
-            downstream.push(present.then(|| DownstreamState::new(cfg)));
-        }
-        let mut vc_index = Vec::with_capacity(total_vcs);
+        let port_vcs: usize = cfg.vnets.iter().map(|v| v.total_vcs()).sum();
+        let mut vnet_base = [0; MAX_VNETS];
+        let mut vc_index = [VcRef::default(); NocConfig::MAX_VCS_PER_PORT];
+        let mut rvc_flat = 0;
+        let mut flat = 0;
         for (n, vcfg) in cfg.vnets.iter().enumerate() {
+            vnet_base[n] = flat as u8;
             for vc in 0..vcfg.total_vcs() as u8 {
-                let is_rvc = vcfg.ordered && vc == vcfg.rvc_index();
-                vc_index.push((n as u8, vc, is_rvc));
+                vc_index[flat] = VcRef { vnet: n as u8, vc };
+                rvc_flat |= u32::from(vcfg.ordered && vc == vcfg.rvc_index()) << flat;
+                flat += 1;
             }
         }
-        Router {
+        let mut inputs = Vec::with_capacity(n_ports * port_vcs);
+        for _ in 0..n_ports {
+            for vc in &vc_index[..port_vcs] {
+                inputs.push(VcState::new(cfg.vnets[vc.vnet as usize].depth));
+            }
+        }
+        let downstream = Port::ALL[..n_ports]
+            .iter()
+            .map(|&port| {
+                let present = match port.tile_index() {
+                    Some(k) => k < tables.concentration(),
+                    None => match port {
+                        Port::Mc => tables.has_mc(id),
+                        mesh_port => tables.neighbor(id, mesh_port).is_some(),
+                    },
+                };
+                present.then(|| DownstreamState::new(cfg))
+            })
+            .collect();
+        let mut router = Router {
             id,
             n_ports,
+            port_vcs,
+            vnet_base,
+            vc_index,
+            rvc_flat,
             inputs,
+            active: [0; Port::COUNT],
+            occupied_ports: PortMask::EMPTY,
             downstream,
-            sa_i_reg: [None; Port::COUNT],
+            open: Default::default(),
+            rvc_open: Default::default(),
+            sa_i_rvc: PortMask::EMPTY,
+            sa_i_regular: PortMask::EMPTY,
+            sa_i_win: Default::default(),
+            bypass_pending: PortMask::EMPTY,
             bypass_res: Default::default(),
             st_plan: Vec::new(),
-            st_scratch: Vec::new(),
-            sa_i_arb: (0..n_ports)
-                .map(|_| RotatingArbiter::new(total_vcs))
-                .collect(),
-            sa_o_arb: (0..n_ports)
-                .map(|_| RotatingArbiter::new(n_ports))
-                .collect(),
+            sa_i_arb: std::array::from_fn(|_| RotatingArbiter::new(port_vcs)),
+            sa_o_arb: std::array::from_fn(|_| RotatingArbiter::new(n_ports)),
             la_arb: RotatingArbiter::new(n_ports),
-            vc_index,
-            sa_i_reqs: vec![false; total_vcs],
-            port_occupancy: [0; Port::COUNT],
             stats: RouterStats::default(),
-            busy: 0,
+        };
+        for &port in router.ports() {
+            if router.downstream[port.index()].is_some() {
+                (0..cfg.vnets.len()).for_each(|n| router.refresh_open(cfg, port, n as u8));
+            }
         }
+        router
     }
 
     /// The ports this router has (a prefix of [`Port::ALL`]).
@@ -388,15 +444,54 @@ impl<T: Payload> Router<T> {
         self.id
     }
 
-    /// Whether this router can skip its tick entirely this cycle.
+    /// Whether this router can skip its tick entirely this cycle. Grants
+    /// pending ST belong to resident packets, so no occupied input port
+    /// means nothing is scheduled either.
     pub(crate) fn is_idle(&self) -> bool {
-        self.busy == 0
+        self.occupied_ports.is_empty()
     }
 
-    /// Resident packets (plus grants pending ST) across the input VCs —
-    /// the quantity the observability occupancy integral samples.
+    /// Resident packets across the input VCs — the quantity the
+    /// observability occupancy integral samples.
     pub(crate) fn occupancy(&self) -> u32 {
-        self.busy
+        self.active.iter().map(|a| a.count_ones()).sum()
+    }
+
+    /// Flat index of `vc` within its input port.
+    #[inline]
+    fn flat(&self, vc: VcRef) -> usize {
+        self.vnet_base[vc.vnet as usize] as usize + vc.vc as usize
+    }
+
+    #[inline]
+    fn slot(&self, port: Port, vc: VcRef) -> usize {
+        port.index() * self.port_vcs + self.flat(vc)
+    }
+
+    /// Re-derives output `port`'s bits of the vnet's open masks from its
+    /// downstream `ok` word. Called after every downstream mutation that
+    /// can move an `ok` bit, so the masks never go stale mid-tick.
+    fn refresh_open(&mut self, cfg: &NocConfig, port: Port, vnet: u8) {
+        let ds = self.downstream[port.index()]
+            .as_ref()
+            .expect("open masks of an absent output port");
+        for (open, class) in self.open[vnet as usize].iter_mut().zip(VcClass::ALL) {
+            open.set(port, ds.regular_open(cfg, vnet, class));
+        }
+        self.rvc_open[vnet as usize].set(port, ds.rvc_open(cfg, vnet));
+    }
+
+    /// The outputs whose regular pool is open to a packet of `vnet` whose
+    /// route carries dateline class bits `class_mask`: class-free on a
+    /// mesh and toward local ports, per-port C0/C1 on wraparound links.
+    #[inline]
+    fn open_for(&self, route: &RouteCtx<'_>, vnet: u8, class_mask: u8) -> PortMask {
+        let [any, c0, c1] = self.open[vnet as usize];
+        if !route.datelines {
+            return any;
+        }
+        let class1 = PortMask::from_bits(u16::from(class_mask));
+        (any - PortMask::CARDINAL) | (c1 & class1) | ((c0 & PortMask::CARDINAL) - class1)
     }
 
     /// One cycle: credits → ST → arrivals (bypass/BW) → SA-O/VS → SA-I.
@@ -405,54 +500,44 @@ impl<T: Payload> Router<T> {
         &mut self,
         route: &RouteCtx<'_>,
         cfg: &NocConfig,
-        esid: &dyn EsidOracle,
+        esid: &impl EsidOracle,
         arrivals: &[FlitArrival<T>],
         las: &[LaArrival<T>],
         credits: &[CreditArrival],
         out: &mut Vec<RouterOut<T>>,
         mut obs: Option<&mut NetObs>,
     ) {
-        self.apply_credits(cfg, credits);
+        for c in credits {
+            self.downstream[c.out_port.index()]
+                .as_mut()
+                .expect("credit for absent output port")
+                .on_credit(cfg, c.vnet, c.vc, c.dealloc);
+            self.refresh_open(cfg, c.out_port, c.vnet);
+        }
         self.execute_st(cfg, out);
         self.process_arrivals(route, cfg, arrivals, out, obs.as_deref_mut());
         self.allocate_outputs(route, cfg, esid, las, obs.as_deref_mut());
-        self.sa_i(route, cfg, esid, obs);
-    }
-
-    fn apply_credits(&mut self, cfg: &NocConfig, credits: &[CreditArrival]) {
-        for c in credits {
-            let ds = self.downstream[c.out_port.index()]
-                .as_mut()
-                .expect("credit for absent output port");
-            ds.on_credit(cfg, c.vnet, c.vc, c.dealloc);
-        }
+        self.sa_i(route, esid, obs);
     }
 
     /// Stage 3: execute the switch traversals scheduled last cycle.
     fn execute_st(&mut self, cfg: &NocConfig, out: &mut Vec<RouterOut<T>>) {
-        // Swap the plan out against the recycled scratch buffer, which
-        // becomes the (empty) plan the allocation stage fills this cycle.
-        let mut plan = std::mem::replace(&mut self.st_plan, std::mem::take(&mut self.st_scratch));
-        for op in plan.drain(..) {
-            match op {
-                StOp::MaskFlit { port, vnet, vc } => {
-                    let state = &mut self.inputs[port.index()][vnet as usize][vc as usize];
+        for i in 0..self.st_plan.len() {
+            match self.st_plan[i] {
+                StOp::MaskFlit { port, vc } => {
+                    let slot = self.slot(port, vc);
+                    let state = &mut self.inputs[slot];
                     let flit = *state.flits.front().expect("granted VC lost its flit");
-                    let granted = std::mem::replace(&mut state.granted, PortMask::EMPTY);
+                    let granted = std::mem::take(&mut state.granted);
                     let grant_vcs = state.grant_vcs;
-                    for p in granted.iter() {
-                        state.remaining.remove(p);
-                    }
-                    let done = state.remaining.is_empty();
-                    if done {
+                    state.remaining = state.remaining - granted;
+                    if state.remaining.is_empty() {
                         state.flits.pop_front();
-                        state.active = false;
-                        self.busy -= 1;
-                        self.port_occupancy[port.index()] -= 1;
+                        self.vacate(port, vc);
                         out.push(RouterOut::CreditUp {
                             in_port: port,
-                            vnet,
-                            vc,
+                            vnet: vc.vnet,
+                            vc: vc.vc,
                             dealloc: true,
                         });
                     }
@@ -460,29 +545,36 @@ impl<T: Payload> Router<T> {
                         self.emit_flit(cfg, p, grant_vcs[p.index()], flit, out);
                     }
                 }
-                StOp::StreamFlit { port, vnet, vc } => {
-                    let state = &mut self.inputs[port.index()][vnet as usize][vc as usize];
+                StOp::StreamFlit { port, vc } => {
+                    let slot = self.slot(port, vc);
+                    let state = &mut self.inputs[slot];
                     let flit = state.flits.pop_front().expect("granted VC lost its flit");
                     state.granted_flits = 0;
                     let out_port = state.out_port.expect("stream flit without route");
                     let out_vc = state.out_vc;
                     if flit.is_tail() {
-                        state.active = false;
                         state.out_port = None;
-                        self.busy -= 1;
-                        self.port_occupancy[port.index()] -= 1;
+                        self.vacate(port, vc);
                     }
                     out.push(RouterOut::CreditUp {
                         in_port: port,
-                        vnet,
-                        vc,
+                        vnet: vc.vnet,
+                        vc: vc.vc,
                         dealloc: flit.is_tail(),
                     });
                     self.emit_flit(cfg, out_port, out_vc, flit, out);
                 }
             }
         }
-        self.st_scratch = plan;
+        self.st_plan.clear();
+    }
+
+    /// The packet at (`port`, `vc`) fully departed.
+    fn vacate(&mut self, port: Port, vc: VcRef) {
+        self.active[port.index()] &= !(1 << self.flat(vc));
+        if self.active[port.index()] == 0 {
+            self.occupied_ports.remove(port);
+        }
     }
 
     fn emit_flit(
@@ -511,8 +603,9 @@ impl<T: Payload> Router<T> {
         mut obs: Option<&mut NetObs>,
     ) {
         for a in arrivals {
-            let res = self.bypass_res[a.port.index()].take();
-            if let Some(res) = res {
+            if self.bypass_pending.contains(a.port) {
+                self.bypass_pending.remove(a.port);
+                let res = self.bypass_res[a.port.index()];
                 assert_eq!(
                     res.uid, a.flit.packet.uid,
                     "bypass reservation does not match arriving flit"
@@ -534,8 +627,8 @@ impl<T: Payload> Router<T> {
                     vc: a.vc,
                     dealloc: true,
                 });
-                for (p, dvc) in res.outs {
-                    self.emit_flit(cfg, p, dvc, a.flit, out);
+                for p in res.outs.iter() {
+                    self.emit_flit(cfg, p, res.vcs[p.index()], a.flit, out);
                 }
                 continue;
             }
@@ -546,37 +639,101 @@ impl<T: Payload> Router<T> {
         }
         // Unconsumed reservations expire (the LA won but we still clear
         // conservatively; arrival is guaranteed one cycle after the LA).
-        for r in &mut self.bypass_res {
-            *r = None;
-        }
+        self.bypass_pending = PortMask::EMPTY;
     }
 
     fn buffer_flit(&mut self, route: &RouteCtx<'_>, a: &FlitArrival<T>) {
         self.stats.buffered_flits.incr();
-        let vnet = a.flit.packet.vnet.0 as usize;
-        let state = &mut self.inputs[a.port.index()][vnet][a.vc as usize];
+        let vc = VcRef {
+            vnet: a.flit.packet.vnet.0,
+            vc: a.vc,
+        };
+        let (flat, slot) = (self.flat(vc), self.slot(a.port, vc));
+        let state = &mut self.inputs[slot];
         if a.flit.is_head() {
             assert!(
-                !state.active,
+                self.active[a.port.index()] & (1 << flat) == 0,
                 "VC allocated while occupied (flow-control bug)"
             );
-            state.active = true;
-            self.busy += 1;
-            self.port_occupancy[a.port.index()] += 1;
+            self.active[a.port.index()] |= 1 << flat;
+            self.occupied_ports.insert(a.port);
             let arrived_on = (!a.port.is_local()).then_some(a.port);
             let routed = route.route(self.id, &a.flit.packet, arrived_on);
             state.class_mask = routed.classes;
-            if a.flit.is_single() {
-                state.remaining = routed.mask;
+            state.remaining = routed.mask;
+            state.single = a.flit.is_single();
+            state.order = a.flit.packet.sid.map(|sid| (sid, a.flit.packet.sid_seq));
+            if state.single {
                 state.granted = PortMask::EMPTY;
             } else {
                 debug_assert_eq!(routed.mask.len(), 1, "multi-flit packets are unicast");
-                state.remaining = routed.mask;
                 state.out_port = None;
                 state.granted_flits = 0;
             }
         }
         state.flits.push_back(a.flit);
+    }
+
+    /// The outputs the packet at flat VC `flat` of `in_port` could be
+    /// granted right now: it holds a flit with somewhere to go *and* the
+    /// downstream resources for that output are obtainable (a VC of its
+    /// class or the rVC it is eligible for, no same-SID conflict; a credit
+    /// on its VC for a routed stream). SA-I asks only whether the set is
+    /// non-empty (`first_only`), SA-O needs all of it — one predicate, so
+    /// the two stages cannot disagree.
+    ///
+    /// The saturated case costs two ANDs: `rvc_eligible` and the SID scan
+    /// are reached only for an output whose pool or rVC is open.
+    fn requestable(
+        &self,
+        route: &RouteCtx<'_>,
+        esid: &impl EsidOracle,
+        in_port: Port,
+        flat: usize,
+        first_only: bool,
+    ) -> PortMask {
+        let state = &self.inputs[in_port.index() * self.port_vcs + flat];
+        let vnet = self.vc_index[flat].vnet;
+        if !state.single {
+            // Stream path: one pending ST grant at a time.
+            if state.flits.len() <= state.granted_flits as usize {
+                return PortMask::EMPTY;
+            }
+            return match state.out_port {
+                // Head not yet routed: its single route needs a fresh VC.
+                None => state.remaining & self.open_for(route, vnet, state.class_mask),
+                Some(p) => {
+                    let ds = self.downstream[p.index()].as_ref();
+                    let credit = ds.is_some_and(|ds| ds.has_credit(vnet, state.out_vc));
+                    if credit {
+                        PortMask::single(p)
+                    } else {
+                        PortMask::EMPTY
+                    }
+                }
+            };
+        }
+        // Mask path: the flit is resident exactly while outputs remain.
+        let pending = state.remaining - state.granted;
+        let open = self.open_for(route, vnet, state.class_mask);
+        let Some((sid, seq)) = state.order else {
+            return pending & open;
+        };
+        let mut set = PortMask::EMPTY;
+        for p in (pending & (open | self.rvc_open[vnet as usize])).iter() {
+            let ds = self.downstream[p.index()]
+                .as_ref()
+                .expect("open bit on an absent output port");
+            if (open.contains(p) || esid.rvc_eligible(self.id, p, sid, seq))
+                && !ds.sid_in_flight(vnet, sid)
+            {
+                set.insert(p);
+                if first_only {
+                    break;
+                }
+            }
+        }
+        set
     }
 
     /// Stage 2: SA-O + VS, merged with lookahead processing. Produces the
@@ -585,345 +742,197 @@ impl<T: Payload> Router<T> {
         &mut self,
         route: &RouteCtx<'_>,
         cfg: &NocConfig,
-        esid: &dyn EsidOracle,
+        esid: &impl EsidOracle,
         las: &[LaArrival<T>],
         mut obs: Option<&mut NetObs>,
     ) {
-        let mut out_taken = [false; Port::COUNT];
-        // Which source owns each input port's crossbar slot next cycle.
-        let mut in_owner: [Option<(u8, u8)>; Port::COUNT] = [None; Port::COUNT];
-        let mut in_owner_bypass = [false; Port::COUNT];
-        let sa_i_reg = std::mem::take(&mut self.sa_i_reg);
+        let mut xbar = Crossbar::default();
+        let rvc_winners = std::mem::take(&mut self.sa_i_rvc);
+        let regular_winners = std::mem::take(&mut self.sa_i_regular);
 
         // Class 1: buffered flits in reserved VCs beat everything.
-        self.grant_buffered_class(
-            route,
-            cfg,
-            esid,
-            &sa_i_reg,
-            true,
-            &mut out_taken,
-            &mut in_owner,
-            obs.as_deref_mut(),
-        );
+        self.grant_buffered_class(route, cfg, esid, rvc_winners, &mut xbar, obs.as_deref_mut());
 
         // Class 2: lookaheads, all-or-nothing, rotating priority by port.
-        let mut la_reqs = [false; Port::COUNT];
-        for la in las {
-            la_reqs[la.port.index()] = true;
-        }
-        let order: Vec<usize> = self.la_arb.order(&la_reqs[..self.n_ports]).collect();
+        let la_reqs = las.iter().fold(0, |m, la| m | 1 << la.port.index());
+        let order = self.la_arb.order(la_reqs);
         self.la_arb.rotate();
         for pidx in order {
             let la = las
                 .iter()
                 .find(|l| l.port.index() == pidx)
                 .expect("LA request bitmap out of sync");
-            if !self.try_bypass(
-                route,
-                cfg,
-                esid,
-                la,
-                &mut out_taken,
-                &in_owner,
-                &mut in_owner_bypass,
-                obs.as_deref_mut(),
-            ) {
+            if !self.try_bypass(route, cfg, esid, la, &mut xbar, obs.as_deref_mut()) {
                 self.stats.la_failures.incr();
             }
         }
 
-        // Class 3: regular buffered SA-I winners. Ports whose crossbar slot
-        // went to a bypass flit are blocked with a sentinel owner.
-        for (p, owned) in in_owner_bypass.iter().enumerate() {
-            if *owned {
-                in_owner[p] = Some((u8::MAX, u8::MAX));
-            }
-        }
-        self.grant_buffered_class(
-            route,
-            cfg,
-            esid,
-            &sa_i_reg,
-            false,
-            &mut out_taken,
-            &mut in_owner,
-            obs.as_deref_mut(),
-        );
+        // Class 3: regular buffered SA-I winners, except at input ports
+        // whose crossbar slot went to a bypass flit.
+        let contenders = regular_winners - xbar.in_bypass;
+        self.grant_buffered_class(route, cfg, esid, contenders, &mut xbar, obs.as_deref_mut());
 
         // SA-O stall accounting: an SA-I winner that did not end up owning
         // its input's crossbar slot lost stage II this cycle (to another
-        // input port, or to a lookahead bypass holding the sentinel owner).
+        // input port, or to a lookahead bypass).
         if let Some(o) = obs {
             if o.counters {
-                for &p in self.ports() {
-                    if let Some(win) = sa_i_reg[p.index()] {
-                        if in_owner[p.index()] != Some((win.vnet, win.vc)) {
-                            o.stall_sa_o += 1;
-                        }
-                    }
-                }
+                let losers = (rvc_winners | regular_winners) - xbar.in_granted;
+                o.stall_sa_o += losers.len() as u64;
             }
         }
     }
 
-    /// Grants output ports to buffered SA-I winners of one priority class
-    /// (`rvc_class` selects reserved-VC winners vs regular winners).
+    /// Grants output ports to the buffered SA-I winners of one priority
+    /// class, the winners at input ports `winners`.
+    ///
+    /// Each winner's requestable set is taken once, up front: a grant made
+    /// during the pass touches only the downstream state of the output it
+    /// takes, and a taken output is never revisited, so for every output
+    /// still open the up-front answer is the answer at visit time.
     #[allow(clippy::too_many_arguments)]
     fn grant_buffered_class(
         &mut self,
         route: &RouteCtx<'_>,
         cfg: &NocConfig,
-        esid: &dyn EsidOracle,
-        sa_i_reg: &[Option<SaIWin>; Port::COUNT],
-        rvc_class: bool,
-        out_taken: &mut [bool; Port::COUNT],
-        in_owner: &mut [Option<(u8, u8)>; Port::COUNT],
+        esid: &impl EsidOracle,
+        winners: PortMask,
+        xbar: &mut Crossbar,
         mut obs: Option<&mut NetObs>,
     ) {
-        for &out_port in self.ports() {
-            if out_taken[out_port.index()] || self.downstream[out_port.index()].is_none() {
-                continue;
+        // SA-O request vector per output port, one bit per input port.
+        let mut reqs = [0u32; Port::COUNT];
+        let mut wanted = PortMask::EMPTY;
+        for in_port in winners.iter() {
+            let flat = self.flat(self.sa_i_win[in_port.index()]);
+            let wants = self.requestable(route, esid, in_port, flat, false) - xbar.out_taken;
+            for out_port in wants.iter() {
+                reqs[out_port.index()] |= 1 << in_port.index();
             }
-            // Collect candidate input ports for this output.
-            let mut reqs = [false; Port::COUNT];
-            for &in_port in self.ports() {
-                let Some(win) = sa_i_reg[in_port.index()] else {
-                    continue;
-                };
-                if win.is_rvc != rvc_class {
-                    continue;
-                }
-                // The input crossbar slot must be free or already owned by
-                // this same VC (multicast fork).
-                if let Some(owner) = in_owner[in_port.index()] {
-                    if owner != (win.vnet, win.vc) {
-                        continue;
-                    }
-                }
-                if self.candidate_wants(route, cfg, esid, in_port, win, out_port) {
-                    reqs[in_port.index()] = true;
-                }
-            }
-            let Some(winner_idx) = self.sa_o_arb[out_port.index()].grant(&reqs[..self.n_ports])
-            else {
-                continue;
-            };
-            let in_port = Port::ALL[winner_idx];
-            let win = sa_i_reg[in_port.index()].expect("winner without SA-I record");
-            self.commit_grant(route, cfg, esid, in_port, win, out_port, obs.as_deref_mut());
-            out_taken[out_port.index()] = true;
-            in_owner[in_port.index()] = Some((win.vnet, win.vc));
+            wanted = wanted | wants;
+        }
+        for out_port in wanted.iter() {
+            let winner = self.sa_o_arb[out_port.index()]
+                .grant(reqs[out_port.index()])
+                .expect("wanted output without a requester");
+            let in_port = Port::ALL[winner];
+            self.commit_grant(route, cfg, esid, in_port, out_port, obs.as_deref_mut());
+            xbar.out_taken.insert(out_port);
+            xbar.in_granted.insert(in_port);
         }
     }
 
-    /// Whether the SA-I winner at `in_port` wants (and could use) `out_port`.
-    fn candidate_wants(
-        &self,
-        route: &RouteCtx<'_>,
-        cfg: &NocConfig,
-        esid: &dyn EsidOracle,
-        in_port: Port,
-        win: SaIWin,
-        out_port: Port,
-    ) -> bool {
-        let state = &self.inputs[in_port.index()][win.vnet as usize][win.vc as usize];
-        if !state.active || state.flits.is_empty() {
-            return false;
-        }
-        let flit = state.flits.front().expect("checked non-empty");
-        let ds = self.downstream[out_port.index()]
-            .as_ref()
-            .expect("caller checked port presence");
-        let class = route.class_for(state.class_mask, out_port);
-        if flit.is_single() {
-            if !state.remaining.contains(out_port) || state.granted.contains(out_port) {
-                return false;
-            }
-            if let Some(sid) = flit.packet.sid {
-                if ds.sid_in_flight(win.vnet, sid) {
-                    return false;
-                }
-            }
-            let rvc_ok = flit
-                .packet
-                .sid
-                .map(|s| esid.rvc_eligible(self.id, out_port, s, flit.packet.sid_seq))
-                .unwrap_or(false);
-            ds.can_alloc(cfg, win.vnet, rvc_ok, class)
-        } else {
-            // Stream path: one pending ST grant at a time.
-            if state.granted_flits != 0 {
-                return false;
-            }
-            match state.out_port {
-                // Head not yet routed: the packet's single route must match.
-                None => {
-                    state.remaining.contains(out_port)
-                        && state.flits.front().expect("non-empty").is_head()
-                        && ds.can_alloc(cfg, win.vnet, false, class)
-                }
-                Some(p) => p == out_port && ds.has_credit(win.vnet, state.out_vc),
-            }
-        }
-    }
-
-    /// Applies a grant decided by SA-O: VS allocation + ST scheduling.
-    #[allow(clippy::too_many_arguments)]
+    /// Applies a grant decided by SA-O to the SA-I winner at `in_port`: VS
+    /// allocation + ST scheduling.
     fn commit_grant(
         &mut self,
         route: &RouteCtx<'_>,
         cfg: &NocConfig,
-        esid: &dyn EsidOracle,
+        esid: &impl EsidOracle,
         in_port: Port,
-        win: SaIWin,
         out_port: Port,
         obs: Option<&mut NetObs>,
     ) {
         let id = self.id;
-        let sid;
-        let seq;
-        let single;
-        let class;
-        let uid;
-        {
-            let state = &self.inputs[in_port.index()][win.vnet as usize][win.vc as usize];
-            let flit = state.flits.front().expect("grant on empty VC");
-            sid = flit.packet.sid;
-            seq = flit.packet.sid_seq;
-            single = flit.is_single();
-            class = route.class_for(state.class_mask, out_port);
-            uid = flit.packet.uid;
-        }
-        if single {
-            let rvc_ok = sid
-                .map(|s| esid.rvc_eligible(id, out_port, s, seq))
-                .unwrap_or(false);
-            let dvc = self.downstream[out_port.index()]
-                .as_mut()
-                .expect("grant toward absent port")
-                .alloc_vc(cfg, win.vnet, sid, rvc_ok, class)
-                .expect("candidate_wants guaranteed allocatability");
-            if let Some(o) = obs {
-                o.on_vc_alloc(id.0 as u32, out_port.index() as u8, win.vnet, dvc, uid);
-            }
-            let state = &mut self.inputs[in_port.index()][win.vnet as usize][win.vc as usize];
-            let first_grant = state.granted.is_empty();
-            state.granted.insert(out_port);
-            state.grant_vcs[out_port.index()] = dvc;
-            if first_grant {
-                self.st_plan.push(StOp::MaskFlit {
-                    port: in_port,
-                    vnet: win.vnet,
-                    vc: win.vc,
-                });
-            }
+        let vc = self.sa_i_win[in_port.index()];
+        let slot = self.slot(in_port, vc);
+        let state = &mut self.inputs[slot];
+        let uid = state.flits.front().expect("grant on empty VC").packet.uid;
+        let (single, order) = (state.single, state.order);
+        let ds = self.downstream[out_port.index()]
+            .as_mut()
+            .expect("grant toward absent port");
+        if !single && state.out_port.is_some() {
+            // Body flit of a routed stream: its VC is already owned.
+            ds.take_credit(vc.vnet, state.out_vc);
         } else {
-            let needs_route = {
-                let state = &self.inputs[in_port.index()][win.vnet as usize][win.vc as usize];
-                state.out_port.is_none()
-            };
-            if needs_route {
-                let dvc = self.downstream[out_port.index()]
-                    .as_mut()
-                    .expect("grant toward absent port")
-                    .alloc_vc(cfg, win.vnet, None, false, class)
-                    .expect("candidate_wants guaranteed allocatability");
-                if let Some(o) = obs {
-                    o.on_vc_alloc(id.0 as u32, out_port.index() as u8, win.vnet, dvc, uid);
-                }
-                let state = &mut self.inputs[in_port.index()][win.vnet as usize][win.vc as usize];
+            let class = route.class_for(state.class_mask, out_port);
+            // Only the mask path is SID-tracked and rVC-eligible.
+            let order = order.filter(|_| single);
+            let dvc = ds
+                .alloc_vc(cfg, vc.vnet, order.map(|(sid, _)| sid), class, || {
+                    order.is_some_and(|(sid, seq)| esid.rvc_eligible(id, out_port, sid, seq))
+                })
+                .expect("requestable guaranteed allocatability");
+            if let Some(o) = obs {
+                o.on_vc_alloc(id.0 as u32, out_port.index() as u8, vc.vnet, dvc, uid);
+            }
+            if single {
+                state.grant_vcs[out_port.index()] = dvc;
+            } else {
                 state.out_port = Some(out_port);
                 state.out_vc = dvc;
-            } else {
-                let vc = self.inputs[in_port.index()][win.vnet as usize][win.vc as usize].out_vc;
-                self.downstream[out_port.index()]
-                    .as_mut()
-                    .expect("grant toward absent port")
-                    .take_credit(win.vnet, vc);
             }
-            let state = &mut self.inputs[in_port.index()][win.vnet as usize][win.vc as usize];
-            state.granted_flits = 1;
-            self.st_plan.push(StOp::StreamFlit {
-                port: in_port,
-                vnet: win.vnet,
-                vc: win.vc,
-            });
         }
+        if single {
+            if state.granted.is_empty() {
+                self.st_plan.push(StOp::MaskFlit { port: in_port, vc });
+            }
+            state.granted.insert(out_port);
+        } else {
+            state.granted_flits = 1;
+            self.st_plan.push(StOp::StreamFlit { port: in_port, vc });
+        }
+        self.refresh_open(cfg, out_port, vc.vnet);
     }
 
     /// Attempts an all-or-nothing bypass setup for a lookahead.
-    #[allow(clippy::too_many_arguments)]
     fn try_bypass(
         &mut self,
         route: &RouteCtx<'_>,
         cfg: &NocConfig,
-        esid: &dyn EsidOracle,
+        esid: &impl EsidOracle,
         la: &LaArrival<T>,
-        out_taken: &mut [bool; Port::COUNT],
-        in_owner: &[Option<(u8, u8)>; Port::COUNT],
-        in_owner_bypass: &mut [bool; Port::COUNT],
+        xbar: &mut Crossbar,
         mut obs: Option<&mut NetObs>,
     ) -> bool {
-        if !cfg.bypass {
-            return false;
-        }
         // The crossbar input slot must be free next cycle.
-        if in_owner[la.port.index()].is_some() || in_owner_bypass[la.port.index()] {
+        if !cfg.bypass || (xbar.in_granted | xbar.in_bypass).contains(la.port) {
             return false;
         }
         let arrived_on = (!la.port.is_local()).then_some(la.port);
         let routed = route.route(self.id, &la.flit.packet, arrived_on);
-        let vnet = la.flit.packet.vnet.0;
-        let sid = la.flit.packet.sid;
-        let seq = la.flit.packet.sid_seq;
-        // Check every output first (all-or-nothing), then allocate.
-        for p in routed.mask.iter() {
-            if out_taken[p.index()] {
-                return false;
-            }
-            let Some(ds) = self.downstream[p.index()].as_ref() else {
-                return false;
-            };
-            if let Some(s) = sid {
-                if ds.sid_in_flight(vnet, s) {
-                    return false;
-                }
-            }
-            let rvc_ok = sid
-                .map(|s| esid.rvc_eligible(self.id, p, s, seq))
-                .unwrap_or(false);
-            if !ds.can_alloc(cfg, vnet, rvc_ok, route.class_for(routed.classes, p)) {
-                return false;
-            }
+        let packet = &la.flit.packet;
+        let (vnet, sid, seq) = (packet.vnet.0, packet.sid, packet.sid_seq);
+        // Check every output first (all-or-nothing), then allocate: each
+        // must be untaken and have a VC this flit may use — a regular one
+        // of its class, or the reserved one if it is eligible.
+        let open = self.open_for(route, vnet, routed.classes);
+        let closed = routed.mask - open;
+        if !(routed.mask & xbar.out_taken).is_empty()
+            || !(closed - self.rvc_open[vnet as usize]).is_empty()
+        {
+            return false;
         }
-        let mut outs = Vec::with_capacity(routed.mask.len());
+        let eligible = |p: Port| sid.is_some_and(|s| esid.rvc_eligible(self.id, p, s, seq));
+        let conflict = |p: Port| {
+            let ds = self.downstream[p.index()].as_ref();
+            sid.is_some_and(|s| ds.is_some_and(|ds| ds.sid_in_flight(vnet, s)))
+        };
+        if routed.mask.iter().any(conflict) || !closed.iter().all(eligible) {
+            return false;
+        }
+        let mut res = BypassRes {
+            uid: packet.uid,
+            outs: routed.mask,
+            vcs: [0; Port::COUNT],
+        };
         for p in routed.mask.iter() {
-            let rvc_ok = sid
-                .map(|s| esid.rvc_eligible(self.id, p, s, seq))
-                .unwrap_or(false);
             let dvc = self.downstream[p.index()]
                 .as_mut()
                 .expect("checked above")
-                .alloc_vc(cfg, vnet, sid, rvc_ok, route.class_for(routed.classes, p))
+                .alloc_vc(cfg, vnet, sid, route.class_for(routed.classes, p), || true)
                 .expect("checked above");
+            self.refresh_open(cfg, p, vnet);
             if let Some(o) = obs.as_deref_mut() {
-                o.on_vc_alloc(
-                    self.id.0 as u32,
-                    p.index() as u8,
-                    vnet,
-                    dvc,
-                    la.flit.packet.uid,
-                );
+                o.on_vc_alloc(self.id.0 as u32, p.index() as u8, vnet, dvc, packet.uid);
             }
-            outs.push((p, dvc));
-            out_taken[p.index()] = true;
+            res.vcs[p.index()] = dvc;
         }
-        in_owner_bypass[la.port.index()] = true;
-        self.bypass_res[la.port.index()] = Some(BypassRes {
-            uid: la.flit.packet.uid,
-            outs,
-        });
+        xbar.out_taken = xbar.out_taken | routed.mask;
+        xbar.in_bypass.insert(la.port);
+        self.bypass_pending.insert(la.port);
+        self.bypass_res[la.port.index()] = res;
         true
     }
 
@@ -933,211 +942,101 @@ impl<T: Payload> Router<T> {
     /// (downstream VC/credit obtainable and no same-SID conflict). This
     /// matters most for the reserved VC, which wins SA-I outright: letting
     /// a blocked rVC flit hold the input slot would starve the port.
-    fn sa_i(
-        &mut self,
-        route: &RouteCtx<'_>,
-        cfg: &NocConfig,
-        esid: &dyn EsidOracle,
-        mut obs: Option<&mut NetObs>,
-    ) {
-        for in_port in self.ports() {
-            let in_port = *in_port;
+    fn sa_i(&mut self, route: &RouteCtx<'_>, esid: &impl EsidOracle, mut obs: Option<&mut NetObs>) {
+        self.sa_i_rvc = PortMask::EMPTY;
+        self.sa_i_regular = PortMask::EMPTY;
+        for in_port in self.occupied_ports.iter() {
             let pidx = in_port.index();
-            // No resident packet on any VC of this port: every request bit
-            // is false, and an all-false grant leaves the arbiter pointer
-            // where it is, so the whole scan can be skipped exactly.
-            if self.port_occupancy[pidx] == 0 {
-                self.sa_i_reg[pidx] = None;
-                continue;
-            }
-            // Stall accounting runs on pure `&self` queries, so it can
-            // never perturb arbiter state or the outcome below.
+            let active = self.active[pidx];
+            let reqs = set_bits(active)
+                .filter(|&flat| {
+                    !self
+                        .requestable(route, esid, in_port, flat, true)
+                        .is_empty()
+                })
+                .fold(0u32, |m, flat| m | 1 << flat);
+            // Stall accounting reads only; it cannot perturb the outcome.
             if let Some(o) = obs.as_deref_mut() {
                 if o.counters {
-                    self.count_port_stalls(route, cfg, esid, in_port, o);
+                    // Exactly one requester wins the port's crossbar slot.
+                    o.stall_sa_i += u64::from(reqs.count_ones()).saturating_sub(1);
+                    for flat in set_bits(active & !reqs) {
+                        match Self::blocked_cause(&self.inputs[pidx * self.port_vcs + flat]) {
+                            Some(Stall::VcAlloc) => o.stall_vc_alloc += 1,
+                            Some(Stall::Credit) => o.stall_credit += 1,
+                            None => {}
+                        }
+                    }
                 }
             }
-            // Reserved VCs win outright.
-            let mut rvc_win = None;
-            for (n, vcfg) in cfg.vnets.iter().enumerate() {
-                if !vcfg.ordered {
-                    continue;
-                }
-                let rvc = vcfg.rvc_index();
-                if self.vc_requests(route, cfg, esid, n as u8, rvc, in_port) {
-                    rvc_win = Some(SaIWin {
-                        vnet: n as u8,
-                        vc: rvc,
-                        is_rvc: true,
-                    });
-                    break;
-                }
-            }
-            if let Some(win) = rvc_win {
-                self.sa_i_reg[pidx] = Some(win);
+            // Reserved VCs win outright, lowest vnet first; regular VCs
+            // share the rotating priority over the flattened VC list.
+            let rvc_reqs = reqs & self.rvc_flat;
+            let winner = if rvc_reqs != 0 {
+                self.sa_i_rvc.insert(in_port);
+                rvc_reqs.trailing_zeros() as usize
+            } else if let Some(flat) = self.sa_i_arb[pidx].grant(reqs) {
+                self.sa_i_regular.insert(in_port);
+                flat
+            } else {
                 continue;
-            }
-            // Regular VCs: rotating priority over the (precomputed)
-            // flattened VC list, request bits in the reused scratch vector.
-            let mut reqs = std::mem::take(&mut self.sa_i_reqs);
-            for (flat, &(n, vc, is_rvc)) in self.vc_index.iter().enumerate() {
-                reqs[flat] = !is_rvc && self.vc_requests(route, cfg, esid, n, vc, in_port);
-            }
-            self.sa_i_reg[pidx] = self.sa_i_arb[pidx].grant(&reqs).map(|w| {
-                let (vnet, vc, _) = self.vc_index[w];
-                SaIWin {
-                    vnet,
-                    vc,
-                    is_rvc: false,
-                }
-            });
-            self.sa_i_reqs = reqs;
+            };
+            self.sa_i_win[pidx] = self.vc_index[winner];
         }
     }
 
     /// Renders occupied input VCs and SID trackers for deadlock debugging.
     pub(crate) fn debug_occupancy(&self) -> Vec<String> {
         let mut lines = Vec::new();
-        for &port in self.ports() {
-            for (n, per_vnet) in self.inputs[port.index()].iter().enumerate() {
-                for (vc, state) in per_vnet.iter().enumerate() {
-                    if state.active {
-                        let front = state.flits.front().map(|f| {
-                            format!(
-                                "uid={} sid={:?} flits={}",
-                                f.packet.uid,
-                                f.packet.sid,
-                                state.flits.len()
-                            )
-                        });
-                        lines.push(format!(
-                            "  in {port} v{n} vc{vc}: {:?} remaining={:?} granted={:?} out={:?}",
-                            front, state.remaining, state.granted, state.out_port
-                        ));
-                    }
-                }
+        for port in self.occupied_ports.iter() {
+            for flat in set_bits(self.active[port.index()]) {
+                let state = &self.inputs[port.index() * self.port_vcs + flat];
+                let VcRef { vnet, vc } = self.vc_index[flat];
+                let front = state.flits.front().map(|f| {
+                    format!(
+                        "uid={} sid={:?} flits={}",
+                        f.packet.uid,
+                        f.packet.sid,
+                        state.flits.len()
+                    )
+                });
+                lines.push(format!(
+                    "  in {port} v{vnet} vc{vc}: {:?} remaining={:?} granted={:?} out={:?}",
+                    front, state.remaining, state.granted, state.out_port
+                ));
             }
         }
         for &port in self.ports() {
-            if let Some(ds) = &self.downstream[port.index()] {
-                let mut desc = Vec::new();
-                for (n, per_vnet) in ds.sid_in_vc.iter().enumerate() {
-                    for (vc, sid) in per_vnet.iter().enumerate() {
-                        let free = ds.free_vc[n][vc];
-                        let cr = ds.credits[n][vc];
-                        if !free || sid.is_some() {
-                            desc.push(format!("v{n}vc{vc}:{:?}cr{cr}", sid.map(|s| s.0)));
-                        }
-                    }
-                }
-                if !desc.is_empty() {
-                    lines.push(format!("  out {port} busy: {}", desc.join(" ")));
-                }
+            let Some(ds) = &self.downstream[port.index()] else {
+                continue;
+            };
+            let desc: Vec<String> = self.vc_index[..self.port_vcs]
+                .iter()
+                .filter(|v| ds.free[v.vnet as usize] & (1 << v.vc) == 0)
+                .map(|v| {
+                    let c = ds.flat(v.vnet, v.vc);
+                    let sid = ds.sids[c].map(|s| s.0);
+                    format!("v{}vc{}:{sid:?}cr{}", v.vnet, v.vc, ds.credits[c])
+                })
+                .collect();
+            if !desc.is_empty() {
+                lines.push(format!("  out {port} busy: {}", desc.join(" ")));
             }
         }
         lines
     }
 
-    /// Whether VC (`vnet`, `vc`) at `in_port` requests the switch: it holds
-    /// a flit with somewhere to go *and* the downstream resources for at
-    /// least one of its pending outputs are currently obtainable.
-    fn vc_requests(
-        &self,
-        route: &RouteCtx<'_>,
-        cfg: &NocConfig,
-        esid: &dyn EsidOracle,
-        vnet: u8,
-        vc: u8,
-        in_port: Port,
-    ) -> bool {
-        let state = &self.inputs[in_port.index()][vnet as usize][vc as usize];
-        if !state.active || state.flits.is_empty() {
-            return false;
-        }
-        let flit = state.flits.front().expect("checked non-empty");
-        if flit.is_single() {
-            let mut pending = state.remaining;
-            for p in state.granted.iter() {
-                pending.remove(p);
-            }
-            pending.iter().any(|p| {
-                let Some(ds) = self.downstream[p.index()].as_ref() else {
-                    return false;
-                };
-                if let Some(sid) = flit.packet.sid {
-                    if ds.sid_in_flight(vnet, sid) {
-                        return false;
-                    }
-                }
-                let rvc_ok = flit
-                    .packet
-                    .sid
-                    .map(|s| esid.rvc_eligible(self.id, p, s, flit.packet.sid_seq))
-                    .unwrap_or(false);
-                ds.can_alloc(cfg, vnet, rvc_ok, route.class_for(state.class_mask, p))
-            })
-        } else {
-            if state.flits.len() <= state.granted_flits as usize {
-                return false;
-            }
-            match state.out_port {
-                None => state.remaining.iter().any(|p| {
-                    self.downstream[p.index()].as_ref().is_some_and(|ds| {
-                        ds.can_alloc(cfg, vnet, false, route.class_for(state.class_mask, p))
-                    })
-                }),
-                Some(p) => self.downstream[p.index()]
-                    .as_ref()
-                    .is_some_and(|ds| ds.has_credit(vnet, state.out_vc)),
-            }
-        }
-    }
-
-    /// Stall accounting for one input port (counters mode): every VC that
-    /// requests SA-I except the eventual winner loses stage I; an active VC
+    /// Why an active, non-requesting VC is not progressing — `None` when it
+    /// is merely waiting on its own granted switch traversals. An active VC
     /// with somewhere to go that *cannot even request* is stalled in VC
     /// allocation (head blocked on a free VC or a SID conflict) or on
-    /// credits (body flit of a routed stream). Pure `&self` reads only.
-    fn count_port_stalls(
-        &self,
-        route: &RouteCtx<'_>,
-        cfg: &NocConfig,
-        esid: &dyn EsidOracle,
-        in_port: Port,
-        o: &mut NetObs,
-    ) {
-        let mut requesters = 0u64;
-        for &(n, vc, _) in &self.vc_index {
-            let state = &self.inputs[in_port.index()][n as usize][vc as usize];
-            if !state.active {
-                continue;
-            }
-            if self.vc_requests(route, cfg, esid, n, vc, in_port) {
-                requesters += 1;
-            } else {
-                match Self::blocked_cause(state) {
-                    Some(Stall::VcAlloc) => o.stall_vc_alloc += 1,
-                    Some(Stall::Credit) => o.stall_credit += 1,
-                    None => {}
-                }
-            }
-        }
-        // Exactly one requester wins the port's crossbar slot.
-        o.stall_sa_i += requesters.saturating_sub(1);
-    }
-
-    /// Why an active, non-requesting VC is not progressing — `None` when it
-    /// is merely waiting on its own granted switch traversals.
+    /// credits (body flit of a routed stream).
     fn blocked_cause(state: &VcState<T>) -> Option<Stall> {
         let flit = state.flits.front()?;
         if flit.is_single() {
-            let mut pending = state.remaining;
-            for p in state.granted.iter() {
-                pending.remove(p);
-            }
             // A pending output it could not request = the downstream VC
             // allocator (no free VC in its class, or a SID conflict).
-            (!pending.is_empty()).then_some(Stall::VcAlloc)
+            (!(state.remaining - state.granted).is_empty()).then_some(Stall::VcAlloc)
         } else {
             if state.flits.len() <= state.granted_flits as usize {
                 return None;
@@ -1181,38 +1080,39 @@ mod tests {
         let mut ds = DownstreamState::new(&c);
         // GO-REQ: 4 regular + 1 rVC.
         for expected in 0..4u8 {
-            let vc = ds.alloc_vc(&c, 0, Some(Sid(expected as u16)), true, VcClass::Any);
+            let vc = ds.alloc_vc(&c, 0, Some(Sid(expected as u16)), VcClass::Any, || true);
             assert_eq!(vc, Some(expected));
         }
         // Regular exhausted: rVC only if eligible.
-        assert_eq!(ds.alloc_vc(&c, 0, Some(Sid(9)), false, VcClass::Any), None);
-        assert_eq!(
-            ds.alloc_vc(&c, 0, Some(Sid(9)), true, VcClass::Any),
-            Some(4)
-        );
-        assert_eq!(ds.alloc_vc(&c, 0, Some(Sid(10)), true, VcClass::Any), None);
+        let any = VcClass::Any;
+        assert_eq!(ds.alloc_vc(&c, 0, Some(Sid(9)), any, || false), None);
+        assert_eq!(ds.alloc_vc(&c, 0, Some(Sid(9)), any, || true), Some(4));
+        assert_eq!(ds.alloc_vc(&c, 0, Some(Sid(10)), any, || true), None);
     }
 
     #[test]
     fn dateline_classes_partition_the_regular_vcs() {
         let c = cfg();
         let mut ds = DownstreamState::new(&c);
+        let mut alloc = |class| ds.alloc_vc(&c, 0, None, class, || false);
         // GO-REQ has 4 regular VCs: class 0 may use {0,1}, class 1 {2,3}.
-        assert_eq!(ds.alloc_vc(&c, 0, None, false, VcClass::C0), Some(0));
-        assert_eq!(ds.alloc_vc(&c, 0, None, false, VcClass::C1), Some(2));
-        assert_eq!(ds.alloc_vc(&c, 0, None, false, VcClass::C0), Some(1));
-        assert_eq!(ds.alloc_vc(&c, 0, None, false, VcClass::C0), None);
-        assert!(ds.can_alloc(&c, 0, false, VcClass::C1));
-        assert!(!ds.can_alloc(&c, 0, false, VcClass::C0));
-        assert_eq!(ds.alloc_vc(&c, 0, None, false, VcClass::C1), Some(3));
-        assert_eq!(ds.alloc_vc(&c, 0, None, false, VcClass::C1), None);
+        assert_eq!(alloc(VcClass::C0), Some(0));
+        assert_eq!(alloc(VcClass::C1), Some(2));
+        assert_eq!(alloc(VcClass::C0), Some(1));
+        assert_eq!(alloc(VcClass::C0), None);
+        assert!(ds.regular_open(&c, 0, VcClass::C1));
+        assert!(!ds.regular_open(&c, 0, VcClass::C0));
+        assert!(ds.rvc_open(&c, 0) && !ds.rvc_open(&c, 1));
+        let mut alloc = |class| ds.alloc_vc(&c, 0, None, class, || false);
+        assert_eq!(alloc(VcClass::C1), Some(3));
+        assert_eq!(alloc(VcClass::C1), None);
     }
 
     #[test]
     fn downstream_credit_roundtrip() {
         let c = cfg();
         let mut ds = DownstreamState::new(&c);
-        let vc = ds.alloc_vc(&c, 1, None, false, VcClass::Any).unwrap();
+        let vc = ds.alloc_vc(&c, 1, None, VcClass::Any, || false).unwrap();
         assert!(ds.has_credit(1, vc)); // depth 3: 2 credits left
         ds.take_credit(1, vc);
         ds.take_credit(1, vc);
@@ -1222,17 +1122,73 @@ mod tests {
         // Dealloc frees the VC for reallocation.
         ds.on_credit(&c, 1, vc, false);
         ds.on_credit(&c, 1, vc, true);
-        assert_eq!(ds.alloc_vc(&c, 1, None, false, VcClass::Any), Some(vc));
+        assert_eq!(ds.alloc_vc(&c, 1, None, VcClass::Any, || false), Some(vc));
     }
 
     #[test]
     fn sid_tracker_blocks_same_sid() {
         let c = cfg();
         let mut ds = DownstreamState::new(&c);
-        ds.alloc_vc(&c, 0, Some(Sid(5)), false, VcClass::Any)
+        ds.alloc_vc(&c, 0, Some(Sid(5)), VcClass::Any, || false)
             .unwrap();
         assert!(ds.sid_in_flight(0, Sid(5)));
         assert!(!ds.sid_in_flight(0, Sid(6)));
+        // The tracker is per vnet: UO-RESP's row never sees GO-REQ's SIDs.
+        assert!(!ds.sid_in_flight(1, Sid(5)));
+    }
+
+    /// The invariant every allocation shortcut rests on: after any sequence
+    /// of allocations, credit spends and credit returns, a VC's `ok` bit is
+    /// set exactly when the VC is free and holds a credit.
+    #[test]
+    fn ok_bits_track_free_and_credit_under_random_traffic() {
+        let c = cfg();
+        let mut ds = DownstreamState::new(&c);
+        let mut rng = scorpio_sim::SimRng::seed_from(14);
+        // (vnet, vc, flits still to send, flits downstream has yet to free)
+        let mut owned: Vec<(u8, u8, u8, u8)> = Vec::new();
+        for _ in 0..4000 {
+            match rng.gen_range_usize(3) {
+                0 => {
+                    let vnet = rng.gen_range_usize(2) as u8;
+                    let class = VcClass::ALL[rng.gen_range_usize(3)];
+                    let rvc = rng.gen_range_usize(2) == 0;
+                    let len = 1 + rng.gen_range_usize(c.vnets[vnet as usize].depth as usize) as u8;
+                    if let Some(vc) = ds.alloc_vc(&c, vnet, Some(Sid(3)), class, || rvc) {
+                        owned.push((vnet, vc, len - 1, len));
+                    }
+                }
+                1 if !owned.is_empty() => {
+                    let k = rng.gen_range_usize(owned.len());
+                    let (vnet, vc, to_send, _) = &mut owned[k];
+                    if *to_send > 0 && ds.has_credit(*vnet, *vc) {
+                        ds.take_credit(*vnet, *vc);
+                        *to_send -= 1;
+                    }
+                }
+                _ if !owned.is_empty() => {
+                    let k = rng.gen_range_usize(owned.len());
+                    let (vnet, vc, to_send, to_free) = owned[k];
+                    // Downstream frees flits it has received; the tail's
+                    // credit deallocates.
+                    if to_free > to_send {
+                        ds.on_credit(&c, vnet, vc, to_free == 1);
+                        owned[k].3 -= 1;
+                        if to_free == 1 {
+                            owned.swap_remove(k);
+                        }
+                    }
+                }
+                _ => {}
+            }
+            for (n, v) in c.vnets.iter().enumerate() {
+                for vc in 0..v.total_vcs() as u8 {
+                    let free = !owned.iter().any(|o| (o.0, o.1) == (n as u8, vc));
+                    let want = free && ds.has_credit(n as u8, vc);
+                    assert_eq!(ds.ok[n] >> vc & 1 == 1, want, "vnet {n} vc {vc}");
+                }
+            }
+        }
     }
 
     #[test]

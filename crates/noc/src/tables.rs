@@ -35,13 +35,18 @@ pub(crate) enum VcClass {
 }
 
 impl VcClass {
-    /// The regular-VC index range this class may allocate from.
+    /// Every class, in the order routers index their per-class state.
+    pub(crate) const ALL: [VcClass; 3] = [VcClass::Any, VcClass::C0, VcClass::C1];
+
+    /// The regular VCs this class may allocate from, as a bit per VC
+    /// index of a vnet with `vcs` regular VCs.
     #[inline]
-    pub(crate) fn regular_range(self, vcs: u8) -> std::ops::Range<usize> {
+    pub(crate) fn regular_mask(self, vcs: u8) -> u16 {
+        let below = |n: u8| ((1u32 << n) - 1) as u16;
         match self {
-            VcClass::Any => 0..vcs as usize,
-            VcClass::C0 => 0..(vcs / 2) as usize,
-            VcClass::C1 => (vcs / 2) as usize..vcs as usize,
+            VcClass::Any => below(vcs),
+            VcClass::C0 => below(vcs / 2),
+            VcClass::C1 => below(vcs) & !below(vcs / 2),
         }
     }
 }
@@ -494,11 +499,12 @@ mod tests {
 
     #[test]
     fn vc_class_ranges_partition_the_regular_vcs() {
-        assert_eq!(VcClass::Any.regular_range(4), 0..4);
-        assert_eq!(VcClass::C0.regular_range(4), 0..2);
-        assert_eq!(VcClass::C1.regular_range(4), 2..4);
-        assert_eq!(VcClass::C0.regular_range(2), 0..1);
-        assert_eq!(VcClass::C1.regular_range(2), 1..2);
+        assert_eq!(VcClass::Any.regular_mask(4), 0b1111);
+        assert_eq!(VcClass::C0.regular_mask(4), 0b0011);
+        assert_eq!(VcClass::C1.regular_mask(4), 0b1100);
+        assert_eq!(VcClass::C0.regular_mask(2), 0b01);
+        assert_eq!(VcClass::C1.regular_mask(2), 0b10);
+        assert_eq!(VcClass::Any.regular_mask(16), u16::MAX);
     }
 
     #[test]

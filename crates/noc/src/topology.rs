@@ -209,6 +209,9 @@ impl PortMask {
     /// The empty set.
     pub const EMPTY: PortMask = PortMask(0);
 
+    /// The four mesh-facing ports (the ones dateline classes apply to).
+    pub(crate) const CARDINAL: PortMask = PortMask(0b1111);
+
     /// A set containing a single port.
     #[inline]
     pub fn single(port: Port) -> PortMask {
@@ -247,7 +250,14 @@ impl PortMask {
 
     /// Iterates over the ports in the set in index order.
     pub fn iter(self) -> impl Iterator<Item = Port> {
-        Port::ALL.into_iter().filter(move |p| self.contains(*p))
+        crate::arbiter::set_bits(u32::from(self.0)).map(|i| Port::ALL[i])
+    }
+
+    /// Adds `port` when `member` holds, removes it otherwise.
+    #[inline]
+    pub(crate) fn set(&mut self, port: Port, member: bool) {
+        self.remove(port);
+        self.0 |= u16::from(member) << port.index();
     }
 
     /// The raw bit representation (bit `i` = `Port::ALL[i]`).
@@ -260,6 +270,33 @@ impl PortMask {
     #[inline]
     pub(crate) fn from_bits(bits: u16) -> PortMask {
         PortMask(bits)
+    }
+}
+
+impl std::ops::BitAnd for PortMask {
+    type Output = PortMask;
+    /// Set intersection.
+    #[inline]
+    fn bitand(self, other: PortMask) -> PortMask {
+        PortMask(self.0 & other.0)
+    }
+}
+
+impl std::ops::BitOr for PortMask {
+    type Output = PortMask;
+    /// Set union.
+    #[inline]
+    fn bitor(self, other: PortMask) -> PortMask {
+        PortMask(self.0 | other.0)
+    }
+}
+
+impl std::ops::Sub for PortMask {
+    type Output = PortMask;
+    /// Set difference.
+    #[inline]
+    fn sub(self, other: PortMask) -> PortMask {
+        PortMask(self.0 & !other.0)
     }
 }
 

@@ -148,7 +148,14 @@ impl NotifyMsg {
     pub fn count_in(&self, plane: usize, core: usize) -> u8 {
         assert!(plane < self.planes, "plane {plane} out of range");
         assert!(core < self.cores, "core {core} out of range");
-        let bit = (plane * self.cores + core) * self.bits_per_core as usize;
+        self.lane(plane * self.cores + core)
+    }
+
+    /// The count in lane `lane` (numbered across planes), read through a
+    /// 128-bit window because a lane may straddle two words.
+    #[inline]
+    fn lane(&self, lane: usize) -> u8 {
+        let bit = lane * self.bits_per_core as usize;
         let (word, off) = (bit / 64, bit % 64);
         let window = self.words[word] as u128 | (self.words[word + 1] as u128) << 64;
         ((window >> off) as u8) & self.max_count()
@@ -285,16 +292,80 @@ impl NotifyMsg {
     }
 
     /// Iterates over plane `plane`'s `(core, count)` pairs with non-zero
-    /// counts.
+    /// counts, in core order.
     ///
     /// # Panics
     ///
     /// Panics if `plane` is out of range.
     pub fn nonzero_in(&self, plane: usize) -> impl Iterator<Item = (usize, u8)> + '_ {
+        self.lanes(plane, 0..self.cores)
+    }
+
+    /// Plane `plane`'s non-zero `(core, count)` pairs in rotating-priority
+    /// order: cores `start..` first, then the wrapped cores below `start` —
+    /// the order a rotating arbiter with its pointer at `start` would grant
+    /// them in.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `plane` is out of range or `start` exceeds the core count.
+    pub fn nonzero_from(
+        &self,
+        plane: usize,
+        start: usize,
+    ) -> impl Iterator<Item = (usize, u8)> + '_ {
+        self.lanes(plane, start..self.cores)
+            .chain(self.lanes(plane, 0..start))
+    }
+
+    /// The non-zero lanes of `cores` on `plane`, ascending. Walks words:
+    /// a zero word is skipped whole and a non-zero one is consumed set bit
+    /// by set bit, so the cost is O(words + announcers), not O(cores).
+    fn lanes(
+        &self,
+        plane: usize,
+        cores: std::ops::Range<usize>,
+    ) -> impl Iterator<Item = (usize, u8)> + '_ {
         assert!(plane < self.planes, "plane {plane} out of range");
-        (0..self.cores)
-            .map(move |i| (i, self.count_in(plane, i)))
-            .filter(|&(_, c)| c > 0)
+        assert!(cores.end <= self.cores, "core {} out of range", cores.end);
+        let width = self.bits_per_core as usize;
+        let first_lane = plane * self.cores;
+        let (lo, hi) = (first_lane + cores.start, first_lane + cores.end);
+        // An empty range starts out of bits on its last word: ends at once.
+        let last_word = (hi * width).saturating_sub(1) / 64;
+        let (mut word, mut bits) = if lo < hi {
+            let first = lo * width / 64;
+            (first, self.words[first] & (u64::MAX << (lo * width % 64)))
+        } else {
+            (last_word, 0)
+        };
+        // Lanes below this were already reported (from the previous word,
+        // for a lane that straddles the boundary).
+        let mut unseen = lo;
+        std::iter::from_fn(move || loop {
+            while bits == 0 {
+                word += 1;
+                if word > last_word {
+                    return None;
+                }
+                bits = self.words[word];
+            }
+            let lane = (word * 64 + bits.trailing_zeros() as usize) / width;
+            // Drop the rest of this lane's bits from the word.
+            let lane_end = (lane + 1) * width - word * 64;
+            bits = if lane_end < 64 {
+                bits & (u64::MAX << lane_end)
+            } else {
+                0
+            };
+            if lane >= hi {
+                return None;
+            }
+            if lane >= unseen {
+                unseen = lane + 1;
+                return Some((lane - first_lane, self.lane(lane)));
+            }
+        })
     }
 
     /// Total announced requests across all cores and all planes.
@@ -312,10 +383,7 @@ impl NotifyMsg {
     ///
     /// Panics if `plane` is out of range.
     pub fn total_in(&self, plane: usize) -> u32 {
-        assert!(plane < self.planes, "plane {plane} out of range");
-        (0..self.cores)
-            .map(|i| self.count_in(plane, i) as u32)
-            .sum()
+        self.nonzero_in(plane).map(|(_, count)| count as u32).sum()
     }
 
     /// The wire width of this message in bits (Table 1: 36 bits for the
@@ -515,6 +583,50 @@ mod tests {
         let mut none = base.clone();
         none.merge_from_planes(&other, 0);
         assert_eq!(none, base);
+    }
+
+    /// The word walk against the lane-by-lane definitions it replaced, on
+    /// random fills: every lane width (3, 5, 6 and 7 bits straddle words),
+    /// core counts around the word size, several planes.
+    #[test]
+    fn word_walk_matches_lane_by_lane_definitions() {
+        let mut rng = scorpio_sim::SimRng::seed_from(0x5C0);
+        for bits in 1..=7u8 {
+            for cores in [1usize, 36, 64, 65, 272, 1024] {
+                for planes in [1usize, 2, 4] {
+                    let mut m = NotifyMsg::with_planes(cores, bits, planes);
+                    let density = 1 + rng.gen_range_usize(cores);
+                    for _ in 0..density {
+                        let (p, c) = (rng.gen_range_usize(planes), rng.gen_range_usize(cores));
+                        m.set_count_in(p, c, rng.gen_range_usize(1 << bits) as u8);
+                    }
+                    // The last lane of a plane abuts the next plane's first.
+                    m.set_count_in(planes - 1, cores - 1, 1);
+                    for p in 0..planes {
+                        let by_lane: Vec<(usize, u8)> = (0..cores)
+                            .map(|c| (c, m.count_in(p, c)))
+                            .filter(|&(_, n)| n > 0)
+                            .collect();
+                        let tag = format!("{bits} bits, {cores} cores, plane {p}/{planes}");
+                        assert_eq!(m.nonzero_in(p).collect::<Vec<_>>(), by_lane, "{tag}");
+                        let total: u32 = by_lane.iter().map(|&(_, n)| n as u32).sum();
+                        assert_eq!(m.total_in(p), total, "{tag}");
+                        let start = rng.gen_range_usize(cores + 1);
+                        let (below, from): (Vec<_>, Vec<_>) =
+                            by_lane.iter().partition(|&&(c, _)| c < start);
+                        let rotated: Vec<_> = from.into_iter().chain(below).collect();
+                        assert_eq!(
+                            m.nonzero_from(p, start).collect::<Vec<_>>(),
+                            rotated,
+                            "{tag}"
+                        );
+                    }
+                    let all: u32 = (0..planes).map(|p| m.total_in(p)).sum();
+                    assert_eq!(m.total(), all);
+                }
+            }
+        }
+        assert_eq!(NotifyMsg::new(0, 3).nonzero_in(0).count(), 0);
     }
 
     #[test]

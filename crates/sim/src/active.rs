@@ -2,13 +2,14 @@
 //!
 //! An [`ActiveSet`] tracks which components of a fixed-size population have
 //! pending work this cycle: a dense bitset provides O(1) duplicate-free
-//! [`ActiveSet::wake`], and a dirty list keeps draining proportional to the
-//! number of *woken* members rather than the population size. Draining
-//! yields members in ascending index order, so an engine that replaces a
-//! full `for i in 0..n` probe loop with a drained active set visits the
-//! same components in the same order — the property the byte-identical
-//! equivalence guarantee between the always-scan and active-set engines
-//! rests on.
+//! [`ActiveSet::wake`], and draining walks the bitset's words — a zero word
+//! is skipped whole, a non-zero one is consumed set bit by set bit — so it
+//! needs no sort and stops as soon as every woken member has been seen.
+//! Draining yields members in ascending index order, so an engine that
+//! replaces a full `for i in 0..n` probe loop with a drained active set
+//! visits the same components in the same order — the property the
+//! byte-identical equivalence guarantee between the always-scan and
+//! active-set engines rests on.
 //!
 //! # Examples
 //!
@@ -35,9 +36,9 @@
 pub struct ActiveSet {
     /// Dense membership bitset, one bit per component.
     bits: Vec<u64>,
-    /// Indices woken since the last drain (duplicate-free via `bits`).
-    dirty: Vec<u32>,
-    len: usize,
+    /// Number of set bits.
+    woken: usize,
+    population: usize,
 }
 
 impl ActiveSet {
@@ -45,24 +46,24 @@ impl ActiveSet {
     pub fn new(len: usize) -> ActiveSet {
         ActiveSet {
             bits: vec![0; len.div_ceil(64)],
-            dirty: Vec::new(),
-            len,
+            woken: 0,
+            population: len,
         }
     }
 
     /// Population size this set covers.
     pub fn capacity(&self) -> usize {
-        self.len
+        self.population
     }
 
     /// Number of distinct members currently woken.
     pub fn len(&self) -> usize {
-        self.dirty.len()
+        self.woken
     }
 
     /// Whether no member is woken.
     pub fn is_empty(&self) -> bool {
-        self.dirty.is_empty()
+        self.woken == 0
     }
 
     /// Whether member `idx` is currently woken.
@@ -71,7 +72,7 @@ impl ActiveSet {
     ///
     /// Panics if `idx` is out of range.
     pub fn is_active(&self, idx: usize) -> bool {
-        assert!(idx < self.len, "index {idx} out of range");
+        assert!(idx < self.population, "index {idx} out of range");
         self.bits[idx / 64] & (1 << (idx % 64)) != 0
     }
 
@@ -81,30 +82,36 @@ impl ActiveSet {
     ///
     /// Panics if `idx` is out of range.
     pub fn wake(&mut self, idx: usize) {
-        assert!(idx < self.len, "index {idx} out of range");
+        assert!(idx < self.population, "index {idx} out of range");
         let (word, mask) = (idx / 64, 1u64 << (idx % 64));
-        if self.bits[word] & mask == 0 {
-            self.bits[word] |= mask;
-            self.dirty.push(idx as u32);
-        }
+        self.woken += usize::from(self.bits[word] & mask == 0);
+        self.bits[word] |= mask;
     }
 
     /// Wakes every member of the population.
     pub fn wake_all(&mut self) {
-        for idx in 0..self.len {
-            self.wake(idx);
+        self.bits.fill(u64::MAX);
+        if let Some(last) = self.bits.last_mut() {
+            *last >>= (64 - self.population % 64) % 64;
         }
+        self.woken = self.population;
     }
 
     /// Empties the set into `out` (cleared first) in ascending index
-    /// order. Cost is O(woken · log woken), independent of the population.
+    /// order. Cost is O(population / 64 + woken), with no sort.
     pub fn drain_sorted(&mut self, out: &mut Vec<u32>) {
         out.clear();
-        out.append(&mut self.dirty);
-        out.sort_unstable();
-        for &idx in out.iter() {
-            self.bits[idx as usize / 64] &= !(1 << (idx % 64));
+        for (w, word) in self.bits.iter_mut().enumerate() {
+            if out.len() == self.woken {
+                break;
+            }
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                out.push(w as u32 * 64 + bits.trailing_zeros());
+                bits &= bits - 1;
+            }
         }
+        self.woken = 0;
     }
 
     /// The scan-or-drain work list shared by every engine loop: with
@@ -115,7 +122,7 @@ impl ActiveSet {
     pub fn drain_sorted_or_all(&mut self, all: bool, out: &mut Vec<u32>) {
         if all {
             out.clear();
-            out.extend(0..self.len as u32);
+            out.extend(0..self.population as u32);
             self.clear();
         } else {
             self.drain_sorted(out);
@@ -124,10 +131,8 @@ impl ActiveSet {
 
     /// Removes every member without reporting them.
     pub fn clear(&mut self) {
-        for &idx in &self.dirty {
-            self.bits[idx as usize / 64] &= !(1 << (idx % 64));
-        }
-        self.dirty.clear();
+        self.bits.fill(0);
+        self.woken = 0;
     }
 }
 
@@ -175,6 +180,28 @@ mod tests {
         assert_eq!(out.len(), 65);
         assert_eq!(out[0], 0);
         assert_eq!(out[64], 64);
+    }
+
+    #[test]
+    fn wake_all_then_drain_matches_waking_one_by_one() {
+        for len in [1usize, 63, 64, 65, 128, 272] {
+            let (mut all, mut each) = (ActiveSet::new(len), ActiveSet::new(len));
+            all.wake(len / 2);
+            all.wake_all();
+            (0..len).rev().for_each(|i| each.wake(i));
+            assert_eq!(all.len(), len);
+            assert!(all.is_active(len - 1));
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            all.drain_sorted(&mut a);
+            each.drain_sorted(&mut b);
+            assert_eq!(a, b, "population {len}");
+            assert_eq!(a, (0..len as u32).collect::<Vec<_>>());
+            assert!(all.is_empty());
+            // No stray bit past the population survives in the last word.
+            all.wake(0);
+            all.drain_sorted(&mut a);
+            assert_eq!(a, vec![0]);
+        }
     }
 
     #[test]

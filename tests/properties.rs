@@ -70,8 +70,8 @@ proptest! {
             if msg.is_empty() {
                 continue;
             }
-            eager.push_window(msg.clone());
-            lazy.push_window(msg);
+            eager.push_window(&msg);
+            lazy.push_window(&msg);
             // Eager drains immediately.
             while let Some(sid) = eager.current_esid() {
                 eager_order.push(sid.0);
