@@ -409,16 +409,6 @@ impl System {
         self.net.set_always_scan(scan);
     }
 
-    /// Selects how routers route: compiled table lookups (default) or
-    /// per-flit evaluation of the topology's coordinate spec — the
-    /// reference engine the tables are compiled from. Semantics-neutral
-    /// (asserted by the equivalence suite); exists so the table-lookup
-    /// speedup stays measurable (`route-lookup` scenario). Call before the
-    /// first cycle.
-    pub fn set_table_routing(&mut self, tables: bool) {
-        self.net.set_table_routing(tables);
-    }
-
     /// Enables the event-leaping clock: when every component is provably
     /// asleep and the only future work is a known timed deadline (a compute
     /// gap or a scheduled memory response) or a notification window's
@@ -437,15 +427,6 @@ impl System {
     /// (silently inert under it). Call before the first cycle.
     pub fn set_leap(&mut self, leap: bool) {
         self.leap = leap;
-    }
-
-    /// Selects the number of worker lanes for intra-run parallelism
-    /// (`<= 1`, the default, is the single-thread engine). Parallelism is
-    /// confined to the main network's compute phase behind a deterministic
-    /// commit, so results are byte-identical for every worker count. Call
-    /// before the first cycle.
-    pub fn set_workers(&mut self, workers: usize) {
-        self.net.set_workers(workers);
     }
 
     /// Cycles actually executed as steps. Without the leap engine this

@@ -1,5 +1,4 @@
-//! The `harness` command-line driver, also backing the nine thin figure
-//! binaries in `scorpio-bench`.
+//! The `harness` command-line driver.
 //!
 //! ```text
 //! harness list
@@ -25,6 +24,7 @@ use std::time::Instant;
 
 use crate::exec::{run_grid, ExecOptions, RunResult};
 use crate::registry;
+use crate::scenario::Scenario;
 use crate::sink::{self, SinkOptions};
 
 /// Parsed `harness run` options.
@@ -92,10 +92,7 @@ where
     let args: Vec<String> = args.into_iter().map(Into::into).collect();
     match args.first().map(String::as_str) {
         Some("list") => {
-            out(&format!("{:<16}{:>6}  description\n", "scenario", "runs"));
-            for s in registry::scenarios() {
-                out(&format!("{:<16}{:>6}  {}\n", s.name, s.grid.len(), s.about));
-            }
+            out(&render_list(&registry::scenarios()));
             0
         }
         Some("workloads") => {
@@ -136,6 +133,29 @@ where
             2
         }
     }
+}
+
+/// The `harness list` table; the name column fits the longest name.
+fn render_list(scenarios: &[Scenario]) -> String {
+    let w = scenarios.iter().map(|s| s.name.len()).max().unwrap_or(0) + 2;
+    let mut doc = format!("{:<w$}{:>6}  description\n", "scenario", "runs");
+    for s in scenarios {
+        doc.push_str(&format!("{:<w$}{:>6}  {}\n", s.name, s.grid.len(), s.about));
+    }
+    doc
+}
+
+/// Resolves a scenario name and applies the `--seeds` override, then
+/// re-validates the grid: a duplicate seed would emit rows with identical
+/// keys, which registry-time validation cannot see.
+fn resolve(name: &str, seeds: Option<&[u64]>) -> Result<Scenario, String> {
+    let mut scenario = registry::by_name(name)
+        .ok_or_else(|| format!("unknown scenario `{name}` (see `harness list`)"))?;
+    if let Some(seeds) = seeds {
+        scenario.grid.seeds = seeds.to_vec();
+        scenario.grid.validate()?;
+    }
+    Ok(scenario)
 }
 
 fn parse_run(args: &[String]) -> Result<RunOptions, String> {
@@ -199,10 +219,11 @@ fn parse_run(args: &[String]) -> Result<RunOptions, String> {
     if opts.window_cycles.is_some() && opts.windows.is_none() {
         return Err("--window-cycles needs --windows".into());
     }
+    if opts.trace_limit.is_some() && opts.trace.is_none() && opts.spans.is_none() {
+        return Err("--trace-limit needs --trace or --spans".into());
+    }
     for name in &opts.scenarios {
-        if registry::by_name(name).is_none() {
-            return Err(format!("unknown scenario `{name}` (see `harness list`)"));
-        }
+        resolve(name, opts.seeds.as_deref())?;
     }
     Ok(opts)
 }
@@ -235,10 +256,7 @@ fn run(opts: &RunOptions) -> i32 {
     };
     let mut all: Vec<(String, Vec<RunResult>)> = Vec::new();
     for name in &opts.scenarios {
-        let mut scenario = registry::by_name(name).expect("validated in parse_run");
-        if let Some(seeds) = &opts.seeds {
-            scenario.grid.seeds = seeds.clone();
-        }
+        let scenario = resolve(name, opts.seeds.as_deref()).expect("validated in parse_run");
         let started = Instant::now();
         let results = run_grid(&scenario.grid, &exec);
         let wall = started.elapsed();
@@ -358,34 +376,6 @@ fn prefixed(scenario: &str, r: &RunResult, body: &str) -> String {
     )
 }
 
-/// Entry point for the thin figure binaries: runs `scenarios` with any
-/// extra CLI args passed through, then exits the process.
-pub fn bin_main(scenarios: &[&str], extra: Vec<String>) -> ! {
-    let mut args: Vec<String> = vec!["run".into()];
-    args.extend(scenarios.iter().map(|s| s.to_string()));
-    args.extend(extra);
-    std::process::exit(run_cli(args));
-}
-
-/// [`bin_main`] for wrapper binaries whose first positional argument
-/// historically selected a reduced run (e.g. `fig6 small`, `scaling
-/// small`): `variants` maps that argument to the scenario to run instead
-/// of `base`; any other arguments pass through unchanged.
-pub fn bin_main_with_variants(base: &str, variants: &[(&str, &str)], mut args: Vec<String>) -> ! {
-    let selected = args
-        .first()
-        .and_then(|a| variants.iter().find(|(arg, _)| arg == a))
-        .map(|&(_, scenario)| scenario);
-    let name = match selected {
-        Some(scenario) => {
-            args.remove(0);
-            scenario
-        }
-        None => base,
-    };
-    bin_main(&[name], args)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -453,6 +443,26 @@ mod tests {
         assert!(parse_run(&s(&["fig7", "--window-cycles", "0"])).is_err());
         // --window-cycles without --windows has nothing to apply to.
         assert!(parse_run(&s(&["fig7", "--window-cycles", "512"])).is_err());
+        // Likewise a trace cap with neither stream it caps.
+        let err = parse_run(&s(&["fig7", "--trace-limit", "500"])).unwrap_err();
+        assert_eq!(err, "--trace-limit needs --trace or --spans");
+        assert!(parse_run(&s(&["fig7", "--trace-limit", "500", "--spans", "-"])).is_ok());
+        // A duplicate seed would emit rows with identical keys.
+        let err = parse_run(&s(&["fig7", "--seeds", "1,1"])).unwrap_err();
+        assert_eq!(err, "duplicate seed axis value 1");
+        assert!(parse_run(&s(&["fig7", "--seeds", "1,2"])).is_ok());
+    }
+
+    #[test]
+    fn list_columns_stay_aligned_under_the_longest_name() {
+        let all = registry::scenarios();
+        let doc = render_list(&all);
+        let mut lines = doc.lines();
+        let runs_end = lines.next().unwrap().find("runs").unwrap() + "runs".len();
+        for (line, s) in lines.zip(&all) {
+            let cells: Vec<&str> = line[..runs_end].split_whitespace().collect();
+            assert_eq!(cells, [s.name, &s.grid.len().to_string()]);
+        }
     }
 
     #[test]

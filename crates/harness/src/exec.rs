@@ -156,57 +156,10 @@ pub fn run_spec_opts(
     )
 }
 
-/// Runs one spec to completion with the full override set on top of the
-/// spec's own configuration.
+/// The executor core: applies every override, runs the spec on its
+/// engine, and collects whichever deterministic streams the final
+/// configuration enabled (flit trace, transaction spans, window rows).
 pub fn run_spec_ov(spec: &RunSpec, ops_per_core: usize, ov: &Overrides) -> RunResult {
-    // The parallel engines ask for four lanes but never more than the
-    // host has: results are byte-identical for any lane count, so extra
-    // lanes could only timeshare a core and slow the benchmark down.
-    let lanes = std::thread::available_parallelism().map_or(1, |n| n.get().min(4));
-    run_spec_full(spec, ops_per_core, ov, |sys| match spec.engine {
-        Engine::ActiveSet => {}
-        Engine::AlwaysScan => sys.set_always_scan(true),
-        Engine::CoordRoute => sys.set_table_routing(false),
-        Engine::Leap => sys.set_leap(true),
-        Engine::Parallel => sys.set_workers(lanes),
-        Engine::Turbo => {
-            sys.set_leap(true);
-            sys.set_workers(lanes);
-        }
-    })
-}
-
-/// Runs one spec to completion with an arbitrary pre-run system tweak in
-/// place of the spec's engine selection (the equivalence matrix uses this
-/// to set leap/worker combinations the [`Engine`] axis does not name).
-pub fn run_spec_custom(
-    spec: &RunSpec,
-    ops_per_core: usize,
-    obs_override: Option<ObsLevel>,
-    trace_limit: Option<usize>,
-    tweak: impl Fn(&mut System),
-) -> RunResult {
-    run_spec_full(
-        spec,
-        ops_per_core,
-        &Overrides {
-            obs: obs_override,
-            trace_limit,
-            ..Overrides::default()
-        },
-        tweak,
-    )
-}
-
-/// The executor core: applies every override, runs the spec, and
-/// collects whichever deterministic streams the final configuration
-/// enabled (flit trace, transaction spans, window rows).
-pub fn run_spec_full(
-    spec: &RunSpec,
-    ops_per_core: usize,
-    ov: &Overrides,
-    tweak: impl Fn(&mut System),
-) -> RunResult {
     let mut cfg = spec.config();
     if let Some(level) = ov.obs {
         cfg = cfg.with_obs(level);
@@ -231,7 +184,11 @@ pub fn run_spec_full(
     let started = Instant::now();
     let traces = generate(&params, cfg.cores(), cfg.seed);
     let mut sys = System::with_traces(cfg, traces);
-    tweak(&mut sys);
+    match spec.engine {
+        Engine::ActiveSet => {}
+        Engine::AlwaysScan => sys.set_always_scan(true),
+        Engine::Leap => sys.set_leap(true),
+    }
     let setup_nanos = started.elapsed().as_nanos();
     let sim_started = Instant::now();
     let report = sys.run_to_completion();

@@ -14,8 +14,7 @@
 //! * [`sink`] — deterministic JSON-lines and CSV result sinks,
 //! * [`table`] — the normalized-runtime pretty-printer,
 //! * [`cli`] — the `harness` command (`harness list`, `harness run fig7
-//!   --threads 8 --json out.jsonl`), which the nine `scorpio-bench`
-//!   figure binaries wrap.
+//!   --threads 8 --json out.jsonl`).
 //!
 //! # Examples
 //!
@@ -44,7 +43,7 @@ pub mod table;
 
 pub use exec::{run_grid, run_spec, ExecOptions, RunResult};
 pub use scenario::{Engine, Fabric, Knob, McPlacement, RunSpec, Scenario, SweepGrid, Variant};
-pub use table::{print_normalized, render_normalized};
+pub use table::render_normalized;
 
 use scorpio::{SystemConfig, SystemReport};
 use scorpio_workloads::{generate, WorkloadParams};
@@ -66,4 +65,24 @@ pub fn run_workload(cfg: SystemConfig, params: &WorkloadParams) -> SystemReport 
     let traces = generate(&scaled, cfg.cores(), cfg.seed);
     let mut sys = scorpio::System::with_traces(cfg, traces);
     sys.run_to_completion()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    // One sequential test: the env var is process-global, so default
+    // behaviour and override are checked in order. Every other test in
+    // this crate passes an explicit ops count, so none can observe it.
+    #[test]
+    fn ops_default_and_tiny_run() {
+        std::env::remove_var("SCORPIO_OPS");
+        assert_eq!(ops_per_core(), 150);
+        std::env::set_var("SCORPIO_OPS", "10");
+        let cfg = SystemConfig::square(2);
+        let params = WorkloadParams::by_name("lu").unwrap();
+        let r = run_workload(cfg, &params);
+        assert_eq!(r.ops_completed, 40);
+        std::env::remove_var("SCORPIO_OPS");
+    }
 }

@@ -2,11 +2,9 @@
 //!
 //! Every figure and table of the paper's evaluation is registered here as
 //! a [`Scenario`]: a declarative sweep grid plus a render function that
-//! reproduces the table the original hand-rolled binary printed. The nine
-//! `scorpio-bench` binaries are thin wrappers that resolve a name in this
-//! registry and hand it to the CLI driver; `harness list` shows everything
-//! that can be run, including the reduced `-small` variants the binaries
-//! historically accepted as a positional argument.
+//! reproduces the table the original hand-rolled binary printed.
+//! `harness list` shows everything that can be run, including the reduced
+//! `-small` variants.
 
 use scorpio::{ArrivalProcess, Protocol};
 use scorpio_workloads::WorkloadParams;
@@ -50,8 +48,6 @@ pub fn scenarios() -> Vec<Scenario> {
         throughput("throughput-small", 8),
         topology("topology", 6),
         topology("topology-small", 4),
-        route_lookup("route-lookup", 12),
-        route_lookup("route-lookup-small", 6),
         obs_overhead("obs-overhead", 12),
         obs_overhead("obs-overhead-small", 6),
         latency_breakdown("latency-breakdown", 8),
@@ -832,26 +828,25 @@ fn kilocore_small_filter(spec: &RunSpec) -> bool {
 /// Kilocore scale-out self-benchmark: the low-injection barrier workload
 /// on a 32×32 mesh (1024 cores, proportional MCs), its concentrated twin
 /// `cmesh16x16x4`, and a 4-plane `cmesh8x8x4` composition — each under
-/// the plain active-set engine, the event-leaping clock, and leap plus
-/// four worker lanes (`turbo`), and each with the flat notification
-/// scheme and the hierarchical quad tree (`quad-f2`, which shrinks the
-/// notification window from O(grid diameter) to O(2·tree depth) and
-/// unlocks per-region leap accounting). All engines produce byte-identical
-/// reports (equivalence matrix); the table measures what the leap, the
-/// workers and the quad window buy at this scale.
+/// the plain active-set engine and the event-leaping clock, and each with
+/// the flat notification scheme and the hierarchical quad tree (`quad-f2`,
+/// which shrinks the notification window from O(grid diameter) to
+/// O(2·tree depth) and unlocks per-region leap accounting). Both engines
+/// produce byte-identical reports (equivalence suite); the table measures
+/// what the leap and the quad window buy at this scale.
 fn scaling_kilocore(name: &'static str, meshes: &'static [u16], filter: GridFilter) -> Scenario {
     Scenario {
         name,
         title: format!(
-            "Scaling-kilocore — engine scale-out at {} cores (leap + parallel ticking)",
+            "Scaling-kilocore — engine scale-out at {} cores (event-leaping clock)",
             meshes.last().map_or(0, |&k| k as usize * k as usize)
         ),
-        about: "Kilocore self-benchmark: active-set vs leap vs turbo, flat vs quad notify",
+        about: "Kilocore self-benchmark: active-set vs leap, flat vs quad notify",
         grid: SweepGrid::over(vec![uniform_low()])
             .meshes(meshes)
             .fabrics(&[Fabric::Mesh, Fabric::CMesh(4)])
             .planes(&[1, 4])
-            .engines(&[Engine::ActiveSet, Engine::Leap, Engine::Turbo])
+            .engines(&[Engine::ActiveSet, Engine::Leap])
             .variants(vec![
                 Variant::new("prop-MCs", vec![Knob::ProportionalMcs]),
                 Variant::new(
@@ -976,8 +971,8 @@ fn scaling_kilocore_render(s: &Scenario, results: &[RunResult]) -> String {
             ));
         }
     }
-    out.push_str("\nAll engines produce byte-identical reports and traces (the\n");
-    out.push_str("equivalence matrix asserts this); leap is simulated/stepped\n");
+    out.push_str("\nBoth engines produce byte-identical reports and traces (the\n");
+    out.push_str("equivalence suite asserts this); leap is simulated/stepped\n");
     out.push_str("cycles, r-leap is simulated cycles over mean stepped cycles\n");
     out.push_str("per leaf quad (quad notify only), speedup is sim-cycles/sec\n");
     out.push_str("over the active-set engine on the same cell.\n");
@@ -1041,75 +1036,6 @@ fn topology_render(s: &Scenario, results: &[RunResult]) -> String {
     }
     out.push_str("\nMatched endpoint counts per row block; ordering is decoupled\n");
     out.push_str("from delivery, so every fabric carries every protocol.\n");
-    out
-}
-
-// ------------------------------------- Route-lookup self-benchmark
-
-/// Simulator self-benchmark: the identical sweep with table-lookup routing
-/// (default) vs per-flit coordinate-spec routing, so the table win is
-/// *measured* on every run. Reports are byte-identical across the two
-/// (engine-equivalence suite); only wall-clock differs.
-fn route_lookup(name: &'static str, mesh: u16) -> Scenario {
-    Scenario {
-        name,
-        title: format!("Route-lookup — table routing vs per-flit coordinate math ({mesh}x{mesh})"),
-        about: "Routing self-benchmark: compiled tables vs coordinate math",
-        grid: SweepGrid::over(vec![uniform_med()])
-            .meshes(&[mesh])
-            .engines(&[Engine::ActiveSet, Engine::CoordRoute]),
-        render: route_lookup_render,
-    }
-}
-
-fn route_lookup_render(s: &Scenario, results: &[RunResult]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("=== {} ===\n", s.title));
-    out.push_str(&format!(
-        "{:<14}{:>8}{:>12}{:>12}{:>14}{:>16}\n",
-        "workload", "routing", "runtime", "wall (ms)", "sim cyc/sec", "speedup"
-    ));
-    let rate = |r: &RunResult| -> f64 {
-        let secs = r.wall_nanos as f64 / 1e9;
-        if secs > 0.0 {
-            r.report.runtime_cycles as f64 / secs
-        } else {
-            0.0
-        }
-    };
-    for w in &s.grid.workloads {
-        let mut rates = [0.0f64; 2];
-        for r in results.iter().filter(|r| r.spec.workload.name == w.name) {
-            let (slot, label) = match r.spec.engine {
-                Engine::ActiveSet => (0, "tables"),
-                Engine::CoordRoute => (1, "coord"),
-                _ => continue,
-            };
-            rates[slot] = rate(r);
-            out.push_str(&format!(
-                "{:<14}{:>8}{:>12}{:>12.1}{:>14.0}{:>16}\n",
-                w.name,
-                label,
-                r.report.runtime_cycles,
-                r.wall_nanos as f64 / 1e6,
-                rates[slot],
-                "",
-            ));
-        }
-        if rates[1] > 0.0 {
-            out.push_str(&format!(
-                "{:<14}{:>8}{:>12}{:>12}{:>14}{:>15.2}x\n",
-                w.name,
-                "",
-                "",
-                "",
-                "",
-                rates[0] / rates[1]
-            ));
-        }
-    }
-    out.push_str("\nBoth routings produce byte-identical reports (equivalence\n");
-    out.push_str("suite); only wall-clock differs.\n");
     out
 }
 
@@ -1959,17 +1885,6 @@ mod tests {
         for spec in topo.grid.enumerate() {
             assert_eq!(spec.config().mesh.endpoint_count(), 4 * 4 + 4);
         }
-        // Route-lookup sweeps tables vs coordinate math on one workload.
-        let rl = by_name("route-lookup").unwrap();
-        let specs = rl.grid.enumerate();
-        assert_eq!(specs.len(), 2);
-        assert_eq!(specs[0].engine, Engine::ActiveSet);
-        assert_eq!(specs[1].engine, Engine::CoordRoute);
-        assert_eq!(
-            specs[0].config().stable_hash(),
-            specs[1].config().stable_hash()
-        );
-        assert!(specs[1].key().ends_with("/coord"));
     }
 
     #[test]

@@ -294,29 +294,20 @@ impl Variant {
 /// Which simulation engine a run uses. All engines produce byte-identical
 /// [`scorpio::SystemReport`]s (asserted by the engine-equivalence suite);
 /// only wall-clock speed differs, which is what the `throughput` and
-/// `route-lookup` self-benchmarks measure.
+/// `scaling-kilocore` self-benchmarks measure. Every engine ticks the
+/// network serially and routes by compiled-table lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
     /// The active-set engine (default): only components with pending work
-    /// are ticked each cycle; routing is compiled-table lookup.
+    /// are ticked each cycle.
     #[default]
     ActiveSet,
     /// The always-scan reference engine: every tile, MC, router and
     /// injection port is probed every cycle.
     AlwaysScan,
-    /// The coordinate-routing reference engine: active-set scheduling, but
-    /// routers evaluate the topology's coordinate spec per flit instead of
-    /// reading the compiled tables.
-    CoordRoute,
     /// The active-set engine plus the event-leaping clock: whole-machine
     /// idle spans are jumped rather than stepped.
     Leap,
-    /// The active-set engine with four worker lanes ticking planes (or
-    /// router shards) in parallel behind a deterministic commit.
-    Parallel,
-    /// Leap and four worker lanes combined — the kilocore scale-out
-    /// engine.
-    Turbo,
 }
 
 impl Engine {
@@ -326,10 +317,7 @@ impl Engine {
         match self {
             Engine::ActiveSet => "",
             Engine::AlwaysScan => "scan",
-            Engine::CoordRoute => "coord",
             Engine::Leap => "leap",
-            Engine::Parallel => "par",
-            Engine::Turbo => "turbo",
         }
     }
 }
@@ -432,8 +420,8 @@ pub struct SweepGrid {
     pub protocols: Vec<Protocol>,
     /// Configuration-variant axis.
     pub variants: Vec<Variant>,
-    /// Engine axis (the `throughput` self-benchmark sweeps both; everything
-    /// else runs the default active-set engine only).
+    /// Engine axis (the `throughput` and `scaling-kilocore` self-benchmarks
+    /// sweep it; everything else runs the default active-set engine only).
     pub engines: Vec<Engine>,
     /// Seed axis (replicates).
     pub seeds: Vec<u64>,
@@ -716,7 +704,7 @@ impl RunSpec {
     /// single-plane mesh keys are unchanged from before the engine, fabric
     /// and plane axes existed; other fabrics change the geometry segment
     /// (`torus4x4`, `ring16`), multiple planes extend it (`8x8+4pl`), and
-    /// non-default engines append a suffix (`/scan`, `/coord`).
+    /// non-default engines append a suffix (`/scan`, `/leap`).
     pub fn key(&self) -> String {
         let engine = match self.engine.label() {
             "" => String::new(),
@@ -848,18 +836,21 @@ mod tests {
         assert_eq!(hashes.len(), 3);
     }
 
+    /// Non-default engines suffix the key and never touch the config hash.
+    /// (The name predates the removal of the coordinate-routing engine.)
     #[test]
     fn coord_engine_suffixes_keys_and_shares_config() {
         let g = SweepGrid::over(vec![WorkloadParams::by_name("lu").unwrap()])
             .meshes(&[2])
-            .engines(&[Engine::ActiveSet, Engine::CoordRoute]);
+            .engines(&[Engine::ActiveSet, Engine::AlwaysScan, Engine::Leap]);
         let specs = g.enumerate();
-        assert_eq!(specs.len(), 2);
-        assert!(specs[1].key().ends_with("/coord"));
-        assert_eq!(
-            specs[0].config().stable_hash(),
-            specs[1].config().stable_hash()
-        );
+        assert_eq!(specs.len(), 3);
+        assert!(specs[0].key().ends_with("/seed1"));
+        assert!(specs[1].key().ends_with("/scan"));
+        assert!(specs[2].key().ends_with("/leap"));
+        for s in &specs[1..] {
+            assert_eq!(specs[0].config().stable_hash(), s.config().stable_hash());
+        }
     }
 
     #[test]

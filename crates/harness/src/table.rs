@@ -1,7 +1,7 @@
 //! The normalized-runtime pretty-printer used by most figure scenarios.
 //!
-//! Ported here from `scorpio-bench` and hardened: empty rows, ragged rows
-//! and zero baselines render as `-` cells instead of panicking or printing
+//! Hardened against degenerate input: empty rows, ragged rows and zero
+//! baselines render as `-` cells instead of panicking or printing
 //! `NaN`/`inf` (a zero baseline is real — e.g. a workload whose runs were
 //! all filtered out of a grid, or a misconfigured sweep).
 
@@ -57,15 +57,6 @@ pub fn render_normalized(
     }
     out.push('\n');
     out
-}
-
-/// Prints [`render_normalized`] to stdout (the historical `scorpio-bench`
-/// entry point, kept for the figure binaries).
-pub fn print_normalized(title: &str, benchmarks: &[&str], configs: &[&str], runtimes: &[Vec<u64>]) {
-    print!(
-        "{}",
-        render_normalized(title, benchmarks, configs, runtimes)
-    );
 }
 
 #[cfg(test)]

@@ -2,10 +2,9 @@
 //! only on (scenario, seeds, ops-per-core) — never on worker count,
 //! scheduling, or completion order.
 
-use scorpio_harness::exec::{run_grid, run_spec_custom, ExecOptions};
+use scorpio_harness::exec::{run_grid, ExecOptions};
 use scorpio_harness::registry;
 use scorpio_harness::sink::{self, SinkOptions};
-use scorpio_harness::Engine;
 use std::collections::HashSet;
 
 fn opts(threads: usize) -> ExecOptions {
@@ -111,39 +110,6 @@ fn observability_output_is_thread_count_invariant() {
     assert!(serial
         .iter()
         .any(|r| r.trace.as_ref().is_some_and(|t| !t.is_empty())));
-}
-
-/// *Intra-run* worker lanes (plane/region ticking on pool threads inside
-/// one simulation, as opposed to the executor's run-level threads) must
-/// not leak into output either: the same spec emits byte-identical sink
-/// records for every lane count, including counts beyond the host's
-/// cores.
-#[test]
-fn intra_run_worker_count_does_not_change_sink_output() {
-    let scenario = registry::by_name("scaling-kilocore-small").expect("registered");
-    let spec = scenario
-        .grid
-        .enumerate()
-        .into_iter()
-        .find(|s| s.planes == 4 && s.engine == Engine::Turbo)
-        .expect("4-plane turbo cell exists");
-    let run = |workers: usize| {
-        run_spec_custom(&spec, 8, None, None, |sys| {
-            sys.set_leap(true);
-            sys.set_workers(workers);
-        })
-    };
-    let base = run(1);
-    let line = sink::json_line("kilocore", &base, SinkOptions::default());
-    assert!(base.report.ops_completed > 0);
-    for workers in [2, 3, 4, 8] {
-        let other = run(workers);
-        assert_eq!(
-            line,
-            sink::json_line("kilocore", &other, SinkOptions::default()),
-            "sink record changed at {workers} intra-run workers"
-        );
-    }
 }
 
 /// Different seeds must actually produce different results (the seed axis

@@ -1,43 +1,103 @@
-//! The active-set engine's hard requirement: it is an *optimization*,
-//! never a semantics change. Every run must produce a byte-identical
-//! [`scorpio::SystemReport`] to the forced always-scan engine — across
-//! every ordering protocol, since each protocol exercises different
-//! wake/sleep paths (notification windows, reorder buffers, expiry
-//! broadcasts, directory homes).
+//! The fast engines' hard requirement: they are *optimizations*, never a
+//! semantics change. Every run on the active-set engine and on the
+//! event-leaping clock must produce a byte-identical
+//! [`scorpio::SystemReport`] — and, where traced, a byte-identical merged
+//! flit trace — to the always-scan reference engine.
+//!
+//! The rows are a covering set, not a cross product. Features covered
+//! (a later cut must keep each one somewhere):
+//!
+//! * every ordering protocol (SCORPIO, TokenB, INSO, LPD-D, HT-D) —
+//!   `fig7_small…`, `topology_small…`, `cmesh…`, `observability…`
+//! * each fabric: mesh, torus, ring (`topology_small…`, `multi_plane…`),
+//!   concentrated mesh (`cmesh…`)
+//! * planes 1 / 2 / 4 — `multi_plane…` (2, 4), `cmesh…` (1, 2),
+//!   `observability…` (4)
+//! * concentration 1 / 2 / 4 — `cmesh…`
+//! * notification scheme flat / quad-f2 / quad-f4 — `leap_and_worker…`
+//!   (flat), `quad_notify…` (f2), `quad_f4…` (f4)
+//! * observability off / full trace — off in the registry-grid rows and
+//!   `scaling_mesh_point…`, trace in `observability…` and the three
+//!   phased 8×8 rows
+//! * a leap that really fires (phased low-injection 8×8, proportional
+//!   MCs) — `leap_and_worker…`, `quad_notify…`, `quad_f4…`, `watchdog…`
+//! * closed loop here; the open-loop rows live in `open_loop.rs`, spans
+//!   and windows in `observability.rs`.
 
 use scorpio::ObsLevel;
-use scorpio_harness::exec::{run_spec, run_spec_custom, run_spec_opts};
+use scorpio_harness::exec::{run_spec, run_spec_opts};
 use scorpio_harness::registry;
-use scorpio_harness::{Engine, Knob};
+use scorpio_harness::{Engine, Fabric, Knob, RunResult, RunSpec};
+
+/// Runs `spec` on the always-scan reference and on both fast engines and
+/// asserts each fast run byte-identical to the reference: report, config
+/// hash and — with `trace` — the merged flit trace. Returns the
+/// `(reference, leap)` results for row-specific follow-ups.
+fn assert_fast_engines_match_reference(
+    spec: &RunSpec,
+    ops: usize,
+    trace: bool,
+) -> (RunResult, RunResult) {
+    let run = |engine: Engine| {
+        let mut s = spec.clone();
+        s.engine = engine;
+        if trace {
+            run_spec_opts(&s, ops, Some(ObsLevel::Trace), Some(2048))
+        } else {
+            run_spec(&s, ops)
+        }
+    };
+    let reference = run(Engine::AlwaysScan);
+    let json = reference.report.to_json();
+    assert!(reference.report.ops_completed > 0);
+    let matching = |engine: Engine| {
+        let fast = run(engine);
+        let at = format!("{} on {engine:?}", spec.key());
+        assert_eq!(json, fast.report.to_json(), "report divergence at {at}");
+        assert_eq!(reference.trace, fast.trace, "trace divergence at {at}");
+        assert_eq!(reference.trace_dropped, fast.trace_dropped, "{at}");
+        assert_eq!(reference.config_hash, fast.config_hash, "{at}");
+        fast
+    };
+    matching(Engine::ActiveSet);
+    let leap = matching(Engine::Leap);
+    (reference, leap)
+}
+
+/// The phased low-injection 8×8 point with proportional MCs: the regime
+/// where the active-set engine skips most of the machine and the leap
+/// crosses whole compute gaps in one step. `quad` adds a quad-tree
+/// notification scheme of that fanout.
+fn phased_8x8(quad: Option<u8>) -> RunSpec {
+    let scenario = registry::by_name("scaling-mesh-small").expect("registered");
+    let mut spec = scenario
+        .grid
+        .enumerate()
+        .into_iter()
+        .find(|s| s.mesh_side == 8 && s.workload.name == "uniform-low")
+        .expect("8x8 uniform-low point exists");
+    if let Some(fanout) = quad {
+        spec.variant.label = format!("{}+quad-f{fanout}", spec.variant.label);
+        spec.variant.knobs.push(Knob::QuadNotify(fanout));
+    }
+    spec
+}
 
 /// Golden equivalence on the fig7-small grid: SCORPIO, TokenB, INSO-40,
-/// LPD-D and HT-D, each compared engine-vs-engine via `to_json`.
+/// LPD-D and HT-D on the chip-style mesh.
 #[test]
 fn fig7_small_reports_are_byte_identical_across_engines() {
     let scenario = registry::by_name("fig7-small").expect("fig7-small is registered");
     let specs = scenario.grid.enumerate();
     assert_eq!(specs.len(), 10, "2 workloads x 5 protocols");
     for spec in specs {
-        assert_eq!(spec.engine, Engine::ActiveSet);
-        let mut scan_spec = spec.clone();
-        scan_spec.engine = Engine::AlwaysScan;
-        let active = run_spec(&spec, 12);
-        let scan = run_spec(&scan_spec, 12);
-        assert_eq!(
-            active.report.to_json(),
-            scan.report.to_json(),
-            "engine divergence at {}",
-            spec.key()
-        );
-        assert_eq!(active.config_hash, scan.config_hash);
+        assert_fast_engines_match_reference(&spec, 12, false);
     }
 }
 
-/// The new axis: every delivery fabric (mesh, torus, ring) under every
-/// ordering protocol must produce byte-identical reports across all three
-/// engines — active-set vs always-scan (scheduling is semantics-neutral)
-/// and table routing vs per-flit coordinate routing (the tables are the
-/// spec, memoized).
+/// Every delivery fabric (mesh, torus, ring) under every ordering
+/// protocol: scheduling and clock leaping are semantics-neutral whatever
+/// the fabric's diameter, wrap links and dateline classes.
 #[test]
 fn topology_small_reports_are_byte_identical_across_engines() {
     let scenario = registry::by_name("topology-small").expect("topology-small is registered");
@@ -49,28 +109,13 @@ fn topology_small_reports_are_byte_identical_across_engines() {
         .collect();
     assert_eq!(specs.len(), 3 * 5, "3 fabrics x 5 protocols");
     for spec in specs {
-        assert_eq!(spec.engine, Engine::ActiveSet);
-        let active = run_spec(&spec, 8);
-        for engine in [Engine::AlwaysScan, Engine::CoordRoute] {
-            let mut other_spec = spec.clone();
-            other_spec.engine = engine;
-            let other = run_spec(&other_spec, 8);
-            assert_eq!(
-                active.report.to_json(),
-                other.report.to_json(),
-                "engine divergence at {} vs {engine:?}",
-                spec.key()
-            );
-            assert_eq!(active.config_hash, other.config_hash);
-        }
+        assert_fast_engines_match_reference(&spec, 8, false);
     }
 }
 
 /// The plane axis: multi-plane main networks (2 and 4 planes, every
-/// fabric) must produce byte-identical reports across all three engines.
-/// This covers the idle-plane skip (the always-scan engine never skips a
-/// plane, the active-set engine skips every quiescent one) and table vs
-/// coordinate routing inside each plane.
+/// fabric). This covers the idle-plane skip — the always-scan engine
+/// never skips a plane, the fast engines skip every quiescent one.
 #[test]
 fn multi_plane_reports_are_byte_identical_across_engines() {
     let scenario = registry::by_name("planes-small").expect("planes-small is registered");
@@ -82,31 +127,15 @@ fn multi_plane_reports_are_byte_identical_across_engines() {
         .collect();
     assert_eq!(specs.len(), 3 * 2, "3 fabrics x 2 multi-plane counts");
     for spec in specs {
-        assert_eq!(spec.engine, Engine::ActiveSet);
-        let active = run_spec(&spec, 8);
-        assert!(active.report.ops_completed > 0);
-        for engine in [Engine::AlwaysScan, Engine::CoordRoute] {
-            let mut other_spec = spec.clone();
-            other_spec.engine = engine;
-            let other = run_spec(&other_spec, 8);
-            assert_eq!(
-                active.report.to_json(),
-                other.report.to_json(),
-                "engine divergence at {} vs {engine:?}",
-                spec.key()
-            );
-            assert_eq!(active.config_hash, other.config_hash);
-        }
+        assert_fast_engines_match_reference(&spec, 8, false);
     }
 }
 
 /// The concentrated-mesh axis: every concentration (1/2/4 tiles per
-/// router), single- and multi-plane, must produce byte-identical reports
-/// across all three engines. This exercises the endpoint-indexed broadcast
-/// tables (source-slot-dependent fork masks), the per-slot ESID views and
-/// the higher-radix router arbitration under both scheduling engines and
-/// both routing engines — and SCORPIO's 2-plane cells cover the
-/// cmesh × planes composition.
+/// router), single- and multi-plane. This exercises the endpoint-indexed
+/// broadcast tables (source-slot-dependent fork masks), the per-slot ESID
+/// views and the higher-radix router arbitration — and SCORPIO's 2-plane
+/// cells cover the cmesh × planes composition.
 #[test]
 fn cmesh_reports_are_byte_identical_across_engines() {
     let scenario = registry::by_name("cmesh-small").expect("cmesh-small is registered");
@@ -116,28 +145,14 @@ fn cmesh_reports_are_byte_identical_across_engines() {
         .into_iter()
         .filter(|s| {
             s.protocol == scorpio::Protocol::Scorpio
-                || (s.fabric == scorpio_harness::Fabric::CMesh(4) && s.planes == 1)
+                || (s.fabric == Fabric::CMesh(4) && s.planes == 1)
         })
         .collect();
     // 3 concentrations x {1, 2} planes of SCORPIO + the four baseline
     // protocols at concentration 4.
     assert_eq!(specs.len(), 3 * 2 + 4);
     for spec in specs {
-        assert_eq!(spec.engine, Engine::ActiveSet);
-        let active = run_spec(&spec, 8);
-        assert!(active.report.ops_completed > 0);
-        for engine in [Engine::AlwaysScan, Engine::CoordRoute] {
-            let mut other_spec = spec.clone();
-            other_spec.engine = engine;
-            let other = run_spec(&other_spec, 8);
-            assert_eq!(
-                active.report.to_json(),
-                other.report.to_json(),
-                "engine divergence at {} vs {engine:?}",
-                spec.key()
-            );
-            assert_eq!(active.config_hash, other.config_hash);
-        }
+        assert_fast_engines_match_reference(&spec, 8, false);
     }
 }
 
@@ -145,11 +160,11 @@ fn cmesh_reports_are_byte_identical_across_engines() {
 /// tracing on (counters, histograms and the flit-event stream), the
 /// report — now carrying the `"obs"` annex with its percentiles, stall
 /// splits and per-plane counters — and the merged trace itself must be
-/// byte-identical across all three engines. Every hook sits after the
-/// shared idle-skip check, so an engine that never visits a quiescent
-/// router and one that visits-and-skips it must record the same thing.
-/// Grid points cover single-plane mesh (fig7-small, all 5 protocols on
-/// one workload), multi-plane fabrics and a concentrated mesh.
+/// byte-identical across engines. Every hook sits after the shared
+/// idle-skip check, so an engine that never visits a quiescent router and
+/// one that visits-and-skips it must record the same thing. Grid points
+/// cover single-plane mesh (fig7-small, all 5 protocols on one workload),
+/// multi-plane fabrics and a concentrated mesh.
 #[test]
 fn observability_reports_and_traces_are_byte_identical_across_engines() {
     let fig7 = registry::by_name("fig7-small").expect("registered");
@@ -169,40 +184,25 @@ fn observability_reports_and_traces_are_byte_identical_across_engines() {
             .into_iter()
             .filter(|s| s.planes == 4 && s.protocol == scorpio::Protocol::Scorpio),
     );
-    specs.extend(cmesh.grid.enumerate().into_iter().filter(|s| {
-        s.fabric == scorpio_harness::Fabric::CMesh(2) && s.protocol == scorpio::Protocol::Scorpio
-    }));
+    specs.extend(
+        cmesh
+            .grid
+            .enumerate()
+            .into_iter()
+            .filter(|s| s.fabric == Fabric::CMesh(2) && s.protocol == scorpio::Protocol::Scorpio),
+    );
     assert!(specs.len() > 5 + 3, "plane and cmesh cells present");
     for spec in specs {
-        assert_eq!(spec.engine, Engine::ActiveSet);
-        let run =
-            |s: &scorpio_harness::RunSpec| run_spec_opts(s, 8, Some(ObsLevel::Trace), Some(2048));
-        let active = run(&spec);
-        let json = active.report.to_json();
+        let (reference, _) = assert_fast_engines_match_reference(&spec, 8, true);
         assert!(
-            json.contains(r#""obs":{"schema_version":3,"packet_latency""#),
+            reference
+                .report
+                .to_json()
+                .contains(r#""obs":{"schema_version":3,"packet_latency""#),
             "obs annex missing at {}",
             spec.key()
         );
-        for engine in [Engine::AlwaysScan, Engine::CoordRoute] {
-            let mut other_spec = spec.clone();
-            other_spec.engine = engine;
-            let other = run(&other_spec);
-            assert_eq!(
-                json,
-                other.report.to_json(),
-                "obs report divergence at {} vs {engine:?}",
-                spec.key()
-            );
-            assert_eq!(
-                active.trace,
-                other.trace,
-                "trace divergence at {} vs {engine:?}",
-                spec.key()
-            );
-            assert_eq!(active.trace_dropped, other.trace_dropped);
-            assert_eq!(active.config_hash, other.config_hash);
-        }
+        assert!(reference.trace.is_some_and(|t| !t.is_empty()));
     }
 }
 
@@ -232,177 +232,59 @@ fn four_planes_deliver_1_5x_throughput_on_a_saturated_mesh() {
     );
 }
 
-/// The kilocore engines — the event-leaping clock and intra-run worker
-/// lanes — are pure optimisations on top of whichever base engine runs:
-/// the full {leap on/off} × {workers 1/2/4} matrix over all three
-/// pre-existing engines must produce byte-identical reports AND merged
-/// flit traces on a phased low-injection point (the regime where the
-/// leap actually fires and crosses whole compute gaps in one step).
+/// The event-leaping clock is a pure optimisation: on the phased
+/// low-injection point (flat notification) both fast engines match the
+/// reference in reports AND merged flit traces, and the leap really
+/// crosses the compute gaps rather than stepping them. (The name predates
+/// the removal of the worker lanes.)
 #[test]
 fn leap_and_worker_matrix_is_byte_identical_including_traces() {
-    let scenario = registry::by_name("scaling-mesh-small").expect("registered");
-    let spec = scenario
-        .grid
-        .enumerate()
-        .into_iter()
-        .find(|s| s.mesh_side == 8 && s.workload.name == "uniform-low")
-        .expect("8x8 uniform-low point exists");
-    for engine in [Engine::ActiveSet, Engine::AlwaysScan, Engine::CoordRoute] {
-        let run = |leap: bool, workers: usize| {
-            run_spec_custom(&spec, 13, Some(ObsLevel::Trace), Some(1024), |sys| {
-                match engine {
-                    Engine::AlwaysScan => sys.set_always_scan(true),
-                    Engine::CoordRoute => sys.set_table_routing(false),
-                    _ => {}
-                }
-                sys.set_leap(leap);
-                sys.set_workers(workers);
-            })
-        };
-        let baseline = run(false, 1);
-        let json = baseline.report.to_json();
-        assert!(
-            baseline.report.runtime_cycles > 40_000,
-            "phased gap missing"
-        );
-        for leap in [false, true] {
-            for workers in [1usize, 2, 4] {
-                if !leap && workers == 1 {
-                    continue; // that is the baseline
-                }
-                let other = run(leap, workers);
-                assert_eq!(
-                    json,
-                    other.report.to_json(),
-                    "report divergence: {engine:?} leap={leap} workers={workers}"
-                );
-                assert_eq!(
-                    baseline.trace, other.trace,
-                    "trace divergence: {engine:?} leap={leap} workers={workers}"
-                );
-                assert_eq!(baseline.trace_dropped, other.trace_dropped);
-                // The leap really fired (except under always-scan, whose
-                // guard disables it — nothing is quiescent to skip).
-                if leap && engine != Engine::AlwaysScan {
-                    assert!(
-                        other.stepped_cycles < baseline.stepped_cycles / 2,
-                        "{engine:?}: leap never fired ({} of {} cycles stepped)",
-                        other.stepped_cycles,
-                        baseline.stepped_cycles
-                    );
-                }
-            }
-        }
-    }
+    let (reference, leap) = assert_fast_engines_match_reference(&phased_8x8(None), 13, true);
+    assert!(
+        reference.report.runtime_cycles > 40_000,
+        "phased gap missing"
+    );
+    assert!(
+        leap.stepped_cycles < reference.stepped_cycles / 2,
+        "leap never fired ({} of {} cycles stepped)",
+        leap.stepped_cycles,
+        reference.stepped_cycles
+    );
 }
 
-/// The hierarchical notification scheme composes with the kilocore
-/// engines: under the quad-f2 window the same {leap on/off} × {workers
-/// 1/2/4} matrix over all three base engines must again be byte-identical
-/// in reports AND merged flit traces. This is the quad row of the
-/// `{flat, quad} × {leap, workers} × engines` matrix (the flat row is
-/// `leap_and_worker_matrix_is_byte_identical_including_traces` above) and
-/// doubles as the flat-vs-quad parallel-vs-serial comparison: within each
-/// scheme, worker lanes and the serial clock agree to the byte. The two
-/// schemes are deliberately *not* compared to each other — the quad tree
-/// shortens the notification window, so it is a different (hash-visible)
-/// machine.
+/// The hierarchical notification scheme composes with the leap: the same
+/// row under the quad-f2 window. Flat and quad are deliberately *not*
+/// compared to each other — the quad tree shortens the notification
+/// window, so it is a different (hash-visible) machine.
 #[test]
 fn quad_notify_matrix_is_byte_identical_including_traces() {
-    let scenario = registry::by_name("scaling-mesh-small").expect("registered");
-    let mut spec = scenario
-        .grid
-        .enumerate()
-        .into_iter()
-        .find(|s| s.mesh_side == 8 && s.workload.name == "uniform-low")
-        .expect("8x8 uniform-low point exists");
-    spec.variant.label = format!("{}+quad-f2", spec.variant.label);
-    spec.variant.knobs.push(Knob::QuadNotify(2));
-    for engine in [Engine::ActiveSet, Engine::AlwaysScan, Engine::CoordRoute] {
-        let run = |leap: bool, workers: usize| {
-            run_spec_custom(&spec, 13, Some(ObsLevel::Trace), Some(1024), |sys| {
-                match engine {
-                    Engine::AlwaysScan => sys.set_always_scan(true),
-                    Engine::CoordRoute => sys.set_table_routing(false),
-                    _ => {}
-                }
-                sys.set_leap(leap);
-                sys.set_workers(workers);
-            })
-        };
-        let baseline = run(false, 1);
-        let json = baseline.report.to_json();
-        assert!(baseline.regions > 1, "quad scheme did not partition");
-        assert!(
-            baseline.report.runtime_cycles > 40_000,
-            "phased gap missing"
-        );
-        for leap in [false, true] {
-            for workers in [1usize, 2, 4] {
-                if !leap && workers == 1 {
-                    continue; // that is the baseline
-                }
-                let other = run(leap, workers);
-                assert_eq!(
-                    json,
-                    other.report.to_json(),
-                    "report divergence: quad-f2 {engine:?} leap={leap} workers={workers}"
-                );
-                assert_eq!(
-                    baseline.trace, other.trace,
-                    "trace divergence: quad-f2 {engine:?} leap={leap} workers={workers}"
-                );
-                assert_eq!(baseline.trace_dropped, other.trace_dropped);
-                if leap && engine != Engine::AlwaysScan {
-                    assert!(
-                        other.stepped_cycles < baseline.stepped_cycles / 2,
-                        "quad-f2 {engine:?}: leap never fired ({} of {} cycles stepped)",
-                        other.stepped_cycles,
-                        baseline.stepped_cycles
-                    );
-                    // Per-region accounting saw idle quads: the summed
-                    // per-quad stepped cycles stay under stepped × quads.
-                    assert!(
-                        other.region_cycles_stepped < other.stepped_cycles * other.regions as u64,
-                        "quad-f2 {engine:?}: every quad was active every stepped cycle"
-                    );
-                }
-            }
-        }
-    }
+    let (reference, leap) = assert_fast_engines_match_reference(&phased_8x8(Some(2)), 13, true);
+    assert!(reference.regions > 1, "quad scheme did not partition");
+    assert!(
+        reference.report.runtime_cycles > 40_000,
+        "phased gap missing"
+    );
+    assert!(
+        leap.stepped_cycles < reference.stepped_cycles / 2,
+        "quad-f2: leap never fired ({} of {} cycles stepped)",
+        leap.stepped_cycles,
+        reference.stepped_cycles
+    );
+    // Per-region accounting saw idle quads: the summed per-quad stepped
+    // cycles stay under stepped × quads.
+    assert!(
+        leap.region_cycles_stepped < leap.stepped_cycles * leap.regions as u64,
+        "quad-f2: every quad was active every stepped cycle"
+    );
 }
 
-/// The wider quad tree (fanout 4) gets the same guarantee on the
-/// cheapest slice of the matrix: leap and turbo vs the stepped baseline.
+/// The wider quad tree (fanout 4) gets the same guarantee. (The name
+/// predates the removal of the turbo engine.)
 #[test]
 fn quad_f4_leap_and_turbo_are_byte_identical() {
-    let scenario = registry::by_name("scaling-mesh-small").expect("registered");
-    let mut spec = scenario
-        .grid
-        .enumerate()
-        .into_iter()
-        .find(|s| s.mesh_side == 8 && s.workload.name == "uniform-low")
-        .expect("8x8 uniform-low point exists");
-    spec.variant.label = format!("{}+quad-f4", spec.variant.label);
-    spec.variant.knobs.push(Knob::QuadNotify(4));
-    let run = |leap: bool, workers: usize| {
-        run_spec_custom(&spec, 13, Some(ObsLevel::Trace), Some(1024), |sys| {
-            sys.set_leap(leap);
-            sys.set_workers(workers);
-        })
-    };
-    let baseline = run(false, 1);
-    assert!(baseline.regions > 1, "quad scheme did not partition");
-    for (leap, workers) in [(true, 1), (true, 4)] {
-        let other = run(leap, workers);
-        assert_eq!(
-            baseline.report.to_json(),
-            other.report.to_json(),
-            "report divergence: quad-f4 leap={leap} workers={workers}"
-        );
-        assert_eq!(baseline.trace, other.trace);
-        assert!(other.stepped_cycles < baseline.stepped_cycles / 2);
-    }
+    let (reference, leap) = assert_fast_engines_match_reference(&phased_8x8(Some(4)), 13, true);
+    assert!(reference.regions > 1, "quad scheme did not partition");
+    assert!(leap.stepped_cycles < reference.stepped_cycles / 2);
 }
 
 /// A compute gap longer than the 50k-cycle deadlock watchdog must not
@@ -412,13 +294,7 @@ fn quad_f4_leap_and_turbo_are_byte_identical() {
 /// watchdog this run panicked as a false positive.
 #[test]
 fn watchdog_tolerates_leaped_gaps_beyond_50k_cycles() {
-    let scenario = registry::by_name("scaling-mesh-small").expect("registered");
-    let mut spec = scenario
-        .grid
-        .enumerate()
-        .into_iter()
-        .find(|s| s.mesh_side == 8 && s.workload.name == "uniform-low")
-        .expect("8x8 uniform-low point exists");
+    let mut spec = phased_8x8(None);
     spec.workload.phase_gap = 120_000;
     spec.engine = Engine::Leap;
     let r = run_spec(&spec, 13);
@@ -468,62 +344,14 @@ fn watchdog_tolerates_leaped_gaps_beyond_50k_cycles() {
 }
 
 /// The acceptance benchmark behind the `scaling-kilocore` scenario: on
-/// the phased low-injection kilocore cell, the turbo engine (leap +
-/// worker lanes) must simulate at least 3× the cycles/sec of the
-/// active-set engine. Wall-clock assertion, so ignored by default like
-/// the other heavy benchmarks (CI throughput job, `--release --ignored`).
-#[test]
-#[ignore = "heavy timing benchmark: run explicitly with --release (CI throughput job)"]
-fn turbo_engine_is_3x_on_kilocore_low_injection() {
-    let scenario = registry::by_name("scaling-kilocore").expect("registered");
-    let specs = scenario.grid.enumerate();
-    let active = specs
-        .iter()
-        .find(|s| s.mesh_side == 32 && s.fabric == scorpio_harness::Fabric::Mesh)
-        .expect("32x32 active cell");
-    let mut turbo = active.clone();
-    turbo.engine = Engine::Turbo;
-    let ra = run_spec(active, 150);
-    let rt = run_spec(&turbo, 150);
-    assert_eq!(ra.report.to_json(), rt.report.to_json(), "engines diverged");
-    // The leap fired: the turbo engine stepped well under the simulated
-    // cycle count. This part holds on any host.
-    assert!(
-        rt.stepped_cycles < ra.stepped_cycles,
-        "turbo never leaped ({} vs {} stepped cycles)",
-        rt.stepped_cycles,
-        ra.stepped_cycles
-    );
-    // The wall-clock floor needs the worker lanes to actually run in
-    // parallel; on a smaller host turbo degenerates to the leap engine
-    // (lanes are clamped to the host), so only the leap assertion above
-    // is meaningful there.
-    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-    if host < 4 {
-        eprintln!("skipping the 3x floor: host has {host} core(s), the lanes would timeshare");
-        return;
-    }
-    let rate = |r: &scorpio_harness::RunResult| {
-        r.report.runtime_cycles as f64 * 1e9 / r.sim_nanos.max(1) as f64
-    };
-    let speedup = rate(&rt) / rate(&ra);
-    assert!(
-        speedup >= 3.0,
-        "turbo simulated only {speedup:.2}x the active-set engine's cycles/sec \
-         ({:.0} vs {:.0})",
-        rate(&rt),
-        rate(&ra)
-    );
-}
-
-/// The acceptance benchmark behind the quad-notify kilocore cells: on
-/// the drifting 32×32 mesh the machine-wide leap ratio is poor (one
-/// busy tile anywhere keeps the global clock stepping), but the
-/// per-region ledger must show event leaping working quad-by-quad —
-/// simulated cycles over mean stepped cycles per leaf quad at least 3×,
-/// and above the machine-wide ratio. Deterministic (ratios of simulated
-/// quantities), but kilocore-heavy, so ignored like the other release
-/// benchmarks (CI throughput job).
+/// the drifting 32×32 mesh the leap engine must report exactly what the
+/// active-set engine reports while stepping fewer cycles; the
+/// machine-wide leap ratio is poor (one busy tile anywhere keeps the
+/// global clock stepping), but the per-region ledger must show event
+/// leaping working quad-by-quad — simulated cycles over mean stepped
+/// cycles per leaf quad at least 3×, and above the machine-wide ratio.
+/// Deterministic (ratios of simulated quantities), but kilocore-heavy, so
+/// ignored like the other release benchmarks (CI throughput job).
 #[test]
 #[ignore = "heavy: run explicitly with --release (CI throughput job)"]
 fn quad_leap_region_ratio_floor_on_kilocore() {
@@ -548,6 +376,20 @@ fn quad_leap_region_ratio_floor_on_kilocore() {
     let r = run_spec(&spec, 150);
     assert!(r.report.ops_completed > 0);
     assert!(r.regions > 1, "quad scheme did not partition");
+    let mut active_spec = spec.clone();
+    active_spec.engine = Engine::ActiveSet;
+    let active = run_spec(&active_spec, 150);
+    assert_eq!(
+        active.report.to_json(),
+        r.report.to_json(),
+        "engines diverged"
+    );
+    assert!(
+        r.stepped_cycles < active.stepped_cycles,
+        "leap never fired ({} vs {} stepped cycles)",
+        r.stepped_cycles,
+        active.stepped_cycles
+    );
     let machine = r.report.runtime_cycles as f64 / r.stepped_cycles.max(1) as f64;
     let region =
         r.report.runtime_cycles as f64 * r.regions as f64 / r.region_cycles_stepped.max(1) as f64;
@@ -561,29 +403,15 @@ fn quad_leap_region_ratio_floor_on_kilocore() {
     );
 }
 
-/// The same holds on a larger mesh with proportional MCs and the
-/// phased low-injection workload — the regime where the active-set
-/// engine actually skips most of the machine.
+/// The phased point with observability off: the reference comparison must
+/// hold without any sink installed, and the runs did real work and really
+/// slept through phases.
 #[test]
 fn scaling_mesh_point_is_byte_identical_across_engines() {
-    let scenario = registry::by_name("scaling-mesh-small").expect("registered");
-    let spec = scenario
-        .grid
-        .enumerate()
-        .into_iter()
-        .find(|s| s.mesh_side == 8 && s.workload.name == "uniform-low")
-        .expect("8x8 uniform-low point exists");
-    let mut scan_spec = spec.clone();
-    scan_spec.engine = Engine::AlwaysScan;
-    let active = run_spec(&spec, 13);
-    let scan = run_spec(&scan_spec, 13);
-    assert_eq!(
-        active.report.to_json(),
-        scan.report.to_json(),
-        "engine divergence at {}",
-        spec.key()
+    let (reference, _) = assert_fast_engines_match_reference(&phased_8x8(None), 13, false);
+    assert!(reference.trace.is_none());
+    assert!(
+        reference.report.runtime_cycles > 40_000,
+        "phased gap missing"
     );
-    // The runs did real work and really slept through phases.
-    assert!(active.report.ops_completed > 0);
-    assert!(active.report.runtime_cycles > 40_000, "phased gap missing");
 }

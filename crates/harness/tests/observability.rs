@@ -6,8 +6,8 @@
 //! when off (the `--ignored` release benchmark below).
 
 use scorpio::ObsLevel;
-use scorpio_harness::exec::{run_spec, run_spec_full, run_spec_opts, Overrides, RunResult};
-use scorpio_harness::registry;
+use scorpio_harness::exec::{run_spec, run_spec_opts, run_spec_ov, Overrides, RunResult};
+use scorpio_harness::{registry, Engine};
 use std::collections::{HashMap, HashSet};
 
 /// Tiny numeric-field extractor for the hand-rolled trace JSON (no JSON
@@ -227,14 +227,13 @@ fn check_span_reconciliation(r: &RunResult) {
 /// cycle it is generated.
 #[test]
 fn spans_reconcile_with_report_histograms() {
-    let r = run_spec_full(
+    let r = run_spec_ov(
         &scorpio_cell(),
         10,
         &Overrides {
             spans: true,
             ..Overrides::default()
         },
-        |_| {},
     );
     check_span_reconciliation(&r);
     let sp = r.report.obs.as_deref().unwrap().spans.as_ref().unwrap();
@@ -260,14 +259,13 @@ fn open_loop_spans_reconcile_and_fill_the_source_phase() {
                 && s.variant.label == "pois-30"
         })
         .expect("the mesh SCORPIO pois-30 cell exists");
-    let r = run_spec_full(
+    let r = run_spec_ov(
         &spec,
         10,
         &Overrides {
             spans: true,
             ..Overrides::default()
         },
-        |_| {},
     );
     check_span_reconciliation(&r);
     let sp = r.report.obs.as_deref().unwrap().spans.as_ref().unwrap();
@@ -278,9 +276,9 @@ fn open_loop_spans_reconcile_and_fill_the_source_phase() {
 }
 
 /// Spans and windows are simulation truth, so every engine must render
-/// byte-identical streams — the always-scan and coordinate-routing
-/// references, the leaping clock, parallel worker lanes, and the
-/// combined turbo engine, on single- and multi-plane configurations.
+/// byte-identical streams — the always-scan reference and the leaping
+/// clock against the active-set default, on single- and multi-plane
+/// configurations.
 #[test]
 fn span_and_window_streams_are_engine_invariant() {
     let ov = Overrides {
@@ -288,40 +286,30 @@ fn span_and_window_streams_are_engine_invariant() {
         window_cycles: Some(256),
         ..Overrides::default()
     };
-    type Tweak = fn(&mut scorpio::System);
-    let cases: [(&str, Tweak); 5] = [
-        ("scan", |s| s.set_always_scan(true)),
-        ("coord", |s| s.set_table_routing(false)),
-        ("leap", |s| s.set_leap(true)),
-        ("workers2", |s| s.set_workers(2)),
-        ("turbo4", |s| {
-            s.set_leap(true);
-            s.set_workers(4);
-        }),
-    ];
     for planes in [1, 2] {
         let mut spec = scorpio_cell();
         spec.planes = planes;
-        let base = run_spec_full(&spec, 13, &ov, |_| {});
+        let base = run_spec_ov(&spec, 13, &ov);
         let spans = base.spans.as_ref().expect("spans recorded");
         let windows = base.windows.as_ref().expect("windows recorded");
         assert!(!spans.is_empty() && !windows.is_empty());
-        for (name, tweak) in cases {
-            let r = run_spec_full(&spec, 13, &ov, tweak);
+        for engine in [Engine::AlwaysScan, Engine::Leap] {
+            spec.engine = engine;
+            let r = run_spec_ov(&spec, 13, &ov);
             assert_eq!(
                 r.spans.as_ref().unwrap(),
                 spans,
-                "{name} spans diverge at {planes} plane(s)"
+                "{engine:?} spans diverge at {planes} plane(s)"
             );
             assert_eq!(
                 r.windows.as_ref().unwrap(),
                 windows,
-                "{name} windows diverge at {planes} plane(s)"
+                "{engine:?} windows diverge at {planes} plane(s)"
             );
             assert_eq!(
                 r.report.to_json(),
                 base.report.to_json(),
-                "{name} report diverges at {planes} plane(s)"
+                "{engine:?} report diverges at {planes} plane(s)"
             );
         }
     }

@@ -45,10 +45,7 @@
 //! # Ok::<(), scorpio_sim::PushError<scorpio_noc::Packet<u32>>>(())
 //! ```
 
-// Unsafe is denied crate-wide and re-allowed only in the two modules that
-// implement intra-run parallelism (`pool`, and the disjoint-shard tick in
-// `network`); everything else stays effectively forbid-level.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod arbiter;
@@ -57,7 +54,6 @@ mod flit;
 mod network;
 pub mod obs;
 pub mod planes;
-pub mod pool;
 mod router;
 pub mod routing;
 mod tables;
@@ -69,7 +65,6 @@ pub use flit::{data_packet_flits, Dest, Flit, Packet, Payload, Sid, VnetId};
 pub use network::{EjectSlot, Network, NocStats};
 pub use obs::{merge_trace, NetObs, ObsConfig, TraceEvent, TraceKind, WindowCell};
 pub use planes::{MultiNetwork, PlaneSteer, SteerKey};
-pub use pool::TickPool;
 pub use router::RouterStats;
 pub use topology::{
     CMesh, Coord, Endpoint, LocalSlot, Mesh, Port, PortMask, Ring, RouterId, Topology, Torus,

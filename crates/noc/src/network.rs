@@ -19,7 +19,6 @@
 use crate::config::NocConfig;
 use crate::flit::{Flit, Packet, Payload, Sid, VnetId};
 use crate::obs::{NetObs, ObsConfig};
-use crate::pool::TickPool;
 use crate::router::{
     CreditArrival, DownstreamState, EsidOracle, FlitArrival, LaArrival, Router, RouterOut,
     RouterStats,
@@ -174,9 +173,6 @@ pub struct Network<T> {
     topology: Topology,
     /// Routing tables compiled from the topology's spec at construction.
     tables: RoutingTables,
-    /// Route via the tables (default) or evaluate the spec per flit (the
-    /// coordinate-routing reference engine; see `route-lookup`).
-    route_tables: bool,
     cfg: NocConfig,
     cycle: Cycle,
     routers: Vec<Router<T>>,
@@ -208,9 +204,6 @@ pub struct Network<T> {
     inject_active: ActiveSet,
     router_scratch: Vec<u32>,
     inject_scratch: Vec<u32>,
-    /// Per-lane event staging for the sharded router tick (empty between
-    /// cycles; grown lazily to the pool's lane count on first use).
-    shards: Vec<ShardBuf<T>>,
     /// Endpoints whose ejection buffers received flits this tick; drained
     /// by the system layer to wake sleeping tiles/MCs.
     ep_woken: ActiveSet,
@@ -225,91 +218,6 @@ pub struct Network<T> {
     /// Observability sink; `None` (the default) keeps every hook on the
     /// hot path down to a single branch.
     obs: Option<Box<NetObs>>,
-}
-
-/// Minimum drained work-list length for the sharded router tick; below
-/// this the serial loop beats a pool dispatch (one mutex round-trip plus
-/// cache handoff per cycle).
-const SHARD_MIN_ROUTERS: usize = 48;
-
-/// One lane's staging area for the sharded router tick: the events its
-/// routers emitted this cycle, plus `(router, event-count)` spans so the
-/// serial routing phase can replay them in exact serial visiting order.
-struct ShardBuf<T> {
-    events: Vec<RouterOut<T>>,
-    spans: Vec<(u32, u32)>,
-}
-
-impl<T> Default for ShardBuf<T> {
-    fn default() -> Self {
-        ShardBuf {
-            events: Vec::new(),
-            spans: Vec::new(),
-        }
-    }
-}
-
-/// Raw views into the disjoint per-router state the shard workers touch.
-/// Disjointness is by construction: the work list is sorted and deduped,
-/// each worker owns a contiguous chunk of it plus the shard buffer of the
-/// same index, and nothing else aliases these vectors during the batch.
-struct ShardPtrs<T> {
-    routers: *mut Router<T>,
-    flits: *mut Vec<FlitArrival<T>>,
-    las: *mut Vec<LaArrival<T>>,
-    credits: *mut Vec<CreditArrival>,
-    bufs: *mut ShardBuf<T>,
-}
-
-// SAFETY: sharing `ShardPtrs` across the pool only ever hands each worker
-// exclusive access to disjoint elements (see the struct docs); `T: Send`
-// makes moving that access to another thread sound.
-#[allow(unsafe_code)]
-unsafe impl<T: Send> Sync for ShardPtrs<T> {}
-
-/// Ticks the routers of one chunk of the sorted work list, staging emitted
-/// events into shard buffer `ci` and clearing the chunk's inboxes. The
-/// skip condition, tick call and inbox clears are exactly the serial
-/// body's; only the event destination differs (staged, routed serially
-/// afterwards, instead of routed inline).
-///
-/// # Safety
-///
-/// Concurrent invocations must receive disjoint `chunk` router indices and
-/// distinct `ci` values, with `ptrs` valid for the whole batch.
-#[allow(unsafe_code)]
-unsafe fn tick_shard<T: Payload>(
-    ptrs: &ShardPtrs<T>,
-    chunk: &[u32],
-    route: &RouteCtx<'_>,
-    cfg: &NocConfig,
-    view: &EsidView<'_>,
-    ci: usize,
-) {
-    // SAFETY: `ci` and the router indices in `chunk` are exclusive to this
-    // invocation per the function contract.
-    let buf = unsafe { &mut *ptrs.bufs.add(ci) };
-    for &r in chunk {
-        let ridx = r as usize;
-        // SAFETY: as above — no other worker touches router `ridx`.
-        let (router, flits, las, credits) = unsafe {
-            (
-                &mut *ptrs.routers.add(ridx),
-                &mut *ptrs.flits.add(ridx),
-                &mut *ptrs.las.add(ridx),
-                &mut *ptrs.credits.add(ridx),
-            )
-        };
-        if router.is_idle() && flits.is_empty() && las.is_empty() && credits.is_empty() {
-            continue;
-        }
-        let start = buf.events.len();
-        router.tick(route, cfg, view, flits, las, credits, &mut buf.events, None);
-        buf.spans.push((r, (buf.events.len() - start) as u32));
-        flits.clear();
-        las.clear();
-        credits.clear();
-    }
 }
 
 /// ESID view used by routers for reserved-VC eligibility. Expectations are
@@ -412,7 +320,6 @@ impl<T: Payload> Network<T> {
         Network {
             topology,
             tables,
-            route_tables: true,
             cfg,
             cycle: Cycle::ZERO,
             routers,
@@ -435,7 +342,6 @@ impl<T: Payload> Network<T> {
             inject_active: ActiveSet::new(n_eps),
             router_scratch: Vec::new(),
             inject_scratch: Vec::new(),
-            shards: Vec::new(),
             ep_woken: ActiveSet::new(n_eps),
             always_scan: false,
             next_uid: 1,
@@ -663,16 +569,6 @@ impl<T: Payload> Network<T> {
         self.always_scan = scan;
     }
 
-    /// Selects how routers route: via the compiled tables (default) or by
-    /// evaluating the topology's coordinate spec per flit — the reference
-    /// engine the tables were compiled from. Produces identical behavior
-    /// (asserted by the equivalence suite); exists so the table-lookup
-    /// speedup stays measurable (`route-lookup` scenario). Call before the
-    /// first cycle.
-    pub fn set_table_routing(&mut self, tables: bool) {
-        self.route_tables = tables;
-    }
-
     /// Installs (or, with `None`, removes) the observability sink for this
     /// network, tagged as plane `plane` in trace events. Call before the
     /// first cycle; every hook is engine-invariant, so enabling the sink
@@ -796,18 +692,9 @@ impl<T: Payload> Network<T> {
         let mut list = std::mem::take(&mut self.router_scratch);
         self.router_active
             .drain_sorted_or_all(self.always_scan, &mut list);
-        self.tick_router_list(&list);
-        self.router_scratch = list;
-    }
-
-    /// Serial tick of an explicit router work list (ascending, deduped):
-    /// the shared body of [`Network::tick_routers`] and the small-list
-    /// fallback of the sharded tick.
-    fn tick_router_list(&mut self, list: &[u32]) {
         let Network {
             topology,
             tables,
-            route_tables,
             cfg,
             routers,
             inbox_flits,
@@ -833,11 +720,9 @@ impl<T: Payload> Network<T> {
         };
         let route = RouteCtx {
             tables,
-            topo: topology,
-            use_tables: *route_tables,
             datelines: topology.has_datelines(),
         };
-        for &r in list {
+        for &r in &list {
             let ridx = r as usize;
             let router = &mut routers[ridx];
             let flits = &inbox_flits[ridx];
@@ -892,135 +777,11 @@ impl<T: Payload> Network<T> {
                 router_active.wake(ridx);
             }
         }
-        for &r in list {
+        for &r in &list {
             let ridx = r as usize;
             inbox_flits[ridx].clear();
             inbox_las[ridx].clear();
             inbox_credits[ridx].clear();
-        }
-    }
-
-    /// Compute phase of one cycle with the router phase sharded across
-    /// `pool` when the active list is long enough to pay for dispatch.
-    /// Byte-identical to [`Network::tick`]: workers tick disjoint
-    /// contiguous chunks of the sorted work list (each router's tick
-    /// depends only on its own state and the committed inboxes/ESID view),
-    /// stage their events per lane, and the single-threaded routing phase
-    /// replays them in exact serial order. Observability runs stay serial
-    /// — the occupancy integral and trace hooks sample during the visit.
-    pub(crate) fn tick_with_pool(&mut self, pool: &TickPool)
-    where
-        T: Send,
-    {
-        if self.obs.is_some() {
-            self.tick();
-            return;
-        }
-        self.deliver_wires();
-        self.tick_routers_sharded(pool);
-        self.tick_inject_ports();
-    }
-
-    fn tick_routers_sharded(&mut self, pool: &TickPool)
-    where
-        T: Send,
-    {
-        let mut list = std::mem::take(&mut self.router_scratch);
-        self.router_active
-            .drain_sorted_or_all(self.always_scan, &mut list);
-        let lanes = pool.workers() + 1;
-        if list.len() < SHARD_MIN_ROUTERS.max(lanes) {
-            self.tick_router_list(&list);
-            self.router_scratch = list;
-            return;
-        }
-        let Network {
-            topology,
-            tables,
-            route_tables,
-            cfg,
-            routers,
-            inbox_flits,
-            inbox_las,
-            inbox_credits,
-            esid_tile,
-            esid_mc,
-            flit_wire,
-            la_wire,
-            credit_wire,
-            eject_wire,
-            inject_credit_wire,
-            router_active,
-            always_scan,
-            shards,
-            ..
-        } = self;
-        while shards.len() < lanes {
-            shards.push(ShardBuf::default());
-        }
-        let view = EsidView {
-            tables,
-            tile: esid_tile,
-            mc: esid_mc,
-        };
-        let route = RouteCtx {
-            tables,
-            topo: topology,
-            use_tables: *route_tables,
-            datelines: topology.has_datelines(),
-        };
-        let chunk = list.len().div_ceil(lanes);
-        let n_chunks = list.len().div_ceil(chunk);
-        let ptrs = ShardPtrs {
-            routers: routers.as_mut_ptr(),
-            flits: inbox_flits.as_mut_ptr(),
-            las: inbox_las.as_mut_ptr(),
-            credits: inbox_credits.as_mut_ptr(),
-            bufs: shards.as_mut_ptr(),
-        };
-        let list_ref: &[u32] = &list;
-        pool.run(n_chunks, &|ci| {
-            let lo = ci * chunk;
-            let hi = (lo + chunk).min(list_ref.len());
-            // SAFETY: the list is sorted and deduplicated, chunks are
-            // disjoint contiguous slices of it, and `ci` values are
-            // distinct — each worker has exclusive access to its routers,
-            // inboxes and shard buffer for the duration of the batch.
-            #[allow(unsafe_code)]
-            unsafe {
-                tick_shard(&ptrs, &list_ref[lo..hi], &route, cfg, &view, ci)
-            };
-        });
-        // Serial phases in chunk order — which, chunks being contiguous
-        // slices of the ascending list, is the exact serial wire-push and
-        // re-arm order.
-        for buf in shards.iter_mut().take(n_chunks) {
-            let mut k = 0usize;
-            for &(r, count) in &buf.spans {
-                let rid = RouterId(r as u16);
-                for ev in &buf.events[k..k + count as usize] {
-                    Self::route_router_out(
-                        tables,
-                        rid,
-                        ev,
-                        flit_wire,
-                        la_wire,
-                        credit_wire,
-                        eject_wire,
-                        inject_credit_wire,
-                    );
-                }
-                k += count as usize;
-            }
-            buf.events.clear();
-            buf.spans.clear();
-        }
-        if !*always_scan {
-            for &r in list.iter() {
-                if !routers[r as usize].is_idle() {
-                    router_active.wake(r as usize);
-                }
-            }
         }
         self.router_scratch = list;
     }
@@ -1763,62 +1524,6 @@ mod tests {
                 topo.label()
             );
             assert!(injected > 100, "too little traffic on {}", topo.label());
-        }
-    }
-
-    #[test]
-    fn coordinate_routing_reference_engine_is_cycle_exact() {
-        // Same traffic, tables on vs off: identical ejection log and drain
-        // cycle — the tables are the spec, memoized.
-        use scorpio_sim::SimRng;
-        for topo in [
-            Topology::from(Mesh::new(4, 3, &[RouterId(0), RouterId(11)])),
-            Topology::from(Torus::square_with_corner_mcs(4)),
-            Topology::from(Ring::with_spread_mcs(9, 3)),
-        ] {
-            let run = |tables: bool| -> Vec<(u64, u64)> {
-                let mut net: Network<u64> = Network::new(topo.clone(), NocConfig::scorpio());
-                net.set_table_routing(tables);
-                let eps: Vec<Endpoint> = net.topology().endpoints().collect();
-                let mut rng = SimRng::seed_from(7);
-                let mut log = Vec::new();
-                for cycle in 0..1200u64 {
-                    if cycle < 400 {
-                        for &ep in &eps {
-                            if rng.chance(0.04) {
-                                let to = eps[rng.gen_range_usize(eps.len())];
-                                if ep.slot.is_tile() && rng.chance(0.5) {
-                                    let _ = net.try_inject(
-                                        ep,
-                                        Packet::request(ep, Sid(ep.router.0), cycle as u16, cycle),
-                                    );
-                                } else if to != ep {
-                                    let _ = net.try_inject(ep, Packet::response(ep, to, 3, cycle));
-                                }
-                            }
-                        }
-                    }
-                    for &ep in &eps {
-                        let slots: Vec<EjectSlot> = net.eject_heads(ep).map(|(s, _)| s).collect();
-                        for s in slots {
-                            if let Some(f) = net.eject_take(ep, s) {
-                                log.push((cycle, f.packet.uid));
-                            }
-                        }
-                    }
-                    net.step();
-                    if cycle > 400 && net.is_drained() {
-                        break;
-                    }
-                }
-                assert!(
-                    net.is_drained(),
-                    "{} wedged (tables={tables})",
-                    topo.label()
-                );
-                log
-            };
-            assert_eq!(run(true), run(false), "divergence on {}", topo.label());
         }
     }
 }

@@ -22,7 +22,7 @@
 //!   exact global prefix regardless of plane count or thread count.
 //!
 //! Every hook sits in code that executes identically under the active-set,
-//! always-scan and coord-route engines (after the shared idle-skip check),
+//! always-scan and leap engines (after the shared idle-skip check),
 //! so enabling observability never perturbs simulated behavior and its
 //! output is engine-invariant. Counter-classification paths only ever call
 //! `&self` router queries — arbiter state is never touched.
@@ -81,7 +81,7 @@ impl ObsConfig {
 /// from event timestamps (`epoch = cycle / window_cycles`), so leaped or
 /// idle-skipped cycles — during which the plane is quiescent by
 /// construction — contribute exactly zero and the cells stay
-/// byte-identical across engines and worker counts.
+/// byte-identical across engines and executor threads.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WindowCell {
     /// Packets that entered an injection queue this window.

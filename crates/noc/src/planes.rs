@@ -21,20 +21,9 @@
 use crate::config::NocConfig;
 use crate::flit::{Packet, Payload, Sid};
 use crate::network::{EjectSlot, Network, NocStats};
-use crate::pool::TickPool;
 use crate::topology::{Endpoint, Topology};
 use scorpio_sim::{Cycle, PushError};
 use std::num::NonZeroUsize;
-
-/// Raw pointer to the plane array for the parallel plane tick. Each pool
-/// job dereferences a *distinct* plane index, so the jobs hold disjoint
-/// `&mut Network<T>`s.
-struct PlanePtr<T>(*mut Network<T>);
-
-// SAFETY: jobs access disjoint planes (distinct indices from a deduped
-// live list); `T: Send` makes handing a plane to another thread sound.
-#[allow(unsafe_code)]
-unsafe impl<T: Send> Sync for PlanePtr<T> {}
 
 /// Types that expose the address key the plane steering function
 /// interleaves on. Implemented by the coherence message (its line address)
@@ -169,11 +158,6 @@ pub struct MultiNetwork<T> {
     woken_scratch: Vec<u32>,
     /// Second merge scratch (the two-pointer merge ping-pongs buffers).
     merge_scratch: Vec<u32>,
-    /// Non-quiescent plane indices of the current tick.
-    live_scratch: Vec<u32>,
-    /// Worker pool for intra-run parallelism (see
-    /// [`MultiNetwork::set_workers`]); `None` is the single-thread engine.
-    pool: Option<TickPool>,
 }
 
 impl<T: Payload + SteerKey> MultiNetwork<T> {
@@ -200,8 +184,6 @@ impl<T: Payload + SteerKey> MultiNetwork<T> {
             skipped: vec![false; planes.get()],
             woken_scratch: Vec::new(),
             merge_scratch: Vec::new(),
-            live_scratch: Vec::new(),
-            pool: None,
         }
     }
 
@@ -324,14 +306,6 @@ impl<T: Payload + SteerKey> MultiNetwork<T> {
         }
     }
 
-    /// Selects table routing (default) or the coordinate-spec reference
-    /// engine on every plane.
-    pub fn set_table_routing(&mut self, tables: bool) {
-        for n in &mut self.planes {
-            n.set_table_routing(tables);
-        }
-    }
-
     /// Installs (or removes) an observability sink on every plane, each
     /// tagged with its plane index for trace merging. Call before the
     /// first cycle.
@@ -405,26 +379,6 @@ impl<T: Payload + SteerKey> MultiNetwork<T> {
         self.merge_scratch = merged;
     }
 
-    /// Selects the number of worker lanes for intra-run parallelism.
-    /// `workers <= 1` is the single-thread engine (the default); larger
-    /// values spawn `workers - 1` pool threads that tick live planes — or,
-    /// with a single live plane, disjoint router shards within it — in
-    /// parallel behind a deterministic commit. Results are byte-identical
-    /// for every worker count (the determinism suite asserts this). The
-    /// count is taken literally — callers picking a lane count for wall-
-    /// clock benefit should cap it at the host's available parallelism,
-    /// since extra lanes can only timeshare (the harness engines do).
-    pub fn set_workers(&mut self, workers: usize)
-    where
-        T: Send,
-    {
-        self.pool = if workers > 1 {
-            Some(TickPool::new(workers - 1))
-        } else {
-            None
-        };
-    }
-
     /// Whether every plane is quiescent (empty active sets, empty wires,
     /// no staged ESID update) — the precondition for [`MultiNetwork::leap`].
     pub fn is_quiescent(&self) -> bool {
@@ -470,50 +424,14 @@ impl<T: Payload + SteerKey> MultiNetwork<T> {
     /// at [`MultiNetwork::commit`]. The skip is exact — the equivalence
     /// suite asserts byte-identical reports against the always-scan
     /// engine, which never skips.
-    ///
-    /// With a worker pool installed ([`MultiNetwork::set_workers`]), live
-    /// planes tick concurrently — each plane is a disjoint unit of state,
-    /// and per-plane observability sinks stay disjoint too, so the only
-    /// ordering discipline needed is the one [`MultiNetwork::commit`]
-    /// already imposes (plane order). A lone live plane instead shards its
-    /// router ticks across the pool (see `Network::tick_with_pool`).
-    pub fn tick(&mut self)
-    where
-        T: Send,
-    {
-        let mut live = std::mem::take(&mut self.live_scratch);
-        live.clear();
+    pub fn tick(&mut self) {
         for (p, n) in self.planes.iter_mut().enumerate() {
             let skip = !self.always_scan && n.is_quiescent();
             self.skipped[p] = skip;
             if !skip {
-                live.push(p as u32);
+                n.tick();
             }
         }
-        match (&self.pool, live.len()) {
-            (Some(pool), 2..) => {
-                let ptr = PlanePtr(self.planes.as_mut_ptr());
-                // Capture the wrapper by reference (not its raw field) so
-                // the closure is `Sync` via `PlanePtr`'s impl.
-                let ptr = &ptr;
-                let live_ref: &[u32] = &live;
-                pool.run(live_ref.len(), &|i| {
-                    // SAFETY: `live` holds distinct plane indices, so each
-                    // job takes a disjoint `&mut Network<T>`.
-                    #[allow(unsafe_code)]
-                    unsafe {
-                        (*ptr.0.add(live_ref[i] as usize)).tick()
-                    };
-                });
-            }
-            (Some(pool), 1) => self.planes[live[0] as usize].tick_with_pool(pool),
-            _ => {
-                for &p in &live {
-                    self.planes[p as usize].tick();
-                }
-            }
-        }
-        self.live_scratch = live;
     }
 
     /// Clock edge: commits ticked planes, fast-forwards skipped ones.
@@ -528,10 +446,7 @@ impl<T: Payload + SteerKey> MultiNetwork<T> {
     }
 
     /// Convenience: `tick` + `commit`.
-    pub fn step(&mut self)
-    where
-        T: Send,
-    {
+    pub fn step(&mut self) {
         self.tick();
         self.commit();
     }

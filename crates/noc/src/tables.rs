@@ -6,10 +6,10 @@
 //! head flit and every lookahead is pure per-flit overhead, so
 //! [`RoutingTables::build`] evaluates the spec once per (router,
 //! destination) / (source, router, arrival) point at network construction
-//! and the routers route by flat array lookup from then on. The
-//! `route-lookup` self-benchmark scenario measures the win by running the
-//! same sweep with [`RouteCtx::use_tables`] off (the coordinate-routing
-//! reference engine), which the equivalence suite holds byte-identical.
+//! and the routers route by flat array lookup from then on. The tables
+//! are the only routing path; the spec stays as their compile source and
+//! as the oracle `tables_match_the_spec_everywhere` checks them against,
+//! point by point, on every fabric shape the scenario registry runs.
 //!
 //! The tables also carry the *dateline VC class* of every hop: on
 //! wraparound fabrics (torus, ring) each regular-VC pool is split into a
@@ -304,14 +304,10 @@ impl RoutingTables {
     }
 }
 
-/// The routing view handed to routers each tick: compiled tables plus the
-/// spec they were compiled from, and the switch between them.
+/// The routing view handed to routers each tick: the compiled tables plus
+/// whether their class bits apply.
 pub(crate) struct RouteCtx<'a> {
     pub tables: &'a RoutingTables,
-    pub topo: &'a Topology,
-    /// Table lookups (default) vs per-flit spec evaluation (the
-    /// coordinate-routing reference engine behind `route-lookup`).
-    pub use_tables: bool,
     /// Whether dateline VC classes are in force (wraparound fabrics).
     pub datelines: bool,
 }
@@ -327,11 +323,7 @@ impl RouteCtx<'_> {
     ) -> RouteMask {
         match packet.dest {
             Dest::Unicast(ep) => {
-                let (port, class1) = if self.use_tables {
-                    self.tables.unicast(here, self.tables.endpoint_index(ep))
-                } else {
-                    self.topo.unicast_hop(here, ep)
-                };
+                let (port, class1) = self.tables.unicast(here, self.tables.endpoint_index(ep));
                 RouteMask {
                     mask: PortMask::single(port),
                     // Class bits exist only on the four cardinal ports
@@ -341,12 +333,7 @@ impl RouteCtx<'_> {
                 }
             }
             Dest::Broadcast => {
-                let src = packet.src;
-                let (mask, classes) = if self.use_tables {
-                    self.tables.broadcast(src, here, arrived_on)
-                } else {
-                    self.topo.broadcast_hop(src, here, arrived_on)
-                };
+                let (mask, classes) = self.tables.broadcast(packet.src, here, arrived_on);
                 RouteMask { mask, classes }
             }
         }
@@ -387,28 +374,26 @@ pub(crate) fn validate_datelines(topo: &Topology, cfg: &NocConfig) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::{Mesh, Ring, Torus};
-
-    fn packet_to(ep: Endpoint) -> Packet<u32> {
-        Packet::unicast(
-            crate::flit::VnetId(1),
-            Endpoint::tile(RouterId(0)),
-            ep,
-            1,
-            0,
-        )
-    }
+    use crate::topology::{CMesh, Mesh, Ring, Torus};
 
     /// Tables and spec must agree at every point — they are the same
-    /// function, memoized.
+    /// function, memoized. The list covers every fabric family at an odd
+    /// small shape plus the shapes the scenario registry runs (16×16 mesh
+    /// with proportional MCs, 6×6 torus, ring36, cmesh 8×8×4, a non-square
+    /// cmesh at c = 2), since no whole-simulation run samples this any more.
     #[test]
     fn tables_match_the_spec_everywhere() {
         for topo in [
             Topology::from(Mesh::new(5, 3, &[RouterId(2), RouterId(14)])),
+            Topology::from(Mesh::square_with_proportional_mcs(16)),
             Topology::from(Torus::new(4, 4, &[RouterId(0), RouterId(15)])),
+            Topology::from(Torus::square_with_corner_mcs(6)),
             Topology::from(Ring::with_spread_mcs(9, 3)),
-            Topology::from(crate::topology::CMesh::with_corner_mcs(3, 2, 2)),
-            Topology::from(crate::topology::CMesh::with_corner_mcs(2, 2, 4)),
+            Topology::from(Ring::with_spread_mcs(36, 4)),
+            Topology::from(CMesh::with_corner_mcs(3, 2, 2)),
+            Topology::from(CMesh::with_corner_mcs(2, 2, 4)),
+            Topology::from(CMesh::with_corner_mcs(8, 8, 4)),
+            Topology::from(CMesh::with_corner_mcs(6, 3, 2)),
         ] {
             let tables = RoutingTables::build(&topo);
             let endpoints: Vec<Endpoint> = topo.endpoints().collect();
@@ -467,33 +452,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    #[test]
-    fn route_ctx_is_identical_with_tables_on_or_off() {
-        let topo = Topology::from(Torus::square_with_corner_mcs(4));
-        let tables = RoutingTables::build(&topo);
-        for use_tables in [true, false] {
-            let ctx = RouteCtx {
-                tables: &tables,
-                topo: &topo,
-                use_tables,
-                datelines: topo.has_datelines(),
-            };
-            let dest = Endpoint::tile(RouterId(10));
-            let r = ctx.route(RouterId(0), &packet_to(dest), None);
-            assert_eq!(r.mask.len(), 1);
-            // Same answer from the other engine.
-            let other = RouteCtx {
-                tables: &tables,
-                topo: &topo,
-                use_tables: !use_tables,
-                datelines: topo.has_datelines(),
-            }
-            .route(RouterId(0), &packet_to(dest), None);
-            assert_eq!(r.mask, other.mask);
-            assert_eq!(r.classes, other.classes);
         }
     }
 
