@@ -163,13 +163,28 @@ impl OwnershipStore {
 /// touching LRU state and inserting on miss (evicting the LRU way). The
 /// *contents* live elsewhere; this models only hit/miss behaviour, which is
 /// what turns entry size into latency in Figure 6.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct DirectoryCache {
     sets: Vec<Vec<(u64, u64)>>, // (tag, last_use)
     ways: usize,
     use_counter: u64,
     hits: u64,
     misses: u64,
+}
+
+/// Renders the geometry and counters, not the tags: every mutation bumps
+/// `use_counter`, so `Debug`-based state digests still see each one while
+/// staying O(1) in the cache size.
+impl std::fmt::Debug for DirectoryCache {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("DirectoryCache")
+            .field("sets", &self.sets.len())
+            .field("ways", &self.ways)
+            .field("use_counter", &self.use_counter)
+            .field("hits", &self.hits)
+            .field("misses", &self.misses)
+            .finish()
+    }
 }
 
 impl DirectoryCache {

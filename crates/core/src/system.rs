@@ -28,7 +28,7 @@ use scorpio_noc::{
 };
 use scorpio_notify::{NotifyConfig, NotifyNetwork};
 use scorpio_sim::stats::LogHistogram;
-use scorpio_sim::{ActiveSet, Cycle};
+use scorpio_sim::{debug_digest, ActiveSet, Cycle, Wake};
 use scorpio_workloads::Trace;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -72,32 +72,30 @@ pub struct System {
     /// timed deadline whenever the whole machine is provably idle.
     leap: bool,
     // ---- Active-set engine state (see DESIGN.md, "wake/sleep protocol").
-    /// Tiles/MCs with pending work; drained (in ascending order) each
-    /// cycle so `tick_tiles`/`tick_mcs` only touch woken components.
-    tile_active: ActiveSet,
-    mc_active: ActiveSet,
-    tile_scratch: Vec<u32>,
-    mc_scratch: Vec<u32>,
+    /// Endpoints (tiles first, then MCs — `v < cores` is tile `v`, anything
+    /// above is MC `v - cores`) whose next tick can change state; drained
+    /// in ascending order each cycle, so tiles tick before MCs.
+    active: ActiveSet,
+    tick_list: Vec<u32>,
     ep_scratch: Vec<u32>,
-    /// Cached per-component completion state backing the incremental
-    /// [`System::is_complete`]: a component's flag is refreshed whenever it
-    /// is ticked, and a sleeping component cannot change it.
-    tile_quiet: Vec<bool>,
-    mc_quiet: Vec<bool>,
-    tiles_pending: usize,
-    mcs_pending: usize,
+    /// Cached per-endpoint completion state backing the incremental
+    /// [`System::is_complete`]: an endpoint's flag is refreshed whenever it
+    /// is ticked, and a sleeping endpoint cannot change it.
+    quiet: Vec<bool>,
+    pending: usize,
+    /// Tile ticks taken so far (the event-driven engine's work measure;
+    /// never part of a report).
+    tile_ticks: u64,
     /// Running ops total (drivers report transitions; the watchdog reads
     /// this instead of re-summing every driver every cycle).
     ops_cache: Vec<u64>,
     ops_total: u64,
     /// Last notification window the wake logic has seen.
     last_notify_window: Option<u64>,
-    /// Timed wake-ups keyed by absolute deadline cycle: tiles sleeping
-    /// through a compute gap and MCs sleeping on a scheduled response.
-    /// Values are *endpoint* indices —
-    /// `v < cores` is tile `v`, anything above is MC `v - cores`. These
-    /// deadlines are also what the event-leaping clock jumps to when the
-    /// whole machine is idle.
+    /// Endpoints parked until an absolute deadline cycle: an L2 stage due,
+    /// an announcement's window start, a compute gap's end, a scheduled
+    /// DRAM response. The earliest deadline is also what the event-leaping
+    /// clock jumps to when the whole machine is idle.
     timed_wakes: TimedWakes,
     // ---- Per-region leap accounting (quad notification schemes).
     /// Leaf-quad count of the notification tree (1 under the flat scheme
@@ -298,7 +296,6 @@ impl System {
             })
             .collect();
         let n_eps = endpoints.len();
-        let n_mcs = mcs.len();
         // The per-region layer shares the notification tree's leaf-quad
         // partition; flat schemes and baselines collapse to one region.
         let (regions, region_of_router): (usize, Vec<u32>) = match &notify {
@@ -314,10 +311,8 @@ impl System {
             .iter()
             .map(|ep| region_of_router[ep.router.index()])
             .collect();
-        let mut tile_active = ActiveSet::new(cores);
-        tile_active.wake_all();
-        let mut mc_active = ActiveSet::new(n_mcs);
-        mc_active.wake_all();
+        let mut active = ActiveSet::new(n_eps);
+        active.wake_all();
         System {
             net,
             notify,
@@ -340,19 +335,16 @@ impl System {
             stepped: 0,
             leaped: 0,
             leap: false,
-            tile_active,
-            mc_active,
-            tile_scratch: Vec::new(),
-            mc_scratch: Vec::new(),
+            active,
+            tick_list: Vec::new(),
             ep_scratch: Vec::new(),
-            tile_quiet: vec![false; cores],
-            mc_quiet: vec![false; n_mcs],
-            tiles_pending: cores,
-            mcs_pending: n_mcs,
+            quiet: vec![false; n_eps],
+            pending: n_eps,
+            tile_ticks: 0,
             ops_cache: vec![0; cores],
             ops_total: 0,
             last_notify_window: None,
-            timed_wakes: TimedWakes::default(),
+            timed_wakes: TimedWakes::new(n_eps),
             regions,
             region_of_router,
             region_of_ep,
@@ -362,7 +354,12 @@ impl System {
             sys_trace: vec![Vec::new(); cfg.planes.get()],
             sys_seq: 0,
             sys_trace_dropped: 0,
-            win_ops: Vec::new(),
+            // One slot per telemetry window of the longest possible run
+            // (bounded: the rows only ever cover windows that saw an op).
+            win_ops: Vec::with_capacity(match cfg.window_cycles {
+                0 => 0,
+                w => (cfg.max_cycles / w + 1).min(1 << 16) as usize,
+            }),
             cfg,
         }
     }
@@ -399,7 +396,8 @@ impl System {
 
     /// Selects the always-scan engine: probe every tile, MC, router and
     /// injection port each cycle, and compute [`System::is_complete`] by
-    /// full scan, exactly as the pre-refactor engine did. The active-set
+    /// full scan, exactly as the pre-refactor engine did (the wake
+    /// bookkeeping still runs, unread). The active-set
     /// engine (the default) is required to produce byte-identical
     /// [`SystemReport`]s — asserted by the engine-equivalence suite — so
     /// this switch exists to keep that claim testable and the speedup
@@ -471,7 +469,7 @@ impl System {
                 && self.resp_hold.iter().all(Option::is_none)
                 && self.dir_homes.iter().all(DirHome::is_idle)
         } else {
-            self.tiles_pending == 0 && self.mcs_pending == 0
+            self.pending == 0
         }
     }
 
@@ -497,9 +495,10 @@ impl System {
             }
             assert!(
                 self.stepped - self.watchdog_steps < 50_000,
-                "system wedged: no op completed for 50k stepped cycles at {} ({} ops done)",
+                "system wedged: no op completed for 50k stepped cycles at {} ({} ops done)\n{}",
                 self.cycle(),
-                self.ops_total
+                self.ops_total,
+                self.sleep_states()
             );
         }
         self.report()
@@ -515,8 +514,7 @@ impl System {
         }
         self.stepped += 1;
         let now = self.net.cycle();
-        self.tick_tiles(now);
-        self.tick_mcs(now);
+        self.tick_endpoints(now);
         self.net.tick();
         self.net.commit();
         if let Some(n) = self.notify.as_mut() {
@@ -543,13 +541,8 @@ impl System {
     fn account_region_activity(&mut self) {
         let mut bits = std::mem::take(&mut self.region_bits);
         bits.iter_mut().for_each(|w| *w = 0);
-        let cores = self.cfg.cores();
-        for &t in &self.tile_scratch {
-            let g = self.region_of_ep[t as usize];
-            bits[g as usize / 64] |= 1 << (g % 64);
-        }
-        for &m in &self.mc_scratch {
-            let g = self.region_of_ep[cores + m as usize];
+        for &e in &self.tick_list {
+            let g = self.region_of_ep[e as usize];
             bits[g as usize / 64] |= 1 << (g % 64);
         }
         self.net
@@ -576,10 +569,11 @@ impl System {
     /// MC would tick) and every plane quiescent (its tick/commit collapses
     /// to a clock edge — the same argument the idle-plane skip rests on).
     fn try_leap(&mut self) {
-        if self.always_scan || !self.tile_active.is_empty() || !self.mc_active.is_empty() {
+        if self.always_scan || !self.active.is_empty() {
             return;
         }
-        let wake = self.timed_wakes.first_deadline();
+        let now = self.net.cycle().as_u64();
+        let wake = self.timed_wakes.first_deadline(now);
         let horizon = self.notify.as_ref().and_then(NotifyNetwork::leap_horizon);
         let target = match (wake, horizon) {
             (Some(k), Some(h)) => (k - 1).min(h),
@@ -587,7 +581,6 @@ impl System {
             (None, Some(h)) => h,
             (None, None) => return,
         };
-        let now = self.net.cycle().as_u64();
         // Never leap past the run bound: the serial engine would have
         // stopped stepping at max_cycles with the deadline still pending.
         let target = target.min(self.cfg.max_cycles.saturating_sub(1));
@@ -605,35 +598,28 @@ impl System {
         self.leaped += delta;
     }
 
-    /// Post-cycle wake propagation (active-set engine): endpoints whose
-    /// ejection buffers received flits wake their tile/MC, and a completed
-    /// notification window carrying announcements (or a stop bit) wakes
-    /// everyone — every NIC must observe it.
+    /// Post-cycle wake propagation: due timed wakes fire for the next
+    /// cycle; an endpoint that received a flit wakes if its NIC can act on
+    /// it (a flit changes only the NIC's answer to the sleep rule, so only
+    /// that is asked again — a request not yet expected just waits); a
+    /// completed window carrying announcements or a stop bit wakes
+    /// everyone. Always-scan keeps this bookkeeping too, so its active set
+    /// says what the event-driven engines would tick (the sleep-soundness
+    /// tests read it).
     fn apply_wakes(&mut self) {
-        if self.always_scan {
-            return;
-        }
-        // Fire due timed wakes (gap and MC-response deadlines) for the
-        // next cycle.
-        let next = self.net.cycle().as_u64();
-        let cores = self.cfg.cores();
+        let next = self.net.cycle();
+        self.timed_wakes.fire(next.as_u64(), &mut self.active);
         let mut eps = std::mem::take(&mut self.ep_scratch);
-        self.timed_wakes.pop_due(next, &mut eps);
-        for &v in &eps {
-            let v = v as usize;
-            if v < cores {
-                self.tile_active.wake(v);
-            } else {
-                self.mc_active.wake(v - cores);
-            }
-        }
         self.net.take_woken_endpoints(&mut eps);
+        let last = Cycle::new(next.as_u64() - 1);
         for &ep in &eps {
             let ep = ep as usize;
-            if ep < cores {
-                self.tile_active.wake(ep);
-            } else {
-                self.mc_active.wake(ep - cores);
+            if self.active.is_active(ep) {
+                continue;
+            }
+            let nic = self.nics[ep].next_wake(last, &self.net, self.notify.as_ref());
+            if nic.at <= next {
+                self.active.wake(ep);
             }
         }
         self.ep_scratch = eps;
@@ -644,25 +630,119 @@ impl System {
                     // is_empty() is false for stop-bit windows too, so this
                     // single check covers both wake triggers.
                     if !msg.is_empty() {
-                        self.tile_active.wake_all();
-                        self.mc_active.wake_all();
+                        self.active.wake_all();
                     }
                 }
             }
         }
     }
 
-    fn tick_tiles(&mut self, now: Cycle) {
-        let mut list = std::mem::take(&mut self.tile_scratch);
-        self.tile_active
-            .drain_sorted_or_all(self.always_scan, &mut list);
-        for &t in &list {
-            self.tick_tile(t as usize, now);
+    /// Ticks every woken endpoint: tiles in index order, then MCs. The
+    /// always-scan engine ticks every endpoint, but only the woken ones go
+    /// through the sleep rule afterwards — a tick the event-driven engines
+    /// skip never re-arms itself — so its active set stays exactly theirs.
+    fn tick_endpoints(&mut self, now: Cycle) {
+        let mut list = std::mem::take(&mut self.tick_list);
+        self.active.drain_sorted(&mut list);
+        if self.always_scan {
+            let mut drained = list.iter().peekable();
+            for ep in 0..self.nics.len() {
+                let woken = drained.next_if(|&&w| w as usize == ep).is_some();
+                self.tick_endpoint(ep, now, woken);
+            }
+        } else {
+            for &ep in &list {
+                self.tick_endpoint(ep as usize, now, true);
+            }
         }
-        self.tile_scratch = list;
+        self.tick_list = list;
+    }
+
+    /// One endpoint's tick, then (for a `woken` endpoint) the one sleep
+    /// rule: it ticks again next cycle only if that tick could change
+    /// state; otherwise it is parked until the cycle its wake names, or
+    /// left to its wake events (a flit ejecting at it, a non-empty window).
+    fn tick_endpoint(&mut self, ep: usize, now: Cycle, woken: bool) {
+        let wake = match ep.checked_sub(self.cfg.cores()) {
+            None => {
+                self.tick_tile(ep, now);
+                woken.then(|| self.tile_wake(ep, now))
+            }
+            Some(m) => {
+                self.tick_mc(m, now);
+                woken.then(|| self.mc_wake(m, now))
+            }
+        };
+        let Some(wake) = wake else { return };
+        if wake.at <= now.next() {
+            self.active.wake(ep);
+        } else if !wake.is_event() {
+            self.timed_wakes
+                .park(now.as_u64(), wake.at.as_u64(), ep as u32);
+        }
+    }
+
+    /// Refreshes endpoint `ep`'s completion flag after its tick.
+    fn set_quiet(&mut self, ep: usize, quiet: bool) {
+        if quiet != self.quiet[ep] {
+            self.quiet[ep] = quiet;
+            if quiet {
+                self.pending -= 1;
+            } else {
+                self.pending += 1;
+            }
+        }
+    }
+
+    /// The sleep rule's tile half: when tile `t`'s next tick can first
+    /// change state, asked after its tick at `now` (DESIGN.md §9 tabulates
+    /// obligation → wake source).
+    /// What the tile itself retries every cycle comes first; the L2, core
+    /// and NIC then each name their own earliest cycle.
+    fn tile_wake(&self, t: usize, now: Cycle) -> Wake {
+        let next = now.next();
+        // Slot expiry is wall-clock driven: INSO tiles never sleep.
+        let inso = matches!(self.cfg.protocol, Protocol::Inso { .. });
+        let polled = [
+            (inso, "inso slot expiry"),
+            (self.resp_hold[t].is_some(), "held data response"),
+            (self.pending_ordered[t].is_some(), "request to inject"),
+            (self.pending_expiry[t].is_some(), "expiry to inject"),
+            (!self.dir_homes[t].is_idle(), "directory home busy"),
+            (self.reorders[t].buffered() != 0, "reorder buffer"),
+        ];
+        if let Some(&(_, why)) = polled.iter().find(|(due, _)| *due) {
+            return Wake::at(next, why);
+        }
+        let mem = self.l2s[t]
+            .next_wake(now)
+            .earliest(self.drivers[t].next_wake(now));
+        if mem.at == next {
+            return mem;
+        }
+        mem.earliest(self.nics[t].next_wake(now, &self.net, self.notify.as_ref()))
+    }
+
+    /// [`System::tile_wake`] for memory controller `m`: an MC with DRAM
+    /// accesses in flight sleeps until the earliest scheduled response;
+    /// everything else that could need a tick arrives as an ejected flit.
+    fn mc_wake(&self, m: usize, now: Cycle) -> Wake {
+        let ep = self.cfg.cores() + m;
+        if self.reorders[ep].buffered() != 0 {
+            return Wake::at(now.next(), "reorder buffer");
+        }
+        if self.mcs[m].peek_out().is_some() {
+            return Wake::at(now.next(), "mc outbox");
+        }
+        let dram = match self.mcs[m].next_deadline() {
+            Some(ready) => Wake::at(ready, "dram response"),
+            None => Wake::event("ordered request"),
+        };
+        dram.earliest(self.nics[ep].next_wake(now, &self.net, self.notify.as_ref()))
     }
 
     fn tick_tile(&mut self, t: usize, now: Cycle) {
+        self.tile_ticks += 1;
         // L2 → core completions, then inclusion invalidations.
         while let Some(resp) = self.l2s[t].pop_core_resp() {
             self.drivers[t].complete(now, resp);
@@ -727,23 +807,13 @@ impl System {
         self.l2s[t].tick(now);
         let notify = self.notify.as_mut();
         self.nics[t].tick(now, &mut self.net, notify);
-        // Report this tile's completion transition and ops progress, then
-        // decide whether it may sleep. `drained` is the tile-local state
-        // shared by both predicates: the completion counter adds "core
-        // done", the sleep check adds the wake-protocol conditions.
-        let drained = self.l2s[t].is_idle()
+        // Report this tile's completion transition and ops progress.
+        let quiet = self.l2s[t].is_idle()
             && self.pending_ordered[t].is_none()
             && self.resp_hold[t].is_none()
-            && self.dir_homes[t].is_idle();
-        let quiet = drained && self.drivers[t].is_done();
-        if quiet != self.tile_quiet[t] {
-            self.tile_quiet[t] = quiet;
-            if quiet {
-                self.tiles_pending -= 1;
-            } else {
-                self.tiles_pending += 1;
-            }
-        }
+            && self.dir_homes[t].is_idle()
+            && self.drivers[t].is_done();
+        self.set_quiet(t, quiet);
         let ops = self.drivers[t].ops_done;
         let ops_delta = ops - self.ops_cache[t];
         self.ops_total += ops_delta;
@@ -755,48 +825,6 @@ impl System {
             }
             self.win_ops[idx] += ops_delta;
         }
-        if !self.always_scan {
-            // Sleep only when every obligation other than the core itself
-            // is gone; any future work must then arrive as an ejected
-            // flit or a notification window, both of which wake the tile.
-            // Under the leap engine the NIC predicate relaxes: a tile
-            // whose only obligation is an in-flight announcement sleeps
-            // too (its window's publication wakes everyone), which is what
-            // lets the clock leap through live windows. INSO tiles never
-            // sleep: slot expiry is wall-clock driven.
-            let nic_asleep = if self.leap {
-                self.nics[t].can_sleep_leap()
-            } else {
-                self.nics[t].can_sleep()
-            };
-            let rest_asleep = drained
-                && !matches!(self.cfg.protocol, Protocol::Inso { .. })
-                && self.pending_expiry[t].is_none()
-                && self.l2s[t].outputs_drained()
-                && nic_asleep
-                && self.reorders[t].buffered() == 0
-                && !self.net.eject_occupied(t);
-            if !rest_asleep {
-                self.tile_active.wake(t);
-            } else if !self.drivers[t].is_done() {
-                // The core still has work: sleep through its compute gap
-                // with a timed wake-up, or keep ticking if it is active.
-                match self.drivers[t].next_wake(now) {
-                    Some(wake) => self.timed_wakes.push(wake.as_u64(), t as u32),
-                    None => self.tile_active.wake(t),
-                }
-            }
-        }
-    }
-
-    fn tick_mcs(&mut self, now: Cycle) {
-        let mut list = std::mem::take(&mut self.mc_scratch);
-        self.mc_active
-            .drain_sorted_or_all(self.always_scan, &mut list);
-        for &m in &list {
-            self.tick_mc(m as usize, now);
-        }
-        self.mc_scratch = list;
     }
 
     fn tick_mc(&mut self, m: usize, now: Cycle) {
@@ -860,37 +888,7 @@ impl System {
         }
         let notify = self.notify.as_mut();
         self.nics[ep_idx].tick(now, &mut self.net, notify);
-        // Completion transition and sleep decision, mirroring tick_tile.
-        let quiet = self.mcs[m].is_idle();
-        if quiet != self.mc_quiet[m] {
-            self.mc_quiet[m] = quiet;
-            if quiet {
-                self.mcs_pending -= 1;
-            } else {
-                self.mcs_pending += 1;
-            }
-        }
-        if !self.always_scan {
-            // Unlike a tile, an MC with in-flight DRAM accesses can still
-            // sleep: its only self-driven observable is releasing a
-            // response at a *known* cycle, so it parks on a timed wake at
-            // the earliest such deadline. Everything else that could need
-            // a tick arrives as an ejected flit, which wakes the endpoint.
-            let nic_asleep = if self.leap {
-                self.nics[ep_idx].can_sleep_leap()
-            } else {
-                self.nics[ep_idx].can_sleep()
-            };
-            let rest_asleep = nic_asleep
-                && self.reorders[ep_idx].buffered() == 0
-                && !self.net.eject_occupied(ep_idx)
-                && self.mcs[m].peek_out().is_none();
-            if !rest_asleep {
-                self.mc_active.wake(m);
-            } else if let Some(ready) = self.mcs[m].next_deadline() {
-                self.timed_wakes.push(ready.as_u64(), ep_idx as u32);
-            }
-        }
+        self.set_quiet(ep_idx, self.mcs[m].is_idle());
     }
 
     /// SCORPIO mode: unordered packets are data (or writeback data routed
@@ -1505,6 +1503,66 @@ impl System {
         &self.mcs[idx]
     }
 
+    /// Tile ticks taken so far: the event-driven engine's work measure.
+    #[doc(hidden)]
+    pub fn tile_ticks(&self) -> u64 {
+        self.tile_ticks
+    }
+
+    /// Whether the event-driven engines tick endpoint `ep` (tiles first,
+    /// then MCs) in the next step.
+    #[doc(hidden)]
+    pub fn endpoint_awake(&self, ep: usize) -> bool {
+        self.active.is_active(ep)
+    }
+
+    /// Digest of everything endpoint `ep`'s own tick can change: its NIC,
+    /// its L2 + core driver + tile latches, or its memory controller.
+    #[doc(hidden)]
+    pub fn endpoint_digest(&self, ep: usize) -> u64 {
+        let shared = (self.nics[ep].state_digest(), &self.reorders[ep]);
+        match ep.checked_sub(self.cfg.cores()) {
+            Some(m) => debug_digest(&(shared, self.mcs[m].state_digest())),
+            None => debug_digest(&(
+                shared,
+                (self.l2s[ep].state_digest(), self.drivers[ep].state_digest()),
+                (&self.resp_hold[ep], &self.pending_ordered[ep]),
+                (&self.pending_expiry[ep], &self.inso_alloc[ep]),
+                &self.dir_homes[ep],
+            )),
+        }
+    }
+
+    /// Per endpoint with work left, how the sleep rule sees it —
+    /// `awake(<obligation>)`, `asleep until <cycle>` or `asleep on
+    /// event(<what it waits for>)` — plus the earliest timed wake. A missed
+    /// wake shows as an endpoint asleep past its due cycle, or on an event
+    /// that already happened.
+    fn sleep_states(&self) -> String {
+        let cores = self.cfg.cores();
+        let last = Cycle::new(self.cycle().as_u64().saturating_sub(1));
+        let mut out = String::new();
+        for ep in (0..self.nics.len()).filter(|&ep| !self.quiet[ep]) {
+            let (name, wake) = match ep.checked_sub(cores) {
+                None => (format!("tile {ep}"), self.tile_wake(ep, last)),
+                Some(m) => (format!("mc {m}"), self.mc_wake(m, last)),
+            };
+            let state = if self.active.is_active(ep) {
+                format!("awake({})", wake.why)
+            } else if wake.at <= self.cycle() {
+                format!("asleep, yet due since {} ({})", wake.at, wake.why)
+            } else if wake.is_event() {
+                format!("asleep on event({})", wake.why)
+            } else {
+                format!("asleep until {} ({})", wake.at, wake.why)
+            };
+            out.push_str(&format!("{name}: {state}\n"));
+        }
+        let head = self.timed_wakes.first_deadline(last.as_u64());
+        out.push_str(&format!("timed wakes: earliest deadline {head:?}\n"));
+        out
+    }
+
     /// Prints internal state for deadlock debugging.
     #[doc(hidden)]
     pub fn debug_dump(&self) {
@@ -1513,6 +1571,7 @@ impl System {
             self.cycle(),
             self.net.last_progress()
         );
+        print!("{}", self.sleep_states());
         for (t, l2) in self.l2s.iter().enumerate() {
             println!(
                 "tile {t}: driver done={} ops={} l2 idle={} esid={:?} nic backlog={} ordered_backlog={}",
@@ -1572,36 +1631,76 @@ fn wait_mean_gt(a_sum: u64, a_count: u64, b_sum: u64, b_count: u64) -> bool {
     u128::from(a_sum) * u128::from(b_count) > u128::from(b_sum) * u128::from(a_count)
 }
 
-/// Timed wake-ups: endpoints parked until an absolute deadline cycle, as
-/// a min-heap, so the earliest deadline (the leap target) is a peek and a
-/// warmed-up heap allocates nothing.
-#[derive(Default)]
+/// Timed wake-ups: endpoints parked until an absolute deadline cycle.
+/// Near deadlines (an L2 stage due, the next window start) sit in a
+/// cycle-indexed wheel of endpoint bitsets — parking sets a bit, firing ORs
+/// a slot into the active set; far ones (compute gaps, DRAM) in a min-heap.
+/// Both are sized at build.
 struct TimedWakes {
+    /// `WHEEL_SLOTS` endpoint bitsets of `words` words each, back to back:
+    /// slot `c % WHEEL_SLOTS` holds the endpoints to wake for cycle `c`.
+    wheel: Vec<u64>,
+    words: usize,
+    /// Bit `s` is set iff wheel slot `s` holds anyone.
+    occupied: u64,
     heap: BinaryHeap<Reverse<(u64, u32)>>,
+    /// Each endpoint's deadline already in `heap` (0: none), so parking on
+    /// the same far deadline after every early wake pushes it once.
+    in_heap: Vec<u64>,
 }
 
+/// Wheel slots: deadlines less than this far ahead use the wheel.
+const WHEEL_SLOTS: u64 = u64::BITS as u64;
+
 impl TimedWakes {
-    /// Parks endpoint `ep` until `deadline`.
-    fn push(&mut self, deadline: u64, ep: u32) {
-        self.heap.push(Reverse((deadline, ep)));
+    fn new(endpoints: usize) -> TimedWakes {
+        let words = endpoints.div_ceil(64);
+        TimedWakes {
+            wheel: vec![0; WHEEL_SLOTS as usize * words],
+            words,
+            occupied: 0,
+            heap: BinaryHeap::with_capacity(endpoints),
+            in_heap: vec![0; endpoints],
+        }
     }
 
-    /// The earliest pending deadline — the machine-wide leap target.
-    fn first_deadline(&self) -> Option<u64> {
-        self.heap.peek().map(|&Reverse((deadline, _))| deadline)
+    /// Parks endpoint `ep` at cycle `now` until `deadline > now`.
+    fn park(&mut self, now: u64, deadline: u64, ep: u32) {
+        if deadline - now < WHEEL_SLOTS {
+            let slot = (deadline % WHEEL_SLOTS) as usize;
+            self.wheel[slot * self.words + ep as usize / 64] |= 1 << (ep % 64);
+            self.occupied |= 1 << slot;
+        } else if self.in_heap[ep as usize] != deadline {
+            self.in_heap[ep as usize] = deadline;
+            self.heap.push(Reverse((deadline, ep)));
+        }
     }
 
-    /// Clears `out`, then moves every endpoint whose deadline is `<= now`
-    /// into it (in deadline order; the caller wakes active sets, for which
-    /// order is indifferent).
-    fn pop_due(&mut self, now: u64, out: &mut Vec<u32>) {
-        out.clear();
+    /// The earliest pending deadline after `now` — the machine-wide leap
+    /// target: the first occupied wheel slot or the heap's top.
+    fn first_deadline(&self, now: u64) -> Option<u64> {
+        let ahead = self.occupied.rotate_right(((now + 1) % WHEEL_SLOTS) as u32);
+        let near = (ahead != 0).then(|| now + 1 + u64::from(ahead.trailing_zeros()));
+        let far = self.heap.peek().map(|&Reverse((deadline, _))| deadline);
+        near.into_iter().chain(far).min()
+    }
+
+    /// Wakes every endpoint parked until `cycle` (or earlier, in the heap).
+    fn fire(&mut self, cycle: u64, active: &mut ActiveSet) {
+        let slot = (cycle % WHEEL_SLOTS) as usize;
+        if self.occupied & (1 << slot) != 0 {
+            self.occupied &= !(1 << slot);
+            active.wake_words(&mut self.wheel[slot * self.words..][..self.words]);
+        }
         while let Some(&Reverse((deadline, ep))) = self.heap.peek() {
-            if deadline > now {
+            if deadline > cycle {
                 break;
             }
             self.heap.pop();
-            out.push(ep);
+            if self.in_heap[ep as usize] == deadline {
+                self.in_heap[ep as usize] = 0;
+            }
+            active.wake(ep as usize);
         }
     }
 }
@@ -1610,6 +1709,7 @@ impl TimedWakes {
 /// baselines: a latency pipeline in front of the global sequencer. The
 /// entry width (set by the protocol) determines how many lines the slice
 /// caches, which is the paper's LPD-vs-HT distinction.
+#[derive(Debug)]
 struct DirHome {
     dir: DirectoryCache,
     latency: u64,
@@ -1657,5 +1757,54 @@ impl DirHome {
 
     fn is_idle(&self) -> bool {
         self.stage.is_empty() && self.pending_bcast.is_none()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use scorpio_workloads::{generate, WorkloadParams};
+
+    #[test]
+    fn timed_wakes_fire_on_their_cycle_from_wheel_and_heap() {
+        let mut wakes = TimedWakes::new(70);
+        let mut active = ActiveSet::new(70);
+        wakes.park(100, 110, 3); // near: wheel
+        wakes.park(100, 163, 69); // the wheel's last slot
+        wakes.park(100, 164, 5); // far: heap
+        wakes.park(100, 164, 5); // same far deadline again: pushed once
+        assert_eq!(wakes.heap.len(), 1);
+        assert_eq!(wakes.first_deadline(100), Some(110));
+        let mut fired = Vec::new();
+        for cycle in 101..=164 {
+            wakes.fire(cycle, &mut active);
+            active.drain_sorted(&mut fired);
+            let expect: &[u32] = match cycle {
+                110 => &[3],
+                163 => &[69],
+                164 => &[5],
+                _ => &[],
+            };
+            assert_eq!(fired, expect, "cycle {cycle}");
+        }
+        assert_eq!(wakes.first_deadline(164), None);
+    }
+
+    #[test]
+    fn hung_run_dump_names_every_busy_endpoints_sleep_state() {
+        let cfg = SystemConfig::chip();
+        let params = WorkloadParams::by_name("barnes").expect("preset exists");
+        let traces = generate(&params.with_ops(20), cfg.cores(), cfg.seed);
+        let mut sys = System::with_traces(cfg, traces);
+        (0..300).for_each(|_| sys.step());
+        let dump = sys.sleep_states();
+        for form in ["awake(", "asleep on event(", "asleep until cycle "] {
+            assert!(dump.contains(form), "no `{form}` line in:\n{dump}");
+        }
+        assert!(dump.contains("timed wakes: earliest deadline Some("));
+        assert!(
+            !dump.contains("yet due since"),
+            "a wake was missed:\n{dump}"
+        );
     }
 }

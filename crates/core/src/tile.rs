@@ -9,7 +9,7 @@ use std::collections::VecDeque;
 
 use scorpio_coherence::LineAddr;
 use scorpio_mem::{CoreOp, CoreReq, CoreResp, L1Cache, SnoopyL2};
-use scorpio_sim::Cycle;
+use scorpio_sim::{Cycle, Wake};
 use scorpio_workloads::{
     arrival_schedule, ArrivalProcess, CoreProgram, Trace, TraceOp, TraceRecord,
 };
@@ -147,28 +147,42 @@ impl CoreDriver {
         &mut self.l1
     }
 
-    /// The first future cycle at which ticking this driver can have any
-    /// effect, when that is knowable: the driver is mid-gap with nothing
-    /// in flight, so every tick before the deadline is a no-op by
-    /// construction. `None` means "tick me every cycle".
-    pub fn next_wake(&self, now: Cycle) -> Option<Cycle> {
+    /// When this driver's next tick can first change its state, asked
+    /// after its tick at `now`: *next cycle* while it can issue (or is
+    /// retrying an op the L2 refused); *the gap deadline* mid-gap, also
+    /// with an access outstanding — nothing issues mid-gap, so the charged
+    /// countdown can never pause; an event (the L2's completion) at the
+    /// outstanding-access budget or once done. An open-loop driver also
+    /// wakes at its next arrival for as long as arrivals remain, so
+    /// admissions and tail drops land on their own cycles.
+    pub fn next_wake(&self, now: Cycle) -> Wake {
+        let can_issue = !self.done && self.outstanding.len() < self.max_outstanding;
         if self.is_open_loop() {
-            // Sleep only when truly idle: nothing admitted, nothing in
-            // flight, next arrival strictly in the future. The deadline
-            // feeds the system's timed-wake heap, which also bounds how
-            // far the leap engine may jump — a leap can never skip a
-            // pending arrival.
-            if !self.done && self.src_queue.is_empty() && self.outstanding.is_empty() {
-                return self
-                    .arrivals
-                    .get(self.arrival_next)
-                    .map(|&a| Cycle::from(a))
-                    .filter(|&a| now < a);
+            if can_issue && !self.src_queue.is_empty() {
+                return Wake::at(now.next(), "core can issue");
             }
-            return None;
+            return match self.arrivals.get(self.arrival_next) {
+                Some(&a) => Wake::at(Cycle::from(a), "open-loop arrival"),
+                // Everything admitted and issued: the next tick retires.
+                None if !self.done && self.src_queue.is_empty() => {
+                    Wake::at(now.next(), "core retiring")
+                }
+                None => Wake::event("core response"),
+            };
         }
-        (!self.done && self.outstanding.is_empty() && now < self.gap_until)
-            .then_some(self.gap_until)
+        if !can_issue {
+            Wake::event("core response")
+        } else if now < self.gap_until {
+            Wake::at(self.gap_until, "compute gap")
+        } else {
+            Wake::at(now.next(), "core can issue")
+        }
+    }
+
+    /// Digest of the whole driver, for the sleep-soundness tests.
+    #[doc(hidden)]
+    pub fn state_digest(&self) -> u64 {
+        scorpio_sim::debug_digest(self)
     }
 
     /// One cycle: consume a completion, or issue the next operation.

@@ -36,12 +36,22 @@ struct Way {
 /// assert!(evicted.is_none());
 /// assert_eq!(c.lookup(LineAddr(0x40)).unwrap().value, 7);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct CacheArray {
     sets: Vec<Vec<Way>>,
     ways: usize,
     line_bytes: u64,
     use_counter: u64,
+}
+
+/// Renders the occupied sets only: an empty 128 KB array prints as `{}`,
+/// which keeps `Debug`-based state digests proportional to resident lines.
+impl std::fmt::Debug for CacheArray {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let occupied = self.sets.iter().enumerate().filter(|(_, s)| !s.is_empty());
+        write!(f, "CacheArray(use {}) ", self.use_counter)?;
+        f.debug_map().entries(occupied).finish()
+    }
 }
 
 impl CacheArray {

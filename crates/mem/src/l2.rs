@@ -28,7 +28,7 @@ use scorpio_coherence::{
 };
 use scorpio_noc::Endpoint;
 use scorpio_sim::stats::{Accumulator, Counter, LogHistogram};
-use scorpio_sim::{Cycle, Fifo};
+use scorpio_sim::{Cycle, Fifo, Wake};
 use std::collections::VecDeque;
 
 /// L2 configuration (defaults: the chip's 128 KB 4-way L2, 10-cycle access,
@@ -557,6 +557,46 @@ impl SnoopyL2 {
             && self.outbox.is_empty()
             && self.rshr.iter().all(Option::is_none)
             && self.wb_buf.is_empty()
+    }
+
+    /// When this controller's next tick can first change its state, asked
+    /// after its tick at `now`: *next cycle* while an input queue, the
+    /// outbox or a core-facing queue holds anything (the tile moves those
+    /// every tick) or a fill is blocked on a writeback slot; *the earliest
+    /// stage due cycle* while only the pipeline holds work; otherwise an
+    /// event — outstanding misses and writebacks advance only when a data
+    /// flit or the own ordered request arrives.
+    pub fn next_wake(&self, now: Cycle) -> Wake {
+        let next = now.next();
+        if !(self.core_q.is_empty() && self.snoop_q.is_empty() && self.resp_q.is_empty()) {
+            return Wake::at(next, "l2 input queue");
+        }
+        if !self.outbox.is_empty() {
+            return Wake::at(next, "l2 outbox");
+        }
+        if !self.outputs_drained() {
+            return Wake::at(next, "l2 core-facing queue");
+        }
+        if self.rshr.iter().flatten().any(|e| e.fill_blocked) {
+            return Wake::at(next, "blocked fill");
+        }
+        // Each class is a FIFO in due order, so its front is its minimum.
+        let st = &self.stage;
+        let fronts = [
+            st.resps.front().map(|e| e.0),
+            st.snoops.front().map(|e| e.0),
+            st.cores.front().map(|e| e.0),
+        ];
+        match fronts.into_iter().flatten().min() {
+            Some(due) => Wake::at(due, "l2 stage due"),
+            None => Wake::event("data flit or own ordered request"),
+        }
+    }
+
+    /// Digest of the whole controller, for the sleep-soundness tests.
+    #[doc(hidden)]
+    pub fn state_digest(&self) -> u64 {
+        scorpio_sim::debug_digest(self)
     }
 
     /// One cycle: apply due staged items, retry blocked fills, accept one

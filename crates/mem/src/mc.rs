@@ -319,6 +319,12 @@ impl MemoryController {
         self.pending.iter().map(|p| p.ready).min()
     }
 
+    /// Digest of the whole controller, for the sleep-soundness tests.
+    #[doc(hidden)]
+    pub fn state_digest(&self) -> u64 {
+        scorpio_sim::debug_digest(self)
+    }
+
     /// Direct read of memory's logical value (verification oracle).
     pub fn memory_value(&self, addr: LineAddr) -> u64 {
         self.store.value(addr)

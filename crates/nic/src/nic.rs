@@ -15,11 +15,11 @@
 
 use crate::tracker::NotificationTracker;
 use scorpio_noc::{
-    EjectSlot, Endpoint, MultiNetwork, NocConfig, Packet, Payload, Sid, SteerKey, VnetId,
+    set_bits, Endpoint, MultiNetwork, Network, NocConfig, Packet, Payload, Sid, SteerKey, VnetId,
 };
 use scorpio_notify::NotifyNetwork;
 use scorpio_sim::stats::{Accumulator, Counter};
-use scorpio_sim::{Cycle, Fifo};
+use scorpio_sim::{Cycle, Fifo, Wake};
 
 /// NIC configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -125,17 +125,17 @@ pub struct NicStats {
     pub notif_resends: Counter,
 }
 
-/// What the NIC remembers about one ejection VC between ticks. A VC is a
-/// FIFO, so its head stays its head until the NIC takes it: state keyed by
-/// the VC is state keyed by the head flit.
-#[derive(Debug, Clone, Copy, Default)]
-struct EjectVc {
-    /// The ordered head flit first seen waiting here (packet uids start at
-    /// 1), and the cycle it was first seen.
-    seen_uid: u64,
-    seen_at: Cycle,
-    /// Flits received of the packet being reassembled.
-    partial: u8,
+/// What the NIC remembers about one plane's ejection VCs between ticks,
+/// indexed by flat VC. A VC is a FIFO, so its head stays its head until the
+/// NIC takes it: state keyed by the VC is state keyed by the head flit.
+#[derive(Debug, Clone, Default)]
+struct EjectTable {
+    /// Ordered VCs whose current head has its first-seen stamp.
+    stamped: u32,
+    /// The cycle each stamped head was first seen waiting.
+    seen_at: [Cycle; NocConfig::MAX_VCS_PER_PORT],
+    /// Flits received of the packet each VC is reassembling.
+    partial: [u8; NocConfig::MAX_VCS_PER_PORT],
 }
 
 /// The network interface controller for one endpoint.
@@ -145,6 +145,8 @@ struct EjectVc {
 /// NIC, byte-for-byte.
 pub struct Nic<T> {
     ep: Endpoint,
+    /// `ep`'s dense index in the main network, resolved on the first tick.
+    ep_idx: Option<usize>,
     sid: Option<Sid>,
     mode: NicMode,
     cfg: NicConfig,
@@ -160,8 +162,8 @@ pub struct Nic<T> {
     own_queue: Vec<Fifo<(T, Cycle, u64)>>,
     ordered_out: Fifo<OrderedDelivery<T>>,
     packet_out: Fifo<Packet<T>>,
-    /// Receive-side bookkeeping per plane and ejection VC.
-    eject_vcs: Vec<Vec<EjectVc>>,
+    /// Receive-side bookkeeping per plane.
+    eject: Vec<EjectTable>,
     /// Per-plane, per-source count of ordered requests this NIC has
     /// delivered; the expected instance on plane `p` is always
     /// (ESID, delivered[p][ESID]).
@@ -197,6 +199,7 @@ impl<T: Payload + SteerKey> Nic<T> {
         assert!(planes > 0, "a NIC needs at least one plane");
         Nic {
             ep,
+            ep_idx: None,
             sid,
             mode,
             planes,
@@ -211,7 +214,7 @@ impl<T: Payload + SteerKey> Nic<T> {
             sent_seq: vec![0; planes],
             ordered_out: Fifo::bounded(cfg.ordered_queue_depth),
             packet_out: Fifo::bounded(cfg.packet_queue_depth),
-            eject_vcs: vec![Vec::new(); planes],
+            eject: vec![EjectTable::default(); planes],
             published_esid: vec![None; planes],
             published_any: vec![false; planes],
             busy_until: Cycle::ZERO,
@@ -264,37 +267,108 @@ impl<T: Payload + SteerKey> Nic<T> {
     }
 
     /// Whether ticking this NIC is a no-op until something external
-    /// happens: nothing awaiting announcement or re-announcement on any
-    /// plane, no loopback self-delivery pending, empty delivery queues
-    /// toward the controller, and no stop bit that must be asserted at the
-    /// next window start. A NIC that merely *expects* ordered requests
-    /// (tracker backlog > 0) may still sleep: its published ESIDs are
-    /// already current, and the expected flit's arrival at the endpoint —
-    /// or the next non-empty/stop notification window — is exactly what
-    /// wakes the tile. Empty windows observed late are harmless: they
-    /// carry nothing and announcing is only required when `unsent > 0` or
-    /// a stop bit is due, both of which keep the NIC awake.
+    /// happens, flits in its ejection buffers aside: nothing awaiting
+    /// announcement or re-announcement on any plane, no loopback
+    /// self-delivery pending, empty delivery queues toward the controller,
+    /// and no stop bit due at the next window start. A coarser, always
+    /// conservative form of [`Nic::next_wake`] (which the system sleeps
+    /// on), kept for callers that poll a NIC standalone.
     pub fn can_sleep(&self) -> bool {
         self.announced.iter().all(|&a| a == 0) && self.can_sleep_leap()
     }
 
-    /// The relaxed sleep predicate used under the event-leaping clock: like
-    /// [`Nic::can_sleep`], except a NIC whose only remaining obligation is
-    /// an *outstanding announcement* (`announced > 0`, waiting for its
-    /// window to publish) may also sleep. This is safe because the window
-    /// carrying the announcement is non-empty by construction, and a
-    /// non-empty window's publication wakes every endpoint — so
-    /// `process_completed_window` runs at exactly the cycle it would have
-    /// run had the NIC stayed awake, and no tick in between would have done
-    /// anything (`unsent` is zero, so mid-window announce calls are
-    /// no-ops). Kept separate from `can_sleep` so the plain active-set
-    /// engine's sleep decisions stay exactly as before.
+    /// [`Nic::can_sleep`] minus the outstanding-announcement term: a NIC
+    /// whose only obligation is an announcement in flight may sleep too,
+    /// because the window carrying it is non-empty by construction and a
+    /// non-empty window's publication wakes every endpoint.
     pub fn can_sleep_leap(&self) -> bool {
         self.unsent.iter().all(|&u| u == 0)
             && self.own_queue.iter().all(Fifo::is_empty)
             && self.ordered_out.is_empty()
             && self.packet_out.is_empty()
             && !self.tracker.iter().any(NotificationTracker::should_stop)
+    }
+
+    /// When this NIC's next tick can first change its state, asked after
+    /// its tick at `now` (pass the notification network exactly as to
+    /// [`Nic::tick`]). *Next cycle* while a delivery queue holds anything,
+    /// an unordered flit waits, a plane expects this NIC's own request (it
+    /// polls the injection port) or an ordered head is either the expected
+    /// one or not yet first-seen-stamped while a scan would run; *the next
+    /// window start* when there is something to announce there; otherwise
+    /// an event — flit arrivals and non-empty windows wake the endpoint.
+    pub fn next_wake(
+        &self,
+        now: Cycle,
+        net: &MultiNetwork<T>,
+        notify: Option<&NotifyNetwork>,
+    ) -> Wake {
+        let next = now.next();
+        if !self.ordered_out.is_empty() || !self.packet_out.is_empty() {
+            return Wake::at(next, "nic delivery queue");
+        }
+        let idx = self.index_in(net);
+        let mut waiting = false;
+        for p in 0..self.planes {
+            let net = net.plane(p);
+            let vcs = net.eject_vcs(idx);
+            let heads = match self.mode {
+                NicMode::Ordered => vcs & net.ordered_vcs(),
+                NicMode::Unordered => 0,
+            };
+            if vcs != heads {
+                return Wake::at(next, "unordered flit");
+            }
+            if let Some(esid) = self.tracker[p].current_esid() {
+                if Some(esid) == self.sid {
+                    return Wake::at(next, "own request expected");
+                }
+                if heads & !self.eject[p].stamped != 0 {
+                    return Wake::at(next, "ordered head to stamp");
+                }
+                if expected_vc(net, idx, heads, esid).is_some() {
+                    return Wake::at(next, "expected request present");
+                }
+            }
+            waiting |= heads != 0;
+        }
+        let announces = self.unsent.iter().any(|&u| u != 0)
+            || self.tracker.iter().any(NotificationTracker::should_stop);
+        if let (Some(n), Some(_), true) = (notify, self.sid, announces) {
+            let w = n.config().window;
+            let start = Cycle::new((now.as_u64() / w + 1) * w);
+            return Wake::at(start, "announcement at window start");
+        }
+        Wake::event(if self.announced.iter().any(|&a| a != 0) {
+            "window publish"
+        } else if waiting {
+            "expected request flit"
+        } else {
+            "flit or window"
+        })
+    }
+
+    /// `ep`'s dense index in `net` (cached from the first tick on).
+    fn index_in(&self, net: &MultiNetwork<T>) -> usize {
+        self.ep_idx.unwrap_or_else(|| net.endpoint_index(self.ep))
+    }
+
+    /// Digest of everything a tick can change, for the sleep-soundness
+    /// tests. `last_window` is left out: a sleeping NIC observes empty
+    /// windows late or never, and nothing reads the field back.
+    #[doc(hidden)]
+    pub fn state_digest(&self) -> u64 {
+        scorpio_sim::debug_digest(&(
+            (
+                &self.tracker,
+                &self.unsent,
+                &self.announced,
+                &self.own_queue,
+            ),
+            (&self.ordered_out, &self.packet_out, &self.eject),
+            (&self.delivered_seq, &self.sent_seq, &self.published_esid),
+            (self.busy_until, &self.stats),
+        ))
     }
 
     /// Whether an ordered request for the line keyed `key` would currently
@@ -410,6 +484,7 @@ impl<T: Payload + SteerKey> Nic<T> {
         net: &mut MultiNetwork<T>,
         notify: Option<&mut NotifyNetwork>,
     ) {
+        self.ep_idx = Some(self.index_in(net));
         if self.mode == NicMode::Ordered {
             if let Some(notify) = notify {
                 self.process_completed_window(notify);
@@ -513,6 +588,7 @@ impl<T: Payload + SteerKey> Nic<T> {
         if self.ordered_out.is_full() {
             return false;
         }
+        let idx = self.index_in(net);
         if Some(esid) == self.sid {
             // Own request: self-delivery through the loopback path — but
             // only once the broadcast copy has left the injection queue.
@@ -522,7 +598,7 @@ impl<T: Payload + SteerKey> Nic<T> {
             let &(_, _, uid) = self.own_queue[plane]
                 .front()
                 .expect("own request announced but missing from loopback queue");
-            if net.inject_pending(plane, self.ep, uid) {
+            if net.plane(plane).inject_pending(idx, uid) {
                 return false;
             }
             let (payload, inject_cycle, _) = self.own_queue[plane].pop().expect("checked above");
@@ -538,27 +614,21 @@ impl<T: Payload + SteerKey> Nic<T> {
             self.tracker[plane].advance();
             return true;
         }
-        // Find the expected request among the plane's ordered-class
-        // ejection VCs.
-        let mut hit = None;
-        for (slot, flit) in net.eject_heads_plane(plane, self.ep) {
-            if !net.config().vnets[slot.vnet.index()].ordered {
-                continue;
-            }
-            let seen = Self::eject_vc(&mut self.eject_vcs[plane], slot);
-            if seen.seen_uid != flit.packet.uid {
-                (seen.seen_uid, seen.seen_at) = (flit.packet.uid, now);
-            }
-            if flit.packet.sid == Some(esid) && hit.is_none() {
-                hit = Some(slot);
-            }
+        // Stamp every ordered head not seen before, then find the expected
+        // request among them (lowest VC first).
+        let net = net.plane_mut(plane);
+        let heads = net.eject_vcs(idx) & net.ordered_vcs();
+        let table = &mut self.eject[plane];
+        for vc in set_bits(heads & !table.stamped) {
+            table.seen_at[vc] = now;
         }
-        let Some(slot) = hit else {
+        table.stamped |= heads;
+        let Some(vc) = expected_vc(net, idx, heads, esid) else {
             return false;
         };
-        let flit = net
-            .eject_take_plane(plane, self.ep, slot)
-            .expect("head flit vanished");
+        let flit = net.eject_take_vc(idx, vc).expect("head flit vanished");
+        table.stamped &= !(1 << vc);
+        let first_seen = table.seen_at[vc];
         debug_assert_eq!(
             flit.packet.sid_seq,
             self.delivered_seq[plane][esid.index()],
@@ -566,7 +636,6 @@ impl<T: Payload + SteerKey> Nic<T> {
         );
         self.delivered_seq[plane][esid.index()] =
             self.delivered_seq[plane][esid.index()].wrapping_add(1);
-        let first_seen = Self::eject_vc(&mut self.eject_vcs[plane], slot).seen_at;
         self.stats.ordering_wait.record(now - first_seen);
         self.deliver_ordered(OrderedDelivery {
             sid: esid,
@@ -577,16 +646,6 @@ impl<T: Payload + SteerKey> Nic<T> {
         });
         self.tracker[plane].advance();
         true
-    }
-
-    /// The bookkeeping entry of ejection VC `slot` of one plane (the table
-    /// grows, a vnet's worth at a time, to the highest vnet seen).
-    fn eject_vc(vcs: &mut Vec<EjectVc>, slot: EjectSlot) -> &mut EjectVc {
-        let row = slot.vnet.index() * NocConfig::MAX_VCS_PER_VNET;
-        if vcs.len() < row + NocConfig::MAX_VCS_PER_VNET {
-            vcs.resize(row + NocConfig::MAX_VCS_PER_VNET, EjectVc::default());
-        }
-        &mut vcs[row + slot.vc as usize]
     }
 
     fn deliver_ordered(&mut self, d: OrderedDelivery<T>) {
@@ -610,22 +669,18 @@ impl<T: Payload + SteerKey> Nic<T> {
         if self.packet_out.is_full() {
             return false;
         }
-        let mut pick = None;
-        for (slot, _flit) in net.eject_heads_plane(plane, self.ep) {
-            let is_ordered = net.config().vnets[slot.vnet.index()].ordered;
-            if is_ordered && !include_ordered {
-                continue;
-            }
-            pick = Some(slot);
-            break;
+        let idx = self.index_in(net);
+        let net = net.plane_mut(plane);
+        let mut vcs = net.eject_vcs(idx);
+        if !include_ordered {
+            vcs &= !net.ordered_vcs();
         }
-        let Some(slot) = pick else {
+        if vcs == 0 {
             return false;
-        };
-        let flit = net
-            .eject_take_plane(plane, self.ep, slot)
-            .expect("head flit vanished");
-        let got = &mut Self::eject_vc(&mut self.eject_vcs[plane], slot).partial;
+        }
+        let vc = vcs.trailing_zeros() as usize;
+        let flit = net.eject_take_vc(idx, vc).expect("head flit vanished");
+        let got = &mut self.eject[plane].partial[vc];
         debug_assert_eq!(*got, flit.idx, "flit reassembly out of order");
         *got += 1;
         if flit.is_tail() {
@@ -655,6 +710,15 @@ impl<T: Payload + SteerKey> Nic<T> {
             }
         }
     }
+}
+
+/// The lowest of endpoint `idx`'s ejection VCs `heads` whose head flit is
+/// the request from `esid`, if it has arrived.
+fn expected_vc<T: Payload>(net: &Network<T>, idx: usize, heads: u32, esid: Sid) -> Option<usize> {
+    set_bits(heads).find(|&vc| {
+        net.eject_head(idx, vc)
+            .is_some_and(|f| f.packet.sid == Some(esid))
+    })
 }
 
 impl<T: Payload> std::fmt::Debug for Nic<T> {

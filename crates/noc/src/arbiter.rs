@@ -124,7 +124,7 @@ impl RotatingArbiter {
 }
 
 /// The indices of the set bits of `mask`, ascending.
-pub(crate) fn set_bits(mut mask: u32) -> impl Iterator<Item = usize> {
+pub fn set_bits(mut mask: u32) -> impl Iterator<Item = usize> {
     std::iter::from_fn(move || {
         (mask != 0).then(|| {
             let i = mask.trailing_zeros() as usize;

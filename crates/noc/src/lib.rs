@@ -59,7 +59,7 @@ pub mod routing;
 mod tables;
 mod topology;
 
-pub use arbiter::RotatingArbiter;
+pub use arbiter::{set_bits, RotatingArbiter};
 pub use config::{NocConfig, VnetCfg};
 pub use flit::{data_packet_flits, Dest, Flit, Packet, Payload, Sid, VnetId};
 pub use network::{EjectSlot, Network, NocStats};

@@ -16,6 +16,7 @@
 //! * [`Network::set_esid`] — publish the endpoint's expected SID so routers
 //!   can police their reserved VCs.
 
+use crate::arbiter::set_bits;
 use crate::config::NocConfig;
 use crate::flit::{Flit, Packet, Payload, Sid, VnetId};
 use crate::obs::{NetObs, ObsConfig};
@@ -27,8 +28,7 @@ use crate::tables::{validate_datelines, RouteCtx, RoutingTables, VcClass};
 use crate::topology::{Endpoint, LocalSlot, Port, RouterId, Topology};
 use scorpio_sim::stats::{Accumulator, Counter};
 use scorpio_sim::{ActiveSet, Cycle, Fifo, PushError};
-use std::collections::HashMap;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 
 /// Identifies one ejection-buffer VC at an endpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,17 +105,77 @@ struct InjectPort<T> {
     next_vnet: usize,
 }
 
+/// One ejection VC's ring inside [`EjectPort::ring`].
+#[derive(Debug, Clone, Copy, Default)]
+struct EjectRing {
+    base: u16,
+    depth: u8,
+    head: u8,
+    len: u8,
+}
+
 /// The NIC-side ejection buffers: mirrors the VC structure the router's
-/// local output port sees downstream.
+/// local output port sees downstream, as one flat array of flit rings
+/// indexed by flat VC (`vnet_base + vc`, the router's numbering).
 #[derive(Debug)]
 struct EjectPort<T> {
     router: RouterId,
     slot: LocalSlot,
-    /// `[vnet][vc]` flit queues.
-    bufs: Vec<Vec<VecDeque<Flit<T>>>>,
-    /// Flits across all of `bufs`, so "anything waiting?" — what a polling
-    /// NIC and the sleep check ask every cycle — is one compare.
-    waiting: u32,
+    /// Every VC's ring back to back, each as deep as its vnet's VCs (the
+    /// router's credits bound the occupancy): the port's one allocation.
+    ring: Vec<Option<Flit<T>>>,
+    vcs: [EjectRing; NocConfig::MAX_VCS_PER_PORT],
+    /// Flat VCs holding a flit, so "anything waiting?" is one load and
+    /// the NIC's receive scans are `trailing_zeros` walks.
+    nonempty: u32,
+}
+
+impl<T: Payload> EjectPort<T> {
+    fn new(ep: &Endpoint, cfg: &NocConfig) -> Self {
+        let mut vcs = [EjectRing::default(); NocConfig::MAX_VCS_PER_PORT];
+        let mut slots = 0u16;
+        let depths = cfg
+            .vnets
+            .iter()
+            .flat_map(|v| std::iter::repeat_n(v.depth, v.total_vcs()));
+        for (ring, depth) in vcs.iter_mut().zip(depths) {
+            (ring.base, ring.depth) = (slots, depth);
+            slots += u16::from(depth);
+        }
+        EjectPort {
+            router: ep.router,
+            slot: ep.slot,
+            ring: vec![None; slots as usize],
+            vcs,
+            nonempty: 0,
+        }
+    }
+
+    fn push(&mut self, vc: usize, flit: Flit<T>) {
+        let r = &mut self.vcs[vc];
+        assert!(r.len < r.depth, "ejection VC overflow: credits violated");
+        let at = (r.head as usize + r.len as usize) % r.depth as usize;
+        self.ring[r.base as usize + at] = Some(flit);
+        r.len += 1;
+        self.nonempty |= 1 << vc;
+    }
+
+    /// The head flit of `vc` (the slot at `head` is `None` when empty).
+    fn head(&self, vc: usize) -> Option<&Flit<T>> {
+        let r = &self.vcs[vc];
+        self.ring[r.base as usize + r.head as usize].as_ref()
+    }
+
+    fn pop(&mut self, vc: usize) -> Option<Flit<T>> {
+        let r = &mut self.vcs[vc];
+        let flit = self.ring[r.base as usize + r.head as usize].take()?;
+        r.head = (r.head + 1) % r.depth;
+        r.len -= 1;
+        if r.len == 0 {
+            self.nonempty &= !(1 << vc);
+        }
+        Some(flit)
+    }
 }
 
 /// Aggregate network statistics.
@@ -178,6 +238,10 @@ pub struct Network<T> {
     routers: Vec<Router<T>>,
     inject: Vec<InjectPort<T>>,
     eject: Vec<EjectPort<T>>,
+    /// First flat VC of each vnet, and the flat VCs of ordered vnets —
+    /// the same at every port.
+    vnet_base: [u8; NocConfig::MAX_VNETS],
+    ordered_vcs: u32,
     /// Committed ESID per endpoint index; `staged_esid` applies at commit.
     esid: Vec<Option<(Sid, u16)>>,
     staged_esid: Vec<(usize, Option<(Sid, u16)>)>,
@@ -302,17 +366,17 @@ impl<T: Payload> Network<T> {
             .collect();
         let eject = endpoints
             .iter()
-            .map(|ep| EjectPort {
-                router: ep.router,
-                slot: ep.slot,
-                bufs: cfg
-                    .vnets
-                    .iter()
-                    .map(|v| (0..v.total_vcs()).map(|_| VecDeque::new()).collect())
-                    .collect(),
-                waiting: 0,
-            })
+            .map(|ep| EjectPort::new(ep, &cfg))
             .collect();
+        let mut vnet_base = [0; NocConfig::MAX_VNETS];
+        let (mut flat, mut ordered_vcs) = (0, 0u32);
+        for (n, v) in cfg.vnets.iter().enumerate() {
+            vnet_base[n] = flat as u8;
+            if v.ordered {
+                ordered_vcs |= ((1 << v.total_vcs()) - 1) << flat;
+            }
+            flat += v.total_vcs();
+        }
         let n_routers = topology.router_count();
         let n_tiles = topology.tile_count();
         let n_eps = endpoints.len();
@@ -325,6 +389,8 @@ impl<T: Payload> Network<T> {
             routers,
             inject,
             eject,
+            vnet_base,
+            ordered_vcs,
             esid: vec![None; n_eps],
             staged_esid: Vec::new(),
             esid_tile: vec![None; n_tiles],
@@ -454,15 +520,20 @@ impl<T: Payload> Network<T> {
         p.queues.iter().map(Fifo::len).sum::<usize>() + p.sending.iter().flatten().count()
     }
 
-    /// Whether packet `uid` is still waiting in `ep`'s injection port (not
-    /// yet handed to the router). The NIC uses this to hold back loopback
-    /// self-delivery of its own ordered requests until the broadcast copy
-    /// has actually entered the network — the invariant the reserved-VC
-    /// deadlock-freedom argument rests on.
-    pub fn inject_pending(&self, ep: Endpoint, uid: u64) -> bool {
-        let p = &self.inject[self.endpoint_index(ep)];
-        p.queues.iter().any(|q| q.iter().any(|pkt| pkt.uid == uid))
-            || p.sending.iter().flatten().any(|s| s.packet.uid == uid)
+    /// Whether ordered packet `uid` is still waiting in the injection port
+    /// of the endpoint with dense index `ep_idx` (not yet handed to the
+    /// router). The NIC uses this to hold back loopback self-delivery of
+    /// its own ordered requests until the broadcast copy has actually
+    /// entered the network — the invariant the reserved-VC
+    /// deadlock-freedom argument rests on. Only the ordered vnets' queues
+    /// and send slots are searched: that is where requests travel.
+    pub fn inject_pending(&self, ep_idx: usize, uid: u64) -> bool {
+        let p = &self.inject[ep_idx];
+        let ordered = self.cfg.vnets.iter().enumerate().filter(|(_, v)| v.ordered);
+        ordered.into_iter().any(|(v, _)| {
+            p.queues[v].iter().any(|pkt| pkt.uid == uid)
+                || p.sending[v].is_some_and(|s| s.packet.uid == uid)
+        })
     }
 
     /// Publishes the expected request instance — (SID, per-source sequence
@@ -478,48 +549,57 @@ impl<T: Payload> Network<T> {
     }
 
     /// Whether any flit is waiting in the ejection buffers of the endpoint
-    /// with dense index `ep_idx`. The system layer's sleep check: an
-    /// endpoint with buffered flits must keep its NIC ticking.
+    /// with dense index `ep_idx`.
     pub fn eject_occupied(&self, ep_idx: usize) -> bool {
-        self.eject[ep_idx].waiting != 0
+        self.eject[ep_idx].nonempty != 0
+    }
+
+    /// The flat ejection VCs (`vnet_base + vc`, ascending in vnet then VC)
+    /// of endpoint `ep_idx` that hold a flit, as a bit mask.
+    pub fn eject_vcs(&self, ep_idx: usize) -> u32 {
+        self.eject[ep_idx].nonempty
+    }
+
+    /// The flat VCs that belong to ordered vnets (the same at every
+    /// endpoint), as a bit mask over [`Network::eject_vcs`]' numbering.
+    pub fn ordered_vcs(&self) -> u32 {
+        self.ordered_vcs
+    }
+
+    /// The head flit of flat ejection VC `vc` at endpoint `ep_idx`.
+    pub fn eject_head(&self, ep_idx: usize, vc: usize) -> Option<&Flit<T>> {
+        self.eject[ep_idx].head(vc)
     }
 
     /// Head flits waiting in `ep`'s ejection buffers, one per occupied VC.
     pub fn eject_heads(&self, ep: Endpoint) -> impl Iterator<Item = (EjectSlot, &Flit<T>)> {
         let port = &self.eject[self.endpoint_index(ep)];
-        let bufs = if port.waiting == 0 {
-            &[]
-        } else {
-            port.bufs.as_slice()
-        };
-        bufs.iter().enumerate().flat_map(|(n, vcs)| {
-            vcs.iter().enumerate().filter_map(move |(vc, q)| {
-                q.front().map(|f| {
-                    (
-                        EjectSlot {
-                            vnet: VnetId(n as u8),
-                            vc: vc as u8,
-                        },
-                        f,
-                    )
-                })
-            })
+        set_bits(port.nonempty).map(move |flat| {
+            let flit = port.head(flat).expect("non-empty VC has a head");
+            let vnet = flit.packet.vnet;
+            let vc = flat as u8 - self.vnet_base[vnet.index()];
+            (EjectSlot { vnet, vc }, flit)
         })
     }
 
     /// Consumes the head flit of `slot` at `ep`, returning a credit to the
     /// router. Returns `None` if the VC is empty.
     pub fn eject_take(&mut self, ep: Endpoint, slot: EjectSlot) -> Option<Flit<T>> {
-        let idx = self.endpoint_index(ep);
+        let flat = self.vnet_base[slot.vnet.index()] + slot.vc;
+        self.eject_take_vc(self.endpoint_index(ep), flat as usize)
+    }
+
+    /// [`Network::eject_take`] by dense endpoint index and flat VC.
+    pub fn eject_take_vc(&mut self, idx: usize, flat: usize) -> Option<Flit<T>> {
         let port = &mut self.eject[idx];
-        let flit = port.bufs[slot.vnet.index()][slot.vc as usize].pop_front()?;
-        port.waiting -= 1;
+        let flit = port.pop(flat)?;
+        let vc = flat as u8 - self.vnet_base[flit.packet.vnet.index()];
         self.credit_wire.push((
             port.router,
             CreditArrival {
                 out_port: port.slot.port(),
-                vnet: slot.vnet.0,
-                vc: slot.vc,
+                vnet: flit.packet.vnet.0,
+                vc,
                 dealloc: flit.is_tail(),
             },
         ));
@@ -534,7 +614,7 @@ impl<T: Payload> Network<T> {
                     self.cycle.as_u64(),
                     idx as u32,
                     flit.packet.vnet.0,
-                    slot.vc,
+                    vc,
                     flit.packet.uid,
                     lat,
                 );
@@ -602,6 +682,12 @@ impl<T: Payload> Network<T> {
         self.ep_woken.drain_sorted(out);
     }
 
+    /// Moves `other`'s woken endpoints into this network's set (the
+    /// multi-plane merge: planes share one endpoint numbering).
+    pub(crate) fn absorb_woken(&mut self, other: &mut Network<T>) {
+        self.ep_woken.absorb(&mut other.ep_woken);
+    }
+
     /// ORs into `bits` (a region bitset) the notification regions this
     /// plane's most recent tick touched: the region of every router on the
     /// drained router work list and of every injection port on the drained
@@ -652,6 +738,7 @@ impl<T: Payload> Network<T> {
             inbox_las,
             inbox_credits,
             eject,
+            vnet_base,
             inject,
             router_active,
             ep_woken,
@@ -674,8 +761,7 @@ impl<T: Payload> Network<T> {
             router_active.wake(r.index());
         });
         eject_wire.deliver(|(ep_idx, vnet, vc, flit)| {
-            eject[ep_idx].bufs[vnet as usize][vc as usize].push_back(flit);
-            eject[ep_idx].waiting += 1;
+            eject[ep_idx].push((vnet_base[vnet as usize] + vc) as usize, flit);
             ep_woken.wake(ep_idx);
             *last_progress = *cycle;
         });
@@ -888,7 +974,7 @@ impl<T: Payload> Network<T> {
             && self.inject.iter().all(|p| {
                 p.queues.iter().all(Fifo::is_empty) && p.sending.iter().all(Option::is_none)
             })
-            && self.eject.iter().all(|p| p.waiting == 0)
+            && self.eject.iter().all(|p| p.nonempty == 0)
             && self.wires_empty()
     }
 

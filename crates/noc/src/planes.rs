@@ -20,7 +20,7 @@
 
 use crate::config::NocConfig;
 use crate::flit::{Packet, Payload, Sid};
-use crate::network::{EjectSlot, Network, NocStats};
+use crate::network::{Network, NocStats};
 use crate::topology::{Endpoint, Topology};
 use scorpio_sim::{Cycle, PushError};
 use std::num::NonZeroUsize;
@@ -143,8 +143,8 @@ impl PlaneSteer {
 ///     net.commit();
 /// }
 /// let far = Endpoint::tile(RouterId(15));
-/// assert!(net.eject_heads_plane(1, far).next().is_some());
-/// assert!(net.eject_heads_plane(0, far).next().is_none());
+/// assert!(net.plane(1).eject_heads(far).next().is_some());
+/// assert!(net.plane(0).eject_heads(far).next().is_none());
 /// ```
 pub struct MultiNetwork<T> {
     planes: Vec<Network<T>>,
@@ -154,10 +154,6 @@ pub struct MultiNetwork<T> {
     always_scan: bool,
     /// Per-plane skip decision of the current tick, consulted by commit.
     skipped: Vec<bool>,
-    /// Scratch for merging per-plane woken-endpoint lists.
-    woken_scratch: Vec<u32>,
-    /// Second merge scratch (the two-pointer merge ping-pongs buffers).
-    merge_scratch: Vec<u32>,
 }
 
 impl<T: Payload + SteerKey> MultiNetwork<T> {
@@ -182,8 +178,6 @@ impl<T: Payload + SteerKey> MultiNetwork<T> {
             steer: PlaneSteer::new(planes, interleave_log2),
             always_scan: false,
             skipped: vec![false; planes.get()],
-            woken_scratch: Vec::new(),
-            merge_scratch: Vec::new(),
         }
     }
 
@@ -202,7 +196,8 @@ impl<T: Payload + SteerKey> MultiNetwork<T> {
         &self.planes[p]
     }
 
-    /// Plane `p`'s network (mutable; tests and the NIC receive path).
+    /// Plane `p`'s network (mutable: the NIC's receive path takes flits
+    /// from it).
     pub fn plane_mut(&mut self, p: usize) -> &mut Network<T> {
         &mut self.planes[p]
     }
@@ -260,12 +255,6 @@ impl<T: Payload + SteerKey> MultiNetwork<T> {
         self.planes[p].inject_backlog(ep)
     }
 
-    /// Whether packet `uid` is still waiting in `ep`'s injection port on
-    /// plane `p` (see [`Network::inject_pending`]).
-    pub fn inject_pending(&self, p: usize, ep: Endpoint, uid: u64) -> bool {
-        self.planes[p].inject_pending(ep, uid)
-    }
-
     /// Publishes `ep`'s expected request instance on plane `p` (takes
     /// effect at that plane's next commit).
     pub fn set_esid(&mut self, p: usize, ep: Endpoint, esid: Option<(Sid, u16)>) {
@@ -276,25 +265,6 @@ impl<T: Payload + SteerKey> MultiNetwork<T> {
     /// `ep_idx` on *any* plane.
     pub fn eject_occupied(&self, ep_idx: usize) -> bool {
         self.planes.iter().any(|n| n.eject_occupied(ep_idx))
-    }
-
-    /// Head flits waiting at `ep` on plane `p`, one per occupied VC.
-    pub fn eject_heads_plane(
-        &self,
-        p: usize,
-        ep: Endpoint,
-    ) -> impl Iterator<Item = (EjectSlot, &crate::flit::Flit<T>)> {
-        self.planes[p].eject_heads(ep)
-    }
-
-    /// Consumes the head flit of `slot` at `ep` on plane `p`.
-    pub fn eject_take_plane(
-        &mut self,
-        p: usize,
-        ep: Endpoint,
-        slot: EjectSlot,
-    ) -> Option<crate::flit::Flit<T>> {
-        self.planes[p].eject_take(ep, slot)
     }
 
     /// Selects the always-scan engine on every plane and disables the
@@ -331,52 +301,14 @@ impl<T: Payload + SteerKey> MultiNetwork<T> {
     }
 
     /// Drains the merged set of endpoints whose ejection buffers received
-    /// flits on any plane (ascending, deduplicated).
-    ///
-    /// Each plane's list is already sorted and deduplicated, so the merge
-    /// is a repeated two-pointer pass over scratch buffers — no per-cycle
-    /// sort, no allocation once the scratches have grown to size.
+    /// flits on any plane (ascending, deduplicated): the planes' bitsets
+    /// are ORed into plane 0's, which is then drained.
     pub fn take_woken_endpoints(&mut self, out: &mut Vec<u32>) {
-        self.planes[0].take_woken_endpoints(out);
-        if self.planes.len() == 1 {
-            return;
+        let (first, rest) = self.planes.split_first_mut().expect("a plane");
+        for n in rest {
+            first.absorb_woken(n);
         }
-        let mut extra = std::mem::take(&mut self.woken_scratch);
-        let mut merged = std::mem::take(&mut self.merge_scratch);
-        for n in &mut self.planes[1..] {
-            n.take_woken_endpoints(&mut extra);
-            if extra.is_empty() {
-                continue;
-            }
-            if out.is_empty() {
-                std::mem::swap(out, &mut extra);
-                continue;
-            }
-            merged.clear();
-            let (mut i, mut j) = (0, 0);
-            while i < out.len() && j < extra.len() {
-                match out[i].cmp(&extra[j]) {
-                    std::cmp::Ordering::Less => {
-                        merged.push(out[i]);
-                        i += 1;
-                    }
-                    std::cmp::Ordering::Greater => {
-                        merged.push(extra[j]);
-                        j += 1;
-                    }
-                    std::cmp::Ordering::Equal => {
-                        merged.push(out[i]);
-                        i += 1;
-                        j += 1;
-                    }
-                }
-            }
-            merged.extend_from_slice(&out[i..]);
-            merged.extend_from_slice(&extra[j..]);
-            std::mem::swap(out, &mut merged);
-        }
-        self.woken_scratch = extra;
-        self.merge_scratch = merged;
+        first.take_woken_endpoints(out);
     }
 
     /// Whether every plane is quiescent (empty active sets, empty wires,
@@ -492,6 +424,7 @@ impl<T: Payload + SteerKey> MultiNetwork<T> {
 mod tests {
     use super::*;
     use crate::flit::VnetId;
+    use crate::network::EjectSlot;
     use crate::topology::{Mesh, Ring, RouterId, Torus};
 
     fn two_planes(k: u16, planes: usize) -> MultiNetwork<u64> {
@@ -557,7 +490,7 @@ mod tests {
         // Identical delivery pattern at every endpoint.
         let eps: Vec<Endpoint> = multi.topology().endpoints().collect();
         for ep in eps {
-            let m: Vec<_> = multi.eject_heads_plane(0, ep).map(|(s, _)| s).collect();
+            let m: Vec<_> = multi.plane(0).eject_heads(ep).map(|(s, _)| s).collect();
             let s: Vec<_> = single.eject_heads(ep).map(|(sl, _)| sl).collect();
             assert_eq!(m, s, "divergence at {ep}");
         }
@@ -580,11 +513,13 @@ mod tests {
         }
         let far = Endpoint::tile(RouterId(10));
         let heads0: Vec<u64> = net
-            .eject_heads_plane(0, far)
+            .plane(0)
+            .eject_heads(far)
             .map(|(_, f)| f.packet.payload)
             .collect();
         let heads1: Vec<u64> = net
-            .eject_heads_plane(1, far)
+            .plane(1)
+            .eject_heads(far)
             .map(|(_, f)| f.packet.payload)
             .collect();
         assert_eq!(heads0, vec![42]);
@@ -607,7 +542,7 @@ mod tests {
         }
         assert!(net.plane(2).stats().delivered_packets.get() == 0);
         let dst = Endpoint::tile(RouterId(8));
-        assert!(net.eject_heads_plane(2, dst).next().is_some());
+        assert!(net.plane(2).eject_heads(dst).next().is_some());
     }
 
     #[test]
@@ -626,9 +561,9 @@ mod tests {
             for &ep in &eps {
                 for p in 0..2 {
                     let slots: Vec<EjectSlot> =
-                        net.eject_heads_plane(p, ep).map(|(s, _)| s).collect();
+                        net.plane(p).eject_heads(ep).map(|(s, _)| s).collect();
                     for s in slots {
-                        net.eject_take_plane(p, ep, s);
+                        net.plane_mut(p).eject_take(ep, s);
                     }
                 }
             }
@@ -663,9 +598,9 @@ mod tests {
                 for &ep in &eps {
                     for p in 0..3 {
                         let slots: Vec<EjectSlot> =
-                            net.eject_heads_plane(p, ep).map(|(s, _)| s).collect();
+                            net.plane(p).eject_heads(ep).map(|(s, _)| s).collect();
                         for s in slots {
-                            net.eject_take_plane(p, ep, s);
+                            net.plane_mut(p).eject_take(ep, s);
                         }
                     }
                 }

@@ -97,6 +97,28 @@ impl ActiveSet {
         self.woken = self.population;
     }
 
+    /// Wakes every member whose bit is set in `words` (a bitset over the
+    /// same population, e.g. one slot of a timed-wake wheel) and zeroes
+    /// `words`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words` is not exactly this set's word count.
+    pub fn wake_words(&mut self, words: &mut [u64]) {
+        assert_eq!(words.len(), self.bits.len(), "bitset width mismatch");
+        for (mine, theirs) in self.bits.iter_mut().zip(words) {
+            self.woken += (*theirs & !*mine).count_ones() as usize;
+            *mine |= std::mem::take(theirs);
+        }
+    }
+
+    /// Moves every member of `other` (a set over the same population) into
+    /// this set, leaving `other` empty.
+    pub fn absorb(&mut self, other: &mut ActiveSet) {
+        self.wake_words(&mut other.bits);
+        other.woken = 0;
+    }
+
     /// Empties the set into `out` (cleared first) in ascending index
     /// order. Cost is O(population / 64 + woken), with no sort.
     pub fn drain_sorted(&mut self, out: &mut Vec<u32>) {
@@ -202,6 +224,28 @@ mod tests {
             all.drain_sorted(&mut a);
             assert_eq!(a, vec![0]);
         }
+    }
+
+    #[test]
+    fn wake_words_merges_a_bitset_and_clears_it() {
+        let mut s = ActiveSet::new(70);
+        s.wake(3);
+        let mut slot = vec![(1 << 3) | (1 << 9), 1 << 5];
+        s.wake_words(&mut slot);
+        assert_eq!(slot, vec![0, 0]);
+        assert_eq!(s.len(), 3, "the already-woken member counts once");
+        let mut out = Vec::new();
+        s.drain_sorted(&mut out);
+        assert_eq!(out, vec![3, 9, 69]);
+        // `absorb` is the same merge from another set, which it empties.
+        let mut other = ActiveSet::new(70);
+        other.wake(9);
+        other.wake(40);
+        s.wake(9);
+        s.absorb(&mut other);
+        assert!(other.is_empty() && !other.is_active(40));
+        s.drain_sorted(&mut out);
+        assert_eq!(out, vec![9, 40]);
     }
 
     #[test]

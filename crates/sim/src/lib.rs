@@ -9,7 +9,8 @@
 //! * [`Latch`] — two-phase (compute/commit) registers used to model
 //!   synchronous hardware without tick-order artifacts,
 //! * [`ActiveSet`] — the wake/sleep bookkeeping the skip-idle-work
-//!   simulation engines are built on.
+//!   simulation engines are built on, and [`Wake`], a component's answer
+//!   to when its next tick can first change state.
 //!
 //! The SCORPIO simulator is *cycle driven*: each component exposes a
 //! per-cycle `tick` and all cross-component communication goes through
@@ -43,9 +44,11 @@ mod fifo;
 mod latch;
 mod rng;
 pub mod stats;
+mod wake;
 
 pub use active::ActiveSet;
 pub use cycle::Cycle;
 pub use fifo::{Fifo, PushError};
 pub use latch::Latch;
 pub use rng::SimRng;
+pub use wake::{debug_digest, Wake};

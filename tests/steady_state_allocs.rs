@@ -3,11 +3,15 @@
 //! must not go back to the heap for the per-cycle decisions.
 //!
 //! The binary installs its own counting allocator (per-thread counter, so
-//! the two tests — and the harness threads around them — do not disturb
-//! each other).
+//! the tests — and the harness threads around them — do not disturb each
+//! other).
 
 use scorpio::{System, SystemConfig};
-use scorpio_noc::{Endpoint, Mesh, Network, NocConfig, Packet, RouterId, Sid};
+use scorpio_nic::{Nic, NicConfig, NicMode};
+use scorpio_noc::{
+    Endpoint, Mesh, MultiNetwork, Network, NocConfig, Packet, RouterId, Sid, VnetId,
+};
+use scorpio_notify::{NotifyConfig, NotifyNetwork};
 use scorpio_workloads::{generate, WorkloadParams};
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::cell::Cell;
@@ -62,9 +66,11 @@ fn allocations() -> u64 {
 }
 
 /// The 36-core chip on `barnes`: after 2 000 warm-up cycles, the next
-/// 2 000 stepped cycles stay under 1 000 allocations in total (the parent
-/// of the mask-native router made about 30 000). What remains is
-/// first-touch state — cache sets, FID lists, MC maps — not per-cycle work.
+/// 2 000 stepped cycles make 683 allocations in total (the parent of the
+/// mask-native router made about 30 000); the bound is that + 10 %. What
+/// remains is first-touch state — cache sets, FID lists, MC maps — not
+/// per-cycle work: ejection rings, NIC tables, the wake wheel and the
+/// timed-wake heap are sized at build.
 #[test]
 fn chip_on_barnes_steps_without_per_cycle_allocations() {
     let cfg = SystemConfig::chip();
@@ -84,8 +90,8 @@ fn chip_on_barnes_steps_without_per_cycle_allocations() {
     assert!(!sys.is_complete(), "the measured span must be all work");
     assert_eq!(sys.stepped_cycles() - stepped_before, 2000);
     assert!(
-        made <= 1000,
-        "{made} allocations in 2000 warm stepped cycles (bound 1000)"
+        made <= 750,
+        "{made} allocations in 2000 warm stepped cycles (bound 750)"
     );
 }
 
@@ -130,4 +136,93 @@ fn network_under_broadcast_injection_allocates_nothing_once_warm() {
     let moved = net.stats().delivered_packets.get() - delivered;
     assert!(moved > 10_000, "the measured span carried traffic: {moved}");
     assert_eq!(made, 0, "a warm network must not allocate");
+}
+
+/// The interconnect alone, in the shape of the benchmark's interconnect
+/// probe: two planes, real NICs and the notification network, tiles in
+/// turn sending ordered requests and data-sized unicasts, endpoints
+/// sleeping and waking by the system's own rule. Exactly zero allocations
+/// once warm — ejection rings, NIC tables, trackers and wake scratch
+/// included.
+#[test]
+fn interconnect_with_nics_and_notify_allocates_nothing_once_warm() {
+    let mesh = Mesh::square_with_corner_mcs(4);
+    let mut noc = NocConfig::scorpio();
+    noc.track_deliveries = false;
+    let data_flits = noc.data_flits();
+    let planes = std::num::NonZeroUsize::new(2).expect("non-zero");
+    let mut net: MultiNetwork<u64> = MultiNetwork::new(mesh.clone(), noc, planes, 0);
+    let mut notify = NotifyNetwork::with_planes(&mesh, NotifyConfig::for_mesh(&mesh), 2);
+    let endpoints: Vec<Endpoint> = mesh.endpoints().collect();
+    let mut nics: Vec<Nic<u64>> = endpoints
+        .iter()
+        .enumerate()
+        .map(|(i, &ep)| {
+            let sid = (i < 16).then_some(Sid(i as u16));
+            Nic::new(ep, sid, NicMode::Ordered, 16, 2, NicConfig::default())
+        })
+        .collect();
+    let mut awake = vec![true; endpoints.len()];
+    let mut woken = Vec::new();
+    let mut last_window = None;
+    let mut delivered = 0u64;
+    let mut cycle = |delivered: &mut u64| {
+        let now = net.cycle();
+        // One ordered request every fourth cycle and one data response
+        // every eighth, walking round the endpoints (payloads alternate
+        // planes; a refused send is dropped).
+        let n = now.as_u64();
+        if n.is_multiple_of(4) {
+            let t = (n / 4 % 16) as usize;
+            awake[t] |= nics[t].try_send_request(n / 4, now, &mut net).is_ok();
+        }
+        if n.is_multiple_of(8) {
+            let src = (n / 8 % endpoints.len() as u64) as usize;
+            let dest = endpoints[(n / 8 * 7 % 16) as usize];
+            if dest != endpoints[src] {
+                let sent =
+                    nics[src].try_send_unicast(VnetId::UO_RESP, dest, data_flits, n / 8, &mut net);
+                awake[src] |= sent.is_ok();
+            }
+        }
+        for (i, nic) in nics.iter_mut().enumerate() {
+            if !awake[i] {
+                continue;
+            }
+            while nic.pop_ordered().is_some() {
+                *delivered += 1;
+            }
+            while nic.pop_packet().is_some() {}
+            nic.tick(now, &mut net, Some(&mut notify));
+            awake[i] = nic.next_wake(now, &net, Some(&notify)).at <= now.next();
+        }
+        net.tick();
+        net.commit();
+        notify.tick();
+        net.take_woken_endpoints(&mut woken);
+        for &e in &woken {
+            awake[e as usize] = true;
+        }
+        if let Some((w, msg)) = notify.latest() {
+            if last_window != Some(w) {
+                last_window = Some(w);
+                if !msg.is_empty() {
+                    awake.fill(true);
+                }
+            }
+        }
+        // Announcements wait for a window start; this loop has no timed
+        // wakes, so it re-arms every NIC there.
+        if notify.is_window_start(net.cycle()) {
+            awake.fill(true);
+        }
+    };
+    (0..6000).for_each(|_| cycle(&mut delivered));
+    let warm = delivered;
+    let before = allocations();
+    (0..4000).for_each(|_| cycle(&mut delivered));
+    let made = allocations() - before;
+    let moved = delivered - warm;
+    assert!(moved > 10_000, "the measured span carried traffic: {moved}");
+    assert_eq!(made, 0, "a warm interconnect must not allocate");
 }
