@@ -376,14 +376,12 @@ mod tests {
     use super::*;
     use crate::topology::{CMesh, Mesh, Ring, Torus};
 
-    /// Tables and spec must agree at every point — they are the same
-    /// function, memoized. The list covers every fabric family at an odd
-    /// small shape plus the shapes the scenario registry runs (16×16 mesh
-    /// with proportional MCs, 6×6 torus, ring36, cmesh 8×8×4, a non-square
-    /// cmesh at c = 2), since no whole-simulation run samples this any more.
-    #[test]
-    fn tables_match_the_spec_everywhere() {
-        for topo in [
+    /// Every fabric family at an odd small shape plus the shapes the
+    /// scenario registry runs (16×16 mesh with proportional MCs, 6×6 torus,
+    /// ring36, cmesh 8×8×4, a non-square cmesh at c = 2), since no
+    /// whole-simulation run samples the tables point by point any more.
+    fn registered_fabrics() -> Vec<Topology> {
+        vec![
             Topology::from(Mesh::new(5, 3, &[RouterId(2), RouterId(14)])),
             Topology::from(Mesh::square_with_proportional_mcs(16)),
             Topology::from(Torus::new(4, 4, &[RouterId(0), RouterId(15)])),
@@ -394,7 +392,14 @@ mod tests {
             Topology::from(CMesh::with_corner_mcs(2, 2, 4)),
             Topology::from(CMesh::with_corner_mcs(8, 8, 4)),
             Topology::from(CMesh::with_corner_mcs(6, 3, 2)),
-        ] {
+        ]
+    }
+
+    /// Tables and spec must agree at every point — they are the same
+    /// function, memoized.
+    #[test]
+    fn tables_match_the_spec_everywhere() {
+        for topo in registered_fabrics() {
             let tables = RoutingTables::build(&topo);
             let endpoints: Vec<Endpoint> = topo.endpoints().collect();
             for r in topo.routers() {
@@ -452,6 +457,86 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// FNV-1a over the four compiled arrays, each prefixed by its length.
+    fn table_digest(t: &RoutingTables) -> u64 {
+        fn eat(h: u64, bytes: &[u8]) -> u64 {
+            bytes.iter().fold(h, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        }
+        let mut h = eat(0xcbf2_9ce4_8422_2325, &t.unicast.len().to_le_bytes());
+        h = eat(h, &t.unicast);
+        h = eat(h, &t.broadcast.len().to_le_bytes());
+        for &(mask, classes) in &t.broadcast {
+            h = eat(eat(h, &mask.to_le_bytes()), &[classes]);
+        }
+        for words in [&t.neighbor, &t.mc_rank] {
+            h = eat(h, &words.len().to_le_bytes());
+            for w in words {
+                h = eat(h, &w.to_le_bytes());
+            }
+        }
+        h
+    }
+
+    /// Recorded from the four per-fabric coordinate specs at the commit
+    /// before they collapsed into one rule, in the order of
+    /// `registered_fabrics()` followed by the chip and the degenerate
+    /// shapes. Since the collapse `tables_match_the_spec_everywhere`
+    /// compares the tables with the only function that can build them, so
+    /// this table is what pins that function to the behaviour it replaced.
+    const TABLE_DIGESTS: &[(&str, u64)] = &[
+        ("5x3", 0x875e17c2beeb14a4),
+        ("16x16", 0xfc47900fdeaab477),
+        ("torus4x4", 0xdcabb579aecb346e),
+        ("torus6x6", 0xe1af769d2dcd0b3e),
+        ("ring9", 0xec81c78fb0351327),
+        ("ring36", 0xb886bb2622f428a6),
+        ("cmesh3x2x2", 0xc14a13b87a05ae23),
+        ("cmesh2x2x4", 0xf4f22ee2f4fe3514),
+        ("cmesh8x8x4", 0xdd8597be191b70e3),
+        ("cmesh6x3x2", 0x5774415ec48937e4),
+        ("6x6", 0x729d1c84be658ccf),
+        ("1x1", 0xc80a643fb3407961),
+        ("4x1", 0x2518b358babced65),
+        ("1x4", 0xc7896291add7da9b),
+        ("torus2x2", 0x0faf6706d8b00561),
+        ("torus5x3", 0x0c4db91075c72932),
+        ("ring2", 0x5388973b51825424),
+        ("ring37", 0x620a072846233e33),
+        ("cmesh4x4x1", 0x05116e2e3a2f4da8),
+        ("cmesh1x1x4", 0x978c1f1388da7563),
+    ];
+
+    #[test]
+    fn compiled_tables_match_the_recorded_digests() {
+        let mut fabrics = registered_fabrics();
+        fabrics.extend([
+            Topology::from(Mesh::scorpio_chip()),
+            Topology::from(Mesh::square_with_corner_mcs(1)),
+            Topology::from(Mesh::new(4, 1, &[RouterId(3)])),
+            Topology::from(Mesh::new(1, 4, &[RouterId(0), RouterId(3)])),
+            Topology::from(Torus::square_with_corner_mcs(2)),
+            Topology::from(Torus::new(5, 3, &[RouterId(7)])),
+            Topology::from(Ring::new(2, &[RouterId(1)])),
+            Topology::from(Ring::with_spread_mcs(37, 4)),
+            Topology::from(CMesh::with_corner_mcs(4, 4, 1)),
+            Topology::from(CMesh::new(1, 1, 4, &[RouterId(0)])),
+        ]);
+        let actual: Vec<(String, u64)> = fabrics
+            .iter()
+            .map(|topo| (topo.label(), table_digest(&RoutingTables::build(topo))))
+            .collect();
+        let recorded = TABLE_DIGESTS.iter().map(|&(l, d)| (l.to_string(), d));
+        if !recorded.eq(actual.iter().cloned()) {
+            let mut table = String::new();
+            for (label, digest) in &actual {
+                table.push_str(&format!("        (\"{label}\", {digest:#018x}),\n"));
+            }
+            panic!("compiled routing tables moved — the routing spec changed:\n{table}");
         }
     }
 
