@@ -2,7 +2,7 @@
 
 use scorpio_mem::{L2Config, McConfig};
 use scorpio_nic::NicConfig;
-use scorpio_noc::{CMesh, Endpoint, Mesh, NocConfig, Ring, Topology, Torus};
+use scorpio_noc::{placement, CMesh, Endpoint, Mesh, NocConfig, Ring, RouterId, Topology, Torus};
 use scorpio_notify::NotifyScheme;
 use scorpio_workloads::ArrivalProcess;
 use std::fmt;
@@ -130,12 +130,12 @@ pub enum ObsLevel {
 /// Configuration of a full SCORPIO system.
 #[derive(Clone)]
 pub struct SystemConfig {
-    /// The delivery fabric (tiles + MC ports): a mesh, torus or ring.
+    /// The delivery fabric (tiles + MC ports): any [`Topology`].
     ///
     /// The field keeps its historical name: [`SystemConfig::stable_hash`]
-    /// fingerprints the derived `Debug` rendering, `Topology` debug-prints
-    /// as its inner struct, and together those keep every pre-topology
-    /// mesh config hash — and the JSONL rows keyed on them — valid.
+    /// fingerprints the `Debug` rendering, `Topology` debug-prints as the
+    /// per-fabric struct it used to be, and together those keep every
+    /// stored config hash — and the JSONL rows keyed on them — valid.
     pub mesh: Topology,
     /// Ordering scheme.
     pub protocol: Protocol,
@@ -206,7 +206,7 @@ pub struct SystemConfig {
 /// line-granularity striping), appending the two plane fields otherwise.
 /// [`SystemConfig::stable_hash`] fingerprints this rendering, so the
 /// conditional keeps every pre-plane config hash — and the JSONL result
-/// rows keyed on them — valid, exactly as `Topology`'s transparent `Debug`
+/// rows keyed on them — valid, exactly as `Topology`'s legacy `Debug`
 /// does for the fabric axis.
 impl fmt::Debug for SystemConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -253,20 +253,13 @@ impl fmt::Debug for SystemConfig {
 impl SystemConfig {
     /// The 36-core chip configuration (Table 1).
     pub fn chip() -> SystemConfig {
-        let mesh = Mesh::scorpio_chip();
-        SystemConfig::with_mesh(mesh)
-    }
-
-    /// A chip-like configuration over an arbitrary mesh (corner MCs).
-    pub fn with_mesh(mesh: Mesh) -> SystemConfig {
-        SystemConfig::with_topology(Topology::from(mesh))
+        SystemConfig::with_topology(Mesh::scorpio_chip())
     }
 
     /// A chip-like configuration over any delivery fabric. The L2's
     /// MC-interleaving endpoints follow the topology's MC placement.
-    pub fn with_topology(topology: impl Into<Topology>) -> SystemConfig {
-        let mesh: Topology = topology.into();
-        let mc_eps: Vec<Endpoint> = mesh.mc_routers().iter().map(|&r| Endpoint::mc(r)).collect();
+    pub fn with_topology(mesh: Topology) -> SystemConfig {
+        let mc_eps = mc_endpoints(&mesh);
         SystemConfig {
             mesh,
             protocol: Protocol::Scorpio,
@@ -300,7 +293,7 @@ impl SystemConfig {
     ///
     /// Panics if `k == 0`.
     pub fn square(k: u16) -> SystemConfig {
-        SystemConfig::with_mesh(Mesh::square_with_corner_mcs(k))
+        SystemConfig::with_topology(Mesh::square_with_corner_mcs(k))
     }
 
     /// A `k × k` torus system with the MC ports on the same four routers
@@ -350,29 +343,38 @@ impl SystemConfig {
         self
     }
 
-    /// Replaces the mesh's MC placement with the proportional scheme
-    /// ([`Mesh::square_with_proportional_mcs`]): one MC per 16 tiles,
-    /// spread along the perimeter. The L2's MC-interleaving endpoints are
-    /// rewired to match. Required for the large-mesh scaling scenarios,
-    /// where four corner MCs cannot feed hundreds of cores.
+    /// Moves the fabric's MC ports to `mc_routers` (see
+    /// [`scorpio_noc::placement`] for the stock schemes), rewiring the L2's
+    /// MC-interleaving endpoints to match.
     ///
     /// # Panics
     ///
-    /// Panics if the mesh is not square.
+    /// Panics if an MC router is out of range or listed twice.
     #[must_use]
-    pub fn with_proportional_mcs(mut self) -> SystemConfig {
-        let Topology::Mesh(mesh) = &self.mesh else {
-            panic!("proportional MC placement is defined for meshes only");
-        };
-        assert_eq!(
-            mesh.cols(),
-            mesh.rows(),
-            "proportional MC placement needs a square mesh"
-        );
-        let mesh = Mesh::square_with_proportional_mcs(mesh.cols());
-        self.l2.mc_endpoints = mesh.mc_routers().iter().map(|&r| Endpoint::mc(r)).collect();
-        self.mesh = mesh.into();
+    pub fn with_mc_routers(mut self, mc_routers: Vec<RouterId>) -> SystemConfig {
+        self.mesh = self.mesh.with_mc_routers(mc_routers);
+        self.l2.mc_endpoints = mc_endpoints(&self.mesh);
         self
+    }
+
+    /// Replaces the mesh's MC placement with the proportional scheme
+    /// ([`placement::proportional`]): one MC per 16 tiles, spread along the
+    /// perimeter. Required for the large-mesh scaling scenarios, where
+    /// four corner MCs cannot feed hundreds of cores.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the fabric is not a square mesh.
+    #[must_use]
+    pub fn with_proportional_mcs(self) -> SystemConfig {
+        let (cols, rows) = (self.mesh.cols(), self.mesh.rows());
+        assert_eq!(
+            self.mesh.name(),
+            "mesh",
+            "proportional MC placement is defined for meshes only"
+        );
+        assert_eq!(cols, rows, "proportional MC placement needs a square mesh");
+        self.with_mc_routers(placement::proportional(cols, rows))
     }
 
     /// Sets the pipelining of the uncore (L2 + NIC), Figure 10.
@@ -536,6 +538,12 @@ impl SystemConfig {
     }
 }
 
+/// The MC endpoints the L2s interleave memory traffic over: one per MC
+/// router of `topo`, in router order.
+fn mc_endpoints(topo: &Topology) -> Vec<Endpoint> {
+    topo.mc_routers().iter().map(|&r| Endpoint::mc(r)).collect()
+}
+
 /// FNV-1a, 64-bit: tiny, dependency-free, stable across platforms.
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
@@ -606,7 +614,36 @@ mod tests {
     // in CHANGES.md.
     #[test]
     fn stable_hash_is_pinned() {
-        assert_eq!(SystemConfig::square(4).stable_hash(), 0xbbb791b93ac0807b);
+        // One row per fabric family and MC placement: each exercises a
+        // different arm of `Topology`'s legacy `Debug`.
+        for (name, cfg, hash) in [
+            ("chip", SystemConfig::chip(), 0x1f528f6848cb3913),
+            ("square(4)", SystemConfig::square(4), 0xbbb791b93ac0807b),
+            ("torus(4)", SystemConfig::torus(4), 0xaf69e544df82f9d7),
+            ("ring(16, 4)", SystemConfig::ring(16, 4), 0x9f56614c838185ca),
+            (
+                "cmesh(4, 2, 2)",
+                SystemConfig::cmesh(4, 2, 2),
+                0xe8cc80d8da3bcfdf,
+            ),
+            (
+                "cmesh(4, 4, 1)",
+                SystemConfig::cmesh(4, 4, 1),
+                0xe23d361dedb8bd6e,
+            ),
+            (
+                "square(16) + proportional MCs",
+                SystemConfig::square(16).with_proportional_mcs(),
+                0x03b818c6ad1e95c5,
+            ),
+        ] {
+            assert_eq!(
+                cfg.stable_hash(),
+                hash,
+                "{name}: {:#018x}",
+                cfg.stable_hash()
+            );
+        }
     }
 
     #[test]

@@ -11,6 +11,7 @@ use scorpio::{
     ArrivalProcess, NotifyScheme, ObsLevel, OpenLoopConfig, Protocol, SystemConfig,
     DEFAULT_SOURCE_QUEUE_CAP,
 };
+use scorpio_noc::{CMesh, Mesh, Ring, Topology, Torus};
 use scorpio_workloads::WorkloadParams;
 
 /// One settable configuration knob, applied on top of the square-mesh
@@ -87,7 +88,7 @@ pub enum McPlacement {
     /// Corner routers (mesh/torus): 2 picks the NW/SE diagonal, 4 all
     /// four corners — the chip's arrangement.
     Corner,
-    /// Evenly spread around the ring ([`scorpio_noc::Ring::with_spread_mcs`]).
+    /// Evenly spread around the ring ([`scorpio_noc::placement::spread`]).
     Spread,
     /// One MC per 16 tiles along the mesh perimeter
     /// ([`SystemConfig::with_proportional_mcs`]).
@@ -114,56 +115,23 @@ impl McPlacement {
     }
 }
 
-/// Rebuilds `cfg`'s fabric with `mcs` MC ports placed by `placement`,
-/// rewiring the L2's MC-interleaving endpoints to match.
-fn apply_mc_placement(mut cfg: SystemConfig, placement: McPlacement, mcs: u16) -> SystemConfig {
-    use scorpio_noc::{Mesh, Ring, RouterId, Topology, Torus};
-    let fabric: Topology = match (&cfg.mesh, placement) {
-        (_, McPlacement::Proportional) => return cfg.with_proportional_mcs(),
-        (Topology::Mesh(m), McPlacement::Corner) => {
-            let (c, r) = (m.cols(), m.rows());
-            let corners = corner_order(c, r);
-            Mesh::new(c, r, &corners[..(mcs as usize).min(corners.len())]).into()
+/// Moves `cfg`'s MC ports to the `mcs` routers `placement` picks.
+fn apply_mc_placement(cfg: SystemConfig, placement: McPlacement, mcs: u16) -> SystemConfig {
+    use scorpio_noc::placement::{corners, spread};
+    let topo = &cfg.mesh;
+    let routers = match (placement, topo.name()) {
+        (McPlacement::Proportional, _) => return cfg.with_proportional_mcs(),
+        (McPlacement::Corner, "mesh" | "torus") => {
+            let mut routers = corners(topo.cols(), topo.rows());
+            routers.truncate(mcs as usize);
+            routers
         }
-        (Topology::Torus(t), McPlacement::Corner) => {
-            let (c, r) = (t.cols(), t.rows());
-            let corners = corner_order(c, r);
-            Torus::new(c, r, &corners[..(mcs as usize).min(corners.len())]).into()
+        (McPlacement::Spread, "ring") => spread(topo.router_count() as u16, mcs),
+        (placement, fabric) => {
+            panic!("MC placement {placement:?} is undefined for the {fabric} fabric")
         }
-        (Topology::Ring(r), McPlacement::Spread) => {
-            Ring::with_spread_mcs(r.router_count() as u16, mcs).into()
-        }
-        (topo, placement) => panic!(
-            "MC placement {placement:?} is undefined for the {} fabric",
-            topo.name()
-        ),
     };
-    cfg.l2.mc_endpoints = fabric
-        .mc_routers()
-        .iter()
-        .map(|&r| scorpio_noc::Endpoint::mc(r))
-        .collect();
-    cfg.mesh = fabric;
-    return cfg;
-
-    /// Corner routers in placement-priority order: NW, SE (the opposite
-    /// diagonal first, so two MCs sit maximally apart), then NE, SW.
-    /// Degenerate 1×N / N×1 fabrics collapse coincident corners, so the
-    /// distinct filter must catch non-adjacent repeats too.
-    fn corner_order(cols: u16, rows: u16) -> Vec<RouterId> {
-        let mut corners: Vec<RouterId> = Vec::with_capacity(4);
-        for c in [
-            RouterId(0),
-            RouterId(cols * rows - 1),
-            RouterId(cols - 1),
-            RouterId(cols * (rows - 1)),
-        ] {
-            if !corners.contains(&c) {
-                corners.push(c);
-            }
-        }
-        corners
-    }
+    cfg.with_mc_routers(routers)
 }
 
 impl Knob {
@@ -322,7 +290,7 @@ impl Engine {
     }
 }
 
-/// The delivery-fabric axis of a sweep: which [`scorpio_noc::Topology`]
+/// The delivery-fabric axis of a sweep: which [`Topology`]
 /// the `k` of the mesh-side axis materializes as. Every fabric at the same
 /// `k` has `k²` tiles — matched core counts, so runtime differences are
 /// delivery effects, not size effects. A concentrated mesh keeps the `k²`
@@ -383,20 +351,37 @@ impl Fabric {
         }
     }
 
-    /// The geometry string for run keys: `"4x4"`, `"torus4x4"`, `"ring16"`
-    /// (mesh keys are unchanged from before the fabric axis existed);
-    /// concentrated meshes use the topology's own label shape,
-    /// `"cmesh4x2x2"` (router grid × concentration).
-    pub fn geometry(self, k: u16) -> String {
+    /// The topology a mesh-side `k` materializes as: a `k × k` mesh or
+    /// torus, a `k²`-router ring, or a `k²`-tile concentrated mesh — all
+    /// with four MC ports, so every fabric at the same `k` has matched
+    /// endpoint counts.
+    ///
+    /// # Panics
+    ///
+    /// Panics where the fabric has no such shape (`k == 0`, a torus or
+    /// ring below two routers a side, [`Fabric::cmesh_dims`]' conditions).
+    pub fn topology(self, k: u16) -> Topology {
         match self {
-            Fabric::Mesh => format!("{k}x{k}"),
-            Fabric::Torus => format!("torus{k}x{k}"),
-            Fabric::Ring => format!("ring{}", k as u32 * k as u32),
+            Fabric::Mesh => Mesh::square_with_corner_mcs(k),
+            Fabric::Torus => Torus::square_with_corner_mcs(k),
+            Fabric::Ring => {
+                let len = k
+                    .checked_mul(k)
+                    .expect("a ring of k² routers fits a RouterId");
+                Ring::with_spread_mcs(len, 4)
+            }
             Fabric::CMesh(c) => {
                 let (w, h) = Fabric::cmesh_dims(k, c);
-                format!("cmesh{w}x{h}x{c}")
+                CMesh::with_corner_mcs(w, h, c)
             }
         }
+    }
+
+    /// The geometry string for run keys — the topology's own label:
+    /// `"4x4"`, `"torus4x4"`, `"ring16"`, `"cmesh4x2x2"` (router grid ×
+    /// concentration).
+    pub fn geometry(self, k: u16) -> String {
+        self.topology(k).label()
     }
 }
 
@@ -660,20 +645,10 @@ pub struct RunSpec {
 }
 
 impl RunSpec {
-    /// Materializes the [`SystemConfig`] for this run: a `k × k` mesh,
-    /// a `k × k` torus, or a `k²`-router ring — all with four MC ports,
-    /// so every fabric at the same `k` has matched endpoint counts.
+    /// Materializes the [`SystemConfig`] for this run over
+    /// [`Fabric::topology`].
     pub fn config(&self) -> SystemConfig {
-        let k = self.mesh_side;
-        let base = match self.fabric {
-            Fabric::Mesh => SystemConfig::square(k),
-            Fabric::Torus => SystemConfig::torus(k),
-            Fabric::Ring => SystemConfig::ring(k * k, 4),
-            Fabric::CMesh(c) => {
-                let (w, h) = Fabric::cmesh_dims(k, c);
-                SystemConfig::cmesh(w, h, c)
-            }
-        };
+        let base = SystemConfig::with_topology(self.fabric.topology(self.mesh_side));
         let mut cfg = base.with_protocol(self.protocol);
         cfg.seed = self.seed;
         if self.planes != 1 {

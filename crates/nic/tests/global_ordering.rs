@@ -6,7 +6,7 @@
 //! every NIC observes the identical order *within* each plane.
 
 use scorpio_nic::{Nic, NicConfig, NicMode, OrderedDelivery};
-use scorpio_noc::{Endpoint, Mesh, MultiNetwork, NocConfig, RouterId, Sid};
+use scorpio_noc::{Endpoint, Mesh, MultiNetwork, NocConfig, RouterId, Sid, Topology};
 use scorpio_notify::{NotifyConfig, NotifyNetwork};
 use scorpio_sim::SimRng;
 use std::num::NonZeroUsize;
@@ -28,11 +28,11 @@ fn unpack(p: u32) -> (u16, u16) {
 }
 
 impl World {
-    fn new(mesh: Mesh, nic_cfg: NicConfig) -> World {
+    fn new(mesh: Topology, nic_cfg: NicConfig) -> World {
         World::with_planes(mesh, nic_cfg, 1)
     }
 
-    fn with_planes(mesh: Mesh, nic_cfg: NicConfig, planes: usize) -> World {
+    fn with_planes(mesh: Topology, nic_cfg: NicConfig, planes: usize) -> World {
         let cores = mesh.router_count();
         let net: MultiNetwork<u32> = MultiNetwork::new(
             mesh.clone(),

@@ -1,8 +1,9 @@
 //! The SCORPIO main network: a NoC with virtual-channel routers, lookahead
 //! bypassing, single-cycle multicast and reserved-VC deadlock avoidance
 //! (Section 3.2 of the paper), delivered over a swappable [`Topology`] —
-//! the chip's 2-D [`Mesh`], a wraparound [`Torus`], or a bidirectional
-//! [`Ring`].
+//! one description (router grid, wraparound, tiles per router, MC routers)
+//! with four constructor namespaces: the chip's 2-D [`Mesh`], a wraparound
+//! [`Torus`], a bidirectional [`Ring`] and a concentrated [`CMesh`].
 //!
 //! The main network is *unordered*: it broadcasts coherence requests and
 //! delivers responses with no global ordering guarantee. Global ordering is
@@ -14,9 +15,10 @@
 //! can pull requests out of its buffers in the globally decided order.
 //! Because ordering is decoupled from delivery — the paper's central idea —
 //! any fabric that broadcasts to every endpoint exactly once can carry the
-//! ordered protocol; each topology's routing spec is compiled into
-//! per-router lookup tables at construction, so the per-flit hot path never
-//! runs coordinate arithmetic (`tables.rs`).
+//! ordered protocol; the one routing spec ([`Topology::unicast_hop`],
+//! [`Topology::broadcast_hop`]) is compiled into per-router lookup tables
+//! at construction, so the per-flit hot path never runs coordinate
+//! arithmetic (`tables.rs`).
 //!
 //! # Examples
 //!
@@ -53,6 +55,7 @@ mod config;
 mod flit;
 mod network;
 pub mod obs;
+pub mod placement;
 pub mod planes;
 mod router;
 pub mod routing;

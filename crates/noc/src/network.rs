@@ -18,7 +18,7 @@
 
 use crate::arbiter::set_bits;
 use crate::config::NocConfig;
-use crate::flit::{Flit, Packet, Payload, Sid, VnetId};
+use crate::flit::{Dest, Flit, Packet, Payload, Sid, VnetId};
 use crate::obs::{NetObs, ObsConfig};
 use crate::router::{
     CreditArrival, DownstreamState, EsidOracle, FlitArrival, LaArrival, Router, RouterOut,
@@ -325,20 +325,16 @@ impl EsidOracle for EsidView<'_> {
 }
 
 impl<T: Payload> Network<T> {
-    /// Builds a network over any delivery fabric — a [`Mesh`], [`Torus`],
-    /// [`Ring`] or an existing [`Topology`] — with configuration `cfg`.
-    /// The topology's routing spec is compiled into per-router lookup
-    /// tables here; the per-flit hot path never runs coordinate math.
+    /// Builds a network over any delivery fabric — a [`Topology`] or a
+    /// reference to one — with configuration `cfg`. The topology's routing
+    /// spec is compiled into per-router lookup tables here; the per-flit
+    /// hot path never runs coordinate math.
     ///
     /// # Panics
     ///
     /// Panics if `cfg` fails [`NocConfig::validate`], or if the topology
     /// has wraparound links and a vnet has fewer than two regular VCs
     /// (dateline deadlock freedom needs a class split).
-    ///
-    /// [`Mesh`]: crate::Mesh
-    /// [`Torus`]: crate::Torus
-    /// [`Ring`]: crate::Ring
     pub fn new(fabric: impl Into<Topology>, cfg: NocConfig) -> Self {
         let topology: Topology = fabric.into();
         cfg.validate().expect("invalid NoC configuration");
@@ -494,6 +490,13 @@ impl<T: Payload> Network<T> {
     /// # Errors
     ///
     /// Returns the packet if the per-vnet injection queue is full.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unknown vnet, and on a broadcast whose source is an MC
+    /// endpoint of a concentrated fabric: the broadcast tree of an MC
+    /// source is its router's slot-0 tree ([`Topology::broadcast_hop`]),
+    /// which would silently starve that slot's tile.
     pub fn try_inject(
         &mut self,
         ep: Endpoint,
@@ -504,6 +507,13 @@ impl<T: Payload> Network<T> {
         packet.uid = self.next_uid;
         let vnet = packet.vnet.index();
         assert!(vnet < self.cfg.vnets.len(), "packet on unknown vnet");
+        assert!(
+            packet.dest != Dest::Broadcast
+                || packet.src.slot.is_tile()
+                || self.tables.concentration() == 1,
+            "MC-sourced broadcast from {} is undefined on a concentrated fabric",
+            packet.src
+        );
         self.inject[idx].queues[vnet].push(packet)?;
         self.inject_active.wake(idx);
         self.next_uid += 1;
@@ -1162,7 +1172,7 @@ impl<T: Payload> std::fmt::Debug for Network<T> {
 mod tests {
     use super::*;
     use crate::flit::Dest;
-    use crate::topology::{Mesh, Ring, Torus};
+    use crate::topology::{CMesh, Mesh, Ring, Torus};
 
     fn drain_all(net: &mut Network<u64>, max: u64) -> Vec<(Endpoint, Flit<u64>)> {
         let mut got = Vec::new();
@@ -1407,6 +1417,15 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "MC-sourced broadcast")]
+    fn mc_sourced_broadcast_on_a_concentrated_fabric_is_rejected() {
+        let mut net: Network<u64> =
+            Network::new(CMesh::with_corner_mcs(2, 2, 2), NocConfig::scorpio());
+        let mc = Endpoint::mc(RouterId(0));
+        let _ = net.try_inject(mc, Packet::broadcast_unordered(VnetId(1), mc, 0));
+    }
+
+    #[test]
     #[should_panic(expected = "no MC port")]
     fn mc_index_at_non_mc_router_panics() {
         let mesh = Mesh::scorpio_chip();
@@ -1442,7 +1461,7 @@ mod tests {
         // from tile slot 1 of router 0 must reach its *sibling* slot 0
         // (through the router, not the mesh), every remote slot, and every
         // MC port — 11 copies, each exactly once.
-        let cm = crate::topology::CMesh::with_corner_mcs(2, 2, 2);
+        let cm = CMesh::with_corner_mcs(2, 2, 2);
         let mut net: Network<u64> = Network::new(cm, NocConfig::scorpio());
         let src = Endpoint::tile_slot(RouterId(0), 1);
         let uid = net
@@ -1465,7 +1484,7 @@ mod tests {
 
     #[test]
     fn cmesh_unicast_targets_the_exact_slot() {
-        let cm = crate::topology::CMesh::with_corner_mcs(2, 2, 4);
+        let cm = CMesh::with_corner_mcs(2, 2, 4);
         let mut net: Network<u64> = Network::new(cm, NocConfig::scorpio());
         let src = Endpoint::tile_slot(RouterId(0), 0);
         let dst = Endpoint::tile_slot(RouterId(3), 2);
@@ -1480,7 +1499,7 @@ mod tests {
     #[test]
     fn cmesh_heavy_random_traffic_drains_without_loss() {
         use scorpio_sim::SimRng;
-        let cm = crate::topology::CMesh::with_corner_mcs(3, 2, 2);
+        let cm = CMesh::with_corner_mcs(3, 2, 2);
         let mut net: Network<u64> = Network::new(cm, NocConfig::scorpio());
         let mut rng = SimRng::seed_from(99);
         let eps: Vec<Endpoint> = net.topology().endpoints().collect();
@@ -1523,8 +1542,8 @@ mod tests {
     #[test]
     fn broadcast_reaches_everyone_on_torus_and_ring() {
         for topo in [
-            Topology::from(Torus::square_with_corner_mcs(4)),
-            Topology::from(Ring::with_spread_mcs(16, 4)),
+            Torus::square_with_corner_mcs(4),
+            Ring::with_spread_mcs(16, 4),
         ] {
             let n_eps = topo.endpoints().count();
             let mut net: Network<u64> = Network::new(topo.clone(), NocConfig::scorpio());
@@ -1556,8 +1575,8 @@ mod tests {
             drain_all(&mut net, 200);
             net.stats().packet_latency.mean()
         };
-        let mesh_lat = run(Mesh::new(4, 4, &[]).into());
-        let torus_lat = run(Torus::new(4, 4, &[]).into());
+        let mesh_lat = run(Mesh::new(4, 4, &[]));
+        let torus_lat = run(Torus::new(4, 4, &[]));
         assert!(
             torus_lat < mesh_lat,
             "wrap link unused: torus {torus_lat} >= mesh {mesh_lat}"
@@ -1568,8 +1587,8 @@ mod tests {
     fn heavy_random_traffic_drains_on_wraparound_fabrics() {
         use scorpio_sim::SimRng;
         for topo in [
-            Topology::from(Torus::square_with_corner_mcs(4)),
-            Topology::from(Ring::with_spread_mcs(12, 4)),
+            Torus::square_with_corner_mcs(4),
+            Ring::with_spread_mcs(12, 4),
         ] {
             let mut net: Network<u64> = Network::new(topo.clone(), NocConfig::scorpio());
             let mut rng = SimRng::seed_from(4321);

@@ -580,9 +580,9 @@ mod tests {
     #[test]
     fn unordered_broadcast_steers_and_drains_on_all_fabrics() {
         for topo in [
-            Topology::from(Mesh::square_with_corner_mcs(4)),
-            Topology::from(Torus::square_with_corner_mcs(4)),
-            Topology::from(Ring::with_spread_mcs(16, 4)),
+            Mesh::square_with_corner_mcs(4),
+            Torus::square_with_corner_mcs(4),
+            Ring::with_spread_mcs(16, 4),
         ] {
             let mut cfg = NocConfig::scorpio();
             cfg.vnets[0].ordered = false;

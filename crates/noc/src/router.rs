@@ -1193,7 +1193,7 @@ mod tests {
 
     #[test]
     fn router_construction_ports() {
-        let topo: Topology = Mesh::scorpio_chip().into();
+        let topo: Topology = Mesh::scorpio_chip();
         let tables = RoutingTables::build(&topo);
         let c = cfg();
         let corner: Router<u32> = Router::new(&tables, &c, RouterId(0));
@@ -1212,7 +1212,7 @@ mod tests {
 
     #[test]
     fn torus_router_has_all_four_mesh_ports() {
-        let topo: Topology = Torus::square_with_corner_mcs(4).into();
+        let topo: Topology = Torus::square_with_corner_mcs(4);
         let tables = RoutingTables::build(&topo);
         let corner: Router<u32> = Router::new(&tables, &cfg(), RouterId(0));
         for port in [Port::North, Port::South, Port::East, Port::West] {
@@ -1222,7 +1222,7 @@ mod tests {
 
     #[test]
     fn idle_router_tick_emits_nothing() {
-        let topo: Topology = Mesh::scorpio_chip().into();
+        let topo: Topology = Mesh::scorpio_chip();
         let tables = RoutingTables::build(&topo);
         let c = cfg();
         let mut r: Router<u32> = Router::new(&tables, &c, RouterId(14));

@@ -1,37 +1,12 @@
 //! Routing-spec walkers and shared topology property checks.
 //!
 //! The per-flit hot path routes through the compiled tables (`tables.rs`);
-//! this module walks the *spec* — [`Topology::unicast_port`] /
-//! [`Topology::broadcast_ports`] — off the hot path: path enumeration for
+//! this module walks the *spec* — [`Topology::unicast_hop`] /
+//! [`Topology::broadcast_hop`] — off the hot path: path enumeration for
 //! latency bounds, and the broadcast exactly-once property check that every
-//! [`Topology`] implementation must pass ([`check_broadcast_exactly_once`]).
+//! [`Topology`] must pass ([`check_broadcast_exactly_once`]).
 
 use crate::topology::{Endpoint, LocalSlot, Port, PortMask, RouterId, Topology};
-
-/// The output port for a unicast packet at router `here` (spec form).
-pub fn unicast_output(topo: &Topology, here: RouterId, dest: Endpoint) -> Port {
-    topo.unicast_port(here, dest)
-}
-
-/// The output set for a broadcast flit from the endpoint `src` at router
-/// `here`, given the port it arrived through (`None` at the source
-/// router) — spec form. The source is an endpoint because on concentrated
-/// fabrics the fork mask depends on which tile slot injected (the source
-/// slot self-delivers through the NIC loopback; its siblings do not).
-pub fn broadcast_outputs(
-    topo: &Topology,
-    src: Endpoint,
-    here: RouterId,
-    arrived_on: Option<Port>,
-) -> PortMask {
-    topo.broadcast_ports(src, here, arrived_on)
-}
-
-/// For a flit leaving `here` through mesh port `out`, the input port it
-/// arrives on at the neighbouring router.
-pub fn arrival_port(out: Port) -> Port {
-    out.opposite()
-}
 
 /// Walks the unicast route from `src` to `dest`, returning the router
 /// sequence including both ends. Useful for tests and latency bounds.
@@ -39,7 +14,7 @@ pub fn unicast_path(topo: &Topology, src: RouterId, dest: Endpoint) -> Vec<Route
     let mut path = vec![src];
     let mut here = src;
     loop {
-        let out = topo.unicast_port(here, dest);
+        let (out, _) = topo.unicast_hop(here, dest);
         if out.is_local() {
             return path;
         }
@@ -79,7 +54,7 @@ pub fn broadcast_deliveries(topo: &Topology, src: Endpoint) -> Vec<PortMask> {
     // (router, arrival port) work list seeded at the source router.
     let mut work: Vec<(RouterId, Option<Port>)> = vec![(src.router, None)];
     while let Some((here, arrived)) = work.pop() {
-        let outs = broadcast_outputs(topo, src, here, arrived);
+        let (outs, _) = topo.broadcast_hop(src, here, arrived);
         for port in outs.iter() {
             if port.is_local() {
                 let mut m = deliveries[here.index()];
@@ -95,7 +70,7 @@ pub fn broadcast_deliveries(topo: &Topology, src: Endpoint) -> Vec<PortMask> {
                     "broadcast from {src} revisits router {next}"
                 );
                 visited[next.index()] = true;
-                work.push((next, Some(arrival_port(port))));
+                work.push((next, Some(port.opposite())));
             }
         }
     }
@@ -108,8 +83,7 @@ pub fn broadcast_targets(topo: &Topology, src_tile: Endpoint) -> Vec<Endpoint> {
     topo.endpoints().filter(|ep| *ep != src_tile).collect()
 }
 
-/// The shared broadcast property every [`Topology`] implementation must
-/// satisfy, checked from every source *tile endpoint* (on a concentrated
+/// The shared broadcast property every [`Topology`] must satisfy, checked from every source *tile endpoint* (on a concentrated
 /// fabric that is every slot of every router):
 ///
 /// * no router is visited by more than one branch (no flit revisits a
@@ -163,7 +137,7 @@ mod tests {
     use crate::topology::{CMesh, Mesh, Ring, Torus};
 
     fn mesh(cols: u16, rows: u16) -> Topology {
-        Mesh::new(cols, rows, &[]).into()
+        Mesh::new(cols, rows, &[])
     }
 
     #[test]
@@ -172,21 +146,17 @@ mod tests {
         // From (0,0) to (3,2): go east first.
         let src = RouterId(0);
         let dest = Endpoint::tile(RouterId(2 * 6 + 3));
-        assert_eq!(unicast_output(&topo, src, dest), Port::East);
+        assert_eq!(topo.unicast_hop(src, dest).0, Port::East);
         // Same column: go south.
         let below = Endpoint::tile(RouterId(12));
-        assert_eq!(unicast_output(&topo, src, below), Port::South);
+        assert_eq!(topo.unicast_hop(src, below).0, Port::South);
         // At destination: eject.
-        assert_eq!(unicast_output(&topo, src, Endpoint::tile(src)), Port::Tile);
+        assert_eq!(topo.unicast_hop(src, Endpoint::tile(src)).0, Port::Tile);
     }
 
     #[test]
     fn unicast_path_has_hops_length_on_every_topology() {
-        for topo in [
-            mesh(6, 6),
-            Topology::from(Torus::new(5, 4, &[])),
-            Topology::from(Ring::new(9, &[])),
-        ] {
+        for topo in [mesh(6, 6), Torus::new(5, 4, &[]), Ring::new(9, &[])] {
             for a in topo.routers() {
                 for b in topo.routers() {
                     let path = unicast_path(&topo, a, Endpoint::tile(b));
@@ -204,43 +174,42 @@ mod tests {
 
     #[test]
     fn unicast_to_mc_slot_ejects_on_mc_port() {
-        let topo: Topology = Mesh::scorpio_chip().into();
+        let topo = Mesh::scorpio_chip();
         let dest = Endpoint::mc(RouterId(0));
-        assert_eq!(unicast_output(&topo, RouterId(0), dest), Port::Mc);
+        assert_eq!(topo.unicast_hop(RouterId(0), dest).0, Port::Mc);
     }
 
-    // The shared property check, over every topology implementation and a
+    // The shared property check, over every fabric family and a
     // spread of geometries — the generalized form of the original
     // `broadcast_reaches_every_tile_exactly_once` mesh test.
     #[test]
     fn broadcast_exactly_once_on_every_topology() {
         let topologies: Vec<Topology> = vec![
-            Mesh::scorpio_chip().into(),
-            Mesh::new(1, 1, &[]).into(),
-            Mesh::new(1, 4, &[]).into(),
-            Mesh::new(4, 1, &[]).into(),
-            Mesh::new(3, 5, &[RouterId(2)]).into(),
-            Mesh::new(8, 8, &[]).into(),
-            Torus::new(2, 2, &[]).into(),
-            Torus::new(3, 3, &[RouterId(4)]).into(),
-            Torus::new(4, 4, &[RouterId(0), RouterId(15)]).into(),
-            Torus::new(5, 3, &[]).into(),
+            Mesh::scorpio_chip(),
+            Mesh::new(1, 1, &[]),
+            Mesh::new(1, 4, &[]),
+            Mesh::new(4, 1, &[]),
+            Mesh::new(3, 5, &[RouterId(2)]),
+            Mesh::new(8, 8, &[]),
+            Torus::new(2, 2, &[]),
+            Torus::new(3, 3, &[RouterId(4)]),
+            Torus::new(4, 4, &[RouterId(0), RouterId(15)]),
+            Torus::new(5, 3, &[]),
             Torus::new(
                 6,
                 6,
                 &[RouterId(0), RouterId(5), RouterId(30), RouterId(35)],
-            )
-            .into(),
-            Ring::new(2, &[]).into(),
-            Ring::new(3, &[RouterId(1)]).into(),
-            Ring::new(8, &[RouterId(0), RouterId(4)]).into(),
-            Ring::with_spread_mcs(36, 4).into(),
-            CMesh::with_corner_mcs(4, 2, 2).into(),
-            CMesh::with_corner_mcs(2, 2, 4).into(),
-            CMesh::with_corner_mcs(4, 4, 1).into(),
-            CMesh::new(3, 3, 3, &[RouterId(4)]).into(),
-            CMesh::new(1, 1, 4, &[RouterId(0)]).into(),
-            CMesh::new(5, 1, 2, &[]).into(),
+            ),
+            Ring::new(2, &[]),
+            Ring::new(3, &[RouterId(1)]),
+            Ring::new(8, &[RouterId(0), RouterId(4)]),
+            Ring::with_spread_mcs(36, 4),
+            CMesh::with_corner_mcs(4, 2, 2),
+            CMesh::with_corner_mcs(2, 2, 4),
+            CMesh::with_corner_mcs(4, 4, 1),
+            CMesh::new(3, 3, 3, &[RouterId(4)]),
+            CMesh::new(1, 1, 4, &[RouterId(0)]),
+            CMesh::new(5, 1, 2, &[]),
         ];
         for topo in &topologies {
             check_broadcast_exactly_once(topo);
@@ -270,7 +239,7 @@ mod tests {
                     mcs.push(RouterId(r));
                 }
             }
-            let topo: Topology = CMesh::new(cols, rows, conc, &mcs).into();
+            let topo: Topology = CMesh::new(cols, rows, conc, &mcs);
             let label = topo.label();
             assert_eq!(topo.tile_count(), n * conc as usize, "{label}");
             check_broadcast_exactly_once(&topo);
@@ -292,18 +261,18 @@ mod tests {
     #[test]
     fn declared_diameter_matches_walked_diameter_everywhere() {
         let topologies: Vec<Topology> = vec![
-            Mesh::scorpio_chip().into(),
-            Mesh::new(7, 3, &[]).into(),
-            Mesh::new(1, 1, &[]).into(),
-            Torus::new(4, 4, &[]).into(),
-            Torus::new(5, 3, &[]).into(),
-            Torus::new(2, 2, &[]).into(),
-            Ring::new(2, &[]).into(),
-            Ring::new(9, &[]).into(),
-            Ring::with_spread_mcs(36, 4).into(),
-            CMesh::with_corner_mcs(4, 2, 2).into(),
-            CMesh::with_corner_mcs(2, 2, 4).into(),
-            CMesh::with_corner_mcs(6, 6, 1).into(),
+            Mesh::scorpio_chip(),
+            Mesh::new(7, 3, &[]),
+            Mesh::new(1, 1, &[]),
+            Torus::new(4, 4, &[]),
+            Torus::new(5, 3, &[]),
+            Torus::new(2, 2, &[]),
+            Ring::new(2, &[]),
+            Ring::new(9, &[]),
+            Ring::with_spread_mcs(36, 4),
+            CMesh::with_corner_mcs(4, 2, 2),
+            CMesh::with_corner_mcs(2, 2, 4),
+            CMesh::with_corner_mcs(6, 6, 1),
         ];
         for topo in &topologies {
             assert_eq!(
@@ -328,7 +297,7 @@ mod tests {
         // A flit arriving from the north (travelling south) only continues
         // south + ejects; it must never turn east/west (that would duplicate).
         let mid = RouterId(14);
-        let outs = broadcast_outputs(&topo, Endpoint::tile(RouterId(2)), mid, Some(Port::North));
+        let (outs, _) = topo.broadcast_hop(Endpoint::tile(RouterId(2)), mid, Some(Port::North));
         assert!(outs.contains(Port::South));
         assert!(outs.contains(Port::Tile));
         assert!(!outs.contains(Port::East));
@@ -340,17 +309,12 @@ mod tests {
     #[should_panic(expected = "cannot arrive on local port")]
     fn broadcast_from_local_arrival_panics() {
         let topo = mesh(2, 2);
-        let _ = broadcast_outputs(
-            &topo,
-            Endpoint::tile(RouterId(0)),
-            RouterId(0),
-            Some(Port::Tile),
-        );
+        let _ = topo.broadcast_hop(Endpoint::tile(RouterId(0)), RouterId(0), Some(Port::Tile));
     }
 
     #[test]
     fn broadcast_targets_exclude_source() {
-        let topo: Topology = Mesh::scorpio_chip().into();
+        let topo: Topology = Mesh::scorpio_chip();
         let src = Endpoint::tile(RouterId(7));
         let targets = broadcast_targets(&topo, src);
         assert_eq!(targets.len(), 39);
@@ -359,7 +323,7 @@ mod tests {
 
     #[test]
     fn ring_broadcast_splits_between_directions() {
-        let topo: Topology = Ring::new(4, &[]).into();
+        let topo: Topology = Ring::new(4, &[]);
         // len=4: the east branch covers 2 routers, the west branch 1.
         let deliveries = broadcast_deliveries(&topo, Endpoint::tile(RouterId(0)));
         let tiles = deliveries.iter().filter(|m| m.contains(Port::Tile)).count();

@@ -95,11 +95,12 @@ pub(crate) struct RoutingTables {
     unicast: Vec<u8>,
     /// `(mask bits, class bits)`.
     broadcast: Vec<(u16, u8)>,
-    /// Elements the broadcast index advances per source tile: mesh (and
-    /// single-tile CMesh) broadcast masks are independent of the source
-    /// (`at_source` is decided by the arrival port alone), so those
-    /// fabrics collapse the source dimension entirely (`stride == 0`) —
-    /// O(routers) entries instead of O(tiles × routers).
+    /// Elements the broadcast index advances per source tile. On an open
+    /// single-tile fabric the broadcast masks are independent of the
+    /// source (a direction is taken iff a neighbour exists, and "at the
+    /// source" is decided by the arrival port alone), so the source
+    /// dimension collapses entirely (`stride == 0`) — O(routers) entries
+    /// instead of O(tiles × routers).
     broadcast_src_stride: usize,
     neighbor: Vec<u16>,
     mc_rank: Vec<u16>,
@@ -122,16 +123,11 @@ impl RoutingTables {
             }
         }
 
-        // Mesh broadcast trees ignore the source entirely, and a
-        // single-tile CMesh has no sibling slot to skip, so one source
-        // slice serves every source; wraparound fabrics key their fork
-        // budgets on the source router, and concentrated fabrics key the
-        // local-delivery set on the source slot — both store the cube.
-        let src_independent = match topo {
-            Topology::Mesh(_) => true,
-            Topology::CMesh(c) => c.concentration() == 1,
-            _ => false,
-        };
+        // Wraparound fabrics key their fork budgets on the source router,
+        // and concentrated fabrics key the local-delivery set on the
+        // source slot — both store the cube; everything else keeps one
+        // source slice.
+        let src_independent = !topo.has_datelines() && concentration == 1;
         let broadcast_src_stride = if src_independent {
             0
         } else {
@@ -207,22 +203,13 @@ impl RoutingTables {
         here: RouterId,
         arrived_on: Option<Port>,
     ) -> (PortMask, u8) {
-        // Tile sources index the source dimension by tile number; an MC
-        // source (possible on unordered vnets, unconcentrated fabrics
-        // only) borrows its router's slot-0 tile entry, which is exact
-        // there because the slot never affects the mask. On a concentrated
-        // fabric a tile-source entry suppresses that slot's delivery, so
-        // MC sources are rejected rather than silently mis-delivered.
-        let src_idx = match src.slot {
-            LocalSlot::Tile(k) => src.router.index() * self.concentration as usize + k as usize,
-            LocalSlot::Mc => {
-                debug_assert!(
-                    self.concentration == 1,
-                    "MC-source broadcasts are undefined on concentrated fabrics"
-                );
-                src.router.index() * self.concentration as usize
-            }
+        // The source dimension is indexed by tile number; an MC source
+        // rides its router's slot-0 entry, exactly as the spec defines it.
+        let slot = match src.slot {
+            LocalSlot::Tile(k) => k as usize,
+            LocalSlot::Mc => 0,
         };
+        let src_idx = src.router.index() * self.concentration as usize + slot;
         let idx = src_idx * self.broadcast_src_stride
             + here.index() * ARRIVALS
             + arrival_index(arrived_on);
@@ -376,22 +363,33 @@ mod tests {
     use super::*;
     use crate::topology::{CMesh, Mesh, Ring, Torus};
 
-    /// Every fabric family at an odd small shape plus the shapes the
-    /// scenario registry runs (16×16 mesh with proportional MCs, 6×6 torus,
-    /// ring36, cmesh 8×8×4, a non-square cmesh at c = 2), since no
-    /// whole-simulation run samples the tables point by point any more.
-    fn registered_fabrics() -> Vec<Topology> {
+    /// Every fabric family at an odd small shape, the shapes the scenario
+    /// registry runs (16×16 mesh with proportional MCs, 6×6 torus, ring36,
+    /// cmesh 8×8×4, a non-square cmesh at c = 2), the chip and the
+    /// degenerate shapes — since no whole-simulation run samples the
+    /// tables point by point any more.
+    fn covered_fabrics() -> Vec<Topology> {
         vec![
-            Topology::from(Mesh::new(5, 3, &[RouterId(2), RouterId(14)])),
-            Topology::from(Mesh::square_with_proportional_mcs(16)),
-            Topology::from(Torus::new(4, 4, &[RouterId(0), RouterId(15)])),
-            Topology::from(Torus::square_with_corner_mcs(6)),
-            Topology::from(Ring::with_spread_mcs(9, 3)),
-            Topology::from(Ring::with_spread_mcs(36, 4)),
-            Topology::from(CMesh::with_corner_mcs(3, 2, 2)),
-            Topology::from(CMesh::with_corner_mcs(2, 2, 4)),
-            Topology::from(CMesh::with_corner_mcs(8, 8, 4)),
-            Topology::from(CMesh::with_corner_mcs(6, 3, 2)),
+            Mesh::new(5, 3, &[RouterId(2), RouterId(14)]),
+            Mesh::square_with_proportional_mcs(16),
+            Torus::new(4, 4, &[RouterId(0), RouterId(15)]),
+            Torus::square_with_corner_mcs(6),
+            Ring::with_spread_mcs(9, 3),
+            Ring::with_spread_mcs(36, 4),
+            CMesh::with_corner_mcs(3, 2, 2),
+            CMesh::with_corner_mcs(2, 2, 4),
+            CMesh::with_corner_mcs(8, 8, 4),
+            CMesh::with_corner_mcs(6, 3, 2),
+            Mesh::scorpio_chip(),
+            Mesh::square_with_corner_mcs(1),
+            Mesh::new(4, 1, &[RouterId(3)]),
+            Mesh::new(1, 4, &[RouterId(0), RouterId(3)]),
+            Torus::square_with_corner_mcs(2),
+            Torus::new(5, 3, &[RouterId(7)]),
+            Ring::new(2, &[RouterId(1)]),
+            Ring::with_spread_mcs(37, 4),
+            CMesh::with_corner_mcs(4, 4, 1),
+            CMesh::new(1, 1, 4, &[RouterId(0)]),
         ]
     }
 
@@ -399,7 +397,7 @@ mod tests {
     /// function, memoized.
     #[test]
     fn tables_match_the_spec_everywhere() {
-        for topo in registered_fabrics() {
+        for topo in covered_fabrics() {
             let tables = RoutingTables::build(&topo);
             let endpoints: Vec<Endpoint> = topo.endpoints().collect();
             for r in topo.routers() {
@@ -411,8 +409,12 @@ mod tests {
                         topo.label()
                     );
                 }
-                for src_tile in 0..topo.tile_count() {
-                    let src = topo.tile_endpoint(src_tile);
+                // Every tile source, and on single-tile fabrics every MC
+                // source too (elsewhere `try_inject` rejects those).
+                let tiles = topo.tile_count();
+                let single_tile = topo.tiles_per_router() == 1;
+                let sources = if single_tile { endpoints.len() } else { tiles };
+                for &src in &endpoints[..sources] {
                     for arr in [
                         None,
                         Some(Port::North),
@@ -483,11 +485,10 @@ mod tests {
     }
 
     /// Recorded from the four per-fabric coordinate specs at the commit
-    /// before they collapsed into one rule, in the order of
-    /// `registered_fabrics()` followed by the chip and the degenerate
-    /// shapes. Since the collapse `tables_match_the_spec_everywhere`
-    /// compares the tables with the only function that can build them, so
-    /// this table is what pins that function to the behaviour it replaced.
+    /// before they collapsed into one rule, in `covered_fabrics()` order.
+    /// Since the collapse `tables_match_the_spec_everywhere` compares the
+    /// tables with the only function that can build them, so this table is
+    /// what pins that function to the behaviour it replaced.
     const TABLE_DIGESTS: &[(&str, u64)] = &[
         ("5x3", 0x875e17c2beeb14a4),
         ("16x16", 0xfc47900fdeaab477),
@@ -513,20 +514,7 @@ mod tests {
 
     #[test]
     fn compiled_tables_match_the_recorded_digests() {
-        let mut fabrics = registered_fabrics();
-        fabrics.extend([
-            Topology::from(Mesh::scorpio_chip()),
-            Topology::from(Mesh::square_with_corner_mcs(1)),
-            Topology::from(Mesh::new(4, 1, &[RouterId(3)])),
-            Topology::from(Mesh::new(1, 4, &[RouterId(0), RouterId(3)])),
-            Topology::from(Torus::square_with_corner_mcs(2)),
-            Topology::from(Torus::new(5, 3, &[RouterId(7)])),
-            Topology::from(Ring::new(2, &[RouterId(1)])),
-            Topology::from(Ring::with_spread_mcs(37, 4)),
-            Topology::from(CMesh::with_corner_mcs(4, 4, 1)),
-            Topology::from(CMesh::new(1, 1, 4, &[RouterId(0)])),
-        ]);
-        let actual: Vec<(String, u64)> = fabrics
+        let actual: Vec<(String, u64)> = covered_fabrics()
             .iter()
             .map(|topo| (topo.label(), table_digest(&RoutingTables::build(topo))))
             .collect();
@@ -555,7 +543,7 @@ mod tests {
     fn single_vc_torus_is_rejected() {
         let mut cfg = NocConfig::scorpio();
         cfg.vnets[1].vcs = 1;
-        let topo = Topology::from(Torus::square_with_corner_mcs(4));
+        let topo = Torus::square_with_corner_mcs(4);
         validate_datelines(&topo, &cfg);
     }
 
@@ -563,6 +551,6 @@ mod tests {
     fn mesh_skips_dateline_validation() {
         let mut cfg = NocConfig::scorpio();
         cfg.vnets[1].vcs = 1;
-        validate_datelines(&Topology::from(Mesh::new(2, 2, &[])), &cfg);
+        validate_datelines(&Mesh::new(2, 2, &[]), &cfg);
     }
 }

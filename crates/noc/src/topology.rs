@@ -1,16 +1,18 @@
-//! Topologies: routers, coordinates, ports, endpoints — and the three
-//! delivery fabrics ([`Mesh`], [`Torus`], [`Ring`]) behind the
-//! [`Topology`] interface.
+//! The delivery fabric as data: routers, coordinates, ports, endpoints and
+//! one [`Topology`] description — a router grid, whether its dimensions
+//! wrap, the tiles per router, the MC routers — built through four
+//! constructor namespaces ([`Mesh`], [`Torus`], [`Ring`], [`CMesh`]).
 //!
 //! SCORPIO's central idea is that message *ordering* is decoupled from
 //! message *delivery*, so the delivery fabric is swappable: anything that
 //! can broadcast to every endpoint exactly once and unicast responses can
-//! carry the ordered protocol. Each topology supplies its routing *spec*
-//! — [`Topology::unicast_port`] and [`Topology::broadcast_ports`] — which
-//! the network compiles into per-router lookup tables at construction
-//! time (see `tables.rs`); the per-flit hot path never runs coordinate
-//! arithmetic.
+//! carry the ordered protocol. The routing *spec* — [`Topology::neighbor`],
+//! [`Topology::unicast_hop`], [`Topology::broadcast_hop`] — is one rule per
+//! grid dimension, which the network compiles into per-router lookup tables
+//! at construction time (see `tables.rs`); the per-flit hot path never
+//! runs coordinate arithmetic.
 
+use crate::placement;
 use std::fmt;
 
 /// Identifies a router in the mesh by linear index (row-major).
@@ -387,7 +389,103 @@ impl fmt::Display for Endpoint {
     }
 }
 
-/// A 2-D mesh: dimensions plus the set of routers hosting MC ports.
+/// Most tiles a fabric can have: a tile's index is its `Sid`, a `u16`.
+const MAX_TILES: usize = 1 << 16;
+
+/// Which of the four fabric names built a [`Topology`]. The tag only
+/// *names* — it picks the `name()`, the `label()` shape and the legacy
+/// `Debug` rendering. Links, routes and tables follow from
+/// `(cols, rows, wraps, concentration)` alone.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    Mesh,
+    Torus,
+    Ring,
+    CMesh,
+}
+
+/// The delivery fabric of the main network, as data: a `cols × rows`
+/// router grid whose dimensions either both stay open (mesh) or both close
+/// into rings (torus; a ring is the wrapped `len × 1` grid), `concentration`
+/// tiles behind every router, and the routers hosting an MC port.
+///
+/// One routing spec covers every such description — [`Topology::neighbor`],
+/// [`Topology::unicast_hop`] and [`Topology::broadcast_hop`], X before Y
+/// with East/South as each dimension's *forward* direction — and `Network`
+/// compiles it into per-router lookup tables at construction (`tables.rs`),
+/// so nothing evaluates it per flit. [`Mesh`], [`Torus`], [`Ring`] and
+/// [`CMesh`] are constructor namespaces for the four shapes the paper
+/// reproduction runs.
+///
+/// # Examples
+///
+/// ```
+/// use scorpio_noc::{Mesh, Ring, Torus};
+///
+/// let mesh = Mesh::square_with_corner_mcs(4);
+/// let torus = Torus::square_with_corner_mcs(4);
+/// let ring = Ring::with_spread_mcs(16, 4);
+/// // Matched endpoint counts, different diameters.
+/// assert_eq!(mesh.endpoints().count(), 20);
+/// assert_eq!(torus.endpoints().count(), 20);
+/// assert_eq!(ring.endpoints().count(), 20);
+/// assert_eq!(mesh.diameter(), 6);
+/// assert_eq!(torus.diameter(), 4);
+/// assert_eq!(ring.diameter(), 8);
+/// assert_eq!((mesh.label(), ring.label()), ("4x4".into(), "ring16".into()));
+/// ```
+#[derive(Clone, PartialEq, Eq)]
+pub struct Topology {
+    kind: Kind,
+    cols: u16,
+    rows: u16,
+    wraps: bool,
+    concentration: u8,
+    /// Sorted, duplicate-free, all in range.
+    mc_routers: Vec<RouterId>,
+}
+
+// Renders as the per-fabric struct each name used to be.
+// `SystemConfig::stable_hash` fingerprints the Debug rendering, so this is
+// what keeps every stored config hash — and the JSONL rows keyed on them —
+// valid; it goes when the hash gets a canonical key writer (ROADMAP 3(a)).
+impl fmt::Debug for Topology {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Grid<'a>(&'static str, &'a Topology);
+        impl fmt::Debug for Grid<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_struct(self.0)
+                    .field("cols", &self.1.cols)
+                    .field("rows", &self.1.rows)
+                    .field("mc_routers", &self.1.mc_routers)
+                    .finish()
+            }
+        }
+        match self.kind {
+            Kind::Mesh => Grid("Mesh", self).fmt(f),
+            Kind::Torus => Grid("Torus", self).fmt(f),
+            Kind::Ring => f
+                .debug_struct("Ring")
+                .field("len", &self.cols)
+                .field("mc_routers", &self.mc_routers)
+                .finish(),
+            Kind::CMesh => f
+                .debug_struct("CMesh")
+                .field("mesh", &Grid("Mesh", self))
+                .field("concentration", &self.concentration)
+                .finish(),
+        }
+    }
+}
+
+// Lets APIs that take `impl Into<Topology>` accept `&topology` (cloning).
+impl From<&Topology> for Topology {
+    fn from(t: &Topology) -> Topology {
+        t.clone()
+    }
+}
+
+/// A 2-D mesh: both dimensions open, one tile per router.
 ///
 /// # Examples
 ///
@@ -395,123 +493,315 @@ impl fmt::Display for Endpoint {
 /// use scorpio_noc::{Mesh, RouterId};
 ///
 /// let mesh = Mesh::new(6, 6, &[RouterId(0), RouterId(5), RouterId(30), RouterId(35)]);
+/// assert_eq!(mesh, Mesh::scorpio_chip());
 /// assert_eq!(mesh.router_count(), 36);
 /// let c = mesh.coord(RouterId(7));
 /// assert_eq!((c.x, c.y), (1, 1));
 /// assert!(mesh.has_mc(RouterId(5)));
 /// assert_eq!(mesh.endpoints().count(), 40); // 36 tiles + 4 MC ports
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Mesh {
-    cols: u16,
-    rows: u16,
-    mc_routers: Vec<RouterId>,
-}
+pub enum Mesh {}
 
+#[allow(clippy::new_ret_no_self)] // a namespace: `new` builds the one `Topology`
 impl Mesh {
-    /// Creates a `cols × rows` mesh with MC ports on `mc_routers`.
+    /// A `cols × rows` mesh with MC ports on `mc_routers`.
     ///
     /// # Panics
     ///
-    /// Panics if either dimension is zero, if an MC router is out of range,
-    /// or if the same router is listed twice.
-    pub fn new(cols: u16, rows: u16, mc_routers: &[RouterId]) -> Mesh {
-        assert!(cols > 0 && rows > 0, "mesh dimensions must be non-zero");
-        let count = cols as usize * rows as usize;
-        let mut sorted = mc_routers.to_vec();
-        sorted.sort();
-        for pair in sorted.windows(2) {
-            assert!(pair[0] != pair[1], "duplicate MC router {}", pair[0]);
-        }
-        for r in &sorted {
-            assert!(r.index() < count, "MC router {} out of range", r);
-        }
-        Mesh {
-            cols,
-            rows,
-            mc_routers: sorted,
-        }
+    /// Panics on a zero dimension, more than 65 535 routers, an MC router
+    /// out of range, or the same router listed twice.
+    pub fn new(cols: u16, rows: u16, mc_routers: &[RouterId]) -> Topology {
+        Topology::build(Kind::Mesh, false, cols, rows, 1, mc_routers.to_vec())
     }
 
     /// The SCORPIO 36-core chip arrangement: 6×6 mesh, two dual-port memory
     /// controllers attached to the four corner routers.
-    pub fn scorpio_chip() -> Mesh {
-        Mesh::new(
-            6,
-            6,
-            &[RouterId(0), RouterId(5), RouterId(30), RouterId(35)],
+    pub fn scorpio_chip() -> Topology {
+        Mesh::square_with_corner_mcs(6)
+    }
+
+    /// A square `k × k` mesh with MC ports on its corners.
+    pub fn square_with_corner_mcs(k: u16) -> Topology {
+        Topology::build(Kind::Mesh, false, k, k, 1, placement::corners(k, k))
+    }
+
+    /// A square `k × k` mesh with [`placement::proportional`] MC ports.
+    pub fn square_with_proportional_mcs(k: u16) -> Topology {
+        Topology::build(Kind::Mesh, false, k, k, 1, placement::proportional(k, k))
+    }
+}
+
+/// A 2-D torus: a mesh whose rows and columns close into rings.
+///
+/// Routing is minimal dimension-ordered XY (ties broken toward
+/// East/South); deadlock freedom over the wrap links comes from *dateline*
+/// virtual-channel classes (see [`Topology::unicast_hop`], DESIGN.md §10).
+///
+/// # Examples
+///
+/// ```
+/// use scorpio_noc::{Port, RouterId, Torus};
+///
+/// let torus = Torus::square_with_corner_mcs(4);
+/// // Every router has all four neighbours; edges wrap.
+/// assert_eq!(torus.neighbor(RouterId(0), Port::West), Some(RouterId(3)));
+/// assert_eq!(torus.neighbor(RouterId(0), Port::North), Some(RouterId(12)));
+/// assert!(torus.wrap_link(RouterId(0), Port::West));
+/// ```
+pub enum Torus {}
+
+#[allow(clippy::new_ret_no_self)] // a namespace: `new` builds the one `Topology`
+impl Torus {
+    /// A `cols × rows` torus with MC ports on `mc_routers`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either dimension is below 2 (a wrap link needs somewhere
+    /// to wrap to), and on everything [`Mesh::new`] rejects.
+    pub fn new(cols: u16, rows: u16, mc_routers: &[RouterId]) -> Topology {
+        torus(cols, rows, mc_routers.to_vec())
+    }
+
+    /// A square `k × k` torus with MC ports on the same four routers the
+    /// mesh places its corner MCs on, so mesh-vs-torus sweeps compare
+    /// matched endpoint counts.
+    pub fn square_with_corner_mcs(k: u16) -> Topology {
+        torus(k, k, placement::corners(k, k))
+    }
+}
+
+fn torus(cols: u16, rows: u16, mc_routers: Vec<RouterId>) -> Topology {
+    assert!(
+        cols >= 2 && rows >= 2,
+        "torus dimensions must be at least 2, got {cols}x{rows}"
+    );
+    Topology::build(Kind::Torus, true, cols, rows, 1, mc_routers)
+}
+
+/// A bidirectional ring — the wrapped `len × 1` grid, so every router has
+/// only East and West neighbours: the radically simpler fabric of
+/// ring-router microarchitectures.
+///
+/// # Examples
+///
+/// ```
+/// use scorpio_noc::{Port, Ring, RouterId};
+///
+/// let ring = Ring::with_spread_mcs(16, 4);
+/// assert_eq!(ring.router_count(), 16);
+/// assert_eq!(ring.mc_routers().len(), 4);
+/// assert_eq!(ring.neighbor(RouterId(15), Port::East), Some(RouterId(0)));
+/// assert_eq!(ring.neighbor(RouterId(0), Port::North), None);
+/// ```
+pub enum Ring {}
+
+#[allow(clippy::new_ret_no_self)] // a namespace: `new` builds the one `Topology`
+impl Ring {
+    /// A ring of `len` routers with MC ports on `mc_routers`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len < 2`, and on a bad MC list as [`Mesh::new`] does.
+    pub fn new(len: u16, mc_routers: &[RouterId]) -> Topology {
+        ring(len, mc_routers.to_vec())
+    }
+
+    /// A ring of `len` routers with `n_mcs` MC ports [`placement::spread`]
+    /// evenly — `Ring::with_spread_mcs(k * k, 4)` matches the endpoint
+    /// count of a `k × k` mesh with corner MCs.
+    pub fn with_spread_mcs(len: u16, n_mcs: u16) -> Topology {
+        ring(len, placement::spread(len, n_mcs))
+    }
+}
+
+fn ring(len: u16, mc_routers: Vec<RouterId>) -> Topology {
+    assert!(len >= 2, "ring length must be at least 2, got {len}");
+    Topology::build(Kind::Ring, true, len, 1, 1, mc_routers)
+}
+
+/// A concentrated 2-D mesh: a mesh of routers where every router hosts
+/// `concentration` tiles instead of one.
+///
+/// Concentration is the classic lever against mesh diameter (Slim NoC,
+/// Epiphany-V): at the same core count a `c`-concentrated mesh has `1/c`
+/// the routers, so the worst-case ordered-broadcast path — and with it the
+/// notification window — shrinks with the router grid, paid for by a
+/// higher-radix router (4 mesh ports + `c` tile ports + optional MC).
+///
+/// # Examples
+///
+/// ```
+/// use scorpio_noc::CMesh;
+///
+/// // 16 tiles as 8 routers x 2 tiles: diameter 4 instead of the 4x4
+/// // mesh's 6.
+/// let cm = CMesh::with_corner_mcs(4, 2, 2);
+/// assert_eq!(cm.router_count(), 8);
+/// assert_eq!(cm.tile_count(), 16);
+/// assert_eq!(cm.diameter(), 4);
+/// assert_eq!(cm.endpoint_count(), 20); // 16 tiles + 4 MC ports
+/// ```
+pub enum CMesh {}
+
+#[allow(clippy::new_ret_no_self)] // a namespace: `new` builds the one `Topology`
+impl CMesh {
+    /// A `cols × rows` router grid hosting `concentration` tiles per
+    /// router, with MC ports on `mc_routers`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `concentration` is outside `1..=`[`Port::MAX_TILE_SLOTS`],
+    /// on more than 65 536 tiles, and on everything [`Mesh::new`] rejects.
+    pub fn new(cols: u16, rows: u16, concentration: u8, mc_routers: &[RouterId]) -> Topology {
+        let mcs = mc_routers.to_vec();
+        Topology::build(Kind::CMesh, false, cols, rows, concentration, mcs)
+    }
+
+    /// A `cols × rows` router grid with MC ports on its corners.
+    pub fn with_corner_mcs(cols: u16, rows: u16, concentration: u8) -> Topology {
+        let mcs = placement::corners(cols, rows);
+        Topology::build(Kind::CMesh, false, cols, rows, concentration, mcs)
+    }
+}
+
+/// The four link directions: output port, the dimension it travels
+/// (0 = X, 1 = Y) and whether it points forward (East / South).
+const HEADINGS: [(Port, usize, bool); 4] = [
+    (Port::East, 0, true),
+    (Port::West, 0, false),
+    (Port::South, 1, true),
+    (Port::North, 1, false),
+];
+
+/// The dimension and direction `port` travels, if it is a link port.
+fn heading(port: Port) -> Option<(usize, bool)> {
+    HEADINGS
+        .iter()
+        .find(|h| h.0 == port)
+        .map(|&(_, dim, forward)| (dim, forward))
+}
+
+/// The link port travelling `dim` in the given direction.
+fn port_toward(dim: usize, forward: bool) -> Port {
+    HEADINGS[2 * dim + usize::from(!forward)].0
+}
+
+impl Topology {
+    /// The one validated construction path behind all ten constructors.
+    fn build(
+        kind: Kind,
+        wraps: bool,
+        cols: u16,
+        rows: u16,
+        concentration: u8,
+        mut mc_routers: Vec<RouterId>,
+    ) -> Topology {
+        let (c, r) = placement::grid(cols, rows);
+        assert!(
+            (1..=Port::MAX_TILE_SLOTS).contains(&concentration),
+            "concentration must be 1..={}, got {concentration}",
+            Port::MAX_TILE_SLOTS
+        );
+        let tiles = c * r * concentration as usize;
+        assert!(
+            tiles <= MAX_TILES,
+            "{cols}x{rows}x{concentration} is {tiles} tiles, more than the {MAX_TILES} a Sid can name"
+        );
+        mc_routers.sort_unstable();
+        for pair in mc_routers.windows(2) {
+            assert!(pair[0] != pair[1], "duplicate MC router {}", pair[0]);
+        }
+        if let Some(last) = mc_routers.last() {
+            assert!(last.index() < c * r, "MC router {last} out of range");
+        }
+        Topology {
+            kind,
+            cols,
+            rows,
+            wraps,
+            concentration,
+            mc_routers,
+        }
+    }
+
+    /// The same fabric with its MC ports moved to `mc_routers` (any order;
+    /// see [`placement`] for the stock schemes).
+    ///
+    /// # Panics
+    ///
+    /// Panics if an MC router is out of range or listed twice.
+    #[must_use]
+    pub fn with_mc_routers(self, mc_routers: Vec<RouterId>) -> Topology {
+        Topology::build(
+            self.kind,
+            self.wraps,
+            self.cols,
+            self.rows,
+            self.concentration,
+            mc_routers,
         )
     }
 
-    /// A square `k × k` mesh with MC ports on the four corners.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0`.
-    pub fn square_with_corner_mcs(k: u16) -> Mesh {
-        assert!(k > 0, "mesh dimension must be non-zero");
-        if k == 1 {
-            return Mesh::new(1, 1, &[RouterId(0)]);
+    /// Short kind name: `"mesh"`, `"torus"`, `"ring"` or `"cmesh"`.
+    pub fn name(&self) -> &'static str {
+        match self.kind {
+            Kind::Mesh => "mesh",
+            Kind::Torus => "torus",
+            Kind::Ring => "ring",
+            Kind::CMesh => "cmesh",
         }
-        let corners = [
-            RouterId(0),
-            RouterId(k - 1),
-            RouterId(k * (k - 1)),
-            RouterId(k * k - 1),
-        ];
-        Mesh::new(k, k, &corners)
     }
 
-    /// A square `k × k` mesh with memory-controller ports scaled to the
-    /// core count: one MC per 16 tiles (at least the chip's 4), spread
-    /// evenly along the perimeter. Four corner MCs serve 36 cores fine,
-    /// but at 16×16 they would starve 256 cores of memory bandwidth and
-    /// melt the corner routers; the paper's scaling argument (Section 5.3)
-    /// assumes bandwidth grows with the machine. For `k ≤ 8` the placement
-    /// coincides with [`Mesh::square_with_corner_mcs`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0`.
-    pub fn square_with_proportional_mcs(k: u16) -> Mesh {
-        assert!(k > 0, "mesh dimension must be non-zero");
-        if k == 1 {
-            return Mesh::new(1, 1, &[RouterId(0)]);
+    /// Geometry label: `"6x6"` for a mesh, `"torus6x6"`, `"ring36"`,
+    /// `"cmesh4x2x2"` (router grid × concentration).
+    pub fn label(&self) -> String {
+        let (cols, rows) = (self.cols, self.rows);
+        match self.kind {
+            Kind::Mesh => format!("{cols}x{rows}"),
+            Kind::Torus => format!("torus{cols}x{rows}"),
+            Kind::Ring => format!("ring{cols}"),
+            Kind::CMesh => format!("cmesh{cols}x{rows}x{}", self.concentration),
         }
-        // Perimeter routers in clockwise order from the north-west corner;
-        // evenly spaced picks land on the four corners when n == 4.
-        let last = k - 1;
-        let mut perimeter: Vec<RouterId> = Vec::with_capacity(4 * (k as usize - 1));
-        for x in 0..last {
-            perimeter.push(RouterId(x)); // north edge, west → east
-        }
-        for y in 0..last {
-            perimeter.push(RouterId(y * k + last)); // east edge, north → south
-        }
-        for x in 0..last {
-            perimeter.push(RouterId(k * last + (last - x))); // south edge, east → west
-        }
-        for y in 0..last {
-            perimeter.push(RouterId((last - y) * k)); // west edge, south → north
-        }
-        let n = (k as usize * k as usize / 16).max(4).min(perimeter.len());
-        let mcs: Vec<RouterId> = (0..n).map(|i| perimeter[i * perimeter.len() / n]).collect();
-        Mesh::new(k, k, &mcs)
     }
 
-    /// Number of columns.
+    /// Columns of the router grid (a ring's length).
     pub fn cols(&self) -> u16 {
         self.cols
     }
 
-    /// Number of rows.
+    /// Rows of the router grid (1 on a ring). Quad notification
+    /// partitioning works over `cols × rows` on every fabric: its tree is a
+    /// logical overlay, so wraparound is irrelevant to it.
     pub fn rows(&self) -> u16 {
         self.rows
     }
 
-    /// Total number of routers (each hosting one tile on a plain mesh).
+    /// Total number of routers.
     pub fn router_count(&self) -> usize {
         self.cols as usize * self.rows as usize
+    }
+
+    /// Tiles hosted per router (`1` on every unconcentrated fabric).
+    pub fn tiles_per_router(&self) -> u8 {
+        self.concentration
+    }
+
+    /// Total number of tiles (`router_count × tiles_per_router`). This —
+    /// not the router count — is the system's core count.
+    pub fn tile_count(&self) -> usize {
+        self.router_count() * self.concentration as usize
+    }
+
+    /// The endpoint of tile `i`: router `i / c`, slot `i % c` — the normal
+    /// path of endpoint indexing (`c == 1` collapses to router `i`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub fn tile_endpoint(&self, i: usize) -> Endpoint {
+        assert!(i < self.tile_count(), "tile {i} out of range");
+        let c = self.concentration as usize;
+        Endpoint::tile_slot(RouterId((i / c) as u16), (i % c) as u8)
     }
 
     /// The routers hosting memory-controller ports, in ascending order.
@@ -524,13 +814,13 @@ impl Mesh {
         self.mc_routers.binary_search(&r).is_ok()
     }
 
-    /// The coordinate of router `r`.
+    /// The coordinate of router `r` (row-major: index `y * cols + x`).
     ///
     /// # Panics
     ///
     /// Panics if `r` is out of range.
     pub fn coord(&self, r: RouterId) -> Coord {
-        assert!(r.index() < self.router_count(), "router {} out of range", r);
+        assert!(r.index() < self.router_count(), "router {r} out of range");
         Coord {
             x: r.0 % self.cols,
             y: r.0 / self.cols,
@@ -547,1070 +837,56 @@ impl Mesh {
         RouterId(c.y * self.cols + c.x)
     }
 
-    /// The neighbour of `r` through `port`, if that port faces into the mesh.
-    pub fn neighbor(&self, r: RouterId, port: Port) -> Option<RouterId> {
+    /// Router `r` as a position per dimension, widened so that ring
+    /// distances (`to + extent - from`) cannot overflow.
+    fn position(&self, r: RouterId) -> [u32; 2] {
         let c = self.coord(r);
-        let n = match port {
-            Port::North if c.y > 0 => Coord { x: c.x, y: c.y - 1 },
-            Port::South if c.y + 1 < self.rows => Coord { x: c.x, y: c.y + 1 },
-            Port::East if c.x + 1 < self.cols => Coord { x: c.x + 1, y: c.y },
-            Port::West if c.x > 0 => Coord { x: c.x - 1, y: c.y },
-            _ => return None,
-        };
-        Some(self.router_at(n))
+        [c.x.into(), c.y.into()]
     }
 
-    /// Hop distance between two routers, *derived from the routing spec*:
-    /// the length of the XY path [`Mesh::unicast_port`] actually produces
-    /// (which for a mesh equals the Manhattan distance). Deriving distance
-    /// and path from the same function means they can never diverge.
-    pub fn hops(&self, a: RouterId, b: RouterId) -> u16 {
-        walk_hops(
-            a,
-            b,
-            |here, dest| self.unicast_port(here, dest),
-            |r, p| self.neighbor(r, p),
-        )
+    /// Number of positions along dimension `dim`.
+    fn extent(&self, dim: usize) -> u32 {
+        [self.cols, self.rows][dim].into()
     }
 
-    /// Worst-case unicast hop count between any router pair.
-    pub fn diameter(&self) -> u16 {
-        (self.cols - 1) + (self.rows - 1)
-    }
-
-    /// Routing spec: the output port for a unicast packet at `here` bound
-    /// for `dest` — XY dimension-ordered routing (correct X first, then Y,
-    /// then eject through the destination's local port).
-    pub fn unicast_port(&self, here: RouterId, dest: Endpoint) -> Port {
-        let hc = self.coord(here);
-        let dc = self.coord(dest.router);
-        if dc.x > hc.x {
-            Port::East
-        } else if dc.x < hc.x {
-            Port::West
-        } else if dc.y > hc.y {
-            Port::South
-        } else if dc.y < hc.y {
-            Port::North
-        } else {
-            dest.slot.port()
-        }
-    }
-
-    /// Routing spec: the output set for a broadcast flit at `here`, given
-    /// the port it arrived through (`None` at the source router).
-    ///
-    /// XY broadcast tree: the request travels east and west along the
-    /// injection row, every row router forks copies north and south, and
-    /// column branches continue straight. The source's own tile copy is
-    /// *not* produced — the requesting NIC self-delivers through its
-    /// loopback path — but the source router still feeds its MC port.
-    pub fn broadcast_ports(
-        &self,
-        _src: RouterId,
-        here: RouterId,
-        arrived_on: Option<Port>,
-    ) -> PortMask {
-        let c = self.coord(here);
-        let mut mask = PortMask::EMPTY;
-        let at_source = arrived_on.is_none();
-
-        match arrived_on {
-            None => {
-                // Source: spread along the row in both X directions and
-                // start both column branches.
-                if c.x + 1 < self.cols {
-                    mask.insert(Port::East);
-                }
-                if c.x > 0 {
-                    mask.insert(Port::West);
-                }
-                if c.y > 0 {
-                    mask.insert(Port::North);
-                }
-                if c.y + 1 < self.rows {
-                    mask.insert(Port::South);
-                }
-            }
-            Some(Port::West) => {
-                // Travelling east along the row: keep going east, fork
-                // columns.
-                if c.x + 1 < self.cols {
-                    mask.insert(Port::East);
-                }
-                if c.y > 0 {
-                    mask.insert(Port::North);
-                }
-                if c.y + 1 < self.rows {
-                    mask.insert(Port::South);
-                }
-            }
-            Some(Port::East) => {
-                if c.x > 0 {
-                    mask.insert(Port::West);
-                }
-                if c.y > 0 {
-                    mask.insert(Port::North);
-                }
-                if c.y + 1 < self.rows {
-                    mask.insert(Port::South);
-                }
-            }
-            Some(Port::North) => {
-                // Travelling south down a column: continue south only.
-                if c.y + 1 < self.rows {
-                    mask.insert(Port::South);
-                }
-            }
-            Some(Port::South) => {
-                if c.y > 0 {
-                    mask.insert(Port::North);
-                }
-            }
-            Some(local) => {
-                debug_assert!(local.is_local());
-                panic!("broadcast flit cannot arrive on local port {local}")
-            }
-        }
-
-        // Local deliveries. The source tile self-delivers via NIC loopback.
-        if !at_source {
-            mask.insert(Port::Tile);
-        }
-        if self.has_mc(here) {
-            mask.insert(Port::Mc);
-        }
-        mask
-    }
-
-    /// Iterates over every router id.
-    pub fn routers(&self) -> impl Iterator<Item = RouterId> {
-        (0..self.router_count() as u16).map(RouterId)
-    }
-
-    /// Iterates over every endpoint: all tiles, then all MC ports.
-    pub fn endpoints(&self) -> impl Iterator<Item = Endpoint> + '_ {
-        self.routers()
-            .map(Endpoint::tile)
-            .chain(self.mc_routers.iter().copied().map(Endpoint::mc))
-    }
-
-    /// The default notification-network time window for this mesh:
-    /// worst-case X traversal + worst-case Y traversal + one merge cycle.
-    ///
-    /// For the 6×6 chip this is 13 cycles, matching Table 1.
-    pub fn notification_window(&self) -> u64 {
-        self.diameter() as u64 + 3
-    }
-}
-
-/// Walks the unicast route from `a` to `b`'s tile, counting mesh hops —
-/// the single distance definition every topology derives [`hops`] from,
-/// so reported distance and actual path length cannot diverge.
-///
-/// [`hops`]: Topology::hops
-fn walk_hops(
-    a: RouterId,
-    b: RouterId,
-    mut port_of: impl FnMut(RouterId, Endpoint) -> Port,
-    mut neighbor: impl FnMut(RouterId, Port) -> Option<RouterId>,
-) -> u16 {
-    let dest = Endpoint::tile(b);
-    let mut here = a;
-    let mut hops = 0u16;
-    loop {
-        let p = port_of(here, dest);
-        if p.is_local() {
-            return hops;
-        }
-        here = neighbor(here, p).expect("unicast route never points off-fabric");
-        hops += 1;
-    }
-}
-
-/// Validates an MC-router list: sorted copy, no duplicates, all in range.
-fn checked_mcs(mc_routers: &[RouterId], count: usize) -> Vec<RouterId> {
-    let mut sorted = mc_routers.to_vec();
-    sorted.sort();
-    for pair in sorted.windows(2) {
-        assert!(pair[0] != pair[1], "duplicate MC router {}", pair[0]);
-    }
-    for r in &sorted {
-        assert!(r.index() < count, "MC router {} out of range", r);
-    }
-    sorted
-}
-
-/// A 2-D torus: a mesh whose rows and columns wrap around.
-///
-/// Routing is minimal dimension-ordered XY with wraparound (ties broken
-/// toward East/South); deadlock freedom over the wrap links comes from
-/// *dateline* virtual-channel classes — a packet crossing a dimension's
-/// wraparound link switches from the class-0 to the class-1 VC partition
-/// for the rest of that dimension, which breaks the channel-dependency
-/// cycle each ring would otherwise form (see DESIGN.md §10).
-///
-/// # Examples
-///
-/// ```
-/// use scorpio_noc::{Port, RouterId, Torus};
-///
-/// let torus = Torus::square_with_corner_mcs(4);
-/// // Every router has all four neighbours; edges wrap.
-/// assert_eq!(torus.neighbor(RouterId(0), Port::West), Some(RouterId(3)));
-/// assert_eq!(torus.neighbor(RouterId(0), Port::North), Some(RouterId(12)));
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Torus {
-    cols: u16,
-    rows: u16,
-    mc_routers: Vec<RouterId>,
-}
-
-impl Torus {
-    /// Creates a `cols × rows` torus with MC ports on `mc_routers`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either dimension is below 2 (a wrap link needs somewhere
-    /// to wrap to), if an MC router is out of range, or on duplicates.
-    pub fn new(cols: u16, rows: u16, mc_routers: &[RouterId]) -> Torus {
-        assert!(
-            cols >= 2 && rows >= 2,
-            "torus dimensions must be at least 2"
-        );
-        let count = cols as usize * rows as usize;
-        Torus {
-            cols,
-            rows,
-            mc_routers: checked_mcs(mc_routers, count),
-        }
-    }
-
-    /// A square `k × k` torus with MC ports on the same four routers the
-    /// mesh places its corner MCs on, so mesh-vs-torus sweeps compare
-    /// matched endpoint counts.
-    pub fn square_with_corner_mcs(k: u16) -> Torus {
-        assert!(k >= 2, "torus dimension must be at least 2");
-        let corners = [
-            RouterId(0),
-            RouterId(k - 1),
-            RouterId(k * (k - 1)),
-            RouterId(k * k - 1),
-        ];
-        Torus::new(k, k, &corners)
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> u16 {
-        self.cols
-    }
-
-    /// Number of rows.
-    pub fn rows(&self) -> u16 {
-        self.rows
-    }
-
-    /// Total number of routers.
-    pub fn router_count(&self) -> usize {
-        self.cols as usize * self.rows as usize
-    }
-
-    /// The routers hosting memory-controller ports, ascending.
-    pub fn mc_routers(&self) -> &[RouterId] {
-        &self.mc_routers
-    }
-
-    /// Whether `r` hosts a memory-controller port.
-    pub fn has_mc(&self, r: RouterId) -> bool {
-        self.mc_routers.binary_search(&r).is_ok()
-    }
-
-    /// The coordinate of router `r`.
-    pub fn coord(&self, r: RouterId) -> Coord {
-        assert!(r.index() < self.router_count(), "router {} out of range", r);
-        Coord {
-            x: r.0 % self.cols,
-            y: r.0 / self.cols,
-        }
-    }
-
-    /// The neighbour of `r` through `port` — always present on a torus
-    /// (wrapping at the edges); `None` only for local ports.
-    pub fn neighbor(&self, r: RouterId, port: Port) -> Option<RouterId> {
-        let c = self.coord(r);
-        let (x, y) = match port {
-            Port::North => (c.x, (c.y + self.rows - 1) % self.rows),
-            Port::South => (c.x, (c.y + 1) % self.rows),
-            Port::East => ((c.x + 1) % self.cols, c.y),
-            Port::West => ((c.x + self.cols - 1) % self.cols, c.y),
-            _ => return None,
-        };
-        Some(RouterId(y * self.cols + x))
-    }
-
-    /// Whether the link leaving `r` through `port` crosses its dimension's
-    /// dateline (i.e. is a wraparound link). East wraps at the last
-    /// column, West at column 0; South at the last row, North at row 0.
-    pub fn wrap_link(&self, r: RouterId, port: Port) -> bool {
-        let c = self.coord(r);
-        match port {
-            Port::East => c.x + 1 == self.cols,
-            Port::West => c.x == 0,
-            Port::South => c.y + 1 == self.rows,
-            Port::North => c.y == 0,
-            _ => false,
-        }
-    }
-
-    /// Worst-case unicast hop count: half of each dimension.
-    pub fn diameter(&self) -> u16 {
-        self.cols / 2 + self.rows / 2
-    }
-
-    /// Hop distance derived from the routing spec (see [`Mesh::hops`]);
-    /// equals the wraparound Manhattan distance.
-    pub fn hops(&self, a: RouterId, b: RouterId) -> u16 {
-        walk_hops(
-            a,
-            b,
-            |here, dest| self.unicast_port(here, dest),
-            |r, p| self.neighbor(r, p),
-        )
-    }
-
-    /// Routing spec: minimal dimension-ordered XY with wraparound; equal
-    /// distances break toward East/South so routes are deterministic.
-    pub fn unicast_port(&self, here: RouterId, dest: Endpoint) -> Port {
-        let hc = self.coord(here);
-        let dc = self.coord(dest.router);
-        let de = (dc.x + self.cols - hc.x) % self.cols;
-        let dw = (hc.x + self.cols - dc.x) % self.cols;
-        if de != 0 {
-            return if de <= dw { Port::East } else { Port::West };
-        }
-        let ds = (dc.y + self.rows - hc.y) % self.rows;
-        let dn = (hc.y + self.rows - dc.y) % self.rows;
-        if ds != 0 {
-            return if ds <= dn { Port::South } else { Port::North };
-        }
-        dest.slot.port()
-    }
-
-    /// Routing spec: the wraparound XY broadcast tree. The source's row
-    /// copies travel East for ⌈(cols−1)/2⌉ hops and West for the remaining
-    /// ⌊(cols−1)/2⌋, so together they cover every other column exactly
-    /// once; every row router forks column branches that likewise split
-    /// the ring between South and North.
-    pub fn broadcast_ports(
-        &self,
-        src: RouterId,
-        here: RouterId,
-        arrived_on: Option<Port>,
-    ) -> PortMask {
-        let sc = self.coord(src);
-        let hc = self.coord(here);
-        let e_max = self.cols / 2; // == ceil((cols-1)/2)
-        let w_max = (self.cols - 1) / 2;
-        let s_max = self.rows / 2;
-        let n_max = (self.rows - 1) / 2;
-        let de = (hc.x + self.cols - sc.x) % self.cols;
-        let dw = (sc.x + self.cols - hc.x) % self.cols;
-        let ds = (hc.y + self.rows - sc.y) % self.rows;
-        let dn = (sc.y + self.rows - hc.y) % self.rows;
-
-        let mut mask = PortMask::EMPTY;
-        let column_forks = |mask: &mut PortMask| {
-            if s_max > 0 {
-                mask.insert(Port::South);
-            }
-            if n_max > 0 {
-                mask.insert(Port::North);
-            }
-        };
-        match arrived_on {
-            None => {
-                if e_max > 0 {
-                    mask.insert(Port::East);
-                }
-                if w_max > 0 {
-                    mask.insert(Port::West);
-                }
-                column_forks(&mut mask);
-            }
-            Some(Port::West) => {
-                // Travelling east: `de` hops covered so far.
-                if de < e_max {
-                    mask.insert(Port::East);
-                }
-                column_forks(&mut mask);
-            }
-            Some(Port::East) => {
-                if dw < w_max {
-                    mask.insert(Port::West);
-                }
-                column_forks(&mut mask);
-            }
-            Some(Port::North) => {
-                if ds < s_max {
-                    mask.insert(Port::South);
-                }
-            }
-            Some(Port::South) => {
-                if dn < n_max {
-                    mask.insert(Port::North);
-                }
-            }
-            Some(local) => {
-                debug_assert!(local.is_local());
-                panic!("broadcast flit cannot arrive on local port {local}")
-            }
-        }
-        if arrived_on.is_some() {
-            mask.insert(Port::Tile);
-        }
-        if self.has_mc(here) {
-            mask.insert(Port::Mc);
-        }
-        mask
-    }
-
-    /// Dateline VC class of the downstream input VC for the unicast hop
-    /// `here → neighbor(here, port)`: `true` (class 1) once the remaining
-    /// path in `port`'s dimension no longer crosses that dimension's
-    /// wraparound link, `false` (class 0) while it still will. The 0 → 1
-    /// switch at the dateline breaks each ring's channel-dependency cycle
-    /// (DESIGN.md §10).
-    pub fn unicast_class(&self, here: RouterId, dest: Endpoint, port: Port) -> bool {
-        if port.is_local() {
-            return false;
-        }
-        let next = self.neighbor(here, port).expect("torus ports always wrap");
-        let nc = self.coord(next);
-        let dc = self.coord(dest.router);
-        match port {
-            Port::East => nc.x <= dc.x,
-            Port::West => nc.x >= dc.x,
-            Port::South => nc.y <= dc.y,
-            Port::North => nc.y >= dc.y,
-            _ => unreachable!("checked above"),
-        }
-    }
-
-    /// Dateline VC class for one branch hop of the broadcast from `src`
-    /// leaving `here` through `port` (same convention as
-    /// [`Torus::unicast_class`]): class 1 once the rest of the branch arc
-    /// stays clear of the wraparound link.
-    pub fn broadcast_class(&self, src: RouterId, here: RouterId, port: Port) -> bool {
-        if port.is_local() {
-            return false;
-        }
-        let sc = self.coord(src);
-        let next = self.neighbor(here, port).expect("torus ports always wrap");
-        let nc = self.coord(next);
-        let (rem, pos, span) = match port {
-            // saturating_sub: the spec is total (the table builder probes
-            // off-tree points too); beyond the branch's hop budget the
-            // remaining arc is simply zero.
-            Port::East => {
-                let de_next = (nc.x + self.cols - sc.x) % self.cols;
-                ((self.cols / 2).saturating_sub(de_next), nc.x, self.cols)
-            }
-            Port::West => {
-                let dw_next = (sc.x + self.cols - nc.x) % self.cols;
-                (
-                    ((self.cols - 1) / 2).saturating_sub(dw_next),
-                    nc.x,
-                    self.cols,
-                )
-            }
-            Port::South => {
-                let ds_next = (nc.y + self.rows - sc.y) % self.rows;
-                ((self.rows / 2).saturating_sub(ds_next), nc.y, self.rows)
-            }
-            Port::North => {
-                let dn_next = (sc.y + self.rows - nc.y) % self.rows;
-                (
-                    ((self.rows - 1) / 2).saturating_sub(dn_next),
-                    nc.y,
-                    self.rows,
-                )
-            }
-            _ => unreachable!("checked above"),
-        };
-        match port {
-            // Positive directions wrap leaving the last row/column.
-            Port::East | Port::South => pos + rem < span,
-            // Negative directions wrap leaving row/column 0.
-            Port::West | Port::North => rem <= pos,
-            _ => unreachable!("checked above"),
-        }
-    }
-}
-
-/// A bidirectional ring: every router has only East and West neighbours,
-/// the radically simpler fabric of ring-router microarchitectures.
-///
-/// Unicast takes the shorter way around (ties toward East); broadcasts
-/// split the ring between an eastbound and a westbound copy. Deadlock
-/// freedom uses the same dateline VC classes as [`Torus`].
-///
-/// # Examples
-///
-/// ```
-/// use scorpio_noc::{Port, Ring, RouterId};
-///
-/// let ring = Ring::with_spread_mcs(16, 4);
-/// assert_eq!(ring.router_count(), 16);
-/// assert_eq!(ring.mc_routers().len(), 4);
-/// assert_eq!(ring.neighbor(RouterId(15), Port::East), Some(RouterId(0)));
-/// assert_eq!(ring.neighbor(RouterId(0), Port::North), None);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Ring {
-    len: u16,
-    mc_routers: Vec<RouterId>,
-}
-
-impl Ring {
-    /// Creates a ring of `len` routers with MC ports on `mc_routers`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `len < 2`, if an MC router is out of range, or on
-    /// duplicates.
-    pub fn new(len: u16, mc_routers: &[RouterId]) -> Ring {
-        assert!(len >= 2, "ring length must be at least 2");
-        Ring {
-            len,
-            mc_routers: checked_mcs(mc_routers, len as usize),
-        }
-    }
-
-    /// A ring of `len` routers with `n_mcs` MC ports spread evenly,
-    /// starting at router 0 — `Ring::with_spread_mcs(k * k, 4)` matches
-    /// the endpoint count of a `k × k` mesh with corner MCs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_mcs` is zero or exceeds `len`.
-    pub fn with_spread_mcs(len: u16, n_mcs: u16) -> Ring {
-        assert!(n_mcs > 0 && n_mcs <= len, "need 1..=len MC routers");
-        // u32 arithmetic: `i * len` overflows u16 for rings past ~16k
-        // routers, which would silently misplace MCs in release builds.
-        let mcs: Vec<RouterId> = (0..n_mcs as u32)
-            .map(|i| RouterId((i * len as u32 / n_mcs as u32) as u16))
-            .collect();
-        Ring::new(len, &mcs)
-    }
-
-    /// Number of routers.
-    pub fn router_count(&self) -> usize {
-        self.len as usize
-    }
-
-    /// The routers hosting memory-controller ports, ascending.
-    pub fn mc_routers(&self) -> &[RouterId] {
-        &self.mc_routers
-    }
-
-    /// Whether `r` hosts a memory-controller port.
-    pub fn has_mc(&self, r: RouterId) -> bool {
-        self.mc_routers.binary_search(&r).is_ok()
-    }
-
-    /// The neighbour of `r` through `port`: East/West wrap around, the
-    /// North/South ports do not exist on a ring.
-    pub fn neighbor(&self, r: RouterId, port: Port) -> Option<RouterId> {
-        assert!(r.index() < self.router_count(), "router {} out of range", r);
-        match port {
-            Port::East => Some(RouterId((r.0 + 1) % self.len)),
-            Port::West => Some(RouterId((r.0 + self.len - 1) % self.len)),
-            _ => None,
-        }
-    }
-
-    /// Whether the link leaving `r` through `port` is the dateline
-    /// (wraparound) link of its direction.
-    pub fn wrap_link(&self, r: RouterId, port: Port) -> bool {
-        match port {
-            Port::East => r.0 + 1 == self.len,
-            Port::West => r.0 == 0,
-            _ => false,
-        }
-    }
-
-    /// Worst-case unicast hop count: half way around.
-    pub fn diameter(&self) -> u16 {
-        self.len / 2
-    }
-
-    /// Hop distance derived from the routing spec (see [`Mesh::hops`]).
-    pub fn hops(&self, a: RouterId, b: RouterId) -> u16 {
-        walk_hops(
-            a,
-            b,
-            |here, dest| self.unicast_port(here, dest),
-            |r, p| self.neighbor(r, p),
-        )
-    }
-
-    /// Routing spec: shortest way around, ties toward East.
-    pub fn unicast_port(&self, here: RouterId, dest: Endpoint) -> Port {
-        let de = (dest.router.0 + self.len - here.0) % self.len;
-        let dw = (here.0 + self.len - dest.router.0) % self.len;
-        if de == 0 {
-            dest.slot.port()
-        } else if de <= dw {
-            Port::East
-        } else {
-            Port::West
-        }
-    }
-
-    /// Routing spec: the broadcast splits into an eastbound copy covering
-    /// ⌈(len−1)/2⌉ routers and a westbound copy covering the rest.
-    pub fn broadcast_ports(
-        &self,
-        src: RouterId,
-        here: RouterId,
-        arrived_on: Option<Port>,
-    ) -> PortMask {
-        let e_max = self.len / 2;
-        let w_max = (self.len - 1) / 2;
-        let de = (here.0 + self.len - src.0) % self.len;
-        let dw = (src.0 + self.len - here.0) % self.len;
-        let mut mask = PortMask::EMPTY;
-        match arrived_on {
-            None => {
-                if e_max > 0 {
-                    mask.insert(Port::East);
-                }
-                if w_max > 0 {
-                    mask.insert(Port::West);
-                }
-            }
-            Some(Port::West) => {
-                if de < e_max {
-                    mask.insert(Port::East);
-                }
-            }
-            Some(Port::East) => {
-                if dw < w_max {
-                    mask.insert(Port::West);
-                }
-            }
-            Some(other) => panic!("ring broadcast cannot arrive on port {other}"),
-        }
-        if arrived_on.is_some() {
-            mask.insert(Port::Tile);
-        }
-        if self.has_mc(here) {
-            mask.insert(Port::Mc);
-        }
-        mask
-    }
-
-    /// Dateline VC class for the unicast hop `here → next` (see
-    /// [`Torus::unicast_class`]): class 1 once the remaining arc to `dest`
-    /// stays clear of the wraparound link of its direction.
-    pub fn unicast_class(&self, here: RouterId, dest: Endpoint, port: Port) -> bool {
-        let d = dest.router.0;
-        match port {
-            Port::East => (here.0 + 1) % self.len <= d,
-            Port::West => (here.0 + self.len - 1) % self.len >= d,
-            _ => false,
-        }
-    }
-
-    /// Dateline VC class for one hop of the broadcast from `src` leaving
-    /// `here` through `port` (see [`Torus::broadcast_class`]).
-    pub fn broadcast_class(&self, src: RouterId, here: RouterId, port: Port) -> bool {
-        match port {
-            Port::East => {
-                let next = (here.0 + 1) % self.len;
-                let de_next = (next + self.len - src.0) % self.len;
-                let rem = (self.len / 2).saturating_sub(de_next);
-                next + rem < self.len
-            }
-            Port::West => {
-                let next = (here.0 + self.len - 1) % self.len;
-                let dw_next = (src.0 + self.len - next) % self.len;
-                let rem = ((self.len - 1) / 2).saturating_sub(dw_next);
-                rem <= next
-            }
-            _ => false,
-        }
-    }
-}
-
-/// A concentrated 2-D mesh: a mesh of routers where every router hosts
-/// `concentration` tiles instead of one.
-///
-/// Concentration is the classic lever against mesh diameter (Slim NoC,
-/// Epiphany-V): at the same core count a `c`-concentrated mesh has `1/c`
-/// the routers, so the worst-case ordered-broadcast path — and with it the
-/// notification window — shrinks with the router grid, paid for by a
-/// higher-radix router (4 mesh ports + `c` tile ports + optional MC).
-/// Routing is exactly the mesh's XY spec over the router grid; the only
-/// new behavior is local delivery, where a broadcast feeds *every* tile
-/// port of a router — except the source's own slot, which self-delivers
-/// through its NIC loopback like every SCORPIO source does.
-///
-/// # Examples
-///
-/// ```
-/// use scorpio_noc::{CMesh, RouterId, Topology};
-///
-/// // 16 tiles as 8 routers x 2 tiles: diameter 4 instead of the 4x4
-/// // mesh's 6.
-/// let cm = CMesh::with_corner_mcs(4, 2, 2);
-/// assert_eq!(cm.router_count(), 8);
-/// assert_eq!(cm.tile_count(), 16);
-/// let topo = Topology::from(cm);
-/// assert_eq!(topo.diameter(), 4);
-/// assert_eq!(topo.endpoint_count(), 20); // 16 tiles + 4 MC ports
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CMesh {
-    mesh: Mesh,
-    concentration: u8,
-}
-
-impl CMesh {
-    /// Creates a `cols × rows` router grid hosting `concentration` tiles
-    /// per router, with MC ports on `mc_routers`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a dimension is zero, if `concentration` is zero or
-    /// exceeds [`Port::MAX_TILE_SLOTS`], or on a bad MC list.
-    pub fn new(cols: u16, rows: u16, concentration: u8, mc_routers: &[RouterId]) -> CMesh {
-        assert!(
-            (1..=Port::MAX_TILE_SLOTS).contains(&concentration),
-            "concentration must be 1..={}, got {concentration}",
-            Port::MAX_TILE_SLOTS
-        );
-        CMesh {
-            mesh: Mesh::new(cols, rows, mc_routers),
-            concentration,
-        }
-    }
-
-    /// A `cols × rows` router grid with MC ports on the four corners
-    /// (collapsed on degenerate 1-wide grids).
-    pub fn with_corner_mcs(cols: u16, rows: u16, concentration: u8) -> CMesh {
-        let last = RouterId(cols * rows - 1);
-        let mut corners: Vec<RouterId> = Vec::with_capacity(4);
-        for c in [
-            RouterId(0),
-            RouterId(cols - 1),
-            RouterId(cols * (rows - 1)),
-            last,
-        ] {
-            if !corners.contains(&c) {
-                corners.push(c);
-            }
-        }
-        corners.sort();
-        CMesh::new(cols, rows, concentration, &corners)
-    }
-
-    /// Number of router-grid columns.
-    pub fn cols(&self) -> u16 {
-        self.mesh.cols()
-    }
-
-    /// Number of router-grid rows.
-    pub fn rows(&self) -> u16 {
-        self.mesh.rows()
-    }
-
-    /// Tiles hosted per router.
-    pub fn concentration(&self) -> u8 {
-        self.concentration
-    }
-
-    /// Total number of routers.
-    pub fn router_count(&self) -> usize {
-        self.mesh.router_count()
-    }
-
-    /// Total number of tiles (`routers × concentration`).
-    pub fn tile_count(&self) -> usize {
-        self.router_count() * self.concentration as usize
-    }
-
-    /// The routers hosting memory-controller ports, ascending.
-    pub fn mc_routers(&self) -> &[RouterId] {
-        self.mesh.mc_routers()
-    }
-
-    /// Whether `r` hosts a memory-controller port.
-    pub fn has_mc(&self, r: RouterId) -> bool {
-        self.mesh.has_mc(r)
-    }
-
-    /// The coordinate of router `r` in the router grid.
-    pub fn coord(&self, r: RouterId) -> Coord {
-        self.mesh.coord(r)
-    }
-
-    /// The neighbour of `r` through `port` (router-grid mesh links).
-    pub fn neighbor(&self, r: RouterId, port: Port) -> Option<RouterId> {
-        self.mesh.neighbor(r, port)
-    }
-
-    /// Worst-case unicast hop count — the *router grid's* diameter, which
-    /// is what concentration shrinks.
-    pub fn diameter(&self) -> u16 {
-        self.mesh.diameter()
-    }
-
-    /// Hop distance derived from the routing walk (see [`Mesh::hops`]).
-    pub fn hops(&self, a: RouterId, b: RouterId) -> u16 {
-        self.mesh.hops(a, b)
-    }
-
-    /// Routing spec: XY dimension-ordered routing over the router grid;
-    /// at the destination router, eject through the endpoint's slot port.
-    pub fn unicast_port(&self, here: RouterId, dest: Endpoint) -> Port {
-        self.mesh.unicast_port(here, dest)
-    }
-
-    /// Routing spec: the mesh XY broadcast tree over the router grid, with
-    /// concentrated local delivery — every tile port of every router gets
-    /// a copy, except the source endpoint's own slot (NIC loopback), and
-    /// MC routers feed their MC port exactly as on the mesh.
-    pub fn broadcast_ports(
-        &self,
-        src: Endpoint,
-        here: RouterId,
-        arrived_on: Option<Port>,
-    ) -> PortMask {
-        let mut mask = self.mesh.broadcast_ports(src.router, here, arrived_on);
-        // The mesh spec's local delivery covers exactly one tile (slot 0,
-        // absent at the source router); replace it with the concentrated
-        // set: all slots, minus the source's own slot at the source router.
-        mask.remove(Port::Tile);
-        let skip = if arrived_on.is_none() {
-            match src.slot {
-                LocalSlot::Tile(k) => Some(k),
-                LocalSlot::Mc => None,
-            }
+    /// Follows the link leaving position `p` of dimension `dim`: the next
+    /// position and whether the link wraps. Forward of `p` is `p + 1`;
+    /// past the last position a wrapped dimension continues at 0 (the wrap
+    /// link), an open one ends. Backward is symmetric. A dimension of
+    /// extent 1 has no links at all.
+    fn step(&self, dim: usize, p: u32, forward: bool) -> Option<(u32, bool)> {
+        let n = self.extent(dim);
+        let edge = if forward { n - 1 } else { 0 };
+        if p != edge {
+            Some((if forward { p + 1 } else { p - 1 }, false))
+        } else if self.wraps && n > 1 {
+            Some((n - 1 - edge, true))
         } else {
             None
-        };
-        for k in 0..self.concentration {
-            if Some(k) != skip {
-                mask.insert(Port::tile_slot(k));
-            }
-        }
-        mask
-    }
-}
-
-/// The delivery fabric of the main network: one of the supported
-/// topologies behind a single interface.
-///
-/// All structural queries (`router_count`, `neighbor`, `endpoints`, …),
-/// the routing spec (`unicast_port`, `broadcast_ports`) and the derived
-/// quantities the rest of the system consumes (`diameter`,
-/// `notification_window`, `hops`) dispatch to the concrete topology.
-/// `Network` compiles the routing spec into per-router lookup tables at
-/// construction; the spec itself is only evaluated per-flit under the
-/// coordinate-routing reference engine.
-///
-/// # Examples
-///
-/// ```
-/// use scorpio_noc::{Mesh, Ring, Topology, Torus};
-///
-/// let mesh: Topology = Mesh::square_with_corner_mcs(4).into();
-/// let torus: Topology = Torus::square_with_corner_mcs(4).into();
-/// let ring: Topology = Ring::with_spread_mcs(16, 4).into();
-/// // Matched endpoint counts, shrinking diameters.
-/// assert_eq!(mesh.endpoints().count(), 20);
-/// assert_eq!(torus.endpoints().count(), 20);
-/// assert_eq!(ring.endpoints().count(), 20);
-/// assert_eq!(mesh.diameter(), 6);
-/// assert_eq!(torus.diameter(), 4);
-/// assert_eq!(ring.diameter(), 8);
-/// ```
-#[derive(Clone, PartialEq, Eq)]
-pub enum Topology {
-    /// A 2-D mesh (the SCORPIO chip's fabric).
-    Mesh(Mesh),
-    /// A 2-D torus (wraparound mesh, dateline deadlock avoidance).
-    Torus(Torus),
-    /// A bidirectional ring (East/West only).
-    Ring(Ring),
-    /// A concentrated 2-D mesh (multiple tiles per router).
-    CMesh(CMesh),
-}
-
-// Renders as the *inner* topology so a mesh still debug-prints exactly as
-// the bare `Mesh` struct always has. `SystemConfig::stable_hash`
-// fingerprints the Debug rendering; this transparency is what keeps every
-// pre-topology-refactor mesh config hash — and the JSONL rows keyed on
-// them — valid.
-impl fmt::Debug for Topology {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Topology::Mesh(m) => m.fmt(f),
-            Topology::Torus(t) => t.fmt(f),
-            Topology::Ring(r) => r.fmt(f),
-            Topology::CMesh(c) => c.fmt(f),
-        }
-    }
-}
-
-impl From<Mesh> for Topology {
-    fn from(m: Mesh) -> Topology {
-        Topology::Mesh(m)
-    }
-}
-
-impl From<Torus> for Topology {
-    fn from(t: Torus) -> Topology {
-        Topology::Torus(t)
-    }
-}
-
-impl From<Ring> for Topology {
-    fn from(r: Ring) -> Topology {
-        Topology::Ring(r)
-    }
-}
-
-// By-reference conversions (cloning) so APIs that take
-// `impl Into<Topology>` keep accepting `&mesh` exactly as the mesh-only
-// signatures did.
-impl From<&Mesh> for Topology {
-    fn from(m: &Mesh) -> Topology {
-        Topology::Mesh(m.clone())
-    }
-}
-
-impl From<&Torus> for Topology {
-    fn from(t: &Torus) -> Topology {
-        Topology::Torus(t.clone())
-    }
-}
-
-impl From<&Ring> for Topology {
-    fn from(r: &Ring) -> Topology {
-        Topology::Ring(r.clone())
-    }
-}
-
-impl From<CMesh> for Topology {
-    fn from(c: CMesh) -> Topology {
-        Topology::CMesh(c)
-    }
-}
-
-impl From<&CMesh> for Topology {
-    fn from(c: &CMesh) -> Topology {
-        Topology::CMesh(c.clone())
-    }
-}
-
-impl From<&Topology> for Topology {
-    fn from(t: &Topology) -> Topology {
-        t.clone()
-    }
-}
-
-impl Topology {
-    /// Short kind name: `"mesh"`, `"torus"`, `"ring"` or `"cmesh"`.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Topology::Mesh(_) => "mesh",
-            Topology::Torus(_) => "torus",
-            Topology::Ring(_) => "ring",
-            Topology::CMesh(_) => "cmesh",
-        }
-    }
-
-    /// Geometry label: `"6x6"` for a mesh (unchanged from the pre-topology
-    /// labels), `"torus6x6"`, `"ring36"`, `"cmesh4x2x2"` (router grid ×
-    /// concentration).
-    pub fn label(&self) -> String {
-        match self {
-            Topology::Mesh(m) => format!("{}x{}", m.cols(), m.rows()),
-            Topology::Torus(t) => format!("torus{}x{}", t.cols(), t.rows()),
-            Topology::Ring(r) => format!("ring{}", r.router_count()),
-            Topology::CMesh(c) => {
-                format!("cmesh{}x{}x{}", c.cols(), c.rows(), c.concentration())
-            }
-        }
-    }
-
-    /// Total number of routers.
-    pub fn router_count(&self) -> usize {
-        match self {
-            Topology::Mesh(m) => m.router_count(),
-            Topology::Torus(t) => t.router_count(),
-            Topology::Ring(r) => r.router_count(),
-            Topology::CMesh(c) => c.router_count(),
-        }
-    }
-
-    /// Tiles hosted per router (`1` on every unconcentrated fabric).
-    pub fn tiles_per_router(&self) -> u8 {
-        match self {
-            Topology::CMesh(c) => c.concentration(),
-            _ => 1,
-        }
-    }
-
-    /// Total number of tiles (`router_count × tiles_per_router`). This —
-    /// not the router count — is the system's core count.
-    pub fn tile_count(&self) -> usize {
-        self.router_count() * self.tiles_per_router() as usize
-    }
-
-    /// The endpoint of tile `i`: router `i / c`, slot `i % c` — the normal
-    /// path of endpoint indexing (`c == 1` collapses to router `i`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn tile_endpoint(&self, i: usize) -> Endpoint {
-        assert!(i < self.tile_count(), "tile {i} out of range");
-        let c = self.tiles_per_router() as usize;
-        Endpoint::tile_slot(RouterId((i / c) as u16), (i % c) as u8)
-    }
-
-    /// The routers hosting memory-controller ports, in ascending order.
-    pub fn mc_routers(&self) -> &[RouterId] {
-        match self {
-            Topology::Mesh(m) => m.mc_routers(),
-            Topology::Torus(t) => t.mc_routers(),
-            Topology::Ring(r) => r.mc_routers(),
-            Topology::CMesh(c) => c.mc_routers(),
-        }
-    }
-
-    /// Whether `r` hosts a memory-controller port.
-    pub fn has_mc(&self, r: RouterId) -> bool {
-        match self {
-            Topology::Mesh(m) => m.has_mc(r),
-            Topology::Torus(t) => t.has_mc(r),
-            Topology::Ring(r_) => r_.has_mc(r),
-            Topology::CMesh(c) => c.has_mc(r),
         }
     }
 
     /// The physical neighbour of `r` through `port`, if that link exists.
     pub fn neighbor(&self, r: RouterId, port: Port) -> Option<RouterId> {
-        match self {
-            Topology::Mesh(m) => m.neighbor(r, port),
-            Topology::Torus(t) => t.neighbor(r, port),
-            Topology::Ring(r_) => r_.neighbor(r, port),
-            Topology::CMesh(c) => c.neighbor(r, port),
-        }
+        let (dim, forward) = heading(port)?;
+        let mut at = self.position(r);
+        at[dim] = self.step(dim, at[dim], forward)?.0;
+        Some(RouterId((at[1] * self.extent(0) + at[0]) as u16))
+    }
+
+    /// Whether the link leaving `r` through `port` is a wraparound link —
+    /// the *dateline* of its dimension and direction: East leaving the
+    /// last column, West leaving column 0, South the last row, North row 0.
+    pub fn wrap_link(&self, r: RouterId, port: Port) -> bool {
+        heading(port)
+            .and_then(|(dim, forward)| self.step(dim, self.position(r)[dim], forward))
+            .is_some_and(|(_, wraps)| wraps)
+    }
+
+    /// Whether this topology has wraparound links and therefore needs the
+    /// dateline VC-class discipline (requires ≥ 2 regular VCs per vnet).
+    pub fn has_datelines(&self) -> bool {
+        self.wraps
     }
 
     /// Iterates over every router id.
@@ -1623,157 +899,176 @@ impl Topology {
     pub fn endpoints(&self) -> impl Iterator<Item = Endpoint> + '_ {
         (0..self.tile_count())
             .map(|i| self.tile_endpoint(i))
-            .chain(self.mc_routers().iter().copied().map(Endpoint::mc))
+            .chain(self.mc_routers.iter().copied().map(Endpoint::mc))
     }
 
     /// Number of endpoints (tiles + MC ports).
     pub fn endpoint_count(&self) -> usize {
-        self.tile_count() + self.mc_routers().len()
+        self.tile_count() + self.mc_routers.len()
     }
 
-    /// Worst-case unicast hop count between any router pair.
+    /// Worst-case unicast hop count between any router pair: per
+    /// dimension, half way around a ring or end to end of a line.
     ///
     /// This is the *single* diameter derivation in the system: the
     /// notification-network window, the OR-propagation convergence bound
     /// and the physical wire model all consume this function, and
     /// `walked_diameter` in `routing.rs` (the ground truth obtained by
     /// walking the unicast spec between every router pair) is asserted
-    /// equal to it for every topology — so the declared diameter and the
+    /// equal to it for every fabric — so the declared diameter and the
     /// paths flits actually take can never disagree.
     pub fn diameter(&self) -> u16 {
-        match self {
-            Topology::Mesh(m) => m.diameter(),
-            Topology::Torus(t) => t.diameter(),
-            Topology::Ring(r) => r.diameter(),
-            Topology::CMesh(c) => c.diameter(),
-        }
+        let span = |n: u16| if self.wraps { n / 2 } else { n - 1 };
+        span(self.cols) + span(self.rows)
     }
 
     /// The default notification-network time window: the diameter bounds
-    /// worst-case OR-propagation, plus the fixed merge margin. Identical
-    /// to the historical `cols + rows + 1` formula on a mesh (13 cycles on
-    /// the 6×6 chip), and tighter on low-diameter fabrics.
+    /// worst-case OR-propagation, plus the fixed merge margin — the
+    /// historical `cols + rows + 1` on a mesh (13 cycles on the 6×6 chip,
+    /// Table 1), and tighter on low-diameter fabrics.
     pub fn notification_window(&self) -> u64 {
         self.diameter() as u64 + 3
     }
 
-    /// The router grid as `(cols, rows)` — the coordinate space quad
-    /// partitioning operates over. Router `(x, y)` has index
-    /// `y * cols + x` on every 2-D fabric; a ring is treated as a
-    /// `router_count × 1` line (the aggregation tree is a logical overlay,
-    /// not a set of physical mesh links, so wraparound is irrelevant).
-    pub fn router_grid(&self) -> (u16, u16) {
-        match self {
-            Topology::Mesh(m) => (m.cols(), m.rows()),
-            Topology::Torus(t) => (t.cols(), t.rows()),
-            Topology::Ring(r) => (r.router_count() as u16, 1),
-            Topology::CMesh(c) => (c.cols(), c.rows()),
-        }
-    }
-
-    /// Hop distance between two routers, derived by walking the unicast
-    /// routing spec — distance and path length cannot diverge.
+    /// Hop distance between two routers, *derived from the routing spec*:
+    /// the length of the path [`Topology::unicast_hop`] actually produces,
+    /// so reported distance and path length cannot diverge.
     pub fn hops(&self, a: RouterId, b: RouterId) -> u16 {
-        match self {
-            Topology::Mesh(m) => m.hops(a, b),
-            Topology::Torus(t) => t.hops(a, b),
-            Topology::Ring(r) => r.hops(a, b),
-            Topology::CMesh(c) => c.hops(a, b),
+        let dest = Endpoint::tile(b);
+        let (mut here, mut hops) = (a, 0);
+        loop {
+            let (port, _) = self.unicast_hop(here, dest);
+            if port.is_local() {
+                return hops;
+            }
+            here = self
+                .neighbor(here, port)
+                .expect("unicast route never points off-fabric");
+            hops += 1;
         }
     }
 
-    /// Whether this topology has wraparound links and therefore needs the
-    /// dateline VC-class discipline (requires ≥ 2 regular VCs per vnet).
-    pub fn has_datelines(&self) -> bool {
-        matches!(self, Topology::Torus(_) | Topology::Ring(_))
-    }
-
-    /// Whether the link leaving `r` through `port` crosses its
-    /// dimension's dateline.
-    pub fn wrap_link(&self, r: RouterId, port: Port) -> bool {
-        match self {
-            Topology::Mesh(_) | Topology::CMesh(_) => false,
-            Topology::Torus(t) => t.wrap_link(r, port),
-            Topology::Ring(r_) => r_.wrap_link(r, port),
-        }
-    }
-
-    /// Routing spec: the output port for a unicast packet at `here` bound
-    /// for `dest` (the local port once `here` is the destination router).
-    pub fn unicast_port(&self, here: RouterId, dest: Endpoint) -> Port {
-        match self {
-            Topology::Mesh(m) => m.unicast_port(here, dest),
-            Topology::Torus(t) => t.unicast_port(here, dest),
-            Topology::Ring(r) => r.unicast_port(here, dest),
-            Topology::CMesh(c) => c.unicast_port(here, dest),
-        }
-    }
-
-    /// Routing spec: the output set (mesh ports + local deliveries) for a
-    /// broadcast from the endpoint `src` observed at `here` having arrived
-    /// through `arrived_on` (`None` at the source router).
+    /// Routing spec, unicast: the output port at `here` toward `dest`, and
+    /// whether the downstream VC must come from the class-1 partition.
     ///
-    /// The source is an *endpoint*, not a router: on a concentrated fabric
-    /// the source router still feeds its sibling tile slots (only the
-    /// source's own slot self-delivers through the NIC loopback), so the
-    /// fork mask depends on which slot injected. Unconcentrated fabrics
-    /// ignore the slot.
-    pub fn broadcast_ports(
-        &self,
-        src: Endpoint,
-        here: RouterId,
-        arrived_on: Option<Port>,
-    ) -> PortMask {
-        match self {
-            Topology::Mesh(m) => m.broadcast_ports(src.router, here, arrived_on),
-            Topology::Torus(t) => t.broadcast_ports(src.router, here, arrived_on),
-            Topology::Ring(r) => r.broadcast_ports(src.router, here, arrived_on),
-            Topology::CMesh(c) => c.broadcast_ports(src, here, arrived_on),
-        }
-    }
-
-    /// Routing spec with dateline class: the unicast output port plus
-    /// whether the downstream VC must come from the class-1 partition
-    /// (always `false` on a mesh, where no link wraps).
+    /// In the first dimension where `here` and `dest` differ (X before Y)
+    /// an open dimension heads toward the destination coordinate and a
+    /// wrapped one takes the shorter way around, ties forward; once no
+    /// dimension differs the packet ejects through `dest`'s local port.
+    ///
+    /// The dateline class breaks each ring's channel-dependency cycle
+    /// (DESIGN.md §10): a hop is class 1 once the rest of its dimension's
+    /// path stays clear of that direction's wrap link, class 0 while it
+    /// still has the wrap ahead. Open fabrics never constrain the VC.
     pub fn unicast_hop(&self, here: RouterId, dest: Endpoint) -> (Port, bool) {
-        let port = self.unicast_port(here, dest);
-        let class = match self {
-            Topology::Mesh(_) | Topology::CMesh(_) => false,
-            Topology::Torus(t) => t.unicast_class(here, dest, port),
-            Topology::Ring(r) => r.unicast_class(here, dest, port),
-        };
-        (port, class)
+        let (at, to) = (self.position(here), self.position(dest.router));
+        for dim in 0..2 {
+            let (p, d, n) = (at[dim], to[dim], self.extent(dim));
+            if p == d {
+                continue;
+            }
+            let forward = if self.wraps {
+                (d + n - p) % n <= (p + n - d) % n
+            } else {
+                d > p
+            };
+            let (next, _) = self
+                .step(dim, p, forward)
+                .expect("a differing dimension has a link toward the destination");
+            let class1 = self.wraps && if forward { next <= d } else { next >= d };
+            return (port_toward(dim, forward), class1);
+        }
+        (dest.slot.port(), false)
     }
 
-    /// Routing spec with dateline classes: the broadcast output set plus a
-    /// bitmask (by [`Port::index`]) of outputs whose downstream VC must
-    /// come from the class-1 partition (always 0 on mesh-like fabrics).
-    /// Class bits only ever appear on the four cardinal ports (indices
-    /// `0..4`); local ports never carry one.
+    /// Routing spec, broadcast: the output set (link ports + local
+    /// deliveries) at `here` for the broadcast from endpoint `src` that
+    /// arrived through `arrived_on` (`None` at the source router), plus a
+    /// bitmask by [`Port::index`] of the link outputs whose downstream VC
+    /// must be class 1 (local ports never carry a class).
+    ///
+    /// *Fork shape* (the XY tree, the same on every fabric): the source
+    /// starts all four directions, a row copy continues along the row and
+    /// forks both column directions, a column copy continues straight.
+    ///
+    /// *A direction is taken iff hops remain.* Open: a neighbour exists —
+    /// which does not depend on the source, the reason the compiled tables
+    /// keep a single source slice when `!wraps && concentration == 1`.
+    /// Wrapped: `covered < budget`, where the forward copy of a ring of
+    /// `n` covers `n / 2` positions and the backward copy the other
+    /// `(n − 1) / 2`, and `covered` is the ring distance from the source
+    /// coordinate for a continuing copy, 0 for a fresh fork. A taken hop
+    /// is class 1 iff the rest of the copy's arc stays clear of the wrap
+    /// link.
+    ///
+    /// *Local delivery:* every tile slot of the router plus `Mc` where it
+    /// hosts one — except, at the source router, the source's own slot,
+    /// which self-delivers through its NIC loopback. An MC source rides
+    /// the tree of its router's slot 0 (the tables key sources by tile),
+    /// so that tile gets no copy; `Network::try_inject` therefore rejects
+    /// MC-sourced broadcasts wherever slot 0 has siblings.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `arrived_on` is a local port.
     pub fn broadcast_hop(
         &self,
         src: Endpoint,
         here: RouterId,
         arrived_on: Option<Port>,
     ) -> (PortMask, u8) {
-        let mask = self.broadcast_ports(src, here, arrived_on);
+        let travelling = arrived_on.map(|p| match heading(p) {
+            Some((dim, toward_sender)) => (dim, !toward_sender),
+            None => panic!("broadcast flit cannot arrive on local port {p}"),
+        });
+        let (from, at) = (self.position(src.router), self.position(here));
+        let mut mask = PortMask::EMPTY;
         let mut classes = 0u8;
-        match self {
-            Topology::Mesh(_) | Topology::CMesh(_) => {}
-            Topology::Torus(t) => {
-                for p in mask.iter() {
-                    if t.broadcast_class(src.router, here, p) {
-                        classes |= 1 << p.index();
-                    }
-                }
+        for (port, dim, forward) in HEADINGS {
+            let continues = travelling == Some((dim, forward));
+            let forks = match travelling {
+                None => true,
+                Some((along, _)) => along == 0 && dim == 1,
+            };
+            if !(continues || forks) {
+                continue;
             }
-            Topology::Ring(r) => {
-                for p in mask.iter() {
-                    if r.broadcast_class(src.router, here, p) {
-                        classes |= 1 << p.index();
+            let Some((next, _)) = self.step(dim, at[dim], forward) else {
+                continue;
+            };
+            if self.wraps {
+                let n = self.extent(dim);
+                let covered = |p: u32| {
+                    if forward {
+                        (p + n - from[dim]) % n
+                    } else {
+                        (from[dim] + n - p) % n
                     }
+                };
+                let budget = if forward { n / 2 } else { (n - 1) / 2 };
+                let done = if continues { covered(at[dim]) } else { 0 };
+                if done >= budget {
+                    continue;
                 }
+                // The spec is total (the tables probe off-tree points too):
+                // beyond the budget the remaining arc is simply zero.
+                let rem = budget.saturating_sub(covered(next));
+                let clear = if forward { next + rem < n } else { rem <= next };
+                classes |= u8::from(clear) << port.index();
             }
+            mask.insert(port);
+        }
+        let own_slot = arrived_on.is_none().then_some(match src.slot {
+            LocalSlot::Tile(k) => k,
+            LocalSlot::Mc => 0,
+        });
+        for k in 0..self.concentration {
+            if Some(k) != own_slot {
+                mask.insert(Port::tile_slot(k));
+            }
+        }
+        if self.has_mc(here) {
+            mask.insert(Port::Mc);
         }
         (mask, classes)
     }
@@ -1786,7 +1081,7 @@ impl Topology {
     ///
     /// Panics if `ep` does not exist in this topology.
     pub fn endpoint_index(&self, ep: Endpoint) -> usize {
-        let c = self.tiles_per_router();
+        let c = self.concentration;
         match ep.slot {
             LocalSlot::Tile(k) => {
                 assert!(
@@ -1798,7 +1093,7 @@ impl Topology {
             }
             LocalSlot::Mc => {
                 let pos = self
-                    .mc_routers()
+                    .mc_routers
                     .binary_search(&ep.router)
                     .unwrap_or_else(|_| panic!("no MC port at {}", ep.router));
                 self.tile_count() + pos
@@ -1926,6 +1221,44 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "MC router r4 out of range")]
+    fn out_of_range_mc_panics() {
+        let _ = Torus::new(2, 2, &[RouterId(4)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "must be non-zero, got 3x0")]
+    fn zero_dimension_panics() {
+        let _ = CMesh::with_corner_mcs(3, 0, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "concentration must be 1..=4, got 5")]
+    fn concentration_past_the_tile_ports_panics() {
+        let _ = CMesh::new(2, 2, 5, &[]);
+    }
+
+    // `RouterId` is a `u16` whose top value the tables reserve; before the
+    // check `routers()` truncated the count and placement wrapped in u16.
+    #[test]
+    #[should_panic(expected = "300x300 is 90000 routers")]
+    fn more_routers_than_a_router_id_can_name_panics() {
+        let _ = Mesh::new(300, 300, &[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "256x256 is 65536 routers")]
+    fn corner_placement_checks_the_grid_before_indexing_it() {
+        let _ = Mesh::square_with_corner_mcs(256);
+    }
+
+    #[test]
+    #[should_panic(expected = "200x200x4 is 160000 tiles")]
+    fn more_tiles_than_a_sid_can_name_panics() {
+        let _ = CMesh::new(200, 200, 4, &[]);
+    }
+
+    #[test]
     fn proportional_mcs_match_corners_on_small_meshes() {
         for k in [2u16, 4, 6, 8] {
             assert_eq!(
@@ -2035,9 +1368,9 @@ mod tests {
 
     #[test]
     fn diameters_and_windows() {
-        let mesh: Topology = Mesh::square_with_corner_mcs(6).into();
-        let torus: Topology = Torus::square_with_corner_mcs(6).into();
-        let ring: Topology = Ring::with_spread_mcs(36, 4).into();
+        let mesh: Topology = Mesh::square_with_corner_mcs(6);
+        let torus: Topology = Torus::square_with_corner_mcs(6);
+        let ring: Topology = Ring::with_spread_mcs(36, 4);
         assert_eq!(mesh.diameter(), 10);
         assert_eq!(torus.diameter(), 6);
         assert_eq!(ring.diameter(), 18);
@@ -2069,7 +1402,7 @@ mod tests {
     // partition it never goes back, which is the acyclicity argument.
     #[test]
     fn torus_unicast_classes_are_monotone_per_dimension() {
-        let topo: Topology = Torus::new(5, 4, &[]).into();
+        let topo: Topology = Torus::new(5, 4, &[]);
         for a in topo.routers() {
             for b in topo.routers() {
                 let dest = Endpoint::tile(b);
@@ -2099,7 +1432,7 @@ mod tests {
 
     #[test]
     fn ring_unicast_classes_flip_exactly_at_the_dateline() {
-        let topo: Topology = Ring::new(6, &[]).into();
+        let topo: Topology = Ring::new(6, &[]);
         // 4 -> 1 goes east through the 5 -> 0 wrap: class 0 before, 1 after.
         let dest = Endpoint::tile(RouterId(1));
         let (p0, c0) = topo.unicast_hop(RouterId(4), dest);
@@ -2112,29 +1445,46 @@ mod tests {
 
     #[test]
     fn topology_names_and_labels() {
-        let mesh: Topology = Mesh::square_with_corner_mcs(4).into();
-        let torus: Topology = Torus::square_with_corner_mcs(4).into();
-        let ring: Topology = Ring::with_spread_mcs(16, 4).into();
+        let mesh: Topology = Mesh::square_with_corner_mcs(4);
+        let torus: Topology = Torus::square_with_corner_mcs(4);
+        let ring: Topology = Ring::with_spread_mcs(16, 4);
         assert_eq!((mesh.name(), mesh.label().as_str()), ("mesh", "4x4"));
         assert_eq!(
             (torus.name(), torus.label().as_str()),
             ("torus", "torus4x4")
         );
         assert_eq!((ring.name(), ring.label().as_str()), ("ring", "ring16"));
-        // Debug transparency: the enum renders as the inner struct, which
-        // is what keeps pre-topology SystemConfig hashes valid.
+        let cmesh = CMesh::with_corner_mcs(2, 1, 2);
         assert_eq!(
-            format!("{mesh:?}"),
-            format!("{:?}", Mesh::square_with_corner_mcs(4))
+            (cmesh.name(), cmesh.label().as_str()),
+            ("cmesh", "cmesh2x1x2")
+        );
+        // The legacy Debug rendering `SystemConfig::stable_hash` is keyed on.
+        assert_eq!(
+            format!("{:?}", Mesh::new(2, 1, &[RouterId(1)])),
+            "Mesh { cols: 2, rows: 1, mc_routers: [RouterId(1)] }"
+        );
+        assert_eq!(
+            format!("{:?}", Torus::new(2, 3, &[])),
+            "Torus { cols: 2, rows: 3, mc_routers: [] }"
+        );
+        assert_eq!(
+            format!("{:?}", Ring::new(5, &[RouterId(4), RouterId(2)])),
+            "Ring { len: 5, mc_routers: [RouterId(2), RouterId(4)] }"
+        );
+        assert_eq!(
+            format!("{cmesh:?}"),
+            "CMesh { mesh: Mesh { cols: 2, rows: 1, mc_routers: [RouterId(0), RouterId(1)] }, \
+             concentration: 2 }"
         );
     }
 
     #[test]
     fn endpoint_index_is_dense_over_any_topology() {
         for topo in [
-            Topology::from(Mesh::square_with_corner_mcs(4)),
-            Topology::from(Torus::square_with_corner_mcs(4)),
-            Topology::from(Ring::with_spread_mcs(16, 4)),
+            Mesh::square_with_corner_mcs(4),
+            Torus::square_with_corner_mcs(4),
+            Ring::with_spread_mcs(16, 4),
         ] {
             for (i, ep) in topo.endpoints().enumerate() {
                 assert_eq!(topo.endpoint_index(ep), i, "{}", topo.label());

@@ -2,7 +2,7 @@
 //! every endpoint exactly once and the network must drain, on meshes well
 //! beyond the 6×6 chip — the scaling scenarios' substrate.
 
-use scorpio_noc::{Endpoint, Mesh, Network, NocConfig, Packet, RouterId, Sid};
+use scorpio_noc::{Endpoint, Mesh, Network, NocConfig, Packet, RouterId, Sid, Topology};
 
 /// Consumes everything that arrives until the network drains (or `max`
 /// cycles pass), returning the number of flits consumed.
@@ -26,7 +26,7 @@ fn drain(net: &mut Network<u64>, max: u64) -> u64 {
     consumed
 }
 
-fn broadcast_reaches_everyone(mesh: Mesh, src: RouterId, max_cycles: u64) {
+fn broadcast_reaches_everyone(mesh: Topology, src: RouterId, max_cycles: u64) {
     let n_eps = mesh.endpoints().count();
     let mut net: Network<u64> = Network::new(mesh, NocConfig::scorpio());
     let src_ep = Endpoint::tile(src);

@@ -11,7 +11,7 @@
 //! is the property global ordering rests on (asserted in debug builds).
 
 use crate::message::NotifyMsg;
-use scorpio_noc::{Mesh, Port, RouterId, Topology};
+use scorpio_noc::{Port, RouterId, Topology};
 use scorpio_sim::stats::Counter;
 use scorpio_sim::Cycle;
 
@@ -28,22 +28,16 @@ pub struct NotifyConfig {
 }
 
 impl NotifyConfig {
-    /// The chip configuration for `mesh`: 1 bit per core, window from
-    /// [`Mesh::notification_window`] (13 cycles on the 6×6 chip).
-    pub fn for_mesh(mesh: &Mesh) -> Self {
-        NotifyConfig::for_topology(&Topology::from(mesh))
-    }
-
-    /// The configuration for any delivery fabric: 1 bit per core, window
-    /// from [`Topology::notification_window`] (diameter-derived, so a
-    /// torus — or a concentrated mesh, whose *router grid* is what bounds
-    /// propagation — gets a tighter window than the mesh of the same core
-    /// count).
-    pub fn for_topology(topo: &Topology) -> Self {
+    /// The chip configuration for any delivery fabric: 1 bit per core,
+    /// window from [`Topology::notification_window`] (13 cycles on the 6×6
+    /// chip; diameter-derived, so a torus — or a concentrated mesh, whose
+    /// *router grid* is what bounds propagation — gets a tighter window
+    /// than the mesh of the same core count).
+    pub fn for_mesh(mesh: &Topology) -> Self {
         NotifyConfig {
-            cores: topo.tile_count(),
+            cores: mesh.tile_count(),
             bits_per_core: 1,
-            window: topo.notification_window(),
+            window: mesh.notification_window(),
         }
     }
 }
@@ -92,8 +86,7 @@ impl NotifyScheme {
             NotifyScheme::Flat => topo.diameter() as u64,
             NotifyScheme::Quad { fanout } => {
                 assert!(fanout >= 2, "quad fanout must be at least 2");
-                let (cols, rows) = topo.router_grid();
-                2 * quad_depth(cols, rows, fanout)
+                2 * quad_depth(topo.cols(), topo.rows(), fanout)
             }
         }
     }
@@ -292,9 +285,8 @@ pub struct NotifyNetwork {
 }
 
 impl NotifyNetwork {
-    /// Builds the notification network mirroring `fabric` — a [`Mesh`]
-    /// (pass `&mesh` exactly as before the topology axis existed), a
-    /// torus, a ring, or a [`Topology`].
+    /// Builds the notification network mirroring `fabric` — a
+    /// [`Topology`] or a reference to one.
     ///
     /// # Panics
     ///
@@ -379,7 +371,7 @@ impl NotifyNetwork {
         let tree = match scheme {
             NotifyScheme::Flat => None,
             NotifyScheme::Quad { fanout } => {
-                let (cols, rows) = topo.router_grid();
+                let (cols, rows) = (topo.cols(), topo.rows());
                 Some(QuadTree::new(cols, rows, fanout, &blank))
             }
         };
@@ -771,6 +763,7 @@ impl NotifyNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scorpio_noc::Mesh;
 
     fn net(k: u16) -> NotifyNetwork {
         let mesh = Mesh::new(k, k, &[]);
@@ -975,8 +968,8 @@ mod tests {
     #[test]
     fn torus_window_is_tighter_and_converges() {
         use scorpio_noc::{Topology, Torus};
-        let topo: Topology = Torus::square_with_corner_mcs(6).into();
-        let cfg = NotifyConfig::for_topology(&topo);
+        let topo: Topology = Torus::square_with_corner_mcs(6);
+        let cfg = NotifyConfig::for_mesh(&topo);
         // Torus diameter 6 vs mesh 10: window 9 vs the chip's 13.
         assert_eq!(cfg.window, 9);
         let mut nn = NotifyNetwork::new(&topo, cfg);
@@ -995,8 +988,8 @@ mod tests {
     #[test]
     fn ring_converges_within_its_half_circumference_window() {
         use scorpio_noc::{Ring, Topology};
-        let topo: Topology = Ring::with_spread_mcs(16, 4).into();
-        let cfg = NotifyConfig::for_topology(&topo);
+        let topo: Topology = Ring::with_spread_mcs(16, 4);
+        let cfg = NotifyConfig::for_mesh(&topo);
         assert_eq!(cfg.window, 8 + 3);
         let mut nn = NotifyNetwork::new(&topo, cfg.clone());
         nn.stage_injection(0, 1, false);
@@ -1014,7 +1007,7 @@ mod tests {
         // cols = 2: East and West reach the same neighbour; the OR fan-in
         // must still converge (merging a value twice is the identity).
         let t = Torus::new(2, 4, &[]);
-        let cfg = NotifyConfig::for_topology(&(&t).into());
+        let cfg = NotifyConfig::for_mesh(&t);
         let mut nn = NotifyNetwork::new(&t, cfg);
         nn.stage_injection(7, 1, false);
         for _ in 0..nn.config().window {
@@ -1034,8 +1027,8 @@ mod tests {
         use scorpio_noc::{CMesh, Topology};
         // 16 cores as a 4x2 router grid x 2 tiles: diameter 4, window 7 —
         // tighter than the 4x4 mesh's 9 at the same core count.
-        let topo: Topology = CMesh::with_corner_mcs(4, 2, 2).into();
-        let cfg = NotifyConfig::for_topology(&topo);
+        let topo: Topology = CMesh::with_corner_mcs(4, 2, 2);
+        let cfg = NotifyConfig::for_mesh(&topo);
         assert_eq!(cfg.cores, 16);
         assert_eq!(cfg.window, 7);
         let mut nn = NotifyNetwork::new(&topo, cfg.clone());
@@ -1064,14 +1057,14 @@ mod tests {
         // chip's own window at 28× the core count); fanout 4 folds
         // 32→8→2→1 (depth 3, window 9). Both beat the ≤ 20 target and the
         // flat 67 by far.
-        let m32: Topology = Mesh::new(32, 32, &[]).into();
+        let m32: Topology = Mesh::new(32, 32, &[]);
         assert_eq!(m32.notification_window(), 65);
         assert_eq!(NotifyScheme::Quad { fanout: 2 }.window_for(&m32), 13);
         assert_eq!(NotifyScheme::Quad { fanout: 4 }.window_for(&m32), 9);
         // Non-square and degenerate grids.
-        let m8x2: Topology = Mesh::new(8, 2, &[]).into();
+        let m8x2: Topology = Mesh::new(8, 2, &[]);
         assert_eq!(NotifyScheme::Quad { fanout: 2 }.window_for(&m8x2), 9);
-        let m1x1: Topology = Mesh::new(1, 1, &[]).into();
+        let m1x1: Topology = Mesh::new(1, 1, &[]);
         assert_eq!(NotifyScheme::Quad { fanout: 2 }.window_for(&m1x1), 3);
         // Flat reproduces the topology window exactly.
         assert_eq!(
@@ -1084,12 +1077,11 @@ mod tests {
 
     fn quad_net(cols: u16, rows: u16, fanout: u8, planes: usize) -> NotifyNetwork {
         let mesh = Mesh::new(cols, rows, &[]);
-        let topo: Topology = (&mesh).into();
         let scheme = NotifyScheme::Quad { fanout };
         let cfg = NotifyConfig {
-            cores: topo.tile_count(),
+            cores: mesh.tile_count(),
             bits_per_core: 1,
-            window: scheme.window_for(&topo),
+            window: scheme.window_for(&mesh),
         };
         NotifyNetwork::with_scheme(&mesh, cfg, planes, scheme)
     }
@@ -1142,17 +1134,15 @@ mod tests {
             let fanout = if rng.chance(0.5) { 2 } else { 4 };
             let planes = if rng.chance(0.5) { 1 } else { 4 };
             let mesh = Mesh::new(cols, rows, &[]);
-            let topo: Topology = (&mesh).into();
-            let cores = topo.tile_count();
+            let cores = mesh.tile_count();
             let scheme = NotifyScheme::Quad { fanout };
-            let mut flat =
-                NotifyNetwork::with_planes(&mesh, NotifyConfig::for_topology(&topo), planes);
+            let mut flat = NotifyNetwork::with_planes(&mesh, NotifyConfig::for_mesh(&mesh), planes);
             let mut quad = NotifyNetwork::with_scheme(
                 &mesh,
                 NotifyConfig {
                     cores,
                     bits_per_core: 1,
-                    window: scheme.window_for(&topo),
+                    window: scheme.window_for(&mesh),
                 },
                 planes,
                 scheme,

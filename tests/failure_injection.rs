@@ -150,7 +150,7 @@ fn rectangular_mesh_system_works() {
     // A 6×2 mesh with MCs on two corners: exercises asymmetric broadcast
     // trees and window sizing.
     let mesh = Mesh::new(6, 2, &[RouterId(0), RouterId(11)]);
-    let cfg = SystemConfig::with_mesh(mesh);
+    let cfg = SystemConfig::with_topology(mesh);
     let params = WorkloadParams::by_name("fft").unwrap().with_ops(40);
     let traces = generate(&params, cfg.cores(), 23);
     let mut sys = System::with_traces(cfg, traces);

@@ -40,7 +40,7 @@ fn range_u16(rng: &mut SimRng, lo: u16, hi: u16) -> u16 {
 fn broadcast_tree_exactly_once() {
     for_each_seed(16, |rng| {
         let (cols, rows) = (range_u16(rng, 1, 8), range_u16(rng, 1, 8));
-        let topo: Topology = Mesh::new(cols, rows, &[]).into();
+        let topo: Topology = Mesh::new(cols, rows, &[]);
         let src = RouterId(range_u16(rng, 0, cols * rows));
         let deliveries = routing::broadcast_deliveries(&topo, Endpoint::tile(src));
         for r in topo.routers() {
@@ -56,7 +56,7 @@ fn broadcast_tree_exactly_once() {
 fn unicast_paths_are_minimal() {
     for_each_seed(16, |rng| {
         let (cols, rows) = (range_u16(rng, 1, 8), range_u16(rng, 1, 8));
-        let topo: Topology = Mesh::new(cols, rows, &[]).into();
+        let topo: Topology = Mesh::new(cols, rows, &[]);
         let n = cols * rows;
         let (src, dst) = (
             RouterId(range_u16(rng, 0, n)),
@@ -74,8 +74,8 @@ fn unicast_paths_are_minimal() {
 fn broadcast_exactly_once_on_wraparound_fabrics() {
     for_each_seed(16, |rng| {
         let (cols, rows) = (range_u16(rng, 2, 7), range_u16(rng, 2, 7));
-        routing::check_broadcast_exactly_once(&Torus::new(cols, rows, &[]).into());
-        routing::check_broadcast_exactly_once(&Ring::new(range_u16(rng, 2, 20), &[]).into());
+        routing::check_broadcast_exactly_once(&Torus::new(cols, rows, &[]));
+        routing::check_broadcast_exactly_once(&Ring::new(range_u16(rng, 2, 20), &[]));
     });
 }
 
