@@ -1534,7 +1534,7 @@ fn cmesh_render(s: &Scenario, results: &[RunResult]) -> String {
             conc,
             r.spec.planes,
             cfg.mesh.diameter(),
-            cfg.mesh.notification_window(),
+            cfg.notification_window(),
             r.report.protocol,
             r.report.runtime_cycles,
             r.report.packet_latency.mean(),

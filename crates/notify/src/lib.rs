@@ -3,6 +3,15 @@
 //! view of "which cores want requests ordered this window", within a fixed
 //! latency bound.
 //!
+//! Because the network is contention-free and fixed-latency by
+//! construction, the crate models its *contract*, not its gates:
+//! [`NotifyNetwork`] is a window clock over three [`NotifyMsg`] registers
+//! (staged → in flight → published), and [`NotifyScheme`] says how long a
+//! window the fabric needs. That the gates meet the contract — every
+//! router holds the published word after exactly the declared propagation
+//! cycles — is checked against a gate-level oracle in the test suite, on
+//! every fabric.
+//!
 //! Combined with a consistent ordering rule at every NIC (the rotating
 //! priority arbiter in `scorpio-nic`), this yields a *distributed* global
 //! order without a centralized ordering point — the paper's key idea of

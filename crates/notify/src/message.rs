@@ -41,8 +41,8 @@ pub struct NotifyMsg {
     /// `(plane * cores + core) * bits_per_core`. Lanes never straddle a
     /// word only when `64 % bits_per_core == 0`; to keep the code
     /// general, a lane is read/written via a 128-bit window instead.
-    /// Packing matters: the notification mesh ORs `O(routers)` of these
-    /// every propagation cycle, so merges must be word-wide, not per-core.
+    /// Packing keeps merges, copies and the NICs' scans for announcers
+    /// word-wide, not per-core.
     words: Vec<u64>,
     cores: usize,
     bits_per_core: u8,
@@ -212,50 +212,6 @@ impl NotifyMsg {
             *a |= *b;
         }
         self.stop |= other.stop;
-    }
-
-    /// Bitwise-OR merge restricted to the planes set in `mask` (bit `p` =
-    /// plane `p`): only the words overlapping a live plane's lane range are
-    /// ORed, so an idle plane's word group costs nothing per merge. Exact
-    /// whenever every plane *not* in `mask` is all-zero in `other` — which
-    /// is precisely the case the notification network's per-window
-    /// live-plane tracking guarantees — because a boundary word shared with
-    /// a masked-out plane then only contributes zero bits. A mask covering
-    /// every plane delegates to the plain word-wide [`NotifyMsg::merge_from`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two messages have different shapes.
-    pub fn merge_from_planes(&mut self, other: &NotifyMsg, mask: u64) {
-        let full = if self.planes == 64 {
-            u64::MAX
-        } else {
-            (1u64 << self.planes) - 1
-        };
-        let mask = mask & full;
-        if mask == full {
-            return self.merge_from(other);
-        }
-        assert_eq!(self.cores, other.cores, "core count mismatch");
-        assert_eq!(
-            self.bits_per_core, other.bits_per_core,
-            "bits-per-core mismatch"
-        );
-        assert_eq!(self.planes, other.planes, "plane count mismatch");
-        let lane_bits = self.cores * self.bits_per_core as usize;
-        if lane_bits > 0 {
-            let mut m = mask;
-            while m != 0 {
-                let p = m.trailing_zeros() as usize;
-                m &= m - 1;
-                let lo = p * lane_bits / 64;
-                let hi = ((p + 1) * lane_bits - 1) / 64;
-                for w in lo..=hi {
-                    self.words[w] |= other.words[w];
-                }
-            }
-        }
-        self.stop |= other.stop & mask;
     }
 
     /// Overwrites this message with `other`'s contents, reusing storage.
@@ -554,35 +510,6 @@ mod tests {
         assert_eq!(m.total(), 3);
         assert_eq!(m.total_in(0), 1);
         assert_eq!(m.total_in(1), 2);
-    }
-
-    #[test]
-    fn plane_masked_merge_matches_full_merge_on_live_planes() {
-        // Lanes of 3-bit counts straddle word boundaries at 8 cores ×
-        // several planes, exercising the shared-boundary-word path.
-        let mut base = NotifyMsg::with_planes(8, 3, 5);
-        base.set_count_in(0, 1, 2);
-        let mut other = NotifyMsg::with_planes(8, 3, 5);
-        other.set_count_in(0, 7, 5);
-        other.set_count_in(2, 0, 3);
-        other.set_count_in(2, 7, 1);
-        other.set_stop_in(2, true);
-        // Planes 1, 3, 4 are all-zero in `other` — the exactness
-        // precondition — so merging with mask {0, 2} must equal the full
-        // merge.
-        let mut masked = base.clone();
-        masked.merge_from_planes(&other, 0b00101);
-        let mut full = base.clone();
-        full.merge_from(&other);
-        assert_eq!(masked, full);
-        // A full mask delegates to the word-wide merge.
-        let mut all = base.clone();
-        all.merge_from_planes(&other, u64::MAX);
-        assert_eq!(all, full);
-        // An empty mask merges nothing.
-        let mut none = base.clone();
-        none.merge_from_planes(&other, 0);
-        assert_eq!(none, base);
     }
 
     /// The word walk against the lane-by-lane definitions it replaced, on

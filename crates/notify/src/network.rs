@@ -1,17 +1,26 @@
-//! The bufferless bitwise-OR notification network (Figure 3).
+//! The bufferless bitwise-OR notification network (Figure 3), modelled as
+//! what the paper specifies it to be: a contention-free, *fixed-latency*
+//! primitive on a window clock.
 //!
-//! Each "router" is nothing but OR gates and latches: every cycle it merges
-//! the messages latched by its neighbours with its own and latches the
-//! result. Because merging never blocks, the network is contention-free and
-//! its latency is bounded by the *topology diameter* — the notification
-//! fabric mirrors whatever delivery fabric the main network runs on (mesh,
-//! torus or ring), so low-diameter fabrics get proportionally shorter time
-//! windows. Nodes inject only at window boundaries; by construction every
-//! node holds the identical merged message at the end of the window, which
-//! is the property global ordering rests on (asserted in debug builds).
+//! On the chip each "router" is nothing but OR gates and latches: every
+//! cycle it merges the messages latched by its neighbours with its own and
+//! latches the result. Merging never blocks, so after as many cycles as
+//! the fabric's diameter (or one up plus one down pass of the quad tree)
+//! every node holds the OR of everything latched at the window start — by
+//! construction, not as something a run discovers. That is the whole
+//! contract global ordering rests on, so it is all [`NotifyNetwork`]
+//! models: three registers, `staged` → `flight` → `latest`, moved at the
+//! window boundaries. The window length is where the fabric enters
+//! ([`NotifyScheme::propagation_cycles`]).
+//!
+//! What is *checked* rather than modelled is the window formula itself:
+//! the test module's `gates` oracle rebuilds the per-router latches, the
+//! neighbour OR over the fabric's links and the quad tree's up/down sweep,
+//! and asserts on every fabric that real propagation reaches the published
+//! word at every router in exactly the declared number of cycles.
 
 use crate::message::NotifyMsg;
-use scorpio_noc::{Port, RouterId, Topology};
+use scorpio_noc::Topology;
 use scorpio_sim::stats::Counter;
 use scorpio_sim::Cycle;
 
@@ -46,6 +55,9 @@ impl NotifyConfig {
 /// diameter-bounded OR mesh of the chip (Figure 3), or hierarchical
 /// aggregation over a quad tree whose propagation cost tracks the tree
 /// *depth* instead of the grid diameter — the Epiphany-V scaling move.
+/// Either way every node ends the window holding the same OR; the scheme
+/// decides how long the window must be and how the routers group into
+/// regions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum NotifyScheme {
     /// The chip's flat OR mesh: one propagation step per neighbour hop,
@@ -78,6 +90,21 @@ fn quad_depth(cols: u16, rows: u16, fanout: u8) -> u64 {
     depth
 }
 
+/// One level of the quad tree: for every node of a `cols × rows` grid
+/// (indexed `y * cols + x`), the index of the `fanout × fanout` block it
+/// folds into on the `ceil(cols / fanout) × ceil(rows / fanout)` grid one
+/// level up. On the router grid itself this is the leaf-quad region map.
+fn quad_parents(cols: u32, rows: u32, fanout: u32) -> Vec<u32> {
+    let parent_cols = cols.div_ceil(fanout);
+    let mut map = Vec::with_capacity((cols * rows) as usize);
+    for y in 0..rows {
+        for x in 0..cols {
+            map.push((y / fanout) * parent_cols + x / fanout);
+        }
+    }
+    map
+}
+
 impl NotifyScheme {
     /// Cycles one window spends propagating announcements: the topology
     /// diameter (flat) or one up plus one down pass over the tree (quad).
@@ -92,10 +119,11 @@ impl NotifyScheme {
     }
 
     /// The notification window this scheme needs on `topo`: propagation
-    /// cycles plus the same fixed merge margin the flat window uses, so
-    /// `Flat` reproduces [`Topology::notification_window`] exactly.
+    /// cycles plus the fixed merge margin [`Topology::notification_window`]
+    /// adds to the diameter, so `Flat` *is* that window.
     pub fn window_for(self, topo: &Topology) -> u64 {
-        self.propagation_cycles(topo) + 3
+        let margin = topo.notification_window() - topo.diameter() as u64;
+        self.propagation_cycles(topo) + margin
     }
 
     /// Short label for config/scenario rows: `""` (flat — keeps every
@@ -108,103 +136,8 @@ impl NotifyScheme {
     }
 }
 
-/// The aggregation tree of the quad scheme. Level 0 is the router grid
-/// itself (the `acc` latches); level `ℓ + 1` holds one aggregate word per
-/// `fanout × fanout` block of level-`ℓ` nodes. A live window runs `depth`
-/// up-steps (each clearing its target level, then OR-folding children into
-/// parents) followed by `depth` down-steps (each child ORs its parent's
-/// aggregate back in), after which every leaf holds the global OR — the
-/// same convergence contract the flat mesh meets after `diameter` steps.
-#[derive(Debug, Clone)]
-struct QuadTree {
-    /// `parent[l][i]`: index at level `l + 1` of node `i` at level `l`
-    /// (`l` ranges over `0..depth`).
-    parent: Vec<Vec<u32>>,
-    /// `levels[l - 1]`: aggregate words of level `l` (`l` in `1..=depth`).
-    levels: Vec<Vec<NotifyMsg>>,
-    /// Tree height above the leaves.
-    depth: u64,
-}
-
-impl QuadTree {
-    /// Builds the tree over a `cols × rows` grid of routers indexed
-    /// `y * cols + x`, with `blank` as the all-zero aggregate prototype.
-    fn new(cols: u16, rows: u16, fanout: u8, blank: &NotifyMsg) -> QuadTree {
-        let f = fanout as u32;
-        let mut parent = Vec::new();
-        let mut levels = Vec::new();
-        let (mut c, mut r) = (cols as u32, rows as u32);
-        while c > 1 || r > 1 {
-            let (pc, pr) = (c.div_ceil(f), r.div_ceil(f));
-            let mut map = Vec::with_capacity((c * r) as usize);
-            for y in 0..r {
-                for x in 0..c {
-                    map.push((y / f) * pc + (x / f));
-                }
-            }
-            parent.push(map);
-            levels.push(vec![blank.clone(); (pc * pr) as usize]);
-            (c, r) = (pc, pr);
-        }
-        let depth = levels.len() as u64;
-        QuadTree {
-            parent,
-            levels,
-            depth,
-        }
-    }
-
-    /// Runs propagation step `t` (1-based within the window) for a live
-    /// window: steps `1..=depth` fold upward, steps `depth+1..=2·depth`
-    /// broadcast downward. `acc` is the leaf level; `mask` restricts the
-    /// merges to the window's live planes.
-    fn step(&mut self, t: u64, acc: &mut [NotifyMsg], mask: u64) {
-        let d = self.depth;
-        debug_assert!((1..=2 * d).contains(&t), "quad step {t} out of range");
-        if t <= d {
-            // Up: recompute level t from level t − 1. Clearing the target
-            // level first makes stale aggregates from earlier windows
-            // irrelevant — each live window rebuilds the levels it uses.
-            let l = (t - 1) as usize;
-            if l == 0 {
-                for m in self.levels[0].iter_mut() {
-                    m.clear();
-                }
-                for (i, src) in acc.iter().enumerate() {
-                    self.levels[0][self.parent[0][i] as usize].merge_from_planes(src, mask);
-                }
-            } else {
-                let (lo, hi) = self.levels.split_at_mut(l);
-                let (src, dst) = (&lo[l - 1], &mut hi[0]);
-                for m in dst.iter_mut() {
-                    m.clear();
-                }
-                for (i, s) in src.iter().enumerate() {
-                    dst[self.parent[l][i] as usize].merge_from_planes(s, mask);
-                }
-            }
-        } else {
-            // Down: level (depth − s) merges its parent's aggregate, which
-            // already holds the global OR of everything latched this
-            // window.
-            let l = (d - (t - d)) as usize;
-            if l == 0 {
-                let src = &self.levels[0];
-                for (i, m) in acc.iter_mut().enumerate() {
-                    m.merge_from_planes(&src[self.parent[0][i] as usize], mask);
-                }
-            } else {
-                let (lo, hi) = self.levels.split_at_mut(l);
-                let (dst, src) = (&mut lo[l - 1], &hi[0]);
-                for (i, m) in dst.iter_mut().enumerate() {
-                    m.merge_from_planes(&src[self.parent[l][i] as usize], mask);
-                }
-            }
-        }
-    }
-}
-
-/// The notification network state.
+/// The notification network state: a three-stage register pipeline on a
+/// window clock.
 ///
 /// Drive it with one [`NotifyNetwork::tick`] per system cycle. NICs stage
 /// injections with [`NotifyNetwork::stage_injection`] (latched at the next
@@ -229,50 +162,28 @@ impl QuadTree {
 #[derive(Debug, Clone)]
 pub struct NotifyNetwork {
     cfg: NotifyConfig,
-    /// Flattened neighbour lists (`adj[adj_idx[r]..adj_idx[r + 1]]`), one
-    /// entry per physical link of the underlying topology — the OR-gate
-    /// fan-in of each notification router.
-    adj: Vec<u32>,
-    adj_idx: Vec<u32>,
-    /// The notification router each core's bit lane injects at — on a
-    /// concentrated fabric several cores share one router (`tile_router[i]
-    /// == i / c`); everywhere else it is the identity.
-    tile_router: Vec<u32>,
     cycle: Cycle,
-    /// Number of main-network planes the message word groups announce for.
-    planes: usize,
-    /// Latched value per router.
-    acc: Vec<NotifyMsg>,
-    scratch: Vec<NotifyMsg>,
-    /// Contributions waiting for the next window start, one lane per
-    /// (plane, core) pair (lane `p * cores + c`).
-    pending: Vec<(u8, bool)>,
-    /// Lanes with a staged contribution (indices into `pending`); lets a
-    /// window start skip the all-lanes latch scan when nothing is staged.
-    pending_dirty: Vec<usize>,
-    /// Which planes the window in flight carries announcements for (bit
-    /// `p` = plane `p`). An all-zero window needs no propagation, and a
-    /// window live on a subset of planes merges only those planes' word
-    /// groups — OR-merging an idle plane's all-zero group is the identity,
-    /// so skipping it changes no latch value.
-    live_planes: u64,
-    /// Propagation steps per window: the topology diameter (flat) or
-    /// `2 × tree depth` (quad). Convergence is reached after this many
-    /// steps, after which further OR steps merge equal values and are
-    /// skipped too.
-    prop_cycles: u64,
     /// The aggregation scheme in use.
     scheme: NotifyScheme,
-    /// The aggregation tree (quad scheme only).
-    tree: Option<QuadTree>,
-    /// Leaf-quad index of each router (`parent[0]` of the tree); a flat
-    /// network is one region. This is the region map per-region event
-    /// leaping keys its quiescence tracking on.
+    /// Contributions waiting for the next window start.
+    staged: NotifyMsg,
+    /// The window in flight: the OR of everything latched at its start —
+    /// what every node holds once propagation has converged. All-zero
+    /// whenever `live` is clear.
+    flight: NotifyMsg,
+    /// Whether the window in flight carries any announcement. Stays set
+    /// past the publish tick, until the next window-start tick runs.
+    live: bool,
+    /// The merged message of the last completed window, and its index
+    /// (`None` until the first window completes).
+    latest: NotifyMsg,
+    latest_window: Option<u64>,
+    /// Leaf-quad index of each router; a flat network is one region. This
+    /// is the region map per-region event leaping keys its quiescence
+    /// tracking on.
     region_of_router: Vec<u32>,
     /// Number of leaf quads (1 when flat).
     regions: usize,
-    /// The merged message of the last completed window.
-    latest: Option<(u64, NotifyMsg)>,
     /// Publish-tick cycles, recorded when enabled ([`NotifyNetwork::set_publish_log`]).
     /// Lives here rather than in the system layer because a single
     /// empty-window advance can complete several windows at once — an
@@ -298,9 +209,9 @@ impl NotifyNetwork {
 
     /// Builds a notification network whose messages carry one independent
     /// announcement word group per main-network plane — the multi-plane
-    /// configuration. One physical OR-tree fabric propagates all planes'
-    /// words together (they are just wider messages); each plane's
-    /// ordering windows converge independently.
+    /// configuration. One physical OR fabric propagates all planes' words
+    /// together (they are just wider messages); each plane's ordering
+    /// windows converge independently.
     ///
     /// # Panics
     ///
@@ -311,9 +222,9 @@ impl NotifyNetwork {
     }
 
     /// Builds a notification network using `scheme` for in-window
-    /// propagation: [`NotifyScheme::Flat`] reproduces the chip's OR mesh
-    /// bit-for-bit, [`NotifyScheme::Quad`] aggregates hierarchically so
-    /// `cfg.window` may be as short as `2 · tree depth + 3`
+    /// propagation: [`NotifyScheme::Flat`] is the chip's OR mesh,
+    /// [`NotifyScheme::Quad`] aggregates hierarchically so `cfg.window`
+    /// may be as short as `2 · tree depth + 3`
     /// ([`NotifyScheme::window_for`]).
     ///
     /// # Panics
@@ -344,58 +255,25 @@ impl NotifyNetwork {
             ),
         }
         assert_eq!(cfg.cores, topo.tile_count(), "one bit-lane per tile");
-        let tile_router: Vec<u32> = (0..cfg.cores)
-            .map(|i| topo.tile_endpoint(i).router.0 as u32)
-            .collect();
-        // Flatten the neighbour lists: the OR-propagation step visits them
-        // in router order, and a router's merge order is irrelevant (OR is
-        // commutative), so mesh behavior is bit-identical to the old
-        // hard-coded 4-neighbourhood loop.
-        let mut adj = Vec::new();
-        let mut adj_idx = Vec::with_capacity(topo.router_count() + 1);
-        adj_idx.push(0u32);
-        for r in topo.routers() {
-            for port in [Port::North, Port::South, Port::East, Port::West] {
-                if let Some(n) = topo.neighbor(r, port) {
-                    // A 2-wide torus dimension wires both ports to the
-                    // same neighbour; merging it twice is the identity,
-                    // but dedup keeps the gate count honest.
-                    if !adj[adj_idx[r.index()] as usize..].contains(&(n.0 as u32)) {
-                        adj.push(n.0 as u32);
-                    }
-                }
-            }
-            adj_idx.push(adj.len() as u32);
-        }
-        let blank = NotifyMsg::with_planes(cfg.cores, cfg.bits_per_core, planes);
-        let tree = match scheme {
-            NotifyScheme::Flat => None,
+        let (region_of_router, regions) = match scheme {
+            NotifyScheme::Flat => (vec![0; topo.router_count()], 1),
             NotifyScheme::Quad { fanout } => {
-                let (cols, rows) = (topo.cols(), topo.rows());
-                Some(QuadTree::new(cols, rows, fanout, &blank))
+                let (cols, rows, f) = (topo.cols() as u32, topo.rows() as u32, fanout as u32);
+                let leaf_quads = cols.div_ceil(f) * rows.div_ceil(f);
+                (quad_parents(cols, rows, f), leaf_quads as usize)
             }
         };
-        let (region_of_router, regions) = match &tree {
-            Some(t) if t.depth > 0 => (t.parent[0].clone(), t.levels[0].len()),
-            _ => (vec![0; topo.router_count()], 1),
-        };
+        let blank = NotifyMsg::with_planes(cfg.cores, cfg.bits_per_core, planes);
         NotifyNetwork {
-            adj,
-            adj_idx,
-            tile_router,
             cycle: Cycle::ZERO,
-            planes,
-            acc: vec![blank.clone(); topo.router_count()],
-            scratch: vec![blank; topo.router_count()],
-            pending: vec![(0, false); planes * cfg.cores],
-            pending_dirty: Vec::new(),
-            live_planes: 0,
-            prop_cycles,
             scheme,
-            tree,
+            staged: blank.clone(),
+            flight: blank.clone(),
+            live: false,
+            latest: blank,
+            latest_window: None,
             region_of_router,
             regions,
-            latest: None,
             publish_log: None,
             windows_completed: Counter::new(),
             nonempty_windows: Counter::new(),
@@ -432,7 +310,7 @@ impl NotifyNetwork {
 
     /// Number of main-network planes the messages announce for.
     pub fn planes(&self) -> usize {
-        self.planes
+        self.flight.planes()
     }
 
     /// The propagation scheme in use.
@@ -457,11 +335,6 @@ impl NotifyNetwork {
         self.region_of_router[r]
     }
 
-    /// Whether the window in flight carries any announcement.
-    fn live(&self) -> bool {
-        self.live_planes != 0
-    }
-
     /// Stages core `core`'s plane-0 announcement for the next window
     /// start: `count` requests (saturating) and optionally the stop bit.
     /// Staging twice before a window start merges (max/OR semantics).
@@ -480,118 +353,64 @@ impl NotifyNetwork {
     ///
     /// Panics if `plane` or `core` is out of range.
     pub fn stage_injection_in(&mut self, plane: usize, core: usize, count: u8, stop: bool) {
-        assert!(plane < self.planes, "plane {plane} out of range");
-        assert!(core < self.cfg.cores, "core {core} out of range");
-        let max = (1u16 << self.cfg.bits_per_core) as u8 - 1;
-        let lane = plane * self.cfg.cores + core;
-        let entry = &mut self.pending[lane];
-        if *entry == (0, false) && (count > 0 || stop) {
-            self.pending_dirty.push(lane);
+        // `count_in` rejects an out-of-range plane or core; `set_count_in`
+        // saturates at the field width.
+        let merged = self.staged.count_in(plane, core).max(count);
+        self.staged.set_count_in(plane, core, merged);
+        if stop {
+            self.staged.set_stop_in(plane, true);
         }
-        entry.0 = entry.0.max(count.min(max));
-        entry.1 |= stop;
     }
 
     /// The merged message of the most recently completed window, with its
     /// index. `None` until the first window completes.
     pub fn latest(&self) -> Option<(u64, &NotifyMsg)> {
-        self.latest.as_ref().map(|(w, m)| (*w, m))
+        self.latest_window.map(|w| (w, &self.latest))
     }
 
-    /// The value currently latched at `router` (for inspection/tests).
-    pub fn latched_at(&self, router: RouterId) -> &NotifyMsg {
-        &self.acc[router.index()]
-    }
-
-    /// Advances one cycle: window-start injection, one OR-propagation step,
-    /// and window-end completion.
-    ///
-    /// Two exact shortcuts keep an idle notification mesh O(1) per cycle:
-    /// a window nobody injected into stays all-zero (OR with zero is the
-    /// identity), and a live window stops propagating once every router
-    /// provably holds the global OR — after `diameter` steps — since
-    /// merging equal values changes nothing. Neither shortcut alters any
-    /// latch value a NIC could observe.
+    /// Advances one cycle. Only the two boundary cycles of a window do
+    /// anything: its first latches what was staged, its last publishes.
+    /// Every cycle in between is a clock increment — the in-window
+    /// propagation those cycles stand for cannot change what the window
+    /// publishes.
     pub fn tick(&mut self) {
         let w = self.cfg.window;
-        let in_window = self.cycle.as_u64() % w;
-
+        let now = self.cycle.as_u64();
+        let in_window = now % w;
         if in_window == 0 {
-            // Window start: latch pending contributions as fresh values.
-            // Only a live window leaves nonzero latches to clear, and only
-            // staged cores latch anything.
-            if self.live() {
-                for msg in self.acc.iter_mut() {
-                    msg.clear();
-                }
-                self.live_planes = 0;
+            // Window start: the previous window's word is dropped and the
+            // staged contributions become the window in flight. `staged`
+            // gets the all-zero `flight` back.
+            if self.live {
+                self.flight.clear();
+                self.live = false;
             }
-            for k in 0..self.pending_dirty.len() {
-                let lane = self.pending_dirty[k];
-                let (plane, core) = (lane / self.cfg.cores, lane % self.cfg.cores);
-                let (count, stop) = std::mem::take(&mut self.pending[lane]);
-                // Latch at the router hosting this core's tile; the lane
-                // inside the message stays the core number.
-                let msg = &mut self.acc[self.tile_router[core] as usize];
-                if count > 0 {
-                    msg.set_count_in(plane, core, count);
-                }
-                if stop {
-                    msg.set_stop_in(plane, true);
-                }
-                self.live_planes |= 1 << plane;
-            }
-            self.pending_dirty.clear();
-        } else if self.live() && in_window <= self.prop_cycles {
-            let mask = self.live_planes;
-            match &mut self.tree {
-                // One flat propagation step: each router ORs its
-                // neighbours' latched values into its own (two-phase via
-                // scratch, buffers reused). Neighbour sets come from the
-                // precomputed adjacency of the underlying topology, so the
-                // same loop serves mesh, torus and ring fabrics. Only live
-                // planes' word groups are merged — an idle plane's group
-                // is all-zero everywhere, so skipping it is exact.
-                None => {
-                    for idx in 0..self.acc.len() {
-                        self.scratch[idx].copy_from(&self.acc[idx]);
-                        let merged = &mut self.scratch[idx];
-                        let (lo, hi) = (self.adj_idx[idx] as usize, self.adj_idx[idx + 1] as usize);
-                        for &nb in &self.adj[lo..hi] {
-                            merged.merge_from_planes(&self.acc[nb as usize], mask);
-                        }
-                    }
-                    std::mem::swap(&mut self.acc, &mut self.scratch);
-                }
-                // One quad-tree step: up-fold for the first `depth` steps,
-                // down-broadcast for the next `depth`.
-                Some(tree) => tree.step(in_window, &mut self.acc, mask),
+            if !self.staged.is_empty() {
+                std::mem::swap(&mut self.staged, &mut self.flight);
+                self.live = true;
             }
         }
-
         if in_window == w - 1 {
             // Window end: every node now holds the global OR.
-            debug_assert!(
-                self.acc.iter().all(|m| *m == self.acc[0]),
-                "notification network failed to converge within the window"
-            );
-            let window_index = self.cycle.as_u64() / w;
-            if let Some(log) = &mut self.publish_log {
-                log.push(self.cycle.as_u64());
-            }
-            self.windows_completed.incr();
-            if self.live() {
+            if self.live {
                 self.nonempty_windows.incr();
             }
-            match &mut self.latest {
-                Some((idx, msg)) => {
-                    *idx = window_index;
-                    msg.copy_from(&self.acc[0]);
-                }
-                None => self.latest = Some((window_index, self.acc[0].clone())),
-            }
+            self.publish(now, 1);
         }
         self.cycle = self.cycle.next();
+    }
+
+    /// Completes `n` consecutive windows, the first of them publishing at
+    /// cycle `first_tick`: all publish `flight`, and `latest` keeps the
+    /// last. (`n > 1` only across empty windows.)
+    fn publish(&mut self, first_tick: u64, n: u64) {
+        let w = self.cfg.window;
+        if let Some(log) = &mut self.publish_log {
+            log.extend((0..n).map(|i| first_tick + i * w));
+        }
+        self.windows_completed.add(n);
+        self.latest.copy_from(&self.flight);
+        self.latest_window = Some(first_tick / w + n - 1);
     }
 
     /// The port fan-in of a notification router (for the physical model):
@@ -605,58 +424,11 @@ impl NotifyNetwork {
     /// Whether every remaining tick is a pure window-bookkeeping no-op:
     /// nothing is staged for the next window and the window in flight (if
     /// any) carries nothing. Note that `live` stays set from a window's
-    /// end until the *next* window-start tick clears the latches, so a
-    /// network is idle-leapable at the earliest one cycle into the window
-    /// after its last live one.
+    /// end until the *next* window-start tick clears it, so a network is
+    /// idle-leapable at the earliest one cycle into the window after its
+    /// last live one.
     pub fn is_idle(&self) -> bool {
-        !self.live() && self.pending_dirty.is_empty()
-    }
-
-    /// Advances `delta` cycles at once, reproducing exactly what `delta`
-    /// consecutive [`NotifyNetwork::tick`] calls would do on an idle
-    /// network: every window boundary crossed completes an empty window
-    /// (counted, and published as the blank `latest` message with the
-    /// right window index — `acc[0]` is all-zero whenever the network is
-    /// idle). Latches, liveness and staging are untouched.
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts [`NotifyNetwork::is_idle`]; leaping a live network
-    /// would skip real propagation steps.
-    pub fn advance_idle(&mut self, delta: u64) {
-        debug_assert!(self.is_idle(), "idle-advance on a live notify network");
-        self.advance_empty(delta);
-    }
-
-    /// The idle-advance body, shared with [`NotifyNetwork::advance`]
-    /// (which also admits staged-but-unlatched contributions, provided no
-    /// window start is crossed).
-    fn advance_empty(&mut self, delta: u64) {
-        let w = self.cfg.window;
-        let start = self.cycle.as_u64();
-        let end = start + delta;
-        // Cycles c in [start, end) with c % w == w - 1 complete a window.
-        let completed = end / w - start / w;
-        if let Some(log) = &mut self.publish_log {
-            // The first publish tick at or after `start`.
-            let mut c = start + (w - 1 - start % w);
-            while c < end {
-                log.push(c);
-                c += w;
-            }
-        }
-        if completed > 0 {
-            self.windows_completed.add(completed);
-            let window_index = end / w - 1;
-            match &mut self.latest {
-                Some((idx, msg)) => {
-                    *idx = window_index;
-                    msg.copy_from(&self.acc[0]);
-                }
-                None => self.latest = Some((window_index, self.acc[0].clone())),
-            }
-        }
-        self.cycle += delta;
+        !self.live && self.staged.is_empty()
     }
 
     /// The farthest cycle the event-leaping clock may advance this network
@@ -664,10 +436,10 @@ impl NotifyNetwork {
     /// `None` when nothing constrains the leap:
     ///
     /// * A live window's horizon is its publish tick (`window start +
-    ///   window − 1`): the intermediate propagation steps are replaced
-    ///   exactly by [`NotifyNetwork::advance`], but the publish tick — the
-    ///   only tick a NIC can observe, via [`NotifyNetwork::latest`] — must
-    ///   execute, because it wakes every endpoint.
+    ///   window − 1`): the ticks before it are clock increments, but the
+    ///   publish tick — the only tick a NIC can observe, via
+    ///   [`NotifyNetwork::latest`] — must execute, because it wakes every
+    ///   endpoint.
     /// * Staged-but-unlatched contributions bound the leap at the next
     ///   window-start tick, which must execute to latch them.
     /// * A cycle sitting exactly on a window start whose latch/clear has
@@ -679,95 +451,257 @@ impl NotifyNetwork {
     pub fn leap_horizon(&self) -> Option<u64> {
         let w = self.cfg.window;
         let now = self.cycle.as_u64();
-        if self.live() {
+        if self.live {
             if now.is_multiple_of(w) {
                 // The window-start clear (and possibly a relatch) must run.
                 Some(now)
             } else {
                 Some(now - now % w + w - 1)
             }
-        } else if !self.pending_dirty.is_empty() {
-            if now.is_multiple_of(w) {
-                Some(now)
-            } else {
-                Some(now - now % w + w)
-            }
+        } else if !self.staged.is_empty() {
+            Some(now.next_multiple_of(w))
         } else {
             None
         }
     }
 
-    /// Advances `delta` cycles at once from any state the event-leaping
-    /// clock is allowed to leap over — the caller must not advance past
-    /// [`NotifyNetwork::leap_horizon`]. On an idle network this is
-    /// [`NotifyNetwork::advance_idle`]; on a live window it replaces the
-    /// skipped propagation steps by setting every node to the global OR
-    /// directly, which is exact: propagation only spreads latched bits, so
-    /// the OR over all latches is invariant from the latch tick onward and
-    /// equals the value the publish tick would have converged to.
+    /// Moves the clock `delta` cycles at once, reproducing exactly what
+    /// `delta` consecutive [`NotifyNetwork::tick`] calls would do — the
+    /// caller must not advance past [`NotifyNetwork::leap_horizon`]. Inside
+    /// a live window there is nothing to reproduce before the publish
+    /// tick; otherwise every window boundary crossed completes an empty
+    /// window (counted, logged, and published as the blank `latest`
+    /// message with the right index).
     ///
     /// # Panics
     ///
-    /// Debug-asserts the horizon contract: a live advance must stay inside
-    /// the current window (end ≤ publish tick), a staged-pending advance
+    /// Panics on a leap past the horizon, which would silently drop a
+    /// window's latch or publication: a live advance must end at or before
+    /// the window's publish tick, and an advance with contributions staged
     /// must not cross the next window start.
     pub fn advance(&mut self, delta: u64) {
         let w = self.cfg.window;
         let start = self.cycle.as_u64();
-        if self.live() {
-            debug_assert!(
+        let end = start + delta;
+        if self.live {
+            assert!(
                 !start.is_multiple_of(w),
                 "cannot leap over a window-start tick"
             );
-            debug_assert!(
-                start + delta < start - start % w + w,
+            assert!(
+                end < start.next_multiple_of(w),
                 "live advance of {delta} from {start} overruns the publish tick"
             );
-            // Fold the global OR into acc[0], then fan it back out to every
-            // node — leaves and tree levels alike — so any remaining
-            // stepped propagation (and the publish-tick convergence
-            // assert) sees the converged state.
-            for i in 1..self.acc.len() {
-                let (head, tail) = self.acc.split_at_mut(i);
-                head[0].merge_from(&tail[0]);
-            }
-            for i in 1..self.acc.len() {
-                let (head, tail) = self.acc.split_at_mut(i);
-                tail[0].copy_from(&head[0]);
-            }
-            if let Some(tree) = &mut self.tree {
-                for level in tree.levels.iter_mut() {
-                    for m in level.iter_mut() {
-                        m.copy_from(&self.acc[0]);
-                    }
-                }
-            }
-            self.cycle += delta;
         } else {
-            debug_assert!(
-                self.pending_dirty.is_empty() || {
-                    let next_start = if start.is_multiple_of(w) {
-                        start
-                    } else {
-                        start - start % w + w
-                    };
-                    start + delta <= next_start
-                },
+            assert!(
+                self.staged.is_empty() || end <= start.next_multiple_of(w),
                 "advance of {delta} from {start} crosses a latch tick with staged contributions"
             );
-            self.advance_empty(delta);
+            // Cycles c in [start, end) with c % w == w - 1 complete a window.
+            let completed = end / w - start / w;
+            if completed > 0 {
+                self.publish(start - start % w + w - 1, completed);
+            }
+        }
+        self.cycle += delta;
+    }
+}
+
+/// The gate-level oracle: what the chip's notification fabric does *inside*
+/// a window. [`NotifyNetwork`] takes the outcome — every node ends the
+/// window holding the OR of everything latched at its start — as given;
+/// this module rebuilds the OR gates and latches (and the quad tree's
+/// aggregate levels) so the tests can check that the outcome really is
+/// reached, at every router, within [`NotifyScheme::propagation_cycles`].
+#[cfg(test)]
+mod gates {
+    use super::{quad_parents, NotifyMsg, NotifyScheme};
+    use scorpio_noc::{Port, Topology};
+
+    /// One staged contribution: `(plane, core, count, stop)`.
+    pub type Staged = (usize, usize, u8, bool);
+
+    pub struct Gates {
+        scheme: NotifyScheme,
+        /// The scheme's declared propagation cycles on this fabric.
+        pub prop_cycles: u64,
+        /// `levels[0]` holds the per-router latches; `levels[l]`, `l ≥ 1`,
+        /// the quad tree's level-`l` aggregates (none on a flat fabric).
+        levels: Vec<Vec<NotifyMsg>>,
+        /// `parent[l][i]`: index at level `l + 1` of node `i` at level `l`.
+        parent: Vec<Vec<u32>>,
+        /// Each router's OR fan-in: its distinct neighbours over the
+        /// fabric's links.
+        fan_in: Vec<Vec<usize>>,
+        /// The router each core's bit lane is latched at — on a
+        /// concentrated fabric several cores share one.
+        tile_router: Vec<usize>,
+        /// Propagation steps run since the last latch.
+        steps: u64,
+    }
+
+    impl Gates {
+        pub fn new(topo: &Topology, scheme: NotifyScheme, blank: &NotifyMsg) -> Gates {
+            let fan_in = topo
+                .routers()
+                .map(|r| {
+                    let mut nbs = Vec::new();
+                    for port in [Port::North, Port::South, Port::East, Port::West] {
+                        if let Some(n) = topo.neighbor(r, port) {
+                            // A 2-wide torus dimension wires both ports to
+                            // the same neighbour; merging it twice is the
+                            // identity, but dedup keeps the gate count
+                            // honest.
+                            if !nbs.contains(&n.index()) {
+                                nbs.push(n.index());
+                            }
+                        }
+                    }
+                    nbs
+                })
+                .collect();
+            let mut levels = vec![vec![blank.clone(); topo.router_count()]];
+            let mut parent = Vec::new();
+            if let NotifyScheme::Quad { fanout } = scheme {
+                let f = fanout as u32;
+                let (mut c, mut r) = (topo.cols() as u32, topo.rows() as u32);
+                while c > 1 || r > 1 {
+                    parent.push(quad_parents(c, r, f));
+                    (c, r) = (c.div_ceil(f), r.div_ceil(f));
+                    levels.push(vec![blank.clone(); (c * r) as usize]);
+                }
+            }
+            Gates {
+                scheme,
+                prop_cycles: scheme.propagation_cycles(topo),
+                levels,
+                parent,
+                fan_in,
+                tile_router: (0..topo.tile_count())
+                    .map(|i| topo.tile_endpoint(i).router.index())
+                    .collect(),
+                steps: 0,
+            }
+        }
+
+        /// Window start: clears the router latches — and only those; a
+        /// live window must rebuild whatever tree levels it uses — and
+        /// latches each contribution at the router hosting its core.
+        pub fn latch(&mut self, staged: &[Staged]) {
+            self.steps = 0;
+            for m in &mut self.levels[0] {
+                m.clear();
+            }
+            for &(plane, core, count, stop) in staged {
+                let m = &mut self.levels[0][self.tile_router[core]];
+                m.set_count_in(plane, core, m.count_in(plane, core).max(count));
+                if stop {
+                    m.set_stop_in(plane, true);
+                }
+            }
+        }
+
+        /// Runs `steps` more propagation cycles and returns the router
+        /// latches.
+        pub fn run(&mut self, steps: u64) -> &[NotifyMsg] {
+            for _ in 0..steps {
+                self.steps += 1;
+                match self.scheme {
+                    NotifyScheme::Flat => self.flat_step(),
+                    NotifyScheme::Quad { .. } => self.quad_step(self.steps),
+                }
+            }
+            &self.levels[0]
+        }
+
+        /// Each router ORs its neighbours' latched values into its own
+        /// (two-phase: all read the old latches).
+        fn flat_step(&mut self) {
+            let old = self.levels[0].clone();
+            for (latch, nbs) in self.levels[0].iter_mut().zip(&self.fan_in) {
+                for &nb in nbs {
+                    latch.merge_from(&old[nb]);
+                }
+            }
+        }
+
+        /// Step `t` (1-based) of the quad sweep: steps `1..=depth` fold
+        /// upward (clearing the target level first, so stale aggregates of
+        /// earlier windows are irrelevant), steps `depth+1..=2·depth`
+        /// broadcast the root's OR back down. Later steps change nothing.
+        fn quad_step(&mut self, t: u64) {
+            let (t, d) = (t as usize, self.parent.len());
+            if t <= d {
+                let (lo, hi) = self.levels.split_at_mut(t);
+                let (src, dst) = (&lo[t - 1], &mut hi[0]);
+                for m in dst.iter_mut() {
+                    m.clear();
+                }
+                for (s, &p) in src.iter().zip(&self.parent[t - 1]) {
+                    dst[p as usize].merge_from(s);
+                }
+            } else if t <= 2 * d {
+                let l = 2 * d - t;
+                let (lo, hi) = self.levels.split_at_mut(l + 1);
+                let (dst, src) = (&mut lo[l], &hi[0]);
+                for (m, &p) in dst.iter_mut().zip(&self.parent[l]) {
+                    m.merge_from(&src[p as usize]);
+                }
+            }
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::gates::{Gates, Staged};
     use super::*;
-    use scorpio_noc::Mesh;
+    use scorpio_noc::{CMesh, Mesh, Ring, RouterId, Torus};
+    use scorpio_sim::SimRng;
 
     fn net(k: u16) -> NotifyNetwork {
         let mesh = Mesh::new(k, k, &[]);
         NotifyNetwork::new(&mesh, NotifyConfig::for_mesh(&mesh))
+    }
+
+    /// A network at the scheme's own window on `topo`, and the gate-level
+    /// oracle of the same fabric.
+    fn both(
+        topo: &Topology,
+        scheme: NotifyScheme,
+        planes: usize,
+        bits_per_core: u8,
+    ) -> (NotifyNetwork, Gates) {
+        let cfg = NotifyConfig {
+            cores: topo.tile_count(),
+            bits_per_core,
+            window: scheme.window_for(topo),
+        };
+        let blank = NotifyMsg::with_planes(cfg.cores, bits_per_core, planes);
+        (
+            NotifyNetwork::with_scheme(topo, cfg, planes, scheme),
+            Gates::new(topo, scheme, &blank),
+        )
+    }
+
+    /// Runs one window both ways — `staged` through `nn` for a whole
+    /// window, and through the gates for the declared propagation cycles —
+    /// asserts that every router's latch holds the word `nn` published,
+    /// and returns that word.
+    fn window_both_ways(nn: &mut NotifyNetwork, gates: &mut Gates, staged: &[Staged]) -> NotifyMsg {
+        assert!(nn.is_window_start(nn.cycle()));
+        for &(plane, core, count, stop) in staged {
+            nn.stage_injection_in(plane, core, count, stop);
+        }
+        for _ in 0..nn.config().window {
+            nn.tick();
+        }
+        let (_, published) = nn.latest().expect("a window completed");
+        gates.latch(staged);
+        for (r, held) in gates.run(gates.prop_cycles).iter().enumerate() {
+            assert_eq!(held, published, "router {r} latched a different word");
+        }
+        published.clone()
     }
 
     #[test]
@@ -781,19 +715,13 @@ mod tests {
 
     #[test]
     fn single_injection_reaches_all_nodes() {
-        let mut nn = net(6);
-        nn.stage_injection(0, 1, false);
-        for _ in 0..13 {
-            nn.tick();
-        }
-        let (w, msg) = nn.latest().unwrap();
-        assert_eq!(w, 0);
+        let (mut nn, mut gates) = both(&Mesh::new(6, 6, &[]), NotifyScheme::Flat, 1, 1);
+        assert_eq!(nn.config().window, 13);
+        // Every router's latch agrees with the published word.
+        let msg = window_both_ways(&mut nn, &mut gates, &[(0, 0, 1, false)]);
+        assert_eq!(nn.latest().unwrap().0, 0);
         assert_eq!(msg.count(0), 1);
         assert_eq!(msg.total(), 1);
-        // Every router's latch agrees.
-        for r in 0..36u16 {
-            assert_eq!(nn.latched_at(RouterId(r)).count(0), 1);
-        }
     }
 
     #[test]
@@ -858,12 +786,14 @@ mod tests {
         nn.stage_injection(2, 3, false);
         nn.stage_injection(9, 2, false);
         nn.stage_injection(9, 1, false); // merges to max(2,1)=2
+        nn.stage_injection(4, 200, false); // saturates at 2^bits - 1
         for _ in 0..9 {
             nn.tick();
         }
         let (_, msg) = nn.latest().unwrap();
         assert_eq!(msg.count(2), 3);
         assert_eq!(msg.count(9), 2);
+        assert_eq!(msg.count(4), 3);
     }
 
     #[test]
@@ -879,24 +809,28 @@ mod tests {
         assert!(msg.is_empty());
     }
 
-    /// `advance_idle(d)` must leave the network in exactly the state `d`
-    /// ticks would — from any in-window offset, across any number of
-    /// window boundaries, before and after live traffic.
+    /// `advance(d)` on an idle network must leave it in exactly the state
+    /// `d` ticks would — from any in-window offset, across any number of
+    /// window boundaries, before and after live traffic, publish log
+    /// included.
     #[test]
     fn advance_idle_matches_ticked_reference() {
         for warmup in [0u64, 1, 3, 8, 9] {
             for delta in [1u64, 2, 8, 9, 10, 26, 27, 40] {
                 let mut ticked = net(4); // window 9
                 let mut leaped = net(4);
-                for _ in 0..warmup {
-                    ticked.tick();
-                    leaped.tick();
+                for nn in [&mut ticked, &mut leaped] {
+                    nn.set_publish_log(true);
+                    for _ in 0..warmup {
+                        nn.tick();
+                    }
                 }
                 assert!(leaped.is_idle());
                 for _ in 0..delta {
                     ticked.tick();
                 }
-                leaped.advance_idle(delta);
+                leaped.advance(delta);
+                assert_eq!(ticked.cycle(), leaped.cycle());
                 assert_eq!(
                     ticked.windows_completed.get(),
                     leaped.windows_completed.get()
@@ -918,6 +852,7 @@ mod tests {
                     ticked.latest().map(|(w, m)| (w, m.clone())),
                     leaped.latest().map(|(w, m)| (w, m.clone()))
                 );
+                assert_eq!(ticked.publish_log(), leaped.publish_log());
             }
         }
     }
@@ -967,28 +902,20 @@ mod tests {
 
     #[test]
     fn torus_window_is_tighter_and_converges() {
-        use scorpio_noc::{Topology, Torus};
-        let topo: Topology = Torus::square_with_corner_mcs(6);
-        let cfg = NotifyConfig::for_mesh(&topo);
+        let topo = Torus::square_with_corner_mcs(6);
         // Torus diameter 6 vs mesh 10: window 9 vs the chip's 13.
-        assert_eq!(cfg.window, 9);
-        let mut nn = NotifyNetwork::new(&topo, cfg);
-        nn.stage_injection(0, 1, false);
-        nn.stage_injection(35, 1, false);
-        for _ in 0..9 {
-            nn.tick();
-        }
-        let (_, msg) = nn.latest().unwrap();
+        assert_eq!(NotifyConfig::for_mesh(&topo).window, 9);
+        let (mut nn, mut gates) = both(&topo, NotifyScheme::Flat, 1, 1);
+        assert_eq!(nn.config().window, 9);
+        let staged = [(0, 0, 1, false), (0, 35, 1, false)];
+        let msg = window_both_ways(&mut nn, &mut gates, &staged);
         assert_eq!(msg.total(), 2);
-        for r in 0..36u16 {
-            assert_eq!(nn.latched_at(RouterId(r)).count(0), 1);
-        }
+        assert_eq!(msg.count(0), 1);
     }
 
     #[test]
     fn ring_converges_within_its_half_circumference_window() {
-        use scorpio_noc::{Ring, Topology};
-        let topo: Topology = Ring::with_spread_mcs(16, 4);
+        let topo = Ring::with_spread_mcs(16, 4);
         let cfg = NotifyConfig::for_mesh(&topo);
         assert_eq!(cfg.window, 8 + 3);
         let mut nn = NotifyNetwork::new(&topo, cfg.clone());
@@ -1003,18 +930,12 @@ mod tests {
 
     #[test]
     fn two_wide_torus_dimension_dedups_or_inputs() {
-        use scorpio_noc::Torus;
         // cols = 2: East and West reach the same neighbour; the OR fan-in
         // must still converge (merging a value twice is the identity).
-        let t = Torus::new(2, 4, &[]);
-        let cfg = NotifyConfig::for_mesh(&t);
-        let mut nn = NotifyNetwork::new(&t, cfg);
-        nn.stage_injection(7, 1, false);
-        for _ in 0..nn.config().window {
-            nn.tick();
-        }
-        let (_, msg) = nn.latest().unwrap();
+        let (mut nn, mut gates) = both(&Torus::new(2, 4, &[]), NotifyScheme::Flat, 1, 1);
+        let msg = window_both_ways(&mut nn, &mut gates, &[(0, 7, 1, false)]);
         assert_eq!(msg.count(7), 1);
+        assert_eq!(msg.total(), 1);
     }
 
     #[test]
@@ -1024,31 +945,22 @@ mod tests {
 
     #[test]
     fn cmesh_lanes_share_routers_and_converge_in_the_smaller_window() {
-        use scorpio_noc::{CMesh, Topology};
         // 16 cores as a 4x2 router grid x 2 tiles: diameter 4, window 7 —
         // tighter than the 4x4 mesh's 9 at the same core count.
-        let topo: Topology = CMesh::with_corner_mcs(4, 2, 2);
-        let cfg = NotifyConfig::for_mesh(&topo);
-        assert_eq!(cfg.cores, 16);
-        assert_eq!(cfg.window, 7);
-        let mut nn = NotifyNetwork::new(&topo, cfg.clone());
-        // Cores 0 and 1 share router 0; core 15 sits at router 7.
-        nn.stage_injection(0, 1, false);
-        nn.stage_injection(1, 1, false);
-        nn.stage_injection(15, 0, true);
-        for _ in 0..cfg.window {
-            nn.tick();
-        }
-        let (w, msg) = nn.latest().unwrap();
-        assert_eq!(w, 0);
+        let topo = CMesh::with_corner_mcs(4, 2, 2);
+        let (mut nn, mut gates) = both(&topo, NotifyScheme::Flat, 1, 1);
+        assert_eq!(nn.config(), &NotifyConfig::for_mesh(&topo));
+        assert_eq!(nn.config().cores, 16);
+        assert_eq!(nn.config().window, 7);
+        // Cores 0 and 1 share router 0; core 15 sits at router 7. Every
+        // *router* latches the identical merged word.
+        let staged = [(0, 0, 1, false), (0, 1, 1, false), (0, 15, 0, true)];
+        let msg = window_both_ways(&mut nn, &mut gates, &staged);
+        assert_eq!(nn.latest().unwrap().0, 0);
         assert_eq!(msg.count(0), 1);
         assert_eq!(msg.count(1), 1);
         assert_eq!(msg.total(), 2);
         assert!(msg.stop());
-        // Every *router* latched the identical merged word.
-        for r in 0..8u16 {
-            assert_eq!(nn.latched_at(RouterId(r)).total(), 2);
-        }
     }
 
     #[test]
@@ -1076,33 +988,22 @@ mod tests {
     }
 
     fn quad_net(cols: u16, rows: u16, fanout: u8, planes: usize) -> NotifyNetwork {
-        let mesh = Mesh::new(cols, rows, &[]);
         let scheme = NotifyScheme::Quad { fanout };
-        let cfg = NotifyConfig {
-            cores: mesh.tile_count(),
-            bits_per_core: 1,
-            window: scheme.window_for(&mesh),
-        };
-        NotifyNetwork::with_scheme(&mesh, cfg, planes, scheme)
+        both(&Mesh::new(cols, rows, &[]), scheme, planes, 1).0
     }
 
     #[test]
     fn quad_corner_injections_converge_in_the_log_window() {
-        let mut nn = quad_net(8, 8, 2, 1); // depth 3, window 9 (flat: 17)
+        // depth 3, window 9 (flat: 17)
+        let scheme = NotifyScheme::Quad { fanout: 2 };
+        let (mut nn, mut gates) = both(&Mesh::new(8, 8, &[]), scheme, 1, 1);
         assert_eq!(nn.config().window, 9);
-        nn.stage_injection(0, 1, false);
-        nn.stage_injection(63, 1, false);
-        for _ in 0..9 {
-            nn.tick();
-        }
-        let (w, msg) = nn.latest().unwrap();
-        assert_eq!(w, 0);
+        let staged = [(0, 0, 1, false), (0, 63, 1, false)];
+        let msg = window_both_ways(&mut nn, &mut gates, &staged);
+        assert_eq!(nn.latest().unwrap().0, 0);
         assert_eq!(msg.count(0), 1);
         assert_eq!(msg.count(63), 1);
         assert_eq!(msg.total(), 2);
-        for r in 0..64u16 {
-            assert_eq!(nn.latched_at(RouterId(r)).total(), 2);
-        }
     }
 
     #[test]
@@ -1114,7 +1015,16 @@ mod tests {
         assert_eq!(nn.region_of_router(7), 1); // (7,0)
         assert_eq!(nn.region_of_router(8 * 7), 2); // (0,7)
         assert_eq!(nn.region_of_router(8 * 7 + 7), 3); // (7,7)
-                                                       // A flat network is a single region.
+
+        // A ragged grid: 5×3 at fanout 2 → 3×2 leaf quads.
+        let ragged = quad_net(5, 3, 2, 1);
+        assert_eq!(ragged.regions(), 6);
+        assert_eq!(ragged.region_of_router(4), 2); // (4,0)
+        assert_eq!(ragged.region_of_router(5 * 2 + 4), 5); // (4,2)
+
+        // A 1×1 grid needs no tree and is one region.
+        assert_eq!(quad_net(1, 1, 2, 1).regions(), 1);
+        // A flat network is a single region.
         let flat = net(4);
         assert_eq!(flat.regions(), 1);
         assert_eq!(flat.region_of_router(13), 0);
@@ -1126,7 +1036,6 @@ mod tests {
     /// flat window's, plane for plane, stop bits included.
     #[test]
     fn quad_published_merge_equals_flat_for_random_patterns() {
-        use scorpio_sim::SimRng;
         let mut rng = SimRng::seed_from(0x5c0_2b10);
         for trial in 0..60 {
             let cols = 1 + rng.gen_range_usize(9) as u16;
@@ -1135,20 +1044,10 @@ mod tests {
             let planes = if rng.chance(0.5) { 1 } else { 4 };
             let mesh = Mesh::new(cols, rows, &[]);
             let cores = mesh.tile_count();
-            let scheme = NotifyScheme::Quad { fanout };
             let mut flat = NotifyNetwork::with_planes(&mesh, NotifyConfig::for_mesh(&mesh), planes);
-            let mut quad = NotifyNetwork::with_scheme(
-                &mesh,
-                NotifyConfig {
-                    cores,
-                    bits_per_core: 1,
-                    window: scheme.window_for(&mesh),
-                },
-                planes,
-                scheme,
-            );
-            // Two windows of random announcements (the second exercises
-            // latch clearing over stale tree levels).
+            let mut quad = quad_net(cols, rows, fanout, planes);
+            // Two windows of random announcements (the second follows a
+            // live window, so it exercises the window-start clear).
             for _ in 0..2 {
                 for core in 0..cores {
                     for plane in 0..planes {
@@ -1173,6 +1072,71 @@ mod tests {
                     "flat/quad merge diverged: trial {trial}, \
                      {cols}x{rows} fanout {fanout} planes {planes}"
                 );
+            }
+        }
+    }
+
+    /// The window formula against the gates, on every fabric: after
+    /// exactly `propagation_cycles` steps of real OR propagation every
+    /// router holds the word the network publishes — and, on the flat
+    /// fabric, one step fewer is not enough.
+    #[test]
+    fn gates_converge_in_exactly_the_declared_propagation_cycles() {
+        let mut shapes: Vec<Topology> = Vec::new();
+        shapes.extend(
+            [(1, 1), (4, 1), (1, 4), (6, 6), (8, 2), (16, 16)].map(|(c, r)| Mesh::new(c, r, &[])),
+        );
+        shapes.extend([(2, 2), (2, 4), (5, 3), (6, 6)].map(|(c, r)| Torus::new(c, r, &[])));
+        shapes.extend([2, 16, 37].map(|n| Ring::new(n, &[])));
+        shapes.extend(
+            [(4, 2, 2), (2, 2, 4), (4, 4, 1), (1, 1, 4)].map(|(c, r, k)| CMesh::new(c, r, k, &[])),
+        );
+        let schemes = [
+            NotifyScheme::Flat,
+            NotifyScheme::Quad { fanout: 2 },
+            NotifyScheme::Quad { fanout: 4 },
+        ];
+        let mut rng = SimRng::seed_from(0x6a7e5);
+        for topo in &shapes {
+            for scheme in schemes {
+                for planes in [1, 4] {
+                    let (mut nn, mut gates) = both(topo, scheme, planes, 2);
+                    // Two consecutive windows: the second latches over the
+                    // first one's converged latches and stale tree levels.
+                    for window in 0..2 {
+                        let mut staged = Vec::new();
+                        for core in 0..topo.tile_count() {
+                            for plane in 0..planes {
+                                if rng.chance(0.25) {
+                                    let count = rng.gen_range_usize(4) as u8;
+                                    staged.push((plane, core, count, rng.chance(0.1)));
+                                }
+                            }
+                        }
+                        let msg = window_both_ways(&mut nn, &mut gates, &staged);
+                        assert_eq!(nn.latest().unwrap().0, window);
+                        for &(plane, core, count, stop) in &staged {
+                            assert!(msg.count_in(plane, core) >= count);
+                            assert!(msg.stop_in(plane) || !stop);
+                        }
+                    }
+                }
+            }
+            // Tight, not merely sufficient: an announcement latched at
+            // router 0 has not reached the farthest router one step short
+            // of the diameter.
+            if topo.diameter() >= 1 {
+                let (_, mut gates) = both(topo, NotifyScheme::Flat, 1, 1);
+                let far = topo
+                    .routers()
+                    .max_by_key(|&r| topo.hops(RouterId(0), r))
+                    .expect("at least one router");
+                assert_eq!(topo.hops(RouterId(0), far), topo.diameter());
+                gates.latch(&[(0, 0, 1, false)]);
+                let latches = gates.run(gates.prop_cycles - 1);
+                assert_eq!(latches[0].count(0), 1);
+                assert!(latches[far.index()].is_empty(), "{topo:?} converged early");
+                assert_eq!(gates.run(1)[far.index()].count(0), 1);
             }
         }
     }
@@ -1267,45 +1231,57 @@ mod tests {
         assert_eq!(msg.count(4), 1);
     }
 
+    /// Overshooting the horizon would drop the window's publication (and
+    /// the wake-all it triggers): it must fail at the leap, in every build.
+    #[test]
+    #[should_panic(expected = "overruns the publish tick")]
+    fn live_advance_past_the_publish_tick_panics() {
+        let mut nn = net(4); // window 9
+        nn.stage_injection(3, 1, false);
+        nn.tick();
+        assert_eq!(nn.leap_horizon(), Some(8));
+        nn.advance(8); // from cycle 1: would skip the publish tick at 8
+    }
+
+    #[test]
+    #[should_panic(expected = "crosses a latch tick with staged contributions")]
+    fn advance_across_a_staged_latch_tick_panics() {
+        let mut nn = net(4); // window 9
+        nn.tick();
+        nn.stage_injection(3, 1, false);
+        assert_eq!(nn.leap_horizon(), Some(9));
+        nn.advance(9); // from cycle 1: would skip the latch tick at 9
+    }
+
     #[test]
     fn quad_multi_plane_idle_planes_skip_word_groups_exactly() {
-        // 4 planes, only planes 0 and 2 live: published merge must match a
-        // reference where every plane is merged unconditionally (the
-        // pre-mask behavior), i.e. masking is invisible.
-        let mut nn = quad_net(6, 3, 2, 4);
-        nn.stage_injection_in(0, 0, 1, false);
-        nn.stage_injection_in(2, 17, 1, true);
-        for _ in 0..nn.config().window {
-            nn.tick();
-        }
-        let (_, msg) = nn.latest().unwrap();
+        // 4 planes, only planes 0 and 2 live: the idle planes' word groups
+        // stay all-zero through the quad sweep at every router, and the
+        // live ones carry exactly what was staged.
+        let scheme = NotifyScheme::Quad { fanout: 2 };
+        let (mut nn, mut gates) = both(&Mesh::new(6, 3, &[]), scheme, 4, 1);
+        let staged = [(0, 0, 1, false), (2, 17, 1, true)];
+        let msg = window_both_ways(&mut nn, &mut gates, &staged);
         assert_eq!(msg.count_in(0, 0), 1);
         assert_eq!(msg.count_in(2, 17), 1);
         assert!(!msg.stop_in(0) && msg.stop_in(2));
         assert_eq!(msg.total(), 2);
+        assert_eq!(msg.total_in(1) + msg.total_in(3), 0);
     }
 
     #[test]
     fn per_plane_words_converge_independently() {
-        let mesh = Mesh::new(4, 4, &[]);
-        let mut nn = NotifyNetwork::with_planes(&mesh, NotifyConfig::for_mesh(&mesh), 3);
+        let (mut nn, mut gates) = both(&Mesh::new(4, 4, &[]), NotifyScheme::Flat, 3, 1);
         assert_eq!(nn.planes(), 3);
+        assert_eq!(nn.config().window, 9);
         // Same core announces on two planes; another core stops plane 2.
-        nn.stage_injection_in(0, 5, 1, false);
-        nn.stage_injection_in(1, 5, 1, false);
-        nn.stage_injection_in(2, 9, 0, true);
-        for _ in 0..9 {
-            nn.tick();
-        }
-        let (w, msg) = nn.latest().unwrap();
-        assert_eq!(w, 0);
+        // Every router latches the identical merged multi-plane word.
+        let staged = [(0, 5, 1, false), (1, 5, 1, false), (2, 9, 0, true)];
+        let msg = window_both_ways(&mut nn, &mut gates, &staged);
+        assert_eq!(nn.latest().unwrap().0, 0);
         assert_eq!(msg.count_in(0, 5), 1);
         assert_eq!(msg.count_in(1, 5), 1);
         assert_eq!(msg.count_in(2, 5), 0);
         assert!(!msg.stop_in(0) && !msg.stop_in(1) && msg.stop_in(2));
-        // Every router latched the identical merged multi-plane word.
-        for r in 0..16u16 {
-            assert_eq!(nn.latched_at(RouterId(r)).count_in(1, 5), 1);
-        }
     }
 }

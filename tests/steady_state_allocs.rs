@@ -11,7 +11,7 @@ use scorpio_nic::{Nic, NicConfig, NicMode};
 use scorpio_noc::{
     Endpoint, Mesh, MultiNetwork, Network, NocConfig, Packet, RouterId, Sid, VnetId,
 };
-use scorpio_notify::{NotifyConfig, NotifyNetwork};
+use scorpio_notify::{NotifyConfig, NotifyNetwork, NotifyScheme};
 use scorpio_workloads::{generate, WorkloadParams};
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::cell::Cell;
@@ -225,4 +225,27 @@ fn interconnect_with_nics_and_notify_allocates_nothing_once_warm() {
     let moved = delivered - warm;
     assert!(moved > 10_000, "the measured span carried traffic: {moved}");
     assert_eq!(made, 0, "a warm interconnect must not allocate");
+}
+
+/// The notification network is a handful of message registers and a region
+/// map, whatever the fabric: building it for 256 routers (flat) and for
+/// 1024 (quad, fanout 2) takes the same few allocations — never a message
+/// or a list per router.
+#[test]
+fn notify_construction_cost_is_independent_of_the_router_count() {
+    let build = |k: u16, scheme: NotifyScheme| {
+        let mesh = Mesh::new(k, k, &[]);
+        let cfg = NotifyConfig {
+            cores: mesh.tile_count(),
+            bits_per_core: 1,
+            window: scheme.window_for(&mesh),
+        };
+        let before = allocations();
+        let notify = NotifyNetwork::with_scheme(&mesh, cfg, 1, scheme);
+        (allocations() - before, notify)
+    };
+    let (flat, _flat_net) = build(16, NotifyScheme::Flat);
+    let (quad, _quad_net) = build(32, NotifyScheme::Quad { fanout: 2 });
+    assert_eq!(flat, quad, "16x16 flat vs 32x32 quad-f2");
+    assert!(flat <= 8, "{flat} allocations to build a notify network");
 }
