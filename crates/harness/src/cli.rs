@@ -62,7 +62,7 @@ run options:
   --csv PATH      write CSV results (- for stdout)
   --timing        include per-run wall time in sinks (non-deterministic)
   --hist          record latency histograms + NoC counters on every run
-                  (adds percentile columns; deterministic)
+                  (fills the percentile columns; deterministic)
   --trace PATH    record the deterministic flit-event trace and write it
                   as JSON lines (- for stdout; implies --hist's recording)
   --trace-limit N cap retained trace events per run (default 100000;
@@ -250,9 +250,6 @@ fn run(opts: &RunOptions) -> i32 {
     };
     let sink_opts = SinkOptions {
         include_timing: opts.timing,
-        include_hist: opts.hist || opts.trace.is_some(),
-        include_spans: opts.spans.is_some(),
-        include_windows: opts.windows.is_some(),
     };
     let mut all: Vec<(String, Vec<RunResult>)> = Vec::new();
     for name in &opts.scenarios {
@@ -261,14 +258,14 @@ fn run(opts: &RunOptions) -> i32 {
         let results = run_grid(&scenario.grid, &exec);
         let wall = started.elapsed();
         if !results.is_empty() {
-            let sim_nanos: u128 = results.iter().map(|r| r.wall_nanos).sum();
+            let run_nanos: u128 = results.iter().map(|r| r.wall_nanos).sum();
             eprintln!(
-                "[harness] {name}: {} runs on {} worker(s) in {:.2}s (sim time {:.2}s, speedup {:.2}x)",
+                "[harness] {name}: {} runs on {} worker(s) in {:.2}s (run time {:.2}s, speedup {:.2}x)",
                 results.len(),
                 exec.effective_threads().clamp(1, results.len()),
                 wall.as_secs_f64(),
-                sim_nanos as f64 / 1e9,
-                sim_nanos as f64 / 1e9 / wall.as_secs_f64().max(1e-9),
+                run_nanos as f64 / 1e9,
+                run_nanos as f64 / 1e9 / wall.as_secs_f64().max(1e-9),
             );
         }
         if !opts.no_table {
@@ -302,13 +299,32 @@ fn run(opts: &RunOptions) -> i32 {
             return 1;
         }
     }
-    if let Some(path) = &opts.trace {
+    // The three record streams share one writer. Each entry: output path,
+    // the run's records with the count dropped at the cap, and the
+    // stream/noun of the cap warning (windows are never capped).
+    type Stream = fn(&RunResult) -> (&Option<Vec<String>>, u64);
+    let streams: [(&Option<String>, Stream, (&str, &str)); 3] = [
+        (
+            &opts.trace,
+            |r| (&r.trace, r.trace_dropped),
+            ("trace", "event(s)"),
+        ),
+        (
+            &opts.spans,
+            |r| (&r.spans, r.spans_dropped),
+            ("spans", "span(s)"),
+        ),
+        (&opts.windows, |r| (&r.windows, 0), ("windows", "window(s)")),
+    ];
+    for (path, stream, (stream_name, noun)) in streams {
+        let Some(path) = path else { continue };
         let mut doc = String::new();
         let mut dropped = 0u64;
         for (name, results) in &all {
             for r in results {
-                dropped += r.trace_dropped;
-                for body in r.trace.as_deref().unwrap_or_default() {
+                let (records, d) = stream(r);
+                dropped += d;
+                for body in records.as_deref().unwrap_or_default() {
                     doc.push_str(&prefixed(name, r, body));
                     doc.push('\n');
                 }
@@ -316,45 +332,8 @@ fn run(opts: &RunOptions) -> i32 {
         }
         if dropped > 0 {
             eprintln!(
-                "[harness] trace: {dropped} event(s) beyond the cap dropped (raise --trace-limit)"
+                "[harness] {stream_name}: {dropped} {noun} beyond the cap dropped (raise --trace-limit)"
             );
-        }
-        if let Err(e) = sink::write(path, &doc) {
-            eprintln!("harness: writing {path}: {e}");
-            return 1;
-        }
-    }
-    if let Some(path) = &opts.spans {
-        let mut doc = String::new();
-        let mut dropped = 0u64;
-        for (name, results) in &all {
-            for r in results {
-                dropped += r.spans_dropped;
-                for body in r.spans.as_deref().unwrap_or_default() {
-                    doc.push_str(&prefixed(name, r, body));
-                    doc.push('\n');
-                }
-            }
-        }
-        if dropped > 0 {
-            eprintln!(
-                "[harness] spans: {dropped} span(s) beyond the cap dropped (raise --trace-limit)"
-            );
-        }
-        if let Err(e) = sink::write(path, &doc) {
-            eprintln!("harness: writing {path}: {e}");
-            return 1;
-        }
-    }
-    if let Some(path) = &opts.windows {
-        let mut doc = String::new();
-        for (name, results) in &all {
-            for r in results {
-                for body in r.windows.as_deref().unwrap_or_default() {
-                    doc.push_str(&prefixed(name, r, body));
-                    doc.push('\n');
-                }
-            }
         }
         if let Err(e) = sink::write(path, &doc) {
             eprintln!("harness: writing {path}: {e}");

@@ -62,8 +62,8 @@ impl Default for ExecOptions {
     }
 }
 
-/// Config-level overrides applied on top of a spec's own configuration
-/// before a run; the config hash fingerprints the overridden config.
+/// Config-level recording overrides applied on top of a spec's own
+/// configuration before a run; none of them moves the config hash.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Overrides {
     /// Force an observability level (`--hist` / `--trace`).
@@ -92,7 +92,8 @@ impl ExecOptions {
 pub struct RunResult {
     /// The spec that produced this result.
     pub spec: RunSpec,
-    /// Stable fingerprint of the exact [`scorpio::SystemConfig`] run.
+    /// Stable fingerprint of the simulated configuration
+    /// ([`scorpio::SystemConfig::stable_hash`]).
     pub config_hash: u64,
     /// Human-readable configuration label.
     pub config_label: String,
@@ -173,8 +174,8 @@ pub fn run_spec_ov(spec: &RunSpec, ops_per_core: usize, ov: &Overrides) -> RunRe
     if let Some(w) = ov.window_cycles {
         cfg = cfg.with_windows(w);
     }
-    // The hash fingerprints the exact configuration run, overrides
-    // included — an obs-off run keeps its pre-observability hash.
+    // The hash fingerprints what the run simulates: the recording
+    // overrides above never move it, so a `--hist` row joins its plain twin.
     let config_hash = cfg.stable_hash();
     let config_label = cfg.label();
     let tracing = cfg.obs == ObsLevel::Trace;

@@ -13,6 +13,7 @@ use crate::exec::RunResult;
 use crate::scenario::{
     Engine, Fabric, GridFilter, Knob, McPlacement, RunSpec, Scenario, SweepGrid, Variant,
 };
+use crate::sink::cycles_per_sec;
 use crate::table::render_normalized;
 
 /// Every registered scenario, in presentation order.
@@ -751,27 +752,19 @@ fn throughput_render(s: &Scenario, results: &[RunResult]) -> String {
         "workload", "engine", "runtime", "wall (ms)", "sim cyc/sec", "speedup"
     ));
     // cycles/sec of each engine, then the active/scan ratio per workload.
-    let rate = |r: &RunResult| -> f64 {
-        let secs = r.wall_nanos as f64 / 1e9;
-        if secs > 0.0 {
-            r.report.runtime_cycles as f64 / secs
-        } else {
-            0.0
-        }
-    };
     for w in &s.grid.workloads {
         let mut rates = [0.0f64; 2];
         for r in results.iter().filter(|r| r.spec.workload.name == w.name) {
-            let (slot, label) = match r.spec.engine {
-                Engine::ActiveSet => (0, "active"),
-                Engine::AlwaysScan => (1, "scan"),
-                _ => continue,
+            let slot = match r.spec.engine {
+                Engine::ActiveSet => 0,
+                Engine::AlwaysScan => 1,
+                Engine::Leap => continue,
             };
-            rates[slot] = rate(r);
+            rates[slot] = cycles_per_sec(r);
             out.push_str(&format!(
                 "{:<14}{:>8}{:>12}{:>12.1}{:>14.0}{:>16}\n",
                 w.name,
-                label,
+                r.spec.engine.label(),
                 r.report.runtime_cycles,
                 r.wall_nanos as f64 / 1e6,
                 rates[slot],
@@ -890,14 +883,6 @@ fn scaling_kilocore_render(s: &Scenario, results: &[RunResult]) -> String {
         "sim cyc/sec",
         "speedup"
     ));
-    let rate = |r: &RunResult| -> f64 {
-        let secs = r.sim_nanos as f64 / 1e9;
-        if secs > 0.0 {
-            r.report.runtime_cycles as f64 / secs
-        } else {
-            0.0
-        }
-    };
     // Group rows by cell (geometry + planes + notification scheme); the
     // speedup column is each engine's rate over the active-set engine on
     // the same cell.
@@ -923,17 +908,13 @@ fn scaling_kilocore_render(s: &Scenario, results: &[RunResult]) -> String {
                     && kilocore_notify_label(&r.spec) == notify
                     && r.spec.engine == Engine::ActiveSet
             })
-            .map_or(0.0, rate);
+            .map_or(0.0, cycles_per_sec);
         for r in results.iter().filter(|r| {
             r.spec.mesh_side == k
                 && r.spec.fabric == fabric
                 && r.spec.planes == planes
                 && kilocore_notify_label(&r.spec) == notify
         }) {
-            let engine = match r.spec.engine.label() {
-                "" => "active",
-                label => label,
-            };
             let leap = if r.stepped_cycles > 0 {
                 format!(
                     "{:>9.2}x",
@@ -954,17 +935,17 @@ fn scaling_kilocore_render(s: &Scenario, results: &[RunResult]) -> String {
             } else {
                 format!("{:>10}", "-")
             };
+            let rate = cycles_per_sec(r);
             out.push_str(&format!(
-                "{:<16}{:>7}{:>9}{:>8}{:>12}{:>12}{leap}{rleap}{:>14.0}{speedup}\n",
+                "{:<16}{:>7}{:>9}{:>8}{:>12}{:>12}{leap}{rleap}{rate:>14.0}{speedup}\n",
                 fabric.geometry(k),
                 planes,
                 notify,
-                engine,
+                r.spec.engine.label(),
                 r.report.runtime_cycles,
                 r.stepped_cycles,
-                rate(r),
-                speedup = if base > 0.0 && rate(r) > 0.0 {
-                    format!("{:>9.2}x", rate(r) / base)
+                speedup = if base > 0.0 && rate > 0.0 {
+                    format!("{:>9.2}x", rate / base)
                 } else {
                     format!("{:>10}", "-")
                 },
@@ -1071,18 +1052,10 @@ fn obs_overhead_render(s: &Scenario, results: &[RunResult]) -> String {
         "{:<14}{:>14}{:>12}{:>12}{:>14}{:>12}\n",
         "workload", "obs", "runtime", "wall (ms)", "sim cyc/sec", "overhead"
     ));
-    let rate = |r: &RunResult| -> f64 {
-        let secs = r.sim_nanos as f64 / 1e9;
-        if secs > 0.0 {
-            r.report.runtime_cycles as f64 / secs
-        } else {
-            0.0
-        }
-    };
     for w in &s.grid.workloads {
         let mut base = 0.0f64;
         for r in results.iter().filter(|r| r.spec.workload.name == w.name) {
-            let cyc = rate(r);
+            let cyc = cycles_per_sec(r);
             if r.spec.variant.label == "obs-off" {
                 base = cyc;
             }
@@ -1171,13 +1144,9 @@ fn latency_breakdown_render(s: &Scenario, results: &[RunResult]) -> String {
             && sp.inject.count() == ordering.count();
         let service_exact = sp.total.sum() + sp.hit.sum() == service.sum()
             && sp.total.count() + sp.hit.count() == service.count();
-        let fabric = match r.spec.fabric.label() {
-            "" => "mesh".to_string(),
-            label => label.to_string(),
-        };
         out.push_str(&format!(
             "{:<12}{:>9}{:>8.1}{:>8.1}{:>8.1}{:>8.1}{:>8.1}{:>8.1}{:>9.1}{:>11}\n",
-            fabric,
+            r.spec.fabric.label(),
             protocol_label(r.spec.protocol),
             mean(sp.queue.sum(), sp.queue.count()),
             mean(sp.inject.sum(), sp.inject.count()),
@@ -1661,19 +1630,14 @@ fn latency_curve(name: &'static str, full: bool) -> Scenario {
 /// The arrival-process family tag grouping a curve's load steps: knee
 /// detection compares p99s *within* one (fabric, planes, protocol,
 /// process) curve, never across processes.
-fn curve_group(spec: &RunSpec) -> Option<(String, usize, String, &'static str)> {
+fn curve_group(spec: &RunSpec) -> Option<(&'static str, usize, String, &'static str)> {
     let (process, _) = spec.open_load()?;
     let kind = match process {
         ArrivalProcess::Poisson => "pois",
         ArrivalProcess::Bursty { .. } => "burst",
         ArrivalProcess::Replay => "replay",
     };
-    Some((
-        spec.fabric.label().to_string(),
-        spec.planes,
-        spec.protocol.name(),
-        kind,
-    ))
+    Some((spec.fabric.label(), spec.planes, spec.protocol.name(), kind))
 }
 
 /// p99 of the full request sojourn (arrival → retire, source wait
@@ -1789,10 +1753,7 @@ fn latency_curve_render(s: &Scenario, results: &[RunResult]) -> String {
             .is_some_and(|k| k == load);
         out.push_str(&format!(
             "{:<10}{:>3}{:>9}{:>10}{:>8}{:>9}{:>8}{:>10}{:>10}{:>11}{:>11}{}\n",
-            match r.spec.fabric.label() {
-                "" => "mesh",
-                l => l,
-            },
+            r.spec.fabric.label(),
             r.spec.planes,
             protocol_label(r.spec.protocol),
             process.label(load),

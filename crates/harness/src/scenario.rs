@@ -279,11 +279,10 @@ pub enum Engine {
 }
 
 impl Engine {
-    /// Short label for result rows (empty for the default engine so that
-    /// existing keys and sink output stay byte-stable).
+    /// Short label for result rows and tables.
     pub fn label(self) -> &'static str {
         match self {
-            Engine::ActiveSet => "",
+            Engine::ActiveSet => "active",
             Engine::AlwaysScan => "scan",
             Engine::Leap => "leap",
         }
@@ -311,11 +310,10 @@ pub enum Fabric {
 }
 
 impl Fabric {
-    /// Short label for result rows (empty for the default fabric so that
-    /// existing keys and sink output stay byte-stable).
+    /// Short label for result rows and tables.
     pub fn label(self) -> &'static str {
         match self {
-            Fabric::Mesh => "",
+            Fabric::Mesh => "mesh",
             Fabric::Torus => "torus",
             Fabric::Ring => "ring",
             Fabric::CMesh(1) => "cmesh1",
@@ -681,9 +679,9 @@ impl RunSpec {
     /// (`torus4x4`, `ring16`), multiple planes extend it (`8x8+4pl`), and
     /// non-default engines append a suffix (`/scan`, `/leap`).
     pub fn key(&self) -> String {
-        let engine = match self.engine.label() {
-            "" => String::new(),
-            label => format!("/{label}"),
+        let engine = match self.engine {
+            Engine::ActiveSet => String::new(),
+            other => format!("/{}", other.label()),
         };
         let planes = match self.planes {
             1 => String::new(),

@@ -88,7 +88,6 @@ fn observability_output_is_thread_count_invariant() {
         ..ExecOptions::default()
     };
     let hist = SinkOptions {
-        include_hist: true,
         ..SinkOptions::default()
     };
     let serial = run_grid(&scenario.grid, &o(1));

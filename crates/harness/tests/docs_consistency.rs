@@ -135,6 +135,56 @@ fn experiments_md_documents_span_and_window_columns() {
     );
 }
 
+/// EXPERIMENTS.md's result-schema table is checked against the real
+/// sinks: every column of the full CSV header (timing included) and every
+/// top-level key of a timed JSONL row must appear backticked in it.
+#[test]
+fn every_sink_column_and_key_is_documented() {
+    use scorpio_harness::exec::{run_grid, ExecOptions};
+    use scorpio_harness::scenario::SweepGrid;
+    use scorpio_harness::sink::{self, SinkOptions};
+    use scorpio_workloads::WorkloadParams;
+
+    let md = repo_file("EXPERIMENTS.md");
+    let start = md
+        .find("### Result schema")
+        .expect("EXPERIMENTS.md has a `### Result schema` section");
+    let table = &md[start..];
+    let table = &table[..table[1..].find("\n#").map_or(table.len(), |i| i + 1)];
+
+    let grid = SweepGrid::over(vec![WorkloadParams::by_name("lu").unwrap()]).meshes(&[2]);
+    let results = run_grid(
+        &grid,
+        &ExecOptions {
+            threads: 1,
+            ops_per_core: 2,
+            ..ExecOptions::default()
+        },
+    );
+    let timed = SinkOptions {
+        include_timing: true,
+    };
+    let csv = sink::csv("docs", &results, timed);
+    let mut names: Vec<&str> = csv.lines().next().unwrap().split(',').collect();
+    // Top-level JSON keys: the flat, comma-free prefix ahead of the
+    // closing `"report"` object, then `report` itself.
+    let line = sink::json_line("docs", &results[0], timed);
+    let head = &line[1..line.find(r#","report":"#).expect("rows end in a report")];
+    names.extend(
+        head.split(',')
+            .map(|f| f.split(':').next().unwrap().trim_matches('"')),
+    );
+    names.push("report");
+    let missing: Vec<&str> = names
+        .into_iter()
+        .filter(|n| !table.contains(&format!("`{n}`")))
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "EXPERIMENTS.md's result-schema table lacks {missing:?}"
+    );
+}
+
 /// EXPERIMENTS.md documents the open-loop sweep columns: the arrival
 /// axis every sink row now carries, the source-queue span phase, the
 /// window-fairness minimum and the drop counter. DESIGN.md §17 is the

@@ -331,9 +331,6 @@ fn span_and_window_output_is_thread_invariant() {
         ..ExecOptions::default()
     };
     let sink_opts = SinkOptions {
-        include_hist: true,
-        include_spans: true,
-        include_windows: true,
         ..SinkOptions::default()
     };
     let serial = run_grid(&scenario.grid, &mk(1));

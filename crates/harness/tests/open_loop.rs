@@ -139,9 +139,6 @@ fn open_loop_sweep_is_thread_count_invariant() {
         ..ExecOptions::default()
     };
     let sink_opts = SinkOptions {
-        include_hist: true,
-        include_spans: true,
-        include_windows: true,
         ..SinkOptions::default()
     };
     let serial = run_grid(&scenario.grid, &mk(1));

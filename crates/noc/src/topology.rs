@@ -393,10 +393,9 @@ impl fmt::Display for Endpoint {
 const MAX_TILES: usize = 1 << 16;
 
 /// Which of the four fabric names built a [`Topology`]. The tag only
-/// *names* — it picks the `name()`, the `label()` shape and the legacy
-/// `Debug` rendering. Links, routes and tables follow from
-/// `(cols, rows, wraps, concentration)` alone.
-#[derive(Clone, Copy, PartialEq, Eq)]
+/// *names* — it picks the `name()` and the `label()` shape. Links, routes
+/// and tables follow from `(cols, rows, wraps, concentration)` alone.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Kind {
     Mesh,
     Torus,
@@ -434,7 +433,7 @@ enum Kind {
 /// assert_eq!(ring.diameter(), 8);
 /// assert_eq!((mesh.label(), ring.label()), ("4x4".into(), "ring16".into()));
 /// ```
-#[derive(Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Topology {
     kind: Kind,
     cols: u16,
@@ -443,39 +442,6 @@ pub struct Topology {
     concentration: u8,
     /// Sorted, duplicate-free, all in range.
     mc_routers: Vec<RouterId>,
-}
-
-// Renders as the per-fabric struct each name used to be.
-// `SystemConfig::stable_hash` fingerprints the Debug rendering, so this is
-// what keeps every stored config hash — and the JSONL rows keyed on them —
-// valid; it goes when the hash gets a canonical key writer (ROADMAP 3(a)).
-impl fmt::Debug for Topology {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        struct Grid<'a>(&'static str, &'a Topology);
-        impl fmt::Debug for Grid<'_> {
-            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                f.debug_struct(self.0)
-                    .field("cols", &self.1.cols)
-                    .field("rows", &self.1.rows)
-                    .field("mc_routers", &self.1.mc_routers)
-                    .finish()
-            }
-        }
-        match self.kind {
-            Kind::Mesh => Grid("Mesh", self).fmt(f),
-            Kind::Torus => Grid("Torus", self).fmt(f),
-            Kind::Ring => f
-                .debug_struct("Ring")
-                .field("len", &self.cols)
-                .field("mc_routers", &self.mc_routers)
-                .finish(),
-            Kind::CMesh => f
-                .debug_struct("CMesh")
-                .field("mesh", &Grid("Mesh", self))
-                .field("concentration", &self.concentration)
-                .finish(),
-        }
-    }
 }
 
 // Lets APIs that take `impl Into<Topology>` accept `&topology` (cloning).
@@ -1458,24 +1424,6 @@ mod tests {
         assert_eq!(
             (cmesh.name(), cmesh.label().as_str()),
             ("cmesh", "cmesh2x1x2")
-        );
-        // The legacy Debug rendering `SystemConfig::stable_hash` is keyed on.
-        assert_eq!(
-            format!("{:?}", Mesh::new(2, 1, &[RouterId(1)])),
-            "Mesh { cols: 2, rows: 1, mc_routers: [RouterId(1)] }"
-        );
-        assert_eq!(
-            format!("{:?}", Torus::new(2, 3, &[])),
-            "Torus { cols: 2, rows: 3, mc_routers: [] }"
-        );
-        assert_eq!(
-            format!("{:?}", Ring::new(5, &[RouterId(4), RouterId(2)])),
-            "Ring { len: 5, mc_routers: [RouterId(2), RouterId(4)] }"
-        );
-        assert_eq!(
-            format!("{cmesh:?}"),
-            "CMesh { mesh: Mesh { cols: 2, rows: 1, mc_routers: [RouterId(0), RouterId(1)] }, \
-             concentration: 2 }"
         );
     }
 
