@@ -22,7 +22,7 @@
 use std::io::Write;
 use std::time::Instant;
 
-use crate::exec::{run_grid, ExecOptions, RunResult};
+use crate::exec::{run_grid, ExecOptions, Overrides, RunResult};
 use crate::registry;
 use crate::scenario::Scenario;
 use crate::sink::{self, SinkOptions};
@@ -92,7 +92,7 @@ where
     let args: Vec<String> = args.into_iter().map(Into::into).collect();
     match args.first().map(String::as_str) {
         Some("list") => {
-            out(&render_list(&registry::scenarios()));
+            out(&render_list(&registry::experiments()));
             0
         }
         Some("workloads") => {
@@ -135,12 +135,30 @@ where
     }
 }
 
-/// The `harness list` table; the name column fits the longest name.
-fn render_list(scenarios: &[Scenario]) -> String {
-    let w = scenarios.iter().map(|s| s.name.len()).max().unwrap_or(0) + 2;
-    let mut doc = format!("{:<w$}{:>6}  description\n", "scenario", "runs");
-    for s in scenarios {
-        doc.push_str(&format!("{:<w$}{:>6}  {}\n", s.name, s.grid.len(), s.about));
+/// The `harness list` table: one row per experiment with the run counts
+/// of its full grid and of its `-small` grid (`-` when it has none); the
+/// name column fits the longest name.
+fn render_list(experiments: &[(Scenario, Option<Scenario>)]) -> String {
+    let w = experiments
+        .iter()
+        .map(|(s, _)| s.name.len())
+        .max()
+        .unwrap_or(0)
+        + 2;
+    let mut doc = format!(
+        "{:<w$}{:>6}{:>7}  description\n",
+        "scenario", "runs", "small"
+    );
+    for (s, small) in experiments {
+        let small = small
+            .as_ref()
+            .map_or_else(|| "-".into(), |small| small.grid.len().to_string());
+        doc.push_str(&format!(
+            "{:<w$}{:>6}{small:>7}  {}\n",
+            s.name,
+            s.grid.len(),
+            s.about
+        ));
     }
     doc
 }
@@ -229,7 +247,7 @@ fn parse_run(args: &[String]) -> Result<RunOptions, String> {
 }
 
 fn run(opts: &RunOptions) -> i32 {
-    let obs_override = if opts.trace.is_some() {
+    let obs = if opts.trace.is_some() {
         Some(scorpio::ObsLevel::Trace)
     } else if opts.hist {
         Some(scorpio::ObsLevel::Counters)
@@ -240,13 +258,15 @@ fn run(opts: &RunOptions) -> i32 {
         threads: opts.threads.unwrap_or(0),
         ops_per_core: opts.ops.unwrap_or_else(crate::ops_per_core),
         verbose: opts.verbose,
-        obs_override,
-        trace_limit: opts.trace_limit,
-        spans: opts.spans.is_some(),
-        window_cycles: opts
-            .windows
-            .as_ref()
-            .map(|_| opts.window_cycles.unwrap_or(DEFAULT_WINDOW_CYCLES)),
+        overrides: Overrides {
+            obs,
+            trace_limit: opts.trace_limit,
+            spans: opts.spans.is_some(),
+            window_cycles: opts
+                .windows
+                .as_ref()
+                .map(|_| opts.window_cycles.unwrap_or(DEFAULT_WINDOW_CYCLES)),
+        },
     };
     let sink_opts = SinkOptions {
         include_timing: opts.timing,
@@ -410,7 +430,10 @@ mod tests {
     fn parse_run_rejects_bad_input() {
         let s = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
         assert!(parse_run(&s(&[])).is_err());
-        assert!(parse_run(&s(&["fig99"])).is_err());
+        for gone in ["fig99", "fig8a-small", "throughput", "obs-overhead-small"] {
+            let err = parse_run(&s(&[gone])).unwrap_err();
+            assert!(err.starts_with("unknown scenario"), "{err}");
+        }
         assert!(parse_run(&s(&["fig7", "--threads"])).is_err());
         assert!(parse_run(&s(&["fig7", "--seeds", "a,b"])).is_err());
         assert!(parse_run(&s(&["fig7", "--ops", "0"])).is_err());
@@ -434,14 +457,23 @@ mod tests {
 
     #[test]
     fn list_columns_stay_aligned_under_the_longest_name() {
-        let all = registry::scenarios();
+        let all = registry::experiments();
         let doc = render_list(&all);
         let mut lines = doc.lines();
-        let runs_end = lines.next().unwrap().find("runs").unwrap() + "runs".len();
-        for (line, s) in lines.zip(&all) {
-            let cells: Vec<&str> = line[..runs_end].split_whitespace().collect();
-            assert_eq!(cells, [s.name, &s.grid.len().to_string()]);
+        let small_end = lines.next().unwrap().find("small").unwrap() + "small".len();
+        assert_eq!(lines.clone().count(), all.len());
+        let mut small = std::collections::HashMap::new();
+        for (line, (s, _)) in lines.zip(&all) {
+            let cells: Vec<&str> = line[..small_end].split_whitespace().collect();
+            assert_eq!(cells.len(), 3, "{line}");
+            assert_eq!(cells[..2], [s.name, &s.grid.len().to_string()]);
+            small.insert(s.name, cells[2]);
         }
+        // The small size is a column, not a row of its own.
+        assert_eq!(small["fig7"], "10");
+        assert_eq!(small["scaling-kilocore"], "12");
+        assert_eq!(small["fig8a"], "-");
+        assert!(!doc.contains("-small"));
     }
 
     #[test]

@@ -34,18 +34,8 @@ pub struct ExecOptions {
     pub ops_per_core: usize,
     /// Emit one progress line per completed run to stderr.
     pub verbose: bool,
-    /// Force an observability level on every run (`--hist` / `--trace`).
-    /// `None` keeps each spec's own level (usually off, or whatever a
-    /// `Knob::Obs` variant set).
-    pub obs_override: Option<ObsLevel>,
-    /// Force the flit-trace cap on every run (`--trace-limit`).
-    pub trace_limit: Option<usize>,
-    /// Force transaction-span recording on every run (`--spans`).
-    pub spans: bool,
-    /// Force windowed telemetry with this epoch length on every run
-    /// (`--windows` / `--window-cycles`). `None` keeps each spec's own
-    /// setting (usually off, or whatever a `Knob::Windows` variant set).
-    pub window_cycles: Option<u64>,
+    /// Recording forced on every run.
+    pub overrides: Overrides,
 }
 
 impl Default for ExecOptions {
@@ -54,16 +44,16 @@ impl Default for ExecOptions {
             threads: 0,
             ops_per_core: crate::ops_per_core(),
             verbose: false,
-            obs_override: None,
-            trace_limit: None,
-            spans: false,
-            window_cycles: None,
+            overrides: Overrides::default(),
         }
     }
 }
 
 /// Config-level recording overrides applied on top of a spec's own
-/// configuration before a run; none of them moves the config hash.
+/// configuration before a run; none of them moves the config hash. A
+/// `None`/`false` field keeps the spec's own setting (usually off, or
+/// whatever a [`crate::Knob::Spans`] / [`crate::Knob::Windows`] variant
+/// set).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Overrides {
     /// Force an observability level (`--hist` / `--trace`).
@@ -72,7 +62,8 @@ pub struct Overrides {
     pub trace_limit: Option<usize>,
     /// Force transaction-span recording (`--spans`).
     pub spans: bool,
-    /// Force windowed telemetry with this epoch length (`--windows`).
+    /// Force windowed telemetry with this epoch length (`--windows` /
+    /// `--window-cycles`).
     pub window_cycles: Option<u64>,
 }
 
@@ -135,26 +126,7 @@ pub struct RunResult {
 
 /// Runs one spec to completion.
 pub fn run_spec(spec: &RunSpec, ops_per_core: usize) -> RunResult {
-    run_spec_opts(spec, ops_per_core, None, None)
-}
-
-/// Runs one spec to completion, optionally forcing the observability
-/// level and flit-trace cap on top of the spec's own configuration.
-pub fn run_spec_opts(
-    spec: &RunSpec,
-    ops_per_core: usize,
-    obs_override: Option<ObsLevel>,
-    trace_limit: Option<usize>,
-) -> RunResult {
-    run_spec_ov(
-        spec,
-        ops_per_core,
-        &Overrides {
-            obs: obs_override,
-            trace_limit,
-            ..Overrides::default()
-        },
-    )
+    run_spec_ov(spec, ops_per_core, &Overrides::default())
 }
 
 /// The executor core: applies every override, runs the spec on its
@@ -244,17 +216,12 @@ pub fn run_specs(specs: &[RunSpec], opts: &ExecOptions) -> Vec<RunResult> {
         return Vec::new();
     }
     let workers = opts.effective_threads().clamp(1, n);
-    let ov = Overrides {
-        obs: opts.obs_override,
-        trace_limit: opts.trace_limit,
-        spans: opts.spans,
-        window_cycles: opts.window_cycles,
-    };
+    let ov = &opts.overrides;
     if workers == 1 {
         return specs
             .iter()
             .map(|s| {
-                let r = run_spec_ov(s, opts.ops_per_core, &ov);
+                let r = run_spec_ov(s, opts.ops_per_core, ov);
                 if opts.verbose {
                     eprintln!(
                         "[harness] {} -> {} cycles",
@@ -298,7 +265,7 @@ pub fn run_specs(specs: &[RunSpec], opts: &ExecOptions) -> Vec<RunResult> {
                         .find_map(|v| queues[v].lock().unwrap().pop_back())
                 });
                 let Some(i) = job else { break };
-                let r = run_spec_ov(&specs[i], opts.ops_per_core, &ov);
+                let r = run_spec_ov(&specs[i], opts.ops_per_core, ov);
                 if opts.verbose {
                     eprintln!(
                         "[harness] {} -> {} cycles (worker {w})",

@@ -7,8 +7,9 @@
 //!
 //! * [`scenario`] — the declarative model: [`Knob`]s, [`Variant`]s,
 //!   [`SweepGrid`]s and named [`Scenario`]s,
-//! * [`registry`] — every figure/table of the paper as a registered
-//!   scenario (`fig6` … `table2`, plus reduced `-small` variants),
+//! * [`registry`] — one entry per experiment: every figure/table of the
+//!   paper (`fig6` … `table2`) and every study since, most of them also
+//!   at a reduced [`registry::Size`] run as `<name>-small`,
 //! * [`exec`] — a multi-threaded, work-stealing job executor whose
 //!   results are byte-identical for any worker count,
 //! * [`sink`] — deterministic JSON-lines and CSV result sinks,

@@ -1,10 +1,11 @@
 //! The named-scenario registry.
 //!
-//! Every figure and table of the paper's evaluation is registered here as
-//! a [`Scenario`]: a declarative sweep grid plus a render function that
-//! reproduces the table the original hand-rolled binary printed.
-//! `harness list` shows everything that can be run, including the reduced
-//! `-small` variants.
+//! Every figure and table of the paper's evaluation, and every study added
+//! since, is registered here once, as a builder for its [`Scenario`]: a
+//! declarative sweep grid plus a render function that prints its table.
+//! Most builders take a [`Size`]: `harness run X` runs experiment X's full
+//! grid and `harness run X-small` its reduced one through the same
+//! renderer. `harness list` shows one row per experiment.
 
 use scorpio::{ArrivalProcess, Protocol};
 use scorpio_workloads::WorkloadParams;
@@ -13,70 +14,131 @@ use crate::exec::RunResult;
 use crate::scenario::{
     Engine, Fabric, GridFilter, Knob, McPlacement, RunSpec, Scenario, SweepGrid, Variant,
 };
-use crate::sink::cycles_per_sec;
 use crate::table::render_normalized;
 
-/// Every registered scenario, in presentation order.
-///
-/// # Panics
-///
-/// Panics if any registered grid fails [`SweepGrid::validate`] — a
-/// zero/duplicate axis value would silently emit duplicate (or no) JSONL
-/// rows, so it is rejected here, at registry build time.
-pub fn scenarios() -> Vec<Scenario> {
-    let all = vec![
-        fig6("fig6", 6),
-        fig6("fig6-small", 4),
-        fig6("fig6-64", 8),
-        fig7(),
-        fig7_small(),
-        fig8a(),
-        fig8b(),
-        fig8c(),
-        fig8d(),
-        fig9(),
-        fig10("fig10", &[6, 8, 10]),
-        fig10("fig10-small", &[3, 4]),
-        table1(),
-        table2(),
-        ablation("ablation", 6),
-        ablation("ablation-small", 4),
-        scaling("scaling", &[6, 8, 10]),
-        scaling("scaling-small", &[3, 4]),
-        scaling_mesh("scaling-mesh", &[8, 12, 16]),
-        scaling_mesh("scaling-mesh-small", &[4, 8]),
-        throughput("throughput", 16),
-        throughput("throughput-small", 8),
-        topology("topology", 6),
-        topology("topology-small", 4),
-        obs_overhead("obs-overhead", 12),
-        obs_overhead("obs-overhead-small", 6),
-        latency_breakdown("latency-breakdown", 8),
-        latency_breakdown("latency-breakdown-small", 4),
-        planes_scenario("planes", 6),
-        planes_scenario("planes-small", 4),
-        planes_throughput("planes-throughput", 8),
-        planes_throughput("planes-throughput-small", 6),
-        mc_placement("mc-placement", 6),
-        mc_placement("mc-placement-small", 4),
-        cmesh("cmesh", 8),
-        cmesh("cmesh-small", 4),
-        scaling_kilocore("scaling-kilocore", &[16, 32], kilocore_filter),
-        scaling_kilocore("scaling-kilocore-small", &[8, 16], kilocore_small_filter),
-        latency_curve("latency-curve", true),
-        latency_curve("latency-curve-small", false),
-    ];
-    for s in &all {
+/// Which grid a sized experiment lays out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Size {
+    /// The full grid: `harness run <name>`.
+    Full,
+    /// The reduced grid — smaller meshes or fewer cells, same renderer:
+    /// `harness run <name>-small`.
+    Small,
+}
+
+impl Size {
+    /// `full` at [`Size::Full`], `small` at [`Size::Small`].
+    fn pick<T>(self, full: T, small: T) -> T {
+        match self {
+            Size::Full => full,
+            Size::Small => small,
+        }
+    }
+}
+
+/// One registered experiment: a single grid, or a builder that also lays
+/// out a `-small` grid.
+#[derive(Clone, Copy)]
+enum Entry {
+    Fixed(fn() -> Scenario),
+    Sized(fn(Size) -> Scenario),
+}
+
+/// Every experiment, in presentation order.
+const REGISTRY: [Entry; 22] = [
+    Entry::Sized(fig6),
+    Entry::Fixed(fig6_64),
+    Entry::Sized(fig7),
+    Entry::Fixed(fig8a),
+    Entry::Fixed(fig8b),
+    Entry::Fixed(fig8c),
+    Entry::Fixed(fig8d),
+    Entry::Fixed(fig9),
+    Entry::Sized(fig10),
+    Entry::Fixed(table1),
+    Entry::Fixed(table2),
+    Entry::Sized(ablation),
+    Entry::Sized(scaling),
+    Entry::Sized(scaling_mesh),
+    Entry::Sized(topology),
+    Entry::Sized(latency_breakdown),
+    Entry::Sized(planes_scenario),
+    Entry::Sized(planes_throughput),
+    Entry::Sized(mc_placement),
+    Entry::Sized(cmesh),
+    Entry::Sized(scaling_kilocore),
+    Entry::Sized(latency_curve),
+];
+
+impl Entry {
+    /// The experiment's scenario at `size`; `None` for the small size of
+    /// a single-grid experiment.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the grid fails [`SweepGrid::validate`] — a zero/duplicate
+    /// axis value would silently emit duplicate (or no) JSONL rows, so it
+    /// is rejected here, when the registry builds it.
+    fn build(self, size: Size) -> Option<Scenario> {
+        let s = match (self, size) {
+            (Entry::Sized(build), _) => build(size),
+            (Entry::Fixed(build), Size::Full) => build(),
+            (Entry::Fixed(_), Size::Small) => return None,
+        };
         s.grid
             .validate()
             .unwrap_or_else(|e| panic!("scenario {}: {e}", s.name));
+        Some(s)
     }
-    all
 }
 
-/// Resolves a scenario by registry name.
+/// Every experiment in presentation order: its full grid, and its small
+/// grid when it has one.
+///
+/// # Panics
+///
+/// Panics if a grid fails [`SweepGrid::validate`].
+pub fn experiments() -> Vec<(Scenario, Option<Scenario>)> {
+    REGISTRY
+        .iter()
+        .filter_map(|e| Some((e.build(Size::Full)?, e.build(Size::Small))))
+        .collect()
+}
+
+/// Resolves a registry name: `X` is experiment X's full grid, `X-small`
+/// its small grid. `None` for an unknown X, and for `X-small` when X has
+/// one grid only.
+///
+/// # Panics
+///
+/// Panics if the grid fails [`SweepGrid::validate`].
 pub fn by_name(name: &str) -> Option<Scenario> {
-    scenarios().into_iter().find(|s| s.name == name)
+    let (base, size) = match name.strip_suffix("-small") {
+        Some(base) => (base, Size::Small),
+        None => (name, Size::Full),
+    };
+    REGISTRY
+        .iter()
+        .find(|e| e.build(Size::Full).is_some_and(|s| s.name == base))?
+        .build(size)
+}
+
+/// The five ordering protocols: SCORPIO, TokenB, INSO (expiry 40) and
+/// both directory baselines.
+const ALL_PROTOCOLS: [Protocol; 5] = [
+    Protocol::Scorpio,
+    Protocol::TokenB,
+    Protocol::Inso { expiry_window: 40 },
+    Protocol::LpdDir,
+    Protocol::HtDir,
+];
+
+/// The named workload presets, in the order given.
+fn presets(names: &[&str]) -> Vec<WorkloadParams> {
+    names
+        .iter()
+        .map(|n| WorkloadParams::by_name(n).expect("registered workload"))
+        .collect()
 }
 
 /// Display label for a protocol column (the paper's figure legends).
@@ -161,7 +223,16 @@ fn variant_labels(s: &Scenario) -> Vec<&str> {
 
 // ---------------------------------------------------------------- Figure 6
 
-fn fig6(name: &'static str, k: u16) -> Scenario {
+fn fig6(size: Size) -> Scenario {
+    fig6_at("fig6", size.pick(6, 4))
+}
+
+/// Figure 6 at 64 cores.
+fn fig6_64() -> Scenario {
+    fig6_at("fig6-64", 8)
+}
+
+fn fig6_at(name: &'static str, k: u16) -> Scenario {
     Scenario {
         name,
         title: format!(
@@ -207,20 +278,35 @@ fn fig6_render(s: &Scenario, results: &[RunResult]) -> String {
 
 // ---------------------------------------------------------------- Figure 7
 
-fn fig7() -> Scenario {
-    Scenario {
-        name: "fig7",
-        title: "Figure 7 — normalized runtime, 16 cores".into(),
-        about: "SCORPIO vs TokenB vs INSO (expiry 20/40/80) on the PARSEC subset",
-        grid: SweepGrid::over(WorkloadParams::figure7_set())
-            .meshes(&[4])
-            .protocols(&[
+/// Figure 7 on the PARSEC subset. The small grid is the all-protocol grid
+/// behind the engine-equivalence golden test: every ordering scheme —
+/// SCORPIO, TokenB, INSO and both directory baselines — on two workloads.
+fn fig7(size: Size) -> Scenario {
+    let (title, workloads, protocols) = match size {
+        Size::Full => (
+            "Figure 7 — normalized runtime, 16 cores",
+            WorkloadParams::figure7_set(),
+            [
                 Protocol::Scorpio,
                 Protocol::TokenB,
                 Protocol::Inso { expiry_window: 20 },
                 Protocol::Inso { expiry_window: 40 },
                 Protocol::Inso { expiry_window: 80 },
-            ]),
+            ],
+        ),
+        Size::Small => (
+            "Figure 7 (reduced) — all ordering protocols, 16 cores",
+            presets(&["blackscholes", "swaptions"]),
+            ALL_PROTOCOLS,
+        ),
+    };
+    Scenario {
+        name: "fig7",
+        title: title.into(),
+        about: "SCORPIO vs TokenB vs INSO-20/40/80 on PARSEC (small: all five protocols)",
+        grid: SweepGrid::over(workloads)
+            .meshes(&[4])
+            .protocols(&protocols),
         render: fig7_render,
     }
 }
@@ -235,32 +321,6 @@ fn fig7_render(s: &Scenario, results: &[RunResult]) -> String {
         .collect();
     let cols: Vec<&str> = cols.iter().map(String::as_str).collect();
     render_normalized(&s.title, &names, &cols, &rows)
-}
-
-/// The reduced all-protocol grid backing the engine-equivalence golden
-/// test: every ordering scheme — SCORPIO, TokenB, INSO, and both directory
-/// baselines — on a 16-core mesh with a small PARSEC subset.
-fn fig7_small() -> Scenario {
-    Scenario {
-        name: "fig7-small",
-        title: "Figure 7 (reduced) — all ordering protocols, 16 cores".into(),
-        about: "SCORPIO vs TokenB vs INSO-40 vs LPD-D vs HT-D, reduced workload set",
-        grid: SweepGrid::over(
-            WorkloadParams::figure7_set()
-                .into_iter()
-                .filter(|p| ["blackscholes", "swaptions"].contains(&p.name))
-                .collect(),
-        )
-        .meshes(&[4])
-        .protocols(&[
-            Protocol::Scorpio,
-            Protocol::TokenB,
-            Protocol::Inso { expiry_window: 40 },
-            Protocol::LpdDir,
-            Protocol::HtDir,
-        ]),
-        render: fig7_render,
-    }
 }
 
 // ---------------------------------------------------------------- Figure 8
@@ -372,25 +432,20 @@ fn fig9_render(_s: &Scenario, _results: &[RunResult]) -> String {
 
 // --------------------------------------------------------------- Figure 10
 
-fn fig10(name: &'static str, meshes: &[u16]) -> Scenario {
+fn fig10(size: Size) -> Scenario {
     Scenario {
-        name,
+        name: "fig10",
         title: "Figure 10 — avg L2 service latency (cycles)".into(),
         about: "Pipelined vs non-pipelined uncore across mesh sizes",
-        grid: SweepGrid::over(
-            [
-                "barnes",
-                "blackscholes",
-                "canneal",
-                "fft",
-                "fluidanimate",
-                "lu",
-            ]
-            .iter()
-            .map(|n| WorkloadParams::by_name(n).expect("registered workload"))
-            .collect(),
-        )
-        .meshes(meshes)
+        grid: SweepGrid::over(presets(&[
+            "barnes",
+            "blackscholes",
+            "canneal",
+            "fft",
+            "fluidanimate",
+            "lu",
+        ]))
+        .meshes(size.pick::<&[u16]>(&[6, 8, 10], &[3, 4]))
         .variants(vec![
             Variant::knob(Knob::PipelinedUncore(false)),
             Variant::knob(Knob::PipelinedUncore(true)),
@@ -495,29 +550,28 @@ fn table2_render(_s: &Scenario, _results: &[RunResult]) -> String {
 
 // ---------------------------------------------------------------- Ablation
 
-fn ablation(name: &'static str, k: u16) -> Scenario {
+fn ablation(size: Size) -> Scenario {
+    let k = size.pick(6, 4);
     Scenario {
-        name,
+        name: "ablation",
         title: format!("Ablation — {k}x{k}, fluidanimate"),
         about: "Design-choice ablation: bypass, region tracker, FIDs, window slack",
-        grid: SweepGrid::over(vec![
-            WorkloadParams::by_name("fluidanimate").expect("registered workload")
-        ])
-        .meshes(&[k])
-        .variants(vec![
-            Variant::new("baseline (chip)", vec![]),
-            Variant::new("no lookahead bypass", vec![Knob::Bypass(false)]),
-            Variant::new("no region tracker", vec![Knob::RegionTracker(false)]),
-            Variant::new("FID capacity 1", vec![Knob::FidCapacity(1)]),
-            Variant::new(
-                "2x notification window",
-                vec![Knob::NotificationWindowSlack(13)],
-            ),
-            Variant::new(
-                "4x notification window",
-                vec![Knob::NotificationWindowSlack(39)],
-            ),
-        ]),
+        grid: SweepGrid::over(presets(&["fluidanimate"]))
+            .meshes(&[k])
+            .variants(vec![
+                Variant::new("baseline (chip)", vec![]),
+                Variant::new("no lookahead bypass", vec![Knob::Bypass(false)]),
+                Variant::new("no region tracker", vec![Knob::RegionTracker(false)]),
+                Variant::new("FID capacity 1", vec![Knob::FidCapacity(1)]),
+                Variant::new(
+                    "2x notification window",
+                    vec![Knob::NotificationWindowSlack(13)],
+                ),
+                Variant::new(
+                    "4x notification window",
+                    vec![Knob::NotificationWindowSlack(39)],
+                ),
+            ]),
         render: ablation_render,
     }
 }
@@ -561,21 +615,19 @@ fn ablation_render(s: &Scenario, results: &[RunResult]) -> String {
 
 // ----------------------------------------------------------- Section 5.3
 
-fn scaling(name: &'static str, meshes: &[u16]) -> Scenario {
+fn scaling(size: Size) -> Scenario {
     Scenario {
-        name,
+        name: "scaling",
         title: "Section 5.3 — GO-REQ VC scaling at high core counts".into(),
         about: "VC scaling (4/16/50) on growing meshes vs the 1/k^2 bound",
-        grid: SweepGrid::over(vec![
-            WorkloadParams::by_name("fluidanimate").expect("registered workload")
-        ])
-        .meshes(meshes)
-        .variants(vec![
-            Variant::knob(Knob::GoreqVcs(4)),
-            Variant::knob(Knob::GoreqVcs(16)),
-            Variant::knob(Knob::GoreqVcs(50)),
-        ])
-        .filtered(scaling_filter),
+        grid: SweepGrid::over(presets(&["fluidanimate"]))
+            .meshes(size.pick::<&[u16]>(&[6, 8, 10], &[3, 4]))
+            .variants(vec![
+                Variant::knob(Knob::GoreqVcs(4)),
+                Variant::knob(Knob::GoreqVcs(16)),
+                Variant::knob(Knob::GoreqVcs(50)),
+            ])
+            .filtered(scaling_filter),
         render: scaling_render,
     }
 }
@@ -685,13 +737,13 @@ fn uniform_med() -> WorkloadParams {
 
 /// Large-mesh SCORPIO sweeps (8×8 → 16×16) with MC bandwidth scaled to the
 /// core count.
-fn scaling_mesh(name: &'static str, meshes: &[u16]) -> Scenario {
+fn scaling_mesh(size: Size) -> Scenario {
     Scenario {
-        name,
+        name: "scaling-mesh",
         title: "Scaling-mesh — SCORPIO beyond the chip (proportional MCs)".into(),
         about: "Large-mesh synthetic-traffic sweeps, one MC per 16 tiles",
         grid: SweepGrid::over(vec![uniform_low(), uniform_med()])
-            .meshes(meshes)
+            .meshes(size.pick::<&[u16]>(&[8, 12, 16], &[4, 8]))
             .with_base(vec![Knob::ProportionalMcs]),
         render: scaling_mesh_render,
     }
@@ -722,119 +774,50 @@ fn scaling_mesh_render(s: &Scenario, results: &[RunResult]) -> String {
     out
 }
 
-// ------------------------------------------------ Throughput self-benchmark
+// ------------------------------------------------- Kilocore scale-out
 
-/// Simulator self-benchmark: the identical low-injection sweep under both
-/// engines, so the active-set speedup is *measured* on every run rather
-/// than asserted. Wall-clock derived numbers are inherently
-/// non-deterministic; they appear in the rendered table (and, with
-/// `--timing`, the sinks) but never in default sink output.
-fn throughput(name: &'static str, mesh: u16) -> Scenario {
-    Scenario {
-        name,
-        title: format!(
-            "Throughput — simulated cycles/sec, active-set vs always-scan ({mesh}x{mesh})"
-        ),
-        about: "Engine self-benchmark: low-injection sweep under both engines",
-        grid: SweepGrid::over(vec![uniform_low()])
-            .meshes(&[mesh])
-            .engines(&[Engine::ActiveSet, Engine::AlwaysScan])
-            .with_base(vec![Knob::ProportionalMcs]),
-        render: throughput_render,
-    }
-}
-
-fn throughput_render(s: &Scenario, results: &[RunResult]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("=== {} ===\n", s.title));
-    out.push_str(&format!(
-        "{:<14}{:>8}{:>12}{:>12}{:>14}{:>16}\n",
-        "workload", "engine", "runtime", "wall (ms)", "sim cyc/sec", "speedup"
-    ));
-    // cycles/sec of each engine, then the active/scan ratio per workload.
-    for w in &s.grid.workloads {
-        let mut rates = [0.0f64; 2];
-        for r in results.iter().filter(|r| r.spec.workload.name == w.name) {
-            let slot = match r.spec.engine {
-                Engine::ActiveSet => 0,
-                Engine::AlwaysScan => 1,
-                Engine::Leap => continue,
-            };
-            rates[slot] = cycles_per_sec(r);
-            out.push_str(&format!(
-                "{:<14}{:>8}{:>12}{:>12.1}{:>14.0}{:>16}\n",
-                w.name,
-                r.spec.engine.label(),
-                r.report.runtime_cycles,
-                r.wall_nanos as f64 / 1e6,
-                rates[slot],
-                "",
-            ));
-        }
-        if rates[1] > 0.0 {
-            out.push_str(&format!(
-                "{:<14}{:>8}{:>12}{:>12}{:>14}{:>15.2}x\n",
-                w.name,
-                "",
-                "",
-                "",
-                "",
-                rates[0] / rates[1]
-            ));
-        }
-    }
-    out.push_str("\nBoth engines produce byte-identical reports (see the\n");
-    out.push_str("engine-equivalence test suite); only wall-clock differs.\n");
-    out
-}
-
-// ------------------------------------------- Kilocore scale-out benchmark
-
-/// One cell of the kilocore sweep, parameterized on the grid's larger
-/// mesh side: the big side runs single-plane (the 1024-core flat mesh and
-/// its concentrated twin), the small side runs the 4-plane concentrated
+/// One cell of the kilocore sweep, for a grid whose larger mesh side is
+/// `BIG`: the big side runs single-plane (the 1024-core flat mesh and its
+/// concentrated twin), the small side runs the 4-plane concentrated
 /// composition. The proportional-MC variant pairs with the flat mesh only
 /// (the placement is undefined elsewhere); concentrated cells keep their
 /// corner MCs.
-fn kilocore_cell(spec: &RunSpec, big: u16) -> bool {
+fn kilocore_cell<const BIG: u16>(spec: &RunSpec) -> bool {
     let prop = spec.variant.knobs.contains(&Knob::ProportionalMcs);
     let pairing_ok = match spec.fabric {
         Fabric::Mesh => prop,
         _ => !prop,
     };
     pairing_ok
-        && if spec.mesh_side == big {
+        && if spec.mesh_side == BIG {
             spec.planes == 1
         } else {
             spec.fabric == Fabric::CMesh(4) && spec.planes == 4
         }
 }
 
-fn kilocore_filter(spec: &RunSpec) -> bool {
-    kilocore_cell(spec, 32)
-}
-
-fn kilocore_small_filter(spec: &RunSpec) -> bool {
-    kilocore_cell(spec, 16)
-}
-
-/// Kilocore scale-out self-benchmark: the low-injection barrier workload
-/// on a 32×32 mesh (1024 cores, proportional MCs), its concentrated twin
-/// `cmesh16x16x4`, and a 4-plane `cmesh8x8x4` composition — each under
-/// the plain active-set engine and the event-leaping clock, and each with
-/// the flat notification scheme and the hierarchical quad tree (`quad-f2`,
-/// which shrinks the notification window from O(grid diameter) to
-/// O(2·tree depth) and unlocks per-region leap accounting). Both engines
-/// produce byte-identical reports (equivalence suite); the table measures
-/// what the leap and the quad window buy at this scale.
-fn scaling_kilocore(name: &'static str, meshes: &'static [u16], filter: GridFilter) -> Scenario {
+/// Kilocore scale-out: the low-injection barrier workload on a 32×32 mesh
+/// (1024 cores, proportional MCs), its concentrated twin `cmesh16x16x4`,
+/// and a 4-plane `cmesh8x8x4` composition — each under the plain
+/// active-set engine and the event-leaping clock, and each with the flat
+/// notification scheme and the hierarchical quad tree (`quad-f2`, which
+/// shrinks the notification window from O(grid diameter) to O(2·tree
+/// depth) and unlocks per-region leap accounting). Both engines produce
+/// byte-identical reports (equivalence suite); the table counts the cycles
+/// the leap and the quad window save at this scale. The small grid is the
+/// same shape at 256 cores.
+fn scaling_kilocore(size: Size) -> Scenario {
+    let (meshes, filter): (&[u16], GridFilter) = match size {
+        Size::Full => (&[16, 32], kilocore_cell::<32>),
+        Size::Small => (&[8, 16], kilocore_cell::<16>),
+    };
     Scenario {
-        name,
+        name: "scaling-kilocore",
         title: format!(
             "Scaling-kilocore — engine scale-out at {} cores (event-leaping clock)",
             meshes.last().map_or(0, |&k| k as usize * k as usize)
         ),
-        about: "Kilocore self-benchmark: active-set vs leap, flat vs quad notify",
+        about: "Kilocore scale-out: cycles stepped by active-set vs leap, flat vs quad notify",
         grid: SweepGrid::over(vec![uniform_low()])
             .meshes(meshes)
             .fabrics(&[Fabric::Mesh, Fabric::CMesh(4)])
@@ -871,92 +854,43 @@ fn scaling_kilocore_render(s: &Scenario, results: &[RunResult]) -> String {
     let mut out = String::new();
     out.push_str(&format!("=== {} ===\n", s.title));
     out.push_str(&format!(
-        "{:<16}{:>7}{:>9}{:>8}{:>12}{:>12}{:>10}{:>10}{:>14}{:>10}\n",
-        "geometry",
-        "planes",
-        "notify",
-        "engine",
-        "runtime",
-        "stepped",
-        "leap",
-        "r-leap",
-        "sim cyc/sec",
-        "speedup"
+        "{:<16}{:>7}{:>9}{:>8}{:>12}{:>12}{:>10}{:>10}\n",
+        "geometry", "planes", "notify", "engine", "runtime", "stepped", "leap", "r-leap"
     ));
-    // Group rows by cell (geometry + planes + notification scheme); the
-    // speedup column is each engine's rate over the active-set engine on
-    // the same cell.
-    let mut cells: Vec<(u16, Fabric, usize, String)> = Vec::new();
     for r in results {
-        let cell = (
-            r.spec.mesh_side,
-            r.spec.fabric,
+        let leap = if r.stepped_cycles > 0 {
+            format!(
+                "{:>9.2}x",
+                r.report.runtime_cycles as f64 / r.stepped_cycles as f64
+            )
+        } else {
+            format!("{:>10}", "-")
+        };
+        // Per-region leap: simulated cycles over mean stepped cycles per
+        // region — what event leaping buys once a quiescent quad no longer
+        // has to lockstep with a bursting neighbour.
+        let rleap = if r.regions > 1 && r.region_cycles_stepped > 0 {
+            format!(
+                "{:>9.2}x",
+                r.report.runtime_cycles as f64 * r.regions as f64 / r.region_cycles_stepped as f64
+            )
+        } else {
+            format!("{:>10}", "-")
+        };
+        out.push_str(&format!(
+            "{:<16}{:>7}{:>9}{:>8}{:>12}{:>12}{leap}{rleap}\n",
+            r.spec.fabric.geometry(r.spec.mesh_side),
             r.spec.planes,
             kilocore_notify_label(&r.spec),
-        );
-        if !cells.contains(&cell) {
-            cells.push(cell);
-        }
-    }
-    for (k, fabric, planes, notify) in cells {
-        let base = results
-            .iter()
-            .find(|r| {
-                r.spec.mesh_side == k
-                    && r.spec.fabric == fabric
-                    && r.spec.planes == planes
-                    && kilocore_notify_label(&r.spec) == notify
-                    && r.spec.engine == Engine::ActiveSet
-            })
-            .map_or(0.0, cycles_per_sec);
-        for r in results.iter().filter(|r| {
-            r.spec.mesh_side == k
-                && r.spec.fabric == fabric
-                && r.spec.planes == planes
-                && kilocore_notify_label(&r.spec) == notify
-        }) {
-            let leap = if r.stepped_cycles > 0 {
-                format!(
-                    "{:>9.2}x",
-                    r.report.runtime_cycles as f64 / r.stepped_cycles as f64
-                )
-            } else {
-                format!("{:>10}", "-")
-            };
-            // Per-region leap: simulated cycles over mean stepped cycles
-            // per region — what event leaping buys once a quiescent quad
-            // no longer has to lockstep with a bursting neighbour.
-            let rleap = if r.regions > 1 && r.region_cycles_stepped > 0 {
-                format!(
-                    "{:>9.2}x",
-                    r.report.runtime_cycles as f64 * r.regions as f64
-                        / r.region_cycles_stepped as f64
-                )
-            } else {
-                format!("{:>10}", "-")
-            };
-            let rate = cycles_per_sec(r);
-            out.push_str(&format!(
-                "{:<16}{:>7}{:>9}{:>8}{:>12}{:>12}{leap}{rleap}{rate:>14.0}{speedup}\n",
-                fabric.geometry(k),
-                planes,
-                notify,
-                r.spec.engine.label(),
-                r.report.runtime_cycles,
-                r.stepped_cycles,
-                speedup = if base > 0.0 && rate > 0.0 {
-                    format!("{:>9.2}x", rate / base)
-                } else {
-                    format!("{:>10}", "-")
-                },
-            ));
-        }
+            r.spec.engine.label(),
+            r.report.runtime_cycles,
+            r.stepped_cycles,
+        ));
     }
     out.push_str("\nBoth engines produce byte-identical reports and traces (the\n");
     out.push_str("equivalence suite asserts this); leap is simulated/stepped\n");
     out.push_str("cycles, r-leap is simulated cycles over mean stepped cycles\n");
-    out.push_str("per leaf quad (quad notify only), speedup is sim-cycles/sec\n");
-    out.push_str("over the active-set engine on the same cell.\n");
+    out.push_str("per leaf quad (quad notify only).\n");
     out
 }
 
@@ -967,29 +901,19 @@ fn scaling_kilocore_render(s: &Scenario, results: &[RunResult]) -> String {
 /// machinery does not care how delivery happens, so every cell of this
 /// grid must complete — and the runtime differences isolate pure delivery
 /// effects (diameter, wrap links, router radix).
-fn topology(name: &'static str, k: u16) -> Scenario {
+fn topology(size: Size) -> Scenario {
+    let k: u16 = size.pick(6, 4);
     Scenario {
-        name,
+        name: "topology",
         title: format!(
             "Topology — mesh vs torus vs ring at {} cores, all ordering protocols",
             k as usize * k as usize
         ),
         about: "Delivery-fabric sweep: mesh/torus/ring under all five protocols",
-        grid: SweepGrid::over(
-            WorkloadParams::figure7_set()
-                .into_iter()
-                .filter(|p| ["blackscholes", "swaptions"].contains(&p.name))
-                .collect(),
-        )
-        .meshes(&[k])
-        .fabrics(&[Fabric::Mesh, Fabric::Torus, Fabric::Ring])
-        .protocols(&[
-            Protocol::Scorpio,
-            Protocol::TokenB,
-            Protocol::Inso { expiry_window: 40 },
-            Protocol::LpdDir,
-            Protocol::HtDir,
-        ]),
+        grid: SweepGrid::over(presets(&["blackscholes", "swaptions"]))
+            .meshes(&[k])
+            .fabrics(&[Fabric::Mesh, Fabric::Torus, Fabric::Ring])
+            .protocols(&ALL_PROTOCOLS),
         render: topology_render,
     }
 }
@@ -1020,66 +944,6 @@ fn topology_render(s: &Scenario, results: &[RunResult]) -> String {
     out
 }
 
-// ----------------------------------------- Observability self-benchmark
-
-/// Simulator self-benchmark: the identical sweep with observability off,
-/// at the counter level and at the full flit trace, so the cost of the
-/// instrumentation is *measured* on every run. The off column is the
-/// baseline the <2% overhead assertion (`obs_overhead` test) holds
-/// against; reports differ only in the `obs` annex (equivalence suite).
-fn obs_overhead(name: &'static str, mesh: u16) -> Scenario {
-    Scenario {
-        name,
-        title: format!("Observability overhead — off vs counters vs trace ({mesh}x{mesh})"),
-        about: "Observability self-benchmark: off vs counters vs flit trace",
-        grid: SweepGrid::over(vec![uniform_med()])
-            .meshes(&[mesh])
-            .variants(vec![
-                Variant::new("obs-off", vec![]),
-                Variant::knob(Knob::Obs(scorpio::ObsLevel::Counters)),
-                Variant::knob(Knob::Obs(scorpio::ObsLevel::Trace)),
-                Variant::knob(Knob::Spans),
-                Variant::knob(Knob::Windows(1024)),
-            ]),
-        render: obs_overhead_render,
-    }
-}
-
-fn obs_overhead_render(s: &Scenario, results: &[RunResult]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("=== {} ===\n", s.title));
-    out.push_str(&format!(
-        "{:<14}{:>14}{:>12}{:>12}{:>14}{:>12}\n",
-        "workload", "obs", "runtime", "wall (ms)", "sim cyc/sec", "overhead"
-    ));
-    for w in &s.grid.workloads {
-        let mut base = 0.0f64;
-        for r in results.iter().filter(|r| r.spec.workload.name == w.name) {
-            let cyc = cycles_per_sec(r);
-            if r.spec.variant.label == "obs-off" {
-                base = cyc;
-            }
-            let overhead = if base > 0.0 && cyc > 0.0 {
-                format!("{:>+10.1}%", 100.0 * (base / cyc - 1.0))
-            } else {
-                format!("{:>11}", "")
-            };
-            out.push_str(&format!(
-                "{:<14}{:>14}{:>12}{:>12.1}{:>14.0}{:>12}\n",
-                w.name,
-                r.spec.variant.label,
-                r.report.runtime_cycles,
-                r.wall_nanos as f64 / 1e6,
-                cyc,
-                overhead,
-            ));
-        }
-    }
-    out.push_str("\nSimulated behavior is identical at every level (obs\n");
-    out.push_str("equivalence tests); only recording work differs.\n");
-    out
-}
-
 // ------------------------------------------------------ Latency breakdown
 
 /// The paper's latency-decomposition story, measured from transaction
@@ -1088,21 +952,16 @@ fn obs_overhead_render(s: &Scenario, results: &[RunResult]) -> String {
 /// queueing, injection wait, traversal, ordering commit, data wait and
 /// fill separately — for SCORPIO the ordering-commit share stays flat
 /// while traversal tracks the fabric diameter, the decoupling thesis.
-fn latency_breakdown(name: &'static str, mesh: u16) -> Scenario {
+fn latency_breakdown(size: Size) -> Scenario {
+    let mesh: u16 = size.pick(8, 4);
     Scenario {
-        name,
+        name: "latency-breakdown",
         title: format!("Latency breakdown — span phases per protocol ({mesh}x{mesh} tiles)"),
         about: "Per-phase miss-latency decomposition from transaction spans",
-        grid: SweepGrid::over(vec![WorkloadParams::by_name("blackscholes").unwrap()])
+        grid: SweepGrid::over(presets(&["blackscholes"]))
             .meshes(&[mesh])
             .fabrics(&[Fabric::Mesh, Fabric::CMesh(2)])
-            .protocols(&[
-                Protocol::Scorpio,
-                Protocol::TokenB,
-                Protocol::Inso { expiry_window: 40 },
-                Protocol::LpdDir,
-                Protocol::HtDir,
-            ])
+            .protocols(&ALL_PROTOCOLS)
             .variants(vec![Variant::knob(Knob::Spans)]),
         render: latency_breakdown_render,
     }
@@ -1222,30 +1081,20 @@ fn net_energy_per_op(r: &RunResult) -> f64 {
 /// matched endpoint counts. Ordering is per plane (hence per address), so
 /// every cell must complete; the runtime and energy columns quantify what
 /// replication buys and costs.
-fn planes_scenario(name: &'static str, k: u16) -> Scenario {
+fn planes_scenario(size: Size) -> Scenario {
+    let k: u16 = size.pick(6, 4);
     Scenario {
-        name,
+        name: "planes",
         title: format!(
             "Planes — 1/2/4 main networks at {} cores, all fabrics and protocols",
             k as usize * k as usize
         ),
         about: "Multi-plane sweep: address-interleaved parallel fabrics, per-plane ordering",
-        grid: SweepGrid::over(
-            WorkloadParams::figure7_set()
-                .into_iter()
-                .filter(|p| p.name == "blackscholes")
-                .collect(),
-        )
-        .meshes(&[k])
-        .fabrics(&[Fabric::Mesh, Fabric::Torus, Fabric::Ring])
-        .planes(&[1, 2, 4])
-        .protocols(&[
-            Protocol::Scorpio,
-            Protocol::TokenB,
-            Protocol::Inso { expiry_window: 40 },
-            Protocol::LpdDir,
-            Protocol::HtDir,
-        ]),
+        grid: SweepGrid::over(presets(&["blackscholes"]))
+            .meshes(&[k])
+            .fabrics(&[Fabric::Mesh, Fabric::Torus, Fabric::Ring])
+            .planes(&[1, 2, 4])
+            .protocols(&ALL_PROTOCOLS),
         render: planes_render,
     }
 }
@@ -1295,11 +1144,12 @@ fn planes_render(s: &Scenario, results: &[RunResult]) -> String {
 /// Delivered-request throughput on a saturated mesh as planes replicate:
 /// the acceptance benchmark for the "multiple main networks" subsystem.
 /// Every run retires the same ops, so requests/kcycle — and the speedup
-/// column — reduce to runtime ratios of *simulated* cycles; unlike the
-/// engine self-benchmarks, this one is fully deterministic.
-fn planes_throughput(name: &'static str, mesh: u16) -> Scenario {
+/// column — reduce to runtime ratios of *simulated* cycles, so the table
+/// is fully deterministic.
+fn planes_throughput(size: Size) -> Scenario {
+    let mesh: u16 = size.pick(8, 6);
     Scenario {
-        name,
+        name: "planes-throughput",
         title: format!(
             "Planes-throughput — delivered requests/kcycle, 1/2/4 planes ({mesh}x{mesh} saturated)"
         ),
@@ -1361,9 +1211,8 @@ fn placement_of(spec: &RunSpec) -> Option<McPlacement> {
     })
 }
 
-/// Keeps only (fabric, placement) combinations that are defined: corner
-/// placements on mesh/torus, ring spreading on rings, proportional on
-/// meshes.
+/// Keeps only the (fabric, placement) cells [`McPlacement::supports`]
+/// defines.
 fn mc_placement_filter(spec: &RunSpec) -> bool {
     placement_of(spec).is_some_and(|p| p.supports(spec.fabric))
 }
@@ -1372,9 +1221,10 @@ fn mc_placement_filter(spec: &RunSpec) -> bool {
 /// matched core counts. Exposes each fabric's memory-bandwidth
 /// sensitivity — corner MCs melt under traffic a spread placement
 /// balances, and the effect differs per topology.
-fn mc_placement(name: &'static str, k: u16) -> Scenario {
+fn mc_placement(size: Size) -> Scenario {
+    let k: u16 = size.pick(6, 4);
     Scenario {
-        name,
+        name: "mc-placement",
         title: format!(
             "MC placement — count x placement x fabric at {} cores",
             k as usize * k as usize
@@ -1445,33 +1295,23 @@ fn mc_placement_render(s: &Scenario, results: &[RunResult]) -> String {
 /// table's hop/window columns make the trade visible and the pkt-lat
 /// column shows it landing: on the uncongested workload, c=2/4 deliver
 /// ordered broadcasts in strictly fewer cycles than c=1.
-fn cmesh(name: &'static str, k: u16) -> Scenario {
+fn cmesh(size: Size) -> Scenario {
+    let k: u16 = size.pick(8, 4);
     Scenario {
-        name,
+        name: "cmesh",
         title: format!(
             "CMesh — concentration 1/2/4 at {} cores, all ordering protocols",
             k as usize * k as usize
         ),
         about: "Concentrated-mesh sweep: 1/2/4 tiles per router at matched core counts",
-        grid: SweepGrid::over(
-            WorkloadParams::figure7_set()
-                .into_iter()
-                .filter(|p| p.name == "blackscholes")
-                .collect(),
-        )
-        .meshes(&[k])
-        .fabrics(&[Fabric::CMesh(1), Fabric::CMesh(2), Fabric::CMesh(4)])
-        .planes(&[1, 2])
-        .protocols(&[
-            Protocol::Scorpio,
-            Protocol::TokenB,
-            Protocol::Inso { expiry_window: 40 },
-            Protocol::LpdDir,
-            Protocol::HtDir,
-        ])
-        // Ragged: every protocol on the single-plane network, SCORPIO
-        // alone on the 2-plane composition column.
-        .filtered(|s| s.planes == 1 || s.protocol == Protocol::Scorpio),
+        grid: SweepGrid::over(presets(&["blackscholes"]))
+            .meshes(&[k])
+            .fabrics(&[Fabric::CMesh(1), Fabric::CMesh(2), Fabric::CMesh(4)])
+            .planes(&[1, 2])
+            .protocols(&ALL_PROTOCOLS)
+            // Ragged: every protocol on the single-plane network, SCORPIO
+            // alone on the 2-plane composition column.
+            .filtered(|s| s.planes == 1 || s.protocol == Protocol::Scorpio),
         render: cmesh_render,
     }
 }
@@ -1587,12 +1427,8 @@ fn open_uniform() -> WorkloadParams {
 /// the mid ladder. Spans give the p99 sojourn (source wait included) the
 /// knee detector runs on; windows give the per-endpoint injection-wait
 /// extremes the CMesh fairness columns surface per concentration slot.
-fn latency_curve(name: &'static str, full: bool) -> Scenario {
-    let loads: &[u32] = if full {
-        &CURVE_LOADS_FULL
-    } else {
-        &CURVE_LOADS_SMALL
-    };
+fn latency_curve(size: Size) -> Scenario {
+    let loads: &[u32] = size.pick(&CURVE_LOADS_FULL, &CURVE_LOADS_SMALL);
     let mut variants: Vec<Variant> = loads
         .iter()
         .map(|&millis| {
@@ -1606,14 +1442,13 @@ fn latency_curve(name: &'static str, full: bool) -> Scenario {
         process: CURVE_BURST,
         millis: 20,
     }));
-    let fabrics: &[Fabric] = if full {
-        &[Fabric::Mesh, Fabric::CMesh(2), Fabric::CMesh(4)]
-    } else {
-        &[Fabric::Mesh, Fabric::CMesh(2)]
-    };
-    let planes: &[usize] = if full { &[1, 2] } else { &[1] };
+    let fabrics: &[Fabric] = size.pick(
+        &[Fabric::Mesh, Fabric::CMesh(2), Fabric::CMesh(4)],
+        &[Fabric::Mesh, Fabric::CMesh(2)],
+    );
+    let planes: &[usize] = size.pick(&[1, 2], &[1]);
     Scenario {
-        name,
+        name: "latency-curve",
         title: "Latency curve — open-loop offered load to the saturation knee".into(),
         about: "Open-loop injection sweeps: latency vs offered load, knee + fairness",
         grid: SweepGrid::over(vec![open_uniform()])
@@ -1784,13 +1619,70 @@ mod tests {
 
     #[test]
     fn registry_names_are_unique_and_resolvable() {
-        let all = scenarios();
-        let names: HashSet<&str> = all.iter().map(|s| s.name).collect();
+        let all = experiments();
+        assert_eq!(all.len(), 22);
+        let names: HashSet<&str> = all.iter().map(|(s, _)| s.name).collect();
         assert_eq!(names.len(), all.len());
-        for s in &all {
+        for (s, _) in &all {
             assert!(by_name(s.name).is_some(), "{} must resolve", s.name);
         }
-        assert!(by_name("fig99").is_none());
+        // Every `-small` name the registry once spelled out resolves.
+        for name in [
+            "fig6",
+            "fig7",
+            "fig10",
+            "ablation",
+            "scaling",
+            "scaling-mesh",
+            "topology",
+            "latency-breakdown",
+            "planes",
+            "planes-throughput",
+            "mc-placement",
+            "cmesh",
+            "scaling-kilocore",
+            "latency-curve",
+        ] {
+            let small = format!("{name}-small");
+            assert!(by_name(&small).is_some(), "{small} must resolve");
+        }
+        // Single-grid experiments have no small size, and the host-timed
+        // self-benchmarks are gone.
+        for name in [
+            "fig99",
+            "fig8a-small",
+            "fig6-64-small",
+            "throughput",
+            "throughput-small",
+            "obs-overhead",
+            "obs-overhead-small",
+        ] {
+            assert!(by_name(name).is_none(), "{name} must not resolve");
+        }
+    }
+
+    #[test]
+    fn small_sizes_are_never_larger_than_full() {
+        let cores = |s: &Scenario| -> usize {
+            s.grid
+                .enumerate()
+                .iter()
+                .map(|spec| spec.config().cores())
+                .sum()
+        };
+        let mut sized = 0;
+        for (full, small) in experiments() {
+            let Some(small) = small else { continue };
+            sized += 1;
+            assert_eq!(small.name, full.name);
+            assert!(cores(&small) <= cores(&full), "{} grows", full.name);
+            assert!(
+                std::ptr::fn_addr_eq(small.render, full.render),
+                "{} renders its sizes differently",
+                full.name
+            );
+        }
+        assert_eq!(sized, 14);
     }
 
     #[test]
@@ -1805,19 +1697,21 @@ mod tests {
 
     #[test]
     fn new_scenarios_are_registered() {
-        // The engine self-benchmark sweeps both engines over one workload.
-        let t = by_name("throughput").unwrap();
-        assert_eq!(t.grid.len(), 2);
-        let specs = t.grid.enumerate();
-        assert_eq!(specs[0].engine, Engine::ActiveSet);
-        assert_eq!(specs[1].engine, Engine::AlwaysScan);
-        assert_eq!(specs[0].mesh_side, 16);
-        // Engines share the exact same configuration (same hash).
-        assert_eq!(
-            specs[0].config().stable_hash(),
-            specs[1].config().stable_hash()
-        );
-        assert!(specs[1].key().ends_with("/scan"));
+        // The kilocore sweep runs every cell on both fast engines: six
+        // cells, each an active-set row then a leap row of the exact same
+        // configuration (same hash).
+        let k = by_name("scaling-kilocore-small").unwrap();
+        let specs = k.grid.enumerate();
+        assert_eq!(specs.len(), 6 * 2);
+        for pair in specs.chunks(2) {
+            assert_eq!(pair[0].engine, Engine::ActiveSet);
+            assert_eq!(pair[1].engine, Engine::Leap);
+            assert_eq!(
+                pair[0].config().stable_hash(),
+                pair[1].config().stable_hash()
+            );
+            assert!(pair[1].key().ends_with("/leap"));
+        }
         // Scaling-mesh: 2 workloads x 3 meshes, proportional MCs applied.
         let sm = by_name("scaling-mesh").unwrap();
         assert_eq!(sm.grid.len(), 2 * 3);
@@ -1946,7 +1840,10 @@ mod tests {
 
     #[test]
     fn every_registered_grid_validates() {
-        for s in scenarios() {
+        for s in experiments()
+            .into_iter()
+            .flat_map(|(full, small)| std::iter::once(full).chain(small))
+        {
             assert!(s.grid.validate().is_ok(), "{} failed validation", s.name);
         }
     }

@@ -47,18 +47,13 @@ pub enum Knob {
     /// Perimeter MC placement scaled to the core count (scaling-mesh
     /// sweeps: one MC per 16 tiles instead of four fixed corners).
     ProportionalMcs,
-    /// Observability level: latency histograms and NoC counters, or the
-    /// full flit trace (the `obs-overhead` sweep; simulated behavior is
-    /// unchanged — asserted by the equivalence suite).
-    Obs(ObsLevel),
-    /// Flit-trace cap, paired with `Obs(ObsLevel::Trace)`.
-    TraceLimit(usize),
     /// Per-transaction lifecycle spans plus counter-level observability
-    /// (the `latency-breakdown` sweeps; simulated behavior is unchanged).
+    /// (the `latency-breakdown` and `latency-curve` sweeps; simulated
+    /// behavior is unchanged).
     Spans,
     /// Windowed time-series telemetry with the given epoch length in
-    /// cycles, plus counter-level observability (the `obs-overhead`
-    /// windows variant).
+    /// cycles, plus counter-level observability (the `latency-curve`
+    /// sweeps).
     Windows(u64),
     /// Open-loop injection (the `latency-curve` sweeps): requests are
     /// released by `process` at `millis` requests per 1000 cycles per
@@ -105,7 +100,9 @@ impl McPlacement {
         }
     }
 
-    /// Whether this placement is defined for `fabric`.
+    /// Whether this placement is defined for `fabric` — the one statement
+    /// of the support matrix: the sweep filter and [`Knob::apply`] both
+    /// ask it.
     pub fn supports(self, fabric: Fabric) -> bool {
         match self {
             McPlacement::Corner => matches!(fabric, Fabric::Mesh | Fabric::Torus),
@@ -116,20 +113,26 @@ impl McPlacement {
 }
 
 /// Moves `cfg`'s MC ports to the `mcs` routers `placement` picks.
+///
+/// # Panics
+///
+/// Panics where [`McPlacement::supports`] rejects `cfg`'s fabric.
 fn apply_mc_placement(cfg: SystemConfig, placement: McPlacement, mcs: u16) -> SystemConfig {
     use scorpio_noc::placement::{corners, spread};
     let topo = &cfg.mesh;
-    let routers = match (placement, topo.name()) {
-        (McPlacement::Proportional, _) => return cfg.with_proportional_mcs(),
-        (McPlacement::Corner, "mesh" | "torus") => {
+    assert!(
+        placement.supports(Fabric::of(topo)),
+        "MC placement {placement:?} is undefined for the {} fabric",
+        topo.name()
+    );
+    let routers = match placement {
+        McPlacement::Proportional => return cfg.with_proportional_mcs(),
+        McPlacement::Corner => {
             let mut routers = corners(topo.cols(), topo.rows());
             routers.truncate(mcs as usize);
             routers
         }
-        (McPlacement::Spread, "ring") => spread(topo.router_count() as u16, mcs),
-        (placement, fabric) => {
-            panic!("MC placement {placement:?} is undefined for the {fabric} fabric")
-        }
+        McPlacement::Spread => spread(topo.router_count() as u16, mcs),
     };
     cfg.with_mc_routers(routers)
 }
@@ -168,8 +171,6 @@ impl Knob {
                 cfg
             }
             Knob::ProportionalMcs => cfg.with_proportional_mcs(),
-            Knob::Obs(level) => cfg.with_obs(level),
-            Knob::TraceLimit(n) => cfg.with_trace_limit(n),
             Knob::Spans => cfg.with_obs(ObsLevel::Counters).with_spans(true),
             Knob::Windows(w) => cfg.with_obs(ObsLevel::Counters).with_windows(w),
             Knob::OpenLoad { process, millis } => cfg.with_open_loop(OpenLoopConfig {
@@ -200,10 +201,6 @@ impl Knob {
             Knob::QuadNotify(f) => format!("quad-f{f}"),
             Knob::DirTotalBytes(b) => format!("dir={b}B"),
             Knob::ProportionalMcs => "prop-MCs".into(),
-            Knob::Obs(ObsLevel::Off) => "obs-off".into(),
-            Knob::Obs(ObsLevel::Counters) => "obs-counters".into(),
-            Knob::Obs(ObsLevel::Trace) => "obs-trace".into(),
-            Knob::TraceLimit(n) => format!("trace-cap={n}"),
             Knob::Spans => "spans".into(),
             Knob::Windows(w) => format!("windows={w}"),
             Knob::OpenLoad { process, millis } => process.label(millis),
@@ -261,9 +258,8 @@ impl Variant {
 
 /// Which simulation engine a run uses. All engines produce byte-identical
 /// [`scorpio::SystemReport`]s (asserted by the engine-equivalence suite);
-/// only wall-clock speed differs, which is what the `throughput` and
-/// `scaling-kilocore` self-benchmarks measure. Every engine ticks the
-/// network serially and routes by compiled-table lookup.
+/// only the cycles they step and their wall-clock speed differ. Every
+/// engine ticks the network serially and routes by compiled-table lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
     /// The active-set engine (default): only components with pending work
@@ -375,6 +371,22 @@ impl Fabric {
         }
     }
 
+    /// The fabric `topo` was built as — the inverse of
+    /// [`Fabric::topology`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on a topology kind no fabric builds.
+    fn of(topo: &Topology) -> Fabric {
+        match topo.name() {
+            "mesh" => Fabric::Mesh,
+            "torus" => Fabric::Torus,
+            "ring" => Fabric::Ring,
+            "cmesh" => Fabric::CMesh(topo.tiles_per_router()),
+            other => unreachable!("no fabric builds a {other} topology"),
+        }
+    }
+
     /// The geometry string for run keys — the topology's own label:
     /// `"4x4"`, `"torus4x4"`, `"ring16"`, `"cmesh4x2x2"` (router grid ×
     /// concentration).
@@ -403,8 +415,8 @@ pub struct SweepGrid {
     pub protocols: Vec<Protocol>,
     /// Configuration-variant axis.
     pub variants: Vec<Variant>,
-    /// Engine axis (the `throughput` and `scaling-kilocore` self-benchmarks
-    /// sweep it; everything else runs the default active-set engine only).
+    /// Engine axis (the `scaling-kilocore` sweeps it; everything else runs
+    /// the default active-set engine only).
     pub engines: Vec<Engine>,
     /// Seed axis (replicates).
     pub seeds: Vec<u64>,
@@ -700,7 +712,8 @@ impl RunSpec {
 
 /// A named, registered experiment: a grid plus its presentation.
 pub struct Scenario {
-    /// Registry name (`harness run <name>`).
+    /// Experiment name: `harness run <name>`, or `<name>-small` for the
+    /// reduced grid of a sized experiment.
     pub name: &'static str,
     /// Table title.
     pub title: String,

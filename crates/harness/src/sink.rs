@@ -27,10 +27,9 @@ pub struct SinkOptions {
 }
 
 /// Simulated cycles per wall-clock second of the simulation phase
-/// (`sim_nanos`, setup excluded) — the one rate every sink and
-/// self-benchmark table reports; `0.0` when the phase took no measurable
-/// time.
-pub fn cycles_per_sec(r: &RunResult) -> f64 {
+/// (`sim_nanos`, setup excluded) — the `--timing` rate both sinks report;
+/// `0.0` when the phase took no measurable time.
+fn cycles_per_sec(r: &RunResult) -> f64 {
     if r.sim_nanos == 0 {
         0.0
     } else {

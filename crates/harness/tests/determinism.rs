@@ -2,7 +2,7 @@
 //! only on (scenario, seeds, ops-per-core) — never on worker count,
 //! scheduling, or completion order.
 
-use scorpio_harness::exec::{run_grid, ExecOptions};
+use scorpio_harness::exec::{run_grid, ExecOptions, Overrides};
 use scorpio_harness::registry;
 use scorpio_harness::sink::{self, SinkOptions};
 use std::collections::HashSet;
@@ -58,10 +58,16 @@ fn seeded_sweep_and_tables_are_thread_count_invariant() {
 }
 
 /// Sweep-grid enumeration is stable and duplicate-free for every
-/// registered scenario, including the filtered (non-rectangular) ones.
+/// registered grid, full and small, including the filtered
+/// (non-rectangular) ones.
 #[test]
 fn every_registered_grid_enumerates_stably_without_duplicates() {
-    for scenario in registry::scenarios() {
+    let grids: Vec<_> = registry::experiments()
+        .into_iter()
+        .flat_map(|(full, small)| std::iter::once(full).chain(small))
+        .collect();
+    assert_eq!(grids.len(), 36);
+    for scenario in grids {
         let a = scenario.grid.enumerate();
         let b = scenario.grid.enumerate();
         assert_eq!(a, b, "{}: enumeration unstable", scenario.name);
@@ -83,8 +89,11 @@ fn observability_output_is_thread_count_invariant() {
     let o = |threads| ExecOptions {
         threads,
         ops_per_core: 10,
-        obs_override: Some(scorpio::ObsLevel::Trace),
-        trace_limit: Some(4096),
+        overrides: Overrides {
+            obs: Some(scorpio::ObsLevel::Trace),
+            trace_limit: Some(4096),
+            ..Overrides::default()
+        },
         ..ExecOptions::default()
     };
     let hist = SinkOptions {
@@ -126,31 +135,5 @@ fn seeds_change_results() {
         results[0].report.to_json(),
         results[1].report.to_json(),
         "different seeds should perturb the simulation"
-    );
-}
-
-/// A ≥4-worker fig7 sweep should beat the serial baseline wall-clock.
-/// Ignored by default: the assertion is only meaningful on a multi-core
-/// host (run with `cargo test -- --ignored` there).
-#[test]
-#[ignore = "timing assertion; requires a multi-core host"]
-fn parallel_sweep_is_faster_than_serial() {
-    let scenario = registry::by_name("fig7").expect("registered");
-    // Long enough runs that per-run wall time dwarfs thread overhead.
-    let long = |threads| ExecOptions {
-        threads,
-        ops_per_core: 60,
-        ..ExecOptions::default()
-    };
-    let t0 = std::time::Instant::now();
-    let serial = run_grid(&scenario.grid, &long(1));
-    let serial_wall = t0.elapsed();
-    let t1 = std::time::Instant::now();
-    let parallel = run_grid(&scenario.grid, &long(4));
-    let parallel_wall = t1.elapsed();
-    assert_eq!(serial.len(), parallel.len());
-    assert!(
-        parallel_wall < serial_wall,
-        "4 workers ({parallel_wall:?}) should beat serial ({serial_wall:?})"
     );
 }

@@ -18,7 +18,7 @@ fn repo_file(name: &str) -> String {
 fn every_scenario_name_is_documented_in_experiments_md() {
     let md = repo_file("EXPERIMENTS.md");
     let mut missing = Vec::new();
-    for s in registry::scenarios() {
+    for (s, _) in registry::experiments() {
         if !md.contains(&format!("`{}`", s.name)) {
             missing.push(s.name);
         }

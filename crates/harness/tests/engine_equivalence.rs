@@ -25,7 +25,7 @@
 //!   and windows in `observability.rs`.
 
 use scorpio::ObsLevel;
-use scorpio_harness::exec::{run_spec, run_spec_opts};
+use scorpio_harness::exec::{run_spec, run_spec_ov, Overrides};
 use scorpio_harness::registry;
 use scorpio_harness::{Engine, Fabric, Knob, RunResult, RunSpec};
 
@@ -42,7 +42,12 @@ fn assert_fast_engines_match_reference(
         let mut s = spec.clone();
         s.engine = engine;
         if trace {
-            run_spec_opts(&s, ops, Some(ObsLevel::Trace), Some(2048))
+            let ov = Overrides {
+                obs: Some(ObsLevel::Trace),
+                trace_limit: Some(2048),
+                ..Overrides::default()
+            };
+            run_spec_ov(&s, ops, &ov)
         } else {
             run_spec(&s, ops)
         }
@@ -213,7 +218,7 @@ fn observability_reports_and_traces_are_byte_identical_across_engines() {
 /// big — CI executes this under `--release --ignored` like the other
 /// heavy benchmarks.
 #[test]
-#[ignore = "heavy: run explicitly with --release (CI throughput job)"]
+#[ignore = "heavy: run explicitly with --release (CI equivalence job)"]
 fn four_planes_deliver_1_5x_throughput_on_a_saturated_mesh() {
     let scenario = registry::by_name("planes-throughput").expect("registered");
     let specs = scenario.grid.enumerate();
@@ -351,9 +356,9 @@ fn watchdog_tolerates_leaped_gaps_beyond_50k_cycles() {
 /// leaping working quad-by-quad — simulated cycles over mean stepped
 /// cycles per leaf quad at least 3×, and above the machine-wide ratio.
 /// Deterministic (ratios of simulated quantities), but kilocore-heavy, so
-/// ignored like the other release benchmarks (CI throughput job).
+/// ignored like the other heavy shape checks (CI equivalence job).
 #[test]
-#[ignore = "heavy: run explicitly with --release (CI throughput job)"]
+#[ignore = "heavy: run explicitly with --release (CI equivalence job)"]
 fn quad_leap_region_ratio_floor_on_kilocore() {
     let scenario = registry::by_name("scaling-kilocore").expect("registered");
     let spec = scenario

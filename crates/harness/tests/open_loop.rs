@@ -6,10 +6,19 @@
 //! clock that never jumps past a pending arrival deadline.
 
 use scorpio::{ArrivalProcess, ObsLevel};
-use scorpio_harness::exec::{run_grid, run_spec, run_spec_opts, ExecOptions};
+use scorpio_harness::exec::{run_grid, run_spec, run_spec_ov, ExecOptions, Overrides};
 use scorpio_harness::registry;
 use scorpio_harness::sink::{self, SinkOptions};
 use scorpio_harness::{Engine, Fabric, Knob, RunSpec};
+
+/// Full flit tracing, capped at `limit` events.
+fn traced(limit: usize) -> Overrides {
+    Overrides {
+        obs: Some(ObsLevel::Trace),
+        trace_limit: Some(limit),
+        ..Overrides::default()
+    }
+}
 
 /// The mesh SCORPIO cell of `latency-curve-small` carrying `variant`.
 fn curve_cell(variant: &str) -> RunSpec {
@@ -46,8 +55,8 @@ fn zero_load_open_loop_degenerates_to_the_closed_loop() {
         process: ArrivalProcess::Poisson,
         millis: 0,
     });
-    let a = run_spec_opts(&closed, 10, Some(ObsLevel::Trace), Some(4096));
-    let b = run_spec_opts(&open, 10, Some(ObsLevel::Trace), Some(4096));
+    let a = run_spec_ov(&closed, 10, &traced(4096));
+    let b = run_spec_ov(&open, 10, &traced(4096));
     assert_eq!(
         a.report.to_json(),
         b.report.to_json(),
@@ -101,13 +110,13 @@ fn open_loop_reports_and_traces_are_byte_identical_across_six_engines() {
     for variant in ["pois-12", "burst-20"] {
         let spec = curve_cell(variant);
         assert_eq!(spec.engine, Engine::ActiveSet);
-        let base = run_spec_opts(&spec, 8, Some(ObsLevel::Trace), Some(2048));
+        let base = run_spec_ov(&spec, 8, &traced(2048));
         let json = base.report.to_json();
         assert!(base.report.ops_completed > 0);
         for engine in [Engine::AlwaysScan, Engine::Leap] {
             let mut other_spec = spec.clone();
             other_spec.engine = engine;
-            let other = run_spec_opts(&other_spec, 8, Some(ObsLevel::Trace), Some(2048));
+            let other = run_spec_ov(&other_spec, 8, &traced(2048));
             assert_eq!(
                 json,
                 other.report.to_json(),
@@ -134,8 +143,11 @@ fn open_loop_sweep_is_thread_count_invariant() {
     let mk = |threads| ExecOptions {
         threads,
         ops_per_core: 8,
-        spans: true,
-        window_cycles: Some(256),
+        overrides: Overrides {
+            spans: true,
+            window_cycles: Some(256),
+            ..Overrides::default()
+        },
         ..ExecOptions::default()
     };
     let sink_opts = SinkOptions {
@@ -182,10 +194,10 @@ fn leap_never_jumps_an_arrival_deadline() {
         }
     }
     spec.variant.label = "pois-1".into();
-    let stepped = run_spec_opts(&spec, 12, Some(ObsLevel::Trace), Some(2048));
+    let stepped = run_spec_ov(&spec, 12, &traced(2048));
     let mut leap_spec = spec.clone();
     leap_spec.engine = Engine::Leap;
-    let leaped = run_spec_opts(&leap_spec, 12, Some(ObsLevel::Trace), Some(2048));
+    let leaped = run_spec_ov(&leap_spec, 12, &traced(2048));
     assert_eq!(
         stepped.report.to_json(),
         leaped.report.to_json(),
@@ -227,9 +239,9 @@ fn p99_ladder(specs: &[RunSpec], ops: usize) -> Vec<(u32, u64, f64)> {
 /// bar. On the concentrated mesh the knee arrives no later (two tiles
 /// share each injection port), and the per-slot injection-wait spread
 /// widens past it. Heavy: a full Poisson ladder at real op counts — CI
-/// runs it under `--release --ignored` with the other benchmarks.
+/// runs it under `--release --ignored` with the other shape checks.
 #[test]
-#[ignore = "heavy: run explicitly with --release (CI throughput job)"]
+#[ignore = "heavy: run explicitly with --release (CI equivalence job)"]
 fn latency_curve_ramps_monotonically_to_a_detected_knee() {
     let scenario = registry::by_name("latency-curve-small").expect("registered");
     let specs = scenario.grid.enumerate();
