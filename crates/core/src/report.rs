@@ -1,6 +1,7 @@
 //! End-of-run reporting: the numbers the paper's figures are built from.
 
 use scorpio_mem::MissSpan;
+use scorpio_noc::WindowCell;
 use scorpio_sim::stats::{Accumulator, LogHistogram};
 
 /// Version of the `"obs"` JSON annex schema, emitted as its first key so
@@ -222,26 +223,12 @@ impl WindowReport {
 /// `--windows` JSONL stream and summarized into [`WindowReport`].
 #[derive(Debug, Clone, Default)]
 pub struct WindowRow {
-    /// Window (epoch) index.
+    /// Window (epoch) index; it starts at cycle `window * cycles`.
     pub window: u64,
-    /// First cycle of the window (`window * cycles`).
-    pub start: u64,
     /// Window length in cycles.
     pub cycles: u64,
-    /// Packets injected (all planes).
-    pub injected: u64,
-    /// Packets ejected.
-    pub ejected: u64,
-    /// Packet latency of this window's ejections.
-    pub latency: LogHistogram,
-    /// Injection waits granted: count, sum, and single largest.
-    pub wait_count: u64,
-    /// Sum of the waits.
-    pub wait_sum: u64,
-    /// Largest single wait.
-    pub wait_max: u64,
-    /// Packet-cycles resident in input VCs.
-    pub buffer_integral: u64,
+    /// Every plane's network telemetry for this window, merged.
+    pub cell: WindowCell,
     /// Core memory operations completed.
     pub ops: u64,
     /// Notification-window publish ticks that fell in this window.
@@ -260,15 +247,15 @@ impl WindowRow {
         format!(
             r#"{{"window":{},"start":{},"cycles":{},"injected":{},"ejected":{},"latency":{},"wait":{{"count":{},"sum":{},"max":{}}},"buffer_integral":{},"ops":{},"publishes":{},"ep_wait_max":{},"ep_wait_min":{}}}"#,
             self.window,
-            self.start,
+            self.window * self.cycles,
             self.cycles,
-            self.injected,
-            self.ejected,
-            hist_json(&self.latency),
-            self.wait_count,
-            self.wait_sum,
-            self.wait_max,
-            self.buffer_integral,
+            self.cell.injected,
+            self.cell.ejected,
+            hist_json(&self.cell.latency),
+            self.cell.wait_count,
+            self.cell.wait_sum,
+            self.cell.wait_max,
+            self.cell.buffer_integral,
             self.ops,
             self.publishes,
             opt(&self.ep_wait_max),
@@ -770,10 +757,12 @@ mod tests {
         // And the window JSONL row schema.
         let row = WindowRow {
             window: 1,
-            start: 1024,
             cycles: 1024,
-            injected: 4,
-            ejected: 3,
+            cell: WindowCell {
+                injected: 4,
+                ejected: 3,
+                ..WindowCell::default()
+            },
             ops: 5,
             publishes: 2,
             ..WindowRow::default()

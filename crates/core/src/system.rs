@@ -23,14 +23,15 @@ use scorpio_coherence::{
 use scorpio_mem::{L2Out, MemoryController, MissSpan, OrderedSnoop, SnoopyL2};
 use scorpio_nic::{Nic, NicMode};
 use scorpio_noc::{
-    merge_trace, Endpoint, LocalSlot, MultiNetwork, ObsConfig, SteerKey, TraceEvent, TraceKind,
-    VnetId, WindowCell,
+    Endpoint, LocalSlot, MultiNetwork, ObsConfig, SteerKey, TraceEvent, TraceKind, VnetId,
+    WindowCell,
 };
 use scorpio_notify::{NotifyConfig, NotifyNetwork};
+use scorpio_sim::capped::{self, Capped};
 use scorpio_sim::stats::LogHistogram;
 use scorpio_sim::{debug_digest, ActiveSet, Cycle, Wake};
 use scorpio_workloads::Trace;
-use std::cmp::Reverse;
+use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, VecDeque};
 
 /// A full SCORPIO (or baseline) system.
@@ -121,14 +122,8 @@ pub struct System {
     always_scan: bool,
     // ---- Observability (all empty/zero unless `cfg.obs` enables it).
     /// System-layer trace events (ordered commits), one stream per plane
-    /// so each stays sorted by [`TraceEvent::sort_key`] (the per-stream
-    /// cap then preserves the exact merged prefix); merged with the
-    /// network planes' streams by [`System::take_trace`].
-    sys_trace: Vec<Vec<TraceEvent>>,
-    /// Monotonic sequence for `sys_trace` (keeps advancing past the cap).
-    sys_seq: u64,
-    /// System-layer events discarded at the cap.
-    sys_trace_dropped: u64,
+    /// so each stays in [`TraceEvent::sort_key`] order.
+    sys_trace: Vec<Capped<TraceEvent>>,
     /// Core ops completed per telemetry window (epoch-indexed, grown on
     /// demand); maintained only when `cfg.window_cycles` is non-zero.
     win_ops: Vec<u64>,
@@ -173,29 +168,15 @@ impl System {
             planes,
             cfg.plane_interleave_log2(),
         );
-        // Observability sinks are installed before the first cycle;
-        // every level simulates identically (asserted by the obs
-        // equivalence tests), the level only controls what is recorded.
-        // Windowed telemetry needs a sink even at `ObsLevel::Off` (its
-        // counters then stay disabled — only the window cells record).
-        let base_obs = match cfg.obs {
-            ObsLevel::Off => None,
-            ObsLevel::Counters => Some(ObsConfig::counters_only()),
-            ObsLevel::Trace => Some(ObsConfig::with_trace(cfg.trace_limit)),
-        };
-        net.set_observability(match (base_obs, cfg.window_cycles) {
-            (obs, 0) => obs,
-            (Some(obs), w) => Some(obs.with_windows(w)),
-            (None, w) => Some(
-                ObsConfig {
-                    counters: false,
-                    trace: false,
-                    trace_limit: 0,
-                    window_cycles: 0,
-                }
-                .with_windows(w),
-            ),
-        });
+        // Sinks go in before the first cycle and only record: every level
+        // simulates identically (the obs equivalence tests). Windows need
+        // a sink even at `ObsLevel::Off`, with its counters off.
+        let recording = cfg.obs != ObsLevel::Off || cfg.window_cycles != 0;
+        net.set_observability(recording.then_some(ObsConfig {
+            counters: cfg.obs != ObsLevel::Off,
+            trace: (cfg.obs == ObsLevel::Trace).then_some(cfg.trace_limit),
+            window_cycles: cfg.window_cycles,
+        }));
         let notify = scorpio.then(|| {
             // One notification fabric whose messages carry an independent
             // announcement word group per plane; the scheme picks flat
@@ -351,9 +332,7 @@ impl System {
             region_bits: vec![0; regions.div_ceil(64)],
             region_cycles_stepped: 0,
             always_scan: false,
-            sys_trace: vec![Vec::new(); cfg.planes.get()],
-            sys_seq: 0,
-            sys_trace_dropped: 0,
+            sys_trace: vec![Capped::new(cfg.trace_limit); cfg.planes.get()],
             // One slot per telemetry window of the longest possible run
             // (bounded: the rows only ever cover windows that saw an op).
             win_ops: Vec::with_capacity(match cfg.window_cycles {
@@ -413,7 +392,8 @@ impl System {
     /// publish tick, [`System::step`] advances the clock straight there
     /// instead of stepping empty cycles. Live windows no longer pin the
     /// clock: an announcer whose only obligation is its in-flight
-    /// announcement sleeps (`Nic::can_sleep_leap`), and the window's OR
+    /// announcement sleeps on the window-publish event (`Nic::next_wake`
+    /// answers an event, not a cycle), and the window's OR
     /// state fast-forwards arithmetically to its publish tick
     /// (`NotifyNetwork::leap_horizon` / `advance`). Exact by construction
     /// — leaping requires the active sets empty and every plane quiescent,
@@ -559,7 +539,8 @@ impl System {
     /// them, so the woken component ticks at cycle `k`).
     ///
     /// The notification network no longer has to be idle: a live window
-    /// whose announcers are all asleep (see `Nic::can_sleep_leap`) bounds
+    /// whose announcers all sleep on its publish event (`Nic::next_wake`)
+    /// bounds
     /// the jump instead, via [`NotifyNetwork::leap_horizon`] — the clock
     /// leaps straight to the window's publish tick (or to `k - 1`,
     /// whichever is earlier), and [`NotifyNetwork::advance`] fast-forwards
@@ -909,7 +890,7 @@ impl System {
     }
 
     /// Baseline modes: packets carry requests (to reorder), expiries, data.
-    fn drain_unordered_packets(&mut self, t: usize, _now: Cycle) {
+    fn drain_unordered_packets(&mut self, t: usize, now: Cycle) {
         while self.resp_hold[t].is_none() {
             let Some(pkt) = self.nics[t].pop_packet() else {
                 break;
@@ -929,7 +910,7 @@ impl System {
                 MsgKind::DirGetS | MsgKind::DirGetX | MsgKind::DirPut => {
                     // We are the home for this line: order after the
                     // directory-cache access.
-                    self.dir_homes[t].accept(msg, _now);
+                    self.dir_homes[t].accept(msg, now);
                 }
                 k if k.is_ordered_request() => {
                     self.reorders[t].insert(msg.value, SlotContent::Request(msg));
@@ -1151,26 +1132,17 @@ impl System {
         }
     }
 
-    /// Records a system-layer ordered-commit trace event: endpoint `ep`
-    /// consumed the SID-`sid` ordered broadcast from its NIC (`own` marks
-    /// the requester's own observation). `key` is the payload's steering
-    /// key — the event is filed under the plane the request travelled on.
+    /// Records an ordered-commit trace event: endpoint `ep` consumed SID
+    /// `sid`'s ordered broadcast (`own`: its own request), filed under the
+    /// plane the payload's steering `key` picks.
     fn trace_commit(&mut self, now: Cycle, ep: usize, sid: scorpio_noc::Sid, own: bool, key: u64) {
         if self.cfg.obs != ObsLevel::Trace {
             return;
         }
-        let seq = self.sys_seq;
-        self.sys_seq += 1;
         let plane = self.net.plane_of(key);
-        if self.sys_trace[plane].len() >= self.cfg.trace_limit {
-            self.sys_trace_dropped += 1;
-            return;
-        }
         self.sys_trace[plane].push(TraceEvent {
             cycle: now.as_u64(),
             plane: plane as u16,
-            src: 1,
-            seq,
             kind: TraceKind::OrderedCommit,
             uid: u64::from(sid.0),
             vnet: 0,
@@ -1181,56 +1153,40 @@ impl System {
         });
     }
 
-    /// Per-stream trace totals: events currently retained across every
-    /// network plane and the system layer, and events already dropped at
-    /// the per-stream caps.
-    fn trace_totals(&self) -> (usize, u64) {
-        let mut kept = 0;
-        let mut dropped = self.sys_trace_dropped;
-        for p in 0..self.cfg.planes.get() {
-            kept += self.sys_trace[p].len();
-            if let Some(o) = self.net.obs(p) {
-                kept += o.events().len();
-                dropped += o.dropped();
-            }
-        }
-        (kept, dropped)
+    /// The flit-trace streams in merge order: the planes' network streams,
+    /// then their ordered commits, which thus sort last at a tied key.
+    fn trace_streams(&self) -> impl Iterator<Item = (&[TraceEvent], u64)> + Clone {
+        (0..self.net.plane_count())
+            .filter_map(|p| self.net.obs(p)?.events.as_ref())
+            .chain(&self.sys_trace)
+            .map(Capped::stream)
     }
 
-    /// Drains the run's flit-event trace: every plane's network stream
-    /// plus the system layer's ordered-commit streams, merged into one
-    /// deterministically ordered list (ascending [`TraceEvent::sort_key`])
-    /// capped at `cfg.trace_limit`. The second value counts events beyond
-    /// the cap. Returns an empty trace unless `cfg.obs` is
-    /// [`ObsLevel::Trace`].
+    /// Drains the run's flit-event trace, merged and capped at
+    /// `cfg.trace_limit`, with the count of events beyond the cap. Empty
+    /// unless `cfg.obs` is [`ObsLevel::Trace`].
     pub fn take_trace(&mut self) -> (Vec<TraceEvent>, u64) {
-        let (kept, mut dropped) = self.trace_totals();
-        let mut streams: Vec<Vec<TraceEvent>> = Vec::new();
-        self.net.take_trace(&mut streams);
-        for s in &mut self.sys_trace {
-            streams.push(std::mem::take(s));
-        }
-        self.sys_trace_dropped = 0;
-        let merged = merge_trace(streams, self.cfg.trace_limit);
-        dropped += (kept - merged.len()) as u64;
-        (merged, dropped)
+        let trace = capped::merge(
+            self.trace_streams(),
+            self.cfg.trace_limit,
+            TraceEvent::sort_key,
+        );
+        self.net.clear_trace();
+        self.sys_trace.iter_mut().for_each(Capped::clear);
+        trace
+    }
+
+    /// The L2s' span streams: uncapped, in tile order, each retire-ordered.
+    fn span_streams(&self) -> impl Iterator<Item = (&[MissSpan], u64)> + Clone {
+        self.l2s.iter().map(|l2| (l2.spans(), 0))
     }
 
     /// The run's transaction spans, merged across tiles into retire order
-    /// (stable sort, tiles visited in index order, so ties keep tile
-    /// order — a deterministic, engine-invariant key), capped at
-    /// `cfg.trace_limit`. The second value counts spans beyond the cap.
-    /// Empty unless `cfg.spans` is set.
+    /// (ties keep tile order — a deterministic, engine-invariant key) and
+    /// capped at `cfg.trace_limit`. The second value counts spans beyond
+    /// the cap. Empty unless `cfg.spans` is set.
     pub fn span_records(&self) -> (Vec<MissSpan>, u64) {
-        let mut all: Vec<MissSpan> = Vec::new();
-        for l2 in &self.l2s {
-            all.extend_from_slice(l2.spans());
-        }
-        all.sort_by_key(|s| s.retire);
-        let total = all.len();
-        all.truncate(self.cfg.trace_limit);
-        let dropped = (total - all.len()) as u64;
-        (all, dropped)
+        capped::merge(self.span_streams(), self.cfg.trace_limit, |s| s.retire)
     }
 
     /// The run's merged windowed-telemetry rows — every plane's epoch
@@ -1255,10 +1211,10 @@ impl System {
         let mut cells: Vec<WindowCell> = Vec::new();
         for p in 0..self.cfg.planes.get() {
             let Some(o) = self.net.obs(p) else { continue };
-            if cells.len() < o.windows().len() {
-                cells.resize_with(o.windows().len(), || WindowCell::new(0));
+            if cells.len() < o.windows.len() {
+                cells.resize_with(o.windows.len(), WindowCell::default);
             }
-            for (a, b) in cells.iter_mut().zip(o.windows()) {
+            for (a, b) in cells.iter_mut().zip(&o.windows) {
                 a.merge(b);
             }
         }
@@ -1274,70 +1230,37 @@ impl System {
             }
         }
         let count = cells.len().max(self.win_ops.len()).max(publishes.len());
+        cells.resize_with(count, WindowCell::default);
         let mut rows = Vec::with_capacity(count);
-        for i in 0..count {
+        for (i, cell) in cells.into_iter().enumerate() {
             let mut row = WindowRow {
                 window: i as u64,
-                start: i as u64 * w,
                 cycles: w,
+                cell,
                 ops: self.win_ops.get(i).copied().unwrap_or(0),
                 publishes: publishes.get(i).copied().unwrap_or(0),
-                ..WindowRow::default()
+                ep_wait_max: None,
+                ep_wait_min: None,
             };
-            if let Some(c) = cells.get(i) {
-                row.injected = c.injected;
-                row.ejected = c.ejected;
-                row.latency = c.latency.clone();
-                row.wait_count = c.wait_count;
-                row.wait_sum = c.wait_sum;
-                row.wait_max = c.wait_max;
-                row.buffer_integral = c.buffer_integral;
-                for (ep, &(cnt, sum)) in c.ep_wait.iter().enumerate() {
-                    if cnt == 0 {
-                        continue;
-                    }
-                    let cand = EpWait {
-                        ep: ep as u32,
-                        window: i as u64,
-                        count: cnt,
-                        sum,
-                    };
-                    let beats_max = match &row.ep_wait_max {
-                        None => true,
-                        Some(b) => wait_mean_gt(sum, cnt, b.sum, b.count),
-                    };
-                    if beats_max {
-                        row.ep_wait_max = Some(cand);
-                    }
-                    let beats_min = match &row.ep_wait_min {
-                        None => true,
-                        Some(b) => wait_mean_gt(b.sum, b.count, sum, cnt),
-                    };
-                    if beats_min {
-                        row.ep_wait_min = Some(cand);
-                    }
+            for (ep, &(cnt, sum)) in row.cell.ep_wait.iter().enumerate() {
+                if cnt == 0 {
+                    continue;
                 }
-            }
-            // Fold the row extremes into the run-level starvation signal
-            // (strict comparisons keep the earliest window / lowest
-            // endpoint on ties — deterministic).
-            if let Some(m) = &row.ep_wait_max {
-                let take = match &report.max_wait {
-                    None => true,
-                    Some(b) => wait_mean_gt(m.sum, m.count, b.sum, b.count),
+                let cand = EpWait {
+                    ep: ep as u32,
+                    window: i as u64,
+                    count: cnt,
+                    sum,
                 };
-                if take {
-                    report.max_wait = Some(*m);
-                }
+                keep_extreme(&mut row.ep_wait_max, cand, Ordering::Greater);
+                keep_extreme(&mut row.ep_wait_min, cand, Ordering::Less);
             }
-            if let Some(m) = &row.ep_wait_min {
-                let take = match &report.min_wait {
-                    None => true,
-                    Some(b) => wait_mean_gt(b.sum, b.count, m.sum, m.count),
-                };
-                if take {
-                    report.min_wait = Some(*m);
-                }
+            // Fold the row extremes into the run-level starvation signal.
+            if let Some(m) = row.ep_wait_max {
+                keep_extreme(&mut report.max_wait, m, Ordering::Greater);
+            }
+            if let Some(m) = row.ep_wait_min {
+                keep_extreme(&mut report.min_wait, m, Ordering::Less);
             }
             rows.push(row);
         }
@@ -1353,7 +1276,7 @@ impl System {
         report.warmup = warmup as u64;
         for r in &rows[warmup..] {
             report.steady_ops += r.ops;
-            report.steady_ejected += r.ejected;
+            report.steady_ejected += r.cell.ejected;
         }
         (rows, report)
     }
@@ -1415,10 +1338,9 @@ impl System {
                 o.ordering_delay.merge(h);
             }
         }
-        let (kept, dropped) = self.trace_totals();
-        let merged_kept = kept.min(self.cfg.trace_limit);
-        o.trace_kept = merged_kept as u64;
-        o.trace_dropped = dropped + (kept - merged_kept) as u64;
+        let (kept, dropped) = capped::totals(self.trace_streams(), self.cfg.trace_limit);
+        o.trace_kept = kept as u64;
+        o.trace_dropped = dropped;
         if self.cfg.spans {
             let mut sp = SpanReport::default();
             for l2 in &self.l2s {
@@ -1429,7 +1351,7 @@ impl System {
             }
             // The phase histograms above fold every span; only the
             // record stream itself is capped.
-            sp.dropped = sp.count.saturating_sub(self.cfg.trace_limit as u64);
+            sp.dropped = capped::totals(self.span_streams(), self.cfg.trace_limit).1;
             o.spans = Some(sp);
         }
         if self.cfg.window_cycles != 0 {
@@ -1624,11 +1546,18 @@ impl System {
     }
 }
 
-/// `a_sum / a_count > b_sum / b_count`, exactly, via cross-multiplication
-/// in u128 — windowed wait means are compared without ever dividing, so
-/// the starvation extremes are bit-stable across platforms.
-fn wait_mean_gt(a_sum: u64, a_count: u64, b_sum: u64, b_count: u64) -> bool {
-    u128::from(a_sum) * u128::from(b_count) > u128::from(b_sum) * u128::from(a_count)
+/// Keeps in `best` the wait with the extreme mean on `side` (`Greater`:
+/// largest). Strict, so ties keep the earliest window, then the lowest
+/// endpoint. Means compare exactly, cross-multiplied in u128, so the
+/// starvation extremes are bit-stable across platforms.
+fn keep_extreme(best: &mut Option<EpWait>, cand: EpWait, side: Ordering) {
+    let mean_cmp = |b: &EpWait| {
+        (u128::from(cand.sum) * u128::from(b.count))
+            .cmp(&(u128::from(b.sum) * u128::from(cand.count)))
+    };
+    if best.as_ref().is_none_or(|b| mean_cmp(b) == side) {
+        *best = Some(cand);
+    }
 }
 
 /// Timed wake-ups: endpoints parked until an absolute deadline cycle.
@@ -1788,6 +1717,32 @@ mod tests {
             assert_eq!(fired, expect, "cycle {cycle}");
         }
         assert_eq!(wakes.first_deadline(164), None);
+    }
+
+    /// Spans under `with_trace_limit(N)` are the first N of the uncapped
+    /// run's, and the span annex is unchanged but for `dropped`.
+    #[test]
+    fn capped_spans_are_the_first_n_of_the_uncapped_run() {
+        let run = |limit: usize| {
+            let cfg = SystemConfig::square(4)
+                .with_spans(true)
+                .with_trace_limit(limit);
+            let params = WorkloadParams::by_name("barnes").expect("preset exists");
+            let traces = generate(&params.with_ops(20), cfg.cores(), cfg.seed);
+            let mut sys = System::with_traces(cfg, traces);
+            let report = sys.run_to_completion();
+            let (records, dropped) = sys.span_records();
+            let spans: Vec<String> = records.iter().map(crate::span_json).collect();
+            (report.obs.and_then(|o| o.spans).unwrap(), spans, dropped)
+        };
+        let (mut full, all, none) = run(usize::MAX);
+        assert_eq!((none, full.dropped, full.count), (0, 0, all.len() as u64));
+        let n = all.len() / 3;
+        let (capped, first, dropped) = run(n);
+        assert_eq!(first, all[..n]);
+        assert_eq!(dropped, full.count - n as u64);
+        full.dropped = dropped;
+        assert_eq!(format!("{capped:?}"), format!("{full:?}"));
     }
 
     #[test]

@@ -65,8 +65,8 @@ run options:
                   (fills the percentile columns; deterministic)
   --trace PATH    record the deterministic flit-event trace and write it
                   as JSON lines (- for stdout; implies --hist's recording)
-  --trace-limit N cap retained trace events per run (default 100000;
-                  also caps retained spans)
+  --trace-limit N caps each record stream (flit trace, spans) per run
+                  (default 100000)
   --spans PATH    record per-transaction lifecycle spans and write them
                   as JSON lines (- for stdout; deterministic)
   --windows PATH  record epoch-bucketed time-series telemetry and write

@@ -58,7 +58,7 @@ impl Default for ExecOptions {
 pub struct Overrides {
     /// Force an observability level (`--hist` / `--trace`).
     pub obs: Option<ObsLevel>,
-    /// Force the flit-trace cap (`--trace-limit`).
+    /// Caps each record stream (flit trace, spans) per run (`--trace-limit`).
     pub trace_limit: Option<usize>,
     /// Force transaction-span recording (`--spans`).
     pub spans: bool,

@@ -11,6 +11,44 @@ fn repo_file(name: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"))
 }
 
+/// The text of `md` from `heading` up to the next heading.
+fn section<'a>(md: &'a str, heading: &str) -> &'a str {
+    let start = md
+        .find(heading)
+        .unwrap_or_else(|| panic!("EXPERIMENTS.md has a `{heading}` section"));
+    let text = &md[start..];
+    &text[..text[1..].find("\n#").map_or(text.len(), |i| i + 1)]
+}
+
+/// Every key path of one JSON object line: `key` at the top level,
+/// `outer.key` inside a nested object. Array contents carry no keys.
+fn key_paths(line: &str) -> Vec<String> {
+    let (mut paths, mut objects, mut last, mut arrays) =
+        (Vec::new(), Vec::<String>::new(), None, 0);
+    let mut chars = line.chars().peekable();
+    while let Some(c) = chars.next() {
+        match c {
+            '"' => {
+                let s: String = chars.by_ref().take_while(|&c| c != '"').collect();
+                if arrays == 0 && chars.peek() == Some(&':') {
+                    let path = match objects.last() {
+                        Some(outer) if !outer.is_empty() => format!("{outer}.{s}"),
+                        _ => s,
+                    };
+                    paths.push(path.clone());
+                    last = Some(path);
+                }
+            }
+            '{' => objects.push(last.take().unwrap_or_default()),
+            '}' => drop(objects.pop()),
+            '[' => arrays += 1,
+            ']' => arrays -= 1,
+            _ => {}
+        }
+    }
+    paths
+}
+
 /// Every registered scenario name must appear — backticked, so a name
 /// that is merely a substring of another (`fig6` in `fig6-small`) cannot
 /// satisfy the check by accident — in EXPERIMENTS.md.
@@ -146,11 +184,7 @@ fn every_sink_column_and_key_is_documented() {
     use scorpio_workloads::WorkloadParams;
 
     let md = repo_file("EXPERIMENTS.md");
-    let start = md
-        .find("### Result schema")
-        .expect("EXPERIMENTS.md has a `### Result schema` section");
-    let table = &md[start..];
-    let table = &table[..table[1..].find("\n#").map_or(table.len(), |i| i + 1)];
+    let table = section(&md, "### Result schema");
 
     let grid = SweepGrid::over(vec![WorkloadParams::by_name("lu").unwrap()]).meshes(&[2]);
     let results = run_grid(
@@ -217,5 +251,86 @@ fn open_loop_columns_and_processes_are_documented() {
     assert!(
         readme.contains("latency-curve-small"),
         "README.md lacks an open-loop run example"
+    );
+}
+
+/// EXPERIMENTS.md's stream-schema table is checked against the real
+/// `--trace`, `--spans` and `--windows` files of a small run: every key
+/// path of every line appears backticked in the table, and each trace
+/// event kind's keys appear on that kind's own row.
+#[test]
+fn every_stream_key_is_documented() {
+    let md = repo_file("EXPERIMENTS.md");
+    let table = section(&md, "### Stream schema");
+    let path = |stream: &str| format!("{}/docs-{stream}.jsonl", env!("CARGO_TARGET_TMPDIR"));
+    let mut args: Vec<String> = [
+        "run",
+        "fig7-small",
+        "--ops",
+        "2",
+        "--threads",
+        "1",
+        "--no-table",
+    ]
+    .map(String::from)
+    .to_vec();
+    for stream in ["trace", "spans", "windows"] {
+        args.extend([format!("--{stream}"), path(stream)]);
+    }
+    assert_eq!(scorpio_harness::cli::run_cli(args), 0);
+
+    let mut missing = std::collections::BTreeSet::new();
+    let mut kinds = std::collections::BTreeSet::new();
+    for stream in ["trace", "spans", "windows"] {
+        let doc = std::fs::read_to_string(path(stream)).expect("the run wrote the stream");
+        assert!(!doc.is_empty(), "empty {stream} stream");
+        for line in doc.lines() {
+            let paths = key_paths(line);
+            assert_eq!(paths[..3], ["scenario", "index", "seed"], "{line}");
+            // A trace line's own keys must sit on its event kind's row.
+            let row = line
+                .split_once(r#""event":""#)
+                .map(|(_, rest)| rest.split('"').next().unwrap())
+                .map(|kind| {
+                    kinds.insert(kind.to_string());
+                    let cell = format!("`\"{kind}\"`");
+                    table
+                        .lines()
+                        .find(|l| l.starts_with(&format!("| {cell}")))
+                        .unwrap_or_else(|| panic!("no row for event kind {cell}"))
+                });
+            for p in &paths {
+                let tick = format!("`{p}`");
+                let documented = match row {
+                    Some(row)
+                        if !["scenario", "index", "seed", "cycle", "plane", "event"]
+                            .contains(&p.as_str()) =>
+                    {
+                        row.contains(&tick)
+                    }
+                    _ => table.contains(&tick),
+                };
+                if !documented {
+                    missing.insert(format!("{stream}: {p}"));
+                }
+            }
+        }
+    }
+    assert!(
+        missing.is_empty(),
+        "EXPERIMENTS.md's stream-schema table lacks {missing:?}"
+    );
+    let all = [
+        "bypass",
+        "eject",
+        "hop",
+        "inject",
+        "ordered-commit",
+        "vc-alloc",
+    ];
+    assert_eq!(
+        kinds.into_iter().collect::<Vec<_>>(),
+        all,
+        "the run must emit every kind"
     );
 }

@@ -66,7 +66,7 @@ pub use arbiter::{set_bits, RotatingArbiter};
 pub use config::{NocConfig, VnetCfg};
 pub use flit::{data_packet_flits, Dest, Flit, Packet, Payload, Sid, VnetId};
 pub use network::{EjectSlot, Network, NocStats};
-pub use obs::{merge_trace, NetObs, ObsConfig, TraceEvent, TraceKind, WindowCell};
+pub use obs::{NetObs, ObsConfig, TraceEvent, TraceKind, WindowCell};
 pub use planes::{MultiNetwork, PlaneSteer, SteerKey};
 pub use router::RouterStats;
 pub use topology::{

@@ -13,13 +13,11 @@
 //!   stage (SA-I losses, SA-O losses, VC-allocation blocks, credit blocks),
 //!   and latency histograms — packet latency per message class
 //!   ([`LogHistogram`]) and per-endpoint injection wait.
-//! * **Trace** (`ObsConfig::trace`): a bounded stream of [`TraceEvent`]s
-//!   (inject / vc-alloc / hop / bypass / eject, plus the system layer's
-//!   ordered-commit) with a per-plane monotonic sequence number. Events
-//!   from all planes merge-sort on [`TraceEvent::sort_key`] into a single
-//!   deterministic stream; because each plane keeps an exact prefix of its
-//!   own stream, truncating the merged stream to the cap reproduces the
-//!   exact global prefix regardless of plane count or thread count.
+//! * **Trace** (`ObsConfig::trace`): the plane's [`TraceEvent`]s
+//!   (inject / vc-alloc / hop / bypass / eject) in one [`Capped`] stream,
+//!   in cycle order. The system layer merges every plane's stream, then
+//!   its own ordered-commit streams, on [`TraceEvent::sort_key`]; the
+//!   merge is stable, so stream order breaks ties, and exact-prefix.
 //!
 //! Every hook sits in code that executes identically under the active-set,
 //! always-scan and leap engines (after the shared idle-skip check),
@@ -29,6 +27,7 @@
 
 use crate::config::NocConfig;
 use crate::topology::Port;
+use scorpio_sim::capped::Capped;
 use scorpio_sim::stats::LogHistogram;
 
 /// What to record. Passed to [`crate::Network::set_observability`].
@@ -36,45 +35,12 @@ use scorpio_sim::stats::LogHistogram;
 pub struct ObsConfig {
     /// Record counters and latency histograms.
     pub counters: bool,
-    /// Record the flit-event trace.
-    pub trace: bool,
-    /// Per-plane cap on retained trace events; later events are counted
-    /// as dropped. Also the cap on the merged stream.
-    pub trace_limit: usize,
+    /// Record the flit-event trace, keeping at most this many events
+    /// (later ones are counted as dropped); `None` records no trace.
+    pub trace: Option<usize>,
     /// Window length, in cycles, for epoch-bucketed time-series
-    /// telemetry. `0` (the default in both constructors) disables
-    /// windowing.
+    /// telemetry; `0` disables windowing.
     pub window_cycles: u64,
-}
-
-impl ObsConfig {
-    /// Counters and histograms only — no trace.
-    pub fn counters_only() -> ObsConfig {
-        ObsConfig {
-            counters: true,
-            trace: false,
-            trace_limit: 0,
-            window_cycles: 0,
-        }
-    }
-
-    /// Counters plus a trace capped at `limit` events.
-    pub fn with_trace(limit: usize) -> ObsConfig {
-        ObsConfig {
-            counters: true,
-            trace: true,
-            trace_limit: limit,
-            window_cycles: 0,
-        }
-    }
-
-    /// Adds epoch-bucketed windowed telemetry with `window_cycles`-cycle
-    /// windows, builder-style.
-    #[must_use]
-    pub fn with_windows(mut self, window_cycles: u64) -> ObsConfig {
-        self.window_cycles = window_cycles;
-        self
-    }
 }
 
 /// One window's (epoch's) telemetry for one plane: everything is derived
@@ -82,7 +48,7 @@ impl ObsConfig {
 /// idle-skipped cycles — during which the plane is quiescent by
 /// construction — contribute exactly zero and the cells stay
 /// byte-identical across engines and executor threads.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WindowCell {
     /// Packets that entered an injection queue this window.
     pub injected: u64,
@@ -105,19 +71,12 @@ pub struct WindowCell {
 }
 
 impl WindowCell {
-    /// An empty cell with per-endpoint wait slots for `endpoints`
-    /// endpoints (merging grows the slot vector on demand, so zero is a
-    /// fine starting size for accumulator cells).
+    /// An empty cell with `endpoints` per-endpoint wait slots (merging
+    /// grows them on demand, so the slot-less default accumulates fine).
     pub fn new(endpoints: usize) -> WindowCell {
         WindowCell {
-            injected: 0,
-            ejected: 0,
-            latency: LogHistogram::new(),
-            wait_count: 0,
-            wait_sum: 0,
-            wait_max: 0,
-            buffer_integral: 0,
             ep_wait: vec![(0, 0); endpoints],
+            ..WindowCell::default()
         }
     }
 
@@ -183,10 +142,6 @@ pub struct TraceEvent {
     /// Network plane (0 for single-plane fabrics; the system layer's
     /// ordered-commit events carry the plane the request travelled on).
     pub plane: u16,
-    /// Layer tiebreak for the merge sort: 0 = network, 1 = system.
-    pub src: u8,
-    /// Monotonic per-(plane, layer) sequence number.
-    pub seq: u64,
     /// What happened.
     pub kind: TraceKind,
     /// Packet uid — or the SID for [`TraceKind::OrderedCommit`].
@@ -207,9 +162,9 @@ pub struct TraceEvent {
 }
 
 impl TraceEvent {
-    /// The deterministic global ordering key: (cycle, plane, layer, seq).
-    pub fn sort_key(&self) -> (u64, u16, u8, u64) {
-        (self.cycle, self.plane, self.src, self.seq)
+    /// The merge key, `(cycle, plane)`; stream order breaks ties.
+    pub fn sort_key(&self) -> (u64, u16) {
+        (self.cycle, self.plane)
     }
 
     /// Renders the event as one JSON object (no trailing newline).
@@ -221,12 +176,10 @@ impl TraceEvent {
             self.kind.name()
         );
         let rest = match self.kind {
-            TraceKind::Inject => {
-                format!(
-                    r#","ep":{},"vnet":{},"uid":{}}}"#,
-                    self.node, self.vnet, self.uid
-                )
-            }
+            TraceKind::Inject => format!(
+                r#","ep":{},"vnet":{},"uid":{}}}"#,
+                self.node, self.vnet, self.uid
+            ),
             TraceKind::VcAlloc | TraceKind::Hop => format!(
                 r#","router":{},"port":{},"vc":{},"vnet":{},"uid":{}}}"#,
                 self.node, self.port, self.vc, self.vnet, self.uid
@@ -239,25 +192,13 @@ impl TraceEvent {
                 r#","ep":{},"vnet":{},"vc":{},"uid":{},"lat":{}}}"#,
                 self.node, self.vnet, self.vc, self.uid, self.aux
             ),
-            TraceKind::OrderedCommit => {
-                format!(
-                    r#","ep":{},"sid":{},"own":{}}}"#,
-                    self.node, self.uid, self.aux
-                )
-            }
+            TraceKind::OrderedCommit => format!(
+                r#","ep":{},"sid":{},"own":{}}}"#,
+                self.node, self.uid, self.aux
+            ),
         };
         head + &rest
     }
-}
-
-/// Merges per-stream event buffers (each an exact prefix of its own
-/// stream, already in key order) into the exact global prefix of at most
-/// `limit` events.
-pub fn merge_trace(streams: Vec<Vec<TraceEvent>>, limit: usize) -> Vec<TraceEvent> {
-    let mut all: Vec<TraceEvent> = streams.into_iter().flatten().collect();
-    all.sort_by_key(TraceEvent::sort_key);
-    all.truncate(limit);
-    all
 }
 
 /// The per-plane observability sink. Owned by [`crate::Network`]; absent
@@ -267,13 +208,10 @@ pub struct NetObs {
     plane: u16,
     /// Counters enabled?
     pub counters: bool,
-    trace: bool,
-    trace_limit: usize,
     /// Current cycle, refreshed by the network at the top of each tick.
     pub(crate) cycle: u64,
-    seq: u64,
-    events: Vec<TraceEvent>,
-    dropped: u64,
+    /// This plane's flit-event trace, when recorded.
+    pub events: Option<Capped<TraceEvent>>,
     /// Flit crossings per (router, output port), flattened as
     /// `router * Port::COUNT + port`. Non-local ports measure link
     /// utilization; local ports measure ejection traffic.
@@ -308,7 +246,7 @@ pub struct NetObs {
     window_cycles: u64,
     /// Epoch-indexed telemetry cells (epoch = cycle / window length),
     /// grown on first touch so untouched tail epochs simply don't exist.
-    windows: Vec<WindowCell>,
+    pub windows: Vec<WindowCell>,
     /// Injection-port count, for sizing new cells.
     endpoints: usize,
 }
@@ -332,12 +270,8 @@ impl NetObs {
         NetObs {
             plane,
             counters: obs.counters,
-            trace: obs.trace,
-            trace_limit: obs.trace_limit,
             cycle: 0,
-            seq: 0,
-            events: Vec::new(),
-            dropped: 0,
+            events: obs.trace.map(Capped::new),
             link_flits: vec![0; routers * Port::COUNT],
             buffer_integral: 0,
             stall_sa_i: 0,
@@ -355,44 +289,9 @@ impl NetObs {
         }
     }
 
-    /// The plane this sink belongs to.
-    pub fn plane(&self) -> u16 {
-        self.plane
-    }
-
-    /// Whether the trace stream is enabled.
-    pub fn tracing(&self) -> bool {
-        self.trace
-    }
-
-    /// Retained trace events, in key order.
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
-    }
-
-    /// Drains the retained trace events.
-    pub fn take_events(&mut self) -> Vec<TraceEvent> {
-        std::mem::take(&mut self.events)
-    }
-
-    /// Events discarded after the per-plane cap filled.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
     /// Flat index of (vnet, vc) into [`NetObs::vc_buffered`].
     pub fn vc_flat(&self, vnet: u8, vc: u8) -> usize {
         self.vc_offset[vnet as usize] as usize + vc as usize
-    }
-
-    /// The configured window length in cycles (0 = windowing off).
-    pub fn window_cycles(&self) -> u64 {
-        self.window_cycles
-    }
-
-    /// The epoch-indexed window cells recorded so far.
-    pub fn windows(&self) -> &[WindowCell] {
-        &self.windows
     }
 
     /// The cell for the epoch containing `cycle`, grown on demand.
@@ -419,15 +318,10 @@ impl NetObs {
         vc: u8,
         aux: u64,
     ) {
-        if !self.trace {
-            return;
-        }
-        if self.events.len() < self.trace_limit {
-            self.events.push(TraceEvent {
+        if let Some(events) = &mut self.events {
+            events.push(TraceEvent {
                 cycle: self.cycle,
                 plane: self.plane,
-                src: 0,
-                seq: self.seq,
                 kind,
                 uid,
                 vnet,
@@ -436,10 +330,7 @@ impl NetObs {
                 vc,
                 aux,
             });
-        } else {
-            self.dropped += 1;
         }
-        self.seq += 1;
     }
 
     /// Hook: a packet entered injection queue `ep` (cycle passed in
@@ -538,64 +429,55 @@ impl NetObs {
             self.window_at(cycle).buffer_integral += occupancy;
         }
     }
-
-    /// Merges another plane's counters into this one (histograms,
-    /// stalls, occupancy; link counters are merged element-wise).
-    pub fn merge_counters(&mut self, other: &NetObs) {
-        self.buffer_integral += other.buffer_integral;
-        self.stall_sa_i += other.stall_sa_i;
-        self.stall_sa_o += other.stall_sa_o;
-        self.stall_vc_alloc += other.stall_vc_alloc;
-        self.stall_credit += other.stall_credit;
-        for (a, b) in self.link_flits.iter_mut().zip(&other.link_flits) {
-            *a += b;
-        }
-        for (a, b) in self.vc_buffered.iter_mut().zip(&other.vc_buffered) {
-            *a += b;
-        }
-        for (a, b) in self.inject_wait.iter_mut().zip(&other.inject_wait) {
-            a.merge(b);
-        }
-        self.packet_latency.merge(&other.packet_latency);
-        for (a, b) in self.vnet_latency.iter_mut().zip(&other.vnet_latency) {
-            a.merge(b);
-        }
-        if self.windows.len() < other.windows.len() {
-            let endpoints = self.endpoints;
-            self.windows
-                .resize_with(other.windows.len(), || WindowCell::new(endpoints));
-        }
-        for (a, b) in self.windows.iter_mut().zip(&other.windows) {
-            a.merge(b);
-        }
-        self.dropped += other.dropped;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scorpio_sim::capped;
 
-    fn sink() -> NetObs {
-        NetObs::new(0, ObsConfig::with_trace(4), &NocConfig::scorpio(), 4, 5)
+    fn sink(plane: u16) -> NetObs {
+        let obs = ObsConfig {
+            counters: true,
+            trace: Some(4),
+            window_cycles: 0,
+        };
+        NetObs::new(plane, obs, &NocConfig::scorpio(), 4, 5)
+    }
+
+    fn stream(o: &NetObs) -> (&[TraceEvent], u64) {
+        o.events.as_ref().expect("tracing").stream()
+    }
+
+    /// The ordered-commit event the system layer records.
+    fn commit(cycle: u64, plane: u16) -> TraceEvent {
+        TraceEvent {
+            cycle,
+            plane,
+            kind: TraceKind::OrderedCommit,
+            uid: 5,
+            vnet: 0,
+            node: 2,
+            port: 0,
+            vc: 0,
+            aux: 1,
+        }
     }
 
     #[test]
     fn trace_cap_counts_drops() {
-        let mut o = sink();
+        let mut o = sink(0);
         for i in 0..6 {
             o.on_inject(i, 0, 0, i);
         }
-        assert_eq!(o.events().len(), 4);
-        assert_eq!(o.dropped(), 2);
-        // Sequence numbers keep advancing past the cap so merge keys of
-        // later retained events (there are none) would stay ordered.
-        assert_eq!(o.events()[3].seq, 3);
+        let (kept, dropped) = stream(&o);
+        let cycles: Vec<u64> = kept.iter().map(|e| e.cycle).collect();
+        assert_eq!((cycles, dropped), (vec![0, 1, 2, 3], 2));
     }
 
     #[test]
     fn vc_flat_layout_spans_vnets() {
-        let o = sink();
+        let o = sink(0);
         // GO-REQ: 4 VCs + rVC = 5, then UO-RESP: 2 VCs.
         assert_eq!(o.vc_flat(0, 0), 0);
         assert_eq!(o.vc_flat(0, 4), 4);
@@ -605,75 +487,63 @@ mod tests {
 
     #[test]
     fn json_bodies_match_schema() {
-        let mut o = sink();
+        let mut o = sink(0);
         o.on_inject(3, 7, 1, 42);
         o.on_eject(9, 8, 0, 2, 42, 6);
-        let e0 = o.events()[0].json_body();
+        let e0 = stream(&o).0[0].json_body();
         assert_eq!(
             e0,
             r#"{"cycle":3,"plane":0,"event":"inject","ep":7,"vnet":1,"uid":42}"#
         );
-        let e1 = o.events()[1].json_body();
+        let e1 = stream(&o).0[1].json_body();
         assert_eq!(
             e1,
             r#"{"cycle":9,"plane":0,"event":"eject","ep":8,"vnet":0,"vc":2,"uid":42,"lat":6}"#
         );
-        let commit = TraceEvent {
-            cycle: 11,
-            plane: 1,
-            src: 1,
-            seq: 0,
-            kind: TraceKind::OrderedCommit,
-            uid: 5,
-            vnet: 0,
-            node: 2,
-            port: 0,
-            vc: 0,
-            aux: 1,
-        };
         assert_eq!(
-            commit.json_body(),
+            commit(11, 1).json_body(),
             r#"{"cycle":11,"plane":1,"event":"ordered-commit","ep":2,"sid":5,"own":1}"#
         );
     }
 
     #[test]
     fn merge_trace_is_exact_prefix() {
-        // Plane 0 capped at 3 events (cycles 1..=3, later ones dropped);
-        // plane 1 under its cap with events at cycles 2 and 50. The merged
-        // prefix of 3 must be exactly the 3 globally-earliest events.
-        let mk = |cycle, plane, seq| TraceEvent {
-            cycle,
-            plane,
-            src: 0,
-            seq,
-            kind: TraceKind::Inject,
-            uid: 0,
-            vnet: 0,
-            node: 0,
-            port: 0,
-            vc: 0,
-            aux: 0,
-        };
-        let p0 = vec![mk(1, 0, 0), mk(2, 0, 1), mk(3, 0, 2)];
-        let p1 = vec![mk(2, 1, 0), mk(50, 1, 1)];
-        let merged = merge_trace(vec![p0, p1], 3);
-        let keys: Vec<_> = merged.iter().map(|e| (e.cycle, e.plane)).collect();
-        assert_eq!(keys, vec![(1, 0), (2, 0), (2, 1)]);
+        // Plane 0 keeps 4 of its 5 events (cycle 5 is dropped); plane 1
+        // stays under its cap; the system layer commits on plane 0 at
+        // cycle 2. Merged network planes first, the first 3 are the 3
+        // earliest events, the network's (2, 0) before the system's.
+        let (mut p0, mut p1) = (sink(0), sink(1));
+        for c in 1..=5 {
+            p0.on_inject(c, 0, 0, c);
+        }
+        p1.on_inject(2, 0, 0, 9);
+        p1.on_inject(50, 0, 0, 9);
+        let mut sys = Capped::new(3);
+        sys.push(commit(2, 0));
+        let streams = [stream(&p0), stream(&p1), sys.stream()];
+        let (merged, dropped) = capped::merge(streams, 3, TraceEvent::sort_key);
+        let keys: Vec<_> = merged.iter().map(|e| (e.cycle, e.plane, e.kind)).collect();
+        assert_eq!(
+            keys,
+            [
+                (1, 0, TraceKind::Inject),
+                (2, 0, TraceKind::Inject),
+                (2, 0, TraceKind::OrderedCommit)
+            ]
+        );
+        assert_eq!(dropped, 5);
     }
 
     #[test]
     fn counters_accumulate_and_merge() {
-        let mut a = sink();
-        let mut b = sink();
-        a.on_crossing(1, 2, 0, 0, 9);
-        b.on_crossing(1, 2, 0, 0, 10);
-        a.on_buffered(1, 1);
-        b.on_eject(4, 0, 1, 0, 10, 12);
-        a.merge_counters(&b);
-        assert_eq!(a.link_flits[Port::COUNT + 2], 2);
-        assert_eq!(a.vc_buffered[a.vc_flat(1, 1)], 1);
-        assert_eq!(a.packet_latency.count(), 1);
-        assert_eq!(a.vnet_latency[1].count(), 1);
+        let mut o = sink(0);
+        o.on_crossing(1, 2, 0, 0, 9);
+        o.on_crossing(1, 2, 0, 0, 10);
+        o.on_buffered(1, 1);
+        o.on_eject(4, 0, 1, 0, 10, 12);
+        assert_eq!(o.link_flits[Port::COUNT + 2], 2);
+        assert_eq!(o.vc_buffered[o.vc_flat(1, 1)], 1);
+        assert_eq!(o.packet_latency.count(), 1);
+        assert_eq!(o.vnet_latency[1].count(), 1);
     }
 }

@@ -290,12 +290,11 @@ impl<T: Payload + SteerKey> MultiNetwork<T> {
         self.planes[p].obs()
     }
 
-    /// Drains every plane's retained trace events into `out` (unsorted —
-    /// callers merge on [`crate::obs::TraceEvent::sort_key`]).
-    pub fn take_trace(&mut self, out: &mut Vec<Vec<crate::obs::TraceEvent>>) {
-        for n in &mut self.planes {
-            if let Some(o) = n.obs_mut() {
-                out.push(o.take_events());
+    /// Empties every plane's trace stream: no event kept, none dropped.
+    pub fn clear_trace(&mut self) {
+        for o in self.planes.iter_mut().filter_map(Network::obs_mut) {
+            if let Some(events) = &mut o.events {
+                events.clear();
             }
         }
     }

@@ -10,7 +10,9 @@
 //!   synchronous hardware without tick-order artifacts,
 //! * [`ActiveSet`] — the wake/sleep bookkeeping the skip-idle-work
 //!   simulation engines are built on, and [`Wake`], a component's answer
-//!   to when its next tick can first change state.
+//!   to when its next tick can first change state,
+//! * [`capped`] — the one cap policy of record streams and their
+//!   exact-prefix merge.
 //!
 //! The SCORPIO simulator is *cycle driven*: each component exposes a
 //! per-cycle `tick` and all cross-component communication goes through
@@ -39,6 +41,7 @@
 #![warn(missing_docs)]
 
 mod active;
+pub mod capped;
 mod cycle;
 mod fifo;
 mod latch;
