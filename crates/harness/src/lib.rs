@@ -13,7 +13,7 @@
 //! * [`exec`] — a multi-threaded, work-stealing job executor whose
 //!   results are byte-identical for any worker count,
 //! * [`sink`] — deterministic JSON-lines and CSV result sinks,
-//! * [`table`] — the normalized-runtime pretty-printer,
+//! * [`table`] — the column-list table writer every renderer prints through,
 //! * [`cli`] — the `harness` command (`harness list`, `harness run fig7
 //!   --threads 8 --json out.jsonl`).
 //!

@@ -7,14 +7,15 @@
 //! grid and `harness run X-small` its reduced one through the same
 //! renderer. `harness list` shows one row per experiment.
 
-use scorpio::{ArrivalProcess, Protocol};
+use scorpio::{ArrivalProcess, EpWait, Protocol, SpanReport, WindowReport};
+use scorpio_physical::Share;
 use scorpio_workloads::WorkloadParams;
 
 use crate::exec::RunResult;
 use crate::scenario::{
     Engine, Fabric, GridFilter, Knob, McPlacement, RunSpec, Scenario, SweepGrid, Variant,
 };
-use crate::table::render_normalized;
+use crate::table::{render_normalized, render_table, Col};
 
 /// Which grid a sized experiment lays out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -154,71 +155,125 @@ fn find(results: &[RunResult], pred: impl Fn(&RunSpec) -> bool) -> Option<&RunRe
     results.iter().find(|r| pred(&r.spec))
 }
 
-/// Runtime matrix with one row per grid workload and one column per grid
-/// protocol (missing grid points become 0, which the table renders as a
-/// guarded cell rather than NaN). A cell is the runtime averaged over
-/// every matching run — i.e. over the seed axis when `--seeds` adds
-/// replicates — so the table summarizes the same data the sinks record.
-fn protocol_matrix(s: &Scenario, results: &[RunResult]) -> (Vec<&'static str>, Vec<Vec<u64>>) {
-    let names: Vec<&'static str> = s.grid.workloads.iter().map(|w| w.name).collect();
-    let rows = s
-        .grid
-        .workloads
+/// The normalized-runtime table of a grid: a row per grid workload, a
+/// column per `cols` entry (headed by `labels`, holding the runs `in_col`
+/// accepts). A cell averages runtime over the matching runs — the seed
+/// replicates, as the sinks record them; none gives 0, a guarded cell.
+fn normalized<C>(
+    s: &Scenario,
+    results: &[RunResult],
+    cols: &[C],
+    labels: &[&str],
+    in_col: impl Fn(&RunSpec, &C) -> bool,
+) -> String {
+    let mean = |w: &str, c: &C| {
+        let runs = results
+            .iter()
+            .filter(|r| r.spec.workload.name == w && in_col(&r.spec, c));
+        let runtimes: Vec<u64> = runs.map(|r| r.report.runtime_cycles).collect();
+        let n = runtimes.len() as u64;
+        runtimes.iter().sum::<u64>().checked_div(n).unwrap_or(0)
+    };
+    let names: Vec<&str> = s.grid.workloads.iter().map(|w| w.name).collect();
+    let rows: Vec<Vec<u64>> = names
         .iter()
-        .map(|w| {
-            s.grid
-                .protocols
-                .iter()
-                .map(|&p| {
-                    mean_runtime(results, |spec| {
-                        spec.workload.name == w.name && spec.protocol == p
-                    })
-                })
-                .collect()
-        })
+        .map(|w| cols.iter().map(|c| mean(w, c)).collect())
         .collect();
-    (names, rows)
+    render_normalized(&s.title, &names, labels, &rows)
 }
 
-/// Runtime matrix with one row per grid workload and one column per grid
-/// variant (cells averaged over replicates, as in [`protocol_matrix`]).
-fn variant_matrix(s: &Scenario, results: &[RunResult]) -> (Vec<&'static str>, Vec<Vec<u64>>) {
-    let names: Vec<&'static str> = s.grid.workloads.iter().map(|w| w.name).collect();
-    let rows = s
-        .grid
-        .workloads
-        .iter()
-        .map(|w| {
-            s.grid
-                .variants
-                .iter()
-                .map(|v| {
-                    mean_runtime(results, |spec| {
-                        spec.workload.name == w.name && spec.variant.label == v.label
-                    })
-                })
-                .collect()
-        })
-        .collect();
-    (names, rows)
+/// A table column over run results; the shared ones follow.
+type RunCol<'a> = Col<'a, RunResult>;
+
+/// A `k×k` geometry cell centred on the `x`: `k` right-aligned in `left`,
+/// then `x`, then `k` left-aligned in `right`.
+fn kxk(k: u16, left: usize, right: usize) -> String {
+    format!("{k:>left$}x{k:<right$}")
 }
 
-/// Mean runtime over all runs matching `pred`, or 0 when none match.
-fn mean_runtime(results: &[RunResult], pred: impl Fn(&RunSpec) -> bool) -> u64 {
-    let matching: Vec<u64> = results
-        .iter()
-        .filter(|r| pred(&r.spec))
-        .map(|r| r.report.runtime_cycles)
-        .collect();
-    if matching.is_empty() {
-        0
-    } else {
-        matching.iter().sum::<u64>() / matching.len() as u64
-    }
+fn workload<'a>(width: usize) -> RunCol<'a> {
+    RunCol::left("workload", width, |r| r.spec.workload.name.into())
 }
 
-fn variant_labels(s: &Scenario) -> Vec<&str> {
-    s.grid.variants.iter().map(|v| v.label.as_str()).collect()
+/// The report's protocol name.
+fn protocol<'a>() -> RunCol<'a> {
+    RunCol::left("protocol", 12, |r| r.report.protocol.clone())
+}
+
+/// The spec's protocol in figure-legend form ([`protocol_label`]).
+fn legend<'a>() -> RunCol<'a> {
+    RunCol::right("protocol", 9, |r| protocol_label(r.spec.protocol))
+}
+
+fn fabric<'a>() -> RunCol<'a> {
+    RunCol::left("fabric", 10, |r| r.spec.config().mesh.name().into())
+}
+
+fn planes<'a>() -> RunCol<'a> {
+    RunCol::num("planes", 7, |r| r.spec.planes)
+}
+
+fn diam<'a>() -> RunCol<'a> {
+    RunCol::num("diam", 6, |r| r.spec.config().mesh.diameter())
+}
+
+fn cores<'a>() -> RunCol<'a> {
+    RunCol::num("cores", 6, |r| usize::from(r.spec.mesh_side).pow(2))
+}
+
+fn mcs<'a>() -> RunCol<'a> {
+    RunCol::num("MCs", 5, |r| r.spec.config().mesh.mc_routers().len())
+}
+
+fn runtime<'a>(width: usize) -> RunCol<'a> {
+    RunCol::num("runtime", width, |r| r.report.runtime_cycles)
+}
+
+fn l2_svc<'a>(width: usize) -> RunCol<'a> {
+    RunCol::fixed("L2 svc", width, 1, |r| r.report.l2_service_latency.mean())
+}
+
+fn ordering<'a>(width: usize) -> RunCol<'a> {
+    RunCol::fixed("ordering", width, 1, |r| r.report.ordering_delay.mean())
+}
+
+fn pkt_lat<'a>() -> RunCol<'a> {
+    RunCol::fixed("pkt lat", 12, 1, |r| r.report.packet_latency.mean())
+}
+
+fn bypass<'a>() -> RunCol<'a> {
+    RunCol::right("bypass", 10, |r| {
+        format!("{:.1}%", 100.0 * r.report.bypass_rate())
+    })
+}
+
+/// What the physical model prices for a run: GO-REQ VCs, fabric, planes and
+/// the topology's own concentration (`tiles_per_router`, as the fabric and
+/// notification window derive it), so the net columns match its routers.
+fn net_shape(r: &RunResult) -> (u8, &'static str, usize, usize) {
+    let cfg = r.spec.config();
+    let conc = cfg.mesh.tiles_per_router() as usize;
+    (goreq_vcs(&r.spec), cfg.mesh.name(), r.spec.planes, conc)
+}
+
+/// The physical model's network power relative to the chip's network.
+fn net_power<'a>() -> RunCol<'a> {
+    RunCol::right("net-power", 12, |r| {
+        let (vcs, fabric, planes, conc) = net_shape(r);
+        let power = scorpio_physical::network_power_scale_c(vcs, fabric, planes, conc);
+        format!("{power:.2}x")
+    })
+}
+
+/// Relative network energy per completed request: the network power
+/// integrated over the runtime, per op. Only ratios between rows are
+/// meaningful.
+fn net_energy<'a>() -> RunCol<'a> {
+    RunCol::fixed("net-E/op", 12, 1, |r| {
+        let (vcs, fabric, planes, conc) = net_shape(r);
+        let (runtime, ops) = (r.report.runtime_cycles, r.report.ops_completed);
+        scorpio_physical::energy_per_message_scale_c(vcs, fabric, planes, conc, runtime, ops)
+    })
 }
 
 // ---------------------------------------------------------------- Figure 6
@@ -233,12 +288,10 @@ fn fig6_64() -> Scenario {
 }
 
 fn fig6_at(name: &'static str, k: u16) -> Scenario {
+    let cores = usize::from(k).pow(2);
     Scenario {
         name,
-        title: format!(
-            "Figure 6a — normalized runtime, {} cores",
-            k as usize * k as usize
-        ),
+        title: format!("Figure 6a — normalized runtime, {cores} cores"),
         about: "LPD-D vs HT-D vs SCORPIO-D across SPLASH-2 + PARSEC",
         grid: SweepGrid::over(WorkloadParams::figure6_set())
             .meshes(&[k])
@@ -254,26 +307,23 @@ fn fig6_at(name: &'static str, k: u16) -> Scenario {
 }
 
 fn fig6_render(s: &Scenario, results: &[RunResult]) -> String {
-    let (names, rows) = protocol_matrix(s, results);
-    let mut out = render_normalized(&s.title, &names, &["LPD-D", "HT-D", "SCORPIO-D"], &rows);
-    out.push_str("\n=== Figure 6b/6c — latency breakdown (cycles) ===\n");
-    out.push_str(&format!(
-        "{:<16}{:<12}{:>10}{:>12}{:>12}{:>12}{:>12}\n",
-        "benchmark", "protocol", "L2 svc", "c2c-served", "mem-served", "ordering", "%cache"
-    ));
-    for r in results {
-        out.push_str(&format!(
-            "{:<16}{:<12}{:>10.1}{:>12.1}{:>12.1}{:>12.1}{:>11.1}%\n",
-            r.spec.workload.name,
-            r.report.protocol,
-            r.report.l2_service_latency.mean(),
-            r.report.cache_served.mean(),
-            r.report.memory_served.mean(),
-            r.report.ordering_delay.mean(),
-            100.0 * r.report.cache_served_fraction(),
-        ));
-    }
-    out
+    let labels = ["LPD-D", "HT-D", "SCORPIO-D"];
+    let normalized = normalized(s, results, &s.grid.protocols, &labels, |spec, &p| {
+        spec.protocol == p
+    });
+    let cols = [
+        RunCol::left("benchmark", 16, |r| r.spec.workload.name.into()),
+        protocol(),
+        l2_svc(10),
+        RunCol::fixed("c2c-served", 12, 1, |r| r.report.cache_served.mean()),
+        RunCol::fixed("mem-served", 12, 1, |r| r.report.memory_served.mean()),
+        ordering(12),
+        RunCol::right("%cache", 12, |r| {
+            format!("{:.1}%", 100.0 * r.report.cache_served_fraction())
+        }),
+    ];
+    let title = "Figure 6b/6c — latency breakdown (cycles)";
+    format!("{normalized}\n{}", render_table(title, &cols, results, ""))
 }
 
 // ---------------------------------------------------------------- Figure 7
@@ -312,29 +362,23 @@ fn fig7(size: Size) -> Scenario {
 }
 
 fn fig7_render(s: &Scenario, results: &[RunResult]) -> String {
-    let (names, rows) = protocol_matrix(s, results);
-    let cols: Vec<String> = s
-        .grid
-        .protocols
-        .iter()
-        .map(|&p| protocol_label(p))
-        .collect();
-    let cols: Vec<&str> = cols.iter().map(String::as_str).collect();
-    render_normalized(&s.title, &names, &cols, &rows)
+    let protocols = &s.grid.protocols;
+    let labels: Vec<String> = protocols.iter().map(|&p| protocol_label(p)).collect();
+    let labels: Vec<&str> = labels.iter().map(String::as_str).collect();
+    normalized(s, results, &s.grid.protocols, &labels, |spec, &p| {
+        spec.protocol == p
+    })
 }
 
 // ---------------------------------------------------------------- Figure 8
 
 fn fig8a() -> Scenario {
+    let widths = [8, 16, 32].map(|b| Variant::knob(Knob::ChannelBytes(b)));
     Scenario {
         name: "fig8a",
         title: "Figure 8a — channel width".into(),
         about: "NoC exploration: channel width 8/16/32 bytes",
-        grid: SweepGrid::over(WorkloadParams::splash2()).variants(vec![
-            Variant::knob(Knob::ChannelBytes(8)),
-            Variant::knob(Knob::ChannelBytes(16)),
-            Variant::knob(Knob::ChannelBytes(32)),
-        ]),
+        grid: SweepGrid::over(WorkloadParams::splash2()).variants(widths.into()),
         render: fig8_render,
     }
 }
@@ -344,11 +388,8 @@ fn fig8b() -> Scenario {
         name: "fig8b",
         title: "Figure 8b — GO-REQ VCs".into(),
         about: "NoC exploration: GO-REQ virtual channels 2/4/6",
-        grid: SweepGrid::over(WorkloadParams::splash2()).variants(vec![
-            Variant::knob(Knob::GoreqVcs(2)),
-            Variant::knob(Knob::GoreqVcs(4)),
-            Variant::knob(Knob::GoreqVcs(6)),
-        ]),
+        grid: SweepGrid::over(WorkloadParams::splash2())
+            .variants([2, 4, 6].map(|v| Variant::knob(Knob::GoreqVcs(v))).into()),
         render: fig8_render,
     }
 }
@@ -375,18 +416,20 @@ fn fig8d() -> Scenario {
         about: "NoC exploration: notification-network width 1/2/3 bits",
         grid: SweepGrid::over(WorkloadParams::splash2())
             .with_base(vec![Knob::Outstanding(4)])
-            .variants(vec![
-                Variant::knob(Knob::NotificationBits(1)),
-                Variant::knob(Knob::NotificationBits(2)),
-                Variant::knob(Knob::NotificationBits(3)),
-            ]),
+            .variants(
+                [1, 2, 3]
+                    .map(|b| Variant::knob(Knob::NotificationBits(b)))
+                    .into(),
+            ),
         render: fig8_render,
     }
 }
 
 fn fig8_render(s: &Scenario, results: &[RunResult]) -> String {
-    let (names, rows) = variant_matrix(s, results);
-    render_normalized(&s.title, &names, &variant_labels(s), &rows)
+    let labels: Vec<&str> = s.grid.variants.iter().map(|v| v.label.as_str()).collect();
+    normalized(s, results, &s.grid.variants, &labels, |spec, v| {
+        spec.variant.label == v.label
+    })
 }
 
 // ---------------------------------------------------------------- Figure 9
@@ -402,32 +445,23 @@ fn fig9() -> Scenario {
 }
 
 fn fig9_render(_s: &Scenario, _results: &[RunResult]) -> String {
-    let mut out = String::new();
-    out.push_str("=== Figure 9a — tile power breakdown ===\n");
-    for s in scorpio_physical::tile_power_breakdown() {
-        out.push_str(&format!(
-            "{:<16}{:>6.1}%\n",
-            format!("{:?}", s.component),
-            s.percent
-        ));
-    }
-    out.push_str("\n=== Figure 9b — tile area breakdown ===\n");
-    for s in scorpio_physical::tile_area_breakdown() {
-        out.push_str(&format!(
-            "{:<16}{:>6.1}%\n",
-            format!("{:?}", s.component),
-            s.percent
-        ));
-    }
-    out.push_str(&format!(
-        "\nChip power (36 tiles): {:.1} W\n",
-        scorpio_physical::chip_power_watts(36)
-    ));
-    out.push_str(&format!(
-        "Notification network width: 36×1b = {} bits (<1% tile area/power)\n",
+    let cols = [
+        Col::left("", 16, |s: &Share| format!("{:?}", s.component)),
+        Col::right("", 7, |s: &Share| format!("{:.1}%", s.percent)),
+    ];
+    let power = scorpio_physical::tile_power_breakdown();
+    let area = scorpio_physical::tile_area_breakdown();
+    let chip = format!(
+        "Chip power (36 tiles): {:.1} W\n\
+         Notification network width: 36×1b = {} bits (<1% tile area/power)\n",
+        scorpio_physical::chip_power_watts(36),
         scorpio_physical::notification_width_bits(36, 1)
-    ));
-    out
+    );
+    format!(
+        "{}\n{}",
+        render_table("Figure 9a — tile power breakdown", &cols, &power, ""),
+        render_table("Figure 9b — tile area breakdown", &cols, &area, &chip)
+    )
 }
 
 // --------------------------------------------------------------- Figure 10
@@ -446,61 +480,54 @@ fn fig10(size: Size) -> Scenario {
             "lu",
         ]))
         .meshes(size.pick::<&[u16]>(&[6, 8, 10], &[3, 4]))
-        .variants(vec![
-            Variant::knob(Knob::PipelinedUncore(false)),
-            Variant::knob(Knob::PipelinedUncore(true)),
-        ]),
+        .variants(
+            [false, true]
+                .map(|pl| Variant::knob(Knob::PipelinedUncore(pl)))
+                .into(),
+        ),
         render: fig10_render,
     }
 }
 
+/// One Figure 10 row — a workload at one mesh side, or the side's `AVG`:
+/// name, side, non-pipelined and pipelined mean L2 service latency, the
+/// pipelining gain in percent, and a trailing note.
+struct PipelineRow(&'static str, u16, [f64; 2], f64, &'static str);
+
 fn fig10_render(s: &Scenario, results: &[RunResult]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("=== {} ===\n", s.title));
-    out.push_str(&format!(
-        "{:<16}{:>8}{:>12}{:>12}{:>10}\n",
-        "benchmark", "mesh", "non-PL", "PL", "gain"
-    ));
-    for &k in &s.grid.mesh_sides {
-        let mut sums = [0.0f64; 2];
-        for w in &s.grid.workloads {
-            let mut lat = [0.0f64; 2];
-            for (i, label) in ["non-PL", "PL"].iter().enumerate() {
-                lat[i] = find(results, |spec| {
-                    spec.workload.name == w.name
-                        && spec.mesh_side == k
-                        && spec.variant.label == *label
-                })
-                .map_or(0.0, |r| r.report.l2_service_latency.mean());
-                sums[i] += lat[i];
-            }
-            let gain = if lat[0] > 0.0 {
-                100.0 * (lat[0] - lat[1]) / lat[0]
-            } else {
-                0.0
-            };
-            out.push_str(&format!(
-                "{:<16}{:>5}x{:<2}{:>12.1}{:>12.1}{:>9.1}%\n",
-                w.name, k, k, lat[0], lat[1], gain
-            ));
-        }
-        let n = s.grid.workloads.len() as f64;
-        let gain = if sums[0] > 0.0 {
-            100.0 * (sums[0] - sums[1]) / sums[0]
+    let gain = |[base, pl]: [f64; 2]| {
+        if base > 0.0 {
+            100.0 * (base - pl) / base
         } else {
             0.0
-        };
-        out.push_str(&format!(
-            "{:<16}{:>5}x{:<2}{:>12.1}{:>12.1}{:>9.1}%  <- average\n",
-            "AVG",
-            k,
-            k,
-            sums[0] / n,
-            sums[1] / n,
-            gain
-        ));
+        }
+    };
+    let mut rows = Vec::new();
+    for &k in &s.grid.mesh_sides {
+        let mut sums = [0.0; 2];
+        for w in &s.grid.workloads {
+            let lat = ["non-PL", "PL"].map(|label| {
+                let cell = (w.name, k, label);
+                let run = find(results, |spec| {
+                    (spec.workload.name, spec.mesh_side, &*spec.variant.label) == cell
+                });
+                run.map_or(0.0, |r| r.report.l2_service_latency.mean())
+            });
+            sums = [sums[0] + lat[0], sums[1] + lat[1]];
+            rows.push(PipelineRow(w.name, k, lat, gain(lat), ""));
+        }
+        let mean = sums.map(|sum| sum / s.grid.workloads.len() as f64);
+        rows.push(PipelineRow("AVG", k, mean, gain(sums), "  <- average"));
     }
-    out
+    let cols = [
+        Col::left("benchmark", 16, |r: &PipelineRow| r.0.into()),
+        Col::right("mesh", 8, |r: &PipelineRow| kxk(r.1, 5, 2)),
+        Col::fixed("non-PL", 12, 1, |r: &PipelineRow| r.2[0]),
+        Col::fixed("PL", 12, 1, |r: &PipelineRow| r.2[1]),
+        Col::right("gain", 10, |r: &PipelineRow| format!("{:.1}%", r.3)),
+        Col::left("", 0, |r: &PipelineRow| r.4.into()),
+    ];
+    render_table(&s.title, &cols, &rows, "")
 }
 
 // ------------------------------------------------------------ Tables 1 & 2
@@ -515,12 +542,12 @@ fn table1() -> Scenario {
     }
 }
 
-fn table1_render(_s: &Scenario, _results: &[RunResult]) -> String {
-    let mut out = String::from("=== Table 1 — SCORPIO chip features ===\n");
-    for (feature, value) in scorpio_physical::chip_feature_table() {
-        out.push_str(&format!("{feature:<24}{value}\n"));
-    }
-    out
+fn table1_render(s: &Scenario, _results: &[RunResult]) -> String {
+    let cols = [
+        Col::left("", 24, |(feature, _): &(&str, String)| feature.to_string()),
+        Col::left("", 0, |(_, value): &(&str, String)| value.clone()),
+    ];
+    render_table(&s.title, &cols, &scorpio_physical::chip_feature_table(), "")
 }
 
 fn table2() -> Scenario {
@@ -533,25 +560,27 @@ fn table2() -> Scenario {
     }
 }
 
-fn table2_render(_s: &Scenario, _results: &[RunResult]) -> String {
-    let mut out = String::from("=== Table 2 — multicore processor comparison ===\n");
-    out.push_str(&format!(
-        "{:<16}{:<8}{:<26}{:<32}{}\n",
-        "processor", "cores", "consistency", "coherence", "interconnect"
-    ));
-    for c in scorpio_physical::processor_comparison_table() {
-        out.push_str(&format!(
-            "{:<16}{:<8}{:<26}{:<32}{}\n",
-            c.name, c.cores, c.consistency, c.coherence, c.interconnect
-        ));
-    }
-    out
+fn table2_render(s: &Scenario, _results: &[RunResult]) -> String {
+    let rows: Vec<[&str; 5]> = scorpio_physical::processor_comparison_table()
+        .into_iter()
+        .map(|c| [c.name, c.cores, c.consistency, c.coherence, c.interconnect])
+        .collect();
+    let col = |head, width, i: usize| Col::left(head, width, move |c: &[&str; 5]| c[i].into());
+    let cols = [
+        col("processor", 16, 0),
+        col("cores", 8, 1),
+        col("consistency", 26, 2),
+        col("coherence", 32, 3),
+        col("interconnect", 0, 4),
+    ];
+    render_table(&s.title, &cols, &rows, "")
 }
 
 // ---------------------------------------------------------------- Ablation
 
 fn ablation(size: Size) -> Scenario {
     let k = size.pick(6, 4);
+    let slack = |label, slack| Variant::new(label, vec![Knob::NotificationWindowSlack(slack)]);
     Scenario {
         name: "ablation",
         title: format!("Ablation — {k}x{k}, fluidanimate"),
@@ -563,54 +592,36 @@ fn ablation(size: Size) -> Scenario {
                 Variant::new("no lookahead bypass", vec![Knob::Bypass(false)]),
                 Variant::new("no region tracker", vec![Knob::RegionTracker(false)]),
                 Variant::new("FID capacity 1", vec![Knob::FidCapacity(1)]),
-                Variant::new(
-                    "2x notification window",
-                    vec![Knob::NotificationWindowSlack(13)],
-                ),
-                Variant::new(
-                    "4x notification window",
-                    vec![Knob::NotificationWindowSlack(39)],
-                ),
+                slack("2x notification window", 13),
+                slack("4x notification window", 39),
             ]),
         render: ablation_render,
     }
 }
 
 fn ablation_render(s: &Scenario, results: &[RunResult]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("=== {} ===\n", s.title));
-    out.push_str(&format!(
-        "{:<26}{:>10}{:>12}{:>14}{:>12}\n",
-        "configuration", "runtime", "L2 svc", "ordering", "normalized"
-    ));
     // Each seed is its own replicate block, normalized against *its own*
     // baseline run, so a `--seeds` override never mixes seeds in the
     // normalized column.
     let multi_seed = s.grid.seeds.len() > 1;
-    for &seed in &s.grid.seeds {
-        let block: Vec<&RunResult> = results.iter().filter(|r| r.spec.seed == seed).collect();
-        let base = block.first().map_or(0, |r| r.report.runtime_cycles);
-        for r in block {
-            let norm = if base > 0 {
-                format!("{:>12.3}", r.report.runtime_cycles as f64 / base as f64)
-            } else {
-                format!("{:>12}", "-")
-            };
-            let label = if multi_seed {
-                format!("{} [seed {}]", r.spec.variant.label, seed)
-            } else {
-                r.spec.variant.label.clone()
-            };
-            out.push_str(&format!(
-                "{:<26}{:>10}{:>12.1}{:>14.1}{norm}\n",
-                label,
-                r.report.runtime_cycles,
-                r.report.l2_service_latency.mean(),
-                r.report.ordering_delay.mean(),
-            ));
-        }
-    }
-    out
+    let base =
+        |seed| find(results, |spec| spec.seed == seed).map_or(0, |b| b.report.runtime_cycles);
+    let cols = [
+        RunCol::left("configuration", 26, |r| match multi_seed {
+            true => format!("{} [seed {}]", r.spec.variant.label, r.spec.seed),
+            false => r.spec.variant.label.clone(),
+        }),
+        runtime(10),
+        l2_svc(12),
+        ordering(14),
+        RunCol::right("normalized", 12, |r| match base(r.spec.seed) {
+            0 => "-".into(),
+            b => format!("{:.3}", r.report.runtime_cycles as f64 / b as f64),
+        }),
+    ];
+    let seeds = s.grid.seeds.iter();
+    let rows = seeds.flat_map(|&seed| results.iter().filter(move |r| r.spec.seed == seed));
+    render_table(&s.title, &cols, rows, "")
 }
 
 // ----------------------------------------------------------- Section 5.3
@@ -622,11 +633,7 @@ fn scaling(size: Size) -> Scenario {
         about: "GO-REQ VC scaling (4/8/15) on growing meshes vs the 1/k^2 bound",
         grid: SweepGrid::over(presets(&["fluidanimate"]))
             .meshes(size.pick::<&[u16]>(&[6, 8, 10], &[3, 4]))
-            .variants(vec![
-                Variant::knob(Knob::GoreqVcs(4)),
-                Variant::knob(Knob::GoreqVcs(8)),
-                Variant::knob(Knob::GoreqVcs(15)),
-            ])
+            .variants([4, 8, 15].map(|v| Variant::knob(Knob::GoreqVcs(v))).into())
             .filtered(scaling_filter),
         render: scaling_render,
     }
@@ -636,14 +643,11 @@ fn scaling(size: Size) -> Scenario {
 /// the variant leaves the knob alone) — shared by the scaling filter and
 /// render so they can never disagree.
 fn goreq_vcs(spec: &RunSpec) -> u8 {
-    spec.variant
-        .knobs
-        .iter()
-        .find_map(|k| match k {
-            Knob::GoreqVcs(v) => Some(*v),
-            _ => None,
-        })
-        .unwrap_or(4)
+    spec.knob(|&k| match k {
+        Knob::GoreqVcs(v) => Some(v),
+        _ => None,
+    })
+    .unwrap_or(4)
 }
 
 /// The paper's non-rectangular sweep: more VCs run only where they matter
@@ -660,31 +664,25 @@ fn scaling_filter(spec: &RunSpec) -> bool {
 }
 
 fn scaling_render(s: &Scenario, results: &[RunResult]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("=== {} ===\n", s.title));
-    out.push_str(&format!(
-        "{:>6}{:>8}{:>10}{:>12}{:>14}{:>16}\n",
-        "mesh", "cores", "GO-VCs", "runtime", "L2 svc (cyc)", "1/k^2 bound"
-    ));
-    for r in results {
-        let k = r.spec.mesh_side;
-        let vcs = goreq_vcs(&r.spec);
-        out.push_str(&format!(
-            "{:>4}x{:<3}{:>6}{:>10}{:>12}{:>14.1}{:>16.4}\n",
-            k,
-            k,
-            k as usize * k as usize,
-            vcs,
-            r.report.runtime_cycles,
-            r.report.l2_service_latency.mean(),
-            1.0 / (k as f64 * k as f64),
-        ));
-    }
-    out.push_str("\nPer the paper: more GO-REQ VCs push throughput toward the\n");
-    out.push_str("topology bound, but a k x k mesh broadcast cannot exceed 1/k^2\n");
-    out.push_str("flits/node/cycle — multiple main networks are the cheaper fix.\n");
-    out
+    let cols = [
+        RunCol::right("mesh  ", 8, |r| kxk(r.spec.mesh_side, 4, 3)),
+        cores(),
+        RunCol::num("GO-VCs", 10, |r| goreq_vcs(&r.spec)),
+        runtime(12),
+        RunCol::fixed("L2 svc (cyc)", 14, 1, |r| {
+            r.report.l2_service_latency.mean()
+        }),
+        RunCol::fixed("1/k^2 bound", 16, 4, |r| {
+            1.0 / (r.spec.mesh_side as f64 * r.spec.mesh_side as f64)
+        }),
+    ];
+    render_table(&s.title, &cols, results, SCALING_NOTE)
 }
+
+const SCALING_NOTE: &str = "Per the paper: more GO-REQ VCs push throughput toward the
+topology bound, but a k x k mesh broadcast cannot exceed 1/k^2
+flits/node/cycle — multiple main networks are the cheaper fix.
+";
 
 // ------------------------------------------------- Scaling-mesh scenarios
 
@@ -751,28 +749,17 @@ fn scaling_mesh(size: Size) -> Scenario {
 }
 
 fn scaling_mesh_render(s: &Scenario, results: &[RunResult]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("=== {} ===\n", s.title));
-    out.push_str(&format!(
-        "{:<14}{:>8}{:>7}{:>5}{:>12}{:>12}{:>12}{:>10}\n",
-        "workload", "mesh", "cores", "MCs", "runtime", "L2 svc", "pkt lat", "bypass"
-    ));
-    for r in results {
-        let k = r.spec.mesh_side;
-        out.push_str(&format!(
-            "{:<14}{:>6}x{:<2}{:>6}{:>5}{:>12}{:>12.1}{:>12.1}{:>9.1}%\n",
-            r.spec.workload.name,
-            k,
-            k,
-            k as usize * k as usize,
-            r.spec.config().mesh.mc_routers().len(),
-            r.report.runtime_cycles,
-            r.report.l2_service_latency.mean(),
-            r.report.packet_latency.mean(),
-            100.0 * r.report.bypass_rate(),
-        ));
-    }
-    out
+    let cols = [
+        workload(14),
+        RunCol::right("mesh ", 9, |r| kxk(r.spec.mesh_side, 6, 2)),
+        cores(),
+        mcs(),
+        runtime(12),
+        l2_svc(12),
+        pkt_lat(),
+        bypass(),
+    ];
+    render_table(&s.title, &cols, results, "")
 }
 
 // ------------------------------------------------- Kilocore scale-out
@@ -812,11 +799,12 @@ fn scaling_kilocore(size: Size) -> Scenario {
         Size::Full => (&[16, 32], kilocore_cell::<32>),
         Size::Small => (&[8, 16], kilocore_cell::<16>),
     };
+    let cores = meshes.last().map_or(0, |&k| usize::from(k).pow(2));
+    let (prop, quad) = (Knob::ProportionalMcs, Knob::QuadNotify(2));
     Scenario {
         name: "scaling-kilocore",
         title: format!(
-            "Scaling-kilocore — engine scale-out at {} cores (event-leaping clock)",
-            meshes.last().map_or(0, |&k| k as usize * k as usize)
+            "Scaling-kilocore — engine scale-out at {cores} cores (event-leaping clock)"
         ),
         about: "Kilocore scale-out: cycles stepped by active-set vs leap, flat vs quad notify",
         grid: SweepGrid::over(vec![uniform_low()])
@@ -825,75 +813,55 @@ fn scaling_kilocore(size: Size) -> Scenario {
             .planes(&[1, 4])
             .engines(&[Engine::ActiveSet, Engine::Leap])
             .variants(vec![
-                Variant::new("prop-MCs", vec![Knob::ProportionalMcs]),
-                Variant::new(
-                    "prop-MCs+quad-f2",
-                    vec![Knob::ProportionalMcs, Knob::QuadNotify(2)],
-                ),
+                Variant::new("prop-MCs", vec![prop]),
+                Variant::new("prop-MCs+quad-f2", vec![prop, quad]),
                 Variant::baseline(),
-                Variant::new("quad-f2", vec![Knob::QuadNotify(2)]),
+                Variant::new("quad-f2", vec![quad]),
             ])
             .filtered(filter),
         render: scaling_kilocore_render,
     }
 }
 
-/// The notification-scheme label of a spec's variant: "flat", or
-/// `quad-fN` when the variant carries a [`Knob::QuadNotify`].
-fn kilocore_notify_label(spec: &RunSpec) -> String {
-    spec.variant
-        .knobs
-        .iter()
-        .find_map(|k| match k {
-            Knob::QuadNotify(f) => Some(format!("quad-f{f}")),
-            _ => None,
-        })
-        .unwrap_or_else(|| "flat".into())
-}
-
 fn scaling_kilocore_render(s: &Scenario, results: &[RunResult]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("=== {} ===\n", s.title));
-    out.push_str(&format!(
-        "{:<16}{:>7}{:>9}{:>8}{:>12}{:>12}{:>10}{:>10}\n",
-        "geometry", "planes", "notify", "engine", "runtime", "stepped", "leap", "r-leap"
-    ));
-    for r in results {
-        let leap = if r.stepped_cycles > 0 {
-            format!(
-                "{:>9.2}x",
-                r.report.runtime_cycles as f64 / r.stepped_cycles as f64
-            )
-        } else {
-            format!("{:>10}", "-")
-        };
+    // A leap ratio: simulated cycles times `regions` over stepped cycles,
+    // `-` when none were stepped.
+    let leap = |r: &RunResult, regions: usize, stepped: u64| {
+        let ratio = r.report.runtime_cycles as f64 * regions as f64 / stepped as f64;
+        match stepped {
+            0 => "-".into(),
+            _ => format!("{ratio:.2}x"),
+        }
+    };
+    let cols = [
+        RunCol::left("geometry", 16, |r| r.spec.fabric.geometry(r.spec.mesh_side)),
+        planes(),
+        RunCol::right("notify", 9, |r| {
+            let quad = r
+                .spec
+                .knob(|&k| matches!(k, Knob::QuadNotify(_)).then(|| k.label()));
+            quad.unwrap_or_else(|| "flat".into())
+        }),
+        RunCol::right("engine", 8, |r| r.spec.engine.label().into()),
+        runtime(12),
+        RunCol::num("stepped", 12, |r| r.stepped_cycles),
+        RunCol::right("leap", 10, |r| leap(r, 1, r.stepped_cycles)),
         // Per-region leap: simulated cycles over mean stepped cycles per
         // region — what event leaping buys once a quiescent quad no longer
         // has to lockstep with a bursting neighbour.
-        let rleap = if r.regions > 1 && r.region_cycles_stepped > 0 {
-            format!(
-                "{:>9.2}x",
-                r.report.runtime_cycles as f64 * r.regions as f64 / r.region_cycles_stepped as f64
-            )
-        } else {
-            format!("{:>10}", "-")
-        };
-        out.push_str(&format!(
-            "{:<16}{:>7}{:>9}{:>8}{:>12}{:>12}{leap}{rleap}\n",
-            r.spec.fabric.geometry(r.spec.mesh_side),
-            r.spec.planes,
-            kilocore_notify_label(&r.spec),
-            r.spec.engine.label(),
-            r.report.runtime_cycles,
-            r.stepped_cycles,
-        ));
-    }
-    out.push_str("\nBoth engines produce byte-identical reports and traces (the\n");
-    out.push_str("equivalence suite asserts this); leap is simulated/stepped\n");
-    out.push_str("cycles, r-leap is simulated cycles over mean stepped cycles\n");
-    out.push_str("per leaf quad (quad notify only).\n");
-    out
+        RunCol::right("r-leap", 10, |r| match r.regions {
+            0 | 1 => "-".into(),
+            n => leap(r, n, r.region_cycles_stepped),
+        }),
+    ];
+    render_table(&s.title, &cols, results, KILOCORE_NOTE)
 }
+
+const KILOCORE_NOTE: &str = "Both engines produce byte-identical reports and traces (the
+equivalence suite asserts this); leap is simulated/stepped
+cycles, r-leap is simulated cycles over mean stepped cycles
+per leaf quad (quad notify only).
+";
 
 // ------------------------------------------------- Topology comparisons
 
@@ -904,12 +872,10 @@ fn scaling_kilocore_render(s: &Scenario, results: &[RunResult]) -> String {
 /// effects (diameter, wrap links, router radix).
 fn topology(size: Size) -> Scenario {
     let k: u16 = size.pick(6, 4);
+    let cores = usize::from(k).pow(2);
     Scenario {
         name: "topology",
-        title: format!(
-            "Topology — mesh vs torus vs ring at {} cores, all ordering protocols",
-            k as usize * k as usize
-        ),
+        title: format!("Topology — mesh vs torus vs ring at {cores} cores, all ordering protocols"),
         about: "Delivery-fabric sweep: mesh/torus/ring under all five protocols",
         grid: SweepGrid::over(presets(&["blackscholes", "swaptions"]))
             .meshes(&[k])
@@ -920,30 +886,22 @@ fn topology(size: Size) -> Scenario {
 }
 
 fn topology_render(s: &Scenario, results: &[RunResult]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("=== {} ===\n", s.title));
-    out.push_str(&format!(
-        "{:<14}{:<10}{:<12}{:>6}{:>12}{:>12}{:>12}{:>10}\n",
-        "workload", "fabric", "protocol", "diam", "runtime", "L2 svc", "pkt lat", "bypass"
-    ));
-    for r in results {
-        let cfg = r.spec.config();
-        out.push_str(&format!(
-            "{:<14}{:<10}{:<12}{:>6}{:>12}{:>12.1}{:>12.1}{:>9.1}%\n",
-            r.spec.workload.name,
-            cfg.mesh.name(),
-            r.report.protocol,
-            cfg.mesh.diameter(),
-            r.report.runtime_cycles,
-            r.report.l2_service_latency.mean(),
-            r.report.packet_latency.mean(),
-            100.0 * r.report.bypass_rate(),
-        ));
-    }
-    out.push_str("\nMatched endpoint counts per row block; ordering is decoupled\n");
-    out.push_str("from delivery, so every fabric carries every protocol.\n");
-    out
+    let cols = [
+        workload(14),
+        fabric(),
+        protocol(),
+        diam(),
+        runtime(12),
+        l2_svc(12),
+        pkt_lat(),
+        bypass(),
+    ];
+    render_table(&s.title, &cols, results, TOPOLOGY_NOTE)
 }
+
+const TOPOLOGY_NOTE: &str = "Matched endpoint counts per row block; ordering is decoupled
+from delivery, so every fabric carries every protocol.
+";
 
 // ------------------------------------------------------ Latency breakdown
 
@@ -968,65 +926,48 @@ fn latency_breakdown(size: Size) -> Scenario {
     }
 }
 
+/// A run's span annex, if it recorded spans.
+fn spans(r: &RunResult) -> Option<&SpanReport> {
+    r.report.obs.as_ref().and_then(|o| o.spans.as_ref())
+}
+
+/// A span phase's mean, as `mean` reads it from the span annex.
+fn phase<'a>(head: &'a str, width: usize, mean: fn(&SpanReport) -> f64) -> RunCol<'a> {
+    RunCol::fixed(head, width, 1, move |r| spans(r).map_or(0.0, mean))
+}
+
 fn latency_breakdown_render(s: &Scenario, results: &[RunResult]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("=== {} ===\n", s.title));
-    out.push_str(&format!(
-        "{:<12}{:>9}{:>8}{:>8}{:>8}{:>8}{:>8}{:>8}{:>9}{:>11}\n",
-        "fabric",
-        "protocol",
-        "queue",
-        "inject",
-        "flight",
-        "commit",
-        "data",
-        "fill",
-        "total",
-        "reconcile"
-    ));
-    let mean = |sum: u64, count: u64| {
-        if count == 0 {
-            0.0
-        } else {
-            sum as f64 / count as f64
-        }
-    };
-    for r in results {
-        let Some(sp) = r.report.obs.as_ref().and_then(|o| o.spans.as_ref()) else {
-            continue;
-        };
+    let cols = [
+        RunCol::left("fabric", 12, |r| r.spec.fabric.label().into()),
+        legend(),
+        phase("queue", 8, |sp| sp.queue.mean()),
+        phase("inject", 8, |sp| sp.inject.mean()),
+        phase("flight", 8, |sp| sp.flight.mean()),
+        phase("commit", 8, |sp| sp.commit.mean()),
+        phase("data", 8, |sp| sp.data.mean()),
+        phase("fill", 8, |sp| sp.fill.mean()),
+        phase("total", 9, |sp| sp.total.mean()),
         // Exact reconciliation against the scalar report: inject + flight
         // + commit is the ordering delay, and the span totals plus the
         // hit latencies rebuild the full L2 service distribution.
-        let ordering = &r.report.ordering_delay;
-        let service = &r.report.l2_service_latency;
-        let ordering_exact = sp.inject.sum() + sp.flight.sum() + sp.commit.sum() == ordering.sum()
-            && sp.inject.count() == ordering.count();
-        let service_exact = sp.total.sum() + sp.hit.sum() == service.sum()
-            && sp.total.count() + sp.hit.count() == service.count();
-        out.push_str(&format!(
-            "{:<12}{:>9}{:>8.1}{:>8.1}{:>8.1}{:>8.1}{:>8.1}{:>8.1}{:>9.1}{:>11}\n",
-            r.spec.fabric.label(),
-            protocol_label(r.spec.protocol),
-            mean(sp.queue.sum(), sp.queue.count()),
-            mean(sp.inject.sum(), sp.inject.count()),
-            mean(sp.flight.sum(), sp.flight.count()),
-            mean(sp.commit.sum(), sp.commit.count()),
-            mean(sp.data.sum(), sp.data.count()),
-            mean(sp.fill.sum(), sp.fill.count()),
-            mean(sp.total.sum(), sp.total.count()),
-            if ordering_exact && service_exact {
-                "exact"
-            } else {
-                "MISMATCH"
-            },
-        ));
-    }
-    out.push_str("\nPer-phase means over every recorded miss span (cycles).\n");
-    out.push_str("reconcile=exact: inject+flight+commit sums equal the ordering-\n");
-    out.push_str("delay scalars and span totals + hits rebuild l2_service_latency.\n");
-    out
+        RunCol::right("reconcile", 11, |r| {
+            let sp = spans(r).expect("rows carry spans");
+            let (order, svc) = (&r.report.ordering_delay, &r.report.l2_service_latency);
+            let exact = sp.inject.sum() + sp.flight.sum() + sp.commit.sum() == order.sum()
+                && sp.inject.count() == order.count()
+                && sp.total.sum() + sp.hit.sum() == svc.sum()
+                && sp.total.count() + sp.hit.count() == svc.count();
+            if exact { "exact" } else { "MISMATCH" }.into()
+        }),
+    ];
+    let rows = results.iter().filter(|r| spans(r).is_some());
+    render_table(&s.title, &cols, rows, BREAKDOWN_NOTE)
 }
+
+const BREAKDOWN_NOTE: &str = "Per-phase means over every recorded miss span (cycles).
+reconcile=exact: inject+flight+commit sums equal the ordering-
+delay scalars and span totals + hits rebuild l2_service_latency.
+";
 
 // ----------------------------------------------- Multi-plane main networks
 
@@ -1052,31 +993,6 @@ fn bcast_heavy() -> WorkloadParams {
     }
 }
 
-/// The GO-REQ VC count of a result's variant (chip default 4) — feeds the
-/// physical model's VC scaling in the plane/topology energy columns.
-fn result_goreq_vcs(r: &RunResult) -> u8 {
-    goreq_vcs(&r.spec)
-}
-
-/// Relative network energy per completed request for one run: the
-/// physical model's (fabric, planes, concentration, VC)-scaled network
-/// power integrated over the runtime, per op. Only ratios between rows
-/// are meaningful. The concentration comes from the topology itself
-/// (`tiles_per_router`) — the same derivation the delivery fabric and
-/// notification window use — so the energy column can never disagree
-/// with the topology about router shape.
-fn net_energy_per_op(r: &RunResult) -> f64 {
-    let cfg = r.spec.config();
-    scorpio_physical::energy_per_message_scale_c(
-        result_goreq_vcs(r),
-        cfg.mesh.name(),
-        r.spec.planes,
-        cfg.mesh.tiles_per_router() as usize,
-        r.report.runtime_cycles,
-        r.report.ops_completed,
-    )
-}
-
 /// Multi-plane main networks (Section 5.3's "cheaper fix"): every fabric ×
 /// 1/2/4 address-interleaved planes × all five ordering protocols at
 /// matched endpoint counts. Ordering is per plane (hence per address), so
@@ -1084,12 +1000,10 @@ fn net_energy_per_op(r: &RunResult) -> f64 {
 /// replication buys and costs.
 fn planes_scenario(size: Size) -> Scenario {
     let k: u16 = size.pick(6, 4);
+    let cores = usize::from(k).pow(2);
     Scenario {
         name: "planes",
-        title: format!(
-            "Planes — 1/2/4 main networks at {} cores, all fabrics and protocols",
-            k as usize * k as usize
-        ),
+        title: format!("Planes — 1/2/4 main networks at {cores} cores, all fabrics and protocols"),
         about: "Multi-plane sweep: address-interleaved parallel fabrics, per-plane ordering",
         grid: SweepGrid::over(presets(&["blackscholes"]))
             .meshes(&[k])
@@ -1101,44 +1015,24 @@ fn planes_scenario(size: Size) -> Scenario {
 }
 
 fn planes_render(s: &Scenario, results: &[RunResult]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("=== {} ===\n", s.title));
-    out.push_str(&format!(
-        "{:<14}{:<10}{:>7}{:<3}{:<12}{:>12}{:>12}{:>12}{:>12}\n",
-        "workload",
-        "fabric",
-        "planes",
-        "",
-        "protocol",
-        "runtime",
-        "pkt lat",
-        "net-power",
-        "net-E/op"
-    ));
-    for r in results {
-        let cfg = r.spec.config();
-        out.push_str(&format!(
-            "{:<14}{:<10}{:>7}{:<3}{:<12}{:>12}{:>12.1}{:>11.2}x{:>12.1}\n",
-            r.spec.workload.name,
-            cfg.mesh.name(),
-            r.spec.planes,
-            "",
-            r.report.protocol,
-            r.report.runtime_cycles,
-            r.report.packet_latency.mean(),
-            scorpio_physical::network_power_scale(
-                result_goreq_vcs(r),
-                cfg.mesh.name(),
-                r.spec.planes
-            ),
-            net_energy_per_op(r),
-        ));
-    }
-    out.push_str("\nPer-address order is preserved across planes (steering assigns\n");
-    out.push_str("each line to exactly one plane); net-power and net-E/op come from\n");
-    out.push_str("the physical model, so bandwidth gains are priced, not free.\n");
-    out
+    let cols = [
+        workload(14),
+        fabric(),
+        planes(),
+        RunCol::left("", 3, |_| String::new()),
+        protocol(),
+        runtime(12),
+        pkt_lat(),
+        net_power(),
+        net_energy(),
+    ];
+    render_table(&s.title, &cols, results, PLANES_NOTE)
 }
+
+const PLANES_NOTE: &str = "Per-address order is preserved across planes (steering assigns
+each line to exactly one plane); net-power and net-E/op come from
+the physical model, so bandwidth gains are priced, not free.
+";
 
 // ----------------------------------- Plane-throughput self-benchmark
 
@@ -1164,58 +1058,47 @@ fn planes_throughput(size: Size) -> Scenario {
 }
 
 fn planes_throughput_render(s: &Scenario, results: &[RunResult]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("=== {} ===\n", s.title));
-    out.push_str(&format!(
-        "{:<14}{:>7}{:>12}{:>12}{:>12}{:>12}{:>12}\n",
-        "workload", "planes", "runtime", "req/kcyc", "speedup", "net-power", "net-E/op"
-    ));
-    for w in &s.grid.workloads {
-        let base = find(results, |spec| {
-            spec.workload.name == w.name && spec.planes == 1
-        })
-        .map_or(0, |r| r.report.runtime_cycles);
-        for r in results.iter().filter(|r| r.spec.workload.name == w.name) {
-            let rate = if r.report.runtime_cycles > 0 {
-                1000.0 * r.report.ops_completed as f64 / r.report.runtime_cycles as f64
-            } else {
-                0.0
-            };
-            let speedup = if r.report.runtime_cycles > 0 && base > 0 {
-                format!("{:>11.2}x", base as f64 / r.report.runtime_cycles as f64)
-            } else {
-                format!("{:>12}", "-")
-            };
-            out.push_str(&format!(
-                "{:<14}{:>7}{:>12}{:>12.1}{speedup}{:>11.2}x{:>12.1}\n",
-                r.spec.workload.name,
-                r.spec.planes,
-                r.report.runtime_cycles,
-                rate,
-                scorpio_physical::network_power_scale(result_goreq_vcs(r), "mesh", r.spec.planes),
-                net_energy_per_op(r),
-            ));
-        }
-    }
-    out.push_str("\nEvery run retires the identical op count, so speedup is the\n");
-    out.push_str("runtime ratio vs the single-plane network on the same traffic.\n");
-    out
+    // Speedup is the runtime ratio against the same workload's
+    // single-plane run.
+    let base = |r: &RunResult| {
+        let single =
+            |spec: &RunSpec| spec.workload.name == r.spec.workload.name && spec.planes == 1;
+        find(results, single).map_or(0, |b| b.report.runtime_cycles)
+    };
+    let cols = [
+        workload(14),
+        planes(),
+        runtime(12),
+        RunCol::fixed("req/kcyc", 12, 1, |r| match r.report.runtime_cycles {
+            0 => 0.0,
+            rt => 1000.0 * r.report.ops_completed as f64 / rt as f64,
+        }),
+        RunCol::right("speedup", 12, |r| {
+            match (base(r), r.report.runtime_cycles) {
+                (0, _) | (_, 0) => "-".into(),
+                (b, rt) => format!("{:.2}x", b as f64 / rt as f64),
+            }
+        }),
+        net_power(),
+        net_energy(),
+    ];
+    render_table(&s.title, &cols, results, THROUGHPUT_NOTE)
 }
+
+const THROUGHPUT_NOTE: &str = "Every run retires the identical op count, so speedup is the
+runtime ratio vs the single-plane network on the same traffic.
+";
 
 // ------------------------------------------- MC placement sweeps
-
-/// The MC-placement key of a spec's variant, if any.
-fn placement_of(spec: &RunSpec) -> Option<McPlacement> {
-    spec.variant.knobs.iter().find_map(|k| match k {
-        Knob::McPlacement { placement, .. } => Some(*placement),
-        _ => None,
-    })
-}
 
 /// Keeps only the (fabric, placement) cells [`McPlacement::supports`]
 /// defines.
 fn mc_placement_filter(spec: &RunSpec) -> bool {
-    placement_of(spec).is_some_and(|p| p.supports(spec.fabric))
+    spec.knob(|&k| match k {
+        Knob::McPlacement { placement, .. } => Some(placement),
+        _ => None,
+    })
+    .is_some_and(|p| p.supports(spec.fabric))
 }
 
 /// Topology-aware MC placement: MC count × placement scheme × fabric, at
@@ -1224,67 +1107,48 @@ fn mc_placement_filter(spec: &RunSpec) -> bool {
 /// balances, and the effect differs per topology.
 fn mc_placement(size: Size) -> Scenario {
     let k: u16 = size.pick(6, 4);
+    let cores = usize::from(k).pow(2);
     Scenario {
         name: "mc-placement",
-        title: format!(
-            "MC placement — count x placement x fabric at {} cores",
-            k as usize * k as usize
-        ),
+        title: format!("MC placement — count x placement x fabric at {cores} cores"),
         about: "MC count/placement sweep: corner vs spread vs proportional per fabric",
         grid: SweepGrid::over(vec![uniform_med()])
             .meshes(&[k])
             .fabrics(&[Fabric::Mesh, Fabric::Torus, Fabric::Ring])
-            .variants(vec![
-                Variant::knob(Knob::McPlacement {
-                    placement: McPlacement::Corner,
-                    mcs: 2,
-                }),
-                Variant::knob(Knob::McPlacement {
-                    placement: McPlacement::Corner,
-                    mcs: 4,
-                }),
-                Variant::knob(Knob::McPlacement {
-                    placement: McPlacement::Spread,
-                    mcs: 2,
-                }),
-                Variant::knob(Knob::McPlacement {
-                    placement: McPlacement::Spread,
-                    mcs: 4,
-                }),
-                Variant::knob(Knob::McPlacement {
-                    placement: McPlacement::Proportional,
-                    mcs: 0,
-                }),
-            ])
+            .variants(
+                [
+                    (McPlacement::Corner, 2),
+                    (McPlacement::Corner, 4),
+                    (McPlacement::Spread, 2),
+                    (McPlacement::Spread, 4),
+                    (McPlacement::Proportional, 0),
+                ]
+                .map(|(placement, mcs)| Variant::knob(Knob::McPlacement { placement, mcs }))
+                .into(),
+            )
             .filtered(mc_placement_filter),
         render: mc_placement_render,
     }
 }
 
 fn mc_placement_render(s: &Scenario, results: &[RunResult]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("=== {} ===\n", s.title));
-    out.push_str(&format!(
-        "{:<14}{:<10}{:<12}{:>5}{:>12}{:>14}{:>12}\n",
-        "workload", "fabric", "placement", "MCs", "runtime", "mem-served", "pkt lat"
-    ));
-    for r in results {
-        let cfg = r.spec.config();
-        out.push_str(&format!(
-            "{:<14}{:<10}{:<12}{:>5}{:>12}{:>14.1}{:>12.1}\n",
-            r.spec.workload.name,
-            cfg.mesh.name(),
-            r.spec.mc_placement().unwrap_or_default(),
-            cfg.mesh.mc_routers().len(),
-            r.report.runtime_cycles,
-            r.report.memory_served.mean(),
-            r.report.packet_latency.mean(),
-        ));
-    }
-    out.push_str("\nEach fabric runs only the placements defined for it (corner on\n");
-    out.push_str("mesh/torus, spreading on rings, proportional on meshes).\n");
-    out
+    let cols = [
+        workload(14),
+        fabric(),
+        RunCol::left("placement", 12, |r| {
+            r.spec.mc_placement().unwrap_or_default()
+        }),
+        mcs(),
+        runtime(12),
+        RunCol::fixed("mem-served", 14, 1, |r| r.report.memory_served.mean()),
+        pkt_lat(),
+    ];
+    render_table(&s.title, &cols, results, PLACEMENT_NOTE)
 }
+
+const PLACEMENT_NOTE: &str = "Each fabric runs only the placements defined for it (corner on
+mesh/torus, spreading on rings, proportional on meshes).
+";
 
 // --------------------------------------------- Concentrated-mesh sweeps
 
@@ -1298,12 +1162,10 @@ fn mc_placement_render(s: &Scenario, results: &[RunResult]) -> String {
 /// ordered broadcasts in strictly fewer cycles than c=1.
 fn cmesh(size: Size) -> Scenario {
     let k: u16 = size.pick(8, 4);
+    let cores = usize::from(k).pow(2);
     Scenario {
         name: "cmesh",
-        title: format!(
-            "CMesh — concentration 1/2/4 at {} cores, all ordering protocols",
-            k as usize * k as usize
-        ),
+        title: format!("CMesh — concentration 1/2/4 at {cores} cores, all ordering protocols"),
         about: "Concentrated-mesh sweep: 1/2/4 tiles per router at matched core counts",
         grid: SweepGrid::over(presets(&["blackscholes"]))
             .meshes(&[k])
@@ -1318,57 +1180,32 @@ fn cmesh(size: Size) -> Scenario {
 }
 
 fn cmesh_render(s: &Scenario, results: &[RunResult]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("=== {} ===\n", s.title));
-    out.push_str(&format!(
-        "{:<14}{:<14}{:>5}{:>7}{:>6}{:>8} {:<13}{:>12}{:>12}{:>12}{:>12}\n",
-        "workload",
-        "geometry",
-        "conc",
-        "planes",
-        "diam",
-        "window",
-        "protocol",
-        "runtime",
-        "pkt lat",
-        "net-power",
-        "net-E/op"
-    ));
-    for r in results {
-        let cfg = r.spec.config();
-        let conc = cfg.mesh.tiles_per_router();
-        out.push_str(&format!(
-            "{:<14}{:<14}{:>5}{:>7}{:>6}{:>8} {:<13}{:>12}{:>12.1}{:>11.2}x{:>12.1}\n",
-            r.spec.workload.name,
-            cfg.mesh.label(),
-            conc,
-            r.spec.planes,
-            cfg.mesh.diameter(),
-            cfg.notification_window(),
-            r.report.protocol,
-            r.report.runtime_cycles,
-            r.report.packet_latency.mean(),
-            scorpio_physical::network_power_scale_c(
-                result_goreq_vcs(r),
-                cfg.mesh.name(),
-                r.spec.planes,
-                conc as usize,
-            ),
-            net_energy_per_op(r),
-        ));
-    }
+    let cols = [
+        workload(14),
+        RunCol::left("geometry", 14, |r| r.spec.config().mesh.label()),
+        RunCol::num("conc", 5, |r| r.spec.config().mesh.tiles_per_router()),
+        planes(),
+        diam(),
+        RunCol::num("window", 8, |r| r.spec.config().notification_window()),
+        RunCol::left(" protocol", 14, |r| format!(" {}", r.report.protocol)),
+        runtime(12),
+        pkt_lat(),
+        net_power(),
+        net_energy(),
+    ];
     // Per-protocol latency deltas vs the unconcentrated column — the
     // hop-count win in one line each.
-    out.push('\n');
+    let mut deltas = String::new();
     for &p in &s.grid.protocols {
-        let lat = |conc: u8| -> Option<f64> {
-            find(results, |spec| {
-                spec.protocol == p && spec.fabric == Fabric::CMesh(conc) && spec.planes == 1
-            })
-            .map(|r| r.report.packet_latency.mean())
+        let lat = |c| {
+            let cell = (p, Fabric::CMesh(c), 1);
+            let run = find(results, |spec| {
+                (spec.protocol, spec.fabric, spec.planes) == cell
+            });
+            run.map(|r| r.report.packet_latency.mean())
         };
         if let (Some(c1), Some(c2), Some(c4)) = (lat(1), lat(2), lat(4)) {
-            out.push_str(&format!(
+            deltas.push_str(&format!(
                 "{:<12} pkt lat c1 {c1:>7.1}  c2 {c2:>7.1} ({:>+6.1}%)  c4 {c4:>7.1} ({:>+6.1}%)\n",
                 protocol_label(p),
                 100.0 * (c2 - c1) / c1,
@@ -1376,11 +1213,14 @@ fn cmesh_render(s: &Scenario, results: &[RunResult]) -> String {
             ));
         }
     }
-    out.push_str("\nSame cores, 1/c the routers: concentration shrinks the diameter\n");
-    out.push_str("and the notification window together; the higher-radix router's\n");
-    out.push_str("area/power cost is priced by the physical model's net columns.\n");
-    out
+    render_table(&s.title, &cols, results, &(deltas + CMESH_NOTE))
 }
+
+const CMESH_NOTE: &str = "
+Same cores, 1/c the routers: concentration shrinks the diameter
+and the notification window together; the higher-radix router's
+area/power cost is priced by the physical model's net columns.
+";
 
 // ------------------------------------------------ Open-loop latency curves
 
@@ -1407,18 +1247,7 @@ const CURVE_BURST: ArrivalProcess = ArrivalProcess::Bursty { on: 50, off: 150 };
 fn open_uniform() -> WorkloadParams {
     WorkloadParams {
         name: "open-uniform",
-        ops_per_core: 400,
-        mean_gap: 10.0,
-        write_fraction: 0.35,
-        shared_fraction: 0.5,
-        shared_lines: 4096,
-        private_lines: 1024,
-        hot_fraction: 0.1,
-        hot_lines: 64,
-        migratory_fraction: 0.1,
-        locality: 0.6,
-        phase_ops: 0,
-        phase_gap: 0,
+        ..uniform_med()
     }
 }
 
@@ -1430,19 +1259,13 @@ fn open_uniform() -> WorkloadParams {
 /// extremes the CMesh fairness columns surface per concentration slot.
 fn latency_curve(size: Size) -> Scenario {
     let loads: &[u32] = size.pick(&CURVE_LOADS_FULL, &CURVE_LOADS_SMALL);
-    let mut variants: Vec<Variant> = loads
+    let steps = loads
         .iter()
-        .map(|&millis| {
-            Variant::knob(Knob::OpenLoad {
-                process: ArrivalProcess::Poisson,
-                millis,
-            })
-        })
+        .map(|&millis| (ArrivalProcess::Poisson, millis));
+    let variants = steps
+        .chain([(CURVE_BURST, 20)])
+        .map(|(process, millis)| Variant::knob(Knob::OpenLoad { process, millis }))
         .collect();
-    variants.push(Variant::knob(Knob::OpenLoad {
-        process: CURVE_BURST,
-        millis: 20,
-    }));
     let fabrics: &[Fabric] = size.pick(
         &[Fabric::Mesh, Fabric::CMesh(2), Fabric::CMesh(4)],
         &[Fabric::Mesh, Fabric::CMesh(2)],
@@ -1476,141 +1299,100 @@ fn curve_group(spec: &RunSpec) -> Option<(&'static str, usize, String, &'static 
     Some((spec.fabric.label(), spec.planes, spec.protocol.name(), kind))
 }
 
-/// p99 of the full request sojourn (arrival → retire, source wait
-/// included) from a run's span annex.
-fn curve_p99(r: &RunResult) -> Option<u64> {
-    r.report
-        .obs
-        .as_ref()
-        .and_then(|o| o.spans.as_ref())
-        .and_then(|sp| sp.total.percentile(0.99))
+/// Per-slot injection-wait means on a concentrated mesh, as (max, min):
+/// all `c` tiles of a router share its local injection bandwidth, so the
+/// spread between the best- and worst-served slot is the
+/// arbitration-fairness signal (it diverges past the knee). `None` off a
+/// concentrated mesh.
+fn slot_extremes(r: &RunResult) -> Option<(f64, f64)> {
+    let Fabric::CMesh(c @ 2..) = r.spec.fabric else {
+        return None;
+    };
+    let slots = &r.report.obs.as_ref()?.inject_wait_slots;
+    let means: Vec<f64> = slots.iter().take(c as usize).map(|h| h.mean()).collect();
+    let max = means.iter().cloned().fold(f64::MIN, f64::max);
+    let min = means.iter().cloned().fold(f64::MAX, f64::min);
+    (!means.is_empty()).then_some((max, min))
+}
+
+/// A windowed per-endpoint extreme, `pick`ed from the window annex, as
+/// `slot:mean` — the endpoint mapped to its concentration slot (endpoint
+/// index modulo c; MC ports render as "mc").
+fn wait_cell(r: &RunResult, pick: fn(&WindowReport) -> Option<EpWait>) -> String {
+    let windows = r.report.obs.as_ref().and_then(|o| o.windows.as_ref());
+    let Some(m) = windows.and_then(pick) else {
+        return "-".into();
+    };
+    let slot = match r.spec.fabric {
+        _ if m.ep >= r.spec.config().cores() as u32 => "mc".into(),
+        Fabric::CMesh(c) if c > 1 => format!("s{}", m.ep % c as u32),
+        _ => format!("e{}", m.ep),
+    };
+    format!("{slot}:{:.1}", m.sum as f64 / m.count as f64)
 }
 
 fn latency_curve_render(s: &Scenario, results: &[RunResult]) -> String {
     use std::collections::BTreeMap;
-    let mut out = String::new();
-    out.push_str(&format!("=== {} ===\n", s.title));
-    out.push_str(&format!(
-        "{:<10}{:>3}{:>9}{:>10}{:>8}{:>9}{:>8}{:>10}{:>10}{:>11}{:>11}{}\n",
-        "fabric",
-        "pl",
-        "protocol",
-        "arrival",
-        "p50",
-        "p99",
-        "drops",
-        "slot-max",
-        "slot-min",
-        "wmax",
-        "wmin",
-        "  knee"
-    ));
-    // First pass: the knee per curve — the first load step whose p99
-    // exceeds KNEE_FACTOR x the lowest step's p99.
+    // The knee per curve: the first load step whose p99 exceeds
+    // KNEE_FACTOR x the lowest step's p99.
     let mut curves: BTreeMap<_, Vec<(u32, u64)>> = BTreeMap::new();
     for r in results {
+        let p99 = spans(r).and_then(|sp| sp.total.percentile(0.99));
         if let (Some(g), Some((_, load)), Some(p99)) =
-            (curve_group(&r.spec), r.spec.open_load(), curve_p99(r))
+            (curve_group(&r.spec), r.spec.open_load(), p99)
         {
             curves.entry(g).or_default().push((load, p99));
         }
     }
-    let mut knees: BTreeMap<_, u32> = BTreeMap::new();
-    for (g, mut steps) in curves {
+    let first_knee = |mut steps: Vec<(u32, u64)>| {
         steps.sort();
-        let Some(&(_, base)) = steps.first() else {
-            continue;
-        };
-        if let Some(&(load, _)) = steps.iter().find(|&&(_, p99)| p99 > KNEE_FACTOR * base) {
-            knees.insert(g, load);
+        let &(_, base) = steps.first()?;
+        let &(load, _) = steps.iter().find(|&&(_, p99)| p99 > KNEE_FACTOR * base)?;
+        Some(load)
+    };
+    let knees: BTreeMap<_, u32> = curves
+        .into_iter()
+        .filter_map(|(g, steps)| Some((g, first_knee(steps)?)))
+        .collect();
+    let sojourn = |f| {
+        move |r: &RunResult| {
+            let p = spans(r).and_then(|sp| sp.total.percentile(f));
+            p.map_or_else(|| "-".into(), |v| v.to_string())
         }
-    }
-    // Second pass: one row per run, fairness cells for concentrated rows.
-    for r in results {
-        let Some((process, load)) = r.spec.open_load() else {
-            continue;
-        };
-        let obs = r.report.obs.as_deref();
-        let sp = obs.and_then(|o| o.spans.as_ref());
-        let p = |f: f64| {
-            sp.and_then(|sp| sp.total.percentile(f))
-                .map_or_else(|| "-".into(), |v| v.to_string())
-        };
-        // Per-slot injection-wait means: on a concentrated mesh all c
-        // tiles of a router share its local injection bandwidth, so the
-        // spread between the best- and worst-served slot is the
-        // arbitration-fairness signal (it diverges past the knee).
-        let (slot_max, slot_min) = match r.spec.fabric {
-            Fabric::CMesh(c) if c > 1 => {
-                let means: Vec<f64> = obs
-                    .map(|o| {
-                        o.inject_wait_slots
-                            .iter()
-                            .take(c as usize)
-                            .map(|h| {
-                                if h.count() == 0 {
-                                    0.0
-                                } else {
-                                    h.sum() as f64 / h.count() as f64
-                                }
-                            })
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                let max = means.iter().cloned().fold(f64::MIN, f64::max);
-                let min = means.iter().cloned().fold(f64::MAX, f64::min);
-                if means.is_empty() {
-                    ("-".into(), "-".into())
-                } else {
-                    (format!("{max:.1}"), format!("{min:.1}"))
-                }
-            }
-            _ => ("-".into(), "-".into()),
-        };
-        // Windowed per-endpoint extremes, mapped to concentration slots
-        // (endpoint index modulo c; MC ports render as "mc").
-        let w = obs.and_then(|o| o.windows.as_ref());
-        let cores = r.spec.config().cores() as u32;
-        let slot_of = |ep: u32| -> String {
-            match r.spec.fabric {
-                _ if ep >= cores => "mc".into(),
-                Fabric::CMesh(c) if c > 1 => format!("s{}", ep % c as u32),
-                _ => format!("e{ep}"),
-            }
-        };
-        let wcell = |e: &Option<scorpio::EpWait>| {
-            e.as_ref().map_or_else(
-                || "-".into(),
-                |m| format!("{}:{:.1}", slot_of(m.ep), m.sum as f64 / m.count as f64),
-            )
-        };
-        let knee = curve_group(&r.spec)
-            .and_then(|g| knees.get(&g).copied())
-            .is_some_and(|k| k == load);
-        out.push_str(&format!(
-            "{:<10}{:>3}{:>9}{:>10}{:>8}{:>9}{:>8}{:>10}{:>10}{:>11}{:>11}{}\n",
-            r.spec.fabric.label(),
-            r.spec.planes,
-            protocol_label(r.spec.protocol),
-            process.label(load),
-            p(0.50),
-            p(0.99),
-            r.report.source_dropped,
-            slot_max,
-            slot_min,
-            wcell(&w.and_then(|w| w.max_wait.as_ref()).copied()),
-            wcell(&w.and_then(|w| w.min_wait.as_ref()).copied()),
-            if knee { "  <-- knee" } else { "" },
-        ));
-    }
-    out.push_str("\np50/p99: full request sojourn (arrival -> retire, source wait\n");
-    out.push_str("included) from the span annex. knee: first load step whose p99\n");
-    out.push_str(&format!(
-        "exceeds {KNEE_FACTOR}x the lowest step's. slot-max/slot-min: per-slot mean\n"
-    ));
-    out.push_str("injection wait on concentrated meshes (c tiles share one router\n");
-    out.push_str("port). wmax/wmin: worst/best windowed per-endpoint mean wait.\n");
-    out
+    };
+    let slot = |pick: fn((f64, f64)) -> f64| {
+        move |r: &RunResult| {
+            slot_extremes(r).map_or_else(|| "-".into(), |m| format!("{:.1}", pick(m)))
+        }
+    };
+    let cols = [
+        RunCol::left("fabric", 10, |r| r.spec.fabric.label().into()),
+        RunCol::num("pl", 3, |r| r.spec.planes),
+        legend(),
+        // An open-load variant is labelled with its arrival process.
+        RunCol::right("arrival", 10, |r| r.spec.variant.label.clone()),
+        RunCol::right("p50", 8, sojourn(0.50)),
+        RunCol::right("p99", 9, sojourn(0.99)),
+        RunCol::num("drops", 8, |r| r.report.source_dropped),
+        RunCol::right("slot-max", 10, slot(|(max, _)| max)),
+        RunCol::right("slot-min", 10, slot(|(_, min)| min)),
+        RunCol::right("wmax", 11, |r| wait_cell(r, |w| w.max_wait)),
+        RunCol::right("wmin", 11, |r| wait_cell(r, |w| w.min_wait)),
+        RunCol::left("  knee", 0, |r| {
+            let knee = curve_group(&r.spec).and_then(|g| knees.get(&g).copied());
+            let at_knee = knee.is_some() && knee == r.spec.open_load().map(|(_, load)| load);
+            String::from(if at_knee { "  <-- knee" } else { "" })
+        }),
+    ];
+    let note = format!(
+        "p50/p99: full request sojourn (arrival -> retire, source wait\n\
+         included) from the span annex. knee: first load step whose p99\n\
+         exceeds {KNEE_FACTOR}x the lowest step's. slot-max/slot-min: per-slot mean\n\
+         injection wait on concentrated meshes (c tiles share one router\n\
+         port). wmax/wmin: worst/best windowed per-endpoint mean wait.\n"
+    );
+    let rows = results.iter().filter(|r| r.spec.open_load().is_some());
+    render_table(&s.title, &cols, rows, &note)
 }
 
 #[cfg(test)]
@@ -1772,7 +1554,7 @@ mod tests {
         for spec in &specs {
             let placement = spec.mc_placement().expect("every cell has a placement");
             assert!(
-                placement_of(spec).unwrap().supports(spec.fabric),
+                mc_placement_filter(spec),
                 "unsupported cell {placement} on {:?}",
                 spec.fabric
             );

@@ -667,20 +667,22 @@ impl RunSpec {
         self.variant.apply(cfg)
     }
 
+    /// The first of this spec's variant knobs that `pick` maps to a value.
+    pub fn knob<T>(&self, pick: impl Fn(&Knob) -> Option<T>) -> Option<T> {
+        self.variant.knobs.iter().find_map(pick)
+    }
+
     /// The MC-placement key of this spec's variant, if it carries a
     /// [`Knob::McPlacement`] (recorded by the JSONL/CSV sinks).
     pub fn mc_placement(&self) -> Option<String> {
-        self.variant.knobs.iter().find_map(|k| match k {
-            Knob::McPlacement { .. } => Some(k.label()),
-            _ => None,
-        })
+        self.knob(|k| matches!(k, Knob::McPlacement { .. }).then(|| k.label()))
     }
 
     /// The open-loop injection point of this spec's variant, if it
     /// carries a [`Knob::OpenLoad`] (recorded by the JSONL/CSV sinks).
     pub fn open_load(&self) -> Option<(ArrivalProcess, u32)> {
-        self.variant.knobs.iter().find_map(|k| match k {
-            Knob::OpenLoad { process, millis } => Some((*process, *millis)),
+        self.knob(|&k| match k {
+            Knob::OpenLoad { process, millis } => Some((process, millis)),
             _ => None,
         })
     }

@@ -149,7 +149,7 @@ pub fn csv(scenario: &str, results: &[RunResult], opts: SinkOptions) -> String {
                 for h in [
                     &s.source, &s.queue, &s.inject, &s.flight, &s.commit, &s.data, &s.fill,
                 ] {
-                    out.push_str(&format!(",{:?}", h.sum() as f64 / h.count() as f64));
+                    out.push_str(&format!(",{:?}", h.mean()));
                 }
             }
             _ => out.push_str(",,,,,,,,"),

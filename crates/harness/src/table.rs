@@ -1,9 +1,93 @@
-//! The normalized-runtime pretty-printer used by most figure scenarios.
-//!
-//! Hardened against degenerate input: empty rows, ragged rows and zero
-//! baselines render as `-` cells instead of panicking or printing
-//! `NaN`/`inf` (a zero baseline is real — e.g. a workload whose runs were
-//! all filtered out of a grid, or a misconfigured sweep).
+//! Table printers: [`render_table`] prints a list of [`Col`]s, each
+//! stating its header, width, alignment and cell function once, so a
+//! header can never drift from its cells; [`render_normalized`] prints the
+//! normalized-runtime matrix of the figure scenarios through it. Zero
+//! baselines and ragged rows render as `-` cells, never `NaN`/`inf` (a zero
+//! baseline is real — e.g. a workload whose runs were all filtered out).
+
+use std::fmt::Display;
+
+/// One table column: a header, a width, an alignment and the function
+/// that renders a row's cell. Header and cells are padded to the same
+/// width with the same alignment; a cell longer than the width is printed
+/// whole. A separator is leading spaces in the header and cell text, and a
+/// spacer is a column with an empty header and empty cells.
+pub struct Col<'a, R> {
+    head: &'a str,
+    width: usize,
+    left: bool,
+    cell: Box<dyn Fn(&R) -> String + 'a>,
+}
+
+impl<'a, R> Col<'a, R> {
+    /// A left-aligned column.
+    pub fn left(head: &'a str, width: usize, cell: impl Fn(&R) -> String + 'a) -> Self {
+        Col::new(head, width, true, cell)
+    }
+
+    /// A right-aligned column.
+    pub fn right(head: &'a str, width: usize, cell: impl Fn(&R) -> String + 'a) -> Self {
+        Col::new(head, width, false, cell)
+    }
+
+    fn new(head: &'a str, width: usize, left: bool, cell: impl Fn(&R) -> String + 'a) -> Self {
+        Col {
+            head,
+            width,
+            left,
+            cell: Box::new(cell),
+        }
+    }
+
+    /// A right-aligned column of a displayed value.
+    pub fn num<T: Display>(head: &'a str, width: usize, value: impl Fn(&R) -> T + 'a) -> Self {
+        Col::right(head, width, move |r| value(r).to_string())
+    }
+
+    /// A right-aligned column of a float at `prec` decimals.
+    pub fn fixed(head: &'a str, width: usize, prec: usize, value: impl Fn(&R) -> f64 + 'a) -> Self {
+        Col::right(head, width, move |r| format!("{:.prec$}", value(r)))
+    }
+
+    fn pad(&self, text: &str, out: &mut String) {
+        let w = self.width;
+        let padded = if self.left {
+            format!("{text:<w$}")
+        } else {
+            format!("{text:>w$}")
+        };
+        out.push_str(&padded);
+    }
+}
+
+/// Renders `=== title ===`, the header line, one line per row and, when
+/// `footnote` is non-empty, a blank line and the footnote. A table whose
+/// headers are all empty prints no header line.
+pub fn render_table<'r, R: 'r>(
+    title: &str,
+    cols: &[Col<'_, R>],
+    rows: impl IntoIterator<Item = &'r R>,
+    footnote: &str,
+) -> String {
+    let mut out = format!("=== {title} ===\n");
+    if cols.iter().any(|c| !c.head.is_empty()) {
+        for c in cols {
+            c.pad(c.head, &mut out);
+        }
+        out.push('\n');
+    }
+    for row in rows {
+        for c in cols {
+            c.pad(&(c.cell)(row), &mut out);
+        }
+        out.push('\n');
+    }
+    if !footnote.is_empty() {
+        out.push('\n');
+        out.push_str(footnote);
+    }
+    out
+}
 
 /// Renders a normalized-runtime table: one row per benchmark, one column
 /// per configuration, all normalized to the first column. Rows whose
@@ -15,53 +99,55 @@ pub fn render_normalized(
     configs: &[&str],
     runtimes: &[Vec<u64>],
 ) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("\n=== {title} ===\n"));
-    out.push_str(&format!("{:<16}", "benchmark"));
-    for c in configs {
-        out.push_str(&format!("{c:>16}"));
-    }
-    out.push('\n');
+    type Row<'b> = (&'b str, Vec<Option<f64>>);
+    let mut rows: Vec<Row> = Vec::new();
     let mut sums = vec![0.0; configs.len()];
     let mut averaged_rows = 0usize;
-    for (b, row) in benchmarks.iter().zip(runtimes) {
-        out.push_str(&format!("{b:<16}"));
+    for (&b, row) in benchmarks.iter().zip(runtimes) {
         let base = row.first().copied().unwrap_or(0);
-        if base == 0 {
-            for _ in configs {
-                out.push_str(&format!("{:>16}", "-"));
-            }
-            out.push('\n');
-            continue;
-        }
-        averaged_rows += 1;
-        for (i, _) in configs.iter().enumerate() {
-            match row.get(i) {
-                Some(&rt) => {
-                    let norm = rt as f64 / base as f64;
-                    sums[i] += norm;
-                    out.push_str(&format!("{norm:>16.3}"));
-                }
-                None => out.push_str(&format!("{:>16}", "-")),
+        let norm = |i: usize| Some(*row.get(i)? as f64 / base as f64).filter(|_| base > 0);
+        let norms: Vec<Option<f64>> = (0..configs.len()).map(norm).collect();
+        if base > 0 {
+            averaged_rows += 1;
+            for (sum, n) in sums.iter_mut().zip(&norms) {
+                *sum += n.unwrap_or(0.0);
             }
         }
-        out.push('\n');
+        rows.push((b, norms));
     }
-    out.push_str(&format!("{:<16}", "AVG"));
-    for s in &sums {
-        if averaged_rows == 0 {
-            out.push_str(&format!("{:>16}", "-"));
-        } else {
-            out.push_str(&format!("{:>16.3}", s / averaged_rows as f64));
-        }
+    let avg = sums
+        .iter()
+        .map(|s| (averaged_rows > 0).then(|| s / averaged_rows as f64));
+    rows.push(("AVG", avg.collect()));
+    let mut cols = vec![Col::left("benchmark", 16, |r: &Row| r.0.into())];
+    for (i, &c) in configs.iter().enumerate() {
+        cols.push(Col::right(c, 16, move |r: &Row| {
+            r.1[i].map_or_else(|| "-".into(), |v| format!("{v:.3}"))
+        }));
     }
-    out.push('\n');
-    out
+    format!("\n{}", render_table(title, &cols, &rows, ""))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn columns_pad_header_and_cells_alike() {
+        let cols = [
+            Col::left("name", 6, |r: &(&str, f64)| r.0.to_string()),
+            Col::right("value", 8, |r: &(&str, f64)| format!("{:.1}%", r.1)),
+            Col::left("", 0, |_: &(&str, f64)| "  <-".into()),
+        ];
+        let t = render_table("demo", &cols, &[("a", 2.3), ("longer!", 100.0)], "note\n");
+        assert_eq!(
+            t,
+            "=== demo ===\nname     value\na         2.3%  <-\nlonger!  100.0%  <-\n\nnote\n"
+        );
+        // All-empty headers print no header line; no footnote, no blank.
+        let cols = [Col::left("", 3, |r: &u8| r.to_string())];
+        assert_eq!(render_table("t", &cols, &[7], ""), "=== t ===\n7  \n");
+    }
 
     #[test]
     fn normalizes_to_first_column() {

@@ -375,6 +375,15 @@ impl LogHistogram {
         (self.count > 0).then_some(self.max)
     }
 
+    /// Exact arithmetic mean, or 0.0 when empty (as [`Accumulator::mean`]).
+    pub fn mean(&self) -> f64 {
+        if self.count == 0 {
+            0.0
+        } else {
+            self.sum as f64 / self.count as f64
+        }
+    }
+
     /// Count in bucket `idx`.
     ///
     /// # Panics
@@ -602,6 +611,20 @@ mod tests {
         assert_eq!(h.count(), 101);
         assert_eq!(h.max(), Some(2000));
         assert_eq!(h.percentile(1.0), Some(2047));
+    }
+
+    #[test]
+    fn log_histogram_mean_matches_accumulator() {
+        assert_eq!(LogHistogram::new().mean(), 0.0);
+        assert_eq!(LogHistogram::new().mean(), Accumulator::new().mean());
+        let mut h = LogHistogram::new();
+        let mut a = Accumulator::new();
+        for v in [3, 4, 10] {
+            h.record(v);
+            a.record(v);
+        }
+        assert_eq!(h.mean(), 17.0 / 3.0);
+        assert_eq!(h.mean().to_bits(), a.mean().to_bits());
     }
 
     #[test]
