@@ -12,63 +12,19 @@
 use crate::msg::LineAddr;
 use std::collections::HashMap;
 
-/// Sharer-tracking state of a limited-pointer directory entry (LPD, after
-/// Agarwal et al.): 2 state bits, an owner id, and up to `P` sharer
-/// pointers; overflow falls back to broadcast.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct LpdEntry {
-    /// The owning cache, if the line is dirty on chip.
-    pub owner: Option<u16>,
-    /// Known sharers (bounded by the pointer count).
-    pub sharers: Vec<u16>,
-    /// Pointer overflow: sharer set unknown, invalidations must broadcast.
-    pub overflowed: bool,
-}
+/// The limited-pointer directory entry (LPD, after Agarwal et al.): 2
+/// state bits, an owner id and `P` sharer pointers. Only its width is
+/// modelled: LPD-D and HT-D (2-bit entries) broadcast alike and differ only
+/// in how many entries their directory caches hold.
+pub enum LpdEntry {}
 
 impl LpdEntry {
-    /// Records a sharer, overflowing past `max_pointers`.
-    pub fn add_sharer(&mut self, tile: u16, max_pointers: usize) {
-        if self.overflowed || self.sharers.contains(&tile) {
-            return;
-        }
-        if self.sharers.len() == max_pointers {
-            self.overflowed = true;
-        } else {
-            self.sharers.push(tile);
-        }
-    }
-
-    /// Clears sharer tracking (after invalidations).
-    pub fn clear_sharers(&mut self) {
-        self.sharers.clear();
-        self.overflowed = false;
-    }
-
     /// The bit width of one entry: 2 state bits + owner id + P pointers
     /// (Section 5, "Each directory entry contains 2 state bits, log N bits
     /// to record the owner ID, and a set of pointers").
     pub fn entry_bits(cores: usize, pointers: usize) -> usize {
         let id_bits = usize::BITS as usize - (cores - 1).leading_zeros() as usize;
         2 + id_bits + pointers * id_bits
-    }
-}
-
-/// HyperTransport-style entry: no sharer info, just whether memory owns the
-/// line and whether the writeback data has landed (2 bits).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HtEntry {
-    /// Memory owns the line (no L2 owner on chip).
-    pub memory_owned: bool,
-    /// Memory's copy is valid (writeback data received).
-    pub valid: bool,
-}
-
-impl Default for HtEntry {
-    fn default() -> Self {
-        HtEntry {
-            memory_owned: true,
-            valid: true,
-        }
     }
 }
 
@@ -279,23 +235,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn lpd_sharers_overflow_to_broadcast() {
-        let mut e = LpdEntry::default();
-        for t in 0..4 {
-            e.add_sharer(t, 4);
-        }
-        assert_eq!(e.sharers.len(), 4);
-        assert!(!e.overflowed);
-        e.add_sharer(9, 4);
-        assert!(e.overflowed);
-        // Duplicates never count twice.
-        let mut d = LpdEntry::default();
-        d.add_sharer(1, 2);
-        d.add_sharer(1, 2);
-        assert_eq!(d.sharers.len(), 1);
-    }
-
-    #[test]
     fn lpd_entry_bits_match_paper() {
         // 36 cores: id bits = 6; pointer width chosen so ~4 sharers ≈ 24
         // bits of pointers (Section 5: "the pointer vector width is chosen
@@ -304,12 +243,6 @@ mod tests {
         // 64 cores: 6-bit ids… 64 cores → id bits 6, 54-bit pointer vector
         // means 9 pointers of 6 bits.
         assert_eq!(LpdEntry::entry_bits(64, 9), 2 + 6 + 54);
-    }
-
-    #[test]
-    fn ht_default_is_memory_valid() {
-        let e = HtEntry::default();
-        assert!(e.memory_owned && e.valid);
     }
 
     #[test]

@@ -31,7 +31,7 @@ mod inso;
 mod mosi;
 mod msg;
 
-pub use directory::{home_tile, DirectoryCache, HtEntry, LpdEntry, Owner, OwnershipStore};
+pub use directory::{home_tile, DirectoryCache, LpdEntry, Owner, OwnershipStore};
 pub use fid::{FidEntry, FidList, FidPush};
 pub use inso::{InsoReorderBuffer, InsoSlotAllocator, SlotContent};
 pub use mosi::{fill_state, snoop_transition, LineState, SnoopAction};

@@ -123,11 +123,6 @@ pub struct SpanReport {
 }
 
 impl SpanReport {
-    /// The JSONL schema names of the seven phases, in breakdown order.
-    pub const PHASE_NAMES: [&'static str; 7] = [
-        "source", "queue", "inject", "flight", "commit", "data", "fill",
-    ];
-
     /// Folds one span into the phase histograms.
     pub fn fold(&mut self, s: &MissSpan) {
         self.count += 1;

@@ -23,7 +23,7 @@ use scorpio_coherence::{
 use scorpio_mem::{L2Out, MemoryController, MissSpan, OrderedSnoop, SnoopyL2};
 use scorpio_nic::{Nic, NicMode};
 use scorpio_noc::{
-    Endpoint, LocalSlot, MultiNetwork, ObsConfig, SteerKey, TraceEvent, TraceKind, VnetId,
+    Endpoint, LocalSlot, MultiNetwork, ObsConfig, Sid, SteerKey, TraceEvent, TraceKind, VnetId,
     WindowCell,
 };
 use scorpio_notify::{NotifyConfig, NotifyNetwork};
@@ -1485,39 +1485,56 @@ impl System {
         out
     }
 
-    /// Prints internal state for deadlock debugging.
+    /// Internal state for deadlock debugging: every tile's and MC's
+    /// expected SID on each plane, and the latest window's stop bit on
+    /// each plane.
     #[doc(hidden)]
-    pub fn debug_dump(&self) {
-        println!(
-            "cycle {}  net last progress {}",
+    pub fn debug_dump(&self) -> String {
+        use std::fmt::Write;
+        let planes = self.cfg.planes.get();
+        let esids = |nic: &Nic<CohMsg>| -> Vec<Option<Sid>> {
+            (0..planes).map(|p| nic.current_esid(p)).collect()
+        };
+        let mut out = format!(
+            "cycle {}  net last progress {}\n",
             self.cycle(),
             self.net.last_progress()
         );
-        print!("{}", self.sleep_states());
+        out.push_str(&self.sleep_states());
         for (t, l2) in self.l2s.iter().enumerate() {
-            println!(
+            let _ = writeln!(
+                out,
                 "tile {t}: driver done={} ops={} l2 idle={} esid={:?} nic backlog={} ordered_backlog={}",
                 self.drivers[t].is_done(),
                 self.drivers[t].ops_done,
                 l2.is_idle(),
-                self.nics[t].current_esid(),
+                esids(&self.nics[t]),
                 self.net.inject_backlog(self.nics[t].endpoint()),
                 self.nics[t].ordering_backlog(),
             );
-            println!("        nic counters {:?}", self.nics[t].debug_counters());
-            print!("{}", self.l2s[t].debug_state());
+            let _ = writeln!(
+                out,
+                "        nic counters {:?}",
+                self.nics[t].debug_counters()
+            );
+            out.push_str(&self.l2s[t].debug_state());
         }
         if let Some(n) = &self.notify {
-            println!(
-                "notify: windows={} nonempty={} latest={:?}",
+            let latest = n.latest().map(|(w, m)| {
+                let stops: Vec<bool> = (0..m.planes()).map(|p| m.stop(p)).collect();
+                (w, m.total(), stops)
+            });
+            let _ = writeln!(
+                out,
+                "notify: windows={} nonempty={} latest={latest:?}",
                 n.windows_completed.get(),
                 n.nonempty_windows.get(),
-                n.latest().map(|(w, m)| (w, m.total(), m.stop()))
             );
         }
         if self.cfg.protocol != Protocol::Scorpio {
             for (i, rb) in self.reorders.iter().enumerate() {
-                println!(
+                let _ = writeln!(
+                    out,
                     "rb {i}: next_slot={} buffered={} pending_ordered={:?} pending_expiry={:?} slots_used={:?}",
                     rb.next_slot(),
                     rb.buffered(),
@@ -1529,14 +1546,16 @@ impl System {
         }
         for (m, mc) in self.mcs.iter().enumerate() {
             let idx = self.cfg.cores() + m;
-            println!(
+            let _ = writeln!(
+                out,
                 "mc {m}: idle={} esid={:?} backlog={}",
                 mc.is_idle(),
-                self.nics[idx].current_esid(),
+                esids(&self.nics[idx]),
                 self.nics[idx].ordering_backlog()
             );
         }
-        print!("{}", self.net.debug_dump());
+        out.push_str(&self.net.debug_dump());
+        out
     }
 
     /// The last value each core observed would require driver access; the
@@ -1761,5 +1780,26 @@ mod tests {
             !dump.contains("yet due since"),
             "a wake was missed:\n{dump}"
         );
+    }
+
+    /// A multi-plane post-mortem shows every plane's expectation and stop
+    /// bit, not plane 0's alone.
+    #[test]
+    fn debug_dump_shows_every_plane() {
+        let cfg = SystemConfig::square(4).with_planes(2);
+        let params = WorkloadParams::by_name("barnes").expect("preset exists");
+        let traces = generate(&params.with_ops(20), cfg.cores(), cfg.seed);
+        let mut sys = System::with_traces(cfg, traces);
+        (0..300).for_each(|_| sys.step());
+        let dump = sys.debug_dump();
+        // The bracketed list after `key` holds one entry per plane.
+        let per_plane = |prefix: &str, key: &str| {
+            let line = dump.lines().find(|l| l.starts_with(prefix)).unwrap();
+            let list = line.split(key).nth(1).unwrap().split(']').next().unwrap();
+            assert_eq!(list.split(", ").count(), 2, "{line}");
+        };
+        per_plane("tile 0: driver", "esid=[");
+        per_plane("mc 0: idle", "esid=[");
+        per_plane("notify:", ", [");
     }
 }

@@ -2,10 +2,9 @@
 //!
 //! Every [`RunSpec`] in a grid is an *independent* simulation — a fresh
 //! [`System`] with its own RNG streams and no shared state — so a sweep is
-//! embarrassingly parallel. The executor distributes specs round-robin over
-//! per-worker deques; a worker drains its own deque from the front and,
-//! when empty, steals from the back of its siblings, so stragglers (big
-//! meshes, slow protocols) cannot serialize the sweep behind one worker.
+//! embarrassingly parallel. Workers claim the next unclaimed spec from one
+//! shared cursor whenever they finish one, so stragglers (big meshes, slow
+//! protocols) cannot serialize the sweep behind one worker.
 //!
 //! Determinism: each run's result depends only on its spec (plus the
 //! ops-per-core override), and results are returned in grid-enumeration
@@ -13,7 +12,7 @@
 //! completion order. Wall-clock timings are recorded per run but kept out
 //! of the deterministic sinks unless explicitly requested.
 
-use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -210,80 +209,40 @@ pub fn run_grid(grid: &SweepGrid, opts: &ExecOptions) -> Vec<RunResult> {
 }
 
 /// Runs an explicit spec list and returns results in the same order.
+///
+/// Workers claim specs in enumeration order from one shared cursor and
+/// write each result into that spec's slot, so the output order never
+/// depends on which worker ran what.
 pub fn run_specs(specs: &[RunSpec], opts: &ExecOptions) -> Vec<RunResult> {
-    let n = specs.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let workers = opts.effective_threads().clamp(1, n);
-    let ov = &opts.overrides;
-    if workers == 1 {
-        return specs
-            .iter()
-            .map(|s| {
-                let r = run_spec_ov(s, opts.ops_per_core, ov);
-                if opts.verbose {
-                    eprintln!(
-                        "[harness] {} -> {} cycles",
-                        s.key(),
-                        r.report.runtime_cycles
-                    );
-                }
-                r
-            })
-            .collect();
-    }
-
-    // Per-worker deques, filled round-robin so neighbouring (similarly
-    // sized) jobs spread across workers; idle workers steal from the back.
-    let queues: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-        .map(|w| {
-            Mutex::new(
-                (0..n)
-                    .filter(|i| i % workers == w)
-                    .collect::<VecDeque<usize>>(),
-            )
-        })
-        .collect();
-    let slots: Vec<Mutex<Option<RunResult>>> = (0..n).map(|_| Mutex::new(None)).collect();
-
+    let workers = opts.effective_threads().clamp(1, specs.len().max(1));
+    // `Relaxed` is enough: the cursor only hands out indices; results are
+    // published through the slot mutexes and the scope's join.
+    let cursor = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<RunResult>>> = specs.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         for w in 0..workers {
-            let queues = &queues;
-            let slots = &slots;
+            let (cursor, slots) = (&cursor, &slots);
             scope.spawn(move || loop {
-                // Own queue first (front), then steal (back). The own-pop
-                // must be its own statement: chaining `.or_else` onto the
-                // locked pop would keep queue w's guard alive across the
-                // steal (temporaries live to the end of the statement),
-                // and two workers going idle together would then deadlock
-                // on each other's queue locks.
-                let own = queues[w].lock().unwrap().pop_front();
-                let job = own.or_else(|| {
-                    (1..workers)
-                        .map(|d| (w + d) % workers)
-                        .find_map(|v| queues[v].lock().unwrap().pop_back())
-                });
-                let Some(i) = job else { break };
-                let r = run_spec_ov(&specs[i], opts.ops_per_core, ov);
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(spec) = specs.get(i) else { break };
+                let r = run_spec_ov(spec, opts.ops_per_core, &opts.overrides);
                 if opts.verbose {
                     eprintln!(
                         "[harness] {} -> {} cycles (worker {w})",
-                        specs[i].key(),
+                        spec.key(),
                         r.report.runtime_cycles
                     );
                 }
-                *slots[i].lock().unwrap() = Some(r);
+                *slots[i].lock().expect("no worker panics holding a slot") = Some(r);
             });
         }
     });
-
     slots
         .into_iter()
         .map(|m| {
             m.into_inner()
-                .unwrap()
-                .expect("every job index was queued exactly once")
+                .expect("no worker panics holding a slot")
+                .expect("the cursor hands out every spec index exactly once")
         })
         .collect()
 }

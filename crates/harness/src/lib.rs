@@ -10,8 +10,8 @@
 //! * [`registry`] — one entry per experiment: every figure/table of the
 //!   paper (`fig6` … `table2`) and every study since, most of them also
 //!   at a reduced [`registry::Size`] run as `<name>-small`,
-//! * [`exec`] — a multi-threaded, work-stealing job executor whose
-//!   results are byte-identical for any worker count,
+//! * [`exec`] — a multi-threaded job executor whose results are
+//!   byte-identical for any worker count,
 //! * [`sink`] — deterministic JSON-lines and CSV result sinks,
 //! * [`table`] — the column-list table writer every renderer prints through,
 //! * [`cli`] — the `harness` command (`harness list`, `harness run fig7

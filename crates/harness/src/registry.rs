@@ -260,7 +260,7 @@ fn net_shape(r: &RunResult) -> (u8, &'static str, usize, usize) {
 fn net_power<'a>() -> RunCol<'a> {
     RunCol::right("net-power", 12, |r| {
         let (vcs, fabric, planes, conc) = net_shape(r);
-        let power = scorpio_physical::network_power_scale_c(vcs, fabric, planes, conc);
+        let power = scorpio_physical::network_power_scale(vcs, fabric, planes, conc);
         format!("{power:.2}x")
     })
 }
@@ -272,7 +272,7 @@ fn net_energy<'a>() -> RunCol<'a> {
     RunCol::fixed("net-E/op", 12, 1, |r| {
         let (vcs, fabric, planes, conc) = net_shape(r);
         let (runtime, ops) = (r.report.runtime_cycles, r.report.ops_completed);
-        scorpio_physical::energy_per_message_scale_c(vcs, fabric, planes, conc, runtime, ops)
+        scorpio_physical::energy_per_message_scale(vcs, fabric, planes, conc, runtime, ops)
     })
 }
 
@@ -455,7 +455,7 @@ fn fig9_render(_s: &Scenario, _results: &[RunResult]) -> String {
         "Chip power (36 tiles): {:.1} W\n\
          Notification network width: 36×1b = {} bits (<1% tile area/power)\n",
         scorpio_physical::chip_power_watts(36),
-        scorpio_physical::notification_width_bits(36, 1)
+        scorpio_physical::notification_width_bits(36, 1, 1)
     );
     format!(
         "{}\n{}",

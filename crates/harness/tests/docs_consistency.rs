@@ -4,6 +4,8 @@
 //! it, nothing explains its columns), so CI fails the build instead.
 
 use scorpio_harness::registry;
+use std::collections::HashMap;
+use std::path::{Path, PathBuf};
 
 /// Repo-root file contents (the harness crate lives two levels down).
 fn repo_file(name: &str) -> String {
@@ -332,5 +334,74 @@ fn every_stream_key_is_documented() {
         kinds.into_iter().collect::<Vec<_>>(),
         all,
         "the run must emit every kind"
+    );
+}
+
+/// Every `.rs` file under `dir`, recursively, in path order.
+fn rust_files(dir: &Path) -> Vec<PathBuf> {
+    let mut files = Vec::new();
+    let mut dirs = vec![dir.to_path_buf()];
+    while let Some(d) = dirs.pop() {
+        let entries = std::fs::read_dir(&d).unwrap_or_else(|e| panic!("cannot list {d:?}: {e}"));
+        for entry in entries {
+            let path = entry.expect("a readable directory entry").path();
+            if path.is_dir() {
+                dirs.push(path);
+            } else if path.extension().is_some_and(|x| x == "rs") {
+                files.push(path);
+            }
+        }
+    }
+    files.sort();
+    files
+}
+
+/// The identifier tokens of `line`.
+fn words(line: &str) -> impl Iterator<Item = &str> + '_ {
+    line.split(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .filter(|w| !w.is_empty())
+}
+
+/// Every `pub fn` of the program is called, named or documented somewhere
+/// besides a definition, so dead public API cannot come back unnoticed. A
+/// word right after `fn` is a definition, not a reference. The allow-list
+/// is empty.
+#[test]
+fn every_public_fn_is_referenced() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut uses: HashMap<String, usize> = HashMap::new();
+    let mut defs = Vec::new();
+    for dir in ["crates", "src", "tests", "examples", "benchmark/src"] {
+        for path in rust_files(&root.join(dir)) {
+            let rel = path.strip_prefix(&root).expect("under the root").to_owned();
+            let mut parts = rel.iter();
+            let defining = match (parts.next(), parts.next(), parts.next()) {
+                (Some(top), _, _) if top == "src" => true,
+                (Some(top), Some(_), Some(sub)) => top == "crates" && sub == "src",
+                _ => false,
+            };
+            let text = std::fs::read_to_string(&path).expect("a readable source file");
+            for line in text.lines() {
+                let mut after_fn = false;
+                for w in words(line) {
+                    if !after_fn {
+                        *uses.entry(w.to_owned()).or_default() += 1;
+                    }
+                    after_fn = w == "fn";
+                }
+                let def = line.trim_start().strip_prefix("pub fn ");
+                if let (true, Some(name)) = (defining, def.and_then(|d| words(d).next())) {
+                    defs.push(format!("{}: {name}", rel.display()));
+                }
+            }
+        }
+    }
+    let unreferenced: Vec<&String> = defs
+        .iter()
+        .filter(|d| !uses.contains_key(d.rsplit(' ').next().expect("a name")))
+        .collect();
+    assert!(
+        unreferenced.is_empty(),
+        "public functions nothing references: {unreferenced:#?}"
     );
 }

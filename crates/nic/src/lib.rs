@@ -7,7 +7,11 @@
 //! completed time window into that plane's globally consistent
 //! Expected-SID stream; ordered requests — including the NIC's own, via
 //! per-plane loopback queues — are released to the controller strictly in
-//! their plane's order, while responses flow through unordered.
+//! their plane's order, while responses flow through unordered. Every
+//! per-plane accessor names its plane: [`Nic::current_esid`] takes the
+//! plane whose expectation to read, and [`NotificationTracker::new`] the
+//! plane whose word group the tracker expands (plane 0 on the chip's
+//! single-plane network).
 //!
 //! # Examples
 //!
@@ -16,14 +20,15 @@
 //! ```
 //! use scorpio_nic::{Nic, NicConfig, NicMode};
 //! use scorpio_noc::{Endpoint, Mesh, MultiNetwork, NocConfig, RouterId, Sid};
-//! use scorpio_notify::{NotifyConfig, NotifyNetwork};
+//! use scorpio_notify::{NotifyConfig, NotifyNetwork, NotifyScheme};
 //! use std::num::NonZeroUsize;
 //!
 //! let mesh = Mesh::new(2, 2, &[]);
 //! let one = NonZeroUsize::new(1).unwrap();
 //! let mut net: MultiNetwork<u32> =
 //!     MultiNetwork::new(mesh.clone(), NocConfig::scorpio(), one, 0);
-//! let mut notify = NotifyNetwork::new(&mesh, NotifyConfig::for_mesh(&mesh));
+//! let cfg = NotifyConfig::for_mesh(&mesh);
+//! let mut notify = NotifyNetwork::with_scheme(&mesh, cfg, 1, NotifyScheme::Flat);
 //! let mut nics: Vec<Nic<u32>> = (0..4)
 //!     .map(|i| {
 //!         let ep = Endpoint::tile(RouterId(i));

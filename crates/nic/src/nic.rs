@@ -204,7 +204,7 @@ impl<T: Payload + SteerKey> Nic<T> {
             mode,
             planes,
             tracker: (0..planes)
-                .map(|p| NotificationTracker::for_plane(cores, cfg.tracker_depth, p))
+                .map(|p| NotificationTracker::new(cores, cfg.tracker_depth, p))
                 .collect(),
             unsent: vec![0; planes],
             announced: vec![0; planes],
@@ -238,15 +238,13 @@ impl<T: Payload + SteerKey> Nic<T> {
         self.planes
     }
 
-    /// The SID currently expected in plane 0's global order (the
-    /// single-plane network's "the" expected SID).
-    pub fn current_esid(&self) -> Option<Sid> {
-        self.tracker[0].current_esid()
-    }
-
-    /// The SID currently expected in plane `p`'s global order.
-    pub fn current_esid_plane(&self, p: usize) -> Option<Sid> {
-        self.tracker[p].current_esid()
+    /// The SID currently expected in plane `plane`'s global order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `plane` is out of range.
+    pub fn current_esid(&self, plane: usize) -> Option<Sid> {
+        self.tracker[plane].current_esid()
     }
 
     /// Ordered requests (current + queued windows, all planes) still to be
@@ -371,16 +369,6 @@ impl<T: Payload + SteerKey> Nic<T> {
         ))
     }
 
-    /// Whether an ordered request for the line keyed `key` would currently
-    /// be accepted (its plane's pending-notification budget has room).
-    pub fn can_send_request(&self, net: &MultiNetwork<T>, key: u64) -> bool {
-        let plane = net.plane_of(key);
-        self.sid.is_some()
-            && self.mode == NicMode::Ordered
-            && self.unsent[plane] + self.announced[plane] < self.cfg.max_pending_notifications
-            && !self.own_queue[plane].is_full()
-    }
-
     /// Injects an ordered coherence request (broadcast + later
     /// notification) onto the plane its payload's [`SteerKey`] selects.
     ///
@@ -466,11 +454,6 @@ impl<T: Payload + SteerKey> Nic<T> {
         self.ordered_out.pop()
     }
 
-    /// Peeks the next ordered request without consuming it.
-    pub fn peek_ordered(&self) -> Option<&OrderedDelivery<T>> {
-        self.ordered_out.front()
-    }
-
     /// Takes the next fully reassembled unordered packet, if any.
     pub fn pop_packet(&mut self) -> Option<Packet<T>> {
         self.packet_out.pop()
@@ -507,7 +490,7 @@ impl<T: Payload + SteerKey> Nic<T> {
         }
         self.last_window = Some(w);
         for p in 0..self.planes {
-            if msg.stop_in(p) {
+            if msg.stop(p) {
                 // Everyone ignores this plane's word group; our
                 // announcement (if any) must be re-sent.
                 self.stats.stop_windows.incr();
@@ -538,7 +521,7 @@ impl<T: Payload + SteerKey> Nic<T> {
             let stop = self.tracker[p].should_stop();
             let count = self.unsent[p].min(max);
             if count > 0 || stop {
-                notify.stage_injection_in(p, sid.index(), count, stop);
+                notify.stage_injection(p, sid.index(), count, stop);
                 self.unsent[p] -= count;
                 self.announced[p] = count;
             }
@@ -721,15 +704,51 @@ fn expected_vc<T: Payload>(net: &Network<T>, idx: usize, heads: u32, esid: Sid) 
     })
 }
 
+/// One expected SID and one unsent count per plane, so a multi-plane
+/// post-mortem shows every plane's expectation.
 impl<T: Payload> std::fmt::Debug for Nic<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let esid: Vec<Option<Sid>> = self
+            .tracker
+            .iter()
+            .map(NotificationTracker::current_esid)
+            .collect();
         f.debug_struct("Nic")
             .field("ep", &self.ep)
             .field("sid", &self.sid)
             .field("mode", &self.mode)
             .field("planes", &self.planes)
-            .field("esid", &self.tracker[0].current_esid())
+            .field("esid", &esid)
             .field("unsent", &self.unsent)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use scorpio_noc::RouterId;
+    use scorpio_notify::NotifyMsg;
+
+    /// A hang on plane 1 must be visible in the NIC's debug text, not only
+    /// plane 0's expectation.
+    #[test]
+    fn debug_shows_every_planes_expectation() {
+        let ep = Endpoint::tile(RouterId(0));
+        let mut nic: Nic<u32> = Nic::new(
+            ep,
+            Some(Sid(0)),
+            NicMode::Ordered,
+            4,
+            2,
+            NicConfig::default(),
+        );
+        let mut window = NotifyMsg::new(4, 1, 2);
+        window.set_count(1, 3, 1);
+        nic.tracker[1].push_window(&window);
+        assert_eq!(nic.current_esid(0), None);
+        assert_eq!(nic.current_esid(1), Some(Sid(3)));
+        let text = format!("{nic:?}");
+        assert!(text.contains("esid: [None, Some(Sid(3))]"), "{text}");
     }
 }

@@ -24,10 +24,10 @@ use std::collections::VecDeque;
 /// use scorpio_notify::NotifyMsg;
 /// use scorpio_noc::Sid;
 ///
-/// let mut t = NotificationTracker::new(4, 8);
-/// let mut w = NotifyMsg::new(4, 2);
-/// w.set_count(2, 1);
-/// w.set_count(0, 2);
+/// let mut t = NotificationTracker::new(4, 8, 0);
+/// let mut w = NotifyMsg::new(4, 2, 1);
+/// w.set_count(0, 2, 1);
+/// w.set_count(0, 0, 2);
 /// t.push_window(&w);
 /// // Priority starts at core 0: order is 0, 0, 2.
 /// assert_eq!(t.current_esid(), Some(Sid(0)));
@@ -60,23 +60,14 @@ pub struct NotificationTracker {
 
 impl NotificationTracker {
     /// A tracker for `cores` cores with a `depth`-entry window queue,
-    /// expanding plane 0's announcement words (the single-plane network).
+    /// expanding plane `plane`'s word group of every pushed window (plane
+    /// 0 on the chip's single-plane network).
     ///
     /// # Panics
     ///
     /// Panics if `cores` is zero or `depth < 2` (one in-flight window of
     /// headroom is required for the stop-bit protocol to be lossless).
-    pub fn new(cores: usize, depth: usize) -> Self {
-        NotificationTracker::for_plane(cores, depth, 0)
-    }
-
-    /// A tracker expanding plane `plane`'s word group of every pushed
-    /// window (see [`NotificationTracker::new`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`NotificationTracker::new`].
-    pub fn for_plane(cores: usize, depth: usize, plane: usize) -> Self {
+    pub fn new(cores: usize, depth: usize, plane: usize) -> Self {
         assert!(cores > 0, "tracker needs at least one core");
         assert!(depth >= 2, "tracker depth must be at least 2");
         NotificationTracker {
@@ -173,9 +164,9 @@ mod tests {
     use super::*;
 
     fn window(pairs: &[(usize, u8)]) -> NotifyMsg {
-        let mut m = NotifyMsg::new(8, 2);
+        let mut m = NotifyMsg::new(8, 2, 1);
         for &(c, n) in pairs {
-            m.set_count(c, n);
+            m.set_count(0, c, n);
         }
         m
     }
@@ -191,14 +182,14 @@ mod tests {
 
     #[test]
     fn expands_in_rotating_priority_order() {
-        let mut t = NotificationTracker::new(8, 4);
+        let mut t = NotificationTracker::new(8, 4, 0);
         t.push_window(&window(&[(1, 1), (5, 1), (3, 1)]));
         assert_eq!(drain(&mut t), vec![1, 3, 5]);
     }
 
     #[test]
     fn priority_rotates_between_windows() {
-        let mut t = NotificationTracker::new(4, 4);
+        let mut t = NotificationTracker::new(4, 4, 0);
         t.push_window(&window(&[(0, 1), (1, 1)]));
         assert_eq!(drain(&mut t), vec![0, 1]);
         // Pointer rotated to 1: order now starts from 1.
@@ -208,15 +199,15 @@ mod tests {
 
     #[test]
     fn multi_count_expands_consecutively() {
-        let mut t = NotificationTracker::new(8, 4);
+        let mut t = NotificationTracker::new(8, 4, 0);
         t.push_window(&window(&[(2, 3), (6, 1)]));
         assert_eq!(drain(&mut t), vec![2, 2, 2, 6]);
     }
 
     #[test]
     fn two_trackers_stay_in_lockstep() {
-        let mut a = NotificationTracker::new(8, 4);
-        let mut b = NotificationTracker::new(8, 4);
+        let mut a = NotificationTracker::new(8, 4, 0);
+        let mut b = NotificationTracker::new(8, 4, 0);
         let windows = [
             window(&[(7, 2)]),
             window(&[(0, 1), (4, 1)]),
@@ -237,7 +228,7 @@ mod tests {
 
     #[test]
     fn stop_threshold_leaves_headroom() {
-        let mut t = NotificationTracker::new(4, 3);
+        let mut t = NotificationTracker::new(4, 3, 0);
         assert!(!t.should_stop());
         // One window goes straight to `current`, so queue stays empty.
         t.push_window(&window(&[(0, 1)]));
@@ -253,7 +244,7 @@ mod tests {
 
     #[test]
     fn backlog_counts_current_and_queued() {
-        let mut t = NotificationTracker::new(4, 4);
+        let mut t = NotificationTracker::new(4, 4, 0);
         t.push_window(&window(&[(0, 2)]));
         t.push_window(&window(&[(1, 3)]));
         assert_eq!(t.current_window_remaining(), 2);
@@ -264,13 +255,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "advance without")]
     fn advance_on_empty_panics() {
-        let mut t = NotificationTracker::new(2, 2);
+        let mut t = NotificationTracker::new(2, 2, 0);
         t.advance();
     }
 
     #[test]
     #[should_panic(expected = "depth must be at least 2")]
     fn tiny_depth_panics() {
-        let _ = NotificationTracker::new(2, 1);
+        let _ = NotificationTracker::new(2, 1, 0);
     }
 }

@@ -7,7 +7,7 @@
 
 use scorpio_nic::{Nic, NicConfig, NicMode, OrderedDelivery};
 use scorpio_noc::{LocalSlot, Mesh, MultiNetwork, NocConfig, Sid};
-use scorpio_notify::{NotifyConfig, NotifyNetwork};
+use scorpio_notify::{NotifyConfig, NotifyNetwork, NotifyScheme};
 use scorpio_sim::{Cycle, SimRng};
 use std::num::NonZeroUsize;
 
@@ -47,7 +47,12 @@ impl World {
             .collect();
         World {
             net: MultiNetwork::new(mesh.clone(), noc, NonZeroUsize::new(planes).unwrap(), 0),
-            notify: NotifyNetwork::with_planes(&mesh, NotifyConfig::for_mesh(&mesh), planes),
+            notify: NotifyNetwork::with_scheme(
+                &mesh,
+                NotifyConfig::for_mesh(&mesh),
+                planes,
+                NotifyScheme::Flat,
+            ),
             logs: vec![Vec::new(); nics.len()],
             wake_at: event_driven.then(|| vec![Cycle::ZERO; nics.len()]),
             nics,

@@ -7,7 +7,7 @@
 
 use scorpio_nic::{Nic, NicConfig, NicMode, OrderedDelivery};
 use scorpio_noc::{Endpoint, Mesh, MultiNetwork, NocConfig, RouterId, Sid, Topology};
-use scorpio_notify::{NotifyConfig, NotifyNetwork};
+use scorpio_notify::{NotifyConfig, NotifyNetwork, NotifyScheme};
 use scorpio_sim::SimRng;
 use std::num::NonZeroUsize;
 
@@ -40,7 +40,8 @@ impl World {
             NonZeroUsize::new(planes).unwrap(),
             0,
         );
-        let notify = NotifyNetwork::with_planes(&mesh, NotifyConfig::for_mesh(&mesh), planes);
+        let cfg = NotifyConfig::for_mesh(&mesh);
+        let notify = NotifyNetwork::with_scheme(&mesh, cfg, planes, NotifyScheme::Flat);
         let mut nics = Vec::new();
         for ep in mesh.endpoints() {
             let sid = match ep.slot {

@@ -11,8 +11,10 @@
 //! and enforced at the network interface controllers (`scorpio-nic`);
 //! this crate provides the hooks they need — per-endpoint ESID publication
 //! ([`Network::set_esid`]) for reserved-VC policing, and VC-addressed
-//! ejection ([`Network::eject_heads`] / [`Network::eject_take`]) so the NIC
-//! can pull requests out of its buffers in the globally decided order.
+//! ejection by dense endpoint index and flat VC ([`Network::eject_vcs`] to
+//! see which VCs hold a flit, [`Network::eject_head`] to read one,
+//! [`Network::eject_take_vc`] to consume it) so the NIC can pull requests
+//! out of its buffers in the globally decided order.
 //! Because ordering is decoupled from delivery — the paper's central idea —
 //! any fabric that broadcasts to every endpoint exactly once can carry the
 //! ordered protocol; the one routing spec ([`Topology::unicast_hop`],
@@ -25,19 +27,18 @@
 //! Broadcasting a request across a 4×4 mesh:
 //!
 //! ```
-//! use scorpio_noc::{Endpoint, Mesh, Network, NocConfig, Packet, RouterId, Sid};
+//! use scorpio_noc::{set_bits, Endpoint, Mesh, Network, NocConfig, Packet, RouterId, Sid};
 //!
 //! let mesh = Mesh::square_with_corner_mcs(4);
+//! let endpoints = mesh.endpoints().count();
 //! let mut net: Network<u32> = Network::new(mesh, NocConfig::scorpio());
 //! let src = Endpoint::tile(RouterId(0));
 //! let uid = net.try_inject(src, Packet::request(src, Sid(0), 0, 0xBEEF))?;
 //! while !net.is_drained() {
-//!     // Consume everything that arrives, at every endpoint.
-//!     let eps: Vec<_> = net.mesh().endpoints().collect();
-//!     for ep in eps {
-//!         let slots: Vec<_> = net.eject_heads(ep).map(|(s, _)| s).collect();
-//!         for slot in slots {
-//!             net.eject_take(ep, slot);
+//!     // Consume one flit per occupied VC, at every endpoint.
+//!     for idx in 0..endpoints {
+//!         for vc in set_bits(net.eject_vcs(idx)) {
+//!             net.eject_take_vc(idx, vc);
 //!         }
 //!     }
 //!     net.step();
@@ -65,10 +66,9 @@ mod topology;
 pub use arbiter::{set_bits, RotatingArbiter};
 pub use config::{NocConfig, VnetCfg};
 pub use flit::{data_packet_flits, Dest, Flit, Packet, Payload, Sid, VnetId};
-pub use network::{EjectSlot, Network, NocStats};
+pub use network::{Network, NocStats};
 pub use obs::{NetObs, ObsConfig, TraceEvent, TraceKind, WindowCell};
 pub use planes::{MultiNetwork, PlaneSteer, SteerKey};
-pub use router::RouterStats;
 pub use topology::{
     CMesh, Coord, Endpoint, LocalSlot, Mesh, Port, PortMask, Ring, RouterId, Topology, Torus,
 };

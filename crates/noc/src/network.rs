@@ -10,34 +10,24 @@
 //! The consumer (a NIC model, or a test harness) interacts through:
 //!
 //! * [`Network::try_inject`] — queue a packet at an endpoint,
-//! * [`Network::eject_heads`] / [`Network::eject_take`] — inspect and
-//!   consume arrived flits VC by VC (the NIC's ESID logic decides *which*
-//!   GO-REQ flit to take),
+//! * [`Network::eject_vcs`] / [`Network::eject_head`] /
+//!   [`Network::eject_take_vc`] — inspect and consume arrived flits VC by
+//!   VC, by dense endpoint index and flat VC (the NIC's ESID logic decides
+//!   *which* GO-REQ flit to take),
 //! * [`Network::set_esid`] — publish the endpoint's expected SID so routers
 //!   can police their reserved VCs.
 
-use crate::arbiter::set_bits;
 use crate::config::NocConfig;
-use crate::flit::{Dest, Flit, Packet, Payload, Sid, VnetId};
+use crate::flit::{Dest, Flit, Packet, Payload, Sid};
 use crate::obs::{NetObs, ObsConfig};
 use crate::router::{
     CreditArrival, DownstreamState, EsidOracle, FlitArrival, LaArrival, Router, RouterOut,
-    RouterStats,
 };
 use crate::tables::{validate_datelines, RouteCtx, RoutingTables, VcClass};
 use crate::topology::{Endpoint, LocalSlot, Port, RouterId, Topology};
 use scorpio_sim::stats::{Accumulator, Counter};
 use scorpio_sim::{ActiveSet, Cycle, Fifo, PushError};
 use std::collections::{HashMap, VecDeque};
-
-/// Identifies one ejection-buffer VC at an endpoint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EjectSlot {
-    /// Virtual network.
-    pub vnet: VnetId,
-    /// VC index within the vnet (the rVC is the last index when ordered).
-    pub vc: u8,
-}
 
 /// A wire with a fixed delay in cycles: events staged during cycle `c`
 /// become visible at cycle `c + delay`.
@@ -226,8 +216,8 @@ impl NocStats {
 ///     net.commit();
 /// }
 /// // The broadcast reached the opposite corner.
-/// let far = Endpoint::tile(RouterId(15));
-/// assert!(net.eject_heads(far).next().is_some());
+/// let far = net.endpoint_index(Endpoint::tile(RouterId(15)));
+/// assert!(net.eject_occupied(far));
 /// ```
 pub struct Network<T> {
     topology: Topology,
@@ -242,15 +232,10 @@ pub struct Network<T> {
     /// the same at every port.
     vnet_base: [u8; NocConfig::MAX_VNETS],
     ordered_vcs: u32,
-    /// Committed ESID per endpoint index; `staged_esid` applies at commit.
+    /// Committed ESID per endpoint index (tile `router·c + slot`, then MC
+    /// ports by rank); `staged_esid` applies at commit.
     esid: Vec<Option<(Sid, u16)>>,
     staged_esid: Vec<(usize, Option<(Sid, u16)>)>,
-    /// Committed per-tile-endpoint ESID (tile number = `router·c + slot`),
-    /// maintained incrementally at commit (the routers' [`EsidView`] reads
-    /// these instead of rebuilding two fresh `Vec`s every tick).
-    esid_tile: Vec<Option<(Sid, u16)>>,
-    /// Committed per-router MC ESID (only meaningful on MC routers).
-    esid_mc: Vec<Option<(Sid, u16)>>,
     // Wires.
     flit_wire: Wire<(RouterId, Port, u8, Flit<T>)>,
     la_wire: Wire<(RouterId, Port, Flit<T>)>,
@@ -289,37 +274,35 @@ pub struct Network<T> {
 /// queries go through the compiled tables, not coordinate math.
 struct EsidView<'a> {
     tables: &'a RoutingTables,
-    /// Per-tile-endpoint ESID (indexed by tile number `router·c + slot`).
-    tile: &'a [Option<(Sid, u16)>],
-    /// Per-router MC ESID (only meaningful on MC routers).
-    mc: &'a [Option<(Sid, u16)>],
+    /// Committed ESID per endpoint index ([`Network`]'s `esid`).
+    esid: &'a [Option<(Sid, u16)>],
 }
 
 impl EsidView<'_> {
     /// Whether any NIC local to router `r` — one of its tile slots or its
-    /// MC port — expects exactly (`sid`, `seq`).
+    /// MC port — expects exactly (`sid`, `seq`). Inlined into the routers'
+    /// rVC check and injection: out of line it cost several percent of
+    /// `sim_cycles_per_s` on `chip-6x6`, where VC allocation stalls often.
+    #[inline]
     fn router_has_expected(&self, r: RouterId, sid: Sid, seq: u16) -> bool {
         let c = self.tables.concentration() as usize;
         let base = r.index() * c;
-        self.tile[base..base + c].contains(&Some((sid, seq)))
-            || (self.tables.has_mc(r) && self.mc[r.index()] == Some((sid, seq)))
+        let expected = Some((sid, seq));
+        self.esid[base..base + c].contains(&expected)
+            || (self.tables.has_mc(r)
+                && self.esid[self.tables.tile_count() + self.tables.mc_rank(r)] == expected)
     }
 }
 
 impl EsidOracle for EsidView<'_> {
     fn rvc_eligible(&self, router: RouterId, out_port: Port, sid: Sid, seq: u16) -> bool {
-        match out_port.tile_index() {
-            Some(k) => {
-                let c = self.tables.concentration() as usize;
-                self.tile[router.index() * c + k as usize] == Some((sid, seq))
+        if out_port.is_local() {
+            self.esid[self.tables.local_ep_index(router, out_port)] == Some((sid, seq))
+        } else {
+            match self.tables.neighbor(router, out_port) {
+                Some(n) => self.router_has_expected(n, sid, seq),
+                None => false,
             }
-            None => match out_port {
-                Port::Mc => self.mc[router.index()] == Some((sid, seq)),
-                mesh_port => match self.tables.neighbor(router, mesh_port) {
-                    Some(n) => self.router_has_expected(n, sid, seq),
-                    None => false,
-                },
-            },
         }
     }
 }
@@ -374,7 +357,6 @@ impl<T: Payload> Network<T> {
             flat += v.total_vcs();
         }
         let n_routers = topology.router_count();
-        let n_tiles = topology.tile_count();
         let n_eps = endpoints.len();
         let vnets = cfg.vnets.len();
         Network {
@@ -389,8 +371,6 @@ impl<T: Payload> Network<T> {
             ordered_vcs,
             esid: vec![None; n_eps],
             staged_esid: Vec::new(),
-            esid_tile: vec![None; n_tiles],
-            esid_mc: vec![None; n_routers],
             flit_wire: Wire::new(2),
             la_wire: Wire::new(1),
             credit_wire: Wire::new(1),
@@ -422,12 +402,6 @@ impl<T: Payload> Network<T> {
         &self.topology
     }
 
-    /// The delivery fabric — legacy name from when only meshes existed;
-    /// identical to [`Network::topology`].
-    pub fn mesh(&self) -> &Topology {
-        &self.topology
-    }
-
     /// The active configuration.
     pub fn config(&self) -> &NocConfig {
         &self.cfg
@@ -446,11 +420,6 @@ impl<T: Payload> Network<T> {
             s.buffered_flits += r.stats.buffered_flits.get();
         }
         s
-    }
-
-    /// Per-router statistics, indexed by router id.
-    pub fn router_stats(&self, r: RouterId) -> &RouterStats {
-        &self.routers[r.index()].stats
     }
 
     /// The last cycle on which any packet moved or was consumed — a
@@ -581,25 +550,9 @@ impl<T: Payload> Network<T> {
         self.eject[ep_idx].head(vc)
     }
 
-    /// Head flits waiting in `ep`'s ejection buffers, one per occupied VC.
-    pub fn eject_heads(&self, ep: Endpoint) -> impl Iterator<Item = (EjectSlot, &Flit<T>)> {
-        let port = &self.eject[self.endpoint_index(ep)];
-        set_bits(port.nonempty).map(move |flat| {
-            let flit = port.head(flat).expect("non-empty VC has a head");
-            let vnet = flit.packet.vnet;
-            let vc = flat as u8 - self.vnet_base[vnet.index()];
-            (EjectSlot { vnet, vc }, flit)
-        })
-    }
-
-    /// Consumes the head flit of `slot` at `ep`, returning a credit to the
-    /// router. Returns `None` if the VC is empty.
-    pub fn eject_take(&mut self, ep: Endpoint, slot: EjectSlot) -> Option<Flit<T>> {
-        let flat = self.vnet_base[slot.vnet.index()] + slot.vc;
-        self.eject_take_vc(self.endpoint_index(ep), flat as usize)
-    }
-
-    /// [`Network::eject_take`] by dense endpoint index and flat VC.
+    /// Consumes the head flit of flat ejection VC `flat` at endpoint
+    /// `idx`, returning a credit to the router. Returns `None` if the VC is
+    /// empty.
     pub fn eject_take_vc(&mut self, idx: usize, flat: usize) -> Option<Flit<T>> {
         let port = &mut self.eject[idx];
         let flit = port.pop(flat)?;
@@ -797,8 +750,7 @@ impl<T: Payload> Network<T> {
             inbox_las,
             inbox_credits,
             outbox,
-            esid_tile,
-            esid_mc,
+            esid,
             flit_wire,
             la_wire,
             credit_wire,
@@ -809,11 +761,7 @@ impl<T: Payload> Network<T> {
             obs,
             ..
         } = self;
-        let view = EsidView {
-            tables,
-            tile: esid_tile,
-            mc: esid_mc,
-        };
+        let view = EsidView { tables, esid };
         let route = RouteCtx {
             tables,
             datelines: topology.has_datelines(),
@@ -904,15 +852,6 @@ impl<T: Payload> Network<T> {
         for k in 0..self.staged_esid.len() {
             let (idx, esid) = self.staged_esid[k];
             self.esid[idx] = esid;
-            // Keep the routers' per-slot view in sync incrementally: tile
-            // endpoint indices coincide with tile numbers, MC indices
-            // follow the tiles.
-            if idx < self.tables.tile_count() {
-                self.esid_tile[idx] = esid;
-            } else {
-                let r = self.topology.mc_routers()[idx - self.tables.tile_count()];
-                self.esid_mc[r.index()] = esid;
-            }
         }
         self.staged_esid.clear();
         self.cycle = self.cycle.next();
@@ -1062,9 +1001,10 @@ impl<T: Payload> Network<T> {
     /// until the next [`Network::try_inject`].
     fn inject_try_send(&mut self, idx: usize) {
         let cfg = &self.cfg;
-        let esid_tile = &self.esid_tile;
-        let esid_mc = &self.esid_mc;
-        let conc = self.tables.concentration() as usize;
+        let view = EsidView {
+            tables: &self.tables,
+            esid: &self.esid,
+        };
         let port = &mut self.inject[idx];
         let vnets = cfg.vnets.len();
         let has_work =
@@ -1111,13 +1051,11 @@ impl<T: Payload> Network<T> {
             // dateline discipline only constrains mesh links. The rVC is
             // open to a request some NIC local to this router (any tile
             // slot, or its MC port) expects as this exact instance.
+            let router = port.router;
             let rvc_ok = || {
-                packet.sid.is_some_and(|s| {
-                    let expected = Some((s, packet.sid_seq));
-                    let base = port.router.index() * conc;
-                    esid_tile[base..base + conc].contains(&expected)
-                        || esid_mc[port.router.index()] == expected
-                })
+                packet
+                    .sid
+                    .is_some_and(|s| view.router_has_expected(router, s, packet.sid_seq))
             };
             let Some(vc) = port
                 .ds
@@ -1171,17 +1109,17 @@ impl<T: Payload> std::fmt::Debug for Network<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flit::Dest;
+    use crate::arbiter::set_bits;
+    use crate::flit::VnetId;
     use crate::topology::{CMesh, Mesh, Ring, Torus};
 
     fn drain_all(net: &mut Network<u64>, max: u64) -> Vec<(Endpoint, Flit<u64>)> {
         let mut got = Vec::new();
+        let eps: Vec<Endpoint> = net.topology().endpoints().collect();
         for _ in 0..max {
-            let eps: Vec<Endpoint> = net.mesh().endpoints().collect();
-            for ep in eps {
-                let slots: Vec<EjectSlot> = net.eject_heads(ep).map(|(s, _)| s).collect();
-                for s in slots {
-                    if let Some(f) = net.eject_take(ep, s) {
+            for (idx, &ep) in eps.iter().enumerate() {
+                for vc in set_bits(net.eject_vcs(idx)) {
+                    if let Some(f) = net.eject_take_vc(idx, vc) {
                         got.push((ep, f));
                     }
                 }
@@ -1308,7 +1246,7 @@ mod tests {
         let mesh = Mesh::square_with_corner_mcs(4);
         let mut net: Network<u64> = Network::new(mesh, NocConfig::scorpio());
         let mut rng = SimRng::seed_from(1234);
-        let eps: Vec<Endpoint> = net.mesh().endpoints().collect();
+        let eps: Vec<Endpoint> = net.topology().endpoints().collect();
         let mut injected = 0u64;
         let mut consumed = 0u64;
         for cycle in 0..3000u64 {
@@ -1330,10 +1268,9 @@ mod tests {
                     }
                 }
             }
-            for &ep in &eps {
-                let slots: Vec<EjectSlot> = net.eject_heads(ep).map(|(s, _)| s).collect();
-                for s in slots {
-                    if net.eject_take(ep, s).is_some() {
+            for idx in 0..eps.len() {
+                for vc in set_bits(net.eject_vcs(idx)) {
+                    if net.eject_take_vc(idx, vc).is_some() {
                         consumed += 1;
                     }
                 }
@@ -1523,10 +1460,9 @@ mod tests {
                     }
                 }
             }
-            for &ep in &eps {
-                let slots: Vec<EjectSlot> = net.eject_heads(ep).map(|(s, _)| s).collect();
-                for s in slots {
-                    net.eject_take(ep, s);
+            for idx in 0..eps.len() {
+                for vc in set_bits(net.eject_vcs(idx)) {
+                    net.eject_take_vc(idx, vc);
                 }
             }
             net.step();
@@ -1612,10 +1548,9 @@ mod tests {
                         }
                     }
                 }
-                for &ep in &eps {
-                    let slots: Vec<EjectSlot> = net.eject_heads(ep).map(|(s, _)| s).collect();
-                    for s in slots {
-                        net.eject_take(ep, s);
+                for idx in 0..eps.len() {
+                    for vc in set_bits(net.eject_vcs(idx)) {
+                        net.eject_take_vc(idx, vc);
                     }
                 }
                 net.step();

@@ -137,14 +137,14 @@ impl PlaneSteer {
 /// let src = Endpoint::tile(RouterId(0));
 /// // Payload 7 is odd: the request travels on plane 1.
 /// net.try_inject(src, Packet::request(src, Sid(0), 0, 7)).unwrap();
-/// assert_eq!(net.inject_backlog_plane(1, src), 1);
+/// assert_eq!(net.plane(1).inject_backlog(src), 1);
 /// for _ in 0..100 {
 ///     net.tick();
 ///     net.commit();
 /// }
-/// let far = Endpoint::tile(RouterId(15));
-/// assert!(net.plane(1).eject_heads(far).next().is_some());
-/// assert!(net.plane(0).eject_heads(far).next().is_none());
+/// let far = net.endpoint_index(Endpoint::tile(RouterId(15)));
+/// assert!(net.plane(1).eject_occupied(far));
+/// assert!(!net.plane(0).eject_occupied(far));
 /// ```
 pub struct MultiNetwork<T> {
     planes: Vec<Network<T>>,
@@ -248,11 +248,6 @@ impl<T: Payload + SteerKey> MultiNetwork<T> {
     /// over planes.
     pub fn inject_backlog(&self, ep: Endpoint) -> usize {
         self.planes.iter().map(|n| n.inject_backlog(ep)).sum()
-    }
-
-    /// Packets waiting at `ep`'s injection port on plane `p`.
-    pub fn inject_backlog_plane(&self, p: usize, ep: Endpoint) -> usize {
-        self.planes[p].inject_backlog(ep)
     }
 
     /// Publishes `ep`'s expected request instance on plane `p` (takes
@@ -422,8 +417,8 @@ impl<T: Payload + SteerKey> MultiNetwork<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arbiter::set_bits;
     use crate::flit::VnetId;
-    use crate::network::EjectSlot;
     use crate::topology::{Mesh, Ring, RouterId, Torus};
 
     fn two_planes(k: u16, planes: usize) -> MultiNetwork<u64> {
@@ -487,11 +482,9 @@ mod tests {
             single.step();
         }
         // Identical delivery pattern at every endpoint.
-        let eps: Vec<Endpoint> = multi.topology().endpoints().collect();
-        for ep in eps {
-            let m: Vec<_> = multi.plane(0).eject_heads(ep).map(|(s, _)| s).collect();
-            let s: Vec<_> = single.eject_heads(ep).map(|(sl, _)| sl).collect();
-            assert_eq!(m, s, "divergence at {ep}");
+        for idx in 0..multi.topology().endpoints().count() {
+            let (m, s) = (multi.plane(0).eject_vcs(idx), single.eject_vcs(idx));
+            assert_eq!(m, s, "divergence at endpoint {idx}");
         }
     }
 
@@ -510,19 +503,15 @@ mod tests {
         for _ in 0..300 {
             net.step();
         }
-        let far = Endpoint::tile(RouterId(10));
-        let heads0: Vec<u64> = net
-            .plane(0)
-            .eject_heads(far)
-            .map(|(_, f)| f.packet.payload)
-            .collect();
-        let heads1: Vec<u64> = net
-            .plane(1)
-            .eject_heads(far)
-            .map(|(_, f)| f.packet.payload)
-            .collect();
-        assert_eq!(heads0, vec![42]);
-        assert_eq!(heads1, vec![43]);
+        let far = net.endpoint_index(Endpoint::tile(RouterId(10)));
+        let heads = |p: usize| -> Vec<u64> {
+            let plane = net.plane(p);
+            set_bits(plane.eject_vcs(far))
+                .map(|vc| plane.eject_head(far, vc).unwrap().packet.payload)
+                .collect()
+        };
+        assert_eq!(heads(0), vec![42]);
+        assert_eq!(heads(1), vec![43]);
     }
 
     #[test]
@@ -540,8 +529,8 @@ mod tests {
             assert_eq!(net.plane(p).cycle().as_u64(), 50, "plane {p} clock");
         }
         assert!(net.plane(2).stats().delivered_packets.get() == 0);
-        let dst = Endpoint::tile(RouterId(8));
-        assert!(net.plane(2).eject_heads(dst).next().is_some());
+        let dst = net.endpoint_index(Endpoint::tile(RouterId(8)));
+        assert!(net.plane(2).eject_occupied(dst));
     }
 
     #[test]
@@ -555,14 +544,12 @@ mod tests {
         assert_eq!(net.stats().injected_packets.get(), 4);
         assert_eq!(net.plane(0).stats().injected_packets.get(), 2);
         assert_eq!(net.plane(1).stats().injected_packets.get(), 2);
-        let eps: Vec<Endpoint> = net.topology().endpoints().collect();
+        let eps = net.topology().endpoints().count();
         for _ in 0..500 {
-            for &ep in &eps {
+            for idx in 0..eps {
                 for p in 0..2 {
-                    let slots: Vec<EjectSlot> =
-                        net.plane(p).eject_heads(ep).map(|(s, _)| s).collect();
-                    for s in slots {
-                        net.plane_mut(p).eject_take(ep, s);
+                    for vc in set_bits(net.plane(p).eject_vcs(idx)) {
+                        net.plane_mut(p).eject_take_vc(idx, vc);
                     }
                 }
             }
@@ -592,14 +579,12 @@ mod tests {
                 net.try_inject(src, Packet::broadcast_unordered(VnetId(0), src, addr))
                     .unwrap();
             }
-            let eps: Vec<Endpoint> = net.topology().endpoints().collect();
+            let eps = net.topology().endpoints().count();
             for _ in 0..800 {
-                for &ep in &eps {
+                for idx in 0..eps {
                     for p in 0..3 {
-                        let slots: Vec<EjectSlot> =
-                            net.plane(p).eject_heads(ep).map(|(s, _)| s).collect();
-                        for s in slots {
-                            net.plane_mut(p).eject_take(ep, s);
+                        for vc in set_bits(net.plane(p).eject_vcs(idx)) {
+                            net.plane_mut(p).eject_take_vc(idx, vc);
                         }
                     }
                 }

@@ -361,6 +361,7 @@ pub(crate) fn validate_datelines(topo: &Topology, cfg: &NocConfig) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::placement;
     use crate::topology::{CMesh, Mesh, Ring, Torus};
 
     /// Every fabric family at an odd small shape, the shapes the scenario
@@ -371,7 +372,7 @@ mod tests {
     fn covered_fabrics() -> Vec<Topology> {
         vec![
             Mesh::new(5, 3, &[RouterId(2), RouterId(14)]),
-            Mesh::square_with_proportional_mcs(16),
+            Mesh::new(16, 16, &placement::proportional(16, 16)),
             Torus::new(4, 4, &[RouterId(0), RouterId(15)]),
             Torus::square_with_corner_mcs(6),
             Ring::with_spread_mcs(9, 3),

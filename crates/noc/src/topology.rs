@@ -332,12 +332,6 @@ impl LocalSlot {
     pub fn is_tile(self) -> bool {
         matches!(self, LocalSlot::Tile(_))
     }
-
-    /// Whether this is the memory-controller attachment.
-    #[inline]
-    pub fn is_mc(self) -> bool {
-        matches!(self, LocalSlot::Mc)
-    }
 }
 
 /// A network endpoint: a (router, local slot) pair.
@@ -489,11 +483,6 @@ impl Mesh {
     /// A square `k × k` mesh with MC ports on its corners.
     pub fn square_with_corner_mcs(k: u16) -> Topology {
         Topology::build(Kind::Mesh, false, k, k, 1, placement::corners(k, k))
-    }
-
-    /// A square `k × k` mesh with [`placement::proportional`] MC ports.
-    pub fn square_with_proportional_mcs(k: u16) -> Topology {
-        Topology::build(Kind::Mesh, false, k, k, 1, placement::proportional(k, k))
     }
 }
 
@@ -1228,12 +1217,17 @@ mod tests {
     fn proportional_mcs_match_corners_on_small_meshes() {
         for k in [2u16, 4, 6, 8] {
             assert_eq!(
-                Mesh::square_with_proportional_mcs(k).mc_routers(),
+                Mesh::new(k, k, &placement::proportional(k, k)).mc_routers(),
                 Mesh::square_with_corner_mcs(k).mc_routers(),
                 "k={k}"
             );
         }
-        assert_eq!(Mesh::square_with_proportional_mcs(1).mc_routers().len(), 1);
+        assert_eq!(
+            Mesh::new(1, 1, &placement::proportional(1, 1))
+                .mc_routers()
+                .len(),
+            1
+        );
     }
 
     #[test]
@@ -1241,7 +1235,7 @@ mod tests {
         // One MC per 16 tiles, on the perimeter, duplicate-free (Mesh::new
         // asserts that), and including the NW corner.
         for (k, expect) in [(12u16, 9usize), (16, 16), (20, 25)] {
-            let mesh = Mesh::square_with_proportional_mcs(k);
+            let mesh = Mesh::new(k, k, &placement::proportional(k, k));
             assert_eq!(mesh.mc_routers().len(), expect, "k={k}");
             assert!(mesh.has_mc(RouterId(0)));
             for &r in mesh.mc_routers() {

@@ -2,18 +2,19 @@
 //! every endpoint exactly once and the network must drain, on meshes well
 //! beyond the 6×6 chip — the scaling scenarios' substrate.
 
-use scorpio_noc::{Endpoint, Mesh, Network, NocConfig, Packet, RouterId, Sid, Topology};
+use scorpio_noc::{
+    placement, set_bits, Endpoint, Mesh, Network, NocConfig, Packet, RouterId, Sid, Topology,
+};
 
 /// Consumes everything that arrives until the network drains (or `max`
 /// cycles pass), returning the number of flits consumed.
 fn drain(net: &mut Network<u64>, max: u64) -> u64 {
-    let eps: Vec<Endpoint> = net.mesh().endpoints().collect();
+    let eps = net.topology().endpoints().count();
     let mut consumed = 0;
     for _ in 0..max {
-        for &ep in &eps {
-            let slots: Vec<_> = net.eject_heads(ep).map(|(s, _)| s).collect();
-            for s in slots {
-                if net.eject_take(ep, s).is_some() {
+        for idx in 0..eps {
+            for vc in set_bits(net.eject_vcs(idx)) {
+                if net.eject_take_vc(idx, vc).is_some() {
                     consumed += 1;
                 }
             }
@@ -54,7 +55,7 @@ fn broadcast_on_tall_thin_mesh() {
 
 #[test]
 fn broadcast_on_16x16_with_proportional_mcs() {
-    let mesh = Mesh::square_with_proportional_mcs(16);
+    let mesh = Mesh::new(16, 16, &placement::proportional(16, 16));
     assert_eq!(mesh.mc_routers().len(), 16);
     // 256 tiles + 16 MCs - 1 source = 271 copies.
     broadcast_reaches_everyone(mesh, RouterId(8 * 16 + 8), 2000);
@@ -62,9 +63,9 @@ fn broadcast_on_16x16_with_proportional_mcs() {
 
 #[test]
 fn sixteen_by_sixteen_quiesces_between_traffic_phases() {
-    let mesh = Mesh::square_with_proportional_mcs(16);
+    let mesh = Mesh::new(16, 16, &placement::proportional(16, 16));
     let mut net: Network<u64> = Network::new(mesh, NocConfig::scorpio());
-    let n_eps = net.mesh().endpoints().count();
+    let n_eps = net.topology().endpoints().count();
     // Phase 1: broadcasts from two far-apart tiles.
     for (k, r) in [RouterId(0), RouterId(255)].into_iter().enumerate() {
         let ep = Endpoint::tile(r);
@@ -98,7 +99,7 @@ fn engines_are_cycle_exact_under_random_traffic() {
         let mesh = Mesh::new(6, 3, &[RouterId(0), RouterId(17)]);
         let mut net: Network<u64> = Network::new(mesh, NocConfig::scorpio());
         net.set_always_scan(scan);
-        let eps: Vec<Endpoint> = net.mesh().endpoints().collect();
+        let eps: Vec<Endpoint> = net.topology().endpoints().collect();
         let mut rng = SimRng::seed_from(99);
         let mut log = Vec::new();
         let mut drained_at = 0;
@@ -118,10 +119,9 @@ fn engines_are_cycle_exact_under_random_traffic() {
                     }
                 }
             }
-            for &ep in &eps {
-                let slots: Vec<_> = net.eject_heads(ep).map(|(s, _)| s).collect();
-                for s in slots {
-                    if let Some(f) = net.eject_take(ep, s) {
+            for idx in 0..eps.len() {
+                for vc in set_bits(net.eject_vcs(idx)) {
+                    if let Some(f) = net.eject_take_vc(idx, vc) {
                         log.push((cycle, f.packet.uid));
                     }
                 }

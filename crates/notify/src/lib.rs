@@ -22,19 +22,21 @@
 //!
 //! ```
 //! use scorpio_noc::Mesh;
-//! use scorpio_notify::{NotifyConfig, NotifyNetwork};
+//! use scorpio_notify::{NotifyConfig, NotifyNetwork, NotifyScheme};
 //!
 //! let mesh = Mesh::scorpio_chip();
-//! let mut nn = NotifyNetwork::new(&mesh, NotifyConfig::for_mesh(&mesh));
-//! // Cores 3 and 30 announce one request each.
-//! nn.stage_injection(3, 1, false);
-//! nn.stage_injection(30, 1, false);
+//! let cfg = NotifyConfig::for_mesh(&mesh);
+//! // One main-network plane, the chip's flat OR mesh.
+//! let mut nn = NotifyNetwork::with_scheme(&mesh, cfg, 1, NotifyScheme::Flat);
+//! // Cores 3 and 30 announce one request each on plane 0.
+//! nn.stage_injection(0, 3, 1, false);
+//! nn.stage_injection(0, 30, 1, false);
 //! for _ in 0..13 {
 //!     nn.tick(); // one full time window
 //! }
 //! let (_, merged) = nn.latest().unwrap();
-//! assert_eq!(merged.count(3), 1);
-//! assert_eq!(merged.count(30), 1);
+//! assert_eq!(merged.count(0, 3), 1);
+//! assert_eq!(merged.count(0, 30), 1);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -13,24 +13,24 @@ use std::fmt;
 /// With a multi-plane main network ([`scorpio_noc::MultiNetwork`]'s
 /// address-interleaved fabrics) the message carries one independent word
 /// group — counts *and* stop bit — per plane, so each plane converges its
-/// own ordering windows without any cross-plane coupling. Single-plane
-/// messages ([`NotifyMsg::new`]) behave exactly as before the plane axis
-/// existed; the plane-indexed accessors with plane 0 are the same fields.
+/// own ordering windows without any cross-plane coupling. The chip's
+/// single-plane message is the `planes == 1` case: every accessor names
+/// its plane, and plane 0 is the chip's one word group.
 ///
 /// # Examples
 ///
 /// ```
 /// use scorpio_notify::NotifyMsg;
 ///
-/// let mut a = NotifyMsg::new(4, 2);
-/// a.set_count(0, 3);
-/// let mut b = NotifyMsg::new(4, 2);
-/// b.set_count(2, 1);
-/// b.set_stop(true);
+/// let mut a = NotifyMsg::new(4, 2, 1);
+/// a.set_count(0, 0, 3);
+/// let mut b = NotifyMsg::new(4, 2, 1);
+/// b.set_count(0, 2, 1);
+/// b.set_stop(0, true);
 /// a.merge_from(&b);
-/// assert_eq!(a.count(0), 3);
-/// assert_eq!(a.count(2), 1);
-/// assert!(a.stop());
+/// assert_eq!(a.count(0, 0), 3);
+/// assert_eq!(a.count(0, 2), 1);
+/// assert!(a.stop(0));
 /// ```
 ///
 /// [`scorpio_noc::MultiNetwork`]: ../scorpio_noc/struct.MultiNetwork.html
@@ -52,23 +52,14 @@ pub struct NotifyMsg {
 }
 
 impl NotifyMsg {
-    /// An all-zero single-plane message for `cores` cores at
-    /// `bits_per_core` bits each.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits_per_core` is 0 or greater than 7.
-    pub fn new(cores: usize, bits_per_core: u8) -> Self {
-        NotifyMsg::with_planes(cores, bits_per_core, 1)
-    }
-
-    /// An all-zero message carrying one announcement word group per plane.
+    /// An all-zero message for `cores` cores at `bits_per_core` bits
+    /// each, carrying one announcement word group per plane.
     ///
     /// # Panics
     ///
     /// Panics if `bits_per_core` is 0 or greater than 7, or `planes` is 0
     /// or greater than 64 (the stop bits pack into one word).
-    pub fn with_planes(cores: usize, bits_per_core: u8, planes: usize) -> Self {
+    pub fn new(cores: usize, bits_per_core: u8, planes: usize) -> Self {
         assert!(
             (1..=7).contains(&bits_per_core),
             "bits per core must be in 1..=7"
@@ -99,31 +90,20 @@ impl NotifyMsg {
         (1u16 << self.bits_per_core) as u8 - 1
     }
 
-    /// Sets core `core`'s announced request count on plane 0, saturating
-    /// at [`NotifyMsg::max_count`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `core` is out of range.
-    pub fn set_count(&mut self, core: usize, count: u8) {
-        self.set_count_in(0, core, count);
-    }
-
     /// Sets core `core`'s announced request count for plane `plane`,
     /// saturating at [`NotifyMsg::max_count`].
     ///
     /// # Panics
     ///
     /// Panics if `plane` or `core` is out of range.
-    pub fn set_count_in(&mut self, plane: usize, core: usize, count: u8) {
+    pub fn set_count(&mut self, plane: usize, core: usize, count: u8) {
         assert!(plane < self.planes, "plane {plane} out of range");
         assert!(core < self.cores, "core {core} out of range");
         let value = count.min(self.max_count()) as u128;
         let bit = (plane * self.cores + core) * self.bits_per_core as usize;
         let (word, off) = (bit / 64, bit % 64);
         // Read-modify-write a 128-bit window so a lane may straddle words
-        // (the `+ 1` spare word in `with_planes` keeps the high read in
-        // bounds).
+        // (the `+ 1` spare word in `new` keeps the high read in bounds).
         let mut window = self.words[word] as u128 | (self.words[word + 1] as u128) << 64;
         window &= !((self.max_count() as u128) << off);
         window |= value << off;
@@ -131,21 +111,12 @@ impl NotifyMsg {
         self.words[word + 1] = (window >> 64) as u64;
     }
 
-    /// Core `core`'s announced request count on plane 0.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `core` is out of range.
-    pub fn count(&self, core: usize) -> u8 {
-        self.count_in(0, core)
-    }
-
     /// Core `core`'s announced request count for plane `plane`.
     ///
     /// # Panics
     ///
     /// Panics if `plane` or `core` is out of range.
-    pub fn count_in(&self, plane: usize, core: usize) -> u8 {
+    pub fn count(&self, plane: usize, core: usize) -> u8 {
         assert!(plane < self.planes, "plane {plane} out of range");
         assert!(core < self.cores, "core {core} out of range");
         self.lane(plane * self.cores + core)
@@ -161,25 +132,15 @@ impl NotifyMsg {
         ((window >> off) as u8) & self.max_count()
     }
 
-    /// Plane 0's stop bit (a NIC's tracker queue is full; everyone must
-    /// ignore that plane's word group this window and resend).
-    pub fn stop(&self) -> bool {
-        self.stop_in(0)
-    }
-
-    /// Plane `plane`'s stop bit.
+    /// Plane `plane`'s stop bit (a NIC's tracker queue is full; everyone
+    /// must ignore that plane's word group this window and resend).
     ///
     /// # Panics
     ///
     /// Panics if `plane` is out of range.
-    pub fn stop_in(&self, plane: usize) -> bool {
+    pub fn stop(&self, plane: usize) -> bool {
         assert!(plane < self.planes, "plane {plane} out of range");
         self.stop & (1 << plane) != 0
-    }
-
-    /// Sets plane 0's stop bit.
-    pub fn set_stop(&mut self, stop: bool) {
-        self.set_stop_in(0, stop);
     }
 
     /// Sets plane `plane`'s stop bit.
@@ -187,7 +148,7 @@ impl NotifyMsg {
     /// # Panics
     ///
     /// Panics if `plane` is out of range.
-    pub fn set_stop_in(&mut self, plane: usize, stop: bool) {
+    pub fn set_stop(&mut self, plane: usize, stop: bool) {
         assert!(plane < self.planes, "plane {plane} out of range");
         if stop {
             self.stop |= 1 << plane;
@@ -242,18 +203,13 @@ impl NotifyMsg {
         self.stop = 0;
     }
 
-    /// Iterates over plane 0's `(core, count)` pairs with non-zero counts.
-    pub fn nonzero(&self) -> impl Iterator<Item = (usize, u8)> + '_ {
-        self.nonzero_in(0)
-    }
-
     /// Iterates over plane `plane`'s `(core, count)` pairs with non-zero
     /// counts, in core order.
     ///
     /// # Panics
     ///
     /// Panics if `plane` is out of range.
-    pub fn nonzero_in(&self, plane: usize) -> impl Iterator<Item = (usize, u8)> + '_ {
+    pub fn nonzero(&self, plane: usize) -> impl Iterator<Item = (usize, u8)> + '_ {
         self.lanes(plane, 0..self.cores)
     }
 
@@ -339,14 +295,7 @@ impl NotifyMsg {
     ///
     /// Panics if `plane` is out of range.
     pub fn total_in(&self, plane: usize) -> u32 {
-        self.nonzero_in(plane).map(|(_, count)| count as u32).sum()
-    }
-
-    /// The wire width of this message in bits (Table 1: 36 bits for the
-    /// chip's 1-bit-per-core network, plus the stop bit; a multi-plane
-    /// network multiplies the word group — counts and stop — per plane).
-    pub fn width_bits(&self) -> usize {
-        self.planes * (self.cores * self.bits_per_core as usize + 1)
+        self.nonzero(plane).map(|(_, count)| count as u32).sum()
     }
 }
 
@@ -355,7 +304,7 @@ impl fmt::Display for NotifyMsg {
         write!(f, "notify[")?;
         let mut first = true;
         for plane in 0..self.planes {
-            for (core, count) in self.nonzero_in(plane) {
+            for (core, count) in self.nonzero(plane) {
                 if !first {
                     write!(f, " ")?;
                 }
@@ -365,7 +314,7 @@ impl fmt::Display for NotifyMsg {
                 write!(f, "{core}:{count}")?;
                 first = false;
             }
-            if self.stop_in(plane) {
+            if self.stop(plane) {
                 if !first {
                     write!(f, " ")?;
                 }
@@ -386,40 +335,40 @@ mod tests {
 
     #[test]
     fn counts_saturate_at_field_width() {
-        let mut m = NotifyMsg::new(4, 1);
+        let mut m = NotifyMsg::new(4, 1, 1);
         assert_eq!(m.max_count(), 1);
-        m.set_count(0, 5);
-        assert_eq!(m.count(0), 1);
+        m.set_count(0, 0, 5);
+        assert_eq!(m.count(0, 0), 1);
 
-        let mut m2 = NotifyMsg::new(4, 2);
+        let mut m2 = NotifyMsg::new(4, 2, 1);
         assert_eq!(m2.max_count(), 3);
-        m2.set_count(1, 200);
-        assert_eq!(m2.count(1), 3);
+        m2.set_count(0, 1, 200);
+        assert_eq!(m2.count(0, 1), 3);
 
-        let m3 = NotifyMsg::new(4, 3);
+        let m3 = NotifyMsg::new(4, 3, 1);
         assert_eq!(m3.max_count(), 7);
     }
 
     #[test]
     fn merge_is_or() {
-        let mut a = NotifyMsg::new(8, 2);
-        a.set_count(0, 2);
-        let mut b = NotifyMsg::new(8, 2);
-        b.set_count(7, 3);
+        let mut a = NotifyMsg::new(8, 2, 1);
+        a.set_count(0, 0, 2);
+        let mut b = NotifyMsg::new(8, 2, 1);
+        b.set_count(0, 7, 3);
         a.merge_from(&b);
-        assert_eq!(a.count(0), 2);
-        assert_eq!(a.count(7), 3);
+        assert_eq!(a.count(0, 0), 2);
+        assert_eq!(a.count(0, 7), 3);
         assert_eq!(a.total(), 5);
-        assert!(!a.stop());
+        assert!(!a.stop(0));
     }
 
     #[test]
     fn merge_is_idempotent_and_commutative() {
-        let mut a = NotifyMsg::new(4, 2);
-        a.set_count(1, 3);
-        let mut b = NotifyMsg::new(4, 2);
-        b.set_count(2, 1);
-        b.set_stop(true);
+        let mut a = NotifyMsg::new(4, 2, 1);
+        a.set_count(0, 1, 3);
+        let mut b = NotifyMsg::new(4, 2, 1);
+        b.set_count(0, 2, 1);
+        b.set_stop(0, true);
 
         let mut ab = a.clone();
         ab.merge_from(&b);
@@ -434,68 +383,73 @@ mod tests {
 
     #[test]
     fn empty_and_clear() {
-        let mut m = NotifyMsg::new(3, 1);
+        let mut m = NotifyMsg::new(3, 1, 1);
         assert!(m.is_empty());
-        m.set_count(2, 1);
+        m.set_count(0, 2, 1);
         assert!(!m.is_empty());
         m.clear();
         assert!(m.is_empty());
-        m.set_stop(true);
+        m.set_stop(0, true);
         assert!(!m.is_empty(), "stop bit makes the message non-empty");
     }
 
     #[test]
     fn nonzero_iteration() {
-        let mut m = NotifyMsg::new(5, 2);
-        m.set_count(1, 2);
-        m.set_count(4, 1);
-        let pairs: Vec<_> = m.nonzero().collect();
+        let mut m = NotifyMsg::new(5, 2, 1);
+        m.set_count(0, 1, 2);
+        m.set_count(0, 4, 1);
+        let pairs: Vec<_> = m.nonzero(0).collect();
         assert_eq!(pairs, vec![(1, 2), (4, 1)]);
     }
 
     #[test]
     fn chip_width_is_37_bits() {
-        // 36 cores × 1 bit + stop.
-        let m = NotifyMsg::new(36, 1);
-        assert_eq!(m.width_bits(), 37);
+        // 36 one-bit core lanes plus the stop bit, and nothing else.
+        let mut m = NotifyMsg::new(36, 1, 1);
+        assert_eq!(m.max_count(), 1);
+        for core in 0..36 {
+            m.set_count(0, core, 1);
+        }
+        m.set_stop(0, true);
+        assert_eq!(m.total(), 36);
+        assert_eq!(m.to_string().matches(':').count(), 36);
+        assert!(m.stop(0));
     }
 
     #[test]
     fn display_shows_contents() {
-        let mut m = NotifyMsg::new(4, 2);
-        m.set_count(3, 2);
-        m.set_stop(true);
+        let mut m = NotifyMsg::new(4, 2, 1);
+        m.set_count(0, 3, 2);
+        m.set_stop(0, true);
         assert_eq!(m.to_string(), "notify[3:2 STOP]");
-        assert_eq!(NotifyMsg::new(2, 1).to_string(), "notify[]");
+        assert_eq!(NotifyMsg::new(2, 1, 1).to_string(), "notify[]");
     }
 
     #[test]
     fn planes_have_independent_lanes_and_stop_bits() {
-        let mut m = NotifyMsg::with_planes(8, 2, 3);
+        let mut m = NotifyMsg::new(8, 2, 3);
         assert_eq!(m.planes(), 3);
-        m.set_count_in(0, 7, 2);
-        m.set_count_in(1, 7, 3);
-        m.set_count_in(2, 0, 1);
-        m.set_stop_in(1, true);
+        m.set_count(0, 7, 2);
+        m.set_count(1, 7, 3);
+        m.set_count(2, 0, 1);
+        m.set_stop(1, true);
         // No crosstalk between plane word groups.
-        assert_eq!(m.count_in(0, 7), 2);
-        assert_eq!(m.count_in(1, 7), 3);
-        assert_eq!(m.count_in(2, 7), 0);
-        assert_eq!(m.count_in(2, 0), 1);
-        assert!(!m.stop_in(0) && m.stop_in(1) && !m.stop_in(2));
+        assert_eq!(m.count(0, 7), 2);
+        assert_eq!(m.count(1, 7), 3);
+        assert_eq!(m.count(2, 7), 0);
+        assert_eq!(m.count(2, 0), 1);
+        assert!(!m.stop(0) && m.stop(1) && !m.stop(2));
         assert_eq!(m.total_in(0), 2);
         assert_eq!(m.total_in(1), 3);
         assert_eq!(m.total(), 6);
-        let pairs: Vec<_> = m.nonzero_in(1).collect();
+        let pairs: Vec<_> = m.nonzero(1).collect();
         assert_eq!(pairs, vec![(7, 3)]);
         // Merge keeps planes independent.
-        let mut o = NotifyMsg::with_planes(8, 2, 3);
-        o.set_count_in(2, 4, 1);
+        let mut o = NotifyMsg::new(8, 2, 3);
+        o.set_count(2, 4, 1);
         m.merge_from(&o);
-        assert_eq!(m.count_in(2, 4), 1);
-        assert_eq!(m.count_in(0, 4), 0);
-        // Width: 3 planes x (8 cores x 2 bits + stop).
-        assert_eq!(m.width_bits(), 3 * 17);
+        assert_eq!(m.count(2, 4), 1);
+        assert_eq!(m.count(0, 4), 0);
         assert_eq!(m.to_string(), "notify[p0/7:2 p1/7:3 p1/STOP p2/0:1 p2/4:1]");
     }
 
@@ -503,10 +457,10 @@ mod tests {
     fn single_plane_one_bit_totals_use_popcount() {
         // bits_per_core == 1 takes the popcount shortcut; with planes it
         // must still count every plane's lanes.
-        let mut m = NotifyMsg::with_planes(36, 1, 2);
-        m.set_count_in(0, 35, 1);
-        m.set_count_in(1, 0, 1);
-        m.set_count_in(1, 35, 1);
+        let mut m = NotifyMsg::new(36, 1, 2);
+        m.set_count(0, 35, 1);
+        m.set_count(1, 0, 1);
+        m.set_count(1, 35, 1);
         assert_eq!(m.total(), 3);
         assert_eq!(m.total_in(0), 1);
         assert_eq!(m.total_in(1), 2);
@@ -521,21 +475,21 @@ mod tests {
         for bits in 1..=7u8 {
             for cores in [1usize, 36, 64, 65, 272, 1024] {
                 for planes in [1usize, 2, 4] {
-                    let mut m = NotifyMsg::with_planes(cores, bits, planes);
+                    let mut m = NotifyMsg::new(cores, bits, planes);
                     let density = 1 + rng.gen_range_usize(cores);
                     for _ in 0..density {
                         let (p, c) = (rng.gen_range_usize(planes), rng.gen_range_usize(cores));
-                        m.set_count_in(p, c, rng.gen_range_usize(1 << bits) as u8);
+                        m.set_count(p, c, rng.gen_range_usize(1 << bits) as u8);
                     }
                     // The last lane of a plane abuts the next plane's first.
-                    m.set_count_in(planes - 1, cores - 1, 1);
+                    m.set_count(planes - 1, cores - 1, 1);
                     for p in 0..planes {
                         let by_lane: Vec<(usize, u8)> = (0..cores)
-                            .map(|c| (c, m.count_in(p, c)))
+                            .map(|c| (c, m.count(p, c)))
                             .filter(|&(_, n)| n > 0)
                             .collect();
                         let tag = format!("{bits} bits, {cores} cores, plane {p}/{planes}");
-                        assert_eq!(m.nonzero_in(p).collect::<Vec<_>>(), by_lane, "{tag}");
+                        assert_eq!(m.nonzero(p).collect::<Vec<_>>(), by_lane, "{tag}");
                         let total: u32 = by_lane.iter().map(|&(_, n)| n as u32).sum();
                         assert_eq!(m.total_in(p), total, "{tag}");
                         let start = rng.gen_range_usize(cores + 1);
@@ -553,26 +507,26 @@ mod tests {
                 }
             }
         }
-        assert_eq!(NotifyMsg::new(0, 3).nonzero_in(0).count(), 0);
+        assert_eq!(NotifyMsg::new(0, 3, 1).nonzero(0).count(), 0);
     }
 
     #[test]
     #[should_panic(expected = "bits per core")]
     fn zero_bits_panics() {
-        let _ = NotifyMsg::new(4, 0);
+        let _ = NotifyMsg::new(4, 0, 1);
     }
 
     #[test]
     #[should_panic(expected = "planes must be in")]
     fn zero_planes_panics() {
-        let _ = NotifyMsg::with_planes(4, 1, 0);
+        let _ = NotifyMsg::new(4, 1, 0);
     }
 
     #[test]
     #[should_panic(expected = "core count mismatch")]
     fn merge_shape_mismatch_panics() {
-        let mut a = NotifyMsg::new(4, 1);
-        let b = NotifyMsg::new(5, 1);
+        let mut a = NotifyMsg::new(4, 1, 1);
+        let b = NotifyMsg::new(5, 1, 1);
         a.merge_from(&b);
     }
 }

@@ -147,17 +147,18 @@ impl NotifyScheme {
 ///
 /// ```
 /// use scorpio_noc::Mesh;
-/// use scorpio_notify::{NotifyConfig, NotifyNetwork};
+/// use scorpio_notify::{NotifyConfig, NotifyNetwork, NotifyScheme};
 ///
 /// let mesh = Mesh::scorpio_chip();
-/// let mut nn = NotifyNetwork::new(&mesh, NotifyConfig::for_mesh(&mesh));
-/// nn.stage_injection(7, 1, false);
+/// let cfg = NotifyConfig::for_mesh(&mesh);
+/// let mut nn = NotifyNetwork::with_scheme(&mesh, cfg, 1, NotifyScheme::Flat);
+/// nn.stage_injection(0, 7, 1, false);
 /// for _ in 0..13 {
 ///     nn.tick();
 /// }
 /// let (window, msg) = nn.latest().expect("window 0 completed");
 /// assert_eq!(window, 0);
-/// assert_eq!(msg.count(7), 1);
+/// assert_eq!(msg.count(0, 7), 1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct NotifyNetwork {
@@ -197,41 +198,20 @@ pub struct NotifyNetwork {
 
 impl NotifyNetwork {
     /// Builds the notification network mirroring `fabric` — a
-    /// [`Topology`] or a reference to one.
+    /// [`Topology`] or a reference to one — whose messages carry one
+    /// independent announcement word group per main-network plane. One
+    /// physical OR fabric propagates all planes' words together (they are
+    /// just wider messages); each plane's ordering windows converge
+    /// independently. `scheme` is the in-window propagation:
+    /// [`NotifyScheme::Flat`] is the chip's OR mesh, [`NotifyScheme::Quad`]
+    /// aggregates hierarchically so `cfg.window` may be as short as
+    /// `2 · tree depth + 3` ([`NotifyScheme::window_for`]).
     ///
     /// # Panics
     ///
-    /// Panics if the window is too short for worst-case propagation across
-    /// the fabric, or if `cores` does not match its router count.
-    pub fn new(fabric: impl Into<Topology>, cfg: NotifyConfig) -> Self {
-        NotifyNetwork::with_planes(fabric, cfg, 1)
-    }
-
-    /// Builds a notification network whose messages carry one independent
-    /// announcement word group per main-network plane — the multi-plane
-    /// configuration. One physical OR fabric propagates all planes' words
-    /// together (they are just wider messages); each plane's ordering
-    /// windows converge independently.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`NotifyNetwork::new`], or if
-    /// `planes` is 0 or greater than 64.
-    pub fn with_planes(fabric: impl Into<Topology>, cfg: NotifyConfig, planes: usize) -> Self {
-        NotifyNetwork::with_scheme(fabric, cfg, planes, NotifyScheme::Flat)
-    }
-
-    /// Builds a notification network using `scheme` for in-window
-    /// propagation: [`NotifyScheme::Flat`] is the chip's OR mesh,
-    /// [`NotifyScheme::Quad`] aggregates hierarchically so `cfg.window`
-    /// may be as short as `2 · tree depth + 3`
-    /// ([`NotifyScheme::window_for`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`NotifyNetwork::with_planes`],
-    /// or if the window is too short for the scheme's propagation cycles,
-    /// or on a quad fanout below 2.
+    /// Panics if the window is too short for the scheme's propagation
+    /// cycles, if `cores` does not match the fabric's tile count, if
+    /// `planes` is 0 or greater than 64, or on a quad fanout below 2.
     pub fn with_scheme(
         fabric: impl Into<Topology>,
         cfg: NotifyConfig,
@@ -240,20 +220,11 @@ impl NotifyNetwork {
     ) -> Self {
         let topo: Topology = fabric.into();
         let prop_cycles = scheme.propagation_cycles(&topo);
-        match scheme {
-            NotifyScheme::Flat => assert!(
-                cfg.window > prop_cycles,
-                "window {} cannot cover topology diameter {}",
-                cfg.window,
-                prop_cycles
-            ),
-            NotifyScheme::Quad { .. } => assert!(
-                cfg.window > prop_cycles,
-                "window {} cannot cover the quad tree's {} up/down steps",
-                cfg.window,
-                prop_cycles
-            ),
-        }
+        assert!(
+            cfg.window > prop_cycles,
+            "window {} cannot cover the {prop_cycles} propagation cycles of {scheme:?}",
+            cfg.window
+        );
         assert_eq!(cfg.cores, topo.tile_count(), "one bit-lane per tile");
         let (region_of_router, regions) = match scheme {
             NotifyScheme::Flat => (vec![0; topo.router_count()], 1),
@@ -263,7 +234,7 @@ impl NotifyNetwork {
                 (quad_parents(cols, rows, f), leaf_quads as usize)
             }
         };
-        let blank = NotifyMsg::with_planes(cfg.cores, cfg.bits_per_core, planes);
+        let blank = NotifyMsg::new(cfg.cores, cfg.bits_per_core, planes);
         NotifyNetwork {
             cycle: Cycle::ZERO,
             scheme,
@@ -335,30 +306,20 @@ impl NotifyNetwork {
         self.region_of_router[r]
     }
 
-    /// Stages core `core`'s plane-0 announcement for the next window
-    /// start: `count` requests (saturating) and optionally the stop bit.
-    /// Staging twice before a window start merges (max/OR semantics).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `core` is out of range.
-    pub fn stage_injection(&mut self, core: usize, count: u8, stop: bool) {
-        self.stage_injection_in(0, core, count, stop);
-    }
-
     /// Stages core `core`'s announcement for plane `plane` at the next
-    /// window start (see [`NotifyNetwork::stage_injection`]).
+    /// window start: `count` requests (saturating) and optionally the stop
+    /// bit. Staging twice before a window start merges (max/OR semantics).
     ///
     /// # Panics
     ///
     /// Panics if `plane` or `core` is out of range.
-    pub fn stage_injection_in(&mut self, plane: usize, core: usize, count: u8, stop: bool) {
-        // `count_in` rejects an out-of-range plane or core; `set_count_in`
+    pub fn stage_injection(&mut self, plane: usize, core: usize, count: u8, stop: bool) {
+        // `count` rejects an out-of-range plane or core; `set_count`
         // saturates at the field width.
-        let merged = self.staged.count_in(plane, core).max(count);
-        self.staged.set_count_in(plane, core, merged);
+        let merged = self.staged.count(plane, core).max(count);
+        self.staged.set_count(plane, core, merged);
         if stop {
-            self.staged.set_stop_in(plane, true);
+            self.staged.set_stop(plane, true);
         }
     }
 
@@ -411,14 +372,6 @@ impl NotifyNetwork {
         self.windows_completed.add(n);
         self.latest.copy_from(&self.flight);
         self.latest_window = Some(first_tick / w + n - 1);
-    }
-
-    /// The port fan-in of a notification router (for the physical model):
-    /// 4 neighbour inputs + local, merged by five OR gates per Figure 3.
-    /// (Concentration does not add gates: co-hosted cores share the local
-    /// input, their contributions having been ORed at the latch.)
-    pub fn router_or_gate_count() -> usize {
-        5
     }
 
     /// Whether every remaining tick is a pure window-bookkeeping no-op:
@@ -594,9 +547,9 @@ mod gates {
             }
             for &(plane, core, count, stop) in staged {
                 let m = &mut self.levels[0][self.tile_router[core]];
-                m.set_count_in(plane, core, m.count_in(plane, core).max(count));
+                m.set_count(plane, core, m.count(plane, core).max(count));
                 if stop {
-                    m.set_stop_in(plane, true);
+                    m.set_stop(plane, true);
                 }
             }
         }
@@ -661,7 +614,7 @@ mod tests {
 
     fn net(k: u16) -> NotifyNetwork {
         let mesh = Mesh::new(k, k, &[]);
-        NotifyNetwork::new(&mesh, NotifyConfig::for_mesh(&mesh))
+        NotifyNetwork::with_scheme(&mesh, NotifyConfig::for_mesh(&mesh), 1, NotifyScheme::Flat)
     }
 
     /// A network at the scheme's own window on `topo`, and the gate-level
@@ -677,7 +630,7 @@ mod tests {
             bits_per_core,
             window: scheme.window_for(topo),
         };
-        let blank = NotifyMsg::with_planes(cfg.cores, bits_per_core, planes);
+        let blank = NotifyMsg::new(cfg.cores, bits_per_core, planes);
         (
             NotifyNetwork::with_scheme(topo, cfg, planes, scheme),
             Gates::new(topo, scheme, &blank),
@@ -691,7 +644,7 @@ mod tests {
     fn window_both_ways(nn: &mut NotifyNetwork, gates: &mut Gates, staged: &[Staged]) -> NotifyMsg {
         assert!(nn.is_window_start(nn.cycle()));
         for &(plane, core, count, stop) in staged {
-            nn.stage_injection_in(plane, core, count, stop);
+            nn.stage_injection(plane, core, count, stop);
         }
         for _ in 0..nn.config().window {
             nn.tick();
@@ -720,21 +673,21 @@ mod tests {
         // Every router's latch agrees with the published word.
         let msg = window_both_ways(&mut nn, &mut gates, &[(0, 0, 1, false)]);
         assert_eq!(nn.latest().unwrap().0, 0);
-        assert_eq!(msg.count(0), 1);
+        assert_eq!(msg.count(0, 0), 1);
         assert_eq!(msg.total(), 1);
     }
 
     #[test]
     fn corner_to_corner_injections_converge() {
         let mut nn = net(6);
-        nn.stage_injection(0, 1, false);
-        nn.stage_injection(35, 1, false);
+        nn.stage_injection(0, 0, 1, false);
+        nn.stage_injection(0, 35, 1, false);
         for _ in 0..13 {
             nn.tick();
         }
         let (_, msg) = nn.latest().unwrap();
-        assert_eq!(msg.count(0), 1);
-        assert_eq!(msg.count(35), 1);
+        assert_eq!(msg.count(0, 0), 1);
+        assert_eq!(msg.count(0, 35), 1);
         assert_eq!(msg.total(), 2);
     }
 
@@ -744,7 +697,7 @@ mod tests {
         for _ in 0..3 {
             nn.tick();
         }
-        nn.stage_injection(5, 1, false);
+        nn.stage_injection(0, 5, 1, false);
         for _ in 3..9 {
             nn.tick();
         }
@@ -756,44 +709,42 @@ mod tests {
         }
         let (w1, msg1) = nn.latest().unwrap();
         assert_eq!(w1, 1);
-        assert_eq!(msg1.count(5), 1);
+        assert_eq!(msg1.count(0, 5), 1);
     }
 
     #[test]
     fn stop_bit_propagates() {
         let mut nn = net(4);
-        nn.stage_injection(3, 0, true);
-        nn.stage_injection(7, 1, false);
+        nn.stage_injection(0, 3, 0, true);
+        nn.stage_injection(0, 7, 1, false);
         for _ in 0..9 {
             nn.tick();
         }
         let (_, msg) = nn.latest().unwrap();
-        assert!(msg.stop());
-        assert_eq!(msg.count(7), 1);
+        assert!(msg.stop(0));
+        assert_eq!(msg.count(0, 7), 1);
     }
 
     #[test]
     fn multi_bit_counts_survive_merging() {
         let mesh = Mesh::new(4, 4, &[]);
-        let mut nn = NotifyNetwork::new(
-            &mesh,
-            NotifyConfig {
-                cores: 16,
-                bits_per_core: 2,
-                window: mesh.notification_window(),
-            },
-        );
-        nn.stage_injection(2, 3, false);
-        nn.stage_injection(9, 2, false);
-        nn.stage_injection(9, 1, false); // merges to max(2,1)=2
-        nn.stage_injection(4, 200, false); // saturates at 2^bits - 1
+        let cfg = NotifyConfig {
+            cores: 16,
+            bits_per_core: 2,
+            window: mesh.notification_window(),
+        };
+        let mut nn = NotifyNetwork::with_scheme(&mesh, cfg, 1, NotifyScheme::Flat);
+        nn.stage_injection(0, 2, 3, false);
+        nn.stage_injection(0, 9, 2, false);
+        nn.stage_injection(0, 9, 1, false); // merges to max(2,1)=2
+        nn.stage_injection(0, 4, 200, false); // saturates at 2^bits - 1
         for _ in 0..9 {
             nn.tick();
         }
         let (_, msg) = nn.latest().unwrap();
-        assert_eq!(msg.count(2), 3);
-        assert_eq!(msg.count(9), 2);
-        assert_eq!(msg.count(4), 3);
+        assert_eq!(msg.count(0, 2), 3);
+        assert_eq!(msg.count(0, 9), 2);
+        assert_eq!(msg.count(0, 4), 3);
     }
 
     #[test]
@@ -842,8 +793,8 @@ mod tests {
                     "latest diverged at warmup {warmup} delta {delta}"
                 );
                 // Subsequent live traffic behaves identically.
-                ticked.stage_injection(5, 1, false);
-                leaped.stage_injection(5, 1, false);
+                ticked.stage_injection(0, 5, 1, false);
+                leaped.stage_injection(0, 5, 1, false);
                 for _ in 0..18 {
                     ticked.tick();
                     leaped.tick();
@@ -862,7 +813,7 @@ mod tests {
     #[test]
     fn live_window_blocks_idle_until_next_window_start() {
         let mut nn = net(4); // window 9
-        nn.stage_injection(0, 1, false);
+        nn.stage_injection(0, 0, 1, false);
         assert!(!nn.is_idle(), "staged injection blocks leaping");
         for _ in 0..9 {
             nn.tick();
@@ -875,9 +826,10 @@ mod tests {
     #[test]
     fn rectangular_mesh_converges() {
         let mesh = Mesh::new(8, 2, &[]);
-        let mut nn = NotifyNetwork::new(&mesh, NotifyConfig::for_mesh(&mesh));
-        nn.stage_injection(0, 1, false);
-        nn.stage_injection(15, 1, false);
+        let cfg = NotifyConfig::for_mesh(&mesh);
+        let mut nn = NotifyNetwork::with_scheme(&mesh, cfg, 1, NotifyScheme::Flat);
+        nn.stage_injection(0, 0, 1, false);
+        nn.stage_injection(0, 15, 1, false);
         let w = mesh.notification_window();
         for _ in 0..w {
             nn.tick();
@@ -887,17 +839,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "cannot cover topology diameter")]
+    #[should_panic(expected = "cannot cover the 10 propagation cycles of Flat")]
     fn too_short_window_panics() {
         let mesh = Mesh::new(6, 6, &[]);
-        let _ = NotifyNetwork::new(
-            &mesh,
-            NotifyConfig {
-                cores: 36,
-                bits_per_core: 1,
-                window: 5,
-            },
-        );
+        let cfg = NotifyConfig {
+            cores: 36,
+            bits_per_core: 1,
+            window: 5,
+        };
+        let _ = NotifyNetwork::with_scheme(&mesh, cfg, 1, NotifyScheme::Flat);
     }
 
     #[test]
@@ -910,7 +860,7 @@ mod tests {
         let staged = [(0, 0, 1, false), (0, 35, 1, false)];
         let msg = window_both_ways(&mut nn, &mut gates, &staged);
         assert_eq!(msg.total(), 2);
-        assert_eq!(msg.count(0), 1);
+        assert_eq!(msg.count(0, 0), 1);
     }
 
     #[test]
@@ -918,9 +868,9 @@ mod tests {
         let topo = Ring::with_spread_mcs(16, 4);
         let cfg = NotifyConfig::for_mesh(&topo);
         assert_eq!(cfg.window, 8 + 3);
-        let mut nn = NotifyNetwork::new(&topo, cfg.clone());
-        nn.stage_injection(0, 1, false);
-        nn.stage_injection(8, 1, false); // antipodal
+        let mut nn = NotifyNetwork::with_scheme(&topo, cfg.clone(), 1, NotifyScheme::Flat);
+        nn.stage_injection(0, 0, 1, false);
+        nn.stage_injection(0, 8, 1, false); // antipodal
         for _ in 0..cfg.window {
             nn.tick();
         }
@@ -934,13 +884,8 @@ mod tests {
         // must still converge (merging a value twice is the identity).
         let (mut nn, mut gates) = both(&Torus::new(2, 4, &[]), NotifyScheme::Flat, 1, 1);
         let msg = window_both_ways(&mut nn, &mut gates, &[(0, 7, 1, false)]);
-        assert_eq!(msg.count(7), 1);
+        assert_eq!(msg.count(0, 7), 1);
         assert_eq!(msg.total(), 1);
-    }
-
-    #[test]
-    fn or_gate_count_matches_figure3() {
-        assert_eq!(NotifyNetwork::router_or_gate_count(), 5);
     }
 
     #[test]
@@ -957,10 +902,10 @@ mod tests {
         let staged = [(0, 0, 1, false), (0, 1, 1, false), (0, 15, 0, true)];
         let msg = window_both_ways(&mut nn, &mut gates, &staged);
         assert_eq!(nn.latest().unwrap().0, 0);
-        assert_eq!(msg.count(0), 1);
-        assert_eq!(msg.count(1), 1);
+        assert_eq!(msg.count(0, 0), 1);
+        assert_eq!(msg.count(0, 1), 1);
         assert_eq!(msg.total(), 2);
-        assert!(msg.stop());
+        assert!(msg.stop(0));
     }
 
     #[test]
@@ -973,6 +918,9 @@ mod tests {
         assert_eq!(m32.notification_window(), 65);
         assert_eq!(NotifyScheme::Quad { fanout: 2 }.window_for(&m32), 13);
         assert_eq!(NotifyScheme::Quad { fanout: 4 }.window_for(&m32), 9);
+        // The chip's 6×6 folds 6→3→2→1 at fanout 2: depth 3, window 9.
+        let chip: Topology = Mesh::new(6, 6, &[]);
+        assert_eq!(NotifyScheme::Quad { fanout: 2 }.window_for(&chip), 9);
         // Non-square and degenerate grids.
         let m8x2: Topology = Mesh::new(8, 2, &[]);
         assert_eq!(NotifyScheme::Quad { fanout: 2 }.window_for(&m8x2), 9);
@@ -1001,8 +949,8 @@ mod tests {
         let staged = [(0, 0, 1, false), (0, 63, 1, false)];
         let msg = window_both_ways(&mut nn, &mut gates, &staged);
         assert_eq!(nn.latest().unwrap().0, 0);
-        assert_eq!(msg.count(0), 1);
-        assert_eq!(msg.count(63), 1);
+        assert_eq!(msg.count(0, 0), 1);
+        assert_eq!(msg.count(0, 63), 1);
         assert_eq!(msg.total(), 2);
     }
 
@@ -1044,7 +992,8 @@ mod tests {
             let planes = if rng.chance(0.5) { 1 } else { 4 };
             let mesh = Mesh::new(cols, rows, &[]);
             let cores = mesh.tile_count();
-            let mut flat = NotifyNetwork::with_planes(&mesh, NotifyConfig::for_mesh(&mesh), planes);
+            let cfg = NotifyConfig::for_mesh(&mesh);
+            let mut flat = NotifyNetwork::with_scheme(&mesh, cfg, planes, NotifyScheme::Flat);
             let mut quad = quad_net(cols, rows, fanout, planes);
             // Two windows of random announcements (the second follows a
             // live window, so it exercises the window-start clear).
@@ -1053,8 +1002,8 @@ mod tests {
                     for plane in 0..planes {
                         if rng.chance(0.2) {
                             let stop = rng.chance(0.1);
-                            flat.stage_injection_in(plane, core, 1, stop);
-                            quad.stage_injection_in(plane, core, 1, stop);
+                            flat.stage_injection(plane, core, 1, stop);
+                            quad.stage_injection(plane, core, 1, stop);
                         }
                     }
                 }
@@ -1116,8 +1065,8 @@ mod tests {
                         let msg = window_both_ways(&mut nn, &mut gates, &staged);
                         assert_eq!(nn.latest().unwrap().0, window);
                         for &(plane, core, count, stop) in &staged {
-                            assert!(msg.count_in(plane, core) >= count);
-                            assert!(msg.stop_in(plane) || !stop);
+                            assert!(msg.count(plane, core) >= count);
+                            assert!(msg.stop(plane) || !stop);
                         }
                     }
                 }
@@ -1134,9 +1083,9 @@ mod tests {
                 assert_eq!(topo.hops(RouterId(0), far), topo.diameter());
                 gates.latch(&[(0, 0, 1, false)]);
                 let latches = gates.run(gates.prop_cycles - 1);
-                assert_eq!(latches[0].count(0), 1);
+                assert_eq!(latches[0].count(0, 0), 1);
                 assert!(latches[far.index()].is_empty(), "{topo:?} converged early");
-                assert_eq!(gates.run(1)[far.index()].count(0), 1);
+                assert_eq!(gates.run(1)[far.index()].count(0, 0), 1);
             }
         }
     }
@@ -1163,8 +1112,8 @@ mod tests {
                     let mut ticked = make();
                     let mut leaped = make();
                     for nn in [&mut ticked, &mut leaped] {
-                        nn.stage_injection(0, 1, false);
-                        nn.stage_injection(5, 1, true);
+                        nn.stage_injection(0, 0, 1, false);
+                        nn.stage_injection(0, 5, 1, true);
                         for _ in 0..offset {
                             nn.tick();
                         }
@@ -1201,7 +1150,7 @@ mod tests {
     fn leap_horizon_tracks_window_state() {
         let mut nn = net(4); // window 9
         assert_eq!(nn.leap_horizon(), None, "idle network is unconstrained");
-        nn.stage_injection(3, 1, false);
+        nn.stage_injection(0, 3, 1, false);
         assert_eq!(
             nn.leap_horizon(),
             Some(0),
@@ -1219,7 +1168,7 @@ mod tests {
         assert_eq!(nn.leap_horizon(), None);
         // Staged mid-window: horizon is the next window start.
         nn.tick();
-        nn.stage_injection(4, 1, false);
+        nn.stage_injection(0, 4, 1, false);
         assert_eq!(nn.leap_horizon(), Some(18));
         nn.advance(7); // up to the latch tick exactly
         assert_eq!(nn.cycle().as_u64(), 18);
@@ -1228,7 +1177,7 @@ mod tests {
         }
         let (w, msg) = nn.latest().unwrap();
         assert_eq!(w, 2);
-        assert_eq!(msg.count(4), 1);
+        assert_eq!(msg.count(0, 4), 1);
     }
 
     /// Overshooting the horizon would drop the window's publication (and
@@ -1237,7 +1186,7 @@ mod tests {
     #[should_panic(expected = "overruns the publish tick")]
     fn live_advance_past_the_publish_tick_panics() {
         let mut nn = net(4); // window 9
-        nn.stage_injection(3, 1, false);
+        nn.stage_injection(0, 3, 1, false);
         nn.tick();
         assert_eq!(nn.leap_horizon(), Some(8));
         nn.advance(8); // from cycle 1: would skip the publish tick at 8
@@ -1248,7 +1197,7 @@ mod tests {
     fn advance_across_a_staged_latch_tick_panics() {
         let mut nn = net(4); // window 9
         nn.tick();
-        nn.stage_injection(3, 1, false);
+        nn.stage_injection(0, 3, 1, false);
         assert_eq!(nn.leap_horizon(), Some(9));
         nn.advance(9); // from cycle 1: would skip the latch tick at 9
     }
@@ -1262,9 +1211,9 @@ mod tests {
         let (mut nn, mut gates) = both(&Mesh::new(6, 3, &[]), scheme, 4, 1);
         let staged = [(0, 0, 1, false), (2, 17, 1, true)];
         let msg = window_both_ways(&mut nn, &mut gates, &staged);
-        assert_eq!(msg.count_in(0, 0), 1);
-        assert_eq!(msg.count_in(2, 17), 1);
-        assert!(!msg.stop_in(0) && msg.stop_in(2));
+        assert_eq!(msg.count(0, 0), 1);
+        assert_eq!(msg.count(2, 17), 1);
+        assert!(!msg.stop(0) && msg.stop(2));
         assert_eq!(msg.total(), 2);
         assert_eq!(msg.total_in(1) + msg.total_in(3), 0);
     }
@@ -1279,9 +1228,9 @@ mod tests {
         let staged = [(0, 5, 1, false), (1, 5, 1, false), (2, 9, 0, true)];
         let msg = window_both_ways(&mut nn, &mut gates, &staged);
         assert_eq!(nn.latest().unwrap().0, 0);
-        assert_eq!(msg.count_in(0, 5), 1);
-        assert_eq!(msg.count_in(1, 5), 1);
-        assert_eq!(msg.count_in(2, 5), 0);
-        assert!(!msg.stop_in(0) && !msg.stop_in(1) && msg.stop_in(2));
+        assert_eq!(msg.count(0, 5), 1);
+        assert_eq!(msg.count(1, 5), 1);
+        assert_eq!(msg.count(2, 5), 0);
+        assert!(!msg.stop(0) && !msg.stop(1) && msg.stop(2));
     }
 }

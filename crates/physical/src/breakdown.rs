@@ -150,19 +150,6 @@ pub fn chip_power_watts(tiles: usize) -> f64 {
     0.8 * tiles as f64
 }
 
-/// Router+NIC area relative to the 4-VC GO-REQ baseline, from the
-/// post-synthesis evaluation in Section 5.2 ("4 VCs is 15% more area
-/// efficient ... than 6 VCs") with linear interpolation per VC.
-pub fn router_area_scale(goreq_vcs: u8) -> f64 {
-    1.0 + (goreq_vcs as f64 - 4.0) * (0.15 / 2.0)
-}
-
-/// Router+NIC power relative to the 4-VC baseline ("consumes 12% less
-/// power than 6 VCs").
-pub fn router_power_scale(goreq_vcs: u8) -> f64 {
-    1.0 + (goreq_vcs as f64 - 4.0) * (0.12 / 2.0)
-}
-
 /// The main-network port count of one router on `fabric` (`"mesh"`,
 /// `"torus"`, `"ring"` or `"cmesh"`) hosting `concentration` local tile
 /// attachments: four mesh directions (two on a ring) plus one local port
@@ -178,22 +165,13 @@ pub fn router_power_scale(goreq_vcs: u8) -> f64 {
 /// # Panics
 ///
 /// Panics on an unknown fabric name or zero concentration.
-pub fn router_radix_c(fabric: &str, concentration: usize) -> usize {
+pub fn router_radix(fabric: &str, concentration: usize) -> usize {
     assert!(concentration > 0, "at least one tile per router");
     match fabric {
         "mesh" | "torus" | "cmesh" => 4 + concentration,
         "ring" => 2 + concentration,
         other => panic!("unknown fabric {other:?}"),
     }
-}
-
-/// [`router_radix_c`] at the chip's one-tile-per-router concentration.
-///
-/// # Panics
-///
-/// Panics on an unknown fabric name.
-pub fn router_radix(fabric: &str) -> usize {
-    router_radix_c(fabric, 1)
 }
 
 /// Average link-length scale of `fabric` at `concentration` tiles per
@@ -208,7 +186,7 @@ pub fn router_radix(fabric: &str) -> usize {
 /// # Panics
 ///
 /// Panics on an unknown fabric name or zero concentration.
-pub fn link_length_scale_c(fabric: &str, concentration: usize) -> f64 {
+pub fn link_length_scale(fabric: &str, concentration: usize) -> f64 {
     assert!(concentration > 0, "at least one tile per router");
     let base = match fabric {
         "mesh" | "cmesh" => 1.0,
@@ -218,47 +196,36 @@ pub fn link_length_scale_c(fabric: &str, concentration: usize) -> f64 {
     base * (concentration as f64).sqrt()
 }
 
-/// [`link_length_scale_c`] at concentration 1.
-///
-/// # Panics
-///
-/// Panics on an unknown fabric name.
-pub fn link_length_scale(fabric: &str) -> f64 {
-    link_length_scale_c(fabric, 1)
+/// Router radix relative to the chip's 5-port mesh router.
+fn radix_ratio(fabric: &str, concentration: usize) -> f64 {
+    router_radix(fabric, concentration) as f64 / router_radix("mesh", 1) as f64
 }
 
-/// Router+NIC area relative to the chip's 4-VC *mesh* router, corrected
-/// for the fabric's router radix: crossbar area grows with the square of
-/// the port count, buffers/allocators linearly, modeled here as the mean
-/// of the two. A 3-port ring router is therefore markedly smaller than
-/// the 5-port mesh router at the same VC count, and a concentration-4
-/// CMesh router markedly larger.
-pub fn router_area_scale_topo_c(goreq_vcs: u8, fabric: &str, concentration: usize) -> f64 {
-    let r = router_radix_c(fabric, concentration) as f64 / router_radix("mesh") as f64;
-    router_area_scale(goreq_vcs) * (r * r + r) / 2.0
+/// Router+NIC area relative to the chip's 4-VC *mesh* router. The VC
+/// term is the post-synthesis evaluation in Section 5.2 ("4 VCs is 15%
+/// more area efficient ... than 6 VCs") with linear interpolation per VC.
+/// The fabric term corrects for router radix: crossbar area grows with
+/// the square of the port count, buffers/allocators linearly, modeled
+/// here as the mean of the two. A 3-port ring router is therefore
+/// markedly smaller than the 5-port mesh router at the same VC count, and
+/// a concentration-4 CMesh router markedly larger.
+pub fn router_area_scale(goreq_vcs: u8, fabric: &str, concentration: usize) -> f64 {
+    let r = radix_ratio(fabric, concentration);
+    (1.0 + (goreq_vcs as f64 - 4.0) * (0.15 / 2.0)) * (r * r + r) / 2.0
 }
 
-/// [`router_area_scale_topo_c`] at concentration 1.
-pub fn router_area_scale_topo(goreq_vcs: u8, fabric: &str) -> f64 {
-    router_area_scale_topo_c(goreq_vcs, fabric, 1)
-}
-
-/// Router+NIC power relative to the chip's 4-VC mesh router, corrected
-/// for router radix (switching energy follows the same crossbar/buffer
-/// split as [`router_area_scale_topo_c`]) and for the fabric's link
-/// length (link drivers are ~40% of router+link power on the chip's
-/// nearest-neighbour links).
-pub fn router_power_scale_topo_c(goreq_vcs: u8, fabric: &str, concentration: usize) -> f64 {
-    let r = router_radix_c(fabric, concentration) as f64 / router_radix("mesh") as f64;
-    let switching = router_power_scale(goreq_vcs) * (r * r + r) / 2.0;
+/// Router+NIC power relative to the chip's 4-VC mesh router. The VC term
+/// is Section 5.2's "consumes 12% less power than 6 VCs"; switching
+/// energy follows the same crossbar/buffer radix split as
+/// [`router_area_scale`], and the fabric's link length scales the link
+/// drivers (~40% of router+link power on the chip's nearest-neighbour
+/// links).
+pub fn router_power_scale(goreq_vcs: u8, fabric: &str, concentration: usize) -> f64 {
+    let r = radix_ratio(fabric, concentration);
+    let switching = (1.0 + (goreq_vcs as f64 - 4.0) * (0.12 / 2.0)) * (r * r + r) / 2.0;
     const LINK_FRACTION: f64 = 0.4;
     switching * (1.0 - LINK_FRACTION)
-        + switching * LINK_FRACTION * link_length_scale_c(fabric, concentration)
-}
-
-/// [`router_power_scale_topo_c`] at concentration 1.
-pub fn router_power_scale_topo(goreq_vcs: u8, fabric: &str) -> f64 {
-    router_power_scale_topo_c(goreq_vcs, fabric, 1)
+        + switching * LINK_FRACTION * link_length_scale(fabric, concentration)
 }
 
 /// Total main-network area relative to the chip's single-plane 4-VC mesh
@@ -267,41 +234,24 @@ pub fn router_power_scale_topo(goreq_vcs: u8, fabric: &str) -> f64 {
 /// `concentration` — so a bigger router is paid for out of fewer routers.
 /// At concentration 2 the per-router area rises ~1.3× but only half the
 /// routers exist, a net win the `cmesh` sweeps report.
-pub fn network_area_scale_c(
-    goreq_vcs: u8,
-    fabric: &str,
-    planes: usize,
-    concentration: usize,
-) -> f64 {
+pub fn network_area_scale(goreq_vcs: u8, fabric: &str, planes: usize, concentration: usize) -> f64 {
     assert!(planes > 0, "at least one plane");
-    planes as f64 * router_area_scale_topo_c(goreq_vcs, fabric, concentration)
-        / concentration as f64
-}
-
-/// [`network_area_scale_c`] at concentration 1.
-pub fn network_area_scale(goreq_vcs: u8, fabric: &str, planes: usize) -> f64 {
-    network_area_scale_c(goreq_vcs, fabric, planes, 1)
+    planes as f64 * router_area_scale(goreq_vcs, fabric, concentration) / concentration as f64
 }
 
 /// Total main-network power budget relative to the chip's single-plane
-/// 4-VC mesh at the same tile count (see [`network_area_scale_c`] for the
+/// 4-VC mesh at the same tile count (see [`network_area_scale`] for the
 /// router-count normalization). Idle planes clock-gate nothing in this
 /// model — the honest upper bound for the replication cost the `planes`
 /// sweeps report.
-pub fn network_power_scale_c(
+pub fn network_power_scale(
     goreq_vcs: u8,
     fabric: &str,
     planes: usize,
     concentration: usize,
 ) -> f64 {
     assert!(planes > 0, "at least one plane");
-    planes as f64 * router_power_scale_topo_c(goreq_vcs, fabric, concentration)
-        / concentration as f64
-}
-
-/// [`network_power_scale_c`] at concentration 1.
-pub fn network_power_scale(goreq_vcs: u8, fabric: &str, planes: usize) -> f64 {
-    network_power_scale_c(goreq_vcs, fabric, planes, 1)
+    planes as f64 * router_power_scale(goreq_vcs, fabric, concentration) / concentration as f64
 }
 
 /// Relative network energy per delivered message: the scaled network
@@ -312,7 +262,7 @@ pub fn network_power_scale(goreq_vcs: u8, fabric: &str, planes: usize) -> f64 {
 /// meaningful.
 ///
 /// Returns 0 when no messages were delivered.
-pub fn energy_per_message_scale_c(
+pub fn energy_per_message_scale(
     goreq_vcs: u8,
     fabric: &str,
     planes: usize,
@@ -323,61 +273,20 @@ pub fn energy_per_message_scale_c(
     if messages == 0 {
         return 0.0;
     }
-    network_power_scale_c(goreq_vcs, fabric, planes, concentration) * runtime_cycles as f64
+    network_power_scale(goreq_vcs, fabric, planes, concentration) * runtime_cycles as f64
         / messages as f64
-}
-
-/// [`energy_per_message_scale_c`] at concentration 1.
-pub fn energy_per_message_scale(
-    goreq_vcs: u8,
-    fabric: &str,
-    planes: usize,
-    runtime_cycles: u64,
-    messages: u64,
-) -> f64 {
-    energy_per_message_scale_c(goreq_vcs, fabric, planes, 1, runtime_cycles, messages)
 }
 
 /// Notification-network data width: m bits per core plus the stop bit,
 /// times the number of main-network planes (each plane carries its own
 /// word group); O(m·N·planes) scaling discussed in Section 5.2.
-pub fn notification_width_bits(cores: usize, bits_per_core: u8) -> usize {
-    notification_width_bits_planes(cores, bits_per_core, 1)
-}
-
-/// [`notification_width_bits`] for a multi-plane network.
-pub fn notification_width_bits_planes(cores: usize, bits_per_core: u8, planes: usize) -> usize {
+pub fn notification_width_bits(cores: usize, bits_per_core: u8, planes: usize) -> usize {
     planes * (cores * bits_per_core as usize + 1)
-}
-
-/// Depth of the hierarchical (quad-tree) notification aggregator over a
-/// `cols × rows` router grid with the given fanout: the number of times
-/// each grid dimension is divided by `fanout` (rounding up) before a
-/// single root quad covers the machine. The flat bufferless network is
-/// depth 0.
-pub fn notification_tree_depth(cols: usize, rows: usize, fanout: usize) -> usize {
-    assert!(fanout >= 2, "a tree needs fanout >= 2");
-    let (mut c, mut r, mut depth) = (cols.max(1), rows.max(1), 0);
-    while c > 1 || r > 1 {
-        c = c.div_ceil(fanout);
-        r = r.div_ceil(fanout);
-        depth += 1;
-    }
-    depth
-}
-
-/// Notification window of the quad-tree aggregator: one up-sweep plus one
-/// down-sweep of the tree (2·depth propagation cycles) plus the same
-/// 3-cycle latch/merge/publish overhead the flat network pays. At 32×32
-/// with fanout 2 this is 13 cycles against the flat network's 65
-/// (diameter 62 + 3) — O(log N) against O(√N).
-pub fn notification_tree_window(cols: usize, rows: usize, fanout: usize) -> usize {
-    2 * notification_tree_depth(cols, rows, fanout) + 3
 }
 
 /// Aggregate-node count of the quad-tree: one OR node per quad per level
 /// above the leaves. Each node is pure combinational OR logic over
-/// [`notification_width_bits_planes`] wires, so tree cost scales with
+/// [`notification_width_bits`] wires, so tree cost scales with
 /// this count times the flat network's per-hop width.
 pub fn notification_tree_nodes(cols: usize, rows: usize, fanout: usize) -> usize {
     assert!(fanout >= 2, "a tree needs fanout >= 2");
@@ -437,67 +346,77 @@ mod tests {
 
     #[test]
     fn vc_scaling_matches_section_5_2() {
-        assert!((router_area_scale(4) - 1.0).abs() < 1e-9);
-        assert!((router_area_scale(6) - 1.15).abs() < 1e-9);
-        assert!((router_power_scale(6) - 1.12).abs() < 1e-9);
-        assert!(router_area_scale(2) < 1.0);
+        assert!((router_area_scale(4, "mesh", 1) - 1.0).abs() < 1e-9);
+        assert!((router_area_scale(6, "mesh", 1) - 1.15).abs() < 1e-9);
+        assert!((router_power_scale(6, "mesh", 1) - 1.12).abs() < 1e-9);
+        assert!(router_area_scale(2, "mesh", 1) < 1.0);
     }
 
     #[test]
     fn notification_widths() {
-        assert_eq!(notification_width_bits(36, 1), 37);
-        assert_eq!(notification_width_bits(36, 2), 73);
-        assert_eq!(notification_width_bits(100, 3), 301);
+        assert_eq!(notification_width_bits(36, 1, 1), 37);
+        assert_eq!(notification_width_bits(36, 2, 1), 73);
+        assert_eq!(notification_width_bits(100, 3, 1), 301);
         // Planes multiply the whole word group (counts + stop).
-        assert_eq!(notification_width_bits_planes(36, 1, 1), 37);
-        assert_eq!(notification_width_bits_planes(36, 1, 4), 148);
+        assert_eq!(notification_width_bits(36, 1, 4), 148);
     }
 
     #[test]
     fn topology_corrections_track_radix_and_wire_length() {
         // The mesh baseline is exactly the VC-only scale.
-        assert!((router_area_scale_topo(4, "mesh") - 1.0).abs() < 1e-9);
-        assert!((router_power_scale_topo(4, "mesh") - 1.0).abs() < 1e-9);
+        assert!((router_area_scale(4, "mesh", 1) - 1.0).abs() < 1e-9);
+        assert!((router_power_scale(4, "mesh", 1) - 1.0).abs() < 1e-9);
         // A torus router has mesh radix but 2x links: more power, equal
         // area.
-        assert!((router_area_scale_topo(4, "torus") - 1.0).abs() < 1e-9);
-        let torus_p = router_power_scale_topo(4, "torus");
+        assert!((router_area_scale(4, "torus", 1) - 1.0).abs() < 1e-9);
+        let torus_p = router_power_scale(4, "torus", 1);
         assert!(torus_p > 1.0 && torus_p < 2.0, "torus power {torus_p}");
         // A 3-port ring router is smaller than the 5-port mesh router
         // despite its longer folded links.
-        assert!(router_area_scale_topo(4, "ring") < 1.0);
+        assert!(router_area_scale(4, "ring", 1) < 1.0);
         // VC scaling still applies on every fabric.
-        assert!(router_area_scale_topo(6, "torus") > router_area_scale_topo(4, "torus"));
+        assert!(router_area_scale(6, "torus", 1) > router_area_scale(4, "torus", 1));
     }
 
     #[test]
     fn plane_scaling_is_linear_and_energy_per_message_divides_out() {
-        assert!((network_area_scale(4, "mesh", 1) - 1.0).abs() < 1e-9);
-        assert!((network_area_scale(4, "mesh", 4) - 4.0).abs() < 1e-9);
-        assert!((network_power_scale(4, "mesh", 2) - 2.0).abs() < 1e-9);
+        assert!((network_area_scale(4, "mesh", 1, 1) - 1.0).abs() < 1e-9);
+        assert!((network_area_scale(4, "mesh", 4, 1) - 4.0).abs() < 1e-9);
+        assert!((network_power_scale(4, "mesh", 2, 1) - 2.0).abs() < 1e-9);
         // 4 planes at 1/3 the runtime: energy per message worsens by 4/3
         // if message counts match.
-        let e1 = energy_per_message_scale(4, "mesh", 1, 3000, 100);
-        let e4 = energy_per_message_scale(4, "mesh", 4, 1000, 100);
+        let e1 = energy_per_message_scale(4, "mesh", 1, 1, 3000, 100);
+        let e4 = energy_per_message_scale(4, "mesh", 4, 1, 1000, 100);
         assert!((e4 / e1 - 4.0 / 3.0).abs() < 1e-9);
-        assert_eq!(energy_per_message_scale(4, "mesh", 1, 100, 0), 0.0);
+        assert_eq!(energy_per_message_scale(4, "mesh", 1, 1, 100, 0), 0.0);
     }
 
     #[test]
     fn notification_tree_shrinks_the_window_logarithmically() {
-        // 32×32: flat diameter is 62 (window 65); the fanout-2 tree is
-        // depth 5 (window 13), fanout 4 depth 3 (window 9).
-        assert_eq!(notification_tree_depth(32, 32, 2), 5);
-        assert_eq!(notification_tree_window(32, 32, 2), 13);
-        assert_eq!(notification_tree_depth(32, 32, 4), 3);
-        assert_eq!(notification_tree_window(32, 32, 4), 9);
-        // 6×6 (the paper's 36-core chip): depth 3 at fanout 2.
-        assert_eq!(notification_tree_depth(6, 6, 2), 3);
+        // A tree is priced as notify's window plus this crate's node count:
+        // the window falls to 2·depth + 3 while the nodes stay a geometric
+        // fraction of the leaves.
+        use scorpio_noc::{Mesh, Topology};
+        use scorpio_notify::NotifyScheme;
+        let window = |cols: u16, rows: u16, fanout: u8| {
+            let topo: Topology = Mesh::new(cols, rows, &[]);
+            NotifyScheme::Quad { fanout }.window_for(&topo)
+        };
+        // 32×32: flat window 65; fanout 2 is depth 5 (window 13) over 341
+        // nodes, fanout 4 depth 3 (window 9) over 69.
+        assert_eq!(window(32, 32, 2), 13);
+        assert_eq!(notification_tree_nodes(32, 32, 2), 341);
+        assert_eq!(window(32, 32, 4), 9);
+        assert_eq!(notification_tree_nodes(32, 32, 4), 69);
+        // 6×6 (the paper's 36-core chip): depth 3 at fanout 2, 9 + 4 + 1 nodes.
+        assert_eq!(window(6, 6, 2), 9);
+        assert_eq!(notification_tree_nodes(6, 6, 2), 14);
         // Non-square grids round each dimension up independently.
-        assert_eq!(notification_tree_depth(8, 2, 2), 3);
+        assert_eq!(window(8, 2, 2), 9);
+        assert_eq!(notification_tree_nodes(8, 2, 2), 4 + 2 + 1);
         // A 1×1 grid needs no tree at all.
-        assert_eq!(notification_tree_depth(1, 1, 2), 0);
-        assert_eq!(notification_tree_window(1, 1, 2), 3);
+        assert_eq!(window(1, 1, 2), 3);
+        assert_eq!(notification_tree_nodes(1, 1, 2), 0);
     }
 
     #[test]
@@ -515,35 +434,35 @@ mod tests {
     #[test]
     #[should_panic(expected = "unknown fabric")]
     fn unknown_fabric_panics() {
-        let _ = router_radix("hypercube");
+        let _ = router_radix("hypercube", 1);
     }
 
     #[test]
     fn concentration_scaling_trades_radix_for_router_count() {
         // A c=1 cmesh is the mesh baseline exactly.
-        assert_eq!(router_radix_c("cmesh", 1), 5);
-        assert!((router_area_scale_topo_c(4, "cmesh", 1) - 1.0).abs() < 1e-9);
-        assert!((network_power_scale_c(4, "cmesh", 1, 1) - 1.0).abs() < 1e-9);
+        assert_eq!(router_radix("cmesh", 1), 5);
+        assert!((router_area_scale(4, "cmesh", 1) - 1.0).abs() < 1e-9);
+        assert!((network_power_scale(4, "cmesh", 1, 1) - 1.0).abs() < 1e-9);
         // Radix grows with concentration; the ring keeps its 2-port base.
-        assert_eq!(router_radix_c("cmesh", 4), 8);
-        assert_eq!(router_radix_c("ring", 4), 6);
+        assert_eq!(router_radix("cmesh", 4), 8);
+        assert_eq!(router_radix("ring", 4), 6);
         // Per-router cost rises with concentration...
-        assert!(router_area_scale_topo_c(4, "cmesh", 2) > router_area_scale_topo_c(4, "cmesh", 1));
+        assert!(router_area_scale(4, "cmesh", 2) > router_area_scale(4, "cmesh", 1));
         // ...but the *network* (same tile count, 1/c the routers) shrinks:
         // concentration is a net area win at every supported c.
-        let a1 = network_area_scale_c(4, "cmesh", 1, 1);
-        let a2 = network_area_scale_c(4, "cmesh", 1, 2);
-        let a4 = network_area_scale_c(4, "cmesh", 1, 4);
+        let a1 = network_area_scale(4, "cmesh", 1, 1);
+        let a2 = network_area_scale(4, "cmesh", 1, 2);
+        let a4 = network_area_scale(4, "cmesh", 1, 4);
         assert!(a2 < a1, "c=2 network area {a2} not below c=1 {a1}");
         assert!(a4 < a2, "c=4 network area {a4} not below c=2 {a2}");
         // Wires stretch with sqrt(c).
-        assert!((link_length_scale_c("cmesh", 4) - 2.0).abs() < 1e-9);
-        assert!((link_length_scale_c("torus", 1) - 2.0).abs() < 1e-9);
+        assert!((link_length_scale("cmesh", 4) - 2.0).abs() < 1e-9);
+        assert!((link_length_scale("torus", 1) - 2.0).abs() < 1e-9);
         // Power: bigger switch vs fewer routers and longer wires — still
         // below the unconcentrated mesh at c=2.
-        assert!(network_power_scale_c(4, "cmesh", 1, 2) < 1.0);
+        assert!(network_power_scale(4, "cmesh", 1, 2) < 1.0);
         // Plane replication composes multiplicatively.
-        let two_planes = network_power_scale_c(4, "cmesh", 2, 2);
-        assert!((two_planes - 2.0 * network_power_scale_c(4, "cmesh", 1, 2)).abs() < 1e-9);
+        let two_planes = network_power_scale(4, "cmesh", 2, 2);
+        assert!((two_planes - 2.0 * network_power_scale(4, "cmesh", 1, 2)).abs() < 1e-9);
     }
 }

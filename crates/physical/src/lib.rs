@@ -13,12 +13,8 @@ mod breakdown;
 mod tables;
 
 pub use breakdown::{
-    chip_power_watts, energy_per_message_scale, energy_per_message_scale_c, link_length_scale,
-    link_length_scale_c, network_area_scale, network_area_scale_c, network_power_scale,
-    network_power_scale_c, notification_tree_depth, notification_tree_nodes,
-    notification_tree_window, notification_width_bits, notification_width_bits_planes,
-    router_area_scale, router_area_scale_topo, router_area_scale_topo_c, router_power_scale,
-    router_power_scale_topo, router_power_scale_topo_c, router_radix, router_radix_c,
-    tile_area_breakdown, tile_power_breakdown, Component, Share,
+    chip_power_watts, energy_per_message_scale, link_length_scale, network_area_scale,
+    network_power_scale, notification_tree_nodes, notification_width_bits, router_area_scale,
+    router_power_scale, router_radix, tile_area_breakdown, tile_power_breakdown, Component, Share,
 };
 pub use tables::{chip_feature_table, processor_comparison_table};

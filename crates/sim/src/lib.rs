@@ -6,8 +6,6 @@
 //! * [`SimRng`] — a deterministic, seedable random-number generator,
 //! * [`stats`] — counters, latency accumulators and histograms,
 //! * [`Fifo`] — bounded FIFO queues with occupancy accounting,
-//! * [`Latch`] — two-phase (compute/commit) registers used to model
-//!   synchronous hardware without tick-order artifacts,
 //! * [`ActiveSet`] — the wake/sleep bookkeeping the skip-idle-work
 //!   simulation engines are built on, and [`Wake`], a component's answer
 //!   to when its next tick can first change state,
@@ -15,26 +13,24 @@
 //!   exact-prefix merge.
 //!
 //! The SCORPIO simulator is *cycle driven*: each component exposes a
-//! per-cycle `tick` and all cross-component communication goes through
-//! [`Latch`]es or staged queues so that every component observes the state
-//! produced in the previous cycle, exactly like flip-flop based hardware.
+//! per-cycle `tick`, and cross-component traffic is staged during the
+//! tick and made visible by a commit step after every component has
+//! ticked, so that every component observes the state produced in the
+//! previous cycle, exactly like flip-flop based hardware.
 //!
 //! # Examples
 //!
 //! ```
-//! use scorpio_sim::{Cycle, Fifo, Latch};
+//! use scorpio_sim::{Cycle, Fifo, SimRng};
 //!
 //! let mut clock = Cycle::ZERO;
-//! let mut wire: Latch<u32> = Latch::empty();
-//! wire.stage(7);
-//! assert!(wire.current().is_none()); // not visible until commit
-//! wire.commit();
+//! let mut q: Fifo<u64> = Fifo::bounded(2);
+//! let mut rng = SimRng::seed_from(7);
+//! q.push(rng.next_u64() % 10).unwrap();
 //! clock = clock.next();
-//! assert_eq!(wire.current(), Some(&7));
-//!
-//! let mut q: Fifo<u32> = Fifo::bounded(2);
-//! q.push(1).unwrap();
-//! assert_eq!(q.pop(), Some(1));
+//! assert_eq!(clock.as_u64(), 1);
+//! assert!(q.pop().is_some_and(|v| v < 10));
+//! assert_eq!(q.pop(), None);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -44,7 +40,6 @@ mod active;
 pub mod capped;
 mod cycle;
 mod fifo;
-mod latch;
 mod rng;
 pub mod stats;
 mod wake;
@@ -52,6 +47,5 @@ mod wake;
 pub use active::ActiveSet;
 pub use cycle::Cycle;
 pub use fifo::{Fifo, PushError};
-pub use latch::Latch;
 pub use rng::SimRng;
 pub use wake::{debug_digest, Wake};

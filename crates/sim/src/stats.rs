@@ -1,4 +1,4 @@
-//! Counters, latency accumulators and histograms.
+//! Counters, latency accumulators and log-bucket histograms.
 //!
 //! Every module in the simulator reports through these types so that the
 //! experiment harness can print uniform tables. All statistics are plain
@@ -156,129 +156,6 @@ impl fmt::Display for Accumulator {
                 self.max
             )
         }
-    }
-}
-
-/// A histogram with fixed-width buckets and an overflow bucket.
-///
-/// # Examples
-///
-/// ```
-/// use scorpio_sim::stats::Histogram;
-///
-/// let mut h = Histogram::new(10, 5); // 5 buckets of width 10
-/// h.record(3);
-/// h.record(12);
-/// h.record(999); // overflow
-/// assert_eq!(h.bucket_count(0), 1);
-/// assert_eq!(h.bucket_count(1), 1);
-/// assert_eq!(h.overflow(), 1);
-/// assert_eq!(h.total(), 3);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Histogram {
-    bucket_width: u64,
-    buckets: Vec<u64>,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `buckets` buckets of width `bucket_width`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bucket_width` or `buckets` is zero.
-    pub fn new(bucket_width: u64, buckets: usize) -> Self {
-        assert!(bucket_width > 0, "bucket width must be non-zero");
-        assert!(buckets > 0, "bucket count must be non-zero");
-        Histogram {
-            bucket_width,
-            buckets: vec![0; buckets],
-            overflow: 0,
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, sample: u64) {
-        let idx = (sample / self.bucket_width) as usize;
-        if idx < self.buckets.len() {
-            self.buckets[idx] += 1;
-        } else {
-            self.overflow += 1;
-        }
-    }
-
-    /// Count in bucket `idx` (`idx * width ..= idx * width + width - 1`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    pub fn bucket_count(&self, idx: usize) -> u64 {
-        self.buckets[idx]
-    }
-
-    /// Number of samples beyond the last bucket.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total samples recorded, including overflow.
-    pub fn total(&self) -> u64 {
-        self.buckets.iter().sum::<u64>() + self.overflow
-    }
-
-    /// Number of buckets (excluding the overflow bucket).
-    pub fn buckets(&self) -> usize {
-        self.buckets.len()
-    }
-
-    /// The bucket width this histogram was built with.
-    pub fn bucket_width(&self) -> u64 {
-        self.bucket_width
-    }
-
-    /// Folds another histogram into this one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the histograms have different shapes.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(
-            self.bucket_width, other.bucket_width,
-            "bucket width differs"
-        );
-        assert_eq!(
-            self.buckets.len(),
-            other.buckets.len(),
-            "bucket count differs"
-        );
-        for (b, o) in self.buckets.iter_mut().zip(&other.buckets) {
-            *b += o;
-        }
-        self.overflow += other.overflow;
-    }
-
-    /// The smallest value `v` such that at least `fraction` of samples are
-    /// `<= v` (bucket-granular; returns upper bucket edge). `None` if
-    /// empty. Samples in the overflow bucket report `u64::MAX` — the
-    /// histogram no longer knows their magnitude, only that they exceeded
-    /// the last bucket.
-    pub fn percentile(&self, fraction: f64) -> Option<u64> {
-        let total = self.total();
-        if total == 0 {
-            return None;
-        }
-        // At least one sample must be covered even for fraction 0.0 —
-        // otherwise an empty first bucket's edge would be reported.
-        let target = ((fraction.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-        let mut seen = 0;
-        for (idx, &count) in self.buckets.iter().enumerate() {
-            seen += count;
-            if count > 0 && seen >= target {
-                return Some((idx as u64 + 1) * self.bucket_width - 1);
-            }
-        }
-        Some(u64::MAX)
     }
 }
 
@@ -489,80 +366,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_and_overflow() {
-        let mut h = Histogram::new(5, 2); // [0,5), [5,10), overflow
-        h.record(0);
-        h.record(4);
-        h.record(5);
-        h.record(10);
-        assert_eq!(h.bucket_count(0), 2);
-        assert_eq!(h.bucket_count(1), 1);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.total(), 4);
-    }
-
-    #[test]
-    fn histogram_percentile() {
-        let mut h = Histogram::new(10, 10);
-        for v in [1, 2, 3, 50, 95] {
-            h.record(v);
-        }
-        assert_eq!(h.percentile(0.5), Some(9)); // 3 of 5 in first bucket
-        assert_eq!(h.percentile(1.0), Some(99));
-        assert_eq!(Histogram::new(1, 1).percentile(0.5), None);
-    }
-
-    #[test]
-    fn histogram_percentile_edge_cases() {
-        // Empty histogram: no percentile at any fraction.
-        let empty = Histogram::new(10, 4);
-        assert_eq!(empty.percentile(0.0), None);
-        assert_eq!(empty.percentile(0.5), None);
-        assert_eq!(empty.percentile(1.0), None);
-        // fraction 0.0 still covers one sample — it must not report the
-        // empty first bucket's edge.
-        let mut h = Histogram::new(10, 4);
-        h.record(25);
-        assert_eq!(h.percentile(0.0), Some(29));
-        assert_eq!(h.percentile(1.0), Some(29));
-        // Out-of-range fractions clamp.
-        assert_eq!(h.percentile(-3.0), Some(29));
-        assert_eq!(h.percentile(7.0), Some(29));
-        // Samples past the last bucket saturate to u64::MAX: the
-        // histogram no longer knows their magnitude.
-        let mut o = Histogram::new(10, 2);
-        o.record(5);
-        o.record(500);
-        assert_eq!(o.percentile(0.5), Some(9));
-        assert_eq!(o.percentile(1.0), Some(u64::MAX));
-        let mut all_over = Histogram::new(10, 2);
-        all_over.record(500);
-        assert_eq!(all_over.percentile(0.0), Some(u64::MAX));
-    }
-
-    #[test]
-    fn histogram_merge() {
-        let mut a = Histogram::new(5, 2);
-        a.record(1);
-        a.record(11);
-        let mut b = Histogram::new(5, 2);
-        b.record(2);
-        b.record(7);
-        a.merge(&b);
-        assert_eq!(a.bucket_count(0), 2);
-        assert_eq!(a.bucket_count(1), 1);
-        assert_eq!(a.overflow(), 1);
-        assert_eq!(a.total(), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "bucket width differs")]
-    fn histogram_merge_shape_mismatch_panics() {
-        let mut a = Histogram::new(5, 2);
-        a.merge(&Histogram::new(10, 2));
-    }
-
-    #[test]
     fn log_histogram_bucketing() {
         assert_eq!(LogHistogram::bucket_of(0), 0);
         assert_eq!(LogHistogram::bucket_of(1), 1);
@@ -625,11 +428,5 @@ mod tests {
         }
         assert_eq!(h.mean(), 17.0 / 3.0);
         assert_eq!(h.mean().to_bits(), a.mean().to_bits());
-    }
-
-    #[test]
-    #[should_panic(expected = "bucket width must be non-zero")]
-    fn zero_width_panics() {
-        let _ = Histogram::new(0, 1);
     }
 }

@@ -36,11 +36,6 @@ impl Trace {
         Trace::default()
     }
 
-    /// Builds a trace from records.
-    pub fn from_records(records: Vec<TraceRecord>) -> Trace {
-        Trace { records }
-    }
-
     /// Appends a record.
     pub fn push(&mut self, record: TraceRecord) {
         self.records.push(record);

@@ -8,7 +8,7 @@
 
 use scorpio_nic::{Nic, NicConfig, NicMode};
 use scorpio_noc::{Endpoint, Mesh, MultiNetwork, NocConfig, RouterId, Sid};
-use scorpio_notify::{NotifyConfig, NotifyNetwork};
+use scorpio_notify::{NotifyConfig, NotifyNetwork, NotifyScheme};
 use std::num::NonZeroUsize;
 
 fn main() {
@@ -17,7 +17,9 @@ fn main() {
     let one = NonZeroUsize::new(1).expect("non-zero");
     let mut net: MultiNetwork<&'static str> =
         MultiNetwork::new(mesh.clone(), NocConfig::scorpio(), one, 0);
-    let mut notify = NotifyNetwork::new(&mesh, NotifyConfig::for_mesh(&mesh));
+    // One plane, the chip's flat OR mesh.
+    let cfg = NotifyConfig::for_mesh(&mesh);
+    let mut notify = NotifyNetwork::with_scheme(&mesh, cfg, 1, NotifyScheme::Flat);
     let mut nics: Vec<Nic<&'static str>> = mesh
         .endpoints()
         .map(|ep| {

@@ -2,15 +2,15 @@
 //! throughput sanity of the main network under synthetic traffic patterns
 //! (the NoC-only methodology of the paper's Section 5.2 exploration).
 
-use scorpio_noc::{data_packet_flits, Endpoint, Mesh, Network, NocConfig, Packet, RouterId};
+use scorpio_noc::{
+    data_packet_flits, set_bits, Endpoint, Mesh, Network, NocConfig, Packet, RouterId,
+};
 use scorpio_sim::SimRng;
 
 fn drain_step(net: &mut Network<u64>) {
-    let eps: Vec<Endpoint> = net.mesh().endpoints().collect();
-    for ep in eps {
-        let slots: Vec<_> = net.eject_heads(ep).map(|(s, _)| s).collect();
-        for s in slots {
-            net.eject_take(ep, s);
+    for idx in 0..net.topology().endpoints().count() {
+        for vc in set_bits(net.eject_vcs(idx)) {
+            net.eject_take_vc(idx, vc);
         }
     }
     net.step();
@@ -108,11 +108,11 @@ fn channel_width_changes_data_packet_length() {
         let dst = Endpoint::tile(RouterId(8));
         net.try_inject(src, Packet::response(src, dst, cfg.data_flits(), 1))
             .unwrap();
+        let dst = net.endpoint_index(dst);
         let mut flits = 0;
         for _ in 0..200 {
-            let slots: Vec<_> = net.eject_heads(dst).map(|(s, _)| s).collect();
-            for s in slots {
-                net.eject_take(dst, s);
+            for vc in set_bits(net.eject_vcs(dst)) {
+                net.eject_take_vc(dst, vc);
                 flits += 1;
             }
             net.step();

@@ -9,8 +9,8 @@
 use scorpio::{Protocol, System, SystemConfig};
 use scorpio_nic::NotificationTracker;
 use scorpio_noc::{
-    routing, Endpoint, Mesh, Network, NocConfig, Packet, PlaneSteer, Port, Ring, RouterId, Sid,
-    Topology, Torus,
+    routing, set_bits, Endpoint, Mesh, Network, NocConfig, Packet, PlaneSteer, Port, Ring,
+    RouterId, Sid, Topology, Torus,
 };
 use scorpio_notify::NotifyMsg;
 use scorpio_sim::SimRng;
@@ -84,13 +84,13 @@ fn broadcast_exactly_once_on_wraparound_fabrics() {
 #[test]
 fn trackers_agree_on_any_window_stream() {
     for_each_seed(16, |rng| {
-        let mut eager = NotificationTracker::new(6, 16);
-        let mut lazy = NotificationTracker::new(6, 16);
+        let mut eager = NotificationTracker::new(6, 16, 0);
+        let mut lazy = NotificationTracker::new(6, 16, 0);
         let mut eager_order = Vec::new();
         for _ in 0..1 + rng.gen_range_usize(9) {
-            let mut msg = NotifyMsg::new(6, 2);
+            let mut msg = NotifyMsg::new(6, 2, 1);
             for core in 0..6 {
-                msg.set_count(core, rng.gen_range_u64(3) as u8);
+                msg.set_count(0, core, rng.gen_range_u64(3) as u8);
             }
             if msg.is_empty() {
                 continue;
@@ -130,12 +130,11 @@ fn random_broadcast_batches_drain() {
                 uids.push(uid);
             }
         }
-        let eps: Vec<Endpoint> = net.topology().endpoints().collect();
+        let eps = net.topology().endpoints().count();
         let drained = net.run_until_drained(3000, |net| {
-            for &ep in &eps {
-                let slots: Vec<_> = net.eject_heads(ep).map(|(s, _)| s).collect();
-                for s in slots {
-                    net.eject_take(ep, s);
+            for idx in 0..eps {
+                for vc in set_bits(net.eject_vcs(idx)) {
+                    net.eject_take_vc(idx, vc);
                 }
             }
         });

@@ -6,16 +6,16 @@
 //! SA-O/VS → ST (+1 link) = 4 cycles; bypassed hop = ST (+1 link) = 2
 //! cycles; lookaheads processed one cycle before their flit arrives.
 
-use scorpio_noc::{Endpoint, Mesh, Network, NocConfig, Packet, RouterId, Sid, VnetId};
+use scorpio_noc::{set_bits, Endpoint, Mesh, Network, NocConfig, Packet, RouterId, Sid, VnetId};
 
 /// Runs until the single injected packet's tail is consumed at `dst`,
 /// returning the consumption cycle.
 fn delivery_cycle(mut net: Network<u64>, dst: Endpoint) -> u64 {
+    let dst = net.endpoint_index(dst);
     for _ in 0..200 {
-        let slots: Vec<_> = net.eject_heads(dst).map(|(s, _)| s).collect();
         let mut done = false;
-        for s in slots {
-            if let Some(f) = net.eject_take(dst, s) {
+        for vc in set_bits(net.eject_vcs(dst)) {
+            if let Some(f) = net.eject_take_vc(dst, vc) {
                 if f.is_tail() {
                     done = true;
                 }
@@ -164,15 +164,14 @@ fn goreq_vnet_uses_separate_buffers_from_uoresp() {
     net.try_inject(src, Packet::broadcast_unordered(VnetId(0), src, 99))
         .unwrap();
     // Consume only GO-REQ flits; leave UO-RESP parked to hold its buffers.
+    let dst = net.endpoint_index(dst);
     let mut got_broadcast_at = None;
     for _ in 0..120 {
-        let slots: Vec<_> = net
-            .eject_heads(dst)
-            .filter(|(s, _)| s.vnet == VnetId(0))
-            .map(|(s, _)| s)
+        let go_req: Vec<usize> = set_bits(net.eject_vcs(dst))
+            .filter(|&vc| net.eject_head(dst, vc).unwrap().packet.vnet == VnetId(0))
             .collect();
-        for s in slots {
-            net.eject_take(dst, s);
+        for vc in go_req {
+            net.eject_take_vc(dst, vc);
             got_broadcast_at = Some(net.cycle().as_u64());
         }
         if got_broadcast_at.is_some() {

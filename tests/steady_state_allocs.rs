@@ -9,7 +9,7 @@
 use scorpio::{System, SystemConfig};
 use scorpio_nic::{Nic, NicConfig, NicMode};
 use scorpio_noc::{
-    Endpoint, Mesh, MultiNetwork, Network, NocConfig, Packet, RouterId, Sid, VnetId,
+    set_bits, Endpoint, Mesh, MultiNetwork, Network, NocConfig, Packet, RouterId, Sid, VnetId,
 };
 use scorpio_notify::{NotifyConfig, NotifyNetwork, NotifyScheme};
 use scorpio_workloads::{generate, WorkloadParams};
@@ -103,8 +103,7 @@ fn network_under_broadcast_injection_allocates_nothing_once_warm() {
     let mut cfg = NocConfig::scorpio();
     cfg.track_deliveries = false;
     let mut net: Network<u32> = Network::new(mesh, cfg);
-    let endpoints: Vec<Endpoint> = net.topology().endpoints().collect();
-    let mut slots = Vec::new();
+    let endpoints = net.topology().endpoints().count();
     let mut seq = [0u16; 16];
     let mut cycle = |net: &mut Network<u32>, n: u32| {
         // Every fourth cycle each tile tries a broadcast (a full injection
@@ -118,11 +117,9 @@ fn network_under_broadcast_injection_allocates_nothing_once_warm() {
                 }
             }
         }
-        for &ep in &endpoints {
-            slots.clear();
-            slots.extend(net.eject_heads(ep).map(|(slot, _)| slot));
-            for &slot in &slots {
-                net.eject_take(ep, slot);
+        for idx in 0..endpoints {
+            for vc in set_bits(net.eject_vcs(idx)) {
+                net.eject_take_vc(idx, vc);
             }
         }
         net.step();
@@ -152,7 +149,8 @@ fn interconnect_with_nics_and_notify_allocates_nothing_once_warm() {
     let data_flits = noc.data_flits();
     let planes = std::num::NonZeroUsize::new(2).expect("non-zero");
     let mut net: MultiNetwork<u64> = MultiNetwork::new(mesh.clone(), noc, planes, 0);
-    let mut notify = NotifyNetwork::with_planes(&mesh, NotifyConfig::for_mesh(&mesh), 2);
+    let cfg = NotifyConfig::for_mesh(&mesh);
+    let mut notify = NotifyNetwork::with_scheme(&mesh, cfg, 2, NotifyScheme::Flat);
     let endpoints: Vec<Endpoint> = mesh.endpoints().collect();
     let mut nics: Vec<Nic<u64>> = endpoints
         .iter()
