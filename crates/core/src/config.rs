@@ -171,14 +171,10 @@ pub struct SystemConfig {
     /// each with its own routers, VCs and per-plane ordering windows.
     /// `1` is the chip's single network.
     pub planes: NonZeroUsize,
-    /// Plane-interleave granularity: `2^n` consecutive cache lines share a
-    /// plane (0 = stripe line by line). Ignored with one plane.
-    pub plane_stripe_lines_log2: u32,
     /// Notification aggregation scheme: the chip's flat diameter-bounded
     /// OR mesh (default), or hierarchical quad aggregation whose window is
     /// logarithmic in the grid side ([`NotifyScheme::Quad`]) — the
-    /// kilocore window knob. Quad partitioning also defines the regions
-    /// per-region event leaping tracks.
+    /// kilocore window knob.
     pub notify: NotifyScheme,
     /// Observability level (histograms / counters / trace).
     pub obs: ObsLevel,
@@ -226,7 +222,6 @@ impl SystemConfig {
             max_cycles: 2_000_000,
             seed: 1,
             planes: NonZeroUsize::new(1).expect("1 is non-zero"),
-            plane_stripe_lines_log2: 0,
             notify: NotifyScheme::Flat,
             obs: ObsLevel::Off,
             trace_limit: DEFAULT_TRACE_LIMIT,
@@ -382,14 +377,6 @@ impl SystemConfig {
         self
     }
 
-    /// Sets the plane-interleave granularity: `2^n` consecutive lines per
-    /// stripe.
-    #[must_use]
-    pub fn with_plane_stripe_lines_log2(mut self, n: u32) -> SystemConfig {
-        self.plane_stripe_lines_log2 = n;
-        self
-    }
-
     /// Sets the notification aggregation scheme, builder-style.
     ///
     /// # Panics
@@ -447,9 +434,9 @@ impl SystemConfig {
     }
 
     /// The byte-address shift the plane steering function applies: the
-    /// line-offset bits plus the configured stripe granularity.
+    /// line-offset bits, so consecutive lines alternate planes.
     pub fn plane_interleave_log2(&self) -> u32 {
-        self.l2.line_bytes.trailing_zeros() + self.plane_stripe_lines_log2
+        self.l2.line_bytes.trailing_zeros()
     }
 
     /// Short human-readable label: fabric geometry, protocol and seed
@@ -576,24 +563,24 @@ mod tests {
     fn stable_hash_is_pinned() {
         // One row per fabric family and MC placement.
         for (name, cfg, hash) in [
-            ("chip", SystemConfig::chip(), 0x6758621414b6afbd),
-            ("square(4)", SystemConfig::square(4), 0x54461bcd40927aa9),
-            ("torus(4)", SystemConfig::torus(4), 0x3de910e9c25cd17c),
-            ("ring(16, 4)", SystemConfig::ring(16, 4), 0xd142a19974e70103),
+            ("chip", SystemConfig::chip(), 0x739c9df9a6dec04e),
+            ("square(4)", SystemConfig::square(4), 0x2fd7876b658943d2),
+            ("torus(4)", SystemConfig::torus(4), 0xdb6a54063162a4fb),
+            ("ring(16, 4)", SystemConfig::ring(16, 4), 0x85c0a6d2b5bbe414),
             (
                 "cmesh(4, 2, 2)",
                 SystemConfig::cmesh(4, 2, 2),
-                0xb432bb323e88f041,
+                0x680eddccc890b11a,
             ),
             (
                 "cmesh(4, 4, 1)",
                 SystemConfig::cmesh(4, 4, 1),
-                0xd0124f05796836f6,
+                0x492cc06b8a97aae5,
             ),
             (
                 "square(16) + proportional MCs",
                 SystemConfig::square(16).with_proportional_mcs(),
-                0x60f7671623ccd6fb,
+                0x083632cd5eb043fc,
             ),
         ] {
             assert_eq!(
@@ -652,18 +639,13 @@ mod tests {
         // other.
         let two = SystemConfig::square(4).with_planes(2);
         let four = SystemConfig::square(4).with_planes(4);
-        let coarse = SystemConfig::square(4)
-            .with_planes(2)
-            .with_plane_stripe_lines_log2(3);
         assert_ne!(base.stable_hash(), two.stable_hash());
         assert_ne!(two.stable_hash(), four.stable_hash());
-        assert_ne!(two.stable_hash(), coarse.stable_hash());
         // Labels: planes join the geometry segment.
         assert_eq!(base.label(), "4x4/SCORPIO/seed1");
         assert_eq!(two.label(), "4x4+2pl/SCORPIO/seed1");
         // The steering shift covers the line-offset bits (32 B lines).
         assert_eq!(base.plane_interleave_log2(), 5);
-        assert_eq!(coarse.plane_interleave_log2(), 8);
     }
 
     #[test]

@@ -17,8 +17,8 @@ use crate::report::{
 };
 use crate::tile::{CoreDriver, CoreKind};
 use scorpio_coherence::{
-    home_tile, CohMsg, DirectoryCache, InsoReorderBuffer, InsoSlotAllocator, LpdEntry, MsgKind,
-    SlotContent,
+    home_tile, CohMsg, DirectoryCache, InsoReorderBuffer, InsoSlotAllocator, LineAddr, LpdEntry,
+    MsgKind, Owner, SlotContent,
 };
 use scorpio_mem::{L2Out, MemoryController, MissSpan, OrderedSnoop, SnoopyL2};
 use scorpio_nic::{Nic, NicMode};
@@ -67,8 +67,6 @@ pub struct System {
     /// Cycles actually stepped (ticked or skipped one at a time); with the
     /// leap engine this lags [`System::cycle`] by the leaped spans.
     stepped: u64,
-    /// Cycles skipped wholesale by the event-leaping clock.
-    leaped: u64,
     /// When set, [`System::step`] may leap the clock straight to the next
     /// timed deadline whenever the whole machine is provably idle.
     leap: bool,
@@ -84,9 +82,6 @@ pub struct System {
     /// is ticked, and a sleeping endpoint cannot change it.
     quiet: Vec<bool>,
     pending: usize,
-    /// Tile ticks taken so far (the event-driven engine's work measure;
-    /// never part of a report).
-    tile_ticks: u64,
     /// Running ops total (drivers report transitions; the watchdog reads
     /// this instead of re-summing every driver every cycle).
     ops_cache: Vec<u64>,
@@ -98,24 +93,6 @@ pub struct System {
     /// DRAM response. The earliest deadline is also what the event-leaping
     /// clock jumps to when the whole machine is idle.
     timed_wakes: TimedWakes,
-    // ---- Per-region leap accounting (quad notification schemes).
-    /// Leaf-quad count of the notification tree (1 under the flat scheme
-    /// or for baselines without a notification network).
-    regions: usize,
-    /// Router index → leaf-quad region, copied from the notification tree
-    /// so the delivery fabric's activity read-back shares its partition.
-    region_of_router: Vec<u32>,
-    /// Endpoint index (tiles then MCs) → leaf-quad region of its router.
-    region_of_ep: Vec<u32>,
-    /// Scratch bitset of regions seen active this stepped cycle.
-    region_bits: Vec<u64>,
-    /// Σ over stepped cycles of the active-region count (min 1): the
-    /// per-region analogue of [`System::stepped_cycles`]. A region that
-    /// provably had nothing woken in a stepped cycle leaps that cycle
-    /// locally — maintained only under `leap` with `regions > 1`; read
-    /// through [`System::region_cycles_stepped`], which falls back to
-    /// `stepped × regions` when the accounting is off.
-    region_cycles_stepped: u64,
     /// When set, tick every tile and MC each cycle and compute
     /// [`System::is_complete`] by full scan — the pre-refactor engine,
     /// kept as the equivalence/benchmark reference.
@@ -277,21 +254,6 @@ impl System {
             })
             .collect();
         let n_eps = endpoints.len();
-        // The per-region layer shares the notification tree's leaf-quad
-        // partition; flat schemes and baselines collapse to one region.
-        let (regions, region_of_router): (usize, Vec<u32>) = match &notify {
-            Some(n) if n.regions() > 1 => (
-                n.regions(),
-                (0..cfg.mesh.router_count())
-                    .map(|r| n.region_of_router(r))
-                    .collect(),
-            ),
-            _ => (1, vec![0; cfg.mesh.router_count()]),
-        };
-        let region_of_ep: Vec<u32> = endpoints
-            .iter()
-            .map(|ep| region_of_router[ep.router.index()])
-            .collect();
         let mut active = ActiveSet::new(n_eps);
         active.wake_all();
         System {
@@ -314,23 +276,16 @@ impl System {
             watchdog_steps: 0,
             watchdog_ops: 0,
             stepped: 0,
-            leaped: 0,
             leap: false,
             active,
             tick_list: Vec::new(),
             ep_scratch: Vec::new(),
             quiet: vec![false; n_eps],
             pending: n_eps,
-            tile_ticks: 0,
             ops_cache: vec![0; cores],
             ops_total: 0,
             last_notify_window: None,
             timed_wakes: TimedWakes::new(n_eps),
-            regions,
-            region_of_router,
-            region_of_ep,
-            region_bits: vec![0; regions.div_ceil(64)],
-            region_cycles_stepped: 0,
             always_scan: false,
             sys_trace: vec![Capped::new(cfg.trace_limit); cfg.planes.get()],
             // One slot per telemetry window of the longest possible run
@@ -399,8 +354,6 @@ impl System {
     /// — leaping requires the active sets empty and every plane quiescent,
     /// states in which a serial cycle is a provable no-op — and asserted
     /// byte-identical (reports *and* traces) by the equivalence matrix.
-    /// Under a quad notification scheme the engine additionally keeps
-    /// per-region stepped-cycle accounts ([`System::region_cycles_stepped`]).
     /// Off by default; incompatible with the always-scan reference engine
     /// (silently inert under it). Call before the first cycle.
     pub fn set_leap(&mut self, leap: bool) {
@@ -412,27 +365,6 @@ impl System {
     /// span covered by clock leaps.
     pub fn stepped_cycles(&self) -> u64 {
         self.stepped
-    }
-
-    /// Number of per-region leap domains: the notification tree's leaf
-    /// quads under a quad scheme, 1 under the flat scheme or for
-    /// protocols without a notification network.
-    pub fn regions(&self) -> usize {
-        self.regions
-    }
-
-    /// Σ over stepped cycles of the number of regions active that cycle
-    /// (min 1). Dividing by [`System::regions`] gives the mean per-region
-    /// stepped-cycle count, whose ratio to the runtime is the per-region
-    /// leap ratio. Without per-region accounting (flat scheme, single
-    /// region, or a non-leap engine) every region steps every stepped
-    /// cycle, so this is `stepped_cycles × regions`.
-    pub fn region_cycles_stepped(&self) -> u64 {
-        if self.leap && self.regions > 1 {
-            self.region_cycles_stepped
-        } else {
-            self.stepped * self.regions as u64
-        }
     }
 
     /// Whether every core has finished and the machine is quiescent.
@@ -501,35 +433,6 @@ impl System {
             n.tick();
         }
         self.apply_wakes();
-        if self.leap && self.regions > 1 {
-            self.account_region_activity();
-        }
-    }
-
-    /// Per-region stepped-cycle accounting (quad schemes under the leap
-    /// engine): after the cycle's ticks, OR together the regions of every
-    /// component that was on a work list this cycle — drained tiles and
-    /// MCs, plus the delivery fabric's drained routers and injection ports
-    /// on every non-skipped plane — and charge one stepped region-cycle
-    /// per active region (min 1, for pure bookkeeping cycles such as
-    /// notification-window edges). Regions absent from the mask leap the
-    /// cycle locally; they rejoin the global clock deterministically at
-    /// their next timer fire, flit-delivery endpoint wake, or
-    /// window-completion wake-all — the clock-join protocol (DESIGN.md
-    /// §15). Pure accounting: the simulation itself is byte-identical with
-    /// the accounting on or off.
-    fn account_region_activity(&mut self) {
-        let mut bits = std::mem::take(&mut self.region_bits);
-        bits.iter_mut().for_each(|w| *w = 0);
-        for &e in &self.tick_list {
-            let g = self.region_of_ep[e as usize];
-            bits[g as usize / 64] |= 1 << (g % 64);
-        }
-        self.net
-            .or_ticked_regions(&self.region_of_router, &self.region_of_ep, &mut bits);
-        let active: u32 = bits.iter().map(|w| w.count_ones()).sum();
-        self.region_cycles_stepped += u64::from(active.max(1));
-        self.region_bits = bits;
     }
 
     /// The event leap: if nothing can happen until the earliest timed
@@ -576,7 +479,6 @@ impl System {
         if let Some(n) = self.notify.as_mut() {
             n.advance(delta);
         }
-        self.leaped += delta;
     }
 
     /// Post-cycle wake propagation: due timed wakes fire for the next
@@ -723,7 +625,6 @@ impl System {
     }
 
     fn tick_tile(&mut self, t: usize, now: Cycle) {
-        self.tile_ticks += 1;
         // L2 → core completions, then inclusion invalidations.
         while let Some(resp) = self.l2s[t].pop_core_resp() {
             self.drivers[t].complete(now, resp);
@@ -1425,10 +1326,16 @@ impl System {
         &self.mcs[idx]
     }
 
-    /// Tile ticks taken so far: the event-driven engine's work measure.
-    #[doc(hidden)]
-    pub fn tile_ticks(&self) -> u64 {
-        self.tile_ticks
+    /// The coherent value of `addr` (verification oracle): the owning L2's
+    /// copy, else memory's at the one MC port responsible for the line.
+    /// `None` while ownership is in transit (a writeback or an ordered
+    /// GETX not yet complete), so ask at quiescence.
+    pub fn coherent_value(&self, addr: LineAddr) -> Option<u64> {
+        if let Some(l2) = self.l2s.iter().find(|l2| l2.line_state(addr).is_owner()) {
+            return l2.line_value(addr);
+        }
+        let mc = self.mcs.iter().find(|mc| mc.responsible_for(addr))?;
+        (mc.owner(addr) == Owner::Memory).then(|| mc.memory_value(addr))
     }
 
     /// Whether the event-driven engines tick endpoint `ep` (tiles first,

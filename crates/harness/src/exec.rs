@@ -101,13 +101,6 @@ pub struct RunResult {
     /// unless the leap engine jumped idle spans; the gap is the leap
     /// ratio the timing sinks report.
     pub stepped_cycles: u64,
-    /// Per-region leap domains (leaf quads of a hierarchical notification
-    /// tree); 1 for the flat scheme and for baselines.
-    pub regions: usize,
-    /// Σ over stepped cycles of the active-region count (see
-    /// [`scorpio::System::region_cycles_stepped`]); `stepped × regions`
-    /// when per-region accounting is off.
-    pub region_cycles_stepped: u64,
     /// Rendered flit-trace events (one JSON object per event, in
     /// deterministic merge order) when the run traced; `None` otherwise.
     pub trace: Option<Vec<String>>,
@@ -166,8 +159,6 @@ pub fn run_spec_ov(spec: &RunSpec, ops_per_core: usize, ov: &Overrides) -> RunRe
     let report = sys.run_to_completion();
     let sim_nanos = sim_started.elapsed().as_nanos();
     let stepped_cycles = sys.stepped_cycles();
-    let regions = sys.regions();
-    let region_cycles_stepped = sys.region_cycles_stepped();
     let (trace, trace_dropped) = if tracing {
         let (events, dropped) = sys.take_trace();
         (
@@ -193,8 +184,6 @@ pub fn run_spec_ov(spec: &RunSpec, ops_per_core: usize, ov: &Overrides) -> RunRe
         setup_nanos,
         sim_nanos,
         stepped_cycles,
-        regions,
-        region_cycles_stepped,
         trace,
         trace_dropped,
         spans,

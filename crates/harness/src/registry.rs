@@ -790,7 +790,7 @@ fn kilocore_cell<const BIG: u16>(spec: &RunSpec) -> bool {
 /// active-set engine and the event-leaping clock, and each with the flat
 /// notification scheme and the hierarchical quad tree (`quad-f2`, which
 /// shrinks the notification window from O(grid diameter) to O(2·tree
-/// depth) and unlocks per-region leap accounting). Both engines produce
+/// depth)). Both engines produce
 /// byte-identical reports (equivalence suite); the table counts the cycles
 /// the leap and the quad window save at this scale. The small grid is the
 /// same shape at 256 cores.
@@ -824,14 +824,11 @@ fn scaling_kilocore(size: Size) -> Scenario {
 }
 
 fn scaling_kilocore_render(s: &Scenario, results: &[RunResult]) -> String {
-    // A leap ratio: simulated cycles times `regions` over stepped cycles,
-    // `-` when none were stepped.
-    let leap = |r: &RunResult, regions: usize, stepped: u64| {
-        let ratio = r.report.runtime_cycles as f64 * regions as f64 / stepped as f64;
-        match stepped {
-            0 => "-".into(),
-            _ => format!("{ratio:.2}x"),
-        }
+    // The leap ratio: simulated over stepped cycles, `-` when none were
+    // stepped.
+    let leap = |r: &RunResult| match r.stepped_cycles {
+        0 => "-".into(),
+        n => format!("{:.2}x", r.report.runtime_cycles as f64 / n as f64),
     };
     let cols = [
         RunCol::left("geometry", 16, |r| r.spec.fabric.geometry(r.spec.mesh_side)),
@@ -845,22 +842,14 @@ fn scaling_kilocore_render(s: &Scenario, results: &[RunResult]) -> String {
         RunCol::right("engine", 8, |r| r.spec.engine.label().into()),
         runtime(12),
         RunCol::num("stepped", 12, |r| r.stepped_cycles),
-        RunCol::right("leap", 10, |r| leap(r, 1, r.stepped_cycles)),
-        // Per-region leap: simulated cycles over mean stepped cycles per
-        // region — what event leaping buys once a quiescent quad no longer
-        // has to lockstep with a bursting neighbour.
-        RunCol::right("r-leap", 10, |r| match r.regions {
-            0 | 1 => "-".into(),
-            n => leap(r, n, r.region_cycles_stepped),
-        }),
+        RunCol::right("leap", 10, leap),
     ];
     render_table(&s.title, &cols, results, KILOCORE_NOTE)
 }
 
 const KILOCORE_NOTE: &str = "Both engines produce byte-identical reports and traces (the
 equivalence suite asserts this); leap is simulated/stepped
-cycles, r-leap is simulated cycles over mean stepped cycles
-per leaf quad (quad notify only).
+cycles.
 ";
 
 // ------------------------------------------------- Topology comparisons

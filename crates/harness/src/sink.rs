@@ -20,7 +20,7 @@ use crate::exec::RunResult;
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SinkOptions {
     /// Include per-run wall-clock nanoseconds, phase breakdown, stepped
-    /// and per-region cycle counts and simulated-cycles/sec. Off by default
+    /// cycle count and simulated-cycles/sec. Off by default
     /// because it makes output depend on the host rather than only on
     /// (scenario, seed).
     pub include_timing: bool,
@@ -59,13 +59,11 @@ pub fn json_line(scenario: &str, r: &RunResult, opts: SinkOptions) -> String {
     let (fabric, planes, placement, arrival, load_millis, engine) = identity(r);
     let timing = if opts.include_timing {
         format!(
-            r#""wall_nanos":{},"setup_nanos":{},"sim_nanos":{},"stepped_cycles":{},"regions":{},"region_cycles_stepped":{},"cycles_per_sec":{:?},"#,
+            r#""wall_nanos":{},"setup_nanos":{},"sim_nanos":{},"stepped_cycles":{},"cycles_per_sec":{:?},"#,
             r.wall_nanos,
             r.setup_nanos,
             r.sim_nanos,
             r.stepped_cycles,
-            r.regions,
-            r.region_cycles_stepped,
             cycles_per_sec(r),
         )
     } else {
@@ -110,9 +108,7 @@ pub fn csv(scenario: &str, results: &[RunResult], opts: SinkOptions) -> String {
          min_wait_ep,min_wait_mean",
     );
     if opts.include_timing {
-        out.push_str(
-            ",wall_nanos,setup_nanos,sim_nanos,stepped_cycles,regions,region_cycles_stepped,cycles_per_sec",
-        );
+        out.push_str(",wall_nanos,setup_nanos,sim_nanos,stepped_cycles,cycles_per_sec");
     }
     out.push('\n');
     for r in results {
@@ -173,13 +169,11 @@ pub fn csv(scenario: &str, results: &[RunResult], opts: SinkOptions) -> String {
         }
         if opts.include_timing {
             out.push_str(&format!(
-                ",{},{},{},{},{},{},{:?}",
+                ",{},{},{},{},{:?}",
                 r.wall_nanos,
                 r.setup_nanos,
                 r.sim_nanos,
                 r.stepped_cycles,
-                r.regions,
-                r.region_cycles_stepped,
                 cycles_per_sec(r)
             ));
         }
@@ -270,18 +264,17 @@ mod tests {
             "setup_nanos",
             "sim_nanos",
             "stepped_cycles",
-            "regions",
-            "region_cycles_stepped",
             "cycles_per_sec",
         ] {
             assert!(with.contains(&format!("\"{key}\":")), "{key}");
         }
-        assert!(!jsonl("demo", &rs, SinkOptions::default()).contains("regions"));
+        assert!(!jsonl("demo", &rs, SinkOptions::default()).contains("cycles_per_sec"));
         let csv_with = csv("demo", &rs, timed);
-        assert!(csv_with.lines().next().unwrap().ends_with(
-            ",wall_nanos,setup_nanos,sim_nanos,stepped_cycles,\
-             regions,region_cycles_stepped,cycles_per_sec"
-        ));
+        assert!(csv_with
+            .lines()
+            .next()
+            .unwrap()
+            .ends_with(",wall_nanos,setup_nanos,sim_nanos,stepped_cycles,cycles_per_sec"));
     }
 
     #[test]

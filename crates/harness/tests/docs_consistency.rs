@@ -212,12 +212,25 @@ fn every_sink_column_and_key_is_documented() {
     );
     names.push("report");
     let missing: Vec<&str> = names
-        .into_iter()
+        .iter()
+        .copied()
         .filter(|n| !table.contains(&format!("`{n}`")))
         .collect();
     assert!(
         missing.is_empty(),
         "EXPERIMENTS.md's result-schema table lacks {missing:?}"
+    );
+    // And back: every backticked name in the table's first column is a
+    // real column or key, so a row cannot outlive what it documents.
+    let stale: Vec<&str> = table
+        .lines()
+        .filter_map(|l| l.strip_prefix("| `")?.split(" |").next())
+        .flat_map(|cell| cell.split('`').step_by(2))
+        .filter(|n| !n.is_empty() && !names.contains(n))
+        .collect();
+    assert!(
+        stale.is_empty(),
+        "EXPERIMENTS.md's result-schema table documents no such column or key: {stale:?}"
     );
 }
 
@@ -362,10 +375,37 @@ fn words(line: &str) -> impl Iterator<Item = &str> + '_ {
         .filter(|w| !w.is_empty())
 }
 
+/// The identifier tokens of `line` that may refer to a function. A word
+/// right after `fn` defines one. A field declaration, struct-literal field
+/// or binding (`name:` but not `name::`) and a field read (`.name` not
+/// followed by `(` or `::`) name a field that merely shares its name.
+fn references(line: &str) -> Vec<&str> {
+    let mut refs = Vec::new();
+    let (mut after_fn, mut start) = (false, None);
+    for (i, c) in line.char_indices().chain([(line.len(), ' ')]) {
+        match (c.is_alphanumeric() || c == '_', start) {
+            (true, None) => start = Some(i),
+            (false, Some(s)) => {
+                start = None;
+                let (word, after) = (&line[s..i], &line[i..]);
+                let call = after.starts_with('(') || after.starts_with("::");
+                let field = (line[..s].ends_with('.') && !call)
+                    || (after.starts_with(':') && !after.starts_with("::"));
+                if !after_fn && !field {
+                    refs.push(word);
+                }
+                after_fn = word == "fn";
+            }
+            _ => {}
+        }
+    }
+    refs
+}
+
 /// Every `pub fn` of the program is called, named or documented somewhere
-/// besides a definition, so dead public API cannot come back unnoticed. A
-/// word right after `fn` is a definition, not a reference. The allow-list
-/// is empty.
+/// besides a definition, so dead public API cannot come back unnoticed.
+/// Only [`references`] count: a field of the same name does not keep a
+/// function alive. The allow-list is empty.
 #[test]
 fn every_public_fn_is_referenced() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
@@ -382,12 +422,8 @@ fn every_public_fn_is_referenced() {
             };
             let text = std::fs::read_to_string(&path).expect("a readable source file");
             for line in text.lines() {
-                let mut after_fn = false;
-                for w in words(line) {
-                    if !after_fn {
-                        *uses.entry(w.to_owned()).or_default() += 1;
-                    }
-                    after_fn = w == "fn";
+                for w in references(line) {
+                    *uses.entry(w.to_owned()).or_default() += 1;
                 }
                 let def = line.trim_start().strip_prefix("pub fn ");
                 if let (true, Some(name)) = (defining, def.and_then(|d| words(d).next())) {

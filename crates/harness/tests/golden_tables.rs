@@ -41,8 +41,10 @@ const TABLE: &[Golden] = &[
 ];
 
 /// The kilocore sweep is slow in debug builds, so it runs in its own
-/// ignored test.
-const KILOCORE: Golden = ("scaling-kilocore-small", None, 0x5265db7ceabae578);
+/// ignored test. Re-pinned once, when the table lost its `r-leap` column
+/// and footnote clause with the per-region leap ledger; every other cell
+/// is unchanged.
+const KILOCORE: Golden = ("scaling-kilocore-small", None, 0xa551d2e598bead74);
 
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {

@@ -651,33 +651,6 @@ impl<T: Payload> Network<T> {
         self.ep_woken.absorb(&mut other.ep_woken);
     }
 
-    /// ORs into `bits` (a region bitset) the notification regions this
-    /// plane's most recent tick touched: the region of every router on the
-    /// drained router work list and of every injection port on the drained
-    /// port list. `region_of_router` maps router index → region,
-    /// `region_of_ep` maps endpoint index → region. The drained lists are
-    /// a deterministic over-approximation of activity (a woken router may
-    /// still skip as idle), which is exactly what the per-region leap
-    /// accounting needs: a region is only credited with a leaped cycle
-    /// when provably nothing in it was even woken. Valid only for a plane
-    /// that ticked this cycle — the scratch lists persist until the next
-    /// tick precisely so this read-back can run post-commit.
-    pub fn or_ticked_regions(
-        &self,
-        region_of_router: &[u32],
-        region_of_ep: &[u32],
-        bits: &mut [u64],
-    ) {
-        for &r in &self.router_scratch {
-            let g = region_of_router[r as usize];
-            bits[g as usize / 64] |= 1 << (g % 64);
-        }
-        for &e in &self.inject_scratch {
-            let g = region_of_ep[e as usize];
-            bits[g as usize / 64] |= 1 << (g % 64);
-        }
-    }
-
     /// Compute phase of one cycle.
     pub fn tick(&mut self) {
         if let Some(o) = self.obs.as_deref_mut() {

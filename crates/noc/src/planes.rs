@@ -322,25 +322,6 @@ impl<T: Payload + SteerKey> MultiNetwork<T> {
         }
     }
 
-    /// ORs into `bits` the notification regions touched by the planes that
-    /// ticked this cycle. Planes skipped as quiescent are ignored — their
-    /// work lists are stale leftovers from their last live cycle — so the
-    /// mask reflects only real fabric activity. This is the
-    /// delivery-fabric half of the per-region activity mask behind the
-    /// per-region leap accounting; see `Network::or_ticked_regions`.
-    pub fn or_ticked_regions(
-        &self,
-        region_of_router: &[u32],
-        region_of_ep: &[u32],
-        bits: &mut [u64],
-    ) {
-        for (p, n) in self.planes.iter().enumerate() {
-            if !self.skipped[p] {
-                n.or_ticked_regions(region_of_router, region_of_ep, bits);
-            }
-        }
-    }
-
     /// Compute phase of one cycle: ticks only planes with pending work.
     ///
     /// A plane is *quiescent* when its router and injection active sets

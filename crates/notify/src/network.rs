@@ -56,8 +56,7 @@ impl NotifyConfig {
 /// aggregation over a quad tree whose propagation cost tracks the tree
 /// *depth* instead of the grid diameter — the Epiphany-V scaling move.
 /// Either way every node ends the window holding the same OR; the scheme
-/// decides how long the window must be and how the routers group into
-/// regions.
+/// decides how long the window must be.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum NotifyScheme {
     /// The chip's flat OR mesh: one propagation step per neighbour hop,
@@ -88,21 +87,6 @@ fn quad_depth(cols: u16, rows: u16, fanout: u8) -> u64 {
         depth += 1;
     }
     depth
-}
-
-/// One level of the quad tree: for every node of a `cols × rows` grid
-/// (indexed `y * cols + x`), the index of the `fanout × fanout` block it
-/// folds into on the `ceil(cols / fanout) × ceil(rows / fanout)` grid one
-/// level up. On the router grid itself this is the leaf-quad region map.
-fn quad_parents(cols: u32, rows: u32, fanout: u32) -> Vec<u32> {
-    let parent_cols = cols.div_ceil(fanout);
-    let mut map = Vec::with_capacity((cols * rows) as usize);
-    for y in 0..rows {
-        for x in 0..cols {
-            map.push((y / fanout) * parent_cols + x / fanout);
-        }
-    }
-    map
 }
 
 impl NotifyScheme {
@@ -179,12 +163,6 @@ pub struct NotifyNetwork {
     /// (`None` until the first window completes).
     latest: NotifyMsg,
     latest_window: Option<u64>,
-    /// Leaf-quad index of each router; a flat network is one region. This
-    /// is the region map per-region event leaping keys its quiescence
-    /// tracking on.
-    region_of_router: Vec<u32>,
-    /// Number of leaf quads (1 when flat).
-    regions: usize,
     /// Publish-tick cycles, recorded when enabled ([`NotifyNetwork::set_publish_log`]).
     /// Lives here rather than in the system layer because a single
     /// empty-window advance can complete several windows at once — an
@@ -226,14 +204,6 @@ impl NotifyNetwork {
             cfg.window
         );
         assert_eq!(cfg.cores, topo.tile_count(), "one bit-lane per tile");
-        let (region_of_router, regions) = match scheme {
-            NotifyScheme::Flat => (vec![0; topo.router_count()], 1),
-            NotifyScheme::Quad { fanout } => {
-                let (cols, rows, f) = (topo.cols() as u32, topo.rows() as u32, fanout as u32);
-                let leaf_quads = cols.div_ceil(f) * rows.div_ceil(f);
-                (quad_parents(cols, rows, f), leaf_quads as usize)
-            }
-        };
         let blank = NotifyMsg::new(cfg.cores, cfg.bits_per_core, planes);
         NotifyNetwork {
             cycle: Cycle::ZERO,
@@ -243,8 +213,6 @@ impl NotifyNetwork {
             live: false,
             latest: blank,
             latest_window: None,
-            region_of_router,
-            regions,
             publish_log: None,
             windows_completed: Counter::new(),
             nonempty_windows: Counter::new(),
@@ -287,23 +255,6 @@ impl NotifyNetwork {
     /// The propagation scheme in use.
     pub fn scheme(&self) -> NotifyScheme {
         self.scheme
-    }
-
-    /// Number of leaf quads of the aggregation tree — the regions
-    /// per-region event leaping tracks quiescence over. 1 on a flat
-    /// network (the whole machine is one region).
-    pub fn regions(&self) -> usize {
-        self.regions
-    }
-
-    /// The leaf-quad index of router `r` (always 0 when [`NotifyNetwork::regions`]
-    /// is 1).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` is out of range.
-    pub fn region_of_router(&self, r: usize) -> u32 {
-        self.region_of_router[r]
     }
 
     /// Stages core `core`'s announcement for plane `plane` at the next
@@ -468,8 +419,24 @@ impl NotifyNetwork {
 /// reached, at every router, within [`NotifyScheme::propagation_cycles`].
 #[cfg(test)]
 mod gates {
-    use super::{quad_parents, NotifyMsg, NotifyScheme};
+    use super::{NotifyMsg, NotifyScheme};
     use scorpio_noc::{Port, Topology};
+
+    /// One level of the quad tree: for every node of a `cols × rows` grid
+    /// (indexed `y * cols + x`), the index of the `fanout × fanout` block it
+    /// folds into on the `ceil(cols / fanout) × ceil(rows / fanout)` grid one
+    /// level up. The window needs only `quad_depth`; this oracle builds the
+    /// tree level by level from it.
+    pub fn quad_parents(cols: u32, rows: u32, fanout: u32) -> Vec<u32> {
+        let parent_cols = cols.div_ceil(fanout);
+        let mut map = Vec::with_capacity((cols * rows) as usize);
+        for y in 0..rows {
+            for x in 0..cols {
+                map.push((y / fanout) * parent_cols + x / fanout);
+            }
+        }
+        map
+    }
 
     /// One staged contribution: `(plane, core, count, stop)`.
     pub type Staged = (usize, usize, u8, bool);
@@ -607,7 +574,7 @@ mod gates {
 
 #[cfg(test)]
 mod tests {
-    use super::gates::{Gates, Staged};
+    use super::gates::{quad_parents, Gates, Staged};
     use super::*;
     use scorpio_noc::{CMesh, Mesh, Ring, RouterId, Torus};
     use scorpio_sim::SimRng;
@@ -956,26 +923,28 @@ mod tests {
 
     #[test]
     fn quad_regions_partition_the_grid_into_leaf_quads() {
-        let nn = quad_net(8, 8, 4, 1);
+        // The tree's first level: each router's leaf quad, numbered
+        // densely from 0 in row-major block order.
+        let leaf_quads = |map: &[u32]| map.iter().max().map_or(0, |&m| m + 1);
         // 8×8 at fanout 4 → 2×2 leaf quads of 4×4 routers.
-        assert_eq!(nn.regions(), 4);
-        assert_eq!(nn.region_of_router(0), 0); // (0,0)
-        assert_eq!(nn.region_of_router(7), 1); // (7,0)
-        assert_eq!(nn.region_of_router(8 * 7), 2); // (0,7)
-        assert_eq!(nn.region_of_router(8 * 7 + 7), 3); // (7,7)
+        let square = quad_parents(8, 8, 4);
+        assert_eq!(leaf_quads(&square), 4);
+        assert_eq!(square[0], 0); // (0,0)
+        assert_eq!(square[7], 1); // (7,0)
+        assert_eq!(square[8 * 7], 2); // (0,7)
+        assert_eq!(square[8 * 7 + 7], 3); // (7,7)
+        for q in 0..4 {
+            assert_eq!(square.iter().filter(|&&g| g == q).count(), 16);
+        }
 
         // A ragged grid: 5×3 at fanout 2 → 3×2 leaf quads.
-        let ragged = quad_net(5, 3, 2, 1);
-        assert_eq!(ragged.regions(), 6);
-        assert_eq!(ragged.region_of_router(4), 2); // (4,0)
-        assert_eq!(ragged.region_of_router(5 * 2 + 4), 5); // (4,2)
+        let ragged = quad_parents(5, 3, 2);
+        assert_eq!(leaf_quads(&ragged), 6);
+        assert_eq!(ragged[4], 2); // (4,0)
+        assert_eq!(ragged[5 * 2 + 4], 5); // (4,2)
 
-        // A 1×1 grid needs no tree and is one region.
-        assert_eq!(quad_net(1, 1, 2, 1).regions(), 1);
-        // A flat network is a single region.
-        let flat = net(4);
-        assert_eq!(flat.regions(), 1);
-        assert_eq!(flat.region_of_router(13), 0);
+        // A 1×1 grid is one leaf quad.
+        assert_eq!(quad_parents(1, 1, 2), [0]);
     }
 
     /// Satellite proptest (hand-rolled off SimRng — the workspace carries

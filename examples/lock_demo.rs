@@ -31,13 +31,8 @@ fn main() {
     let mut sys = System::with_programs(cfg, programs);
     let report = sys.run_to_completion();
 
-    let addr = LineAddr(counter);
-    let value = (0..cores as usize)
-        .filter(|&t| sys.l2(t).line_state(addr).is_owner())
-        .find_map(|t| sys.l2(t).line_value(addr))
-        // No cache owns it: memory does. Every MC snoops the full ordered
-        // stream, so each store tracks every line — MC 0 is authoritative.
-        .or_else(|| Some(sys.mc(0).memory_value(addr)))
+    let value = sys
+        .coherent_value(LineAddr(counter))
         .expect("counter line vanished");
     println!(
         "{} cores x {} iterations under a ticket lock -> counter = {} (expected {})",

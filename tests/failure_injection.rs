@@ -46,13 +46,8 @@ fn minimum_buffering_lock_is_exact() {
         .collect();
     let mut sys = System::with_programs(cfg, programs);
     sys.run_to_completion();
-    let addr = scorpio_coherence::LineAddr(0x9_0080);
-    let value = (0..cores as usize)
-        .filter(|&t| sys.l2(t).line_state(addr).is_owner())
-        .find_map(|t| sys.l2(t).line_value(addr))
-        // No cache owns it: memory does. Every MC snoops the full ordered
-        // stream, so each store tracks every line — MC 0 is authoritative.
-        .or_else(|| Some(sys.mc(0).memory_value(addr)))
+    let value = sys
+        .coherent_value(scorpio_coherence::LineAddr(0x9_0080))
         .expect("counter vanished");
     assert_eq!(value, cores * 3);
 }

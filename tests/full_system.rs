@@ -133,23 +133,7 @@ fn ticket_lock_counts_exactly_on_four_planes() {
     let mut sys = System::with_programs(cfg, programs);
     let _ = sys.run_to_completion();
     assert_eq!(sys.cores_done(), cores as usize, "a core never finished");
-    let addr = scorpio_coherence::LineAddr(0x2_0080);
-    let mut value = None;
-    for t in 0..cores as usize {
-        if let Some(v) = sys.l2(t).line_value(addr) {
-            if sys.l2(t).line_state(addr).is_owner() {
-                value = Some(v);
-            }
-        }
-    }
-    let value = value.or_else(|| {
-        (0..4).find_map(|m| {
-            let mc = sys.mc(m);
-            mc.owner(addr)
-                .eq(&scorpio_coherence::Owner::Memory)
-                .then(|| mc.memory_value(addr))
-        })
-    });
+    let value = sys.coherent_value(scorpio_coherence::LineAddr(0x2_0080));
     assert_eq!(
         value,
         Some(cores * iters),
@@ -174,26 +158,9 @@ fn ticket_lock_counts_exactly_on_scorpio() {
     let mut sys = System::with_programs(cfg, programs);
     let r = sys.run_to_completion();
     assert_eq!(sys.cores_done(), cores as usize, "a core never finished");
-    // Verify the final counter via the L2s' coherent state: find the owner.
-    let addr = scorpio_coherence::LineAddr(0x1_0080);
-    let mut value = None;
-    for t in 0..cores as usize {
-        if let Some(v) = sys.l2(t).line_value(addr) {
-            if sys.l2(t).line_state(addr).is_owner() {
-                value = Some(v);
-            }
-        }
-    }
-    let value = value
-        .or_else(|| {
-            // Written back to memory: ask the responsible controller.
-            (0..4).find_map(|m| {
-                let mc = sys.mc(m);
-                mc.owner(addr)
-                    .eq(&scorpio_coherence::Owner::Memory)
-                    .then(|| mc.memory_value(addr))
-            })
-        })
+    // Verify the final counter via the coherent state: owner or memory.
+    let value = sys
+        .coherent_value(scorpio_coherence::LineAddr(0x1_0080))
         .expect("counter line vanished");
     assert_eq!(value, cores * iters, "lost updates under the lock");
     assert!(r.ops_completed > cores * iters * 4);
@@ -226,16 +193,8 @@ fn ticket_lock_counts_exactly_on_baselines() {
         let mut sys = System::with_programs(cfg, programs);
         sys.run_to_completion();
         assert_eq!(sys.cores_done(), cores as usize, "{}", protocol.name());
-        let addr = scorpio_coherence::LineAddr(0x3_0080);
-        let value = (0..cores as usize)
-            .filter(|&t| sys.l2(t).line_state(addr).is_owner())
-            .find_map(|t| sys.l2(t).line_value(addr))
-            .or_else(|| {
-                (0..4).find_map(|m| {
-                    (sys.mc(m).owner(addr) == scorpio_coherence::Owner::Memory)
-                        .then(|| sys.mc(m).memory_value(addr))
-                })
-            })
+        let value = sys
+            .coherent_value(scorpio_coherence::LineAddr(0x3_0080))
             .expect("counter line vanished");
         assert_eq!(value, cores * iters, "{}: lost updates", protocol.name());
     }

@@ -169,9 +169,15 @@ fn plane_steering_partitions_addresses() {
 }
 
 /// Full-system coherence: after random stores from random cores to a
-/// small line pool, every core reads every line back, the run completes,
-/// and at quiescence each line has at most one owner among the L2s. Every
-/// case runs on both SCORPIO and the TokenB baseline.
+/// small line pool, every core reads every line back and the run
+/// completes. At quiescence each line has at most one owner among the
+/// L2s, every valid L2 copy holds the line's coherent value (data-value),
+/// and that value is the last store some core issued to the line, or the
+/// initial 0 if none wrote it: each core's stores are ascending and
+/// uniquely tagged, so an earlier store of one core can never be final
+/// (per-core CoWW). Every case runs on SCORPIO, the TokenB baseline and
+/// 2-plane SCORPIO, where neighbouring lines are ordered on different
+/// planes.
 #[test]
 fn final_values_are_coherent() {
     for_each_seed(4, |rng| {
@@ -179,14 +185,23 @@ fn final_values_are_coherent() {
         // Each core writes an ascending, uniquely tagged series to random
         // lines, then reads every line.
         let mut traces = vec![Trace::new(); 4];
+        // Per line, the last value each core stored there.
+        let mut finals = vec![Vec::new(); lines.len()];
         for (c, trace) in traces.iter_mut().enumerate() {
+            let mut last = vec![None; lines.len()];
             for s in 0..12u64 {
+                let i = rng.gen_range_usize(lines.len());
+                let value = (c as u64) << 32 | s;
+                last[i] = Some(value);
                 trace.push(TraceRecord {
                     gap: rng.gen_range_u64(4) as u32,
                     op: TraceOp::Store,
-                    addr: lines[rng.gen_range_usize(lines.len())],
-                    value: (c as u64) << 32 | s,
+                    addr: lines[i],
+                    value,
                 });
+            }
+            for (f, v) in finals.iter_mut().zip(last) {
+                f.extend(v);
             }
         }
         for trace in traces.iter_mut() {
@@ -199,20 +214,39 @@ fn final_values_are_coherent() {
                 });
             }
         }
-        for protocol in [Protocol::Scorpio, Protocol::TokenB] {
-            let cfg = SystemConfig::square(2).with_protocol(protocol);
+        for (protocol, planes) in [
+            (Protocol::Scorpio, 1),
+            (Protocol::TokenB, 1),
+            (Protocol::Scorpio, 2),
+        ] {
+            let cfg = SystemConfig::square(2)
+                .with_protocol(protocol)
+                .with_planes(planes);
             let mut sys = System::with_traces(cfg, traces.clone());
             let r = sys.run_to_completion();
-            assert_eq!(r.ops_completed, 4 * (12 + 4), "{protocol:?}");
-            // Single-owner invariant at quiescence.
-            for &addr in &lines {
+            let run = format!("{protocol:?}, {planes} plane(s)");
+            assert_eq!(r.ops_completed, 4 * (12 + 4), "{run}");
+            for (&addr, stored) in lines.iter().zip(&finals) {
                 let line = scorpio_coherence::LineAddr(addr);
-                let owners = (0..4)
-                    .filter(|&t| sys.l2(t).line_state(line).is_owner())
-                    .count();
+                let states = (0..4).map(|t| sys.l2(t).line_state(line));
+                let owners = states.clone().filter(|s| s.is_owner()).count();
+                assert!(owners <= 1, "{run}: line {addr:#x} has {owners} owners");
+                let value = sys
+                    .coherent_value(line)
+                    .unwrap_or_else(|| panic!("{run}: line {addr:#x} has no value"));
+                for (t, state) in states.enumerate() {
+                    if state.can_read() {
+                        assert_eq!(
+                            sys.l2(t).line_value(line),
+                            Some(value),
+                            "{run}: L2 {t} holds a stale copy of line {addr:#x}"
+                        );
+                    }
+                }
+                let allowed = if stored.is_empty() { &[0][..] } else { stored };
                 assert!(
-                    owners <= 1,
-                    "{protocol:?}: line {addr:#x} has {owners} owners"
+                    allowed.contains(&value),
+                    "{run}: line {addr:#x} ends at {value:#x}, not a last store {allowed:#x?}"
                 );
             }
         }

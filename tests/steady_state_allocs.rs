@@ -225,10 +225,10 @@ fn interconnect_with_nics_and_notify_allocates_nothing_once_warm() {
     assert_eq!(made, 0, "a warm interconnect must not allocate");
 }
 
-/// The notification network is a handful of message registers and a region
-/// map, whatever the fabric: building it for 256 routers (flat) and for
-/// 1024 (quad, fanout 2) takes the same few allocations — never a message
-/// or a list per router.
+/// The notification network is a handful of message registers, whatever
+/// the fabric: building it for 256 routers (flat) and for 1024 (quad,
+/// fanout 2) takes the same few allocations — never a message or a list
+/// per router.
 #[test]
 fn notify_construction_cost_is_independent_of_the_router_count() {
     let build = |k: u16, scheme: NotifyScheme| {
