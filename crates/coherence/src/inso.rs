@@ -87,8 +87,10 @@ pub enum SlotContent<T> {
 ///
 /// let mut rb: InsoReorderBuffer<&str> = InsoReorderBuffer::new();
 /// rb.insert(1, SlotContent::Request("b"));
+/// assert!(!rb.head_ready());
 /// assert_eq!(rb.pop_ready(), None); // waiting for slot 0
 /// rb.insert(0, SlotContent::Expired);
+/// assert!(rb.head_ready());
 /// assert_eq!(rb.pop_ready(), Some(None)); // slot 0: expired, nothing to do
 /// assert_eq!(rb.pop_ready(), Some(Some("b")));
 /// assert_eq!(rb.pop_ready(), None);
@@ -143,6 +145,12 @@ impl<T> InsoReorderBuffer<T> {
     /// Entries buffered out of order right now.
     pub fn buffered(&self) -> usize {
         self.pending.len()
+    }
+
+    /// Whether the slot this destination waits for has arrived, so that
+    /// [`InsoReorderBuffer::pop_ready`] would release it.
+    pub fn head_ready(&self) -> bool {
+        self.pending.contains_key(&self.next_slot)
     }
 }
 

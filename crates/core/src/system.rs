@@ -407,10 +407,11 @@ impl System {
             }
             assert!(
                 self.stepped - self.watchdog_steps < 50_000,
-                "system wedged: no op completed for 50k stepped cycles at {} ({} ops done)\n{}",
+                "system wedged: no op completed for 50k stepped cycles at {} ({} ops done)\n{}{}",
                 self.cycle(),
                 self.ops_total,
-                self.sleep_states()
+                self.sleep_states(),
+                self.net.debug_dump()
             );
         }
         self.report()
@@ -580,26 +581,36 @@ impl System {
     /// The sleep rule's tile half: when tile `t`'s next tick can first
     /// change state, asked after its tick at `now` (DESIGN.md §9 tabulates
     /// obligation → wake source).
-    /// What the tile itself retries every cycle comes first; the L2, core
-    /// and NIC then each name their own earliest cycle.
+    /// What the tile itself retries every cycle comes first; the directory
+    /// home, L2, core and NIC then each name their own earliest cycle.
     fn tile_wake(&self, t: usize, now: Cycle) -> Wake {
         let next = now.next();
         // Slot expiry is wall-clock driven: INSO tiles never sleep.
         let inso = matches!(self.cfg.protocol, Protocol::Inso { .. });
+        let home = &self.dir_homes[t];
         let polled = [
             (inso, "inso slot expiry"),
             (self.resp_hold[t].is_some(), "held data response"),
             (self.pending_ordered[t].is_some(), "request to inject"),
             (self.pending_expiry[t].is_some(), "expiry to inject"),
-            (!self.dir_homes[t].is_idle(), "directory home busy"),
-            (self.reorders[t].buffered() != 0, "reorder buffer"),
+            (
+                home.pending_bcast.is_some(),
+                "directory broadcast to inject",
+            ),
+            (self.reorders[t].head_ready(), "reorder buffer head"),
         ];
         if let Some(&(_, why)) = polled.iter().find(|(due, _)| *due) {
             return Wake::at(next, why);
         }
-        let mem = self.l2s[t]
+        // A busy home acts when its stage front's directory access is
+        // done; a reorder buffer missing its next slot waits for that
+        // slot's packet to eject here.
+        let mut mem = self.l2s[t]
             .next_wake(now)
             .earliest(self.drivers[t].next_wake(now));
+        if let Some(ready) = home.front_ready() {
+            mem = mem.earliest(Wake::at(ready.max(next), "directory access"));
+        }
         if mem.at == next {
             return mem;
         }
@@ -611,8 +622,8 @@ impl System {
     /// everything else that could need a tick arrives as an ejected flit.
     fn mc_wake(&self, m: usize, now: Cycle) -> Wake {
         let ep = self.cfg.cores() + m;
-        if self.reorders[ep].buffered() != 0 {
-            return Wake::at(now.next(), "reorder buffer");
+        if self.reorders[ep].head_ready() {
+            return Wake::at(now.next(), "reorder buffer head");
         }
         if self.mcs[m].peek_out().is_some() {
             return Wake::at(now.next(), "mc outbox");
@@ -1612,6 +1623,12 @@ impl DirHome {
 
     fn is_idle(&self) -> bool {
         self.stage.is_empty() && self.pending_bcast.is_none()
+    }
+
+    /// When the stage front's directory access completes. Ready cycles
+    /// never decrease along the stage, so the front's is the earliest.
+    fn front_ready(&self) -> Option<Cycle> {
+        self.stage.front().map(|&(ready, _)| ready)
     }
 }
 

@@ -7,6 +7,12 @@
 //! edge + one link stage), lookaheads and credits take one. A cycle is
 //! `tick()` (compute) followed by `commit()` (clock edge).
 //!
+//! All of that state is network-level arrays sized from the configuration
+//! and built once, at construction — the routers', the injection queues,
+//! send slots and credit rows, the ejection rings, and per-router buckets
+//! for each wire's deliveries — so a network costs a fixed handful of
+//! allocations whatever its size.
+//!
 //! The consumer (a NIC model, or a test harness) interacts through:
 //!
 //! * [`Network::try_inject`] — queue a packet at an endpoint,
@@ -21,12 +27,13 @@ use crate::config::NocConfig;
 use crate::flit::{Dest, Flit, Packet, Payload, Sid};
 use crate::obs::{NetObs, ObsConfig};
 use crate::router::{
-    CreditArrival, DownstreamState, EsidOracle, FlitArrival, LaArrival, Router, RouterOut,
+    flat_depths, CreditArrival, Downstream, EsidOracle, FlitArrival, LaArrival, RouterOut, Routers,
+    SlabRing,
 };
 use crate::tables::{validate_datelines, RouteCtx, RoutingTables, VcClass};
-use crate::topology::{Endpoint, LocalSlot, Port, RouterId, Topology};
+use crate::topology::{Endpoint, Port, RouterId, Topology};
 use scorpio_sim::stats::{Accumulator, Counter};
-use scorpio_sim::{ActiveSet, Cycle, Fifo, PushError};
+use scorpio_sim::{ActiveSet, Cycle, PushError};
 use std::collections::{HashMap, VecDeque};
 
 /// A wire with a fixed delay in cycles: events staged during cycle `c`
@@ -75,6 +82,55 @@ impl<E> Wire<E> {
     }
 }
 
+/// One wire's deliveries of the current cycle, bucketed by receiving
+/// router: router `r`'s are `items[r · cap..][..len[r]]`, in wire-delivery
+/// order — the order its tick bypasses or buffers them, and so its outbox
+/// and trace order. `cap` bounds what one router receives in a cycle. The
+/// buckets are reserved at build and filled on first use; a slot past its
+/// bucket's `len` holds a stale copy and is never read.
+struct Inbox<E> {
+    items: Vec<E>,
+    len: Vec<u32>,
+    cap: usize,
+}
+
+impl<E: Copy> Inbox<E> {
+    fn new(routers: usize, cap: usize) -> Self {
+        Inbox {
+            items: Vec::with_capacity(routers * cap),
+            len: vec![0; routers],
+            cap,
+        }
+    }
+
+    fn push(&mut self, r: usize, e: E) {
+        let k = self.len[r] as usize;
+        assert!(
+            k < self.cap,
+            "router {r} received more than {} wire events in one cycle",
+            self.cap
+        );
+        let at = r * self.cap + k;
+        if self.items.len() <= at {
+            // Inside the capacity reserved at build: no allocation.
+            self.items.resize(at + 1, e);
+        }
+        self.items[at] = e;
+        self.len[r] += 1;
+    }
+
+    fn get(&self, r: usize) -> &[E] {
+        match self.len[r] as usize {
+            0 => &[],
+            n => &self.items[r * self.cap..][..n],
+        }
+    }
+
+    fn clear(&mut self, r: usize) {
+        self.len[r] = 0;
+    }
+}
+
 /// In-flight state of a multi-flit packet being injected.
 #[derive(Debug, Clone, Copy)]
 struct SendState<T> {
@@ -83,86 +139,103 @@ struct SendState<T> {
     vc: u8,
 }
 
-/// The NIC-side injection port: per-vnet packet queues plus the credit/VC
-/// view of the router's local input port.
-#[derive(Debug)]
-struct InjectPort<T> {
-    router: RouterId,
-    local_in: Port,
-    queues: Vec<Fifo<Packet<T>>>,
+/// The NIC-side injection ports, one lane per `[endpoint][vnet]`: a packet
+/// queue (`inject_queue_depth` deep, a ring over one slab) and the
+/// multi-flit packet it is mid-way through sending, plus each endpoint's
+/// credit/VC view of its router's local input port (one [`Downstream`]
+/// row per endpoint).
+struct Injection<T> {
+    vnets: usize,
+    queues: Vec<SlabRing>,
+    slab: Vec<Option<Packet<T>>>,
     sending: Vec<Option<SendState<T>>>,
-    ds: DownstreamState,
-    next_vnet: usize,
+    /// Per endpoint, the vnet its next attempt tries first.
+    next_vnet: Vec<usize>,
+    ds: Downstream,
 }
 
-/// One ejection VC's ring inside [`EjectPort::ring`].
-#[derive(Debug, Clone, Copy, Default)]
-struct EjectRing {
-    base: u16,
-    depth: u8,
-    head: u8,
-    len: u8,
-}
-
-/// The NIC-side ejection buffers: mirrors the VC structure the router's
-/// local output port sees downstream, as one flat array of flit rings
-/// indexed by flat VC (`vnet_base + vc`, the router's numbering).
-#[derive(Debug)]
-struct EjectPort<T> {
-    router: RouterId,
-    slot: LocalSlot,
-    /// Every VC's ring back to back, each as deep as its vnet's VCs (the
-    /// router's credits bound the occupancy): the port's one allocation.
-    ring: Vec<Option<Flit<T>>>,
-    vcs: [EjectRing; NocConfig::MAX_VCS_PER_PORT],
-    /// Flat VCs holding a flit, so "anything waiting?" is one load and
-    /// the NIC's receive scans are `trailing_zeros` walks.
-    nonempty: u32,
-}
-
-impl<T: Payload> EjectPort<T> {
-    fn new(ep: &Endpoint, cfg: &NocConfig) -> Self {
-        let mut vcs = [EjectRing::default(); NocConfig::MAX_VCS_PER_PORT];
-        let mut slots = 0u16;
-        let depths = cfg
-            .vnets
-            .iter()
-            .flat_map(|v| std::iter::repeat_n(v.depth, v.total_vcs()));
-        for (ring, depth) in vcs.iter_mut().zip(depths) {
-            (ring.base, ring.depth) = (slots, depth);
-            slots += u16::from(depth);
-        }
-        EjectPort {
-            router: ep.router,
-            slot: ep.slot,
-            ring: vec![None; slots as usize],
-            vcs,
-            nonempty: 0,
+impl<T: Payload> Injection<T> {
+    fn new(cfg: &NocConfig, endpoints: usize) -> Self {
+        let (vnets, depth) = (cfg.vnets.len(), cfg.inject_queue_depth);
+        let lanes = endpoints * vnets;
+        let mut queues = Vec::with_capacity(lanes);
+        queues.extend(SlabRing::carve(lanes, std::iter::once(depth)));
+        Injection {
+            vnets,
+            queues,
+            slab: vec![None; lanes * depth],
+            sending: vec![None; lanes],
+            next_vnet: vec![0; endpoints],
+            ds: Downstream::new(cfg, endpoints),
         }
     }
 
-    fn push(&mut self, vc: usize, flit: Flit<T>) {
-        let r = &mut self.vcs[vc];
-        assert!(r.len < r.depth, "ejection VC overflow: credits violated");
-        let at = (r.head as usize + r.len as usize) % r.depth as usize;
-        self.ring[r.base as usize + at] = Some(flit);
-        r.len += 1;
-        self.nonempty |= 1 << vc;
+    /// Queues `packet` on lane (`ep`, `vnet`).
+    fn push(
+        &mut self,
+        ep: usize,
+        vnet: usize,
+        packet: Packet<T>,
+    ) -> Result<(), PushError<Packet<T>>> {
+        let queue = &mut self.queues[ep * self.vnets + vnet];
+        if queue.is_full() {
+            return Err(PushError(packet));
+        }
+        queue.push(&mut self.slab, packet);
+        Ok(())
     }
 
-    /// The head flit of `vc` (the slot at `head` is `None` when empty).
-    fn head(&self, vc: usize) -> Option<&Flit<T>> {
-        let r = &self.vcs[vc];
-        self.ring[r.base as usize + r.head as usize].as_ref()
+    /// Packets queued or mid-send at endpoint `ep`.
+    fn backlog(&self, ep: usize) -> usize {
+        (ep * self.vnets..(ep + 1) * self.vnets)
+            .map(|lane| self.queues[lane].len() + usize::from(self.sending[lane].is_some()))
+            .sum()
+    }
+}
+
+/// The NIC-side ejection buffers, mirroring the VC structure the router's
+/// local output port sees downstream: per endpoint one flit ring per flat
+/// VC (`vnet_base + vc`, the router's numbering), each as deep as its
+/// vnet's VCs (the router's credits bound the occupancy), all over one
+/// slab.
+struct Ejection<T> {
+    port_vcs: usize,
+    /// `[endpoint][flat VC]`.
+    rings: Vec<SlabRing>,
+    slab: Vec<Option<Flit<T>>>,
+    /// Per endpoint, the flat VCs holding a flit, so "anything waiting?" is
+    /// one load and the NIC's receive scans are `trailing_zeros` walks.
+    nonempty: Vec<u32>,
+}
+
+impl<T: Payload> Ejection<T> {
+    fn new(cfg: &NocConfig, endpoints: usize) -> Self {
+        let port_vcs = flat_depths(cfg).count();
+        let mut rings = Vec::with_capacity(endpoints * port_vcs);
+        rings.extend(SlabRing::carve(endpoints, flat_depths(cfg)));
+        Ejection {
+            port_vcs,
+            rings,
+            slab: vec![None; endpoints * flat_depths(cfg).sum::<usize>()],
+            nonempty: vec![0; endpoints],
+        }
     }
 
-    fn pop(&mut self, vc: usize) -> Option<Flit<T>> {
-        let r = &mut self.vcs[vc];
-        let flit = self.ring[r.base as usize + r.head as usize].take()?;
-        r.head = (r.head + 1) % r.depth;
-        r.len -= 1;
-        if r.len == 0 {
-            self.nonempty &= !(1 << vc);
+    fn push(&mut self, ep: usize, vc: usize, flit: Flit<T>) {
+        self.rings[ep * self.port_vcs + vc].push(&mut self.slab, flit);
+        self.nonempty[ep] |= 1 << vc;
+    }
+
+    /// The head flit of `vc` at endpoint `ep`.
+    fn head(&self, ep: usize, vc: usize) -> Option<&Flit<T>> {
+        self.rings[ep * self.port_vcs + vc].front(&self.slab)
+    }
+
+    fn pop(&mut self, ep: usize, vc: usize) -> Option<Flit<T>> {
+        let ring = &mut self.rings[ep * self.port_vcs + vc];
+        let flit = ring.pop(&mut self.slab)?;
+        if ring.is_empty() {
+            self.nonempty[ep] &= !(1 << vc);
         }
         Some(flit)
     }
@@ -225,9 +298,11 @@ pub struct Network<T> {
     tables: RoutingTables,
     cfg: NocConfig,
     cycle: Cycle,
-    routers: Vec<Router<T>>,
-    inject: Vec<InjectPort<T>>,
-    eject: Vec<EjectPort<T>>,
+    routers: Routers<T>,
+    /// Every endpoint by dense index (tiles, then MC ports).
+    endpoints: Vec<Endpoint>,
+    injection: Injection<T>,
+    ejection: Ejection<T>,
     /// First flat VC of each vnet, and the flat VCs of ordered vnets —
     /// the same at every port.
     vnet_base: [u8; NocConfig::MAX_VNETS],
@@ -242,10 +317,10 @@ pub struct Network<T> {
     credit_wire: Wire<(RouterId, CreditArrival)>,
     eject_wire: Wire<(usize, u8, u8, Flit<T>)>,
     inject_credit_wire: Wire<(usize, u8, u8, bool)>,
-    // Reused per-cycle scratch.
-    inbox_flits: Vec<Vec<FlitArrival<T>>>,
-    inbox_las: Vec<Vec<LaArrival<T>>>,
-    inbox_credits: Vec<Vec<CreditArrival>>,
+    // This cycle's wire deliveries, bucketed by receiving router.
+    inbox_flits: Inbox<FlitArrival<T>>,
+    inbox_las: Inbox<LaArrival<T>>,
+    inbox_credits: Inbox<CreditArrival>,
     outbox: Vec<RouterOut<T>>,
     // Active-set engine state: routers and injection ports with pending
     // work this cycle (wire arrivals, residual occupancy, queued packets).
@@ -323,30 +398,10 @@ impl<T: Payload> Network<T> {
         cfg.validate().expect("invalid NoC configuration");
         validate_datelines(&topology, &cfg);
         let tables = RoutingTables::build(&topology);
-        let routers: Vec<Router<T>> = topology
-            .routers()
-            .map(|r| Router::new(&tables, &cfg, r))
-            .collect();
+        let n_routers = topology.router_count();
+        let routers = Routers::new(&tables, &cfg, n_routers);
         let endpoints: Vec<Endpoint> = topology.endpoints().collect();
-        let inject = endpoints
-            .iter()
-            .map(|ep| InjectPort {
-                router: ep.router,
-                local_in: ep.slot.port(),
-                queues: cfg
-                    .vnets
-                    .iter()
-                    .map(|_| Fifo::bounded(cfg.inject_queue_depth))
-                    .collect(),
-                sending: cfg.vnets.iter().map(|_| None).collect(),
-                ds: DownstreamState::new(&cfg),
-                next_vnet: 0,
-            })
-            .collect();
-        let eject = endpoints
-            .iter()
-            .map(|ep| EjectPort::new(ep, &cfg))
-            .collect();
+        let n_eps = endpoints.len();
         let mut vnet_base = [0; NocConfig::MAX_VNETS];
         let (mut flat, mut ordered_vcs) = (0, 0u32);
         for (n, v) in cfg.vnets.iter().enumerate() {
@@ -356,17 +411,21 @@ impl<T: Payload> Network<T> {
             }
             flat += v.total_vcs();
         }
-        let n_routers = topology.router_count();
-        let n_eps = endpoints.len();
+        // Per cycle a router receives at most one flit and one lookahead
+        // per input port, and per output port no more credits than the
+        // downstream port has buffer slots.
+        let n_ports = routers.n_ports();
+        let port_slots: usize = flat_depths(&cfg).sum();
         let vnets = cfg.vnets.len();
         Network {
+            injection: Injection::new(&cfg, n_eps),
+            ejection: Ejection::new(&cfg, n_eps),
             topology,
             tables,
             cfg,
             cycle: Cycle::ZERO,
             routers,
-            inject,
-            eject,
+            endpoints,
             vnet_base,
             ordered_vcs,
             esid: vec![None; n_eps],
@@ -376,14 +435,14 @@ impl<T: Payload> Network<T> {
             credit_wire: Wire::new(1),
             eject_wire: Wire::new(2),
             inject_credit_wire: Wire::new(1),
-            inbox_flits: (0..n_routers).map(|_| Vec::new()).collect(),
-            inbox_las: (0..n_routers).map(|_| Vec::new()).collect(),
-            inbox_credits: (0..n_routers).map(|_| Vec::new()).collect(),
+            inbox_flits: Inbox::new(n_routers, n_ports),
+            inbox_las: Inbox::new(n_routers, n_ports),
+            inbox_credits: Inbox::new(n_routers, n_ports * port_slots),
             outbox: Vec::new(),
             router_active: ActiveSet::new(n_routers),
             inject_active: ActiveSet::new(n_eps),
-            router_scratch: Vec::new(),
-            inject_scratch: Vec::new(),
+            router_scratch: Vec::with_capacity(n_routers),
+            inject_scratch: Vec::with_capacity(n_eps),
             ep_woken: ActiveSet::new(n_eps),
             always_scan: false,
             next_uid: 1,
@@ -415,10 +474,9 @@ impl<T: Payload> Network<T> {
     /// Aggregate statistics (router counters folded in on each call).
     pub fn stats(&self) -> NocStats {
         let mut s = self.stats.clone();
-        for r in &self.routers {
-            s.bypassed_flits += r.stats.bypassed_flits.get();
-            s.buffered_flits += r.stats.buffered_flits.get();
-        }
+        let (bypassed, buffered) = self.routers.flit_paths();
+        s.bypassed_flits += bypassed;
+        s.buffered_flits += buffered;
         s
     }
 
@@ -428,14 +486,16 @@ impl<T: Payload> Network<T> {
         self.last_progress
     }
 
-    /// Dumps occupied router state for deadlock debugging.
+    /// Dumps occupied router state for deadlock debugging: per router,
+    /// every resident input VC with its stall cause and every busy
+    /// downstream VC.
     #[doc(hidden)]
     pub fn debug_dump(&self) -> String {
         let mut out = String::new();
-        for r in &self.routers {
-            let lines = r.debug_occupancy();
+        for r in 0..self.topology.router_count() {
+            let lines = self.routers.debug_occupancy(r);
             if !lines.is_empty() {
-                out.push_str(&format!("router {}\n", r.id()));
+                out.push_str(&format!("router {}\n", RouterId(r as u16)));
                 for l in lines {
                     out.push_str(&l);
                     out.push('\n');
@@ -483,7 +543,7 @@ impl<T: Payload> Network<T> {
             "MC-sourced broadcast from {} is undefined on a concentrated fabric",
             packet.src
         );
-        self.inject[idx].queues[vnet].push(packet)?;
+        self.injection.push(idx, vnet, packet)?;
         self.inject_active.wake(idx);
         self.next_uid += 1;
         self.stats.injected_packets.incr();
@@ -495,8 +555,7 @@ impl<T: Payload> Network<T> {
 
     /// Number of packets waiting (or mid-send) at `ep`'s injection port.
     pub fn inject_backlog(&self, ep: Endpoint) -> usize {
-        let p = &self.inject[self.endpoint_index(ep)];
-        p.queues.iter().map(Fifo::len).sum::<usize>() + p.sending.iter().flatten().count()
+        self.injection.backlog(self.endpoint_index(ep))
     }
 
     /// Whether ordered packet `uid` is still waiting in the injection port
@@ -507,11 +566,11 @@ impl<T: Payload> Network<T> {
     /// deadlock-freedom argument rests on. Only the ordered vnets' queues
     /// and send slots are searched: that is where requests travel.
     pub fn inject_pending(&self, ep_idx: usize, uid: u64) -> bool {
-        let p = &self.inject[ep_idx];
+        let inj = &self.injection;
         let ordered = self.cfg.vnets.iter().enumerate().filter(|(_, v)| v.ordered);
-        ordered.into_iter().any(|(v, _)| {
-            p.queues[v].iter().any(|pkt| pkt.uid == uid)
-                || p.sending[v].is_some_and(|s| s.packet.uid == uid)
+        ordered.map(|(v, _)| ep_idx * inj.vnets + v).any(|lane| {
+            inj.queues[lane].iter(&inj.slab).any(|pkt| pkt.uid == uid)
+                || inj.sending[lane].is_some_and(|s| s.packet.uid == uid)
         })
     }
 
@@ -530,13 +589,13 @@ impl<T: Payload> Network<T> {
     /// Whether any flit is waiting in the ejection buffers of the endpoint
     /// with dense index `ep_idx`.
     pub fn eject_occupied(&self, ep_idx: usize) -> bool {
-        self.eject[ep_idx].nonempty != 0
+        self.ejection.nonempty[ep_idx] != 0
     }
 
     /// The flat ejection VCs (`vnet_base + vc`, ascending in vnet then VC)
     /// of endpoint `ep_idx` that hold a flit, as a bit mask.
     pub fn eject_vcs(&self, ep_idx: usize) -> u32 {
-        self.eject[ep_idx].nonempty
+        self.ejection.nonempty[ep_idx]
     }
 
     /// The flat VCs that belong to ordered vnets (the same at every
@@ -547,20 +606,20 @@ impl<T: Payload> Network<T> {
 
     /// The head flit of flat ejection VC `vc` at endpoint `ep_idx`.
     pub fn eject_head(&self, ep_idx: usize, vc: usize) -> Option<&Flit<T>> {
-        self.eject[ep_idx].head(vc)
+        self.ejection.head(ep_idx, vc)
     }
 
     /// Consumes the head flit of flat ejection VC `flat` at endpoint
     /// `idx`, returning a credit to the router. Returns `None` if the VC is
     /// empty.
     pub fn eject_take_vc(&mut self, idx: usize, flat: usize) -> Option<Flit<T>> {
-        let port = &mut self.eject[idx];
-        let flit = port.pop(flat)?;
+        let flit = self.ejection.pop(idx, flat)?;
+        let ep = self.endpoints[idx];
         let vc = flat as u8 - self.vnet_base[flit.packet.vnet.index()];
         self.credit_wire.push((
-            port.router,
+            ep.router,
             CreditArrival {
-                out_port: port.slot.port(),
+                out_port: ep.slot.port(),
                 vnet: flit.packet.vnet.0,
                 vc,
                 dealloc: flit.is_tail(),
@@ -623,7 +682,7 @@ impl<T: Payload> Network<T> {
                 c,
                 &self.cfg,
                 self.topology.router_count(),
-                self.inject.len(),
+                self.endpoints.len(),
             ))
         });
     }
@@ -661,7 +720,7 @@ impl<T: Payload> Network<T> {
         self.tick_inject_ports();
     }
 
-    /// Delivers due wire traffic into the preallocated inboxes, waking the
+    /// Delivers due wire traffic into the per-router inboxes, waking the
     /// receiving routers and recording which endpoints saw ejections.
     fn deliver_wires(&mut self) {
         let Network {
@@ -673,9 +732,9 @@ impl<T: Payload> Network<T> {
             inbox_flits,
             inbox_las,
             inbox_credits,
-            eject,
+            injection,
+            ejection,
             vnet_base,
-            inject,
             router_active,
             ep_woken,
             cfg,
@@ -684,25 +743,25 @@ impl<T: Payload> Network<T> {
             ..
         } = self;
         flit_wire.deliver(|(r, port, vc, flit)| {
-            inbox_flits[r.index()].push(FlitArrival { port, vc, flit });
+            inbox_flits.push(r.index(), FlitArrival { port, vc, flit });
             router_active.wake(r.index());
             *last_progress = *cycle;
         });
         la_wire.deliver(|(r, port, flit)| {
-            inbox_las[r.index()].push(LaArrival { port, flit });
+            inbox_las.push(r.index(), LaArrival { port, flit });
             router_active.wake(r.index());
         });
         credit_wire.deliver(|(r, credit)| {
-            inbox_credits[r.index()].push(credit);
+            inbox_credits.push(r.index(), credit);
             router_active.wake(r.index());
         });
         eject_wire.deliver(|(ep_idx, vnet, vc, flit)| {
-            eject[ep_idx].push((vnet_base[vnet as usize] + vc) as usize, flit);
+            ejection.push(ep_idx, (vnet_base[vnet as usize] + vc) as usize, flit);
             ep_woken.wake(ep_idx);
             *last_progress = *cycle;
         });
         inject_credit_wire.deliver(|(ep_idx, vnet, vc, dealloc)| {
-            inject[ep_idx].ds.on_credit(cfg, vnet, vc, dealloc);
+            injection.ds.on_credit(cfg, ep_idx, vnet, vc, dealloc);
         });
     }
 
@@ -741,20 +800,20 @@ impl<T: Payload> Network<T> {
         };
         for &r in &list {
             let ridx = r as usize;
-            let router = &mut routers[ridx];
-            let flits = &inbox_flits[ridx];
-            let las = &inbox_las[ridx];
-            let credits = &inbox_credits[ridx];
-            if router.is_idle() && flits.is_empty() && las.is_empty() && credits.is_empty() {
+            let flits = inbox_flits.get(ridx);
+            let las = inbox_las.get(ridx);
+            let credits = inbox_credits.get(ridx);
+            if routers.is_idle(ridx) && flits.is_empty() && las.is_empty() && credits.is_empty() {
                 continue;
             }
             if let Some(o) = obs.as_deref_mut() {
                 // Occupancy integral, sampled pre-tick over exactly the
                 // routers both engines agree to tick.
-                o.on_occupancy(u64::from(router.occupancy()));
+                o.on_occupancy(u64::from(routers.occupancy(ridx)));
             }
             outbox.clear();
-            router.tick(
+            routers.tick(
+                ridx,
                 &route,
                 cfg,
                 &view,
@@ -790,15 +849,15 @@ impl<T: Payload> Network<T> {
             }
             // A router with resident packets must tick again next cycle
             // even if no new arrivals wake it.
-            if !*always_scan && !router.is_idle() {
+            if !*always_scan && !routers.is_idle(ridx) {
                 router_active.wake(ridx);
             }
         }
         for &r in &list {
             let ridx = r as usize;
-            inbox_flits[ridx].clear();
-            inbox_las[ridx].clear();
-            inbox_credits[ridx].clear();
+            inbox_flits.clear(ridx);
+            inbox_las.clear(ridx);
+            inbox_credits.clear(ridx);
         }
         self.router_scratch = list;
     }
@@ -892,11 +951,9 @@ impl<T: Payload> Network<T> {
     /// Whether no packet is anywhere in the network (queues, buffers,
     /// wires). Ejection buffers must also be empty.
     pub fn is_drained(&self) -> bool {
-        self.routers.iter().all(Router::is_idle)
-            && self.inject.iter().all(|p| {
-                p.queues.iter().all(Fifo::is_empty) && p.sending.iter().all(Option::is_none)
-            })
-            && self.eject.iter().all(|p| p.nonempty == 0)
+        self.routers.all_idle()
+            && (0..self.endpoints.len())
+                .all(|ep| self.injection.backlog(ep) == 0 && self.ejection.nonempty[ep] == 0)
             && self.wires_empty()
     }
 
@@ -973,50 +1030,59 @@ impl<T: Payload> Network<T> {
     /// exactly as under the always-scan engine — and a drained port sleeps
     /// until the next [`Network::try_inject`].
     fn inject_try_send(&mut self, idx: usize) {
-        let cfg = &self.cfg;
-        let view = EsidView {
-            tables: &self.tables,
-            esid: &self.esid,
-        };
-        let port = &mut self.inject[idx];
-        let vnets = cfg.vnets.len();
-        let has_work =
-            port.sending.iter().any(Option::is_some) || port.queues.iter().any(|q| !q.is_empty());
-        if !has_work {
+        let Network {
+            cfg,
+            tables,
+            esid,
+            endpoints,
+            injection: inj,
+            flit_wire,
+            la_wire,
+            inject_active,
+            always_scan,
+            obs,
+            cycle,
+            last_progress,
+            ..
+        } = self;
+        if inj.backlog(idx) == 0 {
             return;
         }
-        if !self.always_scan {
-            self.inject_active.wake(idx);
+        if !*always_scan {
+            inject_active.wake(idx);
         }
+        let view = EsidView { tables, esid };
+        let (router, local_in) = (endpoints[idx].router, endpoints[idx].slot.port());
+        let vnets = inj.vnets;
         for k in 0..vnets {
-            let v = (port.next_vnet + k) % vnets;
+            let v = (inj.next_vnet[idx] + k) % vnets;
+            let lane = idx * vnets + v;
             // Continue a multi-flit send first.
-            if let Some(mut s) = port.sending[v].take() {
-                if port.ds.has_credit(v as u8, s.vc) {
-                    port.ds.take_credit(v as u8, s.vc);
+            if let Some(mut s) = inj.sending[lane].take() {
+                if inj.ds.has_credit(idx, v as u8, s.vc) {
+                    inj.ds.take_credit(idx, v as u8, s.vc);
                     let flit = Flit {
                         packet: s.packet,
                         idx: s.next_idx,
                     };
-                    self.flit_wire
-                        .push((port.router, port.local_in, s.vc, flit));
+                    flit_wire.push((router, local_in, s.vc, flit));
                     s.next_idx += 1;
                     if s.next_idx < s.packet.len_flits {
-                        port.sending[v] = Some(s);
+                        inj.sending[lane] = Some(s);
                     }
-                    port.next_vnet = (v + 1) % vnets;
+                    inj.next_vnet[idx] = (v + 1) % vnets;
                     return;
                 }
-                port.sending[v] = Some(s);
+                inj.sending[lane] = Some(s);
                 continue;
             }
-            let Some(packet) = port.queues[v].front().copied() else {
+            let Some(&packet) = inj.queues[lane].front(&inj.slab) else {
                 continue;
             };
             // Point-to-point ordering: same-SID exclusivity at the router
             // input port.
             if let Some(sid) = packet.sid {
-                if port.ds.sid_in_flight(v as u8, sid) {
+                if inj.ds.sid_in_flight(idx, v as u8, sid) {
                     continue;
                 }
             }
@@ -1024,45 +1090,44 @@ impl<T: Payload> Network<T> {
             // dateline discipline only constrains mesh links. The rVC is
             // open to a request some NIC local to this router (any tile
             // slot, or its MC port) expects as this exact instance.
-            let router = port.router;
             let rvc_ok = || {
                 packet
                     .sid
                     .is_some_and(|s| view.router_has_expected(router, s, packet.sid_seq))
             };
-            let Some(vc) = port
+            let Some(vc) = inj
                 .ds
-                .alloc_vc(cfg, v as u8, packet.sid, VcClass::Any, rvc_ok)
+                .alloc_vc(cfg, idx, v as u8, packet.sid, VcClass::Any, rvc_ok)
             else {
                 continue;
             };
-            port.queues[v].pop();
-            if let Some(o) = self.obs.as_deref_mut() {
+            inj.queues[lane].pop(&mut inj.slab);
+            if let Some(o) = obs.as_deref_mut() {
                 o.on_injected(
-                    self.cycle.as_u64(),
+                    cycle.as_u64(),
                     idx as u32,
-                    port.router.0 as u32,
-                    port.local_in.index() as u8,
+                    router.0 as u32,
+                    local_in.index() as u8,
                     v as u8,
                     vc,
                     packet.uid,
-                    self.cycle - packet.inject_cycle,
+                    *cycle - packet.inject_cycle,
                 );
             }
             let head = Flit { packet, idx: 0 };
             if cfg.bypass && packet.len_flits == 1 {
-                self.la_wire.push((port.router, port.local_in, head));
+                la_wire.push((router, local_in, head));
             }
-            self.flit_wire.push((port.router, port.local_in, vc, head));
+            flit_wire.push((router, local_in, vc, head));
             if packet.len_flits > 1 {
-                port.sending[v] = Some(SendState {
+                inj.sending[lane] = Some(SendState {
                     packet,
                     next_idx: 1,
                     vc,
                 });
             }
-            port.next_vnet = (v + 1) % vnets;
-            self.last_progress = self.cycle;
+            inj.next_vnet[idx] = (v + 1) % vnets;
+            *last_progress = *cycle;
             return;
         }
     }
@@ -1084,6 +1149,7 @@ mod tests {
     use super::*;
     use crate::arbiter::set_bits;
     use crate::flit::VnetId;
+    use crate::planes::MultiNetwork;
     use crate::topology::{CMesh, Mesh, Ring, Torus};
 
     fn drain_all(net: &mut Network<u64>, max: u64) -> Vec<(Endpoint, Flit<u64>)> {
@@ -1537,6 +1603,37 @@ mod tests {
                 topo.label()
             );
             assert!(injected > 100, "too little traffic on {}", topo.label());
+        }
+    }
+
+    /// A wedged fabric's post-mortem says why each resident VC is stuck: on
+    /// a 2×2 mesh flooded with broadcasts whose endpoints never consume, the
+    /// ejection buffers fill, the local outputs run out of VCs, and every
+    /// plane dumps input VCs stalled in VC allocation.
+    #[test]
+    fn post_mortem_names_the_blocked_vcs_on_every_plane() {
+        let planes = std::num::NonZeroUsize::new(2).expect("non-zero");
+        let mut net: MultiNetwork<u64> =
+            MultiNetwork::new(Mesh::new(2, 2, &[]), NocConfig::scorpio(), planes, 0);
+        for addr in 0..200u64 {
+            for r in 0..4u16 {
+                let src = Endpoint::tile(RouterId(r));
+                // A full injection queue refuses the copy; the flood goes on.
+                let _ = net.try_inject(src, Packet::broadcast_unordered(VnetId(0), src, addr));
+            }
+            net.step();
+        }
+        let dump = net.debug_dump();
+        for p in 0..2 {
+            let section = dump
+                .split(&format!("plane {p}\n"))
+                .nth(1)
+                .unwrap_or_else(|| panic!("no plane {p} section in:\n{dump}"));
+            let section = section.split("plane ").next().expect("a section");
+            assert!(
+                section.contains(" vc-alloc: "),
+                "plane {p} names no VC-allocation stall:\n{dump}"
+            );
         }
     }
 }

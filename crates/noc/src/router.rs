@@ -26,6 +26,13 @@
 //! Point-to-point ordering is enforced with per-output-port SID trackers:
 //! a request cannot be allocated toward an output while another request
 //! with the same SID occupies a VC of the downstream input port.
+//!
+//! Every router of a network lives in one [`Routers`]: network-level
+//! arrays built once, at construction — fixed-size per-router registers,
+//! input-VC control state `[router][port][vc]`, one slab holding every
+//! input VC's flit ring, and one [`Downstream`] row per `[router][output
+//! port]` — so a network costs the same handful of allocations whatever
+//! its router count. A tick borrows one router's share as a [`Router`].
 
 use crate::arbiter::{set_bits, RotatingArbiter};
 use crate::config::NocConfig;
@@ -34,7 +41,6 @@ use crate::obs::NetObs;
 use crate::tables::{RouteCtx, RoutingTables, VcClass};
 use crate::topology::{Port, PortMask, RouterId};
 use scorpio_sim::stats::Counter;
-use std::collections::VecDeque;
 
 /// A flit arriving at an input port, tagged with the VC the upstream VS
 /// stage allocated for it.
@@ -94,83 +100,200 @@ pub(crate) trait EsidOracle {
 
 const MAX_VNETS: usize = NocConfig::MAX_VNETS;
 
-/// Credit/VC bookkeeping for one downstream input port, as seen from an
-/// upstream output port (also used by the NIC injection path).
-///
-/// State is flat — one credit counter and one SID slot per VC, vnet `n`'s
-/// VC `c` at `base[n] + c` — plus two bit-per-VC words per vnet, so the
-/// allocation questions are word operations.
-#[derive(Debug, Clone)]
-pub(crate) struct DownstreamState {
-    /// Per vnet, bit `c`: VC `c` is not currently owned by a packet.
-    free: [u16; MAX_VNETS],
-    /// Per vnet, bit `c`: VC `c` is free *and* holds a credit, i.e. VS can
-    /// allocate it. Every mutator below keeps `ok ≡ free ∧ credits > 0`.
-    ok: [u16; MAX_VNETS],
-    /// Flat index of each vnet's VC 0; one extra entry closes the last row.
-    base: [u8; MAX_VNETS + 1],
-    /// Free buffer slots per VC.
-    credits: Box<[u8]>,
-    /// SID tracker per VC (ordered vnets).
-    sids: Box<[Option<Sid>]>,
+/// The buffer depth of every VC of an input port, in flat order (vnet
+/// `n`'s VC `c` at the VCs of the vnets before it, plus `c`).
+pub(crate) fn flat_depths(cfg: &NocConfig) -> impl Iterator<Item = usize> + Clone + '_ {
+    cfg.vnets
+        .iter()
+        .flat_map(|v| std::iter::repeat_n(usize::from(v.depth), v.total_vcs()))
 }
 
-impl DownstreamState {
-    pub(crate) fn new(cfg: &NocConfig) -> Self {
-        let depths = cfg
-            .vnets
-            .iter()
-            .flat_map(|v| std::iter::repeat_n(v.depth, v.total_vcs()));
-        let credits: Box<[u8]> = depths.collect();
-        let mut ds = DownstreamState {
-            free: [0; MAX_VNETS],
-            ok: [0; MAX_VNETS],
-            base: [0; MAX_VNETS + 1],
-            sids: vec![None; credits.len()].into(),
-            credits,
-        };
+/// A bounded FIFO ring of `depth` slots from `base` in a slab of
+/// `Option<E>` shared with other rings. Slots outside the live region are
+/// `None`, so the front of an empty ring reads as `None`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SlabRing {
+    base: u32,
+    depth: u32,
+    head: u32,
+    len: u32,
+}
+
+impl SlabRing {
+    /// One ring per entry of `depths`, the whole list `groups` times, laid
+    /// back to back from slot 0: the rings of a slab of `groups · Σ depths`
+    /// slots.
+    pub(crate) fn carve(
+        groups: usize,
+        depths: impl Iterator<Item = usize> + Clone,
+    ) -> impl Iterator<Item = SlabRing> {
+        let mut base = 0;
+        std::iter::repeat_n(depths, groups)
+            .flatten()
+            .map(move |depth| {
+                let ring = SlabRing {
+                    base,
+                    depth: depth as u32,
+                    head: 0,
+                    len: 0,
+                };
+                base += depth as u32;
+                ring
+            })
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    pub(crate) fn is_full(&self) -> bool {
+        self.len == self.depth
+    }
+
+    /// Appends `e` at the back.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the ring is full: the credits (or the queue bound) that
+    /// size it were violated.
+    pub(crate) fn push<E>(&mut self, slab: &mut [Option<E>], e: E) {
+        assert!(!self.is_full(), "ring overflow: credits violated");
+        let at = (self.head + self.len) % self.depth;
+        slab[(self.base + at) as usize] = Some(e);
+        self.len += 1;
+    }
+
+    pub(crate) fn front<'s, E>(&self, slab: &'s [Option<E>]) -> Option<&'s E> {
+        slab[(self.base + self.head) as usize].as_ref()
+    }
+
+    pub(crate) fn pop<E>(&mut self, slab: &mut [Option<E>]) -> Option<E> {
+        let e = slab[(self.base + self.head) as usize].take()?;
+        self.head = (self.head + 1) % self.depth;
+        self.len -= 1;
+        Some(e)
+    }
+
+    /// The live entries, front to back.
+    pub(crate) fn iter<'s, E>(&self, slab: &'s [Option<E>]) -> impl Iterator<Item = &'s E> {
+        let r = *self;
+        (0..r.len).filter_map(move |i| slab[(r.base + (r.head + i) % r.depth) as usize].as_ref())
+    }
+}
+
+/// Credit/VC bookkeeping for a set of downstream input ports, one row per
+/// port, as seen from upstream: per output port of every router, and per
+/// endpoint on the NIC injection path.
+///
+/// A row is flat — one credit counter and one SID slot per VC, vnet `n`'s
+/// VC `c` at `base[n] + c` — plus two bit-per-VC words per vnet, so the
+/// allocation questions are word operations. All rows live in four arrays
+/// sized from the configuration at build.
+#[derive(Debug, Clone)]
+pub(crate) struct Downstream {
+    vnets: usize,
+    port_vcs: usize,
+    /// Flat index of each vnet's VC 0; one extra entry closes the last row.
+    base: [u8; MAX_VNETS + 1],
+    /// `[row][vnet]`, bit `c`: VC `c` is not currently owned by a packet.
+    free: Vec<u16>,
+    /// `[row][vnet]`, bit `c`: VC `c` is free *and* holds a credit, i.e.
+    /// VS can allocate it. Every mutator below keeps
+    /// `ok ≡ free ∧ credits > 0`.
+    ok: Vec<u16>,
+    /// `[row][flat VC]`: free buffer slots.
+    credits: Vec<u8>,
+    /// `[row][flat VC]`: SID tracker (ordered vnets).
+    sids: Vec<Option<Sid>>,
+}
+
+impl Downstream {
+    pub(crate) fn new(cfg: &NocConfig, rows: usize) -> Self {
+        let vnets = cfg.vnets.len();
+        let mut base = [0; MAX_VNETS + 1];
+        let mut all = [0u16; MAX_VNETS];
         for (n, v) in cfg.vnets.iter().enumerate() {
-            ds.free[n] = ((1u32 << v.total_vcs()) - 1) as u16;
-            ds.ok[n] = ds.free[n];
-            ds.base[n + 1] = ds.base[n] + v.total_vcs() as u8;
+            all[n] = ((1u32 << v.total_vcs()) - 1) as u16;
+            base[n + 1] = base[n] + v.total_vcs() as u8;
         }
-        ds
+        let port_vcs = usize::from(base[vnets]);
+        let mut free = Vec::with_capacity(rows * vnets);
+        let mut credits = Vec::with_capacity(rows * port_vcs);
+        for _ in 0..rows {
+            free.extend_from_slice(&all[..vnets]);
+            credits.extend(flat_depths(cfg).map(|d| d as u8));
+        }
+        Downstream {
+            vnets,
+            port_vcs,
+            base,
+            ok: free.clone(),
+            free,
+            credits,
+            sids: vec![None; rows * port_vcs],
+        }
     }
 
+    /// Index of `row`'s word of `vnet`.
     #[inline]
-    fn flat(&self, vnet: u8, vc: u8) -> usize {
-        (self.base[vnet as usize] + vc) as usize
+    fn word(&self, row: usize, vnet: u8) -> usize {
+        row * self.vnets + vnet as usize
     }
 
-    pub(crate) fn on_credit(&mut self, cfg: &NocConfig, vnet: u8, vc: u8, dealloc: bool) {
-        let (n, c) = (vnet as usize, self.flat(vnet, vc));
+    /// Index of `row`'s credit and SID slot of (`vnet`, `vc`).
+    #[inline]
+    fn flat(&self, row: usize, vnet: u8, vc: u8) -> usize {
+        row * self.port_vcs + usize::from(self.base[vnet as usize] + vc)
+    }
+
+    pub(crate) fn on_credit(
+        &mut self,
+        cfg: &NocConfig,
+        row: usize,
+        vnet: u8,
+        vc: u8,
+        dealloc: bool,
+    ) {
+        let (w, c) = (self.word(row, vnet), self.flat(row, vnet, vc));
         self.credits[c] += 1;
-        debug_assert!(self.credits[c] <= cfg.vnets[n].depth);
+        debug_assert!(self.credits[c] <= cfg.vnets[vnet as usize].depth);
         if dealloc {
-            self.free[n] |= 1 << vc;
+            self.free[w] |= 1 << vc;
             self.sids[c] = None;
         }
-        self.ok[n] |= self.free[n] & (1 << vc);
+        self.ok[w] |= self.free[w] & (1 << vc);
     }
 
     /// Whether a request with `sid` is already in flight to / buffered at
-    /// the downstream input port (point-to-point ordering constraint).
-    pub(crate) fn sid_in_flight(&self, vnet: u8, sid: Sid) -> bool {
-        let n = vnet as usize;
-        self.sids[self.base[n] as usize..self.base[n + 1] as usize].contains(&Some(sid))
+    /// the downstream input port of `row` (point-to-point ordering
+    /// constraint).
+    pub(crate) fn sid_in_flight(&self, row: usize, vnet: u8, sid: Sid) -> bool {
+        let (n, at) = (vnet as usize, row * self.port_vcs);
+        let vcs = at + usize::from(self.base[n])..at + usize::from(self.base[n + 1]);
+        self.sids[vcs].contains(&Some(sid))
     }
 
     /// Whether VS could allocate a regular VC of `class` right now.
     /// `class` restricts the regular-VC pool to the flit's dateline
     /// partition on wraparound topologies ([`VcClass::Any`] on a mesh).
-    pub(crate) fn regular_open(&self, cfg: &NocConfig, vnet: u8, class: VcClass) -> bool {
-        self.ok[vnet as usize] & class.regular_mask(cfg.vnets[vnet as usize].vcs) != 0
+    pub(crate) fn regular_open(
+        &self,
+        cfg: &NocConfig,
+        row: usize,
+        vnet: u8,
+        class: VcClass,
+    ) -> bool {
+        self.ok[self.word(row, vnet)] & class.regular_mask(cfg.vnets[vnet as usize].vcs) != 0
     }
 
     /// Whether the reserved VC is allocatable (never on an unordered vnet,
     /// whose bit `vcs` does not exist).
-    pub(crate) fn rvc_open(&self, cfg: &NocConfig, vnet: u8) -> bool {
-        u32::from(self.ok[vnet as usize]) >> cfg.vnets[vnet as usize].vcs & 1 != 0
+    pub(crate) fn rvc_open(&self, cfg: &NocConfig, row: usize, vnet: u8) -> bool {
+        u32::from(self.ok[self.word(row, vnet)]) >> cfg.vnets[vnet as usize].vcs & 1 != 0
     }
 
     /// VS: allocates a VC for a new packet — the lowest open regular VC of
@@ -180,24 +303,25 @@ impl DownstreamState {
     pub(crate) fn alloc_vc(
         &mut self,
         cfg: &NocConfig,
+        row: usize,
         vnet: u8,
         sid: Option<Sid>,
         class: VcClass,
         rvc_ok: impl FnOnce() -> bool,
     ) -> Option<u8> {
-        let n = vnet as usize;
-        let vcfg = &cfg.vnets[n];
-        let regular = self.ok[n] & class.regular_mask(vcfg.vcs);
+        let w = self.word(row, vnet);
+        let vcfg = &cfg.vnets[vnet as usize];
+        let regular = self.ok[w] & class.regular_mask(vcfg.vcs);
         let vc = if regular != 0 {
             regular.trailing_zeros() as u8
-        } else if self.rvc_open(cfg, vnet) && rvc_ok() {
+        } else if self.rvc_open(cfg, row, vnet) && rvc_ok() {
             vcfg.rvc_index()
         } else {
             return None;
         };
-        let c = self.flat(vnet, vc);
-        self.free[n] &= !(1 << vc);
-        self.ok[n] &= !(1 << vc);
+        let c = self.flat(row, vnet, vc);
+        self.free[w] &= !(1 << vc);
+        self.ok[w] &= !(1 << vc);
         self.credits[c] -= 1;
         if vcfg.ordered {
             self.sids[c] = sid;
@@ -205,25 +329,27 @@ impl DownstreamState {
         Some(vc)
     }
 
-    pub(crate) fn has_credit(&self, vnet: u8, vc: u8) -> bool {
-        self.credits[self.flat(vnet, vc)] > 0
+    pub(crate) fn has_credit(&self, row: usize, vnet: u8, vc: u8) -> bool {
+        self.credits[self.flat(row, vnet, vc)] > 0
     }
 
     /// Spends a credit of a VC the caller's packet already owns (so its
     /// `ok` bit is clear and stays clear).
-    pub(crate) fn take_credit(&mut self, vnet: u8, vc: u8) {
-        debug_assert!(self.has_credit(vnet, vc));
-        debug_assert_eq!(self.free[vnet as usize] & (1 << vc), 0);
-        self.credits[self.flat(vnet, vc)] -= 1;
+    pub(crate) fn take_credit(&mut self, row: usize, vnet: u8, vc: u8) {
+        debug_assert!(self.has_credit(row, vnet, vc));
+        debug_assert_eq!(self.free[self.word(row, vnet)] & (1 << vc), 0);
+        let c = self.flat(row, vnet, vc);
+        self.credits[c] -= 1;
     }
 }
 
 /// State of one virtual channel at an input port. Holds at most one packet
 /// at a time (VCs are reallocated only after the tail departs downstream);
-/// whether one is resident is the VC's bit in [`Router::active`].
-#[derive(Debug, Clone)]
-struct VcState<T> {
-    flits: VecDeque<Flit<T>>,
+/// whether one is resident is the VC's bit in [`RouterCore::active`].
+#[derive(Debug, Clone, Copy)]
+struct VcState {
+    /// The VC's flits, a ring in [`Routers::slab`].
+    ring: SlabRing,
     /// Whether the resident packet is a single flit (mask path) or a
     /// multi-flit unicast (stream path).
     single: bool,
@@ -247,10 +373,10 @@ struct VcState<T> {
     granted_flits: u8,
 }
 
-impl<T> VcState<T> {
-    fn new(depth: u8) -> Self {
+impl VcState {
+    fn new(ring: SlabRing) -> Self {
         VcState {
-            flits: VecDeque::with_capacity(depth as usize),
+            ring,
             single: true,
             order: None,
             remaining: PortMask::EMPTY,
@@ -262,6 +388,39 @@ impl<T> VcState<T> {
             granted_flits: 0,
         }
     }
+
+    /// Why an active, non-requesting VC is not progressing — `None` when it
+    /// is merely waiting on its own granted switch traversals (or, for a
+    /// stream, on flits still upstream). An active VC with somewhere to go
+    /// that *cannot even request* is stalled in VC allocation (head blocked
+    /// on a free VC or a SID conflict) or on credits (body flit of a routed
+    /// stream).
+    fn blocked_cause(&self) -> Option<Stall> {
+        if self.ring.is_empty() {
+            return None;
+        }
+        if self.single {
+            // A pending output it could not request = the downstream VC
+            // allocator (no free VC in its class, or a SID conflict).
+            (!(self.remaining - self.granted).is_empty()).then_some(Stall::VcAlloc)
+        } else if self.ring.len() <= self.granted_flits as usize {
+            None
+        } else {
+            match self.out_port {
+                // Head waiting for a downstream VC.
+                None => Some(Stall::VcAlloc),
+                // Routed stream with buffered flits but no request: the
+                // only blocker on a fixed (port, VC) is credits.
+                Some(_) => Some(Stall::Credit),
+            }
+        }
+    }
+}
+
+/// Stall cause of a blocked (non-requesting) input VC.
+enum Stall {
+    VcAlloc,
+    Credit,
 }
 
 /// An input VC named the way wires and credits name it.
@@ -281,29 +440,6 @@ struct BypassRes {
     vcs: [u8; Port::COUNT],
 }
 
-/// An ST operation scheduled for the next cycle.
-#[derive(Debug, Clone, Copy)]
-enum StOp {
-    /// Mask-path flit at (`port`, `vc`) STs through its granted set.
-    MaskFlit { port: Port, vc: VcRef },
-    /// Stream-path: the front flit of (`port`, `vc`) STs.
-    StreamFlit { port: Port, vc: VcRef },
-}
-
-/// Per-router statistics.
-#[derive(Debug, Clone, Default)]
-pub struct RouterStats {
-    /// Flits written into input buffers (took the 3-stage path).
-    pub buffered_flits: Counter,
-    /// Flits that bypassed straight to ST (1-stage path).
-    pub bypassed_flits: Counter,
-    /// Crossbar traversals (one per output-port grant, so a 4-way fork
-    /// counts 4).
-    pub crossings: Counter,
-    /// Lookaheads that failed to set up the bypass.
-    pub la_failures: Counter,
-}
-
 /// What one `allocate_outputs` pass has handed out so far.
 #[derive(Default)]
 struct Crossbar {
@@ -315,14 +451,14 @@ struct Crossbar {
     in_bypass: PortMask,
 }
 
-pub(crate) struct Router<T> {
-    id: RouterId,
-    /// Ports this router actually has: the prefix of [`Port::ALL`] ending
-    /// after the last tile slot the topology attaches (6 on every
-    /// single-tile fabric — the historical port set in its historical
-    /// order, so arbitration is bit-identical there — up to 9 at
-    /// concentration 4). Arbiters and port scans run over exactly this
-    /// prefix.
+/// The port and VC layout every router of a network shares.
+#[derive(Debug)]
+struct Shape {
+    /// Ports each router has: the prefix of [`Port::ALL`] ending after the
+    /// last tile slot the topology attaches (6 on every single-tile fabric
+    /// — the historical port set in its historical order, so arbitration
+    /// is bit-identical there — up to 9 at concentration 4). Arbiters and
+    /// port scans run over exactly this prefix.
     n_ports: usize,
     /// VCs per input port, summed over the vnets.
     port_vcs: usize,
@@ -332,16 +468,21 @@ pub(crate) struct Router<T> {
     vc_index: [VcRef; NocConfig::MAX_VCS_PER_PORT],
     /// The flat indices that are reserved VCs.
     rvc_flat: u32,
-    /// Input VC state, `port * port_vcs + flat`.
-    inputs: Vec<VcState<T>>,
+}
+
+/// One router's fixed-size registers: everything but its input VCs and
+/// downstream rows, which live in the [`Routers`] arrays.
+#[derive(Debug, Clone)]
+struct RouterCore {
+    /// Output ports with a downstream input port (a link, a tile slot or
+    /// the MC port); the other ports' downstream rows are never touched.
+    present: PortMask,
     /// Per input port, the flat VCs holding a packet.
     active: [u32; Port::COUNT],
     /// Input ports with an active VC. Only these have an SA-I requester,
     /// and an empty grant leaves an arbiter pointer untouched, so SA-I
     /// visits exactly the set bits.
     occupied_ports: PortMask,
-    /// Downstream credit view per output port (`None` = port absent).
-    pub(crate) downstream: Vec<Option<DownstreamState>>,
     /// Per vnet and [`VcClass::ALL`] position, the outputs whose downstream
     /// regular pool is open; refreshed with every downstream mutation.
     open: [[PortMask; 3]; MAX_VNETS],
@@ -355,64 +496,26 @@ pub(crate) struct Router<T> {
     /// Input ports holding a bypass reservation for the next arrival.
     bypass_pending: PortMask,
     bypass_res: [BypassRes; Port::COUNT],
-    st_plan: Vec<StOp>,
+    /// The switch traversals scheduled for next cycle, in grant order: the
+    /// input VC whose front flit goes. At most one per input port — only
+    /// its SA-I winner is granted — so the first `st_len` entries are live.
+    st_plan: [(Port, VcRef); Port::COUNT],
+    st_len: u8,
     sa_i_arb: [RotatingArbiter; Port::COUNT],
     sa_o_arb: [RotatingArbiter; Port::COUNT],
     la_arb: RotatingArbiter,
-    pub(crate) stats: RouterStats,
+    /// Flits written into input buffers (took the 3-stage path).
+    buffered_flits: Counter,
+    /// Flits that bypassed straight to ST (1-stage path).
+    bypassed_flits: Counter,
 }
 
-impl<T: Payload> Router<T> {
-    pub(crate) fn new(tables: &RoutingTables, cfg: &NocConfig, id: RouterId) -> Self {
-        // The router's port set is the Port::ALL prefix covering the four
-        // cardinal ports, tile slot 0, Mc, and any further tile slots the
-        // topology concentrates behind this router. Single-tile fabrics
-        // get n_ports == 6: the exact historical router, with identical
-        // arbiter sizes and scan order.
-        let n_ports = 5 + tables.concentration() as usize;
-        let port_vcs: usize = cfg.vnets.iter().map(|v| v.total_vcs()).sum();
-        let mut vnet_base = [0; MAX_VNETS];
-        let mut vc_index = [VcRef::default(); NocConfig::MAX_VCS_PER_PORT];
-        let mut rvc_flat = 0;
-        let mut flat = 0;
-        for (n, vcfg) in cfg.vnets.iter().enumerate() {
-            vnet_base[n] = flat as u8;
-            for vc in 0..vcfg.total_vcs() as u8 {
-                vc_index[flat] = VcRef { vnet: n as u8, vc };
-                rvc_flat |= u32::from(vcfg.ordered && vc == vcfg.rvc_index()) << flat;
-                flat += 1;
-            }
-        }
-        let mut inputs = Vec::with_capacity(n_ports * port_vcs);
-        for _ in 0..n_ports {
-            for vc in &vc_index[..port_vcs] {
-                inputs.push(VcState::new(cfg.vnets[vc.vnet as usize].depth));
-            }
-        }
-        let downstream = Port::ALL[..n_ports]
-            .iter()
-            .map(|&port| {
-                let present = match port.tile_index() {
-                    Some(k) => k < tables.concentration(),
-                    None => match port {
-                        Port::Mc => tables.has_mc(id),
-                        mesh_port => tables.neighbor(id, mesh_port).is_some(),
-                    },
-                };
-                present.then(|| DownstreamState::new(cfg))
-            })
-            .collect();
-        let mut router = Router {
-            id,
-            n_ports,
-            port_vcs,
-            vnet_base,
-            vc_index,
-            rvc_flat,
-            inputs,
+impl RouterCore {
+    fn new(present: PortMask, shape: &Shape) -> Self {
+        RouterCore {
+            present,
             active: [0; Port::COUNT],
             occupied_ports: PortMask::EMPTY,
-            downstream,
             open: Default::default(),
             rvc_open: Default::default(),
             sa_i_rvc: PortMask::EMPTY,
@@ -420,65 +523,261 @@ impl<T: Payload> Router<T> {
             sa_i_win: Default::default(),
             bypass_pending: PortMask::EMPTY,
             bypass_res: Default::default(),
-            st_plan: Vec::new(),
-            sa_i_arb: std::array::from_fn(|_| RotatingArbiter::new(port_vcs)),
-            sa_o_arb: std::array::from_fn(|_| RotatingArbiter::new(n_ports)),
-            la_arb: RotatingArbiter::new(n_ports),
-            stats: RouterStats::default(),
+            st_plan: [(Port::North, VcRef::default()); Port::COUNT],
+            st_len: 0,
+            sa_i_arb: std::array::from_fn(|_| RotatingArbiter::new(shape.port_vcs)),
+            sa_o_arb: std::array::from_fn(|_| RotatingArbiter::new(shape.n_ports)),
+            la_arb: RotatingArbiter::new(shape.n_ports),
+            buffered_flits: Counter::default(),
+            bypassed_flits: Counter::default(),
+        }
+    }
+
+    /// Schedules the front flit of (`port`, `vc`) for ST next cycle.
+    fn schedule_st(&mut self, port: Port, vc: VcRef) {
+        self.st_plan[self.st_len as usize] = (port, vc);
+        self.st_len += 1;
+    }
+}
+
+/// Every router of one network, as network-level arrays built once: the
+/// per-router registers, input-VC control state `[router][port][flat VC]`,
+/// one slab holding every input VC's flit ring (each as deep as its vnet's
+/// `depth`), and the downstream rows `[router][output port]`.
+pub(crate) struct Routers<T> {
+    shape: Shape,
+    cores: Vec<RouterCore>,
+    /// Input VC state, `[router][port][flat VC]`.
+    vcs: Vec<VcState>,
+    /// Every input VC's flit ring, back to back in `vcs` order.
+    slab: Vec<Option<Flit<T>>>,
+    /// Downstream view per `[router][output port]`.
+    downstream: Downstream,
+}
+
+impl<T: Payload> Routers<T> {
+    pub(crate) fn new(tables: &RoutingTables, cfg: &NocConfig, n_routers: usize) -> Self {
+        // The port set is the Port::ALL prefix covering the four cardinal
+        // ports, tile slot 0, Mc, and any further tile slots the topology
+        // concentrates behind a router. Single-tile fabrics get
+        // n_ports == 6: the exact historical router, with identical
+        // arbiter sizes and scan order.
+        let n_ports = 5 + tables.concentration() as usize;
+        let port_vcs: usize = cfg.vnets.iter().map(|v| v.total_vcs()).sum();
+        let mut shape = Shape {
+            n_ports,
+            port_vcs,
+            vnet_base: [0; MAX_VNETS],
+            vc_index: [VcRef::default(); NocConfig::MAX_VCS_PER_PORT],
+            rvc_flat: 0,
         };
-        for &port in router.ports() {
-            if router.downstream[port.index()].is_some() {
+        let mut flat = 0;
+        for (n, vcfg) in cfg.vnets.iter().enumerate() {
+            shape.vnet_base[n] = flat as u8;
+            for vc in 0..vcfg.total_vcs() as u8 {
+                shape.vc_index[flat] = VcRef { vnet: n as u8, vc };
+                shape.rvc_flat |= u32::from(vcfg.ordered && vc == vcfg.rvc_index()) << flat;
+                flat += 1;
+            }
+        }
+        let ports = n_routers * n_ports;
+        let mut vcs = Vec::with_capacity(ports * port_vcs);
+        vcs.extend(SlabRing::carve(ports, flat_depths(cfg)).map(VcState::new));
+        let mut cores = Vec::with_capacity(n_routers);
+        cores.extend((0..n_routers).map(|r| {
+            let id = RouterId(r as u16);
+            let mut present = PortMask::EMPTY;
+            for &port in &Port::ALL[..n_ports] {
+                let here = match port.tile_index() {
+                    Some(k) => k < tables.concentration(),
+                    None => match port {
+                        Port::Mc => tables.has_mc(id),
+                        mesh_port => tables.neighbor(id, mesh_port).is_some(),
+                    },
+                };
+                present.set(port, here);
+            }
+            RouterCore::new(present, &shape)
+        }));
+        let mut routers = Routers {
+            shape,
+            cores,
+            vcs,
+            slab: vec![None; ports * flat_depths(cfg).sum::<usize>()],
+            downstream: Downstream::new(cfg, ports),
+        };
+        for r in 0..n_routers {
+            let mut router = routers.router(r);
+            for port in router.core.present.iter() {
                 (0..cfg.vnets.len()).for_each(|n| router.refresh_open(cfg, port, n as u8));
             }
         }
-        router
+        routers
     }
 
-    /// The ports this router has (a prefix of [`Port::ALL`]).
-    #[inline]
-    fn ports(&self) -> &'static [Port] {
-        &Port::ALL[..self.n_ports]
+    /// Router `r`'s share of the arrays.
+    fn router(&mut self, r: usize) -> Router<'_, T> {
+        let (per, row0) = (
+            self.shape.n_ports * self.shape.port_vcs,
+            r * self.shape.n_ports,
+        );
+        Router {
+            id: RouterId(r as u16),
+            shape: &self.shape,
+            core: &mut self.cores[r],
+            vcs: &mut self.vcs[r * per..][..per],
+            slab: &mut self.slab,
+            downstream: &mut self.downstream,
+            row0,
+        }
     }
 
-    pub(crate) fn id(&self) -> RouterId {
-        self.id
+    /// Ports per router (the same at every router of the network).
+    pub(crate) fn n_ports(&self) -> usize {
+        self.shape.n_ports
     }
 
-    /// Whether this router can skip its tick entirely this cycle. Grants
+    /// Whether router `r` can skip its tick entirely this cycle. Grants
     /// pending ST belong to resident packets, so no occupied input port
     /// means nothing is scheduled either.
-    pub(crate) fn is_idle(&self) -> bool {
-        self.occupied_ports.is_empty()
+    pub(crate) fn is_idle(&self, r: usize) -> bool {
+        self.cores[r].occupied_ports.is_empty()
     }
 
-    /// Resident packets across the input VCs — the quantity the
+    /// Whether every router is idle.
+    pub(crate) fn all_idle(&self) -> bool {
+        self.cores.iter().all(|c| c.occupied_ports.is_empty())
+    }
+
+    /// Resident packets across router `r`'s input VCs — the quantity the
     /// observability occupancy integral samples.
-    pub(crate) fn occupancy(&self) -> u32 {
-        self.active.iter().map(|a| a.count_ones()).sum()
+    pub(crate) fn occupancy(&self, r: usize) -> u32 {
+        self.cores[r].active.iter().map(|a| a.count_ones()).sum()
     }
 
+    /// Flits that bypassed and flits that were buffered, summed over the
+    /// routers.
+    pub(crate) fn flit_paths(&self) -> (u64, u64) {
+        self.cores.iter().fold((0, 0), |(bypassed, buffered), c| {
+            (
+                bypassed + c.bypassed_flits.get(),
+                buffered + c.buffered_flits.get(),
+            )
+        })
+    }
+
+    /// One cycle of router `r`: credits → ST → arrivals (bypass/BW) →
+    /// SA-O/VS → SA-I.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn tick(
+        &mut self,
+        r: usize,
+        route: &RouteCtx<'_>,
+        cfg: &NocConfig,
+        esid: &impl EsidOracle,
+        arrivals: &[FlitArrival<T>],
+        las: &[LaArrival<T>],
+        credits: &[CreditArrival],
+        out: &mut Vec<RouterOut<T>>,
+        obs: Option<&mut NetObs>,
+    ) {
+        self.router(r)
+            .tick(route, cfg, esid, arrivals, las, credits, out, obs);
+    }
+
+    /// Renders router `r`'s occupied input VCs, each with its stall cause
+    /// (`vc-alloc`, `credit`, or `granted` for one waiting on its own
+    /// grant), and its busy downstream VCs, for deadlock debugging.
+    pub(crate) fn debug_occupancy(&self, r: usize) -> Vec<String> {
+        let (shape, core) = (&self.shape, &self.cores[r]);
+        let per = shape.n_ports * shape.port_vcs;
+        let vcs = &self.vcs[r * per..][..per];
+        let mut lines = Vec::new();
+        for port in core.occupied_ports.iter() {
+            for flat in set_bits(core.active[port.index()]) {
+                let state = &vcs[port.index() * shape.port_vcs + flat];
+                let VcRef { vnet, vc } = shape.vc_index[flat];
+                let cause = match state.blocked_cause() {
+                    Some(Stall::VcAlloc) => "vc-alloc",
+                    Some(Stall::Credit) => "credit",
+                    None => "granted",
+                };
+                let front = state.ring.front(&self.slab).map(|f| {
+                    format!(
+                        "uid={} sid={:?} flits={}",
+                        f.packet.uid,
+                        f.packet.sid,
+                        state.ring.len()
+                    )
+                });
+                lines.push(format!(
+                    "  in {port} v{vnet} vc{vc} {cause}: {:?} remaining={:?} granted={:?} out={:?}",
+                    front, state.remaining, state.granted, state.out_port
+                ));
+            }
+        }
+        let ds = &self.downstream;
+        for port in core.present.iter() {
+            let row = r * shape.n_ports + port.index();
+            let desc: Vec<String> = shape.vc_index[..shape.port_vcs]
+                .iter()
+                .filter(|v| ds.free[ds.word(row, v.vnet)] & (1 << v.vc) == 0)
+                .map(|v| {
+                    let c = ds.flat(row, v.vnet, v.vc);
+                    let sid = ds.sids[c].map(|s| s.0);
+                    format!("v{}vc{}:{sid:?}cr{}", v.vnet, v.vc, ds.credits[c])
+                })
+                .collect();
+            if !desc.is_empty() {
+                lines.push(format!("  out {port} busy: {}", desc.join(" ")));
+            }
+        }
+        lines
+    }
+}
+
+/// One router's share of the [`Routers`] arrays, borrowed for a tick.
+struct Router<'a, T> {
+    id: RouterId,
+    shape: &'a Shape,
+    core: &'a mut RouterCore,
+    /// This router's input VCs, `port · port_vcs + flat`.
+    vcs: &'a mut [VcState],
+    /// The network's input flit slab (the VCs' rings index it directly).
+    slab: &'a mut [Option<Flit<T>>],
+    downstream: &'a mut Downstream,
+    /// The downstream row of this router's port 0.
+    row0: usize,
+}
+
+impl<T: Payload> Router<'_, T> {
     /// Flat index of `vc` within its input port.
     #[inline]
     fn flat(&self, vc: VcRef) -> usize {
-        self.vnet_base[vc.vnet as usize] as usize + vc.vc as usize
+        self.shape.vnet_base[vc.vnet as usize] as usize + vc.vc as usize
     }
 
     #[inline]
     fn slot(&self, port: Port, vc: VcRef) -> usize {
-        port.index() * self.port_vcs + self.flat(vc)
+        port.index() * self.shape.port_vcs + self.flat(vc)
+    }
+
+    /// The downstream row of output `port`.
+    #[inline]
+    fn row(&self, port: Port) -> usize {
+        self.row0 + port.index()
     }
 
     /// Re-derives output `port`'s bits of the vnet's open masks from its
     /// downstream `ok` word. Called after every downstream mutation that
     /// can move an `ok` bit, so the masks never go stale mid-tick.
     fn refresh_open(&mut self, cfg: &NocConfig, port: Port, vnet: u8) {
-        let ds = self.downstream[port.index()]
-            .as_ref()
-            .expect("open masks of an absent output port");
-        for (open, class) in self.open[vnet as usize].iter_mut().zip(VcClass::ALL) {
-            open.set(port, ds.regular_open(cfg, vnet, class));
+        let row = self.row(port);
+        for (open, class) in self.core.open[vnet as usize].iter_mut().zip(VcClass::ALL) {
+            open.set(port, self.downstream.regular_open(cfg, row, vnet, class));
         }
-        self.rvc_open[vnet as usize].set(port, ds.rvc_open(cfg, vnet));
+        let rvc = self.downstream.rvc_open(cfg, row, vnet);
+        self.core.rvc_open[vnet as usize].set(port, rvc);
     }
 
     /// The outputs whose regular pool is open to a packet of `vnet` whose
@@ -486,7 +785,7 @@ impl<T: Payload> Router<T> {
     /// mesh and toward local ports, per-port C0/C1 on wraparound links.
     #[inline]
     fn open_for(&self, route: &RouteCtx<'_>, vnet: u8, class_mask: u8) -> PortMask {
-        let [any, c0, c1] = self.open[vnet as usize];
+        let [any, c0, c1] = self.core.open[vnet as usize];
         if !route.datelines {
             return any;
         }
@@ -496,7 +795,7 @@ impl<T: Payload> Router<T> {
 
     /// One cycle: credits → ST → arrivals (bypass/BW) → SA-O/VS → SA-I.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn tick(
+    fn tick(
         &mut self,
         route: &RouteCtx<'_>,
         cfg: &NocConfig,
@@ -508,10 +807,12 @@ impl<T: Payload> Router<T> {
         mut obs: Option<&mut NetObs>,
     ) {
         for c in credits {
-            self.downstream[c.out_port.index()]
-                .as_mut()
-                .expect("credit for absent output port")
-                .on_credit(cfg, c.vnet, c.vc, c.dealloc);
+            debug_assert!(
+                self.core.present.contains(c.out_port),
+                "credit for absent output port"
+            );
+            let row = self.row(c.out_port);
+            self.downstream.on_credit(cfg, row, c.vnet, c.vc, c.dealloc);
             self.refresh_open(cfg, c.out_port, c.vnet);
         }
         self.execute_st(cfg, out);
@@ -522,70 +823,72 @@ impl<T: Payload> Router<T> {
 
     /// Stage 3: execute the switch traversals scheduled last cycle.
     fn execute_st(&mut self, cfg: &NocConfig, out: &mut Vec<RouterOut<T>>) {
-        for i in 0..self.st_plan.len() {
-            match self.st_plan[i] {
-                StOp::MaskFlit { port, vc } => {
-                    let slot = self.slot(port, vc);
-                    let state = &mut self.inputs[slot];
-                    let flit = *state.flits.front().expect("granted VC lost its flit");
-                    let granted = std::mem::take(&mut state.granted);
-                    let grant_vcs = state.grant_vcs;
-                    state.remaining = state.remaining - granted;
-                    if state.remaining.is_empty() {
-                        state.flits.pop_front();
-                        self.vacate(port, vc);
-                        out.push(RouterOut::CreditUp {
-                            in_port: port,
-                            vnet: vc.vnet,
-                            vc: vc.vc,
-                            dealloc: true,
-                        });
-                    }
-                    for p in granted.iter() {
-                        self.emit_flit(cfg, p, grant_vcs[p.index()], flit, out);
-                    }
-                }
-                StOp::StreamFlit { port, vc } => {
-                    let slot = self.slot(port, vc);
-                    let state = &mut self.inputs[slot];
-                    let flit = state.flits.pop_front().expect("granted VC lost its flit");
-                    state.granted_flits = 0;
-                    let out_port = state.out_port.expect("stream flit without route");
-                    let out_vc = state.out_vc;
-                    if flit.is_tail() {
-                        state.out_port = None;
-                        self.vacate(port, vc);
-                    }
+        for i in 0..self.core.st_len as usize {
+            let (port, vc) = self.core.st_plan[i];
+            let slot = self.slot(port, vc);
+            let state = &mut self.vcs[slot];
+            if state.single {
+                // Mask path: the flit STs through its granted set and
+                // leaves once no output remains.
+                let flit = *state
+                    .ring
+                    .front(self.slab)
+                    .expect("granted VC lost its flit");
+                let granted = std::mem::take(&mut state.granted);
+                let grant_vcs = state.grant_vcs;
+                state.remaining = state.remaining - granted;
+                if state.remaining.is_empty() {
+                    state.ring.pop(self.slab);
+                    self.vacate(port, vc);
                     out.push(RouterOut::CreditUp {
                         in_port: port,
                         vnet: vc.vnet,
                         vc: vc.vc,
-                        dealloc: flit.is_tail(),
+                        dealloc: true,
                     });
-                    self.emit_flit(cfg, out_port, out_vc, flit, out);
                 }
+                for p in granted.iter() {
+                    Self::emit_flit(cfg, p, grant_vcs[p.index()], flit, out);
+                }
+            } else {
+                // Stream path: the front flit STs.
+                let flit = state.ring.pop(self.slab).expect("granted VC lost its flit");
+                state.granted_flits = 0;
+                let out_port = state.out_port.expect("stream flit without route");
+                let out_vc = state.out_vc;
+                if flit.is_tail() {
+                    state.out_port = None;
+                    self.vacate(port, vc);
+                }
+                out.push(RouterOut::CreditUp {
+                    in_port: port,
+                    vnet: vc.vnet,
+                    vc: vc.vc,
+                    dealloc: flit.is_tail(),
+                });
+                Self::emit_flit(cfg, out_port, out_vc, flit, out);
             }
         }
-        self.st_plan.clear();
+        self.core.st_len = 0;
     }
 
     /// The packet at (`port`, `vc`) fully departed.
     fn vacate(&mut self, port: Port, vc: VcRef) {
-        self.active[port.index()] &= !(1 << self.flat(vc));
-        if self.active[port.index()] == 0 {
-            self.occupied_ports.remove(port);
+        let flat = self.flat(vc);
+        let active = &mut self.core.active[port.index()];
+        *active &= !(1 << flat);
+        if *active == 0 {
+            self.core.occupied_ports.remove(port);
         }
     }
 
     fn emit_flit(
-        &mut self,
         cfg: &NocConfig,
         out_port: Port,
         vc: u8,
         flit: Flit<T>,
         out: &mut Vec<RouterOut<T>>,
     ) {
-        self.stats.crossings.incr();
         // Lookaheads accompany single-flit packets heading to mesh ports.
         if cfg.bypass && flit.is_single() && !out_port.is_local() {
             out.push(RouterOut::La { out_port, flit });
@@ -603,16 +906,16 @@ impl<T: Payload> Router<T> {
         mut obs: Option<&mut NetObs>,
     ) {
         for a in arrivals {
-            if self.bypass_pending.contains(a.port) {
-                self.bypass_pending.remove(a.port);
-                let res = self.bypass_res[a.port.index()];
+            if self.core.bypass_pending.contains(a.port) {
+                self.core.bypass_pending.remove(a.port);
+                let res = self.core.bypass_res[a.port.index()];
                 assert_eq!(
                     res.uid, a.flit.packet.uid,
                     "bypass reservation does not match arriving flit"
                 );
                 // Full bypass: ST immediately; input buffer untouched, so
                 // the upstream VC+credit are released right away.
-                self.stats.bypassed_flits.incr();
+                self.core.bypassed_flits.incr();
                 if let Some(o) = obs.as_deref_mut() {
                     o.on_bypass(
                         self.id.0 as u32,
@@ -628,7 +931,7 @@ impl<T: Payload> Router<T> {
                     dealloc: true,
                 });
                 for p in res.outs.iter() {
-                    self.emit_flit(cfg, p, res.vcs[p.index()], a.flit, out);
+                    Self::emit_flit(cfg, p, res.vcs[p.index()], a.flit, out);
                 }
                 continue;
             }
@@ -639,24 +942,25 @@ impl<T: Payload> Router<T> {
         }
         // Unconsumed reservations expire (the LA won but we still clear
         // conservatively; arrival is guaranteed one cycle after the LA).
-        self.bypass_pending = PortMask::EMPTY;
+        self.core.bypass_pending = PortMask::EMPTY;
     }
 
     fn buffer_flit(&mut self, route: &RouteCtx<'_>, a: &FlitArrival<T>) {
-        self.stats.buffered_flits.incr();
+        self.core.buffered_flits.incr();
         let vc = VcRef {
             vnet: a.flit.packet.vnet.0,
             vc: a.vc,
         };
         let (flat, slot) = (self.flat(vc), self.slot(a.port, vc));
-        let state = &mut self.inputs[slot];
+        let state = &mut self.vcs[slot];
         if a.flit.is_head() {
+            let active = &mut self.core.active[a.port.index()];
             assert!(
-                self.active[a.port.index()] & (1 << flat) == 0,
+                *active & (1 << flat) == 0,
                 "VC allocated while occupied (flow-control bug)"
             );
-            self.active[a.port.index()] |= 1 << flat;
-            self.occupied_ports.insert(a.port);
+            *active |= 1 << flat;
+            self.core.occupied_ports.insert(a.port);
             let arrived_on = (!a.port.is_local()).then_some(a.port);
             let routed = route.route(self.id, &a.flit.packet, arrived_on);
             state.class_mask = routed.classes;
@@ -671,7 +975,7 @@ impl<T: Payload> Router<T> {
                 state.granted_flits = 0;
             }
         }
-        state.flits.push_back(a.flit);
+        state.ring.push(self.slab, a.flit);
     }
 
     /// The outputs the packet at flat VC `flat` of `in_port` could be
@@ -692,20 +996,18 @@ impl<T: Payload> Router<T> {
         flat: usize,
         first_only: bool,
     ) -> PortMask {
-        let state = &self.inputs[in_port.index() * self.port_vcs + flat];
-        let vnet = self.vc_index[flat].vnet;
+        let state = &self.vcs[in_port.index() * self.shape.port_vcs + flat];
+        let vnet = self.shape.vc_index[flat].vnet;
         if !state.single {
             // Stream path: one pending ST grant at a time.
-            if state.flits.len() <= state.granted_flits as usize {
+            if state.ring.len() <= state.granted_flits as usize {
                 return PortMask::EMPTY;
             }
             return match state.out_port {
                 // Head not yet routed: its single route needs a fresh VC.
                 None => state.remaining & self.open_for(route, vnet, state.class_mask),
                 Some(p) => {
-                    let ds = self.downstream[p.index()].as_ref();
-                    let credit = ds.is_some_and(|ds| ds.has_credit(vnet, state.out_vc));
-                    if credit {
+                    if self.downstream.has_credit(self.row(p), vnet, state.out_vc) {
                         PortMask::single(p)
                     } else {
                         PortMask::EMPTY
@@ -720,12 +1022,9 @@ impl<T: Payload> Router<T> {
             return pending & open;
         };
         let mut set = PortMask::EMPTY;
-        for p in (pending & (open | self.rvc_open[vnet as usize])).iter() {
-            let ds = self.downstream[p.index()]
-                .as_ref()
-                .expect("open bit on an absent output port");
+        for p in (pending & (open | self.core.rvc_open[vnet as usize])).iter() {
             if (open.contains(p) || esid.rvc_eligible(self.id, p, sid, seq))
-                && !ds.sid_in_flight(vnet, sid)
+                && !self.downstream.sid_in_flight(self.row(p), vnet, sid)
             {
                 set.insert(p);
                 if first_only {
@@ -747,24 +1046,22 @@ impl<T: Payload> Router<T> {
         mut obs: Option<&mut NetObs>,
     ) {
         let mut xbar = Crossbar::default();
-        let rvc_winners = std::mem::take(&mut self.sa_i_rvc);
-        let regular_winners = std::mem::take(&mut self.sa_i_regular);
+        let rvc_winners = std::mem::take(&mut self.core.sa_i_rvc);
+        let regular_winners = std::mem::take(&mut self.core.sa_i_regular);
 
         // Class 1: buffered flits in reserved VCs beat everything.
         self.grant_buffered_class(route, cfg, esid, rvc_winners, &mut xbar, obs.as_deref_mut());
 
         // Class 2: lookaheads, all-or-nothing, rotating priority by port.
         let la_reqs = las.iter().fold(0, |m, la| m | 1 << la.port.index());
-        let order = self.la_arb.order(la_reqs);
-        self.la_arb.rotate();
+        let order = self.core.la_arb.order(la_reqs);
+        self.core.la_arb.rotate();
         for pidx in order {
             let la = las
                 .iter()
                 .find(|l| l.port.index() == pidx)
                 .expect("LA request bitmap out of sync");
-            if !self.try_bypass(route, cfg, esid, la, &mut xbar, obs.as_deref_mut()) {
-                self.stats.la_failures.incr();
-            }
+            self.try_bypass(route, cfg, esid, la, &mut xbar, obs.as_deref_mut());
         }
 
         // Class 3: regular buffered SA-I winners, except at input ports
@@ -804,7 +1101,7 @@ impl<T: Payload> Router<T> {
         let mut reqs = [0u32; Port::COUNT];
         let mut wanted = PortMask::EMPTY;
         for in_port in winners.iter() {
-            let flat = self.flat(self.sa_i_win[in_port.index()]);
+            let flat = self.flat(self.core.sa_i_win[in_port.index()]);
             let wants = self.requestable(route, esid, in_port, flat, false) - xbar.out_taken;
             for out_port in wants.iter() {
                 reqs[out_port.index()] |= 1 << in_port.index();
@@ -812,7 +1109,7 @@ impl<T: Payload> Router<T> {
             wanted = wanted | wants;
         }
         for out_port in wanted.iter() {
-            let winner = self.sa_o_arb[out_port.index()]
+            let winner = self.core.sa_o_arb[out_port.index()]
                 .grant(reqs[out_port.index()])
                 .expect("wanted output without a requester");
             let in_port = Port::ALL[winner];
@@ -834,23 +1131,26 @@ impl<T: Payload> Router<T> {
         obs: Option<&mut NetObs>,
     ) {
         let id = self.id;
-        let vc = self.sa_i_win[in_port.index()];
-        let slot = self.slot(in_port, vc);
-        let state = &mut self.inputs[slot];
-        let uid = state.flits.front().expect("grant on empty VC").packet.uid;
+        let vc = self.core.sa_i_win[in_port.index()];
+        let (slot, row) = (self.slot(in_port, vc), self.row(out_port));
+        let state = &mut self.vcs[slot];
+        let uid = state
+            .ring
+            .front(self.slab)
+            .expect("grant on empty VC")
+            .packet
+            .uid;
         let (single, order) = (state.single, state.order);
-        let ds = self.downstream[out_port.index()]
-            .as_mut()
-            .expect("grant toward absent port");
         if !single && state.out_port.is_some() {
             // Body flit of a routed stream: its VC is already owned.
-            ds.take_credit(vc.vnet, state.out_vc);
+            self.downstream.take_credit(row, vc.vnet, state.out_vc);
         } else {
             let class = route.class_for(state.class_mask, out_port);
             // Only the mask path is SID-tracked and rVC-eligible.
             let order = order.filter(|_| single);
-            let dvc = ds
-                .alloc_vc(cfg, vc.vnet, order.map(|(sid, _)| sid), class, || {
+            let dvc = self
+                .downstream
+                .alloc_vc(cfg, row, vc.vnet, order.map(|(sid, _)| sid), class, || {
                     order.is_some_and(|(sid, seq)| esid.rvc_eligible(id, out_port, sid, seq))
                 })
                 .expect("requestable guaranteed allocatability");
@@ -866,12 +1166,12 @@ impl<T: Payload> Router<T> {
         }
         if single {
             if state.granted.is_empty() {
-                self.st_plan.push(StOp::MaskFlit { port: in_port, vc });
+                self.core.schedule_st(in_port, vc);
             }
             state.granted.insert(out_port);
         } else {
             state.granted_flits = 1;
-            self.st_plan.push(StOp::StreamFlit { port: in_port, vc });
+            self.core.schedule_st(in_port, vc);
         }
         self.refresh_open(cfg, out_port, vc.vnet);
     }
@@ -885,10 +1185,10 @@ impl<T: Payload> Router<T> {
         la: &LaArrival<T>,
         xbar: &mut Crossbar,
         mut obs: Option<&mut NetObs>,
-    ) -> bool {
+    ) {
         // The crossbar input slot must be free next cycle.
         if !cfg.bypass || (xbar.in_granted | xbar.in_bypass).contains(la.port) {
-            return false;
+            return;
         }
         let arrived_on = (!la.port.is_local()).then_some(la.port);
         let routed = route.route(self.id, &la.flit.packet, arrived_on);
@@ -900,17 +1200,15 @@ impl<T: Payload> Router<T> {
         let open = self.open_for(route, vnet, routed.classes);
         let closed = routed.mask - open;
         if !(routed.mask & xbar.out_taken).is_empty()
-            || !(closed - self.rvc_open[vnet as usize]).is_empty()
+            || !(closed - self.core.rvc_open[vnet as usize]).is_empty()
         {
-            return false;
+            return;
         }
         let eligible = |p: Port| sid.is_some_and(|s| esid.rvc_eligible(self.id, p, s, seq));
-        let conflict = |p: Port| {
-            let ds = self.downstream[p.index()].as_ref();
-            sid.is_some_and(|s| ds.is_some_and(|ds| ds.sid_in_flight(vnet, s)))
-        };
+        let conflict =
+            |p: Port| sid.is_some_and(|s| self.downstream.sid_in_flight(self.row(p), vnet, s));
         if routed.mask.iter().any(conflict) || !closed.iter().all(eligible) {
-            return false;
+            return;
         }
         let mut res = BypassRes {
             uid: packet.uid,
@@ -918,10 +1216,17 @@ impl<T: Payload> Router<T> {
             vcs: [0; Port::COUNT],
         };
         for p in routed.mask.iter() {
-            let dvc = self.downstream[p.index()]
-                .as_mut()
-                .expect("checked above")
-                .alloc_vc(cfg, vnet, sid, route.class_for(routed.classes, p), || true)
+            let row = self.row(p);
+            let dvc = self
+                .downstream
+                .alloc_vc(
+                    cfg,
+                    row,
+                    vnet,
+                    sid,
+                    route.class_for(routed.classes, p),
+                    || true,
+                )
                 .expect("checked above");
             self.refresh_open(cfg, p, vnet);
             if let Some(o) = obs.as_deref_mut() {
@@ -931,9 +1236,8 @@ impl<T: Payload> Router<T> {
         }
         xbar.out_taken = xbar.out_taken | routed.mask;
         xbar.in_bypass.insert(la.port);
-        self.bypass_pending.insert(la.port);
-        self.bypass_res[la.port.index()] = res;
-        true
+        self.core.bypass_pending.insert(la.port);
+        self.core.bypass_res[la.port.index()] = res;
     }
 
     /// Stage 1b: per input port, arbitrate among VCs for the crossbar input.
@@ -943,11 +1247,11 @@ impl<T: Payload> Router<T> {
     /// matters most for the reserved VC, which wins SA-I outright: letting
     /// a blocked rVC flit hold the input slot would starve the port.
     fn sa_i(&mut self, route: &RouteCtx<'_>, esid: &impl EsidOracle, mut obs: Option<&mut NetObs>) {
-        self.sa_i_rvc = PortMask::EMPTY;
-        self.sa_i_regular = PortMask::EMPTY;
-        for in_port in self.occupied_ports.iter() {
+        self.core.sa_i_rvc = PortMask::EMPTY;
+        self.core.sa_i_regular = PortMask::EMPTY;
+        for in_port in self.core.occupied_ports.iter() {
             let pidx = in_port.index();
-            let active = self.active[pidx];
+            let active = self.core.active[pidx];
             let reqs = set_bits(active)
                 .filter(|&flat| {
                     !self
@@ -961,7 +1265,7 @@ impl<T: Payload> Router<T> {
                     // Exactly one requester wins the port's crossbar slot.
                     o.stall_sa_i += u64::from(reqs.count_ones()).saturating_sub(1);
                     for flat in set_bits(active & !reqs) {
-                        match Self::blocked_cause(&self.inputs[pidx * self.port_vcs + flat]) {
+                        match self.vcs[pidx * self.shape.port_vcs + flat].blocked_cause() {
                             Some(Stall::VcAlloc) => o.stall_vc_alloc += 1,
                             Some(Stall::Credit) => o.stall_credit += 1,
                             None => {}
@@ -971,91 +1275,19 @@ impl<T: Payload> Router<T> {
             }
             // Reserved VCs win outright, lowest vnet first; regular VCs
             // share the rotating priority over the flattened VC list.
-            let rvc_reqs = reqs & self.rvc_flat;
+            let rvc_reqs = reqs & self.shape.rvc_flat;
             let winner = if rvc_reqs != 0 {
-                self.sa_i_rvc.insert(in_port);
+                self.core.sa_i_rvc.insert(in_port);
                 rvc_reqs.trailing_zeros() as usize
-            } else if let Some(flat) = self.sa_i_arb[pidx].grant(reqs) {
-                self.sa_i_regular.insert(in_port);
+            } else if let Some(flat) = self.core.sa_i_arb[pidx].grant(reqs) {
+                self.core.sa_i_regular.insert(in_port);
                 flat
             } else {
                 continue;
             };
-            self.sa_i_win[pidx] = self.vc_index[winner];
+            self.core.sa_i_win[pidx] = self.shape.vc_index[winner];
         }
     }
-
-    /// Renders occupied input VCs and SID trackers for deadlock debugging.
-    pub(crate) fn debug_occupancy(&self) -> Vec<String> {
-        let mut lines = Vec::new();
-        for port in self.occupied_ports.iter() {
-            for flat in set_bits(self.active[port.index()]) {
-                let state = &self.inputs[port.index() * self.port_vcs + flat];
-                let VcRef { vnet, vc } = self.vc_index[flat];
-                let front = state.flits.front().map(|f| {
-                    format!(
-                        "uid={} sid={:?} flits={}",
-                        f.packet.uid,
-                        f.packet.sid,
-                        state.flits.len()
-                    )
-                });
-                lines.push(format!(
-                    "  in {port} v{vnet} vc{vc}: {:?} remaining={:?} granted={:?} out={:?}",
-                    front, state.remaining, state.granted, state.out_port
-                ));
-            }
-        }
-        for &port in self.ports() {
-            let Some(ds) = &self.downstream[port.index()] else {
-                continue;
-            };
-            let desc: Vec<String> = self.vc_index[..self.port_vcs]
-                .iter()
-                .filter(|v| ds.free[v.vnet as usize] & (1 << v.vc) == 0)
-                .map(|v| {
-                    let c = ds.flat(v.vnet, v.vc);
-                    let sid = ds.sids[c].map(|s| s.0);
-                    format!("v{}vc{}:{sid:?}cr{}", v.vnet, v.vc, ds.credits[c])
-                })
-                .collect();
-            if !desc.is_empty() {
-                lines.push(format!("  out {port} busy: {}", desc.join(" ")));
-            }
-        }
-        lines
-    }
-
-    /// Why an active, non-requesting VC is not progressing — `None` when it
-    /// is merely waiting on its own granted switch traversals. An active VC
-    /// with somewhere to go that *cannot even request* is stalled in VC
-    /// allocation (head blocked on a free VC or a SID conflict) or on
-    /// credits (body flit of a routed stream).
-    fn blocked_cause(state: &VcState<T>) -> Option<Stall> {
-        let flit = state.flits.front()?;
-        if flit.is_single() {
-            // A pending output it could not request = the downstream VC
-            // allocator (no free VC in its class, or a SID conflict).
-            (!(state.remaining - state.granted).is_empty()).then_some(Stall::VcAlloc)
-        } else {
-            if state.flits.len() <= state.granted_flits as usize {
-                return None;
-            }
-            match state.out_port {
-                // Head waiting for a downstream VC.
-                None => Some(Stall::VcAlloc),
-                // Routed stream with buffered flits but no request: the
-                // only blocker on a fixed (port, VC) is credits.
-                Some(_) => Some(Stall::Credit),
-            }
-        }
-    }
-}
-
-/// Stall cause of a blocked (non-requesting) input VC.
-enum Stall {
-    VcAlloc,
-    Credit,
 }
 
 #[cfg(test)]
@@ -1075,35 +1307,69 @@ mod tests {
     }
 
     #[test]
+    fn rings_carved_from_one_slab_wrap_independently() {
+        let mut rings: Vec<SlabRing> = SlabRing::carve(2, [1usize, 3].into_iter()).collect();
+        let mut slab = vec![None; 8];
+        assert_eq!(
+            rings.iter().map(|r| r.base).collect::<Vec<_>>(),
+            [0, 1, 4, 5]
+        );
+        for k in 0..7u32 {
+            rings[1].push(&mut slab, k);
+            if rings[1].len() == 3 {
+                assert!(rings[1].is_full());
+                let got: Vec<u32> = rings[1].iter(&slab).copied().collect();
+                assert_eq!(got, [k - 2, k - 1, k]);
+                assert_eq!(rings[1].pop(&mut slab), Some(k - 2));
+            }
+        }
+        // The neighbours never saw a write.
+        assert!(rings[0].front(&slab).is_none() && rings[2].front(&slab).is_none());
+        rings[2].push(&mut slab, 9);
+        assert_eq!(rings[2].pop(&mut slab), Some(9));
+        assert_eq!(rings[2].pop(&mut slab), None);
+        assert!(rings[2].is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "ring overflow")]
+    fn ring_overflow_panics() {
+        let mut ring = SlabRing::carve(1, std::iter::once(1)).next().unwrap();
+        let mut slab = vec![None; 1];
+        ring.push(&mut slab, 0u8);
+        ring.push(&mut slab, 1u8);
+    }
+
+    #[test]
     fn downstream_vc_allocation_prefers_regular() {
         let c = cfg();
-        let mut ds = DownstreamState::new(&c);
+        let mut ds = Downstream::new(&c, 1);
         // GO-REQ: 4 regular + 1 rVC.
         for expected in 0..4u8 {
-            let vc = ds.alloc_vc(&c, 0, Some(Sid(expected as u16)), VcClass::Any, || true);
+            let vc = ds.alloc_vc(&c, 0, 0, Some(Sid(expected as u16)), VcClass::Any, || true);
             assert_eq!(vc, Some(expected));
         }
         // Regular exhausted: rVC only if eligible.
         let any = VcClass::Any;
-        assert_eq!(ds.alloc_vc(&c, 0, Some(Sid(9)), any, || false), None);
-        assert_eq!(ds.alloc_vc(&c, 0, Some(Sid(9)), any, || true), Some(4));
-        assert_eq!(ds.alloc_vc(&c, 0, Some(Sid(10)), any, || true), None);
+        assert_eq!(ds.alloc_vc(&c, 0, 0, Some(Sid(9)), any, || false), None);
+        assert_eq!(ds.alloc_vc(&c, 0, 0, Some(Sid(9)), any, || true), Some(4));
+        assert_eq!(ds.alloc_vc(&c, 0, 0, Some(Sid(10)), any, || true), None);
     }
 
     #[test]
     fn dateline_classes_partition_the_regular_vcs() {
         let c = cfg();
-        let mut ds = DownstreamState::new(&c);
-        let mut alloc = |class| ds.alloc_vc(&c, 0, None, class, || false);
+        let mut ds = Downstream::new(&c, 1);
+        let mut alloc = |class| ds.alloc_vc(&c, 0, 0, None, class, || false);
         // GO-REQ has 4 regular VCs: class 0 may use {0,1}, class 1 {2,3}.
         assert_eq!(alloc(VcClass::C0), Some(0));
         assert_eq!(alloc(VcClass::C1), Some(2));
         assert_eq!(alloc(VcClass::C0), Some(1));
         assert_eq!(alloc(VcClass::C0), None);
-        assert!(ds.regular_open(&c, 0, VcClass::C1));
-        assert!(!ds.regular_open(&c, 0, VcClass::C0));
-        assert!(ds.rvc_open(&c, 0) && !ds.rvc_open(&c, 1));
-        let mut alloc = |class| ds.alloc_vc(&c, 0, None, class, || false);
+        assert!(ds.regular_open(&c, 0, 0, VcClass::C1));
+        assert!(!ds.regular_open(&c, 0, 0, VcClass::C0));
+        assert!(ds.rvc_open(&c, 0, 0) && !ds.rvc_open(&c, 0, 1));
+        let mut alloc = |class| ds.alloc_vc(&c, 0, 0, None, class, || false);
         assert_eq!(alloc(VcClass::C1), Some(3));
         assert_eq!(alloc(VcClass::C1), None);
     }
@@ -1111,30 +1377,35 @@ mod tests {
     #[test]
     fn downstream_credit_roundtrip() {
         let c = cfg();
-        let mut ds = DownstreamState::new(&c);
-        let vc = ds.alloc_vc(&c, 1, None, VcClass::Any, || false).unwrap();
-        assert!(ds.has_credit(1, vc)); // depth 3: 2 credits left
-        ds.take_credit(1, vc);
-        ds.take_credit(1, vc);
-        assert!(!ds.has_credit(1, vc));
-        ds.on_credit(&c, 1, vc, false);
-        assert!(ds.has_credit(1, vc));
+        let mut ds = Downstream::new(&c, 1);
+        let vc = ds.alloc_vc(&c, 0, 1, None, VcClass::Any, || false).unwrap();
+        assert!(ds.has_credit(0, 1, vc)); // depth 3: 2 credits left
+        ds.take_credit(0, 1, vc);
+        ds.take_credit(0, 1, vc);
+        assert!(!ds.has_credit(0, 1, vc));
+        ds.on_credit(&c, 0, 1, vc, false);
+        assert!(ds.has_credit(0, 1, vc));
         // Dealloc frees the VC for reallocation.
-        ds.on_credit(&c, 1, vc, false);
-        ds.on_credit(&c, 1, vc, true);
-        assert_eq!(ds.alloc_vc(&c, 1, None, VcClass::Any, || false), Some(vc));
+        ds.on_credit(&c, 0, 1, vc, false);
+        ds.on_credit(&c, 0, 1, vc, true);
+        assert_eq!(
+            ds.alloc_vc(&c, 0, 1, None, VcClass::Any, || false),
+            Some(vc)
+        );
     }
 
     #[test]
     fn sid_tracker_blocks_same_sid() {
         let c = cfg();
-        let mut ds = DownstreamState::new(&c);
-        ds.alloc_vc(&c, 0, Some(Sid(5)), VcClass::Any, || false)
+        let mut ds = Downstream::new(&c, 2);
+        ds.alloc_vc(&c, 1, 0, Some(Sid(5)), VcClass::Any, || false)
             .unwrap();
-        assert!(ds.sid_in_flight(0, Sid(5)));
-        assert!(!ds.sid_in_flight(0, Sid(6)));
+        assert!(ds.sid_in_flight(1, 0, Sid(5)));
+        assert!(!ds.sid_in_flight(1, 0, Sid(6)));
         // The tracker is per vnet: UO-RESP's row never sees GO-REQ's SIDs.
-        assert!(!ds.sid_in_flight(1, Sid(5)));
+        assert!(!ds.sid_in_flight(1, 1, Sid(5)));
+        // And per row: the neighbouring port's tracker is untouched.
+        assert!(!ds.sid_in_flight(0, 0, Sid(5)));
     }
 
     /// The invariant every allocation shortcut rests on: after any sequence
@@ -1143,7 +1414,8 @@ mod tests {
     #[test]
     fn ok_bits_track_free_and_credit_under_random_traffic() {
         let c = cfg();
-        let mut ds = DownstreamState::new(&c);
+        let mut ds = Downstream::new(&c, 3);
+        let row = 1;
         let mut rng = scorpio_sim::SimRng::seed_from(14);
         // (vnet, vc, flits still to send, flits downstream has yet to free)
         let mut owned: Vec<(u8, u8, u8, u8)> = Vec::new();
@@ -1154,15 +1426,15 @@ mod tests {
                     let class = VcClass::ALL[rng.gen_range_usize(3)];
                     let rvc = rng.gen_range_usize(2) == 0;
                     let len = 1 + rng.gen_range_usize(c.vnets[vnet as usize].depth as usize) as u8;
-                    if let Some(vc) = ds.alloc_vc(&c, vnet, Some(Sid(3)), class, || rvc) {
+                    if let Some(vc) = ds.alloc_vc(&c, row, vnet, Some(Sid(3)), class, || rvc) {
                         owned.push((vnet, vc, len - 1, len));
                     }
                 }
                 1 if !owned.is_empty() => {
                     let k = rng.gen_range_usize(owned.len());
                     let (vnet, vc, to_send, _) = &mut owned[k];
-                    if *to_send > 0 && ds.has_credit(*vnet, *vc) {
-                        ds.take_credit(*vnet, *vc);
+                    if *to_send > 0 && ds.has_credit(row, *vnet, *vc) {
+                        ds.take_credit(row, *vnet, *vc);
                         *to_send -= 1;
                     }
                 }
@@ -1172,7 +1444,7 @@ mod tests {
                     // Downstream frees flits it has received; the tail's
                     // credit deallocates.
                     if to_free > to_send {
-                        ds.on_credit(&c, vnet, vc, to_free == 1);
+                        ds.on_credit(&c, row, vnet, vc, to_free == 1);
                         owned[k].3 -= 1;
                         if to_free == 1 {
                             owned.swap_remove(k);
@@ -1184,55 +1456,63 @@ mod tests {
             for (n, v) in c.vnets.iter().enumerate() {
                 for vc in 0..v.total_vcs() as u8 {
                     let free = !owned.iter().any(|o| (o.0, o.1) == (n as u8, vc));
-                    let want = free && ds.has_credit(n as u8, vc);
-                    assert_eq!(ds.ok[n] >> vc & 1 == 1, want, "vnet {n} vc {vc}");
+                    let want = free && ds.has_credit(row, n as u8, vc);
+                    let ok = ds.ok[ds.word(row, n as u8)];
+                    assert_eq!(ok >> vc & 1 == 1, want, "vnet {n} vc {vc}");
                 }
             }
         }
+        // The other rows never moved.
+        for r in [0, 2] {
+            assert_eq!(ds.ok[ds.word(r, 0)], 0b1_1111);
+            assert_eq!(ds.ok[ds.word(r, 1)], 0b11);
+        }
+    }
+
+    fn routers(topo: &Topology) -> (RoutingTables, Routers<u32>) {
+        let tables = RoutingTables::build(topo);
+        let routers = Routers::new(&tables, &cfg(), topo.router_count());
+        (tables, routers)
     }
 
     #[test]
     fn router_construction_ports() {
-        let topo: Topology = Mesh::scorpio_chip();
-        let tables = RoutingTables::build(&topo);
-        let c = cfg();
-        let corner: Router<u32> = Router::new(&tables, &c, RouterId(0));
+        let (_, routers) = routers(&Mesh::scorpio_chip());
         // NW corner: East, South, Tile, Mc.
-        assert!(corner.downstream[Port::East.index()].is_some());
-        assert!(corner.downstream[Port::South.index()].is_some());
-        assert!(corner.downstream[Port::North.index()].is_none());
-        assert!(corner.downstream[Port::West.index()].is_none());
-        assert!(corner.downstream[Port::Tile.index()].is_some());
-        assert!(corner.downstream[Port::Mc.index()].is_some());
+        let corner = routers.cores[0].present;
+        assert!(corner.contains(Port::East));
+        assert!(corner.contains(Port::South));
+        assert!(!corner.contains(Port::North));
+        assert!(!corner.contains(Port::West));
+        assert!(corner.contains(Port::Tile));
+        assert!(corner.contains(Port::Mc));
 
-        let center: Router<u32> = Router::new(&tables, &c, RouterId(14));
-        assert!(center.downstream[Port::Mc.index()].is_none());
-        assert!(center.is_idle());
+        assert!(!routers.cores[14].present.contains(Port::Mc));
+        assert!(routers.is_idle(14));
+        // The arrays are shaped [router][port][vc], every ring as deep as
+        // its vnet: 6 ports × (5 GO-REQ × 1 + 2 UO-RESP × 3) slots.
+        assert_eq!(routers.vcs.len(), 36 * 6 * 7);
+        assert_eq!(routers.slab.len(), 36 * 6 * 11);
     }
 
     #[test]
     fn torus_router_has_all_four_mesh_ports() {
-        let topo: Topology = Torus::square_with_corner_mcs(4);
-        let tables = RoutingTables::build(&topo);
-        let corner: Router<u32> = Router::new(&tables, &cfg(), RouterId(0));
+        let (_, routers) = routers(&Torus::square_with_corner_mcs(4));
         for port in [Port::North, Port::South, Port::East, Port::West] {
-            assert!(corner.downstream[port.index()].is_some(), "{port}");
+            assert!(routers.cores[0].present.contains(port), "{port}");
         }
     }
 
     #[test]
     fn idle_router_tick_emits_nothing() {
-        let topo: Topology = Mesh::scorpio_chip();
-        let tables = RoutingTables::build(&topo);
-        let c = cfg();
-        let mut r: Router<u32> = Router::new(&tables, &c, RouterId(14));
+        let (tables, mut routers) = routers(&Mesh::scorpio_chip());
         let ctx = RouteCtx {
             tables: &tables,
             datelines: false,
         };
         let mut out = Vec::new();
-        r.tick(&ctx, &c, &NoRvc, &[], &[], &[], &mut out, None);
+        routers.tick(14, &ctx, &cfg(), &NoRvc, &[], &[], &[], &mut out, None);
         assert!(out.is_empty());
-        assert!(r.is_idle());
+        assert!(routers.is_idle(14));
     }
 }
