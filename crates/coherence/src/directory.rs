@@ -10,6 +10,7 @@
 //! latency which includes off-chip latency").
 
 use crate::msg::LineAddr;
+use scorpio_sim::SetStore;
 use std::collections::HashMap;
 
 /// The limited-pointer directory entry (LPD, after Agarwal et al.): 2
@@ -121,8 +122,7 @@ impl OwnershipStore {
 /// what turns entry size into latency in Figure 6.
 #[derive(Clone)]
 pub struct DirectoryCache {
-    sets: Vec<Vec<(u64, u64)>>, // (tag, last_use)
-    ways: usize,
+    tags: SetStore<u64>,
     use_counter: u64,
     hits: u64,
     misses: u64,
@@ -134,8 +134,8 @@ pub struct DirectoryCache {
 impl std::fmt::Debug for DirectoryCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DirectoryCache")
-            .field("sets", &self.sets.len())
-            .field("ways", &self.ways)
+            .field("sets", &self.tags.sets())
+            .field("ways", &self.tags.ways())
             .field("use_counter", &self.use_counter)
             .field("hits", &self.hits)
             .field("misses", &self.misses)
@@ -154,8 +154,7 @@ impl DirectoryCache {
         assert!(entries >= ways, "need at least one set");
         let num_sets = (entries / ways).max(1);
         DirectoryCache {
-            sets: vec![Vec::with_capacity(ways); num_sets],
-            ways,
+            tags: SetStore::new(num_sets, ways),
             use_counter: 0,
             hits: 0,
             misses: 0,
@@ -174,32 +173,25 @@ impl DirectoryCache {
 
     /// Total entry capacity.
     pub fn capacity(&self) -> usize {
-        self.sets.len() * self.ways
+        self.tags.sets() * self.tags.ways()
     }
 
     /// Looks up `line`, returns `true` on hit; on miss, inserts it
     /// (evicting LRU).
     pub fn access(&mut self, line: LineAddr) -> bool {
         self.use_counter += 1;
-        let set_count = self.sets.len() as u64;
         let tag = line.0 >> 5; // line address granularity
-        let set = &mut self.sets[(tag % set_count) as usize];
-        if let Some(slot) = set.iter_mut().find(|(t, _)| *t == tag) {
-            slot.1 = self.use_counter;
+        let set = (tag % self.tags.sets() as u64) as usize;
+        if self
+            .tags
+            .touch(set, self.use_counter, |&t| t == tag)
+            .is_some()
+        {
             self.hits += 1;
             return true;
         }
         self.misses += 1;
-        if set.len() == self.ways {
-            let lru = set
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, (_, used))| *used)
-                .map(|(i, _)| i)
-                .expect("non-empty set");
-            set.swap_remove(lru);
-        }
-        set.push((tag, self.use_counter));
+        self.tags.insert(set, self.use_counter, tag);
         false
     }
 
@@ -266,18 +258,6 @@ mod tests {
         assert_eq!(c.hits(), 1);
         assert_eq!(c.misses(), 1);
         let _ = a;
-    }
-
-    #[test]
-    fn directory_cache_evicts_lru() {
-        let mut c = DirectoryCache::new(2, 2); // one set, two ways
-        let l = |k: u64| LineAddr(k << 5);
-        c.access(l(0));
-        c.access(l(1));
-        c.access(l(0)); // touch 0, making 1 the LRU
-        assert!(!c.access(l(2))); // evicts 1
-        assert!(c.access(l(0)));
-        assert!(!c.access(l(1)));
     }
 
     #[test]

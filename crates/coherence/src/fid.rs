@@ -24,7 +24,9 @@ pub struct FidEntry {
 /// A bounded forwarding-ID list attached to one pending write.
 ///
 /// The chip tracks two sets of FIDs per core (one per outstanding message);
-/// each set holds up to `capacity` snoopers, after which snoops stall.
+/// each set holds up to `capacity` snoopers, after which snoops stall. A
+/// list serves one outstanding-miss slot for the whole run: [`FidList::clear`]
+/// keeps its storage, which is allocated once, at its first snooper.
 ///
 /// # Examples
 ///
@@ -65,8 +67,6 @@ impl FidList {
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "FID capacity must be non-zero");
-        // Most pending writes are never snooped: the entries are only
-        // allocated by the first recorded snooper.
         FidList {
             entries: Vec::new(),
             capacity,
@@ -90,6 +90,11 @@ impl FidList {
         if self.entries.len() == self.capacity {
             return FidPush::Full;
         }
+        if self.entries.capacity() == 0 {
+            // The list's one allocation, kept across `clear`: most pending
+            // writes are never snooped, so it waits for the first snooper.
+            self.entries.reserve_exact(self.capacity);
+        }
         self.entries.push(FidEntry { sid, req_tag, kind });
         if kind == MsgKind::GetX {
             self.closed = true;
@@ -112,10 +117,10 @@ impl FidList {
         self.entries.is_empty()
     }
 
-    /// Drains the list for forwarding, resetting it.
-    pub fn drain(&mut self) -> Vec<FidEntry> {
+    /// Empties the list for the next pending write, keeping its storage.
+    pub fn clear(&mut self) {
         self.closed = false;
-        std::mem::take(&mut self.entries)
+        self.entries.clear();
     }
 }
 
@@ -151,12 +156,12 @@ mod tests {
     }
 
     #[test]
-    fn drain_resets() {
+    fn clear_resets() {
         let mut f = FidList::new(2);
         f.push(1, 0, MsgKind::GetX);
-        let drained = f.drain();
-        assert_eq!(drained.len(), 1);
+        f.clear();
         assert!(f.is_empty());
+        assert_eq!(f.entries.capacity(), 2, "storage kept for the next write");
         assert!(!f.ends_in_getx());
         assert_eq!(f.push(2, 0, MsgKind::GetS), FidPush::Recorded);
     }

@@ -58,7 +58,8 @@ pub struct System {
     pending_expiry: Vec<Option<CohMsg>>,
     /// Data response popped from the NIC but not yet accepted by the L2.
     resp_hold: Vec<Option<CohMsg>>,
-    /// Directory-home state per tile (LPD-D / HT-D).
+    /// Directory-home state per tile under LPD-D / HT-D; empty under the
+    /// protocols without a directory.
     dir_homes: Vec<DirHome>,
     expiry_sent: u64,
     /// Stepped-count snapshot at the last completed op (deadlock watchdog).
@@ -178,15 +179,21 @@ impl System {
         } else {
             NicMode::Unordered
         };
-        // Home-directory slices for the baselines: the total budget is
-        // split across tiles; LPD's wide entries cache far fewer lines
-        // than HT's 2-bit entries in the same storage (Section 5.1).
+        // Home-directory slices for the baselines, and none for the
+        // protocols without a directory: the total budget is split across
+        // tiles; LPD's wide entries cache far fewer lines than HT's 2-bit
+        // entries in the same storage (Section 5.1).
         let entry_bits = match cfg.protocol {
             Protocol::LpdDir => LpdEntry::entry_bits(cores, cfg.lpd_pointers),
             _ => 2,
         };
         let slice_bytes = (cfg.dir_total_bytes / cores).max(64);
-        let dir_homes: Vec<DirHome> = (0..cores)
+        let homes = if cfg.protocol.uses_directory() {
+            cores
+        } else {
+            0
+        };
+        let dir_homes: Vec<DirHome> = (0..homes)
             .map(|_| {
                 DirHome::new(
                     slice_bytes,
@@ -587,14 +594,14 @@ impl System {
         let next = now.next();
         // Slot expiry is wall-clock driven: INSO tiles never sleep.
         let inso = matches!(self.cfg.protocol, Protocol::Inso { .. });
-        let home = &self.dir_homes[t];
+        let home = self.dir_homes.get(t);
         let polled = [
             (inso, "inso slot expiry"),
             (self.resp_hold[t].is_some(), "held data response"),
             (self.pending_ordered[t].is_some(), "request to inject"),
             (self.pending_expiry[t].is_some(), "expiry to inject"),
             (
-                home.pending_bcast.is_some(),
+                home.is_some_and(|h| h.pending_bcast.is_some()),
                 "directory broadcast to inject",
             ),
             (self.reorders[t].head_ready(), "reorder buffer head"),
@@ -608,7 +615,7 @@ impl System {
         let mut mem = self.l2s[t]
             .next_wake(now)
             .earliest(self.drivers[t].next_wake(now));
-        if let Some(ready) = home.front_ready() {
+        if let Some(ready) = home.and_then(DirHome::front_ready) {
             mem = mem.earliest(Wake::at(ready.max(next), "directory access"));
         }
         if mem.at == next {
@@ -704,7 +711,7 @@ impl System {
         let quiet = self.l2s[t].is_idle()
             && self.pending_ordered[t].is_none()
             && self.resp_hold[t].is_none()
-            && self.dir_homes[t].is_idle()
+            && self.dir_homes.get(t).is_none_or(DirHome::is_idle)
             && self.drivers[t].is_done();
         self.set_quiet(t, quiet);
         let ops = self.drivers[t].ops_done;
@@ -1368,7 +1375,7 @@ impl System {
                 (self.l2s[ep].state_digest(), self.drivers[ep].state_digest()),
                 (&self.resp_hold[ep], &self.pending_ordered[ep]),
                 (&self.pending_expiry[ep], &self.inso_alloc[ep]),
-                &self.dir_homes[ep],
+                self.dir_homes.get(ep),
             )),
         }
     }

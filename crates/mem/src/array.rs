@@ -1,6 +1,7 @@
 //! Set-associative cache arrays with LRU replacement.
 
 use scorpio_coherence::{LineAddr, LineState};
+use scorpio_sim::SetStore;
 
 /// One resident cache line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -13,16 +14,11 @@ pub struct Line {
     pub value: u64,
 }
 
-#[derive(Debug, Clone)]
-struct Way {
-    line: Line,
-    last_use: u64,
-}
-
 /// A set-associative, LRU-replaced cache array.
 ///
 /// Pure storage: coherence decisions live in the controllers. Addresses
-/// are mapped by line address; `line_bytes` fixes the offset width.
+/// are mapped by line address; `line_bytes` fixes the offset width. The
+/// ways are a [`SetStore`], so an array holds only the sets it touches.
 ///
 /// # Examples
 ///
@@ -38,8 +34,7 @@ struct Way {
 /// ```
 #[derive(Clone)]
 pub struct CacheArray {
-    sets: Vec<Vec<Way>>,
-    ways: usize,
+    store: SetStore<Line>,
     line_bytes: u64,
     use_counter: u64,
 }
@@ -48,9 +43,8 @@ pub struct CacheArray {
 /// which keeps `Debug`-based state digests proportional to resident lines.
 impl std::fmt::Debug for CacheArray {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let occupied = self.sets.iter().enumerate().filter(|(_, s)| !s.is_empty());
         write!(f, "CacheArray(use {}) ", self.use_counter)?;
-        f.debug_map().entries(occupied).finish()
+        std::fmt::Debug::fmt(&self.store, f)
     }
 }
 
@@ -71,8 +65,7 @@ impl CacheArray {
             "line size must be a power of two"
         );
         CacheArray {
-            sets: vec![Vec::with_capacity(ways); sets],
-            ways,
+            store: SetStore::new(sets, ways),
             line_bytes,
             use_counter: 0,
         }
@@ -94,7 +87,7 @@ impl CacheArray {
 
     /// Total line capacity.
     pub fn capacity_lines(&self) -> usize {
-        self.sets.len() * self.ways
+        self.store.sets() * self.store.ways()
     }
 
     /// The line size in bytes.
@@ -103,44 +96,24 @@ impl CacheArray {
     }
 
     fn set_index(&self, addr: LineAddr) -> usize {
-        ((addr.0 / self.line_bytes) % self.sets.len() as u64) as usize
+        ((addr.0 / self.line_bytes) % self.store.sets() as u64) as usize
     }
 
     /// Looks up `addr`, updating LRU on hit.
     pub fn lookup(&mut self, addr: LineAddr) -> Option<&Line> {
-        self.use_counter += 1;
-        let counter = self.use_counter;
-        let set = self.set_index(addr);
-        self.sets[set]
-            .iter_mut()
-            .find(|w| w.line.addr == addr)
-            .map(|w| {
-                w.last_use = counter;
-                &w.line
-            })
+        self.lookup_mut(addr).map(|line| &*line)
     }
 
     /// Looks up `addr` mutably, updating LRU on hit.
     pub fn lookup_mut(&mut self, addr: LineAddr) -> Option<&mut Line> {
         self.use_counter += 1;
-        let counter = self.use_counter;
         let set = self.set_index(addr);
-        self.sets[set]
-            .iter_mut()
-            .find(|w| w.line.addr == addr)
-            .map(|w| {
-                w.last_use = counter;
-                &mut w.line
-            })
+        self.store.touch(set, self.use_counter, |l| l.addr == addr)
     }
 
     /// Peeks without touching LRU (for snoops that miss).
     pub fn peek(&self, addr: LineAddr) -> Option<&Line> {
-        let set = self.set_index(addr);
-        self.sets[set]
-            .iter()
-            .find(|w| w.line.addr == addr)
-            .map(|w| &w.line)
+        self.store.peek(self.set_index(addr), |l| l.addr == addr)
     }
 
     /// Inserts `line`, returning the evicted victim if the set was full.
@@ -151,57 +124,34 @@ impl CacheArray {
     /// [`CacheArray::lookup_mut`] for updates).
     pub fn insert(&mut self, line: Line) -> Option<Line> {
         self.use_counter += 1;
-        let counter = self.use_counter;
-        let set_idx = self.set_index(line.addr);
-        let set = &mut self.sets[set_idx];
         assert!(
-            !set.iter().any(|w| w.line.addr == line.addr),
+            self.peek(line.addr).is_none(),
             "line {} already resident",
             line.addr
         );
-        if set.len() < self.ways {
-            set.push(Way {
-                line,
-                last_use: counter,
-            });
-            return None;
-        }
-        let lru = set
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, w)| w.last_use)
-            .map(|(i, _)| i)
-            .expect("full set is non-empty");
-        let victim = std::mem::replace(
-            &mut set[lru],
-            Way {
-                line,
-                last_use: counter,
-            },
-        );
-        Some(victim.line)
+        let set = self.set_index(line.addr);
+        self.store.insert(set, self.use_counter, line)
     }
 
     /// Removes `addr` from the array, returning the line if present.
     pub fn remove(&mut self, addr: LineAddr) -> Option<Line> {
         let set = self.set_index(addr);
-        let pos = self.sets[set].iter().position(|w| w.line.addr == addr)?;
-        Some(self.sets[set].swap_remove(pos).line)
+        self.store.remove(set, |l| l.addr == addr)
     }
 
     /// Iterates over all resident lines.
     pub fn lines(&self) -> impl Iterator<Item = &Line> {
-        self.sets.iter().flatten().map(|w| &w.line)
+        self.store.iter()
     }
 
     /// Number of resident lines.
     pub fn len(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.store.len()
     }
 
     /// Whether the array holds no lines.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.store.is_empty()
     }
 }
 
@@ -226,18 +176,6 @@ mod tests {
         assert_eq!(c.lookup(LineAddr(64)).unwrap().state, LineState::M);
         assert_eq!(c.len(), 2);
         assert!(!c.is_empty());
-    }
-
-    #[test]
-    fn evicts_lru_within_set() {
-        let mut c = CacheArray::new(1, 2, 32);
-        c.insert(line(1, LineState::S, 1));
-        c.insert(line(2, LineState::S, 2));
-        c.lookup(LineAddr(32)); // touch line 1
-        let victim = c.insert(line(3, LineState::S, 3)).expect("eviction");
-        assert_eq!(victim.addr, LineAddr(64));
-        assert!(c.peek(LineAddr(32)).is_some());
-        assert!(c.peek(LineAddr(64)).is_none());
     }
 
     #[test]

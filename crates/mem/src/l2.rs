@@ -326,7 +326,7 @@ impl L2Stats {
     }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct RshrEntry {
     addr: LineAddr,
     kind: MsgKind,
@@ -335,7 +335,6 @@ struct RshrEntry {
     operand: u64,
     ordered: bool,
     data: Option<u64>,
-    fids: FidList,
     invalidate_on_fill: bool,
     fill_blocked: bool,
     served_by: ServedBy,
@@ -379,6 +378,10 @@ pub struct SnoopyL2 {
     array: CacheArray,
     region: Option<RegionTracker>,
     rshr: Vec<Option<RshrEntry>>,
+    /// The forwarding-ID list of each RSHR slot, cleared when the slot
+    /// frees rather than rebuilt per miss: a miss makes no heap allocation,
+    /// and a slot's list allocates once, at its first recorded snooper.
+    fids: Vec<FidList>,
     wb_buf: Vec<WbEntry>,
     core_q: Fifo<CoreReq>,
     snoop_q: Fifo<OrderedSnoop>,
@@ -404,6 +407,7 @@ impl SnoopyL2 {
             array: CacheArray::with_capacity(cfg.capacity_bytes, cfg.ways, cfg.line_bytes),
             region: cfg.region_entries.map(RegionTracker::new),
             rshr: vec![None; cfg.rshr_entries],
+            fids: vec![FidList::new(cfg.fid_capacity); cfg.rshr_entries],
             wb_buf: Vec::with_capacity(cfg.wb_entries),
             core_q: Fifo::bounded(cfg.queue_depth),
             snoop_q: Fifo::bounded(cfg.queue_depth),
@@ -723,17 +727,15 @@ impl SnoopyL2 {
         }
         // Pending-miss interactions take precedence over the array.
         if let Some(tag) = self.find_rshr(addr) {
-            let fid_cap = self.cfg.fid_capacity;
             let entry = self.rshr[tag]
                 .as_mut()
                 .expect("find_rshr returned live tag");
             if entry.ordered && entry.kind == MsgKind::GetX {
                 // We own the line as of our position: record and forward
                 // after our write completes.
-                return match entry.fids.push(s.msg.requester, s.msg.req_tag, kind) {
+                return match self.fids[tag].push(s.msg.requester, s.msg.req_tag, kind) {
                     FidPush::Recorded => {
                         self.stats.fid_recorded.incr();
-                        let _ = fid_cap;
                         true
                     }
                     FidPush::Closed => true,
@@ -903,7 +905,6 @@ impl SnoopyL2 {
             operand: req.value,
             ordered: false,
             data: None,
-            fids: FidList::new(self.cfg.fid_capacity),
             invalidate_on_fill: false,
             fill_blocked: false,
             served_by: ServedBy::Memory,
@@ -956,7 +957,7 @@ impl SnoopyL2 {
         if !ready {
             return;
         }
-        let entry = self.rshr[tag].as_ref().expect("checked").clone();
+        let entry = self.rshr[tag].expect("checked");
         let data_value = entry.data.expect("checked");
 
         // Compute the line's post-fill value and the core's reply value.
@@ -999,17 +1000,12 @@ impl SnoopyL2 {
         }
 
         // Forward to everyone recorded while the write was pending.
-        if entry.kind == MsgKind::GetX && !entry.fids.is_empty() {
+        if entry.kind == MsgKind::GetX && !self.fids[tag].is_empty() {
             let final_value = self.array.peek(entry.addr).expect("just installed").value;
-            for fid in entry.fids.entries() {
-                let fwd = CohMsg::new(
-                    MsgKind::Data,
-                    entry.addr,
-                    fid.sid,
-                    fid.req_tag,
-                    self.my_ep(),
-                )
-                .with_value(final_value);
+            let me = self.my_ep();
+            for fid in self.fids[tag].entries() {
+                let fwd = CohMsg::new(MsgKind::Data, entry.addr, fid.sid, fid.req_tag, me)
+                    .with_value(final_value);
                 self.outbox.push_back(L2Out::Unicast {
                     dest: Endpoint::tile(scorpio_noc::RouterId(fid.sid)),
                     msg: fwd,
@@ -1017,7 +1013,7 @@ impl SnoopyL2 {
                 });
                 self.stats.data_forwards.incr();
             }
-            if entry.fids.ends_in_getx() {
+            if self.fids[tag].ends_in_getx() {
                 self.drop_line(entry.addr);
             } else {
                 // We answered reads: dirty data stays on chip, shared.
@@ -1034,6 +1030,7 @@ impl SnoopyL2 {
 
     fn complete_entry(&mut self, tag: usize, core_value: u64, installed: bool, now: Cycle) {
         let entry = self.rshr[tag].take().expect("completing a free tag");
+        self.fids[tag].clear();
         let total = now - entry.enqueued;
         self.stats.service_latency.record(total);
         if let Some(h) = self.stats.service_hist.as_deref_mut() {
@@ -1147,7 +1144,7 @@ impl SnoopyL2 {
             if let Some(e) = e {
                 out.push_str(&format!(
                     "  rshr[{tag}] addr={} kind={:?} ordered={} data={:?} blocked={} fids={} inval_on_fill={}\n",
-                    e.addr, e.kind, e.ordered, e.data, e.fill_blocked, e.fids.entries().len(), e.invalidate_on_fill
+                    e.addr, e.kind, e.ordered, e.data, e.fill_blocked, self.fids[tag].entries().len(), e.invalidate_on_fill
                 ));
             }
         }

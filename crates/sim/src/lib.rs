@@ -6,6 +6,8 @@
 //! * [`SimRng`] — a deterministic, seedable random-number generator,
 //! * [`stats`] — counters, latency accumulators and histograms,
 //! * [`Fifo`] — bounded FIFO queues with occupancy accounting,
+//! * [`SetStore`] — set-associative LRU storage that holds only the sets
+//!   it touches, behind every cache and directory array,
 //! * [`ActiveSet`] — the wake/sleep bookkeeping the skip-idle-work
 //!   simulation engines are built on, and [`Wake`], a component's answer
 //!   to when its next tick can first change state,
@@ -41,6 +43,7 @@ pub mod capped;
 mod cycle;
 mod fifo;
 mod rng;
+mod sets;
 pub mod stats;
 mod wake;
 
@@ -48,4 +51,5 @@ pub use active::ActiveSet;
 pub use cycle::Cycle;
 pub use fifo::{Fifo, PushError};
 pub use rng::SimRng;
+pub use sets::SetStore;
 pub use wake::{debug_digest, Wake};
