@@ -261,6 +261,18 @@ mod tests {
     }
 
     #[test]
+    fn directory_cache_evicts_lru() {
+        let mut c = DirectoryCache::new(2, 2); // one set, two ways
+        let l = |k: u64| LineAddr(k << 5);
+        c.access(l(0));
+        c.access(l(1));
+        c.access(l(0)); // touch 0, making 1 the LRU
+        assert!(!c.access(l(2))); // evicts 1
+        assert!(c.access(l(0)));
+        assert!(!c.access(l(1)));
+    }
+
+    #[test]
     fn budget_sizing() {
         // 256 KB at 32 bits/entry = 65536 entries.
         let c = DirectoryCache::with_budget(256 * 1024, 32, 4);

@@ -179,6 +179,18 @@ mod tests {
     }
 
     #[test]
+    fn evicts_lru_within_set() {
+        let mut c = CacheArray::new(1, 2, 32);
+        c.insert(line(1, LineState::S, 1));
+        c.insert(line(2, LineState::S, 2));
+        c.lookup(LineAddr(32)); // touch line 1
+        let victim = c.insert(line(3, LineState::S, 3)).expect("eviction");
+        assert_eq!(victim.addr, LineAddr(64));
+        assert!(c.peek(LineAddr(32)).is_some());
+        assert!(c.peek(LineAddr(64)).is_none());
+    }
+
+    #[test]
     fn sets_partition_addresses() {
         let mut c = CacheArray::new(2, 1, 32);
         // Lines 0 and 2 map to set 0; line 1 maps to set 1.
