@@ -145,13 +145,6 @@ impl CohMsg {
         self.value = value;
         self
     }
-
-    /// Same message with `aux` set.
-    #[must_use]
-    pub fn with_aux(mut self, aux: u16) -> Self {
-        self.aux = aux;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -191,9 +184,8 @@ mod tests {
     #[test]
     fn builder_methods() {
         let ep = Endpoint::tile(RouterId(3));
-        let m = CohMsg::new(MsgKind::Data, LineAddr(0x40), 3, 1, ep)
-            .with_value(99)
-            .with_aux(2);
+        let mut m = CohMsg::new(MsgKind::Data, LineAddr(0x40), 3, 1, ep).with_value(99);
+        m.aux = 2;
         assert_eq!(m.value, 99);
         assert_eq!(m.aux, 2);
         assert_eq!(m.sender, ep);

@@ -54,7 +54,7 @@ impl Protocol {
 }
 
 /// Default cap on retained flit-trace events ([`SystemConfig::trace_limit`]).
-pub const DEFAULT_TRACE_LIMIT: usize = 100_000;
+pub(crate) const DEFAULT_TRACE_LIMIT: usize = 100_000;
 
 /// Default bounded source-queue depth for open-loop injection
 /// ([`OpenLoopConfig::queue_cap`]).
@@ -84,25 +84,6 @@ impl OpenLoopConfig {
         OpenLoopConfig {
             process: ArrivalProcess::Poisson,
             load_millis,
-            queue_cap: DEFAULT_SOURCE_QUEUE_CAP,
-        }
-    }
-
-    /// Bursty (Markov-modulated on/off) arrivals at the same long-run
-    /// offered load, with the default queue depth.
-    pub fn bursty(load_millis: u32, on: u32, off: u32) -> OpenLoopConfig {
-        OpenLoopConfig {
-            process: ArrivalProcess::Bursty { on, off },
-            load_millis,
-            queue_cap: DEFAULT_SOURCE_QUEUE_CAP,
-        }
-    }
-
-    /// Replays the trace's own think-time deltas as arrival times.
-    pub fn replay() -> OpenLoopConfig {
-        OpenLoopConfig {
-            process: ArrivalProcess::Replay,
-            load_millis: 0,
             queue_cap: DEFAULT_SOURCE_QUEUE_CAP,
         }
     }
@@ -720,8 +701,12 @@ mod tests {
         // each other, across process, load and queue depth.
         let pois = SystemConfig::square(4).with_open_loop(OpenLoopConfig::poisson(40));
         let pois_hot = SystemConfig::square(4).with_open_loop(OpenLoopConfig::poisson(80));
-        let burst = SystemConfig::square(4).with_open_loop(OpenLoopConfig::bursty(40, 50, 150));
-        let replay = SystemConfig::square(4).with_open_loop(OpenLoopConfig::replay());
+        let mut burst = OpenLoopConfig::poisson(40);
+        burst.process = ArrivalProcess::Bursty { on: 50, off: 150 };
+        let burst = SystemConfig::square(4).with_open_loop(burst);
+        let mut replay = OpenLoopConfig::poisson(0);
+        replay.process = ArrivalProcess::Replay;
+        let replay = SystemConfig::square(4).with_open_loop(replay);
         let mut deep = OpenLoopConfig::poisson(40);
         deep.queue_cap = 256;
         let deep = SystemConfig::square(4).with_open_loop(deep);

@@ -37,14 +37,10 @@ mod report;
 mod system;
 mod tile;
 
-pub use config::{
-    ObsLevel, OpenLoopConfig, Protocol, SystemConfig, DEFAULT_SOURCE_QUEUE_CAP, DEFAULT_TRACE_LIMIT,
-};
+pub use config::{ObsLevel, OpenLoopConfig, Protocol, SystemConfig, DEFAULT_SOURCE_QUEUE_CAP};
 pub use report::{
     span_json, EpWait, ObsReport, PlaneObs, SpanReport, SystemReport, WindowReport, WindowRow,
-    OBS_SCHEMA_VERSION,
 };
 pub use scorpio_notify::NotifyScheme;
 pub use scorpio_workloads::ArrivalProcess;
 pub use system::System;
-pub use tile::{CoreDriver, CoreKind};

@@ -10,7 +10,7 @@ use scorpio_sim::stats::{Accumulator, LogHistogram};
 /// totals); 2 = PR 9 (explicit `schema_version`, histogram `sum` fields,
 /// `spans` and `windows` sub-annexes); 3 = this version (open-loop
 /// injection: the `source` span phase and the `admitted` span stamp).
-pub const OBS_SCHEMA_VERSION: u32 = 3;
+pub(crate) const OBS_SCHEMA_VERSION: u32 = 3;
 
 /// One delivery plane's counter snapshot (observability layer).
 #[derive(Debug, Clone, Default)]
@@ -124,7 +124,7 @@ pub struct SpanReport {
 
 impl SpanReport {
     /// Folds one span into the phase histograms.
-    pub fn fold(&mut self, s: &MissSpan) {
+    pub(crate) fn fold(&mut self, s: &MissSpan) {
         self.count += 1;
         self.source.record(s.source());
         self.queue.record(s.queue());
@@ -319,7 +319,7 @@ fn hist_json(h: &LogHistogram) -> String {
 impl ObsReport {
     /// Serializes the annex as one JSON object (same byte-stability
     /// contract as [`SystemReport::to_json`]).
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let mut s = String::with_capacity(512);
         s.push('{');
         s.push_str(&format!(r#""schema_version":{OBS_SCHEMA_VERSION},"#));

@@ -29,7 +29,7 @@ use scorpio_noc::{
 use scorpio_notify::{NotifyConfig, NotifyNetwork};
 use scorpio_sim::capped::{self, Capped};
 use scorpio_sim::stats::LogHistogram;
-use scorpio_sim::{debug_digest, ActiveSet, Cycle, Wake};
+use scorpio_sim::{ActiveSet, Cycle, Wake};
 use scorpio_workloads::Trace;
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, VecDeque};
@@ -414,11 +414,10 @@ impl System {
             }
             assert!(
                 self.stepped - self.watchdog_steps < 50_000,
-                "system wedged: no op completed for 50k stepped cycles at {} ({} ops done)\n{}{}",
+                "system wedged: no op completed for 50k stepped cycles at {} ({} ops done)\n{}",
                 self.cycle(),
                 self.ops_total,
-                self.sleep_states(),
-                self.net.debug_dump()
+                self.debug_dump()
             );
         }
         self.report()
@@ -1339,11 +1338,6 @@ impl System {
         &self.l2s[tile]
     }
 
-    /// Direct access to a memory controller (verification).
-    pub fn mc(&self, idx: usize) -> &MemoryController {
-        &self.mcs[idx]
-    }
-
     /// The coherent value of `addr` (verification oracle): the owning L2's
     /// copy, else memory's at the one MC port responsible for the line.
     /// `None` while ownership is in transit (a writeback or an ordered
@@ -1354,30 +1348,6 @@ impl System {
         }
         let mc = self.mcs.iter().find(|mc| mc.responsible_for(addr))?;
         (mc.owner(addr) == Owner::Memory).then(|| mc.memory_value(addr))
-    }
-
-    /// Whether the event-driven engines tick endpoint `ep` (tiles first,
-    /// then MCs) in the next step.
-    #[doc(hidden)]
-    pub fn endpoint_awake(&self, ep: usize) -> bool {
-        self.active.is_active(ep)
-    }
-
-    /// Digest of everything endpoint `ep`'s own tick can change: its NIC,
-    /// its L2 + core driver + tile latches, or its memory controller.
-    #[doc(hidden)]
-    pub fn endpoint_digest(&self, ep: usize) -> u64 {
-        let shared = (self.nics[ep].state_digest(), &self.reorders[ep]);
-        match ep.checked_sub(self.cfg.cores()) {
-            Some(m) => debug_digest(&(shared, self.mcs[m].state_digest())),
-            None => debug_digest(&(
-                shared,
-                (self.l2s[ep].state_digest(), self.drivers[ep].state_digest()),
-                (&self.resp_hold[ep], &self.pending_ordered[ep]),
-                (&self.pending_expiry[ep], &self.inso_alloc[ep]),
-                self.dir_homes.get(ep),
-            )),
-        }
     }
 
     /// Per endpoint with work left, how the sleep rule sees it —
@@ -1410,11 +1380,10 @@ impl System {
         out
     }
 
-    /// Internal state for deadlock debugging: every tile's and MC's
-    /// expected SID on each plane, and the latest window's stop bit on
-    /// each plane.
-    #[doc(hidden)]
-    pub fn debug_dump(&self) -> String {
+    /// The watchdog's post-mortem: every busy endpoint's sleep state,
+    /// every tile's and MC's expected SID on each plane, the latest
+    /// window's stop bit on each plane and the fabric's occupancy.
+    pub(crate) fn debug_dump(&self) -> String {
         use std::fmt::Write;
         let planes = self.cfg.planes.get();
         let esids = |nic: &Nic<CohMsg>| -> Vec<Option<Sid>> {
@@ -1481,12 +1450,6 @@ impl System {
         }
         out.push_str(&self.net.debug_dump());
         out
-    }
-
-    /// The last value each core observed would require driver access; the
-    /// verification tests read memory through fresh loads instead.
-    pub fn cores_done(&self) -> usize {
-        self.drivers.iter().filter(|d| d.is_done()).count()
     }
 }
 
@@ -1639,6 +1602,47 @@ impl DirHome {
     }
 }
 
+/// Probes other crates' test suites call: the sleep-soundness check and
+/// the functional-verification runs. Not part of the simulator's API.
+mod testing {
+    use super::System;
+    use scorpio_sim::testing::debug_digest;
+
+    impl System {
+        /// Whether the event-driven engines tick endpoint `ep` (tiles
+        /// first, then MCs) in the next step.
+        #[doc(hidden)]
+        pub fn endpoint_awake(&self, ep: usize) -> bool {
+            self.active.is_active(ep)
+        }
+
+        /// Digest of everything endpoint `ep`'s own tick can change: its
+        /// NIC, its L2 + core driver + tile latches, or its memory
+        /// controller.
+        #[doc(hidden)]
+        pub fn endpoint_digest(&self, ep: usize) -> u64 {
+            let nic = scorpio_nic::testing::state_digest(&self.nics[ep]);
+            let shared = (nic, &self.reorders[ep]);
+            match ep.checked_sub(self.cfg.cores()) {
+                Some(m) => debug_digest(&(shared, &self.mcs[m])),
+                None => debug_digest(&(
+                    shared,
+                    (&self.l2s[ep], &self.drivers[ep]),
+                    (&self.resp_hold[ep], &self.pending_ordered[ep]),
+                    (&self.pending_expiry[ep], &self.inso_alloc[ep]),
+                    self.dir_homes.get(ep),
+                )),
+            }
+        }
+
+        /// Cores whose driver has finished its program.
+        #[doc(hidden)]
+        pub fn cores_done(&self) -> usize {
+            self.drivers.iter().filter(|d| d.is_done()).count()
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1732,5 +1736,25 @@ mod tests {
         per_plane("tile 0: driver", "esid=[");
         per_plane("mc 0: idle", "esid=[");
         per_plane("notify:", ", [");
+    }
+
+    /// The watchdog panics with the full post-mortem, not a summary of it.
+    #[test]
+    fn watchdog_panic_carries_the_full_dump() {
+        let cfg = SystemConfig::square(2);
+        let params = WorkloadParams::by_name("barnes").expect("preset exists");
+        let traces = generate(&params.with_ops(20), cfg.cores(), cfg.seed);
+        let mut sys = System::with_traces(cfg, traces);
+        // 50 000 steps without a completed op trip the watchdog on the
+        // next step.
+        sys.stepped = 50_000;
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            sys.run_to_completion();
+        }))
+        .expect_err("the watchdog fires");
+        let msg = panic.downcast_ref::<String>().expect("a formatted message");
+        assert!(msg.starts_with("system wedged"), "{msg}");
+        assert!(msg.contains("\ntile 0: driver done="), "{msg}");
+        assert!(msg.contains("\nnotify: windows="), "{msg}");
     }
 }

@@ -15,7 +15,7 @@ use scorpio_workloads::{
 };
 
 /// What drives this core.
-pub enum CoreKind {
+pub(crate) enum CoreKind {
     /// A fixed memory trace (the paper's trace-driven RTL methodology).
     Trace(Trace),
     /// A reactive program (locks/barriers, Section 4.3 regressions).
@@ -43,7 +43,7 @@ enum Issue {
 
 /// The in-order core + L1 driver for one tile.
 #[derive(Debug)]
-pub struct CoreDriver {
+pub(crate) struct CoreDriver {
     kind: CoreKind,
     l1: L1Cache,
     line_bytes: u64,
@@ -86,7 +86,12 @@ impl CoreDriver {
     /// A driver over `kind` with a fresh L1 and one outstanding access
     /// (the AHB constraint). Use [`CoreDriver::set_max_outstanding`] for
     /// the paper's aggressive-core explorations (Figure 8d).
-    pub fn new(kind: CoreKind, l1_bytes: u64, l1_ways: usize, line_bytes: u64) -> CoreDriver {
+    pub(crate) fn new(
+        kind: CoreKind,
+        l1_bytes: u64,
+        l1_ways: usize,
+        line_bytes: u64,
+    ) -> CoreDriver {
         CoreDriver {
             kind,
             l1: L1Cache::new(l1_bytes, l1_ways, line_bytes),
@@ -112,7 +117,7 @@ impl CoreDriver {
 
     /// Raises the outstanding-access budget (trace cores only: reactive
     /// programs are value-dependent and stay at 1).
-    pub fn set_max_outstanding(&mut self, n: usize) {
+    pub(crate) fn set_max_outstanding(&mut self, n: usize) {
         if matches!(self.kind, CoreKind::Trace(_)) {
             self.max_outstanding = n.max(1);
         }
@@ -126,7 +131,7 @@ impl CoreDriver {
     /// deltas and are otherwise not charged. A zero-load schedule is
     /// empty and the driver keeps closed-loop semantics — the degenerate
     /// case *is* the closed-loop trace. No-op for program cores.
-    pub fn set_open_loop(
+    pub(crate) fn set_open_loop(
         &mut self,
         process: ArrivalProcess,
         load_millis: u32,
@@ -143,17 +148,17 @@ impl CoreDriver {
     }
 
     /// Whether this driver releases requests by arrival time.
-    pub fn is_open_loop(&self) -> bool {
+    pub(crate) fn is_open_loop(&self) -> bool {
         !self.arrivals.is_empty()
     }
 
     /// Whether all work is complete (and nothing is in flight).
-    pub fn is_done(&self) -> bool {
+    pub(crate) fn is_done(&self) -> bool {
         self.done && self.outstanding.is_empty()
     }
 
     /// The L1, for inclusion-driven invalidations.
-    pub fn l1_mut(&mut self) -> &mut L1Cache {
+    pub(crate) fn l1_mut(&mut self) -> &mut L1Cache {
         &mut self.l1
     }
 
@@ -165,7 +170,7 @@ impl CoreDriver {
     /// outstanding-access budget or once done. An open-loop driver also
     /// wakes at its next arrival for as long as arrivals remain, so
     /// admissions and tail drops land on their own cycles.
-    pub fn next_wake(&self, now: Cycle) -> Wake {
+    pub(crate) fn next_wake(&self, now: Cycle) -> Wake {
         let can_issue = !self.done && self.outstanding.len() < self.max_outstanding;
         if self.is_open_loop() {
             if can_issue && !self.src_queue.is_empty() {
@@ -189,15 +194,9 @@ impl CoreDriver {
         }
     }
 
-    /// Digest of the whole driver, for the sleep-soundness tests.
-    #[doc(hidden)]
-    pub fn state_digest(&self) -> u64 {
-        scorpio_sim::debug_digest(self)
-    }
-
     /// One cycle: consume a completion, or issue the next operation.
     /// Completions arrive via [`CoreDriver::complete`]; this only issues.
-    pub fn tick(&mut self, now: Cycle, l2: &mut SnoopyL2) {
+    pub(crate) fn tick(&mut self, now: Cycle, l2: &mut SnoopyL2) {
         if self.is_open_loop() {
             return self.tick_open(now, l2);
         }
@@ -312,7 +311,7 @@ impl CoreDriver {
     }
 
     /// Delivers an L2 completion to this core.
-    pub fn complete(&mut self, now: Cycle, resp: CoreResp) {
+    pub(crate) fn complete(&mut self, now: Cycle, resp: CoreResp) {
         let pos = self
             .outstanding
             .iter()

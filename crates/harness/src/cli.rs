@@ -48,7 +48,7 @@ struct RunOptions {
 }
 
 /// Epoch length `--windows` uses when `--window-cycles` is not given.
-pub const DEFAULT_WINDOW_CYCLES: u64 = 1024;
+pub(crate) const DEFAULT_WINDOW_CYCLES: u64 = 1024;
 
 const USAGE: &str = "usage:
   harness list                      show registered scenarios
@@ -56,7 +56,7 @@ const USAGE: &str = "usage:
   harness run <scenario>... [opts]  run one or more scenarios
 run options:
   --threads N     worker threads (default: all CPUs)
-  --ops N         operations per core (default: $SCORPIO_OPS or 150)
+  --ops N         operations per core (default: 150)
   --seeds A,B,..  replace the scenario's seed axis
   --json PATH     write JSON-lines results (- for stdout)
   --csv PATH      write CSV results (- for stdout)
@@ -256,7 +256,7 @@ fn run(opts: &RunOptions) -> i32 {
     };
     let exec = ExecOptions {
         threads: opts.threads.unwrap_or(0),
-        ops_per_core: opts.ops.unwrap_or_else(crate::ops_per_core),
+        ops_per_core: opts.ops.unwrap_or(crate::DEFAULT_OPS_PER_CORE),
         verbose: opts.verbose,
         overrides: Overrides {
             obs,

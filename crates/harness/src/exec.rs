@@ -27,9 +27,7 @@ use crate::scenario::{Engine, RunSpec, SweepGrid};
 pub struct ExecOptions {
     /// Worker threads. `0` means one per available CPU.
     pub threads: usize,
-    /// Operations per core for every run (the harness owns this override
-    /// so results cannot depend on process-global environment reads racing
-    /// with the sweep).
+    /// Operations per core for every run.
     pub ops_per_core: usize,
     /// Emit one progress line per completed run to stderr.
     pub verbose: bool,
@@ -41,7 +39,7 @@ impl Default for ExecOptions {
     fn default() -> ExecOptions {
         ExecOptions {
             threads: 0,
-            ops_per_core: crate::ops_per_core(),
+            ops_per_core: crate::DEFAULT_OPS_PER_CORE,
             verbose: false,
             overrides: Overrides::default(),
         }
@@ -68,7 +66,7 @@ pub struct Overrides {
 
 impl ExecOptions {
     /// Resolves `threads == 0` to the host's available parallelism.
-    pub fn effective_threads(&self) -> usize {
+    pub(crate) fn effective_threads(&self) -> usize {
         if self.threads > 0 {
             self.threads
         } else {
@@ -202,7 +200,7 @@ pub fn run_grid(grid: &SweepGrid, opts: &ExecOptions) -> Vec<RunResult> {
 /// Workers claim specs in enumeration order from one shared cursor and
 /// write each result into that spec's slot, so the output order never
 /// depends on which worker ran what.
-pub fn run_specs(specs: &[RunSpec], opts: &ExecOptions) -> Vec<RunResult> {
+pub(crate) fn run_specs(specs: &[RunSpec], opts: &ExecOptions) -> Vec<RunResult> {
     let workers = opts.effective_threads().clamp(1, specs.len().max(1));
     // `Relaxed` is enough: the cursor only hands out indices; results are
     // published through the slot mutexes and the scope's join.

@@ -9,11 +9,11 @@
 //!   [`SweepGrid`]s and named [`Scenario`]s,
 //! * [`registry`] — one entry per experiment: every figure/table of the
 //!   paper (`fig6` … `table2`) and every study since, most of them also
-//!   at a reduced [`registry::Size`] run as `<name>-small`,
+//!   at a reduced `registry::Size` run as `<name>-small`,
 //! * [`exec`] — a multi-threaded job executor whose results are
 //!   byte-identical for any worker count,
 //! * [`sink`] — deterministic JSON-lines and CSV result sinks,
-//! * [`table`] — the column-list table writer every renderer prints through,
+//! * `table` — the column-list table writer every renderer prints through,
 //! * [`cli`] — the `harness` command (`harness list`, `harness run fig7
 //!   --threads 8 --json out.jsonl`).
 //!
@@ -40,50 +40,42 @@ pub mod exec;
 pub mod registry;
 pub mod scenario;
 pub mod sink;
-pub mod table;
+pub(crate) mod table;
+
+// The analytical area and power model of the chip (Section 5.4) and the
+// paper's fact tables, read only by the registry's Figure 9, Table 1 and
+// Table 2 renderers and by the network-cost columns of the sweeps. It is
+// calibrated to the published tile breakdowns (Figure 9), the chip feature
+// summary (Table 1) and the multicore comparison (Table 2), and encodes the
+// design-exploration costs of Section 5.2 (6 VCs cost 15% more area and 12%
+// more power than 4). Both files live under `physical/`, declared at the
+// crate root under the short names the registry and their tests use.
+#[path = "physical/breakdown.rs"]
+mod breakdown;
+#[path = "physical/tables.rs"]
+mod tables;
 
 pub use exec::{run_grid, run_spec, ExecOptions, RunResult};
 pub use scenario::{Engine, Fabric, Knob, McPlacement, RunSpec, Scenario, SweepGrid, Variant};
-pub use table::render_normalized;
 
-use scorpio::{SystemConfig, SystemReport};
-use scorpio_workloads::{generate, WorkloadParams};
-
-/// Default operations per core for sweeps. Override with the `SCORPIO_OPS`
-/// environment variable (or `harness run --ops N`) to trade fidelity for
-/// speed.
-pub fn ops_per_core() -> usize {
-    std::env::var("SCORPIO_OPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(150)
-}
-
-/// Runs `params` (scaled to [`ops_per_core`]) on `cfg` and returns the
-/// report — the single-run primitive the grid executor parallelizes.
-pub fn run_workload(cfg: SystemConfig, params: &WorkloadParams) -> SystemReport {
-    let scaled = params.clone().with_ops(ops_per_core());
-    let traces = generate(&scaled, cfg.cores(), cfg.seed);
-    let mut sys = scorpio::System::with_traces(cfg, traces);
-    sys.run_to_completion()
-}
+/// Operations per core a run executes unless `harness run --ops N` (or
+/// [`ExecOptions::ops_per_core`]) says otherwise.
+pub(crate) const DEFAULT_OPS_PER_CORE: usize = 150;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scorpio::SystemConfig;
+    use scorpio_workloads::{generate, WorkloadParams};
 
-    // One sequential test: the env var is process-global, so default
-    // behaviour and override are checked in order. Every other test in
-    // this crate passes an explicit ops count, so none can observe it.
     #[test]
     fn ops_default_and_tiny_run() {
-        std::env::remove_var("SCORPIO_OPS");
-        assert_eq!(ops_per_core(), 150);
-        std::env::set_var("SCORPIO_OPS", "10");
+        assert_eq!(DEFAULT_OPS_PER_CORE, 150);
+        assert_eq!(ExecOptions::default().ops_per_core, DEFAULT_OPS_PER_CORE);
         let cfg = SystemConfig::square(2);
-        let params = WorkloadParams::by_name("lu").unwrap();
-        let r = run_workload(cfg, &params);
+        let params = WorkloadParams::by_name("lu").unwrap().with_ops(10);
+        let traces = generate(&params, cfg.cores(), cfg.seed);
+        let r = scorpio::System::with_traces(cfg, traces).run_to_completion();
         assert_eq!(r.ops_completed, 40);
-        std::env::remove_var("SCORPIO_OPS");
     }
 }

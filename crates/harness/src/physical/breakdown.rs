@@ -2,7 +2,7 @@
 
 /// A tile component in the breakdowns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Component {
+pub(crate) enum Component {
     /// Core logic (with L1 control).
     Core,
     /// L1 data cache arrays.
@@ -29,7 +29,7 @@ pub enum Component {
 
 /// One slice of a breakdown: component and its share in percent.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Share {
+pub(crate) struct Share {
     /// The component.
     pub component: Component,
     /// Percentage of the tile total.
@@ -38,7 +38,7 @@ pub struct Share {
 
 /// The tile *power* breakdown of Figure 9a (percent of tile power; the
 /// paper: core+L1 ≈ 62%, L2 ≈ 18%, NIC+router ≈ 19%).
-pub fn tile_power_breakdown() -> Vec<Share> {
+pub(crate) fn tile_power_breakdown() -> Vec<Share> {
     vec![
         Share {
             component: Component::Core,
@@ -88,7 +88,7 @@ pub fn tile_power_breakdown() -> Vec<Share> {
 }
 
 /// The tile *area* breakdown of Figure 9b (caches ≈ 46%, NIC+router 10%).
-pub fn tile_area_breakdown() -> Vec<Share> {
+pub(crate) fn tile_area_breakdown() -> Vec<Share> {
     vec![
         Share {
             component: Component::Core,
@@ -139,14 +139,7 @@ pub fn tile_area_breakdown() -> Vec<Share> {
 
 /// Whole-chip power estimate in watts, scaled linearly with tile count
 /// from the 36-tile, 28.8 W chip (768 mW per tile).
-///
-/// # Examples
-///
-/// ```
-/// use scorpio_physical::chip_power_watts;
-/// assert!((chip_power_watts(36) - 28.8).abs() < 1e-6);
-/// ```
-pub fn chip_power_watts(tiles: usize) -> f64 {
+pub(crate) fn chip_power_watts(tiles: usize) -> f64 {
     0.8 * tiles as f64
 }
 
@@ -165,7 +158,7 @@ pub fn chip_power_watts(tiles: usize) -> f64 {
 /// # Panics
 ///
 /// Panics on an unknown fabric name or zero concentration.
-pub fn router_radix(fabric: &str, concentration: usize) -> usize {
+pub(crate) fn router_radix(fabric: &str, concentration: usize) -> usize {
     assert!(concentration > 0, "at least one tile per router");
     match fabric {
         "mesh" | "torus" | "cmesh" => 4 + concentration,
@@ -186,7 +179,7 @@ pub fn router_radix(fabric: &str, concentration: usize) -> usize {
 /// # Panics
 ///
 /// Panics on an unknown fabric name or zero concentration.
-pub fn link_length_scale(fabric: &str, concentration: usize) -> f64 {
+pub(crate) fn link_length_scale(fabric: &str, concentration: usize) -> f64 {
     assert!(concentration > 0, "at least one tile per router");
     let base = match fabric {
         "mesh" | "cmesh" => 1.0,
@@ -201,26 +194,14 @@ fn radix_ratio(fabric: &str, concentration: usize) -> f64 {
     router_radix(fabric, concentration) as f64 / router_radix("mesh", 1) as f64
 }
 
-/// Router+NIC area relative to the chip's 4-VC *mesh* router. The VC
-/// term is the post-synthesis evaluation in Section 5.2 ("4 VCs is 15%
-/// more area efficient ... than 6 VCs") with linear interpolation per VC.
-/// The fabric term corrects for router radix: crossbar area grows with
-/// the square of the port count, buffers/allocators linearly, modeled
-/// here as the mean of the two. A 3-port ring router is therefore
-/// markedly smaller than the 5-port mesh router at the same VC count, and
-/// a concentration-4 CMesh router markedly larger.
-pub fn router_area_scale(goreq_vcs: u8, fabric: &str, concentration: usize) -> f64 {
-    let r = radix_ratio(fabric, concentration);
-    (1.0 + (goreq_vcs as f64 - 4.0) * (0.15 / 2.0)) * (r * r + r) / 2.0
-}
-
 /// Router+NIC power relative to the chip's 4-VC mesh router. The VC term
 /// is Section 5.2's "consumes 12% less power than 6 VCs"; switching
-/// energy follows the same crossbar/buffer radix split as
-/// [`router_area_scale`], and the fabric's link length scales the link
+/// energy follows the crossbar/buffer radix split of the area model
+/// (crossbar quadratic, buffers linear in the port count, taken as the
+/// mean of the two), and the fabric's link length scales the link
 /// drivers (~40% of router+link power on the chip's nearest-neighbour
 /// links).
-pub fn router_power_scale(goreq_vcs: u8, fabric: &str, concentration: usize) -> f64 {
+pub(crate) fn router_power_scale(goreq_vcs: u8, fabric: &str, concentration: usize) -> f64 {
     let r = radix_ratio(fabric, concentration);
     let switching = (1.0 + (goreq_vcs as f64 - 4.0) * (0.12 / 2.0)) * (r * r + r) / 2.0;
     const LINK_FRACTION: f64 = 0.4;
@@ -228,23 +209,13 @@ pub fn router_power_scale(goreq_vcs: u8, fabric: &str, concentration: usize) -> 
         + switching * LINK_FRACTION * link_length_scale(fabric, concentration)
 }
 
-/// Total main-network area relative to the chip's single-plane 4-VC mesh
-/// *at the same tile count*: replicating the network multiplies routers
-/// and links per plane, while concentrating divides the router count by
-/// `concentration` — so a bigger router is paid for out of fewer routers.
-/// At concentration 2 the per-router area rises ~1.3× but only half the
-/// routers exist, a net win the `cmesh` sweeps report.
-pub fn network_area_scale(goreq_vcs: u8, fabric: &str, planes: usize, concentration: usize) -> f64 {
-    assert!(planes > 0, "at least one plane");
-    planes as f64 * router_area_scale(goreq_vcs, fabric, concentration) / concentration as f64
-}
-
 /// Total main-network power budget relative to the chip's single-plane
-/// 4-VC mesh at the same tile count (see [`network_area_scale`] for the
-/// router-count normalization). Idle planes clock-gate nothing in this
+/// 4-VC mesh at the same tile count: each plane adds a full set of
+/// routers, and concentrating `c` tiles per router divides the router
+/// count by `c`. Idle planes clock-gate nothing in this
 /// model — the honest upper bound for the replication cost the `planes`
 /// sweeps report.
-pub fn network_power_scale(
+pub(crate) fn network_power_scale(
     goreq_vcs: u8,
     fabric: &str,
     planes: usize,
@@ -262,7 +233,7 @@ pub fn network_power_scale(
 /// meaningful.
 ///
 /// Returns 0 when no messages were delivered.
-pub fn energy_per_message_scale(
+pub(crate) fn energy_per_message_scale(
     goreq_vcs: u8,
     fabric: &str,
     planes: usize,
@@ -280,28 +251,52 @@ pub fn energy_per_message_scale(
 /// Notification-network data width: m bits per core plus the stop bit,
 /// times the number of main-network planes (each plane carries its own
 /// word group); O(m·N·planes) scaling discussed in Section 5.2.
-pub fn notification_width_bits(cores: usize, bits_per_core: u8, planes: usize) -> usize {
+pub(crate) fn notification_width_bits(cores: usize, bits_per_core: u8, planes: usize) -> usize {
     planes * (cores * bits_per_core as usize + 1)
-}
-
-/// Aggregate-node count of the quad-tree: one OR node per quad per level
-/// above the leaves. Each node is pure combinational OR logic over
-/// [`notification_width_bits`] wires, so tree cost scales with
-/// this count times the flat network's per-hop width.
-pub fn notification_tree_nodes(cols: usize, rows: usize, fanout: usize) -> usize {
-    assert!(fanout >= 2, "a tree needs fanout >= 2");
-    let (mut c, mut r, mut nodes) = (cols.max(1), rows.max(1), 0);
-    while c > 1 || r > 1 {
-        c = c.div_ceil(fanout);
-        r = r.div_ceil(fanout);
-        nodes += c * r;
-    }
-    nodes
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Router+NIC area relative to the chip's 4-VC *mesh* router. The VC
+    /// term is the post-synthesis evaluation in Section 5.2 ("4 VCs is 15%
+    /// more area efficient ... than 6 VCs") with linear interpolation per VC.
+    /// The fabric term corrects for router radix: crossbar area grows with
+    /// the square of the port count, buffers/allocators linearly, modeled
+    /// here as the mean of the two. A 3-port ring router is therefore
+    /// markedly smaller than the 5-port mesh router at the same VC count, and
+    /// a concentration-4 CMesh router markedly larger.
+    fn router_area_scale(goreq_vcs: u8, fabric: &str, concentration: usize) -> f64 {
+        let r = radix_ratio(fabric, concentration);
+        (1.0 + (goreq_vcs as f64 - 4.0) * (0.15 / 2.0)) * (r * r + r) / 2.0
+    }
+
+    /// Total main-network area relative to the chip's single-plane 4-VC mesh
+    /// *at the same tile count*: replicating the network multiplies routers
+    /// and links per plane, while concentrating divides the router count by
+    /// `concentration` — so a bigger router is paid for out of fewer routers.
+    /// At concentration 2 the per-router area rises ~1.3× but only half the
+    /// routers exist, a net win the `cmesh` sweeps report.
+    fn network_area_scale(goreq_vcs: u8, fabric: &str, planes: usize, concentration: usize) -> f64 {
+        assert!(planes > 0, "at least one plane");
+        planes as f64 * router_area_scale(goreq_vcs, fabric, concentration) / concentration as f64
+    }
+
+    /// Aggregate-node count of the quad-tree: one OR node per quad per level
+    /// above the leaves. Each node is pure combinational OR logic over
+    /// [`notification_width_bits`] wires, so tree cost scales with
+    /// this count times the flat network's per-hop width.
+    fn notification_tree_nodes(cols: usize, rows: usize, fanout: usize) -> usize {
+        assert!(fanout >= 2, "a tree needs fanout >= 2");
+        let (mut c, mut r, mut nodes) = (cols.max(1), rows.max(1), 0);
+        while c > 1 || r > 1 {
+            c = c.div_ceil(fanout);
+            r = r.div_ceil(fanout);
+            nodes += c * r;
+        }
+        nodes
+    }
 
     #[test]
     fn power_breakdown_sums_to_100() {
@@ -396,8 +391,8 @@ mod tests {
         // A tree is priced as notify's window plus this crate's node count:
         // the window falls to 2·depth + 3 while the nodes stay a geometric
         // fraction of the leaves.
+        use scorpio::NotifyScheme;
         use scorpio_noc::{Mesh, Topology};
-        use scorpio_notify::NotifyScheme;
         let window = |cols: u16, rows: u16, fanout: u8| {
             let topo: Topology = Mesh::new(cols, rows, &[]);
             NotifyScheme::Quad { fanout }.window_for(&topo)

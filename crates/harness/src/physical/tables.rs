@@ -1,7 +1,7 @@
 //! Table 1 (chip features) and Table 2 (processor comparison) as data.
 
 /// The chip feature summary of Table 1 as (feature, value) rows.
-pub fn chip_feature_table() -> Vec<(&'static str, String)> {
+pub(crate) fn chip_feature_table() -> Vec<(&'static str, String)> {
     vec![
         ("Process", "IBM 45 nm SOI".into()),
         ("Dimension", "11 × 13 mm²".into()),
@@ -39,7 +39,7 @@ pub fn chip_feature_table() -> Vec<(&'static str, String)> {
 
 /// One column of Table 2.
 #[derive(Debug, Clone)]
-pub struct ProcessorColumn {
+pub(crate) struct ProcessorColumn {
     /// Processor name.
     pub name: &'static str,
     /// Core count (as shipped).
@@ -53,7 +53,7 @@ pub struct ProcessorColumn {
 }
 
 /// Table 2: multicore processor comparison.
-pub fn processor_comparison_table() -> Vec<ProcessorColumn> {
+pub(crate) fn processor_comparison_table() -> Vec<ProcessorColumn> {
     vec![
         ProcessorColumn {
             name: "Intel Core i7",

@@ -3,12 +3,12 @@
 //! Every figure and table of the paper's evaluation, and every study added
 //! since, is registered here once, as a builder for its [`Scenario`]: a
 //! declarative sweep grid plus a render function that prints its table.
-//! Most builders take a [`Size`]: `harness run X` runs experiment X's full
+//! Most builders take a `Size`: `harness run X` runs experiment X's full
 //! grid and `harness run X-small` its reduced one through the same
 //! renderer. `harness list` shows one row per experiment.
 
+use crate::breakdown::Share;
 use scorpio::{ArrivalProcess, EpWait, Protocol, SpanReport, WindowReport};
-use scorpio_physical::Share;
 use scorpio_workloads::WorkloadParams;
 
 use crate::exec::RunResult;
@@ -19,7 +19,7 @@ use crate::table::{render_normalized, render_table, Col};
 
 /// Which grid a sized experiment lays out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Size {
+pub(crate) enum Size {
     /// The full grid: `harness run <name>`.
     Full,
     /// The reduced grid — smaller meshes or fewer cells, same renderer:
@@ -98,7 +98,7 @@ impl Entry {
 ///
 /// # Panics
 ///
-/// Panics if a grid fails [`SweepGrid::validate`].
+/// Panics if a grid fails `SweepGrid::validate`.
 pub fn experiments() -> Vec<(Scenario, Option<Scenario>)> {
     REGISTRY
         .iter()
@@ -112,7 +112,7 @@ pub fn experiments() -> Vec<(Scenario, Option<Scenario>)> {
 ///
 /// # Panics
 ///
-/// Panics if the grid fails [`SweepGrid::validate`].
+/// Panics if the grid fails `SweepGrid::validate`.
 pub fn by_name(name: &str) -> Option<Scenario> {
     let (base, size) = match name.strip_suffix("-small") {
         Some(base) => (base, Size::Small),
@@ -260,7 +260,7 @@ fn net_shape(r: &RunResult) -> (u8, &'static str, usize, usize) {
 fn net_power<'a>() -> RunCol<'a> {
     RunCol::right("net-power", 12, |r| {
         let (vcs, fabric, planes, conc) = net_shape(r);
-        let power = scorpio_physical::network_power_scale(vcs, fabric, planes, conc);
+        let power = crate::breakdown::network_power_scale(vcs, fabric, planes, conc);
         format!("{power:.2}x")
     })
 }
@@ -272,7 +272,7 @@ fn net_energy<'a>() -> RunCol<'a> {
     RunCol::fixed("net-E/op", 12, 1, |r| {
         let (vcs, fabric, planes, conc) = net_shape(r);
         let (runtime, ops) = (r.report.runtime_cycles, r.report.ops_completed);
-        scorpio_physical::energy_per_message_scale(vcs, fabric, planes, conc, runtime, ops)
+        crate::breakdown::energy_per_message_scale(vcs, fabric, planes, conc, runtime, ops)
     })
 }
 
@@ -449,13 +449,13 @@ fn fig9_render(_s: &Scenario, _results: &[RunResult]) -> String {
         Col::left("", 16, |s: &Share| format!("{:?}", s.component)),
         Col::right("", 7, |s: &Share| format!("{:.1}%", s.percent)),
     ];
-    let power = scorpio_physical::tile_power_breakdown();
-    let area = scorpio_physical::tile_area_breakdown();
+    let power = crate::breakdown::tile_power_breakdown();
+    let area = crate::breakdown::tile_area_breakdown();
     let chip = format!(
         "Chip power (36 tiles): {:.1} W\n\
          Notification network width: 36×1b = {} bits (<1% tile area/power)\n",
-        scorpio_physical::chip_power_watts(36),
-        scorpio_physical::notification_width_bits(36, 1, 1)
+        crate::breakdown::chip_power_watts(36),
+        crate::breakdown::notification_width_bits(36, 1, 1)
     );
     format!(
         "{}\n{}",
@@ -547,7 +547,7 @@ fn table1_render(s: &Scenario, _results: &[RunResult]) -> String {
         Col::left("", 24, |(feature, _): &(&str, String)| feature.to_string()),
         Col::left("", 0, |(_, value): &(&str, String)| value.clone()),
     ];
-    render_table(&s.title, &cols, &scorpio_physical::chip_feature_table(), "")
+    render_table(&s.title, &cols, &crate::tables::chip_feature_table(), "")
 }
 
 fn table2() -> Scenario {
@@ -561,7 +561,7 @@ fn table2() -> Scenario {
 }
 
 fn table2_render(s: &Scenario, _results: &[RunResult]) -> String {
-    let rows: Vec<[&str; 5]> = scorpio_physical::processor_comparison_table()
+    let rows: Vec<[&str; 5]> = crate::tables::processor_comparison_table()
         .into_iter()
         .map(|c| [c.name, c.cores, c.consistency, c.coherence, c.interconnect])
         .collect();
@@ -1638,9 +1638,9 @@ mod tests {
         // Section 5.3's ragged sweep: 6x6 -> 1, 8x8 -> 2, 10x10 -> 3.
         assert_eq!(by_name("scaling").unwrap().grid.len(), 1 + 2 + 3);
         // Static table scenarios run zero simulations.
-        assert!(by_name("fig9").unwrap().grid.is_empty());
-        assert!(by_name("table1").unwrap().grid.is_empty());
-        assert!(by_name("table2").unwrap().grid.is_empty());
+        assert_eq!(by_name("fig9").unwrap().grid.len(), 0);
+        assert_eq!(by_name("table1").unwrap().grid.len(), 0);
+        assert_eq!(by_name("table2").unwrap().grid.len(), 0);
     }
 
     #[test]

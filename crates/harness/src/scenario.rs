@@ -92,7 +92,7 @@ pub enum McPlacement {
 
 impl McPlacement {
     /// The placement key recorded in JSONL/CSV result rows.
-    pub fn key(self) -> &'static str {
+    pub(crate) fn key(self) -> &'static str {
         match self {
             McPlacement::Corner => "corner",
             McPlacement::Spread => "spread",
@@ -103,7 +103,7 @@ impl McPlacement {
     /// Whether this placement is defined for `fabric` — the one statement
     /// of the support matrix: the sweep filter and [`Knob::apply`] both
     /// ask it.
-    pub fn supports(self, fabric: Fabric) -> bool {
+    pub(crate) fn supports(self, fabric: Fabric) -> bool {
         match self {
             McPlacement::Corner => matches!(fabric, Fabric::Mesh | Fabric::Torus),
             McPlacement::Spread => fabric == Fabric::Ring,
@@ -139,7 +139,7 @@ fn apply_mc_placement(cfg: SystemConfig, placement: McPlacement, mcs: u16) -> Sy
 
 impl Knob {
     /// Applies the knob to a configuration.
-    pub fn apply(self, mut cfg: SystemConfig) -> SystemConfig {
+    pub(crate) fn apply(self, mut cfg: SystemConfig) -> SystemConfig {
         match self {
             Knob::ChannelBytes(b) => cfg.with_channel_bytes(b),
             Knob::GoreqVcs(v) => cfg.with_goreq_vcs(v),
@@ -183,7 +183,7 @@ impl Knob {
     }
 
     /// Short label used in variant names and result rows.
-    pub fn label(self) -> String {
+    pub(crate) fn label(self) -> String {
         match self {
             Knob::ChannelBytes(b) => format!("CW={b}B"),
             Knob::GoreqVcs(v) => format!("GO-VCs={v}"),
@@ -224,7 +224,7 @@ pub struct Variant {
 
 impl Variant {
     /// The unmodified baseline configuration.
-    pub fn baseline() -> Variant {
+    pub(crate) fn baseline() -> Variant {
         Variant {
             label: "baseline".into(),
             knobs: Vec::new(),
@@ -240,7 +240,7 @@ impl Variant {
     }
 
     /// A single-knob variant labelled after the knob.
-    pub fn knob(k: Knob) -> Variant {
+    pub(crate) fn knob(k: Knob) -> Variant {
         Variant {
             label: k.label(),
             knobs: vec![k],
@@ -248,7 +248,7 @@ impl Variant {
     }
 
     /// Applies every knob to `cfg`.
-    pub fn apply(&self, mut cfg: SystemConfig) -> SystemConfig {
+    pub(crate) fn apply(&self, mut cfg: SystemConfig) -> SystemConfig {
         for k in &self.knobs {
             cfg = k.apply(cfg);
         }
@@ -276,7 +276,7 @@ pub enum Engine {
 
 impl Engine {
     /// Short label for result rows and tables.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Engine::ActiveSet => "active",
             Engine::AlwaysScan => "scan",
@@ -307,7 +307,7 @@ pub enum Fabric {
 
 impl Fabric {
     /// Short label for result rows and tables.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Fabric::Mesh => "mesh",
             Fabric::Torus => "torus",
@@ -354,7 +354,7 @@ impl Fabric {
     ///
     /// Panics where the fabric has no such shape (`k == 0`, a torus or
     /// ring below two routers a side, [`Fabric::cmesh_dims`]' conditions).
-    pub fn topology(self, k: u16) -> Topology {
+    pub(crate) fn topology(self, k: u16) -> Topology {
         match self {
             Fabric::Mesh => Mesh::square_with_corner_mcs(k),
             Fabric::Torus => Torus::square_with_corner_mcs(k),
@@ -390,13 +390,13 @@ impl Fabric {
     /// The geometry string for run keys — the topology's own label:
     /// `"4x4"`, `"torus4x4"`, `"ring16"`, `"cmesh4x2x2"` (router grid ×
     /// concentration).
-    pub fn geometry(self, k: u16) -> String {
+    pub(crate) fn geometry(self, k: u16) -> String {
         self.topology(k).label()
     }
 }
 
 /// A filter restricting a grid to a non-rectangular subset.
-pub type GridFilter = fn(&RunSpec) -> bool;
+pub(crate) type GridFilter = fn(&RunSpec) -> bool;
 
 /// The cartesian product defining one experiment sweep.
 #[derive(Debug, Clone)]
@@ -461,56 +461,49 @@ impl SweepGrid {
 
     /// Sets the delivery-fabric axis.
     #[must_use]
-    pub fn fabrics(mut self, fabrics: &[Fabric]) -> SweepGrid {
+    pub(crate) fn fabrics(mut self, fabrics: &[Fabric]) -> SweepGrid {
         self.fabrics = fabrics.to_vec();
         self
     }
 
     /// Sets the main-network plane axis.
     #[must_use]
-    pub fn planes(mut self, planes: &[usize]) -> SweepGrid {
+    pub(crate) fn planes(mut self, planes: &[usize]) -> SweepGrid {
         self.planes = planes.to_vec();
         self
     }
 
     /// Sets the protocol axis.
     #[must_use]
-    pub fn protocols(mut self, protocols: &[Protocol]) -> SweepGrid {
+    pub(crate) fn protocols(mut self, protocols: &[Protocol]) -> SweepGrid {
         self.protocols = protocols.to_vec();
         self
     }
 
     /// Sets the variant axis.
     #[must_use]
-    pub fn variants(mut self, variants: Vec<Variant>) -> SweepGrid {
+    pub(crate) fn variants(mut self, variants: Vec<Variant>) -> SweepGrid {
         self.variants = variants;
         self
     }
 
     /// Sets the engine axis.
     #[must_use]
-    pub fn engines(mut self, engines: &[Engine]) -> SweepGrid {
+    pub(crate) fn engines(mut self, engines: &[Engine]) -> SweepGrid {
         self.engines = engines.to_vec();
-        self
-    }
-
-    /// Sets the seed axis.
-    #[must_use]
-    pub fn seeds(mut self, seeds: &[u64]) -> SweepGrid {
-        self.seeds = seeds.to_vec();
         self
     }
 
     /// Adds grid-wide base knobs.
     #[must_use]
-    pub fn with_base(mut self, base: Vec<Knob>) -> SweepGrid {
+    pub(crate) fn with_base(mut self, base: Vec<Knob>) -> SweepGrid {
         self.base = base;
         self
     }
 
     /// Restricts the grid with `filter`.
     #[must_use]
-    pub fn filtered(mut self, filter: GridFilter) -> SweepGrid {
+    pub(crate) fn filtered(mut self, filter: GridFilter) -> SweepGrid {
         self.filter = Some(filter);
         self
     }
@@ -524,7 +517,7 @@ impl SweepGrid {
     /// # Errors
     ///
     /// Returns a message naming the offending axis and value.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         fn dup<T: PartialEq + std::fmt::Debug>(axis: &str, values: &[T]) -> Result<(), String> {
             for (i, v) in values.iter().enumerate() {
                 if values[..i].contains(v) {
@@ -620,13 +613,8 @@ impl SweepGrid {
     }
 
     /// Number of runs the grid expands to.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.enumerate().len()
-    }
-
-    /// Whether the grid expands to zero runs (static scenarios).
-    pub fn is_empty(&self) -> bool {
-        self.enumerate().is_empty()
     }
 }
 
@@ -637,7 +625,7 @@ pub struct RunSpec {
     pub index: usize,
     /// Workload parameters (ops-per-core is overridden by the executor).
     pub workload: WorkloadParams,
-    /// Mesh side (`k` ⇒ a `k²`-tile system; see [`Fabric::geometry`]).
+    /// Mesh side (`k` ⇒ a `k²`-tile system; see `Fabric::geometry`).
     pub mesh_side: u16,
     /// Delivery fabric the `mesh_side` materializes as.
     pub fabric: Fabric,
@@ -656,7 +644,7 @@ pub struct RunSpec {
 
 impl RunSpec {
     /// Materializes the [`SystemConfig`] for this run over
-    /// [`Fabric::topology`].
+    /// `Fabric::topology`.
     pub fn config(&self) -> SystemConfig {
         let base = SystemConfig::with_topology(self.fabric.topology(self.mesh_side));
         let mut cfg = base.with_protocol(self.protocol);
@@ -668,13 +656,13 @@ impl RunSpec {
     }
 
     /// The first of this spec's variant knobs that `pick` maps to a value.
-    pub fn knob<T>(&self, pick: impl Fn(&Knob) -> Option<T>) -> Option<T> {
+    pub(crate) fn knob<T>(&self, pick: impl Fn(&Knob) -> Option<T>) -> Option<T> {
         self.variant.knobs.iter().find_map(pick)
     }
 
     /// The MC-placement key of this spec's variant, if it carries a
     /// [`Knob::McPlacement`] (recorded by the JSONL/CSV sinks).
-    pub fn mc_placement(&self) -> Option<String> {
+    pub(crate) fn mc_placement(&self) -> Option<String> {
         self.knob(|k| matches!(k, Knob::McPlacement { .. }).then(|| k.label()))
     }
 
@@ -725,6 +713,16 @@ pub struct Scenario {
     pub grid: SweepGrid,
     /// Renders the scenario's human-readable tables from its results.
     pub render: fn(&Scenario, &[crate::exec::RunResult]) -> String,
+}
+
+#[cfg(test)]
+impl SweepGrid {
+    /// Sets the seed axis.
+    #[must_use]
+    pub(crate) fn seeds(mut self, seeds: &[u64]) -> SweepGrid {
+        self.seeds = seeds.to_vec();
+        self
+    }
 }
 
 #[cfg(test)]

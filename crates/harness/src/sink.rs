@@ -186,7 +186,7 @@ pub fn csv(scenario: &str, results: &[RunResult], opts: SinkOptions) -> String {
 ///
 /// A closed stdout pipe (`--json - | head`) counts as success: the
 /// reader got what it asked for.
-pub fn write(path: &str, contents: &str) -> io::Result<()> {
+pub(crate) fn write(path: &str, contents: &str) -> io::Result<()> {
     if path == "-" {
         match io::stdout().write_all(contents.as_bytes()) {
             Err(e) if e.kind() == io::ErrorKind::BrokenPipe => Ok(()),

@@ -12,7 +12,7 @@ use std::fmt::Display;
 /// width with the same alignment; a cell longer than the width is printed
 /// whole. A separator is leading spaces in the header and cell text, and a
 /// spacer is a column with an empty header and empty cells.
-pub struct Col<'a, R> {
+pub(crate) struct Col<'a, R> {
     head: &'a str,
     width: usize,
     left: bool,
@@ -21,12 +21,12 @@ pub struct Col<'a, R> {
 
 impl<'a, R> Col<'a, R> {
     /// A left-aligned column.
-    pub fn left(head: &'a str, width: usize, cell: impl Fn(&R) -> String + 'a) -> Self {
+    pub(crate) fn left(head: &'a str, width: usize, cell: impl Fn(&R) -> String + 'a) -> Self {
         Col::new(head, width, true, cell)
     }
 
     /// A right-aligned column.
-    pub fn right(head: &'a str, width: usize, cell: impl Fn(&R) -> String + 'a) -> Self {
+    pub(crate) fn right(head: &'a str, width: usize, cell: impl Fn(&R) -> String + 'a) -> Self {
         Col::new(head, width, false, cell)
     }
 
@@ -40,12 +40,21 @@ impl<'a, R> Col<'a, R> {
     }
 
     /// A right-aligned column of a displayed value.
-    pub fn num<T: Display>(head: &'a str, width: usize, value: impl Fn(&R) -> T + 'a) -> Self {
+    pub(crate) fn num<T: Display>(
+        head: &'a str,
+        width: usize,
+        value: impl Fn(&R) -> T + 'a,
+    ) -> Self {
         Col::right(head, width, move |r| value(r).to_string())
     }
 
     /// A right-aligned column of a float at `prec` decimals.
-    pub fn fixed(head: &'a str, width: usize, prec: usize, value: impl Fn(&R) -> f64 + 'a) -> Self {
+    pub(crate) fn fixed(
+        head: &'a str,
+        width: usize,
+        prec: usize,
+        value: impl Fn(&R) -> f64 + 'a,
+    ) -> Self {
         Col::right(head, width, move |r| format!("{:.prec$}", value(r)))
     }
 
@@ -63,7 +72,7 @@ impl<'a, R> Col<'a, R> {
 /// Renders `=== title ===`, the header line, one line per row and, when
 /// `footnote` is non-empty, a blank line and the footnote. A table whose
 /// headers are all empty prints no header line.
-pub fn render_table<'r, R: 'r>(
+pub(crate) fn render_table<'r, R: 'r>(
     title: &str,
     cols: &[Col<'_, R>],
     rows: impl IntoIterator<Item = &'r R>,
@@ -93,7 +102,7 @@ pub fn render_table<'r, R: 'r>(
 /// per configuration, all normalized to the first column. Rows whose
 /// baseline is zero or missing print `-` for the affected cells and are
 /// excluded from the column averages.
-pub fn render_normalized(
+pub(crate) fn render_normalized(
     title: &str,
     benchmarks: &[&str],
     configs: &[&str],

@@ -4,7 +4,7 @@
 //! it, nothing explains its columns), so CI fails the build instead.
 
 use scorpio_harness::registry;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 
 /// Repo-root file contents (the harness crate lives two levels down).
@@ -402,42 +402,111 @@ fn references(line: &str) -> Vec<&str> {
     refs
 }
 
-/// Every `pub fn` of the program is called, named or documented somewhere
-/// besides a definition, so dead public API cannot come back unnoticed.
-/// Only [`references`] count: a field of the same name does not keep a
-/// function alive. The allow-list is empty.
+/// Public means named elsewhere. Every non-test `pub fn`, `struct`, `enum`,
+/// `const` and `trait` of a workspace crate is named outside that crate:
+/// in another crate's source or tests, an integration test (`tests/`,
+/// `crates/*/tests`), an example, the `harness` binary, `benchmark/src` or
+/// a doc example. A type may instead appear in a signature or public field
+/// of another public item of its crate, since the compiler's
+/// `private_interfaces` lint forces such a type public. Items inside a
+/// `testing` module count as named: their callers are other crates' tests.
+/// Only [`references`] count, so a field of the same name keeps no
+/// function public. `rustc`'s `dead_code` lint finds every unused
+/// `pub(crate)` item; this finds the `pub` ones it cannot see. The
+/// allow-list is empty.
 #[test]
 fn every_public_fn_is_referenced() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let mut uses: HashMap<String, usize> = HashMap::new();
+    // Name -> every place that names it: the library crate whose source
+    // holds the line, `""` for a line outside every library crate, and
+    // `"doc"` for a line of a doc example.
+    let mut named: HashMap<String, HashSet<String>> = HashMap::new();
+    // (crate, type name) pairs a public signature or field mentions.
+    let mut interface: HashSet<(String, String)> = HashSet::new();
     let mut defs = Vec::new();
     for dir in ["crates", "src", "tests", "examples", "benchmark/src"] {
         for path in rust_files(&root.join(dir)) {
             let rel = path.strip_prefix(&root).expect("under the root").to_owned();
-            let mut parts = rel.iter();
-            let defining = match (parts.next(), parts.next(), parts.next()) {
-                (Some(top), _, _) if top == "src" => true,
-                (Some(top), Some(_), Some(sub)) => top == "crates" && sub == "src",
-                _ => false,
+            let parts: Vec<&str> = rel
+                .iter()
+                .map(|p| p.to_str().expect("a UTF-8 path"))
+                .collect();
+            let lib = match parts.as_slice() {
+                ["crates", name, "src", rest @ ..] if rest.first() != Some(&"bin") => *name,
+                _ => "",
             };
             let text = std::fs::read_to_string(&path).expect("a readable source file");
+            let (mut in_test, mut in_doc_code) = (false, false);
+            let (mut testing_end, mut pub_enum) = (None::<String>, false);
             for line in text.lines() {
-                for w in references(line) {
-                    *uses.entry(w.to_owned()).or_default() += 1;
+                in_test |= line.starts_with("#[cfg(test)]");
+                let trimmed = line.trim_start();
+                if let Some(doc) = trimmed.strip_prefix("///").or(trimmed.strip_prefix("//!")) {
+                    if doc.trim_start().starts_with("```") {
+                        in_doc_code = !in_doc_code;
+                    } else if in_doc_code {
+                        for w in references(doc) {
+                            named.entry(w.to_owned()).or_default().insert("doc".into());
+                        }
+                    }
+                    continue;
                 }
-                let def = line.trim_start().strip_prefix("pub fn ");
-                if let (true, Some(name)) = (defining, def.and_then(|d| words(d).next())) {
-                    defs.push(format!("{}: {name}", rel.display()));
+                for w in references(line) {
+                    named
+                        .entry(w.to_owned())
+                        .or_default()
+                        .insert(lib.to_owned());
+                }
+                if lib.is_empty() || in_test {
+                    continue;
+                }
+                let indent = &line[..line.len() - trimmed.len()];
+                if testing_end.as_deref() == Some(line) {
+                    testing_end = None;
+                } else if trimmed.starts_with("pub mod testing {")
+                    || trimmed.starts_with("mod testing {")
+                {
+                    testing_end = Some(format!("{indent}}}"));
+                }
+                pub_enum = (pub_enum || line.starts_with("pub enum ")) && line != "}";
+                let def = ["fn", "struct", "enum", "const", "trait"]
+                    .iter()
+                    .find_map(|kind| trimmed.strip_prefix(&format!("pub {kind} ")[..]))
+                    .and_then(|rest| words(rest).find(|w| *w != "fn"));
+                let signature = (trimmed.starts_with("pub ") && !trimmed.starts_with("pub use "))
+                    || trimmed.starts_with(") ->")
+                    || (pub_enum && line.starts_with("        ") && trimmed.contains(": "));
+                if signature {
+                    for w in references(line).into_iter().filter(|w| Some(*w) != def) {
+                        interface.insert((lib.to_owned(), w.to_owned()));
+                    }
+                }
+                if let (Some(name), None) = (def, &testing_end) {
+                    let is_type =
+                        !trimmed.starts_with("pub fn ") && !trimmed.starts_with("pub const ");
+                    defs.push((
+                        lib.to_owned(),
+                        name.to_owned(),
+                        is_type,
+                        rel.display().to_string(),
+                    ));
                 }
             }
         }
     }
-    let unreferenced: Vec<&String> = defs
+    let unnamed: Vec<String> = defs
         .iter()
-        .filter(|d| !uses.contains_key(d.rsplit(' ').next().expect("a name")))
+        .filter(|(lib, name, is_type, _)| {
+            let outside = named
+                .get(name)
+                .is_some_and(|at| at.iter().any(|place| place.as_str() != lib.as_str()));
+            let exposed = *is_type && interface.contains(&(lib.clone(), name.clone()));
+            !(outside || exposed)
+        })
+        .map(|(_, name, _, file)| format!("{file}: {name}"))
         .collect();
     assert!(
-        unreferenced.is_empty(),
-        "public functions nothing references: {unreferenced:#?}"
+        unnamed.is_empty(),
+        "public items nothing outside their crate names (make them pub(crate)): {unnamed:#?}"
     );
 }

@@ -90,11 +90,6 @@ impl CacheArray {
         self.store.sets() * self.store.ways()
     }
 
-    /// The line size in bytes.
-    pub fn line_bytes(&self) -> u64 {
-        self.line_bytes
-    }
-
     fn set_index(&self, addr: LineAddr) -> usize {
         ((addr.0 / self.line_bytes) % self.store.sets() as u64) as usize
     }
@@ -105,14 +100,14 @@ impl CacheArray {
     }
 
     /// Looks up `addr` mutably, updating LRU on hit.
-    pub fn lookup_mut(&mut self, addr: LineAddr) -> Option<&mut Line> {
+    pub(crate) fn lookup_mut(&mut self, addr: LineAddr) -> Option<&mut Line> {
         self.use_counter += 1;
         let set = self.set_index(addr);
         self.store.touch(set, self.use_counter, |l| l.addr == addr)
     }
 
     /// Peeks without touching LRU (for snoops that miss).
-    pub fn peek(&self, addr: LineAddr) -> Option<&Line> {
+    pub(crate) fn peek(&self, addr: LineAddr) -> Option<&Line> {
         self.store.peek(self.set_index(addr), |l| l.addr == addr)
     }
 
@@ -121,7 +116,7 @@ impl CacheArray {
     /// # Panics
     ///
     /// Panics if the line is already resident (callers must use
-    /// [`CacheArray::lookup_mut`] for updates).
+    /// `lookup_mut` for updates).
     pub fn insert(&mut self, line: Line) -> Option<Line> {
         self.use_counter += 1;
         assert!(
@@ -134,14 +129,9 @@ impl CacheArray {
     }
 
     /// Removes `addr` from the array, returning the line if present.
-    pub fn remove(&mut self, addr: LineAddr) -> Option<Line> {
+    pub(crate) fn remove(&mut self, addr: LineAddr) -> Option<Line> {
         let set = self.set_index(addr);
         self.store.remove(set, |l| l.addr == addr)
-    }
-
-    /// Iterates over all resident lines.
-    pub fn lines(&self) -> impl Iterator<Item = &Line> {
-        self.store.iter()
     }
 
     /// Number of resident lines.
@@ -220,7 +210,7 @@ mod tests {
         // 128 KB, 4-way, 32 B lines = 4096 lines, 1024 sets.
         let c = CacheArray::with_capacity(128 * 1024, 4, 32);
         assert_eq!(c.capacity_lines(), 4096);
-        assert_eq!(c.line_bytes(), 32);
+        assert_eq!(c.line_bytes, 32);
     }
 
     #[test]

@@ -101,21 +101,6 @@ impl L1Cache {
             self.stats.invalidations.incr();
         }
     }
-
-    /// Whether `addr` is resident (inclusion checks in tests).
-    pub fn contains(&self, addr: LineAddr) -> bool {
-        self.array.peek(addr).is_some()
-    }
-
-    /// Resident line count.
-    pub fn len(&self) -> usize {
-        self.array.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.array.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -135,7 +120,7 @@ mod tests {
     fn no_write_allocate() {
         let mut l1 = L1Cache::new(1024, 2, 32);
         l1.store(LineAddr(0x80), 9);
-        assert!(!l1.contains(LineAddr(0x80)));
+        assert!(l1.array.peek(LineAddr(0x80)).is_none());
     }
 
     #[test]
@@ -143,7 +128,7 @@ mod tests {
         let mut l1 = L1Cache::new(1024, 2, 32);
         l1.fill(LineAddr(0x40), 1);
         l1.invalidate(LineAddr(0x40));
-        assert!(!l1.contains(LineAddr(0x40)));
+        assert!(l1.array.peek(LineAddr(0x40)).is_none());
         assert_eq!(l1.stats.invalidations.get(), 1);
         // Invalidating an absent line is a no-op.
         l1.invalidate(LineAddr(0x40));
@@ -158,8 +143,8 @@ mod tests {
         l1.load(LineAddr(0x00));
         let victim = l1.fill(LineAddr(0x80), 2);
         assert_eq!(victim, Some(LineAddr(0x40)));
-        assert_eq!(l1.len(), 2);
-        assert!(!l1.is_empty());
+        assert_eq!(l1.array.len(), 2);
+        assert!(!l1.array.is_empty());
     }
 
     #[test]

@@ -84,7 +84,7 @@ impl L2Config {
     /// # Panics
     ///
     /// Panics if no MC endpoints were configured.
-    pub fn mc_for(&self, addr: LineAddr) -> Endpoint {
+    pub(crate) fn mc_for(&self, addr: LineAddr) -> Endpoint {
         assert!(!self.mc_endpoints.is_empty(), "no memory controllers");
         let idx = (addr.0 / self.line_bytes) as usize % self.mc_endpoints.len();
         self.mc_endpoints[idx]
@@ -431,11 +431,6 @@ impl SnoopyL2 {
         self.tile
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &L2Config {
-        &self.cfg
-    }
-
     /// Offers a core request. Returns `false` (and leaves the caller to
     /// retry) when the input queue is full.
     pub fn try_core_req(&mut self, req: CoreReq) -> bool {
@@ -548,7 +543,7 @@ impl SnoopyL2 {
     /// idle L2 can still hold these (a snoop's invalidation lands after
     /// the tile's pop loop ran), so the skip-idle-tiles engine checks both
     /// before letting a tile sleep.
-    pub fn outputs_drained(&self) -> bool {
+    pub(crate) fn outputs_drained(&self) -> bool {
         self.core_resps.is_empty() && self.l1_invalidations.is_empty()
     }
 
@@ -595,12 +590,6 @@ impl SnoopyL2 {
             Some(due) => Wake::at(due, "l2 stage due"),
             None => Wake::event("data flit or own ordered request"),
         }
-    }
-
-    /// Digest of the whole controller, for the sleep-soundness tests.
-    #[doc(hidden)]
-    pub fn state_digest(&self) -> u64 {
-        scorpio_sim::debug_digest(self)
     }
 
     /// One cycle: apply due staged items, retry blocked fills, accept one

@@ -46,4 +46,4 @@ pub use l2::{
     ServedBy, SnoopyL2,
 };
 pub use mc::{McConfig, McOut, McStats, MemoryController};
-pub use region::{RegionTracker, RegionTrackerStats};
+pub use region::RegionTracker;

@@ -146,11 +146,6 @@ impl MemoryController {
         }
     }
 
-    /// The endpoint this controller serves.
-    pub fn endpoint(&self) -> Endpoint {
-        self.ep
-    }
-
     /// Whether this port is responsible for `addr`.
     pub fn responsible_for(&self, addr: LineAddr) -> bool {
         (addr.0 / self.line_bytes) as usize % self.mc_total == self.mc_index
@@ -317,12 +312,6 @@ impl MemoryController {
     /// hence the scan.
     pub fn next_deadline(&self) -> Option<Cycle> {
         self.pending.iter().map(|p| p.ready).min()
-    }
-
-    /// Digest of the whole controller, for the sleep-soundness tests.
-    #[doc(hidden)]
-    pub fn state_digest(&self) -> u64 {
-        scorpio_sim::debug_digest(self)
     }
 
     /// Direct read of memory's logical value (verification oracle).

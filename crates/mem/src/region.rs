@@ -13,7 +13,7 @@ use std::collections::HashMap;
 
 /// Region tracker statistics.
 #[derive(Debug, Clone, Default)]
-pub struct RegionTrackerStats {
+pub(crate) struct RegionTrackerStats {
     /// Snoops skipped thanks to the filter.
     pub filtered: Counter,
     /// Snoops that had to look up the L2 tags.
@@ -45,7 +45,7 @@ pub struct RegionTracker {
     /// the entry budget; queries touching these count as unfiltered.
     spill: HashMap<u64, u32>,
     /// Statistics.
-    pub stats: RegionTrackerStats,
+    pub(crate) stats: RegionTrackerStats,
 }
 
 impl RegionTracker {
@@ -120,11 +120,6 @@ impl RegionTracker {
             false
         }
     }
-
-    /// Regions currently tracked (entry table only).
-    pub fn tracked_regions(&self) -> usize {
-        self.entries.len()
-    }
 }
 
 #[cfg(test)]
@@ -155,7 +150,7 @@ mod tests {
         );
         // Freeing an entry promotes the spilled region.
         rt.line_evicted(LineAddr(0x1000));
-        assert_eq!(rt.tracked_regions(), 2);
+        assert_eq!(rt.entries.len(), 2);
         assert!(rt.may_be_present(LineAddr(0x3000)));
         assert!(!rt.may_be_present(LineAddr(0x1000)));
     }

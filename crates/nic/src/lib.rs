@@ -45,7 +45,8 @@
 //!     for nic in &mut nics {
 //!         nic.tick(now, &mut net, Some(&mut notify));
 //!     }
-//!     net.step();
+//!     net.tick();
+//!     net.commit();
 //!     notify.tick();
 //! }
 //! // Every tile (including tile 3, via loopback) delivered it.
@@ -62,5 +63,5 @@
 mod nic;
 mod tracker;
 
-pub use nic::{Nic, NicConfig, NicMode, NicStats, OrderedDelivery, SendError};
+pub use nic::{testing, Nic, NicConfig, NicMode, NicStats, OrderedDelivery, SendError};
 pub use tracker::NotificationTracker;

@@ -228,16 +228,6 @@ impl<T: Payload + SteerKey> Nic<T> {
         self.ep
     }
 
-    /// This NIC's source id, if it is a request-issuing tile.
-    pub fn sid(&self) -> Option<Sid> {
-        self.sid
-    }
-
-    /// Number of main-network planes this NIC serves.
-    pub fn planes(&self) -> usize {
-        self.planes
-    }
-
     /// The SID currently expected in plane `plane`'s global order.
     ///
     /// # Panics
@@ -349,24 +339,6 @@ impl<T: Payload + SteerKey> Nic<T> {
     /// `ep`'s dense index in `net` (cached from the first tick on).
     fn index_in(&self, net: &MultiNetwork<T>) -> usize {
         self.ep_idx.unwrap_or_else(|| net.endpoint_index(self.ep))
-    }
-
-    /// Digest of everything a tick can change, for the sleep-soundness
-    /// tests. `last_window` is left out: a sleeping NIC observes empty
-    /// windows late or never, and nothing reads the field back.
-    #[doc(hidden)]
-    pub fn state_digest(&self) -> u64 {
-        scorpio_sim::debug_digest(&(
-            (
-                &self.tracker,
-                &self.unsent,
-                &self.announced,
-                &self.own_queue,
-            ),
-            (&self.ordered_out, &self.packet_out, &self.eject),
-            (&self.delivered_seq, &self.sent_seq, &self.published_esid),
-            (self.busy_until, &self.stats),
-        ))
     }
 
     /// Injects an ordered coherence request (broadcast + later
@@ -721,6 +693,26 @@ impl<T: Payload> std::fmt::Debug for Nic<T> {
             .field("esid", &esid)
             .field("unsent", &self.unsent)
             .finish()
+    }
+}
+
+/// Support the sleep-soundness tests share; not part of the NIC's
+/// interface.
+#[doc(hidden)]
+pub mod testing {
+    use super::Nic;
+    use scorpio_noc::Payload;
+
+    /// Digest of everything a tick of `nic` can change. `last_window` is
+    /// left out: a sleeping NIC observes empty windows late or never, and
+    /// nothing reads the field back.
+    pub fn state_digest<T: Payload>(nic: &Nic<T>) -> u64 {
+        scorpio_sim::testing::debug_digest(&(
+            (&nic.tracker, &nic.unsent, &nic.announced, &nic.own_queue),
+            (&nic.ordered_out, &nic.packet_out, &nic.eject),
+            (&nic.delivered_seq, &nic.sent_seq, &nic.published_esid),
+            (nic.busy_until, &nic.stats),
+        ))
     }
 }
 

@@ -80,16 +80,11 @@ impl NotificationTracker {
         }
     }
 
-    /// The plane whose announcement words this tracker expands.
-    pub fn plane(&self) -> usize {
-        self.plane
-    }
-
     /// Whether the NIC should assert the stop bit in its next notification
     /// (the tracker is close enough to full that another window might not
     /// fit): the queue is within one window — the one already in flight —
     /// of its depth.
-    pub fn should_stop(&self) -> bool {
+    pub(crate) fn should_stop(&self) -> bool {
         self.queued_windows() >= self.depth - 1
     }
 
@@ -142,19 +137,13 @@ impl NotificationTracker {
         }
     }
 
-    /// Number of requests still to be delivered from the window currently
-    /// being serviced.
-    pub fn current_window_remaining(&self) -> usize {
-        self.windows.front().map_or(0, |&n| n as usize)
-    }
-
     /// Windows queued behind the current one.
-    pub fn queued_windows(&self) -> usize {
+    pub(crate) fn queued_windows(&self) -> usize {
         self.windows.len().saturating_sub(1)
     }
 
     /// Total expected requests known to the tracker (current + queued).
-    pub fn backlog(&self) -> usize {
+    pub(crate) fn backlog(&self) -> usize {
         self.sids.len()
     }
 }
@@ -247,7 +236,7 @@ mod tests {
         let mut t = NotificationTracker::new(4, 4, 0);
         t.push_window(&window(&[(0, 2)]));
         t.push_window(&window(&[(1, 3)]));
-        assert_eq!(t.current_window_remaining(), 2);
+        assert_eq!(t.windows.front().map(|&n| n as usize), Some(2));
         assert_eq!(t.queued_windows(), 1);
         assert_eq!(t.backlog(), 5);
     }

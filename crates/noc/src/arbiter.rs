@@ -34,7 +34,7 @@ pub struct RotatingArbiter {
 
 impl RotatingArbiter {
     /// Widest requester set the mask methods can express.
-    pub const MASK_WIDTH: usize = u32::BITS as usize;
+    pub(crate) const MASK_WIDTH: usize = u32::BITS as usize;
 
     /// Creates an arbiter over `n` requesters with priority at index 0.
     ///
@@ -44,16 +44,6 @@ impl RotatingArbiter {
     pub fn new(n: usize) -> Self {
         assert!(n > 0, "arbiter needs at least one requester");
         RotatingArbiter { n, ptr: 0 }
-    }
-
-    /// Number of requesters.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Whether the arbiter has zero requesters (never true by construction).
-    pub fn is_empty(&self) -> bool {
-        false
     }
 
     /// Current priority pointer (highest-priority index).
@@ -67,7 +57,7 @@ impl RotatingArbiter {
     ///
     /// # Panics
     ///
-    /// Panics if `mask` has a bit at or beyond [`RotatingArbiter::len`].
+    /// Panics if `mask` has a bit at or beyond the requester count.
     pub fn grant(&mut self, mask: u32) -> Option<usize> {
         let winner = self.peek(mask)?;
         self.ptr = if winner + 1 == self.n { 0 } else { winner + 1 };
@@ -78,8 +68,8 @@ impl RotatingArbiter {
     ///
     /// # Panics
     ///
-    /// Panics if `mask` has a bit at or beyond [`RotatingArbiter::len`].
-    pub fn peek(&self, mask: u32) -> Option<usize> {
+    /// Panics if `mask` has a bit at or beyond the requester count.
+    pub(crate) fn peek(&self, mask: u32) -> Option<usize> {
         let (at_or_after, before) = self.split(mask);
         let pick = if at_or_after != 0 {
             at_or_after
@@ -94,8 +84,8 @@ impl RotatingArbiter {
     ///
     /// # Panics
     ///
-    /// Panics if `mask` has a bit at or beyond [`RotatingArbiter::len`].
-    pub fn order(&self, mask: u32) -> impl Iterator<Item = usize> {
+    /// Panics if `mask` has a bit at or beyond the requester count.
+    pub(crate) fn order(&self, mask: u32) -> impl Iterator<Item = usize> {
         let (at_or_after, before) = self.split(mask);
         set_bits(at_or_after).chain(set_bits(before))
     }

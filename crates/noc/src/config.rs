@@ -19,14 +19,14 @@ pub struct VnetCfg {
 
 impl VnetCfg {
     /// Total VCs per input port, including the reserved VC when ordered.
-    pub fn total_vcs(&self) -> usize {
+    pub(crate) fn total_vcs(&self) -> usize {
         self.vcs as usize + usize::from(self.ordered)
     }
 
     /// The VC index of the reserved VC (one past the regular VCs).
     ///
     /// Meaningful only when [`VnetCfg::ordered`] is true.
-    pub fn rvc_index(&self) -> u8 {
+    pub(crate) fn rvc_index(&self) -> u8 {
         self.vcs
     }
 }
@@ -67,11 +67,11 @@ pub struct NocConfig {
 
 impl NocConfig {
     /// Most virtual networks a configuration may declare.
-    pub const MAX_VNETS: usize = 8;
+    pub(crate) const MAX_VNETS: usize = 8;
 
     /// Most VCs one vnet may have per input port, reserved VC included
     /// (routers keep one allocation bit per VC in a `u16` per vnet).
-    pub const MAX_VCS_PER_VNET: usize = u16::BITS as usize;
+    pub(crate) const MAX_VCS_PER_VNET: usize = u16::BITS as usize;
 
     /// Most VCs one input port may have, summed over its vnets (SA-I
     /// arbitrates over one request bit per VC).
@@ -102,52 +102,9 @@ impl NocConfig {
         }
     }
 
-    /// The same fabric with ordering support stripped, plus a forward class:
-    /// what the directory baselines run on ("all architectures share the
-    /// same NoC minus the ordered virtual network and notification
-    /// network", Section 5.1).
-    pub fn directory() -> NocConfig {
-        NocConfig {
-            channel_bytes: 16,
-            line_bytes: 32,
-            vnets: vec![
-                VnetCfg {
-                    name: "REQ",
-                    vcs: 4,
-                    depth: 1,
-                    ordered: false,
-                },
-                VnetCfg {
-                    name: "FWD",
-                    vcs: 2,
-                    depth: 1,
-                    ordered: false,
-                },
-                VnetCfg {
-                    name: "RESP",
-                    vcs: 2,
-                    depth: 3,
-                    ordered: false,
-                },
-            ],
-            bypass: true,
-            inject_queue_depth: 8,
-            track_deliveries: true,
-        }
-    }
-
     /// Flits in a cache-line data packet at this channel width.
     pub fn data_flits(&self) -> u8 {
         data_packet_flits(self.channel_bytes, self.line_bytes)
-    }
-
-    /// The configuration of virtual network `vnet`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vnet` is out of range.
-    pub fn vnet(&self, vnet: crate::VnetId) -> &VnetCfg {
-        &self.vnets[vnet.index()]
     }
 
     /// Validates internal consistency; call after hand-editing fields.
@@ -219,21 +176,13 @@ mod tests {
     fn scorpio_defaults_match_table1() {
         let cfg = NocConfig::scorpio();
         assert_eq!(cfg.channel_bytes, 16);
-        let goreq = cfg.vnet(VnetId::GO_REQ);
+        let goreq = &cfg.vnets[VnetId::GO_REQ.index()];
         assert_eq!((goreq.vcs, goreq.depth, goreq.ordered), (4, 1, true));
         assert_eq!(goreq.total_vcs(), 5);
         assert_eq!(goreq.rvc_index(), 4);
-        let uoresp = cfg.vnet(VnetId::UO_RESP);
+        let uoresp = &cfg.vnets[VnetId::UO_RESP.index()];
         assert_eq!((uoresp.vcs, uoresp.depth, uoresp.ordered), (2, 3, false));
         assert_eq!(uoresp.total_vcs(), 2);
-        assert!(cfg.validate().is_ok());
-    }
-
-    #[test]
-    fn directory_has_three_unordered_classes() {
-        let cfg = NocConfig::directory();
-        assert_eq!(cfg.vnets.len(), 3);
-        assert!(cfg.vnets.iter().all(|v| !v.ordered));
         assert!(cfg.validate().is_ok());
     }
 

@@ -15,7 +15,7 @@ impl<T: Copy + fmt::Debug + 'static> Payload for T {}
 
 /// Identifies a virtual network (message class) within the main network.
 ///
-/// SCORPIO uses two (Section 3.2): [`VnetId::GO_REQ`] for globally ordered
+/// SCORPIO uses two (Section 3.2): `VnetId::GO_REQ` for globally ordered
 /// broadcast requests and [`VnetId::UO_RESP`] for unordered responses. The
 /// directory baselines run three unordered classes (request / forward /
 /// response) on the same router fabric.
@@ -24,13 +24,13 @@ pub struct VnetId(pub u8);
 
 impl VnetId {
     /// The globally-ordered request class in the SCORPIO configuration.
-    pub const GO_REQ: VnetId = VnetId(0);
+    pub(crate) const GO_REQ: VnetId = VnetId(0);
     /// The unordered response class in the SCORPIO configuration.
     pub const UO_RESP: VnetId = VnetId(1);
 
     /// Dense index for array lookup.
     #[inline]
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -187,14 +187,9 @@ pub struct Flit<T> {
 }
 
 impl<T: Payload> Flit<T> {
-    /// The flits of `packet`, head first.
-    pub fn of_packet(packet: Packet<T>) -> impl Iterator<Item = Flit<T>> {
-        (0..packet.len_flits).map(move |idx| Flit { packet, idx })
-    }
-
     /// Whether this is the head flit.
     #[inline]
-    pub fn is_head(&self) -> bool {
+    pub(crate) fn is_head(&self) -> bool {
         self.idx == 0
     }
 
@@ -207,7 +202,7 @@ impl<T: Payload> Flit<T> {
     /// Whether the packet consists of a single flit (eligible for lookahead
     /// bypassing).
     #[inline]
-    pub fn is_single(&self) -> bool {
+    pub(crate) fn is_single(&self) -> bool {
         self.packet.len_flits == 1
     }
 }
@@ -276,7 +271,7 @@ mod tests {
     #[test]
     fn flit_head_tail_flags() {
         let p = Packet::response(ep(0), ep(1), 3, ());
-        let flits: Vec<_> = Flit::of_packet(p).collect();
+        let flits: Vec<_> = (0..3).map(|idx| Flit { packet: p, idx }).collect();
         assert_eq!(flits.len(), 3);
         assert!(flits[0].is_head() && !flits[0].is_tail());
         assert!(!flits[1].is_head() && !flits[1].is_tail());
@@ -284,7 +279,10 @@ mod tests {
         assert!(!flits[0].is_single());
 
         let single = Packet::request(ep(0), Sid(0), 0, ());
-        let only: Vec<_> = Flit::of_packet(single).collect();
+        let only = [Flit {
+            packet: single,
+            idx: 0,
+        }];
         assert!(only[0].is_head() && only[0].is_tail() && only[0].is_single());
     }
 

@@ -10,15 +10,15 @@
 //! established separately by the notification network (`scorpio-notify`)
 //! and enforced at the network interface controllers (`scorpio-nic`);
 //! this crate provides the hooks they need — per-endpoint ESID publication
-//! ([`Network::set_esid`]) for reserved-VC policing, and VC-addressed
+//! (`Network::set_esid`) for reserved-VC policing, and VC-addressed
 //! ejection by dense endpoint index and flat VC ([`Network::eject_vcs`] to
 //! see which VCs hold a flit, [`Network::eject_head`] to read one,
 //! [`Network::eject_take_vc`] to consume it) so the NIC can pull requests
 //! out of its buffers in the globally decided order.
 //! Because ordering is decoupled from delivery — the paper's central idea —
 //! any fabric that broadcasts to every endpoint exactly once can carry the
-//! ordered protocol; the one routing spec ([`Topology::unicast_hop`],
-//! [`Topology::broadcast_hop`]) is compiled into per-router lookup tables
+//! ordered protocol; the one routing spec (`Topology::unicast_hop`,
+//! `Topology::broadcast_hop`) is compiled into per-router lookup tables
 //! at construction, so the per-flit hot path never runs coordinate
 //! arithmetic (`tables.rs`).
 //!
@@ -55,11 +55,11 @@ mod arbiter;
 mod config;
 mod flit;
 mod network;
-pub mod obs;
+pub(crate) mod obs;
 pub mod placement;
-pub mod planes;
+pub(crate) mod planes;
 mod router;
-pub mod routing;
+mod routing;
 mod tables;
 mod topology;
 
@@ -72,3 +72,32 @@ pub use planes::{MultiNetwork, PlaneSteer, SteerKey};
 pub use topology::{
     CMesh, Coord, Endpoint, LocalSlot, Mesh, Port, PortMask, Ring, RouterId, Topology, Torus,
 };
+
+/// Verification oracles other crates' property tests share: the spec
+/// walks every fabric must satisfy and a drain loop. Not part of the
+/// fabric's interface.
+#[doc(hidden)]
+pub mod testing {
+    use crate::{Network, Payload};
+
+    pub use crate::routing::{broadcast_deliveries, check_broadcast_exactly_once, unicast_path};
+
+    /// Steps `net` until every injection queue, router and wire is drained
+    /// or `max_cycles` pass. Returns `true` if fully drained. The caller
+    /// consumes ejected flits in `consume`, which receives the network once
+    /// per cycle (before the tick).
+    pub fn run_until_drained<T: Payload>(
+        net: &mut Network<T>,
+        max_cycles: u64,
+        mut consume: impl FnMut(&mut Network<T>),
+    ) -> bool {
+        for _ in 0..max_cycles {
+            consume(net);
+            net.step();
+            if net.is_drained() {
+                return true;
+            }
+        }
+        false
+    }
+}

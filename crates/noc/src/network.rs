@@ -261,7 +261,7 @@ pub struct NocStats {
 impl NocStats {
     /// Folds another network's statistics into this one (the multi-plane
     /// aggregate view).
-    pub fn merge(&mut self, other: &NocStats) {
+    pub(crate) fn merge(&mut self, other: &NocStats) {
         self.injected_packets.add(other.injected_packets.get());
         self.delivered_packets.add(other.delivered_packets.get());
         self.packet_latency.merge(&other.packet_latency);
@@ -461,11 +461,6 @@ impl<T: Payload> Network<T> {
         &self.topology
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &NocConfig {
-        &self.cfg
-    }
-
     /// Current cycle.
     pub fn cycle(&self) -> Cycle {
         self.cycle
@@ -482,7 +477,7 @@ impl<T: Payload> Network<T> {
 
     /// The last cycle on which any packet moved or was consumed — a
     /// watchdog hook for deadlock detection in tests.
-    pub fn last_progress(&self) -> Cycle {
+    pub(crate) fn last_progress(&self) -> Cycle {
         self.last_progress
     }
 
@@ -490,7 +485,7 @@ impl<T: Payload> Network<T> {
     /// every resident input VC with its stall cause and every busy
     /// downstream VC.
     #[doc(hidden)]
-    pub fn debug_dump(&self) -> String {
+    pub(crate) fn debug_dump(&self) -> String {
         let mut out = String::new();
         for r in 0..self.topology.router_count() {
             let lines = self.routers.debug_occupancy(r);
@@ -524,7 +519,7 @@ impl<T: Payload> Network<T> {
     ///
     /// Panics on an unknown vnet, and on a broadcast whose source is an MC
     /// endpoint of a concentrated fabric: the broadcast tree of an MC
-    /// source is its router's slot-0 tree ([`Topology::broadcast_hop`]),
+    /// source is its router's slot-0 tree (`Topology::broadcast_hop`),
     /// which would silently starve that slot's tile.
     pub fn try_inject(
         &mut self,
@@ -576,14 +571,9 @@ impl<T: Payload> Network<T> {
 
     /// Publishes the expected request instance — (SID, per-source sequence
     /// number) — of `ep`'s NIC (takes effect next cycle).
-    pub fn set_esid(&mut self, ep: Endpoint, esid: Option<(Sid, u16)>) {
+    pub(crate) fn set_esid(&mut self, ep: Endpoint, esid: Option<(Sid, u16)>) {
         let idx = self.endpoint_index(ep);
         self.staged_esid.push((idx, esid));
-    }
-
-    /// The committed expectation of `ep` as routers currently see it.
-    pub fn esid(&self, ep: Endpoint) -> Option<(Sid, u16)> {
-        self.esid[self.endpoint_index(ep)]
     }
 
     /// Whether any flit is waiting in the ejection buffers of the endpoint
@@ -675,7 +665,7 @@ impl<T: Payload> Network<T> {
     /// network, tagged as plane `plane` in trace events. Call before the
     /// first cycle; every hook is engine-invariant, so enabling the sink
     /// never changes simulated behavior.
-    pub fn set_observability(&mut self, plane: u16, cfg: Option<ObsConfig>) {
+    pub(crate) fn set_observability(&mut self, plane: u16, cfg: Option<ObsConfig>) {
         self.obs = cfg.map(|c| {
             Box::new(NetObs::new(
                 plane,
@@ -688,19 +678,19 @@ impl<T: Payload> Network<T> {
     }
 
     /// The observability sink, if installed.
-    pub fn obs(&self) -> Option<&NetObs> {
+    pub(crate) fn obs(&self) -> Option<&NetObs> {
         self.obs.as_deref()
     }
 
     /// Mutable access to the observability sink (trace draining).
-    pub fn obs_mut(&mut self) -> Option<&mut NetObs> {
+    pub(crate) fn obs_mut(&mut self) -> Option<&mut NetObs> {
         self.obs.as_deref_mut()
     }
 
     /// Drains the set of endpoints whose ejection buffers received flits
     /// since the last call (ascending order, deduplicated). The system
     /// layer uses this to wake sleeping tiles and memory controllers.
-    pub fn take_woken_endpoints(&mut self, out: &mut Vec<u32>) {
+    pub(crate) fn take_woken_endpoints(&mut self, out: &mut Vec<u32>) {
         self.ep_woken.drain_sorted(out);
     }
 
@@ -893,7 +883,7 @@ impl<T: Payload> Network<T> {
     /// exactly when [`Network::is_quiescent`] held at tick time — then the
     /// skipped tick and commit were no-ops apart from the cycle increment,
     /// which is what the multi-plane engine's idle-plane skip relies on.
-    pub fn commit_idle(&mut self) {
+    pub(crate) fn commit_idle(&mut self) {
         debug_assert!(self.is_quiescent(), "idle commit on a live network");
         self.cycle = self.cycle.next();
     }
@@ -904,7 +894,7 @@ impl<T: Payload> Network<T> {
     /// every wire slot is empty (so the skipped per-cycle wire rotations
     /// were no-ops), no router or port would have been visited, and the
     /// only state the skipped cycles would have changed is the clock.
-    pub fn leap(&mut self, delta: u64) {
+    pub(crate) fn leap(&mut self, delta: u64) {
         debug_assert!(self.is_quiescent(), "leap over a live network");
         self.cycle += delta;
     }
@@ -915,7 +905,7 @@ impl<T: Payload> Network<T> {
     /// ejection-buffer take returning a credit, an ESID publication) all
     /// break quiescence before the next tick, so a quiescent network can
     /// be skipped for a cycle without observable effect.
-    pub fn is_quiescent(&self) -> bool {
+    pub(crate) fn is_quiescent(&self) -> bool {
         self.router_active.is_empty()
             && self.inject_active.is_empty()
             && self.ep_woken.is_empty()
@@ -927,25 +917,6 @@ impl<T: Payload> Network<T> {
     pub fn step(&mut self) {
         self.tick();
         self.commit();
-    }
-
-    /// Steps until every injection queue, router and wire is drained or
-    /// `max_cycles` pass. Returns `true` if fully drained. The harness must
-    /// consume ejected flits via the `consume` callback, which receives the
-    /// network once per cycle (before the tick).
-    pub fn run_until_drained(
-        &mut self,
-        max_cycles: u64,
-        mut consume: impl FnMut(&mut Network<T>),
-    ) -> bool {
-        for _ in 0..max_cycles {
-            consume(self);
-            self.step();
-            if self.is_drained() {
-                return true;
-            }
-        }
-        false
     }
 
     /// Whether no packet is anywhere in the network (queues, buffers,
@@ -1352,9 +1323,9 @@ mod tests {
         let mut net: Network<u64> = Network::new(mesh, NocConfig::scorpio());
         let ep = Endpoint::tile(RouterId(0));
         net.set_esid(ep, Some((Sid(3), 0)));
-        assert_eq!(net.esid(ep), None);
+        assert_eq!(net.esid[net.endpoint_index(ep)], None);
         net.step();
-        assert_eq!(net.esid(ep), Some((Sid(3), 0)));
+        assert_eq!(net.esid[net.endpoint_index(ep)], Some((Sid(3), 0)));
     }
 
     #[test]

@@ -30,7 +30,7 @@ use crate::topology::Port;
 use scorpio_sim::capped::Capped;
 use scorpio_sim::stats::LogHistogram;
 
-/// What to record. Passed to [`crate::Network::set_observability`].
+/// What to record. Passed to `crate::Network::set_observability`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ObsConfig {
     /// Record counters and latency histograms.
@@ -73,7 +73,7 @@ pub struct WindowCell {
 impl WindowCell {
     /// An empty cell with `endpoints` per-endpoint wait slots (merging
     /// grows them on demand, so the slot-less default accumulates fine).
-    pub fn new(endpoints: usize) -> WindowCell {
+    pub(crate) fn new(endpoints: usize) -> WindowCell {
         WindowCell {
             ep_wait: vec![(0, 0); endpoints],
             ..WindowCell::default()
@@ -121,7 +121,7 @@ pub enum TraceKind {
 
 impl TraceKind {
     /// The schema name of this event kind, as emitted in trace JSONL.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             TraceKind::Inject => "inject",
             TraceKind::VcAlloc => "vc-alloc",
@@ -151,7 +151,7 @@ pub struct TraceEvent {
     /// Endpoint index (inject/eject/ordered-commit) or router id
     /// (vc-alloc/hop/bypass).
     pub node: u32,
-    /// Port index ([`Port::index`] order): the output port for
+    /// Port index (`Port::index` order): the output port for
     /// vc-alloc/hop, the arrival port for bypass. Unused otherwise.
     pub port: u8,
     /// Virtual channel within `vnet` (vc-alloc/hop/eject).
@@ -202,7 +202,7 @@ impl TraceEvent {
 }
 
 /// The per-plane observability sink. Owned by [`crate::Network`]; absent
-/// (a `None`) unless [`crate::Network::set_observability`] installs it.
+/// (a `None`) unless `crate::Network::set_observability` installs it.
 #[derive(Debug, Clone)]
 pub struct NetObs {
     plane: u16,
@@ -254,7 +254,7 @@ pub struct NetObs {
 impl NetObs {
     /// Builds a sink for a plane with `routers` routers and `endpoints`
     /// injection ports, shaped by `cfg`'s virtual networks.
-    pub fn new(
+    pub(crate) fn new(
         plane: u16,
         obs: ObsConfig,
         cfg: &NocConfig,
@@ -290,7 +290,7 @@ impl NetObs {
     }
 
     /// Flat index of (vnet, vc) into [`NetObs::vc_buffered`].
-    pub fn vc_flat(&self, vnet: u8, vc: u8) -> usize {
+    pub(crate) fn vc_flat(&self, vnet: u8, vc: u8) -> usize {
         self.vc_offset[vnet as usize] as usize + vc as usize
     }
 

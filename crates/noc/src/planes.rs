@@ -100,16 +100,6 @@ impl PlaneSteer {
         }
     }
 
-    /// Number of planes addresses are striped over.
-    pub fn planes(&self) -> usize {
-        self.planes.get()
-    }
-
-    /// The stripe granularity exponent (lines per stripe = `2^this`).
-    pub fn interleave_log2(&self) -> u32 {
-        self.interleave_log2
-    }
-
     /// The plane carrying address `addr`. Total and deterministic: every
     /// address belongs to exactly one plane.
     #[inline]
@@ -186,11 +176,6 @@ impl<T: Payload + SteerKey> MultiNetwork<T> {
         self.planes.len()
     }
 
-    /// The steering function in use.
-    pub fn steer(&self) -> PlaneSteer {
-        self.steer
-    }
-
     /// Plane `p`'s network (read access for stats and tests).
     pub fn plane(&self, p: usize) -> &Network<T> {
         &self.planes[p]
@@ -200,16 +185,6 @@ impl<T: Payload + SteerKey> MultiNetwork<T> {
     /// from it).
     pub fn plane_mut(&mut self, p: usize) -> &mut Network<T> {
         &mut self.planes[p]
-    }
-
-    /// The shared topology (identical across planes).
-    pub fn topology(&self) -> &Topology {
-        self.planes[0].topology()
-    }
-
-    /// The shared configuration (identical across planes).
-    pub fn config(&self) -> &NocConfig {
-        self.planes[0].config()
     }
 
     /// Current cycle (all planes advance in lockstep).
@@ -352,17 +327,6 @@ impl<T: Payload + SteerKey> MultiNetwork<T> {
         }
     }
 
-    /// Convenience: `tick` + `commit`.
-    pub fn step(&mut self) {
-        self.tick();
-        self.commit();
-    }
-
-    /// Whether every plane is fully drained.
-    pub fn is_drained(&self) -> bool {
-        self.planes.iter().all(Network::is_drained)
-    }
-
     /// The last cycle on which any plane made progress.
     pub fn last_progress(&self) -> Cycle {
         self.planes
@@ -392,6 +356,25 @@ impl<T: Payload + SteerKey> MultiNetwork<T> {
             }
         }
         out
+    }
+}
+
+#[cfg(test)]
+impl<T: Payload + SteerKey> MultiNetwork<T> {
+    /// The shared topology (identical across planes).
+    pub(crate) fn topology(&self) -> &Topology {
+        self.planes[0].topology()
+    }
+
+    /// Convenience: `tick` + `commit`.
+    pub(crate) fn step(&mut self) {
+        self.tick();
+        self.commit();
+    }
+
+    /// Whether every plane is fully drained.
+    pub(crate) fn is_drained(&self) -> bool {
+        self.planes.iter().all(Network::is_drained)
     }
 }
 

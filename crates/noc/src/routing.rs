@@ -25,23 +25,6 @@ pub fn unicast_path(topo: &Topology, src: RouterId, dest: Endpoint) -> Vec<Route
     }
 }
 
-/// The diameter obtained by *walking the unicast routing spec* between
-/// every router pair — the ground truth [`Topology::diameter`] (the single
-/// closed-form derivation every consumer reads: notification-window
-/// sizing, OR-propagation convergence, the physical wire model) is
-/// asserted against, so a declared diameter and the paths flits actually
-/// take can never quietly disagree. O(routers² · diameter); test/property
-/// use only.
-pub fn walked_diameter(topo: &Topology) -> u16 {
-    let mut max = 0;
-    for a in topo.routers() {
-        for b in topo.routers() {
-            max = max.max(topo.hops(a, b));
-        }
-    }
-    max
-}
-
 /// Simulates the broadcast tree from the tile endpoint `src`, returning
 /// for every router the set of local ports that receive a copy. Asserts
 /// that no router is visited twice (a revisit would mean a duplicate
@@ -75,12 +58,6 @@ pub fn broadcast_deliveries(topo: &Topology, src: Endpoint) -> Vec<PortMask> {
         }
     }
     deliveries
-}
-
-/// The endpoints a broadcast from `src_tile` must reach: every endpoint
-/// except the source tile itself.
-pub fn broadcast_targets(topo: &Topology, src_tile: Endpoint) -> Vec<Endpoint> {
-    topo.endpoints().filter(|ep| *ep != src_tile).collect()
 }
 
 /// The shared broadcast property every [`Topology`] must satisfy, checked from every source *tile endpoint* (on a concentrated
@@ -138,6 +115,23 @@ mod tests {
 
     fn mesh(cols: u16, rows: u16) -> Topology {
         Mesh::new(cols, rows, &[])
+    }
+
+    /// The diameter obtained by *walking the unicast routing spec* between
+    /// every router pair — the ground truth [`Topology::diameter`] (the
+    /// single closed-form derivation every consumer reads:
+    /// notification-window sizing, OR-propagation convergence, the physical
+    /// wire model) is asserted against, so a declared diameter and the
+    /// paths flits actually take can never quietly disagree.
+    /// O(routers² · diameter).
+    fn walked_diameter(topo: &Topology) -> u16 {
+        let mut max = 0;
+        for a in topo.routers() {
+            for b in topo.routers() {
+                max = max.max(topo.hops(a, b));
+            }
+        }
+        max
     }
 
     #[test]
@@ -316,9 +310,10 @@ mod tests {
     fn broadcast_targets_exclude_source() {
         let topo: Topology = Mesh::scorpio_chip();
         let src = Endpoint::tile(RouterId(7));
-        let targets = broadcast_targets(&topo, src);
-        assert_eq!(targets.len(), 39);
-        assert!(!targets.contains(&src));
+        let deliveries = broadcast_deliveries(&topo, src);
+        let copies: usize = deliveries.iter().map(|m| m.iter().count()).sum();
+        assert_eq!(copies, 39);
+        assert!(!deliveries[7].contains(Port::tile_slot(0)));
     }
 
     #[test]

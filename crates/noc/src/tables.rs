@@ -244,8 +244,8 @@ impl RoutingTables {
         rank as usize
     }
 
-    /// The dense index of `ep` (tiles first, then MC ports) — the table
-    /// form of [`Topology::endpoint_index`].
+    /// The dense index of `ep`: tiles first (router-major, slot-minor),
+    /// then MC ports by MC-router rank.
     #[inline]
     pub(crate) fn endpoint_index(&self, ep: Endpoint) -> usize {
         match ep.slot {

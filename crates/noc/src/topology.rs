@@ -53,7 +53,7 @@ pub struct Coord {
 ///
 /// On the chip's fabrics every router hosts exactly one tile, so only
 /// `Tile` (slot 0) exists. A *concentrated* mesh attaches up to
-/// [`Port::MAX_TILE_SLOTS`] tiles per router through the additional
+/// `Port::MAX_TILE_SLOTS` tiles per router through the additional
 /// `Tile1`..`Tile3` ports — the radix increase that buys CMesh its halved
 /// diameter. The extra tile ports are appended *after* `Mc` in index order
 /// so that every single-tile fabric sees the identical six-port router it
@@ -82,14 +82,14 @@ pub enum Port {
 
 impl Port {
     /// Number of distinct ports.
-    pub const COUNT: usize = 9;
+    pub(crate) const COUNT: usize = 9;
 
     /// Maximum tiles one router can host (tile slots `0..4`).
-    pub const MAX_TILE_SLOTS: u8 = 4;
+    pub(crate) const MAX_TILE_SLOTS: u8 = 4;
 
     /// All ports, in index order. The first six entries are exactly the
     /// historical single-tile port set, in its historical order.
-    pub const ALL: [Port; Port::COUNT] = [
+    pub(crate) const ALL: [Port; Port::COUNT] = [
         Port::North,
         Port::South,
         Port::East,
@@ -103,7 +103,7 @@ impl Port {
 
     /// Dense index in `0..Port::COUNT`.
     #[inline]
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         match self {
             Port::North => 0,
             Port::South => 1,
@@ -123,7 +123,7 @@ impl Port {
     ///
     /// Panics if `k >= Port::MAX_TILE_SLOTS`.
     #[inline]
-    pub fn tile_slot(k: u8) -> Port {
+    pub(crate) fn tile_slot(k: u8) -> Port {
         match k {
             0 => Port::Tile,
             1 => Port::Tile1,
@@ -135,7 +135,7 @@ impl Port {
 
     /// The tile slot this port serves, if it is a tile port.
     #[inline]
-    pub fn tile_index(self) -> Option<u8> {
+    pub(crate) fn tile_index(self) -> Option<u8> {
         match self {
             Port::Tile => Some(0),
             Port::Tile1 => Some(1),
@@ -151,7 +151,7 @@ impl Port {
     ///
     /// Panics for the local ports (tiles and `Mc`), which have no opposite.
     #[inline]
-    pub fn opposite(self) -> Port {
+    pub(crate) fn opposite(self) -> Port {
         match self {
             Port::North => Port::South,
             Port::South => Port::North,
@@ -163,7 +163,7 @@ impl Port {
 
     /// Whether this is one of the local (non-mesh) ports.
     #[inline]
-    pub fn is_local(self) -> bool {
+    pub(crate) fn is_local(self) -> bool {
         !matches!(self, Port::North | Port::South | Port::East | Port::West)
     }
 }
@@ -216,7 +216,7 @@ impl PortMask {
 
     /// A set containing a single port.
     #[inline]
-    pub fn single(port: Port) -> PortMask {
+    pub(crate) fn single(port: Port) -> PortMask {
         PortMask(1 << port.index())
     }
 
@@ -320,7 +320,7 @@ pub enum LocalSlot {
 impl LocalSlot {
     /// The router output port that reaches this slot.
     #[inline]
-    pub fn port(self) -> Port {
+    pub(crate) fn port(self) -> Port {
         match self {
             LocalSlot::Tile(k) => Port::tile_slot(k),
             LocalSlot::Mc => Port::Mc,
@@ -357,7 +357,7 @@ impl Endpoint {
     }
 
     /// Tile endpoint `k` of router `r` (concentrated fabrics).
-    pub fn tile_slot(r: RouterId, k: u8) -> Endpoint {
+    pub(crate) fn tile_slot(r: RouterId, k: u8) -> Endpoint {
         Endpoint {
             router: r,
             slot: LocalSlot::Tile(k),
@@ -403,7 +403,7 @@ enum Kind {
 /// tiles behind every router, and the routers hosting an MC port.
 ///
 /// One routing spec covers every such description — [`Topology::neighbor`],
-/// [`Topology::unicast_hop`] and [`Topology::broadcast_hop`], X before Y
+/// `Topology::unicast_hop` and `Topology::broadcast_hop`, X before Y
 /// with East/South as each dimension's *forward* direction — and `Network`
 /// compiles it into per-router lookup tables at construction (`tables.rs`),
 /// so nothing evaluates it per flit. [`Mesh`], [`Torus`], [`Ring`] and
@@ -490,7 +490,7 @@ impl Mesh {
 ///
 /// Routing is minimal dimension-ordered XY (ties broken toward
 /// East/South); deadlock freedom over the wrap links comes from *dateline*
-/// virtual-channel classes (see [`Topology::unicast_hop`], DESIGN.md §10).
+/// virtual-channel classes (see `Topology::unicast_hop`, DESIGN.md §10).
 ///
 /// # Examples
 ///
@@ -605,7 +605,7 @@ impl CMesh {
     ///
     /// # Panics
     ///
-    /// Panics if `concentration` is outside `1..=`[`Port::MAX_TILE_SLOTS`],
+    /// Panics if `concentration` is outside `1..=``Port::MAX_TILE_SLOTS`,
     /// on more than 65 536 tiles, and on everything [`Mesh::new`] rejects.
     pub fn new(cols: u16, rows: u16, concentration: u8, mc_routers: &[RouterId]) -> Topology {
         let mcs = mc_routers.to_vec();
@@ -782,16 +782,6 @@ impl Topology {
         }
     }
 
-    /// The router at coordinate `c`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c` is out of range.
-    pub fn router_at(&self, c: Coord) -> RouterId {
-        assert!(c.x < self.cols && c.y < self.rows, "coord out of range");
-        RouterId(c.y * self.cols + c.x)
-    }
-
     /// Router `r` as a position per dimension, widened so that ring
     /// distances (`to + extent - from`) cannot overflow.
     fn position(&self, r: RouterId) -> [u32; 2] {
@@ -840,7 +830,7 @@ impl Topology {
 
     /// Whether this topology has wraparound links and therefore needs the
     /// dateline VC-class discipline (requires ≥ 2 regular VCs per vnet).
-    pub fn has_datelines(&self) -> bool {
+    pub(crate) fn has_datelines(&self) -> bool {
         self.wraps
     }
 
@@ -886,7 +876,7 @@ impl Topology {
     }
 
     /// Hop distance between two routers, *derived from the routing spec*:
-    /// the length of the path [`Topology::unicast_hop`] actually produces,
+    /// the length of the path `Topology::unicast_hop` actually produces,
     /// so reported distance and path length cannot diverge.
     pub fn hops(&self, a: RouterId, b: RouterId) -> u16 {
         let dest = Endpoint::tile(b);
@@ -915,7 +905,7 @@ impl Topology {
     /// (DESIGN.md §10): a hop is class 1 once the rest of its dimension's
     /// path stays clear of that direction's wrap link, class 0 while it
     /// still has the wrap ahead. Open fabrics never constrain the VC.
-    pub fn unicast_hop(&self, here: RouterId, dest: Endpoint) -> (Port, bool) {
+    pub(crate) fn unicast_hop(&self, here: RouterId, dest: Endpoint) -> (Port, bool) {
         let (at, to) = (self.position(here), self.position(dest.router));
         for dim in 0..2 {
             let (p, d, n) = (at[dim], to[dim], self.extent(dim));
@@ -966,7 +956,7 @@ impl Topology {
     /// # Panics
     ///
     /// Panics if `arrived_on` is a local port.
-    pub fn broadcast_hop(
+    pub(crate) fn broadcast_hop(
         &self,
         src: Endpoint,
         here: RouterId,
@@ -1027,6 +1017,15 @@ impl Topology {
         }
         (mask, classes)
     }
+}
+
+#[cfg(test)]
+impl Topology {
+    /// The router at coordinate `c`.
+    pub(crate) fn router_at(&self, c: Coord) -> RouterId {
+        assert!(c.x < self.cols && c.y < self.rows, "coord out of range");
+        RouterId(c.y * self.cols + c.x)
+    }
 
     /// The dense index of `ep`: tiles first (router-major, slot-minor — a
     /// tile's index *is* its core/SID number), then MC ports by MC-router
@@ -1035,7 +1034,7 @@ impl Topology {
     /// # Panics
     ///
     /// Panics if `ep` does not exist in this topology.
-    pub fn endpoint_index(&self, ep: Endpoint) -> usize {
+    pub(crate) fn endpoint_index(&self, ep: Endpoint) -> usize {
         let c = self.concentration;
         match ep.slot {
             LocalSlot::Tile(k) => {

@@ -75,23 +75,18 @@ impl NotifyMsg {
         }
     }
 
-    /// Number of cores (bit-field lanes per plane).
-    pub fn cores(&self) -> usize {
-        self.cores
-    }
-
     /// Number of main-network planes this message announces for.
     pub fn planes(&self) -> usize {
         self.planes
     }
 
     /// The saturation limit: largest count one core can announce.
-    pub fn max_count(&self) -> u8 {
+    pub(crate) fn max_count(&self) -> u8 {
         (1u16 << self.bits_per_core) as u8 - 1
     }
 
     /// Sets core `core`'s announced request count for plane `plane`,
-    /// saturating at [`NotifyMsg::max_count`].
+    /// saturating at `NotifyMsg::max_count`.
     ///
     /// # Panics
     ///
@@ -180,7 +175,7 @@ impl NotifyMsg {
     /// # Panics
     ///
     /// Panics if the two messages have different shapes.
-    pub fn copy_from(&mut self, other: &NotifyMsg) {
+    pub(crate) fn copy_from(&mut self, other: &NotifyMsg) {
         assert_eq!(self.cores, other.cores, "core count mismatch");
         assert_eq!(
             self.bits_per_core, other.bits_per_core,
@@ -198,7 +193,7 @@ impl NotifyMsg {
     }
 
     /// Resets to all-zero.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.words.fill(0);
         self.stop = 0;
     }
@@ -209,7 +204,7 @@ impl NotifyMsg {
     /// # Panics
     ///
     /// Panics if `plane` is out of range.
-    pub fn nonzero(&self, plane: usize) -> impl Iterator<Item = (usize, u8)> + '_ {
+    pub(crate) fn nonzero(&self, plane: usize) -> impl Iterator<Item = (usize, u8)> + '_ {
         self.lanes(plane, 0..self.cores)
     }
 
@@ -294,7 +289,7 @@ impl NotifyMsg {
     /// # Panics
     ///
     /// Panics if `plane` is out of range.
-    pub fn total_in(&self, plane: usize) -> u32 {
+    pub(crate) fn total_in(&self, plane: usize) -> u32 {
         self.nonzero(plane).map(|(_, count)| count as u32).sum()
     }
 }

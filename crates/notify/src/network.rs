@@ -92,7 +92,7 @@ fn quad_depth(cols: u16, rows: u16, fanout: u8) -> u64 {
 impl NotifyScheme {
     /// Cycles one window spends propagating announcements: the topology
     /// diameter (flat) or one up plus one down pass over the tree (quad).
-    pub fn propagation_cycles(self, topo: &Topology) -> u64 {
+    pub(crate) fn propagation_cycles(self, topo: &Topology) -> u64 {
         match self {
             NotifyScheme::Flat => topo.diameter() as u64,
             NotifyScheme::Quad { fanout } => {
@@ -148,8 +148,6 @@ impl NotifyScheme {
 pub struct NotifyNetwork {
     cfg: NotifyConfig,
     cycle: Cycle,
-    /// The aggregation scheme in use.
-    scheme: NotifyScheme,
     /// Contributions waiting for the next window start.
     staged: NotifyMsg,
     /// The window in flight: the OR of everything latched at its start —
@@ -207,7 +205,6 @@ impl NotifyNetwork {
         let blank = NotifyMsg::new(cfg.cores, cfg.bits_per_core, planes);
         NotifyNetwork {
             cycle: Cycle::ZERO,
-            scheme,
             staged: blank.clone(),
             flight: blank.clone(),
             live: false,
@@ -237,24 +234,9 @@ impl NotifyNetwork {
         &self.cfg
     }
 
-    /// Current cycle.
-    pub fn cycle(&self) -> Cycle {
-        self.cycle
-    }
-
     /// Whether `cycle` is a window-start boundary.
     pub fn is_window_start(&self, cycle: Cycle) -> bool {
         cycle.is_multiple_of(self.cfg.window)
-    }
-
-    /// Number of main-network planes the messages announce for.
-    pub fn planes(&self) -> usize {
-        self.flight.planes()
-    }
-
-    /// The propagation scheme in use.
-    pub fn scheme(&self) -> NotifyScheme {
-        self.scheme
     }
 
     /// Stages core `core`'s announcement for plane `plane` at the next
@@ -323,16 +305,6 @@ impl NotifyNetwork {
         self.windows_completed.add(n);
         self.latest.copy_from(&self.flight);
         self.latest_window = Some(first_tick / w + n - 1);
-    }
-
-    /// Whether every remaining tick is a pure window-bookkeeping no-op:
-    /// nothing is staged for the next window and the window in flight (if
-    /// any) carries nothing. Note that `live` stays set from a window's
-    /// end until the *next* window-start tick clears it, so a network is
-    /// idle-leapable at the earliest one cycle into the window after its
-    /// last live one.
-    pub fn is_idle(&self) -> bool {
-        !self.live && self.staged.is_empty()
     }
 
     /// The farthest cycle the event-leaping clock may advance this network
@@ -408,6 +380,29 @@ impl NotifyNetwork {
             }
         }
         self.cycle += delta;
+    }
+}
+
+#[cfg(test)]
+impl NotifyNetwork {
+    /// Current cycle.
+    fn cycle(&self) -> Cycle {
+        self.cycle
+    }
+
+    /// Number of main-network planes the messages announce for.
+    fn planes(&self) -> usize {
+        self.flight.planes()
+    }
+
+    /// Whether every remaining tick is a pure window-bookkeeping no-op:
+    /// nothing is staged for the next window and the window in flight (if
+    /// any) carries nothing. Note that `live` stays set from a window's
+    /// end until the *next* window-start tick clears it, so a network is
+    /// idle-leapable at the earliest one cycle into the window after its
+    /// last live one.
+    fn is_idle(&self) -> bool {
+        !self.live && self.staged.is_empty()
     }
 }
 

@@ -51,16 +51,6 @@ impl ActiveSet {
         }
     }
 
-    /// Population size this set covers.
-    pub fn capacity(&self) -> usize {
-        self.population
-    }
-
-    /// Number of distinct members currently woken.
-    pub fn len(&self) -> usize {
-        self.woken
-    }
-
     /// Whether no member is woken.
     pub fn is_empty(&self) -> bool {
         self.woken == 0
@@ -152,7 +142,7 @@ impl ActiveSet {
     }
 
     /// Removes every member without reporting them.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.bits.fill(0);
         self.woken = 0;
     }
@@ -168,7 +158,7 @@ mod tests {
         for idx in [99, 0, 42, 0, 99, 7] {
             s.wake(idx);
         }
-        assert_eq!(s.len(), 4);
+        assert_eq!(s.woken, 4);
         assert!(s.is_active(42));
         assert!(!s.is_active(41));
         let mut out = Vec::new();
@@ -196,7 +186,7 @@ mod tests {
     fn wake_all_covers_population() {
         let mut s = ActiveSet::new(65);
         s.wake_all();
-        assert_eq!(s.len(), 65);
+        assert_eq!(s.woken, 65);
         let mut out = Vec::new();
         s.drain_sorted(&mut out);
         assert_eq!(out.len(), 65);
@@ -211,7 +201,7 @@ mod tests {
             all.wake(len / 2);
             all.wake_all();
             (0..len).rev().for_each(|i| each.wake(i));
-            assert_eq!(all.len(), len);
+            assert_eq!(all.woken, len);
             assert!(all.is_active(len - 1));
             let (mut a, mut b) = (Vec::new(), Vec::new());
             all.drain_sorted(&mut a);
@@ -233,7 +223,7 @@ mod tests {
         let mut slot = vec![(1 << 3) | (1 << 9), 1 << 5];
         s.wake_words(&mut slot);
         assert_eq!(slot, vec![0, 0]);
-        assert_eq!(s.len(), 3, "the already-woken member counts once");
+        assert_eq!(s.woken, 3, "the already-woken member counts once");
         let mut out = Vec::new();
         s.drain_sorted(&mut out);
         assert_eq!(out, vec![3, 9, 69]);
@@ -280,7 +270,7 @@ mod tests {
     #[test]
     fn zero_capacity_set_is_inert() {
         let mut s = ActiveSet::new(0);
-        assert_eq!(s.capacity(), 0);
+        assert_eq!(s.population, 0);
         assert!(s.is_empty());
         let mut out = Vec::new();
         s.drain_sorted(&mut out);

@@ -22,8 +22,7 @@ impl<T: fmt::Debug> std::error::Error for PushError<T> {}
 /// Models the finite buffers found throughout the SCORPIO design: NIC input
 /// queues, notification tracker queues, L2 snoop queues, memory controller
 /// request queues. Pushing into a full queue fails with [`PushError`]
-/// (hardware would deassert *ready*), and high-watermark occupancy is
-/// tracked for statistics.
+/// (hardware would deassert *ready*).
 ///
 /// # Examples
 ///
@@ -40,7 +39,6 @@ impl<T: fmt::Debug> std::error::Error for PushError<T> {}
 pub struct Fifo<T> {
     items: VecDeque<T>,
     capacity: usize,
-    high_watermark: usize,
 }
 
 impl<T> Fifo<T> {
@@ -55,7 +53,6 @@ impl<T> Fifo<T> {
         Fifo {
             items: VecDeque::with_capacity(capacity),
             capacity,
-            high_watermark: 0,
         }
     }
 
@@ -69,7 +66,6 @@ impl<T> Fifo<T> {
             return Err(PushError(item));
         }
         self.items.push_back(item);
-        self.high_watermark = self.high_watermark.max(self.items.len());
         Ok(())
     }
 
@@ -81,11 +77,6 @@ impl<T> Fifo<T> {
     /// A reference to the front item without removing it.
     pub fn front(&self) -> Option<&T> {
         self.items.front()
-    }
-
-    /// A mutable reference to the front item without removing it.
-    pub fn front_mut(&mut self) -> Option<&mut T> {
-        self.items.front_mut()
     }
 
     /// Current number of queued items.
@@ -101,26 +92,6 @@ impl<T> Fifo<T> {
     /// Whether the queue is at capacity.
     pub fn is_full(&self) -> bool {
         self.items.len() == self.capacity
-    }
-
-    /// Remaining free slots.
-    pub fn free_slots(&self) -> usize {
-        self.capacity - self.items.len()
-    }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Highest occupancy ever observed (for buffer-sizing statistics).
-    pub fn high_watermark(&self) -> usize {
-        self.high_watermark
-    }
-
-    /// Iterates over queued items from front to back.
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.items.iter()
     }
 }
 
@@ -162,14 +133,16 @@ mod tests {
     fn occupancy_accounting() {
         let mut q = Fifo::bounded(4);
         assert!(q.is_empty());
-        assert_eq!(q.free_slots(), 4);
         q.push(0).unwrap();
         q.push(0).unwrap();
         assert_eq!(q.len(), 2);
-        assert_eq!(q.free_slots(), 2);
+        assert!(!q.is_full());
+        q.push(0).unwrap();
+        q.push(0).unwrap();
+        assert!(q.is_full());
         q.pop();
         q.pop();
-        assert_eq!(q.high_watermark(), 2);
+        assert_eq!(q.len(), 2);
     }
 
     #[test]
@@ -178,8 +151,7 @@ mod tests {
         q.push(10).unwrap();
         assert_eq!(q.front(), Some(&10));
         assert_eq!(q.len(), 1);
-        *q.front_mut().unwrap() = 11;
-        assert_eq!(q.pop(), Some(11));
+        assert_eq!(q.pop(), Some(10));
     }
 
     #[test]
@@ -193,7 +165,7 @@ mod tests {
         let mut q = Fifo::bounded(3);
         q.push(1).unwrap();
         q.push(2).unwrap();
-        let collected: Vec<_> = q.iter().copied().collect();
+        let collected: Vec<i32> = (&q).into_iter().copied().collect();
         assert_eq!(collected, vec![1, 2]);
     }
 

@@ -52,4 +52,29 @@ pub use cycle::Cycle;
 pub use fifo::{Fifo, PushError};
 pub use rng::SimRng;
 pub use sets::SetStore;
-pub use wake::{debug_digest, Wake};
+pub use wake::Wake;
+
+/// Support the sleep-soundness tests of the crates above share; not part
+/// of the simulation kernel's interface.
+#[doc(hidden)]
+pub mod testing {
+    use std::fmt::{self, Write};
+
+    /// FNV-1a over a value's `Debug` rendering: the state digest the
+    /// sleep-soundness tests compare before and after a tick. Streams the
+    /// rendering through the hash, so nothing is allocated.
+    pub fn debug_digest(value: &impl fmt::Debug) -> u64 {
+        struct Fnv(u64);
+        impl Write for Fnv {
+            fn write_str(&mut self, s: &str) -> fmt::Result {
+                for b in s.bytes() {
+                    self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+                }
+                Ok(())
+            }
+        }
+        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        write!(h, "{value:?}").expect("hashing cannot fail");
+        h.0
+    }
+}

@@ -207,7 +207,7 @@ impl LogHistogram {
 
     /// The bucket index a sample falls into: its bit length (0 for 0).
     #[inline]
-    pub fn bucket_of(sample: u64) -> usize {
+    pub(crate) fn bucket_of(sample: u64) -> usize {
         (64 - sample.leading_zeros()) as usize
     }
 
@@ -216,7 +216,7 @@ impl LogHistogram {
     /// # Panics
     ///
     /// Panics if `idx > 64`.
-    pub fn bucket_edge(idx: usize) -> u64 {
+    pub(crate) fn bucket_edge(idx: usize) -> u64 {
         assert!(idx <= 64, "log bucket index out of range");
         if idx >= 64 {
             u64::MAX
@@ -259,15 +259,6 @@ impl LogHistogram {
         } else {
             self.sum as f64 / self.count as f64
         }
-    }
-
-    /// Count in bucket `idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx > 64`.
-    pub fn bucket_count(&self, idx: usize) -> u64 {
-        self.buckets[idx]
     }
 
     /// The non-empty buckets, in ascending order, as `(index, count)` —
@@ -384,11 +375,6 @@ mod tests {
         }
         assert_eq!(h.count(), 5);
         assert_eq!(h.max(), Some(u64::MAX));
-        assert_eq!(h.bucket_count(0), 1);
-        assert_eq!(h.bucket_count(1), 1);
-        assert_eq!(h.bucket_count(2), 1);
-        assert_eq!(h.bucket_count(7), 1);
-        assert_eq!(h.bucket_count(64), 1);
         let sparse: Vec<_> = h.nonzero_buckets().collect();
         assert_eq!(sparse, vec![(0, 1), (1, 1), (2, 1), (7, 1), (64, 1)]);
     }

@@ -2,7 +2,6 @@
 //! the question the event-driven engines sleep on.
 
 use crate::Cycle;
-use std::fmt::{self, Write};
 
 /// The first cycle at which ticking a component can change its state, and
 /// the obligation behind it (for hung-run dumps). A component asked after
@@ -43,23 +42,4 @@ impl Wake {
             self
         }
     }
-}
-
-/// FNV-1a over a value's `Debug` rendering: the state digest the
-/// sleep-soundness tests compare before and after a tick. Streams the
-/// rendering through the hash, so nothing is allocated.
-#[doc(hidden)]
-pub fn debug_digest(value: &impl fmt::Debug) -> u64 {
-    struct Fnv(u64);
-    impl Write for Fnv {
-        fn write_str(&mut self, s: &str) -> fmt::Result {
-            for b in s.bytes() {
-                self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
-            }
-            Ok(())
-        }
-    }
-    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
-    write!(h, "{value:?}").expect("hashing cannot fail");
-    h.0
 }

@@ -97,7 +97,7 @@ impl WorkloadParams {
     }
 
     /// The PARSEC presets the paper uses.
-    pub fn parsec() -> Vec<WorkloadParams> {
+    pub(crate) fn parsec() -> Vec<WorkloadParams> {
         vec![
             Self::preset("blackscholes", 0.20, 0.25, 384, 768, 0.10, 8.0),
             Self::preset("canneal", 0.35, 0.70, 1536, 512, 0.45, 4.0),
@@ -132,30 +132,9 @@ impl WorkloadParams {
         v
     }
 
-    /// The names of every registered preset, in registry order.
-    pub fn names() -> Vec<&'static str> {
-        Self::all().iter().map(|p| p.name).collect()
-    }
-
     /// Looks a preset up by name.
     pub fn by_name(name: &str) -> Option<WorkloadParams> {
         Self::all().into_iter().find(|p| p.name == name)
-    }
-
-    /// Looks a named *set* of presets up: the suites the paper sweeps.
-    ///
-    /// Recognized sets: `all`, `splash2`, `parsec`, `figure6`, `figure7`.
-    /// A single benchmark name is also accepted and yields a one-element
-    /// set, so every sweep-grid axis can be spelled as one string.
-    pub fn set_by_name(name: &str) -> Option<Vec<WorkloadParams>> {
-        match name {
-            "all" => Some(Self::all()),
-            "splash2" => Some(Self::splash2()),
-            "parsec" => Some(Self::parsec()),
-            "figure6" => Some(Self::figure6_set()),
-            "figure7" => Some(Self::figure7_set()),
-            single => Self::by_name(single).map(|p| vec![p]),
-        }
     }
 
     /// Same workload scaled to `ops` operations per core.
@@ -301,20 +280,12 @@ mod tests {
 
     #[test]
     fn registry_sets_resolve() {
-        assert_eq!(WorkloadParams::all().len(), 14);
-        assert_eq!(WorkloadParams::names().len(), 14);
-        assert_eq!(WorkloadParams::set_by_name("splash2").unwrap().len(), 8);
-        assert_eq!(WorkloadParams::set_by_name("parsec").unwrap().len(), 6);
-        assert_eq!(WorkloadParams::set_by_name("figure6").unwrap().len(), 12);
-        assert_eq!(WorkloadParams::set_by_name("figure7").unwrap().len(), 4);
-        let single = WorkloadParams::set_by_name("lu").unwrap();
-        assert_eq!(single.len(), 1);
-        assert_eq!(single[0].name, "lu");
-        assert!(WorkloadParams::set_by_name("doom").is_none());
-        // Registry order is stable: names() pairs with all().
-        let names = WorkloadParams::names();
-        assert_eq!(names[0], "barnes");
-        assert_eq!(names[13], "vips");
+        // Registry order is stable: SPLASH-2 then PARSEC.
+        let all = WorkloadParams::all();
+        assert_eq!(all.len(), 14);
+        assert_eq!(all[0].name, "barnes");
+        assert_eq!(all[13].name, "vips");
+        assert_eq!(WorkloadParams::by_name("lu").unwrap().name, "lu");
     }
 
     #[test]

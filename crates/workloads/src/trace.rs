@@ -68,14 +68,6 @@ impl Trace {
             .count();
         writes as f64 / self.records.len() as f64
     }
-
-    /// Distinct cache lines touched, at `line_bytes` granularity.
-    pub fn footprint_lines(&self, line_bytes: u64) -> usize {
-        let mut lines: Vec<u64> = self.records.iter().map(|r| r.addr / line_bytes).collect();
-        lines.sort_unstable();
-        lines.dedup();
-        lines.len()
-    }
 }
 
 impl FromIterator<TraceRecord> for Trace {
@@ -121,17 +113,5 @@ mod tests {
         .collect();
         assert!((t.write_fraction() - 0.5).abs() < 1e-9);
         assert_eq!(Trace::new().write_fraction(), 0.0);
-    }
-
-    #[test]
-    fn footprint_dedups_lines() {
-        let t: Trace = [
-            rec(TraceOp::Load, 0),
-            rec(TraceOp::Load, 8),
-            rec(TraceOp::Load, 40),
-        ]
-        .into_iter()
-        .collect();
-        assert_eq!(t.footprint_lines(32), 2);
     }
 }

@@ -9,7 +9,7 @@
 use scorpio::{Protocol, System, SystemConfig};
 use scorpio_nic::NotificationTracker;
 use scorpio_noc::{
-    routing, set_bits, Endpoint, Mesh, Network, NocConfig, Packet, PlaneSteer, Port, Ring,
+    set_bits, testing, Endpoint, Mesh, Network, NocConfig, Packet, PlaneSteer, Port, Ring,
     RouterId, Sid, Topology, Torus,
 };
 use scorpio_notify::NotifyMsg;
@@ -35,14 +35,14 @@ fn range_u16(rng: &mut SimRng, lo: u16, hi: u16) -> u16 {
 
 /// The broadcast tree reaches every tile except the source exactly once,
 /// on any mesh shape (the per-topology generalization lives in
-/// `scorpio_noc::routing::check_broadcast_exactly_once`).
+/// `scorpio_noc::testing::check_broadcast_exactly_once`).
 #[test]
 fn broadcast_tree_exactly_once() {
     for_each_seed(16, |rng| {
         let (cols, rows) = (range_u16(rng, 1, 8), range_u16(rng, 1, 8));
         let topo: Topology = Mesh::new(cols, rows, &[]);
         let src = RouterId(range_u16(rng, 0, cols * rows));
-        let deliveries = routing::broadcast_deliveries(&topo, Endpoint::tile(src));
+        let deliveries = testing::broadcast_deliveries(&topo, Endpoint::tile(src));
         for r in topo.routers() {
             let got = deliveries[r.index()].contains(Port::Tile);
             assert_eq!(got, r != src, "router {r} from {src} on {cols}x{rows}");
@@ -62,7 +62,7 @@ fn unicast_paths_are_minimal() {
             RouterId(range_u16(rng, 0, n)),
             RouterId(range_u16(rng, 0, n)),
         );
-        let path = routing::unicast_path(&topo, src, Endpoint::tile(dst));
+        let path = testing::unicast_path(&topo, src, Endpoint::tile(dst));
         assert_eq!(path.len() as u16 - 1, topo.hops(src, dst));
         assert_eq!(*path.last().unwrap(), dst);
     });
@@ -74,8 +74,8 @@ fn unicast_paths_are_minimal() {
 fn broadcast_exactly_once_on_wraparound_fabrics() {
     for_each_seed(16, |rng| {
         let (cols, rows) = (range_u16(rng, 2, 7), range_u16(rng, 2, 7));
-        routing::check_broadcast_exactly_once(&Torus::new(cols, rows, &[]));
-        routing::check_broadcast_exactly_once(&Ring::new(range_u16(rng, 2, 20), &[]));
+        testing::check_broadcast_exactly_once(&Torus::new(cols, rows, &[]));
+        testing::check_broadcast_exactly_once(&Ring::new(range_u16(rng, 2, 20), &[]));
     });
 }
 
@@ -131,7 +131,7 @@ fn random_broadcast_batches_drain() {
             }
         }
         let eps = net.topology().endpoints().count();
-        let drained = net.run_until_drained(3000, |net| {
+        let drained = testing::run_until_drained(&mut net, 3000, |net| {
             for idx in 0..eps {
                 for vc in set_bits(net.eject_vcs(idx)) {
                     net.eject_take_vc(idx, vc);
