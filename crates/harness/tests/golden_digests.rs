@@ -13,8 +13,13 @@
 //! Covered: 6×6 mesh under SCORPIO and LPD-D (three unordered vnets), 4×4
 //! torus (dateline classes C0/C1), 8-router ring, `cmesh(2,2,4)` × 2 planes
 //! (9-port routers, plane steering), saturated 8×8 `bcast-heavy` (rVC and
-//! SID-conflict paths), TokenB and INSO-40 on 4×4, and one open-loop
-//! Poisson cell with spans.
+//! SID-conflict paths), TokenB and INSO-40 on 4×4, one open-loop Poisson
+//! cell with spans, and the buffer squeeze (one-deep injection and L2
+//! queues, non-pipelined uncore, four outstanding accesses): INSO-1,
+//! LPD-D and TokenB on 8×8 `bcast-heavy`, where the baselines' held
+//! broadcasts retry (a slot-stamped request, an INSO expiry, a home's
+//! rebroadcast) and tiles hold data the L2 cannot take, and SCORPIO on
+//! 4×4, whose tiles hold data too.
 
 use scorpio::{span_json, ObsLevel, OpenLoopConfig, Protocol, System, SystemConfig};
 use scorpio_harness::registry;
@@ -49,6 +54,19 @@ fn digest<'a>(lines: impl Iterator<Item = &'a str>) -> u64 {
 
 fn preset(name: &str) -> WorkloadParams {
     WorkloadParams::by_name(name).expect("workload preset exists")
+}
+
+/// `side`×`side` mesh under `protocol` with the least buffering the
+/// baselines' retry paths need to run: one-deep injection and L2 queues,
+/// non-pipelined NIC and L2, four outstanding accesses per core.
+fn squeezed(side: u16, protocol: Protocol) -> SystemConfig {
+    let mut cfg = SystemConfig::square(side)
+        .with_protocol(protocol)
+        .with_outstanding(4)
+        .with_pipelined_uncore(false);
+    cfg.noc.inject_queue_depth = 1;
+    cfg.l2.queue_depth = 1;
+    cfg
 }
 
 /// A workload that lives in the scenario registry rather than the presets.
@@ -147,6 +165,42 @@ const TABLE: &[Golden] = &[
         report: 0xe1ba_1499_2950_aefc,
         trace: 0x0e1c_80ec_d040_746d,
         spans: 0xa693_cfb1_f235_8e60,
+    },
+    Golden {
+        name: "mesh8x8/INSO-1/bcast-heavy/squeeze",
+        cfg: || squeezed(8, Protocol::Inso { expiry_window: 1 }),
+        workload: || registry_workload("planes-throughput", "bcast-heavy"),
+        ops: 25,
+        report: 0xc035_2bb6_7629_d675,
+        trace: 0x9659_696f_eb9c_dbd5,
+        spans: 0xcbf2_9ce4_8422_2325,
+    },
+    Golden {
+        name: "mesh8x8/LPD-D/bcast-heavy/squeeze",
+        cfg: || squeezed(8, Protocol::LpdDir),
+        workload: || registry_workload("planes-throughput", "bcast-heavy"),
+        ops: 4,
+        report: 0xab71_dde1_041d_01bf,
+        trace: 0x1fe8_e4e8_aaa1_e862,
+        spans: 0xcbf2_9ce4_8422_2325,
+    },
+    Golden {
+        name: "mesh8x8/TokenB/bcast-heavy/squeeze",
+        cfg: || squeezed(8, Protocol::TokenB),
+        workload: || registry_workload("planes-throughput", "bcast-heavy"),
+        ops: 4,
+        report: 0xe951_026c_0f71_fb05,
+        trace: 0x562b_6739_ab80_b86f,
+        spans: 0xcbf2_9ce4_8422_2325,
+    },
+    Golden {
+        name: "mesh4x4/SCORPIO/bcast-heavy/squeeze",
+        cfg: || squeezed(4, Protocol::Scorpio),
+        workload: || registry_workload("planes-throughput", "bcast-heavy"),
+        ops: 12,
+        report: 0xda7b_f0e2_1b2a_b42a,
+        trace: 0x2429_7753_51aa_9317,
+        spans: 0xcbf2_9ce4_8422_2325,
     },
 ];
 
