@@ -19,19 +19,31 @@ fn shrunk(mut cfg: SystemConfig) -> SystemConfig {
     cfg
 }
 
+/// The five ordering schemes: SCORPIO and the four baselines.
+const PROTOCOLS: [Protocol; 5] = [
+    Protocol::Scorpio,
+    Protocol::TokenB,
+    Protocol::Inso { expiry_window: 40 },
+    Protocol::LpdDir,
+    Protocol::HtDir,
+];
+
 #[test]
 fn minimum_buffering_still_completes() {
-    let cfg = shrunk(SystemConfig::square(3));
-    let params = WorkloadParams::by_name("canneal").unwrap().with_ops(40);
-    let traces = generate(&params, cfg.cores(), 3);
-    let mut sys = System::with_traces(cfg, traces);
-    let r = sys.run_to_completion();
-    assert_eq!(r.ops_completed, 9 * 40);
-    // The squeeze must actually have produced backpressure events.
-    assert!(
-        r.stop_windows > 0 || r.l2_misses > 0,
-        "squeezed run exercised nothing"
-    );
+    for protocol in PROTOCOLS {
+        let cfg = shrunk(SystemConfig::square(3).with_protocol(protocol));
+        let params = WorkloadParams::by_name("canneal").unwrap().with_ops(40);
+        let traces = generate(&params, cfg.cores(), 3);
+        let mut sys = System::with_traces(cfg, traces);
+        let r = sys.run_to_completion();
+        assert_eq!(r.ops_completed, 9 * 40, "{}", protocol.name());
+        // The squeeze must actually have produced backpressure events.
+        assert!(
+            r.stop_windows > 0 || r.l2_misses > 0,
+            "{}: squeezed run exercised nothing",
+            protocol.name()
+        );
+    }
 }
 
 #[test]

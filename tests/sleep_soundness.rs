@@ -129,7 +129,7 @@ fn equivalence_rows_never_change_state_while_asleep() {
 /// 2-plane 4×4×4 concentrated mesh with spans and windows on (the
 /// benchmark's `open-cmesh-2pl` shape), the non-pipelined NIC and L2,
 /// two outstanding accesses per core, the `failure_injection` buffer
-/// squeeze, full tracing, and the leap switch set (inert under
+/// squeeze under all five protocols, full tracing, and the leap switch set (inert under
 /// always-scan: the sleep rule does not depend on it).
 #[test]
 fn off_registry_rows_never_change_state_while_asleep() {
@@ -147,16 +147,25 @@ fn off_registry_rows_never_change_state_while_asleep() {
     let wide = SystemConfig::square(4).with_outstanding(2);
     audit("max_outstanding=2", from_cfg(wide, "barnes", 12));
 
-    let mut squeezed = SystemConfig::square(3);
-    squeezed.nic.tracker_depth = 2;
-    squeezed.nic.ordered_queue_depth = 1;
-    squeezed.nic.packet_queue_depth = 1;
-    squeezed.nic.max_pending_notifications = 1;
-    squeezed.noc.inject_queue_depth = 1;
-    squeezed.l2.queue_depth = 1;
-    squeezed.l2.fid_capacity = 1;
-    squeezed.l2.wb_entries = 1;
-    audit("buffer squeeze", from_cfg(squeezed, "canneal", 40));
+    for protocol in [
+        Protocol::Scorpio,
+        Protocol::TokenB,
+        Protocol::Inso { expiry_window: 40 },
+        Protocol::LpdDir,
+        Protocol::HtDir,
+    ] {
+        let mut squeezed = SystemConfig::square(3).with_protocol(protocol);
+        squeezed.nic.tracker_depth = 2;
+        squeezed.nic.ordered_queue_depth = 1;
+        squeezed.nic.packet_queue_depth = 1;
+        squeezed.nic.max_pending_notifications = 1;
+        squeezed.noc.inject_queue_depth = 1;
+        squeezed.l2.queue_depth = 1;
+        squeezed.l2.fid_capacity = 1;
+        squeezed.l2.wb_entries = 1;
+        let name = format!("buffer squeeze, {}", protocol.name());
+        audit(&name, from_cfg(squeezed, "canneal", 40));
+    }
 
     let mut tiny = SystemConfig::torus(3).with_obs(ObsLevel::Trace);
     tiny.l2.capacity_bytes = 2 * 1024;
