@@ -99,9 +99,6 @@ pub enum SlotContent<T> {
 pub struct InsoReorderBuffer<T> {
     pending: BTreeMap<u64, SlotContent<T>>,
     next_slot: u64,
-    /// High-water mark of buffered out-of-order entries (the buffering cost
-    /// the paper criticises timestamp-based schemes for).
-    pub max_buffered: usize,
 }
 
 impl<T> InsoReorderBuffer<T> {
@@ -110,7 +107,6 @@ impl<T> InsoReorderBuffer<T> {
         InsoReorderBuffer {
             pending: BTreeMap::new(),
             next_slot: 0,
-            max_buffered: 0,
         }
     }
 
@@ -123,7 +119,6 @@ impl<T> InsoReorderBuffer<T> {
         assert!(slot >= self.next_slot, "slot {slot} already released");
         let prev = self.pending.insert(slot, content);
         assert!(prev.is_none(), "duplicate slot {slot}");
-        self.max_buffered = self.max_buffered.max(self.pending.len());
     }
 
     /// Releases the next slot if it has arrived: `Some(Some(req))` for a
@@ -206,7 +201,6 @@ mod tests {
         for slot in [5u64, 3, 4, 1] {
             rb.insert(slot, SlotContent::Expired);
         }
-        assert_eq!(rb.max_buffered, 4);
         assert_eq!(rb.buffered(), 4);
         assert_eq!(rb.pop_ready(), None);
     }

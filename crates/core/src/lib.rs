@@ -34,6 +34,7 @@
 
 mod config;
 mod report;
+mod sequencer;
 mod system;
 mod tile;
 

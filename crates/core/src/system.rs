@@ -1,13 +1,12 @@
 //! The assembled full system: cores + L1s + L2s + NICs + both networks +
-//! memory controllers, under one of three ordering schemes.
+//! memory controllers, under one of five ordering schemes.
 //!
 //! * [`Protocol::Scorpio`] — the paper's system: ordered GO-REQ deliveries
 //!   via the notification network and ESID-gated NICs.
-//! * [`Protocol::TokenB`] — same snoopy protocol and same mesh, ordering by
-//!   a zero-cost global sequencer (the paper's race-free TokenB model).
-//! * [`Protocol::Inso`] — per-source slots with expiry broadcasts.
+//! * The baselines — TokenB, INSO, LPD-D and HT-D — order requests by
+//!   global slot number in one [`Sequencer`] instead.
 //!
-//! All three share the identical caches, memory controllers and router
+//! All of them share the identical caches, memory controllers and router
 //! fabric, exactly as the paper's methodology demands ("keeping all
 //! conditions equal besides the ordered network").
 
@@ -15,11 +14,9 @@ use crate::config::{ObsLevel, Protocol, SystemConfig};
 use crate::report::{
     EpWait, ObsReport, PlaneObs, SpanReport, SystemReport, WindowReport, WindowRow,
 };
+use crate::sequencer::Sequencer;
 use crate::tile::{CoreDriver, CoreKind};
-use scorpio_coherence::{
-    home_tile, CohMsg, DirectoryCache, InsoReorderBuffer, InsoSlotAllocator, LineAddr, LpdEntry,
-    MsgKind, Owner, SlotContent,
-};
+use scorpio_coherence::{CohMsg, LineAddr, MsgKind, Owner};
 use scorpio_mem::{L2Out, MemoryController, MissSpan, OrderedSnoop, SnoopyL2};
 use scorpio_nic::{Nic, NicMode};
 use scorpio_noc::{
@@ -32,7 +29,7 @@ use scorpio_sim::stats::LogHistogram;
 use scorpio_sim::{ActiveSet, Cycle, Wake};
 use scorpio_workloads::Trace;
 use std::cmp::{Ordering, Reverse};
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 /// A full SCORPIO (or baseline) system.
 pub struct System {
@@ -46,22 +43,11 @@ pub struct System {
     drivers: Vec<CoreDriver>,
     l2s: Vec<SnoopyL2>,
     mcs: Vec<MemoryController>,
-    /// Unordered-mode reorder buffers per endpoint.
-    reorders: Vec<InsoReorderBuffer<CohMsg>>,
-    /// INSO slot allocators per tile.
-    inso_alloc: Vec<InsoSlotAllocator>,
-    /// TokenB global sequencer.
-    oracle_seq: u64,
-    /// Ordered request awaiting injection, per tile (slot already taken).
-    pending_ordered: Vec<Option<CohMsg>>,
-    /// Expiry broadcast awaiting injection, per tile.
-    pending_expiry: Vec<Option<CohMsg>>,
-    /// Data response popped from the NIC but not yet accepted by the L2.
+    /// The baselines' ordering point; `None` under SCORPIO.
+    seq: Option<Sequencer>,
+    /// Data response popped from the NIC but not yet accepted by the L2,
+    /// per tile.
     resp_hold: Vec<Option<CohMsg>>,
-    /// Directory-home state per tile under LPD-D / HT-D; empty under the
-    /// protocols without a directory.
-    dir_homes: Vec<DirHome>,
-    expiry_sent: u64,
     /// Stepped-count snapshot at the last completed op (deadlock watchdog).
     watchdog_steps: u64,
     watchdog_ops: u64,
@@ -179,30 +165,6 @@ impl System {
         } else {
             NicMode::Unordered
         };
-        // Home-directory slices for the baselines, and none for the
-        // protocols without a directory: the total budget is split across
-        // tiles; LPD's wide entries cache far fewer lines than HT's 2-bit
-        // entries in the same storage (Section 5.1).
-        let entry_bits = match cfg.protocol {
-            Protocol::LpdDir => LpdEntry::entry_bits(cores, cfg.lpd_pointers),
-            _ => 2,
-        };
-        let slice_bytes = (cfg.dir_total_bytes / cores).max(64);
-        let homes = if cfg.protocol.uses_directory() {
-            cores
-        } else {
-            0
-        };
-        let dir_homes: Vec<DirHome> = (0..homes)
-            .map(|_| {
-                DirHome::new(
-                    slice_bytes,
-                    entry_bits,
-                    cfg.mc.dir_latency,
-                    cfg.mc.dir_miss_penalty,
-                )
-            })
-            .collect();
         let nic_cfg = cfg.nic.clone();
         let endpoints: Vec<Endpoint> = cfg.mesh.endpoints().collect();
         let nics: Vec<Nic<CohMsg>> = endpoints
@@ -270,16 +232,8 @@ impl System {
             drivers,
             l2s,
             mcs,
-            reorders: (0..n_eps).map(|_| InsoReorderBuffer::new()).collect(),
-            inso_alloc: (0..cores)
-                .map(|t| InsoSlotAllocator::new(t, cores))
-                .collect(),
-            oracle_seq: 0,
-            pending_ordered: vec![None; cores],
-            pending_expiry: vec![None; cores],
-            resp_hold: vec![None; n_eps],
-            dir_homes,
-            expiry_sent: 0,
+            seq: Sequencer::new(&cfg, n_eps),
+            resp_hold: vec![None; cores],
             watchdog_steps: 0,
             watchdog_ops: 0,
             stepped: 0,
@@ -384,9 +338,8 @@ impl System {
             self.drivers.iter().all(CoreDriver::is_done)
                 && self.l2s.iter().all(SnoopyL2::is_idle)
                 && self.mcs.iter().all(MemoryController::is_idle)
-                && self.pending_ordered.iter().all(Option::is_none)
                 && self.resp_hold.iter().all(Option::is_none)
-                && self.dir_homes.iter().all(DirHome::is_idle)
+                && self.seq.as_ref().is_none_or(Sequencer::is_idle)
         } else {
             self.pending == 0
         }
@@ -587,35 +540,24 @@ impl System {
     /// The sleep rule's tile half: when tile `t`'s next tick can first
     /// change state, asked after its tick at `now` (DESIGN.md §9 tabulates
     /// obligation → wake source).
-    /// What the tile itself retries every cycle comes first; the directory
-    /// home, L2, core and NIC then each name their own earliest cycle.
+    /// What the tile itself retries every cycle comes first; the ordering
+    /// point, L2, core and NIC then each name their own earliest cycle.
     fn tile_wake(&self, t: usize, now: Cycle) -> Wake {
         let next = now.next();
-        // Slot expiry is wall-clock driven: INSO tiles never sleep.
-        let inso = matches!(self.cfg.protocol, Protocol::Inso { .. });
-        let home = self.dir_homes.get(t);
-        let polled = [
-            (inso, "inso slot expiry"),
-            (self.resp_hold[t].is_some(), "held data response"),
-            (self.pending_ordered[t].is_some(), "request to inject"),
-            (self.pending_expiry[t].is_some(), "expiry to inject"),
-            (
-                home.is_some_and(|h| h.pending_bcast.is_some()),
-                "directory broadcast to inject",
-            ),
-            (self.reorders[t].head_ready(), "reorder buffer head"),
-        ];
-        if let Some(&(_, why)) = polled.iter().find(|(due, _)| *due) {
-            return Wake::at(next, why);
+        if self.resp_hold[t].is_some() {
+            return Wake::at(next, "held data response");
         }
-        // A busy home acts when its stage front's directory access is
-        // done; a reorder buffer missing its next slot waits for that
-        // slot's packet to eject here.
+        // A reorder buffer missing its next slot waits for that slot's
+        // packet to eject here.
+        let order = self.seq.as_ref().and_then(|s| s.wake(t, next));
+        if let Some(wake) = order.filter(|w| w.at == next) {
+            return wake;
+        }
         let mut mem = self.l2s[t]
             .next_wake(now)
             .earliest(self.drivers[t].next_wake(now));
-        if let Some(ready) = home.and_then(DirHome::front_ready) {
-            mem = mem.earliest(Wake::at(ready.max(next), "directory access"));
+        if let Some(wake) = order {
+            mem = mem.earliest(wake);
         }
         if mem.at == next {
             return mem;
@@ -628,8 +570,8 @@ impl System {
     /// everything else that could need a tick arrives as an ejected flit.
     fn mc_wake(&self, m: usize, now: Cycle) -> Wake {
         let ep = self.cfg.cores() + m;
-        if self.reorders[ep].head_ready() {
-            return Wake::at(now.next(), "reorder buffer head");
+        if let Some(wake) = self.seq.as_ref().and_then(|s| s.wake(ep, now.next())) {
+            return wake;
         }
         if self.mcs[m].peek_out().is_some() {
             return Wake::at(now.next(), "mc outbox");
@@ -649,57 +591,42 @@ impl System {
         while let Some(addr) = self.l2s[t].pop_l1_invalidation() {
             self.drivers[t].l1_mut().invalidate(addr);
         }
-        // Ordered deliveries into the snoop queue.
-        match self.cfg.protocol {
-            Protocol::Scorpio => {
-                while self.l2s[t].snoop_ready() {
-                    let Some(d) = self.nics[t].pop_ordered() else {
-                        break;
-                    };
-                    self.trace_commit(now, t, d.sid, d.own, d.payload.steer_key());
-                    if self.cfg.spans
-                        && d.own
-                        && matches!(d.payload.kind, MsgKind::GetS | MsgKind::GetX)
-                    {
-                        self.l2s[t].stamp_popped(d.payload.req_tag, now);
-                    }
-                    self.l2s[t].push_snoop(OrderedSnoop {
-                        own: d.own,
-                        msg: d.payload,
-                    });
-                }
-                self.drain_data_packets(t, now);
-            }
-            _ => {
-                self.drain_unordered_packets(t, now);
-                while self.l2s[t].snoop_ready() {
-                    match self.reorders[t].pop_ready() {
-                        Some(Some(msg)) => {
-                            let own = msg.requester as usize == t;
-                            if self.cfg.spans
-                                && own
-                                && matches!(msg.kind, MsgKind::GetS | MsgKind::GetX)
-                            {
-                                self.l2s[t].stamp_popped(msg.req_tag, now);
-                            }
-                            self.l2s[t].push_snoop(OrderedSnoop { own, msg });
-                        }
-                        Some(None) => {} // expired slot
-                        None => break,
-                    }
+        // Ordered deliveries into the snoop queue: SCORPIO's from the NIC
+        // (a baseline's NIC delivers none)...
+        while self.l2s[t].snoop_ready() {
+            let Some(d) = self.nics[t].pop_ordered() else {
+                break;
+            };
+            self.trace_commit(now, t, d.sid, d.own, d.payload.steer_key());
+            self.l2s[t].stamp_popped(&d.payload, now);
+            self.l2s[t].push_snoop(OrderedSnoop {
+                own: d.own,
+                msg: d.payload,
+            });
+        }
+        self.drain_packets(t, now);
+        // ...a baseline's from the reorder buffer, in global slot order.
+        if let Some(seq) = &mut self.seq {
+            while self.l2s[t].snoop_ready() {
+                let Some(ready) = seq.pop_ready(t) else {
+                    break;
+                };
+                // `None`: an expired slot.
+                if let Some(msg) = ready {
+                    self.l2s[t].stamp_popped(&msg, now);
+                    let own = msg.requester as usize == t;
+                    self.l2s[t].push_snoop(OrderedSnoop { own, msg });
                 }
             }
         }
-        // Held data response, then L2 outbox → NIC.
-        self.push_held_resp(t);
+        // Held data response, L2 outbox → NIC, then the ordering point's
+        // own work (INSO expiry, the directory home).
+        if let Some(msg) = self.resp_hold[t].take() {
+            self.offer_data(t, msg);
+        }
         self.forward_l2_out(t, now);
-        // INSO: idle tiles must expire slots.
-        if let Protocol::Inso { expiry_window } = self.cfg.protocol {
-            self.inso_expiry(t, now, expiry_window);
-        }
-        // Directory baselines: the home slice orders and rebroadcasts.
-        if self.cfg.protocol.uses_directory() {
-            self.tick_dir_home(t, now);
+        if let Some(seq) = &mut self.seq {
+            seq.tick(t, now, &mut self.nics[t], &mut self.net);
         }
         // Core issues; L2 and NIC advance.
         self.drivers[t].tick(now, &mut self.l2s[t]);
@@ -708,9 +635,8 @@ impl System {
         self.nics[t].tick(now, &mut self.net, notify);
         // Report this tile's completion transition and ops progress.
         let quiet = self.l2s[t].is_idle()
-            && self.pending_ordered[t].is_none()
             && self.resp_hold[t].is_none()
-            && self.dir_homes.get(t).is_none_or(DirHome::is_idle)
+            && self.seq.as_ref().is_none_or(|s| s.tile_idle(t))
             && self.drivers[t].is_done();
         self.set_quiet(t, quiet);
         let ops = self.drivers[t].ops_done;
@@ -727,43 +653,25 @@ impl System {
     }
 
     fn tick_mc(&mut self, m: usize, now: Cycle) {
-        let cores = self.cfg.cores();
-        let ep_idx = cores + m;
-        match self.cfg.protocol {
-            Protocol::Scorpio => {
-                while let Some(d) = self.nics[ep_idx].pop_ordered() {
-                    self.trace_commit(now, ep_idx, d.sid, d.own, d.payload.steer_key());
-                    self.mcs[m].snoop(
-                        OrderedSnoop {
-                            own: false,
-                            msg: d.payload,
-                        },
-                        now,
-                    );
-                }
-                while let Some(pkt) = self.nics[ep_idx].pop_packet() {
-                    assert_eq!(pkt.payload.kind, MsgKind::WbData);
-                    self.mcs[m].wb_data(pkt.payload, now);
-                }
+        let ep = self.cfg.cores() + m;
+        // SCORPIO's ordered deliveries (a baseline's NIC delivers none)...
+        while let Some(d) = self.nics[ep].pop_ordered() {
+            self.trace_commit(now, ep, d.sid, d.own, d.payload.steer_key());
+            let msg = d.payload;
+            self.mcs[m].snoop(OrderedSnoop { own: false, msg }, now);
+        }
+        while let Some(pkt) = self.nics[ep].pop_packet() {
+            match (pkt.payload.kind, &mut self.seq) {
+                (MsgKind::WbData, _) => self.mcs[m].wb_data(pkt.payload, now),
+                (_, Some(seq)) => seq.intake(ep, pkt.payload, now),
+                (other, None) => panic!("MC received {other:?}"),
             }
-            _ => {
-                while let Some(pkt) = self.nics[ep_idx].pop_packet() {
-                    let msg = pkt.payload;
-                    match msg.kind {
-                        MsgKind::WbData => self.mcs[m].wb_data(msg, now),
-                        MsgKind::InsoExpire => {
-                            self.reorders[ep_idx].insert(msg.value, SlotContent::Expired);
-                        }
-                        k if k.is_ordered_request() => {
-                            self.reorders[ep_idx].insert(msg.value, SlotContent::Request(msg));
-                        }
-                        other => panic!("MC received {other:?}"),
-                    }
-                }
-                while let Some(ready) = self.reorders[ep_idx].pop_ready() {
-                    if let Some(msg) = ready {
-                        self.mcs[m].snoop(OrderedSnoop { own: false, msg }, now);
-                    }
+        }
+        // ...a baseline's from the reorder buffer, in global slot order.
+        if let Some(seq) = &mut self.seq {
+            while let Some(ready) = seq.pop_ready(ep) {
+                if let Some(msg) = ready {
+                    self.mcs[m].snoop(OrderedSnoop { own: false, msg }, now);
                 }
             }
         }
@@ -772,13 +680,7 @@ impl System {
             let dest = self.physical_dest(out.dest);
             let msg = out.msg;
             let flits = self.cfg.noc.data_flits();
-            match self.nics[ep_idx].try_send_unicast(
-                VnetId::UO_RESP,
-                dest,
-                flits,
-                msg,
-                &mut self.net,
-            ) {
+            match self.nics[ep].try_send_unicast(VnetId::UO_RESP, dest, flits, msg, &mut self.net) {
                 Ok(()) => {
                     self.mcs[m].pop_out();
                 }
@@ -786,167 +688,65 @@ impl System {
             }
         }
         let notify = self.notify.as_mut();
-        self.nics[ep_idx].tick(now, &mut self.net, notify);
-        self.set_quiet(ep_idx, self.mcs[m].is_idle());
+        self.nics[ep].tick(now, &mut self.net, notify);
+        self.set_quiet(ep, self.mcs[m].is_idle());
     }
 
-    /// SCORPIO mode: unordered packets are data (or writeback data routed
-    /// here by mistake — asserted against).
-    fn drain_data_packets(&mut self, t: usize, _now: Cycle) {
+    /// Drains tile `t`'s unordered packets: data goes to the L2 (and stops
+    /// the drain while it waits for room); under a baseline anything else
+    /// is the ordering point's.
+    fn drain_packets(&mut self, t: usize, now: Cycle) {
         while self.resp_hold[t].is_none() {
             let Some(pkt) = self.nics[t].pop_packet() else {
                 break;
             };
-            let msg = pkt.payload;
-            assert_eq!(msg.kind, MsgKind::Data, "tile received {:?}", msg.kind);
-            if self.l2s[t].resp_ready() {
-                self.l2s[t].push_resp(msg);
-            } else {
-                self.resp_hold[t] = Some(msg);
+            match (pkt.payload.kind, &mut self.seq) {
+                (MsgKind::Data, _) => self.offer_data(t, pkt.payload),
+                (_, Some(seq)) => seq.intake(t, pkt.payload, now),
+                (other, None) => panic!("tile received {other:?}"),
             }
         }
     }
 
-    /// Baseline modes: packets carry requests (to reorder), expiries, data.
-    fn drain_unordered_packets(&mut self, t: usize, now: Cycle) {
-        while self.resp_hold[t].is_none() {
-            let Some(pkt) = self.nics[t].pop_packet() else {
-                break;
-            };
-            let msg = pkt.payload;
-            match msg.kind {
-                MsgKind::Data => {
-                    if self.l2s[t].resp_ready() {
-                        self.l2s[t].push_resp(msg);
-                    } else {
-                        self.resp_hold[t] = Some(msg);
-                    }
-                }
-                MsgKind::InsoExpire => {
-                    self.reorders[t].insert(msg.value, SlotContent::Expired);
-                }
-                MsgKind::DirGetS | MsgKind::DirGetX | MsgKind::DirPut => {
-                    // We are the home for this line: order after the
-                    // directory-cache access.
-                    self.dir_homes[t].accept(msg, now);
-                }
-                k if k.is_ordered_request() => {
-                    self.reorders[t].insert(msg.value, SlotContent::Request(msg));
-                }
-                other => panic!("tile received {other:?}"),
-            }
-        }
-    }
-
-    fn push_held_resp(&mut self, t: usize) {
-        if let Some(msg) = self.resp_hold[t].take() {
-            if self.l2s[t].resp_ready() {
-                self.l2s[t].push_resp(msg);
-            } else {
-                self.resp_hold[t] = Some(msg);
-            }
+    /// Hands data to tile `t`'s L2, or holds it while the L2 has no room.
+    fn offer_data(&mut self, t: usize, msg: CohMsg) {
+        if self.l2s[t].resp_ready() {
+            self.l2s[t].push_resp(msg);
+        } else {
+            self.resp_hold[t] = Some(msg);
         }
     }
 
     /// Moves L2 output messages into the NIC, respecting backpressure.
     fn forward_l2_out(&mut self, t: usize, now: Cycle) {
-        // A previously slot-stamped ordered request retries first.
-        if let Some(msg) = self.pending_ordered[t].take() {
-            match self.nics[t].try_send_broadcast(VnetId(0), msg, &mut self.net) {
-                Ok(()) => {}
-                Err(_) => {
-                    self.pending_ordered[t] = Some(msg);
-                    return;
-                }
+        // A request the ordering point holds back retries first, and blocks
+        // the outbox until it goes.
+        if let Some(seq) = &mut self.seq {
+            if !seq.retry_request(t, &mut self.nics[t], &mut self.net) {
+                return;
             }
         }
         while let Some(out) = self.l2s[t].peek_out().copied() {
-            // Span stamp for every ordered-request pop below: the cycle the
-            // request leaves the L2 outbox toward the interconnect layer.
-            // WbReq is excluded — it has no RSHR entry, and its tag could
-            // alias a live one.
-            let span_tag = match out {
-                L2Out::OrderedRequest(m)
-                    if self.cfg.spans && matches!(m.kind, MsgKind::GetS | MsgKind::GetX) =>
-                {
-                    Some(m.req_tag)
-                }
-                _ => None,
-            };
-            let stamp = |l2: &mut SnoopyL2| {
-                if let Some(tag) = span_tag {
-                    l2.stamp_inject(tag, now);
-                }
-            };
             match out {
-                L2Out::OrderedRequest(msg) => match self.cfg.protocol {
-                    Protocol::LpdDir | Protocol::HtDir => {
-                        let home = home_tile(msg.addr, self.cfg.cores()) as usize;
-                        let dir_kind = match msg.kind {
-                            MsgKind::GetS => MsgKind::DirGetS,
-                            MsgKind::GetX => MsgKind::DirGetX,
-                            MsgKind::WbReq => MsgKind::DirPut,
-                            other => panic!("unexpected ordered kind {other:?}"),
-                        };
-                        let mut dir_msg = msg;
-                        dir_msg.kind = dir_kind;
-                        if home == t {
-                            // Local home: no network hop for the request.
-                            self.l2s[t].pop_out();
-                            stamp(&mut self.l2s[t]);
-                            self.dir_homes[t].accept(dir_msg, now);
-                        } else {
-                            let dest = self.cfg.mesh.tile_endpoint(home);
-                            if self.nics[t]
-                                .try_send_unicast(VnetId(0), dest, 1, dir_msg, &mut self.net)
-                                .is_err()
-                            {
-                                break;
-                            }
-                            self.l2s[t].pop_out();
-                            stamp(&mut self.l2s[t]);
+                L2Out::OrderedRequest(msg) => {
+                    let taken = match &mut self.seq {
+                        Some(seq) => {
+                            let mesh = &self.cfg.mesh;
+                            seq.order(t, msg, now, mesh, &mut self.nics[t], &mut self.net)
                         }
-                    }
-                    Protocol::Scorpio => {
-                        if self.nics[t]
+                        None => self.nics[t]
                             .try_send_request(msg, now, &mut self.net)
-                            .is_err()
-                        {
-                            break;
-                        }
-                        self.l2s[t].pop_out();
-                        stamp(&mut self.l2s[t]);
+                            .is_ok(),
+                    };
+                    if !taken {
+                        break;
                     }
-                    Protocol::TokenB => {
-                        let slot = self.oracle_seq;
-                        self.oracle_seq += 1;
-                        let stamped = msg.with_value(slot);
-                        self.l2s[t].pop_out();
-                        stamp(&mut self.l2s[t]);
-                        self.reorders[t].insert(slot, SlotContent::Request(stamped));
-                        if self.nics[t]
-                            .try_send_broadcast(VnetId(0), stamped, &mut self.net)
-                            .is_err()
-                        {
-                            self.pending_ordered[t] = Some(stamped);
-                            break;
-                        }
+                    self.l2s[t].pop_out();
+                    self.l2s[t].stamp_inject(&msg, now);
+                    if self.seq.as_ref().is_some_and(|s| s.holds_request(t)) {
+                        break;
                     }
-                    Protocol::Inso { .. } => {
-                        let slot = self.inso_alloc[t].take_slot(now);
-                        let stamped = msg.with_value(slot);
-                        self.l2s[t].pop_out();
-                        stamp(&mut self.l2s[t]);
-                        self.reorders[t].insert(slot, SlotContent::Request(stamped));
-                        if self.nics[t]
-                            .try_send_broadcast(VnetId(0), stamped, &mut self.net)
-                            .is_err()
-                        {
-                            self.pending_ordered[t] = Some(stamped);
-                            break;
-                        }
-                    }
-                },
+                }
                 L2Out::Unicast {
                     dest,
                     msg,
@@ -966,86 +766,6 @@ impl System {
                     }
                     self.l2s[t].pop_out();
                 }
-            }
-        }
-    }
-
-    fn inso_expiry(&mut self, t: usize, now: Cycle, window: u64) {
-        // Retry an unsent expiry first.
-        if let Some(msg) = self.pending_expiry[t].take() {
-            if self.nics[t]
-                .try_send_broadcast(VnetId(0), msg, &mut self.net)
-                .is_err()
-            {
-                self.pending_expiry[t] = Some(msg);
-            }
-            return;
-        }
-        // Do not expire while a request is waiting to inject (its slot is
-        // already allocated and must stay in sequence).
-        if self.pending_ordered[t].is_some() {
-            return;
-        }
-        // Pace expiry against consumption: racing more than a couple of
-        // rounds ahead of what this node has released floods the network
-        // with expiries faster than they can deliver (livelock).
-        let lead_bound = 2 * self.cfg.cores() as u64;
-        if self.inso_alloc[t].peek_next_slot() > self.reorders[t].next_slot() + lead_bound {
-            return;
-        }
-        if let Some(slot) = self.inso_alloc[t].maybe_expire(now, window) {
-            let me = Endpoint::tile(scorpio_noc::RouterId(t as u16));
-            let msg = scorpio_coherence::CohMsg::new(
-                MsgKind::InsoExpire,
-                scorpio_coherence::LineAddr(0),
-                t as u16,
-                0,
-                me,
-            )
-            .with_value(slot);
-            self.reorders[t].insert(slot, SlotContent::Expired);
-            self.expiry_sent += 1;
-            if self.nics[t]
-                .try_send_broadcast(VnetId(0), msg, &mut self.net)
-                .is_err()
-            {
-                self.pending_expiry[t] = Some(msg);
-            }
-        }
-    }
-
-    /// Home-directory pipeline: ordered requests leave as broadcasts once
-    /// the directory access completes.
-    fn tick_dir_home(&mut self, t: usize, now: Cycle) {
-        // Retry a broadcast that could not inject.
-        if let Some(msg) = self.dir_homes[t].pending_bcast.take() {
-            if self.nics[t]
-                .try_send_broadcast(VnetId(0), msg, &mut self.net)
-                .is_err()
-            {
-                self.dir_homes[t].pending_bcast = Some(msg);
-                return;
-            }
-        }
-        while let Some(mut msg) = self.dir_homes[t].pop_ready(now) {
-            // Back to the snoopy kind, stamped with the global slot.
-            msg.kind = match msg.kind {
-                MsgKind::DirGetS => MsgKind::GetS,
-                MsgKind::DirGetX => MsgKind::GetX,
-                MsgKind::DirPut => MsgKind::WbReq,
-                other => panic!("home ordered {other:?}"),
-            };
-            let slot = self.oracle_seq;
-            self.oracle_seq += 1;
-            let stamped = msg.with_value(slot);
-            // The broadcast skips the home tile itself: insert locally.
-            self.reorders[t].insert(slot, SlotContent::Request(stamped));
-            if self.nics[t]
-                .try_send_broadcast(VnetId(0), stamped, &mut self.net)
-                .is_err()
-            {
-                self.dir_homes[t].pending_bcast = Some(stamped);
-                break;
             }
         }
     }
@@ -1322,10 +1042,8 @@ impl System {
             r.notify_nonempty = n.nonempty_windows.get();
         }
         r.stop_windows = self.nics.iter().map(|n| n.stats.stop_windows.get()).sum();
-        r.expiry_messages = self.expiry_sent;
-        for h in &self.dir_homes {
-            r.dir_accesses += h.dir.hits() + h.dir.misses();
-            r.dir_misses += h.dir.misses();
+        if let Some(seq) = &self.seq {
+            seq.report(&mut r);
         }
         if self.cfg.obs != ObsLevel::Off || self.cfg.spans || self.cfg.window_cycles != 0 {
             r.obs = Some(self.obs_report());
@@ -1425,18 +1143,8 @@ impl System {
                 n.nonempty_windows.get(),
             );
         }
-        if self.cfg.protocol != Protocol::Scorpio {
-            for (i, rb) in self.reorders.iter().enumerate() {
-                let _ = writeln!(
-                    out,
-                    "rb {i}: next_slot={} buffered={} pending_ordered={:?} pending_expiry={:?} slots_used={:?}",
-                    rb.next_slot(),
-                    rb.buffered(),
-                    self.pending_ordered.get(i).map(|p| p.map(|m| m.value)),
-                    self.pending_expiry.get(i).map(|p| p.map(|m| m.value)),
-                    self.inso_alloc.get(i).map(|a| a.slots_used()),
-                );
-            }
+        if let Some(seq) = &self.seq {
+            seq.dump(&mut out);
         }
         for (m, mc) in self.mcs.iter().enumerate() {
             let idx = self.cfg.cores() + m;
@@ -1541,67 +1249,6 @@ impl TimedWakes {
     }
 }
 
-/// One tile's slice of the distributed directory for the LPD-D / HT-D
-/// baselines: a latency pipeline in front of the global sequencer. The
-/// entry width (set by the protocol) determines how many lines the slice
-/// caches, which is the paper's LPD-vs-HT distinction.
-#[derive(Debug)]
-struct DirHome {
-    dir: DirectoryCache,
-    latency: u64,
-    miss_penalty: u64,
-    stage: VecDeque<(Cycle, CohMsg)>,
-    pending_bcast: Option<CohMsg>,
-}
-
-impl DirHome {
-    fn new(slice_bytes: usize, entry_bits: usize, latency: u64, miss_penalty: u64) -> DirHome {
-        DirHome {
-            dir: DirectoryCache::with_budget(slice_bytes, entry_bits, 4),
-            latency,
-            miss_penalty,
-            stage: VecDeque::new(),
-            pending_bcast: None,
-        }
-    }
-
-    /// Accepts a request: the directory access starts now; the request is
-    /// ready for ordering after the (hit- or miss-) latency.
-    fn accept(&mut self, msg: CohMsg, now: Cycle) {
-        let hit = self.dir.access(msg.addr);
-        let lat = self.latency + if hit { 0 } else { self.miss_penalty };
-        // Serialization at the home: a request cannot overtake the one in
-        // front of it (the paper's "Req Ordering" component).
-        let ready = self
-            .stage
-            .back()
-            .map(|(r, _)| (*r).max(now) + self.latency)
-            .unwrap_or(now + lat)
-            .max(now + lat);
-        self.stage.push_back((ready, msg));
-    }
-
-    fn pop_ready(&mut self, now: Cycle) -> Option<CohMsg> {
-        if self.pending_bcast.is_some() {
-            return None;
-        }
-        if self.stage.front().is_some_and(|(r, _)| *r <= now) {
-            return self.stage.pop_front().map(|(_, m)| m);
-        }
-        None
-    }
-
-    fn is_idle(&self) -> bool {
-        self.stage.is_empty() && self.pending_bcast.is_none()
-    }
-
-    /// When the stage front's directory access completes. Ready cycles
-    /// never decrease along the stage, so the front's is the earliest.
-    fn front_ready(&self) -> Option<Cycle> {
-        self.stage.front().map(|&(ready, _)| ready)
-    }
-}
-
 /// Probes other crates' test suites call: the sleep-soundness check and
 /// the functional-verification runs. Not part of the simulator's API.
 mod testing {
@@ -1617,20 +1264,18 @@ mod testing {
         }
 
         /// Digest of everything endpoint `ep`'s own tick can change: its
-        /// NIC, its L2 + core driver + tile latches, or its memory
-        /// controller.
+        /// NIC and ordering state, then its L2 + core driver + held data,
+        /// or its memory controller.
         #[doc(hidden)]
         pub fn endpoint_digest(&self, ep: usize) -> u64 {
             let nic = scorpio_nic::testing::state_digest(&self.nics[ep]);
-            let shared = (nic, &self.reorders[ep]);
+            let shared = (nic, self.seq.as_ref().map(|s| s.port(ep)));
             match ep.checked_sub(self.cfg.cores()) {
                 Some(m) => debug_digest(&(shared, &self.mcs[m])),
                 None => debug_digest(&(
                     shared,
                     (&self.l2s[ep], &self.drivers[ep]),
-                    (&self.resp_hold[ep], &self.pending_ordered[ep]),
-                    (&self.pending_expiry[ep], &self.inso_alloc[ep]),
-                    self.dir_homes.get(ep),
+                    &self.resp_hold[ep],
                 )),
             }
         }

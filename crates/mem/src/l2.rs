@@ -502,26 +502,31 @@ impl SnoopyL2 {
         self.record_spans = true;
     }
 
-    /// Stamps the network-injection cycle on RSHR entry `tag` (the cycle
-    /// the ordered request left the L2 outbox). Called by the system at
-    /// the inject site; a no-op unless spans are enabled.
-    pub fn stamp_inject(&mut self, tag: u8, now: Cycle) {
-        if !self.record_spans {
-            return;
+    /// The RSHR entry a span stamp for `msg` goes to: only with spans on,
+    /// and only for this tile's own `GetS`/`GetX`. A `WbReq` has no RSHR
+    /// entry, and its tag could alias a live one.
+    fn span_entry(&mut self, msg: &CohMsg) -> Option<&mut RshrEntry> {
+        let own_miss =
+            msg.requester == self.tile && matches!(msg.kind, MsgKind::GetS | MsgKind::GetX);
+        if !(self.record_spans && own_miss) {
+            return None;
         }
-        if let Some(entry) = self.rshr[tag as usize].as_mut() {
+        self.rshr[msg.req_tag as usize].as_mut()
+    }
+
+    /// Stamps the network-injection cycle on `msg`'s span: the cycle the
+    /// ordered request left the L2 outbox toward the interconnect layer.
+    pub fn stamp_inject(&mut self, msg: &CohMsg, now: Cycle) {
+        if let Some(entry) = self.span_entry(msg) {
             entry.t_inject = Some(now);
         }
     }
 
-    /// Stamps the own-ordered-pop cycle on RSHR entry `tag` (the cycle
-    /// the own ordered observation left the NIC or reorder buffer toward
-    /// the snoop queue). A no-op unless spans are enabled.
-    pub fn stamp_popped(&mut self, tag: u8, now: Cycle) {
-        if !self.record_spans {
-            return;
-        }
-        if let Some(entry) = self.rshr[tag as usize].as_mut() {
+    /// Stamps the own-ordered-pop cycle on `msg`'s span: the cycle the own
+    /// ordered observation left the NIC or reorder buffer toward the snoop
+    /// queue.
+    pub fn stamp_popped(&mut self, msg: &CohMsg, now: Cycle) {
+        if let Some(entry) = self.span_entry(msg) {
             entry.t_popped = Some(now);
         }
     }
