@@ -1017,31 +1017,31 @@ impl System {
             r.source_dropped += d.src_dropped;
         }
         for l2 in &self.l2s {
-            r.l2_hits += l2.stats.hits.get();
-            r.l2_misses += l2.stats.misses.get();
+            r.l2_hits += l2.stats.hits;
+            r.l2_misses += l2.stats.misses;
             r.l2_service_latency.merge(&l2.stats.service_latency);
             r.cache_served.merge(&l2.stats.cache_served_latency);
             r.memory_served.merge(&l2.stats.memory_served_latency);
             r.ordering_delay.merge(&l2.stats.ordering_delay);
-            r.data_forwards += l2.stats.data_forwards.get();
-            r.snoops_filtered += l2.stats.snoops_filtered.get();
-            r.snoops_looked_up += l2.stats.snoops.get();
-            r.writebacks += l2.stats.writebacks.get();
-            r.writebacks_squashed += l2.stats.wb_squashed.get();
+            r.data_forwards += l2.stats.data_forwards;
+            r.snoops_filtered += l2.stats.snoops_filtered;
+            r.snoops_looked_up += l2.stats.snoops;
+            r.writebacks += l2.stats.writebacks;
+            r.writebacks_squashed += l2.stats.wb_squashed;
         }
         for mc in &self.mcs {
-            r.memory_responses += mc.stats.responses.get();
+            r.memory_responses += mc.stats.responses;
         }
         let ns = self.net.stats();
         r.bypassed_flits = ns.bypassed_flits;
         r.buffered_flits = ns.buffered_flits;
-        r.packets_injected = ns.injected_packets.get();
+        r.packets_injected = ns.injected_packets;
         r.packet_latency = ns.packet_latency;
         if let Some(n) = &self.notify {
-            r.notify_windows = n.windows_completed.get();
-            r.notify_nonempty = n.nonempty_windows.get();
+            r.notify_windows = n.windows_completed;
+            r.notify_nonempty = n.nonempty_windows;
         }
-        r.stop_windows = self.nics.iter().map(|n| n.stats.stop_windows.get()).sum();
+        r.stop_windows = self.nics.iter().map(|n| n.stats.stop_windows).sum();
         if let Some(seq) = &self.seq {
             seq.report(&mut r);
         }
@@ -1139,8 +1139,7 @@ impl System {
             let _ = writeln!(
                 out,
                 "notify: windows={} nonempty={} latest={latest:?}",
-                n.windows_completed.get(),
-                n.nonempty_windows.get(),
+                n.windows_completed, n.nonempty_windows,
             );
         }
         if let Some(seq) = &self.seq {

@@ -510,3 +510,100 @@ fn every_public_fn_is_referenced() {
         "public items nothing outside their crate names (make them pub(crate)): {unnamed:#?}"
     );
 }
+
+/// Whether `after`, the text following a `.field` mention, makes the
+/// mention an update of the field rather than a read: an assignment
+/// (`=`, `+=`, `-=`) or a call of a recording method on it.
+fn is_update(after: &str) -> bool {
+    let after = after.trim_start();
+    let assigns = after.starts_with("+=")
+        || after.starts_with("-=")
+        || (after.starts_with('=') && !after.starts_with("=="));
+    let records = [".record(", ".merge(", ".incr(", ".add(", ".as_deref_mut("]
+        .iter()
+        .any(|call| after.starts_with(call));
+    assigns || records
+}
+
+/// A statistic pays rent only if something reads it. Every field of a
+/// `struct *Stats` under `crates/*/src` (before the file's tests) must be
+/// read somewhere: a `.field` mention that is neither a method call nor an
+/// update ([`is_update`]), in any crate's source or tests, `tests/`,
+/// `examples/` or `benchmark/src`. A stats type's own `impl` blocks (its
+/// merge) do not count as readers. Matching is by name, as in
+/// [`every_public_fn_is_referenced`], so a field that shares its name with
+/// a read field of another type passes; the allow-list is empty.
+#[test]
+fn every_stats_field_is_read() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    // (struct, field, file) for every statistics field.
+    let mut fields = Vec::new();
+    for path in rust_files(&root.join("crates")) {
+        let rel = path.strip_prefix(&root).expect("under the root").to_owned();
+        if !rel.iter().any(|p| p == "src") {
+            continue;
+        }
+        let text = std::fs::read_to_string(&path).expect("a readable source file");
+        let mut owner = None::<String>;
+        for line in text.lines() {
+            if line.starts_with("#[cfg(test)]") {
+                break;
+            }
+            let trimmed = line.trim_start();
+            let decl = trimmed
+                .strip_prefix("pub ")
+                .or(trimmed.strip_prefix("pub(crate) "))
+                .unwrap_or(trimmed);
+            if line == "}" {
+                owner = None;
+            } else if let Some(name) = decl.strip_prefix("struct ").and_then(|r| words(r).next()) {
+                owner = (name.ends_with("Stats") && line.ends_with('{')).then(|| name.to_owned());
+            } else if let (Some(o), Some((field, _))) = (&owner, decl.split_once(": ")) {
+                if words(field).count() == 1 && !trimmed.starts_with("//") {
+                    fields.push((o.clone(), field.to_owned(), rel.display().to_string()));
+                }
+            }
+        }
+    }
+    assert!(
+        fields.len() > 10,
+        "the stats structs were found: {fields:?}"
+    );
+    let owners: HashSet<&str> = fields.iter().map(|(o, _, _)| o.as_str()).collect();
+    let mut read: HashSet<String> = HashSet::new();
+    for dir in ["crates", "src", "tests", "examples", "benchmark/src"] {
+        for path in rust_files(&root.join(dir)) {
+            let text = std::fs::read_to_string(&path).expect("a readable source file");
+            let mut in_own_impl = false;
+            for line in text.lines() {
+                if line.starts_with("impl") {
+                    in_own_impl = words(line).any(|w| owners.contains(w));
+                } else if line == "}" {
+                    in_own_impl = false;
+                }
+                if in_own_impl || line.trim_start().starts_with("//") {
+                    continue;
+                }
+                for (dot, _) in line.match_indices('.') {
+                    let rest = &line[dot + 1..];
+                    let end = rest
+                        .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+                        .unwrap_or(rest.len());
+                    let (name, after) = rest.split_at(end);
+                    if !name.is_empty() && !after.starts_with('(') && !is_update(after) {
+                        read.insert(name.to_owned());
+                    }
+                }
+            }
+        }
+    }
+    let unread: Vec<String> = fields
+        .iter()
+        .filter(|(_, field, _)| !read.contains(field))
+        .map(|(owner, field, file)| format!("{file}: {owner}::{field}"))
+        .collect();
+    assert!(
+        unread.is_empty(),
+        "statistics nothing reads (delete them): {unread:#?}"
+    );
+}

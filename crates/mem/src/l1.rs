@@ -8,20 +8,6 @@
 
 use crate::array::{CacheArray, Line};
 use scorpio_coherence::{LineAddr, LineState};
-use scorpio_sim::stats::Counter;
-
-/// L1 statistics.
-#[derive(Debug, Clone, Default)]
-pub struct L1Stats {
-    /// Load hits.
-    pub load_hits: Counter,
-    /// Load misses (go to the L2).
-    pub load_misses: Counter,
-    /// Stores (always written through to the L2).
-    pub stores: Counter,
-    /// Lines invalidated through the invalidation port.
-    pub invalidations: Counter,
-}
 
 /// A write-through L1 data (or instruction) cache.
 ///
@@ -41,8 +27,6 @@ pub struct L1Stats {
 #[derive(Debug, Clone)]
 pub struct L1Cache {
     array: CacheArray,
-    /// Statistics.
-    pub stats: L1Stats,
 }
 
 impl L1Cache {
@@ -51,29 +35,18 @@ impl L1Cache {
     pub fn new(capacity_bytes: u64, ways: usize, line_bytes: u64) -> Self {
         L1Cache {
             array: CacheArray::with_capacity(capacity_bytes, ways, line_bytes),
-            stats: L1Stats::default(),
         }
     }
 
     /// Attempts a load; `Some(value)` on hit.
     pub fn load(&mut self, addr: LineAddr) -> Option<u64> {
-        match self.array.lookup(addr) {
-            Some(line) => {
-                self.stats.load_hits.incr();
-                Some(line.value)
-            }
-            None => {
-                self.stats.load_misses.incr();
-                None
-            }
-        }
+        self.array.lookup(addr).map(|line| line.value)
     }
 
     /// A store: updates the local copy if present (write-through — the
     /// caller must also send the store to the L2). No-write-allocate:
     /// misses do not fill.
     pub fn store(&mut self, addr: LineAddr, value: u64) {
-        self.stats.stores.incr();
         if let Some(line) = self.array.lookup_mut(addr) {
             line.value = value;
         }
@@ -97,9 +70,7 @@ impl L1Cache {
 
     /// The invalidation port: removes `addr` if present.
     pub fn invalidate(&mut self, addr: LineAddr) {
-        if self.array.remove(addr).is_some() {
-            self.stats.invalidations.incr();
-        }
+        self.array.remove(addr);
     }
 }
 
@@ -113,7 +84,8 @@ mod tests {
         l1.fill(LineAddr(0x40), 1);
         l1.store(LineAddr(0x40), 2);
         assert_eq!(l1.load(LineAddr(0x40)), Some(2));
-        assert_eq!(l1.stats.stores.get(), 1);
+        assert_eq!(l1.array.peek(LineAddr(0x40)).map(|l| l.value), Some(2));
+        assert_eq!(l1.array.len(), 1, "a store never allocates a second copy");
     }
 
     #[test]
@@ -127,12 +99,15 @@ mod tests {
     fn invalidation_port() {
         let mut l1 = L1Cache::new(1024, 2, 32);
         l1.fill(LineAddr(0x40), 1);
+        l1.fill(LineAddr(0x80), 2);
         l1.invalidate(LineAddr(0x40));
         assert!(l1.array.peek(LineAddr(0x40)).is_none());
-        assert_eq!(l1.stats.invalidations.get(), 1);
+        assert_eq!(l1.load(LineAddr(0x40)), None);
+        assert_eq!(l1.array.len(), 1, "only the invalidated line left");
         // Invalidating an absent line is a no-op.
         l1.invalidate(LineAddr(0x40));
-        assert_eq!(l1.stats.invalidations.get(), 1);
+        assert_eq!(l1.array.len(), 1);
+        assert_eq!(l1.load(LineAddr(0x80)), Some(2));
     }
 
     #[test]
@@ -158,10 +133,10 @@ mod tests {
     #[test]
     fn hit_miss_statistics() {
         let mut l1 = L1Cache::new(1024, 2, 32);
-        l1.load(LineAddr(0));
+        assert_eq!(l1.load(LineAddr(0)), None, "cold miss");
+        assert!(l1.array.is_empty(), "a load miss does not fill");
         l1.fill(LineAddr(0), 3);
-        l1.load(LineAddr(0));
-        assert_eq!(l1.stats.load_misses.get(), 1);
-        assert_eq!(l1.stats.load_hits.get(), 1);
+        assert_eq!(l1.load(LineAddr(0)), Some(3), "hit after the fill");
+        assert_eq!(l1.array.len(), 1);
     }
 }

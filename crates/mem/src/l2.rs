@@ -27,7 +27,7 @@ use scorpio_coherence::{
     fill_state, snoop_transition, CohMsg, FidList, FidPush, LineAddr, LineState, MsgKind,
 };
 use scorpio_noc::Endpoint;
-use scorpio_sim::stats::{Accumulator, Counter, LogHistogram};
+use scorpio_sim::stats::{Accumulator, LogHistogram};
 use scorpio_sim::{Cycle, Fifo, Wake};
 use std::collections::VecDeque;
 
@@ -38,7 +38,7 @@ pub struct L2Config {
     /// Capacity in bytes.
     pub capacity_bytes: u64,
     /// Associativity.
-    pub ways: usize,
+    pub(crate) ways: usize,
     /// Line size in bytes.
     pub line_bytes: u64,
     /// Access latency in cycles.
@@ -52,7 +52,9 @@ pub struct L2Config {
     pub fid_capacity: usize,
     /// Writeback buffer entries.
     pub wb_entries: usize,
-    /// Region-tracker entries (`None` disables snoop filtering).
+    /// Region snoop filter: `Some(n)` turns it on and pre-sizes its table
+    /// for `n` regions (it tracks any number exactly); `None` turns it
+    /// off.
     pub region_entries: Option<usize>,
     /// Input queue depths (core, snoop, response).
     pub queue_depth: usize,
@@ -281,26 +283,19 @@ impl MissSpan {
 #[derive(Debug, Clone, Default)]
 pub struct L2Stats {
     /// Core requests that hit with sufficient permission.
-    pub hits: Counter,
+    pub hits: u64,
     /// Core requests that missed (or needed an upgrade).
-    pub misses: Counter,
+    pub misses: u64,
     /// Remote snoops processed against the tag array.
-    pub snoops: Counter,
+    pub snoops: u64,
     /// Snoops skipped by the region tracker.
-    pub snoops_filtered: Counter,
+    pub snoops_filtered: u64,
     /// Data responses sent to other caches (cache-to-cache transfers).
-    pub data_forwards: Counter,
-    /// Snoops recorded in FID lists.
-    pub fid_recorded: Counter,
-    /// Snoops stalled on a full FID list.
-    pub fid_stalls: Counter,
+    pub data_forwards: u64,
     /// Dirty evictions (writebacks issued).
-    pub writebacks: Counter,
+    pub writebacks: u64,
     /// Writebacks squashed by an earlier-ordered GETX.
-    pub wb_squashed: Counter,
-    /// Fills discarded because a later-ordered GETX already invalidated
-    /// them.
-    pub invalidated_fills: Counter,
+    pub wb_squashed: u64,
     /// Service latency of every core request (enqueue → reply).
     pub service_latency: Accumulator,
     /// Latency of misses served by other caches.
@@ -615,7 +610,6 @@ impl SnoopyL2 {
         while self.stage.snoops.front().is_some_and(|(r, _)| *r <= now) {
             let (_, snoop) = self.stage.snoops.pop_front().expect("checked");
             if !self.apply_snoop(snoop, now) {
-                self.stats.fid_stalls.incr();
                 self.stage.snoops.push_front((now.next(), snoop));
                 break;
             }
@@ -726,15 +720,8 @@ impl SnoopyL2 {
                 .expect("find_rshr returned live tag");
             if entry.ordered && entry.kind == MsgKind::GetX {
                 // We own the line as of our position: record and forward
-                // after our write completes.
-                return match self.fids[tag].push(s.msg.requester, s.msg.req_tag, kind) {
-                    FidPush::Recorded => {
-                        self.stats.fid_recorded.incr();
-                        true
-                    }
-                    FidPush::Closed => true,
-                    FidPush::Full => false,
-                };
+                // after our write completes. A full list stalls the snoop.
+                return self.fids[tag].push(s.msg.requester, s.msg.req_tag, kind) != FidPush::Full;
             }
             if entry.ordered && entry.kind == MsgKind::GetS && kind == MsgKind::GetX {
                 // A write ordered after our read: the fill is stale on
@@ -758,7 +745,7 @@ impl SnoopyL2 {
                 MsgKind::GetX => {
                     self.send_data(s.msg, value);
                     self.wb_buf[pos].squashed = true;
-                    self.stats.wb_squashed.incr();
+                    self.stats.wb_squashed += 1;
                 }
                 _ => {}
             }
@@ -766,13 +753,13 @@ impl SnoopyL2 {
         }
         // Region filter.
         let pending_here = self.find_rshr(addr).is_some();
-        if let Some(region) = self.region.as_mut() {
+        if let Some(region) = &self.region {
             if !region.may_be_present(addr) && !pending_here {
-                self.stats.snoops_filtered.incr();
+                self.stats.snoops_filtered += 1;
                 return true;
             }
         }
-        self.stats.snoops.incr();
+        self.stats.snoops += 1;
         let Some(line) = self.array.peek(addr).copied() else {
             return true;
         };
@@ -880,7 +867,7 @@ impl SnoopyL2 {
             self.stage.cores.push_front((now.next(), req));
             return;
         }
-        self.stats.misses.incr();
+        self.stats.misses += 1;
         let tag = self
             .rshr
             .iter()
@@ -915,7 +902,7 @@ impl SnoopyL2 {
 
     fn finish_core(&mut self, req: CoreReq, addr: LineAddr, value: u64, hit: bool, now: Cycle) {
         if hit {
-            self.stats.hits.incr();
+            self.stats.hits += 1;
         }
         self.stats.service_latency.record(now - req.enqueued);
         if let Some(h) = self.stats.service_hist.as_deref_mut() {
@@ -964,7 +951,6 @@ impl SnoopyL2 {
         if entry.kind == MsgKind::GetS && entry.invalidate_on_fill {
             // The load still returns its (correctly ordered) value, but the
             // line is already stale: do not install it.
-            self.stats.invalidated_fills.incr();
             self.complete_entry(tag, core_value, false, now);
             return;
         }
@@ -1005,7 +991,7 @@ impl SnoopyL2 {
                     msg: fwd,
                     data_sized: true,
                 });
-                self.stats.data_forwards.incr();
+                self.stats.data_forwards += 1;
             }
             if self.fids[tag].ends_in_getx() {
                 self.drop_line(entry.addr);
@@ -1078,7 +1064,7 @@ impl SnoopyL2 {
         }
         self.l1_invalidations.push_back(victim.addr);
         if victim.state.is_owner() {
-            self.stats.writebacks.incr();
+            self.stats.writebacks += 1;
             assert!(
                 self.wb_buf.len() < self.cfg.wb_entries,
                 "eviction without a writeback slot"
@@ -1117,7 +1103,7 @@ impl SnoopyL2 {
             msg: reply,
             data_sized: true,
         });
-        self.stats.data_forwards.incr();
+        self.stats.data_forwards += 1;
     }
 
     fn find_rshr(&self, addr: LineAddr) -> Option<usize> {

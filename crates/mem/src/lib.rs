@@ -40,7 +40,7 @@ mod mc;
 mod region;
 
 pub use array::{CacheArray, Line};
-pub use l1::{L1Cache, L1Stats};
+pub use l1::L1Cache;
 pub use l2::{
     CoreOp, CoreReq, CoreResp, L2Config, L2Out, L2Stats, MissRecord, MissSpan, OrderedSnoop,
     ServedBy, SnoopyL2,

@@ -12,7 +12,6 @@
 use crate::l2::OrderedSnoop;
 use scorpio_coherence::{CohMsg, DirectoryCache, LineAddr, MsgKind, Owner, OwnershipStore};
 use scorpio_noc::{Endpoint, RouterId};
-use scorpio_sim::stats::{Accumulator, Counter};
 use scorpio_sim::Cycle;
 use std::collections::{HashMap, VecDeque};
 
@@ -20,18 +19,18 @@ use std::collections::{HashMap, VecDeque};
 #[derive(Debug, Clone)]
 pub struct McConfig {
     /// Fully pipelined DRAM access latency (the paper's RTL model: 90).
-    pub dram_latency: u64,
+    pub(crate) dram_latency: u64,
     /// Directory-cache (ownership bits) access latency on a hit.
     pub dir_latency: u64,
     /// Extra penalty when the ownership entry missed the directory cache
     /// (fetched alongside the data from DRAM).
     pub dir_miss_penalty: u64,
     /// Directory-cache storage budget in bytes (Table 1: 128 KB total).
-    pub dir_cache_bytes: usize,
+    pub(crate) dir_cache_bytes: usize,
     /// Bits per directory entry (owner + valid for SCORPIO/HT).
-    pub dir_entry_bits: usize,
+    pub(crate) dir_entry_bits: usize,
     /// Directory-cache associativity.
-    pub dir_ways: usize,
+    pub(crate) dir_ways: usize,
 }
 
 impl Default for McConfig {
@@ -51,19 +50,13 @@ impl Default for McConfig {
 #[derive(Debug, Clone, Default)]
 pub struct McStats {
     /// Requests this port was responsible for.
-    pub requests_seen: Counter,
+    pub(crate) requests_seen: u64,
     /// Data responses served from memory.
-    pub responses: Counter,
+    pub responses: u64,
     /// Responses that had to wait for in-flight writeback data.
-    pub wb_waits: Counter,
-    /// Writebacks accepted.
-    pub writebacks: Counter,
+    pub(crate) wb_waits: u64,
     /// Stale writebacks ignored.
-    pub stale_writebacks: Counter,
-    /// Directory-cache misses.
-    pub dir_misses: Counter,
-    /// Response latency (snoop observation → response sent).
-    pub response_latency: Accumulator,
+    pub(crate) stale_writebacks: u64,
 }
 
 /// An outgoing data response.
@@ -81,7 +74,6 @@ struct PendingResp {
     requester: u16,
     req_tag: u8,
     addr: LineAddr,
-    issued: Cycle,
 }
 
 /// One memory-controller port.
@@ -159,11 +151,8 @@ impl MemoryController {
         }
         match msg.kind {
             MsgKind::GetS | MsgKind::GetX => {
-                self.stats.requests_seen.incr();
+                self.stats.requests_seen += 1;
                 let dir_hit = self.dir_cache.access(msg.addr);
-                if !dir_hit {
-                    self.stats.dir_misses.incr();
-                }
                 let lat = self.cfg.dir_latency
                     + if dir_hit {
                         0
@@ -176,12 +165,11 @@ impl MemoryController {
                     requester: msg.requester,
                     req_tag: msg.req_tag,
                     addr: msg.addr,
-                    issued: now,
                 };
                 match owner {
                     Owner::Memory => self.pending.push_back(resp),
                     Owner::MemoryPendingWb { .. } => {
-                        self.stats.wb_waits.incr();
+                        self.stats.wb_waits += 1;
                         self.waiting_wb.entry(msg.addr).or_default().push(resp);
                     }
                     Owner::Cache(_) => {
@@ -195,7 +183,6 @@ impl MemoryController {
             }
             MsgKind::WbReq => {
                 if self.store.owner(msg.addr) == Owner::Cache(msg.requester) {
-                    self.stats.writebacks.incr();
                     // The data may have raced ahead on the unordered
                     // network; if so the writeback completes immediately.
                     if let Some((from, value)) = self.early_wb.remove(&msg.addr) {
@@ -217,7 +204,7 @@ impl MemoryController {
                 } else {
                     // An earlier-ordered GETX took the line; the evictor's
                     // writeback was squashed on its side too.
-                    self.stats.stale_writebacks.incr();
+                    self.stats.stale_writebacks += 1;
                 }
             }
             other => panic!("MC received unexpected ordered message {other:?}"),
@@ -273,8 +260,7 @@ impl MemoryController {
                     self.ep,
                 )
                 .with_value(value);
-                self.stats.responses.incr();
-                self.stats.response_latency.record(now - resp.issued);
+                self.stats.responses += 1;
                 self.outbox.push_back(McOut {
                     dest: Endpoint::tile(RouterId(resp.requester)),
                     msg,
@@ -451,7 +437,7 @@ mod tests {
             m.tick(Cycle::new(c));
         }
         assert!(m.pop_out().is_none(), "responded before writeback data");
-        assert_eq!(m.stats.wb_waits.get(), 1);
+        assert_eq!(m.stats.wb_waits, 1);
         let data = CohMsg::new(
             MsgKind::WbData,
             LineAddr(0x40),
@@ -487,7 +473,7 @@ mod tests {
         };
         m.snoop(wb, Cycle::new(410));
         assert_eq!(m.owner(LineAddr(0x40)), Owner::Cache(4));
-        assert_eq!(m.stats.stale_writebacks.get(), 1);
+        assert_eq!(m.stats.stale_writebacks, 1);
     }
 
     #[test]
@@ -504,7 +490,7 @@ mod tests {
             m.tick(Cycle::new(c));
         }
         assert!(m.pop_out().is_none());
-        assert_eq!(m.stats.requests_seen.get(), 0);
+        assert_eq!(m.stats.requests_seen, 0);
     }
 
     #[test]

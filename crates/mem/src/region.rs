@@ -2,25 +2,13 @@
 //! (Table 1: 4 KB regions, 128 entries).
 //!
 //! Tracks which 4 KB regions have any line resident in the L2 so incoming
-//! snoops to absent regions skip the tag lookup. The tracker is counting
-//! and conservative: if the entry table overflows, the spilled regions are
-//! kept in an unbounded side table that is *charged as unfiltered* — the
-//! filter loses its benefit but never its correctness.
+//! snoops to absent regions skip the tag lookup. The tracker counts the
+//! resident lines of every region with one, exactly: the 128-entry budget
+//! only pre-sizes its table, and a region past it is tracked like any
+//! other. The filter never skips a snoop to a resident line.
 
 use scorpio_coherence::LineAddr;
-use scorpio_sim::stats::Counter;
 use std::collections::HashMap;
-
-/// Region tracker statistics.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct RegionTrackerStats {
-    /// Snoops skipped thanks to the filter.
-    pub filtered: Counter,
-    /// Snoops that had to look up the L2 tags.
-    pub unfiltered: Counter,
-    /// Region insertions that spilled past the entry table.
-    pub overflows: Counter,
-}
 
 /// The region tracker.
 ///
@@ -39,17 +27,12 @@ pub(crate) struct RegionTrackerStats {
 /// ```
 #[derive(Debug, Clone)]
 pub struct RegionTracker {
-    entries: HashMap<u64, u32>,
-    capacity: usize,
-    /// Spill table: regions present in the cache but not representable in
-    /// the entry budget; queries touching these count as unfiltered.
-    spill: HashMap<u64, u32>,
-    /// Statistics.
-    pub(crate) stats: RegionTrackerStats,
+    /// Resident lines per region, for every region with one.
+    lines: HashMap<u64, u32>,
 }
 
 impl RegionTracker {
-    /// A tracker with `capacity` region entries.
+    /// A tracker sized for `capacity` regions.
     ///
     /// # Panics
     ///
@@ -57,26 +40,13 @@ impl RegionTracker {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "region tracker needs capacity");
         RegionTracker {
-            entries: HashMap::with_capacity(capacity),
-            capacity,
-            spill: HashMap::new(),
-            stats: RegionTrackerStats::default(),
+            lines: HashMap::with_capacity(capacity),
         }
     }
 
     /// Records that a line of `addr`'s region is now resident.
     pub fn line_filled(&mut self, addr: LineAddr) {
-        let region = addr.region();
-        if let Some(count) = self.entries.get_mut(&region) {
-            *count += 1;
-            return;
-        }
-        if self.entries.len() < self.capacity {
-            self.entries.insert(region, 1);
-        } else {
-            self.stats.overflows.incr();
-            *self.spill.entry(region).or_insert(0) += 1;
-        }
+        *self.lines.entry(addr.region()).or_insert(0) += 1;
     }
 
     /// Records that a line of `addr`'s region left the cache.
@@ -86,39 +56,20 @@ impl RegionTracker {
     /// Panics if the region was never recorded (an accounting bug).
     pub fn line_evicted(&mut self, addr: LineAddr) {
         let region = addr.region();
-        if let Some(count) = self.entries.get_mut(&region) {
-            *count -= 1;
-            if *count == 0 {
-                self.entries.remove(&region);
-                // Promote a spilled region into the freed slot.
-                if let Some((&r, _)) = self.spill.iter().next() {
-                    let c = self.spill.remove(&r).expect("just observed");
-                    self.entries.insert(r, c);
-                }
-            }
-            return;
-        }
         let count = self
-            .spill
+            .lines
             .get_mut(&region)
             .expect("evicted line from untracked region");
         *count -= 1;
         if *count == 0 {
-            self.spill.remove(&region);
+            self.lines.remove(&region);
         }
     }
 
     /// Snoop-filter query: could a line of `addr`'s region be resident?
     /// `false` means the snoop can safely skip the L2 tags.
-    pub fn may_be_present(&mut self, addr: LineAddr) -> bool {
-        let region = addr.region();
-        if self.entries.contains_key(&region) || self.spill.contains_key(&region) {
-            self.stats.unfiltered.incr();
-            true
-        } else {
-            self.stats.filtered.incr();
-            false
-        }
+    pub fn may_be_present(&self, addr: LineAddr) -> bool {
+        self.lines.contains_key(&addr.region())
     }
 }
 
@@ -139,30 +90,42 @@ mod tests {
 
     #[test]
     fn overflow_stays_conservative() {
+        // Twice the size hint in regions, two lines each: every region
+        // stays exact through evictions.
         let mut rt = RegionTracker::new(2);
-        rt.line_filled(LineAddr(0x1000));
-        rt.line_filled(LineAddr(0x2000));
-        rt.line_filled(LineAddr(0x3000)); // spills
-        assert_eq!(rt.stats.overflows.get(), 1);
-        assert!(
-            rt.may_be_present(LineAddr(0x3000)),
-            "spilled region must still snoop"
-        );
-        // Freeing an entry promotes the spilled region.
+        let regions: Vec<u64> = (1..=4).map(|r| r * 0x1000).collect();
+        for &r in &regions {
+            rt.line_filled(LineAddr(r));
+            rt.line_filled(LineAddr(r + 0x20));
+        }
+        for &r in &regions {
+            assert!(rt.may_be_present(LineAddr(r)), "region {r:#x} must snoop");
+        }
         rt.line_evicted(LineAddr(0x1000));
-        assert_eq!(rt.entries.len(), 2);
-        assert!(rt.may_be_present(LineAddr(0x3000)));
-        assert!(!rt.may_be_present(LineAddr(0x1000)));
+        rt.line_evicted(LineAddr(0x3020));
+        rt.line_evicted(LineAddr(0x3000));
+        assert!(
+            rt.may_be_present(LineAddr(0x1000)),
+            "one line still resident"
+        );
+        assert!(!rt.may_be_present(LineAddr(0x3000)), "region emptied");
+        assert!(rt.may_be_present(LineAddr(0x4000)));
+        rt.line_evicted(LineAddr(0x4000));
+        rt.line_evicted(LineAddr(0x4020));
+        assert!(!rt.may_be_present(LineAddr(0x4000)));
+        assert!(rt.may_be_present(LineAddr(0x2000)));
+        assert_eq!(rt.lines.len(), 2);
     }
 
     #[test]
     fn stats_count_filter_outcomes() {
         let mut rt = RegionTracker::new(2);
         rt.line_filled(LineAddr(0x1000));
-        rt.may_be_present(LineAddr(0x1000));
-        rt.may_be_present(LineAddr(0x5000));
-        assert_eq!(rt.stats.unfiltered.get(), 1);
-        assert_eq!(rt.stats.filtered.get(), 1);
+        assert!(rt.may_be_present(LineAddr(0x1000)), "resident: snoop");
+        assert!(!rt.may_be_present(LineAddr(0x5000)), "absent: filtered");
+        // A query changes nothing.
+        assert!(rt.may_be_present(LineAddr(0x1000)));
+        assert!(!rt.may_be_present(LineAddr(0x5000)));
     }
 
     #[test]

@@ -158,7 +158,7 @@ fn cold_load_served_by_memory() {
     assert_eq!(r.value, 0, "memory default value");
     assert!(!r.hit);
     assert_eq!(w.l2s[0].line_state(LineAddr(0x100)), LineState::S);
-    assert_eq!(w.mc.stats.responses.get(), 1);
+    assert_eq!(w.mc.stats.responses, 1);
 }
 
 #[test]
@@ -175,8 +175,8 @@ fn store_then_remote_load_transfers_on_chip() {
     assert_eq!(w.l2s[1].line_state(LineAddr(0x200)), LineState::Od);
     assert_eq!(w.l2s[2].line_state(LineAddr(0x200)), LineState::S);
     // Memory was not involved in the transfer.
-    assert_eq!(w.mc.stats.responses.get(), 1, "only the initial GETX fill");
-    assert!(w.l2s[1].stats.data_forwards.get() >= 1);
+    assert_eq!(w.mc.stats.responses, 1, "only the initial GETX fill");
+    assert!(w.l2s[1].stats.data_forwards >= 1);
 }
 
 #[test]
@@ -217,7 +217,7 @@ fn capacity_eviction_writes_back_and_refetches() {
         w.req(0, CoreOp::Store, k * stride, 100 + k, k);
         w.wait_resp(0, k, 4000);
     }
-    assert_eq!(w.l2s[0].stats.writebacks.get(), 1);
+    assert_eq!(w.l2s[0].stats.writebacks, 1);
     w.drain(4000);
     // The evicted line (LRU: the first one) must be re-servable by memory
     // with the written value.
@@ -273,7 +273,7 @@ fn region_tracker_filters_unrelated_snoops() {
     w.wait_resp(1, 2, 2000);
     w.drain(2000);
     assert!(
-        w.l2s[2].stats.snoops_filtered.get() >= 2,
+        w.l2s[2].stats.snoops_filtered >= 2,
         "idle tile should filter both snoops"
     );
 }

@@ -18,7 +18,6 @@ use scorpio_noc::{
     set_bits, Endpoint, MultiNetwork, Network, NocConfig, Packet, Payload, Sid, SteerKey, VnetId,
 };
 use scorpio_notify::NotifyNetwork;
-use scorpio_sim::stats::{Accumulator, Counter};
 use scorpio_sim::{Cycle, Fifo, Wake};
 
 /// NIC configuration.
@@ -73,11 +72,6 @@ pub struct OrderedDelivery<T> {
     pub payload: T,
     /// True when this is the NIC's own request (loopback self-delivery).
     pub own: bool,
-    /// Cycle the request entered its source NIC.
-    pub inject_cycle: Cycle,
-    /// Cycle this NIC could first have seen it (arrival at the ejection
-    /// buffers; equals delivery cycle for loopback).
-    pub first_seen: Cycle,
 }
 
 /// Error returned when the NIC cannot accept an ordered request this cycle.
@@ -107,35 +101,8 @@ impl std::error::Error for SendError {}
 /// NIC statistics.
 #[derive(Debug, Clone, Default)]
 pub struct NicStats {
-    /// Ordered requests injected.
-    pub requests_sent: Counter,
-    /// Unordered packets injected.
-    pub responses_sent: Counter,
-    /// Ordered requests delivered to the controller.
-    pub ordered_delivered: Counter,
-    /// Unordered packets delivered to the controller.
-    pub packets_delivered: Counter,
-    /// Cycles an ordered request waited at this NIC for its turn.
-    pub ordering_wait: Accumulator,
-    /// End-to-end latency of delivered ordered requests (inject → deliver).
-    pub ordered_latency: Accumulator,
     /// Plane word groups ignored because someone asserted stop.
-    pub stop_windows: Counter,
-    /// Announcements that had to be re-sent after a stop window.
-    pub notif_resends: Counter,
-}
-
-/// What the NIC remembers about one plane's ejection VCs between ticks,
-/// indexed by flat VC. A VC is a FIFO, so its head stays its head until the
-/// NIC takes it: state keyed by the VC is state keyed by the head flit.
-#[derive(Debug, Clone, Default)]
-struct EjectTable {
-    /// Ordered VCs whose current head has its first-seen stamp.
-    stamped: u32,
-    /// The cycle each stamped head was first seen waiting.
-    seen_at: [Cycle; NocConfig::MAX_VCS_PER_PORT],
-    /// Flits received of the packet each VC is reassembling.
-    partial: [u8; NocConfig::MAX_VCS_PER_PORT],
+    pub stop_windows: u64,
 }
 
 /// The network interface controller for one endpoint.
@@ -158,12 +125,14 @@ pub struct Nic<T> {
     /// Requests announced in the window currently in flight, per plane.
     announced: Vec<u8>,
     last_window: Option<u64>,
-    /// Loopback self-delivery queues, per plane.
-    own_queue: Vec<Fifo<(T, Cycle, u64)>>,
+    /// Loopback self-delivery queues, per plane: each own request and its
+    /// packet uid.
+    own_queue: Vec<Fifo<(T, u64)>>,
     ordered_out: Fifo<OrderedDelivery<T>>,
     packet_out: Fifo<Packet<T>>,
-    /// Receive-side bookkeeping per plane.
-    eject: Vec<EjectTable>,
+    /// Per plane, the flits received of the packet each ejection VC (by
+    /// flat VC) is reassembling.
+    partial: Vec<[u8; NocConfig::MAX_VCS_PER_PORT]>,
     /// Per-plane, per-source count of ordered requests this NIC has
     /// delivered; the expected instance on plane `p` is always
     /// (ESID, delivered[p][ESID]).
@@ -214,7 +183,7 @@ impl<T: Payload + SteerKey> Nic<T> {
             sent_seq: vec![0; planes],
             ordered_out: Fifo::bounded(cfg.ordered_queue_depth),
             packet_out: Fifo::bounded(cfg.packet_queue_depth),
-            eject: vec![EjectTable::default(); planes],
+            partial: vec![[0; NocConfig::MAX_VCS_PER_PORT]; planes],
             published_esid: vec![None; planes],
             published_any: vec![false; planes],
             busy_until: Cycle::ZERO,
@@ -281,10 +250,10 @@ impl<T: Payload + SteerKey> Nic<T> {
     /// its tick at `now` (pass the notification network exactly as to
     /// [`Nic::tick`]). *Next cycle* while a delivery queue holds anything,
     /// an unordered flit waits, a plane expects this NIC's own request (it
-    /// polls the injection port) or an ordered head is either the expected
-    /// one or not yet first-seen-stamped while a scan would run; *the next
-    /// window start* when there is something to announce there; otherwise
-    /// an event — flit arrivals and non-empty windows wake the endpoint.
+    /// polls the injection port) or the expected ordered request heads an
+    /// ejection VC; *the next window start* when there is something to
+    /// announce there; otherwise an event — flit arrivals and non-empty
+    /// windows wake the endpoint.
     pub fn next_wake(
         &self,
         now: Cycle,
@@ -310,9 +279,6 @@ impl<T: Payload + SteerKey> Nic<T> {
             if let Some(esid) = self.tracker[p].current_esid() {
                 if Some(esid) == self.sid {
                     return Wake::at(next, "own request expected");
-                }
-                if heads & !self.eject[p].stamped != 0 {
-                    return Wake::at(next, "ordered head to stamp");
                 }
                 if expected_vc(net, idx, heads, esid).is_some() {
                     return Wake::at(next, "expected request present");
@@ -349,11 +315,12 @@ impl<T: Payload + SteerKey> Nic<T> {
     /// [`SendError::NotACore`] if this NIC has no SID or is unordered;
     /// [`SendError::NotificationLimit`] when the plane's pending counter is
     /// at its limit; [`SendError::NetworkFull`] when the plane's injection
-    /// queue is full.
+    /// queue is full. `_now` is unused: the network stamps the injection
+    /// cycle.
     pub fn try_send_request(
         &mut self,
         payload: T,
-        now: Cycle,
+        _now: Cycle,
         net: &mut MultiNetwork<T>,
     ) -> Result<(), SendError> {
         let sid = match (self.mode, self.sid) {
@@ -373,10 +340,9 @@ impl<T: Payload + SteerKey> Nic<T> {
         debug_assert_eq!(steered, plane, "steering function disagreed with itself");
         self.sent_seq[plane] = self.sent_seq[plane].wrapping_add(1);
         self.own_queue[plane]
-            .push((payload, now, uid))
+            .push((payload, uid))
             .expect("own queue capacity checked above");
         self.unsent[plane] += 1;
-        self.stats.requests_sent.incr();
         Ok(())
     }
 
@@ -399,7 +365,6 @@ impl<T: Payload + SteerKey> Nic<T> {
             Packet::unicast(vnet, self.ep, dest, len_flits, payload),
         )
         .map_err(|_| SendError::NetworkFull)?;
-        self.stats.responses_sent.incr();
         Ok(())
     }
 
@@ -417,7 +382,6 @@ impl<T: Payload + SteerKey> Nic<T> {
     ) -> Result<(), SendError> {
         net.try_inject(self.ep, Packet::broadcast_unordered(vnet, self.ep, payload))
             .map_err(|_| SendError::NetworkFull)?;
-        self.stats.responses_sent.incr();
         Ok(())
     }
 
@@ -465,11 +429,8 @@ impl<T: Payload + SteerKey> Nic<T> {
             if msg.stop(p) {
                 // Everyone ignores this plane's word group; our
                 // announcement (if any) must be re-sent.
-                self.stats.stop_windows.incr();
-                if self.announced[p] > 0 {
-                    self.stats.notif_resends.incr();
-                    self.unsent[p] += self.announced[p];
-                }
+                self.stats.stop_windows += 1;
+                self.unsent[p] += self.announced[p];
                 self.announced[p] = 0;
                 continue;
             }
@@ -514,7 +475,7 @@ impl<T: Payload + SteerKey> Nic<T> {
                 // One ordered consume + one unordered flit per plane per
                 // cycle (separate ACE channels toward the L2).
                 for p in 0..self.planes {
-                    consumed |= self.receive_ordered(p, now, net);
+                    consumed |= self.receive_ordered(p, net);
                 }
                 for p in 0..self.planes {
                     consumed |= self.receive_any_class(p, net, false);
@@ -536,7 +497,7 @@ impl<T: Payload + SteerKey> Nic<T> {
 
     /// Consumes plane `plane`'s expected ordered request if present
     /// (network or loopback). Returns whether something was consumed.
-    fn receive_ordered(&mut self, plane: usize, now: Cycle, net: &mut MultiNetwork<T>) -> bool {
+    fn receive_ordered(&mut self, plane: usize, net: &mut MultiNetwork<T>) -> bool {
         let Some(esid) = self.tracker[plane].current_esid() else {
             return false;
         };
@@ -550,40 +511,30 @@ impl<T: Payload + SteerKey> Nic<T> {
             // Consuming earlier would advance our ESID past our own SID
             // while the flit is not yet in the network, breaking the
             // reserved-VC deadlock-freedom invariant.
-            let &(_, _, uid) = self.own_queue[plane]
+            let &(_, uid) = self.own_queue[plane]
                 .front()
                 .expect("own request announced but missing from loopback queue");
             if net.plane(plane).inject_pending(idx, uid) {
                 return false;
             }
-            let (payload, inject_cycle, _) = self.own_queue[plane].pop().expect("checked above");
+            let (payload, _) = self.own_queue[plane].pop().expect("checked above");
             self.delivered_seq[plane][esid.index()] =
                 self.delivered_seq[plane][esid.index()].wrapping_add(1);
             self.deliver_ordered(OrderedDelivery {
                 sid: esid,
                 payload,
                 own: true,
-                inject_cycle,
-                first_seen: now,
             });
             self.tracker[plane].advance();
             return true;
         }
-        // Stamp every ordered head not seen before, then find the expected
-        // request among them (lowest VC first).
+        // The expected request among the ordered heads (lowest VC first).
         let net = net.plane_mut(plane);
         let heads = net.eject_vcs(idx) & net.ordered_vcs();
-        let table = &mut self.eject[plane];
-        for vc in set_bits(heads & !table.stamped) {
-            table.seen_at[vc] = now;
-        }
-        table.stamped |= heads;
         let Some(vc) = expected_vc(net, idx, heads, esid) else {
             return false;
         };
         let flit = net.eject_take_vc(idx, vc).expect("head flit vanished");
-        table.stamped &= !(1 << vc);
-        let first_seen = table.seen_at[vc];
         debug_assert_eq!(
             flit.packet.sid_seq,
             self.delivered_seq[plane][esid.index()],
@@ -591,22 +542,16 @@ impl<T: Payload + SteerKey> Nic<T> {
         );
         self.delivered_seq[plane][esid.index()] =
             self.delivered_seq[plane][esid.index()].wrapping_add(1);
-        self.stats.ordering_wait.record(now - first_seen);
         self.deliver_ordered(OrderedDelivery {
             sid: esid,
             payload: flit.packet.payload,
             own: false,
-            inject_cycle: flit.packet.inject_cycle,
-            first_seen,
         });
         self.tracker[plane].advance();
         true
     }
 
     fn deliver_ordered(&mut self, d: OrderedDelivery<T>) {
-        let lat = d.first_seen.max(d.inject_cycle) - d.inject_cycle;
-        self.stats.ordered_latency.record(lat);
-        self.stats.ordered_delivered.incr();
         self.ordered_out
             .push(d)
             .expect("ordered_out fullness checked by caller");
@@ -635,12 +580,11 @@ impl<T: Payload + SteerKey> Nic<T> {
         }
         let vc = vcs.trailing_zeros() as usize;
         let flit = net.eject_take_vc(idx, vc).expect("head flit vanished");
-        let got = &mut self.eject[plane].partial[vc];
+        let got = &mut self.partial[plane][vc];
         debug_assert_eq!(*got, flit.idx, "flit reassembly out of order");
         *got += 1;
         if flit.is_tail() {
             *got = 0;
-            self.stats.packets_delivered.incr();
             self.packet_out
                 .push(flit.packet)
                 .expect("packet_out fullness checked above");
@@ -709,7 +653,7 @@ pub mod testing {
     pub fn state_digest<T: Payload>(nic: &Nic<T>) -> u64 {
         scorpio_sim::testing::debug_digest(&(
             (&nic.tracker, &nic.unsent, &nic.announced, &nic.own_queue),
-            (&nic.ordered_out, &nic.packet_out, &nic.eject),
+            (&nic.ordered_out, &nic.packet_out, &nic.partial),
             (&nic.delivered_seq, &nic.sent_seq, &nic.published_esid),
             (nic.busy_until, &nic.stats),
         ))

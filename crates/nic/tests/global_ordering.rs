@@ -214,7 +214,7 @@ fn stop_bit_pressure_does_not_break_ordering() {
     }
     w.assert_identical_logs(9 * per_tile as usize);
     // The pressure must actually have triggered the stop protocol.
-    let stops: u64 = w.nics.iter().map(|n| n.stats.stop_windows.get()).sum();
+    let stops: u64 = w.nics.iter().map(|n| n.stats.stop_windows).sum();
     assert!(stops > 0, "test failed to exercise the stop bit");
 }
 

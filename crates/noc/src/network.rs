@@ -32,7 +32,7 @@ use crate::router::{
 };
 use crate::tables::{validate_datelines, RouteCtx, RoutingTables, VcClass};
 use crate::topology::{Endpoint, Port, RouterId, Topology};
-use scorpio_sim::stats::{Accumulator, Counter};
+use scorpio_sim::stats::Accumulator;
 use scorpio_sim::{ActiveSet, Cycle, PushError};
 use std::collections::{HashMap, VecDeque};
 
@@ -245,13 +245,11 @@ impl<T: Payload> Ejection<T> {
 #[derive(Debug, Clone, Default)]
 pub struct NocStats {
     /// Packets accepted by [`Network::try_inject`].
-    pub injected_packets: Counter,
+    pub injected_packets: u64,
     /// Packet copies fully consumed at an endpoint (tail flit taken).
-    pub delivered_packets: Counter,
+    pub delivered_packets: u64,
     /// Latency from injection to tail consumption, per delivered copy.
     pub packet_latency: Accumulator,
-    /// Same, split by virtual network.
-    pub vnet_latency: Vec<Accumulator>,
     /// Flits that took the single-cycle bypass path, summed over routers.
     pub bypassed_flits: u64,
     /// Flits that were buffered (three-stage path), summed over routers.
@@ -262,12 +260,9 @@ impl NocStats {
     /// Folds another network's statistics into this one (the multi-plane
     /// aggregate view).
     pub(crate) fn merge(&mut self, other: &NocStats) {
-        self.injected_packets.add(other.injected_packets.get());
-        self.delivered_packets.add(other.delivered_packets.get());
+        self.injected_packets += other.injected_packets;
+        self.delivered_packets += other.delivered_packets;
         self.packet_latency.merge(&other.packet_latency);
-        for (a, b) in self.vnet_latency.iter_mut().zip(&other.vnet_latency) {
-            a.merge(b);
-        }
         self.bypassed_flits += other.bypassed_flits;
         self.buffered_flits += other.buffered_flits;
     }
@@ -416,7 +411,6 @@ impl<T: Payload> Network<T> {
         // downstream port has buffer slots.
         let n_ports = routers.n_ports();
         let port_slots: usize = flat_depths(&cfg).sum();
-        let vnets = cfg.vnets.len();
         Network {
             injection: Injection::new(&cfg, n_eps),
             ejection: Ejection::new(&cfg, n_eps),
@@ -448,10 +442,7 @@ impl<T: Payload> Network<T> {
             next_uid: 1,
             deliveries: HashMap::new(),
             last_progress: Cycle::ZERO,
-            stats: NocStats {
-                vnet_latency: vec![Accumulator::new(); vnets],
-                ..NocStats::default()
-            },
+            stats: NocStats::default(),
             obs: None,
         }
     }
@@ -541,7 +532,7 @@ impl<T: Payload> Network<T> {
         self.injection.push(idx, vnet, packet)?;
         self.inject_active.wake(idx);
         self.next_uid += 1;
-        self.stats.injected_packets.incr();
+        self.stats.injected_packets += 1;
         if let Some(o) = self.obs.as_deref_mut() {
             o.on_inject(self.cycle.as_u64(), idx as u32, packet.vnet.0, packet.uid);
         }
@@ -617,10 +608,9 @@ impl<T: Payload> Network<T> {
         ));
         self.last_progress = self.cycle;
         if flit.is_tail() {
-            self.stats.delivered_packets.incr();
+            self.stats.delivered_packets += 1;
             let lat = self.cycle - flit.packet.inject_cycle;
             self.stats.packet_latency.record(lat);
-            self.stats.vnet_latency[flit.packet.vnet.index()].record(lat);
             if let Some(o) = self.obs.as_deref_mut() {
                 o.on_eject(
                     self.cycle.as_u64(),

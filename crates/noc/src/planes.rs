@@ -492,7 +492,7 @@ mod tests {
         for p in 0..4 {
             assert_eq!(net.plane(p).cycle().as_u64(), 50, "plane {p} clock");
         }
-        assert!(net.plane(2).stats().delivered_packets.get() == 0);
+        assert!(net.plane(2).stats().delivered_packets == 0);
         let dst = net.endpoint_index(Endpoint::tile(RouterId(8)));
         assert!(net.plane(2).eject_occupied(dst));
     }
@@ -505,9 +505,9 @@ mod tests {
             net.try_inject(src, Packet::request(src, Sid(0), addr as u16, addr))
                 .unwrap();
         }
-        assert_eq!(net.stats().injected_packets.get(), 4);
-        assert_eq!(net.plane(0).stats().injected_packets.get(), 2);
-        assert_eq!(net.plane(1).stats().injected_packets.get(), 2);
+        assert_eq!(net.stats().injected_packets, 4);
+        assert_eq!(net.plane(0).stats().injected_packets, 2);
+        assert_eq!(net.plane(1).stats().injected_packets, 2);
         let eps = net.topology().endpoints().count();
         for _ in 0..500 {
             for idx in 0..eps {
@@ -524,7 +524,7 @@ mod tests {
         }
         assert!(net.is_drained());
         // 19 copies per broadcast on the 4x4 + corner-MC fabric.
-        assert_eq!(net.stats().delivered_packets.get(), 4 * 19);
+        assert_eq!(net.stats().delivered_packets, 4 * 19);
     }
 
     #[test]
@@ -558,7 +558,7 @@ mod tests {
                 }
             }
             assert!(net.is_drained(), "{} wedged", topo.label());
-            assert_eq!(net.stats().delivered_packets.get(), 6 * 19);
+            assert_eq!(net.stats().delivered_packets, 6 * 19);
         }
     }
 

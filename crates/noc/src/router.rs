@@ -40,33 +40,32 @@ use crate::flit::{Flit, Payload, Sid};
 use crate::obs::NetObs;
 use crate::tables::{RouteCtx, RoutingTables, VcClass};
 use crate::topology::{Port, PortMask, RouterId};
-use scorpio_sim::stats::Counter;
 
 /// A flit arriving at an input port, tagged with the VC the upstream VS
 /// stage allocated for it.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct FlitArrival<T> {
-    pub port: Port,
-    pub vc: u8,
-    pub flit: Flit<T>,
+    pub(crate) port: Port,
+    pub(crate) vc: u8,
+    pub(crate) flit: Flit<T>,
 }
 
 /// A lookahead: the control information of a single-flit packet, arriving
 /// one cycle ahead of the flit itself.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct LaArrival<T> {
-    pub port: Port,
-    pub flit: Flit<T>,
+    pub(crate) port: Port,
+    pub(crate) flit: Flit<T>,
 }
 
 /// A credit returning from the downstream input port attached to `out_port`.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct CreditArrival {
-    pub out_port: Port,
-    pub vnet: u8,
-    pub vc: u8,
+    pub(crate) out_port: Port,
+    pub(crate) vnet: u8,
+    pub(crate) vc: u8,
     /// Tail left the downstream buffer: the VC is free for a new packet.
-    pub dealloc: bool,
+    pub(crate) dealloc: bool,
 }
 
 /// Everything a router emits during one tick; the network stages these onto
@@ -505,9 +504,9 @@ struct RouterCore {
     sa_o_arb: [RotatingArbiter; Port::COUNT],
     la_arb: RotatingArbiter,
     /// Flits written into input buffers (took the 3-stage path).
-    buffered_flits: Counter,
+    buffered_flits: u64,
     /// Flits that bypassed straight to ST (1-stage path).
-    bypassed_flits: Counter,
+    bypassed_flits: u64,
 }
 
 impl RouterCore {
@@ -528,8 +527,8 @@ impl RouterCore {
             sa_i_arb: std::array::from_fn(|_| RotatingArbiter::new(shape.port_vcs)),
             sa_o_arb: std::array::from_fn(|_| RotatingArbiter::new(shape.n_ports)),
             la_arb: RotatingArbiter::new(shape.n_ports),
-            buffered_flits: Counter::default(),
-            bypassed_flits: Counter::default(),
+            buffered_flits: 0,
+            bypassed_flits: 0,
         }
     }
 
@@ -659,10 +658,7 @@ impl<T: Payload> Routers<T> {
     /// routers.
     pub(crate) fn flit_paths(&self) -> (u64, u64) {
         self.cores.iter().fold((0, 0), |(bypassed, buffered), c| {
-            (
-                bypassed + c.bypassed_flits.get(),
-                buffered + c.buffered_flits.get(),
-            )
+            (bypassed + c.bypassed_flits, buffered + c.buffered_flits)
         })
     }
 
@@ -915,7 +911,7 @@ impl<T: Payload> Router<'_, T> {
                 );
                 // Full bypass: ST immediately; input buffer untouched, so
                 // the upstream VC+credit are released right away.
-                self.core.bypassed_flits.incr();
+                self.core.bypassed_flits += 1;
                 if let Some(o) = obs.as_deref_mut() {
                     o.on_bypass(
                         self.id.0 as u32,
@@ -946,7 +942,7 @@ impl<T: Payload> Router<'_, T> {
     }
 
     fn buffer_flit(&mut self, route: &RouteCtx<'_>, a: &FlitArrival<T>) {
-        self.core.buffered_flits.incr();
+        self.core.buffered_flits += 1;
         let vc = VcRef {
             vnet: a.flit.packet.vnet.0,
             vc: a.vc,

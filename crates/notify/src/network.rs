@@ -21,7 +21,6 @@
 
 use crate::message::NotifyMsg;
 use scorpio_noc::Topology;
-use scorpio_sim::stats::Counter;
 use scorpio_sim::Cycle;
 
 /// Configuration of the notification network.
@@ -167,9 +166,9 @@ pub struct NotifyNetwork {
     /// external observer polling `latest` would only see the last.
     publish_log: Option<Vec<u64>>,
     /// Completed windows so far.
-    pub windows_completed: Counter,
+    pub windows_completed: u64,
     /// Completed windows that carried at least one announcement.
-    pub nonempty_windows: Counter,
+    pub nonempty_windows: u64,
 }
 
 impl NotifyNetwork {
@@ -211,8 +210,8 @@ impl NotifyNetwork {
             latest: blank,
             latest_window: None,
             publish_log: None,
-            windows_completed: Counter::new(),
-            nonempty_windows: Counter::new(),
+            windows_completed: 0,
+            nonempty_windows: 0,
             cfg,
         }
     }
@@ -287,7 +286,7 @@ impl NotifyNetwork {
         if in_window == w - 1 {
             // Window end: every node now holds the global OR.
             if self.live {
-                self.nonempty_windows.incr();
+                self.nonempty_windows += 1;
             }
             self.publish(now, 1);
         }
@@ -302,7 +301,7 @@ impl NotifyNetwork {
         if let Some(log) = &mut self.publish_log {
             log.extend((0..n).map(|i| first_tick + i * w));
         }
-        self.windows_completed.add(n);
+        self.windows_completed += n;
         self.latest.copy_from(&self.flight);
         self.latest_window = Some(first_tick / w + n - 1);
     }
@@ -715,8 +714,8 @@ mod tests {
         for _ in 0..27 {
             nn.tick();
         }
-        assert_eq!(nn.windows_completed.get(), 3);
-        assert_eq!(nn.nonempty_windows.get(), 0);
+        assert_eq!(nn.windows_completed, 3);
+        assert_eq!(nn.nonempty_windows, 0);
         let (w, msg) = nn.latest().unwrap();
         assert_eq!(w, 2);
         assert!(msg.is_empty());
@@ -744,11 +743,8 @@ mod tests {
                 }
                 leaped.advance(delta);
                 assert_eq!(ticked.cycle(), leaped.cycle());
-                assert_eq!(
-                    ticked.windows_completed.get(),
-                    leaped.windows_completed.get()
-                );
-                assert_eq!(ticked.nonempty_windows.get(), leaped.nonempty_windows.get());
+                assert_eq!(ticked.windows_completed, leaped.windows_completed);
+                assert_eq!(ticked.nonempty_windows, leaped.nonempty_windows);
                 assert_eq!(
                     ticked.latest().map(|(w, m)| (w, m.clone())),
                     leaped.latest().map(|(w, m)| (w, m.clone())),
@@ -1100,11 +1096,8 @@ mod tests {
                         leaped.latest().map(|(i, m)| (i, m.clone())),
                         "diverged at offset {offset} target {target} quad {quad}"
                     );
-                    assert_eq!(
-                        ticked.windows_completed.get(),
-                        leaped.windows_completed.get()
-                    );
-                    assert_eq!(ticked.nonempty_windows.get(), leaped.nonempty_windows.get());
+                    assert_eq!(ticked.windows_completed, leaped.windows_completed);
+                    assert_eq!(ticked.nonempty_windows, leaped.nonempty_windows);
                 }
             }
         }

@@ -1,56 +1,11 @@
-//! Counters, latency accumulators and log-bucket histograms.
+//! Latency accumulators and log-bucket histograms.
 //!
-//! Every module in the simulator reports through these types so that the
-//! experiment harness can print uniform tables. All statistics are plain
-//! data: cloning a stats struct snapshots it.
+//! Event counts are plain `u64` fields; every latency in the simulator is
+//! reported through these types so that the experiment harness can print
+//! uniform tables. All statistics are plain data: cloning a stats struct
+//! snapshots it.
 
 use std::fmt;
-
-/// A monotonically increasing event counter.
-///
-/// # Examples
-///
-/// ```
-/// use scorpio_sim::stats::Counter;
-///
-/// let mut flits = Counter::new();
-/// flits.add(3);
-/// flits.incr();
-/// assert_eq!(flits.get(), 4);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Creates a counter at zero.
-    pub fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Adds one.
-    #[inline]
-    pub fn incr(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Adds `n`.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Current count.
-    #[inline]
-    pub fn get(self) -> u64 {
-        self.0
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
 
 /// Accumulates samples and reports count / mean / min / max.
 ///
@@ -303,15 +258,6 @@ impl LogHistogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_counts() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(10);
-        assert_eq!(c.get(), 11);
-        assert_eq!(c.to_string(), "11");
-    }
 
     #[test]
     fn accumulator_tracks_extremes() {

@@ -48,7 +48,7 @@ fn uniform_random_unicast_latency_is_stable_at_low_load() {
     }
     assert!(net.is_drained(), "uniform traffic failed to drain");
     let s = net.stats();
-    assert!(s.delivered_packets.get() > 500);
+    assert!(s.delivered_packets > 500);
     let mean = s.packet_latency.mean();
     // Zero-load 6x6 average ~ 10 hops worst case; low load must stay well
     // under 60 cycles mean.
@@ -86,7 +86,7 @@ fn broadcast_throughput_respects_mesh_bound() {
     assert!(net.is_drained(), "broadcast saturation wedged the network");
     let s = net.stats();
     // Every injected broadcast reached all 15 other tiles.
-    assert_eq!(s.delivered_packets.get(), injected * 15);
+    assert_eq!(s.delivered_packets, injected * 15);
     // Accepted rate is bounded by ~1/k² per node per cycle (plus modest
     // slack for warm-up buffering).
     let per_node_per_cycle = injected as f64 / (16.0 * warm as f64);

@@ -197,12 +197,12 @@ fn network_under_broadcast_injection_allocates_nothing_once_warm() {
         net.step();
     };
     (0..5000).for_each(|n| cycle(&mut net, n));
-    let delivered = net.stats().delivered_packets.get();
+    let delivered = net.stats().delivered_packets;
     let before = allocations();
     (5000..8000).for_each(|n| cycle(&mut net, n));
     let made = allocations() - before;
     // `stats()` clones the per-vnet accumulators, so read it after counting.
-    let moved = net.stats().delivered_packets.get() - delivered;
+    let moved = net.stats().delivered_packets - delivered;
     assert!(moved > 10_000, "the measured span carried traffic: {moved}");
     assert_eq!(made, 0, "a warm network must not allocate");
 }
