@@ -19,9 +19,13 @@
 //! LPD-D and TokenB on 8×8 `bcast-heavy`, where the baselines' held
 //! broadcasts retry (a slot-stamped request, an INSO expiry, a home's
 //! rebroadcast) and tiles hold data the L2 cannot take, and SCORPIO on
-//! 4×4, whose tiles hold data too.
+//! 4×4, whose tiles hold data too. A second table runs with the
+//! observability level off but spans or windows on (4×4 with spans, 4×4
+//! with windows, `cmesh(2,2,4)` × 2 planes with both): their reports carry
+//! the annex with its latency histograms empty, and the window stream is
+//! digested beside the report.
 
-use scorpio::{span_json, ObsLevel, OpenLoopConfig, Protocol, System, SystemConfig};
+use scorpio::{span_json, ObsLevel, OpenLoopConfig, Protocol, System, SystemConfig, WindowRow};
 use scorpio_harness::registry;
 use scorpio_noc::TraceEvent;
 use scorpio_workloads::{generate, WorkloadParams};
@@ -252,6 +256,84 @@ fn reports_traces_and_spans_match_the_recorded_digests() {
             ));
         }
         panic!("golden digests moved — simulated behaviour changed:\n{table}");
+    }
+}
+
+/// A cell recorded with the observability level off: only spans and
+/// windows turn the annex on.
+struct Annex {
+    name: &'static str,
+    cfg: fn() -> SystemConfig,
+    ops: usize,
+    report: u64,
+    windows: u64,
+}
+
+const ANNEX: &[Annex] = &[
+    Annex {
+        name: "mesh4x4/SCORPIO/barnes+spans",
+        cfg: || SystemConfig::square(4).with_spans(true),
+        ops: 20,
+        report: 0xc218_e8cd_1735_a8c9,
+        windows: 0xcbf2_9ce4_8422_2325,
+    },
+    Annex {
+        name: "mesh4x4/SCORPIO/barnes+windows",
+        cfg: || SystemConfig::square(4).with_windows(64),
+        ops: 20,
+        report: 0x1916_3b17_7bcf_3e20,
+        windows: 0xc2d1_a224_cc91_7bc8,
+    },
+    Annex {
+        name: "cmesh2x2x4+2pl/SCORPIO/barnes+spans+windows",
+        cfg: || {
+            SystemConfig::cmesh(2, 2, 4)
+                .with_planes(2)
+                .with_spans(true)
+                .with_windows(128)
+        },
+        ops: 20,
+        report: 0xe138_e439_1498_cb2e,
+        windows: 0xb653_dd34_3c09_0f21,
+    },
+];
+
+/// Runs one annex cell and returns its (report, window stream) digests.
+fn run_annex(a: &Annex) -> (u64, u64) {
+    let cfg = (a.cfg)();
+    assert_eq!(cfg.obs, ObsLevel::Off, "{}: counters must be off", a.name);
+    let traces = generate(&preset("barnes").with_ops(a.ops), cfg.cores(), cfg.seed);
+    let mut sys = System::with_traces(cfg, traces);
+    let report = sys.run_to_completion();
+    assert!(report.obs.is_some(), "{}: no annex", a.name);
+    let rows: Vec<String> = sys.window_rows().iter().map(WindowRow::json_body).collect();
+    (
+        digest(std::iter::once(report.to_json().as_str())),
+        digest(rows.iter().map(String::as_str)),
+    )
+}
+
+#[test]
+fn annexes_without_counters_match_the_recorded_digests() {
+    let actual: Vec<(u64, u64)> = ANNEX.iter().map(run_annex).collect();
+    if ANNEX
+        .iter()
+        .zip(&actual)
+        .any(|(a, &d)| d != (a.report, a.windows))
+    {
+        let mut table = String::new();
+        for (a, (report, windows)) in ANNEX.iter().zip(&actual) {
+            let mark = if (*report, *windows) == (a.report, a.windows) {
+                "ok      "
+            } else {
+                "MISMATCH"
+            };
+            table.push_str(&format!(
+                "{mark} {:<46} report: {report:#018x}, windows: {windows:#018x}\n",
+                a.name
+            ));
+        }
+        panic!("annex digests moved — the report or window stream changed:\n{table}");
     }
 }
 
