@@ -2,7 +2,7 @@
 
 use scorpio_mem::MissSpan;
 use scorpio_noc::WindowCell;
-use scorpio_sim::stats::{Accumulator, LogHistogram};
+use scorpio_sim::stats::LogHistogram;
 
 /// Version of the `"obs"` JSON annex schema, emitted as its first key so
 /// downstream parsers can evolve without sniffing for the presence of
@@ -18,7 +18,7 @@ pub struct PlaneObs {
     /// Total flit crossings summed over every (router, output port) link.
     pub link_flits: u64,
     /// Links that carried at least one flit.
-    pub links_used: u64,
+    pub(crate) links_used: u64,
     /// Crossings on the busiest single link.
     pub max_link_flits: u64,
     /// Buffer-occupancy integral: resident packets summed over ticked
@@ -33,7 +33,7 @@ pub struct PlaneObs {
     /// Body-flit cycles blocked on downstream credits.
     pub stall_credit: u64,
     /// Flits buffered per VC, flattened vnet-major (GO-REQ VCs first).
-    pub vc_buffered: Vec<u64>,
+    pub(crate) vc_buffered: Vec<u64>,
 }
 
 impl PlaneObs {
@@ -64,9 +64,9 @@ pub struct ObsReport {
     /// End-to-end packet latency, all classes, merged over planes.
     pub packet_latency: LogHistogram,
     /// Packet latency split per virtual network (message class).
-    pub vnet_latency: Vec<(String, LogHistogram)>,
+    pub(crate) vnet_latency: Vec<(String, LogHistogram)>,
     /// L2 service latency (enqueue → reply).
-    pub l2_service: LogHistogram,
+    pub(crate) l2_service: LogHistogram,
     /// Ordering delay (issue → own ordered observation).
     pub ordering_delay: LogHistogram,
     /// Injection wait (queue entry → head-flit VC grant), all endpoints.
@@ -78,9 +78,9 @@ pub struct ObsReport {
     pub planes: Vec<PlaneObs>,
     /// Flit-trace events retained / dropped at the cap (zero when the
     /// level stops at counters).
-    pub trace_kept: u64,
+    pub(crate) trace_kept: u64,
     /// Events beyond the cap.
-    pub trace_dropped: u64,
+    pub(crate) trace_dropped: u64,
     /// Per-phase transaction-span breakdown; present only when the run
     /// recorded spans ([`crate::config::SystemConfig::spans`]).
     pub spans: Option<SpanReport>,
@@ -161,7 +161,7 @@ pub struct EpWait {
     /// Endpoint index (injection-port order; MC ports last).
     pub ep: u32,
     /// Window (epoch) index.
-    pub window: u64,
+    pub(crate) window: u64,
     /// Waits granted in the window.
     pub count: u64,
     /// Their sum, in cycles.
@@ -182,7 +182,7 @@ impl EpWait {
 #[derive(Debug, Clone, Default)]
 pub struct WindowReport {
     /// Window length in cycles.
-    pub window_cycles: u64,
+    pub(crate) window_cycles: u64,
     /// Number of windows (epochs) the run covered.
     pub count: u64,
     /// Windows classified as warmup: the prefix before the first window
@@ -219,19 +219,19 @@ impl WindowReport {
 #[derive(Debug, Clone, Default)]
 pub struct WindowRow {
     /// Window (epoch) index; it starts at cycle `window * cycles`.
-    pub window: u64,
+    pub(crate) window: u64,
     /// Window length in cycles.
-    pub cycles: u64,
+    pub(crate) cycles: u64,
     /// Every plane's network telemetry for this window, merged.
-    pub cell: WindowCell,
+    pub(crate) cell: WindowCell,
     /// Core memory operations completed.
-    pub ops: u64,
+    pub(crate) ops: u64,
     /// Notification-window publish ticks that fell in this window.
-    pub publishes: u64,
+    pub(crate) publishes: u64,
     /// The endpoint with the highest mean wait this window.
-    pub ep_wait_max: Option<EpWait>,
+    pub(crate) ep_wait_max: Option<EpWait>,
     /// The endpoint with the lowest mean wait (among those with waits).
-    pub ep_wait_min: Option<EpWait>,
+    pub(crate) ep_wait_min: Option<EpWait>,
 }
 
 impl WindowRow {
@@ -381,26 +381,26 @@ pub struct SystemReport {
     /// Protocol name.
     pub protocol: String,
     /// Cores in the system.
-    pub cores: usize,
+    pub(crate) cores: usize,
     /// Cycles until every core finished its work ("runtime").
     pub runtime_cycles: u64,
     /// Memory operations completed across all cores.
     pub ops_completed: u64,
     /// L1 hits (no L2 access).
-    pub l1_hits: u64,
+    pub(crate) l1_hits: u64,
     /// L2 hits.
     pub l2_hits: u64,
     /// L2 misses (coherence transactions).
     pub l2_misses: u64,
     /// Average L2 service latency over all core requests (the paper's
     /// "average L2 service latency": hits, misses, queueing).
-    pub l2_service_latency: Accumulator,
+    pub l2_service_latency: LogHistogram,
     /// Miss latency when another cache supplied the data.
-    pub cache_served: Accumulator,
+    pub cache_served: LogHistogram,
     /// Miss latency when memory supplied the data.
-    pub memory_served: Accumulator,
+    pub memory_served: LogHistogram,
     /// Request ordering delay (issue → own ordered observation).
-    pub ordering_delay: Accumulator,
+    pub ordering_delay: LogHistogram,
     /// Cache-to-cache data forwards.
     pub data_forwards: u64,
     /// Memory responses.
@@ -412,7 +412,7 @@ pub struct SystemReport {
     /// Writebacks (and how many were squashed by races).
     pub writebacks: u64,
     /// Squashed writebacks.
-    pub writebacks_squashed: u64,
+    pub(crate) writebacks_squashed: u64,
     /// Flits that bypassed (single-cycle router traversals).
     pub bypassed_flits: u64,
     /// Flits that buffered.
@@ -420,7 +420,7 @@ pub struct SystemReport {
     /// Packets injected into the main network.
     pub packets_injected: u64,
     /// Average packet latency in the main network.
-    pub packet_latency: Accumulator,
+    pub packet_latency: LogHistogram,
     /// Notification windows completed / carrying announcements (SCORPIO).
     pub notify_windows: u64,
     /// Non-empty notification windows.
@@ -473,7 +473,7 @@ impl SystemReport {
     /// determinism guarantee — same (scenario, seed) ⇒ same bytes,
     /// regardless of worker count — rests on.
     pub fn to_json(&self) -> String {
-        let acc = |a: &Accumulator| {
+        let acc = |a: &LogHistogram| {
             format!(
                 r#"{{"count":{},"sum":{},"mean":{:?},"min":{},"max":{}}}"#,
                 a.count(),
@@ -628,7 +628,7 @@ mod tests {
         assert!(j.contains(
             r#""l2_service_latency":{"count":2,"sum":31,"mean":15.5,"min":10,"max":21}"#
         ));
-        // Empty accumulators serialize min/max as null, not a panic.
+        // Empty histograms serialize min/max as null, not a panic.
         assert!(
             j.contains(r#""packet_latency":{"count":0,"sum":0,"mean":0.0,"min":null,"max":null}"#)
         );

@@ -17,7 +17,7 @@ use crate::report::{
 use crate::sequencer::Sequencer;
 use crate::tile::{CoreDriver, CoreKind};
 use scorpio_coherence::{CohMsg, LineAddr, MsgKind, Owner};
-use scorpio_mem::{L2Out, MemoryController, MissSpan, OrderedSnoop, SnoopyL2};
+use scorpio_mem::{CoreResp, L2Out, MemoryController, MissSpan, OrderedSnoop, ServedBy, SnoopyL2};
 use scorpio_nic::{Nic, NicMode};
 use scorpio_noc::{
     Endpoint, LocalSlot, MultiNetwork, ObsConfig, Sid, SteerKey, TraceEvent, TraceKind, VnetId,
@@ -91,6 +91,8 @@ pub struct System {
     /// Core ops completed per telemetry window (epoch-indexed, grown on
     /// demand); maintained only when `cfg.window_cycles` is non-zero.
     win_ops: Vec<u64>,
+    /// L2 service latency of every reply a tile has popped.
+    service: ServiceLatency,
 }
 
 impl System {
@@ -197,9 +199,6 @@ impl System {
         let l2s: Vec<SnoopyL2> = (0..cores as u16)
             .map(|t| {
                 let mut l2 = SnoopyL2::new(t, cfg.l2.clone());
-                if cfg.obs != ObsLevel::Off {
-                    l2.stats.enable_histograms();
-                }
                 if cfg.spans {
                     l2.enable_spans();
                 }
@@ -255,6 +254,7 @@ impl System {
                 0 => 0,
                 w => (cfg.max_cycles / w + 1).min(1 << 16) as usize,
             }),
+            service: ServiceLatency::default(),
             cfg,
         }
     }
@@ -586,6 +586,7 @@ impl System {
     fn tick_tile(&mut self, t: usize, now: Cycle) {
         // L2 → core completions, then inclusion invalidations.
         while let Some(resp) = self.l2s[t].pop_core_resp() {
+            self.service.record(&resp);
             self.drivers[t].complete(now, resp);
         }
         while let Some(addr) = self.l2s[t].pop_l1_invalidation() {
@@ -919,10 +920,13 @@ impl System {
         (rows, report)
     }
 
-    /// Assembles the observability annex: latency histograms merged
-    /// across planes and L2s, per-plane counter snapshots, and the trace
-    /// totals [`System::take_trace`] will report.
-    fn obs_report(&self) -> Box<ObsReport> {
+    /// Assembles the observability annex of `r`, whose L2 hit latencies
+    /// are `hits`: latency histograms, per-plane counter snapshots, and
+    /// the trace totals [`System::take_trace`] will report. Every latency
+    /// is recorded whatever the level; the annex shows them only at
+    /// counter level and above, so a spans-only or windows-only annex
+    /// carries them empty.
+    fn obs_report(&self, r: &SystemReport, hits: &LogHistogram) -> Box<ObsReport> {
         let mut o = Box::new(ObsReport::default());
         o.vnet_latency = self
             .cfg
@@ -931,6 +935,15 @@ impl System {
             .iter()
             .map(|v| (v.name.to_string(), LogHistogram::default()))
             .collect();
+        if self.cfg.obs != ObsLevel::Off {
+            let classes = self.net.stats().vnet_latency;
+            for ((_, dst), src) in o.vnet_latency.iter_mut().zip(classes) {
+                *dst = src;
+            }
+            o.packet_latency = r.packet_latency.clone();
+            o.l2_service = r.l2_service_latency.clone();
+            o.ordering_delay = r.ordering_delay.clone();
+        }
         let endpoints: Vec<Endpoint> = self.cfg.mesh.endpoints().collect();
         // Concentration positions 0..tile_slots, then one MC bucket.
         let tile_slots = endpoints
@@ -944,10 +957,6 @@ impl System {
         o.inject_wait_slots = vec![LogHistogram::default(); tile_slots + 1];
         for p in 0..self.cfg.planes.get() {
             let Some(n) = self.net.obs(p) else { continue };
-            o.packet_latency.merge(&n.packet_latency);
-            for (dst, src) in o.vnet_latency.iter_mut().zip(&n.vnet_latency) {
-                dst.1.merge(src);
-            }
             for (i, h) in n.inject_wait.iter().enumerate() {
                 o.inject_wait.merge(h);
                 let slot = match endpoints[i].slot {
@@ -968,24 +977,16 @@ impl System {
                 vc_buffered: n.vc_buffered.clone(),
             });
         }
-        for l2 in &self.l2s {
-            if let Some(h) = &l2.stats.service_hist {
-                o.l2_service.merge(h);
-            }
-            if let Some(h) = &l2.stats.ordering_hist {
-                o.ordering_delay.merge(h);
-            }
-        }
         let (kept, dropped) = capped::totals(self.trace_streams(), self.cfg.trace_limit);
         o.trace_kept = kept as u64;
         o.trace_dropped = dropped;
         if self.cfg.spans {
-            let mut sp = SpanReport::default();
-            for l2 in &self.l2s {
-                for s in l2.spans() {
-                    sp.fold(s);
-                }
-                sp.hit.merge(l2.span_hits());
+            let mut sp = SpanReport {
+                hit: hits.clone(),
+                ..SpanReport::default()
+            };
+            for s in self.l2s.iter().flat_map(|l2| l2.spans()) {
+                sp.fold(s);
             }
             // The phase histograms above fold every span; only the
             // record stream itself is capped.
@@ -1011,6 +1012,18 @@ impl System {
                 .unwrap_or(0),
             ..SystemReport::default()
         };
+        // A reply the L2 has queued but its tile has not popped yet is
+        // complete: count it, so a report cut mid-run counts every reply
+        // the L2 has made.
+        let mut service = self.service.clone();
+        for resp in self.l2s.iter().flat_map(SnoopyL2::queued_core_resps) {
+            service.record(resp);
+        }
+        for h in [&service.hit, &service.cache, &service.memory] {
+            r.l2_service_latency.merge(h);
+        }
+        r.cache_served = service.cache.clone();
+        r.memory_served = service.memory.clone();
         for d in &self.drivers {
             r.ops_completed += d.ops_done;
             r.l1_hits += d.l1_hits;
@@ -1019,9 +1032,6 @@ impl System {
         for l2 in &self.l2s {
             r.l2_hits += l2.stats.hits;
             r.l2_misses += l2.stats.misses;
-            r.l2_service_latency.merge(&l2.stats.service_latency);
-            r.cache_served.merge(&l2.stats.cache_served_latency);
-            r.memory_served.merge(&l2.stats.memory_served_latency);
             r.ordering_delay.merge(&l2.stats.ordering_delay);
             r.data_forwards += l2.stats.data_forwards;
             r.snoops_filtered += l2.stats.snoops_filtered;
@@ -1036,7 +1046,7 @@ impl System {
         r.bypassed_flits = ns.bypassed_flits;
         r.buffered_flits = ns.buffered_flits;
         r.packets_injected = ns.injected_packets;
-        r.packet_latency = ns.packet_latency;
+        r.packet_latency = ns.packet_latency();
         if let Some(n) = &self.notify {
             r.notify_windows = n.windows_completed;
             r.notify_nonempty = n.nonempty_windows;
@@ -1046,7 +1056,7 @@ impl System {
             seq.report(&mut r);
         }
         if self.cfg.obs != ObsLevel::Off || self.cfg.spans || self.cfg.window_cycles != 0 {
-            r.obs = Some(self.obs_report());
+            r.obs = Some(self.obs_report(&r, &service.hit));
         }
         r
     }
@@ -1171,6 +1181,26 @@ fn keep_extreme(best: &mut Option<EpWait>, cand: EpWait, side: Ordering) {
     };
     if best.as_ref().is_none_or(|b| mean_cmp(b) == side) {
         *best = Some(cand);
+    }
+}
+
+/// L2 service latency (enqueue → core reply), one histogram per reply
+/// class; each reply is recorded in exactly one.
+#[derive(Debug, Clone, Default)]
+struct ServiceLatency {
+    hit: LogHistogram,
+    cache: LogHistogram,
+    memory: LogHistogram,
+}
+
+impl ServiceLatency {
+    fn record(&mut self, resp: &CoreResp) {
+        match resp.served_by {
+            None => &mut self.hit,
+            Some(ServedBy::Cache) => &mut self.cache,
+            Some(ServedBy::Memory) => &mut self.memory,
+        }
+        .record(resp.latency);
     }
 }
 

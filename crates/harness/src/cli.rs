@@ -61,8 +61,8 @@ run options:
   --json PATH     write JSON-lines results (- for stdout)
   --csv PATH      write CSV results (- for stdout)
   --timing        include per-run wall time in sinks (non-deterministic)
-  --hist          record latency histograms + NoC counters on every run
-                  (fills the percentile columns; deterministic)
+  --hist          show latency histograms + record NoC counters on every
+                  run (fills the percentile columns; deterministic)
   --trace PATH    record the deterministic flit-event trace and write it
                   as JSON lines (- for stdout; implies --hist's recording)
   --trace-limit N caps each record stream (flit trace, spans) per run

@@ -27,7 +27,7 @@ use scorpio_coherence::{
     fill_state, snoop_transition, CohMsg, FidList, FidPush, LineAddr, LineState, MsgKind,
 };
 use scorpio_noc::Endpoint;
-use scorpio_sim::stats::{Accumulator, LogHistogram};
+use scorpio_sim::stats::LogHistogram;
 use scorpio_sim::{Cycle, Fifo, Wake};
 use std::collections::VecDeque;
 
@@ -135,8 +135,10 @@ pub struct CoreResp {
     pub value: u64,
     /// The line this op touched (for L1 fills).
     pub addr: LineAddr,
-    /// Whether the op hit in the L2.
-    pub hit: bool,
+    /// Cycles from enqueue to this reply (the L2 service latency).
+    pub latency: u64,
+    /// Who supplied the data of a miss; `None` for a hit.
+    pub served_by: Option<ServedBy>,
     /// Whether the line is resident in the L2 after this op — `false` for
     /// fills discarded by a later-ordered GETX. The L1 must only fill when
     /// this is true (inclusion).
@@ -197,7 +199,7 @@ pub struct MissRecord {
 /// popped ≤ ordered ≤ retire`, `data ≤ retire`), so the seven phase
 /// accessors partition the end-to-end latency exactly: their sum equals
 /// [`MissSpan::total`], and `inject_wait + flight + commit` equals the
-/// ordering-delay sample the scalar report records.
+/// ordering-delay sample the report records.
 #[derive(Debug, Clone, Copy)]
 pub struct MissSpan {
     /// The requesting tile.
@@ -296,29 +298,10 @@ pub struct L2Stats {
     pub writebacks: u64,
     /// Writebacks squashed by an earlier-ordered GETX.
     pub wb_squashed: u64,
-    /// Service latency of every core request (enqueue → reply).
-    pub service_latency: Accumulator,
-    /// Latency of misses served by other caches.
-    pub cache_served_latency: Accumulator,
-    /// Latency of misses served by memory.
-    pub memory_served_latency: Accumulator,
-    /// Ordering delay (issue → own ordered observation).
-    pub ordering_delay: Accumulator,
-    /// Log-bucketed service-latency distribution; populated only when the
-    /// observability layer enables histograms ([`L2Stats::enable_histograms`]).
-    pub service_hist: Option<Box<LogHistogram>>,
-    /// Log-bucketed ordering-delay distribution; same gating.
-    pub ordering_hist: Option<Box<LogHistogram>>,
-}
-
-impl L2Stats {
-    /// Installs the latency histograms so subsequent recordings populate
-    /// them. A no-op for simulated behavior: histograms mirror the
-    /// accumulators' inputs without touching any decision path.
-    pub fn enable_histograms(&mut self) {
-        self.service_hist = Some(Box::default());
-        self.ordering_hist = Some(Box::default());
-    }
+    /// Ordering delay (issue → own ordered observation), recorded when
+    /// the L2 applies its own ordered request. Service latency is carried
+    /// by each [`CoreResp`], for the caller to record.
+    pub ordering_delay: LogHistogram,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -388,7 +371,6 @@ pub struct SnoopyL2 {
     miss_records: VecDeque<MissRecord>,
     record_spans: bool,
     spans: Vec<MissSpan>,
-    span_hits: LogHistogram,
     busy_until: Cycle,
     /// Statistics.
     pub stats: L2Stats,
@@ -414,7 +396,6 @@ impl SnoopyL2 {
             miss_records: VecDeque::new(),
             record_spans: false,
             spans: Vec::new(),
-            span_hits: LogHistogram::new(),
             busy_until: Cycle::ZERO,
             stats: L2Stats::default(),
             cfg,
@@ -480,6 +461,11 @@ impl SnoopyL2 {
         self.core_resps.pop_front()
     }
 
+    /// Core replies made but not popped yet, oldest first.
+    pub fn queued_core_resps(&self) -> impl Iterator<Item = &CoreResp> {
+        self.core_resps.iter()
+    }
+
     /// Next L1 invalidation (inclusion), if any.
     pub fn pop_l1_invalidation(&mut self) -> Option<LineAddr> {
         self.l1_invalidations.pop_front()
@@ -490,9 +476,9 @@ impl SnoopyL2 {
         self.miss_records.pop_front()
     }
 
-    /// Enables per-transaction lifecycle spans. Like the histograms, a
-    /// no-op for simulated behavior: spans only mirror timestamps the
-    /// controller already tracks.
+    /// Enables per-transaction lifecycle spans. A no-op for simulated
+    /// behavior: spans only mirror timestamps the controller already
+    /// tracks.
     pub fn enable_spans(&mut self) {
         self.record_spans = true;
     }
@@ -529,13 +515,6 @@ impl SnoopyL2 {
     /// The completed-transaction spans recorded so far, in retire order.
     pub fn spans(&self) -> &[MissSpan] {
         &self.spans
-    }
-
-    /// The hit-latency histogram spans record beside the miss spans, so
-    /// span consumers can rebuild the full service-latency distribution
-    /// (misses via spans + hits via this histogram).
-    pub fn span_hits(&self) -> &LogHistogram {
-        &self.span_hits
     }
 
     /// Whether the queues toward the core side are drained too: no
@@ -806,9 +785,6 @@ impl SnoopyL2 {
                 }
                 let t_issue = entry.t_issue;
                 self.stats.ordering_delay.record(now - t_issue);
-                if let Some(h) = self.stats.ordering_hist.as_deref_mut() {
-                    h.record(now - t_issue);
-                }
                 self.try_complete(tag, now);
             }
             MsgKind::WbReq => {
@@ -839,18 +815,18 @@ impl SnoopyL2 {
             match req.op {
                 CoreOp::Load if line.state.can_read() => {
                     let value = line.value;
-                    self.finish_core(req, addr, value, true, now);
+                    self.finish_hit(req, addr, value, now);
                     return;
                 }
                 CoreOp::Store if line.state.can_write() => {
                     line.value = req.value;
-                    self.finish_core(req, addr, req.value, true, now);
+                    self.finish_hit(req, addr, req.value, now);
                     return;
                 }
                 CoreOp::AtomicAdd if line.state.can_write() => {
                     let old = line.value;
                     line.value = old.wrapping_add(req.value);
-                    self.finish_core(req, addr, old, true, now);
+                    self.finish_hit(req, addr, old, now);
                     return;
                 }
                 _ => {}
@@ -900,22 +876,14 @@ impl SnoopyL2 {
         self.outbox.push_back(L2Out::OrderedRequest(msg));
     }
 
-    fn finish_core(&mut self, req: CoreReq, addr: LineAddr, value: u64, hit: bool, now: Cycle) {
-        if hit {
-            self.stats.hits += 1;
-        }
-        self.stats.service_latency.record(now - req.enqueued);
-        if let Some(h) = self.stats.service_hist.as_deref_mut() {
-            h.record(now - req.enqueued);
-        }
-        if self.record_spans {
-            self.span_hits.record(now - req.enqueued);
-        }
+    fn finish_hit(&mut self, req: CoreReq, addr: LineAddr, value: u64, now: Cycle) {
+        self.stats.hits += 1;
         self.core_resps.push_back(CoreResp {
             token: req.token,
             value,
             addr,
-            hit,
+            latency: now - req.enqueued,
+            served_by: None,
             installed: true,
         });
     }
@@ -1012,20 +980,12 @@ impl SnoopyL2 {
         let entry = self.rshr[tag].take().expect("completing a free tag");
         self.fids[tag].clear();
         let total = now - entry.enqueued;
-        self.stats.service_latency.record(total);
-        if let Some(h) = self.stats.service_hist.as_deref_mut() {
-            h.record(total);
-        }
         let record = MissRecord {
             total,
             ordering: entry.t_ordered.map(|t| t - entry.t_issue).unwrap_or(0),
             data_wait: entry.t_data.map(|t| t - entry.t_issue).unwrap_or(0),
             served_by: entry.served_by,
         };
-        match entry.served_by {
-            ServedBy::Cache => self.stats.cache_served_latency.record(total),
-            ServedBy::Memory => self.stats.memory_served_latency.record(total),
-        }
         self.miss_records.push_back(record);
         if self.record_spans {
             self.spans.push(MissSpan {
@@ -1047,7 +1007,8 @@ impl SnoopyL2 {
             token: entry.token,
             value: core_value,
             addr: entry.addr,
-            hit: false,
+            latency: total,
+            served_by: Some(entry.served_by),
             installed,
         });
     }

@@ -6,7 +6,7 @@
 
 use scorpio_coherence::{LineAddr, LineState, MsgKind};
 use scorpio_mem::{
-    CoreOp, CoreReq, L2Config, L2Out, McConfig, MemoryController, OrderedSnoop, SnoopyL2,
+    CoreOp, CoreReq, L2Config, L2Out, McConfig, MemoryController, OrderedSnoop, ServedBy, SnoopyL2,
 };
 use scorpio_noc::{Endpoint, LocalSlot, RouterId};
 use scorpio_sim::{Cycle, SimRng};
@@ -156,7 +156,7 @@ fn cold_load_served_by_memory() {
     w.req(0, CoreOp::Load, 0x100, 0, 1);
     let r = w.wait_resp(0, 1, 2000);
     assert_eq!(r.value, 0, "memory default value");
-    assert!(!r.hit);
+    assert_eq!(r.served_by, Some(ServedBy::Memory));
     assert_eq!(w.l2s[0].line_state(LineAddr(0x100)), LineState::S);
     assert_eq!(w.mc.stats.responses, 1);
 }

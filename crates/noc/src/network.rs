@@ -32,7 +32,7 @@ use crate::router::{
 };
 use crate::tables::{validate_datelines, RouteCtx, RoutingTables, VcClass};
 use crate::topology::{Endpoint, Port, RouterId, Topology};
-use scorpio_sim::stats::Accumulator;
+use scorpio_sim::stats::LogHistogram;
 use scorpio_sim::{ActiveSet, Cycle, PushError};
 use std::collections::{HashMap, VecDeque};
 
@@ -248,8 +248,9 @@ pub struct NocStats {
     pub injected_packets: u64,
     /// Packet copies fully consumed at an endpoint (tail flit taken).
     pub delivered_packets: u64,
-    /// Latency from injection to tail consumption, per delivered copy.
-    pub packet_latency: Accumulator,
+    /// Latency from injection to tail consumption, per delivered copy,
+    /// split by virtual network (indexed like `NocConfig::vnets`).
+    pub vnet_latency: [LogHistogram; NocConfig::MAX_VNETS],
     /// Flits that took the single-cycle bypass path, summed over routers.
     pub bypassed_flits: u64,
     /// Flits that were buffered (three-stage path), summed over routers.
@@ -262,9 +263,20 @@ impl NocStats {
     pub(crate) fn merge(&mut self, other: &NocStats) {
         self.injected_packets += other.injected_packets;
         self.delivered_packets += other.delivered_packets;
-        self.packet_latency.merge(&other.packet_latency);
+        for (a, b) in self.vnet_latency.iter_mut().zip(&other.vnet_latency) {
+            a.merge(b);
+        }
         self.bypassed_flits += other.bypassed_flits;
         self.buffered_flits += other.buffered_flits;
+    }
+
+    /// Packet latency over every virtual network.
+    pub fn packet_latency(&self) -> LogHistogram {
+        let mut all = LogHistogram::new();
+        for h in &self.vnet_latency {
+            all.merge(h);
+        }
+        all
     }
 }
 
@@ -610,7 +622,7 @@ impl<T: Payload> Network<T> {
         if flit.is_tail() {
             self.stats.delivered_packets += 1;
             let lat = self.cycle - flit.packet.inject_cycle;
-            self.stats.packet_latency.record(lat);
+            self.stats.vnet_latency[flit.packet.vnet.index()].record(lat);
             if let Some(o) = self.obs.as_deref_mut() {
                 o.on_eject(
                     self.cycle.as_u64(),
@@ -1207,7 +1219,7 @@ mod tests {
             .unwrap();
         let got = drain_all(&mut net, 100);
         assert_eq!(got.len(), 1);
-        let lat = net.stats().packet_latency.mean();
+        let lat = net.stats().packet_latency().mean();
         // 4 router traversals (src router + 3) at 1 cycle bypassed + links
         // + injection and ejection wires; anything ≤ 14 means bypassing is
         // working (the buffered path would exceed that).
@@ -1230,7 +1242,7 @@ mod tests {
             net.try_inject(src, Packet::response(src, dst, 1, 1))
                 .unwrap();
             drain_all(&mut net, 300);
-            net.stats().packet_latency.mean()
+            net.stats().packet_latency().mean()
         };
         let fast = run(fast_cfg);
         let slow = run(slow_cfg);
@@ -1509,7 +1521,7 @@ mod tests {
             net.try_inject(src, Packet::response(src, dst, 1, 1))
                 .unwrap();
             drain_all(&mut net, 200);
-            net.stats().packet_latency.mean()
+            net.stats().packet_latency().mean()
         };
         let mesh_lat = run(Mesh::new(4, 4, &[]));
         let torus_lat = run(Torus::new(4, 4, &[]));

@@ -11,8 +11,9 @@
 //!   crossings, a buffer-occupancy integral (packet-cycles resident in
 //!   input VCs), per-VC buffered-flit counts, stall causes split by arbitration
 //!   stage (SA-I losses, SA-O losses, VC-allocation blocks, credit blocks),
-//!   and latency histograms — packet latency per message class
-//!   ([`LogHistogram`]) and per-endpoint injection wait.
+//!   and the per-endpoint injection-wait [`LogHistogram`]s. Packet latency
+//!   is the network's own statistic (`NocStats::vnet_latency`, recorded
+//!   once per tail ejection), with or without a sink.
 //! * **Trace** (`ObsConfig::trace`): the plane's [`TraceEvent`]s
 //!   (inject / vc-alloc / hop / bypass / eject) in one [`Capped`] stream,
 //!   in cycle order. The system layer merges every plane's stream, then
@@ -207,7 +208,7 @@ impl TraceEvent {
 pub struct NetObs {
     plane: u16,
     /// Counters enabled?
-    pub counters: bool,
+    pub(crate) counters: bool,
     /// Current cycle, refreshed by the network at the top of each tick.
     pub(crate) cycle: u64,
     /// This plane's flit-event trace, when recorded.
@@ -234,14 +235,10 @@ pub struct NetObs {
     /// Flits buffered per VC, flattened per vnet at `vc_offset`.
     pub vc_buffered: Vec<u64>,
     /// Start of each vnet's VC range within [`NetObs::vc_buffered`].
-    pub vc_offset: Vec<u32>,
+    pub(crate) vc_offset: Vec<u32>,
     /// Injection wait (queue entry to head-flit VC grant) per endpoint,
     /// indexed like the network's injection ports.
     pub inject_wait: Vec<LogHistogram>,
-    /// End-to-end packet latency (inject to tail ejection), all classes.
-    pub packet_latency: LogHistogram,
-    /// Packet latency split per virtual network.
-    pub vnet_latency: Vec<LogHistogram>,
     /// Window length in cycles; 0 disables the windowed telemetry.
     window_cycles: u64,
     /// Epoch-indexed telemetry cells (epoch = cycle / window length),
@@ -281,8 +278,6 @@ impl NetObs {
             vc_buffered: vec![0; total_vcs as usize],
             vc_offset,
             inject_wait: vec![LogHistogram::new(); endpoints],
-            packet_latency: LogHistogram::new(),
-            vnet_latency: vec![LogHistogram::new(); cfg.vnets.len()],
             window_cycles: obs.window_cycles,
             windows: Vec::new(),
             endpoints,
@@ -377,10 +372,6 @@ impl NetObs {
     /// end-to-end packet latency.
     pub(crate) fn on_eject(&mut self, cycle: u64, ep: u32, vnet: u8, vc: u8, uid: u64, lat: u64) {
         self.cycle = cycle;
-        if self.counters {
-            self.packet_latency.record(lat);
-            self.vnet_latency[vnet as usize].record(lat);
-        }
         if self.window_cycles != 0 {
             let cell = self.window_at(cycle);
             cell.ejected += 1;
@@ -543,7 +534,5 @@ mod tests {
         o.on_eject(4, 0, 1, 0, 10, 12);
         assert_eq!(o.link_flits[Port::COUNT + 2], 2);
         assert_eq!(o.vc_buffered[o.vc_flat(1, 1)], 1);
-        assert_eq!(o.packet_latency.count(), 1);
-        assert_eq!(o.vnet_latency[1].count(), 1);
     }
 }

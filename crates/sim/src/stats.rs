@@ -1,118 +1,10 @@
-//! Latency accumulators and log-bucket histograms.
+//! Log-bucket latency histograms.
 //!
-//! Event counts are plain `u64` fields; every latency in the simulator is
-//! reported through these types so that the experiment harness can print
-//! uniform tables. All statistics are plain data: cloning a stats struct
-//! snapshots it.
-
-use std::fmt;
-
-/// Accumulates samples and reports count / mean / min / max.
-///
-/// Used for every latency figure in the evaluation (network latency, L2
-/// service latency, ordering delay, ...).
-///
-/// # Examples
-///
-/// ```
-/// use scorpio_sim::stats::Accumulator;
-///
-/// let mut lat = Accumulator::new();
-/// lat.record(10);
-/// lat.record(20);
-/// assert_eq!(lat.count(), 2);
-/// assert_eq!(lat.mean(), 15.0);
-/// assert_eq!(lat.min(), Some(10));
-/// assert_eq!(lat.max(), Some(20));
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Accumulator {
-    count: u64,
-    sum: u64,
-    min: u64,
-    max: u64,
-}
-
-impl Accumulator {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Accumulator::default()
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, sample: u64) {
-        if self.count == 0 {
-            self.min = sample;
-            self.max = sample;
-        } else {
-            self.min = self.min.min(sample);
-            self.max = self.max.max(sample);
-        }
-        self.count += 1;
-        self.sum += sample;
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all samples.
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Arithmetic mean, or 0.0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Smallest sample, or `None` when empty.
-    pub fn min(&self) -> Option<u64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest sample, or `None` when empty.
-    pub fn max(&self) -> Option<u64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// Folds another accumulator into this one.
-    pub fn merge(&mut self, other: &Accumulator) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
-impl fmt::Display for Accumulator {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.count == 0 {
-            write!(f, "n=0")
-        } else {
-            write!(
-                f,
-                "n={} mean={:.2} min={} max={}",
-                self.count,
-                self.mean(),
-                self.min,
-                self.max
-            )
-        }
-    }
-}
+//! Event counts are plain `u64` fields; every latency sample in the
+//! simulator is recorded once, into the one [`LogHistogram`] of its class,
+//! and every aggregate (a run-wide mean, a per-class split) is a merge of
+//! those. All statistics are plain data: cloning a stats struct snapshots
+//! it.
 
 /// A histogram with power-of-two (logarithmic) buckets covering all of
 /// `u64` — no overflow bucket, no width to choose.
@@ -139,6 +31,8 @@ pub struct LogHistogram {
     /// One bucket per possible bit-length, plus bucket 0 for the value 0.
     buckets: [u64; 65],
     count: u64,
+    /// `u64::MAX` while empty, so merging an empty histogram changes nothing.
+    min: u64,
     max: u64,
     sum: u64,
 }
@@ -155,6 +49,7 @@ impl LogHistogram {
         LogHistogram {
             buckets: [0; 65],
             count: 0,
+            min: u64::MAX,
             max: 0,
             sum: 0,
         }
@@ -185,6 +80,7 @@ impl LogHistogram {
     pub fn record(&mut self, sample: u64) {
         self.buckets[Self::bucket_of(sample)] += 1;
         self.count += 1;
+        self.min = self.min.min(sample);
         self.max = self.max.max(sample);
         // Saturating: pathological samples (e.g. `u64::MAX` probes in
         // tests) must not poison the whole histogram with a panic.
@@ -202,12 +98,17 @@ impl LogHistogram {
         self.sum
     }
 
+    /// The smallest sample recorded, or `None` when empty.
+    pub fn min(&self) -> Option<u64> {
+        (self.count > 0).then_some(self.min)
+    }
+
     /// The largest sample recorded, or `None` when empty.
     pub fn max(&self) -> Option<u64> {
         (self.count > 0).then_some(self.max)
     }
 
-    /// Exact arithmetic mean, or 0.0 when empty (as [`Accumulator::mean`]).
+    /// Exact arithmetic mean, or 0.0 when empty.
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
@@ -232,6 +133,7 @@ impl LogHistogram {
             *b += o;
         }
         self.count += other.count;
+        self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
         self.sum = self.sum.saturating_add(other.sum);
     }
@@ -260,8 +162,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn accumulator_tracks_extremes() {
-        let mut a = Accumulator::new();
+    fn log_histogram_tracks_extremes() {
+        let mut a = LogHistogram::new();
         assert_eq!(a.mean(), 0.0);
         assert_eq!(a.min(), None);
         a.record(5);
@@ -275,31 +177,41 @@ mod tests {
     }
 
     #[test]
-    fn accumulator_merge() {
-        let mut a = Accumulator::new();
+    fn log_histogram_merge() {
+        let mut a = LogHistogram::new();
         a.record(1);
         a.record(3);
-        let mut b = Accumulator::new();
+        let mut b = LogHistogram::new();
         b.record(10);
         a.merge(&b);
         assert_eq!(a.count(), 3);
         assert_eq!(a.max(), Some(10));
         assert_eq!(a.min(), Some(1));
 
-        let mut empty = Accumulator::new();
+        let mut empty = LogHistogram::new();
         empty.merge(&a);
         assert_eq!(empty.count(), 3);
-        let before = a;
-        a.merge(&Accumulator::new());
+        let before = a.clone();
+        a.merge(&LogHistogram::new());
         assert_eq!(a, before);
-    }
 
-    #[test]
-    fn accumulator_display() {
-        let mut a = Accumulator::new();
-        assert_eq!(a.to_string(), "n=0");
-        a.record(4);
-        assert!(a.to_string().contains("mean=4.00"));
+        // Merging the two sides of any split of a sample set, an empty
+        // side included, equals recording the whole set.
+        let samples = [7, 0, 300, 7, 1, 64, 2];
+        let mut whole = LogHistogram::new();
+        samples.iter().for_each(|&v| whole.record(v));
+        for cut in 0..=samples.len() {
+            let (mut left, mut right) = (LogHistogram::new(), LogHistogram::new());
+            samples[..cut].iter().for_each(|&v| left.record(v));
+            samples[cut..].iter().for_each(|&v| right.record(v));
+            left.merge(&right);
+            assert!(left.nonzero_buckets().eq(whole.nonzero_buckets()));
+            assert_eq!(
+                (left.count(), left.sum(), left.min(), left.max()),
+                (whole.count(), whole.sum(), whole.min(), whole.max()),
+                "cut at {cut}"
+            );
+        }
     }
 
     #[test]
@@ -346,19 +258,5 @@ mod tests {
         assert_eq!(h.count(), 101);
         assert_eq!(h.max(), Some(2000));
         assert_eq!(h.percentile(1.0), Some(2047));
-    }
-
-    #[test]
-    fn log_histogram_mean_matches_accumulator() {
-        assert_eq!(LogHistogram::new().mean(), 0.0);
-        assert_eq!(LogHistogram::new().mean(), Accumulator::new().mean());
-        let mut h = LogHistogram::new();
-        let mut a = Accumulator::new();
-        for v in [3, 4, 10] {
-            h.record(v);
-            a.record(v);
-        }
-        assert_eq!(h.mean(), 17.0 / 3.0);
-        assert_eq!(h.mean().to_bits(), a.mean().to_bits());
     }
 }

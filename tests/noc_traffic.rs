@@ -49,7 +49,7 @@ fn uniform_random_unicast_latency_is_stable_at_low_load() {
     assert!(net.is_drained(), "uniform traffic failed to drain");
     let s = net.stats();
     assert!(s.delivered_packets > 500);
-    let mean = s.packet_latency.mean();
+    let mean = s.packet_latency().mean();
     // Zero-load 6x6 average ~ 10 hops worst case; low load must stay well
     // under 60 cycles mean.
     assert!(mean < 60.0, "low-load mean latency {mean} too high");
