@@ -147,7 +147,7 @@ impl System {
             // One notification fabric whose messages carry an independent
             // announcement word group per plane; the scheme picks flat
             // grid-diameter propagation or the hierarchical quad tree.
-            let mut n = NotifyNetwork::with_scheme(
+            NotifyNetwork::with_scheme(
                 &cfg.mesh,
                 NotifyConfig {
                     cores,
@@ -156,11 +156,7 @@ impl System {
                 },
                 planes.get(),
                 cfg.notify,
-            );
-            // Windowed telemetry wants every publish-tick timestamp,
-            // including those inside empty-window leaps.
-            n.set_publish_log(cfg.window_cycles != 0);
-            n
+            )
         });
         let mode = if scorpio {
             NicMode::Ordered
@@ -857,18 +853,14 @@ impl System {
                 a.merge(b);
             }
         }
-        // Notification publish ticks, bucketed by epoch.
-        let mut publishes: Vec<u64> = Vec::new();
-        if let Some(n) = &self.notify {
-            for &c in n.publish_log() {
-                let idx = (c / w) as usize;
-                if publishes.len() <= idx {
-                    publishes.resize(idx + 1, 0);
-                }
-                publishes[idx] += 1;
-            }
-        }
-        let count = cells.len().max(self.win_ops.len()).max(publishes.len());
+        // Notification publishes per row, counted on the notify clock: a
+        // window publishes on its last cycle, so the last publish ran at
+        // cycle `windows_completed · window − 1`.
+        let before = |c: u64| self.notify.as_ref().map_or(0, |n| n.publishes_before(c));
+        let published = self.notify.as_ref().map_or(0, |n| {
+            (n.windows_completed() * n.config().window).div_ceil(w) as usize
+        });
+        let count = cells.len().max(self.win_ops.len()).max(published);
         cells.resize_with(count, WindowCell::default);
         let mut rows = Vec::with_capacity(count);
         for (i, cell) in cells.into_iter().enumerate() {
@@ -877,7 +869,7 @@ impl System {
                 cycles: w,
                 cell,
                 ops: self.win_ops.get(i).copied().unwrap_or(0),
-                publishes: publishes.get(i).copied().unwrap_or(0),
+                publishes: before((i as u64 + 1) * w) - before(i as u64 * w),
                 ep_wait_max: None,
                 ep_wait_min: None,
             };
@@ -1048,7 +1040,7 @@ impl System {
         r.packets_injected = ns.injected_packets;
         r.packet_latency = ns.packet_latency();
         if let Some(n) = &self.notify {
-            r.notify_windows = n.windows_completed;
+            r.notify_windows = n.windows_completed();
             r.notify_nonempty = n.nonempty_windows;
         }
         r.stop_windows = self.nics.iter().map(|n| n.stats.stop_windows).sum();
@@ -1134,11 +1126,7 @@ impl System {
                 self.net.inject_backlog(self.nics[t].endpoint()),
                 self.nics[t].ordering_backlog(),
             );
-            let _ = writeln!(
-                out,
-                "        nic counters {:?}",
-                self.nics[t].debug_counters()
-            );
+            let _ = writeln!(out, "        {:?}", self.nics[t]);
             out.push_str(&self.l2s[t].debug_state());
         }
         if let Some(n) = &self.notify {
@@ -1149,7 +1137,8 @@ impl System {
             let _ = writeln!(
                 out,
                 "notify: windows={} nonempty={} latest={latest:?}",
-                n.windows_completed, n.nonempty_windows,
+                n.windows_completed(),
+                n.nonempty_windows,
             );
         }
         if let Some(seq) = &self.seq {

@@ -3,11 +3,15 @@
 //! A [`Nic`] connects a cache controller (or memory controller) to the main
 //! network (`scorpio-noc`, a [`scorpio_noc::MultiNetwork`] of one or more
 //! address-interleaved planes) and the notification network
-//! (`scorpio-notify`). One [`NotificationTracker`] per plane expands each
+//! (`scorpio-notify`). A NIC that orders (SCORPIO) keeps one ordering
+//! record per plane: a [`NotificationTracker`] that expands each
 //! completed time window into that plane's globally consistent
-//! Expected-SID stream; ordered requests — including the NIC's own, via
-//! per-plane loopback queues — are released to the controller strictly in
-//! their plane's order, while responses flow through unordered. Every
+//! Expected-SID stream, the pending-notification budget, the loopback
+//! queue and the ESID register. Ordered requests — including the NIC's
+//! own, via the loopback queues — are released to the controller strictly
+//! in their plane's order, while responses flow through unordered. A
+//! baseline NIC ([`NicMode::Unordered`]) builds no records and passes
+//! every packet through as it arrives. Every
 //! per-plane accessor names its plane: [`Nic::current_esid`] takes the
 //! plane whose expectation to read, and [`NotificationTracker::new`] the
 //! plane whose word group the tracker expands (plane 0 on the chip's

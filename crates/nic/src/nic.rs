@@ -9,9 +9,10 @@
 //! ordered requests to the controller only in the per-plane global order
 //! determined by the notification trackers — including the NIC's *own*
 //! requests, which self-deliver through per-plane loopback queues rather
-//! than traversing the mesh. Because the steering function assigns every
-//! address to exactly one plane, the per-plane orders compose into a
-//! per-address total order, which is all snoopy coherence requires.
+//! than traversing the mesh (a baseline NIC keeps none of this state).
+//! Because the steering function assigns every address to exactly one
+//! plane, the per-plane orders compose into a per-address total order,
+//! which is all snoopy coherence requires.
 
 use crate::tracker::NotificationTracker;
 use scorpio_noc::{
@@ -19,6 +20,7 @@ use scorpio_noc::{
 };
 use scorpio_notify::NotifyNetwork;
 use scorpio_sim::{Cycle, Fifo, Wake};
+use std::collections::VecDeque;
 
 /// NIC configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -105,42 +107,52 @@ pub struct NicStats {
     pub stop_windows: u64,
 }
 
+/// Own requests one plane's loopback path holds. A full path refuses new
+/// ordered requests onto that plane with [`SendError::NotificationLimit`].
+const LOOPBACK_DEPTH: usize = 64;
+
+/// Everything SCORPIO's global ordering keeps for one main-network plane
+/// (Figure 4): the notification tracker, the pending-notification budget,
+/// the loopback path and the ESID register.
+#[derive(Debug)]
+struct PlaneOrder<T> {
+    /// Expands this plane's word group of every window.
+    tracker: NotificationTracker,
+    /// Requests injected but not yet announced.
+    unsent: u8,
+    /// Requests announced in the window currently in flight.
+    announced: u8,
+    /// Loopback self-delivery: each own request and its packet uid.
+    own: VecDeque<(T, u64)>,
+    /// Per-source count of ordered requests delivered; the expected
+    /// instance is always (ESID, `delivered[ESID]`).
+    delivered: Vec<u16>,
+    /// Own requests sent (assigns `sid_seq`).
+    sent: u16,
+    /// The ESID last published to the plane; `None` before the first.
+    published: Option<Option<(Sid, u16)>>,
+}
+
 /// The network interface controller for one endpoint.
 ///
-/// Every per-plane structure below is a `Vec` indexed by plane; with one
-/// plane (the chip configuration) each collapses to the single-network
-/// NIC, byte-for-byte.
+/// An ordering (SCORPIO) NIC keeps one ordering record per plane; a
+/// baseline NIC keeps none and passes every packet through. With one plane
+/// (the chip configuration) each collapses to the single-network NIC,
+/// byte-for-byte.
 pub struct Nic<T> {
     ep: Endpoint,
     /// `ep`'s dense index in the main network, resolved on the first tick.
     ep_idx: Option<usize>,
     sid: Option<Sid>,
-    mode: NicMode,
     cfg: NicConfig,
-    planes: usize,
-    /// One tracker per plane, each expanding its own plane's word group.
-    tracker: Vec<NotificationTracker>,
-    /// Requests injected but not yet announced, per plane.
-    unsent: Vec<u8>,
-    /// Requests announced in the window currently in flight, per plane.
-    announced: Vec<u8>,
-    last_window: Option<u64>,
-    /// Loopback self-delivery queues, per plane: each own request and its
-    /// packet uid.
-    own_queue: Vec<Fifo<(T, u64)>>,
-    ordered_out: Fifo<OrderedDelivery<T>>,
-    packet_out: Fifo<Packet<T>>,
     /// Per plane, the flits received of the packet each ejection VC (by
     /// flat VC) is reassembling.
     partial: Vec<[u8; NocConfig::MAX_VCS_PER_PORT]>,
-    /// Per-plane, per-source count of ordered requests this NIC has
-    /// delivered; the expected instance on plane `p` is always
-    /// (ESID, delivered[p][ESID]).
-    delivered_seq: Vec<Vec<u16>>,
-    /// Per-plane count of own requests sent (assigns sid_seq).
-    sent_seq: Vec<u16>,
-    published_esid: Vec<Option<(Sid, u16)>>,
-    published_any: Vec<bool>,
+    /// The ordering record of each plane; empty on a baseline NIC.
+    order: Vec<PlaneOrder<T>>,
+    last_window: Option<u64>,
+    ordered_out: Fifo<OrderedDelivery<T>>,
+    packet_out: Fifo<Packet<T>>,
     busy_until: Cycle,
     /// Public statistics.
     pub stats: NicStats,
@@ -152,7 +164,8 @@ impl<T: Payload + SteerKey> Nic<T> {
     ///
     /// `sid` is `Some` for tile NICs that issue ordered requests and `None`
     /// for memory-controller NICs (which observe the order but never
-    /// inject into it). `cores` sizes the notification trackers.
+    /// inject into it). `cores` sizes the notification trackers, which
+    /// only a [`NicMode::Ordered`] NIC builds.
     ///
     /// # Panics
     ///
@@ -166,26 +179,29 @@ impl<T: Payload + SteerKey> Nic<T> {
         cfg: NicConfig,
     ) -> Self {
         assert!(planes > 0, "a NIC needs at least one plane");
+        let order = match mode {
+            NicMode::Ordered => (0..planes)
+                .map(|p| PlaneOrder {
+                    tracker: NotificationTracker::new(cores, cfg.tracker_depth, p),
+                    unsent: 0,
+                    announced: 0,
+                    own: VecDeque::new(),
+                    delivered: vec![0; cores],
+                    sent: 0,
+                    published: None,
+                })
+                .collect(),
+            NicMode::Unordered => Vec::new(),
+        };
         Nic {
             ep,
             ep_idx: None,
             sid,
-            mode,
-            planes,
-            tracker: (0..planes)
-                .map(|p| NotificationTracker::new(cores, cfg.tracker_depth, p))
-                .collect(),
-            unsent: vec![0; planes],
-            announced: vec![0; planes],
+            partial: vec![[0; NocConfig::MAX_VCS_PER_PORT]; planes],
+            order,
             last_window: None,
-            own_queue: (0..planes).map(|_| Fifo::bounded(64)).collect(),
-            delivered_seq: vec![vec![0; cores]; planes],
-            sent_seq: vec![0; planes],
             ordered_out: Fifo::bounded(cfg.ordered_queue_depth),
             packet_out: Fifo::bounded(cfg.packet_queue_depth),
-            partial: vec![[0; NocConfig::MAX_VCS_PER_PORT]; planes],
-            published_esid: vec![None; planes],
-            published_any: vec![false; planes],
             busy_until: Cycle::ZERO,
             cfg,
             stats: NicStats::default(),
@@ -197,30 +213,16 @@ impl<T: Payload + SteerKey> Nic<T> {
         self.ep
     }
 
-    /// The SID currently expected in plane `plane`'s global order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `plane` is out of range.
+    /// The SID currently expected in plane `plane`'s global order; `None`
+    /// on a baseline NIC, which keeps no order.
     pub fn current_esid(&self, plane: usize) -> Option<Sid> {
-        self.tracker[plane].current_esid()
+        self.order.get(plane)?.tracker.current_esid()
     }
 
     /// Ordered requests (current + queued windows, all planes) still to be
     /// delivered.
     pub fn ordering_backlog(&self) -> usize {
-        self.tracker.iter().map(NotificationTracker::backlog).sum()
-    }
-
-    /// Internal counters for diagnostics: summed (unsent, announced) over
-    /// planes, and the last window processed.
-    #[doc(hidden)]
-    pub fn debug_counters(&self) -> (u32, u32, Option<u64>) {
-        (
-            self.unsent.iter().map(|&u| u as u32).sum(),
-            self.announced.iter().map(|&a| a as u32).sum(),
-            self.last_window,
-        )
+        self.order.iter().map(|o| o.tracker.backlog()).sum()
     }
 
     /// Whether ticking this NIC is a no-op until something external
@@ -231,7 +233,7 @@ impl<T: Payload + SteerKey> Nic<T> {
     /// conservative form of [`Nic::next_wake`] (which the system sleeps
     /// on), kept for callers that poll a NIC standalone.
     pub fn can_sleep(&self) -> bool {
-        self.announced.iter().all(|&a| a == 0) && self.can_sleep_leap()
+        self.order.iter().all(|o| o.announced == 0) && self.can_sleep_leap()
     }
 
     /// [`Nic::can_sleep`] minus the outstanding-announcement term: a NIC
@@ -239,11 +241,11 @@ impl<T: Payload + SteerKey> Nic<T> {
     /// because the window carrying it is non-empty by construction and a
     /// non-empty window's publication wakes every endpoint.
     pub fn can_sleep_leap(&self) -> bool {
-        self.unsent.iter().all(|&u| u == 0)
-            && self.own_queue.iter().all(Fifo::is_empty)
+        self.order
+            .iter()
+            .all(|o| o.unsent == 0 && o.own.is_empty() && !o.tracker.should_stop())
             && self.ordered_out.is_empty()
             && self.packet_out.is_empty()
-            && !self.tracker.iter().any(NotificationTracker::should_stop)
     }
 
     /// When this NIC's next tick can first change its state, asked after
@@ -265,18 +267,18 @@ impl<T: Payload + SteerKey> Nic<T> {
             return Wake::at(next, "nic delivery queue");
         }
         let idx = self.index_in(net);
+        if self.order.is_empty() && net.eject_occupied(idx) {
+            return Wake::at(next, "unordered flit");
+        }
         let mut waiting = false;
-        for p in 0..self.planes {
+        for (p, o) in self.order.iter().enumerate() {
             let net = net.plane(p);
             let vcs = net.eject_vcs(idx);
-            let heads = match self.mode {
-                NicMode::Ordered => vcs & net.ordered_vcs(),
-                NicMode::Unordered => 0,
-            };
+            let heads = vcs & net.ordered_vcs();
             if vcs != heads {
                 return Wake::at(next, "unordered flit");
             }
-            if let Some(esid) = self.tracker[p].current_esid() {
+            if let Some(esid) = o.tracker.current_esid() {
                 if Some(esid) == self.sid {
                     return Wake::at(next, "own request expected");
                 }
@@ -286,14 +288,16 @@ impl<T: Payload + SteerKey> Nic<T> {
             }
             waiting |= heads != 0;
         }
-        let announces = self.unsent.iter().any(|&u| u != 0)
-            || self.tracker.iter().any(NotificationTracker::should_stop);
+        let announces = self
+            .order
+            .iter()
+            .any(|o| o.unsent != 0 || o.tracker.should_stop());
         if let (Some(n), Some(_), true) = (notify, self.sid, announces) {
             let w = n.config().window;
             let start = Cycle::new((now.as_u64() / w + 1) * w);
             return Wake::at(start, "announcement at window start");
         }
-        Wake::event(if self.announced.iter().any(|&a| a != 0) {
+        Wake::event(if self.order.iter().any(|o| o.announced != 0) {
             "window publish"
         } else if waiting {
             "expected request flit"
@@ -312,37 +316,33 @@ impl<T: Payload + SteerKey> Nic<T> {
     ///
     /// # Errors
     ///
-    /// [`SendError::NotACore`] if this NIC has no SID or is unordered;
+    /// [`SendError::NotACore`] if this NIC has no SID or keeps no order;
     /// [`SendError::NotificationLimit`] when the plane's pending counter is
-    /// at its limit; [`SendError::NetworkFull`] when the plane's injection
-    /// queue is full. `_now` is unused: the network stamps the injection
-    /// cycle.
+    /// at its limit or its loopback path is full;
+    /// [`SendError::NetworkFull`] when the plane's injection queue is
+    /// full. `_now` is unused: the network stamps the injection cycle.
     pub fn try_send_request(
         &mut self,
         payload: T,
         _now: Cycle,
         net: &mut MultiNetwork<T>,
     ) -> Result<(), SendError> {
-        let sid = match (self.mode, self.sid) {
-            (NicMode::Ordered, Some(sid)) => sid,
-            _ => return Err(SendError::NotACore),
-        };
         let plane = net.plane_of(payload.steer_key());
-        if self.unsent[plane] + self.announced[plane] >= self.cfg.max_pending_notifications
-            || self.own_queue[plane].is_full()
+        let (Some(sid), Some(o)) = (self.sid, self.order.get_mut(plane)) else {
+            return Err(SendError::NotACore);
+        };
+        if o.unsent + o.announced >= self.cfg.max_pending_notifications
+            || o.own.len() >= LOOPBACK_DEPTH
         {
             return Err(SendError::NotificationLimit);
         }
-        let seq = self.sent_seq[plane];
         let (steered, uid) = net
-            .try_inject(self.ep, Packet::request(self.ep, sid, seq, payload))
+            .try_inject(self.ep, Packet::request(self.ep, sid, o.sent, payload))
             .map_err(|_| SendError::NetworkFull)?;
         debug_assert_eq!(steered, plane, "steering function disagreed with itself");
-        self.sent_seq[plane] = self.sent_seq[plane].wrapping_add(1);
-        self.own_queue[plane]
-            .push((payload, uid))
-            .expect("own queue capacity checked above");
-        self.unsent[plane] += 1;
+        o.sent = o.sent.wrapping_add(1);
+        o.own.push_back((payload, uid));
+        o.unsent += 1;
         Ok(())
     }
 
@@ -396,7 +396,7 @@ impl<T: Payload + SteerKey> Nic<T> {
     }
 
     /// One cycle. Call before the networks tick, every cycle, passing the
-    /// notification network only for ordered-mode NICs.
+    /// notification network only for ordering NICs.
     pub fn tick(
         &mut self,
         now: Cycle,
@@ -404,11 +404,9 @@ impl<T: Payload + SteerKey> Nic<T> {
         notify: Option<&mut NotifyNetwork>,
     ) {
         self.ep_idx = Some(self.index_in(net));
-        if self.mode == NicMode::Ordered {
-            if let Some(notify) = notify {
-                self.process_completed_window(notify);
-                self.announce(now, notify);
-            }
+        if let Some(notify) = notify {
+            self.process_completed_window(notify);
+            self.announce(now, notify);
         }
         self.receive(now, net);
         self.publish_esid(net);
@@ -425,17 +423,17 @@ impl<T: Payload + SteerKey> Nic<T> {
             return;
         }
         self.last_window = Some(w);
-        for p in 0..self.planes {
+        for (p, o) in self.order.iter_mut().enumerate() {
             if msg.stop(p) {
                 // Everyone ignores this plane's word group; our
                 // announcement (if any) must be re-sent.
                 self.stats.stop_windows += 1;
-                self.unsent[p] += self.announced[p];
-                self.announced[p] = 0;
+                o.unsent += o.announced;
+                o.announced = 0;
                 continue;
             }
-            self.announced[p] = 0;
-            self.tracker[p].push_window(msg);
+            o.announced = 0;
+            o.tracker.push_window(msg);
         }
     }
 
@@ -450,19 +448,18 @@ impl<T: Payload + SteerKey> Nic<T> {
             return;
         };
         let max = (1u16 << notify.config().bits_per_core) as u8 - 1;
-        for p in 0..self.planes {
-            let stop = self.tracker[p].should_stop();
-            let count = self.unsent[p].min(max);
+        for (p, o) in self.order.iter_mut().enumerate() {
+            let stop = o.tracker.should_stop();
+            let count = o.unsent.min(max);
             if count > 0 || stop {
                 notify.stage_injection(p, sid.index(), count, stop);
-                self.unsent[p] -= count;
-                self.announced[p] = count;
+                o.unsent -= count;
+                o.announced = count;
             }
         }
     }
 
-    /// Receive path: per plane, one ordered consume plus one unordered
-    /// flit per cycle — each plane has its own ejection port, so receive
+    /// Receive path: each plane has its own ejection port, so receive
     /// bandwidth scales with the plane count exactly as the replicated
     /// hardware's would.
     fn receive(&mut self, now: Cycle, net: &mut MultiNetwork<T>) {
@@ -470,24 +467,21 @@ impl<T: Payload + SteerKey> Nic<T> {
             return;
         }
         let mut consumed = false;
-        match self.mode {
-            NicMode::Ordered => {
-                // One ordered consume + one unordered flit per plane per
-                // cycle (separate ACE channels toward the L2).
-                for p in 0..self.planes {
-                    consumed |= self.receive_ordered(p, net);
-                }
-                for p in 0..self.planes {
-                    consumed |= self.receive_any_class(p, net, false);
-                }
+        let planes = self.partial.len();
+        if self.order.is_empty() {
+            // Baselines: two flits from any class per plane.
+            for p in 0..planes {
+                consumed |= self.receive_any_class(p, net);
+                consumed |= self.receive_any_class(p, net);
             }
-            NicMode::Unordered => {
-                // Same aggregate bandwidth: two flits from any class per
-                // plane.
-                for p in 0..self.planes {
-                    consumed |= self.receive_any_class(p, net, true);
-                    consumed |= self.receive_any_class(p, net, true);
-                }
+        } else {
+            // Same aggregate bandwidth: one ordered consume + one unordered
+            // flit per plane (separate ACE channels toward the L2).
+            for p in 0..planes {
+                consumed |= self.receive_ordered(p, net);
+            }
+            for p in 0..planes {
+                consumed |= self.receive_any_class(p, net);
             }
         }
         if consumed && !self.cfg.pipelined {
@@ -498,81 +492,67 @@ impl<T: Payload + SteerKey> Nic<T> {
     /// Consumes plane `plane`'s expected ordered request if present
     /// (network or loopback). Returns whether something was consumed.
     fn receive_ordered(&mut self, plane: usize, net: &mut MultiNetwork<T>) -> bool {
-        let Some(esid) = self.tracker[plane].current_esid() else {
+        let idx = self.index_in(net);
+        let o = &mut self.order[plane];
+        let Some(esid) = o.tracker.current_esid() else {
             return false;
         };
         if self.ordered_out.is_full() {
             return false;
         }
-        let idx = self.index_in(net);
-        if Some(esid) == self.sid {
+        let own = Some(esid) == self.sid;
+        let payload = if own {
             // Own request: self-delivery through the loopback path — but
             // only once the broadcast copy has left the injection queue.
             // Consuming earlier would advance our ESID past our own SID
             // while the flit is not yet in the network, breaking the
             // reserved-VC deadlock-freedom invariant.
-            let &(_, uid) = self.own_queue[plane]
+            let &(_, uid) = o
+                .own
                 .front()
                 .expect("own request announced but missing from loopback queue");
             if net.plane(plane).inject_pending(idx, uid) {
                 return false;
             }
-            let (payload, _) = self.own_queue[plane].pop().expect("checked above");
-            self.delivered_seq[plane][esid.index()] =
-                self.delivered_seq[plane][esid.index()].wrapping_add(1);
-            self.deliver_ordered(OrderedDelivery {
+            o.own.pop_front().expect("checked above").0
+        } else {
+            // The expected request among the ordered heads (lowest VC first).
+            let net = net.plane_mut(plane);
+            let heads = net.eject_vcs(idx) & net.ordered_vcs();
+            let Some(vc) = expected_vc(net, idx, heads, esid) else {
+                return false;
+            };
+            let flit = net.eject_take_vc(idx, vc).expect("head flit vanished");
+            debug_assert_eq!(
+                flit.packet.sid_seq,
+                o.delivered[esid.index()],
+                "point-to-point ordering violated: wrong request instance"
+            );
+            flit.packet.payload
+        };
+        o.delivered[esid.index()] = o.delivered[esid.index()].wrapping_add(1);
+        o.tracker.advance();
+        self.ordered_out
+            .push(OrderedDelivery {
                 sid: esid,
                 payload,
-                own: true,
-            });
-            self.tracker[plane].advance();
-            return true;
-        }
-        // The expected request among the ordered heads (lowest VC first).
-        let net = net.plane_mut(plane);
-        let heads = net.eject_vcs(idx) & net.ordered_vcs();
-        let Some(vc) = expected_vc(net, idx, heads, esid) else {
-            return false;
-        };
-        let flit = net.eject_take_vc(idx, vc).expect("head flit vanished");
-        debug_assert_eq!(
-            flit.packet.sid_seq,
-            self.delivered_seq[plane][esid.index()],
-            "point-to-point ordering violated: wrong request instance"
-        );
-        self.delivered_seq[plane][esid.index()] =
-            self.delivered_seq[plane][esid.index()].wrapping_add(1);
-        self.deliver_ordered(OrderedDelivery {
-            sid: esid,
-            payload: flit.packet.payload,
-            own: false,
-        });
-        self.tracker[plane].advance();
+                own,
+            })
+            .expect("ordered_out fullness checked above");
         true
     }
 
-    fn deliver_ordered(&mut self, d: OrderedDelivery<T>) {
-        self.ordered_out
-            .push(d)
-            .expect("ordered_out fullness checked by caller");
-    }
-
-    /// Consumes one flit from plane `plane` into the packet queue. Ordered
-    /// vnets are included only when `include_ordered` is set (baseline
-    /// mode, where no global ordering applies).
-    fn receive_any_class(
-        &mut self,
-        plane: usize,
-        net: &mut MultiNetwork<T>,
-        include_ordered: bool,
-    ) -> bool {
+    /// Consumes one flit from plane `plane` into the packet queue. Flits
+    /// awaiting the global order are left alone on an ordering NIC; a
+    /// baseline NIC takes every class.
+    fn receive_any_class(&mut self, plane: usize, net: &mut MultiNetwork<T>) -> bool {
         if self.packet_out.is_full() {
             return false;
         }
         let idx = self.index_in(net);
         let net = net.plane_mut(plane);
         let mut vcs = net.eject_vcs(idx);
-        if !include_ordered {
+        if !self.order.is_empty() {
             vcs &= !net.ordered_vcs();
         }
         if vcs == 0 {
@@ -595,17 +575,14 @@ impl<T: Payload + SteerKey> Nic<T> {
     /// Publishes each plane's expected request instance (SID + per-source
     /// sequence number) to that plane for rVC policing.
     fn publish_esid(&mut self, net: &mut MultiNetwork<T>) {
-        for p in 0..self.planes {
-            let esid = match self.mode {
-                NicMode::Ordered => self.tracker[p]
-                    .current_esid()
-                    .map(|sid| (sid, self.delivered_seq[p][sid.index()])),
-                NicMode::Unordered => None,
-            };
-            if !self.published_any[p] || esid != self.published_esid[p] {
+        for (p, o) in self.order.iter_mut().enumerate() {
+            let esid = o
+                .tracker
+                .current_esid()
+                .map(|sid| (sid, o.delivered[sid.index()]));
+            if o.published != Some(esid) {
                 net.set_esid(p, self.ep, esid);
-                self.published_esid[p] = esid;
-                self.published_any[p] = true;
+                o.published = Some(esid);
             }
         }
     }
@@ -620,22 +597,26 @@ fn expected_vc<T: Payload>(net: &Network<T>, idx: usize, heads: u32, esid: Sid) 
     })
 }
 
-/// One expected SID and one unsent count per plane, so a multi-plane
-/// post-mortem shows every plane's expectation.
+/// Per ordered plane (none on a baseline NIC) the expected SID and the
+/// unsent and announced counts, so a multi-plane post-mortem shows every
+/// plane's expectation.
 impl<T: Payload> std::fmt::Debug for Nic<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let esid: Vec<Option<Sid>> = self
-            .tracker
+            .order
             .iter()
-            .map(NotificationTracker::current_esid)
+            .map(|o| o.tracker.current_esid())
             .collect();
+        let unsent: Vec<u8> = self.order.iter().map(|o| o.unsent).collect();
+        let announced: Vec<u8> = self.order.iter().map(|o| o.announced).collect();
         f.debug_struct("Nic")
             .field("ep", &self.ep)
             .field("sid", &self.sid)
-            .field("mode", &self.mode)
-            .field("planes", &self.planes)
+            .field("planes", &self.partial.len())
             .field("esid", &esid)
-            .field("unsent", &self.unsent)
+            .field("unsent", &unsent)
+            .field("announced", &announced)
+            .field("last_window", &self.last_window)
             .finish()
     }
 }
@@ -652,9 +633,8 @@ pub mod testing {
     /// nothing reads the field back.
     pub fn state_digest<T: Payload>(nic: &Nic<T>) -> u64 {
         scorpio_sim::testing::debug_digest(&(
-            (&nic.tracker, &nic.unsent, &nic.announced, &nic.own_queue),
+            &nic.order,
             (&nic.ordered_out, &nic.packet_out, &nic.partial),
-            (&nic.delivered_seq, &nic.sent_seq, &nic.published_esid),
             (nic.busy_until, &nic.stats),
         ))
     }
@@ -681,7 +661,7 @@ mod tests {
         );
         let mut window = NotifyMsg::new(4, 1, 2);
         window.set_count(1, 3, 1);
-        nic.tracker[1].push_window(&window);
+        nic.order[1].tracker.push_window(&window);
         assert_eq!(nic.current_esid(0), None);
         assert_eq!(nic.current_esid(1), Some(Sid(3)));
         let text = format!("{nic:?}");

@@ -246,10 +246,10 @@ impl<T: Payload> Ejection<T> {
 pub struct NocStats {
     /// Packets accepted by [`Network::try_inject`].
     pub injected_packets: u64,
-    /// Packet copies fully consumed at an endpoint (tail flit taken).
-    pub delivered_packets: u64,
-    /// Latency from injection to tail consumption, per delivered copy,
-    /// split by virtual network (indexed like `NocConfig::vnets`).
+    /// Latency from injection to tail consumption, per delivered copy
+    /// (tail flit taken), split by virtual network (indexed like
+    /// `NocConfig::vnets`); [`NocStats::packet_latency`]'s count is the
+    /// number of packet copies delivered.
     pub vnet_latency: [LogHistogram; NocConfig::MAX_VNETS],
     /// Flits that took the single-cycle bypass path, summed over routers.
     pub bypassed_flits: u64,
@@ -262,7 +262,6 @@ impl NocStats {
     /// aggregate view).
     pub(crate) fn merge(&mut self, other: &NocStats) {
         self.injected_packets += other.injected_packets;
-        self.delivered_packets += other.delivered_packets;
         for (a, b) in self.vnet_latency.iter_mut().zip(&other.vnet_latency) {
             a.merge(b);
         }
@@ -620,7 +619,6 @@ impl<T: Payload> Network<T> {
         ));
         self.last_progress = self.cycle;
         if flit.is_tail() {
-            self.stats.delivered_packets += 1;
             let lat = self.cycle - flit.packet.inject_cycle;
             self.stats.vnet_latency[flit.packet.vnet.index()].record(lat);
             if let Some(o) = self.obs.as_deref_mut() {
@@ -1112,7 +1110,7 @@ impl<T: Payload> std::fmt::Debug for Network<T> {
             .field("topology", &self.topology.label())
             .field("cycle", &self.cycle)
             .field("injected", &self.stats.injected_packets)
-            .field("delivered", &self.stats.delivered_packets)
+            .field("delivered", &self.stats.packet_latency().count())
             .finish()
     }
 }

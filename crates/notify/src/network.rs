@@ -156,17 +156,9 @@ pub struct NotifyNetwork {
     /// Whether the window in flight carries any announcement. Stays set
     /// past the publish tick, until the next window-start tick runs.
     live: bool,
-    /// The merged message of the last completed window, and its index
-    /// (`None` until the first window completes).
+    /// The merged message of the last completed window, whose index the
+    /// clock gives ([`NotifyNetwork::windows_completed`] − 1).
     latest: NotifyMsg,
-    latest_window: Option<u64>,
-    /// Publish-tick cycles, recorded when enabled ([`NotifyNetwork::set_publish_log`]).
-    /// Lives here rather than in the system layer because a single
-    /// empty-window advance can complete several windows at once — an
-    /// external observer polling `latest` would only see the last.
-    publish_log: Option<Vec<u64>>,
-    /// Completed windows so far.
-    pub windows_completed: u64,
     /// Completed windows that carried at least one announcement.
     pub nonempty_windows: u64,
 }
@@ -208,24 +200,22 @@ impl NotifyNetwork {
             flight: blank.clone(),
             live: false,
             latest: blank,
-            latest_window: None,
-            publish_log: None,
-            windows_completed: 0,
             nonempty_windows: 0,
             cfg,
         }
     }
 
-    /// Enables (or disables) recording of every publish-tick cycle —
-    /// the windowed-telemetry timestamps. Purely observational: the log
-    /// is written, never read, by the network itself.
-    pub fn set_publish_log(&mut self, on: bool) {
-        self.publish_log = on.then(Vec::new);
+    /// Windows published before cycle `c`, counting only ticks already
+    /// run. A window publishes on its last cycle, so the publish ticks are
+    /// exactly the cycles `k · window − 1`: no log is needed to count
+    /// them, even across an empty-window [`NotifyNetwork::advance`].
+    pub fn publishes_before(&self, c: u64) -> u64 {
+        c.min(self.cycle.as_u64()) / self.cfg.window
     }
 
-    /// The recorded publish-tick cycles (empty unless enabled).
-    pub fn publish_log(&self) -> &[u64] {
-        self.publish_log.as_deref().unwrap_or(&[])
+    /// Completed windows so far.
+    pub fn windows_completed(&self) -> u64 {
+        self.cycle.as_u64() / self.cfg.window
     }
 
     /// The configuration in use.
@@ -258,7 +248,8 @@ impl NotifyNetwork {
     /// The merged message of the most recently completed window, with its
     /// index. `None` until the first window completes.
     pub fn latest(&self) -> Option<(u64, &NotifyMsg)> {
-        self.latest_window.map(|w| (w, &self.latest))
+        let w = self.windows_completed().checked_sub(1)?;
+        Some((w, &self.latest))
     }
 
     /// Advances one cycle. Only the two boundary cycles of a window do
@@ -288,22 +279,9 @@ impl NotifyNetwork {
             if self.live {
                 self.nonempty_windows += 1;
             }
-            self.publish(now, 1);
+            self.latest.copy_from(&self.flight);
         }
         self.cycle = self.cycle.next();
-    }
-
-    /// Completes `n` consecutive windows, the first of them publishing at
-    /// cycle `first_tick`: all publish `flight`, and `latest` keeps the
-    /// last. (`n > 1` only across empty windows.)
-    fn publish(&mut self, first_tick: u64, n: u64) {
-        let w = self.cfg.window;
-        if let Some(log) = &mut self.publish_log {
-            log.extend((0..n).map(|i| first_tick + i * w));
-        }
-        self.windows_completed += n;
-        self.latest.copy_from(&self.flight);
-        self.latest_window = Some(first_tick / w + n - 1);
     }
 
     /// The farthest cycle the event-leaping clock may advance this network
@@ -345,8 +323,8 @@ impl NotifyNetwork {
     /// caller must not advance past [`NotifyNetwork::leap_horizon`]. Inside
     /// a live window there is nothing to reproduce before the publish
     /// tick; otherwise every window boundary crossed completes an empty
-    /// window (counted, logged, and published as the blank `latest`
-    /// message with the right index).
+    /// window, which the clock counts and which publishes the blank
+    /// `latest` message.
     ///
     /// # Panics
     ///
@@ -372,10 +350,10 @@ impl NotifyNetwork {
                 self.staged.is_empty() || end <= start.next_multiple_of(w),
                 "advance of {delta} from {start} crosses a latch tick with staged contributions"
             );
-            // Cycles c in [start, end) with c % w == w - 1 complete a window.
-            let completed = end / w - start / w;
-            if completed > 0 {
-                self.publish(start - start % w + w - 1, completed);
+            // Cycles c in [start, end) with c % w == w - 1 complete a
+            // window; every one of them publishes the blank `flight`.
+            if end / w > start / w {
+                self.latest.copy_from(&self.flight);
             }
         }
         self.cycle += delta;
@@ -714,7 +692,7 @@ mod tests {
         for _ in 0..27 {
             nn.tick();
         }
-        assert_eq!(nn.windows_completed, 3);
+        assert_eq!(nn.windows_completed(), 3);
         assert_eq!(nn.nonempty_windows, 0);
         let (w, msg) = nn.latest().unwrap();
         assert_eq!(w, 2);
@@ -723,8 +701,7 @@ mod tests {
 
     /// `advance(d)` on an idle network must leave it in exactly the state
     /// `d` ticks would — from any in-window offset, across any number of
-    /// window boundaries, before and after live traffic, publish log
-    /// included.
+    /// window boundaries, before and after live traffic.
     #[test]
     fn advance_idle_matches_ticked_reference() {
         for warmup in [0u64, 1, 3, 8, 9] {
@@ -732,7 +709,6 @@ mod tests {
                 let mut ticked = net(4); // window 9
                 let mut leaped = net(4);
                 for nn in [&mut ticked, &mut leaped] {
-                    nn.set_publish_log(true);
                     for _ in 0..warmup {
                         nn.tick();
                     }
@@ -743,7 +719,7 @@ mod tests {
                 }
                 leaped.advance(delta);
                 assert_eq!(ticked.cycle(), leaped.cycle());
-                assert_eq!(ticked.windows_completed, leaped.windows_completed);
+                assert_eq!(ticked.windows_completed(), leaped.windows_completed());
                 assert_eq!(ticked.nonempty_windows, leaped.nonempty_windows);
                 assert_eq!(
                     ticked.latest().map(|(w, m)| (w, m.clone())),
@@ -761,7 +737,6 @@ mod tests {
                     ticked.latest().map(|(w, m)| (w, m.clone())),
                     leaped.latest().map(|(w, m)| (w, m.clone()))
                 );
-                assert_eq!(ticked.publish_log(), leaped.publish_log());
             }
         }
     }
@@ -1096,7 +1071,7 @@ mod tests {
                         leaped.latest().map(|(i, m)| (i, m.clone())),
                         "diverged at offset {offset} target {target} quad {quad}"
                     );
-                    assert_eq!(ticked.windows_completed, leaped.windows_completed);
+                    assert_eq!(ticked.windows_completed(), leaped.windows_completed());
                     assert_eq!(ticked.nonempty_windows, leaped.nonempty_windows);
                 }
             }

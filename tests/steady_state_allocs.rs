@@ -197,12 +197,12 @@ fn network_under_broadcast_injection_allocates_nothing_once_warm() {
         net.step();
     };
     (0..5000).for_each(|n| cycle(&mut net, n));
-    let delivered = net.stats().delivered_packets;
+    let delivered = net.stats().packet_latency().count();
     let before = allocations();
     (5000..8000).for_each(|n| cycle(&mut net, n));
     let made = allocations() - before;
     // `stats()` clones the per-vnet accumulators, so read it after counting.
-    let moved = net.stats().delivered_packets - delivered;
+    let moved = net.stats().packet_latency().count() - delivered;
     assert!(moved > 10_000, "the measured span carried traffic: {moved}");
     assert_eq!(made, 0, "a warm network must not allocate");
 }
@@ -295,6 +295,44 @@ fn interconnect_with_nics_and_notify_allocates_nothing_once_warm() {
     let moved = delivered - warm;
     assert!(moved > 10_000, "the measured span carried traffic: {moved}");
     assert_eq!(made, 0, "a warm interconnect must not allocate");
+}
+
+/// A NIC builds SCORPIO's ordering state only when it orders, one record
+/// per plane: a baseline NIC (TokenB, INSO, LPD-D, HT-D) takes the same
+/// few allocations at 1, 2 and 4 planes, an ordering NIC at most two more
+/// per extra plane (its tracker's window queue and its per-source
+/// delivered counts), and a tile NIC costs what an MC NIC of the same mode
+/// does. With nine parallel per-plane vectors every NIC took
+/// 11 + 3 · planes, whatever its mode.
+#[test]
+fn nic_construction_cost_is_one_record_per_ordering_plane() {
+    let cost = |tile: bool, mode: NicMode, planes: usize| {
+        let (ep, sid) = if tile {
+            (Endpoint::tile(RouterId(5)), Some(Sid(5)))
+        } else {
+            (Endpoint::mc(RouterId(0)), None)
+        };
+        let cfg = NicConfig::default();
+        measured(|| Nic::<u64>::new(ep, sid, mode, 16, planes, cfg)).1
+    };
+    for mode in [NicMode::Ordered, NicMode::Unordered] {
+        for planes in [1, 2, 4] {
+            let (tile, mc) = (cost(true, mode, planes), cost(false, mode, planes));
+            assert_eq!(tile, mc, "{mode:?} at {planes} planes: tile vs MC NIC");
+        }
+    }
+    let baseline = [1, 2, 4].map(|planes| cost(true, NicMode::Unordered, planes));
+    assert_eq!(baseline, [baseline[0]; 3], "baseline NIC at 1, 2, 4 planes");
+    assert!(
+        baseline[0] <= 4,
+        "{} allocations for a baseline NIC",
+        baseline[0]
+    );
+    let [one, two, four] = [1, 2, 4].map(|planes| cost(true, NicMode::Ordered, planes));
+    assert!(
+        two <= one + 2 && four <= two + 2 * 2,
+        "ordering NIC at 1, 2, 4 planes: {one}, {two}, {four} allocations"
+    );
 }
 
 /// The notification network is a handful of message registers, whatever
