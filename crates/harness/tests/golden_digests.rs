@@ -14,7 +14,8 @@
 //! torus (dateline classes C0/C1), 8-router ring, `cmesh(2,2,4)` × 2 planes
 //! (9-port routers, plane steering), saturated 8×8 `bcast-heavy` (rVC and
 //! SID-conflict paths), TokenB and INSO-40 on 4×4, one open-loop Poisson
-//! cell with spans, and the buffer squeeze (one-deep injection and L2
+//! cell with spans, one open-loop bursty cell (every ON/OFF dwell and gap
+//! is a geometric draw), and the buffer squeeze (one-deep injection and L2
 //! queues, non-pipelined uncore, four outstanding accesses): INSO-1,
 //! LPD-D and TokenB on 8×8 `bcast-heavy`, where the baselines' held
 //! broadcasts retry (a slot-stamped request, an INSO expiry, a home's
@@ -25,7 +26,9 @@
 //! the annex with its latency histograms empty, and the window stream is
 //! digested beside the report.
 
-use scorpio::{span_json, ObsLevel, OpenLoopConfig, Protocol, System, SystemConfig, WindowRow};
+use scorpio::{
+    span_json, ArrivalProcess, ObsLevel, OpenLoopConfig, Protocol, System, SystemConfig, WindowRow,
+};
 use scorpio_harness::registry;
 use scorpio_noc::TraceEvent;
 use scorpio_workloads::{generate, WorkloadParams};
@@ -169,6 +172,20 @@ const TABLE: &[Golden] = &[
         report: 0xe1ba_1499_2950_aefc,
         trace: 0x0e1c_80ec_d040_746d,
         spans: 0xa693_cfb1_f235_8e60,
+    },
+    Golden {
+        name: "mesh4x4/SCORPIO/open-uniform/burst-20",
+        cfg: || {
+            SystemConfig::square(4).with_open_loop(OpenLoopConfig {
+                process: ArrivalProcess::Bursty { on: 50, off: 150 },
+                ..OpenLoopConfig::poisson(20)
+            })
+        },
+        workload: || registry_workload("latency-curve-small", "open-uniform"),
+        ops: 20,
+        report: 0x138e_4913_7e62_d488,
+        trace: 0x9a14_5ccf_f29b_6d9f,
+        spans: 0xcbf2_9ce4_8422_2325,
     },
     Golden {
         name: "mesh8x8/INSO-1/bcast-heavy/squeeze",
