@@ -313,9 +313,10 @@ pub struct Network<T> {
     /// the same at every port.
     vnet_base: [u8; NocConfig::MAX_VNETS],
     ordered_vcs: u32,
-    /// Committed ESID per endpoint index (tile `router·c + slot`, then MC
-    /// ports by rank); `staged_esid` applies at commit.
-    esid: Vec<Option<(Sid, u16)>>,
+    /// Per endpoint index (tile `router·c + slot`, then MC ports by
+    /// rank): its committed ESID, and the census of the SID with that
+    /// index. `staged_esid` applies at commit.
+    esid: Vec<EsidSlot>,
     staged_esid: Vec<(usize, Option<(Sid, u16)>)>,
     // Wires.
     flit_wire: Wire<(RouterId, Port, u8, Flit<T>)>,
@@ -350,35 +351,53 @@ pub struct Network<T> {
     obs: Option<Box<NetObs>>,
 }
 
+/// One endpoint index's entry in [`Network`]'s `esid`. A SID is the
+/// endpoint index of the tile that sends it, so the census shares the
+/// ESID's allocation: slot `i` holds endpoint `i`'s ESID and the count for
+/// SID `i`.
+#[derive(Debug, Clone, Copy, Default)]
+struct EsidSlot {
+    /// The committed ESID of endpoint `i`'s NIC.
+    esid: Option<(Sid, u16)>,
+    /// How many endpoints' committed ESIDs name SID `i`.
+    expecting: u32,
+}
+
 /// ESID view used by routers for reserved-VC eligibility. Expectations are
 /// exact request instances: (SID, per-source sequence number). Link and MC
 /// queries go through the compiled tables, not coordinate math.
 struct EsidView<'a> {
     tables: &'a RoutingTables,
-    /// Committed ESID per endpoint index ([`Network`]'s `esid`).
-    esid: &'a [Option<(Sid, u16)>],
+    /// [`Network`]'s `esid`: committed ESIDs and the SID census.
+    esid: &'a [EsidSlot],
 }
 
 impl EsidView<'_> {
     /// Whether any NIC local to router `r` — one of its tile slots or its
-    /// MC port — expects exactly (`sid`, `seq`). Inlined into the routers'
-    /// rVC check and injection: out of line it cost several percent of
-    /// `sim_cycles_per_s` on `chip-6x6`, where VC allocation stalls often.
+    /// MC port — expects exactly (`sid`, `seq`). Inlined into injection's
+    /// rVC check and into `rvc_eligible`, which the routers may still call
+    /// out of line; the census (`any_expects`) keeps those calls rare.
     #[inline]
     fn router_has_expected(&self, r: RouterId, sid: Sid, seq: u16) -> bool {
         let c = self.tables.concentration() as usize;
         let base = r.index() * c;
         let expected = Some((sid, seq));
-        self.esid[base..base + c].contains(&expected)
+        self.esid[base..base + c].iter().any(|s| s.esid == expected)
             || (self.tables.has_mc(r)
-                && self.esid[self.tables.tile_count() + self.tables.mc_rank(r)] == expected)
+                && self.esid[self.tables.tile_count() + self.tables.mc_rank(r)].esid == expected)
     }
 }
 
 impl EsidOracle for EsidView<'_> {
+    #[inline]
+    fn any_expects(&self, sid: Sid) -> bool {
+        self.esid.get(sid.index()).is_some_and(|s| s.expecting != 0)
+    }
+
+    #[inline]
     fn rvc_eligible(&self, router: RouterId, out_port: Port, sid: Sid, seq: u16) -> bool {
         if out_port.is_local() {
-            self.esid[self.tables.local_ep_index(router, out_port)] == Some((sid, seq))
+            self.esid[self.tables.local_ep_index(router, out_port)].esid == Some((sid, seq))
         } else {
             match self.tables.neighbor(router, out_port) {
                 Some(n) => self.router_has_expected(n, sid, seq),
@@ -433,7 +452,7 @@ impl<T: Payload> Network<T> {
             endpoints,
             vnet_base,
             ordered_vcs,
-            esid: vec![None; n_eps],
+            esid: vec![EsidSlot::default(); n_eps],
             staged_esid: Vec::new(),
             flit_wire: Wire::new(2),
             la_wire: Wire::new(1),
@@ -573,8 +592,16 @@ impl<T: Payload> Network<T> {
 
     /// Publishes the expected request instance — (SID, per-source sequence
     /// number) — of `ep`'s NIC (takes effect next cycle).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the SID is no endpoint index: the census has no slot
+    /// for it.
     pub(crate) fn set_esid(&mut self, ep: Endpoint, esid: Option<(Sid, u16)>) {
         let idx = self.endpoint_index(ep);
+        if let Some((sid, _)) = esid {
+            assert!(sid.index() < self.esid.len(), "{sid} names no endpoint");
+        }
         self.staged_esid.push((idx, esid));
     }
 
@@ -864,7 +891,8 @@ impl<T: Payload> Network<T> {
         self.inject_scratch = list;
     }
 
-    /// Clock edge: wires advance, staged ESIDs apply, time moves.
+    /// Clock edge: wires advance, staged ESIDs apply (moving the census
+    /// with them), time moves.
     pub fn commit(&mut self) {
         self.flit_wire.commit();
         self.la_wire.commit();
@@ -873,7 +901,12 @@ impl<T: Payload> Network<T> {
         self.inject_credit_wire.commit();
         for k in 0..self.staged_esid.len() {
             let (idx, esid) = self.staged_esid[k];
-            self.esid[idx] = esid;
+            if let Some((old, _)) = std::mem::replace(&mut self.esid[idx].esid, esid) {
+                self.esid[old.index()].expecting -= 1;
+            }
+            if let Some((new, _)) = esid {
+                self.esid[new.index()].expecting += 1;
+            }
         }
         self.staged_esid.clear();
         self.cycle = self.cycle.next();
@@ -1062,9 +1095,9 @@ impl<T: Payload> Network<T> {
             // open to a request some NIC local to this router (any tile
             // slot, or its MC port) expects as this exact instance.
             let rvc_ok = || {
-                packet
-                    .sid
-                    .is_some_and(|s| view.router_has_expected(router, s, packet.sid_seq))
+                packet.sid.is_some_and(|s| {
+                    view.any_expects(s) && view.router_has_expected(router, s, packet.sid_seq)
+                })
             };
             let Some(vc) = inj
                 .ds
@@ -1120,6 +1153,7 @@ mod tests {
     use super::*;
     use crate::arbiter::set_bits;
     use crate::flit::VnetId;
+    use crate::obs::TraceKind;
     use crate::planes::MultiNetwork;
     use crate::topology::{CMesh, Mesh, Ring, Torus};
 
@@ -1323,9 +1357,9 @@ mod tests {
         let mut net: Network<u64> = Network::new(mesh, NocConfig::scorpio());
         let ep = Endpoint::tile(RouterId(0));
         net.set_esid(ep, Some((Sid(3), 0)));
-        assert_eq!(net.esid[net.endpoint_index(ep)], None);
+        assert_eq!(net.esid[net.endpoint_index(ep)].esid, None);
         net.step();
-        assert_eq!(net.esid[net.endpoint_index(ep)], Some((Sid(3), 0)));
+        assert_eq!(net.esid[net.endpoint_index(ep)].esid, Some((Sid(3), 0)));
     }
 
     #[test]
@@ -1574,6 +1608,135 @@ mod tests {
                 topo.label()
             );
             assert!(injected > 100, "too little traffic on {}", topo.label());
+        }
+    }
+
+    /// Recounts the census from the committed ESIDs.
+    fn recount(net: &Network<u64>) -> Vec<u32> {
+        let mut count = vec![0; net.esid.len()];
+        for slot in &net.esid {
+            if let Some((sid, _)) = slot.esid {
+                count[sid.index()] += 1;
+            }
+        }
+        count
+    }
+
+    /// The census is what `any_expects` reads, so after every commit each
+    /// SID's count must equal a recount of the committed ESIDs — with
+    /// several updates staged per cycle, the same endpoint staged twice,
+    /// and ESIDs withdrawn.
+    #[test]
+    fn esid_census_matches_a_recount_after_every_commit() {
+        use scorpio_sim::SimRng;
+        for topo in [
+            Mesh::square_with_corner_mcs(4),
+            CMesh::with_corner_mcs(8, 8, 4),
+        ] {
+            let mut net: Network<u64> = Network::new(topo.clone(), NocConfig::scorpio());
+            let eps: Vec<Endpoint> = topo.endpoints().collect();
+            let n_tiles = topo.tile_count();
+            let mut rng = SimRng::seed_from(40);
+            for _ in 0..2_000 {
+                for _ in 0..rng.gen_range_usize(6) {
+                    let ep = eps[rng.gen_range_usize(eps.len())];
+                    // A few SIDs, so counts above one are common.
+                    let sid = Sid(rng.gen_range_usize(n_tiles.min(6)) as u16);
+                    let esid = rng
+                        .chance(0.8)
+                        .then_some((sid, rng.gen_range_u64(4) as u16));
+                    net.set_esid(ep, esid);
+                }
+                net.commit();
+                let census: Vec<u32> = net.esid.iter().map(|s| s.expecting).collect();
+                assert_eq!(census, recount(&net), "{}", topo.label());
+            }
+        }
+    }
+
+    /// The census only skips rVC checks that would have failed: with every
+    /// SID's count lifted by one, so that `any_expects` always holds, the
+    /// routers make the same SA-I choices, the same grants and the same
+    /// VC allocations on every cycle of saturating broadcast traffic.
+    #[test]
+    fn census_gate_changes_no_sa_i_winner_or_grant() {
+        use scorpio_sim::SimRng;
+        let obs = ObsConfig {
+            counters: false,
+            trace: Some(usize::MAX),
+            window_cycles: 0,
+        };
+        for topo in [
+            Mesh::square_with_corner_mcs(4),
+            CMesh::with_corner_mcs(2, 2, 4),
+        ] {
+            let build = || {
+                let mut net: Network<u64> = Network::new(topo.clone(), NocConfig::scorpio());
+                net.set_observability(0, Some(obs));
+                net
+            };
+            let (mut census, mut always) = (build(), build());
+            for slot in &mut always.esid {
+                slot.expecting = 1;
+            }
+            let eps: Vec<Endpoint> = topo.endpoints().collect();
+            let tiles: Vec<Endpoint> = eps.iter().copied().filter(|e| e.slot.is_tile()).collect();
+            let mut seq = vec![0u16; eps.len()];
+            let mut rng = SimRng::seed_from(7);
+            for cycle in 0..3_000u64 {
+                for &ep in &tiles {
+                    if rng.chance(0.08) {
+                        let i = census.endpoint_index(ep);
+                        let pkt = Packet::request(ep, Sid(i as u16), seq[i], cycle);
+                        let a = census.try_inject(ep, pkt).is_ok();
+                        assert_eq!(a, always.try_inject(ep, pkt).is_ok());
+                        seq[i] += u16::from(a);
+                    }
+                }
+                // ESIDs name the recent requests of the first half of the
+                // tiles only, so both census branches are taken.
+                for _ in 0..4 {
+                    let ep = eps[rng.gen_range_usize(eps.len())];
+                    let src = census.endpoint_index(tiles[rng.gen_range_usize(tiles.len() / 2)]);
+                    let back = rng.gen_range_u64(12) as u16;
+                    let esid = rng
+                        .chance(0.9)
+                        .then_some((Sid(src as u16), seq[src].saturating_sub(back)));
+                    census.set_esid(ep, esid);
+                    always.set_esid(ep, esid);
+                }
+                for net in [&mut census, &mut always] {
+                    for idx in 0..eps.len() {
+                        for vc in set_bits(net.eject_vcs(idx)) {
+                            net.eject_take_vc(idx, vc);
+                        }
+                    }
+                    net.step();
+                }
+                for r in 0..topo.router_count() {
+                    assert_eq!(
+                        census.routers.registers(r),
+                        always.routers.registers(r),
+                        "{}: router {r} diverged at cycle {cycle}",
+                        topo.label()
+                    );
+                }
+            }
+            let trace = |net: &Network<u64>| {
+                let events = net.obs().and_then(|o| o.events.as_ref()).expect("tracing");
+                events.stream().0.to_vec()
+            };
+            let events = trace(&census);
+            assert_eq!(events, trace(&always), "{}: grants diverged", topo.label());
+            let cfg = NocConfig::scorpio();
+            let rvc_grants = events
+                .iter()
+                .filter(|e| {
+                    let v = &cfg.vnets[e.vnet as usize];
+                    e.kind == TraceKind::VcAlloc && v.ordered && e.vc == v.rvc_index()
+                })
+                .count();
+            assert!(rvc_grants > 10, "{}: {rvc_grants} rVC grants", topo.label());
         }
     }
 

@@ -114,11 +114,60 @@ impl SimRng {
         let u = (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
         u < p
     }
+
+    /// A geometric sample with mean `mean`: the failures before the first
+    /// success of Bernoulli trials at `p = 1 / (mean + 1)`, capped at
+    /// 10 000 (0, drawing nothing, when `mean <= 0`).
+    ///
+    /// Each trial draws exactly what [`SimRng::chance`] would and decides
+    /// it the same way: for the integer `k = next_u64() >> 11`,
+    /// `k · 2⁻⁵³ < p` holds exactly when `k < ⌈p · 2⁵³⌉`. So a schedule
+    /// built on this is the one a `chance(p)` loop builds, without a
+    /// float multiply and compare per trial.
+    pub fn geometric(&mut self, mean: f64) -> u64 {
+        const CAP: u64 = 10_000;
+        if mean <= 0.0 {
+            return 0;
+        }
+        let p = 1.0 / (mean + 1.0);
+        let bound = (p * (1u64 << 53) as f64).ceil() as u64;
+        let mut n = 0;
+        while self.next_u64() >> 11 >= bound && n < CAP {
+            n += 1;
+        }
+        n
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn geometric_draws_what_a_chance_loop_draws() {
+        // The loop every sampler used before: counts `chance` failures.
+        fn chance_loop(rng: &mut SimRng, mean: f64) -> u64 {
+            if mean <= 0.0 {
+                return 0;
+            }
+            let p = 1.0 / (mean + 1.0);
+            let mut n = 0;
+            while !rng.chance(p) && n < 10_000 {
+                n += 1;
+            }
+            n
+        }
+        // 20 000 reaches the cap on most draws.
+        for mean in [0.0, 0.5, 10.0, 499.0, 1000.0, 20_000.0] {
+            for seed in 0..8 {
+                let (mut a, mut b) = (SimRng::seed_from(seed), SimRng::seed_from(seed));
+                for _ in 0..16 {
+                    assert_eq!(a.geometric(mean), chance_loop(&mut b, mean), "mean {mean}");
+                }
+                assert_eq!(a.next_u64(), b.next_u64(), "mean {mean}: streams diverged");
+            }
+        }
+    }
 
     #[test]
     fn same_seed_same_stream() {

@@ -101,7 +101,7 @@ pub fn arrival_schedule(
             let mut t = 0u64;
             (0..ops)
                 .map(|_| {
-                    t += geometric(&mut rng, mean);
+                    t += rng.geometric(mean);
                     t
                 })
                 .collect()
@@ -120,12 +120,12 @@ pub fn arrival_schedule(
             let mut t = 0u64;
             while out.len() < ops {
                 // Dwells are >= 1 cycle so the chain always advances.
-                let on_len = 1 + geometric(&mut rng, on - 1.0);
-                let off_len = 1 + geometric(&mut rng, off - 1.0);
+                let on_len = 1 + rng.geometric(on - 1.0);
+                let off_len = 1 + rng.geometric(off - 1.0);
                 let end = t + on_len;
                 let mut cursor = t;
                 while out.len() < ops {
-                    cursor += geometric(&mut rng, burst_mean);
+                    cursor += rng.geometric(burst_mean);
                     if cursor >= end {
                         break;
                     }
@@ -143,21 +143,6 @@ pub fn arrival_schedule(
 /// `(seed, core, process, load)`.
 fn rng_for(core: u64, seed: u64) -> SimRng {
     SimRng::seed_from(seed ^ ARRIVAL_TAG).split(core)
-}
-
-/// Geometric sample with the given mean (counts failures before the
-/// first success at `p = 1 / (mean + 1)`), mirroring the synthetic
-/// generator's gap sampler.
-fn geometric(rng: &mut SimRng, mean: f64) -> u64 {
-    if mean <= 0.0 {
-        return 0;
-    }
-    let p = 1.0 / (mean + 1.0);
-    let mut n = 0u64;
-    while !rng.chance(p) && n < 10_000 {
-        n += 1;
-    }
-    n
 }
 
 #[cfg(test)]

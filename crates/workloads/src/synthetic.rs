@@ -183,7 +183,8 @@ fn generate_core(params: &WorkloadParams, core: usize, rng: &mut SimRng) -> Trac
     let mut last_private: u64 = PRIVATE_BASE + core as u64 * PRIVATE_STRIDE;
     let mut pending_migratory: Option<u64> = None;
     for k in 0..params.ops_per_core {
-        let mut gap = geometric(rng, params.mean_gap);
+        // At most 10 000: the sampler's cap.
+        let mut gap = rng.geometric(params.mean_gap) as u32;
         if params.phase_ops > 0 && k > 0 && k % params.phase_ops == 0 {
             gap += params.phase_gap;
         }
@@ -237,18 +238,6 @@ fn generate_core(params: &WorkloadParams, core: usize, rng: &mut SimRng) -> Trac
         });
     }
     trace
-}
-
-fn geometric(rng: &mut SimRng, mean: f64) -> u32 {
-    if mean <= 0.0 {
-        return 0;
-    }
-    let p = 1.0 / (mean + 1.0);
-    let mut n = 0u32;
-    while !rng.chance(p) && n < 10_000 {
-        n += 1;
-    }
-    n
 }
 
 #[cfg(test)]

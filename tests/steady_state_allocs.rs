@@ -363,7 +363,9 @@ fn notify_construction_cost_is_independent_of_the_router_count() {
 /// of 8×8 routers with four tiles each — never a buffer, ring or credit
 /// row per router, port or VC — and every plane of a multi-plane network
 /// costs exactly one network. With per-router objects the 4×4 took 1 090
-/// allocations, the 16×16 17 026 and the cmesh 7 714.
+/// allocations, the 16×16 17 026 and the cmesh 7 714. The count is pinned
+/// exactly: per-plane state belongs in an existing array (the SID census
+/// shares the ESID slots), and one more `Vec` fails here.
 #[test]
 fn network_construction_cost_is_independent_of_the_router_count() {
     let cfg = NocConfig::scorpio();
@@ -377,7 +379,7 @@ fn network_construction_cost_is_independent_of_the_router_count() {
     let (large, _large) = build(Mesh::square_with_corner_mcs(16));
     let (cmesh, _cmesh) = build(CMesh::with_corner_mcs(8, 8, 4));
     assert_eq!([small, large], [cmesh; 2], "4x4, 16x16 and cmesh8x8x4");
-    assert!(small <= 64, "{small} allocations to build a network");
+    assert_eq!(small, 41, "allocations to build a network");
 
     // A plane is one network built from its own copies of the topology and
     // the configuration.
