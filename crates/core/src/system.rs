@@ -27,7 +27,7 @@ use scorpio_notify::{NotifyConfig, NotifyNetwork};
 use scorpio_sim::capped::{self, Capped};
 use scorpio_sim::stats::LogHistogram;
 use scorpio_sim::{ActiveSet, Cycle, Wake};
-use scorpio_workloads::Trace;
+use scorpio_workloads::{arrival_schedule, Trace};
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
@@ -96,17 +96,40 @@ pub struct System {
 }
 
 impl System {
-    /// Builds a system where every core runs the corresponding trace.
+    /// Builds a system where every core runs the corresponding trace, with
+    /// `cfg.core_outstanding` accesses in flight and, under
+    /// `cfg.open_loop`, its arrival schedule.
     ///
     /// # Panics
     ///
     /// Panics if `traces.len()` differs from the core count.
     pub fn with_traces(cfg: SystemConfig, traces: Vec<Trace>) -> System {
         assert_eq!(traces.len(), cfg.cores(), "one trace per core");
-        System::build(cfg, traces.into_iter().map(CoreKind::Trace).collect())
+        let drivers = traces
+            .into_iter()
+            .enumerate()
+            .map(|(i, trace)| {
+                // Schedules are drawn serially here from (seed, core)
+                // lanes, so they are byte-identical for every engine and
+                // worker-thread count.
+                let arrivals = cfg.open_loop.as_ref().map(|ol| {
+                    let a =
+                        arrival_schedule(ol.process, ol.load_millis, &trace, i as u64, cfg.seed);
+                    (a, ol.queue_cap)
+                });
+                let mut d = CoreDriver::new(CoreKind::Trace(trace), &cfg, cfg.core_outstanding);
+                if let Some((a, cap)) = arrivals {
+                    d.set_open_loop(a, cap);
+                }
+                d
+            })
+            .collect();
+        System::build(cfg, drivers)
     }
 
-    /// Builds a system where every core runs a reactive program.
+    /// Builds a system where every core runs a reactive program. A
+    /// program's next op may depend on the value its last one returned, so
+    /// it runs one access at a time, closed loop.
     ///
     /// # Panics
     ///
@@ -116,10 +139,14 @@ impl System {
         programs: Vec<Box<dyn scorpio_workloads::CoreProgram + Send>>,
     ) -> System {
         assert_eq!(programs.len(), cfg.cores(), "one program per core");
-        System::build(cfg, programs.into_iter().map(CoreKind::Program).collect())
+        let drivers = programs
+            .into_iter()
+            .map(|p| CoreDriver::new(CoreKind::Program(p), &cfg, 1))
+            .collect();
+        System::build(cfg, drivers)
     }
 
-    fn build(mut cfg: SystemConfig, kinds: Vec<CoreKind>) -> System {
+    fn build(mut cfg: SystemConfig, drivers: Vec<CoreDriver>) -> System {
         let cores = cfg.cores();
         let scorpio = cfg.protocol == Protocol::Scorpio;
         // Baselines broadcast on an unordered request class.
@@ -174,22 +201,6 @@ impl System {
                 // differs from its router id.
                 let sid = ep.slot.is_tile().then_some(scorpio_noc::Sid(i as u16));
                 Nic::new(*ep, sid, mode, cores, planes.get(), nic_cfg.clone())
-            })
-            .collect();
-        let drivers: Vec<CoreDriver> = kinds
-            .into_iter()
-            .enumerate()
-            .map(|(i, k)| {
-                let mut d = CoreDriver::new(k, cfg.l1_bytes, cfg.l1_ways, cfg.l2.line_bytes);
-                d.set_max_outstanding(cfg.core_outstanding);
-                if let Some(ol) = &cfg.open_loop {
-                    // Schedules are drawn serially here from (seed, core)
-                    // lanes, so they are byte-identical for every engine
-                    // and worker-thread count. A zero-load schedule is
-                    // empty and the driver stays closed-loop.
-                    d.set_open_loop(ol.process, ol.load_millis, ol.queue_cap, i as u64, cfg.seed);
-                }
-                d
             })
             .collect();
         let l2s: Vec<SnoopyL2> = (0..cores as u16)

@@ -7,19 +7,33 @@
 
 use std::collections::VecDeque;
 
+use crate::config::SystemConfig;
 use scorpio_coherence::LineAddr;
 use scorpio_mem::{CoreOp, CoreReq, CoreResp, L1Cache, SnoopyL2};
 use scorpio_sim::{Cycle, Wake};
-use scorpio_workloads::{
-    arrival_schedule, ArrivalProcess, CoreProgram, Trace, TraceOp, TraceRecord,
-};
+use scorpio_workloads::{CoreProgram, Trace, TraceOp, TraceRecord};
 
-/// What drives this core.
+/// What drives this core. A trace is held unboxed: running it as a boxed
+/// program would cost one more allocation per core at build.
 pub(crate) enum CoreKind {
     /// A fixed memory trace (the paper's trace-driven RTL methodology).
     Trace(Trace),
     /// A reactive program (locks/barriers, Section 4.3 regressions).
     Program(Box<dyn CoreProgram + Send>),
+}
+
+impl CoreKind {
+    /// The op after the first `taken`, given the value the last completed
+    /// op returned (`None` once the source is exhausted). A trace ignores
+    /// the value; a program ignores the count. The only place that asks
+    /// which kind drives the core.
+    #[inline]
+    fn next(&mut self, taken: usize, last_value: Option<u64>) -> Option<TraceRecord> {
+        match self {
+            CoreKind::Trace(t) => t.records().get(taken).copied(),
+            CoreKind::Program(p) => p.next(last_value),
+        }
+    }
 }
 
 impl std::fmt::Debug for CoreKind {
@@ -47,64 +61,60 @@ pub(crate) struct CoreDriver {
     kind: CoreKind,
     l1: L1Cache,
     line_bytes: u64,
-    /// Trace position.
-    pc: usize,
+    /// Ops drawn from `kind` so far.
+    taken: usize,
+    /// A closed-loop op drawn but not yet taken by the L1 or L2, its gap
+    /// already charged: it issues once `gap_until` passes, and retries
+    /// here while the L2 refuses it.
+    pending: Option<TraceRecord>,
     /// First cycle the charged compute gap allows the next issue. Stored
     /// as an absolute deadline rather than a countdown so an idle tile can
     /// sleep through the gap: once charged, the countdown can never pause
     /// (nothing issues mid-gap, so `outstanding` cannot grow), which makes
     /// the deadline exactly equivalent to decrementing every cycle.
     gap_until: Cycle,
-    gap_charged: bool,
     /// In-flight (token, op, addr) tuples; capacity = `max_outstanding`.
     outstanding: Vec<(u64, TraceOp)>,
     max_outstanding: usize,
     last_value: Option<u64>,
     token_counter: u64,
-    /// Open-loop arrival schedule (absolute cycles, one per trace record).
-    /// Empty in closed-loop mode — the only mode switch.
+    /// Open-loop arrival schedule (absolute cycles, one per trace record;
+    /// op `taken` arrives at `arrivals[taken]`). Empty in closed-loop
+    /// mode — the only mode switch.
     arrivals: Vec<u64>,
-    /// Next unadmitted index into `arrivals`.
-    arrival_next: usize,
     /// Bounded source queue of admitted-but-unissued `(arrival, record)`
-    /// pairs. Records are pulled from the trace at admission time so a
-    /// tail-drop discards exactly the op whose arrival overflowed.
+    /// pairs. Records are drawn at admission time so a tail-drop discards
+    /// exactly the op whose arrival overflowed; the front retries while
+    /// the L2 refuses it.
     src_queue: VecDeque<(u64, TraceRecord)>,
     src_cap: usize,
     /// Arrivals tail-dropped because the source queue was full.
-    pub src_dropped: u64,
+    pub(crate) src_dropped: u64,
     done: bool,
     /// Cycle the driver finished all its work.
-    pub finished_at: Option<Cycle>,
+    pub(crate) finished_at: Option<Cycle>,
     /// Completed operations.
-    pub ops_done: u64,
+    pub(crate) ops_done: u64,
     /// L1 hits that completed without touching the L2.
-    pub l1_hits: u64,
+    pub(crate) l1_hits: u64,
 }
 
 impl CoreDriver {
-    /// A driver over `kind` with a fresh L1 and one outstanding access
-    /// (the AHB constraint). Use [`CoreDriver::set_max_outstanding`] for
-    /// the paper's aggressive-core explorations (Figure 8d).
-    pub(crate) fn new(
-        kind: CoreKind,
-        l1_bytes: u64,
-        l1_ways: usize,
-        line_bytes: u64,
-    ) -> CoreDriver {
+    /// A driver over `kind` with a fresh L1 and `max_outstanding` accesses
+    /// in flight.
+    pub(crate) fn new(kind: CoreKind, cfg: &SystemConfig, max_outstanding: usize) -> CoreDriver {
         CoreDriver {
             kind,
-            l1: L1Cache::new(l1_bytes, l1_ways, line_bytes),
-            line_bytes,
-            pc: 0,
+            l1: L1Cache::new(cfg.l1_bytes, cfg.l1_ways, cfg.l2.line_bytes),
+            line_bytes: cfg.l2.line_bytes,
+            taken: 0,
+            pending: None,
             gap_until: Cycle::ZERO,
-            gap_charged: false,
             outstanding: Vec::new(),
-            max_outstanding: 1,
+            max_outstanding: max_outstanding.max(1),
             last_value: None,
             token_counter: 0,
             arrivals: Vec::new(),
-            arrival_next: 0,
             src_queue: VecDeque::new(),
             src_cap: 0,
             src_dropped: 0,
@@ -115,36 +125,18 @@ impl CoreDriver {
         }
     }
 
-    /// Raises the outstanding-access budget (trace cores only: reactive
-    /// programs are value-dependent and stay at 1).
-    pub(crate) fn set_max_outstanding(&mut self, n: usize) {
-        if matches!(self.kind, CoreKind::Trace(_)) {
-            self.max_outstanding = n.max(1);
-        }
-    }
-
-    /// Switches a trace core to open-loop injection: record `i` is
-    /// *released* at the arrival cycle the process draws for it (rather
-    /// than by the completion of record `i-1`), queueing in a bounded
-    /// source queue of `cap` entries while the core is busy. The compute
-    /// gaps recorded in the trace become the Replay process's arrival
-    /// deltas and are otherwise not charged. A zero-load schedule is
-    /// empty and the driver keeps closed-loop semantics — the degenerate
-    /// case *is* the closed-loop trace. No-op for program cores.
-    pub(crate) fn set_open_loop(
-        &mut self,
-        process: ArrivalProcess,
-        load_millis: u32,
-        cap: usize,
-        core: u64,
-        seed: u64,
-    ) {
-        if let CoreKind::Trace(trace) = &self.kind {
-            self.arrivals = arrival_schedule(process, load_millis, trace, core, seed);
-            self.arrival_next = 0;
-            self.src_cap = cap.max(1);
-            self.src_queue = VecDeque::with_capacity(self.src_cap.min(1024));
-        }
+    /// Switches the driver to open-loop injection: record `i` is
+    /// *released* at `arrivals[i]` (rather than by the completion of
+    /// record `i-1`), queueing in a bounded source queue of `cap` entries
+    /// while the core is busy. The compute gaps recorded in the trace
+    /// become the Replay process's arrival deltas and are otherwise not
+    /// charged. A zero-load schedule is empty and the driver keeps
+    /// closed-loop semantics — the degenerate case *is* the closed-loop
+    /// trace.
+    pub(crate) fn set_open_loop(&mut self, arrivals: Vec<u64>, cap: usize) {
+        self.arrivals = arrivals;
+        self.src_cap = cap.max(1);
+        self.src_queue = VecDeque::with_capacity(self.src_cap.min(1024));
     }
 
     /// Whether this driver releases requests by arrival time.
@@ -176,7 +168,7 @@ impl CoreDriver {
             if can_issue && !self.src_queue.is_empty() {
                 return Wake::at(now.next(), "core can issue");
             }
-            return match self.arrivals.get(self.arrival_next) {
+            return match self.arrivals.get(self.taken) {
                 Some(&a) => Wake::at(Cycle::from(a), "open-loop arrival"),
                 // Everything admitted and issued: the next tick retires.
                 None if !self.done && self.src_queue.is_empty() => {
@@ -194,49 +186,60 @@ impl CoreDriver {
         }
     }
 
-    /// One cycle: consume a completion, or issue the next operation.
-    /// Completions arrive via [`CoreDriver::complete`]; this only issues.
+    /// One cycle: issue the pending op or draw the next one. Completions
+    /// arrive via [`CoreDriver::complete`]; this only issues. A drawn op
+    /// with a compute gap charges it first (as the absolute `gap_until`
+    /// deadline) and waits in `pending` until it passes.
     pub(crate) fn tick(&mut self, now: Cycle, l2: &mut SnoopyL2) {
         if self.is_open_loop() {
             return self.tick_open(now, l2);
         }
-        if self.done || self.outstanding.len() >= self.max_outstanding {
+        if self.done || self.outstanding.len() >= self.max_outstanding || now < self.gap_until {
             return;
         }
-        if now < self.gap_until {
-            return;
-        }
-        let Some((op, addr, value)) = self.next_op(now) else {
-            return;
+        let rec = match self.pending.take() {
+            Some(rec) => rec,
+            None => {
+                let Some(rec) = self.kind.next(self.taken, self.last_value) else {
+                    return self.mark_done(now);
+                };
+                self.taken += 1;
+                if rec.gap > 0 {
+                    // The charging tick issues nothing, then `gap` idle
+                    // ticks pass: next issue at `now + gap + 1`, exactly
+                    // the old per-cycle countdown's schedule.
+                    self.gap_until = now + rec.gap as u64 + 1;
+                    self.pending = Some(rec);
+                    return;
+                }
+                rec
+            }
         };
-        if let Issue::Rejected = self.issue(now, l2, op, addr, value, now) {
-            // L2 busy: retry the same op next cycle.
-            self.rewind();
+        if let Issue::Rejected = self.issue(now, l2, rec, now) {
+            // L2 busy: retry the same op next cycle, its gap already paid.
+            self.pending = Some(rec);
         }
     }
 
     /// One open-loop cycle: admit every arrival whose deadline has
-    /// passed (tail-dropping at the queue cap — the trace record is
-    /// consumed either way, so later drops discard exactly the right
-    /// ops), then issue at most one queued request, matching the
-    /// closed-loop issue width.
+    /// passed (tail-dropping at the queue cap — the record is drawn
+    /// either way, so later drops discard exactly the right ops), then
+    /// issue at most one queued request, matching the closed-loop issue
+    /// width.
     fn tick_open(&mut self, now: Cycle, l2: &mut SnoopyL2) {
-        while let Some(&a) = self.arrivals.get(self.arrival_next) {
+        while let Some(&a) = self.arrivals.get(self.taken) {
             if now < Cycle::from(a) {
                 break;
             }
-            let rec = match &self.kind {
-                CoreKind::Trace(t) => t.records()[self.arrival_next],
-                CoreKind::Program(_) => unreachable!("open loop is trace-only"),
-            };
-            self.arrival_next += 1;
+            let rec = self.kind.next(self.taken, self.last_value);
+            self.taken += 1;
             if self.src_queue.len() >= self.src_cap {
                 self.src_dropped += 1;
-            } else {
+            } else if let Some(rec) = rec {
                 self.src_queue.push_back((a, rec));
             }
         }
-        if self.arrival_next >= self.arrivals.len() && self.src_queue.is_empty() {
+        if self.taken >= self.arrivals.len() && self.src_queue.is_empty() {
             self.mark_done(now);
         }
         if self.done || self.outstanding.len() >= self.max_outstanding {
@@ -245,14 +248,13 @@ impl CoreDriver {
         let Some(&(arrival, rec)) = self.src_queue.front() else {
             return;
         };
-        let enqueued = Cycle::from(arrival);
-        match self.issue(now, l2, rec.op, rec.addr, rec.value, enqueued) {
+        match self.issue(now, l2, rec, Cycle::from(arrival)) {
             Issue::L1Hit | Issue::Accepted => {
                 self.src_queue.pop_front();
             }
             // The pair stays at the queue front and retries next cycle. The
             // L1 store/invalidate side effects are idempotent, the same
-            // property the closed-loop rewind relies on.
+            // property the closed-loop retry relies on.
             Issue::Rejected => {}
         }
     }
@@ -263,15 +265,10 @@ impl CoreDriver {
     /// callers, as the two copies it replaced were: out of line it cost
     /// ~2% of `sim_cycles_per_s` on the L1-hit-heavy `chip-6x6` cell.
     #[inline(always)]
-    fn issue(
-        &mut self,
-        now: Cycle,
-        l2: &mut SnoopyL2,
-        op: TraceOp,
-        addr: u64,
-        value: u64,
-        enqueued: Cycle,
-    ) -> Issue {
+    fn issue(&mut self, now: Cycle, l2: &mut SnoopyL2, rec: TraceRecord, enqueued: Cycle) -> Issue {
+        let TraceRecord {
+            op, addr, value, ..
+        } = rec;
         let line = LineAddr::containing(addr, self.line_bytes);
         let core_op = match op {
             TraceOp::Load => {
@@ -331,54 +328,6 @@ impl CoreDriver {
         self.last_value = Some(value);
         if self.done && self.outstanding.is_empty() {
             self.finished_at.get_or_insert(now);
-        }
-    }
-
-    /// Produces the next operation, advancing the program/trace. For trace
-    /// records with a compute gap, the gap is charged first (as the
-    /// absolute `gap_until` deadline) and the op issues once it passes.
-    fn next_op(&mut self, now: Cycle) -> Option<(TraceOp, u64, u64)> {
-        match &mut self.kind {
-            CoreKind::Trace(trace) => {
-                if self.pc >= trace.len() {
-                    self.mark_done(now);
-                    return None;
-                }
-                let rec = trace.records()[self.pc];
-                if rec.gap > 0 && !self.gap_charged {
-                    self.gap_charged = true;
-                    // The charging tick issues nothing, then `gap` idle
-                    // ticks pass: next issue at `now + gap + 1`, exactly
-                    // the old per-cycle countdown's schedule.
-                    self.gap_until = now + rec.gap as u64 + 1;
-                    return None;
-                }
-                self.gap_charged = false;
-                self.pc += 1;
-                Some((rec.op, rec.addr, rec.value))
-            }
-            CoreKind::Program(prog) => match prog.next(self.last_value) {
-                Some(op) => Some((op.op, op.addr, op.value)),
-                None => {
-                    self.mark_done(now);
-                    None
-                }
-            },
-        }
-    }
-
-    fn rewind(&mut self) {
-        match &mut self.kind {
-            CoreKind::Trace(_) => {
-                // Re-issue the same record next cycle (gap already paid).
-                self.pc -= 1;
-                self.gap_charged = true;
-            }
-            CoreKind::Program(_) => {
-                // With one outstanding op per core and queue depth > 1 the
-                // L2 never rejects; reaching here is a sizing bug.
-                panic!("L2 rejected a program op; size the L2 queue >= 1");
-            }
         }
     }
 

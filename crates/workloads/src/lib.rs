@@ -25,6 +25,6 @@ mod synthetic;
 mod trace;
 
 pub use arrival::{arrival_schedule, ArrivalProcess};
-pub use program::{BarrierProgram, CoreProgram, ProgOp, TicketLockProgram};
+pub use program::{BarrierProgram, CoreProgram, TicketLockProgram};
 pub use synthetic::{generate, WorkloadParams};
 pub use trace::{Trace, TraceOp, TraceRecord};

@@ -3,25 +3,25 @@
 //! suite (Section 4.3): lock and barrier regressions that exercise
 //! coherence between L1s, L2s and memory.
 
-use crate::trace::TraceOp;
-
-/// An operation a program asks its core to perform.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ProgOp {
-    /// Kind.
-    pub op: TraceOp,
-    /// Byte address.
-    pub addr: u64,
-    /// Store/add operand.
-    pub value: u64,
-}
+use crate::trace::{TraceOp, TraceRecord};
 
 /// A reactive core program: fed the result of its previous operation,
-/// yields the next one ( `None` = finished).
+/// yields the next one ( `None` = finished). A record's `gap` is charged
+/// exactly as a trace's is: the core computes that many cycles first.
 pub trait CoreProgram {
     /// The next operation, given the value returned by the previous one
     /// (`None` on the first call).
-    fn next(&mut self, last_value: Option<u64>) -> Option<ProgOp>;
+    fn next(&mut self, last_value: Option<u64>) -> Option<TraceRecord>;
+}
+
+/// `op` on `addr` with operand `value`, issued without a compute gap.
+fn access(op: TraceOp, addr: u64, value: u64) -> Option<TraceRecord> {
+    Some(TraceRecord {
+        gap: 0,
+        op,
+        addr,
+        value,
+    })
 }
 
 /// A ticket-lock counter increment program.
@@ -79,27 +79,19 @@ impl TicketLockProgram {
         }
     }
 
-    fn take_ticket(&mut self) -> Option<ProgOp> {
+    fn take_ticket(&mut self) -> Option<TraceRecord> {
         self.state = LockState::TookTicket;
-        Some(ProgOp {
-            op: TraceOp::AtomicAdd,
-            addr: self.ticket_addr,
-            value: 1,
-        })
+        access(TraceOp::AtomicAdd, self.ticket_addr, 1)
     }
 
-    fn spin(&mut self) -> Option<ProgOp> {
+    fn spin(&mut self) -> Option<TraceRecord> {
         self.state = LockState::SpinRead;
-        Some(ProgOp {
-            op: TraceOp::Load,
-            addr: self.serving_addr,
-            value: 0,
-        })
+        access(TraceOp::Load, self.serving_addr, 0)
     }
 }
 
 impl CoreProgram for TicketLockProgram {
-    fn next(&mut self, last_value: Option<u64>) -> Option<ProgOp> {
+    fn next(&mut self, last_value: Option<u64>) -> Option<TraceRecord> {
         match self.state {
             LockState::Start => self.take_ticket(),
             LockState::TookTicket => {
@@ -111,11 +103,7 @@ impl CoreProgram for TicketLockProgram {
                 if serving == self.my_ticket {
                     // Lock acquired: read the protected counter.
                     self.state = LockState::ReadCounter;
-                    Some(ProgOp {
-                        op: TraceOp::Load,
-                        addr: self.counter_addr,
-                        value: 0,
-                    })
+                    access(TraceOp::Load, self.counter_addr, 0)
                 } else {
                     self.spin()
                 }
@@ -123,19 +111,11 @@ impl CoreProgram for TicketLockProgram {
             LockState::ReadCounter => {
                 self.counter_seen = last_value.expect("load returns a value");
                 self.state = LockState::WroteCounter;
-                Some(ProgOp {
-                    op: TraceOp::Store,
-                    addr: self.counter_addr,
-                    value: self.counter_seen + 1,
-                })
+                access(TraceOp::Store, self.counter_addr, self.counter_seen + 1)
             }
             LockState::WroteCounter => {
                 self.state = LockState::Released;
-                Some(ProgOp {
-                    op: TraceOp::AtomicAdd,
-                    addr: self.serving_addr,
-                    value: 1,
-                })
+                access(TraceOp::AtomicAdd, self.serving_addr, 1)
             }
             LockState::Released => {
                 self.done += 1;
@@ -177,17 +157,13 @@ impl BarrierProgram {
 }
 
 impl CoreProgram for BarrierProgram {
-    fn next(&mut self, last_value: Option<u64>) -> Option<ProgOp> {
+    fn next(&mut self, last_value: Option<u64>) -> Option<TraceRecord> {
         if self.round == self.rounds {
             return None;
         }
         if !self.spinning {
             self.spinning = true;
-            return Some(ProgOp {
-                op: TraceOp::AtomicAdd,
-                addr: self.counter_addr,
-                value: 1,
-            });
+            return access(TraceOp::AtomicAdd, self.counter_addr, 1);
         }
         let v = last_value.expect("spin load returns a value");
         let target = (self.round + 1) * self.cores;
@@ -196,11 +172,7 @@ impl CoreProgram for BarrierProgram {
             self.spinning = false;
             return self.next(None);
         }
-        Some(ProgOp {
-            op: TraceOp::Load,
-            addr: self.counter_addr,
-            value: 0,
-        })
+        access(TraceOp::Load, self.counter_addr, 0)
     }
 }
 

@@ -210,12 +210,13 @@ fn single_writer_multiple_reader_values_propagate() {
         sent: u64,
     }
     impl CoreProgram for Writer {
-        fn next(&mut self, _last: Option<u64>) -> Option<scorpio_workloads::ProgOp> {
+        fn next(&mut self, _last: Option<u64>) -> Option<TraceRecord> {
             if self.sent == self.gens {
                 return None;
             }
             self.sent += 1;
-            Some(scorpio_workloads::ProgOp {
+            Some(TraceRecord {
+                gap: 0,
                 op: TraceOp::Store,
                 addr: self.addr,
                 value: self.sent,
@@ -228,12 +229,13 @@ fn single_writer_multiple_reader_values_propagate() {
         started: bool,
     }
     impl CoreProgram for Reader {
-        fn next(&mut self, last: Option<u64>) -> Option<scorpio_workloads::ProgOp> {
+        fn next(&mut self, last: Option<u64>) -> Option<TraceRecord> {
             if self.started && last == Some(self.target) {
                 return None;
             }
             self.started = true;
-            Some(scorpio_workloads::ProgOp {
+            Some(TraceRecord {
+                gap: 0,
                 op: TraceOp::Load,
                 addr: self.addr,
                 value: 0,
