@@ -69,9 +69,8 @@ pub struct System {
     /// is ticked, and a sleeping endpoint cannot change it.
     quiet: Vec<bool>,
     pending: usize,
-    /// Running ops total (drivers report transitions; the watchdog reads
-    /// this instead of re-summing every driver every cycle).
-    ops_cache: Vec<u64>,
+    /// Running ops total (each tile tick adds its driver's progress; the
+    /// watchdog reads this instead of re-summing every driver every cycle).
     ops_total: u64,
     /// Last notification window the wake logic has seen.
     last_notify_window: Option<u64>,
@@ -249,7 +248,6 @@ impl System {
             ep_scratch: Vec::new(),
             quiet: vec![false; n_eps],
             pending: n_eps,
-            ops_cache: vec![0; cores],
             ops_total: 0,
             last_notify_window: None,
             timed_wakes: TimedWakes::new(n_eps),
@@ -591,6 +589,8 @@ impl System {
     }
 
     fn tick_tile(&mut self, t: usize, now: Cycle) {
+        // A driver's op count moves only inside this tick.
+        let ops_before = self.drivers[t].ops_done;
         // L2 → core completions, then inclusion invalidations.
         while let Some(resp) = self.l2s[t].pop_core_resp() {
             self.service.record(&resp);
@@ -647,10 +647,8 @@ impl System {
             && self.seq.as_ref().is_none_or(|s| s.tile_idle(t))
             && self.drivers[t].is_done();
         self.set_quiet(t, quiet);
-        let ops = self.drivers[t].ops_done;
-        let ops_delta = ops - self.ops_cache[t];
+        let ops_delta = self.drivers[t].ops_done - ops_before;
         self.ops_total += ops_delta;
-        self.ops_cache[t] = ops;
         if self.cfg.window_cycles != 0 && ops_delta != 0 {
             let idx = (now.as_u64() / self.cfg.window_cycles) as usize;
             if self.win_ops.len() <= idx {

@@ -179,19 +179,6 @@ pub enum ServedBy {
     Memory,
 }
 
-/// Completion record for one miss (latency-breakdown reporting).
-#[derive(Debug, Clone, Copy)]
-pub struct MissRecord {
-    /// Cycles from enqueue to core reply.
-    pub total: u64,
-    /// Cycles from request issue to own ordered observation.
-    pub ordering: u64,
-    /// Cycles from request issue to data arrival.
-    pub data_wait: u64,
-    /// Who responded.
-    pub served_by: ServedBy,
-}
-
 /// One completed coherence transaction's lifecycle, as absolute cycle
 /// stamps (span recording — [`SnoopyL2::enable_spans`]).
 ///
@@ -368,7 +355,6 @@ pub struct SnoopyL2 {
     outbox: VecDeque<L2Out>,
     core_resps: VecDeque<CoreResp>,
     l1_invalidations: VecDeque<LineAddr>,
-    miss_records: VecDeque<MissRecord>,
     record_spans: bool,
     spans: Vec<MissSpan>,
     busy_until: Cycle,
@@ -393,7 +379,6 @@ impl SnoopyL2 {
             outbox: VecDeque::new(),
             core_resps: VecDeque::new(),
             l1_invalidations: VecDeque::new(),
-            miss_records: VecDeque::new(),
             record_spans: false,
             spans: Vec::new(),
             busy_until: Cycle::ZERO,
@@ -471,9 +456,11 @@ impl SnoopyL2 {
         self.l1_invalidations.pop_front()
     }
 
-    /// Next completed-miss latency record, if any.
-    pub fn pop_miss_record(&mut self) -> Option<MissRecord> {
-        self.miss_records.pop_front()
+    /// Always `None`: no per-miss record is kept. A reply's latency travels
+    /// in its [`CoreResp`] and a miss's phases in its [`MissSpan`]. Kept
+    /// for the standalone benchmark's L2 probe, which drains it.
+    pub fn pop_miss_record(&mut self) -> Option<std::convert::Infallible> {
+        None
     }
 
     /// Enables per-transaction lifecycle spans. A no-op for simulated
@@ -980,13 +967,6 @@ impl SnoopyL2 {
         let entry = self.rshr[tag].take().expect("completing a free tag");
         self.fids[tag].clear();
         let total = now - entry.enqueued;
-        let record = MissRecord {
-            total,
-            ordering: entry.t_ordered.map(|t| t - entry.t_issue).unwrap_or(0),
-            data_wait: entry.t_data.map(|t| t - entry.t_issue).unwrap_or(0),
-            served_by: entry.served_by,
-        };
-        self.miss_records.push_back(record);
         if self.record_spans {
             self.spans.push(MissSpan {
                 tile: self.tile,

@@ -42,8 +42,7 @@ mod region;
 pub use array::{CacheArray, Line};
 pub use l1::L1Cache;
 pub use l2::{
-    CoreOp, CoreReq, CoreResp, L2Config, L2Out, L2Stats, MissRecord, MissSpan, OrderedSnoop,
-    ServedBy, SnoopyL2,
+    CoreOp, CoreReq, CoreResp, L2Config, L2Out, L2Stats, MissSpan, OrderedSnoop, ServedBy, SnoopyL2,
 };
 pub use mc::{McConfig, McOut, McStats, MemoryController};
 pub use region::RegionTracker;

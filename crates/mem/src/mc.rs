@@ -88,7 +88,9 @@ pub struct MemoryController {
     cfg: McConfig,
     store: OwnershipStore,
     dir_cache: DirectoryCache,
-    /// Scheduled responses, kept sorted by readiness.
+    /// Scheduled responses in the order they were scheduled, not by
+    /// readiness: DRAM latency varies with the directory hit, and a
+    /// response held for writeback data is scheduled when the data arrives.
     pending: VecDeque<PendingResp>,
     /// Responses blocked on writeback data, per line.
     waiting_wb: HashMap<LineAddr, Vec<PendingResp>>,
@@ -294,8 +296,7 @@ impl MemoryController {
     /// a no-op (ticking only releases due responses), so a controller
     /// whose remaining work is all scheduled — empty outbox, writebacks
     /// all event-driven — can sleep until this deadline. The queue is not
-    /// kept sorted by readiness (writeback releases reschedule in place),
-    /// hence the scan.
+    /// kept sorted by readiness (see `pending`), hence the scan.
     pub fn next_deadline(&self) -> Option<Cycle> {
         self.pending.iter().map(|p| p.ready).min()
     }

@@ -5,13 +5,15 @@
 //! Cross-component communication travels on *wires* with fixed delays:
 //! flits take two cycles from ST to availability at the next hop (crossbar
 //! edge + one link stage), lookaheads and credits take one. A cycle is
-//! `tick()` (compute) followed by `commit()` (clock edge).
+//! `tick()` (compute) followed by `commit()` (clock edge). The clock edge
+//! is the cycle counter: a wire's slots are indexed by cycle, so commit
+//! moves no buffer, and a quiescent network's tick returns at once.
 //!
 //! All of that state is network-level arrays sized from the configuration
 //! and built once, at construction — the routers', the injection queues,
 //! send slots and credit rows, the ejection rings, and per-router buckets
-//! for each wire's deliveries — so a network costs a fixed handful of
-//! allocations whatever its size.
+//! for each wire's deliveries — so a network costs 36 allocations
+//! whatever its size.
 //!
 //! The consumer (a NIC model, or a test harness) interacts through:
 //!
@@ -34,51 +36,118 @@ use crate::tables::{validate_datelines, RouteCtx, RoutingTables, VcClass};
 use crate::topology::{Endpoint, Port, RouterId, Topology};
 use scorpio_sim::stats::LogHistogram;
 use scorpio_sim::{ActiveSet, Cycle, PushError};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
-/// A wire with a fixed delay in cycles: events staged during cycle `c`
-/// become visible at cycle `c + delay`.
-///
-/// Buffers are recycled: the slot drained by [`Wire::deliver`] becomes the
-/// staging buffer for the next [`Wire::commit`], so a wire allocates
-/// nothing in steady state no matter how much traffic it carries.
-#[derive(Debug)]
-struct Wire<E> {
-    slots: VecDeque<Vec<E>>,
-    staged: Vec<E>,
-    spare: Vec<E>,
+/// A wire with a fixed delay of `N − 1` cycles: an event pushed during
+/// cycle `c` is delivered by the tick of cycle `c + N − 1`. Slot `c % N`
+/// holds what cycle `c`'s tick delivers, so the clock edge is the cycle
+/// counter and nothing rotates; one slot more than the delay keeps the
+/// slot a tick drains apart from the one it pushes to. A drained slot
+/// keeps its buffer, so a wire allocates nothing in steady state.
+struct Wire<E, const N: usize> {
+    slots: [Vec<E>; N],
 }
 
-impl<E> Wire<E> {
-    fn new(delay: usize) -> Self {
-        assert!(delay >= 1, "wire delay must be at least one cycle");
-        // Invariant: `slots.len() == delay` at the start of every tick;
-        // each tick pops one slot and each commit pushes one, so an event
-        // staged during cycle `c` is delivered at cycle `c + delay`.
+impl<E, const N: usize> Wire<E, N> {
+    fn new() -> Self {
         Wire {
-            slots: (0..delay).map(|_| Vec::new()).collect(),
-            staged: Vec::new(),
-            spare: Vec::new(),
+            slots: std::array::from_fn(|_| Vec::new()),
         }
     }
 
-    fn push(&mut self, e: E) {
-        self.staged.push(e);
+    fn slot(at: u64) -> usize {
+        (at % N as u64) as usize
     }
 
-    /// Hands every due event to `f`, delivering straight into the
+    fn push(&mut self, now: Cycle, e: E) {
+        self.slots[Self::slot(now.as_u64() + N as u64 - 1)].push(e);
+    }
+
+    /// Hands every event due at `now` to `f`, delivering straight into the
     /// receiver's preallocated inbox without an intermediate `Vec`.
-    fn deliver(&mut self, mut f: impl FnMut(E)) {
-        let mut due = self.slots.pop_front().unwrap_or_default();
-        for e in due.drain(..) {
-            f(e);
-        }
-        self.spare = due;
+    fn deliver(&mut self, now: Cycle, f: impl FnMut(E)) {
+        self.slots[Self::slot(now.as_u64())].drain(..).for_each(f);
     }
 
-    fn commit(&mut self) {
-        let staged = std::mem::replace(&mut self.staged, std::mem::take(&mut self.spare));
-        self.slots.push_back(staged);
+    fn is_empty(&self) -> bool {
+        self.slots.iter().all(Vec::is_empty)
+    }
+}
+
+/// The network's fixed-latency plumbing (paper §3.2): a flit takes two
+/// cycles from ST to the next hop's input or the ejection buffer (crossbar
+/// edge plus one link stage); a lookahead or a credit takes one.
+struct Wires<T> {
+    flit: Wire<(RouterId, Port, u8, Flit<T>), 3>,
+    la: Wire<(RouterId, Port, Flit<T>), 2>,
+    credit: Wire<(RouterId, CreditArrival), 2>,
+    eject: Wire<(usize, u8, u8, Flit<T>), 3>,
+    inject_credit: Wire<(usize, u8, u8, bool), 2>,
+}
+
+impl<T: Payload> Wires<T> {
+    fn new() -> Self {
+        Wires {
+            flit: Wire::new(),
+            la: Wire::new(),
+            credit: Wire::new(),
+            eject: Wire::new(),
+            inject_credit: Wire::new(),
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.flit.is_empty()
+            && self.la.is_empty()
+            && self.credit.is_empty()
+            && self.eject.is_empty()
+            && self.inject_credit.is_empty()
+    }
+
+    /// Puts router `rid`'s output `ev` of cycle `now` on its wire, bound
+    /// for the neighbour or local endpoint the tables name.
+    fn route(&mut self, tables: &RoutingTables, rid: RouterId, now: Cycle, ev: &RouterOut<T>) {
+        match ev {
+            RouterOut::Flit { out_port, vc, flit } => {
+                if out_port.is_local() {
+                    let ep = tables.local_ep_index(rid, *out_port);
+                    self.eject.push(now, (ep, flit.packet.vnet.0, *vc, *flit));
+                } else {
+                    let n = tables
+                        .neighbor(rid, *out_port)
+                        .expect("ST off the fabric edge");
+                    self.flit.push(now, (n, out_port.opposite(), *vc, *flit));
+                }
+            }
+            RouterOut::La { out_port, flit } => {
+                let n = tables
+                    .neighbor(rid, *out_port)
+                    .expect("LA off the fabric edge");
+                self.la.push(now, (n, out_port.opposite(), *flit));
+            }
+            RouterOut::CreditUp {
+                in_port,
+                vnet,
+                vc,
+                dealloc,
+            } => {
+                if in_port.is_local() {
+                    let ep = tables.local_ep_index(rid, *in_port);
+                    self.inject_credit.push(now, (ep, *vnet, *vc, *dealloc));
+                } else {
+                    let n = tables
+                        .neighbor(rid, *in_port)
+                        .expect("credit off the fabric edge");
+                    let credit = CreditArrival {
+                        out_port: in_port.opposite(),
+                        vnet: *vnet,
+                        vc: *vc,
+                        dealloc: *dealloc,
+                    };
+                    self.credit.push(now, (n, credit));
+                }
+            }
+        }
     }
 }
 
@@ -318,12 +387,7 @@ pub struct Network<T> {
     /// index. `staged_esid` applies at commit.
     esid: Vec<EsidSlot>,
     staged_esid: Vec<(usize, Option<(Sid, u16)>)>,
-    // Wires.
-    flit_wire: Wire<(RouterId, Port, u8, Flit<T>)>,
-    la_wire: Wire<(RouterId, Port, Flit<T>)>,
-    credit_wire: Wire<(RouterId, CreditArrival)>,
-    eject_wire: Wire<(usize, u8, u8, Flit<T>)>,
-    inject_credit_wire: Wire<(usize, u8, u8, bool)>,
+    wires: Wires<T>,
     // This cycle's wire deliveries, bucketed by receiving router.
     inbox_flits: Inbox<FlitArrival<T>>,
     inbox_las: Inbox<LaArrival<T>>,
@@ -454,11 +518,7 @@ impl<T: Payload> Network<T> {
             ordered_vcs,
             esid: vec![EsidSlot::default(); n_eps],
             staged_esid: Vec::new(),
-            flit_wire: Wire::new(2),
-            la_wire: Wire::new(1),
-            credit_wire: Wire::new(1),
-            eject_wire: Wire::new(2),
-            inject_credit_wire: Wire::new(1),
+            wires: Wires::new(),
             inbox_flits: Inbox::new(n_routers, n_ports),
             inbox_las: Inbox::new(n_routers, n_ports),
             inbox_credits: Inbox::new(n_routers, n_ports * port_slots),
@@ -635,15 +695,13 @@ impl<T: Payload> Network<T> {
         let flit = self.ejection.pop(idx, flat)?;
         let ep = self.endpoints[idx];
         let vc = flat as u8 - self.vnet_base[flit.packet.vnet.index()];
-        self.credit_wire.push((
-            ep.router,
-            CreditArrival {
-                out_port: ep.slot.port(),
-                vnet: flit.packet.vnet.0,
-                vc,
-                dealloc: flit.is_tail(),
-            },
-        ));
+        let credit = CreditArrival {
+            out_port: ep.slot.port(),
+            vnet: flit.packet.vnet.0,
+            vc,
+            dealloc: flit.is_tail(),
+        };
+        self.wires.credit.push(self.cycle, (ep.router, credit));
         self.last_progress = self.cycle;
         if flit.is_tail() {
             let lat = self.cycle - flit.packet.inject_cycle;
@@ -680,10 +738,11 @@ impl<T: Payload> Network<T> {
     }
 
     /// Selects the always-scan engine: probe every router and injection
-    /// port each cycle instead of only the woken ones. Produces cycle-exact
-    /// identical behavior to the default active-set engine (asserted by the
-    /// equivalence suite); exists so that claim stays testable and the
-    /// speedup measurable. Call before the first cycle.
+    /// port each cycle instead of only the woken ones, and never skip a
+    /// quiescent tick. Produces cycle-exact identical behavior to the
+    /// default active-set engine (asserted by the equivalence suite);
+    /// exists so that claim stays testable and the speedup measurable.
+    /// Call before the first cycle.
     pub fn set_always_scan(&mut self, scan: bool) {
         self.always_scan = scan;
     }
@@ -727,8 +786,12 @@ impl<T: Payload> Network<T> {
         self.ep_woken.absorb(&mut other.ep_woken);
     }
 
-    /// Compute phase of one cycle.
+    /// Compute phase of one cycle. A quiescent network's tick would change
+    /// nothing, so it returns at once (the always-scan engine still scans).
     pub fn tick(&mut self) {
+        if !self.always_scan && self.is_quiescent() {
+            return;
+        }
         if let Some(o) = self.obs.as_deref_mut() {
             o.cycle = self.cycle.as_u64();
         }
@@ -741,11 +804,7 @@ impl<T: Payload> Network<T> {
     /// receiving routers and recording which endpoints saw ejections.
     fn deliver_wires(&mut self) {
         let Network {
-            flit_wire,
-            la_wire,
-            credit_wire,
-            eject_wire,
-            inject_credit_wire,
+            wires,
             inbox_flits,
             inbox_las,
             inbox_credits,
@@ -759,26 +818,27 @@ impl<T: Payload> Network<T> {
             cycle,
             ..
         } = self;
-        flit_wire.deliver(|(r, port, vc, flit)| {
+        let now = *cycle;
+        wires.flit.deliver(now, |(r, port, vc, flit)| {
             inbox_flits.push(r.index(), FlitArrival { port, vc, flit });
             router_active.wake(r.index());
-            *last_progress = *cycle;
+            *last_progress = now;
         });
-        la_wire.deliver(|(r, port, flit)| {
+        wires.la.deliver(now, |(r, port, flit)| {
             inbox_las.push(r.index(), LaArrival { port, flit });
             router_active.wake(r.index());
         });
-        credit_wire.deliver(|(r, credit)| {
+        wires.credit.deliver(now, |(r, credit)| {
             inbox_credits.push(r.index(), credit);
             router_active.wake(r.index());
         });
-        eject_wire.deliver(|(ep_idx, vnet, vc, flit)| {
+        wires.eject.deliver(now, |(ep_idx, vnet, vc, flit)| {
             ejection.push(ep_idx, (vnet_base[vnet as usize] + vc) as usize, flit);
             ep_woken.wake(ep_idx);
-            *last_progress = *cycle;
+            *last_progress = now;
         });
-        inject_credit_wire.deliver(|(ep_idx, vnet, vc, dealloc)| {
-            injection.ds.on_credit(cfg, ep_idx, vnet, vc, dealloc);
+        wires.inject_credit.deliver(now, |(ep, vnet, vc, dealloc)| {
+            injection.ds.on_credit(cfg, ep, vnet, vc, dealloc);
         });
     }
 
@@ -800,14 +860,10 @@ impl<T: Payload> Network<T> {
             inbox_credits,
             outbox,
             esid,
-            flit_wire,
-            la_wire,
-            credit_wire,
-            eject_wire,
-            inject_credit_wire,
+            wires,
             router_active,
-            always_scan,
             obs,
+            cycle,
             ..
         } = self;
         let view = EsidView { tables, esid };
@@ -853,20 +909,11 @@ impl<T: Payload> Network<T> {
                         );
                     }
                 }
-                Self::route_router_out(
-                    tables,
-                    rid,
-                    ev,
-                    flit_wire,
-                    la_wire,
-                    credit_wire,
-                    eject_wire,
-                    inject_credit_wire,
-                );
+                wires.route(tables, rid, *cycle, ev);
             }
             // A router with resident packets must tick again next cycle
             // even if no new arrivals wake it.
-            if !*always_scan && !routers.is_idle(ridx) {
+            if !routers.is_idle(ridx) {
                 router_active.wake(ridx);
             }
         }
@@ -891,14 +938,10 @@ impl<T: Payload> Network<T> {
         self.inject_scratch = list;
     }
 
-    /// Clock edge: wires advance, staged ESIDs apply (moving the census
-    /// with them), time moves.
+    /// Clock edge: staged ESIDs apply (moving the census with them) and
+    /// time moves. The wires need nothing: their slots are indexed by the
+    /// cycle counter.
     pub fn commit(&mut self) {
-        self.flit_wire.commit();
-        self.la_wire.commit();
-        self.credit_wire.commit();
-        self.eject_wire.commit();
-        self.inject_credit_wire.commit();
         for k in 0..self.staged_esid.len() {
             let (idx, esid) = self.staged_esid[k];
             if let Some((old, _)) = std::mem::replace(&mut self.esid[idx].esid, esid) {
@@ -912,21 +955,11 @@ impl<T: Payload> Network<T> {
         self.cycle = self.cycle.next();
     }
 
-    /// Clock edge for a provably idle cycle: only time advances. Valid
-    /// exactly when [`Network::is_quiescent`] held at tick time — then the
-    /// skipped tick and commit were no-ops apart from the cycle increment,
-    /// which is what the multi-plane engine's idle-plane skip relies on.
-    pub(crate) fn commit_idle(&mut self) {
-        debug_assert!(self.is_quiescent(), "idle commit on a live network");
-        self.cycle = self.cycle.next();
-    }
-
     /// Clock advance for a provably idle *span*: equivalent to `delta`
-    /// consecutive skipped-tick + [`Network::commit_idle`] cycles in one
-    /// call. Valid exactly when [`Network::is_quiescent`] holds — then
-    /// every wire slot is empty (so the skipped per-cycle wire rotations
-    /// were no-ops), no router or port would have been visited, and the
-    /// only state the skipped cycles would have changed is the clock.
+    /// consecutive quiescent tick + commit cycles in one call. Valid
+    /// exactly when [`Network::is_quiescent`] holds — then every wire slot
+    /// is empty, no router or port would have been visited, and the only
+    /// state the skipped cycles would have changed is the clock.
     pub(crate) fn leap(&mut self, delta: u64) {
         debug_assert!(self.is_quiescent(), "leap over a live network");
         self.cycle += delta;
@@ -943,7 +976,7 @@ impl<T: Payload> Network<T> {
             && self.inject_active.is_empty()
             && self.ep_woken.is_empty()
             && self.staged_esid.is_empty()
-            && self.wires_empty()
+            && self.wires.is_empty()
     }
 
     /// Convenience: `tick` + `commit`.
@@ -958,74 +991,7 @@ impl<T: Payload> Network<T> {
         self.routers.all_idle()
             && (0..self.endpoints.len())
                 .all(|ep| self.injection.backlog(ep) == 0 && self.ejection.nonempty[ep] == 0)
-            && self.wires_empty()
-    }
-
-    fn wires_empty(&self) -> bool {
-        fn empty<E>(w: &Wire<E>) -> bool {
-            w.staged.is_empty() && w.slots.iter().all(Vec::is_empty)
-        }
-        empty(&self.flit_wire)
-            && empty(&self.la_wire)
-            && empty(&self.credit_wire)
-            && empty(&self.eject_wire)
-            && empty(&self.inject_credit_wire)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn route_router_out(
-        tables: &RoutingTables,
-        rid: RouterId,
-        ev: &RouterOut<T>,
-        flit_wire: &mut Wire<(RouterId, Port, u8, Flit<T>)>,
-        la_wire: &mut Wire<(RouterId, Port, Flit<T>)>,
-        credit_wire: &mut Wire<(RouterId, CreditArrival)>,
-        eject_wire: &mut Wire<(usize, u8, u8, Flit<T>)>,
-        inject_credit_wire: &mut Wire<(usize, u8, u8, bool)>,
-    ) {
-        match ev {
-            RouterOut::Flit { out_port, vc, flit } => {
-                if out_port.is_local() {
-                    let ep = tables.local_ep_index(rid, *out_port);
-                    eject_wire.push((ep, flit.packet.vnet.0, *vc, *flit));
-                } else {
-                    let n = tables
-                        .neighbor(rid, *out_port)
-                        .expect("ST off the fabric edge");
-                    flit_wire.push((n, out_port.opposite(), *vc, *flit));
-                }
-            }
-            RouterOut::La { out_port, flit } => {
-                let n = tables
-                    .neighbor(rid, *out_port)
-                    .expect("LA off the fabric edge");
-                la_wire.push((n, out_port.opposite(), *flit));
-            }
-            RouterOut::CreditUp {
-                in_port,
-                vnet,
-                vc,
-                dealloc,
-            } => {
-                if in_port.is_local() {
-                    let ep = tables.local_ep_index(rid, *in_port);
-                    inject_credit_wire.push((ep, *vnet, *vc, *dealloc));
-                } else {
-                    let n = tables
-                        .neighbor(rid, *in_port)
-                        .expect("credit off the fabric edge");
-                    credit_wire.push((
-                        n,
-                        CreditArrival {
-                            out_port: in_port.opposite(),
-                            vnet: *vnet,
-                            vc: *vc,
-                            dealloc: *dealloc,
-                        },
-                    ));
-                }
-            }
-        }
+            && self.wires.is_empty()
     }
 
     /// One injection attempt (at most one flit) for endpoint `idx`. While
@@ -1040,10 +1006,8 @@ impl<T: Payload> Network<T> {
             esid,
             endpoints,
             injection: inj,
-            flit_wire,
-            la_wire,
+            wires,
             inject_active,
-            always_scan,
             obs,
             cycle,
             last_progress,
@@ -1052,9 +1016,7 @@ impl<T: Payload> Network<T> {
         if inj.backlog(idx) == 0 {
             return;
         }
-        if !*always_scan {
-            inject_active.wake(idx);
-        }
+        inject_active.wake(idx);
         let view = EsidView { tables, esid };
         let (router, local_in) = (endpoints[idx].router, endpoints[idx].slot.port());
         let vnets = inj.vnets;
@@ -1069,7 +1031,7 @@ impl<T: Payload> Network<T> {
                         packet: s.packet,
                         idx: s.next_idx,
                     };
-                    flit_wire.push((router, local_in, s.vc, flit));
+                    wires.flit.push(*cycle, (router, local_in, s.vc, flit));
                     s.next_idx += 1;
                     if s.next_idx < s.packet.len_flits {
                         inj.sending[lane] = Some(s);
@@ -1120,9 +1082,9 @@ impl<T: Payload> Network<T> {
             }
             let head = Flit { packet, idx: 0 };
             if cfg.bypass && packet.len_flits == 1 {
-                la_wire.push((router, local_in, head));
+                wires.la.push(*cycle, (router, local_in, head));
             }
-            flit_wire.push((router, local_in, vc, head));
+            wires.flit.push(*cycle, (router, local_in, vc, head));
             if packet.len_flits > 1 {
                 inj.sending[lane] = Some(SendState {
                     packet,
@@ -1174,6 +1136,115 @@ mod tests {
             }
         }
         got
+    }
+
+    /// A wire's slot is picked by the cycle counter: an event pushed at
+    /// cycle `c` is delivered by the tick of `c + N − 1` and by no earlier
+    /// tick, whether it was pushed during tick `c` or before it.
+    #[test]
+    fn wire_delivers_by_cycle_index() {
+        let mut flits: Wire<u64, 3> = Wire::new();
+        let mut got = Vec::new();
+        for c in 0..10 {
+            flits.deliver(Cycle::new(c), |e| got.push((c, e)));
+            flits.push(Cycle::new(c), c);
+        }
+        let due: Vec<(u64, u64)> = (0..8).map(|c| (c + 2, c)).collect();
+        assert_eq!(got, due, "pushed at c, delivered by the tick of c + 2");
+
+        // A credit the NIC returns between ticks — the counter already at
+        // `c`, tick `c` still to come — lands one tick later: at `c + 1`.
+        let mut credits: Wire<u64, 2> = Wire::new();
+        let c = Cycle::new(7);
+        credits.push(c, 1);
+        let mut got = Vec::new();
+        credits.deliver(c, |e| got.push(e));
+        assert!(
+            got.is_empty(),
+            "a one-cycle wire delivered in its own cycle"
+        );
+        credits.deliver(c.next(), |e| got.push(e));
+        assert_eq!(got, [1]);
+        assert!(credits.is_empty());
+    }
+
+    /// `Wire::is_empty` sees every slot: with one event in each of the
+    /// three, the wire is empty only once the last has been delivered.
+    #[test]
+    fn wire_is_empty_checks_every_slot() {
+        let mut w: Wire<u64, 3> = Wire::new();
+        for c in 0..3 {
+            w.push(Cycle::new(c), c);
+        }
+        for c in 2..5 {
+            assert!(!w.is_empty(), "an event left in a slot before cycle {c}");
+            w.deliver(Cycle::new(c), |_| {});
+        }
+        assert!(w.is_empty());
+    }
+
+    /// A standalone network skips its own quiescent ticks. Traffic comes
+    /// in bursts between idle gaps and woken endpoints are drained every
+    /// cycle, so the network does fall quiescent; the ejection log and
+    /// the cycle it drains at are the always-scan engine's, which never
+    /// skips.
+    #[test]
+    fn quiescent_ticks_are_skipped_without_effect() {
+        use scorpio_sim::SimRng;
+        let run = |scan: bool| {
+            let mut net: Network<u64> =
+                Network::new(Mesh::square_with_corner_mcs(4), NocConfig::scorpio());
+            net.set_always_scan(scan);
+            let eps: Vec<Endpoint> = net.topology().endpoints().collect();
+            let mut rng = SimRng::seed_from(43);
+            let (mut log, mut woken) = (Vec::new(), Vec::new());
+            let (mut quiet, mut drained_at) = (0, None);
+            for cycle in 0..2_500u64 {
+                // 40-cycle bursts every 300 cycles, the last at 1 800.
+                if cycle % 300 < 40 && cycle < 2_000 {
+                    for &ep in &eps {
+                        if !rng.chance(0.06) {
+                            continue;
+                        }
+                        let to = eps[rng.gen_range_usize(eps.len())];
+                        let pkt = if ep.slot.is_tile() && rng.chance(0.4) {
+                            Packet::request(ep, Sid(ep.router.0), cycle as u16, cycle)
+                        } else if to != ep {
+                            Packet::response(ep, to, 3, cycle)
+                        } else {
+                            continue;
+                        };
+                        let _ = net.try_inject(ep, pkt);
+                    }
+                }
+                for idx in 0..eps.len() {
+                    for vc in set_bits(net.eject_vcs(idx)) {
+                        if let Some(f) = net.eject_take_vc(idx, vc) {
+                            log.push((cycle, idx, f.packet.uid, f.idx));
+                        }
+                    }
+                }
+                quiet += usize::from(net.is_quiescent());
+                net.step();
+                net.take_woken_endpoints(&mut woken);
+                if cycle >= 1_840 && drained_at.is_none() && net.is_drained() {
+                    drained_at = Some(cycle);
+                }
+            }
+            assert_eq!(net.cycle(), Cycle::new(2_500));
+            (log, drained_at, quiet)
+        };
+        let (log, drained_at, quiet) = run(false);
+        let (scan_log, scan_drained_at, _) = run(true);
+        assert!(
+            log.len() > 1_000,
+            "{} ejections: too little traffic",
+            log.len()
+        );
+        assert!(drained_at.is_some(), "the last burst never drained");
+        assert!(quiet > 500, "quiescent on only {quiet} ticks");
+        assert_eq!(drained_at, scan_drained_at, "drain cycle");
+        assert_eq!(log, scan_log, "ejection log");
     }
 
     #[test]

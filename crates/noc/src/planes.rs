@@ -13,10 +13,10 @@
 //!
 //! A [`MultiNetwork`] with one plane *is* the single-network engine: every
 //! call delegates straight through and reports are byte-identical (the
-//! engine-equivalence suite asserts this). Planes whose active sets are
-//! empty — no woken router or injection port, no in-flight wire traffic —
-//! are skipped entirely each cycle except for their clock advance, so idle
-//! planes cost O(1).
+//! engine-equivalence suite asserts this). An idle plane costs O(1): a
+//! quiescent [`Network`] — no woken router or injection port, no in-flight
+//! wire traffic — returns from its own tick at once, and its commit only
+//! advances the clock.
 
 use crate::config::NocConfig;
 use crate::flit::{Packet, Payload, Sid};
@@ -139,11 +139,6 @@ impl PlaneSteer {
 pub struct MultiNetwork<T> {
     planes: Vec<Network<T>>,
     steer: PlaneSteer,
-    /// When set, tick every plane every cycle (the reference engines must
-    /// not skip anything).
-    always_scan: bool,
-    /// Per-plane skip decision of the current tick, consulted by commit.
-    skipped: Vec<bool>,
 }
 
 impl<T: Payload + SteerKey> MultiNetwork<T> {
@@ -166,8 +161,6 @@ impl<T: Payload + SteerKey> MultiNetwork<T> {
         MultiNetwork {
             planes: nets,
             steer: PlaneSteer::new(planes, interleave_log2),
-            always_scan: false,
-            skipped: vec![false; planes.get()],
         }
     }
 
@@ -237,10 +230,10 @@ impl<T: Payload + SteerKey> MultiNetwork<T> {
         self.planes.iter().any(|n| n.eject_occupied(ep_idx))
     }
 
-    /// Selects the always-scan engine on every plane and disables the
-    /// idle-plane skip (the reference engine probes everything).
+    /// Selects the always-scan engine on every plane, which also disables
+    /// each plane's quiescent-tick skip (the reference engine probes
+    /// everything).
     pub fn set_always_scan(&mut self, scan: bool) {
-        self.always_scan = scan;
         for n in &mut self.planes {
             n.set_always_scan(scan);
         }
@@ -297,33 +290,18 @@ impl<T: Payload + SteerKey> MultiNetwork<T> {
         }
     }
 
-    /// Compute phase of one cycle: ticks only planes with pending work.
-    ///
-    /// A plane is *quiescent* when its router and injection active sets
-    /// are empty, no wire carries in-flight traffic and no ESID update is
-    /// staged; ticking such a plane is a provable no-op (empty drains,
-    /// empty wire rotations), so it is skipped and only its clock advances
-    /// at [`MultiNetwork::commit`]. The skip is exact — the equivalence
-    /// suite asserts byte-identical reports against the always-scan
-    /// engine, which never skips.
+    /// Compute phase of one cycle on every plane. A quiescent plane's
+    /// [`Network::tick`] returns at once, so idle planes cost one check.
     pub fn tick(&mut self) {
-        for (p, n) in self.planes.iter_mut().enumerate() {
-            let skip = !self.always_scan && n.is_quiescent();
-            self.skipped[p] = skip;
-            if !skip {
-                n.tick();
-            }
+        for n in &mut self.planes {
+            n.tick();
         }
     }
 
-    /// Clock edge: commits ticked planes, fast-forwards skipped ones.
+    /// Clock edge of every plane.
     pub fn commit(&mut self) {
-        for (p, n) in self.planes.iter_mut().enumerate() {
-            if self.skipped[p] {
-                n.commit_idle();
-            } else {
-                n.commit();
-            }
+        for n in &mut self.planes {
+            n.commit();
         }
     }
 
