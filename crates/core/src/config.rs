@@ -4,6 +4,7 @@ use scorpio_mem::{L2Config, McConfig};
 use scorpio_nic::NicConfig;
 use scorpio_noc::{placement, CMesh, Endpoint, Mesh, NocConfig, Ring, RouterId, Topology, Torus};
 use scorpio_notify::NotifyScheme;
+use scorpio_sim::Fnv1a;
 use scorpio_workloads::ArrivalProcess;
 use std::num::NonZeroUsize;
 
@@ -462,7 +463,7 @@ impl SystemConfig {
             window_cycles: 0,
             ..self.clone()
         };
-        fnv1a(format!("{simulated:?}").as_bytes())
+        Fnv1a::debug_digest(&simulated)
     }
 }
 
@@ -470,16 +471,6 @@ impl SystemConfig {
 /// router of `topo`, in router order.
 fn mc_endpoints(topo: &Topology) -> Vec<Endpoint> {
     topo.mc_routers().iter().map(|&r| Endpoint::mc(r)).collect()
-}
-
-/// FNV-1a, 64-bit: tiny, dependency-free, stable across platforms.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 #[cfg(test)]

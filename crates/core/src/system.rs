@@ -79,7 +79,8 @@ pub struct System {
     /// DRAM response. The earliest deadline is also what the event-leaping
     /// clock jumps to when the whole machine is idle.
     timed_wakes: TimedWakes,
-    /// When set, tick every tile and MC each cycle and compute
+    /// When set, tick every tile and MC each cycle, wake every router and
+    /// injection port of the network before its tick, and compute
     /// [`System::is_complete`] by full scan — the pre-refactor engine,
     /// kept as the equivalence/benchmark reference.
     always_scan: bool,
@@ -304,7 +305,6 @@ impl System {
     /// measurable. Call before the first cycle.
     pub fn set_always_scan(&mut self, scan: bool) {
         self.always_scan = scan;
-        self.net.set_always_scan(scan);
     }
 
     /// Enables the event-leaping clock: when every component is provably
@@ -392,6 +392,9 @@ impl System {
         self.stepped += 1;
         let now = self.net.cycle();
         self.tick_endpoints(now);
+        if self.always_scan {
+            self.net.wake_all();
+        }
         self.net.tick();
         self.net.commit();
         if let Some(n) = self.notify.as_mut() {
@@ -1280,7 +1283,7 @@ impl TimedWakes {
 /// the functional-verification runs. Not part of the simulator's API.
 mod testing {
     use super::System;
-    use scorpio_sim::testing::debug_digest;
+    use scorpio_sim::Fnv1a;
 
     impl System {
         /// Whether the event-driven engines tick endpoint `ep` (tiles
@@ -1298,8 +1301,8 @@ mod testing {
             let nic = scorpio_nic::testing::state_digest(&self.nics[ep]);
             let shared = (nic, self.seq.as_ref().map(|s| s.port(ep)));
             match ep.checked_sub(self.cfg.cores()) {
-                Some(m) => debug_digest(&(shared, &self.mcs[m])),
-                None => debug_digest(&(
+                Some(m) => Fnv1a::debug_digest(&(shared, &self.mcs[m])),
+                None => Fnv1a::debug_digest(&(
                     shared,
                     (&self.l2s[ep], &self.drivers[ep]),
                     &self.resp_hold[ep],

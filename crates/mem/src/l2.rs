@@ -910,9 +910,10 @@ impl SnoopyL2 {
             return;
         }
 
-        // Install (or update) the line; may need a writeback slot.
+        // Install (or update) the line. An insertion may evict a dirty
+        // victim, which needs a writeback-buffer slot.
         let needs_insert = self.array.peek(entry.addr).is_none();
-        if needs_insert && !self.can_accept_victim(entry.addr) {
+        if needs_insert && self.wb_buf.len() >= self.cfg.wb_entries {
             self.rshr[tag].as_mut().expect("checked").fill_blocked = true;
             return;
         }
@@ -991,12 +992,6 @@ impl SnoopyL2 {
             served_by: Some(entry.served_by),
             installed,
         });
-    }
-
-    /// Whether an insertion into `addr`'s set could be absorbed (the LRU
-    /// victim, if dirty, needs a writeback-buffer slot).
-    fn can_accept_victim(&mut self, _addr: LineAddr) -> bool {
-        self.wb_buf.len() < self.cfg.wb_entries
     }
 
     fn evict(&mut self, victim: Line) {

@@ -632,7 +632,7 @@ pub mod testing {
     /// left out: a sleeping NIC observes empty windows late or never, and
     /// nothing reads the field back.
     pub fn state_digest<T: Payload>(nic: &Nic<T>) -> u64 {
-        scorpio_sim::testing::debug_digest(&(
+        scorpio_sim::Fnv1a::debug_digest(&(
             &nic.order,
             (&nic.ordered_out, &nic.packet_out, &nic.partial),
             (nic.busy_until, &nic.stats),

@@ -402,10 +402,6 @@ pub struct Network<T> {
     /// Endpoints whose ejection buffers received flits this tick; drained
     /// by the system layer to wake sleeping tiles/MCs.
     ep_woken: ActiveSet,
-    /// When set, probe every router and injection port each cycle instead
-    /// of consulting the active sets (the pre-refactor engine, kept for
-    /// equivalence testing and benchmarking).
-    always_scan: bool,
     next_uid: u64,
     deliveries: HashMap<u64, u32>,
     last_progress: Cycle,
@@ -528,7 +524,6 @@ impl<T: Payload> Network<T> {
             router_scratch: Vec::with_capacity(n_routers),
             inject_scratch: Vec::with_capacity(n_eps),
             ep_woken: ActiveSet::new(n_eps),
-            always_scan: false,
             next_uid: 1,
             deliveries: HashMap::new(),
             last_progress: Cycle::ZERO,
@@ -737,14 +732,13 @@ impl<T: Payload> Network<T> {
         self.deliveries.clear();
     }
 
-    /// Selects the always-scan engine: probe every router and injection
-    /// port each cycle instead of only the woken ones, and never skip a
-    /// quiescent tick. Produces cycle-exact identical behavior to the
-    /// default active-set engine (asserted by the equivalence suite);
-    /// exists so that claim stays testable and the speedup measurable.
-    /// Call before the first cycle.
-    pub fn set_always_scan(&mut self, scan: bool) {
-        self.always_scan = scan;
+    /// Wakes every router and injection port, so the next tick probes
+    /// them all. Called before every tick this is the always-scan
+    /// reference engine, cycle-exact with the active-set one (a probe
+    /// with nothing to do changes nothing; the equivalence suite checks).
+    pub fn wake_all(&mut self) {
+        self.router_active.wake_all();
+        self.inject_active.wake_all();
     }
 
     /// Installs (or, with `None`, removes) the observability sink for this
@@ -787,9 +781,9 @@ impl<T: Payload> Network<T> {
     }
 
     /// Compute phase of one cycle. A quiescent network's tick would change
-    /// nothing, so it returns at once (the always-scan engine still scans).
+    /// nothing, so it returns at once.
     pub fn tick(&mut self) {
-        if !self.always_scan && self.is_quiescent() {
+        if self.is_quiescent() {
             return;
         }
         if let Some(o) = self.obs.as_deref_mut() {
@@ -842,14 +836,12 @@ impl<T: Payload> Network<T> {
         });
     }
 
-    /// Ticks every router with pending work. The work list is either the
-    /// drained active set or (always-scan engine) every router; both visit
-    /// routers in ascending index order and apply the identical skip
-    /// condition, which is what keeps the two engines cycle-exact.
+    /// Ticks every router with pending work: the drained active set, in
+    /// ascending index order. A woken router with nothing buffered and
+    /// nothing arriving is skipped, so waking it changes nothing.
     fn tick_routers(&mut self) {
         let mut list = std::mem::take(&mut self.router_scratch);
-        self.router_active
-            .drain_sorted_or_all(self.always_scan, &mut list);
+        self.router_active.drain_sorted(&mut list);
         let Network {
             topology,
             tables,
@@ -926,12 +918,10 @@ impl<T: Payload> Network<T> {
         self.router_scratch = list;
     }
 
-    /// One injection attempt per port with queued work (or per port, under
-    /// the always-scan engine).
+    /// One injection attempt per woken port.
     fn tick_inject_ports(&mut self) {
         let mut list = std::mem::take(&mut self.inject_scratch);
-        self.inject_active
-            .drain_sorted_or_all(self.always_scan, &mut list);
+        self.inject_active.drain_sorted(&mut list);
         for &idx in &list {
             self.inject_try_send(idx as usize);
         }
@@ -1186,15 +1176,14 @@ mod tests {
     /// A standalone network skips its own quiescent ticks. Traffic comes
     /// in bursts between idle gaps and woken endpoints are drained every
     /// cycle, so the network does fall quiescent; the ejection log and
-    /// the cycle it drains at are the always-scan engine's, which never
-    /// skips.
+    /// the cycle it drains at are those of the always-scan reference (the
+    /// same network woken whole before every step), which never skips.
     #[test]
     fn quiescent_ticks_are_skipped_without_effect() {
         use scorpio_sim::SimRng;
         let run = |scan: bool| {
             let mut net: Network<u64> =
                 Network::new(Mesh::square_with_corner_mcs(4), NocConfig::scorpio());
-            net.set_always_scan(scan);
             let eps: Vec<Endpoint> = net.topology().endpoints().collect();
             let mut rng = SimRng::seed_from(43);
             let (mut log, mut woken) = (Vec::new(), Vec::new());
@@ -1225,6 +1214,9 @@ mod tests {
                     }
                 }
                 quiet += usize::from(net.is_quiescent());
+                if scan {
+                    net.wake_all();
+                }
                 net.step();
                 net.take_woken_endpoints(&mut woken);
                 if cycle >= 1_840 && drained_at.is_none() && net.is_drained() {

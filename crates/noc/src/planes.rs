@@ -17,6 +17,9 @@
 //! quiescent [`Network`] — no woken router or injection port, no in-flight
 //! wire traffic — returns from its own tick at once, and its commit only
 //! advances the clock.
+//!
+//! The planes carry no engine switch: the always-scan reference is the
+//! caller waking everything with [`MultiNetwork::wake_all`] before a tick.
 
 use crate::config::NocConfig;
 use crate::flit::{Packet, Payload, Sid};
@@ -230,12 +233,12 @@ impl<T: Payload + SteerKey> MultiNetwork<T> {
         self.planes.iter().any(|n| n.eject_occupied(ep_idx))
     }
 
-    /// Selects the always-scan engine on every plane, which also disables
-    /// each plane's quiescent-tick skip (the reference engine probes
-    /// everything).
-    pub fn set_always_scan(&mut self, scan: bool) {
+    /// Wakes every router and injection port of every plane for the next
+    /// tick ([`Network::wake_all`]): the always-scan reference engine is
+    /// this call before every tick.
+    pub fn wake_all(&mut self) {
         for n in &mut self.planes {
-            n.set_always_scan(scan);
+            n.wake_all();
         }
     }
 

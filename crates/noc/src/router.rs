@@ -27,6 +27,11 @@
 //! a request cannot be allocated toward an output while another request
 //! with the same SID occupies a VC of the downstream input port.
 //!
+//! Every packet goes through one input-VC state machine: a broadcast
+//! flit forks through each granted output, and a multi-flit unicast is
+//! the one-output case whose later flits reuse the downstream VC its head
+//! was allocated, needing only a credit.
+//!
 //! Every router of a network lives in one [`Routers`]: network-level
 //! arrays built once, at construction — fixed-size per-router registers,
 //! input-VC control state `[router][port][vc]`, one slab holding every
@@ -350,73 +355,72 @@ impl Downstream {
 /// State of one virtual channel at an input port. Holds at most one packet
 /// at a time (VCs are reallocated only after the tail departs downstream);
 /// whether one is resident is the VC's bit in [`RouterCore::active`].
+/// The front flit leaves once `remaining` is empty, which is then
+/// re-armed to `held` for the next flit, but only while one is present.
 #[derive(Debug, Clone, Copy)]
 struct VcState {
     /// The VC's flits, a ring in [`Routers::slab`].
     ring: SlabRing,
-    /// Whether the resident packet is a single flit (mask path) or a
-    /// multi-flit unicast (stream path).
-    single: bool,
     /// The resident packet's SID and per-source sequence number, if it is
-    /// an ordered request.
+    /// an ordered request (always a single flit).
     order: Option<(Sid, u16)>,
-    /// Mask path (single-flit packets): outputs still to serve.
+    /// Outputs the front flit still needs.
     remaining: PortMask,
-    /// Mask path: outputs granted for ST next cycle.
+    /// Outputs granted to the front flit, for ST next cycle.
     granted: PortMask,
-    /// Mask path: downstream VC per granted output port.
+    /// Outputs whose downstream VC the packet owns: a later flit toward
+    /// one needs only a credit.
+    held: PortMask,
+    /// Downstream VC per held output port.
     grant_vcs: [u8; Port::COUNT],
     /// Dateline class-1 bit per output port of the packet's route
     /// (always 0 on non-wraparound topologies).
     class_mask: u8,
-    /// Stream path (multi-flit unicast): fixed output port after head VS.
-    out_port: Option<Port>,
-    /// Stream path: downstream VC for the whole packet.
-    out_vc: u8,
-    /// Stream path: flits granted for ST next cycle (0 or 1).
-    granted_flits: u8,
 }
 
 impl VcState {
     fn new(ring: SlabRing) -> Self {
         VcState {
             ring,
-            single: true,
             order: None,
             remaining: PortMask::EMPTY,
             granted: PortMask::EMPTY,
+            held: PortMask::EMPTY,
             grant_vcs: [0; Port::COUNT],
             class_mask: 0,
-            out_port: None,
-            out_vc: 0,
-            granted_flits: 0,
+        }
+    }
+
+    /// The outputs this VC may request: those of the front flit not yet
+    /// granted, or, once the front is fully granted and a flit waits
+    /// behind it, the held outputs that flit will take — so a stream
+    /// requests its next flit while the current one is on its way and
+    /// keeps one flit per cycle. Empty while the ring is empty mid-packet
+    /// (`remaining` is re-armed only when a flit is present).
+    #[inline]
+    fn pending(&self) -> PortMask {
+        let pending = self.remaining - self.granted;
+        if pending.is_empty() && self.ring.len() >= 2 {
+            self.held
+        } else {
+            pending
         }
     }
 
     /// Why an active, non-requesting VC is not progressing — `None` when it
-    /// is merely waiting on its own granted switch traversals (or, for a
-    /// stream, on flits still upstream). An active VC with somewhere to go
-    /// that *cannot even request* is stalled in VC allocation (head blocked
-    /// on a free VC or a SID conflict) or on credits (body flit of a routed
-    /// stream).
+    /// is merely waiting on its own granted switch traversals (or on flits
+    /// still upstream). An active VC with somewhere to go that *cannot
+    /// even request* is stalled in VC allocation (an output it holds no VC
+    /// for: no free VC in its class, or a SID conflict) or on credits (a
+    /// flit whose outputs are all held).
     fn blocked_cause(&self) -> Option<Stall> {
-        if self.ring.is_empty() {
-            return None;
-        }
-        if self.single {
-            // A pending output it could not request = the downstream VC
-            // allocator (no free VC in its class, or a SID conflict).
-            (!(self.remaining - self.granted).is_empty()).then_some(Stall::VcAlloc)
-        } else if self.ring.len() <= self.granted_flits as usize {
+        let pending = self.pending();
+        if pending.is_empty() {
             None
+        } else if (pending - self.held).is_empty() {
+            Some(Stall::Credit)
         } else {
-            match self.out_port {
-                // Head waiting for a downstream VC.
-                None => Some(Stall::VcAlloc),
-                // Routed stream with buffered flits but no request: the
-                // only blocker on a fixed (port, VC) is credits.
-                Some(_) => Some(Stall::Credit),
-            }
+            Some(Stall::VcAlloc)
         }
     }
 }
@@ -719,8 +723,8 @@ impl<T: Payload> Routers<T> {
                     )
                 });
                 lines.push(format!(
-                    "  in {port} v{vnet} vc{vc} {cause}: {:?} remaining={:?} granted={:?} out={:?}",
-                    front, state.remaining, state.granted, state.out_port
+                    "  in {port} v{vnet} vc{vc} {cause}: {:?} remaining={:?} granted={:?} held={:?}",
+                    front, state.remaining, state.granted, state.held
                 ));
             }
         }
@@ -835,37 +839,22 @@ impl<T: Payload> Router<'_, T> {
             let (port, vc) = self.core.st_plan[i];
             let slot = self.slot(port, vc);
             let state = &mut self.vcs[slot];
-            if state.single {
-                // Mask path: the flit STs through its granted set and
-                // leaves once no output remains.
-                let flit = *state
-                    .ring
-                    .front(self.slab)
-                    .expect("granted VC lost its flit");
-                let granted = std::mem::take(&mut state.granted);
-                let grant_vcs = state.grant_vcs;
-                state.remaining = state.remaining - granted;
-                if state.remaining.is_empty() {
-                    state.ring.pop(self.slab);
-                    self.vacate(port, vc);
-                    out.push(RouterOut::CreditUp {
-                        in_port: port,
-                        vnet: vc.vnet,
-                        vc: vc.vc,
-                        dealloc: true,
-                    });
+            // The front flit STs through its granted set and leaves once
+            // no output remains; the next flit, if present, needs the
+            // outputs the packet holds.
+            let flit = *state
+                .ring
+                .front(self.slab)
+                .expect("granted VC lost its flit");
+            let granted = std::mem::take(&mut state.granted);
+            let grant_vcs = state.grant_vcs;
+            state.remaining = state.remaining - granted;
+            if state.remaining.is_empty() {
+                state.ring.pop(self.slab);
+                if !state.ring.is_empty() {
+                    state.remaining = state.held;
                 }
-                for p in granted.iter() {
-                    Self::emit_flit(cfg, p, grant_vcs[p.index()], flit, out);
-                }
-            } else {
-                // Stream path: the front flit STs.
-                let flit = state.ring.pop(self.slab).expect("granted VC lost its flit");
-                state.granted_flits = 0;
-                let out_port = state.out_port.expect("stream flit without route");
-                let out_vc = state.out_vc;
                 if flit.is_tail() {
-                    state.out_port = None;
                     self.vacate(port, vc);
                 }
                 out.push(RouterOut::CreditUp {
@@ -874,7 +863,9 @@ impl<T: Payload> Router<'_, T> {
                     vc: vc.vc,
                     dealloc: flit.is_tail(),
                 });
-                Self::emit_flit(cfg, out_port, out_vc, flit, out);
+            }
+            for p in granted.iter() {
+                Self::emit_flit(cfg, p, grant_vcs[p.index()], flit, out);
             }
         }
         self.core.st_len = 0;
@@ -973,15 +964,11 @@ impl<T: Payload> Router<'_, T> {
             let routed = route.route(self.id, &a.flit.packet, arrived_on);
             state.class_mask = routed.classes;
             state.remaining = routed.mask;
-            state.single = a.flit.is_single();
+            state.held = PortMask::EMPTY;
             state.order = a.flit.packet.sid.map(|sid| (sid, a.flit.packet.sid_seq));
-            if state.single {
-                state.granted = PortMask::EMPTY;
-            } else {
-                debug_assert_eq!(routed.mask.len(), 1, "multi-flit packets are unicast");
-                state.out_port = None;
-                state.granted_flits = 0;
-            }
+        } else if state.ring.is_empty() {
+            // A body flit landing after its predecessors all left.
+            state.remaining = state.held;
         }
         state.ring.push(self.slab, a.flit);
     }
@@ -990,7 +977,7 @@ impl<T: Payload> Router<'_, T> {
     /// granted right now: it holds a flit with somewhere to go *and* the
     /// downstream resources for that output are obtainable (a VC of its
     /// class or the rVC it is eligible for, no same-SID conflict; a credit
-    /// on its VC for a routed stream). SA-I asks only whether the set is
+    /// on the VC it holds there). SA-I asks only whether the set is
     /// non-empty (`first_only`), SA-O needs all of it — one predicate, so
     /// the two stages cannot disagree.
     ///
@@ -1014,29 +1001,19 @@ impl<T: Payload> Router<'_, T> {
     ) -> PortMask {
         let state = &self.vcs[in_port.index() * self.shape.port_vcs + flat];
         let vnet = self.shape.vc_index[flat].vnet;
-        if !state.single {
-            // Stream path: one pending ST grant at a time.
-            if state.ring.len() <= state.granted_flits as usize {
-                return PortMask::EMPTY;
-            }
-            return match state.out_port {
-                // Head not yet routed: its single route needs a fresh VC.
-                None => state.remaining & self.open_for(route, vnet, state.class_mask),
-                Some(p) => {
-                    if self.downstream.has_credit(self.row(p), vnet, state.out_vc) {
-                        PortMask::single(p)
-                    } else {
-                        PortMask::EMPTY
-                    }
-                }
-            };
-        }
-        // Mask path: the flit is resident exactly while outputs remain.
-        let pending = state.remaining - state.granted;
         let open = self.open_for(route, vnet, state.class_mask);
         let Some((sid, seq)) = state.order else {
-            return pending & open;
+            // A held output needs only a credit on the packet's VC.
+            let pending = state.pending();
+            let mut set = (pending - state.held) & open;
+            for p in (pending & state.held).iter() {
+                let vc = state.grant_vcs[p.index()];
+                set.set(p, self.downstream.has_credit(self.row(p), vnet, vc));
+            }
+            return set;
         };
+        // An ordered request is one flit, so none of its outputs is held.
+        let pending = state.remaining - state.granted;
         let rvc_open = if esid.any_expects(sid) {
             self.core.rvc_open[vnet as usize]
         } else {
@@ -1161,14 +1138,13 @@ impl<T: Payload> Router<'_, T> {
             .expect("grant on empty VC")
             .packet
             .uid;
-        let (single, order) = (state.single, state.order);
-        if !single && state.out_port.is_some() {
-            // Body flit of a routed stream: its VC is already owned.
-            self.downstream.take_credit(row, vc.vnet, state.out_vc);
+        let order = state.order;
+        if state.held.contains(out_port) {
+            // A later flit toward an output whose VC the packet owns.
+            self.downstream
+                .take_credit(row, vc.vnet, state.grant_vcs[out_port.index()]);
         } else {
             let class = route.class_for(state.class_mask, out_port);
-            // Only the mask path is SID-tracked and rVC-eligible.
-            let order = order.filter(|_| single);
             let dvc = self
                 .downstream
                 .alloc_vc(cfg, row, vc.vnet, order.map(|(sid, _)| sid), class, || {
@@ -1180,22 +1156,13 @@ impl<T: Payload> Router<'_, T> {
             if let Some(o) = obs {
                 o.on_vc_alloc(id.0 as u32, out_port.index() as u8, vc.vnet, dvc, uid);
             }
-            if single {
-                state.grant_vcs[out_port.index()] = dvc;
-            } else {
-                state.out_port = Some(out_port);
-                state.out_vc = dvc;
-            }
+            state.grant_vcs[out_port.index()] = dvc;
+            state.held.insert(out_port);
         }
-        if single {
-            if state.granted.is_empty() {
-                self.core.schedule_st(in_port, vc);
-            }
-            state.granted.insert(out_port);
-        } else {
-            state.granted_flits = 1;
+        if state.granted.is_empty() {
             self.core.schedule_st(in_port, vc);
         }
+        state.granted.insert(out_port);
         self.refresh_open(cfg, out_port, vc.vnet);
     }
 
@@ -1529,6 +1496,75 @@ mod tests {
         for port in [Port::North, Port::South, Port::East, Port::West] {
             assert!(routers.cores[0].present.contains(port), "{port}");
         }
+    }
+
+    /// A multi-flit unicast whose ring empties mid-packet: the head
+    /// leaves router 14 before the body reaches it. The body, buffered
+    /// into the empty ring, is not granted before the next cycle
+    /// (`remaining` is re-armed only when a flit is present), and the
+    /// tail, buffered behind the granted body, requests that same cycle,
+    /// so the two leave on consecutive cycles.
+    #[test]
+    fn stream_that_empties_mid_packet_waits_for_its_next_flit() {
+        use crate::flit::Packet;
+        use crate::topology::Endpoint;
+        let (tables, mut routers) = routers(&Mesh::scorpio_chip());
+        let ctx = RouteCtx {
+            tables: &tables,
+            datelines: false,
+        };
+        let r = 14;
+        let (src, dest) = (Endpoint::tile(RouterId(13)), Endpoint::tile(RouterId(15)));
+        let packet = Packet::response(src, dest, 3, 7u32);
+        // (cycle, flit index) of each arrival on the West port, UO-RESP VC 0.
+        let arrive = [(0, 0), (3, 1), (4, 2)];
+        let state = {
+            let shape = &routers.shape;
+            let at = r * shape.n_ports + Port::West.index();
+            at * shape.port_vcs + usize::from(shape.vnet_base[1])
+        };
+        let (mut sent, mut credits, mut out) = (Vec::new(), Vec::new(), Vec::new());
+        let mut lookaheads = 0;
+        for cycle in 0..8 {
+            let arrivals: Vec<_> = arrive
+                .iter()
+                .filter(|&&(at, _)| at == cycle)
+                .map(|&(_, idx)| FlitArrival {
+                    port: Port::West,
+                    vc: 0,
+                    flit: Flit { packet, idx },
+                })
+                .collect();
+            out.clear();
+            routers.tick(r, &ctx, &cfg(), &NoRvc, &arrivals, &[], &[], &mut out, None);
+            for ev in &out {
+                match ev {
+                    RouterOut::Flit { out_port, flit, .. } => {
+                        assert_eq!(*out_port, Port::East);
+                        sent.push((cycle, flit.idx));
+                    }
+                    RouterOut::CreditUp { dealloc, .. } => credits.push((cycle, *dealloc)),
+                    RouterOut::La { .. } => lookaheads += 1,
+                }
+            }
+            if cycle == 3 {
+                let vc = &routers.vcs[state];
+                assert!(
+                    vc.granted.is_empty(),
+                    "the body was granted in the cycle it landed in an empty ring"
+                );
+            }
+            if cycle == 4 {
+                assert!(
+                    routers.cores[r].sa_i_regular.contains(Port::West),
+                    "the tail behind a granted body did not request"
+                );
+            }
+        }
+        assert_eq!(sent, [(2, 0), (5, 1), (6, 2)], "(cycle, flit) sent East");
+        assert_eq!(lookaheads, 0, "a data flit sent a lookahead");
+        assert_eq!(credits, [(2, false), (5, false), (6, true)]);
+        assert!(routers.is_idle(r));
     }
 
     #[test]

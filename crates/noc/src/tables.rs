@@ -56,9 +56,9 @@ impl VcClass {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RouteMask {
     /// Output ports (mesh ports + local deliveries).
-    pub mask: PortMask,
+    pub(crate) mask: PortMask,
     /// Class-1 bit per [`Port::index`].
-    pub classes: u8,
+    pub(crate) classes: u8,
 }
 
 /// Index of an arrival slot: the four cardinal ports plus "at source".
@@ -294,9 +294,9 @@ impl RoutingTables {
 /// The routing view handed to routers each tick: the compiled tables plus
 /// whether their class bits apply.
 pub(crate) struct RouteCtx<'a> {
-    pub tables: &'a RoutingTables,
+    pub(crate) tables: &'a RoutingTables,
     /// Whether dateline VC classes are in force (wraparound fabrics).
-    pub datelines: bool,
+    pub(crate) datelines: bool,
 }
 
 impl RouteCtx<'_> {
@@ -465,24 +465,22 @@ mod tests {
 
     /// FNV-1a over the four compiled arrays, each prefixed by its length.
     fn table_digest(t: &RoutingTables) -> u64 {
-        fn eat(h: u64, bytes: &[u8]) -> u64 {
-            bytes.iter().fold(h, |h, &b| {
-                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-            })
-        }
-        let mut h = eat(0xcbf2_9ce4_8422_2325, &t.unicast.len().to_le_bytes());
-        h = eat(h, &t.unicast);
-        h = eat(h, &t.broadcast.len().to_le_bytes());
+        use std::hash::Hasher;
+        let mut h = scorpio_sim::Fnv1a::default();
+        h.write(&t.unicast.len().to_le_bytes());
+        h.write(&t.unicast);
+        h.write(&t.broadcast.len().to_le_bytes());
         for &(mask, classes) in &t.broadcast {
-            h = eat(eat(h, &mask.to_le_bytes()), &[classes]);
+            h.write(&mask.to_le_bytes());
+            h.write(&[classes]);
         }
         for words in [&t.neighbor, &t.mc_rank] {
-            h = eat(h, &words.len().to_le_bytes());
+            h.write(&words.len().to_le_bytes());
             for w in words {
-                h = eat(h, &w.to_le_bytes());
+                h.write(&w.to_le_bytes());
             }
         }
-        h
+        h.finish()
     }
 
     /// Recorded from the four per-fabric coordinate specs at the commit

@@ -87,10 +87,11 @@ fn sixteen_by_sixteen_quiesces_between_traffic_phases() {
     assert_eq!(net.deliveries(uid) as usize, n_eps - 1);
 }
 
-/// The active-set engine and the always-scan engine must march the same
-/// network through the exact same states: same cycle-by-cycle ejections,
-/// same drain cycle, same delivery counts — under random mixed traffic on
-/// a non-square mesh.
+/// The active-set engine and the always-scan reference (every router and
+/// injection port woken before each step) must march the same network
+/// through the exact same states: same cycle-by-cycle ejections, same
+/// drain cycle, same delivery counts — under random mixed traffic on a
+/// non-square mesh.
 #[test]
 fn engines_are_cycle_exact_under_random_traffic() {
     use scorpio_sim::SimRng;
@@ -98,7 +99,6 @@ fn engines_are_cycle_exact_under_random_traffic() {
     let run = |scan: bool| -> (u64, Vec<(u64, u64)>) {
         let mesh = Mesh::new(6, 3, &[RouterId(0), RouterId(17)]);
         let mut net: Network<u64> = Network::new(mesh, NocConfig::scorpio());
-        net.set_always_scan(scan);
         let eps: Vec<Endpoint> = net.topology().endpoints().collect();
         let mut rng = SimRng::seed_from(99);
         let mut log = Vec::new();
@@ -125,6 +125,9 @@ fn engines_are_cycle_exact_under_random_traffic() {
                         log.push((cycle, f.packet.uid));
                     }
                 }
+            }
+            if scan {
+                net.wake_all();
             }
             net.step();
             if cycle > 800 && net.is_drained() {

@@ -125,27 +125,6 @@ impl ActiveSet {
         }
         self.woken = 0;
     }
-
-    /// The scan-or-drain work list shared by every engine loop: with
-    /// `all` set (always-scan mode) fills `out` with the whole population
-    /// in order and clears the set; otherwise drains the woken members via
-    /// [`ActiveSet::drain_sorted`]. Factored here so the always-scan and
-    /// active-set engines cannot drift apart at individual call sites.
-    pub fn drain_sorted_or_all(&mut self, all: bool, out: &mut Vec<u32>) {
-        if all {
-            out.clear();
-            out.extend(0..self.population as u32);
-            self.clear();
-        } else {
-            self.drain_sorted(out);
-        }
-    }
-
-    /// Removes every member without reporting them.
-    pub(crate) fn clear(&mut self) {
-        self.bits.fill(0);
-        self.woken = 0;
-    }
 }
 
 #[cfg(test)]
@@ -238,33 +217,43 @@ mod tests {
         assert_eq!(out, vec![9, 40]);
     }
 
+    /// The two engines' work lists: the always-scan reference wakes the
+    /// whole population before draining, the active-set engine drains
+    /// just the woken members. Both come out sorted and leave the set
+    /// empty.
     #[test]
     fn drain_or_all_covers_both_engines() {
         let mut s = ActiveSet::new(5);
         s.wake(3);
         let mut out = Vec::new();
-        // Scan mode: the whole population, and the woken bit is cleared.
-        s.drain_sorted_or_all(true, &mut out);
+        s.wake_all();
+        s.drain_sorted(&mut out);
         assert_eq!(out, vec![0, 1, 2, 3, 4]);
         assert!(s.is_empty());
-        // Active mode: just the woken members.
         s.wake(4);
         s.wake(1);
-        s.drain_sorted_or_all(false, &mut out);
+        s.drain_sorted(&mut out);
         assert_eq!(out, vec![1, 4]);
     }
 
+    /// A drain discards every member, a whole-population wake included,
+    /// and clears the output buffer first.
     #[test]
     fn clear_discards_members() {
         let mut s = ActiveSet::new(8);
         s.wake(1);
-        s.wake(6);
-        s.clear();
-        assert!(s.is_empty());
-        assert!(!s.is_active(1));
+        s.wake_all();
         let mut out = vec![123];
         s.drain_sorted(&mut out);
-        assert!(out.is_empty(), "drain clears the output buffer");
+        assert_eq!(
+            out,
+            (0..8).collect::<Vec<_>>(),
+            "drain clears the output buffer"
+        );
+        assert!(s.is_empty());
+        assert!(!s.is_active(1) && !s.is_active(7));
+        s.drain_sorted(&mut out);
+        assert!(out.is_empty());
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //!   simulation engines are built on, and [`Wake`], a component's answer
 //!   to when its next tick can first change state,
 //! * [`capped`] — the one cap policy of record streams and their
-//!   exact-prefix merge.
+//!   exact-prefix merge,
+//! * [`Fnv1a`] — the stable hash behind configuration and state digests.
 //!
 //! The SCORPIO simulator is *cycle driven*: each component exposes a
 //! per-cycle `tick`, and cross-component traffic is staged during the
@@ -42,6 +43,7 @@ mod active;
 pub mod capped;
 mod cycle;
 mod fifo;
+mod fnv;
 mod rng;
 mod sets;
 pub mod stats;
@@ -50,31 +52,7 @@ mod wake;
 pub use active::ActiveSet;
 pub use cycle::Cycle;
 pub use fifo::{Fifo, PushError};
+pub use fnv::Fnv1a;
 pub use rng::SimRng;
 pub use sets::SetStore;
 pub use wake::Wake;
-
-/// Support the sleep-soundness tests of the crates above share; not part
-/// of the simulation kernel's interface.
-#[doc(hidden)]
-pub mod testing {
-    use std::fmt::{self, Write};
-
-    /// FNV-1a over a value's `Debug` rendering: the state digest the
-    /// sleep-soundness tests compare before and after a tick. Streams the
-    /// rendering through the hash, so nothing is allocated.
-    pub fn debug_digest(value: &impl fmt::Debug) -> u64 {
-        struct Fnv(u64);
-        impl Write for Fnv {
-            fn write_str(&mut self, s: &str) -> fmt::Result {
-                for b in s.bytes() {
-                    self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
-                }
-                Ok(())
-            }
-        }
-        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
-        write!(h, "{value:?}").expect("hashing cannot fail");
-        h.0
-    }
-}
