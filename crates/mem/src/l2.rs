@@ -298,8 +298,10 @@ struct RshrEntry {
     op: CoreOp,
     token: u64,
     operand: u64,
-    ordered: bool,
-    data: Option<u64>,
+    /// The cycle the own ordered observation was applied, once it was.
+    ordered: Option<Cycle>,
+    /// The line's value and the cycle it arrived, once it did.
+    data: Option<(u64, Cycle)>,
     invalidate_on_fill: bool,
     fill_blocked: bool,
     served_by: ServedBy,
@@ -308,8 +310,6 @@ struct RshrEntry {
     t_issue: Cycle,
     t_inject: Option<Cycle>,
     t_popped: Option<Cycle>,
-    t_ordered: Option<Cycle>,
-    t_data: Option<Cycle>,
 }
 
 #[derive(Debug, Clone)]
@@ -657,8 +657,7 @@ impl SnoopyL2 {
             "duplicate data response for {} (two responders)",
             msg.addr
         );
-        entry.data = Some(msg.value);
-        entry.t_data = Some(now);
+        entry.data = Some((msg.value, now));
         entry.served_by = if msg.sender.slot == scorpio_noc::LocalSlot::Mc {
             ServedBy::Memory
         } else {
@@ -684,12 +683,12 @@ impl SnoopyL2 {
             let entry = self.rshr[tag]
                 .as_mut()
                 .expect("find_rshr returned live tag");
-            if entry.ordered && entry.kind == MsgKind::GetX {
+            if entry.ordered.is_some() && entry.kind == MsgKind::GetX {
                 // We own the line as of our position: record and forward
                 // after our write completes. A full list stalls the snoop.
                 return self.fids[tag].push(s.msg.requester, s.msg.req_tag, kind) != FidPush::Full;
             }
-            if entry.ordered && entry.kind == MsgKind::GetS && kind == MsgKind::GetX {
+            if entry.ordered.is_some() && entry.kind == MsgKind::GetS && kind == MsgKind::GetX {
                 // A write ordered after our read: the fill is stale on
                 // arrival.
                 entry.invalidate_on_fill = true;
@@ -753,9 +752,8 @@ impl SnoopyL2 {
                 let entry = self.rshr[tag]
                     .as_mut()
                     .unwrap_or_else(|| panic!("own ordered request for free tag {tag}"));
-                assert!(!entry.ordered, "request ordered twice");
-                entry.ordered = true;
-                entry.t_ordered = Some(now);
+                assert!(entry.ordered.is_none(), "request ordered twice");
+                entry.ordered = Some(now);
                 // Owner upgrade: a GETX from the cache that already owns
                 // the (dirty) line — a store to an O_D line — receives no
                 // external response: the memory controller sees a
@@ -764,8 +762,7 @@ impl SnoopyL2 {
                 if entry.kind == MsgKind::GetX && entry.data.is_none() {
                     if let Some(line) = line {
                         if line.state.is_owner() {
-                            entry.data = Some(line.value);
-                            entry.t_data = Some(now);
+                            entry.data = Some((line.value, now));
                             entry.served_by = ServedBy::Cache;
                         }
                     }
@@ -847,7 +844,7 @@ impl SnoopyL2 {
             op: req.op,
             token: req.token,
             operand: req.value,
-            ordered: false,
+            ordered: None,
             data: None,
             invalidate_on_fill: false,
             fill_blocked: false,
@@ -857,8 +854,6 @@ impl SnoopyL2 {
             t_issue: now,
             t_inject: None,
             t_popped: None,
-            t_ordered: None,
-            t_data: None,
         });
         self.outbox.push_back(L2Out::OrderedRequest(msg));
     }
@@ -886,15 +881,10 @@ impl SnoopyL2 {
     /// Completes a miss when both the ordered observation and the data have
     /// arrived.
     fn try_complete(&mut self, tag: usize, now: Cycle) {
-        let ready = {
-            let entry = self.rshr[tag].as_ref().expect("completing a free tag");
-            entry.ordered && entry.data.is_some()
-        };
-        if !ready {
+        let entry = self.rshr[tag].expect("completing a free tag");
+        let (Some(_), Some((data_value, _))) = (entry.ordered, entry.data) else {
             return;
-        }
-        let entry = self.rshr[tag].expect("checked");
-        let data_value = entry.data.expect("checked");
+        };
 
         // Compute the line's post-fill value and the core's reply value.
         let (core_value, line_value) = match entry.op {
@@ -979,8 +969,8 @@ impl SnoopyL2 {
                 issue: entry.t_issue.as_u64(),
                 inject: entry.t_inject.expect("span missing inject stamp").as_u64(),
                 popped: entry.t_popped.expect("span missing pop stamp").as_u64(),
-                ordered: entry.t_ordered.expect("completed unordered").as_u64(),
-                data: entry.t_data.expect("completed without data").as_u64(),
+                ordered: entry.ordered.expect("completed unordered").as_u64(),
+                data: entry.data.expect("completed without data").1.as_u64(),
                 retire: now.as_u64(),
             });
         }
@@ -1060,7 +1050,7 @@ impl SnoopyL2 {
             if let Some(e) = e {
                 out.push_str(&format!(
                     "  rshr[{tag}] addr={} kind={:?} ordered={} data={:?} blocked={} fids={} inval_on_fill={}\n",
-                    e.addr, e.kind, e.ordered, e.data, e.fill_blocked, self.fids[tag].entries().len(), e.invalidate_on_fill
+                    e.addr, e.kind, e.ordered.is_some(), e.data.map(|(v, _)| v), e.fill_blocked, self.fids[tag].entries().len(), e.invalidate_on_fill
                 ));
             }
         }

@@ -30,7 +30,7 @@ use crate::flit::{Dest, Flit, Packet, Payload, Sid};
 use crate::obs::{NetObs, ObsConfig};
 use crate::router::{
     flat_depths, CreditArrival, Downstream, EsidOracle, FlitArrival, LaArrival, RouterOut, Routers,
-    SlabRing,
+    SlabRing, TickCtx,
 };
 use crate::tables::{validate_datelines, RouteCtx, RoutingTables, VcClass};
 use crate::topology::{Endpoint, Port, RouterId, Topology};
@@ -858,10 +858,13 @@ impl<T: Payload> Network<T> {
             cycle,
             ..
         } = self;
-        let view = EsidView { tables, esid };
-        let route = RouteCtx {
-            tables,
-            datelines: topology.has_datelines(),
+        let ctx = TickCtx {
+            route: RouteCtx {
+                tables,
+                datelines: topology.has_datelines(),
+            },
+            cfg,
+            esid: &EsidView { tables, esid },
         };
         for &r in &list {
             let ridx = r as usize;
@@ -877,17 +880,7 @@ impl<T: Payload> Network<T> {
                 o.on_occupancy(u64::from(routers.occupancy(ridx)));
             }
             outbox.clear();
-            routers.tick(
-                ridx,
-                &route,
-                cfg,
-                &view,
-                flits,
-                las,
-                credits,
-                outbox,
-                obs.as_deref_mut(),
-            );
+            routers.tick(ridx, &ctx, flits, las, credits, outbox, obs.as_deref_mut());
             let rid = RouterId(ridx as u16);
             for ev in outbox.iter() {
                 if let RouterOut::Flit { out_port, vc, flit } = ev {

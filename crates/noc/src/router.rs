@@ -27,6 +27,12 @@
 //! a request cannot be allocated toward an output while another request
 //! with the same SID occupies a VC of the downstream input port.
 //!
+//! One function, `Router::grantable`, states which outputs a packet may
+//! be given: a free VC of its class, or the rVC when a NIC there expects
+//! exactly this request, and never while a same-SID request holds a VC
+//! there. SA-I, SA-O and the lookahead bypass all ask it, and every
+//! downstream VC they take goes through `Router::take_vc`.
+//!
 //! Every packet goes through one input-VC state machine: a broadcast
 //! flit forks through each granted output, and a multi-flit unicast is
 //! the one-output case whose later flits reuse the downstream VC its head
@@ -37,7 +43,9 @@
 //! input-VC control state `[router][port][vc]`, one slab holding every
 //! input VC's flit ring, and one [`Downstream`] row per `[router][output
 //! port]` — so a network costs the same handful of allocations whatever
-//! its router count. A tick borrows one router's share as a [`Router`].
+//! its router count. A tick borrows one router's share as a [`Router`],
+//! together with the [`TickCtx`] every stage reads and the plane's
+//! observability sink, so the stages take only their own arguments.
 
 use crate::arbiter::{set_bits, RotatingArbiter};
 use crate::config::NocConfig;
@@ -100,11 +108,20 @@ pub(crate) enum RouterOut<T> {
 /// to the downstream node.
 pub(crate) trait EsidOracle {
     /// Whether some NIC on the plane expects a request from `sid` at all.
-    /// `rvc_eligible` is false everywhere unless this holds, so every
-    /// rVC path asks this first: under saturation the rVC stays open and
-    /// most blocked requests are ones no NIC expects yet.
+    /// `rvc_eligible` is false everywhere unless this holds, so
+    /// `grantable` and `take_vc` ask this first: under saturation the rVC
+    /// stays open and most blocked requests are ones no NIC expects yet.
     fn any_expects(&self, sid: Sid) -> bool;
     fn rvc_eligible(&self, router: RouterId, out_port: Port, sid: Sid, seq: u16) -> bool;
+}
+
+/// What every stage of a router tick reads and none writes: the routing
+/// context, the configuration and the ESID oracle. The network builds one
+/// per pass over its routers.
+pub(crate) struct TickCtx<'a, E> {
+    pub(crate) route: RouteCtx<'a>,
+    pub(crate) cfg: &'a NocConfig,
+    pub(crate) esid: &'a E,
 }
 
 const MAX_VNETS: usize = NocConfig::MAX_VNETS;
@@ -546,6 +563,17 @@ impl RouterCore {
         self.st_plan[self.st_len as usize] = (port, vc);
         self.st_len += 1;
     }
+
+    /// Re-derives output `port`'s bits of the vnet's open masks from the
+    /// `ok` word of its downstream row `row`. Called at construction, on
+    /// every credit and on every VC taken — the only mutations that move
+    /// an `ok` bit — so the masks never go stale mid-tick.
+    fn refresh_open(&mut self, ds: &Downstream, cfg: &NocConfig, row: usize, port: Port, vnet: u8) {
+        for (open, class) in self.open[vnet as usize].iter_mut().zip(VcClass::ALL) {
+            open.set(port, ds.regular_open(cfg, row, vnet, class));
+        }
+        self.rvc_open[vnet as usize].set(port, ds.rvc_open(cfg, row, vnet));
+    }
 }
 
 /// Every router of one network, as network-level arrays built once: the
@@ -591,6 +619,7 @@ impl<T: Payload> Routers<T> {
         let ports = n_routers * n_ports;
         let mut vcs = Vec::with_capacity(ports * port_vcs);
         vcs.extend(SlabRing::carve(ports, flat_depths(cfg)).map(VcState::new));
+        let downstream = Downstream::new(cfg, ports);
         let mut cores = Vec::with_capacity(n_routers);
         cores.extend((0..n_routers).map(|r| {
             let id = RouterId(r as u16);
@@ -605,38 +634,20 @@ impl<T: Payload> Routers<T> {
                 };
                 present.set(port, here);
             }
-            RouterCore::new(present, &shape)
+            let mut core = RouterCore::new(present, &shape);
+            for port in present.iter() {
+                let row = r * n_ports + port.index();
+                (0..cfg.vnets.len())
+                    .for_each(|n| core.refresh_open(&downstream, cfg, row, port, n as u8));
+            }
+            core
         }));
-        let mut routers = Routers {
+        Routers {
             shape,
             cores,
             vcs,
             slab: vec![None; ports * flat_depths(cfg).sum::<usize>()],
-            downstream: Downstream::new(cfg, ports),
-        };
-        for r in 0..n_routers {
-            let mut router = routers.router(r);
-            for port in router.core.present.iter() {
-                (0..cfg.vnets.len()).for_each(|n| router.refresh_open(cfg, port, n as u8));
-            }
-        }
-        routers
-    }
-
-    /// Router `r`'s share of the arrays.
-    fn router(&mut self, r: usize) -> Router<'_, T> {
-        let (per, row0) = (
-            self.shape.n_ports * self.shape.port_vcs,
-            r * self.shape.n_ports,
-        );
-        Router {
-            id: RouterId(r as u16),
-            shape: &self.shape,
-            core: &mut self.cores[r],
-            vcs: &mut self.vcs[r * per..][..per],
-            slab: &mut self.slab,
-            downstream: &mut self.downstream,
-            row0,
+            downstream,
         }
     }
 
@@ -684,17 +695,26 @@ impl<T: Payload> Routers<T> {
     pub(crate) fn tick(
         &mut self,
         r: usize,
-        route: &RouteCtx<'_>,
-        cfg: &NocConfig,
-        esid: &impl EsidOracle,
+        ctx: &TickCtx<'_, impl EsidOracle>,
         arrivals: &[FlitArrival<T>],
         las: &[LaArrival<T>],
         credits: &[CreditArrival],
         out: &mut Vec<RouterOut<T>>,
         obs: Option<&mut NetObs>,
     ) {
-        self.router(r)
-            .tick(route, cfg, esid, arrivals, las, credits, out, obs);
+        let per = self.shape.n_ports * self.shape.port_vcs;
+        Router {
+            id: RouterId(r as u16),
+            shape: &self.shape,
+            core: &mut self.cores[r],
+            vcs: &mut self.vcs[r * per..][..per],
+            slab: &mut self.slab,
+            downstream: &mut self.downstream,
+            row0: r * self.shape.n_ports,
+            ctx,
+            obs,
+        }
+        .tick(arrivals, las, credits, out);
     }
 
     /// Renders router `r`'s occupied input VCs, each with its stall cause
@@ -748,8 +768,9 @@ impl<T: Payload> Routers<T> {
     }
 }
 
-/// One router's share of the [`Routers`] arrays, borrowed for a tick.
-struct Router<'a, T> {
+/// One router's share of the [`Routers`] arrays, borrowed for a tick with
+/// the tick's context and the plane's observability sink.
+struct Router<'a, T, E> {
     id: RouterId,
     shape: &'a Shape,
     core: &'a mut RouterCore,
@@ -760,9 +781,11 @@ struct Router<'a, T> {
     downstream: &'a mut Downstream,
     /// The downstream row of this router's port 0.
     row0: usize,
+    ctx: &'a TickCtx<'a, E>,
+    obs: Option<&'a mut NetObs>,
 }
 
-impl<T: Payload> Router<'_, T> {
+impl<T: Payload, E: EsidOracle> Router<'_, T, E> {
     /// Flat index of `vc` within its input port.
     #[inline]
     fn flat(&self, vc: VcRef) -> usize {
@@ -780,25 +803,13 @@ impl<T: Payload> Router<'_, T> {
         self.row0 + port.index()
     }
 
-    /// Re-derives output `port`'s bits of the vnet's open masks from its
-    /// downstream `ok` word. Called after every downstream mutation that
-    /// can move an `ok` bit, so the masks never go stale mid-tick.
-    fn refresh_open(&mut self, cfg: &NocConfig, port: Port, vnet: u8) {
-        let row = self.row(port);
-        for (open, class) in self.core.open[vnet as usize].iter_mut().zip(VcClass::ALL) {
-            open.set(port, self.downstream.regular_open(cfg, row, vnet, class));
-        }
-        let rvc = self.downstream.rvc_open(cfg, row, vnet);
-        self.core.rvc_open[vnet as usize].set(port, rvc);
-    }
-
     /// The outputs whose regular pool is open to a packet of `vnet` whose
     /// route carries dateline class bits `class_mask`: class-free on a
     /// mesh and toward local ports, per-port C0/C1 on wraparound links.
     #[inline]
-    fn open_for(&self, route: &RouteCtx<'_>, vnet: u8, class_mask: u8) -> PortMask {
+    fn open_for(&self, vnet: u8, class_mask: u8) -> PortMask {
         let [any, c0, c1] = self.core.open[vnet as usize];
-        if !route.datelines {
+        if !self.ctx.route.datelines {
             return any;
         }
         let class1 = PortMask::from_bits(u16::from(class_mask));
@@ -806,18 +817,14 @@ impl<T: Payload> Router<'_, T> {
     }
 
     /// One cycle: credits → ST → arrivals (bypass/BW) → SA-O/VS → SA-I.
-    #[allow(clippy::too_many_arguments)]
     fn tick(
         &mut self,
-        route: &RouteCtx<'_>,
-        cfg: &NocConfig,
-        esid: &impl EsidOracle,
         arrivals: &[FlitArrival<T>],
         las: &[LaArrival<T>],
         credits: &[CreditArrival],
         out: &mut Vec<RouterOut<T>>,
-        mut obs: Option<&mut NetObs>,
     ) {
+        let cfg = self.ctx.cfg;
         for c in credits {
             debug_assert!(
                 self.core.present.contains(c.out_port),
@@ -825,16 +832,17 @@ impl<T: Payload> Router<'_, T> {
             );
             let row = self.row(c.out_port);
             self.downstream.on_credit(cfg, row, c.vnet, c.vc, c.dealloc);
-            self.refresh_open(cfg, c.out_port, c.vnet);
+            self.core
+                .refresh_open(self.downstream, cfg, row, c.out_port, c.vnet);
         }
-        self.execute_st(cfg, out);
-        self.process_arrivals(route, cfg, arrivals, out, obs.as_deref_mut());
-        self.allocate_outputs(route, cfg, esid, las, obs.as_deref_mut());
-        self.sa_i(route, esid, obs);
+        self.execute_st(out);
+        self.process_arrivals(arrivals, out);
+        self.allocate_outputs(las);
+        self.sa_i();
     }
 
     /// Stage 3: execute the switch traversals scheduled last cycle.
-    fn execute_st(&mut self, cfg: &NocConfig, out: &mut Vec<RouterOut<T>>) {
+    fn execute_st(&mut self, out: &mut Vec<RouterOut<T>>) {
         for i in 0..self.core.st_len as usize {
             let (port, vc) = self.core.st_plan[i];
             let slot = self.slot(port, vc);
@@ -865,7 +873,7 @@ impl<T: Payload> Router<'_, T> {
                 });
             }
             for p in granted.iter() {
-                Self::emit_flit(cfg, p, grant_vcs[p.index()], flit, out);
+                self.emit_flit(p, grant_vcs[p.index()], flit, out);
             }
         }
         self.core.st_len = 0;
@@ -881,29 +889,16 @@ impl<T: Payload> Router<'_, T> {
         }
     }
 
-    fn emit_flit(
-        cfg: &NocConfig,
-        out_port: Port,
-        vc: u8,
-        flit: Flit<T>,
-        out: &mut Vec<RouterOut<T>>,
-    ) {
+    fn emit_flit(&self, out_port: Port, vc: u8, flit: Flit<T>, out: &mut Vec<RouterOut<T>>) {
         // Lookaheads accompany single-flit packets heading to mesh ports.
-        if cfg.bypass && flit.is_single() && !out_port.is_local() {
+        if self.ctx.cfg.bypass && flit.is_single() && !out_port.is_local() {
             out.push(RouterOut::La { out_port, flit });
         }
         out.push(RouterOut::Flit { out_port, vc, flit });
     }
 
     /// Stage 1 (BW) or the bypass path for flits arriving this cycle.
-    fn process_arrivals(
-        &mut self,
-        route: &RouteCtx<'_>,
-        cfg: &NocConfig,
-        arrivals: &[FlitArrival<T>],
-        out: &mut Vec<RouterOut<T>>,
-        mut obs: Option<&mut NetObs>,
-    ) {
+    fn process_arrivals(&mut self, arrivals: &[FlitArrival<T>], out: &mut Vec<RouterOut<T>>) {
         for a in arrivals {
             if self.core.bypass_pending.contains(a.port) {
                 self.core.bypass_pending.remove(a.port);
@@ -915,7 +910,7 @@ impl<T: Payload> Router<'_, T> {
                 // Full bypass: ST immediately; input buffer untouched, so
                 // the upstream VC+credit are released right away.
                 self.core.bypassed_flits += 1;
-                if let Some(o) = obs.as_deref_mut() {
+                if let Some(o) = self.obs.as_deref_mut() {
                     o.on_bypass(
                         self.id.0 as u32,
                         a.port.index() as u8,
@@ -930,21 +925,21 @@ impl<T: Payload> Router<'_, T> {
                     dealloc: true,
                 });
                 for p in res.outs.iter() {
-                    Self::emit_flit(cfg, p, res.vcs[p.index()], a.flit, out);
+                    self.emit_flit(p, res.vcs[p.index()], a.flit, out);
                 }
                 continue;
             }
-            if let Some(o) = obs.as_deref_mut() {
+            if let Some(o) = self.obs.as_deref_mut() {
                 o.on_buffered(a.flit.packet.vnet.0, a.vc);
             }
-            self.buffer_flit(route, a);
+            self.buffer_flit(a);
         }
         // Unconsumed reservations expire (the LA won but we still clear
         // conservatively; arrival is guaranteed one cycle after the LA).
         self.core.bypass_pending = PortMask::EMPTY;
     }
 
-    fn buffer_flit(&mut self, route: &RouteCtx<'_>, a: &FlitArrival<T>) {
+    fn buffer_flit(&mut self, a: &FlitArrival<T>) {
         self.core.buffered_flits += 1;
         let vc = VcRef {
             vnet: a.flit.packet.vnet.0,
@@ -961,7 +956,7 @@ impl<T: Payload> Router<'_, T> {
             *active |= 1 << flat;
             self.core.occupied_ports.insert(a.port);
             let arrived_on = (!a.port.is_local()).then_some(a.port);
-            let routed = route.route(self.id, &a.flit.packet, arrived_on);
+            let routed = self.ctx.route.route(self.id, &a.flit.packet, arrived_on);
             state.class_mask = routed.classes;
             state.remaining = routed.mask;
             state.held = PortMask::EMPTY;
@@ -973,54 +968,47 @@ impl<T: Payload> Router<'_, T> {
         state.ring.push(self.slab, a.flit);
     }
 
-    /// The outputs the packet at flat VC `flat` of `in_port` could be
-    /// granted right now: it holds a flit with somewhere to go *and* the
-    /// downstream resources for that output are obtainable (a VC of its
-    /// class or the rVC it is eligible for, no same-SID conflict; a credit
-    /// on the VC it holds there). SA-I asks only whether the set is
-    /// non-empty (`first_only`), SA-O needs all of it — one predicate, so
-    /// the two stages cannot disagree.
+    /// The grant rule: which of `outs` a new packet of `vnet` — route
+    /// class bits `class_mask`, SID and sequence number `order` if it is
+    /// an ordered request — may be given a downstream VC at right now. An
+    /// unordered packet needs an open regular VC of its class. An ordered
+    /// one needs that or the rVC, which it may take only when a NIC local
+    /// to the downstream node expects exactly this request, and neither
+    /// while a same-SID request holds a VC there. `first_only` stops at
+    /// the first such output (SA-I asks only whether the set is empty).
     ///
-    /// `rvc_eligible` and the SID scan are reached only for an output whose
-    /// pool or rVC is open. Under saturation the pool is shut and the rVC
-    /// mostly open, so it is the census (`any_expects`) that keeps a
-    /// blocked request to two ANDs and one load: the rVC counts only when
-    /// some NIC on the plane expects the request's SID.
+    /// SA-I, SA-O and the lookahead bypass all ask this one function, so
+    /// they cannot disagree. `rvc_eligible` and the SID scan are reached
+    /// only for an output whose pool or rVC is open. Under saturation the
+    /// pool is shut and the rVC mostly open, so it is the census
+    /// (`any_expects`) that keeps a blocked request to two ANDs and one
+    /// load: the rVC counts only when some NIC on the plane expects the
+    /// request's SID.
     ///
-    /// Inlined into SA-I and SA-O: out of line its call cost 4–5 % of
+    /// Inlined into every caller: out of line its call cost 4–5 % of
     /// `sim_cycles_per_s` on `sat-8x8`, where SA-I asks it for every
     /// blocked VC on every cycle.
     #[inline(always)]
-    fn requestable(
+    fn grantable(
         &self,
-        route: &RouteCtx<'_>,
-        esid: &impl EsidOracle,
-        in_port: Port,
-        flat: usize,
+        vnet: u8,
+        class_mask: u8,
+        order: Option<(Sid, u16)>,
+        outs: PortMask,
         first_only: bool,
     ) -> PortMask {
-        let state = &self.vcs[in_port.index() * self.shape.port_vcs + flat];
-        let vnet = self.shape.vc_index[flat].vnet;
-        let open = self.open_for(route, vnet, state.class_mask);
-        let Some((sid, seq)) = state.order else {
-            // A held output needs only a credit on the packet's VC.
-            let pending = state.pending();
-            let mut set = (pending - state.held) & open;
-            for p in (pending & state.held).iter() {
-                let vc = state.grant_vcs[p.index()];
-                set.set(p, self.downstream.has_credit(self.row(p), vnet, vc));
-            }
-            return set;
+        let open = self.open_for(vnet, class_mask);
+        let Some((sid, seq)) = order else {
+            return outs & open;
         };
-        // An ordered request is one flit, so none of its outputs is held.
-        let pending = state.remaining - state.granted;
+        let esid = self.ctx.esid;
         let rvc_open = if esid.any_expects(sid) {
             self.core.rvc_open[vnet as usize]
         } else {
             PortMask::EMPTY
         };
         let mut set = PortMask::EMPTY;
-        for p in (pending & (open | rvc_open)).iter() {
+        for p in (outs & (open | rvc_open)).iter() {
             if (open.contains(p) || esid.rvc_eligible(self.id, p, sid, seq))
                 && !self.downstream.sid_in_flight(self.row(p), vnet, sid)
             {
@@ -1033,22 +1021,79 @@ impl<T: Payload> Router<'_, T> {
         set
     }
 
+    /// The outputs the packet at flat VC `flat` of `in_port` could be
+    /// granted right now: those it still needs that [`Self::grantable`]
+    /// admits, plus each held output (whose VC the packet owns) with a
+    /// credit on that VC. SA-I asks only whether the set is non-empty
+    /// (`first_only`), SA-O needs all of it.
+    #[inline(always)]
+    fn requestable(&self, in_port: Port, flat: usize, first_only: bool) -> PortMask {
+        let state = &self.vcs[in_port.index() * self.shape.port_vcs + flat];
+        let vnet = self.shape.vc_index[flat].vnet;
+        if state.order.is_some() {
+            // An ordered request is one flit, so none of its outputs is
+            // held; reading `pending()` (the ring length) here cost 6 % on
+            // `sat-8x8`.
+            let pending = state.remaining - state.granted;
+            return self.grantable(vnet, state.class_mask, state.order, pending, first_only);
+        }
+        let pending = state.pending();
+        let mut set = self.grantable(
+            vnet,
+            state.class_mask,
+            None,
+            pending - state.held,
+            first_only,
+        );
+        for p in (pending & state.held).iter() {
+            let vc = state.grant_vcs[p.index()];
+            set.set(p, self.downstream.has_credit(self.row(p), vnet, vc));
+        }
+        set
+    }
+
+    /// VS: takes a downstream VC at output `port` for the packet `uid` of
+    /// `vnet` that [`Self::grantable`] admitted there — the lowest open
+    /// regular VC of its class, else the rVC — refreshes the output's open
+    /// masks and records the allocation. Every downstream VC a router
+    /// allocates is taken here.
+    fn take_vc(
+        &mut self,
+        port: Port,
+        vnet: u8,
+        order: Option<(Sid, u16)>,
+        class_mask: u8,
+        uid: u64,
+    ) -> u8 {
+        let (ctx, id, row) = (self.ctx, self.id, self.row(port));
+        let class = ctx.route.class_for(class_mask, port);
+        let rvc_ok = || {
+            order.is_some_and(|(sid, seq)| {
+                ctx.esid.any_expects(sid) && ctx.esid.rvc_eligible(id, port, sid, seq)
+            })
+        };
+        let sid = order.map(|(sid, _)| sid);
+        let dvc = self
+            .downstream
+            .alloc_vc(ctx.cfg, row, vnet, sid, class, rvc_ok)
+            .expect("grantable admitted no VC");
+        self.core
+            .refresh_open(self.downstream, ctx.cfg, row, port, vnet);
+        if let Some(o) = self.obs.as_deref_mut() {
+            o.on_vc_alloc(id.0 as u32, port.index() as u8, vnet, dvc, uid);
+        }
+        dvc
+    }
+
     /// Stage 2: SA-O + VS, merged with lookahead processing. Produces the
     /// ST plan and bypass reservations for next cycle.
-    fn allocate_outputs(
-        &mut self,
-        route: &RouteCtx<'_>,
-        cfg: &NocConfig,
-        esid: &impl EsidOracle,
-        las: &[LaArrival<T>],
-        mut obs: Option<&mut NetObs>,
-    ) {
+    fn allocate_outputs(&mut self, las: &[LaArrival<T>]) {
         let mut xbar = Crossbar::default();
         let rvc_winners = std::mem::take(&mut self.core.sa_i_rvc);
         let regular_winners = std::mem::take(&mut self.core.sa_i_regular);
 
         // Class 1: buffered flits in reserved VCs beat everything.
-        self.grant_buffered_class(route, cfg, esid, rvc_winners, &mut xbar, obs.as_deref_mut());
+        self.grant_buffered_class(rvc_winners, &mut xbar);
 
         // Class 2: lookaheads, all-or-nothing, rotating priority by port.
         let la_reqs = las.iter().fold(0, |m, la| m | 1 << la.port.index());
@@ -1059,18 +1104,17 @@ impl<T: Payload> Router<'_, T> {
                 .iter()
                 .find(|l| l.port.index() == pidx)
                 .expect("LA request bitmap out of sync");
-            self.try_bypass(route, cfg, esid, la, &mut xbar, obs.as_deref_mut());
+            self.try_bypass(la, &mut xbar);
         }
 
         // Class 3: regular buffered SA-I winners, except at input ports
         // whose crossbar slot went to a bypass flit.
-        let contenders = regular_winners - xbar.in_bypass;
-        self.grant_buffered_class(route, cfg, esid, contenders, &mut xbar, obs.as_deref_mut());
+        self.grant_buffered_class(regular_winners - xbar.in_bypass, &mut xbar);
 
         // SA-O stall accounting: an SA-I winner that did not end up owning
         // its input's crossbar slot lost stage II this cycle (to another
         // input port, or to a lookahead bypass).
-        if let Some(o) = obs {
+        if let Some(o) = self.obs.as_deref_mut() {
             if o.counters {
                 let losers = (rvc_winners | regular_winners) - xbar.in_granted;
                 o.stall_sa_o += losers.len() as u64;
@@ -1085,22 +1129,13 @@ impl<T: Payload> Router<'_, T> {
     /// during the pass touches only the downstream state of the output it
     /// takes, and a taken output is never revisited, so for every output
     /// still open the up-front answer is the answer at visit time.
-    #[allow(clippy::too_many_arguments)]
-    fn grant_buffered_class(
-        &mut self,
-        route: &RouteCtx<'_>,
-        cfg: &NocConfig,
-        esid: &impl EsidOracle,
-        winners: PortMask,
-        xbar: &mut Crossbar,
-        mut obs: Option<&mut NetObs>,
-    ) {
+    fn grant_buffered_class(&mut self, winners: PortMask, xbar: &mut Crossbar) {
         // SA-O request vector per output port, one bit per input port.
         let mut reqs = [0u32; Port::COUNT];
         let mut wanted = PortMask::EMPTY;
         for in_port in winners.iter() {
             let flat = self.flat(self.core.sa_i_win[in_port.index()]);
-            let wants = self.requestable(route, esid, in_port, flat, false) - xbar.out_taken;
+            let wants = self.requestable(in_port, flat, false) - xbar.out_taken;
             for out_port in wants.iter() {
                 reqs[out_port.index()] |= 1 << in_port.index();
             }
@@ -1111,7 +1146,7 @@ impl<T: Payload> Router<'_, T> {
                 .grant(reqs[out_port.index()])
                 .expect("wanted output without a requester");
             let in_port = Port::ALL[winner];
-            self.commit_grant(route, cfg, esid, in_port, out_port, obs.as_deref_mut());
+            self.commit_grant(in_port, out_port);
             xbar.out_taken.insert(out_port);
             xbar.in_granted.insert(in_port);
         }
@@ -1119,87 +1154,50 @@ impl<T: Payload> Router<'_, T> {
 
     /// Applies a grant decided by SA-O to the SA-I winner at `in_port`: VS
     /// allocation + ST scheduling.
-    fn commit_grant(
-        &mut self,
-        route: &RouteCtx<'_>,
-        cfg: &NocConfig,
-        esid: &impl EsidOracle,
-        in_port: Port,
-        out_port: Port,
-        obs: Option<&mut NetObs>,
-    ) {
-        let id = self.id;
+    fn commit_grant(&mut self, in_port: Port, out_port: Port) {
         let vc = self.core.sa_i_win[in_port.index()];
-        let (slot, row) = (self.slot(in_port, vc), self.row(out_port));
-        let state = &mut self.vcs[slot];
+        let slot = self.slot(in_port, vc);
+        let state = &self.vcs[slot];
         let uid = state
             .ring
             .front(self.slab)
             .expect("grant on empty VC")
             .packet
             .uid;
-        let order = state.order;
         if state.held.contains(out_port) {
-            // A later flit toward an output whose VC the packet owns.
+            // A later flit toward an output whose VC the packet owns. That
+            // VC's `ok` bit is clear and stays clear, so no mask moves.
+            let dvc = state.grant_vcs[out_port.index()];
             self.downstream
-                .take_credit(row, vc.vnet, state.grant_vcs[out_port.index()]);
+                .take_credit(self.row(out_port), vc.vnet, dvc);
         } else {
-            let class = route.class_for(state.class_mask, out_port);
-            let dvc = self
-                .downstream
-                .alloc_vc(cfg, row, vc.vnet, order.map(|(sid, _)| sid), class, || {
-                    order.is_some_and(|(sid, seq)| {
-                        esid.any_expects(sid) && esid.rvc_eligible(id, out_port, sid, seq)
-                    })
-                })
-                .expect("requestable guaranteed allocatability");
-            if let Some(o) = obs {
-                o.on_vc_alloc(id.0 as u32, out_port.index() as u8, vc.vnet, dvc, uid);
-            }
+            let (order, class_mask) = (state.order, state.class_mask);
+            let dvc = self.take_vc(out_port, vc.vnet, order, class_mask, uid);
+            let state = &mut self.vcs[slot];
             state.grant_vcs[out_port.index()] = dvc;
             state.held.insert(out_port);
         }
+        let state = &mut self.vcs[slot];
         if state.granted.is_empty() {
             self.core.schedule_st(in_port, vc);
         }
         state.granted.insert(out_port);
-        self.refresh_open(cfg, out_port, vc.vnet);
     }
 
-    /// Attempts an all-or-nothing bypass setup for a lookahead.
-    fn try_bypass(
-        &mut self,
-        route: &RouteCtx<'_>,
-        cfg: &NocConfig,
-        esid: &impl EsidOracle,
-        la: &LaArrival<T>,
-        xbar: &mut Crossbar,
-        mut obs: Option<&mut NetObs>,
-    ) {
+    /// Attempts an all-or-nothing bypass setup for a lookahead: every
+    /// output of its route must be untaken and grantable.
+    fn try_bypass(&mut self, la: &LaArrival<T>, xbar: &mut Crossbar) {
         // The crossbar input slot must be free next cycle.
-        if !cfg.bypass || (xbar.in_granted | xbar.in_bypass).contains(la.port) {
+        if !self.ctx.cfg.bypass || (xbar.in_granted | xbar.in_bypass).contains(la.port) {
             return;
         }
-        let arrived_on = (!la.port.is_local()).then_some(la.port);
-        let routed = route.route(self.id, &la.flit.packet, arrived_on);
         let packet = &la.flit.packet;
-        let (vnet, sid, seq) = (packet.vnet.0, packet.sid, packet.sid_seq);
-        // Check every output first (all-or-nothing), then allocate: each
-        // must be untaken and have a VC this flit may use — a regular one
-        // of its class, or the reserved one if it is eligible.
-        let open = self.open_for(route, vnet, routed.classes);
-        let closed = routed.mask - open;
-        let rvc_open = match sid {
-            Some(s) if esid.any_expects(s) => self.core.rvc_open[vnet as usize],
-            _ => PortMask::EMPTY,
-        };
-        if !(routed.mask & xbar.out_taken).is_empty() || !(closed - rvc_open).is_empty() {
-            return;
-        }
-        let eligible = |p: Port| sid.is_some_and(|s| esid.rvc_eligible(self.id, p, s, seq));
-        let conflict =
-            |p: Port| sid.is_some_and(|s| self.downstream.sid_in_flight(self.row(p), vnet, s));
-        if routed.mask.iter().any(conflict) || !closed.iter().all(eligible) {
+        let arrived_on = (!la.port.is_local()).then_some(la.port);
+        let routed = self.ctx.route.route(self.id, packet, arrived_on);
+        let (vnet, order) = (packet.vnet.0, packet.sid.map(|s| (s, packet.sid_seq)));
+        if !(routed.mask & xbar.out_taken).is_empty()
+            || self.grantable(vnet, routed.classes, order, routed.mask, false) != routed.mask
+        {
             return;
         }
         let mut res = BypassRes {
@@ -1208,23 +1206,7 @@ impl<T: Payload> Router<'_, T> {
             vcs: [0; Port::COUNT],
         };
         for p in routed.mask.iter() {
-            let row = self.row(p);
-            let dvc = self
-                .downstream
-                .alloc_vc(
-                    cfg,
-                    row,
-                    vnet,
-                    sid,
-                    route.class_for(routed.classes, p),
-                    || true,
-                )
-                .expect("checked above");
-            self.refresh_open(cfg, p, vnet);
-            if let Some(o) = obs.as_deref_mut() {
-                o.on_vc_alloc(self.id.0 as u32, p.index() as u8, vnet, dvc, packet.uid);
-            }
-            res.vcs[p.index()] = dvc;
+            res.vcs[p.index()] = self.take_vc(p, vnet, order, routed.classes, packet.uid);
         }
         xbar.out_taken = xbar.out_taken | routed.mask;
         xbar.in_bypass.insert(la.port);
@@ -1238,21 +1220,17 @@ impl<T: Payload> Router<'_, T> {
     /// (downstream VC/credit obtainable and no same-SID conflict). This
     /// matters most for the reserved VC, which wins SA-I outright: letting
     /// a blocked rVC flit hold the input slot would starve the port.
-    fn sa_i(&mut self, route: &RouteCtx<'_>, esid: &impl EsidOracle, mut obs: Option<&mut NetObs>) {
+    fn sa_i(&mut self) {
         self.core.sa_i_rvc = PortMask::EMPTY;
         self.core.sa_i_regular = PortMask::EMPTY;
         for in_port in self.core.occupied_ports.iter() {
             let pidx = in_port.index();
             let active = self.core.active[pidx];
             let reqs = set_bits(active)
-                .filter(|&flat| {
-                    !self
-                        .requestable(route, esid, in_port, flat, true)
-                        .is_empty()
-                })
+                .filter(|&flat| !self.requestable(in_port, flat, true).is_empty())
                 .fold(0u32, |m, flat| m | 1 << flat);
             // Stall accounting reads only; it cannot perturb the outcome.
-            if let Some(o) = obs.as_deref_mut() {
+            if let Some(o) = self.obs.as_deref_mut() {
                 if o.counters {
                     // Exactly one requester wins the port's crossbar slot.
                     o.stall_sa_i += u64::from(reqs.count_ones()).saturating_sub(1);
@@ -1464,6 +1442,18 @@ mod tests {
         }
     }
 
+    /// A mesh tick context whose oracle admits no request to an rVC.
+    fn ctx<'a>(tables: &'a RoutingTables, cfg: &'a NocConfig) -> TickCtx<'a, NoRvc> {
+        TickCtx {
+            route: RouteCtx {
+                tables,
+                datelines: false,
+            },
+            cfg,
+            esid: &NoRvc,
+        }
+    }
+
     fn routers(topo: &Topology) -> (RoutingTables, Routers<u32>) {
         let tables = RoutingTables::build(topo);
         let routers = Routers::new(&tables, &cfg(), topo.router_count());
@@ -1509,10 +1499,8 @@ mod tests {
         use crate::flit::Packet;
         use crate::topology::Endpoint;
         let (tables, mut routers) = routers(&Mesh::scorpio_chip());
-        let ctx = RouteCtx {
-            tables: &tables,
-            datelines: false,
-        };
+        let cfg = cfg();
+        let ctx = ctx(&tables, &cfg);
         let r = 14;
         let (src, dest) = (Endpoint::tile(RouterId(13)), Endpoint::tile(RouterId(15)));
         let packet = Packet::response(src, dest, 3, 7u32);
@@ -1536,7 +1524,7 @@ mod tests {
                 })
                 .collect();
             out.clear();
-            routers.tick(r, &ctx, &cfg(), &NoRvc, &arrivals, &[], &[], &mut out, None);
+            routers.tick(r, &ctx, &arrivals, &[], &[], &mut out, None);
             for ev in &out {
                 match ev {
                     RouterOut::Flit { out_port, flit, .. } => {
@@ -1567,15 +1555,95 @@ mod tests {
         assert!(routers.is_idle(r));
     }
 
+    /// The same-SID half of the grant rule, at router 14 of the chip: two
+    /// ordered requests with one SID, both bound East. While the first
+    /// holds its East VC, the second neither sets up a bypass nor requests
+    /// in SA-I, though East has free VCs; the credit that deallocates
+    /// that VC lets it go.
+    #[test]
+    fn same_sid_request_waits_for_the_first_to_release_its_vc() {
+        use crate::flit::{Dest, Packet};
+        use crate::topology::Endpoint;
+        let (tables, mut routers) = routers(&Mesh::scorpio_chip());
+        let cfg = cfg();
+        let ctx = ctx(&tables, &cfg);
+        let r = 14;
+        let request = |seq: u16| Packet {
+            dest: Dest::Unicast(Endpoint::tile(RouterId(15))),
+            uid: u64::from(seq) + 1,
+            ..Packet::request(Endpoint::tile(RouterId(13)), Sid(13), seq, 0u32)
+        };
+        let flit = |seq| Flit {
+            packet: request(seq),
+            idx: 0,
+        };
+        let (mut sent, mut out) = (Vec::<(u32, u64, u8)>::new(), Vec::new());
+        for cycle in 0..10 {
+            // Request `seq` arrives on West VC `seq`: the first on cycle 0,
+            // the second on cycle 3, one cycle after its lookahead.
+            let arrivals: Vec<_> = [(0, 0u16), (3, 1)]
+                .into_iter()
+                .filter(|&(at, _)| at == cycle)
+                .map(|(_, seq)| FlitArrival {
+                    port: Port::West,
+                    vc: seq as u8,
+                    flit: flit(seq),
+                })
+                .collect();
+            let las: Vec<_> = (cycle == 2)
+                .then(|| LaArrival {
+                    port: Port::West,
+                    flit: flit(1),
+                })
+                .into_iter()
+                .collect();
+            // The first request's East VC is freed on cycle 6.
+            let credits: Vec<_> = (cycle == 6)
+                .then(|| CreditArrival {
+                    out_port: Port::East,
+                    vnet: 0,
+                    vc: sent[0].2,
+                    dealloc: true,
+                })
+                .into_iter()
+                .collect();
+            out.clear();
+            routers.tick(r, &ctx, &arrivals, &las, &credits, &mut out, None);
+            for ev in &out {
+                if let RouterOut::Flit { out_port, vc, flit } = ev {
+                    assert_eq!(*out_port, Port::East);
+                    sent.push((cycle, flit.packet.uid, *vc));
+                }
+            }
+            let core = &routers.cores[r];
+            if cycle == 2 {
+                assert!(
+                    !core.bypass_pending.contains(Port::West),
+                    "a request bypassed while its SID holds a VC East"
+                );
+            }
+            if (3..6).contains(&cycle) {
+                assert!(
+                    !(core.sa_i_regular | core.sa_i_rvc).contains(Port::West),
+                    "cycle {cycle}: a request asked SA-I while its SID holds a VC East"
+                );
+            }
+        }
+        assert_eq!(
+            sent.iter().map(|&(c, uid, _)| (c, uid)).collect::<Vec<_>>(),
+            [(2, 1), (8, 2)],
+            "(cycle, uid) sent East"
+        );
+        assert!(routers.is_idle(r));
+    }
+
     #[test]
     fn idle_router_tick_emits_nothing() {
         let (tables, mut routers) = routers(&Mesh::scorpio_chip());
-        let ctx = RouteCtx {
-            tables: &tables,
-            datelines: false,
-        };
+        let cfg = cfg();
+        let ctx = ctx(&tables, &cfg);
         let mut out = Vec::new();
-        routers.tick(14, &ctx, &cfg(), &NoRvc, &[], &[], &[], &mut out, None);
+        routers.tick(14, &ctx, &[], &[], &[], &mut out, None);
         assert!(out.is_empty());
         assert!(routers.is_idle(14));
     }

@@ -1,6 +1,6 @@
 //! Litmus tests: which values may loads return? SCORPIO's claim is that
 //! one global order of snoops makes the mesh behave like a bus, so every
-//! run must be sequentially consistent (SC). Two shapes, written as core
+//! run must be sequentially consistent (SC). Four shapes, written as core
 //! programs on a 2×2 mesh (tiles 0 and 3, one access in flight per core —
 //! the chip's AHB constraint), for all five protocols on 1 and 2 planes:
 //!
@@ -8,6 +8,11 @@
 //!   SC forbids (y, x) = (1, 0).
 //! - SB (store buffering): T0 stores x = 1 then loads y; T1 stores y = 1
 //!   then loads x. SC forbids (0, 0).
+//! - LB (load buffering): T0 loads x then stores y = 1; T1 loads y then
+//!   stores x = 1. SC forbids (T0's x, T1's y) = (1, 1).
+//! - CoRR (read-read coherence): T0 stores x = 1; T1 loads x twice,
+//!   `CORR_GAP` cycles apart. SC forbids (1, 0): a later load of one
+//!   location may not return an older value.
 //!
 //! The sweep varies the two cores' relative start offset `d` over
 //! `OFFSETS`. It is wide because the race window is: the notification
@@ -15,7 +20,9 @@
 //! smaller than a cold miss, and on cold lines the outcome only changes
 //! near d = ±230 (SCORPIO, TokenB) to ±350 (LPD-D, HT-D). MP therefore
 //! warms x in both cores first and races after `WARM_GAP` cycles, so the
-//! reader's copy of x is live when the writer's store must invalidate it.
+//! reader's copy of x is live when the writer's store must invalidate it;
+//! CoRR warms x the same way. Back-to-back loads of a warm x are both L1
+//! hits, so without `CORR_GAP` the store could never land between them.
 //! Tier-1 samples every 16th offset; `litmus_full_sweep` (CI, release)
 //! runs them all.
 
@@ -29,8 +36,10 @@ const X: u64 = 0x1000;
 const Y: u64 = 0x1020;
 /// Relative start offsets of the racing halves, in cycles.
 const OFFSETS: std::ops::RangeInclusive<i64> = -400..=400;
-/// Cycles between MP's warming loads and its race.
+/// Cycles between MP's (and CoRR's) warming loads and the race.
 const WARM_GAP: u32 = 600;
+/// Cycles between CoRR's two racing loads.
+const CORR_GAP: u32 = 100;
 
 /// Runs its records in order and logs the value every load returns.
 struct Script {
@@ -83,6 +92,8 @@ fn protocols() -> [Protocol; 5] {
 enum Shape {
     Mp,
     Sb,
+    Lb,
+    CoRR,
 }
 
 impl Shape {
@@ -107,21 +118,34 @@ impl Shape {
                 vec![op(t0, st, X, 1), op(0, ld, Y, 0)],
                 vec![op(t1, st, Y, 1), op(0, ld, X, 0)],
             ],
+            Shape::Lb => [
+                vec![op(t0, ld, X, 0), op(0, st, Y, 1)],
+                vec![op(t1, ld, Y, 0), op(0, st, X, 1)],
+            ],
+            Shape::CoRR => [
+                vec![op(0, ld, X, 0), op(WARM_GAP + t0, st, X, 1)],
+                vec![
+                    op(0, ld, X, 0),
+                    op(WARM_GAP + t1, ld, X, 0),
+                    op(CORR_GAP, ld, X, 0),
+                ],
+            ],
         }
     }
 
     /// The outcome from each core's load log, as the module doc names it.
     fn outcome(self, t0: &[u64], t1: &[u64]) -> (u64, u64) {
         match self {
-            Shape::Mp => (t1[1], t1[2]),
-            Shape::Sb => (t0[0], t1[0]),
+            Shape::Mp | Shape::CoRR => (t1[1], t1[2]),
+            Shape::Sb | Shape::Lb => (t0[0], t1[0]),
         }
     }
 
     fn forbidden(self) -> (u64, u64) {
         match self {
-            Shape::Mp => (1, 0),
+            Shape::Mp | Shape::CoRR => (1, 0),
             Shape::Sb => (0, 0),
+            Shape::Lb => (1, 1),
         }
     }
 }
@@ -193,10 +217,17 @@ fn mp_and_sb_sample_is_sequentially_consistent() {
 }
 
 #[test]
-#[ignore = "every offset, ~32k runs: run in release with --ignored"]
+fn lb_and_corr_sample_is_sequentially_consistent() {
+    sweep(Shape::Lb, 16);
+    sweep(Shape::CoRR, 16);
+}
+
+#[test]
+#[ignore = "every offset, ~64k runs: run in release with --ignored"]
 fn litmus_full_sweep() {
-    sweep(Shape::Mp, 1);
-    sweep(Shape::Sb, 1);
+    for shape in [Shape::Mp, Shape::Sb, Shape::Lb, Shape::CoRR] {
+        sweep(shape, 1);
+    }
 }
 
 /// A trace replayed as a program that ignores loaded values runs the
