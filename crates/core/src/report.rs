@@ -2,6 +2,8 @@
 
 use scorpio_mem::MissSpan;
 use scorpio_noc::WindowCell;
+use scorpio_sim::json::{self, Json};
+use scorpio_sim::json_fields;
 use scorpio_sim::stats::LogHistogram;
 
 /// Version of the `"obs"` JSON annex schema, emitted as its first key so
@@ -36,21 +38,16 @@ pub struct PlaneObs {
     pub(crate) vc_buffered: Vec<u64>,
 }
 
-impl PlaneObs {
-    fn to_json(&self) -> String {
-        let vcs: Vec<String> = self.vc_buffered.iter().map(u64::to_string).collect();
-        format!(
-            r#"{{"link_flits":{},"links_used":{},"max_link_flits":{},"buffer_integral":{},"stalls":{{"sa_i":{},"sa_ii":{},"vc_alloc":{},"credit":{}}},"vc_buffered":[{}]}}"#,
-            self.link_flits,
-            self.links_used,
-            self.max_link_flits,
-            self.buffer_integral,
-            self.stall_sa_i,
-            self.stall_sa_ii,
-            self.stall_vc_alloc,
-            self.stall_credit,
-            vcs.join(","),
-        )
+impl Json for PlaneObs {
+    fn write_json(&self, out: &mut String) {
+        json::object(out, |o| {
+            json_fields!(o, self; link_flits, links_used, max_link_flits, buffer_integral);
+            o.object("stalls", |st| {
+                json_fields!(st; sa_i: self.stall_sa_i, sa_ii: self.stall_sa_ii,
+                    vc_alloc: self.stall_vc_alloc, credit: self.stall_credit);
+            })
+            .array("vc_buffered", &self.vc_buffered);
+        });
     }
 }
 
@@ -135,22 +132,17 @@ impl SpanReport {
         self.fill.record(s.fill());
         self.total.record(s.total());
     }
+}
 
-    fn to_json(&self) -> String {
-        format!(
-            r#"{{"count":{},"dropped":{},"source":{},"queue":{},"inject":{},"flight":{},"commit":{},"data":{},"fill":{},"total":{},"hit":{}}}"#,
-            self.count,
-            self.dropped,
-            hist_json(&self.source),
-            hist_json(&self.queue),
-            hist_json(&self.inject),
-            hist_json(&self.flight),
-            hist_json(&self.commit),
-            hist_json(&self.data),
-            hist_json(&self.fill),
-            hist_json(&self.total),
-            hist_json(&self.hit),
-        )
+impl Json for SpanReport {
+    fn write_json(&self, out: &mut String) {
+        json::object(out, |o| {
+            json_fields!(o, self; count, dropped);
+            json_fields!(o; source: Hist(&self.source), queue: Hist(&self.queue),
+                inject: Hist(&self.inject), flight: Hist(&self.flight),
+                commit: Hist(&self.commit), data: Hist(&self.data), fill: Hist(&self.fill),
+                total: Hist(&self.total), hit: Hist(&self.hit));
+        });
     }
 }
 
@@ -169,11 +161,15 @@ pub struct EpWait {
 }
 
 impl EpWait {
-    fn to_json(self) -> String {
-        format!(
-            r#"{{"ep":{},"window":{},"count":{},"sum":{}}}"#,
-            self.ep, self.window, self.count, self.sum
-        )
+    /// The mean wait, `sum / count`.
+    pub fn mean(self) -> f64 {
+        self.sum as f64 / self.count as f64
+    }
+}
+
+impl Json for EpWait {
+    fn write_json(&self, out: &mut String) {
+        json::object(out, |o| json_fields!(o, self; ep, window, count, sum));
     }
 }
 
@@ -198,19 +194,12 @@ pub struct WindowReport {
     pub min_wait: Option<EpWait>,
 }
 
-impl WindowReport {
-    fn to_json(&self) -> String {
-        let opt = |e: &Option<EpWait>| e.map_or_else(|| "null".into(), EpWait::to_json);
-        format!(
-            r#"{{"window_cycles":{},"count":{},"warmup":{},"steady_ops":{},"steady_ejected":{},"max_wait":{},"min_wait":{}}}"#,
-            self.window_cycles,
-            self.count,
-            self.warmup,
-            self.steady_ops,
-            self.steady_ejected,
-            opt(&self.max_wait),
-            opt(&self.min_wait),
-        )
+impl Json for WindowReport {
+    fn write_json(&self, out: &mut String) {
+        json::object(out, |o| {
+            json_fields!(o, self; window_cycles, count, warmup, steady_ops, steady_ejected,
+                max_wait, min_wait);
+        });
     }
 }
 
@@ -238,24 +227,17 @@ impl WindowRow {
     /// Renders the row as one JSON object (no trailing newline), same
     /// byte-stability contract as [`SystemReport::to_json`].
     pub fn json_body(&self) -> String {
-        let opt = |e: &Option<EpWait>| e.map_or_else(|| "null".into(), EpWait::to_json);
-        format!(
-            r#"{{"window":{},"start":{},"cycles":{},"injected":{},"ejected":{},"latency":{},"wait":{{"count":{},"sum":{},"max":{}}},"buffer_integral":{},"ops":{},"publishes":{},"ep_wait_max":{},"ep_wait_min":{}}}"#,
-            self.window,
-            self.window * self.cycles,
-            self.cycles,
-            self.cell.injected,
-            self.cell.ejected,
-            hist_json(&self.cell.latency),
-            self.cell.wait_count,
-            self.cell.wait_sum,
-            self.cell.wait_max,
-            self.cell.buffer_integral,
-            self.ops,
-            self.publishes,
-            opt(&self.ep_wait_max),
-            opt(&self.ep_wait_min),
-        )
+        let c = &self.cell;
+        json::record(|o| {
+            json_fields!(o; window: self.window, start: self.window * self.cycles,
+                cycles: self.cycles, injected: c.injected, ejected: c.ejected,
+                latency: Hist(&c.latency));
+            o.object("wait", |w| {
+                json_fields!(w; count: c.wait_count, sum: c.wait_sum, max: c.wait_max);
+            });
+            o.field("buffer_integral", c.buffer_integral);
+            json_fields!(o, self; ops, publishes, ep_wait_max, ep_wait_min);
+        })
     }
 }
 
@@ -263,115 +245,75 @@ impl WindowRow {
 /// the absolute stamps plus the derived seven-phase breakdown, which
 /// sums to `retire - enqueued` exactly.
 pub fn span_json(s: &MissSpan) -> String {
-    format!(
-        r#"{{"tile":{},"addr":{},"kind":{:?},"served_by":{:?},"enqueued":{},"admitted":{},"issue":{},"inject":{},"popped":{},"ordered":{},"data":{},"retire":{},"phases":{{"source":{},"queue":{},"inject":{},"flight":{},"commit":{},"data":{},"fill":{}}}}}"#,
-        s.tile,
-        s.addr.0,
-        format!("{:?}", s.kind),
-        format!("{:?}", s.served_by),
-        s.enqueued,
-        s.admitted,
-        s.issue,
-        s.inject,
-        s.popped,
-        s.ordered,
-        s.data,
-        s.retire,
-        s.source(),
-        s.queue(),
-        s.inject_wait(),
-        s.flight(),
-        s.commit(),
-        s.data_wait(),
-        s.fill(),
-    )
+    json::record(|o| {
+        json_fields!(o; tile: s.tile, addr: s.addr.0, kind: format!("{:?}", s.kind),
+            served_by: format!("{:?}", s.served_by));
+        json_fields!(o, s; enqueued, admitted, issue, inject, popped, ordered, data, retire);
+        o.object("phases", |p| {
+            json_fields!(p; source: s.source(), queue: s.queue(), inject: s.inject_wait(),
+                flight: s.flight(), commit: s.commit(), data: s.data_wait(), fill: s.fill());
+        });
+    })
 }
 
-/// Renders a log histogram as JSON: count, p50/p95/p99/p999 and max (all
-/// `null` when empty), plus the sparse `[bucket_index, count]` pairs. An
-/// index `k` covers samples in `[2^(k-1), 2^k - 1]` (bucket 0 holds zero).
-fn hist_json(h: &LogHistogram) -> String {
-    let p = |f: f64| {
-        h.percentile(f)
-            .map_or_else(|| "null".into(), |v| v.to_string())
-    };
-    let mut b = String::new();
-    for (i, (idx, c)) in h.nonzero_buckets().enumerate() {
-        if i > 0 {
-            b.push(',');
-        }
-        b.push_str(&format!("[{idx},{c}]"));
+/// A log histogram as the obs annex renders it: count, sum,
+/// p50/p95/p99/p999 and max (all `null` when empty), plus the sparse
+/// `[bucket_index, count]` pairs. An index `k` covers samples in
+/// `[2^(k-1), 2^k - 1]` (bucket 0 holds zero).
+struct Hist<'a>(&'a LogHistogram);
+
+impl Json for Hist<'_> {
+    fn write_json(&self, out: &mut String) {
+        let h = self.0;
+        json::object(out, |o| {
+            json_fields!(o; count: h.count(), sum: h.sum(), p50: h.percentile(0.50),
+                p95: h.percentile(0.95), p99: h.percentile(0.99), p999: h.percentile(0.999),
+                max: h.max());
+            o.array("buckets", h.nonzero_buckets());
+        });
     }
-    format!(
-        r#"{{"count":{},"sum":{},"p50":{},"p95":{},"p99":{},"p999":{},"max":{},"buckets":[{}]}}"#,
-        h.count(),
-        h.sum(),
-        p(0.50),
-        p(0.95),
-        p(0.99),
-        p(0.999),
-        h.max()
-            .map_or_else(|| "null".into(), |v: u64| v.to_string()),
-        b,
-    )
 }
 
-impl ObsReport {
-    /// Serializes the annex as one JSON object (same byte-stability
-    /// contract as [`SystemReport::to_json`]).
-    pub(crate) fn to_json(&self) -> String {
-        let mut s = String::with_capacity(512);
-        s.push('{');
-        s.push_str(&format!(r#""schema_version":{OBS_SCHEMA_VERSION},"#));
-        s.push_str(&format!(
-            r#""packet_latency":{},"#,
-            hist_json(&self.packet_latency)
-        ));
-        s.push_str(r#""classes":{"#);
-        for (i, (name, h)) in self.vnet_latency.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
+/// A histogram as the report's accumulators render it: count, sum,
+/// mean, and min/max (`null` when empty).
+struct Acc<'a>(&'a LogHistogram);
+
+impl Json for Acc<'_> {
+    fn write_json(&self, out: &mut String) {
+        let a = self.0;
+        json::object(out, |o| {
+            json_fields!(o; count: a.count(), sum: a.sum(), mean: a.mean(), min: a.min(),
+                max: a.max());
+        });
+    }
+}
+
+/// The annex leads with its schema version; its span and window
+/// sub-annexes appear only when their recorders ran.
+impl Json for ObsReport {
+    fn write_json(&self, out: &mut String) {
+        json::object(out, |o| {
+            json_fields!(o; schema_version: OBS_SCHEMA_VERSION,
+                packet_latency: Hist(&self.packet_latency));
+            o.object("classes", |c| {
+                for (name, h) in &self.vnet_latency {
+                    c.field(name, Hist(h));
+                }
+            });
+            json_fields!(o; l2_service: Hist(&self.l2_service),
+                ordering_delay: Hist(&self.ordering_delay), inject_wait: Hist(&self.inject_wait));
+            o.array("inject_wait_slots", self.inject_wait_slots.iter().map(Hist))
+                .array("planes", &self.planes)
+                .object("trace", |t| {
+                    json_fields!(t; kept: self.trace_kept, dropped: self.trace_dropped);
+                });
+            if let Some(sp) = &self.spans {
+                o.field("spans", sp);
             }
-            s.push_str(&format!(r#"{name:?}:{}"#, hist_json(h)));
-        }
-        s.push_str("},");
-        s.push_str(&format!(r#""l2_service":{},"#, hist_json(&self.l2_service)));
-        s.push_str(&format!(
-            r#""ordering_delay":{},"#,
-            hist_json(&self.ordering_delay)
-        ));
-        s.push_str(&format!(
-            r#""inject_wait":{},"#,
-            hist_json(&self.inject_wait)
-        ));
-        s.push_str(r#""inject_wait_slots":["#);
-        for (i, h) in self.inject_wait_slots.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
+            if let Some(w) = &self.windows {
+                o.field("windows", w);
             }
-            s.push_str(&hist_json(h));
-        }
-        s.push_str("],");
-        s.push_str(r#""planes":["#);
-        for (i, p) in self.planes.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&p.to_json());
-        }
-        s.push_str("],");
-        s.push_str(&format!(
-            r#""trace":{{"kept":{},"dropped":{}}}"#,
-            self.trace_kept, self.trace_dropped
-        ));
-        if let Some(sp) = &self.spans {
-            s.push_str(&format!(r#","spans":{}"#, sp.to_json()));
-        }
-        if let Some(w) = &self.windows {
-            s.push_str(&format!(r#","windows":{}"#, w.to_json()));
-        }
-        s.push('}');
-        s
+        });
     }
 }
 
@@ -381,13 +323,13 @@ pub struct SystemReport {
     /// Protocol name.
     pub protocol: String,
     /// Cores in the system.
-    pub(crate) cores: usize,
+    pub cores: usize,
     /// Cycles until every core finished its work ("runtime").
     pub runtime_cycles: u64,
     /// Memory operations completed across all cores.
     pub ops_completed: u64,
     /// L1 hits (no L2 access).
-    pub(crate) l1_hits: u64,
+    pub l1_hits: u64,
     /// L2 hits.
     pub l2_hits: u64,
     /// L2 misses (coherence transactions).
@@ -412,7 +354,7 @@ pub struct SystemReport {
     /// Writebacks (and how many were squashed by races).
     pub writebacks: u64,
     /// Squashed writebacks.
-    pub(crate) writebacks_squashed: u64,
+    pub writebacks_squashed: u64,
     /// Flits that bypassed (single-cycle router traversals).
     pub bypassed_flits: u64,
     /// Flits that buffered.
@@ -444,6 +386,32 @@ pub struct SystemReport {
     pub obs: Option<Box<ObsReport>>,
 }
 
+/// The key order of [`SystemReport::to_json`]; `source_dropped` and the
+/// `obs` annex appear only when non-zero / recorded.
+impl Json for SystemReport {
+    fn write_json(&self, out: &mut String) {
+        json::object(out, |o| {
+            json_fields!(o, self; protocol, cores, runtime_cycles, ops_completed, l1_hits, l2_hits,
+                l2_misses);
+            json_fields!(o; l2_service_latency: Acc(&self.l2_service_latency),
+                cache_served: Acc(&self.cache_served), memory_served: Acc(&self.memory_served),
+                ordering_delay: Acc(&self.ordering_delay));
+            json_fields!(o, self; data_forwards, memory_responses, snoops_filtered,
+                snoops_looked_up, writebacks, writebacks_squashed, bypassed_flits, buffered_flits,
+                packets_injected);
+            o.field("packet_latency", Acc(&self.packet_latency));
+            json_fields!(o, self; notify_windows, notify_nonempty, stop_windows, expiry_messages,
+                dir_accesses, dir_misses);
+            if self.source_dropped > 0 {
+                o.field("source_dropped", self.source_dropped);
+            }
+            if let Some(obs) = &self.obs {
+                o.field("obs", &**obs);
+            }
+        });
+    }
+}
+
 impl SystemReport {
     /// Fraction of misses served by other caches (the paper reports ~90%).
     pub fn cache_served_fraction(&self) -> f64 {
@@ -467,118 +435,16 @@ impl SystemReport {
 
     /// Serializes the report as a single JSON object.
     ///
-    /// Hand-rolled (the build environment is offline, so no serde), with a
-    /// fixed key order and shortest-roundtrip float formatting: the output
-    /// is **byte-identical** for equal reports, which is what the harness's
-    /// determinism guarantee — same (scenario, seed) ⇒ same bytes,
-    /// regardless of worker count — rests on.
+    /// Written through [`scorpio_sim::json`] (the build is offline, so no
+    /// serde), with a fixed key order and shortest-roundtrip float
+    /// formatting: the output is **byte-identical** for equal reports,
+    /// which is what the harness's determinism guarantee — same
+    /// (scenario, seed) ⇒ same bytes, regardless of worker count — rests
+    /// on.
     pub fn to_json(&self) -> String {
-        let acc = |a: &LogHistogram| {
-            format!(
-                r#"{{"count":{},"sum":{},"mean":{:?},"min":{},"max":{}}}"#,
-                a.count(),
-                a.sum(),
-                a.mean(),
-                a.min().map_or("null".into(), |v| v.to_string()),
-                a.max().map_or("null".into(), |v| v.to_string()),
-            )
-        };
         let mut s = String::with_capacity(1024);
-        s.push('{');
-        s.push_str(&format!(r#""protocol":{:?},"#, self.protocol));
-        s.push_str(&format!(r#""cores":{},"#, self.cores));
-        s.push_str(&format!(r#""runtime_cycles":{},"#, self.runtime_cycles));
-        s.push_str(&format!(r#""ops_completed":{},"#, self.ops_completed));
-        s.push_str(&format!(r#""l1_hits":{},"#, self.l1_hits));
-        s.push_str(&format!(r#""l2_hits":{},"#, self.l2_hits));
-        s.push_str(&format!(r#""l2_misses":{},"#, self.l2_misses));
-        s.push_str(&format!(
-            r#""l2_service_latency":{},"#,
-            acc(&self.l2_service_latency)
-        ));
-        s.push_str(&format!(r#""cache_served":{},"#, acc(&self.cache_served)));
-        s.push_str(&format!(r#""memory_served":{},"#, acc(&self.memory_served)));
-        s.push_str(&format!(
-            r#""ordering_delay":{},"#,
-            acc(&self.ordering_delay)
-        ));
-        s.push_str(&format!(r#""data_forwards":{},"#, self.data_forwards));
-        s.push_str(&format!(r#""memory_responses":{},"#, self.memory_responses));
-        s.push_str(&format!(r#""snoops_filtered":{},"#, self.snoops_filtered));
-        s.push_str(&format!(r#""snoops_looked_up":{},"#, self.snoops_looked_up));
-        s.push_str(&format!(r#""writebacks":{},"#, self.writebacks));
-        s.push_str(&format!(
-            r#""writebacks_squashed":{},"#,
-            self.writebacks_squashed
-        ));
-        s.push_str(&format!(r#""bypassed_flits":{},"#, self.bypassed_flits));
-        s.push_str(&format!(r#""buffered_flits":{},"#, self.buffered_flits));
-        s.push_str(&format!(r#""packets_injected":{},"#, self.packets_injected));
-        s.push_str(&format!(
-            r#""packet_latency":{},"#,
-            acc(&self.packet_latency)
-        ));
-        s.push_str(&format!(r#""notify_windows":{},"#, self.notify_windows));
-        s.push_str(&format!(r#""notify_nonempty":{},"#, self.notify_nonempty));
-        s.push_str(&format!(r#""stop_windows":{},"#, self.stop_windows));
-        s.push_str(&format!(r#""expiry_messages":{},"#, self.expiry_messages));
-        s.push_str(&format!(r#""dir_accesses":{},"#, self.dir_accesses));
-        s.push_str(&format!(r#""dir_misses":{}"#, self.dir_misses));
-        if self.source_dropped > 0 {
-            s.push_str(&format!(r#","source_dropped":{}"#, self.source_dropped));
-        }
-        if let Some(o) = &self.obs {
-            s.push_str(r#","obs":"#);
-            s.push_str(&o.to_json());
-        }
-        s.push('}');
+        self.write_json(&mut s);
         s
-    }
-
-    /// Column names matching [`SystemReport::csv_row`], comma-joined.
-    pub fn csv_header() -> &'static str {
-        "protocol,cores,runtime_cycles,ops_completed,l1_hits,l2_hits,l2_misses,\
-         l2_service_mean,cache_served_mean,memory_served_mean,ordering_mean,\
-         packet_latency_mean,data_forwards,memory_responses,snoops_filtered,\
-         snoops_looked_up,writebacks,writebacks_squashed,bypassed_flits,\
-         buffered_flits,packets_injected,notify_windows,notify_nonempty,\
-         stop_windows,expiry_messages,dir_accesses,dir_misses,source_dropped"
-    }
-
-    /// The report's scalar columns as one CSV row (see
-    /// [`SystemReport::csv_header`]).
-    pub fn csv_row(&self) -> String {
-        format!(
-            "{},{},{},{},{},{},{},{:?},{:?},{:?},{:?},{:?},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
-            self.protocol,
-            self.cores,
-            self.runtime_cycles,
-            self.ops_completed,
-            self.l1_hits,
-            self.l2_hits,
-            self.l2_misses,
-            self.l2_service_latency.mean(),
-            self.cache_served.mean(),
-            self.memory_served.mean(),
-            self.ordering_delay.mean(),
-            self.packet_latency.mean(),
-            self.data_forwards,
-            self.memory_responses,
-            self.snoops_filtered,
-            self.snoops_looked_up,
-            self.writebacks,
-            self.writebacks_squashed,
-            self.bypassed_flits,
-            self.buffered_flits,
-            self.packets_injected,
-            self.notify_windows,
-            self.notify_nonempty,
-            self.stop_windows,
-            self.expiry_messages,
-            self.dir_accesses,
-            self.dir_misses,
-            self.source_dropped,
-        )
     }
 
     /// One-line summary for experiment tables.
@@ -633,14 +499,6 @@ mod tests {
             j.contains(r#""packet_latency":{"count":0,"sum":0,"mean":0.0,"min":null,"max":null}"#)
         );
         assert_eq!(j, r.clone().to_json(), "serialization must be stable");
-    }
-
-    #[test]
-    fn csv_row_matches_header_arity() {
-        let header_cols = SystemReport::csv_header().split(',').count();
-        let row_cols = SystemReport::default().csv_row().split(',').count();
-        assert_eq!(header_cols, row_cols);
-        assert_eq!(header_cols, 28);
     }
 
     #[test]

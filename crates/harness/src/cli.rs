@@ -26,6 +26,9 @@ use crate::exec::{run_grid, ExecOptions, Overrides, RunResult};
 use crate::registry;
 use crate::scenario::Scenario;
 use crate::sink::{self, SinkOptions};
+use crate::table::{render_lines, Col};
+use scorpio_sim::json;
+use scorpio_workloads::WorkloadParams;
 
 /// Parsed `harness run` options.
 #[derive(Debug, Default)]
@@ -96,21 +99,19 @@ where
             0
         }
         Some("workloads") => {
+            type W = WorkloadParams;
+            let cols = [
+                Col::left("workload", 16, |w: &W| w.name.into()),
+                Col::fixed("writes", 8, 2, |w: &W| w.write_fraction),
+                Col::fixed("shared", 8, 2, |w: &W| w.shared_fraction),
+                Col::num("sh-lines", 10, |w: &W| w.shared_lines),
+                Col::fixed("migratory", 10, 2, |w: &W| w.migratory_fraction),
+            ];
+            let table = render_lines(&cols, &W::all(), "");
+            let (head, rows) = table.split_once('\n').unwrap_or_default();
             out(&format!(
-                "{:<16}{:>8}{:>8}{:>10}{:>10}\n\n",
-                "workload", "writes", "shared", "sh-lines", "migratory"
+                "{head}\n\n{rows}\nsets: all, splash2, parsec, figure6, figure7\n"
             ));
-            for w in scorpio_workloads::WorkloadParams::all() {
-                out(&format!(
-                    "{:<16}{:>8.2}{:>8.2}{:>10}{:>10.2}\n",
-                    w.name,
-                    w.write_fraction,
-                    w.shared_fraction,
-                    w.shared_lines,
-                    w.migratory_fraction
-                ));
-            }
-            out("\nsets: all, splash2, parsec, figure6, figure7\n");
             0
         }
         Some("run") => match parse_run(&args[1..]) {
@@ -139,28 +140,19 @@ where
 /// of its full grid and of its `-small` grid (`-` when it has none); the
 /// name column fits the longest name.
 fn render_list(experiments: &[(Scenario, Option<Scenario>)]) -> String {
-    let w = experiments
-        .iter()
-        .map(|(s, _)| s.name.len())
-        .max()
-        .unwrap_or(0)
-        + 2;
-    let mut doc = format!(
-        "{:<w$}{:>6}{:>7}  description\n",
-        "scenario", "runs", "small"
-    );
-    for (s, small) in experiments {
-        let small = small
-            .as_ref()
-            .map_or_else(|| "-".into(), |small| small.grid.len().to_string());
-        doc.push_str(&format!(
-            "{:<w$}{:>6}{small:>7}  {}\n",
-            s.name,
-            s.grid.len(),
-            s.about
-        ));
-    }
-    doc
+    type Row = (Scenario, Option<Scenario>);
+    let w = experiments.iter().map(|(s, _)| s.name.len()).max();
+    let cols = [
+        Col::left("scenario", w.unwrap_or(0) + 2, |(s, _): &Row| s.name.into()),
+        Col::num("runs", 6, |(s, _): &Row| s.grid.len()),
+        Col::right("small", 7, |(_, small): &Row| {
+            small
+                .as_ref()
+                .map_or("-".into(), |s| s.grid.len().to_string())
+        }),
+        Col::left("  description", 0, |(s, _): &Row| format!("  {}", s.about)),
+    ];
+    render_lines(&cols, experiments, "")
 }
 
 /// Resolves a scenario name and applies the `--seeds` override, then
@@ -185,21 +177,17 @@ fn parse_run(args: &[String]) -> Result<RunOptions, String> {
                 .cloned()
                 .ok_or_else(|| format!("{flag} needs a value"))
         };
-        let positive = |flag: &str, raw: String| -> Result<usize, String> {
+        // The value of a flag that takes a positive integer.
+        let mut positive = |flag: &str| -> Result<usize, String> {
+            let raw = value(flag)?;
             match raw.parse::<usize>() {
                 Ok(n) if n > 0 => Ok(n),
                 _ => Err(format!("{flag} must be a positive integer, got `{raw}`")),
             }
         };
         match a.as_str() {
-            "--threads" => {
-                let raw = value("--threads")?;
-                opts.threads = Some(positive("--threads", raw)?);
-            }
-            "--ops" => {
-                let raw = value("--ops")?;
-                opts.ops = Some(positive("--ops", raw)?);
-            }
+            "--threads" => opts.threads = Some(positive("--threads")?),
+            "--ops" => opts.ops = Some(positive("--ops")?),
             "--seeds" => {
                 let raw = value("--seeds")?;
                 let seeds: Result<Vec<u64>, _> =
@@ -215,16 +203,10 @@ fn parse_run(args: &[String]) -> Result<RunOptions, String> {
             "--timing" => opts.timing = true,
             "--hist" => opts.hist = true,
             "--trace" => opts.trace = Some(value("--trace")?),
-            "--trace-limit" => {
-                let raw = value("--trace-limit")?;
-                opts.trace_limit = Some(positive("--trace-limit", raw)?);
-            }
+            "--trace-limit" => opts.trace_limit = Some(positive("--trace-limit")?),
             "--spans" => opts.spans = Some(value("--spans")?),
             "--windows" => opts.windows = Some(value("--windows")?),
-            "--window-cycles" => {
-                let raw = value("--window-cycles")?;
-                opts.window_cycles = Some(positive("--window-cycles", raw)? as u64);
-            }
+            "--window-cycles" => opts.window_cycles = Some(positive("--window-cycles")? as u64),
             "--verbose" => opts.verbose = true,
             "--no-table" => opts.no_table = true,
             flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`")),
@@ -293,35 +275,27 @@ fn run(opts: &RunOptions) -> i32 {
         }
         all.push((name.clone(), results));
     }
+    // Every requested document, in flag order, written in one place.
+    let mut docs: Vec<(&str, String)> = Vec::new();
     if let Some(path) = &opts.json {
-        let doc: String = all
+        let parts = all
             .iter()
-            .map(|(name, results)| sink::jsonl(name, results, sink_opts))
-            .collect();
-        if let Err(e) = sink::write(path, &doc) {
-            eprintln!("harness: writing {path}: {e}");
-            return 1;
-        }
+            .map(|(name, rs)| sink::jsonl(name, rs, sink_opts));
+        docs.push((path, parts.collect()));
     }
     if let Some(path) = &opts.csv {
         let mut doc = String::new();
-        for (i, (name, results)) in all.iter().enumerate() {
+        for (name, results) in &all {
             let part = sink::csv(name, results, sink_opts);
-            if i == 0 {
-                doc.push_str(&part);
-            } else {
-                // One header for the whole file.
-                doc.extend(part.split_once('\n').map(|x| x.1).map(String::from));
-            }
+            // One header for the whole file.
+            let rows = part.split_once('\n').map_or("", |x| x.1);
+            doc.push_str(if doc.is_empty() { &part } else { rows });
         }
-        if let Err(e) = sink::write(path, &doc) {
-            eprintln!("harness: writing {path}: {e}");
-            return 1;
-        }
+        docs.push((path, doc));
     }
-    // The three record streams share one writer. Each entry: output path,
-    // the run's records with the count dropped at the cap, and the
-    // stream/noun of the cap warning (windows are never capped).
+    // The three record streams. Each entry: output path, the run's
+    // records with the count dropped at the cap, and the stream/noun of
+    // the cap warning (windows are never capped).
     type Stream = fn(&RunResult) -> (&Option<Vec<String>>, u64);
     let streams: [(&Option<String>, Stream, (&str, &str)); 3] = [
         (
@@ -344,8 +318,13 @@ fn run(opts: &RunOptions) -> i32 {
             for r in results {
                 let (records, d) = stream(r);
                 dropped += d;
+                // Each record led by its run's identity, so a multi-run
+                // file keeps one self-describing schema.
                 for body in records.as_deref().unwrap_or_default() {
-                    doc.push_str(&prefixed(name, r, body));
+                    json::object(&mut doc, |o| {
+                        o.field("scenario", name).field("index", r.spec.index);
+                        o.field("seed", r.spec.seed).splice(body);
+                    });
                     doc.push('\n');
                 }
             }
@@ -355,24 +334,15 @@ fn run(opts: &RunOptions) -> i32 {
                 "[harness] {stream_name}: {dropped} {noun} beyond the cap dropped (raise --trace-limit)"
             );
         }
+        docs.push((path, doc));
+    }
+    for (path, doc) in docs {
         if let Err(e) = sink::write(path, &doc) {
             eprintln!("harness: writing {path}: {e}");
             return 1;
         }
     }
     0
-}
-
-/// One stream line: the record body led by its run's identity, so a
-/// multi-run file keeps one self-describing schema (the body starts
-/// with '{').
-fn prefixed(scenario: &str, r: &RunResult, body: &str) -> String {
-    format!(
-        "{{\"scenario\":{scenario:?},\"index\":{},\"seed\":{},{}",
-        r.spec.index,
-        r.spec.seed,
-        &body[1..]
-    )
 }
 
 #[cfg(test)]

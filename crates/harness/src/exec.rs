@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use scorpio::{span_json, ObsLevel, System, SystemReport, WindowRow};
+use scorpio::{span_json, ObsLevel, SpanReport, System, SystemReport, WindowReport, WindowRow};
 use scorpio_noc::TraceEvent;
 use scorpio_workloads::generate;
 
@@ -114,6 +114,18 @@ pub struct RunResult {
     pub windows: Option<Vec<String>>,
 }
 
+impl RunResult {
+    /// The run's span breakdown, if it recorded spans.
+    pub(crate) fn spans(&self) -> Option<&SpanReport> {
+        self.report.obs.as_deref()?.spans.as_ref()
+    }
+
+    /// The run's windowed-telemetry summary, if it bucketed windows.
+    pub(crate) fn windows(&self) -> Option<&WindowReport> {
+        self.report.obs.as_deref()?.windows.as_ref()
+    }
+}
+
 /// Runs one spec to completion.
 pub fn run_spec(spec: &RunSpec, ops_per_core: usize) -> RunResult {
     run_spec_ov(spec, ops_per_core, &Overrides::default())
@@ -157,22 +169,12 @@ pub fn run_spec_ov(spec: &RunSpec, ops_per_core: usize, ov: &Overrides) -> RunRe
     let report = sys.run_to_completion();
     let sim_nanos = sim_started.elapsed().as_nanos();
     let stepped_cycles = sys.stepped_cycles();
-    let (trace, trace_dropped) = if tracing {
-        let (events, dropped) = sys.take_trace();
-        (
-            Some(events.iter().map(TraceEvent::json_body).collect()),
-            dropped,
-        )
-    } else {
-        (None, 0)
-    };
-    let (spans, spans_dropped) = if spanning {
-        let (records, dropped) = sys.span_records();
-        (Some(records.iter().map(span_json).collect()), dropped)
-    } else {
-        (None, 0)
-    };
-    let windows = windowing.then(|| sys.window_rows().iter().map(WindowRow::json_body).collect());
+    let (trace, trace_dropped) = bodies(tracing.then(|| sys.take_trace()), TraceEvent::json_body);
+    let (spans, spans_dropped) = bodies(spanning.then(|| sys.span_records()), span_json);
+    let (windows, _) = bodies(
+        windowing.then(|| (sys.window_rows(), 0)),
+        WindowRow::json_body,
+    );
     RunResult {
         spec: spec.clone(),
         config_hash,
@@ -188,6 +190,14 @@ pub fn run_spec_ov(spec: &RunSpec, ops_per_core: usize, ov: &Overrides) -> RunRe
         spans_dropped,
         windows,
     }
+}
+
+/// A recorded stream's records as JSON bodies, with the count dropped at
+/// the cap; `(None, 0)` for a stream the run did not record.
+fn bodies<T>(stream: Option<(Vec<T>, u64)>, body: fn(&T) -> String) -> (Option<Vec<String>>, u64) {
+    stream.map_or((None, 0), |(records, dropped)| {
+        (Some(records.iter().map(body).collect()), dropped)
+    })
 }
 
 /// Runs every spec of `grid` and returns results in enumeration order.

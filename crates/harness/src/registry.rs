@@ -915,14 +915,9 @@ fn latency_breakdown(size: Size) -> Scenario {
     }
 }
 
-/// A run's span annex, if it recorded spans.
-fn spans(r: &RunResult) -> Option<&SpanReport> {
-    r.report.obs.as_ref().and_then(|o| o.spans.as_ref())
-}
-
 /// A span phase's mean, as `mean` reads it from the span annex.
 fn phase<'a>(head: &'a str, width: usize, mean: fn(&SpanReport) -> f64) -> RunCol<'a> {
-    RunCol::fixed(head, width, 1, move |r| spans(r).map_or(0.0, mean))
+    RunCol::fixed(head, width, 1, move |r| r.spans().map_or(0.0, mean))
 }
 
 fn latency_breakdown_render(s: &Scenario, results: &[RunResult]) -> String {
@@ -940,7 +935,7 @@ fn latency_breakdown_render(s: &Scenario, results: &[RunResult]) -> String {
         // + commit is the ordering delay, and the span totals plus the
         // hit latencies rebuild the full L2 service distribution.
         RunCol::right("reconcile", 11, |r| {
-            let sp = spans(r).expect("rows carry spans");
+            let sp = r.spans().expect("rows carry spans");
             let (order, svc) = (&r.report.ordering_delay, &r.report.l2_service_latency);
             let exact = sp.inject.sum() + sp.flight.sum() + sp.commit.sum() == order.sum()
                 && sp.inject.count() == order.count()
@@ -949,7 +944,7 @@ fn latency_breakdown_render(s: &Scenario, results: &[RunResult]) -> String {
             if exact { "exact" } else { "MISMATCH" }.into()
         }),
     ];
-    let rows = results.iter().filter(|r| spans(r).is_some());
+    let rows = results.iter().filter(|r| r.spans().is_some());
     render_table(&s.title, &cols, rows, BREAKDOWN_NOTE)
 }
 
@@ -1308,8 +1303,7 @@ fn slot_extremes(r: &RunResult) -> Option<(f64, f64)> {
 /// `slot:mean` — the endpoint mapped to its concentration slot (endpoint
 /// index modulo c; MC ports render as "mc").
 fn wait_cell(r: &RunResult, pick: fn(&WindowReport) -> Option<EpWait>) -> String {
-    let windows = r.report.obs.as_ref().and_then(|o| o.windows.as_ref());
-    let Some(m) = windows.and_then(pick) else {
+    let Some(m) = r.windows().and_then(pick) else {
         return "-".into();
     };
     let slot = match r.spec.fabric {
@@ -1317,7 +1311,7 @@ fn wait_cell(r: &RunResult, pick: fn(&WindowReport) -> Option<EpWait>) -> String
         Fabric::CMesh(c) if c > 1 => format!("s{}", m.ep % c as u32),
         _ => format!("e{}", m.ep),
     };
-    format!("{slot}:{:.1}", m.sum as f64 / m.count as f64)
+    format!("{slot}:{:.1}", m.mean())
 }
 
 fn latency_curve_render(s: &Scenario, results: &[RunResult]) -> String {
@@ -1326,7 +1320,7 @@ fn latency_curve_render(s: &Scenario, results: &[RunResult]) -> String {
     // KNEE_FACTOR x the lowest step's p99.
     let mut curves: BTreeMap<_, Vec<(u32, u64)>> = BTreeMap::new();
     for r in results {
-        let p99 = spans(r).and_then(|sp| sp.total.percentile(0.99));
+        let p99 = r.spans().and_then(|sp| sp.total.percentile(0.99));
         if let (Some(g), Some((_, load)), Some(p99)) =
             (curve_group(&r.spec), r.spec.open_load(), p99)
         {
@@ -1345,7 +1339,7 @@ fn latency_curve_render(s: &Scenario, results: &[RunResult]) -> String {
         .collect();
     let sojourn = |f| {
         move |r: &RunResult| {
-            let p = spans(r).and_then(|sp| sp.total.percentile(f));
+            let p = r.spans().and_then(|sp| sp.total.percentile(f));
             p.map_or_else(|| "-".into(), |v| v.to_string())
         }
     };

@@ -11,10 +11,16 @@
 //! for profiling, which deliberately breaks byte-stability (and nothing
 //! else).
 
+use std::fmt::Display;
 use std::fs;
 use std::io::{self, Write};
 
+use scorpio::{ObsReport, SpanReport};
+use scorpio_sim::stats::LogHistogram;
+use scorpio_sim::{json, json_fields};
+
 use crate::exec::RunResult;
+use crate::table::{render_lines, Col};
 
 /// Sink configuration.
 #[derive(Debug, Clone, Copy, Default)]
@@ -37,50 +43,36 @@ fn cycles_per_sec(r: &RunResult) -> f64 {
     }
 }
 
-/// The run-identity cells both writers share, as the CSV spells them:
-/// `(fabric, planes, placement, arrival, load_millis, engine)`.
-fn identity(r: &RunResult) -> (&'static str, usize, String, String, u32, &'static str) {
-    let (arrival, load_millis) = match r.spec.open_load() {
+/// The run's MC placement as both sinks spell it.
+fn placement(r: &RunResult) -> String {
+    r.spec.mc_placement().unwrap_or_else(|| "default".into())
+}
+
+/// The run's `(arrival, load_millis)` as both sinks spell them.
+fn arrival(r: &RunResult) -> (String, u32) {
+    match r.spec.open_load() {
         Some((p, millis)) => (p.label(millis), millis),
         None => ("closed".into(), 0),
-    };
-    (
-        r.spec.fabric.label(),
-        r.spec.planes,
-        r.spec.mc_placement().unwrap_or_else(|| "default".into()),
-        arrival,
-        load_millis,
-        r.spec.engine.label(),
-    )
+    }
 }
 
 /// One result as a JSON-lines record.
 pub fn json_line(scenario: &str, r: &RunResult, opts: SinkOptions) -> String {
-    let (fabric, planes, placement, arrival, load_millis, engine) = identity(r);
-    let timing = if opts.include_timing {
-        format!(
-            r#""wall_nanos":{},"setup_nanos":{},"sim_nanos":{},"stepped_cycles":{},"cycles_per_sec":{:?},"#,
-            r.wall_nanos,
-            r.setup_nanos,
-            r.sim_nanos,
-            r.stepped_cycles,
-            cycles_per_sec(r),
-        )
-    } else {
-        String::new()
-    };
-    format!(
-        r#"{{"scenario":{scenario:?},"index":{},"workload":{:?},"mesh":{},"fabric":{fabric:?},"planes":{planes},"placement":{placement:?},"arrival":{arrival:?},"load_millis":{load_millis},"protocol":{:?},"variant":{:?},"engine":{engine:?},"seed":{},"config":{:?},"config_hash":"{:#018x}",{timing}"report":{}}}"#,
-        r.spec.index,
-        r.spec.workload.name,
-        r.spec.mesh_side,
-        r.spec.protocol.name(),
-        r.spec.variant.label,
-        r.spec.seed,
-        r.config_label,
-        r.config_hash,
-        r.report.to_json(),
-    )
+    let (arrival, load_millis) = arrival(r);
+    json::record(|o| {
+        let spec = &r.spec;
+        json_fields!(o; scenario: scenario, index: spec.index, workload: spec.workload.name,
+            mesh: spec.mesh_side, fabric: spec.fabric.label(), planes: spec.planes,
+            placement: placement(r), arrival: arrival, load_millis: load_millis,
+            protocol: spec.protocol.name(), variant: &spec.variant.label,
+            engine: spec.engine.label(), seed: spec.seed, config: &r.config_label,
+            config_hash: format!("{:#018x}", r.config_hash));
+        if opts.include_timing {
+            json_fields!(o, r; wall_nanos, setup_nanos, sim_nanos, stepped_cycles);
+            o.field("cycles_per_sec", cycles_per_sec(r));
+        }
+        o.field("report", &r.report);
+    })
 }
 
 /// All results as a JSON-lines document (one record per line).
@@ -93,93 +85,133 @@ pub fn jsonl(scenario: &str, results: &[RunResult], opts: SinkOptions) -> String
     out
 }
 
+type CsvCol<'a> = Col<'a, RunResult>;
+
+/// A CSV column of a displayed value.
+fn num<'a, T: Display>(head: &'a str, value: impl Fn(&RunResult) -> T + 'a) -> CsvCol<'a> {
+    Col::num(head, 0, value)
+}
+
+/// A CSV column that is blank on rows where `value` has nothing.
+fn maybe<'a, T: Display>(
+    head: &'a str,
+    value: impl Fn(&RunResult) -> Option<T> + 'a,
+) -> CsvCol<'a> {
+    Col::left(head, 0, move |r| {
+        value(r).map_or_else(String::new, |v| v.to_string())
+    })
+}
+
+/// The run's span breakdown, when it recorded at least one span.
+fn spans(r: &RunResult) -> Option<&SpanReport> {
+    r.spans().filter(|s| s.count > 0)
+}
+
+/// The run's observability annex, when it recorded one.
+fn obs(r: &RunResult) -> Option<&ObsReport> {
+    r.report.obs.as_deref()
+}
+
+/// A float cell: shortest round-trip, like every float the sinks write.
+fn float(v: f64) -> String {
+    format!("{v:?}")
+}
+
+/// A column of the mean of one of the run's histograms.
+fn mean<'a>(head: &'a str, hist: fn(&RunResult) -> &LogHistogram) -> CsvCol<'a> {
+    num(head, move |r| float(hist(r).mean()))
+}
+
+/// The CSV schema: every column's header and cell, in order.
+fn columns(scenario: &str, opts: SinkOptions) -> Vec<CsvCol<'_>> {
+    let mut cols = vec![
+        num("scenario", move |_| scenario),
+        num("index", |r| r.spec.index),
+        num("workload", |r| r.spec.workload.name),
+        num("mesh", |r| r.spec.mesh_side),
+        num("fabric", |r| r.spec.fabric.label()),
+        num("planes", |r| r.spec.planes),
+        num("placement", placement),
+        num("arrival", |r| arrival(r).0),
+        num("load_millis", |r| arrival(r).1),
+        num("variant", |r| r.spec.variant.label.clone()),
+        num("engine", |r| r.spec.engine.label()),
+        num("seed", |r| r.spec.seed),
+        num("config_hash", |r| format!("{:#018x}", r.config_hash)),
+        num("protocol", |r| r.report.protocol.clone()),
+        num("cores", |r| r.report.cores),
+        num("runtime_cycles", |r| r.report.runtime_cycles),
+        num("ops_completed", |r| r.report.ops_completed),
+        num("l1_hits", |r| r.report.l1_hits),
+        num("l2_hits", |r| r.report.l2_hits),
+        num("l2_misses", |r| r.report.l2_misses),
+        mean("l2_service_mean", |r| &r.report.l2_service_latency),
+        mean("cache_served_mean", |r| &r.report.cache_served),
+        mean("memory_served_mean", |r| &r.report.memory_served),
+        mean("ordering_mean", |r| &r.report.ordering_delay),
+        mean("packet_latency_mean", |r| &r.report.packet_latency),
+        num("data_forwards", |r| r.report.data_forwards),
+        num("memory_responses", |r| r.report.memory_responses),
+        num("snoops_filtered", |r| r.report.snoops_filtered),
+        num("snoops_looked_up", |r| r.report.snoops_looked_up),
+        num("writebacks", |r| r.report.writebacks),
+        num("writebacks_squashed", |r| r.report.writebacks_squashed),
+        num("bypassed_flits", |r| r.report.bypassed_flits),
+        num("buffered_flits", |r| r.report.buffered_flits),
+        num("packets_injected", |r| r.report.packets_injected),
+        num("notify_windows", |r| r.report.notify_windows),
+        num("notify_nonempty", |r| r.report.notify_nonempty),
+        num("stop_windows", |r| r.report.stop_windows),
+        num("expiry_messages", |r| r.report.expiry_messages),
+        num("dir_accesses", |r| r.report.dir_accesses),
+        num("dir_misses", |r| r.report.dir_misses),
+        num("source_dropped", |r| r.report.source_dropped),
+        maybe("packet_p50", |r| obs(r)?.packet_latency.percentile(0.50)),
+        maybe("packet_p95", |r| obs(r)?.packet_latency.percentile(0.95)),
+        maybe("packet_p99", |r| obs(r)?.packet_latency.percentile(0.99)),
+        maybe("packet_p999", |r| obs(r)?.packet_latency.percentile(0.999)),
+        maybe("ordering_p50", |r| obs(r)?.ordering_delay.percentile(0.50)),
+        maybe("ordering_p95", |r| obs(r)?.ordering_delay.percentile(0.95)),
+        maybe("ordering_p99", |r| obs(r)?.ordering_delay.percentile(0.99)),
+        maybe("ordering_p999", |r| {
+            obs(r)?.ordering_delay.percentile(0.999)
+        }),
+        maybe("spans", |r| spans(r).map(|s| s.count)),
+        maybe("span_source", |r| spans(r).map(|s| float(s.source.mean()))),
+        maybe("span_queue", |r| spans(r).map(|s| float(s.queue.mean()))),
+        maybe("span_inject", |r| spans(r).map(|s| float(s.inject.mean()))),
+        maybe("span_flight", |r| spans(r).map(|s| float(s.flight.mean()))),
+        maybe("span_commit", |r| spans(r).map(|s| float(s.commit.mean()))),
+        maybe("span_data", |r| spans(r).map(|s| float(s.data.mean()))),
+        maybe("span_fill", |r| spans(r).map(|s| float(s.fill.mean()))),
+        maybe("windows", |r| r.windows().map(|w| w.count)),
+        maybe("warmup", |r| r.windows().map(|w| w.warmup)),
+        maybe("steady_ops", |r| r.windows().map(|w| w.steady_ops)),
+        maybe("steady_ejected", |r| r.windows().map(|w| w.steady_ejected)),
+        maybe("max_wait_ep", |r| Some(r.windows()?.max_wait?.ep)),
+        maybe("max_wait_mean", |r| {
+            Some(float(r.windows()?.max_wait?.mean()))
+        }),
+        maybe("min_wait_ep", |r| Some(r.windows()?.min_wait?.ep)),
+        maybe("min_wait_mean", |r| {
+            Some(float(r.windows()?.min_wait?.mean()))
+        }),
+    ];
+    if opts.include_timing {
+        cols.extend([
+            num("wall_nanos", |r| r.wall_nanos),
+            num("setup_nanos", |r| r.setup_nanos),
+            num("sim_nanos", |r| r.sim_nanos),
+            num("stepped_cycles", |r| r.stepped_cycles),
+            num("cycles_per_sec", |r| float(cycles_per_sec(r))),
+        ]);
+    }
+    cols
+}
+
 /// All results as a CSV document with a header row.
 pub fn csv(scenario: &str, results: &[RunResult], opts: SinkOptions) -> String {
-    let mut out = String::new();
-    out.push_str(
-        "scenario,index,workload,mesh,fabric,planes,placement,arrival,load_millis,variant,engine,seed,config_hash,",
-    );
-    out.push_str(scorpio::SystemReport::csv_header());
-    out.push_str(
-        ",packet_p50,packet_p95,packet_p99,packet_p999,\
-         ordering_p50,ordering_p95,ordering_p99,ordering_p999\
-         ,spans,span_source,span_queue,span_inject,span_flight,span_commit,span_data,span_fill\
-         ,windows,warmup,steady_ops,steady_ejected,max_wait_ep,max_wait_mean,\
-         min_wait_ep,min_wait_mean",
-    );
-    if opts.include_timing {
-        out.push_str(",wall_nanos,setup_nanos,sim_nanos,stepped_cycles,cycles_per_sec");
-    }
-    out.push('\n');
-    for r in results {
-        let (fabric, planes, placement, arrival, load_millis, engine) = identity(r);
-        out.push_str(&format!(
-            "{scenario},{},{},{},{fabric},{planes},{placement},{arrival},{load_millis},{},{engine},{},{:#018x},{}",
-            r.spec.index,
-            r.spec.workload.name,
-            r.spec.mesh_side,
-            r.spec.variant.label,
-            r.spec.seed,
-            r.config_hash,
-            r.report.csv_row(),
-        ));
-        let obs = r.report.obs.as_deref();
-        let cell = |v: Option<u64>| v.map_or_else(String::new, |x| format!("{x}"));
-        for f in [0.50, 0.95, 0.99, 0.999] {
-            out.push_str(&format!(
-                ",{}",
-                cell(obs.and_then(|o| o.packet_latency.percentile(f)))
-            ));
-        }
-        for f in [0.50, 0.95, 0.99, 0.999] {
-            out.push_str(&format!(
-                ",{}",
-                cell(obs.and_then(|o| o.ordering_delay.percentile(f)))
-            ));
-        }
-        // Phase means are exact integer ratios rendered as shortest
-        // round-trip floats — deterministic, like every other cell.
-        match obs.and_then(|o| o.spans.as_ref()) {
-            Some(s) if s.count > 0 => {
-                out.push_str(&format!(",{}", s.count));
-                for h in [
-                    &s.source, &s.queue, &s.inject, &s.flight, &s.commit, &s.data, &s.fill,
-                ] {
-                    out.push_str(&format!(",{:?}", h.mean()));
-                }
-            }
-            _ => out.push_str(",,,,,,,,"),
-        }
-        match obs.and_then(|o| o.windows.as_ref()) {
-            Some(w) => {
-                out.push_str(&format!(
-                    ",{},{},{},{}",
-                    w.count, w.warmup, w.steady_ops, w.steady_ejected
-                ));
-                for cell in [&w.max_wait, &w.min_wait] {
-                    match cell {
-                        Some(m) => {
-                            out.push_str(&format!(",{},{:?}", m.ep, m.sum as f64 / m.count as f64))
-                        }
-                        None => out.push_str(",,"),
-                    }
-                }
-            }
-            None => out.push_str(",,,,,,,,"),
-        }
-        if opts.include_timing {
-            out.push_str(&format!(
-                ",{},{},{},{},{:?}",
-                r.wall_nanos,
-                r.setup_nanos,
-                r.sim_nanos,
-                r.stepped_cycles,
-                cycles_per_sec(r)
-            ));
-        }
-        out.push('\n');
-    }
-    out
+    render_lines(&columns(scenario, opts), results, ",")
 }
 
 /// Writes `contents` to `path`, or to stdout when `path` is `-`.

@@ -1,6 +1,8 @@
 //! Table printers: [`render_table`] prints a list of [`Col`]s, each
 //! stating its header, width, alignment and cell function once, so a
-//! header can never drift from its cells; [`render_normalized`] prints the
+//! header can never drift from its cells; [`render_lines`] prints the
+//! same list untitled, as CSV too (the result sink's schema);
+//! [`render_normalized`] prints the
 //! normalized-runtime matrix of the figure scenarios through it. Zero
 //! baselines and ragged rows render as `-` cells, never `NaN`/`inf` (a zero
 //! baseline is real — e.g. a workload whose runs were all filtered out).
@@ -78,22 +80,34 @@ pub(crate) fn render_table<'r, R: 'r>(
     rows: impl IntoIterator<Item = &'r R>,
     footnote: &str,
 ) -> String {
-    let mut out = format!("=== {title} ===\n");
-    if cols.iter().any(|c| !c.head.is_empty()) {
-        for c in cols {
-            c.pad(c.head, &mut out);
-        }
-        out.push('\n');
-    }
-    for row in rows {
-        for c in cols {
-            c.pad(&(c.cell)(row), &mut out);
-        }
-        out.push('\n');
-    }
+    let mut out = format!("=== {title} ===\n{}", render_lines(cols, rows, ""));
     if !footnote.is_empty() {
         out.push('\n');
         out.push_str(footnote);
+    }
+    out
+}
+
+/// The header line (unless every header is empty) and one line per row,
+/// cells separated by `sep`: `""` for a padded table, `","` for CSV.
+pub(crate) fn render_lines<'r, R: 'r>(
+    cols: &[Col<'_, R>],
+    rows: impl IntoIterator<Item = &'r R>,
+    sep: &str,
+) -> String {
+    let mut out = String::new();
+    let mut line = |text: &dyn Fn(&Col<R>) -> String| {
+        for (i, c) in cols.iter().enumerate() {
+            out.push_str(if i > 0 { sep } else { "" });
+            c.pad(&text(c), &mut out);
+        }
+        out.push('\n');
+    };
+    if cols.iter().any(|c| !c.head.is_empty()) {
+        line(&|c| c.head.into());
+    }
+    for row in rows {
+        line(&|c| (c.cell)(row));
     }
     out
 }

@@ -30,6 +30,7 @@ use crate::config::NocConfig;
 use crate::topology::Port;
 use scorpio_sim::capped::Capped;
 use scorpio_sim::stats::LogHistogram;
+use scorpio_sim::{json, json_fields};
 
 /// What to record. Passed to `crate::Network::set_observability`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -170,35 +171,24 @@ impl TraceEvent {
 
     /// Renders the event as one JSON object (no trailing newline).
     pub fn json_body(&self) -> String {
-        let head = format!(
-            r#"{{"cycle":{},"plane":{},"event":{:?}"#,
-            self.cycle,
-            self.plane,
-            self.kind.name()
-        );
-        let rest = match self.kind {
-            TraceKind::Inject => format!(
-                r#","ep":{},"vnet":{},"uid":{}}}"#,
-                self.node, self.vnet, self.uid
-            ),
-            TraceKind::VcAlloc | TraceKind::Hop => format!(
-                r#","router":{},"port":{},"vc":{},"vnet":{},"uid":{}}}"#,
-                self.node, self.port, self.vc, self.vnet, self.uid
-            ),
-            TraceKind::Bypass => format!(
-                r#","router":{},"port":{},"vnet":{},"uid":{}}}"#,
-                self.node, self.port, self.vnet, self.uid
-            ),
-            TraceKind::Eject => format!(
-                r#","ep":{},"vnet":{},"vc":{},"uid":{},"lat":{}}}"#,
-                self.node, self.vnet, self.vc, self.uid, self.aux
-            ),
-            TraceKind::OrderedCommit => format!(
-                r#","ep":{},"sid":{},"own":{}}}"#,
-                self.node, self.uid, self.aux
-            ),
-        };
-        head + &rest
+        json::record(|o| {
+            json_fields!(o, self; cycle, plane);
+            o.field("event", self.kind.name());
+            let (node, port, vc, vnet, uid) = (self.node, self.port, self.vc, self.vnet, self.uid);
+            match self.kind {
+                TraceKind::Inject => json_fields!(o; ep: node, vnet: vnet, uid: uid),
+                TraceKind::VcAlloc | TraceKind::Hop => {
+                    json_fields!(o; router: node, port: port, vc: vc, vnet: vnet, uid: uid)
+                }
+                TraceKind::Bypass => {
+                    json_fields!(o; router: node, port: port, vnet: vnet, uid: uid)
+                }
+                TraceKind::Eject => {
+                    json_fields!(o; ep: node, vnet: vnet, vc: vc, uid: uid, lat: self.aux)
+                }
+                TraceKind::OrderedCommit => json_fields!(o; ep: node, sid: uid, own: self.aux),
+            }
+        })
     }
 }
 

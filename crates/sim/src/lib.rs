@@ -13,7 +13,8 @@
 //!   to when its next tick can first change state,
 //! * [`capped`] — the one cap policy of record streams and their
 //!   exact-prefix merge,
-//! * [`Fnv1a`] — the stable hash behind configuration and state digests.
+//! * [`Fnv1a`] — the stable hash behind configuration and state digests,
+//! * [`json`] — the one JSON object writer of every result record.
 //!
 //! The SCORPIO simulator is *cycle driven*: each component exposes a
 //! per-cycle `tick`, and cross-component traffic is staged during the
@@ -44,6 +45,7 @@ pub mod capped;
 mod cycle;
 mod fifo;
 mod fnv;
+pub mod json;
 mod rng;
 mod sets;
 pub mod stats;
