@@ -807,7 +807,6 @@ impl<T: Payload> Network<T> {
             vnet_base,
             router_active,
             ep_woken,
-            cfg,
             last_progress,
             cycle,
             ..
@@ -832,7 +831,7 @@ impl<T: Payload> Network<T> {
             *last_progress = now;
         });
         wires.inject_credit.deliver(now, |(ep, vnet, vc, dealloc)| {
-            injection.ds.on_credit(cfg, ep, vnet, vc, dealloc);
+            injection.ds.on_credit(ep, vnet, vc, dealloc);
         });
     }
 
@@ -1046,7 +1045,7 @@ impl<T: Payload> Network<T> {
             };
             let Some(vc) = inj
                 .ds
-                .alloc_vc(cfg, idx, v as u8, packet.sid, VcClass::Any, rvc_ok)
+                .alloc_vc(idx, v as u8, packet.sid, VcClass::Any, rvc_ok)
             else {
                 continue;
             };

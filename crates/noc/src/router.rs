@@ -218,13 +218,20 @@ impl SlabRing {
 /// A row is flat — one credit counter and one SID slot per VC, vnet `n`'s
 /// VC `c` at `base[n] + c` — plus two bit-per-VC words per vnet, so the
 /// allocation questions are word operations. All rows live in four arrays
-/// sized from the configuration at build.
+/// sized from the configuration at build, which also fixes each vnet's
+/// regular-VC count, ordering and buffer depth.
 #[derive(Debug, Clone)]
 pub(crate) struct Downstream {
     vnets: usize,
     port_vcs: usize,
     /// Flat index of each vnet's VC 0; one extra entry closes the last row.
     base: [u8; MAX_VNETS + 1],
+    /// Regular VCs per vnet; an ordered vnet's rVC is VC `vcs`.
+    vcs: [u8; MAX_VNETS],
+    /// Whether each vnet is ordered (tracks SIDs, has an rVC).
+    ordered: [bool; MAX_VNETS],
+    /// Buffer depth of each vnet's VCs.
+    depth: [u8; MAX_VNETS],
     /// `[row][vnet]`, bit `c`: VC `c` is not currently owned by a packet.
     free: Vec<u16>,
     /// `[row][vnet]`, bit `c`: VC `c` is free *and* holds a credit, i.e.
@@ -242,9 +249,12 @@ impl Downstream {
         let vnets = cfg.vnets.len();
         let mut base = [0; MAX_VNETS + 1];
         let mut all = [0u16; MAX_VNETS];
+        let (mut vcs, mut ordered, mut depth) =
+            ([0; MAX_VNETS], [false; MAX_VNETS], [0; MAX_VNETS]);
         for (n, v) in cfg.vnets.iter().enumerate() {
             all[n] = ((1u32 << v.total_vcs()) - 1) as u16;
             base[n + 1] = base[n] + v.total_vcs() as u8;
+            (vcs[n], ordered[n], depth[n]) = (v.vcs, v.ordered, v.depth);
         }
         let port_vcs = usize::from(base[vnets]);
         let mut free = Vec::with_capacity(rows * vnets);
@@ -257,6 +267,9 @@ impl Downstream {
             vnets,
             port_vcs,
             base,
+            vcs,
+            ordered,
+            depth,
             ok: free.clone(),
             free,
             credits,
@@ -276,17 +289,10 @@ impl Downstream {
         row * self.port_vcs + usize::from(self.base[vnet as usize] + vc)
     }
 
-    pub(crate) fn on_credit(
-        &mut self,
-        cfg: &NocConfig,
-        row: usize,
-        vnet: u8,
-        vc: u8,
-        dealloc: bool,
-    ) {
+    pub(crate) fn on_credit(&mut self, row: usize, vnet: u8, vc: u8, dealloc: bool) {
         let (w, c) = (self.word(row, vnet), self.flat(row, vnet, vc));
         self.credits[c] += 1;
-        debug_assert!(self.credits[c] <= cfg.vnets[vnet as usize].depth);
+        debug_assert!(self.credits[c] <= self.depth[vnet as usize]);
         if dealloc {
             self.free[w] |= 1 << vc;
             self.sids[c] = None;
@@ -306,20 +312,14 @@ impl Downstream {
     /// Whether VS could allocate a regular VC of `class` right now.
     /// `class` restricts the regular-VC pool to the flit's dateline
     /// partition on wraparound topologies ([`VcClass::Any`] on a mesh).
-    pub(crate) fn regular_open(
-        &self,
-        cfg: &NocConfig,
-        row: usize,
-        vnet: u8,
-        class: VcClass,
-    ) -> bool {
-        self.ok[self.word(row, vnet)] & class.regular_mask(cfg.vnets[vnet as usize].vcs) != 0
+    pub(crate) fn regular_open(&self, row: usize, vnet: u8, class: VcClass) -> bool {
+        self.ok[self.word(row, vnet)] & class.regular_mask(self.vcs[vnet as usize]) != 0
     }
 
     /// Whether the reserved VC is allocatable (never on an unordered vnet,
     /// whose bit `vcs` does not exist).
-    pub(crate) fn rvc_open(&self, cfg: &NocConfig, row: usize, vnet: u8) -> bool {
-        u32::from(self.ok[self.word(row, vnet)]) >> cfg.vnets[vnet as usize].vcs & 1 != 0
+    pub(crate) fn rvc_open(&self, row: usize, vnet: u8) -> bool {
+        u32::from(self.ok[self.word(row, vnet)]) >> self.vcs[vnet as usize] & 1 != 0
     }
 
     /// VS: allocates a VC for a new packet — the lowest open regular VC of
@@ -328,20 +328,18 @@ impl Downstream {
     /// which is the only case where it can change the answer.
     pub(crate) fn alloc_vc(
         &mut self,
-        cfg: &NocConfig,
         row: usize,
         vnet: u8,
         sid: Option<Sid>,
         class: VcClass,
         rvc_ok: impl FnOnce() -> bool,
     ) -> Option<u8> {
-        let w = self.word(row, vnet);
-        let vcfg = &cfg.vnets[vnet as usize];
-        let regular = self.ok[w] & class.regular_mask(vcfg.vcs);
+        let (w, n) = (self.word(row, vnet), vnet as usize);
+        let regular = self.ok[w] & class.regular_mask(self.vcs[n]);
         let vc = if regular != 0 {
             regular.trailing_zeros() as u8
-        } else if self.rvc_open(cfg, row, vnet) && rvc_ok() {
-            vcfg.rvc_index()
+        } else if self.rvc_open(row, vnet) && rvc_ok() {
+            self.vcs[n]
         } else {
             return None;
         };
@@ -349,7 +347,7 @@ impl Downstream {
         self.free[w] &= !(1 << vc);
         self.ok[w] &= !(1 << vc);
         self.credits[c] -= 1;
-        if vcfg.ordered {
+        if self.ordered[n] {
             self.sids[c] = sid;
         }
         Some(vc)
@@ -568,11 +566,11 @@ impl RouterCore {
     /// `ok` word of its downstream row `row`. Called at construction, on
     /// every credit and on every VC taken — the only mutations that move
     /// an `ok` bit — so the masks never go stale mid-tick.
-    fn refresh_open(&mut self, ds: &Downstream, cfg: &NocConfig, row: usize, port: Port, vnet: u8) {
+    fn refresh_open(&mut self, ds: &Downstream, row: usize, port: Port, vnet: u8) {
         for (open, class) in self.open[vnet as usize].iter_mut().zip(VcClass::ALL) {
-            open.set(port, ds.regular_open(cfg, row, vnet, class));
+            open.set(port, ds.regular_open(row, vnet, class));
         }
-        self.rvc_open[vnet as usize].set(port, ds.rvc_open(cfg, row, vnet));
+        self.rvc_open[vnet as usize].set(port, ds.rvc_open(row, vnet));
     }
 }
 
@@ -638,7 +636,7 @@ impl<T: Payload> Routers<T> {
             for port in present.iter() {
                 let row = r * n_ports + port.index();
                 (0..cfg.vnets.len())
-                    .for_each(|n| core.refresh_open(&downstream, cfg, row, port, n as u8));
+                    .for_each(|n| core.refresh_open(&downstream, row, port, n as u8));
             }
             core
         }));
@@ -824,16 +822,15 @@ impl<T: Payload, E: EsidOracle> Router<'_, T, E> {
         credits: &[CreditArrival],
         out: &mut Vec<RouterOut<T>>,
     ) {
-        let cfg = self.ctx.cfg;
         for c in credits {
             debug_assert!(
                 self.core.present.contains(c.out_port),
                 "credit for absent output port"
             );
             let row = self.row(c.out_port);
-            self.downstream.on_credit(cfg, row, c.vnet, c.vc, c.dealloc);
+            self.downstream.on_credit(row, c.vnet, c.vc, c.dealloc);
             self.core
-                .refresh_open(self.downstream, cfg, row, c.out_port, c.vnet);
+                .refresh_open(self.downstream, row, c.out_port, c.vnet);
         }
         self.execute_st(out);
         self.process_arrivals(arrivals, out);
@@ -1075,10 +1072,9 @@ impl<T: Payload, E: EsidOracle> Router<'_, T, E> {
         let sid = order.map(|(sid, _)| sid);
         let dvc = self
             .downstream
-            .alloc_vc(ctx.cfg, row, vnet, sid, class, rvc_ok)
+            .alloc_vc(row, vnet, sid, class, rvc_ok)
             .expect("grantable admitted no VC");
-        self.core
-            .refresh_open(self.downstream, ctx.cfg, row, port, vnet);
+        self.core.refresh_open(self.downstream, row, port, vnet);
         if let Some(o) = self.obs.as_deref_mut() {
             o.on_vc_alloc(id.0 as u32, port.index() as u8, vnet, dvc, uid);
         }
@@ -1319,30 +1315,30 @@ mod tests {
         let mut ds = Downstream::new(&c, 1);
         // GO-REQ: 4 regular + 1 rVC.
         for expected in 0..4u8 {
-            let vc = ds.alloc_vc(&c, 0, 0, Some(Sid(expected as u16)), VcClass::Any, || true);
+            let vc = ds.alloc_vc(0, 0, Some(Sid(expected as u16)), VcClass::Any, || true);
             assert_eq!(vc, Some(expected));
         }
         // Regular exhausted: rVC only if eligible.
         let any = VcClass::Any;
-        assert_eq!(ds.alloc_vc(&c, 0, 0, Some(Sid(9)), any, || false), None);
-        assert_eq!(ds.alloc_vc(&c, 0, 0, Some(Sid(9)), any, || true), Some(4));
-        assert_eq!(ds.alloc_vc(&c, 0, 0, Some(Sid(10)), any, || true), None);
+        assert_eq!(ds.alloc_vc(0, 0, Some(Sid(9)), any, || false), None);
+        assert_eq!(ds.alloc_vc(0, 0, Some(Sid(9)), any, || true), Some(4));
+        assert_eq!(ds.alloc_vc(0, 0, Some(Sid(10)), any, || true), None);
     }
 
     #[test]
     fn dateline_classes_partition_the_regular_vcs() {
         let c = cfg();
         let mut ds = Downstream::new(&c, 1);
-        let mut alloc = |class| ds.alloc_vc(&c, 0, 0, None, class, || false);
+        let mut alloc = |class| ds.alloc_vc(0, 0, None, class, || false);
         // GO-REQ has 4 regular VCs: class 0 may use {0,1}, class 1 {2,3}.
         assert_eq!(alloc(VcClass::C0), Some(0));
         assert_eq!(alloc(VcClass::C1), Some(2));
         assert_eq!(alloc(VcClass::C0), Some(1));
         assert_eq!(alloc(VcClass::C0), None);
-        assert!(ds.regular_open(&c, 0, 0, VcClass::C1));
-        assert!(!ds.regular_open(&c, 0, 0, VcClass::C0));
-        assert!(ds.rvc_open(&c, 0, 0) && !ds.rvc_open(&c, 0, 1));
-        let mut alloc = |class| ds.alloc_vc(&c, 0, 0, None, class, || false);
+        assert!(ds.regular_open(0, 0, VcClass::C1));
+        assert!(!ds.regular_open(0, 0, VcClass::C0));
+        assert!(ds.rvc_open(0, 0) && !ds.rvc_open(0, 1));
+        let mut alloc = |class| ds.alloc_vc(0, 0, None, class, || false);
         assert_eq!(alloc(VcClass::C1), Some(3));
         assert_eq!(alloc(VcClass::C1), None);
     }
@@ -1351,27 +1347,24 @@ mod tests {
     fn downstream_credit_roundtrip() {
         let c = cfg();
         let mut ds = Downstream::new(&c, 1);
-        let vc = ds.alloc_vc(&c, 0, 1, None, VcClass::Any, || false).unwrap();
+        let vc = ds.alloc_vc(0, 1, None, VcClass::Any, || false).unwrap();
         assert!(ds.has_credit(0, 1, vc)); // depth 3: 2 credits left
         ds.take_credit(0, 1, vc);
         ds.take_credit(0, 1, vc);
         assert!(!ds.has_credit(0, 1, vc));
-        ds.on_credit(&c, 0, 1, vc, false);
+        ds.on_credit(0, 1, vc, false);
         assert!(ds.has_credit(0, 1, vc));
         // Dealloc frees the VC for reallocation.
-        ds.on_credit(&c, 0, 1, vc, false);
-        ds.on_credit(&c, 0, 1, vc, true);
-        assert_eq!(
-            ds.alloc_vc(&c, 0, 1, None, VcClass::Any, || false),
-            Some(vc)
-        );
+        ds.on_credit(0, 1, vc, false);
+        ds.on_credit(0, 1, vc, true);
+        assert_eq!(ds.alloc_vc(0, 1, None, VcClass::Any, || false), Some(vc));
     }
 
     #[test]
     fn sid_tracker_blocks_same_sid() {
         let c = cfg();
         let mut ds = Downstream::new(&c, 2);
-        ds.alloc_vc(&c, 1, 0, Some(Sid(5)), VcClass::Any, || false)
+        ds.alloc_vc(1, 0, Some(Sid(5)), VcClass::Any, || false)
             .unwrap();
         assert!(ds.sid_in_flight(1, 0, Sid(5)));
         assert!(!ds.sid_in_flight(1, 0, Sid(6)));
@@ -1399,7 +1392,7 @@ mod tests {
                     let class = VcClass::ALL[rng.gen_range_usize(3)];
                     let rvc = rng.gen_range_usize(2) == 0;
                     let len = 1 + rng.gen_range_usize(c.vnets[vnet as usize].depth as usize) as u8;
-                    if let Some(vc) = ds.alloc_vc(&c, row, vnet, Some(Sid(3)), class, || rvc) {
+                    if let Some(vc) = ds.alloc_vc(row, vnet, Some(Sid(3)), class, || rvc) {
                         owned.push((vnet, vc, len - 1, len));
                     }
                 }
@@ -1417,7 +1410,7 @@ mod tests {
                     // Downstream frees flits it has received; the tail's
                     // credit deallocates.
                     if to_free > to_send {
-                        ds.on_credit(&c, row, vnet, vc, to_free == 1);
+                        ds.on_credit(row, vnet, vc, to_free == 1);
                         owned[k].3 -= 1;
                         if to_free == 1 {
                             owned.swap_remove(k);
