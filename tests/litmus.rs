@@ -1,6 +1,6 @@
 //! Litmus tests: which values may loads return? SCORPIO's claim is that
 //! one global order of snoops makes the mesh behave like a bus, so every
-//! run must be sequentially consistent (SC). Four shapes, written as core
+//! run must be sequentially consistent (SC). Six shapes, written as core
 //! programs on a 2×2 mesh (tiles 0 and 3, one access in flight per core —
 //! the chip's AHB constraint), for all five protocols on 1 and 2 planes:
 //!
@@ -13,6 +13,14 @@
 //! - CoRR (read-read coherence): T0 stores x = 1; T1 loads x twice,
 //!   `CORR_GAP` cycles apart. SC forbids (1, 0): a later load of one
 //!   location may not return an older value.
+//! - CoWW (write-write coherence): T0 stores x = 1, then x = 2
+//!   `CORR_GAP` cycles later; T1 loads x once in the race and once more
+//!   `FINAL_GAP` cycles later, after both stores. SC forbids a final
+//!   value other than 2: the later store of one core must win.
+//! - 2+2W: T0 stores x = 1 then y = 2; T1 stores y = 1 then x = 2; each
+//!   then loads, `CORR_GAP` cycles later, the location the other stored
+//!   last (T0 y, T1 x). SC forbids (1, 1): both first stores winning
+//!   would order each thread's stores against its program order.
 //!
 //! The sweep varies the two cores' relative start offset `d` over
 //! `OFFSETS`. It is wide because the race window is: the notification
@@ -21,8 +29,9 @@
 //! near d = ±230 (SCORPIO, TokenB) to ±350 (LPD-D, HT-D). MP therefore
 //! warms x in both cores first and races after `WARM_GAP` cycles, so the
 //! reader's copy of x is live when the writer's store must invalidate it;
-//! CoRR warms x the same way. Back-to-back loads of a warm x are both L1
-//! hits, so without `CORR_GAP` the store could never land between them.
+//! CoRR and CoWW warm x the same way. Back-to-back loads of a warm x are
+//! both L1 hits, so without `CORR_GAP` the store could never land between
+//! them (nor a remote store between 2+2W's store and load).
 //! Tier-1 samples every 16th offset; `litmus_full_sweep` (CI, release)
 //! runs them all.
 
@@ -38,8 +47,11 @@ const Y: u64 = 0x1020;
 const OFFSETS: std::ops::RangeInclusive<i64> = -400..=400;
 /// Cycles between MP's (and CoRR's) warming loads and the race.
 const WARM_GAP: u32 = 600;
-/// Cycles between CoRR's two racing loads.
+/// Cycles between CoRR's two racing loads, between CoWW's two stores and
+/// before 2+2W's trailing loads.
 const CORR_GAP: u32 = 100;
+/// Cycles before CoWW's final load: past both stores at every offset.
+const FINAL_GAP: u32 = 2000;
 
 /// Runs its records in order and logs the value every load returns.
 struct Script {
@@ -94,6 +106,8 @@ enum Shape {
     Sb,
     Lb,
     CoRR,
+    CoWW,
+    TwoPlusTwoW,
 }
 
 impl Shape {
@@ -130,22 +144,40 @@ impl Shape {
                     op(CORR_GAP, ld, X, 0),
                 ],
             ],
+            Shape::CoWW => [
+                vec![
+                    op(0, ld, X, 0),
+                    op(WARM_GAP + t0, st, X, 1),
+                    op(CORR_GAP, st, X, 2),
+                ],
+                vec![
+                    op(0, ld, X, 0),
+                    op(WARM_GAP + t1, ld, X, 0),
+                    op(FINAL_GAP, ld, X, 0),
+                ],
+            ],
+            Shape::TwoPlusTwoW => [
+                vec![op(t0, st, X, 1), op(0, st, Y, 2), op(CORR_GAP, ld, Y, 0)],
+                vec![op(t1, st, Y, 1), op(0, st, X, 2), op(CORR_GAP, ld, X, 0)],
+            ],
         }
     }
 
     /// The outcome from each core's load log, as the module doc names it.
     fn outcome(self, t0: &[u64], t1: &[u64]) -> (u64, u64) {
         match self {
-            Shape::Mp | Shape::CoRR => (t1[1], t1[2]),
-            Shape::Sb | Shape::Lb => (t0[0], t1[0]),
+            Shape::Mp | Shape::CoRR | Shape::CoWW => (t1[1], t1[2]),
+            Shape::Sb | Shape::Lb | Shape::TwoPlusTwoW => (t0[0], t1[0]),
         }
     }
 
-    fn forbidden(self) -> (u64, u64) {
+    /// Whether SC forbids `outcome`.
+    fn forbids(self, outcome: (u64, u64)) -> bool {
         match self {
-            Shape::Mp | Shape::CoRR => (1, 0),
-            Shape::Sb => (0, 0),
-            Shape::Lb => (1, 1),
+            Shape::Mp | Shape::CoRR => outcome == (1, 0),
+            Shape::Sb => outcome == (0, 0),
+            Shape::Lb | Shape::TwoPlusTwoW => outcome == (1, 1),
+            Shape::CoWW => outcome.1 != 2,
         }
     }
 }
@@ -188,7 +220,7 @@ fn sweep(shape: Shape, step: usize) {
             for d in OFFSETS.step_by(step) {
                 let outcome = run(shape, d, protocol, planes);
                 assert!(
-                    outcome != shape.forbidden(),
+                    !shape.forbids(outcome),
                     "{shape:?} offset {d:+} {config}: SC-forbidden outcome {outcome:?}"
                 );
                 if changes.last().map(|c| c.1) != Some(outcome) {
@@ -223,9 +255,22 @@ fn lb_and_corr_sample_is_sequentially_consistent() {
 }
 
 #[test]
-#[ignore = "every offset, ~64k runs: run in release with --ignored"]
+fn coww_and_2p2w_sample_is_sequentially_consistent() {
+    sweep(Shape::CoWW, 16);
+    sweep(Shape::TwoPlusTwoW, 16);
+}
+
+#[test]
+#[ignore = "every offset, ~96k runs: run in release with --ignored"]
 fn litmus_full_sweep() {
-    for shape in [Shape::Mp, Shape::Sb, Shape::Lb, Shape::CoRR] {
+    for shape in [
+        Shape::Mp,
+        Shape::Sb,
+        Shape::Lb,
+        Shape::CoRR,
+        Shape::CoWW,
+        Shape::TwoPlusTwoW,
+    ] {
         sweep(shape, 1);
     }
 }
