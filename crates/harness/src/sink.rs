@@ -88,7 +88,7 @@ pub fn jsonl(scenario: &str, results: &[RunResult], opts: SinkOptions) -> String
 type CsvCol<'a> = Col<'a, RunResult>;
 
 /// A CSV column of a displayed value.
-fn num<'a, T: Display>(head: &'a str, value: impl Fn(&RunResult) -> T + 'a) -> CsvCol<'a> {
+fn col<'a, T: Display>(head: &'a str, value: impl Fn(&RunResult) -> T + 'a) -> CsvCol<'a> {
     Col::num(head, 0, value)
 }
 
@@ -119,53 +119,53 @@ fn float(v: f64) -> String {
 
 /// A column of the mean of one of the run's histograms.
 fn mean<'a>(head: &'a str, hist: fn(&RunResult) -> &LogHistogram) -> CsvCol<'a> {
-    num(head, move |r| float(hist(r).mean()))
+    col(head, move |r| float(hist(r).mean()))
 }
 
 /// The CSV schema: every column's header and cell, in order.
 fn columns(scenario: &str, opts: SinkOptions) -> Vec<CsvCol<'_>> {
     let mut cols = vec![
-        num("scenario", move |_| scenario),
-        num("index", |r| r.spec.index),
-        num("workload", |r| r.spec.workload.name),
-        num("mesh", |r| r.spec.mesh_side),
-        num("fabric", |r| r.spec.fabric.label()),
-        num("planes", |r| r.spec.planes),
-        num("placement", placement),
-        num("arrival", |r| arrival(r).0),
-        num("load_millis", |r| arrival(r).1),
-        num("variant", |r| r.spec.variant.label.clone()),
-        num("engine", |r| r.spec.engine.label()),
-        num("seed", |r| r.spec.seed),
-        num("config_hash", |r| format!("{:#018x}", r.config_hash)),
-        num("protocol", |r| r.report.protocol.clone()),
-        num("cores", |r| r.report.cores),
-        num("runtime_cycles", |r| r.report.runtime_cycles),
-        num("ops_completed", |r| r.report.ops_completed),
-        num("l1_hits", |r| r.report.l1_hits),
-        num("l2_hits", |r| r.report.l2_hits),
-        num("l2_misses", |r| r.report.l2_misses),
+        col("scenario", move |_| scenario),
+        col("index", |r| r.spec.index),
+        col("workload", |r| r.spec.workload.name),
+        col("mesh", |r| r.spec.mesh_side),
+        col("fabric", |r| r.spec.fabric.label()),
+        col("planes", |r| r.spec.planes),
+        col("placement", placement),
+        col("arrival", |r| arrival(r).0),
+        col("load_millis", |r| arrival(r).1),
+        col("variant", |r| r.spec.variant.label.clone()),
+        col("engine", |r| r.spec.engine.label()),
+        col("seed", |r| r.spec.seed),
+        col("config_hash", |r| format!("{:#018x}", r.config_hash)),
+        col("protocol", |r| r.report.protocol.clone()),
+        col("cores", |r| r.report.cores),
+        col("runtime_cycles", |r| r.report.runtime_cycles),
+        col("ops_completed", |r| r.report.ops_completed),
+        col("l1_hits", |r| r.report.l1_hits),
+        col("l2_hits", |r| r.report.l2_hits),
+        col("l2_misses", |r| r.report.l2_misses),
         mean("l2_service_mean", |r| &r.report.l2_service_latency),
         mean("cache_served_mean", |r| &r.report.cache_served),
         mean("memory_served_mean", |r| &r.report.memory_served),
         mean("ordering_mean", |r| &r.report.ordering_delay),
         mean("packet_latency_mean", |r| &r.report.packet_latency),
-        num("data_forwards", |r| r.report.data_forwards),
-        num("memory_responses", |r| r.report.memory_responses),
-        num("snoops_filtered", |r| r.report.snoops_filtered),
-        num("snoops_looked_up", |r| r.report.snoops_looked_up),
-        num("writebacks", |r| r.report.writebacks),
-        num("writebacks_squashed", |r| r.report.writebacks_squashed),
-        num("bypassed_flits", |r| r.report.bypassed_flits),
-        num("buffered_flits", |r| r.report.buffered_flits),
-        num("packets_injected", |r| r.report.packets_injected),
-        num("notify_windows", |r| r.report.notify_windows),
-        num("notify_nonempty", |r| r.report.notify_nonempty),
-        num("stop_windows", |r| r.report.stop_windows),
-        num("expiry_messages", |r| r.report.expiry_messages),
-        num("dir_accesses", |r| r.report.dir_accesses),
-        num("dir_misses", |r| r.report.dir_misses),
-        num("source_dropped", |r| r.report.source_dropped),
+        col("data_forwards", |r| r.report.data_forwards),
+        col("memory_responses", |r| r.report.memory_responses),
+        col("snoops_filtered", |r| r.report.snoops_filtered),
+        col("snoops_looked_up", |r| r.report.snoops_looked_up),
+        col("writebacks", |r| r.report.writebacks),
+        col("writebacks_squashed", |r| r.report.writebacks_squashed),
+        col("bypassed_flits", |r| r.report.bypassed_flits),
+        col("buffered_flits", |r| r.report.buffered_flits),
+        col("packets_injected", |r| r.report.packets_injected),
+        col("notify_windows", |r| r.report.notify_windows),
+        col("notify_nonempty", |r| r.report.notify_nonempty),
+        col("stop_windows", |r| r.report.stop_windows),
+        col("expiry_messages", |r| r.report.expiry_messages),
+        col("dir_accesses", |r| r.report.dir_accesses),
+        col("dir_misses", |r| r.report.dir_misses),
+        col("source_dropped", |r| r.report.source_dropped),
         maybe("packet_p50", |r| obs(r)?.packet_latency.percentile(0.50)),
         maybe("packet_p95", |r| obs(r)?.packet_latency.percentile(0.95)),
         maybe("packet_p99", |r| obs(r)?.packet_latency.percentile(0.99)),
@@ -199,11 +199,11 @@ fn columns(scenario: &str, opts: SinkOptions) -> Vec<CsvCol<'_>> {
     ];
     if opts.include_timing {
         cols.extend([
-            num("wall_nanos", |r| r.wall_nanos),
-            num("setup_nanos", |r| r.setup_nanos),
-            num("sim_nanos", |r| r.sim_nanos),
-            num("stepped_cycles", |r| r.stepped_cycles),
-            num("cycles_per_sec", |r| float(cycles_per_sec(r))),
+            col("wall_nanos", |r| r.wall_nanos),
+            col("setup_nanos", |r| r.setup_nanos),
+            col("sim_nanos", |r| r.sim_nanos),
+            col("stepped_cycles", |r| r.stepped_cycles),
+            col("cycles_per_sec", |r| float(cycles_per_sec(r))),
         ]);
     }
     cols
