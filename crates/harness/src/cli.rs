@@ -177,17 +177,21 @@ fn parse_run(args: &[String]) -> Result<RunOptions, String> {
                 .cloned()
                 .ok_or_else(|| format!("{flag} needs a value"))
         };
-        // The value of a flag that takes a positive integer.
-        let mut positive = |flag: &str| -> Result<usize, String> {
-            let raw = value(flag)?;
+        let positive = |flag: &str, raw: String| -> Result<usize, String> {
             match raw.parse::<usize>() {
                 Ok(n) if n > 0 => Ok(n),
                 _ => Err(format!("{flag} must be a positive integer, got `{raw}`")),
             }
         };
         match a.as_str() {
-            "--threads" => opts.threads = Some(positive("--threads")?),
-            "--ops" => opts.ops = Some(positive("--ops")?),
+            "--threads" => {
+                let raw = value("--threads")?;
+                opts.threads = Some(positive("--threads", raw)?);
+            }
+            "--ops" => {
+                let raw = value("--ops")?;
+                opts.ops = Some(positive("--ops", raw)?);
+            }
             "--seeds" => {
                 let raw = value("--seeds")?;
                 let seeds: Result<Vec<u64>, _> =
@@ -203,10 +207,16 @@ fn parse_run(args: &[String]) -> Result<RunOptions, String> {
             "--timing" => opts.timing = true,
             "--hist" => opts.hist = true,
             "--trace" => opts.trace = Some(value("--trace")?),
-            "--trace-limit" => opts.trace_limit = Some(positive("--trace-limit")?),
+            "--trace-limit" => {
+                let raw = value("--trace-limit")?;
+                opts.trace_limit = Some(positive("--trace-limit", raw)?);
+            }
             "--spans" => opts.spans = Some(value("--spans")?),
             "--windows" => opts.windows = Some(value("--windows")?),
-            "--window-cycles" => opts.window_cycles = Some(positive("--window-cycles")? as u64),
+            "--window-cycles" => {
+                let raw = value("--window-cycles")?;
+                opts.window_cycles = Some(positive("--window-cycles", raw)? as u64);
+            }
             "--verbose" => opts.verbose = true,
             "--no-table" => opts.no_table = true,
             flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`")),
