@@ -39,9 +39,8 @@ mod system;
 mod tile;
 
 pub use config::{ObsLevel, OpenLoopConfig, Protocol, SystemConfig, DEFAULT_SOURCE_QUEUE_CAP};
-pub use report::{
-    span_json, EpWait, ObsReport, PlaneObs, SpanReport, SystemReport, WindowReport, WindowRow,
-};
+pub use report::{EpWait, ObsReport, PlaneObs, SpanReport, SystemReport, WindowReport, WindowRow};
+pub use scorpio_mem::MissSpan;
 pub use scorpio_notify::NotifyScheme;
 pub use scorpio_workloads::ArrivalProcess;
 pub use system::System;

@@ -2,7 +2,7 @@
 
 use scorpio_mem::MissSpan;
 use scorpio_noc::WindowCell;
-use scorpio_sim::json::{self, Json};
+use scorpio_sim::json::{self, Fields, Json, Obj};
 use scorpio_sim::json_fields;
 use scorpio_sim::stats::LogHistogram;
 
@@ -223,37 +223,20 @@ pub struct WindowRow {
     pub(crate) ep_wait_min: Option<EpWait>,
 }
 
-impl WindowRow {
-    /// Renders the row as one JSON object (no trailing newline), same
-    /// byte-stability contract as [`SystemReport::to_json`].
-    pub fn json_body(&self) -> String {
+/// A window's stream record, under the same byte-stability contract as
+/// [`SystemReport::to_json`].
+impl Fields for WindowRow {
+    fn write_fields(&self, o: &mut Obj) {
         let c = &self.cell;
-        json::record(|o| {
-            json_fields!(o; window: self.window, start: self.window * self.cycles,
-                cycles: self.cycles, injected: c.injected, ejected: c.ejected,
-                latency: Hist(&c.latency));
-            o.object("wait", |w| {
-                json_fields!(w; count: c.wait_count, sum: c.wait_sum, max: c.wait_max);
-            });
-            o.field("buffer_integral", c.buffer_integral);
-            json_fields!(o, self; ops, publishes, ep_wait_max, ep_wait_min);
-        })
-    }
-}
-
-/// Renders one transaction span as a JSON object (no trailing newline):
-/// the absolute stamps plus the derived seven-phase breakdown, which
-/// sums to `retire - enqueued` exactly.
-pub fn span_json(s: &MissSpan) -> String {
-    json::record(|o| {
-        json_fields!(o; tile: s.tile, addr: s.addr.0, kind: format!("{:?}", s.kind),
-            served_by: format!("{:?}", s.served_by));
-        json_fields!(o, s; enqueued, admitted, issue, inject, popped, ordered, data, retire);
-        o.object("phases", |p| {
-            json_fields!(p; source: s.source(), queue: s.queue(), inject: s.inject_wait(),
-                flight: s.flight(), commit: s.commit(), data: s.data_wait(), fill: s.fill());
+        json_fields!(o; window: self.window, start: self.window * self.cycles,
+            cycles: self.cycles, injected: c.injected, ejected: c.ejected,
+            latency: Hist(&c.latency));
+        o.object("wait", |w| {
+            json_fields!(w; count: c.wait_count, sum: c.wait_sum, max: c.wait_max);
         });
-    })
+        o.field("buffer_integral", c.buffer_integral);
+        json_fields!(o, self; ops, publishes, ep_wait_max, ep_wait_min);
+    }
 }
 
 /// A log histogram as the obs annex renders it: count, sum,
@@ -602,7 +585,7 @@ mod tests {
             r#""windows":{"window_cycles":1024,"count":2,"warmup":1,"steady_ops":40,"steady_ejected":9,"max_wait":{"ep":7,"window":1,"count":2,"sum":10},"min_wait":null}"#
         ));
         // The span JSONL row carries stamps and the derived phases.
-        let body = span_json(&span);
+        let body = json::record(|o| span.write_fields(o));
         assert_eq!(
             body,
             r#"{"tile":3,"addr":64,"kind":"GetS","served_by":"Cache","enqueued":10,"admitted":11,"issue":12,"inject":13,"popped":20,"ordered":22,"data":18,"retire":25,"phases":{"source":1,"queue":1,"inject":1,"flight":7,"commit":2,"data":0,"fill":3}}"#
@@ -620,12 +603,11 @@ mod tests {
             publishes: 2,
             ..WindowRow::default()
         };
-        assert!(row.json_body().starts_with(
+        let body = json::record(|o| row.write_fields(o));
+        assert!(body.starts_with(
             r#"{"window":1,"start":1024,"cycles":1024,"injected":4,"ejected":3,"latency":{"count":0,"sum":0,"#
         ));
-        assert!(row
-            .json_body()
-            .ends_with(r#""ops":5,"publishes":2,"ep_wait_max":null,"ep_wait_min":null}"#));
+        assert!(body.ends_with(r#""ops":5,"publishes":2,"ep_wait_max":null,"ep_wait_min":null}"#));
     }
 
     #[test]

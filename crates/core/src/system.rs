@@ -1360,8 +1360,7 @@ mod tests {
             let traces = generate(&params.with_ops(20), cfg.cores(), cfg.seed);
             let mut sys = System::with_traces(cfg, traces);
             let report = sys.run_to_completion();
-            let (records, dropped) = sys.span_records();
-            let spans: Vec<String> = records.iter().map(crate::span_json).collect();
+            let (spans, dropped) = sys.span_records();
             (report.obs.and_then(|o| o.spans).unwrap(), spans, dropped)
         };
         let (mut full, all, none) = run(usize::MAX);
@@ -1411,6 +1410,15 @@ mod tests {
         per_plane("tile 0: driver", "esid=[");
         per_plane("mc 0: idle", "esid=[");
         per_plane("notify:", ", [");
+        // A live RSHR entry shows its transaction's stamps.
+        let stamped = |l: &str| {
+            let issued = l.split(" t_issue=").nth(1).unwrap_or_default();
+            issued.starts_with(|c: char| c.is_ascii_digit()) && l.contains(" t_popped=")
+        };
+        assert!(
+            dump.lines().any(|l| l.contains("rshr[") && stamped(l)),
+            "{dump}"
+        );
     }
 
     /// The watchdog panics with the full post-mortem, not a summary of it.

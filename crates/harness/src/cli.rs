@@ -25,9 +25,8 @@ use std::time::Instant;
 use crate::exec::{run_grid, ExecOptions, Overrides, RunResult};
 use crate::registry;
 use crate::scenario::Scenario;
-use crate::sink::{self, SinkOptions};
+use crate::sink::{self, Doc, SinkOptions};
 use crate::table::{render_lines, Col};
-use scorpio_sim::json;
 use scorpio_workloads::WorkloadParams;
 
 /// Parsed `harness run` options.
@@ -285,69 +284,27 @@ fn run(opts: &RunOptions) -> i32 {
         }
         all.push((name.clone(), results));
     }
-    // Every requested document, in flag order, written in one place.
-    let mut docs: Vec<(&str, String)> = Vec::new();
-    if let Some(path) = &opts.json {
-        let parts = all
-            .iter()
-            .map(|(name, rs)| sink::jsonl(name, rs, sink_opts));
-        docs.push((path, parts.collect()));
-    }
-    if let Some(path) = &opts.csv {
-        let mut doc = String::new();
-        for (name, results) in &all {
-            let part = sink::csv(name, results, sink_opts);
-            // One header for the whole file.
-            let rows = part.split_once('\n').map_or("", |x| x.1);
-            doc.push_str(if doc.is_empty() { &part } else { rows });
-        }
-        docs.push((path, doc));
-    }
-    // The three record streams. Each entry: output path, the run's
-    // records with the count dropped at the cap, and the stream/noun of
-    // the cap warning (windows are never capped).
-    type Stream = fn(&RunResult) -> (&Option<Vec<String>>, u64);
-    let streams: [(&Option<String>, Stream, (&str, &str)); 3] = [
-        (
-            &opts.trace,
-            |r| (&r.trace, r.trace_dropped),
-            ("trace", "event(s)"),
-        ),
-        (
-            &opts.spans,
-            |r| (&r.spans, r.spans_dropped),
-            ("spans", "span(s)"),
-        ),
-        (&opts.windows, |r| (&r.windows, 0), ("windows", "window(s)")),
+    let parts: Vec<_> = all.iter().map(|(n, rs)| (&n[..], &rs[..])).collect();
+    let runs = || parts.iter().flat_map(|p| p.1);
+    let trace: u64 = runs().filter_map(|r| Some(r.trace.as_ref()?.1)).sum();
+    let spans: u64 = runs().filter_map(|r| Some(r.spans.as_ref()?.1)).sum();
+    // Every requested document, in flag order, streamed to its path. A
+    // capped stream first warns of the records its cap dropped.
+    let docs = [
+        (&opts.json, Doc::Json, ("", "", 0)),
+        (&opts.csv, Doc::Csv, ("", "", 0)),
+        (&opts.trace, Doc::Trace, ("trace", "event(s)", trace)),
+        (&opts.spans, Doc::Spans, ("spans", "span(s)", spans)),
+        (&opts.windows, Doc::Windows, ("", "", 0)),
     ];
-    for (path, stream, (stream_name, noun)) in streams {
+    for (path, doc, (stream, noun, dropped)) in docs {
         let Some(path) = path else { continue };
-        let mut doc = String::new();
-        let mut dropped = 0u64;
-        for (name, results) in &all {
-            for r in results {
-                let (records, d) = stream(r);
-                dropped += d;
-                // Each record led by its run's identity, so a multi-run
-                // file keeps one self-describing schema.
-                for body in records.as_deref().unwrap_or_default() {
-                    json::object(&mut doc, |o| {
-                        o.field("scenario", name).field("index", r.spec.index);
-                        o.field("seed", r.spec.seed).splice(body);
-                    });
-                    doc.push('\n');
-                }
-            }
-        }
         if dropped > 0 {
             eprintln!(
-                "[harness] {stream_name}: {dropped} {noun} beyond the cap dropped (raise --trace-limit)"
+                "[harness] {stream}: {dropped} {noun} beyond the cap dropped (raise --trace-limit)"
             );
         }
-        docs.push((path, doc));
-    }
-    for (path, doc) in docs {
-        if let Err(e) = sink::write(path, &doc) {
+        if let Err(e) = sink::write(path, doc, &parts, sink_opts) {
             eprintln!("harness: writing {path}: {e}");
             return 1;
         }

@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use scorpio::{span_json, ObsLevel, SpanReport, System, SystemReport, WindowReport, WindowRow};
+use scorpio::{MissSpan, ObsLevel, SpanReport, System, SystemReport, WindowReport, WindowRow};
 use scorpio_noc::TraceEvent;
 use scorpio_workloads::generate;
 
@@ -99,19 +99,16 @@ pub struct RunResult {
     /// unless the leap engine jumped idle spans; the gap is the leap
     /// ratio the timing sinks report.
     pub stepped_cycles: u64,
-    /// Rendered flit-trace events (one JSON object per event, in
-    /// deterministic merge order) when the run traced; `None` otherwise.
-    pub trace: Option<Vec<String>>,
-    /// Trace events dropped at the cap.
-    pub trace_dropped: u64,
-    /// Rendered transaction spans (one JSON object per retired miss, in
-    /// deterministic retire order) when the run recorded spans.
-    pub spans: Option<Vec<String>>,
-    /// Spans dropped at the cap.
-    pub spans_dropped: u64,
-    /// Rendered windowed-telemetry rows (one JSON object per epoch, in
-    /// epoch order) when the run bucketed windows.
-    pub windows: Option<Vec<String>>,
+    /// The flit trace (deterministic merge order) with the count of
+    /// events dropped at the cap, when the run traced.
+    pub trace: Option<(Vec<TraceEvent>, u64)>,
+    /// The transaction spans (one per retired miss, in deterministic
+    /// retire order) with the count dropped at the cap, when the run
+    /// recorded spans.
+    pub spans: Option<(Vec<MissSpan>, u64)>,
+    /// The windowed-telemetry rows (one per epoch, in epoch order) when
+    /// the run bucketed windows.
+    pub windows: Option<Vec<WindowRow>>,
 }
 
 impl RunResult {
@@ -152,9 +149,7 @@ pub fn run_spec_ov(spec: &RunSpec, ops_per_core: usize, ov: &Overrides) -> RunRe
     // overrides above never move it, so a `--hist` row joins its plain twin.
     let config_hash = cfg.stable_hash();
     let config_label = cfg.label();
-    let tracing = cfg.obs == ObsLevel::Trace;
-    let spanning = cfg.spans;
-    let windowing = cfg.window_cycles != 0;
+    let (tracing, spanning, epoch) = (cfg.obs == ObsLevel::Trace, cfg.spans, cfg.window_cycles);
     let params = spec.workload.clone().with_ops(ops_per_core);
     let started = Instant::now();
     let traces = generate(&params, cfg.cores(), cfg.seed);
@@ -169,12 +164,9 @@ pub fn run_spec_ov(spec: &RunSpec, ops_per_core: usize, ov: &Overrides) -> RunRe
     let report = sys.run_to_completion();
     let sim_nanos = sim_started.elapsed().as_nanos();
     let stepped_cycles = sys.stepped_cycles();
-    let (trace, trace_dropped) = bodies(tracing.then(|| sys.take_trace()), TraceEvent::json_body);
-    let (spans, spans_dropped) = bodies(spanning.then(|| sys.span_records()), span_json);
-    let (windows, _) = bodies(
-        windowing.then(|| (sys.window_rows(), 0)),
-        WindowRow::json_body,
-    );
+    let trace = tracing.then(|| sys.take_trace());
+    let spans = spanning.then(|| sys.span_records());
+    let windows = (epoch != 0).then(|| sys.window_rows());
     RunResult {
         spec: spec.clone(),
         config_hash,
@@ -185,19 +177,9 @@ pub fn run_spec_ov(spec: &RunSpec, ops_per_core: usize, ov: &Overrides) -> RunRe
         sim_nanos,
         stepped_cycles,
         trace,
-        trace_dropped,
         spans,
-        spans_dropped,
         windows,
     }
-}
-
-/// A recorded stream's records as JSON bodies, with the count dropped at
-/// the cap; `(None, 0)` for a stream the run did not record.
-fn bodies<T>(stream: Option<(Vec<T>, u64)>, body: fn(&T) -> String) -> (Option<Vec<String>>, u64) {
-    stream.map_or((None, 0), |(records, dropped)| {
-        (Some(records.iter().map(body).collect()), dropped)
-    })
 }
 
 /// Runs every spec of `grid` and returns results in enumeration order.

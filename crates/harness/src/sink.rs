@@ -12,15 +12,16 @@
 //! else).
 
 use std::fmt::Display;
-use std::fs;
-use std::io::{self, Write};
+use std::fs::File;
+use std::io::{self, BufWriter, Write};
 
 use scorpio::{ObsReport, SpanReport};
+use scorpio_sim::json::{self, Fields};
+use scorpio_sim::json_fields;
 use scorpio_sim::stats::LogHistogram;
-use scorpio_sim::{json, json_fields};
 
 use crate::exec::RunResult;
-use crate::table::{render_lines, Col};
+use crate::table::{render_line, Col};
 
 /// Sink configuration.
 #[derive(Debug, Clone, Copy, Default)]
@@ -77,12 +78,7 @@ pub fn json_line(scenario: &str, r: &RunResult, opts: SinkOptions) -> String {
 
 /// All results as a JSON-lines document (one record per line).
 pub fn jsonl(scenario: &str, results: &[RunResult], opts: SinkOptions) -> String {
-    let mut out = String::new();
-    for r in results {
-        out.push_str(&json_line(scenario, r, opts));
-        out.push('\n');
-    }
-    out
+    document(Doc::Json, scenario, results, opts)
 }
 
 type CsvCol<'a> = Col<'a, RunResult>;
@@ -211,22 +207,92 @@ fn columns(scenario: &str, opts: SinkOptions) -> Vec<CsvCol<'_>> {
 
 /// All results as a CSV document with a header row.
 pub fn csv(scenario: &str, results: &[RunResult], opts: SinkOptions) -> String {
-    render_lines(&columns(scenario, opts), results, ",")
+    document(Doc::Csv, scenario, results, opts)
 }
 
-/// Writes `contents` to `path`, or to stdout when `path` is `-`.
+/// One scenario's `doc` in a `String`.
+fn document(doc: Doc, scenario: &str, results: &[RunResult], opts: SinkOptions) -> String {
+    let mut out = Vec::new();
+    write_doc(&mut out, doc, &[(scenario, results)], opts).expect("a Vec takes every write");
+    String::from_utf8(out).expect("the writers write UTF-8")
+}
+
+/// An output document of a sweep.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Doc {
+    /// One [`json_line`] per run (`--json`).
+    Json,
+    /// The CSV header, then one row per run (`--csv`).
+    Csv,
+    /// One line per flit-trace event (`--trace`).
+    Trace,
+    /// One line per transaction span (`--spans`).
+    Spans,
+    /// One line per telemetry window (`--windows`).
+    Windows,
+}
+
+/// A document's parts: each scenario's name and results, in order.
+pub type Parts<'a> = [(&'a str, &'a [RunResult])];
+
+/// Writes `doc` over `parts` to `path`, or to stdout when `path` is `-`,
+/// one line at a time through one buffer: no document is ever held
+/// whole. A record-stream line leads the record's fields with its run's
+/// identity (`scenario`, `index`, `seed`), so a multi-run file keeps one
+/// self-describing schema.
 ///
 /// A closed stdout pipe (`--json - | head`) counts as success: the
 /// reader got what it asked for.
-pub(crate) fn write(path: &str, contents: &str) -> io::Result<()> {
-    if path == "-" {
-        match io::stdout().write_all(contents.as_bytes()) {
-            Err(e) if e.kind() == io::ErrorKind::BrokenPipe => Ok(()),
-            other => other,
-        }
-    } else {
-        fs::write(path, contents)
+pub fn write(path: &str, doc: Doc, parts: &Parts, opts: SinkOptions) -> io::Result<()> {
+    if path != "-" {
+        return write_doc(&mut BufWriter::new(File::create(path)?), doc, parts, opts);
     }
+    match write_doc(&mut BufWriter::new(io::stdout().lock()), doc, parts, opts) {
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => Ok(()),
+        other => other,
+    }
+}
+
+fn write_doc(out: &mut impl Write, doc: Doc, parts: &Parts, opts: SinkOptions) -> io::Result<()> {
+    // The line being written. A record stream writes each of its lines
+    // itself; a JSON or CSV line is written at the end of its run, the
+    // CSV header (one for the whole file) with the line after it.
+    let mut line = String::new();
+    for (i, &(scenario, results)) in parts.iter().enumerate() {
+        let cols = columns(scenario, opts);
+        if doc == Doc::Csv && i == 0 {
+            render_line(&cols, None, ",", &mut line);
+        }
+        for r in results {
+            let mut record = |f: &dyn Fields| {
+                json::object(&mut line, |o| {
+                    json_fields!(o; scenario: scenario, index: r.spec.index, seed: r.spec.seed);
+                    f.write_fields(o);
+                });
+                line.push('\n');
+                out.write_all(line.as_bytes()).map(|()| line.clear())
+            };
+            match doc {
+                Doc::Json => line = json_line(scenario, r, opts) + "\n",
+                Doc::Csv => render_line(&cols, Some(r), ",", &mut line),
+                Doc::Trace => r
+                    .trace
+                    .iter()
+                    .flat_map(|t| &t.0)
+                    .try_for_each(|e| record(e))?,
+                Doc::Spans => r
+                    .spans
+                    .iter()
+                    .flat_map(|s| &s.0)
+                    .try_for_each(|s| record(s))?,
+                Doc::Windows => r.windows.iter().flatten().try_for_each(|w| record(w))?,
+            }
+            out.write_all(line.as_bytes())?;
+            line.clear();
+        }
+    }
+    out.write_all(line.as_bytes())?;
+    out.flush()
 }
 
 #[cfg(test)]

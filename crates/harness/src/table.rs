@@ -96,20 +96,23 @@ pub(crate) fn render_lines<'r, R: 'r>(
     sep: &str,
 ) -> String {
     let mut out = String::new();
-    let mut line = |text: &dyn Fn(&Col<R>) -> String| {
-        for (i, c) in cols.iter().enumerate() {
-            out.push_str(if i > 0 { sep } else { "" });
-            c.pad(&text(c), &mut out);
-        }
-        out.push('\n');
-    };
     if cols.iter().any(|c| !c.head.is_empty()) {
-        line(&|c| c.head.into());
+        render_line(cols, None, sep, &mut out);
     }
     for row in rows {
-        line(&|c| (c.cell)(row));
+        render_line(cols, Some(row), sep, &mut out);
     }
     out
+}
+
+/// Appends one line of `cols` to `out`, cells separated by `sep`: `row`'s
+/// cells, or the headers when `row` is `None`.
+pub(crate) fn render_line<R>(cols: &[Col<'_, R>], row: Option<&R>, sep: &str, out: &mut String) {
+    for (i, c) in cols.iter().enumerate() {
+        out.push_str(if i > 0 { sep } else { "" });
+        c.pad(&row.map_or_else(|| c.head.into(), |r| (c.cell)(r)), out);
+    }
+    out.push('\n');
 }
 
 /// Renders a normalized-runtime table: one row per benchmark, one column

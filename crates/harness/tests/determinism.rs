@@ -111,13 +111,12 @@ fn observability_output_is_thread_count_invariant() {
         assert_eq!(csv, sink::csv("fig7-small", &parallel, hist));
         for (a, b) in serial.iter().zip(&parallel) {
             assert_eq!(a.trace, b.trace, "{}: trace varies", a.spec.key());
-            assert_eq!(a.trace_dropped, b.trace_dropped);
         }
     }
     // The trace actually recorded something on the SCORPIO rows.
     assert!(serial
         .iter()
-        .any(|r| r.trace.as_ref().is_some_and(|t| !t.is_empty())));
+        .any(|r| r.trace.as_ref().is_some_and(|t| !t.0.is_empty())));
 }
 
 /// Different seeds must actually produce different results (the seed axis

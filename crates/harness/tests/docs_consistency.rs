@@ -127,15 +127,36 @@ fn experiments_md_documents_percentile_columns() {
 
 /// DESIGN.md §16 is the span schema's reference: each of the seven phase
 /// names must appear quoted as it does on the wire, and the README must
-/// show the `--spans`/`--windows` flags. The phase list mirrors
-/// `scorpio::span_json` — a renamed phase without documentation fails
-/// here.
+/// show the `--spans`/`--windows` flags. The phase list is checked
+/// against the `phases` object `MissSpan`'s field list writes — a renamed
+/// phase without documentation fails here.
 #[test]
 fn design_md_documents_the_span_phases() {
-    let md = repo_file("DESIGN.md");
-    for phase in [
+    use scorpio_harness::exec::{run_spec_ov, Overrides};
+    use scorpio_sim::json::{self, Fields};
+
+    let phases = [
         "source", "queue", "inject", "flight", "commit", "data", "fill",
-    ] {
+    ];
+    let spec = registry::by_name("fig7-small")
+        .expect("registered")
+        .grid
+        .enumerate()[0]
+        .clone();
+    let spanned = Overrides {
+        spans: true,
+        ..Overrides::default()
+    };
+    let r = run_spec_ov(&spec, 2, &spanned);
+    let (spans, _) = r.spans.as_ref().expect("spans recorded");
+    let body = json::record(|o| spans[0].write_fields(o));
+    let written: Vec<String> = key_paths(&body)
+        .iter()
+        .filter_map(|p| Some(p.strip_prefix("phases.")?.to_string()))
+        .collect();
+    assert_eq!(written, phases, "{body}");
+    let md = repo_file("DESIGN.md");
+    for phase in phases {
         assert!(
             md.contains(&format!("\"{phase}\"")),
             "DESIGN.md never documents the {phase:?} span phase"

@@ -26,11 +26,12 @@
 //! the annex with its latency histograms empty, and the window stream is
 //! digested beside the report.
 
-use scorpio::{
-    span_json, ArrivalProcess, ObsLevel, OpenLoopConfig, Protocol, System, SystemConfig, WindowRow,
-};
+use std::hash::Hasher;
+
+use scorpio::{ArrivalProcess, ObsLevel, OpenLoopConfig, Protocol, System, SystemConfig};
 use scorpio_harness::registry;
-use scorpio_noc::TraceEvent;
+use scorpio_sim::json::{self, Fields};
+use scorpio_sim::Fnv1a;
 use scorpio_workloads::{generate, WorkloadParams};
 
 /// A cap no golden cell reaches (asserted: nothing may be dropped).
@@ -46,17 +47,19 @@ struct Golden {
     spans: u64,
 }
 
-fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
-    bytes.iter().fold(h, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
+/// Digest of a line stream: every line plus a newline, in order.
+fn digest(lines: impl IntoIterator<Item = String>) -> u64 {
+    let mut h = Fnv1a::default();
+    for l in lines {
+        h.write(l.as_bytes());
+        h.write(b"\n");
+    }
+    h.finish()
 }
 
-/// Digest of a line stream: every line plus a newline, in order.
-fn digest<'a>(lines: impl Iterator<Item = &'a str>) -> u64 {
-    lines.fold(0xcbf2_9ce4_8422_2325, |h, l| {
-        fnv1a(fnv1a(h, l.as_bytes()), b"\n")
-    })
+/// Each record's standalone JSON body, written from its field list.
+fn bodies<T: Fields>(records: &[T]) -> impl Iterator<Item = String> + '_ {
+    records.iter().map(|r| json::record(|o| r.write_fields(o)))
 }
 
 fn preset(name: &str) -> WorkloadParams {
@@ -237,18 +240,16 @@ fn run(g: &Golden) -> (u64, u64, u64) {
     let (events, dropped) = sys.take_trace();
     assert_eq!(dropped, 0, "{}: the trace cap truncated the run", g.name);
     assert!(!events.is_empty(), "{}: empty trace", g.name);
-    let trace: Vec<String> = events.iter().map(TraceEvent::json_body).collect();
     let (records, span_dropped) = sys.span_records();
     assert_eq!(
         span_dropped, 0,
         "{}: the span cap truncated the run",
         g.name
     );
-    let spans: Vec<String> = records.iter().map(span_json).collect();
     (
-        digest(std::iter::once(report.to_json().as_str())),
-        digest(trace.iter().map(String::as_str)),
-        digest(spans.iter().map(String::as_str)),
+        digest([report.to_json()]),
+        digest(bodies(&events)),
+        digest(bodies(&records)),
     )
 }
 
@@ -323,10 +324,9 @@ fn run_annex(a: &Annex) -> (u64, u64) {
     let mut sys = System::with_traces(cfg, traces);
     let report = sys.run_to_completion();
     assert!(report.obs.is_some(), "{}: no annex", a.name);
-    let rows: Vec<String> = sys.window_rows().iter().map(WindowRow::json_body).collect();
     (
-        digest(std::iter::once(report.to_json().as_str())),
-        digest(rows.iter().map(String::as_str)),
+        digest([report.to_json()]),
+        digest(bodies(&sys.window_rows())),
     )
 }
 

@@ -9,8 +9,11 @@
 //! table and the whole digest list, so an *intended* change re-pins in
 //! one paste.
 
+use std::hash::Hasher;
+
 use scorpio_harness::exec::{run_grid, ExecOptions};
 use scorpio_harness::registry;
+use scorpio_sim::Fnv1a;
 
 /// Operations per core for every golden run.
 const OPS: usize = 2;
@@ -46,12 +49,6 @@ const TABLE: &[Golden] = &[
 /// is unchanged.
 const KILOCORE: Golden = ("scaling-kilocore-small", None, 0xa551d2e598bead74);
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
 /// Renders one golden scenario at [`OPS`] on one thread.
 fn render(&(name, seeds, _): &Golden) -> String {
     let mut s = registry::by_name(name).unwrap_or_else(|| panic!("{name} is registered"));
@@ -72,7 +69,9 @@ fn check(goldens: &[Golden]) {
     let mut pins = String::new();
     for g in goldens {
         let table = render(g);
-        let actual = fnv1a(table.as_bytes());
+        let mut h = Fnv1a::default();
+        h.write(table.as_bytes());
+        let actual = h.finish();
         let (name, seeds, expected) = *g;
         let seeds_src = seeds.map_or("None".into(), |s| format!("Some(&{s:?})"));
         pins.push_str(&format!("    ({name:?}, {seeds_src}, {actual:#018x}),\n"));

@@ -10,10 +10,13 @@
 //! Two tests read it:
 //! - `one_cell_per_grid_matches_the_manifest` (tier-1) reruns only the
 //!   pinned cell of every grid through the library, plus the zero-run
-//!   grids whole;
+//!   grids whole, and writes it through the CLI's writer
+//!   (`sink::write`);
 //! - `every_grid_matches_the_manifest` (`#[ignore]`d: minutes in debug,
-//!   about a minute in release) drives the CLI over every grid and
+//!   under a minute in release) drives the CLI over every grid and
 //!   checks every line.
+//!
+//! Both hash the files written line by line, never holding a document.
 //!
 //! `SCORPIO_BLESS=1 cargo test --release -p scorpio-harness --test
 //! manifest -- --ignored` rewrites the manifest from the current code;
@@ -21,13 +24,15 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::fs::File;
 use std::hash::Hasher;
-use std::path::PathBuf;
+use std::io::{BufRead, BufReader};
+use std::path::{Path, PathBuf};
 
 use scorpio::ObsLevel;
-use scorpio_harness::exec::{run_spec_ov, Overrides};
+use scorpio_harness::exec::{run_spec_ov, Overrides, RunResult};
 use scorpio_harness::registry;
-use scorpio_harness::sink::{self, SinkOptions};
+use scorpio_harness::sink::{self, Doc, SinkOptions};
 use scorpio_sim::Fnv1a;
 
 /// Operations per core of every pinned run.
@@ -41,8 +46,18 @@ const STREAM_GRIDS: [&str; 4] = [
     "scaling-kilocore-small",
 ];
 
-/// The record streams, in the order the manifest lists them.
-const STREAMS: [&str; 3] = ["trace", "spans", "windows"];
+/// A pinned document: its CLI flag, its manifest name and its kind.
+type Stream = (&'static str, &'static str, Doc);
+
+/// The result documents, pinned for every grid.
+const RESULTS: [Stream; 2] = [("--json", "json", Doc::Json), ("--csv", "csv", Doc::Csv)];
+
+/// The record streams, pinned for [`STREAM_GRIDS`].
+const STREAMS: [Stream; 3] = [
+    ("--trace", "trace", Doc::Trace),
+    ("--spans", "spans", Doc::Spans),
+    ("--windows", "windows", Doc::Windows),
+];
 
 /// `--windows`' epoch length when `--window-cycles` is not given.
 const WINDOW_CYCLES: u64 = 1024;
@@ -56,12 +71,6 @@ fn manifest_path() -> PathBuf {
 
 fn blessing() -> bool {
     std::env::var_os("SCORPIO_BLESS").is_some_and(|v| v == "1")
-}
-
-fn digest(text: &str) -> u64 {
-    let mut h = Fnv1a::default();
-    h.write(text.as_bytes());
-    h.finish()
 }
 
 /// Every registry name: each experiment's full grid, then its small one.
@@ -118,49 +127,56 @@ fn pinned_cell(grid: &str) -> Option<usize> {
         .map(|spec| spec.index)
 }
 
-/// The lines of `doc` cell `k` wrote: JSON records open with
-/// `{"scenario":…,"index":k,`, CSV rows with `grid,k,` after the header.
-fn cell_lines(grid: &str, stream: &str, doc: &str, k: usize) -> String {
-    let mut out = String::new();
-    let mut lines = doc.lines();
-    let prefix = if stream == "csv" {
-        out.push_str(lines.next().unwrap_or_default());
-        out.push('\n');
-        format!("{grid},{k},")
-    } else {
-        format!("{{\"scenario\":{grid:?},\"index\":{k},")
-    };
-    for l in lines.filter(|l| l.starts_with(&prefix)) {
-        out.push_str(l);
-        out.push('\n');
-    }
-    out
-}
-
-/// Runs `harness run <grid> --ops 8` with `flags`, each `(flag, stream)`
-/// writing to its own file, and returns the files' contents by stream.
-fn run_cli(grid: &str, flags: &[(&str, &str)]) -> Vec<(String, String)> {
+/// A scratch file for `grid`'s `stream`.
+fn scratch(grid: &str, stream: &str) -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("manifest");
     std::fs::create_dir_all(&dir).expect("a scratch directory");
-    let path = |stream: &str| dir.join(format!("{grid}.{stream}"));
+    dir.join(format!("{grid}.{stream}"))
+}
+
+/// Digests the file at `path` line by line, then removes it: the whole
+/// file, and the lines cell `k` wrote. JSON records of cell `k` open with
+/// `{"scenario":…,"index":k,`, CSV rows with `grid,k,`, and a CSV cell
+/// keeps the header line.
+fn digest_file(path: &Path, grid: &str, stream: &str, k: Option<usize>) -> (u64, u64) {
+    let prefix = k.map(|k| match stream {
+        "csv" => format!("{grid},{k},"),
+        _ => format!("{{\"scenario\":{grid:?},\"index\":{k},"),
+    });
+    let (mut whole, mut cell) = (Fnv1a::default(), Fnv1a::default());
+    let mut reader = BufReader::new(File::open(path).expect("the file was written"));
+    let mut line = String::new();
+    for n in 0.. {
+        line.clear();
+        if reader.read_line(&mut line).expect("a readable file") == 0 {
+            break;
+        }
+        whole.write(line.as_bytes());
+        if (n == 0 && stream == "csv") || prefix.as_ref().is_some_and(|p| line.starts_with(p)) {
+            cell.write(line.as_bytes());
+        }
+    }
+    std::fs::remove_file(path).expect("a removable file");
+    (whole.finish(), cell.finish())
+}
+
+/// Runs `harness run <grid> --ops 8` with `streams`, each written to its
+/// own file, and returns each stream's (whole file, pinned cell) digests.
+fn run_cli(grid: &str, streams: &[Stream], cell: Option<usize>) -> Vec<(String, (u64, u64))> {
     let ops = OPS.to_string();
     let mut args = vec!["run", grid, "--ops", &ops, "--threads", "2", "--no-table"];
-    let paths: Vec<String> = flags
+    let paths: Vec<String> = streams
         .iter()
-        .map(|(_, s)| path(s).display().to_string())
+        .map(|(_, s, _)| scratch(grid, s).display().to_string())
         .collect();
-    for ((flag, _), p) in flags.iter().zip(&paths) {
+    for ((flag, _, _), p) in streams.iter().zip(&paths) {
         args.extend([*flag, p.as_str()]);
     }
     assert_eq!(scorpio_harness::cli::run_cli(args), 0, "harness run {grid}");
-    flags
+    streams
         .iter()
         .zip(&paths)
-        .map(|((_, s), p)| {
-            let text = std::fs::read_to_string(p).expect("the CLI wrote the file");
-            std::fs::remove_file(p).expect("a removable file");
-            (s.to_string(), text)
-        })
+        .map(|((_, s, _), p)| (s.to_string(), digest_file(Path::new(p), grid, s, cell)))
         .collect()
 }
 
@@ -169,25 +185,29 @@ fn run_cli(grid: &str, flags: &[(&str, &str)]) -> Vec<(String, String)> {
 fn full_manifest() -> Manifest {
     let mut m = Manifest::new();
     for grid in grid_names() {
-        let mut docs = run_cli(&grid, &[("--json", "json"), ("--csv", "csv")]);
-        if STREAM_GRIDS.contains(&grid.as_str()) {
-            let flags = [
-                ("--trace", "trace"),
-                ("--spans", "spans"),
-                ("--windows", "windows"),
-            ];
-            docs.extend(run_cli(&grid, &flags));
-        }
         let cell = pinned_cell(&grid);
-        for (stream, doc) in &docs {
-            m.insert((grid.clone(), stream.clone()), digest(doc));
+        let mut docs = run_cli(&grid, &RESULTS, cell);
+        if STREAM_GRIDS.contains(&grid.as_str()) {
+            docs.extend(run_cli(&grid, &STREAMS, cell));
+        }
+        for (stream, (whole, part)) in docs {
             if let Some(k) = cell {
-                let part = cell_lines(&grid, stream, doc, k);
-                m.insert((grid.clone(), format!("{stream}#{k}")), digest(&part));
+                m.insert((grid.clone(), format!("{stream}#{k}")), part);
             }
+            m.insert((grid.clone(), stream), whole);
         }
     }
     m
+}
+
+/// The digest of `doc` over `results` as [`sink::write`] writes it (to a
+/// file of its own: the CLI test may run beside this one).
+fn written(grid: &str, (_, stream, doc): Stream, results: &[RunResult]) -> u64 {
+    let path = scratch(grid, &format!("{stream}.cell"));
+    let path_text = path.display().to_string();
+    sink::write(&path_text, doc, &[(grid, results)], SinkOptions::default())
+        .expect("a writable scratch file");
+    digest_file(&path, grid, stream, None).0
 }
 
 /// Compares `actual` with the manifest entries it names.
@@ -223,13 +243,12 @@ fn every_grid_matches_the_manifest() {
 }
 
 /// Reruns each grid's pinned cell alone (and the zero-run grids whole)
-/// through the library calls the CLI writes with.
+/// and writes its documents through the CLI's writer.
 #[test]
 fn one_cell_per_grid_matches_the_manifest() {
     if blessing() {
         return;
     }
-    let opts = SinkOptions::default();
     let recording = Overrides {
         obs: Some(ObsLevel::Trace),
         spans: true,
@@ -243,39 +262,23 @@ fn one_cell_per_grid_matches_the_manifest() {
             .grid
             .enumerate();
         let Some(k) = pinned_cell(&grid) else {
-            actual.insert(
-                (grid.clone(), "json".into()),
-                digest(&sink::jsonl(&grid, &[], opts)),
-            );
-            actual.insert(
-                (grid.clone(), "csv".into()),
-                digest(&sink::csv(&grid, &[], opts)),
-            );
+            for doc in RESULTS {
+                actual.insert((grid.clone(), doc.1.into()), written(&grid, doc, &[]));
+            }
             continue;
         };
-        let r = run_spec_ov(&specs[k], OPS, &Overrides::default());
-        let json = sink::jsonl(&grid, std::slice::from_ref(&r), opts);
-        let csv = sink::csv(&grid, std::slice::from_ref(&r), opts);
-        actual.insert((grid.clone(), format!("json#{k}")), digest(&json));
-        actual.insert((grid.clone(), format!("csv#{k}")), digest(&csv));
-        if !STREAM_GRIDS.contains(&grid.as_str()) {
-            continue;
+        let mut runs = vec![(
+            &RESULTS[..],
+            run_spec_ov(&specs[k], OPS, &Overrides::default()),
+        )];
+        if STREAM_GRIDS.contains(&grid.as_str()) {
+            runs.push((&STREAMS[..], run_spec_ov(&specs[k], OPS, &recording)));
         }
-        let r = run_spec_ov(&specs[k], OPS, &recording);
-        let records = [&r.trace, &r.spans, &r.windows];
-        for (stream, bodies) in STREAMS.iter().zip(records) {
-            let mut doc = String::new();
-            for body in bodies.as_deref().expect("the stream was recorded") {
-                // The CLI's stream line: the run's identity, then the body.
-                let (index, seed) = (r.spec.index, r.spec.seed);
-                writeln!(
-                    doc,
-                    "{{\"scenario\":{grid:?},\"index\":{index},\"seed\":{seed},{}",
-                    &body[1..]
-                )
-                .expect("writing to a String");
+        for (docs, r) in &runs {
+            for &doc in *docs {
+                let d = written(&grid, doc, std::slice::from_ref(r));
+                actual.insert((grid.clone(), format!("{}#{k}", doc.1)), d);
             }
-            actual.insert((grid.clone(), format!("{stream}#{k}")), digest(&doc));
         }
     }
     check(&actual);

@@ -9,7 +9,16 @@
 use scorpio::ObsLevel;
 use scorpio_harness::exec::{run_spec_ov, Overrides, RunResult};
 use scorpio_harness::{registry, Engine};
+use scorpio_sim::json::{self, Fields};
 use std::collections::{HashMap, HashSet};
+
+/// Each record's JSON body, written from its field list.
+fn bodies<T: Fields>(records: &[T]) -> Vec<String> {
+    records
+        .iter()
+        .map(|r| json::record(|o| r.write_fields(o)))
+        .collect()
+}
 
 /// Tiny numeric-field extractor for the hand-rolled trace JSON (no JSON
 /// parser in the dependency-free build): the value of `"key":` up to the
@@ -54,15 +63,16 @@ fn trace_reconciles_with_packet_latency_histogram() {
         .find(|s| s.protocol == scorpio::Protocol::Scorpio)
         .expect("a SCORPIO cell exists");
     let r = run_spec_ov(&spec, 10, &traced(10_000_000));
-    assert_eq!(r.trace_dropped, 0, "the cap must not truncate this run");
+    let (events, dropped) = r.trace.as_ref().expect("trace recorded");
+    assert_eq!(*dropped, 0, "the cap must not truncate this run");
     let obs = r.report.obs.as_deref().expect("obs annex present");
-    let trace = r.trace.as_ref().expect("trace recorded");
+    let trace = bodies(events);
 
     let mut inject: HashMap<(u64, u64), u64> = HashMap::new();
     let mut buckets = [0u64; 65];
     let mut ejects = 0u64;
     let mut kinds = HashSet::new();
-    for line in trace {
+    for line in &trace {
         let k = kind(line);
         kinds.insert(k.to_string());
         match k {
@@ -124,8 +134,8 @@ fn capped_trace_is_an_exact_prefix_of_the_uncapped_trace() {
         .expect("a SCORPIO cell exists");
     let full = run_spec_ov(&spec, 8, &traced(10_000_000));
     let capped = run_spec_ov(&spec, 8, &traced(200));
-    let full_trace = full.trace.as_ref().unwrap();
-    let capped_trace = capped.trace.as_ref().unwrap();
+    let (full_trace, _) = full.trace.as_ref().unwrap();
+    let (capped_trace, capped_dropped) = capped.trace.as_ref().unwrap();
     assert!(full_trace.len() > 200, "run is big enough to hit the cap");
     assert_eq!(capped_trace.len(), 200);
     assert_eq!(
@@ -133,7 +143,7 @@ fn capped_trace_is_an_exact_prefix_of_the_uncapped_trace() {
         &capped_trace[..],
         "capped trace is not the exact global prefix"
     );
-    assert!(capped.trace_dropped > 0);
+    assert!(*capped_dropped > 0);
     // Identical simulation either way: the cap only truncates output.
     assert_eq!(full.report.runtime_cycles, capped.report.runtime_cycles);
 }
@@ -159,8 +169,9 @@ fn scorpio_cell() -> scorpio_harness::RunSpec {
 fn check_span_reconciliation(r: &RunResult) {
     let obs = r.report.obs.as_deref().expect("obs annex present");
     let sp = obs.spans.as_ref().expect("span report present");
-    let spans = r.spans.as_ref().expect("spans recorded");
-    assert_eq!(r.spans_dropped, 0, "the cap must not truncate this run");
+    let (records, dropped) = r.spans.as_ref().expect("spans recorded");
+    assert_eq!(*dropped, 0, "the cap must not truncate this run");
+    let spans = bodies(records);
     assert_eq!(sp.dropped, 0);
     assert_eq!(sp.count as usize, spans.len());
     assert!(!spans.is_empty(), "the run missed at least once");
@@ -171,7 +182,7 @@ fn check_span_reconciliation(r: &RunResult) {
     let mut rebuilt: HashMap<&str, [u64; 65]> = HashMap::new();
     let mut totals = [0u64; 65];
     let bucket = |v: u64| (64 - v.leading_zeros()) as usize;
-    for line in spans {
+    for line in &spans {
         // `inject`/`data` name both an absolute stamp and a phase, so
         // split at the phases object before extracting fields.
         let (head, phases) = line.split_once("\"phases\":").expect("span has phases");
@@ -300,20 +311,20 @@ fn span_and_window_streams_are_engine_invariant() {
         let mut spec = scorpio_cell();
         spec.planes = planes;
         let base = run_spec_ov(&spec, 13, &ov);
-        let spans = base.spans.as_ref().expect("spans recorded");
-        let windows = base.windows.as_ref().expect("windows recorded");
+        let streams = |r: &RunResult| {
+            let (spans, _) = r.spans.as_ref().expect("spans recorded");
+            let windows = r.windows.as_ref().expect("windows recorded");
+            (bodies(spans), bodies(windows))
+        };
+        let (spans, windows) = streams(&base);
         assert!(!spans.is_empty() && !windows.is_empty());
         for engine in [Engine::AlwaysScan, Engine::Leap] {
             spec.engine = engine;
             let r = run_spec_ov(&spec, 13, &ov);
+            let (s, w) = streams(&r);
+            assert_eq!(s, spans, "{engine:?} spans diverge at {planes} plane(s)");
             assert_eq!(
-                r.spans.as_ref().unwrap(),
-                spans,
-                "{engine:?} spans diverge at {planes} plane(s)"
-            );
-            assert_eq!(
-                r.windows.as_ref().unwrap(),
-                windows,
+                w, windows,
                 "{engine:?} windows diverge at {planes} plane(s)"
             );
             assert_eq!(
@@ -356,9 +367,10 @@ fn span_and_window_output_is_thread_invariant() {
         let parallel = run_grid(&scenario.grid, &mk(threads));
         for (a, b) in serial.iter().zip(&parallel) {
             assert_eq!(a.spans, b.spans, "{} spans depend on threads", a.spec.key());
+            let windows = |r: &RunResult| bodies(r.windows.as_deref().unwrap_or_default());
             assert_eq!(
-                a.windows,
-                b.windows,
+                windows(a),
+                windows(b),
                 "{} windows depend on threads",
                 a.spec.key()
             );

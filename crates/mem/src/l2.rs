@@ -27,8 +27,9 @@ use scorpio_coherence::{
     fill_state, snoop_transition, CohMsg, FidList, FidPush, LineAddr, LineState, MsgKind,
 };
 use scorpio_noc::Endpoint;
+use scorpio_sim::json::{Fields, Obj};
 use scorpio_sim::stats::LogHistogram;
-use scorpio_sim::{Cycle, Fifo, Wake};
+use scorpio_sim::{json_fields, Cycle, Fifo, Wake};
 use std::collections::VecDeque;
 
 /// L2 configuration (defaults: the chip's 128 KB 4-way L2, 10-cycle access,
@@ -187,7 +188,7 @@ pub enum ServedBy {
 /// accessors partition the end-to-end latency exactly: their sum equals
 /// [`MissSpan::total`], and `inject_wait + flight + commit` equals the
 /// ordering-delay sample the report records.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MissSpan {
     /// The requesting tile.
     pub tile: u16,
@@ -265,6 +266,21 @@ impl MissSpan {
     /// scalar stats record for this miss.
     pub fn ordering(&self) -> u64 {
         self.ordered - self.issue
+    }
+}
+
+/// A span's stream record: the absolute stamps plus the derived
+/// seven-phase breakdown, which sums to `retire - enqueued` exactly.
+impl Fields for MissSpan {
+    fn write_fields(&self, o: &mut Obj) {
+        json_fields!(o; tile: self.tile, addr: self.addr.0, kind: format!("{:?}", self.kind),
+            served_by: format!("{:?}", self.served_by));
+        json_fields!(o, self; enqueued, admitted, issue, inject, popped, ordered, data, retire);
+        o.object("phases", |p| {
+            json_fields!(p; source: self.source(), queue: self.queue(),
+                inject: self.inject_wait(), flight: self.flight(), commit: self.commit(),
+                data: self.data_wait(), fill: self.fill());
+        });
     }
 }
 
@@ -1042,15 +1058,18 @@ impl SnoopyL2 {
         Endpoint::tile(scorpio_noc::RouterId(self.tile))
     }
 
-    /// Renders internal state for deadlock debugging.
+    /// Renders internal state for deadlock debugging. An RSHR entry's
+    /// `t_inject` and `t_popped` stamps read `-` unless spans are on.
     #[doc(hidden)]
     pub fn debug_state(&self) -> String {
         let mut out = String::new();
+        let at = |c: Option<Cycle>| c.map_or("-".into(), |c| c.as_u64().to_string());
         for (tag, e) in self.rshr.iter().enumerate() {
             if let Some(e) = e {
                 out.push_str(&format!(
-                    "  rshr[{tag}] addr={} kind={:?} ordered={} data={:?} blocked={} fids={} inval_on_fill={}\n",
-                    e.addr, e.kind, e.ordered.is_some(), e.data.map(|(v, _)| v), e.fill_blocked, self.fids[tag].entries().len(), e.invalidate_on_fill
+                    "  rshr[{tag}] addr={} kind={:?} data={:?} blocked={} fids={} inval_on_fill={} enqueued={} admitted={} t_issue={} t_inject={} t_popped={} ordered={} data_at={}\n",
+                    e.addr, e.kind, e.data.map(|(v, _)| v), e.fill_blocked, self.fids[tag].entries().len(), e.invalidate_on_fill,
+                    at(Some(e.enqueued)), at(Some(e.admitted)), at(Some(e.t_issue)), at(e.t_inject), at(e.t_popped), at(e.ordered), at(e.data.map(|d| d.1))
                 ));
             }
         }

@@ -29,8 +29,9 @@
 use crate::config::NocConfig;
 use crate::topology::Port;
 use scorpio_sim::capped::Capped;
+use scorpio_sim::json::{Fields, Obj};
+use scorpio_sim::json_fields;
 use scorpio_sim::stats::LogHistogram;
-use scorpio_sim::{json, json_fields};
 
 /// What to record. Passed to `crate::Network::set_observability`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -135,8 +136,8 @@ impl TraceKind {
     }
 }
 
-/// One flit event. Field meaning varies by [`TraceKind`]; see
-/// [`TraceEvent::json_body`] for the rendered schema.
+/// One flit event. Field meaning varies by [`TraceKind`]; its
+/// [`Fields`] list is the rendered schema.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Simulation cycle the event occurred on.
@@ -168,27 +169,26 @@ impl TraceEvent {
     pub fn sort_key(&self) -> (u64, u16) {
         (self.cycle, self.plane)
     }
+}
 
-    /// Renders the event as one JSON object (no trailing newline).
-    pub fn json_body(&self) -> String {
-        json::record(|o| {
-            json_fields!(o, self; cycle, plane);
-            o.field("event", self.kind.name());
-            let (node, port, vc, vnet, uid) = (self.node, self.port, self.vc, self.vnet, self.uid);
-            match self.kind {
-                TraceKind::Inject => json_fields!(o; ep: node, vnet: vnet, uid: uid),
-                TraceKind::VcAlloc | TraceKind::Hop => {
-                    json_fields!(o; router: node, port: port, vc: vc, vnet: vnet, uid: uid)
-                }
-                TraceKind::Bypass => {
-                    json_fields!(o; router: node, port: port, vnet: vnet, uid: uid)
-                }
-                TraceKind::Eject => {
-                    json_fields!(o; ep: node, vnet: vnet, vc: vc, uid: uid, lat: self.aux)
-                }
-                TraceKind::OrderedCommit => json_fields!(o; ep: node, sid: uid, own: self.aux),
+impl Fields for TraceEvent {
+    fn write_fields(&self, o: &mut Obj) {
+        json_fields!(o, self; cycle, plane);
+        o.field("event", self.kind.name());
+        let (node, port, vc, vnet, uid) = (self.node, self.port, self.vc, self.vnet, self.uid);
+        match self.kind {
+            TraceKind::Inject => json_fields!(o; ep: node, vnet: vnet, uid: uid),
+            TraceKind::VcAlloc | TraceKind::Hop => {
+                json_fields!(o; router: node, port: port, vc: vc, vnet: vnet, uid: uid)
             }
-        })
+            TraceKind::Bypass => {
+                json_fields!(o; router: node, port: port, vnet: vnet, uid: uid)
+            }
+            TraceKind::Eject => {
+                json_fields!(o; ep: node, vnet: vnet, vc: vc, uid: uid, lat: self.aux)
+            }
+            TraceKind::OrderedCommit => json_fields!(o; ep: node, sid: uid, own: self.aux),
+        }
     }
 }
 
@@ -415,7 +415,7 @@ impl NetObs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scorpio_sim::capped;
+    use scorpio_sim::{capped, json};
 
     fn sink(plane: u16) -> NetObs {
         let obs = ObsConfig {
@@ -471,18 +471,19 @@ mod tests {
         let mut o = sink(0);
         o.on_inject(3, 7, 1, 42);
         o.on_eject(9, 8, 0, 2, 42, 6);
-        let e0 = stream(&o).0[0].json_body();
+        let body = |e: &TraceEvent| json::record(|o| e.write_fields(o));
+        let e0 = body(&stream(&o).0[0]);
         assert_eq!(
             e0,
             r#"{"cycle":3,"plane":0,"event":"inject","ep":7,"vnet":1,"uid":42}"#
         );
-        let e1 = stream(&o).0[1].json_body();
+        let e1 = body(&stream(&o).0[1]);
         assert_eq!(
             e1,
             r#"{"cycle":9,"plane":0,"event":"eject","ep":8,"vnet":0,"vc":2,"uid":42,"lat":6}"#
         );
         assert_eq!(
-            commit(11, 1).json_body(),
+            body(&commit(11, 1)),
             r#"{"cycle":11,"plane":1,"event":"ordered-commit","ep":2,"sid":5,"own":1}"#
         );
     }

@@ -4,6 +4,9 @@
 //! owns the format: quoted keys, comma separators, `None` as `null`,
 //! integers through `Display`, and strings and `f64`s through `Debug`
 //! (escaped; shortest round-trip), so equal records are equal bytes.
+//! A stream record states its field list once, as [`Fields`]: its own
+//! object and a stream line that leads it with its run's identity are
+//! both written from that list.
 
 use std::fmt::Write;
 
@@ -59,6 +62,12 @@ fn write_array<T: Json>(out: &mut String, items: impl IntoIterator<Item = T>) {
     out.push(']');
 }
 
+/// A stream record (flit-trace event, transaction span, window row).
+pub trait Fields {
+    /// Appends this record's fields to `o`, in schema order.
+    fn write_fields(&self, o: &mut Obj);
+}
+
 /// An object being written: [`object`] opens and closes it, and each
 /// call appends its fields.
 pub struct Obj<'a> {
@@ -67,17 +76,12 @@ pub struct Obj<'a> {
 }
 
 impl Obj<'_> {
-    /// The separator, then `raw`.
-    fn push(&mut self, raw: &str) -> &mut String {
+    /// The separator, then `"key":`.
+    fn key(&mut self, key: &str) -> &mut String {
         if !std::mem::take(&mut self.empty) {
             self.out.push(',');
         }
-        self.out.push_str(raw);
-        self.out
-    }
-
-    fn key(&mut self, key: &str) -> &mut String {
-        key.write_json(self.push(""));
+        key.write_json(self.out);
         self.out.push(':');
         self.out
     }
@@ -97,16 +101,6 @@ impl Obj<'_> {
     /// Appends `"key":[…]`, one item per element of `items`.
     pub fn array<T: Json>(&mut self, key: &str, items: impl IntoIterator<Item = T>) -> &mut Self {
         write_array(self.key(key), items);
-        self
-    }
-
-    /// Appends the fields of `record`, an object this writer already
-    /// rendered (a stored stream record).
-    pub fn splice(&mut self, record: &str) -> &mut Self {
-        let inner = &record[1..record.len() - 1];
-        if !inner.is_empty() {
-            self.push(inner);
-        }
         self
     }
 }
@@ -143,7 +137,7 @@ mod tests {
     use super::*;
 
     /// One pass over every rule: escaped strings, `Debug` floats, `null`,
-    /// an empty array, a nested object, a pair and a splice.
+    /// an empty array, a nested object, a pair and a field list.
     #[test]
     fn writes_each_rule_once() {
         let doc = record(|o| {
@@ -156,11 +150,10 @@ mod tests {
                 .object("nested", |n| {
                     n.field("k", 7u64).array("pairs", [(0u32, 1u64), (4, 2)]);
                 });
-            o.splice(r#"{"x":1,"y":2}"#).splice("{}");
         });
         assert_eq!(
             doc,
-            r#"{"s":"q\"b\\","whole":1.0,"half":0.5,"none":null,"some":3,"empty":[],"nested":{"k":7,"pairs":[[0,1],[4,2]]},"x":1,"y":2}"#
+            r#"{"s":"q\"b\\","whole":1.0,"half":0.5,"none":null,"some":3,"empty":[],"nested":{"k":7,"pairs":[[0,1],[4,2]]}}"#
         );
         assert_eq!(record(|_| {}), "{}");
         struct Pair {
@@ -173,9 +166,15 @@ mod tests {
             record(|o| json_fields!(o; n: 2u8, s: "x")),
             r#"{"n":2,"s":"x"}"#
         );
-        let spliced = record(|o| {
-            o.splice(r#"{"a":1}"#).field("b", 2u64);
+        impl Fields for Pair {
+            fn write_fields(&self, o: &mut Obj) {
+                json_fields!(o, self; a, b);
+            }
+        }
+        let led = record(|o| {
+            o.field("run", 0u8);
+            p.write_fields(o);
         });
-        assert_eq!(spliced, r#"{"a":1,"b":2}"#);
+        assert_eq!(led, r#"{"run":0,"a":1,"b":null}"#);
     }
 }

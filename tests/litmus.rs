@@ -1,8 +1,9 @@
 //! Litmus tests: which values may loads return? SCORPIO's claim is that
 //! one global order of snoops makes the mesh behave like a bus, so every
-//! run must be sequentially consistent (SC). Six shapes, written as core
-//! programs on a 2×2 mesh (tiles 0 and 3, one access in flight per core —
-//! the chip's AHB constraint), for all five protocols on 1 and 2 planes:
+//! run must be sequentially consistent (SC). Seven shapes, written as core
+//! programs on a 2×2 mesh (T0 on tile 0 and T1 on tile 3 but for IRIW,
+//! one access in flight per core — the chip's AHB constraint), for all
+//! five protocols on 1 and 2 planes:
 //!
 //! - MP (message passing): T0 stores x = 1 then y = 1; T1 loads y then x.
 //!   SC forbids (y, x) = (1, 0).
@@ -21,6 +22,16 @@
 //!   then loads, `CORR_GAP` cycles later, the location the other stored
 //!   last (T0 y, T1 x). SC forbids (1, 1): both first stores winning
 //!   would order each thread's stores against its program order.
+//! - IRIW (independent reads of independent writes): tile 0 stores x = 1
+//!   and tile 3 stores y = 1, each after warming its own line; tile 1
+//!   loads x then y, and tile 2 loads y then x, their two loads
+//!   `CORR_GAP` cycles apart. Both readers first warm x and y, as MP's
+//!   reader does, and start their racing loads `WARM_GAP` cycles after
+//!   that, in step with a writer at zero offset: the offset moves only
+//!   the writers (tile 3's store starts `d` cycles after tile 0's). The
+//!   outcome is (tile 1's x, y, tile 2's y, x); SC forbids (1, 0, 1, 0),
+//!   the two readers seeing the writes in opposite orders. At 2 planes x
+//!   and y are ordered on different planes.
 //!
 //! The sweep varies the two cores' relative start offset `d` over
 //! `OFFSETS`. It is wide because the race window is: the notification
@@ -108,15 +119,16 @@ enum Shape {
     CoRR,
     CoWW,
     TwoPlusTwoW,
+    Iriw,
 }
 
 impl Shape {
-    /// The two cores' ops at offset `d` (T1 starts `d` cycles after T0).
-    fn programs(self, d: i64) -> [Vec<TraceRecord>; 2] {
+    /// Each tile's ops at offset `d` (T1 starts `d` cycles after T0).
+    fn programs(self, d: i64) -> [Vec<TraceRecord>; 4] {
         let (t0, t1) = (d.min(0).unsigned_abs() as u32, d.max(0) as u32);
         let (ld, st) = (TraceOp::Load, TraceOp::Store);
         match self {
-            Shape::Mp => [
+            Shape::Mp => pair(
                 vec![
                     op(0, ld, X, 0),
                     op(WARM_GAP + t0, st, X, 1),
@@ -127,24 +139,24 @@ impl Shape {
                     op(WARM_GAP + t1, ld, Y, 0),
                     op(0, ld, X, 0),
                 ],
-            ],
-            Shape::Sb => [
+            ),
+            Shape::Sb => pair(
                 vec![op(t0, st, X, 1), op(0, ld, Y, 0)],
                 vec![op(t1, st, Y, 1), op(0, ld, X, 0)],
-            ],
-            Shape::Lb => [
+            ),
+            Shape::Lb => pair(
                 vec![op(t0, ld, X, 0), op(0, st, Y, 1)],
                 vec![op(t1, ld, Y, 0), op(0, st, X, 1)],
-            ],
-            Shape::CoRR => [
+            ),
+            Shape::CoRR => pair(
                 vec![op(0, ld, X, 0), op(WARM_GAP + t0, st, X, 1)],
                 vec![
                     op(0, ld, X, 0),
                     op(WARM_GAP + t1, ld, X, 0),
                     op(CORR_GAP, ld, X, 0),
                 ],
-            ],
-            Shape::CoWW => [
+            ),
+            Shape::CoWW => pair(
                 vec![
                     op(0, ld, X, 0),
                     op(WARM_GAP + t0, st, X, 1),
@@ -155,47 +167,80 @@ impl Shape {
                     op(WARM_GAP + t1, ld, X, 0),
                     op(FINAL_GAP, ld, X, 0),
                 ],
-            ],
-            Shape::TwoPlusTwoW => [
+            ),
+            Shape::TwoPlusTwoW => pair(
                 vec![op(t0, st, X, 1), op(0, st, Y, 2), op(CORR_GAP, ld, Y, 0)],
                 vec![op(t1, st, Y, 1), op(0, st, X, 2), op(CORR_GAP, ld, X, 0)],
+            ),
+            Shape::Iriw => [
+                vec![op(0, ld, X, 0), op(WARM_GAP + t0, st, X, 1)],
+                vec![
+                    op(0, ld, X, 0),
+                    op(0, ld, Y, 0),
+                    op(WARM_GAP, ld, X, 0),
+                    op(CORR_GAP, ld, Y, 0),
+                ],
+                vec![
+                    op(0, ld, Y, 0),
+                    op(0, ld, X, 0),
+                    op(WARM_GAP, ld, Y, 0),
+                    op(CORR_GAP, ld, X, 0),
+                ],
+                vec![op(0, ld, Y, 0), op(WARM_GAP + t1, st, Y, 1)],
             ],
         }
     }
 
-    /// The outcome from each core's load log, as the module doc names it.
-    fn outcome(self, t0: &[u64], t1: &[u64]) -> (u64, u64) {
+    /// The outcome from each tile's load log, as the module doc names it.
+    fn outcome(self, logs: &[Vec<u64>; 4]) -> Vec<u64> {
+        let (t0, t1) = (&logs[0], &logs[3]);
         match self {
-            Shape::Mp | Shape::CoRR | Shape::CoWW => (t1[1], t1[2]),
-            Shape::Sb | Shape::Lb | Shape::TwoPlusTwoW => (t0[0], t1[0]),
+            Shape::Mp | Shape::CoRR | Shape::CoWW => vec![t1[1], t1[2]],
+            Shape::Sb | Shape::Lb | Shape::TwoPlusTwoW => vec![t0[0], t1[0]],
+            Shape::Iriw => vec![logs[1][2], logs[1][3], logs[2][2], logs[2][3]],
         }
     }
 
     /// Whether SC forbids `outcome`.
-    fn forbids(self, outcome: (u64, u64)) -> bool {
+    fn forbids(self, outcome: &[u64]) -> bool {
         match self {
-            Shape::Mp | Shape::CoRR => outcome == (1, 0),
-            Shape::Sb => outcome == (0, 0),
-            Shape::Lb | Shape::TwoPlusTwoW => outcome == (1, 1),
-            Shape::CoWW => outcome.1 != 2,
+            Shape::Mp | Shape::CoRR => outcome == [1, 0],
+            Shape::Sb => outcome == [0, 0],
+            Shape::Lb | Shape::TwoPlusTwoW => outcome == [1, 1],
+            Shape::CoWW => outcome[1] != 2,
+            Shape::Iriw => outcome == [1, 0, 1, 0],
+        }
+    }
+
+    /// Whether the outcomes `seen` over a sweep show that it spans the
+    /// race: all three SC-allowed outcomes of a two-location shape, and
+    /// for IRIW a reader that sees one write but not the other.
+    fn spanned(self, seen: &BTreeSet<Vec<u64>>) -> bool {
+        match self {
+            Shape::Iriw => seen.iter().any(|o| o[0] != o[1] || o[2] != o[3]),
+            _ => seen.len() == 3,
         }
     }
 }
 
-/// One run of `shape` at offset `d`; T0 on tile 0, T1 on tile 3.
-fn run(shape: Shape, d: i64, protocol: Protocol, planes: usize) -> (u64, u64) {
+/// A two-core shape's programs: T0 on tile 0, T1 on tile 3.
+fn pair(t0: Vec<TraceRecord>, t1: Vec<TraceRecord>) -> [Vec<TraceRecord>; 4] {
+    [t0, Vec::new(), Vec::new(), t1]
+}
+
+/// One run of `shape` at offset `d`: each tile runs its program and logs
+/// the value every load returns.
+fn run(shape: Shape, d: i64, protocol: Protocol, planes: usize) -> Vec<u64> {
     let cfg = SystemConfig::square(2)
         .with_protocol(protocol)
         .with_planes(planes);
-    let logs: [Arc<Mutex<Vec<u64>>>; 2] = Default::default();
-    let [t0, t1] = shape.programs(d);
-    let idle = || Script::boxed(Vec::new(), &Arc::default());
-    let programs = vec![
-        Script::boxed(t0, &logs[0]),
-        idle(),
-        idle(),
-        Script::boxed(t1, &logs[1]),
-    ];
+    let logs: [Arc<Mutex<Vec<u64>>>; 4] = Default::default();
+    let programs = shape
+        .programs(d)
+        .into_iter()
+        .zip(&logs)
+        .map(|(ops, log)| Script::boxed(ops, log))
+        .collect();
     let mut sys = System::with_programs(cfg, programs);
     sys.run_to_completion();
     assert_eq!(
@@ -203,40 +248,47 @@ fn run(shape: Shape, d: i64, protocol: Protocol, planes: usize) -> (u64, u64) {
         4,
         "{shape:?} {d:+}: a core never finished"
     );
-    let log = |t: usize| logs[t].lock().unwrap().clone();
-    shape.outcome(&log(0), &log(1))
+    shape.outcome(&logs.map(|l| l.lock().unwrap().clone()))
 }
 
-/// Sweeps every `step`-th offset of `shape` over all twenty
+/// An outcome as a tuple, `(1, 0)`.
+fn tuple(outcome: &[u64]) -> String {
+    let values: Vec<String> = outcome.iter().map(u64::to_string).collect();
+    format!("({})", values.join(", "))
+}
+
+/// Sweeps every `step`-th offset of `shape` over all ten
 /// configurations, failing on the first SC-forbidden outcome, and on a
-/// configuration that misses an SC-allowed one (the offsets must span the
-/// race). Prints each configuration's outcomes as `offset: outcome` at
-/// every offset where the outcome changes.
+/// configuration whose outcomes do not span the race
+/// ([`Shape::spanned`]). Prints each configuration's outcomes as
+/// `offset: outcome` at every offset where the outcome changes.
 fn sweep(shape: Shape, step: usize) {
     for protocol in protocols() {
         for planes in [1, 2] {
             let config = format!("{} mesh2x2 {planes} planes", protocol.name());
-            let mut changes: Vec<(i64, (u64, u64))> = Vec::new();
+            let mut changes: Vec<(i64, Vec<u64>)> = Vec::new();
             for d in OFFSETS.step_by(step) {
                 let outcome = run(shape, d, protocol, planes);
                 assert!(
-                    !shape.forbids(outcome),
-                    "{shape:?} offset {d:+} {config}: SC-forbidden outcome {outcome:?}"
+                    !shape.forbids(&outcome),
+                    "{shape:?} offset {d:+} {config}: SC-forbidden outcome {}",
+                    tuple(&outcome)
                 );
-                if changes.last().map(|c| c.1) != Some(outcome) {
+                if changes.last().map(|c| &c.1) != Some(&outcome) {
                     changes.push((d, outcome));
                 }
             }
             let line: Vec<String> = changes
                 .iter()
-                .map(|(d, o)| format!("{d:+}: {o:?}"))
+                .map(|(d, o)| format!("{d:+}: {}", tuple(o)))
                 .collect();
             println!("{shape:?} {config}: {}", line.join(", "));
-            let seen: BTreeSet<_> = changes.iter().map(|c| c.1).collect();
-            assert_eq!(
-                seen.len(),
-                3,
-                "{shape:?} {config}: race not spanned, saw {seen:?}"
+            let seen: BTreeSet<_> = changes.into_iter().map(|c| c.1).collect();
+            let seen_list: Vec<String> = seen.iter().map(|o| tuple(o)).collect();
+            assert!(
+                shape.spanned(&seen),
+                "{shape:?} {config}: race not spanned, saw {}",
+                seen_list.join(" ")
             );
         }
     }
@@ -261,7 +313,12 @@ fn coww_and_2p2w_sample_is_sequentially_consistent() {
 }
 
 #[test]
-#[ignore = "every offset, ~96k runs: run in release with --ignored"]
+fn iriw_sample_is_sequentially_consistent() {
+    sweep(Shape::Iriw, 16);
+}
+
+#[test]
+#[ignore = "every offset, ~112k runs: run in release with --ignored"]
 fn litmus_full_sweep() {
     for shape in [
         Shape::Mp,
@@ -270,6 +327,7 @@ fn litmus_full_sweep() {
         Shape::CoRR,
         Shape::CoWW,
         Shape::TwoPlusTwoW,
+        Shape::Iriw,
     ] {
         sweep(shape, 1);
     }
