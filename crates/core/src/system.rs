@@ -1410,15 +1410,19 @@ mod tests {
         per_plane("tile 0: driver", "esid=[");
         per_plane("mc 0: idle", "esid=[");
         per_plane("notify:", ", [");
-        // A live RSHR entry shows its transaction's stamps.
-        let stamped = |l: &str| {
-            let issued = l.split(" t_issue=").nth(1).unwrap_or_default();
-            issued.starts_with(|c: char| c.is_ascii_digit()) && l.contains(" t_popped=")
+        // A live RSHR entry shows its transaction's stamps, spans off: one
+        // ordered already was injected and popped.
+        let stamp = |l: &str, key: &str| {
+            let value = l.split(key).nth(1).unwrap_or_default();
+            value.starts_with(|c: char| c.is_ascii_digit())
         };
-        assert!(
-            dump.lines().any(|l| l.contains("rshr[") && stamped(l)),
-            "{dump}"
-        );
+        let rshr: Vec<&str> = dump.lines().filter(|l| l.contains("rshr[")).collect();
+        assert!(rshr.iter().any(|l| stamp(l, " t_issue=")), "{dump}");
+        let ordered: Vec<&&str> = rshr.iter().filter(|l| stamp(l, " ordered=")).collect();
+        assert!(!ordered.is_empty(), "{dump}");
+        for l in ordered {
+            assert!(stamp(l, " t_inject=") && stamp(l, " t_popped="), "{l}");
+        }
     }
 
     /// The watchdog panics with the full post-mortem, not a summary of it.

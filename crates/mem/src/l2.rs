@@ -486,31 +486,32 @@ impl SnoopyL2 {
         self.record_spans = true;
     }
 
-    /// The RSHR entry a span stamp for `msg` goes to: only with spans on,
-    /// and only for this tile's own `GetS`/`GetX`. A `WbReq` has no RSHR
-    /// entry, and its tag could alias a live one.
-    fn span_entry(&mut self, msg: &CohMsg) -> Option<&mut RshrEntry> {
+    /// The RSHR entry a stamp for `msg` goes to: only this tile's own
+    /// `GetS`/`GetX`. A `WbReq` has no RSHR entry, and its tag could alias
+    /// a live one. Stamps are kept with spans off too, for the post-mortem.
+    fn own_miss_entry(&mut self, msg: &CohMsg) -> Option<&mut RshrEntry> {
         let own_miss =
             msg.requester == self.tile && matches!(msg.kind, MsgKind::GetS | MsgKind::GetX);
-        if !(self.record_spans && own_miss) {
+        if !own_miss {
             return None;
         }
         self.rshr[msg.req_tag as usize].as_mut()
     }
 
-    /// Stamps the network-injection cycle on `msg`'s span: the cycle the
-    /// ordered request left the L2 outbox toward the interconnect layer.
+    /// Stamps the network-injection cycle on `msg`'s RSHR entry: the cycle
+    /// the ordered request left the L2 outbox toward the interconnect
+    /// layer.
     pub fn stamp_inject(&mut self, msg: &CohMsg, now: Cycle) {
-        if let Some(entry) = self.span_entry(msg) {
+        if let Some(entry) = self.own_miss_entry(msg) {
             entry.t_inject = Some(now);
         }
     }
 
-    /// Stamps the own-ordered-pop cycle on `msg`'s span: the cycle the own
-    /// ordered observation left the NIC or reorder buffer toward the snoop
-    /// queue.
+    /// Stamps the own-ordered-pop cycle on `msg`'s RSHR entry: the cycle
+    /// the own ordered observation left the NIC or reorder buffer toward
+    /// the snoop queue.
     pub fn stamp_popped(&mut self, msg: &CohMsg, now: Cycle) {
-        if let Some(entry) = self.span_entry(msg) {
+        if let Some(entry) = self.own_miss_entry(msg) {
             entry.t_popped = Some(now);
         }
     }
@@ -1059,7 +1060,9 @@ impl SnoopyL2 {
     }
 
     /// Renders internal state for deadlock debugging. An RSHR entry's
-    /// `t_inject` and `t_popped` stamps read `-` unless spans are on.
+    /// `t_inject` and `t_popped` stamps read `-` until its own request is
+    /// injected and popped in order, so a stuck miss shows which it waits
+    /// for.
     #[doc(hidden)]
     pub fn debug_state(&self) -> String {
         let mut out = String::new();

@@ -597,25 +597,26 @@ fn expected_vc<T: Payload>(net: &Network<T>, idx: usize, heads: u32, esid: Sid) 
     })
 }
 
-/// Per ordered plane (none on a baseline NIC) the expected SID and the
-/// unsent and announced counts, so a multi-plane post-mortem shows every
-/// plane's expectation.
+/// Per ordered plane (none on a baseline NIC) the expected SID, the
+/// unsent and announced counts, and the tracker's queued windows, the SIDs
+/// it still expects and its priority pointer, so a multi-plane
+/// post-mortem shows every plane's expectation.
 impl<T: Payload> std::fmt::Debug for Nic<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let esid: Vec<Option<Sid>> = self
-            .order
-            .iter()
-            .map(|o| o.tracker.current_esid())
-            .collect();
-        let unsent: Vec<u8> = self.order.iter().map(|o| o.unsent).collect();
-        let announced: Vec<u8> = self.order.iter().map(|o| o.announced).collect();
+        fn each<T, V>(order: &[PlaneOrder<T>], v: impl Fn(&PlaneOrder<T>) -> V) -> Vec<V> {
+            order.iter().map(v).collect()
+        }
+        let o = &self.order;
         f.debug_struct("Nic")
             .field("ep", &self.ep)
             .field("sid", &self.sid)
             .field("planes", &self.partial.len())
-            .field("esid", &esid)
-            .field("unsent", &unsent)
-            .field("announced", &announced)
+            .field("esid", &each(o, |o| o.tracker.current_esid()))
+            .field("unsent", &each(o, |o| o.unsent))
+            .field("announced", &each(o, |o| o.announced))
+            .field("queued_windows", &each(o, |o| o.tracker.queued_windows()))
+            .field("expected", &each(o, |o| o.tracker.backlog()))
+            .field("priority", &each(o, |o| o.tracker.priority()))
             .field("last_window", &self.last_window)
             .finish()
     }
@@ -662,9 +663,18 @@ mod tests {
         let mut window = NotifyMsg::new(4, 1, 2);
         window.set_count(1, 3, 1);
         nic.order[1].tracker.push_window(&window);
+        // A second window queues behind the first, one more SID.
+        let mut second = NotifyMsg::new(4, 1, 2);
+        second.set_count(1, 2, 1);
+        nic.order[1].tracker.push_window(&second);
         assert_eq!(nic.current_esid(0), None);
         assert_eq!(nic.current_esid(1), Some(Sid(3)));
         let text = format!("{nic:?}");
         assert!(text.contains("esid: [None, Some(Sid(3))]"), "{text}");
+        // Plane 1's tracker: one window queued, two SIDs expected, the
+        // pointer rotated once per accepted window.
+        assert!(text.contains("queued_windows: [0, 1]"), "{text}");
+        assert!(text.contains("expected: [0, 2]"), "{text}");
+        assert!(text.contains("priority: [0, 2]"), "{text}");
     }
 }

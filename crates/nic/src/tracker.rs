@@ -146,6 +146,11 @@ impl NotificationTracker {
     pub(crate) fn backlog(&self) -> usize {
         self.sids.len()
     }
+
+    /// The core the next accepted window is expanded from.
+    pub(crate) fn priority(&self) -> usize {
+        self.arbiter.pointer()
+    }
 }
 
 #[cfg(test)]
