@@ -1,5 +1,7 @@
 //! Tile area/power breakdowns (Figure 9) and scaling rules (Section 5.2).
 
+use crate::Fabric;
+
 /// A tile component in the breakdowns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) enum Component {
@@ -143,55 +145,51 @@ pub(crate) fn chip_power_watts(tiles: usize) -> f64 {
     0.8 * tiles as f64
 }
 
-/// The main-network port count of one router on `fabric` (`"mesh"`,
-/// `"torus"`, `"ring"` or `"cmesh"`) hosting `concentration` local tile
-/// attachments: four mesh directions (two on a ring) plus one local port
-/// per tile. The chip's 5-port mesh router (`concentration == 1`) is the
-/// baseline the area/power shares of Figure 9 were synthesized for; a
-/// concentration-4 CMesh router switches 8 ports.
-///
-/// This is the single radix derivation the physical model uses — the
-/// concentration comes from `Topology::tiles_per_router`, the same source
-/// the delivery fabric and notification window are built from, so the
-/// wire model can never disagree with the topology about router shape.
-///
-/// # Panics
-///
-/// Panics on an unknown fabric name or zero concentration.
-pub(crate) fn router_radix(fabric: &str, concentration: usize) -> usize {
-    assert!(concentration > 0, "at least one tile per router");
+/// Tiles behind one router of `fabric`: its concentration, the count
+/// [`Fabric::topology`] builds the routers with.
+fn concentration(fabric: Fabric) -> usize {
     match fabric {
-        "mesh" | "torus" | "cmesh" => 4 + concentration,
-        "ring" => 2 + concentration,
-        other => panic!("unknown fabric {other:?}"),
+        Fabric::CMesh(c) => c.into(),
+        Fabric::Mesh | Fabric::Torus | Fabric::Ring => 1,
     }
 }
 
-/// Average link-length scale of `fabric` at `concentration` tiles per
-/// router, relative to the mesh's nearest-neighbour links. A folded torus
-/// keeps every physical link equal but twice the mesh hop length (the
-/// standard folding layout for the wraparound links); a ring laid out as
-/// a folded loop likewise pays ~2×. Concentrating `c` tiles behind one
-/// router stretches each inter-router link across a `√c × √c` tile block,
-/// so wire length grows with `√c`. Link energy scales linearly with wire
-/// length.
+/// The main-network port count of one router on `fabric`: four mesh
+/// directions (two on a ring) plus one local port per tile behind it. The
+/// chip's 5-port mesh router is the baseline the area/power shares of
+/// Figure 9 were synthesized for; a concentration-4 CMesh router switches
+/// 8 ports.
 ///
-/// # Panics
-///
-/// Panics on an unknown fabric name or zero concentration.
-pub(crate) fn link_length_scale(fabric: &str, concentration: usize) -> f64 {
-    assert!(concentration > 0, "at least one tile per router");
-    let base = match fabric {
-        "mesh" | "cmesh" => 1.0,
-        "torus" | "ring" => 2.0,
-        other => panic!("unknown fabric {other:?}"),
+/// This is the single radix derivation the physical model uses, from the
+/// same fabric value the delivery fabric and notification window are
+/// built from, so the wire model can never disagree with the topology
+/// about router shape.
+pub(crate) fn router_radix(fabric: Fabric) -> usize {
+    let directions = match fabric {
+        Fabric::Mesh | Fabric::Torus | Fabric::CMesh(_) => 4,
+        Fabric::Ring => 2,
     };
-    base * (concentration as f64).sqrt()
+    directions + concentration(fabric)
+}
+
+/// Average link-length scale of `fabric`, relative to the mesh's
+/// nearest-neighbour links. A folded torus keeps every physical link equal
+/// but twice the mesh hop length (the standard folding layout for the
+/// wraparound links); a ring laid out as a folded loop likewise pays ~2×.
+/// Concentrating `c` tiles behind one router stretches each inter-router
+/// link across a `√c × √c` tile block, so wire length grows with `√c`.
+/// Link energy scales linearly with wire length.
+pub(crate) fn link_length_scale(fabric: Fabric) -> f64 {
+    let base = match fabric {
+        Fabric::Mesh | Fabric::CMesh(_) => 1.0,
+        Fabric::Torus | Fabric::Ring => 2.0,
+    };
+    base * (concentration(fabric) as f64).sqrt()
 }
 
 /// Router radix relative to the chip's 5-port mesh router.
-fn radix_ratio(fabric: &str, concentration: usize) -> f64 {
-    router_radix(fabric, concentration) as f64 / router_radix("mesh", 1) as f64
+fn radix_ratio(fabric: Fabric) -> f64 {
+    router_radix(fabric) as f64 / router_radix(Fabric::Mesh) as f64
 }
 
 /// Router+NIC power relative to the chip's 4-VC mesh router. The VC term
@@ -201,12 +199,11 @@ fn radix_ratio(fabric: &str, concentration: usize) -> f64 {
 /// mean of the two), and the fabric's link length scales the link
 /// drivers (~40% of router+link power on the chip's nearest-neighbour
 /// links).
-pub(crate) fn router_power_scale(goreq_vcs: u8, fabric: &str, concentration: usize) -> f64 {
-    let r = radix_ratio(fabric, concentration);
+pub(crate) fn router_power_scale(goreq_vcs: u8, fabric: Fabric) -> f64 {
+    let r = radix_ratio(fabric);
     let switching = (1.0 + (goreq_vcs as f64 - 4.0) * (0.12 / 2.0)) * (r * r + r) / 2.0;
     const LINK_FRACTION: f64 = 0.4;
-    switching * (1.0 - LINK_FRACTION)
-        + switching * LINK_FRACTION * link_length_scale(fabric, concentration)
+    switching * (1.0 - LINK_FRACTION) + switching * LINK_FRACTION * link_length_scale(fabric)
 }
 
 /// Total main-network power budget relative to the chip's single-plane
@@ -215,14 +212,9 @@ pub(crate) fn router_power_scale(goreq_vcs: u8, fabric: &str, concentration: usi
 /// count by `c`. Idle planes clock-gate nothing in this
 /// model — the honest upper bound for the replication cost the `planes`
 /// sweeps report.
-pub(crate) fn network_power_scale(
-    goreq_vcs: u8,
-    fabric: &str,
-    planes: usize,
-    concentration: usize,
-) -> f64 {
+pub(crate) fn network_power_scale(goreq_vcs: u8, fabric: Fabric, planes: usize) -> f64 {
     assert!(planes > 0, "at least one plane");
-    planes as f64 * router_power_scale(goreq_vcs, fabric, concentration) / concentration as f64
+    planes as f64 * router_power_scale(goreq_vcs, fabric) / concentration(fabric) as f64
 }
 
 /// Relative network energy per delivered message: the scaled network
@@ -235,17 +227,15 @@ pub(crate) fn network_power_scale(
 /// Returns 0 when no messages were delivered.
 pub(crate) fn energy_per_message_scale(
     goreq_vcs: u8,
-    fabric: &str,
+    fabric: Fabric,
     planes: usize,
-    concentration: usize,
     runtime_cycles: u64,
     messages: u64,
 ) -> f64 {
     if messages == 0 {
         return 0.0;
     }
-    network_power_scale(goreq_vcs, fabric, planes, concentration) * runtime_cycles as f64
-        / messages as f64
+    network_power_scale(goreq_vcs, fabric, planes) * runtime_cycles as f64 / messages as f64
 }
 
 /// Notification-network data width: m bits per core plus the stop bit,
@@ -267,8 +257,8 @@ mod tests {
     /// here as the mean of the two. A 3-port ring router is therefore
     /// markedly smaller than the 5-port mesh router at the same VC count, and
     /// a concentration-4 CMesh router markedly larger.
-    fn router_area_scale(goreq_vcs: u8, fabric: &str, concentration: usize) -> f64 {
-        let r = radix_ratio(fabric, concentration);
+    fn router_area_scale(goreq_vcs: u8, fabric: Fabric) -> f64 {
+        let r = radix_ratio(fabric);
         (1.0 + (goreq_vcs as f64 - 4.0) * (0.15 / 2.0)) * (r * r + r) / 2.0
     }
 
@@ -278,9 +268,9 @@ mod tests {
     /// `concentration` — so a bigger router is paid for out of fewer routers.
     /// At concentration 2 the per-router area rises ~1.3× but only half the
     /// routers exist, a net win the `cmesh` sweeps report.
-    fn network_area_scale(goreq_vcs: u8, fabric: &str, planes: usize, concentration: usize) -> f64 {
+    fn network_area_scale(goreq_vcs: u8, fabric: Fabric, planes: usize) -> f64 {
         assert!(planes > 0, "at least one plane");
-        planes as f64 * router_area_scale(goreq_vcs, fabric, concentration) / concentration as f64
+        planes as f64 * router_area_scale(goreq_vcs, fabric) / concentration(fabric) as f64
     }
 
     /// Aggregate-node count of the quad-tree: one OR node per quad per level
@@ -341,10 +331,10 @@ mod tests {
 
     #[test]
     fn vc_scaling_matches_section_5_2() {
-        assert!((router_area_scale(4, "mesh", 1) - 1.0).abs() < 1e-9);
-        assert!((router_area_scale(6, "mesh", 1) - 1.15).abs() < 1e-9);
-        assert!((router_power_scale(6, "mesh", 1) - 1.12).abs() < 1e-9);
-        assert!(router_area_scale(2, "mesh", 1) < 1.0);
+        assert!((router_area_scale(4, Fabric::Mesh) - 1.0).abs() < 1e-9);
+        assert!((router_area_scale(6, Fabric::Mesh) - 1.15).abs() < 1e-9);
+        assert!((router_power_scale(6, Fabric::Mesh) - 1.12).abs() < 1e-9);
+        assert!(router_area_scale(2, Fabric::Mesh) < 1.0);
     }
 
     #[test]
@@ -359,31 +349,31 @@ mod tests {
     #[test]
     fn topology_corrections_track_radix_and_wire_length() {
         // The mesh baseline is exactly the VC-only scale.
-        assert!((router_area_scale(4, "mesh", 1) - 1.0).abs() < 1e-9);
-        assert!((router_power_scale(4, "mesh", 1) - 1.0).abs() < 1e-9);
+        assert!((router_area_scale(4, Fabric::Mesh) - 1.0).abs() < 1e-9);
+        assert!((router_power_scale(4, Fabric::Mesh) - 1.0).abs() < 1e-9);
         // A torus router has mesh radix but 2x links: more power, equal
         // area.
-        assert!((router_area_scale(4, "torus", 1) - 1.0).abs() < 1e-9);
-        let torus_p = router_power_scale(4, "torus", 1);
+        assert!((router_area_scale(4, Fabric::Torus) - 1.0).abs() < 1e-9);
+        let torus_p = router_power_scale(4, Fabric::Torus);
         assert!(torus_p > 1.0 && torus_p < 2.0, "torus power {torus_p}");
         // A 3-port ring router is smaller than the 5-port mesh router
         // despite its longer folded links.
-        assert!(router_area_scale(4, "ring", 1) < 1.0);
+        assert!(router_area_scale(4, Fabric::Ring) < 1.0);
         // VC scaling still applies on every fabric.
-        assert!(router_area_scale(6, "torus", 1) > router_area_scale(4, "torus", 1));
+        assert!(router_area_scale(6, Fabric::Torus) > router_area_scale(4, Fabric::Torus));
     }
 
     #[test]
     fn plane_scaling_is_linear_and_energy_per_message_divides_out() {
-        assert!((network_area_scale(4, "mesh", 1, 1) - 1.0).abs() < 1e-9);
-        assert!((network_area_scale(4, "mesh", 4, 1) - 4.0).abs() < 1e-9);
-        assert!((network_power_scale(4, "mesh", 2, 1) - 2.0).abs() < 1e-9);
+        assert!((network_area_scale(4, Fabric::Mesh, 1) - 1.0).abs() < 1e-9);
+        assert!((network_area_scale(4, Fabric::Mesh, 4) - 4.0).abs() < 1e-9);
+        assert!((network_power_scale(4, Fabric::Mesh, 2) - 2.0).abs() < 1e-9);
         // 4 planes at 1/3 the runtime: energy per message worsens by 4/3
         // if message counts match.
-        let e1 = energy_per_message_scale(4, "mesh", 1, 1, 3000, 100);
-        let e4 = energy_per_message_scale(4, "mesh", 4, 1, 1000, 100);
+        let e1 = energy_per_message_scale(4, Fabric::Mesh, 1, 3000, 100);
+        let e4 = energy_per_message_scale(4, Fabric::Mesh, 4, 1000, 100);
         assert!((e4 / e1 - 4.0 / 3.0).abs() < 1e-9);
-        assert_eq!(energy_per_message_scale(4, "mesh", 1, 1, 100, 0), 0.0);
+        assert_eq!(energy_per_message_scale(4, Fabric::Mesh, 1, 100, 0), 0.0);
     }
 
     #[test]
@@ -427,37 +417,31 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unknown fabric")]
-    fn unknown_fabric_panics() {
-        let _ = router_radix("hypercube", 1);
-    }
-
-    #[test]
     fn concentration_scaling_trades_radix_for_router_count() {
         // A c=1 cmesh is the mesh baseline exactly.
-        assert_eq!(router_radix("cmesh", 1), 5);
-        assert!((router_area_scale(4, "cmesh", 1) - 1.0).abs() < 1e-9);
-        assert!((network_power_scale(4, "cmesh", 1, 1) - 1.0).abs() < 1e-9);
+        assert_eq!(router_radix(Fabric::CMesh(1)), 5);
+        assert!((router_area_scale(4, Fabric::CMesh(1)) - 1.0).abs() < 1e-9);
+        assert!((network_power_scale(4, Fabric::CMesh(1), 1) - 1.0).abs() < 1e-9);
         // Radix grows with concentration; the ring keeps its 2-port base.
-        assert_eq!(router_radix("cmesh", 4), 8);
-        assert_eq!(router_radix("ring", 4), 6);
+        assert_eq!(router_radix(Fabric::CMesh(4)), 8);
+        assert_eq!(router_radix(Fabric::Ring), 3);
         // Per-router cost rises with concentration...
-        assert!(router_area_scale(4, "cmesh", 2) > router_area_scale(4, "cmesh", 1));
+        assert!(router_area_scale(4, Fabric::CMesh(2)) > router_area_scale(4, Fabric::CMesh(1)));
         // ...but the *network* (same tile count, 1/c the routers) shrinks:
         // concentration is a net area win at every supported c.
-        let a1 = network_area_scale(4, "cmesh", 1, 1);
-        let a2 = network_area_scale(4, "cmesh", 1, 2);
-        let a4 = network_area_scale(4, "cmesh", 1, 4);
+        let a1 = network_area_scale(4, Fabric::CMesh(1), 1);
+        let a2 = network_area_scale(4, Fabric::CMesh(2), 1);
+        let a4 = network_area_scale(4, Fabric::CMesh(4), 1);
         assert!(a2 < a1, "c=2 network area {a2} not below c=1 {a1}");
         assert!(a4 < a2, "c=4 network area {a4} not below c=2 {a2}");
         // Wires stretch with sqrt(c).
-        assert!((link_length_scale("cmesh", 4) - 2.0).abs() < 1e-9);
-        assert!((link_length_scale("torus", 1) - 2.0).abs() < 1e-9);
+        assert!((link_length_scale(Fabric::CMesh(4)) - 2.0).abs() < 1e-9);
+        assert!((link_length_scale(Fabric::Torus) - 2.0).abs() < 1e-9);
         // Power: bigger switch vs fewer routers and longer wires — still
         // below the unconcentrated mesh at c=2.
-        assert!(network_power_scale(4, "cmesh", 1, 2) < 1.0);
+        assert!(network_power_scale(4, Fabric::CMesh(2), 1) < 1.0);
         // Plane replication composes multiplicatively.
-        let two_planes = network_power_scale(4, "cmesh", 2, 2);
-        assert!((two_planes - 2.0 * network_power_scale(4, "cmesh", 1, 2)).abs() < 1e-9);
+        let two_planes = network_power_scale(4, Fabric::CMesh(2), 2);
+        assert!((two_planes - 2.0 * network_power_scale(4, Fabric::CMesh(2), 1)).abs() < 1e-9);
     }
 }

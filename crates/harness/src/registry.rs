@@ -247,20 +247,18 @@ fn bypass<'a>() -> RunCol<'a> {
     })
 }
 
-/// What the physical model prices for a run: GO-REQ VCs, fabric, planes and
-/// the topology's own concentration (`tiles_per_router`, as the fabric and
-/// notification window derive it), so the net columns match its routers.
-fn net_shape(r: &RunResult) -> (u8, &'static str, usize, usize) {
-    let cfg = r.spec.config();
-    let conc = cfg.mesh.tiles_per_router() as usize;
-    (goreq_vcs(&r.spec), cfg.mesh.name(), r.spec.planes, conc)
+/// What the physical model prices for a run: GO-REQ VCs, the fabric its
+/// topology was built from and planes, so the net columns match its
+/// routers.
+fn net_shape(r: &RunResult) -> (u8, Fabric, usize) {
+    (goreq_vcs(&r.spec), r.spec.fabric, r.spec.planes)
 }
 
 /// The physical model's network power relative to the chip's network.
 fn net_power<'a>() -> RunCol<'a> {
     RunCol::right("net-power", 12, |r| {
-        let (vcs, fabric, planes, conc) = net_shape(r);
-        let power = crate::breakdown::network_power_scale(vcs, fabric, planes, conc);
+        let (vcs, fabric, planes) = net_shape(r);
+        let power = crate::breakdown::network_power_scale(vcs, fabric, planes);
         format!("{power:.2}x")
     })
 }
@@ -270,9 +268,9 @@ fn net_power<'a>() -> RunCol<'a> {
 /// meaningful.
 fn net_energy<'a>() -> RunCol<'a> {
     RunCol::fixed("net-E/op", 12, 1, |r| {
-        let (vcs, fabric, planes, conc) = net_shape(r);
+        let (vcs, fabric, planes) = net_shape(r);
         let (runtime, ops) = (r.report.runtime_cycles, r.report.ops_completed);
-        crate::breakdown::energy_per_message_scale(vcs, fabric, planes, conc, runtime, ops)
+        crate::breakdown::energy_per_message_scale(vcs, fabric, planes, runtime, ops)
     })
 }
 

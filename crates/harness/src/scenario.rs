@@ -823,9 +823,8 @@ mod tests {
     }
 
     /// Non-default engines suffix the key and never touch the config hash.
-    /// (The name predates the removal of the coordinate-routing engine.)
     #[test]
-    fn coord_engine_suffixes_keys_and_shares_config() {
+    fn engines_suffix_keys_and_share_the_config() {
         let g = SweepGrid::over(vec![WorkloadParams::by_name("lu").unwrap()])
             .meshes(&[2])
             .engines(&[Engine::ActiveSet, Engine::AlwaysScan, Engine::Leap]);

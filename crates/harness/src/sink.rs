@@ -76,11 +76,6 @@ pub fn json_line(scenario: &str, r: &RunResult, opts: SinkOptions) -> String {
     })
 }
 
-/// All results as a JSON-lines document (one record per line).
-pub fn jsonl(scenario: &str, results: &[RunResult], opts: SinkOptions) -> String {
-    document(Doc::Json, scenario, results, opts)
-}
-
 type CsvCol<'a> = Col<'a, RunResult>;
 
 /// A CSV column of a displayed value.
@@ -298,12 +293,22 @@ fn write_doc(out: &mut impl Write, doc: Doc, parts: &Parts, opts: SinkOptions) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{run_grid, ExecOptions};
+    use crate::exec::{run_grid, ExecOptions, Overrides};
     use crate::scenario::{Engine, Fabric, Knob, McPlacement, SweepGrid, Variant};
     use scorpio::ArrivalProcess;
     use scorpio_workloads::WorkloadParams;
 
+    /// All results as a JSON-lines document (one record per line).
+    fn jsonl(scenario: &str, results: &[RunResult], opts: SinkOptions) -> String {
+        document(Doc::Json, scenario, results, opts)
+    }
+
     fn results() -> Vec<RunResult> {
+        recorded(Overrides::default())
+    }
+
+    /// `results()`' runs with `overrides` recording on top.
+    fn recorded(overrides: Overrides) -> Vec<RunResult> {
         let grid = SweepGrid::over(vec![WorkloadParams::by_name("lu").unwrap()])
             .meshes(&[2])
             .seeds(&[1, 2]);
@@ -312,6 +317,7 @@ mod tests {
             &ExecOptions {
                 threads: 1,
                 ops_per_core: 5,
+                overrides,
                 ..ExecOptions::default()
             },
         )
@@ -412,6 +418,21 @@ mod tests {
             assert_eq!(line.split(',').count(), cols);
             assert!(line.ends_with(",,,,,,,,,,,,,,,,"));
         }
+        // Recording never moves the header: histograms, spans and windows
+        // fill cells, they add no column.
+        let all_on = Overrides {
+            obs: Some(scorpio::ObsLevel::Counters),
+            spans: true,
+            window_cycles: Some(64),
+            ..Overrides::default()
+        };
+        let doc = csv("demo", &recorded(all_on), SinkOptions::default());
+        let mut lines = doc.lines();
+        assert_eq!(lines.next(), Some(header));
+        assert!(
+            lines.all(|l| !l.ends_with(",,,,,,,,,,,,,,,,")),
+            "no cell filled"
+        );
     }
 
     #[test]

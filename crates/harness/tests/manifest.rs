@@ -21,13 +21,18 @@
 //! line here.
 //!
 //! Tier-1 checks the golden and annex rows, every table but the
-//! kilocore one, and one cell per grid: it reruns only the pinned cell
-//! of every grid through the library, plus the zero-run grids whole, and
-//! writes it through the CLI's writer (`sink::write`).
+//! kilocore one, one cell per grid, and one grid whole: it reruns only
+//! the pinned cell of every grid through the library, plus the zero-run
+//! grids whole, and writes it through the CLI's writer (`sink::write`),
+//! and it drives the CLI over [`WHOLE_GRID`].
 //! `every_grid_matches_the_manifest` (`#[ignore]`d: minutes in debug,
 //! under a minute in release) drives the CLI over every grid and checks
 //! every line. Both hash the files written line by line, never holding a
 //! document.
+//!
+//! The manifest is blessed on one thread and checked on [`THREADS`]
+//! workers (the CLI runs and the tables), so it also pins that a sweep's
+//! bytes never depend on the worker count.
 //!
 //! `SCORPIO_BLESS=1 cargo test --release -p scorpio-harness --test
 //! manifest -- --include-ignored` rewrites the whole manifest from the
@@ -77,6 +82,13 @@ const STREAMS: [Stream; 3] = [
 
 /// `--windows`' epoch length when `--window-cycles` is not given.
 const WINDOW_CYCLES: u64 = 1024;
+
+/// Workers of every checked grid run and table; blessing runs on one.
+const THREADS: usize = 4;
+
+/// The grid tier-1 runs whole through the CLI: every document it writes,
+/// record streams included, on [`THREADS`] workers.
+const WHOLE_GRID: &str = "fig7-small";
 
 /// A trace cap no golden row reaches (asserted: nothing may be dropped).
 const TRACE_CAP: usize = 50_000_000;
@@ -263,6 +275,15 @@ fn manifest_path() -> PathBuf {
 
 fn blessing() -> bool {
     std::env::var_os("SCORPIO_BLESS").is_some_and(|v| v == "1")
+}
+
+/// One worker when blessing, [`THREADS`] when checking.
+fn workers() -> usize {
+    if blessing() {
+        1
+    } else {
+        THREADS
+    }
 }
 
 /// FNV-1a 64 over `chunks` in order: the exact bytes a document is
@@ -456,7 +477,7 @@ fn annex(m: &mut Manifest, &(name, cfg, workload, ops): &Row) {
     }
 }
 
-/// Renders `table`'s grid at [`TABLE_OPS`] on one thread and pins it.
+/// Renders `table`'s grid at [`TABLE_OPS`] and pins it.
 fn table(m: &mut Manifest, table: &(&str, Option<&[u64]>)) {
     let (name, seeds) = *table;
     let mut s = registry::by_name(name).unwrap_or_else(|| panic!("{name} is registered"));
@@ -464,7 +485,7 @@ fn table(m: &mut Manifest, table: &(&str, Option<&[u64]>)) {
         s.grid.seeds = seeds.to_vec();
     }
     let opts = ExecOptions {
-        threads: 1,
+        threads: workers(),
         ops_per_core: TABLE_OPS,
         ..ExecOptions::default()
     };
@@ -484,9 +505,14 @@ fn pinned_cell(grid: &str) -> Option<usize> {
         .map(|spec| spec.index)
 }
 
-/// A scratch file for `grid`'s `stream`.
+/// A scratch file for `grid`'s `stream`, in a directory of the calling
+/// test's own (libtest names each test's thread after the test), since
+/// two tests may write the same grid side by side.
 fn scratch(grid: &str, stream: &str) -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("manifest");
+    let test = std::thread::current().name().unwrap_or("main").to_string();
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
+        .join("manifest")
+        .join(test);
     std::fs::create_dir_all(&dir).expect("a scratch directory");
     dir.join(format!("{grid}.{stream}"))
 }
@@ -526,8 +552,16 @@ fn digest_file(path: &Path, grid: &str, stream: &str, k: Option<usize>) -> (u64,
 /// Runs `harness run <grid> --ops 8` with `streams`, each written to its
 /// own file, and pins each stream whole and its pinned cell alone.
 fn run_cli(m: &mut Manifest, grid: &str, streams: &[Stream], cell: Option<usize>) {
-    let ops = OPS.to_string();
-    let mut args = vec!["run", grid, "--ops", &ops, "--threads", "2", "--no-table"];
+    let (ops, threads) = (OPS.to_string(), workers().to_string());
+    let mut args = vec![
+        "run",
+        grid,
+        "--ops",
+        &ops,
+        "--threads",
+        &threads,
+        "--no-table",
+    ];
     let paths: Vec<String> = streams
         .iter()
         .map(|(_, s, _)| scratch(grid, s).display().to_string())
@@ -545,10 +579,9 @@ fn run_cli(m: &mut Manifest, grid: &str, streams: &[Stream], cell: Option<usize>
     }
 }
 
-/// The digest of `doc` over `results` as [`sink::write`] writes it (to a
-/// file of its own: the CLI test may run beside this one).
+/// The digest of `doc` over `results` as [`sink::write`] writes it.
 fn written(grid: &str, (_, stream, doc): Stream, results: &[RunResult]) -> u64 {
-    let path = scratch(grid, &format!("{stream}.cell"));
+    let path = scratch(grid, stream);
     let path_text = path.display().to_string();
     sink::write(&path_text, doc, &[(grid, results)], SinkOptions::default())
         .expect("a writable scratch file");
@@ -617,6 +650,16 @@ fn one_cell_per_grid_matches_the_manifest() {
             }
         }
     }
+    check(&actual);
+}
+
+/// [`WHOLE_GRID`] through the CLI, every document whole.
+#[test]
+fn one_grid_matches_the_manifest_on_several_workers() {
+    let mut actual = Manifest::new();
+    let cell = pinned_cell(WHOLE_GRID);
+    run_cli(&mut actual, WHOLE_GRID, &RESULTS, cell);
+    run_cli(&mut actual, WHOLE_GRID, &STREAMS, cell);
     check(&actual);
 }
 

@@ -8,7 +8,7 @@
 
 use scorpio::ObsLevel;
 use scorpio_harness::exec::{run_spec_ov, Overrides, RunResult};
-use scorpio_harness::{registry, Engine};
+use scorpio_harness::registry;
 use scorpio_sim::json::{self, Fields};
 use std::collections::{HashMap, HashSet};
 
@@ -120,32 +120,50 @@ fn trace_reconciles_with_packet_latency_histogram() {
     }
 }
 
-/// When the cap bites, the retained events are the exact global prefix —
-/// the capped trace must equal the first `limit` lines of the uncapped
-/// one, and the report's kept/dropped split must account for every event.
+/// When the cap bites, the retained records are the exact global prefix:
+/// each capped stream must equal the first `cap` records of the uncapped
+/// one, and the run's kept/dropped split must account for every record.
+/// The cells: fig7-small's SCORPIO cell (trace capped at 200), and a
+/// 2-plane planes-small SCORPIO cell, whose trace merges two planes'
+/// events, with its trace and span stream both capped at 40.
 #[test]
 fn capped_trace_is_an_exact_prefix_of_the_uncapped_trace() {
-    let scenario = registry::by_name("fig7-small").expect("registered");
-    let spec = scenario
+    let planes = registry::by_name("planes-small")
+        .expect("registered")
         .grid
         .enumerate()
         .into_iter()
-        .find(|s| s.protocol == scorpio::Protocol::Scorpio)
-        .expect("a SCORPIO cell exists");
-    let full = run_spec_ov(&spec, 8, &traced(10_000_000));
-    let capped = run_spec_ov(&spec, 8, &traced(200));
-    let (full_trace, _) = full.trace.as_ref().unwrap();
-    let (capped_trace, capped_dropped) = capped.trace.as_ref().unwrap();
-    assert!(full_trace.len() > 200, "run is big enough to hit the cap");
-    assert_eq!(capped_trace.len(), 200);
-    assert_eq!(
-        &full_trace[..200],
-        &capped_trace[..],
-        "capped trace is not the exact global prefix"
-    );
-    assert!(*capped_dropped > 0);
-    // Identical simulation either way: the cap only truncates output.
-    assert_eq!(full.report.runtime_cycles, capped.report.runtime_cycles);
+        .find(|s| s.planes == 2 && s.protocol == scorpio::Protocol::Scorpio)
+        .expect("a 2-plane SCORPIO cell exists");
+    let recording = |limit, spans| Overrides {
+        spans,
+        ..traced(limit)
+    };
+    for (spec, cap, spans) in [(scorpio_cell(), 200, false), (planes, 40, true)] {
+        let full = run_spec_ov(&spec, 8, &recording(10_000_000, spans));
+        let capped = run_spec_ov(&spec, 8, &recording(cap, spans));
+        let at = spec.key();
+        let (trace, kept) = (full.trace.unwrap(), capped.trace.unwrap());
+        let mut streams = vec![("trace", bodies(&trace.0), bodies(&kept.0), kept.1)];
+        if spans {
+            let (spans, kept) = (full.spans.unwrap(), capped.spans.unwrap());
+            streams.push(("spans", bodies(&spans.0), bodies(&kept.0), kept.1));
+        }
+        for (stream, full, kept, dropped) in streams {
+            assert!(
+                full.len() > cap,
+                "{at}: {stream} is too short to hit the cap"
+            );
+            assert_eq!(
+                kept,
+                full[..cap],
+                "{at}: capped {stream} is not the exact prefix"
+            );
+            assert_eq!(dropped as usize, full.len() - cap, "{at}: {stream} dropped");
+        }
+        // Identical simulation either way: the cap only truncates output.
+        assert_eq!(full.report.runtime_cycles, capped.report.runtime_cycles);
+    }
 }
 
 /// The SCORPIO cell of `fig7-small` — the shared subject of the span
@@ -294,88 +312,4 @@ fn open_loop_spans_reconcile_and_fill_the_source_phase() {
         sp.source.sum() > 0,
         "past-capacity offered load never queued at the source"
     );
-}
-
-/// Spans and windows are simulation truth, so every engine must render
-/// byte-identical streams — the always-scan reference and the leaping
-/// clock against the active-set default, on single- and multi-plane
-/// configurations.
-#[test]
-fn span_and_window_streams_are_engine_invariant() {
-    let ov = Overrides {
-        spans: true,
-        window_cycles: Some(256),
-        ..Overrides::default()
-    };
-    for planes in [1, 2] {
-        let mut spec = scorpio_cell();
-        spec.planes = planes;
-        let base = run_spec_ov(&spec, 13, &ov);
-        let streams = |r: &RunResult| {
-            let (spans, _) = r.spans.as_ref().expect("spans recorded");
-            let windows = r.windows.as_ref().expect("windows recorded");
-            (bodies(spans), bodies(windows))
-        };
-        let (spans, windows) = streams(&base);
-        assert!(!spans.is_empty() && !windows.is_empty());
-        for engine in [Engine::AlwaysScan, Engine::Leap] {
-            spec.engine = engine;
-            let r = run_spec_ov(&spec, 13, &ov);
-            let (s, w) = streams(&r);
-            assert_eq!(s, spans, "{engine:?} spans diverge at {planes} plane(s)");
-            assert_eq!(
-                w, windows,
-                "{engine:?} windows diverge at {planes} plane(s)"
-            );
-            assert_eq!(
-                r.report.to_json(),
-                base.report.to_json(),
-                "{engine:?} report diverges at {planes} plane(s)"
-            );
-        }
-    }
-}
-
-/// Executor worker counts must not leak into the recorded streams or the
-/// sinks: `--threads 1/2/8` over the whole latency-breakdown grid emit
-/// byte-identical span/window JSONL and CSV.
-#[test]
-fn span_and_window_output_is_thread_invariant() {
-    use scorpio_harness::exec::{run_grid, ExecOptions};
-    use scorpio_harness::sink::{self, SinkOptions};
-    let scenario = registry::by_name("latency-breakdown-small").expect("registered");
-    let mk = |threads| ExecOptions {
-        threads,
-        ops_per_core: 8,
-        overrides: Overrides {
-            spans: true,
-            window_cycles: Some(256),
-            ..Overrides::default()
-        },
-        ..ExecOptions::default()
-    };
-    let sink_opts = SinkOptions {
-        ..SinkOptions::default()
-    };
-    let serial = run_grid(&scenario.grid, &mk(1));
-    let base_json = sink::jsonl("lb", &serial, sink_opts);
-    let base_csv = sink::csv("lb", &serial, sink_opts);
-    assert!(serial
-        .iter()
-        .all(|r| r.spans.is_some() && r.windows.is_some()));
-    for threads in [2, 8] {
-        let parallel = run_grid(&scenario.grid, &mk(threads));
-        for (a, b) in serial.iter().zip(&parallel) {
-            assert_eq!(a.spans, b.spans, "{} spans depend on threads", a.spec.key());
-            let windows = |r: &RunResult| bodies(r.windows.as_deref().unwrap_or_default());
-            assert_eq!(
-                windows(a),
-                windows(b),
-                "{} windows depend on threads",
-                a.spec.key()
-            );
-        }
-        assert_eq!(sink::jsonl("lb", &parallel, sink_opts), base_json);
-        assert_eq!(sink::csv("lb", &parallel, sink_opts), base_csv);
-    }
 }

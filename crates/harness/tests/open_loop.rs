@@ -1,14 +1,14 @@
 //! Open-loop injection guarantees. The arrival generators are simulation
 //! inputs, so they inherit every determinism bar the closed-loop traces
-//! already clear: byte-identical reports *and* flit traces across all six
-//! engines and every executor thread count, a zero-load knob that
-//! degenerates to the closed-loop machine exactly, and an event-leaping
-//! clock that never jumps past a pending arrival deadline.
+//! already clear (the engine-equivalence suite runs two curve cells on
+//! every engine, the manifest pins the curve grid's bytes at several
+//! worker counts), plus a zero-load knob that degenerates to the
+//! closed-loop machine exactly and an event-leaping clock that never
+//! jumps past a pending arrival deadline.
 
 use scorpio::{ArrivalProcess, ObsLevel};
-use scorpio_harness::exec::{run_grid, run_spec, run_spec_ov, ExecOptions, Overrides};
+use scorpio_harness::exec::{run_spec, run_spec_ov, Overrides};
 use scorpio_harness::registry;
-use scorpio_harness::sink::{self, SinkOptions};
 use scorpio_harness::{Engine, Fabric, Knob, RunSpec};
 
 /// Full flit tracing, capped at `limit` events.
@@ -97,81 +97,6 @@ fn replay_arrivals_complete_the_full_trace() {
     scan_spec.engine = Engine::AlwaysScan;
     let scan = run_spec(&scan_spec, ops);
     assert_eq!(base.report.to_json(), scan.report.to_json());
-}
-
-/// The equivalence suite gains open-loop rows: under Poisson and bursty
-/// arrivals, all three engines must produce byte-identical reports AND
-/// merged flit traces. The leap row is the interesting one — arrival
-/// deadlines reach the timed-wake heap, so the leaping clock stops at
-/// them like any other event. (The name predates the cut from six
-/// engines to three.)
-#[test]
-fn open_loop_reports_and_traces_are_byte_identical_across_six_engines() {
-    for variant in ["pois-12", "burst-20"] {
-        let spec = curve_cell(variant);
-        assert_eq!(spec.engine, Engine::ActiveSet);
-        let base = run_spec_ov(&spec, 8, &traced(2048));
-        let json = base.report.to_json();
-        assert!(base.report.ops_completed > 0);
-        for engine in [Engine::AlwaysScan, Engine::Leap] {
-            let mut other_spec = spec.clone();
-            other_spec.engine = engine;
-            let other = run_spec_ov(&other_spec, 8, &traced(2048));
-            assert_eq!(
-                json,
-                other.report.to_json(),
-                "report divergence at {variant} vs {engine:?}"
-            );
-            assert_eq!(
-                base.trace, other.trace,
-                "trace divergence at {variant} vs {engine:?}"
-            );
-            assert_eq!(base.config_hash, other.config_hash);
-        }
-    }
-}
-
-/// `harness run latency-curve-small --threads N` emits byte-identical
-/// JSONL and CSV — spans, windows and histograms included — for every
-/// worker count. (The SCORPIO half of the grid keeps the test tractable;
-/// both arrival processes and both fabrics are in it.)
-#[test]
-fn open_loop_sweep_is_thread_count_invariant() {
-    let mut scenario = registry::by_name("latency-curve-small").expect("registered");
-    scenario.grid.protocols.truncate(1);
-    let mk = |threads| ExecOptions {
-        threads,
-        ops_per_core: 8,
-        overrides: Overrides {
-            spans: true,
-            window_cycles: Some(256),
-            ..Overrides::default()
-        },
-        ..ExecOptions::default()
-    };
-    let sink_opts = SinkOptions {
-        ..SinkOptions::default()
-    };
-    let serial = run_grid(&scenario.grid, &mk(1));
-    assert_eq!(serial.len(), 2 * 6, "2 fabrics x (5 loads + 1 burst)");
-    let base_json = sink::jsonl("latency-curve-small", &serial, sink_opts);
-    let base_csv = sink::csv("latency-curve-small", &serial, sink_opts);
-    // The open-loop columns actually render.
-    assert!(base_json.contains(r#""arrival":"pois-12","load_millis":12"#));
-    assert!(base_csv.contains(",burst-20,20,"));
-    for threads in [2, 8] {
-        let parallel = run_grid(&scenario.grid, &mk(threads));
-        assert_eq!(
-            base_json,
-            sink::jsonl("latency-curve-small", &parallel, sink_opts),
-            "JSONL changed at {threads} threads"
-        );
-        assert_eq!(
-            base_csv,
-            sink::csv("latency-curve-small", &parallel, sink_opts),
-            "CSV changed at {threads} threads"
-        );
-    }
 }
 
 /// The regression the arrival deadlines exist to prevent: on a sparse
