@@ -2,7 +2,7 @@
 
 use scorpio_mem::{L2Config, McConfig};
 use scorpio_nic::NicConfig;
-use scorpio_noc::{placement, CMesh, Endpoint, Mesh, NocConfig, Ring, RouterId, Topology, Torus};
+use scorpio_noc::{placement, Endpoint, Fabric, NocConfig, RouterId, Topology};
 use scorpio_notify::NotifyScheme;
 use scorpio_sim::Fnv1a;
 use scorpio_workloads::ArrivalProcess;
@@ -129,9 +129,9 @@ pub struct SystemConfig {
     /// the chip uses the tight bound, 13 cycles on 6×6).
     pub notification_window_slack: u64,
     /// L1 data cache capacity in bytes.
-    pub l1_bytes: u64,
+    pub(crate) l1_bytes: u64,
     /// L1 associativity.
-    pub l1_ways: usize,
+    pub(crate) l1_ways: usize,
     /// L2 configuration template (MC endpoints filled in automatically).
     pub l2: L2Config,
     /// Memory-controller configuration.
@@ -140,7 +140,7 @@ pub struct SystemConfig {
     /// (Section 5.1: 256 KB for the baseline comparisons).
     pub dir_total_bytes: usize,
     /// LPD sharer pointers per entry (Section 5.1: ~4 at 36 cores).
-    pub lpd_pointers: usize,
+    pub(crate) lpd_pointers: usize,
     /// Outstanding accesses per core (1 = the AHB constraint; the paper's
     /// Figure 8d exploration raises it alongside the RSHR count).
     pub core_outstanding: usize,
@@ -180,7 +180,7 @@ pub struct SystemConfig {
 impl SystemConfig {
     /// The 36-core chip configuration (Table 1).
     pub fn chip() -> SystemConfig {
-        SystemConfig::with_topology(Mesh::scorpio_chip())
+        SystemConfig::with_topology(Fabric::Mesh.topology(6))
     }
 
     /// A chip-like configuration over any delivery fabric. The L2's
@@ -219,29 +219,7 @@ impl SystemConfig {
     ///
     /// Panics if `k == 0`.
     pub fn square(k: u16) -> SystemConfig {
-        SystemConfig::with_topology(Mesh::square_with_corner_mcs(k))
-    }
-
-    /// A `k × k` torus system with the MC ports on the same four routers
-    /// as [`SystemConfig::square`], so mesh-vs-torus sweeps compare
-    /// matched endpoint counts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k < 2`.
-    pub fn torus(k: u16) -> SystemConfig {
-        SystemConfig::with_topology(Torus::square_with_corner_mcs(k))
-    }
-
-    /// A ring system of `len` routers with `n_mcs` MC ports spread evenly
-    /// — `SystemConfig::ring(k * k, 4)` matches the endpoint count of a
-    /// `k × k` mesh with corner MCs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `len < 2` or `n_mcs` is zero or exceeds `len`.
-    pub fn ring(len: u16, n_mcs: u16) -> SystemConfig {
-        SystemConfig::with_topology(Ring::with_spread_mcs(len, n_mcs))
+        SystemConfig::with_topology(Fabric::Mesh.topology(k))
     }
 
     /// A concentrated-mesh system: a `cols × rows` router grid hosting
@@ -253,7 +231,8 @@ impl SystemConfig {
     ///
     /// Panics if a dimension is zero or `concentration` is not `1..=4`.
     pub fn cmesh(cols: u16, rows: u16, concentration: u8) -> SystemConfig {
-        SystemConfig::with_topology(CMesh::with_corner_mcs(cols, rows, concentration))
+        let mcs = placement::corners(cols, rows);
+        SystemConfig::with_topology(Topology::new(Fabric::CMesh(concentration), cols, rows, mcs))
     }
 
     /// Number of cores (tiles). On a concentrated mesh this is
@@ -295,8 +274,8 @@ impl SystemConfig {
     pub fn with_proportional_mcs(self) -> SystemConfig {
         let (cols, rows) = (self.mesh.cols(), self.mesh.rows());
         assert_eq!(
-            self.mesh.name(),
-            "mesh",
+            self.mesh.fabric(),
+            Fabric::Mesh,
             "proportional MC placement is defined for meshes only"
         );
         assert_eq!(cols, rows, "proportional MC placement needs a square mesh");
@@ -535,24 +514,32 @@ mod tests {
     fn stable_hash_is_pinned() {
         // One row per fabric family and MC placement.
         for (name, cfg, hash) in [
-            ("chip", SystemConfig::chip(), 0x739c9df9a6dec04e),
-            ("square(4)", SystemConfig::square(4), 0x2fd7876b658943d2),
-            ("torus(4)", SystemConfig::torus(4), 0xdb6a54063162a4fb),
-            ("ring(16, 4)", SystemConfig::ring(16, 4), 0x85c0a6d2b5bbe414),
+            ("chip", SystemConfig::chip(), 0xfcbee57edb6bd233),
+            ("square(4)", SystemConfig::square(4), 0x25f00f9be80321f3),
+            (
+                "torus, k = 4",
+                SystemConfig::with_topology(Fabric::Torus.topology(4)),
+                0x5a56e34b442147b9,
+            ),
+            (
+                "ring, k = 4",
+                SystemConfig::with_topology(Fabric::Ring.topology(4)),
+                0xcb1d2356f6e1ca28,
+            ),
             (
                 "cmesh(4, 2, 2)",
                 SystemConfig::cmesh(4, 2, 2),
-                0x680eddccc890b11a,
+                0xc3f8db1b9d72d82b,
             ),
             (
                 "cmesh(4, 4, 1)",
                 SystemConfig::cmesh(4, 4, 1),
-                0x492cc06b8a97aae5,
+                0x5b58eec400eb02f2,
             ),
             (
                 "square(16) + proportional MCs",
                 SystemConfig::square(16).with_proportional_mcs(),
-                0x083632cd5eb043fc,
+                0xc510c44e1f39f3dd,
             ),
         ] {
             assert_eq!(
@@ -567,8 +554,8 @@ mod tests {
     #[test]
     fn topology_axis_has_stable_labels_and_distinct_hashes() {
         let mesh = SystemConfig::square(4);
-        let torus = SystemConfig::torus(4);
-        let ring = SystemConfig::ring(16, 4);
+        let torus = SystemConfig::with_topology(Fabric::Torus.topology(4));
+        let ring = SystemConfig::with_topology(Fabric::Ring.topology(4));
         assert_eq!(mesh.label(), "4x4/SCORPIO/seed1");
         assert_eq!(torus.label(), "torus4x4/SCORPIO/seed1");
         assert_eq!(ring.label(), "ring16/SCORPIO/seed1");
@@ -596,7 +583,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "meshes only")]
     fn proportional_mcs_reject_non_mesh_fabrics() {
-        let _ = SystemConfig::torus(4).with_proportional_mcs();
+        let _ = SystemConfig::with_topology(Fabric::Torus.topology(4)).with_proportional_mcs();
     }
 
     // The five axis tests keep the names they had while the default of

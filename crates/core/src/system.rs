@@ -1304,7 +1304,8 @@ mod testing {
                 Some(m) => Fnv1a::debug_digest(&(shared, &self.mcs[m])),
                 None => Fnv1a::debug_digest(&(
                     shared,
-                    (&self.l2s[ep], &self.drivers[ep]),
+                    scorpio_mem::testing::state_digest(&self.l2s[ep]),
+                    self.drivers[ep].state_digest(),
                     &self.resp_hold[ep],
                 )),
             }

@@ -125,6 +125,24 @@ impl CoreDriver {
         }
     }
 
+    /// Digest of everything a tick of this driver can change, for the
+    /// sleep audit. `kind` is left out (a trace is read-only, a program
+    /// prints no state), as are `arrivals`, written once at build, and the
+    /// constants `line_bytes`, `max_outstanding` and `src_cap`.
+    pub(crate) fn state_digest(&self) -> u64 {
+        scorpio_sim::Fnv1a::debug_digest(&(
+            (&self.l1, self.taken, &self.pending, self.gap_until),
+            (&self.outstanding, self.last_value, self.token_counter),
+            (
+                &self.src_queue,
+                self.src_dropped,
+                self.done,
+                self.finished_at,
+            ),
+            (self.ops_done, self.l1_hits),
+        ))
+    }
+
     /// Switches the driver to open-loop injection: record `i` is
     /// *released* at `arrivals[i]` (rather than by the completion of
     /// record `i-1`), queueing in a bounded source queue of `cap` entries

@@ -16,7 +16,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use scorpio::{MissSpan, ObsLevel, SpanReport, System, SystemReport, WindowReport, WindowRow};
+use scorpio::{
+    MissSpan, ObsLevel, SpanReport, System, SystemConfig, SystemReport, WindowReport, WindowRow,
+};
 use scorpio_noc::TraceEvent;
 use scorpio_workloads::generate;
 
@@ -80,18 +82,18 @@ impl ExecOptions {
 pub struct RunResult {
     /// The spec that produced this result.
     pub spec: RunSpec,
-    /// Stable fingerprint of the simulated configuration
-    /// ([`scorpio::SystemConfig::stable_hash`]).
-    pub config_hash: u64,
-    /// Human-readable configuration label.
-    pub config_label: String,
+    /// The configuration the run simulated, the executor's recording
+    /// overrides applied, as it was before `System::build` adjusted it.
+    /// The sinks write its label and its [`SystemConfig::stable_hash`],
+    /// which the overrides never move.
+    pub config: SystemConfig,
     /// The simulation report.
     pub report: SystemReport,
     /// Wall-clock nanoseconds this run took (not part of deterministic
     /// output; see the sink options).
     pub wall_nanos: u128,
     /// Setup phase: workload generation plus system construction.
-    pub setup_nanos: u128,
+    pub(crate) setup_nanos: u128,
     /// Simulation phase (`run_to_completion` only) — the denominator of
     /// the simulated-cycles-per-second throughput metric.
     pub sim_nanos: u128,
@@ -145,11 +147,8 @@ pub fn run_spec_ov(spec: &RunSpec, ops_per_core: usize, ov: &Overrides) -> RunRe
     if let Some(w) = ov.window_cycles {
         cfg = cfg.with_windows(w);
     }
-    // The hash fingerprints what the run simulates: the recording
-    // overrides above never move it, so a `--hist` row joins its plain twin.
-    let config_hash = cfg.stable_hash();
-    let config_label = cfg.label();
     let (tracing, spanning, epoch) = (cfg.obs == ObsLevel::Trace, cfg.spans, cfg.window_cycles);
+    let config = cfg.clone();
     let params = spec.workload.clone().with_ops(ops_per_core);
     let started = Instant::now();
     let traces = generate(&params, cfg.cores(), cfg.seed);
@@ -169,8 +168,7 @@ pub fn run_spec_ov(spec: &RunSpec, ops_per_core: usize, ov: &Overrides) -> RunRe
     let windows = (epoch != 0).then(|| sys.window_rows());
     RunResult {
         spec: spec.clone(),
-        config_hash,
-        config_label,
+        config,
         report,
         wall_nanos: started.elapsed().as_nanos(),
         setup_nanos,
@@ -279,7 +277,7 @@ mod tests {
             assert_eq!(serial.len(), parallel.len());
             for (a, b) in serial.iter().zip(&parallel) {
                 assert_eq!(a.spec, b.spec);
-                assert_eq!(a.config_hash, b.config_hash);
+                assert_eq!(a.config.stable_hash(), b.config.stable_hash());
                 assert_eq!(
                     a.report.to_json(),
                     b.report.to_json(),

@@ -145,15 +145,6 @@ pub(crate) fn chip_power_watts(tiles: usize) -> f64 {
     0.8 * tiles as f64
 }
 
-/// Tiles behind one router of `fabric`: its concentration, the count
-/// [`Fabric::topology`] builds the routers with.
-fn concentration(fabric: Fabric) -> usize {
-    match fabric {
-        Fabric::CMesh(c) => c.into(),
-        Fabric::Mesh | Fabric::Torus | Fabric::Ring => 1,
-    }
-}
-
 /// The main-network port count of one router on `fabric`: four mesh
 /// directions (two on a ring) plus one local port per tile behind it. The
 /// chip's 5-port mesh router is the baseline the area/power shares of
@@ -169,7 +160,7 @@ pub(crate) fn router_radix(fabric: Fabric) -> usize {
         Fabric::Mesh | Fabric::Torus | Fabric::CMesh(_) => 4,
         Fabric::Ring => 2,
     };
-    directions + concentration(fabric)
+    directions + usize::from(fabric.concentration())
 }
 
 /// Average link-length scale of `fabric`, relative to the mesh's
@@ -180,11 +171,8 @@ pub(crate) fn router_radix(fabric: Fabric) -> usize {
 /// link across a `√c × √c` tile block, so wire length grows with `√c`.
 /// Link energy scales linearly with wire length.
 pub(crate) fn link_length_scale(fabric: Fabric) -> f64 {
-    let base = match fabric {
-        Fabric::Mesh | Fabric::CMesh(_) => 1.0,
-        Fabric::Torus | Fabric::Ring => 2.0,
-    };
-    base * (concentration(fabric) as f64).sqrt()
+    let base = if fabric.wraps() { 2.0 } else { 1.0 };
+    base * f64::from(fabric.concentration()).sqrt()
 }
 
 /// Router radix relative to the chip's 5-port mesh router.
@@ -214,7 +202,7 @@ pub(crate) fn router_power_scale(goreq_vcs: u8, fabric: Fabric) -> f64 {
 /// sweeps report.
 pub(crate) fn network_power_scale(goreq_vcs: u8, fabric: Fabric, planes: usize) -> f64 {
     assert!(planes > 0, "at least one plane");
-    planes as f64 * router_power_scale(goreq_vcs, fabric) / concentration(fabric) as f64
+    planes as f64 * router_power_scale(goreq_vcs, fabric) / f64::from(fabric.concentration())
 }
 
 /// Relative network energy per delivered message: the scaled network
@@ -270,7 +258,7 @@ mod tests {
     /// routers exist, a net win the `cmesh` sweeps report.
     fn network_area_scale(goreq_vcs: u8, fabric: Fabric, planes: usize) -> f64 {
         assert!(planes > 0, "at least one plane");
-        planes as f64 * router_area_scale(goreq_vcs, fabric) / concentration(fabric) as f64
+        planes as f64 * router_area_scale(goreq_vcs, fabric) / f64::from(fabric.concentration())
     }
 
     /// Aggregate-node count of the quad-tree: one OR node per quad per level
@@ -382,9 +370,9 @@ mod tests {
         // the window falls to 2·depth + 3 while the nodes stay a geometric
         // fraction of the leaves.
         use scorpio::NotifyScheme;
-        use scorpio_noc::{Mesh, Topology};
+        use scorpio_noc::{Fabric, Topology};
         let window = |cols: u16, rows: u16, fanout: u8| {
-            let topo: Topology = Mesh::new(cols, rows, &[]);
+            let topo: Topology = Topology::new(Fabric::Mesh, cols, rows, []);
             NotifyScheme::Quad { fanout }.window_for(&topo)
         };
         // 32×32: flat window 65; fanout 2 is depth 5 (window 13) over 341

@@ -206,7 +206,7 @@ fn legend<'a>() -> RunCol<'a> {
 }
 
 fn fabric<'a>() -> RunCol<'a> {
-    RunCol::left("fabric", 10, |r| r.spec.config().mesh.name().into())
+    RunCol::left("fabric", 10, |r| r.spec.fabric.label().into())
 }
 
 fn planes<'a>() -> RunCol<'a> {
@@ -214,7 +214,7 @@ fn planes<'a>() -> RunCol<'a> {
 }
 
 fn diam<'a>() -> RunCol<'a> {
-    RunCol::num("diam", 6, |r| r.spec.config().mesh.diameter())
+    RunCol::num("diam", 6, |r| r.config.mesh.diameter())
 }
 
 fn cores<'a>() -> RunCol<'a> {
@@ -222,7 +222,7 @@ fn cores<'a>() -> RunCol<'a> {
 }
 
 fn mcs<'a>() -> RunCol<'a> {
-    RunCol::num("MCs", 5, |r| r.spec.config().mesh.mc_routers().len())
+    RunCol::num("MCs", 5, |r| r.config.mesh.mc_routers().len())
 }
 
 fn runtime<'a>(width: usize) -> RunCol<'a> {
@@ -770,11 +770,7 @@ fn scaling_mesh_render(s: &Scenario, results: &[RunResult]) -> String {
 /// corner MCs.
 fn kilocore_cell<const BIG: u16>(spec: &RunSpec) -> bool {
     let prop = spec.variant.knobs.contains(&Knob::ProportionalMcs);
-    let pairing_ok = match spec.fabric {
-        Fabric::Mesh => prop,
-        _ => !prop,
-    };
-    pairing_ok
+    prop == McPlacement::Proportional.supports(spec.fabric)
         && if spec.mesh_side == BIG {
             spec.planes == 1
         } else {
@@ -829,7 +825,7 @@ fn scaling_kilocore_render(s: &Scenario, results: &[RunResult]) -> String {
         n => format!("{:.2}x", r.report.runtime_cycles as f64 / n as f64),
     };
     let cols = [
-        RunCol::left("geometry", 16, |r| r.spec.fabric.geometry(r.spec.mesh_side)),
+        RunCol::left("geometry", 16, |r| r.config.mesh.label()),
         planes(),
         RunCol::right("notify", 9, |r| {
             let quad = r
@@ -1164,11 +1160,11 @@ fn cmesh(size: Size) -> Scenario {
 fn cmesh_render(s: &Scenario, results: &[RunResult]) -> String {
     let cols = [
         workload(14),
-        RunCol::left("geometry", 14, |r| r.spec.config().mesh.label()),
-        RunCol::num("conc", 5, |r| r.spec.config().mesh.tiles_per_router()),
+        RunCol::left("geometry", 14, |r| r.config.mesh.label()),
+        RunCol::num("conc", 5, |r| r.config.mesh.tiles_per_router()),
         planes(),
         diam(),
-        RunCol::num("window", 8, |r| r.spec.config().notification_window()),
+        RunCol::num("window", 8, |r| r.config.notification_window()),
         RunCol::left(" protocol", 14, |r| format!(" {}", r.report.protocol)),
         runtime(12),
         pkt_lat(),
@@ -1305,7 +1301,7 @@ fn wait_cell(r: &RunResult, pick: fn(&WindowReport) -> Option<EpWait>) -> String
         return "-".into();
     };
     let slot = match r.spec.fabric {
-        _ if m.ep >= r.spec.config().cores() as u32 => "mc".into(),
+        _ if m.ep >= r.config.cores() as u32 => "mc".into(),
         Fabric::CMesh(c) if c > 1 => format!("s{}", m.ep % c as u32),
         _ => format!("e{}", m.ep),
     };
@@ -1495,7 +1491,7 @@ mod tests {
             .grid
             .enumerate()
             .iter()
-            .map(|s| s.config().mesh.name())
+            .map(|s| s.config().mesh.fabric().label())
             .collect::<Vec<_>>()
             .into_iter()
             .collect();

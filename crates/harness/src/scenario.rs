@@ -11,7 +11,7 @@ use scorpio::{
     ArrivalProcess, NotifyScheme, ObsLevel, OpenLoopConfig, Protocol, SystemConfig,
     DEFAULT_SOURCE_QUEUE_CAP,
 };
-use scorpio_noc::{CMesh, Mesh, Ring, Topology, Torus};
+pub use scorpio_noc::Fabric;
 use scorpio_workloads::WorkloadParams;
 
 /// One settable configuration knob, applied on top of the square-mesh
@@ -121,9 +121,9 @@ fn apply_mc_placement(cfg: SystemConfig, placement: McPlacement, mcs: u16) -> Sy
     use scorpio_noc::placement::{corners, spread};
     let topo = &cfg.mesh;
     assert!(
-        placement.supports(Fabric::of(topo)),
+        placement.supports(topo.fabric()),
         "MC placement {placement:?} is undefined for the {} fabric",
-        topo.name()
+        topo.fabric().label()
     );
     let routers = match placement {
         McPlacement::Proportional => return cfg.with_proportional_mcs(),
@@ -285,116 +285,6 @@ impl Engine {
     }
 }
 
-/// The delivery-fabric axis of a sweep: which [`Topology`]
-/// the `k` of the mesh-side axis materializes as. Every fabric at the same
-/// `k` has `k²` tiles — matched core counts, so runtime differences are
-/// delivery effects, not size effects. A concentrated mesh keeps the `k²`
-/// cores but shrinks the router grid by its concentration:
-/// `CMesh(2)` at `k = 4` is a 4×2 router grid of 2-tile routers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Fabric {
-    /// A `k × k` mesh with corner MCs (the chip fabric; default).
-    #[default]
-    Mesh,
-    /// A `k × k` torus with the MC ports on the mesh's corner routers.
-    Torus,
-    /// A ring of `k²` routers with four evenly spread MC ports.
-    Ring,
-    /// A concentrated mesh of `k²` tiles at the given concentration
-    /// (1, 2 or 4 tiles per router; `k` must be even above 1), corner MCs.
-    CMesh(u8),
-}
-
-impl Fabric {
-    /// Short label for result rows and tables.
-    pub(crate) fn label(self) -> &'static str {
-        match self {
-            Fabric::Mesh => "mesh",
-            Fabric::Torus => "torus",
-            Fabric::Ring => "ring",
-            Fabric::CMesh(1) => "cmesh1",
-            Fabric::CMesh(2) => "cmesh2",
-            Fabric::CMesh(4) => "cmesh4",
-            Fabric::CMesh(_) => "cmesh",
-        }
-    }
-
-    /// The router grid a `k²`-tile concentrated mesh materializes as:
-    /// concentration 1 keeps `k × k`, 2 halves the rows (`k × k/2`), 4
-    /// halves both dimensions (`k/2 × k/2`).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unsupported concentration, or an odd `k` above
-    /// concentration 1.
-    pub fn cmesh_dims(k: u16, concentration: u8) -> (u16, u16) {
-        match concentration {
-            1 => (k, k),
-            2 | 4 => {
-                assert!(
-                    k.is_multiple_of(2),
-                    "a {k}x{k}-tile cmesh at concentration {concentration} needs an even side"
-                );
-                if concentration == 2 {
-                    (k, k / 2)
-                } else {
-                    (k / 2, k / 2)
-                }
-            }
-            other => panic!("unsupported cmesh concentration {other} (use 1, 2 or 4)"),
-        }
-    }
-
-    /// The topology a mesh-side `k` materializes as: a `k × k` mesh or
-    /// torus, a `k²`-router ring, or a `k²`-tile concentrated mesh — all
-    /// with four MC ports, so every fabric at the same `k` has matched
-    /// endpoint counts.
-    ///
-    /// # Panics
-    ///
-    /// Panics where the fabric has no such shape (`k == 0`, a torus or
-    /// ring below two routers a side, [`Fabric::cmesh_dims`]' conditions).
-    pub(crate) fn topology(self, k: u16) -> Topology {
-        match self {
-            Fabric::Mesh => Mesh::square_with_corner_mcs(k),
-            Fabric::Torus => Torus::square_with_corner_mcs(k),
-            Fabric::Ring => {
-                let len = k
-                    .checked_mul(k)
-                    .expect("a ring of k² routers fits a RouterId");
-                Ring::with_spread_mcs(len, 4)
-            }
-            Fabric::CMesh(c) => {
-                let (w, h) = Fabric::cmesh_dims(k, c);
-                CMesh::with_corner_mcs(w, h, c)
-            }
-        }
-    }
-
-    /// The fabric `topo` was built as — the inverse of
-    /// [`Fabric::topology`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on a topology kind no fabric builds.
-    fn of(topo: &Topology) -> Fabric {
-        match topo.name() {
-            "mesh" => Fabric::Mesh,
-            "torus" => Fabric::Torus,
-            "ring" => Fabric::Ring,
-            "cmesh" => Fabric::CMesh(topo.tiles_per_router()),
-            other => unreachable!("no fabric builds a {other} topology"),
-        }
-    }
-
-    /// The geometry string for run keys — the topology's own label:
-    /// `"4x4"`, `"torus4x4"`, `"ring16"`, `"cmesh4x2x2"` (router grid ×
-    /// concentration).
-    pub(crate) fn geometry(self, k: u16) -> String {
-        self.topology(k).label()
-    }
-}
-
 /// A filter restricting a grid to a non-rectangular subset.
 pub(crate) type GridFilter = fn(&RunSpec) -> bool;
 
@@ -404,7 +294,7 @@ pub struct SweepGrid {
     /// Workload axis.
     pub workloads: Vec<WorkloadParams>,
     /// Mesh-side axis (`k` ⇒ a `k × k`-sized system; see [`Fabric`]).
-    pub mesh_sides: Vec<u16>,
+    pub(crate) mesh_sides: Vec<u16>,
     /// Delivery-fabric axis (the `topology` scenarios sweep all three;
     /// everything else runs the default mesh only).
     pub fabrics: Vec<Fabric>,
@@ -414,7 +304,7 @@ pub struct SweepGrid {
     /// Protocol axis.
     pub protocols: Vec<Protocol>,
     /// Configuration-variant axis.
-    pub variants: Vec<Variant>,
+    pub(crate) variants: Vec<Variant>,
     /// Engine axis (the `scaling-kilocore` sweeps it; everything else runs
     /// the default active-set engine only).
     pub engines: Vec<Engine>,
@@ -625,7 +515,7 @@ pub struct RunSpec {
     pub index: usize,
     /// Workload parameters (ops-per-core is overridden by the executor).
     pub workload: WorkloadParams,
-    /// Mesh side (`k` ⇒ a `k²`-tile system; see `Fabric::geometry`).
+    /// Mesh side (`k` ⇒ a `k²`-tile system; see [`Fabric::topology`]).
     pub mesh_side: u16,
     /// Delivery fabric the `mesh_side` materializes as.
     pub fabric: Fabric,
@@ -692,7 +582,7 @@ impl RunSpec {
         format!(
             "{}/{}{planes}/{}/{}/seed{}{engine}",
             self.workload.name,
-            self.fabric.geometry(self.mesh_side),
+            self.fabric.topology(self.mesh_side).label(),
             self.protocol.name(),
             self.variant.label,
             self.seed
@@ -909,14 +799,14 @@ mod tests {
             cfg.mesh.mc_routers(),
             &[scorpio_noc::RouterId(0), scorpio_noc::RouterId(15)]
         );
-        let torus = corner2.apply(SystemConfig::torus(4));
-        assert_eq!(torus.mesh.name(), "torus");
+        let torus = corner2.apply(SystemConfig::with_topology(Fabric::Torus.topology(4)));
+        assert_eq!(torus.mesh.fabric(), Fabric::Torus);
         assert_eq!(torus.mesh.mc_routers().len(), 2);
         let spread = Knob::McPlacement {
             placement: McPlacement::Spread,
             mcs: 2,
         }
-        .apply(SystemConfig::ring(16, 4));
+        .apply(SystemConfig::with_topology(Fabric::Ring.topology(4)));
         assert_eq!(spread.mesh.mc_routers().len(), 2);
         assert_eq!(spread.l2.mc_endpoints.len(), 2);
         assert_eq!(corner2.label(), "corner-2");
@@ -943,7 +833,7 @@ mod tests {
             placement: McPlacement::Corner,
             mcs: 2,
         }
-        .apply(SystemConfig::ring(16, 4));
+        .apply(SystemConfig::with_topology(Fabric::Ring.topology(4)));
     }
 
     #[test]

@@ -57,6 +57,11 @@ fn arrival(r: &RunResult) -> (String, u32) {
     }
 }
 
+/// The run's configuration fingerprint as the sinks spell it.
+fn config_hash(r: &RunResult) -> String {
+    format!("{:#018x}", r.config.stable_hash())
+}
+
 /// One result as a JSON-lines record.
 pub fn json_line(scenario: &str, r: &RunResult, opts: SinkOptions) -> String {
     let (arrival, load_millis) = arrival(r);
@@ -66,8 +71,8 @@ pub fn json_line(scenario: &str, r: &RunResult, opts: SinkOptions) -> String {
             mesh: spec.mesh_side, fabric: spec.fabric.label(), planes: spec.planes,
             placement: placement(r), arrival: arrival, load_millis: load_millis,
             protocol: spec.protocol.name(), variant: &spec.variant.label,
-            engine: spec.engine.label(), seed: spec.seed, config: &r.config_label,
-            config_hash: format!("{:#018x}", r.config_hash));
+            engine: spec.engine.label(), seed: spec.seed, config: r.config.label(),
+            config_hash: config_hash(r));
         if opts.include_timing {
             json_fields!(o, r; wall_nanos, setup_nanos, sim_nanos, stepped_cycles);
             o.field("cycles_per_sec", cycles_per_sec(r));
@@ -128,7 +133,7 @@ fn columns(scenario: &str, opts: SinkOptions) -> Vec<CsvCol<'_>> {
         col("variant", |r| r.spec.variant.label.clone()),
         col("engine", |r| r.spec.engine.label()),
         col("seed", |r| r.spec.seed),
-        col("config_hash", |r| format!("{:#018x}", r.config_hash)),
+        col("config_hash", config_hash),
         col("protocol", |r| r.report.protocol.clone()),
         col("cores", |r| r.report.cores),
         col("runtime_cycles", |r| r.report.runtime_cycles),

@@ -45,7 +45,10 @@ fn seeds_change_results() {
     };
     let results = run_grid(&scenario.grid, &opts);
     assert_eq!(results.len(), 2);
-    assert_ne!(results[0].config_hash, results[1].config_hash);
+    assert_ne!(
+        results[0].config.stable_hash(),
+        results[1].config.stable_hash()
+    );
     assert_ne!(
         results[0].report.to_json(),
         results[1].report.to_json(),

@@ -222,7 +222,7 @@ fn rows() -> Vec<(Group, Row)> {
         .with_obs(ObsLevel::Counters)
         .with_spans(true)
         .with_windows(512);
-    let mut tiny = SystemConfig::torus(3).with_obs(ObsLevel::Trace);
+    let mut tiny = SystemConfig::with_topology(Fabric::Torus.topology(3)).with_obs(ObsLevel::Trace);
     tiny.l2.capacity_bytes = 2 * 1024;
     for row in [
         Row::of_preset("open-cmesh-2pl", open, "fft", 10),

@@ -49,6 +49,7 @@ use scorpio::{ArrivalProcess, ObsLevel, OpenLoopConfig, Protocol, System, System
 use scorpio_harness::exec::{run_grid, run_spec_ov, ExecOptions, Overrides, RunResult};
 use scorpio_harness::registry;
 use scorpio_harness::sink::{self, Doc, SinkOptions};
+use scorpio_noc::{placement, Fabric, Topology};
 use scorpio_sim::json::{self, Fields};
 use scorpio_sim::Fnv1a;
 use scorpio_workloads::{generate, WorkloadParams};
@@ -127,13 +128,13 @@ const GOLDEN: &[Row] = &[
     ),
     (
         "torus4x4/SCORPIO/blackscholes",
-        || SystemConfig::torus(4),
+        || SystemConfig::with_topology(Fabric::Torus.topology(4)),
         || preset("blackscholes"),
         20,
     ),
     (
         "ring8/SCORPIO/barnes",
-        || SystemConfig::ring(8, 4),
+        || SystemConfig::with_topology(Topology::new(Fabric::Ring, 8, 1, placement::spread(8, 4))),
         barnes,
         20,
     ),

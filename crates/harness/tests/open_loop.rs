@@ -64,7 +64,8 @@ fn zero_load_open_loop_degenerates_to_the_closed_loop() {
     );
     assert_eq!(a.trace, b.trace);
     assert_ne!(
-        a.config_hash, b.config_hash,
+        a.config.stable_hash(),
+        b.config.stable_hash(),
         "the knob must stay hash-visible"
     );
 }

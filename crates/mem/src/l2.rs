@@ -1107,3 +1107,23 @@ impl SnoopyL2 {
         self.array.peek(addr).map(|l| l.value)
     }
 }
+
+/// Support the sleep-soundness audit shares; not part of the L2's
+/// interface.
+#[doc(hidden)]
+pub mod testing {
+    use super::SnoopyL2;
+
+    /// Digest of everything a tick of `l2` can change. `tile`, `cfg` and
+    /// `record_spans` are left out: they are set at build. The recorded
+    /// spans count by their length: a tick only appends to them, so the
+    /// length moves whenever they do, and their text grows with the run.
+    pub fn state_digest(l2: &SnoopyL2) -> u64 {
+        scorpio_sim::Fnv1a::debug_digest(&(
+            (&l2.array, &l2.region, &l2.rshr, &l2.fids, &l2.wb_buf),
+            (&l2.core_q, &l2.snoop_q, &l2.resp_q, &l2.stage, &l2.outbox),
+            (&l2.core_resps, &l2.l1_invalidations, l2.spans.len()),
+            (l2.busy_until, &l2.stats),
+        ))
+    }
+}

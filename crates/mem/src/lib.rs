@@ -42,7 +42,8 @@ mod region;
 pub use array::{CacheArray, Line};
 pub use l1::L1Cache;
 pub use l2::{
-    CoreOp, CoreReq, CoreResp, L2Config, L2Out, L2Stats, MissSpan, OrderedSnoop, ServedBy, SnoopyL2,
+    testing, CoreOp, CoreReq, CoreResp, L2Config, L2Out, L2Stats, MissSpan, OrderedSnoop, ServedBy,
+    SnoopyL2,
 };
 pub use mc::{McConfig, McOut, McStats, MemoryController};
 pub use region::RegionTracker;

@@ -23,11 +23,11 @@
 //!
 //! ```
 //! use scorpio_nic::{Nic, NicConfig, NicMode};
-//! use scorpio_noc::{Endpoint, Mesh, MultiNetwork, NocConfig, RouterId, Sid};
+//! use scorpio_noc::{Endpoint, Fabric, MultiNetwork, NocConfig, RouterId, Sid, Topology};
 //! use scorpio_notify::{NotifyConfig, NotifyNetwork, NotifyScheme};
 //! use std::num::NonZeroUsize;
 //!
-//! let mesh = Mesh::new(2, 2, &[]);
+//! let mesh = Topology::new(Fabric::Mesh, 2, 2, []);
 //! let one = NonZeroUsize::new(1).unwrap();
 //! let mut net: MultiNetwork<u32> =
 //!     MultiNetwork::new(mesh.clone(), NocConfig::scorpio(), one, 0);

@@ -6,7 +6,7 @@
 //! never sleeps through a tick that would have delivered.
 
 use scorpio_nic::{Nic, NicConfig, NicMode, OrderedDelivery};
-use scorpio_noc::{set_bits, LocalSlot, Mesh, MultiNetwork, NocConfig, Sid};
+use scorpio_noc::{set_bits, Fabric, LocalSlot, MultiNetwork, NocConfig, Sid};
 use scorpio_notify::{NotifyConfig, NotifyNetwork, NotifyScheme};
 use scorpio_sim::{Cycle, SimRng};
 use std::num::NonZeroUsize;
@@ -31,7 +31,7 @@ struct World {
 
 impl World {
     fn new(planes: usize, pipelined: bool, event_driven: bool) -> World {
-        let mesh = Mesh::square_with_corner_mcs(4);
+        let mesh = Fabric::Mesh.topology(4);
         // Two deep request VCs (plus the rVC): ejection VCs queue several
         // packets behind a head that is not yet expected.
         let mut noc = NocConfig::scorpio();

@@ -6,7 +6,7 @@
 //! every NIC observes the identical order *within* each plane.
 
 use scorpio_nic::{Nic, NicConfig, NicMode, OrderedDelivery};
-use scorpio_noc::{Endpoint, Mesh, MultiNetwork, NocConfig, RouterId, Sid, Topology};
+use scorpio_noc::{Endpoint, Fabric, MultiNetwork, NocConfig, RouterId, Sid, Topology};
 use scorpio_notify::{NotifyConfig, NotifyNetwork, NotifyScheme};
 use scorpio_sim::SimRng;
 use std::num::NonZeroUsize;
@@ -126,7 +126,7 @@ impl World {
 
 #[test]
 fn all_nodes_observe_identical_order_single_burst() {
-    let mesh = Mesh::square_with_corner_mcs(4);
+    let mesh = Fabric::Mesh.topology(4);
     let mut w = World::new(mesh, NicConfig::default());
     // Every tile fires one request in the same cycle.
     let now = w.net.cycle();
@@ -145,7 +145,7 @@ fn all_nodes_observe_identical_order_single_burst() {
 
 #[test]
 fn staggered_random_injections_stay_ordered() {
-    let mesh = Mesh::square_with_corner_mcs(4);
+    let mesh = Fabric::Mesh.topology(4);
     let mut w = World::new(mesh, NicConfig::default());
     let mut rng = SimRng::seed_from(77);
     let per_tile = 6u16;
@@ -184,7 +184,7 @@ fn staggered_random_injections_stay_ordered() {
 #[test]
 fn stop_bit_pressure_does_not_break_ordering() {
     // A tiny tracker queue forces stop windows under load.
-    let mesh = Mesh::square_with_corner_mcs(3);
+    let mesh = Fabric::Mesh.topology(3);
     let cfg = NicConfig {
         tracker_depth: 2,
         ..NicConfig::default()
@@ -220,7 +220,7 @@ fn stop_bit_pressure_does_not_break_ordering() {
 
 #[test]
 fn saturating_burst_from_one_tile_respects_pending_limit() {
-    let mesh = Mesh::new(2, 2, &[]);
+    let mesh = Topology::new(Fabric::Mesh, 2, 2, []);
     let mut w = World::new(mesh, NicConfig::default());
     let ep = Endpoint::tile(RouterId(0));
     let idx = w.net.endpoint_index(ep);
@@ -259,7 +259,7 @@ fn saturating_burst_from_one_tile_respects_pending_limit() {
 
 #[test]
 fn mc_endpoints_observe_the_same_order_as_tiles() {
-    let mesh = Mesh::square_with_corner_mcs(4);
+    let mesh = Fabric::Mesh.topology(4);
     let mut w = World::new(mesh, NicConfig::default());
     for round in 0..3u16 {
         for i in [0u16, 5, 10, 15] {
@@ -285,7 +285,7 @@ fn mc_endpoints_observe_the_same_order_as_tiles() {
 
 #[test]
 fn non_pipelined_nic_still_orders_correctly() {
-    let mesh = Mesh::square_with_corner_mcs(3);
+    let mesh = Fabric::Mesh.topology(3);
     let cfg = NicConfig {
         pipelined: false,
         latency: 3,
@@ -308,7 +308,7 @@ fn non_pipelined_nic_still_orders_correctly() {
 
 #[test]
 fn two_planes_keep_per_plane_global_order_under_random_load() {
-    let mesh = Mesh::square_with_corner_mcs(4);
+    let mesh = Fabric::Mesh.topology(4);
     let mut w = World::with_planes(mesh, NicConfig::default(), 2);
     let mut rng = SimRng::seed_from(4242);
     let per_tile = 6u16;
@@ -345,7 +345,11 @@ fn two_planes_keep_per_plane_global_order_under_random_load() {
 
 #[test]
 fn four_planes_multiply_the_pending_notification_budget() {
-    let mut w = World::with_planes(Mesh::new(2, 2, &[]), NicConfig::default(), 4);
+    let mut w = World::with_planes(
+        Topology::new(Fabric::Mesh, 2, 2, []),
+        NicConfig::default(),
+        4,
+    );
     let ep = Endpoint::tile(RouterId(0));
     let idx = w.net.endpoint_index(ep);
     // Ten requests whose addresses stripe over four planes: per-plane

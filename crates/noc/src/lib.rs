@@ -1,9 +1,9 @@
 //! The SCORPIO main network: a NoC with virtual-channel routers, lookahead
 //! bypassing, single-cycle multicast and reserved-VC deadlock avoidance
 //! (Section 3.2 of the paper), delivered over a swappable [`Topology`] —
-//! one description (router grid, wraparound, tiles per router, MC routers)
-//! with four constructor namespaces: the chip's 2-D [`Mesh`], a wraparound
-//! [`Torus`], a bidirectional [`Ring`] and a concentrated [`CMesh`].
+//! one description (a [`Fabric`], a router grid, the MC routers) with one
+//! constructor, [`Topology::new`]. The fabric is the chip's 2-D mesh, a
+//! wraparound torus, a bidirectional ring or a concentrated mesh.
 //!
 //! The main network is *unordered*: it broadcasts coherence requests and
 //! delivers responses with no global ordering guarantee. Global ordering is
@@ -27,9 +27,9 @@
 //! Broadcasting a request across a 4×4 mesh:
 //!
 //! ```
-//! use scorpio_noc::{set_bits, Endpoint, Mesh, Network, NocConfig, Packet, RouterId, Sid};
+//! use scorpio_noc::{set_bits, Endpoint, Fabric, Network, NocConfig, Packet, RouterId, Sid};
 //!
-//! let mesh = Mesh::square_with_corner_mcs(4);
+//! let mesh = Fabric::Mesh.topology(4);
 //! let endpoints = mesh.endpoints().count();
 //! let mut net: Network<u32> = Network::new(mesh, NocConfig::scorpio());
 //! let src = Endpoint::tile(RouterId(0));
@@ -69,9 +69,7 @@ pub use flit::{data_packet_flits, Dest, Flit, Packet, Payload, Sid, VnetId};
 pub use network::{Network, NocStats};
 pub use obs::{NetObs, ObsConfig, TraceEvent, TraceKind, WindowCell};
 pub use planes::{MultiNetwork, PlaneSteer, SteerKey};
-pub use topology::{
-    CMesh, Coord, Endpoint, LocalSlot, Mesh, Port, PortMask, Ring, RouterId, Topology, Torus,
-};
+pub use topology::{Coord, Endpoint, Fabric, LocalSlot, Port, PortMask, RouterId, Topology};
 
 /// Verification oracles other crates' property tests share: the spec
 /// walks every fabric must satisfy and a drain loop. Not part of the

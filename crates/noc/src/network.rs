@@ -353,9 +353,9 @@ impl NocStats {
 /// # Examples
 ///
 /// ```
-/// use scorpio_noc::{Mesh, Network, NocConfig, Packet, RouterId, Endpoint, Sid};
+/// use scorpio_noc::{Network, NocConfig, Packet, RouterId, Endpoint, Sid, Fabric};
 ///
-/// let mesh = Mesh::square_with_corner_mcs(4);
+/// let mesh = Fabric::Mesh.topology(4);
 /// let mut net: Network<u64> = Network::new(mesh, NocConfig::scorpio());
 /// let src = Endpoint::tile(RouterId(0));
 /// net.try_inject(src, Packet::request(src, Sid(0), 0, 7)).unwrap();
@@ -1098,8 +1098,9 @@ mod tests {
     use crate::arbiter::set_bits;
     use crate::flit::VnetId;
     use crate::obs::TraceKind;
+    use crate::placement;
     use crate::planes::MultiNetwork;
-    use crate::topology::{CMesh, Mesh, Ring, Torus};
+    use crate::topology::{Fabric, Topology};
 
     fn drain_all(net: &mut Network<u64>, max: u64) -> Vec<(Endpoint, Flit<u64>)> {
         let mut got = Vec::new();
@@ -1175,7 +1176,7 @@ mod tests {
         use scorpio_sim::SimRng;
         let run = |scan: bool| {
             let mut net: Network<u64> =
-                Network::new(Mesh::square_with_corner_mcs(4), NocConfig::scorpio());
+                Network::new(Fabric::Mesh.topology(4), NocConfig::scorpio());
             let eps: Vec<Endpoint> = net.topology().endpoints().collect();
             let mut rng = SimRng::seed_from(43);
             let (mut log, mut woken) = (Vec::new(), Vec::new());
@@ -1233,7 +1234,7 @@ mod tests {
 
     #[test]
     fn unicast_response_delivered_once() {
-        let mesh = Mesh::square_with_corner_mcs(4);
+        let mesh = Fabric::Mesh.topology(4);
         let mut net: Network<u64> = Network::new(mesh, NocConfig::scorpio());
         let src = Endpoint::tile(RouterId(0));
         let dst = Endpoint::tile(RouterId(15));
@@ -1253,7 +1254,7 @@ mod tests {
 
     #[test]
     fn broadcast_reaches_every_other_endpoint_exactly_once() {
-        let mesh = Mesh::square_with_corner_mcs(4);
+        let mesh = Fabric::Mesh.topology(4);
         let mut net: Network<u64> = Network::new(mesh, NocConfig::scorpio());
         let src = Endpoint::tile(RouterId(5));
         let uid = net
@@ -1273,7 +1274,7 @@ mod tests {
 
     #[test]
     fn broadcasts_from_all_sources_all_delivered() {
-        let mesh = Mesh::square_with_corner_mcs(3);
+        let mesh = Fabric::Mesh.topology(3);
         let mut net: Network<u64> = Network::new(mesh, NocConfig::scorpio());
         let mut uids = Vec::new();
         for r in 0..9u16 {
@@ -1298,7 +1299,7 @@ mod tests {
     fn zero_load_unicast_latency_reflects_bypass() {
         // Single-flit UO-RESP unicast across a 4x4 mesh with bypassing:
         // inject (2) + per-hop (2) * hops + ejection consumption.
-        let mesh = Mesh::new(4, 4, &[]);
+        let mesh = Topology::new(Fabric::Mesh, 4, 4, []);
         let mut net: Network<u64> = Network::new(mesh, NocConfig::scorpio());
         let src = Endpoint::tile(RouterId(0));
         let dst = Endpoint::tile(RouterId(3)); // 3 hops east
@@ -1323,7 +1324,7 @@ mod tests {
         slow_cfg.bypass = false;
 
         let run = |cfg: NocConfig| -> f64 {
-            let mut net: Network<u64> = Network::new(Mesh::new(4, 4, &[]), cfg);
+            let mut net: Network<u64> = Network::new(Topology::new(Fabric::Mesh, 4, 4, []), cfg);
             let src = Endpoint::tile(RouterId(0));
             let dst = Endpoint::tile(RouterId(15));
             net.try_inject(src, Packet::response(src, dst, 1, 1))
@@ -1342,7 +1343,7 @@ mod tests {
     #[test]
     fn heavy_random_traffic_drains_without_loss() {
         use scorpio_sim::SimRng;
-        let mesh = Mesh::square_with_corner_mcs(4);
+        let mesh = Fabric::Mesh.topology(4);
         let mut net: Network<u64> = Network::new(mesh, NocConfig::scorpio());
         let mut rng = SimRng::seed_from(1234);
         let eps: Vec<Endpoint> = net.topology().endpoints().collect();
@@ -1389,7 +1390,7 @@ mod tests {
 
     #[test]
     fn inject_backpressure_reports_full() {
-        let mesh = Mesh::new(2, 2, &[]);
+        let mesh = Topology::new(Fabric::Mesh, 2, 2, []);
         let mut cfg = NocConfig::scorpio();
         cfg.inject_queue_depth = 2;
         let mut net: Network<u64> = Network::new(mesh, cfg);
@@ -1408,7 +1409,7 @@ mod tests {
 
     #[test]
     fn esid_is_staged_until_commit() {
-        let mesh = Mesh::new(2, 2, &[]);
+        let mesh = Topology::new(Fabric::Mesh, 2, 2, []);
         let mut net: Network<u64> = Network::new(mesh, NocConfig::scorpio());
         let ep = Endpoint::tile(RouterId(0));
         net.set_esid(ep, Some((Sid(3), 0)));
@@ -1419,7 +1420,7 @@ mod tests {
 
     #[test]
     fn multi_flit_packets_arrive_in_order_under_load() {
-        let mesh = Mesh::new(4, 1, &[]);
+        let mesh = Topology::new(Fabric::Mesh, 4, 1, []);
         let mut net: Network<u64> = Network::new(mesh, NocConfig::scorpio());
         let dst = Endpoint::tile(RouterId(3));
         for r in 0..3u16 {
@@ -1444,7 +1445,7 @@ mod tests {
 
     #[test]
     fn endpoint_indexing_is_dense_and_stable() {
-        let mesh = Mesh::scorpio_chip();
+        let mesh = Fabric::Mesh.topology(6);
         let net: Network<u64> = Network::new(mesh, NocConfig::scorpio());
         assert_eq!(net.endpoint_index(Endpoint::tile(RouterId(0))), 0);
         assert_eq!(net.endpoint_index(Endpoint::tile(RouterId(35))), 35);
@@ -1455,8 +1456,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "MC-sourced broadcast")]
     fn mc_sourced_broadcast_on_a_concentrated_fabric_is_rejected() {
-        let mut net: Network<u64> =
-            Network::new(CMesh::with_corner_mcs(2, 2, 2), NocConfig::scorpio());
+        let mut net: Network<u64> = Network::new(
+            Topology::new(Fabric::CMesh(2), 2, 2, placement::corners(2, 2)),
+            NocConfig::scorpio(),
+        );
         let mc = Endpoint::mc(RouterId(0));
         let _ = net.try_inject(mc, Packet::broadcast_unordered(VnetId(1), mc, 0));
     }
@@ -1464,7 +1467,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "no MC port")]
     fn mc_index_at_non_mc_router_panics() {
-        let mesh = Mesh::scorpio_chip();
+        let mesh = Fabric::Mesh.topology(6);
         let net: Network<u64> = Network::new(mesh, NocConfig::scorpio());
         let _ = net.endpoint_index(Endpoint::mc(RouterId(1)));
     }
@@ -1472,7 +1475,7 @@ mod tests {
     #[test]
     fn broadcast_on_unordered_vnet_works() {
         // TokenB/INSO-style: broadcast without SID on the request vnet.
-        let mesh = Mesh::new(3, 3, &[]);
+        let mesh = Topology::new(Fabric::Mesh, 3, 3, []);
         let mut cfg = NocConfig::scorpio();
         cfg.vnets[0].ordered = false;
         let mut net: Network<u64> = Network::new(mesh, cfg);
@@ -1497,7 +1500,7 @@ mod tests {
         // from tile slot 1 of router 0 must reach its *sibling* slot 0
         // (through the router, not the mesh), every remote slot, and every
         // MC port — 11 copies, each exactly once.
-        let cm = CMesh::with_corner_mcs(2, 2, 2);
+        let cm = Topology::new(Fabric::CMesh(2), 2, 2, placement::corners(2, 2));
         let mut net: Network<u64> = Network::new(cm, NocConfig::scorpio());
         let src = Endpoint::tile_slot(RouterId(0), 1);
         let uid = net
@@ -1520,7 +1523,7 @@ mod tests {
 
     #[test]
     fn cmesh_unicast_targets_the_exact_slot() {
-        let cm = CMesh::with_corner_mcs(2, 2, 4);
+        let cm = Fabric::CMesh(4).topology(4);
         let mut net: Network<u64> = Network::new(cm, NocConfig::scorpio());
         let src = Endpoint::tile_slot(RouterId(0), 0);
         let dst = Endpoint::tile_slot(RouterId(3), 2);
@@ -1535,7 +1538,7 @@ mod tests {
     #[test]
     fn cmesh_heavy_random_traffic_drains_without_loss() {
         use scorpio_sim::SimRng;
-        let cm = CMesh::with_corner_mcs(3, 2, 2);
+        let cm = Topology::new(Fabric::CMesh(2), 3, 2, placement::corners(3, 2));
         let mut net: Network<u64> = Network::new(cm, NocConfig::scorpio());
         let mut rng = SimRng::seed_from(99);
         let eps: Vec<Endpoint> = net.topology().endpoints().collect();
@@ -1576,10 +1579,7 @@ mod tests {
 
     #[test]
     fn broadcast_reaches_everyone_on_torus_and_ring() {
-        for topo in [
-            Torus::square_with_corner_mcs(4),
-            Ring::with_spread_mcs(16, 4),
-        ] {
+        for topo in [Fabric::Torus.topology(4), Fabric::Ring.topology(4)] {
             let n_eps = topo.endpoints().count();
             let mut net: Network<u64> = Network::new(topo.clone(), NocConfig::scorpio());
             let src = Endpoint::tile(RouterId(5));
@@ -1610,8 +1610,8 @@ mod tests {
             drain_all(&mut net, 200);
             net.stats().packet_latency().mean()
         };
-        let mesh_lat = run(Mesh::new(4, 4, &[]));
-        let torus_lat = run(Torus::new(4, 4, &[]));
+        let mesh_lat = run(Topology::new(Fabric::Mesh, 4, 4, []));
+        let torus_lat = run(Topology::new(Fabric::Torus, 4, 4, []));
         assert!(
             torus_lat < mesh_lat,
             "wrap link unused: torus {torus_lat} >= mesh {mesh_lat}"
@@ -1622,8 +1622,8 @@ mod tests {
     fn heavy_random_traffic_drains_on_wraparound_fabrics() {
         use scorpio_sim::SimRng;
         for topo in [
-            Torus::square_with_corner_mcs(4),
-            Ring::with_spread_mcs(12, 4),
+            Fabric::Torus.topology(4),
+            Topology::new(Fabric::Ring, 12, 1, placement::spread(12, 4)),
         ] {
             let mut net: Network<u64> = Network::new(topo.clone(), NocConfig::scorpio());
             let mut rng = SimRng::seed_from(4321);
@@ -1684,10 +1684,7 @@ mod tests {
     #[test]
     fn esid_census_matches_a_recount_after_every_commit() {
         use scorpio_sim::SimRng;
-        for topo in [
-            Mesh::square_with_corner_mcs(4),
-            CMesh::with_corner_mcs(8, 8, 4),
-        ] {
+        for topo in [Fabric::Mesh.topology(4), Fabric::CMesh(4).topology(16)] {
             let mut net: Network<u64> = Network::new(topo.clone(), NocConfig::scorpio());
             let eps: Vec<Endpoint> = topo.endpoints().collect();
             let n_tiles = topo.tile_count();
@@ -1721,10 +1718,7 @@ mod tests {
             trace: Some(usize::MAX),
             window_cycles: 0,
         };
-        for topo in [
-            Mesh::square_with_corner_mcs(4),
-            CMesh::with_corner_mcs(2, 2, 4),
-        ] {
+        for topo in [Fabric::Mesh.topology(4), Fabric::CMesh(4).topology(4)] {
             let build = || {
                 let mut net: Network<u64> = Network::new(topo.clone(), NocConfig::scorpio());
                 net.set_observability(0, Some(obs));
@@ -1802,8 +1796,12 @@ mod tests {
     #[test]
     fn post_mortem_names_the_blocked_vcs_on_every_plane() {
         let planes = std::num::NonZeroUsize::new(2).expect("non-zero");
-        let mut net: MultiNetwork<u64> =
-            MultiNetwork::new(Mesh::new(2, 2, &[]), NocConfig::scorpio(), planes, 0);
+        let mut net: MultiNetwork<u64> = MultiNetwork::new(
+            Topology::new(Fabric::Mesh, 2, 2, []),
+            NocConfig::scorpio(),
+            planes,
+            0,
+        );
         for addr in 0..200u64 {
             for r in 0..4u16 {
                 let src = Endpoint::tile(RouterId(r));

@@ -121,10 +121,10 @@ impl PlaneSteer {
 /// # Examples
 ///
 /// ```
-/// use scorpio_noc::{Endpoint, Mesh, MultiNetwork, NocConfig, Packet, RouterId, Sid};
+/// use scorpio_noc::{Endpoint, Fabric, MultiNetwork, NocConfig, Packet, RouterId, Sid};
 /// use std::num::NonZeroUsize;
 ///
-/// let mesh = Mesh::square_with_corner_mcs(4);
+/// let mesh = Fabric::Mesh.topology(4);
 /// let mut net: MultiNetwork<u64> =
 ///     MultiNetwork::new(mesh, NocConfig::scorpio(), NonZeroUsize::new(2).unwrap(), 0);
 /// let src = Endpoint::tile(RouterId(0));
@@ -364,11 +364,11 @@ mod tests {
     use super::*;
     use crate::arbiter::set_bits;
     use crate::flit::VnetId;
-    use crate::topology::{Mesh, Ring, RouterId, Torus};
+    use crate::topology::{Fabric, RouterId};
 
     fn two_planes(k: u16, planes: usize) -> MultiNetwork<u64> {
         MultiNetwork::new(
-            Mesh::square_with_corner_mcs(k),
+            Fabric::Mesh.topology(k),
             NocConfig::scorpio(),
             NonZeroUsize::new(planes).unwrap(),
             0,
@@ -411,8 +411,7 @@ mod tests {
     #[test]
     fn single_plane_delegates_transparently() {
         let mut multi = two_planes(4, 1);
-        let mut single: Network<u64> =
-            Network::new(Mesh::square_with_corner_mcs(4), NocConfig::scorpio());
+        let mut single: Network<u64> = Network::new(Fabric::Mesh.topology(4), NocConfig::scorpio());
         let src = Endpoint::tile(RouterId(0));
         let (plane, uid) = multi
             .try_inject(src, Packet::request(src, Sid(0), 0, 7))
@@ -511,9 +510,9 @@ mod tests {
     #[test]
     fn unordered_broadcast_steers_and_drains_on_all_fabrics() {
         for topo in [
-            Mesh::square_with_corner_mcs(4),
-            Torus::square_with_corner_mcs(4),
-            Ring::with_spread_mcs(16, 4),
+            Fabric::Mesh.topology(4),
+            Fabric::Torus.topology(4),
+            Fabric::Ring.topology(4),
         ] {
             let mut cfg = NocConfig::scorpio();
             cfg.vnets[0].ordered = false;

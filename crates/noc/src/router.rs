@@ -1259,7 +1259,7 @@ impl<T: Payload, E: EsidOracle> Router<'_, T, E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::{Mesh, Topology, Torus};
+    use crate::topology::{Fabric, Topology};
 
     struct NoRvc;
     impl EsidOracle for NoRvc {
@@ -1455,7 +1455,7 @@ mod tests {
 
     #[test]
     fn router_construction_ports() {
-        let (_, routers) = routers(&Mesh::scorpio_chip());
+        let (_, routers) = routers(&Fabric::Mesh.topology(6));
         // NW corner: East, South, Tile, Mc.
         let corner = routers.cores[0].present;
         assert!(corner.contains(Port::East));
@@ -1475,7 +1475,7 @@ mod tests {
 
     #[test]
     fn torus_router_has_all_four_mesh_ports() {
-        let (_, routers) = routers(&Torus::square_with_corner_mcs(4));
+        let (_, routers) = routers(&Fabric::Torus.topology(4));
         for port in [Port::North, Port::South, Port::East, Port::West] {
             assert!(routers.cores[0].present.contains(port), "{port}");
         }
@@ -1491,7 +1491,7 @@ mod tests {
     fn stream_that_empties_mid_packet_waits_for_its_next_flit() {
         use crate::flit::Packet;
         use crate::topology::Endpoint;
-        let (tables, mut routers) = routers(&Mesh::scorpio_chip());
+        let (tables, mut routers) = routers(&Fabric::Mesh.topology(6));
         let cfg = cfg();
         let ctx = ctx(&tables, &cfg);
         let r = 14;
@@ -1557,7 +1557,7 @@ mod tests {
     fn same_sid_request_waits_for_the_first_to_release_its_vc() {
         use crate::flit::{Dest, Packet};
         use crate::topology::Endpoint;
-        let (tables, mut routers) = routers(&Mesh::scorpio_chip());
+        let (tables, mut routers) = routers(&Fabric::Mesh.topology(6));
         let cfg = cfg();
         let ctx = ctx(&tables, &cfg);
         let r = 14;
@@ -1632,7 +1632,7 @@ mod tests {
 
     #[test]
     fn idle_router_tick_emits_nothing() {
-        let (tables, mut routers) = routers(&Mesh::scorpio_chip());
+        let (tables, mut routers) = routers(&Fabric::Mesh.topology(6));
         let cfg = cfg();
         let ctx = ctx(&tables, &cfg);
         let mut out = Vec::new();

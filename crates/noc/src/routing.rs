@@ -111,10 +111,10 @@ pub fn check_broadcast_exactly_once(topo: &Topology) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::{CMesh, Mesh, Ring, Torus};
+    use crate::topology::{Fabric, Topology};
 
     fn mesh(cols: u16, rows: u16) -> Topology {
-        Mesh::new(cols, rows, &[])
+        Topology::new(Fabric::Mesh, cols, rows, [])
     }
 
     /// The diameter obtained by *walking the unicast routing spec* between
@@ -150,7 +150,11 @@ mod tests {
 
     #[test]
     fn unicast_path_has_hops_length_on_every_topology() {
-        for topo in [mesh(6, 6), Torus::new(5, 4, &[]), Ring::new(9, &[])] {
+        for topo in [
+            mesh(6, 6),
+            Topology::new(Fabric::Torus, 5, 4, []),
+            Topology::new(Fabric::Ring, 9, 1, []),
+        ] {
             for a in topo.routers() {
                 for b in topo.routers() {
                     let path = unicast_path(&topo, a, Endpoint::tile(b));
@@ -168,7 +172,7 @@ mod tests {
 
     #[test]
     fn unicast_to_mc_slot_ejects_on_mc_port() {
-        let topo = Mesh::scorpio_chip();
+        let topo = Fabric::Mesh.topology(6);
         let dest = Endpoint::mc(RouterId(0));
         assert_eq!(topo.unicast_hop(RouterId(0), dest).0, Port::Mc);
     }
@@ -179,31 +183,32 @@ mod tests {
     #[test]
     fn broadcast_exactly_once_on_every_topology() {
         let topologies: Vec<Topology> = vec![
-            Mesh::scorpio_chip(),
-            Mesh::new(1, 1, &[]),
-            Mesh::new(1, 4, &[]),
-            Mesh::new(4, 1, &[]),
-            Mesh::new(3, 5, &[RouterId(2)]),
-            Mesh::new(8, 8, &[]),
-            Torus::new(2, 2, &[]),
-            Torus::new(3, 3, &[RouterId(4)]),
-            Torus::new(4, 4, &[RouterId(0), RouterId(15)]),
-            Torus::new(5, 3, &[]),
-            Torus::new(
+            Fabric::Mesh.topology(6),
+            Topology::new(Fabric::Mesh, 1, 1, []),
+            Topology::new(Fabric::Mesh, 1, 4, []),
+            Topology::new(Fabric::Mesh, 4, 1, []),
+            Topology::new(Fabric::Mesh, 3, 5, [RouterId(2)]),
+            Topology::new(Fabric::Mesh, 8, 8, []),
+            Topology::new(Fabric::Torus, 2, 2, []),
+            Topology::new(Fabric::Torus, 3, 3, [RouterId(4)]),
+            Topology::new(Fabric::Torus, 4, 4, [RouterId(0), RouterId(15)]),
+            Topology::new(Fabric::Torus, 5, 3, []),
+            Topology::new(
+                Fabric::Torus,
                 6,
                 6,
-                &[RouterId(0), RouterId(5), RouterId(30), RouterId(35)],
+                [RouterId(0), RouterId(5), RouterId(30), RouterId(35)],
             ),
-            Ring::new(2, &[]),
-            Ring::new(3, &[RouterId(1)]),
-            Ring::new(8, &[RouterId(0), RouterId(4)]),
-            Ring::with_spread_mcs(36, 4),
-            CMesh::with_corner_mcs(4, 2, 2),
-            CMesh::with_corner_mcs(2, 2, 4),
-            CMesh::with_corner_mcs(4, 4, 1),
-            CMesh::new(3, 3, 3, &[RouterId(4)]),
-            CMesh::new(1, 1, 4, &[RouterId(0)]),
-            CMesh::new(5, 1, 2, &[]),
+            Topology::new(Fabric::Ring, 2, 1, []),
+            Topology::new(Fabric::Ring, 3, 1, [RouterId(1)]),
+            Topology::new(Fabric::Ring, 8, 1, [RouterId(0), RouterId(4)]),
+            Fabric::Ring.topology(6),
+            Fabric::CMesh(2).topology(4),
+            Fabric::CMesh(4).topology(4),
+            Fabric::CMesh(1).topology(4),
+            Topology::new(Fabric::CMesh(3), 3, 3, [RouterId(4)]),
+            Topology::new(Fabric::CMesh(4), 1, 1, [RouterId(0)]),
+            Topology::new(Fabric::CMesh(2), 5, 1, []),
         ];
         for topo in &topologies {
             check_broadcast_exactly_once(topo);
@@ -233,7 +238,7 @@ mod tests {
                     mcs.push(RouterId(r));
                 }
             }
-            let topo: Topology = CMesh::new(cols, rows, conc, &mcs);
+            let topo: Topology = Topology::new(Fabric::CMesh(conc), cols, rows, mcs);
             let label = topo.label();
             assert_eq!(topo.tile_count(), n * conc as usize, "{label}");
             check_broadcast_exactly_once(&topo);
@@ -255,18 +260,18 @@ mod tests {
     #[test]
     fn declared_diameter_matches_walked_diameter_everywhere() {
         let topologies: Vec<Topology> = vec![
-            Mesh::scorpio_chip(),
-            Mesh::new(7, 3, &[]),
-            Mesh::new(1, 1, &[]),
-            Torus::new(4, 4, &[]),
-            Torus::new(5, 3, &[]),
-            Torus::new(2, 2, &[]),
-            Ring::new(2, &[]),
-            Ring::new(9, &[]),
-            Ring::with_spread_mcs(36, 4),
-            CMesh::with_corner_mcs(4, 2, 2),
-            CMesh::with_corner_mcs(2, 2, 4),
-            CMesh::with_corner_mcs(6, 6, 1),
+            Fabric::Mesh.topology(6),
+            Topology::new(Fabric::Mesh, 7, 3, []),
+            Topology::new(Fabric::Mesh, 1, 1, []),
+            Topology::new(Fabric::Torus, 4, 4, []),
+            Topology::new(Fabric::Torus, 5, 3, []),
+            Topology::new(Fabric::Torus, 2, 2, []),
+            Topology::new(Fabric::Ring, 2, 1, []),
+            Topology::new(Fabric::Ring, 9, 1, []),
+            Fabric::Ring.topology(6),
+            Fabric::CMesh(2).topology(4),
+            Fabric::CMesh(4).topology(4),
+            Fabric::CMesh(1).topology(6),
         ];
         for topo in &topologies {
             assert_eq!(
@@ -308,7 +313,7 @@ mod tests {
 
     #[test]
     fn broadcast_targets_exclude_source() {
-        let topo: Topology = Mesh::scorpio_chip();
+        let topo: Topology = Fabric::Mesh.topology(6);
         let src = Endpoint::tile(RouterId(7));
         let deliveries = broadcast_deliveries(&topo, src);
         let copies: usize = deliveries.iter().map(|m| m.iter().count()).sum();
@@ -318,7 +323,7 @@ mod tests {
 
     #[test]
     fn ring_broadcast_splits_between_directions() {
-        let topo: Topology = Ring::new(4, &[]);
+        let topo: Topology = Topology::new(Fabric::Ring, 4, 1, []);
         // len=4: the east branch covers 2 routers, the west branch 1.
         let deliveries = broadcast_deliveries(&topo, Endpoint::tile(RouterId(0)));
         let tiles = deliveries.iter().filter(|m| m.contains(Port::Tile)).count();

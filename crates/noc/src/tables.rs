@@ -362,7 +362,7 @@ pub(crate) fn validate_datelines(topo: &Topology, cfg: &NocConfig) {
 mod tests {
     use super::*;
     use crate::placement;
-    use crate::topology::{CMesh, Mesh, Ring, Torus};
+    use crate::topology::{Fabric, Topology};
 
     /// Every fabric family at an odd small shape, the shapes the scenario
     /// registry runs (16×16 mesh with proportional MCs, 6×6 torus, ring36,
@@ -371,26 +371,26 @@ mod tests {
     /// tables point by point any more.
     fn covered_fabrics() -> Vec<Topology> {
         vec![
-            Mesh::new(5, 3, &[RouterId(2), RouterId(14)]),
-            Mesh::new(16, 16, &placement::proportional(16, 16)),
-            Torus::new(4, 4, &[RouterId(0), RouterId(15)]),
-            Torus::square_with_corner_mcs(6),
-            Ring::with_spread_mcs(9, 3),
-            Ring::with_spread_mcs(36, 4),
-            CMesh::with_corner_mcs(3, 2, 2),
-            CMesh::with_corner_mcs(2, 2, 4),
-            CMesh::with_corner_mcs(8, 8, 4),
-            CMesh::with_corner_mcs(6, 3, 2),
-            Mesh::scorpio_chip(),
-            Mesh::square_with_corner_mcs(1),
-            Mesh::new(4, 1, &[RouterId(3)]),
-            Mesh::new(1, 4, &[RouterId(0), RouterId(3)]),
-            Torus::square_with_corner_mcs(2),
-            Torus::new(5, 3, &[RouterId(7)]),
-            Ring::new(2, &[RouterId(1)]),
-            Ring::with_spread_mcs(37, 4),
-            CMesh::with_corner_mcs(4, 4, 1),
-            CMesh::new(1, 1, 4, &[RouterId(0)]),
+            Topology::new(Fabric::Mesh, 5, 3, [RouterId(2), RouterId(14)]),
+            Topology::new(Fabric::Mesh, 16, 16, placement::proportional(16, 16)),
+            Topology::new(Fabric::Torus, 4, 4, [RouterId(0), RouterId(15)]),
+            Fabric::Torus.topology(6),
+            Topology::new(Fabric::Ring, 9, 1, placement::spread(9, 3)),
+            Fabric::Ring.topology(6),
+            Topology::new(Fabric::CMesh(2), 3, 2, placement::corners(3, 2)),
+            Fabric::CMesh(4).topology(4),
+            Fabric::CMesh(4).topology(16),
+            Fabric::CMesh(2).topology(6),
+            Fabric::Mesh.topology(6),
+            Fabric::Mesh.topology(1),
+            Topology::new(Fabric::Mesh, 4, 1, [RouterId(3)]),
+            Topology::new(Fabric::Mesh, 1, 4, [RouterId(0), RouterId(3)]),
+            Fabric::Torus.topology(2),
+            Topology::new(Fabric::Torus, 5, 3, [RouterId(7)]),
+            Topology::new(Fabric::Ring, 2, 1, [RouterId(1)]),
+            Topology::new(Fabric::Ring, 37, 1, placement::spread(37, 4)),
+            Fabric::CMesh(1).topology(4),
+            Topology::new(Fabric::CMesh(4), 1, 1, [RouterId(0)]),
         ]
     }
 
@@ -542,7 +542,7 @@ mod tests {
     fn single_vc_torus_is_rejected() {
         let mut cfg = NocConfig::scorpio();
         cfg.vnets[1].vcs = 1;
-        let topo = Torus::square_with_corner_mcs(4);
+        let topo = Fabric::Torus.topology(4);
         validate_datelines(&topo, &cfg);
     }
 
@@ -550,6 +550,6 @@ mod tests {
     fn mesh_skips_dateline_validation() {
         let mut cfg = NocConfig::scorpio();
         cfg.vnets[1].vcs = 1;
-        validate_datelines(&Mesh::new(2, 2, &[]), &cfg);
+        validate_datelines(&Topology::new(Fabric::Mesh, 2, 2, []), &cfg);
     }
 }

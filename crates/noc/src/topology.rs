@@ -1,7 +1,7 @@
 //! The delivery fabric as data: routers, coordinates, ports, endpoints and
-//! one [`Topology`] description — a router grid, whether its dimensions
-//! wrap, the tiles per router, the MC routers — built through four
-//! constructor namespaces ([`Mesh`], [`Torus`], [`Ring`], [`CMesh`]).
+//! one [`Topology`] description — a [`Fabric`] (which fixes whether the
+//! grid wraps and the tiles per router), a router grid and the MC routers
+//! — built by the one validated [`Topology::new`].
 //!
 //! SCORPIO's central idea is that message *ordering* is decoupled from
 //! message *delivery*, so the delivery fabric is swappable: anything that
@@ -386,54 +386,206 @@ impl fmt::Display for Endpoint {
 /// Most tiles a fabric can have: a tile's index is its `Sid`, a `u16`.
 const MAX_TILES: usize = 1 << 16;
 
-/// Which of the four fabric names built a [`Topology`]. The tag only
-/// *names* — it picks the `name()` and the `label()` shape. Links, routes
-/// and tables follow from `(cols, rows, wraps, concentration)` alone.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Kind {
+/// Which fabric a [`Topology`] is: the one place the reproduction names a
+/// fabric. Links, routes and tables follow from the router grid, whether
+/// it wraps and its concentration; the fabric fixes the last two.
+///
+/// A fabric also *materializes* a mesh side `k` ([`Fabric::topology`]):
+/// every fabric at the same `k` has `k²` tiles and four MC ports —
+/// matched core and endpoint counts, so runtime differences are delivery
+/// effects, not size effects. A concentrated mesh keeps the `k²` cores but
+/// shrinks the router grid by its concentration: `CMesh(2)` at `k = 4` is
+/// a 4×2 router grid of 2-tile routers.
+///
+/// # Examples
+///
+/// ```
+/// use scorpio_noc::Fabric;
+///
+/// let mesh = Fabric::Mesh.topology(4);
+/// let torus = Fabric::Torus.topology(4);
+/// let ring = Fabric::Ring.topology(4);
+/// let cmesh = Fabric::CMesh(2).topology(4);
+/// // Matched endpoint counts, different diameters.
+/// for t in [&mesh, &torus, &ring, &cmesh] {
+///     assert_eq!((t.tile_count(), t.endpoint_count()), (16, 20));
+/// }
+/// assert_eq!(
+///     [mesh.diameter(), torus.diameter(), ring.diameter(), cmesh.diameter()],
+///     [6, 4, 8, 4]
+/// );
+/// assert_eq!(ring.label(), "ring16");
+/// assert_eq!((cmesh.label(), cmesh.router_count()), ("cmesh4x2x2".into(), 8));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Fabric {
+    /// A 2-D mesh: both dimensions open, one tile per router (the chip
+    /// fabric; default).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use scorpio_noc::{Fabric, RouterId, Topology};
+    ///
+    /// // The SCORPIO chip: a 6×6 mesh, MC ports on the four corners.
+    /// let mesh = Topology::new(Fabric::Mesh, 6, 6, [0, 5, 30, 35].map(RouterId));
+    /// assert_eq!(mesh, Fabric::Mesh.topology(6));
+    /// assert_eq!(mesh.router_count(), 36);
+    /// let c = mesh.coord(RouterId(7));
+    /// assert_eq!((c.x, c.y), (1, 1));
+    /// assert!(mesh.has_mc(RouterId(5)));
+    /// assert_eq!(mesh.endpoints().count(), 40); // 36 tiles + 4 MC ports
+    /// ```
+    #[default]
     Mesh,
+    /// A 2-D torus: a mesh whose rows and columns close into rings.
+    /// Routing is minimal dimension-ordered XY (ties broken toward
+    /// East/South); deadlock freedom over the wrap links comes from
+    /// *dateline* VC classes (see `Topology::unicast_hop`, DESIGN.md §10).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use scorpio_noc::{Fabric, Port, RouterId};
+    ///
+    /// let torus = Fabric::Torus.topology(4);
+    /// // Every router has all four neighbours; edges wrap.
+    /// assert_eq!(torus.neighbor(RouterId(0), Port::West), Some(RouterId(3)));
+    /// assert_eq!(torus.neighbor(RouterId(0), Port::North), Some(RouterId(12)));
+    /// assert!(torus.wrap_link(RouterId(0), Port::West));
+    /// ```
     Torus,
+    /// A bidirectional ring — the wrapped `len × 1` grid, so every router
+    /// has only East and West neighbours.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use scorpio_noc::{placement, Fabric, Port, RouterId, Topology};
+    ///
+    /// let ring = Topology::new(Fabric::Ring, 16, 1, placement::spread(16, 4));
+    /// assert_eq!(ring, Fabric::Ring.topology(4));
+    /// assert_eq!(ring.router_count(), 16);
+    /// assert_eq!(ring.mc_routers().len(), 4);
+    /// assert_eq!(ring.neighbor(RouterId(15), Port::East), Some(RouterId(0)));
+    /// assert_eq!(ring.neighbor(RouterId(0), Port::North), None);
+    /// ```
     Ring,
-    CMesh,
+    /// A concentrated mesh: a mesh of routers each hosting the given
+    /// number of tiles (`1..=4`; the sweeps use 1, 2 and 4). At the same
+    /// core count a `c`-concentrated mesh has `1/c` the routers, so the
+    /// ordered-broadcast path and the notification window shrink with the
+    /// router grid, paid for by a higher-radix router.
+    CMesh(u8),
 }
 
-/// The delivery fabric of the main network, as data: a `cols × rows`
-/// router grid whose dimensions either both stay open (mesh) or both close
-/// into rings (torus; a ring is the wrapped `len × 1` grid), `concentration`
-/// tiles behind every router, and the routers hosting an MC port.
+impl Fabric {
+    /// Short label for result rows and tables.
+    pub fn label(self) -> &'static str {
+        match self {
+            Fabric::Mesh => "mesh",
+            Fabric::Torus => "torus",
+            Fabric::Ring => "ring",
+            Fabric::CMesh(1) => "cmesh1",
+            Fabric::CMesh(2) => "cmesh2",
+            Fabric::CMesh(4) => "cmesh4",
+            Fabric::CMesh(_) => "cmesh",
+        }
+    }
+
+    /// Whether both grid dimensions close into rings.
+    pub fn wraps(self) -> bool {
+        match self {
+            Fabric::Mesh | Fabric::CMesh(_) => false,
+            Fabric::Torus | Fabric::Ring => true,
+        }
+    }
+
+    /// Tiles hosted per router.
+    pub fn concentration(self) -> u8 {
+        match self {
+            Fabric::CMesh(c) => c,
+            Fabric::Mesh | Fabric::Torus | Fabric::Ring => 1,
+        }
+    }
+
+    /// The router grid a `k²`-tile concentrated mesh materializes as:
+    /// concentration 1 keeps `k × k`, 2 halves the rows (`k × k/2`), 4
+    /// halves both dimensions (`k/2 × k/2`).
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unsupported concentration, or an odd `k` above
+    /// concentration 1.
+    pub fn cmesh_dims(k: u16, concentration: u8) -> (u16, u16) {
+        match concentration {
+            1 => (k, k),
+            2 | 4 => {
+                assert!(
+                    k.is_multiple_of(2),
+                    "a {k}x{k}-tile cmesh at concentration {concentration} needs an even side"
+                );
+                if concentration == 2 {
+                    (k, k / 2)
+                } else {
+                    (k / 2, k / 2)
+                }
+            }
+            other => panic!("unsupported cmesh concentration {other} (use 1, 2 or 4)"),
+        }
+    }
+
+    /// The topology a mesh side `k` materializes as: a `k × k` mesh or
+    /// torus with corner MCs, a `k²`-router ring with four evenly spread
+    /// MCs, or a `k²`-tile concentrated mesh with corner MCs.
+    ///
+    /// # Panics
+    ///
+    /// Panics where the fabric has no such shape (`k == 0`, a torus or
+    /// ring below two routers a side, [`Fabric::cmesh_dims`]' conditions).
+    pub fn topology(self, k: u16) -> Topology {
+        let (cols, rows) = match self {
+            Fabric::Mesh | Fabric::Torus => (k, k),
+            Fabric::Ring => {
+                let len = k
+                    .checked_mul(k)
+                    .expect("a ring of k² routers fits a RouterId");
+                return Topology::new(self, len, 1, placement::spread(len, 4));
+            }
+            Fabric::CMesh(c) => Fabric::cmesh_dims(k, c),
+        };
+        Topology::new(self, cols, rows, placement::corners(cols, rows))
+    }
+}
+
+/// The delivery fabric of the main network, as data: which [`Fabric`], a
+/// `cols × rows` router grid (a ring is the wrapped `len × 1` grid) and the
+/// routers hosting an MC port.
 ///
 /// One routing spec covers every such description — [`Topology::neighbor`],
 /// `Topology::unicast_hop` and `Topology::broadcast_hop`, X before Y
 /// with East/South as each dimension's *forward* direction — and `Network`
 /// compiles it into per-router lookup tables at construction (`tables.rs`),
-/// so nothing evaluates it per flit. [`Mesh`], [`Torus`], [`Ring`] and
-/// [`CMesh`] are constructor namespaces for the four shapes the paper
-/// reproduction runs.
+/// so nothing evaluates it per flit.
 ///
 /// # Examples
 ///
 /// ```
-/// use scorpio_noc::{Mesh, Ring, Torus};
+/// use scorpio_noc::{Fabric, RouterId, Topology};
 ///
-/// let mesh = Mesh::square_with_corner_mcs(4);
-/// let torus = Torus::square_with_corner_mcs(4);
-/// let ring = Ring::with_spread_mcs(16, 4);
-/// // Matched endpoint counts, different diameters.
-/// assert_eq!(mesh.endpoints().count(), 20);
-/// assert_eq!(torus.endpoints().count(), 20);
-/// assert_eq!(ring.endpoints().count(), 20);
-/// assert_eq!(mesh.diameter(), 6);
-/// assert_eq!(torus.diameter(), 4);
-/// assert_eq!(ring.diameter(), 8);
-/// assert_eq!((mesh.label(), ring.label()), ("4x4".into(), "ring16".into()));
+/// let chip = Topology::new(Fabric::Mesh, 6, 6, [0, 5, 30, 35].map(RouterId));
+/// assert_eq!(chip.fabric(), Fabric::Mesh);
+/// assert_eq!(chip.endpoints().count(), 40); // 36 tiles + 4 MC ports
+/// // Moving the MC ports keeps the fabric and the grid.
+/// let moved = chip.with_mc_routers(vec![RouterId(14), RouterId(21)]);
+/// assert_eq!((moved.cols(), moved.rows()), (6, 6));
+/// assert_eq!(moved.endpoints().count(), 38);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Topology {
-    kind: Kind,
+    fabric: Fabric,
     cols: u16,
     rows: u16,
-    wraps: bool,
-    concentration: u8,
     /// Sorted, duplicate-free, all in range.
     mc_routers: Vec<RouterId>,
 }
@@ -442,180 +594,6 @@ pub struct Topology {
 impl From<&Topology> for Topology {
     fn from(t: &Topology) -> Topology {
         t.clone()
-    }
-}
-
-/// A 2-D mesh: both dimensions open, one tile per router.
-///
-/// # Examples
-///
-/// ```
-/// use scorpio_noc::{Mesh, RouterId};
-///
-/// let mesh = Mesh::new(6, 6, &[RouterId(0), RouterId(5), RouterId(30), RouterId(35)]);
-/// assert_eq!(mesh, Mesh::scorpio_chip());
-/// assert_eq!(mesh.router_count(), 36);
-/// let c = mesh.coord(RouterId(7));
-/// assert_eq!((c.x, c.y), (1, 1));
-/// assert!(mesh.has_mc(RouterId(5)));
-/// assert_eq!(mesh.endpoints().count(), 40); // 36 tiles + 4 MC ports
-/// ```
-pub enum Mesh {}
-
-#[allow(clippy::new_ret_no_self)] // a namespace: `new` builds the one `Topology`
-impl Mesh {
-    /// A `cols × rows` mesh with MC ports on `mc_routers`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a zero dimension, more than 65 535 routers, an MC router
-    /// out of range, or the same router listed twice.
-    pub fn new(cols: u16, rows: u16, mc_routers: &[RouterId]) -> Topology {
-        Topology::build(Kind::Mesh, false, cols, rows, 1, mc_routers.to_vec())
-    }
-
-    /// The SCORPIO 36-core chip arrangement: 6×6 mesh, two dual-port memory
-    /// controllers attached to the four corner routers.
-    pub fn scorpio_chip() -> Topology {
-        Mesh::square_with_corner_mcs(6)
-    }
-
-    /// A square `k × k` mesh with MC ports on its corners.
-    pub fn square_with_corner_mcs(k: u16) -> Topology {
-        Topology::build(Kind::Mesh, false, k, k, 1, placement::corners(k, k))
-    }
-}
-
-/// A 2-D torus: a mesh whose rows and columns close into rings.
-///
-/// Routing is minimal dimension-ordered XY (ties broken toward
-/// East/South); deadlock freedom over the wrap links comes from *dateline*
-/// virtual-channel classes (see `Topology::unicast_hop`, DESIGN.md §10).
-///
-/// # Examples
-///
-/// ```
-/// use scorpio_noc::{Port, RouterId, Torus};
-///
-/// let torus = Torus::square_with_corner_mcs(4);
-/// // Every router has all four neighbours; edges wrap.
-/// assert_eq!(torus.neighbor(RouterId(0), Port::West), Some(RouterId(3)));
-/// assert_eq!(torus.neighbor(RouterId(0), Port::North), Some(RouterId(12)));
-/// assert!(torus.wrap_link(RouterId(0), Port::West));
-/// ```
-pub enum Torus {}
-
-#[allow(clippy::new_ret_no_self)] // a namespace: `new` builds the one `Topology`
-impl Torus {
-    /// A `cols × rows` torus with MC ports on `mc_routers`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either dimension is below 2 (a wrap link needs somewhere
-    /// to wrap to), and on everything [`Mesh::new`] rejects.
-    pub fn new(cols: u16, rows: u16, mc_routers: &[RouterId]) -> Topology {
-        torus(cols, rows, mc_routers.to_vec())
-    }
-
-    /// A square `k × k` torus with MC ports on the same four routers the
-    /// mesh places its corner MCs on, so mesh-vs-torus sweeps compare
-    /// matched endpoint counts.
-    pub fn square_with_corner_mcs(k: u16) -> Topology {
-        torus(k, k, placement::corners(k, k))
-    }
-}
-
-fn torus(cols: u16, rows: u16, mc_routers: Vec<RouterId>) -> Topology {
-    assert!(
-        cols >= 2 && rows >= 2,
-        "torus dimensions must be at least 2, got {cols}x{rows}"
-    );
-    Topology::build(Kind::Torus, true, cols, rows, 1, mc_routers)
-}
-
-/// A bidirectional ring — the wrapped `len × 1` grid, so every router has
-/// only East and West neighbours: the radically simpler fabric of
-/// ring-router microarchitectures.
-///
-/// # Examples
-///
-/// ```
-/// use scorpio_noc::{Port, Ring, RouterId};
-///
-/// let ring = Ring::with_spread_mcs(16, 4);
-/// assert_eq!(ring.router_count(), 16);
-/// assert_eq!(ring.mc_routers().len(), 4);
-/// assert_eq!(ring.neighbor(RouterId(15), Port::East), Some(RouterId(0)));
-/// assert_eq!(ring.neighbor(RouterId(0), Port::North), None);
-/// ```
-pub enum Ring {}
-
-#[allow(clippy::new_ret_no_self)] // a namespace: `new` builds the one `Topology`
-impl Ring {
-    /// A ring of `len` routers with MC ports on `mc_routers`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `len < 2`, and on a bad MC list as [`Mesh::new`] does.
-    pub fn new(len: u16, mc_routers: &[RouterId]) -> Topology {
-        ring(len, mc_routers.to_vec())
-    }
-
-    /// A ring of `len` routers with `n_mcs` MC ports [`placement::spread`]
-    /// evenly — `Ring::with_spread_mcs(k * k, 4)` matches the endpoint
-    /// count of a `k × k` mesh with corner MCs.
-    pub fn with_spread_mcs(len: u16, n_mcs: u16) -> Topology {
-        ring(len, placement::spread(len, n_mcs))
-    }
-}
-
-fn ring(len: u16, mc_routers: Vec<RouterId>) -> Topology {
-    assert!(len >= 2, "ring length must be at least 2, got {len}");
-    Topology::build(Kind::Ring, true, len, 1, 1, mc_routers)
-}
-
-/// A concentrated 2-D mesh: a mesh of routers where every router hosts
-/// `concentration` tiles instead of one.
-///
-/// Concentration is the classic lever against mesh diameter (Slim NoC,
-/// Epiphany-V): at the same core count a `c`-concentrated mesh has `1/c`
-/// the routers, so the worst-case ordered-broadcast path — and with it the
-/// notification window — shrinks with the router grid, paid for by a
-/// higher-radix router (4 mesh ports + `c` tile ports + optional MC).
-///
-/// # Examples
-///
-/// ```
-/// use scorpio_noc::CMesh;
-///
-/// // 16 tiles as 8 routers x 2 tiles: diameter 4 instead of the 4x4
-/// // mesh's 6.
-/// let cm = CMesh::with_corner_mcs(4, 2, 2);
-/// assert_eq!(cm.router_count(), 8);
-/// assert_eq!(cm.tile_count(), 16);
-/// assert_eq!(cm.diameter(), 4);
-/// assert_eq!(cm.endpoint_count(), 20); // 16 tiles + 4 MC ports
-/// ```
-pub enum CMesh {}
-
-#[allow(clippy::new_ret_no_self)] // a namespace: `new` builds the one `Topology`
-impl CMesh {
-    /// A `cols × rows` router grid hosting `concentration` tiles per
-    /// router, with MC ports on `mc_routers`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `concentration` is outside `1..=``Port::MAX_TILE_SLOTS`,
-    /// on more than 65 536 tiles, and on everything [`Mesh::new`] rejects.
-    pub fn new(cols: u16, rows: u16, concentration: u8, mc_routers: &[RouterId]) -> Topology {
-        let mcs = mc_routers.to_vec();
-        Topology::build(Kind::CMesh, false, cols, rows, concentration, mcs)
-    }
-
-    /// A `cols × rows` router grid with MC ports on its corners.
-    pub fn with_corner_mcs(cols: u16, rows: u16, concentration: u8) -> Topology {
-        let mcs = placement::corners(cols, rows);
-        Topology::build(Kind::CMesh, false, cols, rows, concentration, mcs)
     }
 }
 
@@ -642,26 +620,46 @@ fn port_toward(dim: usize, forward: bool) -> Port {
 }
 
 impl Topology {
-    /// The one validated construction path behind all ten constructors.
-    fn build(
-        kind: Kind,
-        wraps: bool,
+    /// A `cols × rows` router grid of `fabric` with MC ports on
+    /// `mc_routers` (any order; see [`placement`] for the stock schemes).
+    /// A ring is `len × 1`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a zero dimension, more than 65 535 routers or 65 536
+    /// tiles, a torus or ring below two routers a side, a ring of more
+    /// than one row, a concentration outside `1..=4`, an MC router out of
+    /// range, or the same MC router listed twice.
+    pub fn new(
+        fabric: Fabric,
         cols: u16,
         rows: u16,
-        concentration: u8,
-        mut mc_routers: Vec<RouterId>,
+        mc_routers: impl Into<Vec<RouterId>>,
     ) -> Topology {
         let (c, r) = placement::grid(cols, rows);
-        assert!(
-            (1..=Port::MAX_TILE_SLOTS).contains(&concentration),
-            "concentration must be 1..={}, got {concentration}",
-            Port::MAX_TILE_SLOTS
-        );
+        match fabric {
+            Fabric::Mesh => {}
+            Fabric::Torus => assert!(
+                cols >= 2 && rows >= 2,
+                "torus dimensions must be at least 2, got {cols}x{rows}"
+            ),
+            Fabric::Ring => assert!(
+                cols >= 2 && rows == 1,
+                "a ring is one row of at least 2 routers, got {cols}x{rows}"
+            ),
+            Fabric::CMesh(n) => assert!(
+                (1..=Port::MAX_TILE_SLOTS).contains(&n),
+                "concentration must be 1..={}, got {n}",
+                Port::MAX_TILE_SLOTS
+            ),
+        }
+        let concentration = fabric.concentration();
         let tiles = c * r * concentration as usize;
         assert!(
             tiles <= MAX_TILES,
             "{cols}x{rows}x{concentration} is {tiles} tiles, more than the {MAX_TILES} a Sid can name"
         );
+        let mut mc_routers = mc_routers.into();
         mc_routers.sort_unstable();
         for pair in mc_routers.windows(2) {
             assert!(pair[0] != pair[1], "duplicate MC router {}", pair[0]);
@@ -670,52 +668,37 @@ impl Topology {
             assert!(last.index() < c * r, "MC router {last} out of range");
         }
         Topology {
-            kind,
+            fabric,
             cols,
             rows,
-            wraps,
-            concentration,
             mc_routers,
         }
     }
 
-    /// The same fabric with its MC ports moved to `mc_routers` (any order;
-    /// see [`placement`] for the stock schemes).
+    /// The same fabric with its MC ports moved to `mc_routers`.
     ///
     /// # Panics
     ///
     /// Panics if an MC router is out of range or listed twice.
     #[must_use]
     pub fn with_mc_routers(self, mc_routers: Vec<RouterId>) -> Topology {
-        Topology::build(
-            self.kind,
-            self.wraps,
-            self.cols,
-            self.rows,
-            self.concentration,
-            mc_routers,
-        )
+        Topology::new(self.fabric, self.cols, self.rows, mc_routers)
     }
 
-    /// Short kind name: `"mesh"`, `"torus"`, `"ring"` or `"cmesh"`.
-    pub fn name(&self) -> &'static str {
-        match self.kind {
-            Kind::Mesh => "mesh",
-            Kind::Torus => "torus",
-            Kind::Ring => "ring",
-            Kind::CMesh => "cmesh",
-        }
+    /// Which fabric this is.
+    pub fn fabric(&self) -> Fabric {
+        self.fabric
     }
 
     /// Geometry label: `"6x6"` for a mesh, `"torus6x6"`, `"ring36"`,
     /// `"cmesh4x2x2"` (router grid × concentration).
     pub fn label(&self) -> String {
         let (cols, rows) = (self.cols, self.rows);
-        match self.kind {
-            Kind::Mesh => format!("{cols}x{rows}"),
-            Kind::Torus => format!("torus{cols}x{rows}"),
-            Kind::Ring => format!("ring{cols}"),
-            Kind::CMesh => format!("cmesh{cols}x{rows}x{}", self.concentration),
+        match self.fabric {
+            Fabric::Mesh => format!("{cols}x{rows}"),
+            Fabric::Torus => format!("torus{cols}x{rows}"),
+            Fabric::Ring => format!("ring{cols}"),
+            Fabric::CMesh(c) => format!("cmesh{cols}x{rows}x{c}"),
         }
     }
 
@@ -738,13 +721,13 @@ impl Topology {
 
     /// Tiles hosted per router (`1` on every unconcentrated fabric).
     pub fn tiles_per_router(&self) -> u8 {
-        self.concentration
+        self.fabric.concentration()
     }
 
     /// Total number of tiles (`router_count × tiles_per_router`). This —
     /// not the router count — is the system's core count.
     pub fn tile_count(&self) -> usize {
-        self.router_count() * self.concentration as usize
+        self.router_count() * self.fabric.concentration() as usize
     }
 
     /// The endpoint of tile `i`: router `i / c`, slot `i % c` — the normal
@@ -755,7 +738,7 @@ impl Topology {
     /// Panics if `i` is out of range.
     pub fn tile_endpoint(&self, i: usize) -> Endpoint {
         assert!(i < self.tile_count(), "tile {i} out of range");
-        let c = self.concentration as usize;
+        let c = self.fabric.concentration() as usize;
         Endpoint::tile_slot(RouterId((i / c) as u16), (i % c) as u8)
     }
 
@@ -804,7 +787,7 @@ impl Topology {
         let edge = if forward { n - 1 } else { 0 };
         if p != edge {
             Some((if forward { p + 1 } else { p - 1 }, false))
-        } else if self.wraps && n > 1 {
+        } else if self.fabric.wraps() && n > 1 {
             Some((n - 1 - edge, true))
         } else {
             None
@@ -831,7 +814,7 @@ impl Topology {
     /// Whether this topology has wraparound links and therefore needs the
     /// dateline VC-class discipline (requires ≥ 2 regular VCs per vnet).
     pub(crate) fn has_datelines(&self) -> bool {
-        self.wraps
+        self.fabric.wraps()
     }
 
     /// Iterates over every router id.
@@ -863,7 +846,7 @@ impl Topology {
     /// equal to it for every fabric — so the declared diameter and the
     /// paths flits actually take can never disagree.
     pub fn diameter(&self) -> u16 {
-        let span = |n: u16| if self.wraps { n / 2 } else { n - 1 };
+        let span = |n: u16| if self.fabric.wraps() { n / 2 } else { n - 1 };
         span(self.cols) + span(self.rows)
     }
 
@@ -912,7 +895,7 @@ impl Topology {
             if p == d {
                 continue;
             }
-            let forward = if self.wraps {
+            let forward = if self.fabric.wraps() {
                 (d + n - p) % n <= (p + n - d) % n
             } else {
                 d > p
@@ -920,7 +903,7 @@ impl Topology {
             let (next, _) = self
                 .step(dim, p, forward)
                 .expect("a differing dimension has a link toward the destination");
-            let class1 = self.wraps && if forward { next <= d } else { next >= d };
+            let class1 = self.fabric.wraps() && if forward { next <= d } else { next >= d };
             return (port_toward(dim, forward), class1);
         }
         (dest.slot.port(), false)
@@ -981,7 +964,7 @@ impl Topology {
             let Some((next, _)) = self.step(dim, at[dim], forward) else {
                 continue;
             };
-            if self.wraps {
+            if self.fabric.wraps() {
                 let n = self.extent(dim);
                 let covered = |p: u32| {
                     if forward {
@@ -1007,7 +990,7 @@ impl Topology {
             LocalSlot::Tile(k) => k,
             LocalSlot::Mc => 0,
         });
-        for k in 0..self.concentration {
+        for k in 0..self.fabric.concentration() {
             if Some(k) != own_slot {
                 mask.insert(Port::tile_slot(k));
             }
@@ -1035,7 +1018,7 @@ impl Topology {
     ///
     /// Panics if `ep` does not exist in this topology.
     pub(crate) fn endpoint_index(&self, ep: Endpoint) -> usize {
-        let c = self.concentration;
+        let c = self.fabric.concentration();
         match ep.slot {
             LocalSlot::Tile(k) => {
                 assert!(
@@ -1062,7 +1045,7 @@ mod tests {
 
     #[test]
     fn coord_roundtrip() {
-        let mesh = Mesh::new(6, 6, &[]);
+        let mesh = Topology::new(Fabric::Mesh, 6, 6, []);
         for r in mesh.routers() {
             assert_eq!(mesh.router_at(mesh.coord(r)), r);
         }
@@ -1070,7 +1053,7 @@ mod tests {
 
     #[test]
     fn neighbors_of_center_and_corner() {
-        let mesh = Mesh::new(6, 6, &[]);
+        let mesh = Topology::new(Fabric::Mesh, 6, 6, []);
         let center = mesh.router_at(Coord { x: 2, y: 2 });
         assert_eq!(
             mesh.neighbor(center, Port::North),
@@ -1098,7 +1081,7 @@ mod tests {
 
     #[test]
     fn neighbor_relation_is_symmetric() {
-        let mesh = Mesh::new(4, 3, &[]);
+        let mesh = Topology::new(Fabric::Mesh, 4, 3, []);
         for r in mesh.routers() {
             for port in [Port::North, Port::South, Port::East, Port::West] {
                 if let Some(n) = mesh.neighbor(r, port) {
@@ -1110,7 +1093,7 @@ mod tests {
 
     #[test]
     fn hops_is_manhattan() {
-        let mesh = Mesh::new(6, 6, &[]);
+        let mesh = Topology::new(Fabric::Mesh, 6, 6, []);
         assert_eq!(mesh.hops(RouterId(0), RouterId(35)), 10);
         assert_eq!(mesh.hops(RouterId(7), RouterId(7)), 0);
         assert_eq!(mesh.hops(RouterId(0), RouterId(5)), 5);
@@ -1118,7 +1101,7 @@ mod tests {
 
     #[test]
     fn scorpio_chip_shape() {
-        let mesh = Mesh::scorpio_chip();
+        let mesh = Fabric::Mesh.topology(6);
         assert_eq!(mesh.router_count(), 36);
         assert_eq!(mesh.mc_routers().len(), 4);
         assert_eq!(mesh.notification_window(), 13);
@@ -1128,14 +1111,23 @@ mod tests {
 
     #[test]
     fn window_scales_with_mesh() {
-        assert_eq!(Mesh::new(8, 8, &[]).notification_window(), 17);
-        assert_eq!(Mesh::new(10, 10, &[]).notification_window(), 21);
-        assert_eq!(Mesh::new(4, 4, &[]).notification_window(), 9);
+        assert_eq!(
+            Topology::new(Fabric::Mesh, 8, 8, []).notification_window(),
+            17
+        );
+        assert_eq!(
+            Topology::new(Fabric::Mesh, 10, 10, []).notification_window(),
+            21
+        );
+        assert_eq!(
+            Topology::new(Fabric::Mesh, 4, 4, []).notification_window(),
+            9
+        );
     }
 
     #[test]
     fn endpoints_cover_tiles_and_mcs() {
-        let mesh = Mesh::scorpio_chip();
+        let mesh = Fabric::Mesh.topology(6);
         let eps: Vec<_> = mesh.endpoints().collect();
         assert_eq!(eps.len(), 40);
         assert_eq!(eps.iter().filter(|e| e.slot == LocalSlot::Mc).count(), 4);
@@ -1171,25 +1163,25 @@ mod tests {
     #[test]
     #[should_panic(expected = "duplicate MC router")]
     fn duplicate_mc_panics() {
-        let _ = Mesh::new(2, 2, &[RouterId(1), RouterId(1)]);
+        let _ = Topology::new(Fabric::Mesh, 2, 2, [RouterId(1), RouterId(1)]);
     }
 
     #[test]
     #[should_panic(expected = "MC router r4 out of range")]
     fn out_of_range_mc_panics() {
-        let _ = Torus::new(2, 2, &[RouterId(4)]);
+        let _ = Topology::new(Fabric::Torus, 2, 2, [RouterId(4)]);
     }
 
     #[test]
     #[should_panic(expected = "must be non-zero, got 3x0")]
     fn zero_dimension_panics() {
-        let _ = CMesh::with_corner_mcs(3, 0, 2);
+        let _ = Topology::new(Fabric::CMesh(2), 3, 0, placement::corners(3, 0));
     }
 
     #[test]
     #[should_panic(expected = "concentration must be 1..=4, got 5")]
     fn concentration_past_the_tile_ports_panics() {
-        let _ = CMesh::new(2, 2, 5, &[]);
+        let _ = Topology::new(Fabric::CMesh(5), 2, 2, []);
     }
 
     // `RouterId` is a `u16` whose top value the tables reserve; before the
@@ -1197,32 +1189,32 @@ mod tests {
     #[test]
     #[should_panic(expected = "300x300 is 90000 routers")]
     fn more_routers_than_a_router_id_can_name_panics() {
-        let _ = Mesh::new(300, 300, &[]);
+        let _ = Topology::new(Fabric::Mesh, 300, 300, []);
     }
 
     #[test]
     #[should_panic(expected = "256x256 is 65536 routers")]
     fn corner_placement_checks_the_grid_before_indexing_it() {
-        let _ = Mesh::square_with_corner_mcs(256);
+        let _ = Fabric::Mesh.topology(256);
     }
 
     #[test]
     #[should_panic(expected = "200x200x4 is 160000 tiles")]
     fn more_tiles_than_a_sid_can_name_panics() {
-        let _ = CMesh::new(200, 200, 4, &[]);
+        let _ = Topology::new(Fabric::CMesh(4), 200, 200, []);
     }
 
     #[test]
     fn proportional_mcs_match_corners_on_small_meshes() {
         for k in [2u16, 4, 6, 8] {
             assert_eq!(
-                Mesh::new(k, k, &placement::proportional(k, k)).mc_routers(),
-                Mesh::square_with_corner_mcs(k).mc_routers(),
+                Topology::new(Fabric::Mesh, k, k, placement::proportional(k, k)).mc_routers(),
+                Fabric::Mesh.topology(k).mc_routers(),
                 "k={k}"
             );
         }
         assert_eq!(
-            Mesh::new(1, 1, &placement::proportional(1, 1))
+            Topology::new(Fabric::Mesh, 1, 1, placement::proportional(1, 1))
                 .mc_routers()
                 .len(),
             1
@@ -1231,10 +1223,10 @@ mod tests {
 
     #[test]
     fn proportional_mcs_scale_with_tiles() {
-        // One MC per 16 tiles, on the perimeter, duplicate-free (Mesh::new
+        // One MC per 16 tiles, on the perimeter, duplicate-free (Topology::new
         // asserts that), and including the NW corner.
         for (k, expect) in [(12u16, 9usize), (16, 16), (20, 25)] {
-            let mesh = Mesh::new(k, k, &placement::proportional(k, k));
+            let mesh = Topology::new(Fabric::Mesh, k, k, placement::proportional(k, k));
             assert_eq!(mesh.mc_routers().len(), expect, "k={k}");
             assert!(mesh.has_mc(RouterId(0)));
             for &r in mesh.mc_routers() {
@@ -1249,9 +1241,9 @@ mod tests {
 
     #[test]
     fn square_with_corner_mcs_small() {
-        let m1 = Mesh::square_with_corner_mcs(1);
+        let m1 = Fabric::Mesh.topology(1);
         assert_eq!(m1.mc_routers().len(), 1);
-        let m4 = Mesh::square_with_corner_mcs(4);
+        let m4 = Fabric::Mesh.topology(4);
         assert_eq!(
             m4.mc_routers(),
             &[RouterId(0), RouterId(3), RouterId(12), RouterId(15)]
@@ -1263,7 +1255,7 @@ mod tests {
     // closed form) — distance and actual path length cannot diverge.
     #[test]
     fn non_square_hops_match_manhattan() {
-        let mesh = Mesh::new(7, 3, &[]);
+        let mesh = Topology::new(Fabric::Mesh, 7, 3, []);
         for a in mesh.routers() {
             for b in mesh.routers() {
                 let (ca, cb) = (mesh.coord(a), mesh.coord(b));
@@ -1275,7 +1267,7 @@ mod tests {
 
     #[test]
     fn torus_neighbors_wrap_and_are_symmetric() {
-        let t = Torus::new(4, 3, &[]);
+        let t = Topology::new(Fabric::Torus, 4, 3, []);
         assert_eq!(t.neighbor(RouterId(0), Port::West), Some(RouterId(3)));
         assert_eq!(t.neighbor(RouterId(0), Port::North), Some(RouterId(8)));
         assert_eq!(t.neighbor(RouterId(11), Port::East), Some(RouterId(8)));
@@ -1290,7 +1282,7 @@ mod tests {
 
     #[test]
     fn torus_hops_is_wraparound_manhattan() {
-        let t = Torus::new(5, 4, &[]);
+        let t = Topology::new(Fabric::Torus, 5, 4, []);
         for a in 0..20u16 {
             for b in 0..20u16 {
                 let (ca, cb) = (t.coord(RouterId(a)), t.coord(RouterId(b)));
@@ -1304,7 +1296,7 @@ mod tests {
     #[test]
     fn spread_mcs_survive_large_rings() {
         // Regression: `i * len` in u16 overflowed past ~16k routers.
-        let r = Ring::with_spread_mcs(30000, 4);
+        let r = Topology::new(Fabric::Ring, 30000, 1, placement::spread(30000, 4));
         assert_eq!(
             r.mc_routers(),
             &[
@@ -1318,7 +1310,7 @@ mod tests {
 
     #[test]
     fn ring_hops_is_shorter_way_around() {
-        let r = Ring::new(7, &[]);
+        let r = Topology::new(Fabric::Ring, 7, 1, []);
         assert_eq!(r.hops(RouterId(0), RouterId(3)), 3);
         assert_eq!(r.hops(RouterId(0), RouterId(4)), 3); // west is shorter
         assert_eq!(r.hops(RouterId(6), RouterId(0)), 1);
@@ -1327,9 +1319,9 @@ mod tests {
 
     #[test]
     fn diameters_and_windows() {
-        let mesh: Topology = Mesh::square_with_corner_mcs(6);
-        let torus: Topology = Torus::square_with_corner_mcs(6);
-        let ring: Topology = Ring::with_spread_mcs(36, 4);
+        let mesh: Topology = Fabric::Mesh.topology(6);
+        let torus: Topology = Fabric::Torus.topology(6);
+        let ring: Topology = Fabric::Ring.topology(6);
         assert_eq!(mesh.diameter(), 10);
         assert_eq!(torus.diameter(), 6);
         assert_eq!(ring.diameter(), 18);
@@ -1344,13 +1336,13 @@ mod tests {
 
     #[test]
     fn wrap_links_sit_on_the_edges() {
-        let t = Torus::new(4, 4, &[]);
+        let t = Topology::new(Fabric::Torus, 4, 4, []);
         assert!(t.wrap_link(RouterId(3), Port::East));
         assert!(t.wrap_link(RouterId(0), Port::West));
         assert!(t.wrap_link(RouterId(12), Port::South));
         assert!(t.wrap_link(RouterId(0), Port::North));
         assert!(!t.wrap_link(RouterId(1), Port::East));
-        let r = Ring::new(5, &[]);
+        let r = Topology::new(Fabric::Ring, 5, 1, []);
         assert!(r.wrap_link(RouterId(4), Port::East));
         assert!(r.wrap_link(RouterId(0), Port::West));
         assert!(!r.wrap_link(RouterId(2), Port::East));
@@ -1361,7 +1353,7 @@ mod tests {
     // partition it never goes back, which is the acyclicity argument.
     #[test]
     fn torus_unicast_classes_are_monotone_per_dimension() {
-        let topo: Topology = Torus::new(5, 4, &[]);
+        let topo: Topology = Topology::new(Fabric::Torus, 5, 4, []);
         for a in topo.routers() {
             for b in topo.routers() {
                 let dest = Endpoint::tile(b);
@@ -1391,7 +1383,7 @@ mod tests {
 
     #[test]
     fn ring_unicast_classes_flip_exactly_at_the_dateline() {
-        let topo: Topology = Ring::new(6, &[]);
+        let topo: Topology = Topology::new(Fabric::Ring, 6, 1, []);
         // 4 -> 1 goes east through the 5 -> 0 wrap: class 0 before, 1 after.
         let dest = Endpoint::tile(RouterId(1));
         let (p0, c0) = topo.unicast_hop(RouterId(4), dest);
@@ -1404,28 +1396,23 @@ mod tests {
 
     #[test]
     fn topology_names_and_labels() {
-        let mesh: Topology = Mesh::square_with_corner_mcs(4);
-        let torus: Topology = Torus::square_with_corner_mcs(4);
-        let ring: Topology = Ring::with_spread_mcs(16, 4);
-        assert_eq!((mesh.name(), mesh.label().as_str()), ("mesh", "4x4"));
-        assert_eq!(
-            (torus.name(), torus.label().as_str()),
-            ("torus", "torus4x4")
-        );
-        assert_eq!((ring.name(), ring.label().as_str()), ("ring", "ring16"));
-        let cmesh = CMesh::with_corner_mcs(2, 1, 2);
-        assert_eq!(
-            (cmesh.name(), cmesh.label().as_str()),
-            ("cmesh", "cmesh2x1x2")
-        );
+        for (fabric, label) in [
+            (Fabric::Mesh, "4x4"),
+            (Fabric::Torus, "torus4x4"),
+            (Fabric::Ring, "ring16"),
+            (Fabric::CMesh(2), "cmesh4x2x2"),
+        ] {
+            let topo = fabric.topology(4);
+            assert_eq!((topo.fabric(), topo.label().as_str()), (fabric, label));
+        }
     }
 
     #[test]
     fn endpoint_index_is_dense_over_any_topology() {
         for topo in [
-            Mesh::square_with_corner_mcs(4),
-            Torus::square_with_corner_mcs(4),
-            Ring::with_spread_mcs(16, 4),
+            Fabric::Mesh.topology(4),
+            Fabric::Torus.topology(4),
+            Fabric::Ring.topology(4),
         ] {
             for (i, ep) in topo.endpoints().enumerate() {
                 assert_eq!(topo.endpoint_index(ep), i, "{}", topo.label());

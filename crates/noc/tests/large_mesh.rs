@@ -3,7 +3,7 @@
 //! beyond the 6×6 chip — the scaling scenarios' substrate.
 
 use scorpio_noc::{
-    placement, set_bits, Endpoint, Mesh, Network, NocConfig, Packet, RouterId, Sid, Topology,
+    placement, set_bits, Endpoint, Fabric, Network, NocConfig, Packet, RouterId, Sid, Topology,
 };
 
 /// Consumes everything that arrives until the network drains (or `max`
@@ -43,19 +43,19 @@ fn broadcast_reaches_everyone(mesh: Topology, src: RouterId, max_cycles: u64) {
 #[test]
 fn broadcast_on_non_square_mesh() {
     // 8×4 with MCs on two corners: 32 tiles + 2 MC ports.
-    let mesh = Mesh::new(8, 4, &[RouterId(0), RouterId(31)]);
+    let mesh = Topology::new(Fabric::Mesh, 8, 4, [RouterId(0), RouterId(31)]);
     broadcast_reaches_everyone(mesh, RouterId(13), 600);
 }
 
 #[test]
 fn broadcast_on_tall_thin_mesh() {
-    let mesh = Mesh::new(2, 9, &[RouterId(4)]);
+    let mesh = Topology::new(Fabric::Mesh, 2, 9, [RouterId(4)]);
     broadcast_reaches_everyone(mesh, RouterId(17), 600);
 }
 
 #[test]
 fn broadcast_on_16x16_with_proportional_mcs() {
-    let mesh = Mesh::new(16, 16, &placement::proportional(16, 16));
+    let mesh = Topology::new(Fabric::Mesh, 16, 16, placement::proportional(16, 16));
     assert_eq!(mesh.mc_routers().len(), 16);
     // 256 tiles + 16 MCs - 1 source = 271 copies.
     broadcast_reaches_everyone(mesh, RouterId(8 * 16 + 8), 2000);
@@ -63,7 +63,7 @@ fn broadcast_on_16x16_with_proportional_mcs() {
 
 #[test]
 fn sixteen_by_sixteen_quiesces_between_traffic_phases() {
-    let mesh = Mesh::new(16, 16, &placement::proportional(16, 16));
+    let mesh = Topology::new(Fabric::Mesh, 16, 16, placement::proportional(16, 16));
     let mut net: Network<u64> = Network::new(mesh, NocConfig::scorpio());
     let n_eps = net.topology().endpoints().count();
     // Phase 1: broadcasts from two far-apart tiles.
@@ -97,7 +97,7 @@ fn engines_are_cycle_exact_under_random_traffic() {
     use scorpio_sim::SimRng;
 
     let run = |scan: bool| -> (u64, Vec<(u64, u64)>) {
-        let mesh = Mesh::new(6, 3, &[RouterId(0), RouterId(17)]);
+        let mesh = Topology::new(Fabric::Mesh, 6, 3, [RouterId(0), RouterId(17)]);
         let mut net: Network<u64> = Network::new(mesh, NocConfig::scorpio());
         let eps: Vec<Endpoint> = net.topology().endpoints().collect();
         let mut rng = SimRng::seed_from(99);

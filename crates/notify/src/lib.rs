@@ -21,10 +21,10 @@
 //! # Examples
 //!
 //! ```
-//! use scorpio_noc::Mesh;
+//! use scorpio_noc::Fabric;
 //! use scorpio_notify::{NotifyConfig, NotifyNetwork, NotifyScheme};
 //!
-//! let mesh = Mesh::scorpio_chip();
+//! let mesh = Fabric::Mesh.topology(6);
 //! let cfg = NotifyConfig::for_mesh(&mesh);
 //! // One main-network plane, the chip's flat OR mesh.
 //! let mut nn = NotifyNetwork::with_scheme(&mesh, cfg, 1, NotifyScheme::Flat);

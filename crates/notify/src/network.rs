@@ -129,10 +129,10 @@ impl NotifyScheme {
 /// # Examples
 ///
 /// ```
-/// use scorpio_noc::Mesh;
+/// use scorpio_noc::Fabric;
 /// use scorpio_notify::{NotifyConfig, NotifyNetwork, NotifyScheme};
 ///
-/// let mesh = Mesh::scorpio_chip();
+/// let mesh = Fabric::Mesh.topology(6);
 /// let cfg = NotifyConfig::for_mesh(&mesh);
 /// let mut nn = NotifyNetwork::with_scheme(&mesh, cfg, 1, NotifyScheme::Flat);
 /// nn.stage_injection(0, 7, 1, false);
@@ -548,11 +548,11 @@ mod gates {
 mod tests {
     use super::gates::{quad_parents, Gates, Staged};
     use super::*;
-    use scorpio_noc::{CMesh, Mesh, Ring, RouterId, Torus};
+    use scorpio_noc::{Fabric, RouterId, Topology};
     use scorpio_sim::SimRng;
 
     fn net(k: u16) -> NotifyNetwork {
-        let mesh = Mesh::new(k, k, &[]);
+        let mesh = Topology::new(Fabric::Mesh, k, k, []);
         NotifyNetwork::with_scheme(&mesh, NotifyConfig::for_mesh(&mesh), 1, NotifyScheme::Flat)
     }
 
@@ -598,7 +598,7 @@ mod tests {
 
     #[test]
     fn chip_window_is_13() {
-        let mesh = Mesh::scorpio_chip();
+        let mesh = Fabric::Mesh.topology(6);
         let cfg = NotifyConfig::for_mesh(&mesh);
         assert_eq!(cfg.window, 13);
         assert_eq!(cfg.cores, 36);
@@ -607,7 +607,12 @@ mod tests {
 
     #[test]
     fn single_injection_reaches_all_nodes() {
-        let (mut nn, mut gates) = both(&Mesh::new(6, 6, &[]), NotifyScheme::Flat, 1, 1);
+        let (mut nn, mut gates) = both(
+            &Topology::new(Fabric::Mesh, 6, 6, []),
+            NotifyScheme::Flat,
+            1,
+            1,
+        );
         assert_eq!(nn.config().window, 13);
         // Every router's latch agrees with the published word.
         let msg = window_both_ways(&mut nn, &mut gates, &[(0, 0, 1, false)]);
@@ -666,7 +671,7 @@ mod tests {
 
     #[test]
     fn multi_bit_counts_survive_merging() {
-        let mesh = Mesh::new(4, 4, &[]);
+        let mesh = Topology::new(Fabric::Mesh, 4, 4, []);
         let cfg = NotifyConfig {
             cores: 16,
             bits_per_core: 2,
@@ -758,7 +763,7 @@ mod tests {
 
     #[test]
     fn rectangular_mesh_converges() {
-        let mesh = Mesh::new(8, 2, &[]);
+        let mesh = Topology::new(Fabric::Mesh, 8, 2, []);
         let cfg = NotifyConfig::for_mesh(&mesh);
         let mut nn = NotifyNetwork::with_scheme(&mesh, cfg, 1, NotifyScheme::Flat);
         nn.stage_injection(0, 0, 1, false);
@@ -774,7 +779,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "cannot cover the 10 propagation cycles of Flat")]
     fn too_short_window_panics() {
-        let mesh = Mesh::new(6, 6, &[]);
+        let mesh = Topology::new(Fabric::Mesh, 6, 6, []);
         let cfg = NotifyConfig {
             cores: 36,
             bits_per_core: 1,
@@ -785,7 +790,7 @@ mod tests {
 
     #[test]
     fn torus_window_is_tighter_and_converges() {
-        let topo = Torus::square_with_corner_mcs(6);
+        let topo = Fabric::Torus.topology(6);
         // Torus diameter 6 vs mesh 10: window 9 vs the chip's 13.
         assert_eq!(NotifyConfig::for_mesh(&topo).window, 9);
         let (mut nn, mut gates) = both(&topo, NotifyScheme::Flat, 1, 1);
@@ -798,7 +803,7 @@ mod tests {
 
     #[test]
     fn ring_converges_within_its_half_circumference_window() {
-        let topo = Ring::with_spread_mcs(16, 4);
+        let topo = Fabric::Ring.topology(4);
         let cfg = NotifyConfig::for_mesh(&topo);
         assert_eq!(cfg.window, 8 + 3);
         let mut nn = NotifyNetwork::with_scheme(&topo, cfg.clone(), 1, NotifyScheme::Flat);
@@ -815,7 +820,12 @@ mod tests {
     fn two_wide_torus_dimension_dedups_or_inputs() {
         // cols = 2: East and West reach the same neighbour; the OR fan-in
         // must still converge (merging a value twice is the identity).
-        let (mut nn, mut gates) = both(&Torus::new(2, 4, &[]), NotifyScheme::Flat, 1, 1);
+        let (mut nn, mut gates) = both(
+            &Topology::new(Fabric::Torus, 2, 4, []),
+            NotifyScheme::Flat,
+            1,
+            1,
+        );
         let msg = window_both_ways(&mut nn, &mut gates, &[(0, 7, 1, false)]);
         assert_eq!(msg.count(0, 7), 1);
         assert_eq!(msg.total(), 1);
@@ -825,7 +835,7 @@ mod tests {
     fn cmesh_lanes_share_routers_and_converge_in_the_smaller_window() {
         // 16 cores as a 4x2 router grid x 2 tiles: diameter 4, window 7 —
         // tighter than the 4x4 mesh's 9 at the same core count.
-        let topo = CMesh::with_corner_mcs(4, 2, 2);
+        let topo = Fabric::CMesh(2).topology(4);
         let (mut nn, mut gates) = both(&topo, NotifyScheme::Flat, 1, 1);
         assert_eq!(nn.config(), &NotifyConfig::for_mesh(&topo));
         assert_eq!(nn.config().cores, 16);
@@ -847,17 +857,17 @@ mod tests {
         // chip's own window at 28× the core count); fanout 4 folds
         // 32→8→2→1 (depth 3, window 9). Both beat the ≤ 20 target and the
         // flat 67 by far.
-        let m32: Topology = Mesh::new(32, 32, &[]);
+        let m32: Topology = Topology::new(Fabric::Mesh, 32, 32, []);
         assert_eq!(m32.notification_window(), 65);
         assert_eq!(NotifyScheme::Quad { fanout: 2 }.window_for(&m32), 13);
         assert_eq!(NotifyScheme::Quad { fanout: 4 }.window_for(&m32), 9);
         // The chip's 6×6 folds 6→3→2→1 at fanout 2: depth 3, window 9.
-        let chip: Topology = Mesh::new(6, 6, &[]);
+        let chip: Topology = Topology::new(Fabric::Mesh, 6, 6, []);
         assert_eq!(NotifyScheme::Quad { fanout: 2 }.window_for(&chip), 9);
         // Non-square and degenerate grids.
-        let m8x2: Topology = Mesh::new(8, 2, &[]);
+        let m8x2: Topology = Topology::new(Fabric::Mesh, 8, 2, []);
         assert_eq!(NotifyScheme::Quad { fanout: 2 }.window_for(&m8x2), 9);
-        let m1x1: Topology = Mesh::new(1, 1, &[]);
+        let m1x1: Topology = Topology::new(Fabric::Mesh, 1, 1, []);
         assert_eq!(NotifyScheme::Quad { fanout: 2 }.window_for(&m1x1), 3);
         // Flat reproduces the topology window exactly.
         assert_eq!(
@@ -870,14 +880,20 @@ mod tests {
 
     fn quad_net(cols: u16, rows: u16, fanout: u8, planes: usize) -> NotifyNetwork {
         let scheme = NotifyScheme::Quad { fanout };
-        both(&Mesh::new(cols, rows, &[]), scheme, planes, 1).0
+        both(
+            &Topology::new(Fabric::Mesh, cols, rows, []),
+            scheme,
+            planes,
+            1,
+        )
+        .0
     }
 
     #[test]
     fn quad_corner_injections_converge_in_the_log_window() {
         // depth 3, window 9 (flat: 17)
         let scheme = NotifyScheme::Quad { fanout: 2 };
-        let (mut nn, mut gates) = both(&Mesh::new(8, 8, &[]), scheme, 1, 1);
+        let (mut nn, mut gates) = both(&Topology::new(Fabric::Mesh, 8, 8, []), scheme, 1, 1);
         assert_eq!(nn.config().window, 9);
         let staged = [(0, 0, 1, false), (0, 63, 1, false)];
         let msg = window_both_ways(&mut nn, &mut gates, &staged);
@@ -925,7 +941,7 @@ mod tests {
             let rows = 1 + rng.gen_range_usize(9) as u16;
             let fanout = if rng.chance(0.5) { 2 } else { 4 };
             let planes = if rng.chance(0.5) { 1 } else { 4 };
-            let mesh = Mesh::new(cols, rows, &[]);
+            let mesh = Topology::new(Fabric::Mesh, cols, rows, []);
             let cores = mesh.tile_count();
             let cfg = NotifyConfig::for_mesh(&mesh);
             let mut flat = NotifyNetwork::with_scheme(&mesh, cfg, planes, NotifyScheme::Flat);
@@ -968,12 +984,16 @@ mod tests {
     fn gates_converge_in_exactly_the_declared_propagation_cycles() {
         let mut shapes: Vec<Topology> = Vec::new();
         shapes.extend(
-            [(1, 1), (4, 1), (1, 4), (6, 6), (8, 2), (16, 16)].map(|(c, r)| Mesh::new(c, r, &[])),
+            [(1, 1), (4, 1), (1, 4), (6, 6), (8, 2), (16, 16)]
+                .map(|(c, r)| Topology::new(Fabric::Mesh, c, r, [])),
         );
-        shapes.extend([(2, 2), (2, 4), (5, 3), (6, 6)].map(|(c, r)| Torus::new(c, r, &[])));
-        shapes.extend([2, 16, 37].map(|n| Ring::new(n, &[])));
         shapes.extend(
-            [(4, 2, 2), (2, 2, 4), (4, 4, 1), (1, 1, 4)].map(|(c, r, k)| CMesh::new(c, r, k, &[])),
+            [(2, 2), (2, 4), (5, 3), (6, 6)].map(|(c, r)| Topology::new(Fabric::Torus, c, r, [])),
+        );
+        shapes.extend([2, 16, 37].map(|n| Topology::new(Fabric::Ring, n, 1, [])));
+        shapes.extend(
+            [(4, 2, 2), (2, 2, 4), (4, 4, 1), (1, 1, 4)]
+                .map(|(c, r, k)| Topology::new(Fabric::CMesh(k), c, r, [])),
         );
         let schemes = [
             NotifyScheme::Flat,
@@ -1140,7 +1160,7 @@ mod tests {
         // stay all-zero through the quad sweep at every router, and the
         // live ones carry exactly what was staged.
         let scheme = NotifyScheme::Quad { fanout: 2 };
-        let (mut nn, mut gates) = both(&Mesh::new(6, 3, &[]), scheme, 4, 1);
+        let (mut nn, mut gates) = both(&Topology::new(Fabric::Mesh, 6, 3, []), scheme, 4, 1);
         let staged = [(0, 0, 1, false), (2, 17, 1, true)];
         let msg = window_both_ways(&mut nn, &mut gates, &staged);
         assert_eq!(msg.count(0, 0), 1);
@@ -1152,7 +1172,12 @@ mod tests {
 
     #[test]
     fn per_plane_words_converge_independently() {
-        let (mut nn, mut gates) = both(&Mesh::new(4, 4, &[]), NotifyScheme::Flat, 3, 1);
+        let (mut nn, mut gates) = both(
+            &Topology::new(Fabric::Mesh, 4, 4, []),
+            NotifyScheme::Flat,
+            3,
+            1,
+        );
         assert_eq!(nn.planes(), 3);
         assert_eq!(nn.config().window, 9);
         // Same core announces on two planes; another core stops plane 2.

@@ -7,12 +7,12 @@
 //! ```
 
 use scorpio_nic::{Nic, NicConfig, NicMode};
-use scorpio_noc::{Endpoint, Mesh, MultiNetwork, NocConfig, RouterId, Sid};
+use scorpio_noc::{Endpoint, Fabric, MultiNetwork, NocConfig, RouterId, Sid};
 use scorpio_notify::{NotifyConfig, NotifyNetwork, NotifyScheme};
 use std::num::NonZeroUsize;
 
 fn main() {
-    let mesh = Mesh::square_with_corner_mcs(4);
+    let mesh = Fabric::Mesh.topology(4);
     let cores = mesh.router_count();
     let one = NonZeroUsize::new(1).expect("non-zero");
     let mut net: MultiNetwork<&'static str> =

@@ -153,10 +153,10 @@ fn notification_bits_and_outstanding_sweep_is_live() {
 
 #[test]
 fn rectangular_mesh_system_works() {
-    use scorpio_noc::{Mesh, RouterId};
+    use scorpio_noc::{Fabric, RouterId, Topology};
     // A 6×2 mesh with MCs on two corners: exercises asymmetric broadcast
     // trees and window sizing.
-    let mesh = Mesh::new(6, 2, &[RouterId(0), RouterId(11)]);
+    let mesh = Topology::new(Fabric::Mesh, 6, 2, [RouterId(0), RouterId(11)]);
     let cfg = SystemConfig::with_topology(mesh);
     let params = WorkloadParams::by_name("fft").unwrap().with_ops(40);
     let traces = generate(&params, cfg.cores(), 23);

@@ -4,6 +4,7 @@
 //! and the memory controllers.
 
 use scorpio::{Protocol, System, SystemConfig};
+use scorpio_noc::Fabric;
 use scorpio_workloads::{
     generate, BarrierProgram, CoreProgram, TicketLockProgram, Trace, TraceOp, TraceRecord,
     WorkloadParams,
@@ -82,8 +83,8 @@ fn multi_plane_systems_complete_on_every_fabric() {
     for planes in [2usize, 4] {
         for cfg in [
             SystemConfig::square(4).with_planes(planes),
-            SystemConfig::torus(4).with_planes(planes),
-            SystemConfig::ring(16, 4).with_planes(planes),
+            SystemConfig::with_topology(Fabric::Torus.topology(4)).with_planes(planes),
+            SystemConfig::with_topology(Fabric::Ring.topology(4)).with_planes(planes),
         ] {
             let label = cfg.label();
             let traces = small_workload(&cfg, 40);

@@ -3,7 +3,7 @@
 //! (the NoC-only methodology of the paper's Section 5.2 exploration).
 
 use scorpio_noc::{
-    data_packet_flits, set_bits, Endpoint, Mesh, Network, NocConfig, Packet, RouterId,
+    data_packet_flits, set_bits, Endpoint, Fabric, Network, NocConfig, Packet, RouterId, Topology,
 };
 use scorpio_sim::SimRng;
 
@@ -18,7 +18,7 @@ fn drain_step(net: &mut Network<u64>) {
 
 #[test]
 fn uniform_random_unicast_latency_is_stable_at_low_load() {
-    let mesh = Mesh::new(6, 6, &[]);
+    let mesh = Topology::new(Fabric::Mesh, 6, 6, []);
     let mut cfg = NocConfig::scorpio();
     cfg.track_deliveries = false;
     let mut net: Network<u64> = Network::new(mesh, cfg);
@@ -60,7 +60,7 @@ fn broadcast_throughput_respects_mesh_bound() {
     // The theoretical broadcast throughput of a k×k mesh is 1/k² flits per
     // node per cycle (Section 5.3). Offer more than that and the network
     // must backpressure rather than wedge or drop.
-    let mesh = Mesh::new(4, 4, &[]);
+    let mesh = Topology::new(Fabric::Mesh, 4, 4, []);
     let mut cfg = NocConfig::scorpio();
     cfg.vnets[0].ordered = false; // pure broadcast traffic, no ESIDs
     cfg.track_deliveries = false;
@@ -100,7 +100,7 @@ fn broadcast_throughput_respects_mesh_bound() {
 fn channel_width_changes_data_packet_length() {
     for (cw, expect) in [(8u32, 5u8), (16, 3), (32, 2)] {
         assert_eq!(data_packet_flits(cw, 32), expect);
-        let mesh = Mesh::new(3, 3, &[]);
+        let mesh = Topology::new(Fabric::Mesh, 3, 3, []);
         let mut cfg = NocConfig::scorpio();
         cfg.channel_bytes = cw;
         let mut net: Network<u64> = Network::new(mesh, cfg.clone());
@@ -128,7 +128,7 @@ fn channel_width_changes_data_packet_length() {
 fn wider_goreq_helps_under_broadcast_pressure() {
     // More GO-REQ VCs should never hurt broadcast drain time.
     let run = |vcs: u8| -> u64 {
-        let mesh = Mesh::new(4, 4, &[]);
+        let mesh = Topology::new(Fabric::Mesh, 4, 4, []);
         let mut cfg = NocConfig::scorpio();
         cfg.vnets[0].vcs = vcs;
         cfg.vnets[0].ordered = false;

@@ -9,8 +9,8 @@
 use scorpio::{Protocol, System, SystemConfig};
 use scorpio_nic::NotificationTracker;
 use scorpio_noc::{
-    set_bits, testing, Endpoint, Mesh, Network, NocConfig, Packet, PlaneSteer, Port, Ring,
-    RouterId, Sid, Topology, Torus,
+    set_bits, testing, Endpoint, Fabric, Network, NocConfig, Packet, PlaneSteer, Port, RouterId,
+    Sid, Topology,
 };
 use scorpio_notify::NotifyMsg;
 use scorpio_sim::SimRng;
@@ -40,7 +40,7 @@ fn range_u16(rng: &mut SimRng, lo: u16, hi: u16) -> u16 {
 fn broadcast_tree_exactly_once() {
     for_each_seed(16, |rng| {
         let (cols, rows) = (range_u16(rng, 1, 8), range_u16(rng, 1, 8));
-        let topo: Topology = Mesh::new(cols, rows, &[]);
+        let topo: Topology = Topology::new(Fabric::Mesh, cols, rows, []);
         let src = RouterId(range_u16(rng, 0, cols * rows));
         let deliveries = testing::broadcast_deliveries(&topo, Endpoint::tile(src));
         for r in topo.routers() {
@@ -56,7 +56,7 @@ fn broadcast_tree_exactly_once() {
 fn unicast_paths_are_minimal() {
     for_each_seed(16, |rng| {
         let (cols, rows) = (range_u16(rng, 1, 8), range_u16(rng, 1, 8));
-        let topo: Topology = Mesh::new(cols, rows, &[]);
+        let topo: Topology = Topology::new(Fabric::Mesh, cols, rows, []);
         let n = cols * rows;
         let (src, dst) = (
             RouterId(range_u16(rng, 0, n)),
@@ -74,8 +74,13 @@ fn unicast_paths_are_minimal() {
 fn broadcast_exactly_once_on_wraparound_fabrics() {
     for_each_seed(16, |rng| {
         let (cols, rows) = (range_u16(rng, 2, 7), range_u16(rng, 2, 7));
-        testing::check_broadcast_exactly_once(&Torus::new(cols, rows, &[]));
-        testing::check_broadcast_exactly_once(&Ring::new(range_u16(rng, 2, 20), &[]));
+        testing::check_broadcast_exactly_once(&Topology::new(Fabric::Torus, cols, rows, []));
+        testing::check_broadcast_exactly_once(&Topology::new(
+            Fabric::Ring,
+            range_u16(rng, 2, 20),
+            1,
+            [],
+        ));
     });
 }
 
@@ -119,7 +124,8 @@ fn random_broadcast_batches_drain() {
     for_each_seed(16, |rng| {
         let k = range_u16(rng, 2, 5);
         let n = k * k;
-        let mut net: Network<u64> = Network::new(Mesh::new(k, k, &[]), NocConfig::scorpio());
+        let mut net: Network<u64> =
+            Network::new(Topology::new(Fabric::Mesh, k, k, []), NocConfig::scorpio());
         let mut uids = Vec::new();
         for r in 0..n {
             if rng.chance(0.7) {

@@ -6,7 +6,9 @@
 //! SA-O/VS → ST (+1 link) = 4 cycles; bypassed hop = ST (+1 link) = 2
 //! cycles; lookaheads processed one cycle before their flit arrives.
 
-use scorpio_noc::{set_bits, Endpoint, Mesh, Network, NocConfig, Packet, RouterId, Sid, VnetId};
+use scorpio_noc::{
+    set_bits, Endpoint, Fabric, Network, NocConfig, Packet, RouterId, Sid, Topology, VnetId,
+};
 
 /// Runs until the single injected packet's tail is consumed at `dst`,
 /// returning the consumption cycle.
@@ -31,7 +33,7 @@ fn delivery_cycle(mut net: Network<u64>, dst: Endpoint) -> u64 {
 
 fn single_flit_latency(hops: u16, bypass: bool) -> u64 {
     // A 1×N line mesh: hops east from router 0.
-    let mesh = Mesh::new(hops + 1, 1, &[]);
+    let mesh = Topology::new(Fabric::Mesh, hops + 1, 1, []);
     let mut cfg = NocConfig::scorpio();
     cfg.bypass = bypass;
     cfg.track_deliveries = false;
@@ -84,7 +86,7 @@ fn bypass_saves_two_cycles_per_router() {
 fn multi_flit_tail_trails_head_by_flit_count() {
     // Cut-through: at zero load the tail lands len-1 cycles after the head
     // would as a single flit (one flit per cycle on the link).
-    let mesh = Mesh::new(4, 1, &[]);
+    let mesh = Topology::new(Fabric::Mesh, 4, 1, []);
     let mut cfg = NocConfig::scorpio();
     cfg.track_deliveries = false;
     let single = {
@@ -106,7 +108,7 @@ fn multi_flit_tail_trails_head_by_flit_count() {
     // Multi-flit packets take the buffered path (no lookahead), so compare
     // against the buffered single-flit baseline plus 2 serialization slots.
     let single_buffered = {
-        let mesh = Mesh::new(4, 1, &[]);
+        let mesh = Topology::new(Fabric::Mesh, 4, 1, []);
         let mut cfg = NocConfig::scorpio();
         cfg.bypass = false;
         cfg.track_deliveries = false;
@@ -129,7 +131,7 @@ fn multi_flit_tail_trails_head_by_flit_count() {
 fn broadcast_farthest_copy_matches_unicast_distance() {
     // The XY broadcast tree delivers the farthest copy no later than a
     // unicast over the same distance plus fork-contention slack.
-    let mesh = Mesh::new(4, 4, &[]);
+    let mesh = Topology::new(Fabric::Mesh, 4, 4, []);
     let mut cfg = NocConfig::scorpio();
     cfg.track_deliveries = false;
     let mut net: Network<u64> = Network::new(mesh, cfg);
@@ -151,7 +153,7 @@ fn broadcast_farthest_copy_matches_unicast_distance() {
 fn goreq_vnet_uses_separate_buffers_from_uoresp() {
     // Saturate UO-RESP with data packets; a GO-REQ broadcast must still
     // make progress (virtual-network isolation).
-    let mesh = Mesh::new(4, 1, &[]);
+    let mesh = Topology::new(Fabric::Mesh, 4, 1, []);
     let mut cfg = NocConfig::scorpio();
     cfg.vnets[0].ordered = false;
     cfg.track_deliveries = false;

@@ -11,8 +11,8 @@ use scorpio_coherence::{DirectoryCache, LineAddr, LineState};
 use scorpio_mem::{CacheArray, Line};
 use scorpio_nic::{Nic, NicConfig, NicMode};
 use scorpio_noc::{
-    set_bits, CMesh, Endpoint, Mesh, MultiNetwork, Network, NocConfig, Packet, RouterId, Sid,
-    Topology, VnetId,
+    set_bits, Endpoint, Fabric, MultiNetwork, Network, NocConfig, Packet, RouterId, Sid, Topology,
+    VnetId,
 };
 use scorpio_notify::{NotifyConfig, NotifyNetwork, NotifyScheme};
 use scorpio_workloads::{generate, WorkloadParams};
@@ -172,7 +172,7 @@ fn chip_on_barnes_steps_without_per_cycle_allocations() {
 /// consuming everything that arrives: exactly zero allocations once warm.
 #[test]
 fn network_under_broadcast_injection_allocates_nothing_once_warm() {
-    let mesh = Mesh::square_with_corner_mcs(4);
+    let mesh = Fabric::Mesh.topology(4);
     let mut cfg = NocConfig::scorpio();
     cfg.track_deliveries = false;
     let mut net: Network<u32> = Network::new(mesh, cfg);
@@ -216,7 +216,7 @@ fn network_under_broadcast_injection_allocates_nothing_once_warm() {
 /// included.
 #[test]
 fn interconnect_with_nics_and_notify_allocates_nothing_once_warm() {
-    let mesh = Mesh::square_with_corner_mcs(4);
+    let mesh = Fabric::Mesh.topology(4);
     let mut noc = NocConfig::scorpio();
     noc.track_deliveries = false;
     let data_flits = noc.data_flits();
@@ -343,7 +343,7 @@ fn nic_construction_cost_is_one_record_per_ordering_plane() {
 #[test]
 fn notify_construction_cost_is_independent_of_the_router_count() {
     let build = |k: u16, scheme: NotifyScheme| {
-        let mesh = Mesh::new(k, k, &[]);
+        let mesh = Topology::new(Fabric::Mesh, k, k, []);
         let cfg = NotifyConfig {
             cores: mesh.tile_count(),
             bits_per_core: 1,
@@ -376,15 +376,15 @@ fn network_construction_cost_is_independent_of_the_router_count() {
         let net: Network<u64> = Network::new(fabric, cfg);
         (allocations() - before, net)
     };
-    let (small, _small) = build(Mesh::square_with_corner_mcs(4));
-    let (large, _large) = build(Mesh::square_with_corner_mcs(16));
-    let (cmesh, _cmesh) = build(CMesh::with_corner_mcs(8, 8, 4));
+    let (small, _small) = build(Fabric::Mesh.topology(4));
+    let (large, _large) = build(Fabric::Mesh.topology(16));
+    let (cmesh, _cmesh) = build(Fabric::CMesh(4).topology(16));
     assert_eq!([small, large], [cmesh; 2], "4x4, 16x16 and cmesh8x8x4");
     assert_eq!(small, 36, "allocations to build a network");
 
     // A plane is one network built from its own copies of the topology and
     // the configuration.
-    let mesh = Mesh::square_with_corner_mcs(4);
+    let mesh = Fabric::Mesh.topology(4);
     let before = allocations();
     let copies = (mesh.clone(), cfg.clone());
     let plane = small + (allocations() - before);
